@@ -22,7 +22,7 @@
 //! across runs or days. Peak RSS is reported per process so the 16³
 //! footprint stays visible run over run.
 
-use jm_machine::{Engine, JMachine, MachineConfig, StartPolicy};
+use jm_machine::{Engine, HostTuning, JMachine, MachineConfig, StartPolicy};
 use std::process::ExitCode;
 
 /// FNV-1a over a byte string (the workspace's standard tiny fingerprint).
@@ -70,7 +70,10 @@ fn main() -> ExitCode {
             MachineConfig::new(nodes)
                 .start(StartPolicy::AllNodes)
                 .engine(engine)
-                .quantum(quantum),
+                .tuning(HostTuning {
+                    quantum,
+                    ..HostTuning::default()
+                }),
         );
         let start = std::time::Instant::now();
         m.run(cycles);

@@ -5,9 +5,8 @@
 //! ```text
 //! replay record  --workload exchange|chaos64 [--out PATH] [--interval N]
 //!                [--cycles N] [--engine E] [--seed S]
-//! replay verify  --log PATH [--engine E] [--quantum N] [--sched auto|event|scan]
-//! replay bisect  --log PATH [--engine E] [--quantum N] [--sched auto|event|scan]
-//!                [--expect-log-mismatch CYCLE]
+//! replay verify  --log PATH [--engine E]
+//! replay bisect  --log PATH [--engine E] [--expect-log-mismatch CYCLE]
 //! replay corrupt --log PATH --checkpoint N [--out PATH]
 //! ```
 //!
@@ -22,12 +21,13 @@
 //! that checkpoint's cycle as a log mismatch, which `bisect
 //! --expect-log-mismatch CYCLE` asserts (exit 0 iff it does).
 //!
-//! Engine flags default to the configuration recorded in the log, so
+//! `--engine` defaults to the engine recorded in the log, so
 //! `verify --log x.jmrp` with no overrides is a pure determinism check of
 //! the recording environment itself.
 
-use jm_machine::{Engine, FaultSpec, FaultWindow, MachineConfig, MachineFactory, StartPolicy};
-use jm_machine::{JMachine, SchedMode};
+use jm_machine::{
+    Engine, FaultSpec, FaultWindow, JMachine, MachineConfig, MachineFactory, StartPolicy,
+};
 use jm_replay::{Divergence, ReplayLog, DEFAULT_INTERVAL};
 use std::process::ExitCode;
 
@@ -45,15 +45,6 @@ fn parse_engine(s: &str) -> Engine {
     }
 }
 
-fn parse_sched(s: &str) -> SchedMode {
-    match s {
-        "auto" => SchedMode::Auto,
-        "event" => SchedMode::ForcedEvent,
-        "scan" => SchedMode::ForcedScan,
-        _ => panic!("--sched takes auto, event, or scan, not {s:?}"),
-    }
-}
-
 /// A delay-only fault plan for the 64-node chaos workload: lossless
 /// backpressure (flaky links, a link-down window, a router stall) plus
 /// checksum trailers, mirroring the `chaos` binary's plan shape but
@@ -67,20 +58,14 @@ fn chaos_plan(seed: u64) -> FaultSpec {
         .window(FaultWindow::node_down(5, 800, 1_400))
 }
 
-/// Builds the target factory from the CLI overrides; with no flags the
+/// Builds the target factory from the CLI override; with no flag the
 /// replay runs under the configuration recorded in the log.
 fn factory(arg: &impl Fn(&str) -> Option<String>) -> MachineFactory {
-    let mut f = MachineFactory::recorded();
-    if let Some(e) = arg("--engine") {
-        f = f.engine(parse_engine(&e));
+    let f = MachineFactory::recorded();
+    match arg("--engine") {
+        Some(e) => f.engine(parse_engine(&e)),
+        None => f,
     }
-    if let Some(q) = arg("--quantum") {
-        f = f.quantum(q.parse().expect("--quantum takes a number"));
-    }
-    if let Some(s) = arg("--sched") {
-        f = f.sched_mode(parse_sched(&s));
-    }
-    f
 }
 
 fn record(arg: &impl Fn(&str) -> Option<String>) -> ExitCode {

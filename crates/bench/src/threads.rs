@@ -4,7 +4,7 @@
 //! busy every cycle — the case where threading can actually help) for a
 //! fixed cycle count under `Engine::Event` and `Engine::Parallel(t)` for
 //! t ∈ {1, 2, 4}, timing each run. Because every engine is bit-exact
-//! (DESIGN.md §4.7), the sweep doubles as a differential test: the final
+//! (DESIGN.md §4.5), the sweep doubles as a differential test: the final
 //! statistics of every run are asserted identical before any number is
 //! reported.
 //!

@@ -3,7 +3,7 @@
 use jm_fault::FaultSpec;
 use jm_isa::node::MeshDims;
 use jm_mdp::MdpConfig;
-use jm_net::NetConfig;
+use jm_net::{NetConfig, ScanPolicy};
 use jm_traffic::TrafficSpec;
 
 /// Which nodes start a background thread at boot (at the program's declared
@@ -26,7 +26,7 @@ pub enum StartPolicy {
 /// per-class cycle attribution, and network counters are identical. They
 /// differ only in host run time — the event engine tracks work instead of
 /// scanning for it, and the parallel engine additionally spreads the mesh's
-/// z-slabs over worker threads (bit-identically: see `DESIGN.md` §4.7 for
+/// z-slabs over worker threads (bit-identically: see `DESIGN.md` §4.5 for
 /// the two-phase tick and the determinism argument).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
@@ -40,56 +40,46 @@ pub enum Engine {
     /// z-slabs (about two per worker, clamped to the z extent) and a crew
     /// of this many worker threads advances them as a task graph with
     /// neighbor-only synchronization; global coordination happens only at
-    /// multi-cycle quantum boundaries (see [`MachineConfig::quantum`] and
-    /// `DESIGN.md` §4.10). Results are bit-identical to the other engines
-    /// for every thread count and every quantum. `Parallel(1)` runs the
-    /// event engine's sequential path. Machines built with lifecycle
-    /// tracing enabled are an error unless the config opts into
-    /// [`TraceFallback::Allow`] (trace ids need a global injection
-    /// counter).
+    /// multi-cycle quantum boundaries (`DESIGN.md` §4.5). Results are
+    /// bit-identical to the other engines for every thread count; the one
+    /// documented divergence is *when* a `run_until_quiescent` drive stops
+    /// after a node error (at the next coordination point rather than the
+    /// cycle after the error). `Parallel(1)` runs the event engine's
+    /// sequential path. Building a machine with lifecycle tracing enabled
+    /// is an error
+    /// ([`MachineError::TraceUnsupportedUnderParallel`](crate::MachineError)):
+    /// trace ids need a global injection counter.
     Parallel(u32),
 }
 
-/// What to do when a machine requests [`Engine::Parallel`] with lifecycle
-/// tracing enabled. Trace ids are injection ordinals from one global
-/// counter, which sharded injection does not maintain, so the combination
-/// cannot run threaded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceFallback {
-    /// Refuse to build the machine
-    /// ([`MachineError::TraceUnsupportedUnderParallel`](crate::MachineError)).
-    /// The default: a benchmark that asks for the parallel engine must not
-    /// silently measure a different one.
-    #[default]
-    Error,
-    /// Fall back to [`Engine::Event`] — bit-identical by construction, so
-    /// the trace describes exactly what the parallel engine would have
-    /// simulated. The fallback is counted
-    /// ([`parallel_trace_fallbacks`](crate::parallel_trace_fallbacks)) and
-    /// logged so run metadata can name the engine that actually executed.
-    Allow,
+/// Test hook: host-performance mechanisms the engines otherwise select
+/// from what they observe. No value here can change a simulated result —
+/// that is exactly what the differential suites set these to prove — so
+/// none is part of the public configuration and none is recorded in
+/// replay logs.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HostTuning {
+    /// Node-scheduler (heap vs. wake-table scan) and router-scan (active
+    /// bitset vs. occupancy scan) strategy. `Auto` switches on measured
+    /// occupancy with hysteresis.
+    pub scan: ScanPolicy,
+    /// Parallel-engine quantum: simulated cycles between global
+    /// coordination points. `0` picks automatically.
+    pub quantum: u32,
+    /// Whether a message committed into an otherwise-empty single-shard
+    /// mesh may take the wormhole bulk-advance fast path.
+    pub bulk: bool,
 }
 
-/// How the event engine's per-shard scheduler advances due nodes.
-///
-/// `Auto` (the default) watches measured occupancy — the number of nodes
-/// that actually ticked in the cycle just run — and flips between the
-/// wake-up heap (sparse activity) and a dense scan of the wake table
-/// (saturated activity). The up-switch threshold (5/8 of the shard's nodes)
-/// sits well above the down-switch threshold (1/4), so a load hovering near
-/// either cannot thrash the switch. All three modes are bit-identical — the
-/// differential suite runs them side by side — because due nodes tick in
-/// ascending id order under both strategies; only the cost of *finding*
-/// them changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedMode {
-    /// Congestion-aware switching with hysteresis.
-    #[default]
-    Auto,
-    /// Always use the wake-up heap (the classic event engine).
-    ForcedEvent,
-    /// Always use the dense wake-table scan.
-    ForcedScan,
+impl Default for HostTuning {
+    fn default() -> HostTuning {
+        HostTuning {
+            scan: ScanPolicy::Auto,
+            quantum: 0,
+            bulk: true,
+        }
+    }
 }
 
 /// Process-wide default-engine override (see [`Engine::set_default`]).
@@ -175,19 +165,6 @@ pub struct MachineConfig {
     pub engine: Engine,
     /// Lifecycle tracing (off by default).
     pub trace: TraceConfig,
-    /// Policy for tracing + [`Engine::Parallel`] (an error by default).
-    pub trace_fallback: TraceFallback,
-    /// Parallel-engine quantum: simulated cycles between global
-    /// coordination points (quiescence/error/idle-skip checks). `0` (the
-    /// default) picks automatically. Purely a host-performance knob —
-    /// observable results are bit-identical for every quantum; the only
-    /// documented divergence is *when* a `run_until_quiescent` drive stops
-    /// after a node error (at the next quantum boundary rather than the
-    /// cycle after the error; see `DESIGN.md` §4.10). Ignored by the
-    /// sequential engines.
-    pub quantum: u32,
-    /// Scheduler advance strategy (auto-switching by default).
-    pub sched: SchedMode,
     /// Fault-injection plan (none by default). A vacuous spec — no windows,
     /// zero rates, no checksums — canonicalizes to no plan at machine
     /// build, so it takes the exact fault-free code paths.
@@ -196,6 +173,9 @@ pub struct MachineConfig {
     /// spec — zero load or an empty window — canonicalizes to no plan at
     /// machine build, so it takes the exact traffic-free code paths.
     pub traffic: Option<TrafficSpec>,
+    /// Test hook (see [`HostTuning`]).
+    #[doc(hidden)]
+    pub tuning: HostTuning,
 }
 
 impl MachineConfig {
@@ -206,20 +186,7 @@ impl MachineConfig {
     /// Panics if `nodes` cannot be factored into a mesh (see
     /// [`MeshDims::for_nodes`]).
     pub fn new(nodes: u32) -> MachineConfig {
-        let dims = MeshDims::for_nodes(nodes);
-        MachineConfig {
-            dims,
-            mdp: MdpConfig::default(),
-            net: NetConfig::new(dims),
-            start: StartPolicy::default(),
-            engine: Engine::default(),
-            trace: TraceConfig::default(),
-            trace_fallback: TraceFallback::default(),
-            quantum: 0,
-            sched: SchedMode::default(),
-            fault: None,
-            traffic: None,
-        }
+        MachineConfig::with_dims(MeshDims::for_nodes(nodes))
     }
 
     /// Machine with explicit mesh dimensions.
@@ -231,11 +198,9 @@ impl MachineConfig {
             start: StartPolicy::default(),
             engine: Engine::default(),
             trace: TraceConfig::default(),
-            trace_fallback: TraceFallback::default(),
-            quantum: 0,
-            sched: SchedMode::default(),
             fault: None,
             traffic: None,
+            tuning: HostTuning::default(),
         }
     }
 
@@ -274,25 +239,6 @@ impl MachineConfig {
         self
     }
 
-    /// Sets the tracing + parallel-engine policy (builder style).
-    pub fn trace_fallback(mut self, policy: TraceFallback) -> MachineConfig {
-        self.trace_fallback = policy;
-        self
-    }
-
-    /// Sets the parallel-engine quantum in cycles, `0` = auto (builder
-    /// style).
-    pub fn quantum(mut self, quantum: u32) -> MachineConfig {
-        self.quantum = quantum;
-        self
-    }
-
-    /// Sets the scheduler advance strategy (builder style).
-    pub fn sched_mode(mut self, sched: SchedMode) -> MachineConfig {
-        self.sched = sched;
-        self
-    }
-
     /// Sets the fault-injection plan (builder style).
     pub fn fault(mut self, spec: FaultSpec) -> MachineConfig {
         self.fault = Some(spec);
@@ -302,6 +248,13 @@ impl MachineConfig {
     /// Sets the synthetic background-traffic plan (builder style).
     pub fn traffic(mut self, spec: TrafficSpec) -> MachineConfig {
         self.traffic = Some(spec);
+        self
+    }
+
+    /// Sets the host tuning (builder style; test hook).
+    #[doc(hidden)]
+    pub fn tuning(mut self, tuning: HostTuning) -> MachineConfig {
+        self.tuning = tuning;
         self
     }
 

@@ -44,11 +44,13 @@ mod parallel;
 mod replay;
 mod stats;
 
-pub use config::{Engine, MachineConfig, SchedMode, StartPolicy, TraceConfig, TraceFallback};
+#[doc(hidden)]
+pub use config::HostTuning;
+pub use config::{Engine, MachineConfig, StartPolicy, TraceConfig};
 pub use jm_fault::{FaultSpec, FaultStats, FaultWindow, FaultWindowKind};
 pub use jm_trace::{MachineTrace, MsgTrace, SamplePoint};
 pub use jm_traffic::{TrafficPattern, TrafficSpec, TrafficStats};
-pub use machine::{parallel_trace_fallbacks, JMachine, MachineError};
+pub use machine::{JMachine, MachineError};
 pub use replay::{
     capture_replay, capture_replay_from_env, recorded_machine_config, Corruption, MachineFactory,
     MachineReplayer,

@@ -1,14 +1,17 @@
 //! The machine: nodes + network under one clock.
 //!
-//! Two engines drive that clock (see [`Engine`]): a naive reference that
-//! scans every node and router each cycle, and the default event-driven
-//! engine that tracks *where work is* — a wake-up heap for busy nodes, the
-//! network's delivery notifications for queue pumping, and counters that
-//! make quiescence an O(1) check. Both produce bit-identical observable
-//! results; `DESIGN.md` ("Simulation engine scheduling") gives the
-//! invariants and the cycle-exactness argument.
+//! Three engines drive that clock (see [`Engine`]) through one drive loop
+//! ([`JMachine::run`] and [`JMachine::run_until_quiescent`] are its two
+//! stop conditions): a naive reference that scans every node and router
+//! each cycle, the default event-driven engine that tracks *where work is*
+//! — a wake-up heap for busy nodes, the network's delivery notifications
+//! for queue pumping, and counters that make quiescence an O(1) check —
+//! and the parallel engine that runs the event engine's per-shard step on
+//! a crew of threads. All produce bit-identical observable results;
+//! `DESIGN.md` §4.5 ("Engines and host tuning") gives the invariants and
+//! the cycle-exactness argument.
 
-use crate::config::{Engine, MachineConfig, SchedMode, StartPolicy, TraceFallback};
+use crate::config::{Engine, MachineConfig, StartPolicy};
 use crate::stats::MachineStats;
 use jm_asm::Program;
 use jm_fault::{checksum_words, FaultPlan};
@@ -24,21 +27,7 @@ use jm_traffic::TrafficPlan;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Process-wide count of traced runs that requested [`Engine::Parallel`]
-/// and were built on [`Engine::Event`] instead (see [`JMachine::new`]).
-static PARALLEL_TRACE_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-
-/// How many machines in this process requested the parallel engine with
-/// tracing enabled and silently-equivalently ran the event engine instead.
-/// Harness binaries record this in their run metadata (e.g. the
-/// `fault_sweep --digest` output) so a digest names the engine that
-/// actually executed, not just the one requested.
-pub fn parallel_trace_fallbacks() -> u64 {
-    PARALLEL_TRACE_FALLBACKS.load(Ordering::Relaxed)
-}
 
 /// A machine-level failure.
 #[derive(Debug, Clone)]
@@ -61,14 +50,13 @@ pub enum MachineError {
         nodes: Vec<NodeId>,
     },
     /// The configuration asked for [`Engine::Parallel`] with lifecycle
-    /// tracing enabled, without opting into a fallback. Trace ids are
-    /// injection ordinals from one global counter, which sharded injection
-    /// does not maintain — run traced machines on [`Engine::Event`]
-    /// (bit-identical), or set
-    /// [`TraceFallback::Allow`](crate::TraceFallback) to let the machine do
-    /// that itself (counted, so run metadata can name the engine that
-    /// actually executed).
+    /// tracing enabled. Trace ids are injection ordinals from one global
+    /// counter, which sharded injection does not maintain — run traced
+    /// machines on [`Engine::Event`] (bit-identical).
     TraceUnsupportedUnderParallel,
+    /// The configuration describes no buildable machine; the message names
+    /// the offending field.
+    InvalidConfig(&'static str),
 }
 
 impl fmt::Display for MachineError {
@@ -95,8 +83,9 @@ impl fmt::Display for MachineError {
             MachineError::TraceUnsupportedUnderParallel => write!(
                 f,
                 "lifecycle tracing is unsupported under Engine::Parallel; \
-                 use Engine::Event or opt into TraceFallback::Allow"
+                 use Engine::Event (bit-identical)"
             ),
+            MachineError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
         }
     }
 }
@@ -177,21 +166,21 @@ pub(crate) struct EventSched {
     pub(crate) pump_scratch: Vec<u32>,
     /// Current advance strategy.
     pub(crate) mode: ScanMode,
-    /// Switching policy (from [`MachineConfig::sched`]).
-    policy: SchedMode,
+    /// Switching policy (auto unless a test pinned it).
+    policy: ScanPolicy,
 }
 
 impl EventSched {
     /// Every node starts scheduled for cycle 0 — the first step ticks them
     /// all once, exactly like the naive engine, and the workless ones park.
     /// `nodes` is the covered slice (ids `base .. base + nodes.len()`).
-    fn new(nodes: &[MdpNode], base: usize, policy: SchedMode) -> EventSched {
+    fn new(nodes: &[MdpNode], base: usize, policy: ScanPolicy) -> EventSched {
         let n = nodes.len();
         let has_work: Vec<bool> = nodes.iter().map(MdpNode::has_work).collect();
         let work_count = has_work.iter().filter(|&&w| w).count();
         let mode = match policy {
-            SchedMode::ForcedScan => ScanMode::Dense,
-            SchedMode::Auto | SchedMode::ForcedEvent => ScanMode::Heap,
+            ScanPolicy::ForcedDense => ScanMode::Dense,
+            ScanPolicy::Auto | ScanPolicy::ForcedSparse => ScanMode::Heap,
         };
         EventSched {
             base,
@@ -225,7 +214,7 @@ impl EventSched {
     /// the hysteresis — a load sitting between the thresholds keeps
     /// whatever mode it is in.
     pub(crate) fn retune(&mut self, ticked: usize) {
-        if self.policy != SchedMode::Auto {
+        if self.policy != ScanPolicy::Auto {
             return;
         }
         let n = self.wake_at.len();
@@ -299,6 +288,16 @@ impl EventSched {
     }
 }
 
+/// Why [`JMachine::drive`] returned.
+enum Stop {
+    /// The clock reached the deadline.
+    Deadline,
+    /// Nothing can happen anymore.
+    Quiescent,
+    /// A node stopped with an error.
+    NodeError,
+}
+
 /// A simulated J-Machine.
 pub struct JMachine {
     program: Arc<Program>,
@@ -344,9 +343,10 @@ impl JMachine {
     /// # Errors
     ///
     /// [`MachineError::TraceUnsupportedUnderParallel`] when the config
-    /// enables lifecycle tracing under [`Engine::Parallel`] without opting
-    /// into [`TraceFallback::Allow`] — a benchmark that asked for the
-    /// parallel engine must not silently measure a different one.
+    /// enables lifecycle tracing under [`Engine::Parallel`] — a benchmark
+    /// that asked for the parallel engine must not silently measure a
+    /// different one. [`MachineError::InvalidConfig`] when `net.dims`
+    /// differs from `dims` or a network buffer depth is zero.
     ///
     /// # Panics
     ///
@@ -355,27 +355,21 @@ impl JMachine {
     pub fn try_new(program: Program, config: MachineConfig) -> Result<JMachine, MachineError> {
         program.validate().expect("invalid program image");
         let mut config = config;
+        let net = &config.net;
+        for (bad, why) in [
+            (net.dims != config.dims, "net.dims differs from dims"),
+            (net.flit_buffer == 0, "net.flit_buffer is zero"),
+            (net.inject_fifo == 0, "net.inject_fifo is zero"),
+            (net.eject_fifo == 0, "net.eject_fifo is zero"),
+        ] {
+            if bad {
+                return Err(MachineError::InvalidConfig(why));
+            }
+        }
         if config.trace.enabled && matches!(config.engine, Engine::Parallel(_)) {
             // Trace ids are injection ordinals from one global counter,
             // which sharded injection does not maintain.
-            match config.trace_fallback {
-                TraceFallback::Error => {
-                    return Err(MachineError::TraceUnsupportedUnderParallel);
-                }
-                TraceFallback::Allow => {
-                    // Fall back to the event engine — bit-identical by
-                    // construction, so the trace describes exactly what the
-                    // parallel engine would have simulated. Counted and
-                    // logged so run metadata can name the engine that
-                    // actually executed.
-                    PARALLEL_TRACE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "jm-machine: warning: traced machine requested {:?}; running Engine::Event instead (bit-identical)",
-                        config.engine
-                    );
-                    config.engine = Engine::Event;
-                }
-            }
+            return Err(MachineError::TraceUnsupportedUnderParallel);
         }
         // Canonicalize the fault plan: a vacuous spec is no plan at all, so
         // every fault hook below stays on its fault-free path.
@@ -383,13 +377,6 @@ impl JMachine {
         config.mdp.checksum_msgs = fault.is_some_and(|p| p.checksums());
         // Same canonicalization for the synthetic-traffic plan.
         let traffic = config.traffic.and_then(TrafficPlan::from_spec);
-        // One knob drives both congestion-aware switches: the scheduler's
-        // heap/dense choice and the net layer's active-set/occupancy scan.
-        config.net.scan = match config.sched {
-            SchedMode::Auto => ScanPolicy::Auto,
-            SchedMode::ForcedEvent => ScanPolicy::ForcedSparse,
-            SchedMode::ForcedScan => ScanPolicy::ForcedDense,
-        };
         // Slab count for the parallel engine: about two z-slabs per worker,
         // but never finer than two z-planes per slab. Over-decomposing gives
         // the crew slack to balance activity — a worker whose home slab
@@ -422,6 +409,10 @@ impl JMachine {
         let mut net = Network::with_shards(config.net, shards);
         net.set_fault_plan(fault);
         net.set_traffic_plan(traffic);
+        // One policy drives both occupancy-keyed switches: the scheduler's
+        // heap/dense choice and the net layer's active-set/occupancy scan.
+        let tuning = config.tuning;
+        net.set_tuning(tuning.scan, tuning.bulk);
         if config.trace.enabled {
             net.set_tracing(true);
             for node in &mut nodes {
@@ -433,7 +424,7 @@ impl JMachine {
             parts
                 .iter()
                 .map(|s| {
-                    EventSched::new(&nodes[s.base()..s.base() + s.len()], s.base(), config.sched)
+                    EventSched::new(&nodes[s.base()..s.base() + s.len()], s.base(), tuning.scan)
                 })
                 .collect()
         };
@@ -612,8 +603,16 @@ impl JMachine {
     }
 
     /// Advances the machine by one cycle: ejected words are pumped into the
-    /// queues, nodes tick, and the network moves flits.
+    /// queues, nodes tick, and the network moves flits. Always sequential —
+    /// a parallel-configured machine steps its shards on the calling thread.
     pub fn step(&mut self) {
+        self.step_cycle();
+        self.checkpoint();
+    }
+
+    /// One cycle under the configured engine's sequential stepper, plus the
+    /// occupancy sample when tracing.
+    fn step_cycle(&mut self) {
         match self.config.engine {
             Engine::Naive => self.step_naive(),
             Engine::Event | Engine::Parallel(_) => self.step_sharded(),
@@ -731,7 +730,7 @@ impl JMachine {
         // Auto quantum: long enough that boundary coordination is noise
         // against Q cycles of slab work, short enough that error stops and
         // quiescence detection stay prompt.
-        let quantum = match self.config.quantum {
+        let quantum = match self.config.tuning.quantum {
             0 => 64,
             q => u64::from(q),
         };
@@ -773,24 +772,7 @@ impl JMachine {
 
     /// Runs for a fixed number of cycles.
     pub fn run(&mut self, cycles: u64) {
-        if self.recorder.is_some() {
-            self.run_recorded(cycles);
-            return;
-        }
-        self.run_inner(cycles);
-    }
-
-    /// [`Self::run`] without the replay-capture chunking (the recorded path
-    /// calls this between hash boundaries).
-    pub(crate) fn run_inner(&mut self, cycles: u64) {
-        if self.threaded() && cycles > 0 && !self.config.trace.enabled {
-            let deadline = self.cycle.saturating_add(cycles);
-            self.drive_parallel(crate::parallel::Mode::Fixed { deadline });
-            return;
-        }
-        for _ in 0..cycles {
-            self.step();
-        }
+        self.drive(self.cycle.saturating_add(cycles), false);
     }
 
     /// Whether nothing can happen anymore: every node idle with empty
@@ -837,10 +819,10 @@ impl JMachine {
     }
 
     /// Runs until quiescence, a node error, or the cycle budget. All three
-    /// conditions are checked every cycle on both engines, so the returned
-    /// cycle counts (and timeout cycle counts) are engine-independent; on
-    /// the event engine each check is O(1) and stretches of cycles where
-    /// nothing can happen are skipped outright.
+    /// conditions are checked every cycle on the sequential engines, so the
+    /// returned cycle counts (and timeout cycle counts) are
+    /// engine-independent; on the event engine each check is O(1) and
+    /// stretches of cycles where nothing can happen are skipped outright.
     ///
     /// # Errors
     ///
@@ -849,24 +831,10 @@ impl JMachine {
     /// [`MachineError::StrandedMessages`] if the machine quiesced with
     /// words still queued at halted/errored nodes.
     pub fn run_until_quiescent(&mut self, max_cycles: u64) -> Result<u64, MachineError> {
-        if self.recorder.is_some() {
-            return self.run_until_quiescent_recorded(max_cycles);
-        }
-        self.run_until_quiescent_inner(max_cycles)
-    }
-
-    /// [`Self::run_until_quiescent`] without the replay-capture chunking.
-    pub(crate) fn run_until_quiescent_inner(
-        &mut self,
-        max_cycles: u64,
-    ) -> Result<u64, MachineError> {
         let start = self.cycle;
-        let deadline = start.saturating_add(max_cycles);
-        loop {
-            if self.any_node_error() {
-                return Err(MachineError::NodeErrors(self.node_errors()));
-            }
-            if self.is_quiescent() {
+        match self.drive(start.saturating_add(max_cycles), true) {
+            Stop::NodeError => Err(MachineError::NodeErrors(self.node_errors())),
+            Stop::Quiescent => {
                 let stranded: Vec<NodeId> = self
                     .nodes
                     .iter()
@@ -876,29 +844,58 @@ impl JMachine {
                 if !stranded.is_empty() {
                     return Err(MachineError::StrandedMessages { nodes: stranded });
                 }
-                return Ok(self.cycle - start);
+                Ok(self.cycle - start)
             }
-            if self.cycle >= deadline {
-                return Err(MachineError::Timeout {
-                    cycles: self.cycle - start,
-                    busy_nodes: self.busy_nodes(),
-                    in_flight: self.net.in_flight(),
-                });
-            }
-            if self.config.engine != Engine::Naive {
-                self.fast_forward(deadline);
-                if self.cycle >= deadline {
-                    continue; // skipped straight to the budget: time out
+            Stop::Deadline => Err(MachineError::Timeout {
+                cycles: self.cycle - start,
+                busy_nodes: self.busy_nodes(),
+                in_flight: self.net.in_flight(),
+            }),
+        }
+    }
+
+    /// The one drive loop: advances the clock to `deadline`, or — when
+    /// `until_quiescent` — to the first node error or quiescence before it.
+    /// Each pass advances one stretch: an idle skip (quiescence drives on
+    /// the event engines; fixed runs step every cycle), then a single
+    /// sequential cycle or, threaded, a whole crew drive. While a replay
+    /// capture is on, every stretch also ends at the next hash boundary,
+    /// where [`Self::checkpoint`] records the state hash; every engine
+    /// stops on the exact cycle asked for, so that chunking is
+    /// unobservable in simulated state.
+    fn drive(&mut self, deadline: u64, until_quiescent: bool) -> Stop {
+        let threaded = self.threaded();
+        let skip_idle = until_quiescent && self.config.engine != Engine::Naive;
+        loop {
+            if until_quiescent {
+                if self.any_node_error() {
+                    return Stop::NodeError;
+                }
+                if self.is_quiescent() {
+                    return Stop::Quiescent;
                 }
             }
-            if self.threaded() {
-                // Run threaded until the coordinator hits one of this
-                // loop's stop conditions (its decision rule mirrors the
-                // checks above exactly), then loop around to classify it.
-                self.drive_parallel(crate::parallel::Mode::Quiescent { deadline });
-                continue;
+            if self.cycle >= deadline {
+                return Stop::Deadline;
             }
-            self.step();
+            let stop = deadline.min(self.next_hash_boundary());
+            if skip_idle {
+                self.fast_forward(stop);
+            }
+            if self.cycle < stop {
+                if threaded {
+                    // The coordinator's decision rule mirrors the checks
+                    // above exactly; loop around to classify its stop.
+                    self.drive_parallel(if until_quiescent {
+                        crate::parallel::Mode::Quiescent { deadline: stop }
+                    } else {
+                        crate::parallel::Mode::Fixed { deadline: stop }
+                    });
+                } else {
+                    self.step_cycle();
+                }
+            }
+            self.checkpoint();
         }
     }
 
@@ -1195,23 +1192,36 @@ mod tests {
     }
 
     #[test]
-    fn traced_parallel_errors_unless_fallback_allowed() {
-        use crate::config::{TraceConfig, TraceFallback};
-        let cfg = MachineConfig::new(8)
-            .engine(Engine::Parallel(2))
-            .trace(TraceConfig::on());
-        // Default policy: refuse to build — a benchmark that asked for the
-        // parallel engine must not silently measure a different one.
-        match JMachine::try_new(rpc_program(), cfg) {
-            Err(MachineError::TraceUnsupportedUnderParallel) => {}
-            other => panic!("expected TraceUnsupportedUnderParallel, got {other:?}"),
+    fn unbuildable_configs_are_errors() {
+        use jm_isa::node::MeshDims;
+        let ok = MachineConfig::new(64);
+        let net = |edit: fn(&mut jm_net::NetConfig)| {
+            let mut cfg = ok;
+            edit(&mut cfg.net);
+            cfg
+        };
+        let cases = [
+            // A benchmark that asked for the parallel engine must not
+            // silently measure a different one.
+            (
+                ok.engine(Engine::Parallel(2)).traced(),
+                "lifecycle tracing is unsupported",
+            ),
+            // A network sized for another mesh would route only part of
+            // the machine.
+            (net(|n| n.dims = MeshDims::new(2, 2, 2)), "net.dims"),
+            // A zero-depth buffer can never accept a flit.
+            (net(|n| n.flit_buffer = 0), "net.flit_buffer"),
+            (net(|n| n.inject_fifo = 0), "net.inject_fifo"),
+            (net(|n| n.eject_fifo = 0), "net.eject_fifo"),
+        ];
+        for (cfg, names) in cases {
+            match JMachine::try_new(rpc_program(), cfg) {
+                Err(e) => assert!(e.to_string().contains(names), "{e}"),
+                Ok(_) => panic!("a config with a bad {names} built a machine"),
+            }
         }
-        // Opting in falls back to the (bit-identical) event engine and
-        // counts the fallback for run metadata.
-        let before = parallel_trace_fallbacks();
-        let m = JMachine::new(rpc_program(), cfg.trace_fallback(TraceFallback::Allow));
-        assert_eq!(m.config().engine, Engine::Event);
-        assert_eq!(parallel_trace_fallbacks(), before + 1);
+        assert!(JMachine::try_new(rpc_program(), ok).is_ok());
     }
 
     #[test]

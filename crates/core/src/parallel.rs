@@ -36,13 +36,13 @@
 //!
 //! Global coordination — the stop/skip decision `run_until_quiescent`
 //! makes every cycle on the sequential engines — runs only at **quantum
-//! boundaries**, every Q cycles ([`MachineConfig::quantum`]): phase 1 may
+//! boundaries**, every Q cycles (64 unless a test pins it): phase 1 may
 //! not pass `decided_through`, so the task graph drains naturally at the
 //! boundary and exactly one worker claims the serial [`QuantumCtl::decide`]
 //! section. Fixed-cycle drives (`run(cycles)`) need no decisions at all —
 //! the deadline is the only boundary. Quiescence and the deadline are
 //! reconstructed *exactly* despite the deferred check (see
-//! `DESIGN.md` §4.10: a quiescent machine's extra cycles are pure counter
+//! `DESIGN.md` §4.5: a quiescent machine's extra cycles are pure counter
 //! increments, rewound before stopping); a node error stops the drive at
 //! the boundary after the error rather than the cycle after it — the one
 //! documented, deterministic divergence, and `quantum == 1` restores the
@@ -521,7 +521,7 @@ impl QuantumCtl {
     /// sequential `run_until_quiescent` loop head: stop on error,
     /// quiescence, or deadline; with every slab's network idle, skip to the
     /// earliest wake-up. Quiescence is reconstructed exactly even though
-    /// the check is deferred — see the module docs and `DESIGN.md` §4.10.
+    /// the check is deferred — see the module docs and `DESIGN.md` §4.5.
     fn decide(&self, b: u64, slots: &[Mutex<ShardSlot<'_>>]) {
         let Mode::Quiescent { deadline } = self.mode else {
             unreachable!("Fixed drives make no decisions");
@@ -548,7 +548,7 @@ impl QuantumCtl {
         if errors > 0 {
             // Deterministic, quantum-granular: the sequential engines stop
             // the cycle after the error; we stop at the boundary after it
-            // (identical when quantum == 1). Documented in DESIGN.md §4.10.
+            // (identical when quantum == 1). Documented in DESIGN.md §4.5.
             self.stop(b);
             return;
         }

@@ -7,13 +7,14 @@
 //! * **Recording.** A capturing machine logs every host-boundary input
 //!   (vector installs, host message deliveries, memory pokes) stamped with
 //!   the cycle it was applied at, plus a combined state hash
-//!   ([`JMachine::state_hash`]) at every `interval`-cycle boundary. Runs
-//!   are transparently chunked at those boundaries; the chunking is
-//!   unobservable in simulated state because every engine can stop on any
-//!   exact cycle. Nothing else needs recording — given the config, the
-//!   program, the fault spec, and the host inputs, every engine reproduces
-//!   the run bit-identically (that is the repo's core invariant, and the
-//!   hashes are how a violation is caught and localized).
+//!   ([`JMachine::state_hash`]) at every `interval`-cycle boundary. The
+//!   machine's drive loop ends each stretch at those boundaries; the
+//!   chunking is unobservable in simulated state because every engine can
+//!   stop on any exact cycle. Nothing else needs recording — given the
+//!   config, the program, the fault spec, and the host inputs, every
+//!   engine reproduces the run bit-identically (that is the repo's core
+//!   invariant, and the hashes are how a violation is caught and
+//!   localized).
 //! * **Capture control.** Per machine, [`JMachine::record_replay`] /
 //!   [`JMachine::finish_replay`]. Process-wide, [`capture_replay`] (or
 //!   [`capture_replay_from_env`], reading `JM_REPLAY_CAPTURE` and
@@ -23,15 +24,14 @@
 //!   experiments they cannot individually instrument.
 //! * **Re-execution.** [`MachineFactory`] implements
 //!   `jm_replay::ExecFactory`: it rebuilds a machine from a log's recorded
-//!   configuration — optionally overriding the engine, thread count,
-//!   quantum, or scheduler mode, which is the whole point of cross-engine
-//!   verification — and drives it with exact fixed-cycle runs. A
-//!   [`Corruption`] can be attached to inject a deliberate, unrecorded
-//!   single-word divergence at a chosen cycle; the CI acceptance test uses
-//!   it to prove the bisector localizes a fault to the exact cycle and
-//!   component.
+//!   configuration — optionally overriding the engine and thread count,
+//!   which is the whole point of cross-engine verification — and drives it
+//!   with exact fixed-cycle runs. A [`Corruption`] can be attached to
+//!   inject a deliberate, unrecorded single-word divergence at a chosen
+//!   cycle; the CI acceptance test uses it to prove the bisector localizes
+//!   a fault to the exact cycle and component.
 
-use crate::config::{Engine, MachineConfig, SchedMode, StartPolicy};
+use crate::config::{Engine, HostTuning, MachineConfig, StartPolicy};
 use crate::machine::JMachine;
 use jm_isa::consts::FaultKind;
 use jm_isa::instr::MsgPriority;
@@ -124,11 +124,6 @@ impl Recorder {
     }
 }
 
-/// First interval boundary strictly after `cycle`.
-fn next_boundary(cycle: u64, interval: u64) -> u64 {
-    (cycle / interval + 1).saturating_mul(interval)
-}
-
 impl JMachine {
     /// Starts capturing a replay log on this machine, with a state-hash
     /// checkpoint every `interval` cycles ([`jm_replay::DEFAULT_INTERVAL`]
@@ -186,65 +181,25 @@ impl JMachine {
             .push(Record::Op { cycle, op });
     }
 
-    /// Records a state-hash checkpoint at the current cycle.
-    fn record_boundary(&mut self) {
+    /// First hash boundary strictly after the current cycle (`u64::MAX`
+    /// unless capturing): the drive loop ends every stretch there.
+    pub(crate) fn next_hash_boundary(&self) -> u64 {
+        self.recorder.as_ref().map_or(u64::MAX, |r| {
+            (self.cycle() / r.interval + 1).saturating_mul(r.interval)
+        })
+    }
+
+    /// Records a state-hash checkpoint if the clock just landed on a hash
+    /// boundary (no-op unless capturing). Called after every advance of the
+    /// clock, so a boundary is recorded exactly once however the machine
+    /// got there — `run`, `run_until_quiescent`, or single `step`s.
+    pub(crate) fn checkpoint(&mut self) {
         let cycle = self.cycle();
-        let hash = self.state_hash();
-        if let Some(r) = self.recorder.as_mut() {
-            r.records.push(Record::Boundary { cycle, hash });
-        }
-    }
-
-    /// [`Self::run`] while capturing: the same fixed drive, chunked at
-    /// hash boundaries. Exactness of per-chunk deadlines (every engine
-    /// stops on the exact cycle asked for) makes the chunking unobservable
-    /// in simulated state.
-    pub(crate) fn run_recorded(&mut self, cycles: u64) {
-        let deadline = self.cycle().saturating_add(cycles);
-        while self.cycle() < deadline {
-            let interval = self.recorder.as_ref().expect("recording").interval;
-            let boundary = next_boundary(self.cycle(), interval).min(deadline);
-            self.run_inner(boundary - self.cycle());
-            if self.cycle().is_multiple_of(interval) {
-                self.record_boundary();
-            }
-        }
-    }
-
-    /// [`Self::run_until_quiescent`] while capturing: the inner drive runs
-    /// with per-chunk budgets ending at hash boundaries; a chunk that
-    /// "times out" at a boundary short of the real budget records a
-    /// checkpoint and continues. Error, quiescence, and real-timeout
-    /// classification are unchanged — the inner loop checks them every
-    /// cycle exactly as the unrecorded path does.
-    pub(crate) fn run_until_quiescent_recorded(
-        &mut self,
-        max_cycles: u64,
-    ) -> Result<u64, crate::MachineError> {
-        let start = self.cycle();
-        let deadline = start.saturating_add(max_cycles);
-        loop {
-            let interval = self.recorder.as_ref().expect("recording").interval;
-            let boundary = next_boundary(self.cycle(), interval).min(deadline);
-            match self.run_until_quiescent_inner(boundary - self.cycle()) {
-                Ok(_) => return Ok(self.cycle() - start),
-                Err(crate::MachineError::Timeout {
-                    busy_nodes,
-                    in_flight,
-                    ..
-                }) => {
-                    debug_assert_eq!(self.cycle(), boundary, "inner drive overshot its chunk");
-                    if self.cycle() >= deadline {
-                        return Err(crate::MachineError::Timeout {
-                            cycles: self.cycle() - start,
-                            busy_nodes,
-                            in_flight,
-                        });
-                    }
-                    self.record_boundary();
-                }
-                Err(e) => return Err(e),
-            }
+        let due = |r: &Recorder| cycle.is_multiple_of(r.interval);
+        if self.recorder.as_ref().is_some_and(due) {
+            let hash = self.state_hash();
+            let recorder = self.recorder.as_mut().expect("checked above");
+            recorder.records.push(Record::Boundary { cycle, hash });
         }
     }
 }
@@ -289,12 +244,6 @@ fn recorded_config(c: &MachineConfig) -> RecordedConfig {
         },
         engine,
         threads,
-        quantum: c.quantum,
-        sched: match c.sched {
-            SchedMode::Auto => 0,
-            SchedMode::ForcedEvent => 1,
-            SchedMode::ForcedScan => 2,
-        },
         mdp: c.mdp,
         net: c.net,
     }
@@ -319,12 +268,6 @@ pub fn recorded_machine_config(log: &ReplayLog) -> MachineConfig {
         0 => Engine::Naive,
         2 => Engine::Parallel(rc.threads),
         _ => Engine::Event,
-    };
-    cfg.quantum = rc.quantum;
-    cfg.sched = match rc.sched {
-        1 => SchedMode::ForcedEvent,
-        2 => SchedMode::ForcedScan,
-        _ => SchedMode::Auto,
     };
     cfg.fault = log.fault;
     cfg.traffic = log.traffic;
@@ -354,13 +297,12 @@ pub struct Corruption {
 /// Builds [`JMachine`]-backed executions of a replay log
 /// (`jm_replay::ExecFactory`). The default replays under the *recorded*
 /// configuration; the builder methods override the engine (with thread
-/// count), quantum, or scheduler mode — the cross-engine axes the replay
-/// machinery exists to compare — and optionally attach a [`Corruption`].
+/// count) — the cross-engine axis the replay machinery exists to compare —
+/// and optionally attach a [`Corruption`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MachineFactory {
     engine: Option<Engine>,
-    quantum: Option<u32>,
-    sched: Option<SchedMode>,
+    tuning: HostTuning,
     corruption: Option<Corruption>,
 }
 
@@ -376,15 +318,11 @@ impl MachineFactory {
         self
     }
 
-    /// Overrides the parallel-engine quantum (builder style).
-    pub fn quantum(mut self, quantum: u32) -> MachineFactory {
-        self.quantum = Some(quantum);
-        self
-    }
-
-    /// Overrides the scheduler advance strategy (builder style).
-    pub fn sched_mode(mut self, sched: SchedMode) -> MachineFactory {
-        self.sched = Some(sched);
+    /// Sets the host tuning of the replaying machine (builder style; test
+    /// hook — logs never record tuning).
+    #[doc(hidden)]
+    pub fn tuning(mut self, tuning: HostTuning) -> MachineFactory {
+        self.tuning = tuning;
         self
     }
 
@@ -402,12 +340,7 @@ impl jm_replay::ExecFactory for MachineFactory {
         if let Some(e) = self.engine {
             cfg.engine = e;
         }
-        if let Some(q) = self.quantum {
-            cfg.quantum = q;
-        }
-        if let Some(s) = self.sched {
-            cfg.sched = s;
-        }
+        cfg.tuning = self.tuning;
         let mut m = JMachine::new(log.program.clone(), cfg);
         // A replayed machine never re-captures, even under global capture.
         m.recorder = None;
@@ -452,12 +385,12 @@ impl jm_replay::Execution for MachineReplayer {
     fn advance_to(&mut self, cycle: u64) {
         if let Some(c) = self.corruption {
             if self.m.cycle() < c.cycle && cycle >= c.cycle {
-                self.m.run_inner(c.cycle - self.m.cycle());
+                self.m.run(c.cycle - self.m.cycle());
                 self.m.node_mut(c.node).write_mem(c.addr, c.word);
             }
         }
         if cycle > self.m.cycle() {
-            self.m.run_inner(cycle - self.m.cycle());
+            self.m.run(cycle - self.m.cycle());
         }
     }
 
@@ -501,20 +434,35 @@ impl jm_replay::Execution for MachineReplayer {
 mod tests {
     use super::*;
     use jm_asm::{hdr, Builder, Region};
+    use jm_isa::node::MeshDims;
     use jm_isa::operand::{MemRef, Special};
     use jm_isa::reg::AReg::*;
     use jm_isa::reg::DReg::*;
     use jm_isa::tag::Tag;
+    use jm_net::ScanPolicy;
     use jm_replay::Divergence;
 
-    /// Node 0 ping-pongs a counter with the last node `rounds` times, then
-    /// stores it — enough traffic to keep routers and queues busy across
-    /// many hash boundaries.
-    fn pingpong(rounds: i32) -> jm_asm::Program {
+    /// Route word of the far corner of a 2×2×2 mesh, (1,1,1).
+    const CORNER: i32 = 0x421;
+    /// Route word of the far corner of a 2×2×4 mesh, (1,1,3): the mesh the
+    /// parallel engine cuts into two slabs, with node 0 in the other one.
+    const FAR_SLAB: i32 = 0xC21;
+
+    fn quantum(quantum: u32) -> HostTuning {
+        HostTuning {
+            quantum,
+            ..HostTuning::default()
+        }
+    }
+
+    /// Node 0 ping-pongs a counter with the node at `route` `rounds` times,
+    /// then stores it — enough traffic to keep routers and queues busy
+    /// across many hash boundaries.
+    fn pingpong(route: i32, rounds: i32) -> jm_asm::Program {
         let mut b = Builder::new();
         b.reserve("out", Region::Imem, 1);
         b.label("main");
-        b.movi(R0, 0x421); // (1,1,1) on a 2x2x2 mesh
+        b.movi(R0, route);
         b.wtag(R0, R0, Tag::Route.bits() as i32);
         b.send(jm_isa::instr::MsgPriority::P0, R0);
         b.send2(jm_isa::instr::MsgPriority::P0, hdr("pong", 3), 0);
@@ -532,7 +480,7 @@ mod tests {
         b.mov(R0, MemRef::disp(A3, 1));
         b.alu(jm_isa::instr::AluOp::Lt, R1, R0, rounds);
         b.bf(R1, "done");
-        b.movi(R2, 0x421);
+        b.movi(R2, route);
         b.wtag(R2, R2, Tag::Route.bits() as i32);
         b.send(jm_isa::instr::MsgPriority::P0, R2);
         b.send2(jm_isa::instr::MsgPriority::P0, hdr("pong", 3), R0);
@@ -549,7 +497,7 @@ mod tests {
 
     fn record(engine: Engine, interval: u64) -> ReplayLog {
         let cfg = MachineConfig::new(8).engine(engine);
-        let mut m = JMachine::new(pingpong(40), cfg);
+        let mut m = JMachine::new(pingpong(CORNER, 40), cfg);
         m.record_replay(interval);
         m.run_until_quiescent(100_000).unwrap();
         let log = m.finish_replay().unwrap();
@@ -567,8 +515,11 @@ mod tests {
             MachineFactory::recorded().engine(Engine::Parallel(2)),
             MachineFactory::recorded()
                 .engine(Engine::Parallel(2))
-                .quantum(1),
-            MachineFactory::recorded().sched_mode(SchedMode::ForcedScan),
+                .tuning(quantum(1)),
+            MachineFactory::recorded().tuning(HostTuning {
+                scan: ScanPolicy::ForcedDense,
+                ..HostTuning::default()
+            }),
         ] {
             let report = jm_replay::verify(&log, &f);
             assert!(report.clean(), "{f:?}: {report}");
@@ -656,17 +607,59 @@ mod tests {
     #[test]
     fn capture_is_transparent() {
         // A captured run and an uncaptured run of the same config land on
-        // identical cycle counts, stats, and memory.
-        let run = |capture: bool| {
-            let mut m = JMachine::new(pingpong(25), MachineConfig::new(8));
-            if capture {
-                m.record_replay(32);
+        // the same outcome, cycle, stats, and state — whether the drive
+        // ends in quiescence, in a timeout short of a hash boundary, or on
+        // a node error, sequential or threaded (2×2×4 cuts into two slabs).
+        let mut b = Builder::new();
+        b.label("main");
+        b.movi(R0, FAR_SLAB);
+        b.wtag(R0, R0, Tag::Route.bits() as i32);
+        b.send(MsgPriority::P0, R0);
+        b.send2e(MsgPriority::P0, hdr("boom", 2), 0);
+        b.suspend();
+        b.label("boom");
+        b.alu(jm_isa::instr::AluOp::Div, R0, 1, 0); // no vector installed
+        b.suspend();
+        b.entry("main");
+        let remote_fault = b.assemble().unwrap();
+        for engine in [Engine::Event, Engine::Parallel(2)] {
+            let config = MachineConfig::with_dims(MeshDims::new(2, 2, 4)).engine(engine);
+            for (expect, program, config, budget) in [
+                ("Ok(", pingpong(FAR_SLAB, 25), config, 100_000),
+                ("Err(Timeout", pingpong(FAR_SLAB, 25), config, 777),
+                // A threaded error stop lands on the next coordination
+                // point, and a hash boundary is one: pin the quantum that
+                // makes every cycle a coordination point either way.
+                (
+                    "Err(NodeErrors",
+                    remote_fault.clone(),
+                    config.tuning(quantum(1)),
+                    100_000,
+                ),
+            ] {
+                let run = |capture: bool| {
+                    let mut m = JMachine::new(program.clone(), config);
+                    if capture {
+                        m.record_replay(32);
+                    }
+                    let outcome = format!("{:?}", m.run_until_quiescent(budget));
+                    (outcome, m.cycle(), m.stats(), m.state_hash())
+                };
+                let plain = run(false);
+                assert!(plain.0.starts_with(expect), "{engine:?}: {plain:?}");
+                assert_eq!(plain, run(true), "{engine:?} {expect}");
             }
-            let cycles = m.run_until_quiescent(100_000).unwrap();
-            let out = m.program().segment("out");
-            (cycles, m.stats(), m.read_word(NodeId(0), out.base))
+        }
+        // Single steps pass the same boundaries a fixed run does.
+        let log = |drive: fn(&mut JMachine)| {
+            let mut m = JMachine::new(pingpong(CORNER, 4), MachineConfig::new(8));
+            m.record_replay(4);
+            drive(&mut m);
+            m.finish_replay().unwrap()
         };
-        assert_eq!(run(false), run(true));
+        let stepped = log(|m| (0..16).for_each(|_| m.step()));
+        assert_eq!(stepped.checkpoints(), 5);
+        assert_eq!(stepped, log(|m| m.run(16)));
     }
 
     #[test]
@@ -674,18 +667,14 @@ mod tests {
         let spec = jm_fault::FaultSpec::new(3).flaky(100_000).checksums(true);
         let cfg = MachineConfig::new(8)
             .engine(Engine::Parallel(3))
-            .quantum(17)
-            .sched_mode(SchedMode::ForcedScan)
             .start(StartPolicy::AllNodes)
             .fault(spec);
-        let mut m = JMachine::new(pingpong(4), cfg);
+        let mut m = JMachine::new(pingpong(CORNER, 4), cfg);
         m.record_replay(64);
         let log = m.finish_replay().unwrap();
         let back = recorded_machine_config(&log);
         assert_eq!(back.dims, cfg.dims);
         assert_eq!(back.engine, Engine::Parallel(3));
-        assert_eq!(back.quantum, 17);
-        assert_eq!(back.sched, SchedMode::ForcedScan);
         assert_eq!(back.start, StartPolicy::AllNodes);
         assert_eq!(back.fault, Some(spec));
     }
@@ -728,7 +717,7 @@ mod tests {
             MachineFactory::recorded().engine(Engine::Naive),
             MachineFactory::recorded()
                 .engine(Engine::Parallel(2))
-                .quantum(1),
+                .tuning(quantum(1)),
         ] {
             let report = jm_replay::verify(&log, &f);
             assert!(report.clean(), "{f:?}: {report}");

@@ -2,23 +2,27 @@
 
 use jm_isa::node::MeshDims;
 
-/// How a shard's advance loop finds routers holding flits.
+/// How a per-cycle loop finds the components with work: a shard's advance
+/// loop looking for routers that hold flits, and (in `jm-machine`) a node
+/// scheduler looking for nodes that are due.
 ///
-/// `Auto` (the default) flips between iterating the active-router bitset
-/// (sparse traffic) and a dense linear scan of the occupancy array
-/// (saturated traffic), keyed on the measured active-router count with
-/// hysteresis — up-switch at 5/8 of the shard's routers, down-switch at
-/// 1/4, so traffic hovering near one threshold cannot thrash the mode.
-/// The strategies visit the same routers in the same ascending order, so
-/// the choice is unobservable in simulated state.
+/// `Auto` (the default) flips between a sparse structure (the active-router
+/// bitset; the node wake-up heap) and a dense linear scan (the occupancy
+/// array; the wake table), keyed on measured occupancy with hysteresis —
+/// up-switch at 5/8 of the shard's components, down-switch at 1/4, so a
+/// load hovering near one threshold cannot thrash the mode. Both strategies
+/// visit the same components in the same ascending order, so the choice is
+/// unobservable in simulated state. The forced variants exist for the
+/// differential suites, which run all three side by side through the
+/// hidden `Network::set_tuning` hook; no public configuration carries them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanPolicy {
-    /// Congestion-aware switching with hysteresis.
+    /// Occupancy-keyed switching with hysteresis.
     #[default]
     Auto,
-    /// Always iterate the active-router bitset.
+    /// Always use the sparse structure.
     ForcedSparse,
-    /// Always scan every router's occupancy linearly.
+    /// Always scan densely.
     ForcedDense,
 }
 
@@ -42,12 +46,6 @@ pub struct NetConfig {
     /// Ejection FIFO depth in words, per priority (the network-interface
     /// staging between the router and the message queue).
     pub eject_fifo: usize,
-    /// Advance-loop scan strategy (auto-switching by default).
-    pub scan: ScanPolicy,
-    /// Whether a message committed into an otherwise-empty single-shard
-    /// mesh may take the wormhole bulk-advance fast path (cycle-exact; see
-    /// `shard::BulkMsg`). Off is only useful for differential testing.
-    pub bulk: bool,
 }
 
 impl NetConfig {
@@ -59,8 +57,6 @@ impl NetConfig {
             inject_fifo: 64,
             inject_latency: 2,
             eject_fifo: 8,
-            scan: ScanPolicy::default(),
-            bulk: true,
         }
     }
 

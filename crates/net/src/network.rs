@@ -85,6 +85,20 @@ impl Network {
         }
     }
 
+    /// Test hook: pins every shard's router-scan strategy and enables or
+    /// disables the wormhole bulk-advance fast path (`shard::BulkMsg`).
+    /// Both are host mechanisms the shards otherwise select from what they
+    /// observe — router occupancy, an empty single-shard mesh — and both
+    /// are unobservable in simulated state, which is what the differential
+    /// suites use this hook to prove. Must be called before simulation
+    /// starts.
+    #[doc(hidden)]
+    pub fn set_tuning(&mut self, scan: crate::ScanPolicy, bulk: bool) {
+        for shard in &mut self.shards {
+            shard.set_tuning(scan, bulk);
+        }
+    }
+
     /// The next cycle at or after the current one with possible generated
     /// traffic, or `u64::MAX` when there is none (no plan, or its window is
     /// exhausted). Engines gate idle-skip and quiescence on this: the cycle

@@ -179,6 +179,11 @@ pub struct NetShard {
     /// Buffered flits per local router (the advance loop's activity check,
     /// kept flat so the dense scan walks one contiguous array).
     occ: Vec<u32>,
+    /// Scan strategy: auto-switching unless a test pinned it (see
+    /// [`Self::set_tuning`]).
+    scan: ScanPolicy,
+    /// Whether the bulk fast path may engage (on unless a test disabled it).
+    allow_bulk: bool,
     /// Whether the advance loop currently scans densely (see
     /// [`ScanPolicy`]); retuned each cycle from the active-router count.
     scan_dense: bool,
@@ -283,7 +288,9 @@ impl NetShard {
         NetShard {
             arena: ChannelArena::new(len, config.flit_buffer, config.inject_fifo),
             occ: vec![0; len],
-            scan_dense: config.scan == ScanPolicy::ForcedDense,
+            scan: ScanPolicy::Auto,
+            allow_bulk: true,
+            scan_dense: false,
             neigh,
             bisect_out,
             config,
@@ -315,6 +322,15 @@ impl NetShard {
     /// every shard before simulation starts.
     pub(crate) fn set_traffic_plan(&mut self, plan: Option<TrafficPlan>) {
         self.traffic = plan;
+    }
+
+    /// Pins the scan strategy and enables or disables the bulk fast path
+    /// (both unobservable in simulated state). Must be called before
+    /// simulation starts.
+    pub(crate) fn set_tuning(&mut self, scan: ScanPolicy, bulk: bool) {
+        self.scan = scan;
+        self.scan_dense = scan == ScanPolicy::ForcedDense;
+        self.allow_bulk = bulk;
     }
 
     /// The next cycle at or after the shard's current cycle with possible
@@ -400,7 +416,7 @@ impl NetShard {
     /// increment the counter, so unwinding the increments reconstructs the
     /// pre-step state exactly. The parallel engine's quantum coordinator
     /// uses this when deferred quiescence detection finds the mesh went
-    /// quiet mid-quantum (see `DESIGN.md` §4.10).
+    /// quiet mid-quantum (see `DESIGN.md` §4.5).
     pub fn rewind_idle_to(&mut self, cycle: u64) {
         debug_assert_eq!(self.in_flight, 0, "rewind_idle_to with flits in flight");
         debug_assert!(
@@ -666,7 +682,7 @@ impl NetShard {
         let nodes = dims.x as usize * dims.y as usize * dims.z as usize;
         let vnet = priority.index();
         let dest_l = dims.id(dest).index();
-        if !self.config.bulk
+        if !self.allow_bulk
             || self.fault.is_some()
             || self.in_flight != 0
             || self.base != 0
@@ -1049,7 +1065,7 @@ impl NetShard {
     /// dense scan's win is cache-linearity, which needs routers to scan).
     #[inline]
     fn retune(&mut self) {
-        if self.config.scan != ScanPolicy::Auto {
+        if self.scan != ScanPolicy::Auto {
             return;
         }
         let n = self.routers.len();

@@ -371,8 +371,6 @@ mod tests {
                 start: 1,
                 engine: 1,
                 threads: 0,
-                quantum: 0,
-                sched: 0,
                 mdp: MdpConfig::default(),
                 net: NetConfig::new(dims),
             },
@@ -458,6 +456,11 @@ mod tests {
         let bytes = sample_log().to_bytes();
         assert!(ReplayLog::from_bytes(&bytes[..bytes.len() - 3]).is_err());
         assert!(ReplayLog::from_bytes(b"not a log").is_err());
+        // A previous-format log stops at the magic check, not in a misparse.
+        let mut old = bytes.clone();
+        old[4] = b'2';
+        let err = ReplayLog::from_bytes(&old).unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
     }
 
     #[test]

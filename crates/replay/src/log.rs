@@ -11,9 +11,10 @@
 //! handler dispatch) is deterministic given those inputs and is
 //! deliberately not recorded.
 //!
-//! The byte format is little-endian throughout, magic `JMRP2\n` (version 2
-//! added the traffic-spec section), and has no alignment padding; see
-//! `DESIGN.md` §4.11 for the field-by-field layout.
+//! The byte format is little-endian throughout, magic `JMRP3\n` (version 2
+//! added the traffic-spec section; version 3 dropped the host-tuning
+//! fields), and has no alignment padding; see `DESIGN.md` §4.11 for the
+//! field-by-field layout.
 
 use jm_asm::{DataBlock, Program, SymbolValue};
 use jm_fault::{FaultSpec, FaultWindow, FaultWindowKind};
@@ -22,16 +23,17 @@ use jm_isa::node::MeshDims;
 use jm_isa::tag::Tag;
 use jm_isa::word::{SegDesc, Word};
 use jm_mdp::{MdpConfig, TimingConfig};
-use jm_net::{NetConfig, ScanPolicy};
+use jm_net::NetConfig;
 use jm_traffic::{TrafficPattern, TrafficSpec};
 use std::fmt;
 use std::path::Path;
 
-/// Magic bytes opening every log (`JMRP` + format version 2; version 1
-/// predates the traffic-spec section). Logs are ephemeral CI artifacts,
-/// so a format bump invalidates nothing durable — an old log fails
-/// cleanly at the magic check instead of misparsing.
-pub const MAGIC: &[u8; 6] = b"JMRP2\n";
+/// Magic bytes opening every log (`JMRP` + format version 3; version 2
+/// also carried the recording run's quantum, scheduler mode and bulk
+/// switch). Logs are ephemeral CI artifacts, so a format bump invalidates
+/// nothing durable — an old log fails cleanly at the magic check instead
+/// of misparsing.
+pub const MAGIC: &[u8; 6] = b"JMRP3\n";
 
 /// Default hash-boundary spacing in cycles. Chosen so that hashing every
 /// node's register file, queues, and memory pages plus every router's
@@ -65,17 +67,17 @@ impl std::error::Error for LogError {}
 
 /// The machine configuration a log was recorded under, as plain data.
 ///
-/// Engine, thread count, quantum, and scheduler mode are *metadata*: the
-/// three engines are bit-identical by construction, so a replay may run
-/// under any of them — these fields record what the original run used so a
-/// divergence report can name both sides. Everything else (dims, start
-/// policy, timing, queue depths, network buffers) shapes simulated
-/// behavior and must be reproduced exactly.
+/// Engine and thread count are *metadata*: the three engines are
+/// bit-identical by construction, so a replay may run under any of them —
+/// these fields record what the original run used so a divergence report
+/// can name both sides. Everything else (dims, start policy, timing, queue
+/// depths, network buffers) shapes simulated behavior and must be
+/// reproduced exactly.
 ///
 /// Discriminant fields mirror `jm-machine` enums this crate cannot name
 /// (it sits below `jm-machine` in the dependency order): `start` is
 /// 0 = Node0 / 1 = AllNodes / 2 = None, `engine` is 0 = Naive / 1 = Event /
-/// 2 = Parallel, `sched` is 0 = Auto / 1 = ForcedEvent / 2 = ForcedScan.
+/// 2 = Parallel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordedConfig {
     /// Mesh dimensions.
@@ -86,13 +88,9 @@ pub struct RecordedConfig {
     pub engine: u8,
     /// Thread count of the recording run (parallel engine only).
     pub threads: u32,
-    /// Scheduling quantum of the recording run (0 = auto).
-    pub quantum: u32,
-    /// Scheduler-mode discriminant.
-    pub sched: u8,
     /// Node configuration (timing model, queue depths, checksum mode).
     pub mdp: MdpConfig,
-    /// Network configuration (buffer depths, latencies, bulk fast path).
+    /// Network configuration (buffer depths, latencies).
     pub net: NetConfig,
 }
 
@@ -280,8 +278,6 @@ impl ReplayLog {
         w.u8(c.start);
         w.u8(c.engine);
         w.u32(c.threads);
-        w.u32(c.quantum);
-        w.u8(c.sched);
         w.u64(self.interval);
         let t = &c.mdp.timing;
         for v in [
@@ -311,7 +307,6 @@ impl ReplayLog {
         w.u64(c.net.inject_fifo as u64);
         w.u64(c.net.inject_latency);
         w.u64(c.net.eject_fifo as u64);
-        w.u8(c.net.bulk as u8);
         match &self.fault {
             None => w.u8(0),
             Some(spec) => {
@@ -476,8 +471,6 @@ impl ReplayLog {
         let start = r.u8()?;
         let engine = r.u8()?;
         let threads = r.u32()?;
-        let quantum = r.u32()?;
-        let sched = r.u8()?;
         let interval = r.u64()?;
         let timing = TimingConfig {
             base: r.u64()?,
@@ -509,8 +502,6 @@ impl ReplayLog {
             inject_fifo: r.u64()? as usize,
             inject_latency: r.u64()?,
             eject_fifo: r.u64()? as usize,
-            scan: ScanPolicy::default(),
-            bulk: r.u8()? != 0,
         };
         let fault = if r.u8()? != 0 {
             let mut spec = FaultSpec::new(r.u64()?)
@@ -671,8 +662,6 @@ impl ReplayLog {
                 start,
                 engine,
                 threads,
-                quantum,
-                sched,
                 mdp,
                 net,
             },

@@ -24,8 +24,9 @@ use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::word::Word;
 use jm_machine::{
-    Engine, FaultSpec, FaultWindow, JMachine, MachineConfig, MachineStats, SchedMode, StartPolicy,
+    Engine, FaultSpec, FaultWindow, JMachine, MachineConfig, MachineStats, StartPolicy,
 };
+use jm_net::ScanPolicy;
 use jm_runtime::nnr;
 
 /// Everything observable about a finished run.
@@ -115,22 +116,20 @@ fn sched_modes_bit_identical() {
     let nodes = 64; // single 64-node shard: over the dense-mode floor
     let max = 1_000_000;
     let baseline = observe(ring_program(2, true), base_config(nodes), max);
-    let variants: &[(Engine, SchedMode)] = &[
-        (Engine::Naive, SchedMode::ForcedScan),
-        (Engine::Event, SchedMode::Auto),
-        (Engine::Event, SchedMode::ForcedEvent),
-        (Engine::Event, SchedMode::ForcedScan),
-        (Engine::Parallel(2), SchedMode::Auto),
-        (Engine::Parallel(2), SchedMode::ForcedScan),
-        (Engine::Parallel(4), SchedMode::ForcedEvent),
+    let variants: &[(Engine, ScanPolicy)] = &[
+        (Engine::Naive, ScanPolicy::ForcedDense),
+        (Engine::Event, ScanPolicy::Auto),
+        (Engine::Event, ScanPolicy::ForcedSparse),
+        (Engine::Event, ScanPolicy::ForcedDense),
+        (Engine::Parallel(2), ScanPolicy::Auto),
+        (Engine::Parallel(2), ScanPolicy::ForcedDense),
+        (Engine::Parallel(4), ScanPolicy::ForcedSparse),
     ];
-    for &(engine, sched) in variants {
-        let got = observe(
-            ring_program(2, true),
-            base_config(nodes).engine(engine).sched_mode(sched),
-            max,
-        );
-        assert_eq!(baseline, got, "{engine:?}/{sched:?} diverged from baseline");
+    for &(engine, scan) in variants {
+        let mut config = base_config(nodes).engine(engine);
+        config.tuning.scan = scan;
+        let got = observe(ring_program(2, true), config, max);
+        assert_eq!(baseline, got, "{engine:?}/{scan:?} diverged from baseline");
     }
 }
 
@@ -142,7 +141,7 @@ fn bulk_advance_bit_identical_when_engaged() {
     let max = 1_000_000;
     for engine in [Engine::Naive, Engine::Event] {
         let mut off = base_config(nodes).engine(engine);
-        off.net.bulk = false;
+        off.tuning.bulk = false;
         let with_bulk = observe(
             ring_program(3, false),
             base_config(nodes).engine(engine),
@@ -163,7 +162,7 @@ fn bulk_interference_materializes_exactly() {
     let max = 1_000_000;
     for engine in [Engine::Naive, Engine::Event] {
         let mut off = base_config(nodes).engine(engine);
-        off.net.bulk = false;
+        off.tuning.bulk = false;
         let with_bulk = observe(
             ring_program(3, true),
             base_config(nodes).engine(engine),
@@ -200,7 +199,7 @@ fn bulk_declines_under_fault_windows() {
         .window(FaultWindow::router_stall(5, 40, 400));
     for engine in [Engine::Naive, Engine::Event] {
         let mut off = base_config(nodes).engine(engine).fault(spec);
-        off.net.bulk = false;
+        off.tuning.bulk = false;
         let with_bulk = observe(
             ring_program(3, true),
             base_config(nodes).engine(engine).fault(spec),
@@ -224,7 +223,7 @@ fn bulk_trace_hash_identical() {
     let max = 1_000_000;
     let run = |bulk: bool| {
         let mut config = base_config(nodes).engine(Engine::Event).traced();
-        config.net.bulk = bulk;
+        config.tuning.bulk = bulk;
         let mut m = JMachine::new(ring_program(3, false), config);
         let cycles = m.run_until_quiescent(max).expect("ring quiesces");
         let trace = m.take_trace().expect("tracing was enabled");

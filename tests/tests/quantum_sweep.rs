@@ -1,7 +1,7 @@
 //! Quantum-sweep differential tests: the parallel engine must stay
 //! **cycle-exact** with the event engine for every quantum length, not just
 //! the default. The quantum Q controls how many cycles each shard advances
-//! between synchronization boundaries (DESIGN.md §4.10); correctness must
+//! between synchronization boundaries (DESIGN.md §4.5); correctness must
 //! not depend on where those boundaries fall, so every workload here is
 //! swept over Q ∈ {1, 2, 4, 8} × threads ∈ {1, 2, 4} (plus Q = 0, the
 //! auto-tuned default) and every observable is compared against an
@@ -95,7 +95,8 @@ fn assert_quantum_exact(
     let event = observe(program(), config.engine(Engine::Event), max_cycles, &setup);
     for &t in &THREADS {
         for &q in &QUANTA {
-            let cfg = config.engine(Engine::Parallel(t)).quantum(q);
+            let mut cfg = config.engine(Engine::Parallel(t));
+            cfg.tuning.quantum = q;
             let other = observe(program(), cfg, max_cycles, &setup);
             assert_eq!(
                 event.outcome, other.outcome,
@@ -180,7 +181,7 @@ fn ring_is_quantum_exact() {
 /// wake-up 50 cycles out. For every quantum under test (Q ≤ 8) the skip
 /// target lies several boundaries past the current one, exercising the
 /// decide-path that rewinds the overrun idle tick and jumps `p/x` straight
-/// to the wake cycle (DESIGN.md §4.10).
+/// to the wake cycle (DESIGN.md §4.5).
 fn pingpong_program() -> Program {
     const VOLLEYS: i32 = 8;
     let mut b = Builder::new();
@@ -296,10 +297,9 @@ fn fixed_cycle_stop_is_quantum_exact() {
     run_fixed(config.engine(Engine::Event), "event".into());
     for &t in &THREADS {
         for &q in &QUANTA {
-            run_fixed(
-                config.engine(Engine::Parallel(t)).quantum(q),
-                format!("parallel-{t}/q{q}"),
-            );
+            let mut cfg = config.engine(Engine::Parallel(t));
+            cfg.tuning.quantum = q;
+            run_fixed(cfg, format!("parallel-{t}/q{q}"));
         }
     }
 }

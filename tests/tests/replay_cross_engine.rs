@@ -28,8 +28,8 @@ use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::word::Word;
 use jm_machine::{
-    Corruption, Engine, FaultSpec, FaultWindow, JMachine, MachineConfig, MachineFactory,
-    StartPolicy,
+    Corruption, Engine, FaultSpec, FaultWindow, HostTuning, JMachine, MachineConfig,
+    MachineFactory, StartPolicy,
 };
 use jm_mdp::{MdpConfig, TimingConfig};
 use jm_replay::{Divergence, ReplayLog};
@@ -150,7 +150,10 @@ fn cross_factories() -> Vec<(String, MachineFactory)> {
                 format!("parallel-{t}/q{q}"),
                 MachineFactory::recorded()
                     .engine(Engine::Parallel(t))
-                    .quantum(q),
+                    .tuning(HostTuning {
+                        quantum: q,
+                        ..HostTuning::default()
+                    }),
             ));
         }
     }

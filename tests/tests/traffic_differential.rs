@@ -81,7 +81,9 @@ fn traffic_config(program: &Program, spec: TrafficSpec) -> MachineConfig {
 /// Runs the sink program under `engine`/`quantum` and records every
 /// observable.
 fn observe(config: MachineConfig, engine: Engine, quantum: u32, max_cycles: u64) -> Observation {
-    let mut m = JMachine::new(sink_program(), config.engine(engine).quantum(quantum));
+    let mut config = config.engine(engine);
+    config.tuning.quantum = quantum;
+    let mut m = JMachine::new(sink_program(), config);
     let outcome = m
         .run_until_quiescent(max_cycles)
         .map_err(|e| format!("{e:?}"));
@@ -181,7 +183,7 @@ fn traffic_with_bulk_advance_disabled_is_engine_exact() {
         .window(0, 400);
     let mut config = traffic_config(&program, spec);
     let with_bulk = assert_equivalent("bulk-on", config, 50_000);
-    config.net.bulk = false;
+    config.tuning.bulk = false;
     let without_bulk = assert_equivalent("bulk-off", config, 50_000);
     assert_eq!(with_bulk, without_bulk, "bulk-advance changed observables");
     assert!(with_bulk.stats.net.traffic.offered_msgs > 0);
