@@ -2,7 +2,7 @@
 //! the committed baseline.
 //!
 //! Usage: `bench_gate --baseline PATH --current PATH [--tolerance FRAC]
-//! [--floor NAME=MIN]... [--floor-margin FRAC]`
+//! [--floor NAME=MIN]... [--floor-margin FRAC] [--ceiling tracing=MAX]`
 //!
 //! Both inputs are `BENCH_engine.json` documents. For every workload the
 //! gate compares the *speedup* (event engine over naive engine) rather
@@ -18,6 +18,12 @@
 //! runs on shared runners jitter by a few percent, so the enforced wall is
 //! `MIN * (1 - floor-margin)` (margin default 0.10); the nominal floor is
 //! what the log reports against.
+//!
+//! `--ceiling tracing=MAX` is the same wall for a cost: the current run's
+//! `tracing.overhead_vs_untraced` (written by `engine_perf --trace`) must
+//! not exceed `MAX`, and a run without a tracing section fails — so the
+//! cost of leaving lifecycle tracing on is held the way the engine
+//! speedups are.
 //!
 //! `--traffic PATH [--traffic-baseline PATH]` extends the gate to
 //! `BENCH_traffic.json`: every saturation curve is re-checked for shape
@@ -285,20 +291,43 @@ fn arg(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-/// Collects every `--floor NAME=MIN` pair from the command line.
-fn floors(args: &[String]) -> Vec<(String, f64)> {
+/// Collects every `FLAG NAME=BOUND` pair from the command line.
+fn bounds(args: &[String], flag: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     for (i, a) in args.iter().enumerate() {
-        if a == "--floor" {
-            let spec = args.get(i + 1).expect("--floor takes NAME=MIN");
-            let (name, min) = spec.split_once('=').expect("--floor takes NAME=MIN");
+        if a == flag {
+            let spec = args
+                .get(i + 1)
+                .and_then(|spec| spec.split_once('='))
+                .unwrap_or_else(|| panic!("{flag} takes NAME=BOUND"));
+            let bound = spec.1.parse();
             out.push((
-                name.to_string(),
-                min.parse().expect("--floor minimum must be a number"),
+                spec.0.to_string(),
+                bound.unwrap_or_else(|_| panic!("{flag} bound must be a number")),
             ));
         }
     }
     out
+}
+
+/// Checks a `--ceiling tracing=MAX` against the run's recorded tracing
+/// overhead; `Err` carries the failure line.
+fn check_tracing_ceiling(current_doc: &str, max: f64) -> Result<String, String> {
+    let section = current_doc
+        .find("\"tracing\"")
+        .ok_or("tracing: ceiling set but the run has no tracing section")?;
+    let (overhead, _) = number_field(current_doc, "overhead_vs_untraced", section)
+        .ok_or("tracing: section has no overhead_vs_untraced")?;
+    let line = format!(
+        "tracing overhead {:.1}% vs ceiling {:.1}%",
+        overhead * 100.0,
+        max * 100.0
+    );
+    if overhead <= max {
+        Ok(line)
+    } else {
+        Err(line)
+    }
 }
 
 fn main() -> ExitCode {
@@ -377,7 +406,7 @@ fn main() -> ExitCode {
         );
         failed |= !ok;
     }
-    for (name, min) in floors(&args)
+    for (name, min) in bounds(&args, "--floor")
         .iter()
         .filter(|(n, _)| !n.starts_with("traffic:"))
     {
@@ -397,6 +426,16 @@ fn main() -> ExitCode {
             wall,
         );
         failed |= !ok;
+    }
+    for (name, max) in bounds(&args, "--ceiling") {
+        assert_eq!(name, "tracing", "--ceiling knows only `tracing`");
+        match check_tracing_ceiling(&current_doc, max) {
+            Ok(line) => println!("[ok] {line}"),
+            Err(line) => {
+                eprintln!("[FAIL] {line}");
+                failed = true;
+            }
+        }
     }
     // Traffic saturation-curve gate: shape re-check, optional knee
     // ratchet against a committed baseline, and absolute knee floors.
@@ -442,7 +481,7 @@ fn main() -> ExitCode {
                 failed |= !ok;
             }
         }
-        for (name, min) in floors(&args)
+        for (name, min) in bounds(&args, "--floor")
             .iter()
             .filter(|(n, _)| n.starts_with("traffic:"))
         {
@@ -619,6 +658,25 @@ mod tests {
     }
 
     #[test]
+    fn tracing_ceiling_reads_the_recorded_overhead() {
+        let doc = format!(
+            "{}{}",
+            DOC.trim_end().trim_end_matches('}'),
+            r#",
+  "tracing": { "workload": "ring64_idle_dominated", "cycles_per_sec": 9, "overhead_vs_untraced": 0.195, "trace_hash": "00" }
+}"#
+        );
+        assert!(check_tracing_ceiling(&doc, 0.20).is_ok());
+        assert!(check_tracing_ceiling(&doc, 0.195).is_ok());
+        let over = check_tracing_ceiling(&doc, 0.10).unwrap_err();
+        assert!(over.contains("19.5%"), "{over}");
+        // A ceiling with nothing to check is a failure, not a pass.
+        assert!(check_tracing_ceiling(DOC, 0.20).is_err());
+        let args: Vec<String> = ["--ceiling", "tracing=0.25"].map(String::from).to_vec();
+        assert_eq!(bounds(&args, "--ceiling"), [("tracing".to_string(), 0.25)]);
+    }
+
+    #[test]
     fn parses_repeated_floor_flags() {
         let args: Vec<String> = [
             "--floor",
@@ -631,7 +689,7 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let fs = floors(&args);
+        let fs = bounds(&args, "--floor");
         assert_eq!(fs.len(), 2);
         assert_eq!(fs[0], ("exchange64_load_dominated".to_string(), 1.0));
         assert_eq!(fs[1], ("ring64_idle_dominated".to_string(), 2.5));

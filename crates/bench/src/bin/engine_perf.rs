@@ -292,12 +292,31 @@ fn main() {
     let trimmed = out.trim_end_matches(",\n").to_string();
     let mut body = format!("{trimmed}\n  ]");
     if trace {
-        let (traced, trace_hash) = run_traced(ring_program(ring_rounds), ring_nodes, 500_000_000);
+        // Both sides of the ratio are millisecond-scale runs, so one pair is
+        // mostly scheduler noise (bench_gate holds the ratio to a ceiling):
+        // take the best of several, interleaved so host drift hits both.
+        let mut untraced = ring_event.cycles_per_sec();
+        let (mut traced, trace_hash) =
+            run_traced(ring_program(ring_rounds), ring_nodes, 500_000_000);
+        for _ in 0..6 {
+            let plain = run_to_quiescence(
+                ring_program(ring_rounds),
+                ring_nodes,
+                Engine::Event,
+                500_000_000,
+            );
+            untraced = untraced.max(plain.cycles_per_sec());
+            let (again, hash) = run_traced(ring_program(ring_rounds), ring_nodes, 500_000_000);
+            assert_eq!(hash, trace_hash, "trace hash must repeat");
+            if again.cycles_per_sec() > traced.cycles_per_sec() {
+                traced = again;
+            }
+        }
         assert_eq!(
             traced.cycles, ring_event.cycles,
             "tracing must not change the quiescence cycle"
         );
-        let overhead = ring_event.cycles_per_sec() / traced.cycles_per_sec() - 1.0;
+        let overhead = untraced / traced.cycles_per_sec() - 1.0;
         println!(
             "ring64_traced            event {:>12.0} cyc/s   tracing overhead {:.0}%   trace hash {trace_hash:016x}",
             traced.cycles_per_sec(),

@@ -18,6 +18,18 @@
 
 use jm_bench::traffic;
 
+/// Parses `XxYxZ` into mesh dimensions.
+fn parse_mesh(text: &str) -> Result<jm_isa::MeshDims, String> {
+    let ext: Vec<u8> = text
+        .split('x')
+        .map(|d| d.parse().map_err(|_| format!("`{d}` is not an extent")))
+        .collect::<Result<_, _>>()?;
+    match ext[..] {
+        [x, y, z] => jm_isa::MeshDims::try_new(x, y, z).map_err(|e| e.to_string()),
+        _ => Err(format!("`{text}` does not have three extents")),
+    }
+}
+
 fn main() {
     // When CI sets JM_REPLAY_CAPTURE, every machine in the sweep records
     // a replay log so a determinism failure ships a reproducer artifact
@@ -43,12 +55,10 @@ fn main() {
 
     // Single-point mode: one (mesh, pattern, load) saturation point.
     if let Some(mesh) = arg("--mesh") {
-        let ext: Vec<u8> = mesh
-            .split('x')
-            .map(|d| d.parse().expect("--mesh takes XxYxZ"))
-            .collect();
-        assert_eq!(ext.len(), 3, "--mesh takes XxYxZ");
-        let dims = jm_isa::MeshDims::new(ext[0], ext[1], ext[2]);
+        let dims = parse_mesh(&mesh).unwrap_or_else(|why| {
+            eprintln!("traffic_sweep: --mesh takes XxYxZ, each extent in 1..=31: {why}");
+            std::process::exit(2);
+        });
         let name = arg("--pattern").expect("--pattern NAME is required with --mesh");
         let pattern = traffic::PATTERNS
             .iter()

@@ -17,7 +17,7 @@ use jm_asm::Program;
 use jm_fault::{checksum_words, FaultPlan};
 use jm_isa::consts::FaultKind;
 use jm_isa::instr::{MsgPriority, StatClass};
-use jm_isa::node::NodeId;
+use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::word::{MsgHeader, Word};
 use jm_isa::TraceId;
 use jm_mdp::{InjectAck, MdpNode, NetPort, NodeError};
@@ -345,8 +345,9 @@ impl JMachine {
     /// [`MachineError::TraceUnsupportedUnderParallel`] when the config
     /// enables lifecycle tracing under [`Engine::Parallel`] — a benchmark
     /// that asked for the parallel engine must not silently measure a
-    /// different one. [`MachineError::InvalidConfig`] when `net.dims`
-    /// differs from `dims` or a network buffer depth is zero.
+    /// different one. [`MachineError::InvalidConfig`] when a mesh extent is
+    /// outside 1..=31, `net.dims` differs from `dims`, or a network buffer
+    /// depth is zero.
     ///
     /// # Panics
     ///
@@ -356,8 +357,14 @@ impl JMachine {
         program.validate().expect("invalid program image");
         let mut config = config;
         let net = &config.net;
+        let dims = config.dims;
         for (bad, why) in [
-            (net.dims != config.dims, "net.dims differs from dims"),
+            (
+                // The fields are public, so a hand-built struct gets here.
+                MeshDims::try_new(dims.x, dims.y, dims.z).is_err(),
+                "dims: every extent must be in 1..=31",
+            ),
+            (net.dims != dims, "net.dims differs from dims"),
             (net.flit_buffer == 0, "net.flit_buffer is zero"),
             (net.inject_fifo == 0, "net.inject_fifo is zero"),
             (net.eject_fifo == 0, "net.eject_fifo is zero"),
@@ -1193,14 +1200,23 @@ mod tests {
 
     #[test]
     fn unbuildable_configs_are_errors() {
-        use jm_isa::node::MeshDims;
         let ok = MachineConfig::new(64);
         let net = |edit: fn(&mut jm_net::NetConfig)| {
             let mut cfg = ok;
             edit(&mut cfg.net);
             cfg
         };
+        // `MeshDims`' fields are public: a zero or oversized extent can be
+        // written straight into the struct, past `MeshDims::new`.
+        let mut flat = ok;
+        flat.dims.z = 0;
+        flat.net.dims.z = 0;
+        let mut deep = ok;
+        deep.dims.x = 32;
+        deep.net.dims.x = 32;
         let cases = [
+            (flat, "dims: every extent"),
+            (deep, "dims: every extent"),
             // A benchmark that asked for the parallel engine must not
             // silently measure a different one.
             (

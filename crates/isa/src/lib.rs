@@ -52,7 +52,7 @@ pub mod word;
 
 pub use consts::FaultKind;
 pub use instr::{Alu1Op, AluOp, Cond, Instruction, MsgPriority, StatClass};
-pub use node::{Coord, MeshDims, NodeId, RouteWord};
+pub use node::{Coord, MeshDims, MeshDimsError, NodeId, RouteWord};
 pub use operand::{Dst, MemRef, Special, Src};
 pub use reg::{AReg, DReg, Priority, RegBank, RegFile};
 pub use tag::Tag;

@@ -79,19 +79,46 @@ pub struct MeshDims {
     pub z: u8,
 }
 
+/// Mesh extents rejected by [`MeshDims::try_new`]: some dimension is zero
+/// or exceeds 31 (the routing word packs 5 bits per coordinate).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MeshDimsError {
+    /// The rejected extents, in x, y, z order.
+    pub extents: [u8; 3],
+}
+
+impl fmt::Display for MeshDimsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let [x, y, z] = self.extents;
+        write!(f, "mesh dimensions must be in 1..=31: {x}x{y}x{z}")
+    }
+}
+
+impl std::error::Error for MeshDimsError {}
+
 impl MeshDims {
     /// Creates mesh dimensions.
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero or exceeds 31 (the routing word packs
-    /// 5 bits per coordinate).
+    /// Panics if any dimension is zero or exceeds 31; [`Self::try_new`] is
+    /// the checked form for extents that come from outside the program.
     pub fn new(x: u8, y: u8, z: u8) -> MeshDims {
-        assert!(
-            (1..=31).contains(&x) && (1..=31).contains(&y) && (1..=31).contains(&z),
-            "mesh dimensions must be in 1..=31: {x}x{y}x{z}"
-        );
-        MeshDims { x, y, z }
+        MeshDims::try_new(x, y, z).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates mesh dimensions from untrusted extents (a log header, a
+    /// command line, a hand-built struct).
+    ///
+    /// # Errors
+    ///
+    /// [`MeshDimsError`] if any dimension is zero or exceeds 31.
+    pub fn try_new(x: u8, y: u8, z: u8) -> Result<MeshDims, MeshDimsError> {
+        if [x, y, z].iter().all(|d| (1..=31).contains(d)) {
+            Ok(MeshDims { x, y, z })
+        } else {
+            Err(MeshDimsError { extents: [x, y, z] })
+        }
     }
 
     /// The 8×8×8 mesh of the paper's 512-node prototype.
@@ -272,6 +299,16 @@ mod tests {
             let w = rw.to_word();
             assert_eq!(w.tag(), Tag::Route);
             assert_eq!(RouteWord::from_word(w), rw);
+        }
+    }
+
+    #[test]
+    fn try_new_rejects_zero_and_oversized_extents() {
+        assert_eq!(MeshDims::try_new(1, 31, 8), Ok(MeshDims::new(1, 31, 8)));
+        for (x, y, z) in [(0, 4, 4), (4, 0, 4), (4, 4, 0), (32, 1, 1), (1, 1, 255)] {
+            let err = MeshDims::try_new(x, y, z).unwrap_err();
+            assert_eq!(err.extents, [x, y, z]);
+            assert!(err.to_string().contains("1..=31"), "{err}");
         }
     }
 

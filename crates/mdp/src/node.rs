@@ -14,7 +14,7 @@ use jm_isa::reg::{Priority, RegFile};
 use jm_isa::tag::Tag;
 use jm_isa::word::{MsgHeader, SegDesc, Word};
 use jm_isa::TraceId;
-use jm_trace::{Event, EventKind, FaultEvent, Tracer};
+use jm_trace::{EventKind, FaultEvent, Tracer};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -306,7 +306,7 @@ impl MdpNode {
     }
 
     /// Drains the buffered lifecycle events (empty when tracing is off).
-    pub fn take_trace_events(&mut self) -> Vec<Event> {
+    pub fn take_trace_events(&mut self) -> Tracer {
         self.tracer.as_mut().map(|t| t.take()).unwrap_or_default()
     }
 

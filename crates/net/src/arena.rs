@@ -1,66 +1,93 @@
-//! Structure-of-arrays channel arenas: every input buffer of every router
-//! in a shard, carved out of flat per-shard vectors allocated once.
+//! Channel arenas: every input buffer of every router in a shard, carved
+//! out of per-shard storage allocated once.
 //!
-//! The per-router `VecDeque` layout this replaces cost the load-dominated
-//! regime twice: 14 separately-heap-allocated deques per router scattered
-//! the advance loop's working set across the heap, and every front/pop
-//! touched deque bookkeeping designed for growth the fixed-capacity
-//! channels never need. Here each `(router, vnet, port)` queue is a
-//! fixed-capacity ring at a computed offset in one `Vec<Flit>`, with heads,
-//! lengths, non-empty port masks, credit timestamps, and output ownership
-//! in parallel flat arrays — so a scan over routers walks contiguous
-//! memory, and "which ports hold flits" is one byte per (router, vnet).
+//! Two kinds of storage, split by how the advance loop touches them:
 //!
-//! Indexing: queue `qi = (router * 2 + vnet) * 7 + port`. Ports 0–5 are the
-//! mesh directions (capacity `flit_buffer`); port 6 is the injection FIFO
-//! (capacity `inject_fifo`).
+//! * one [`Hot`] record per router — everything a *probe* reads (ring
+//!   heads and lengths, non-empty port masks, output owners, the cached
+//!   e-cube out port of every queue's front flit, this cycle's pop bits) in
+//!   two cache lines, so finding out that a flit cannot move (about half of
+//!   all probes at saturation) never loads a 32-byte flit;
+//! * the flits themselves, each `(router, vnet, port)` queue a
+//!   fixed-capacity ring at a computed offset in one `Vec<Flit>`: the
+//!   directional rings first and densely packed, the much deeper injection
+//!   FIFOs (most of the bytes, rarely at the front of arbitration) in a
+//!   region of their own behind them.
+//!
+//! Indexing: within a router, queue `q = vnet * 7 + port`. Ports 0–5 are
+//! the mesh directions (capacity `flit_buffer`); port 6 is the injection
+//! FIFO (capacity `inject_fifo`).
 
 use crate::flit::Flit;
+use crate::router::ecube_route;
+use jm_isa::node::Coord;
 
 /// Number of ports per (router, vnet): six directions plus injection.
 const PORTS: usize = 7;
 /// The injection port index within a (router, vnet) block.
 const INJECT: usize = 6;
+/// Queues per router: two vnets of [`PORTS`] each.
+const QUEUES: usize = 2 * PORTS;
 
-/// All channel buffers of one shard, structure-of-arrays.
+/// One router's arbitration state. The fields a probe reads come first so
+/// they share the record's first cache line; ring heads (needed only once
+/// a flit is actually looked at) and the coordinate (needed only when a
+/// route is refreshed) trail into the second.
+#[repr(C, align(64))]
+#[derive(Debug, Clone)]
+struct Hot {
+    /// Cycle `pop_bits` belongs to (`u64::MAX` = never popped).
+    pop_stamp: u64,
+    /// Bit `q` set iff queue `q` had a flit popped in cycle `pop_stamp`.
+    /// Lets [`ChannelArena::space`] report *start-of-cycle* occupancy: a
+    /// slot freed earlier in the same cycle is not yet visible to upstream
+    /// senders, exactly as if every router read its neighbors' credits at
+    /// the cycle boundary — which makes the space check independent of
+    /// router scan order, and therefore of sharding.
+    pop_bits: u16,
+    /// Per vnet: bit `p` set iff queue `p` is non-empty. The advance loop
+    /// iterates set bits instead of probing all 7 ports.
+    mask: [u8; 2],
+    /// E-cube out port of each queue's front flit (meaningful while the
+    /// queue is non-empty). Every flit of a message carries the same
+    /// destination, so the value only changes when a new message's head
+    /// becomes the front: a push into an empty ring, or the pop of a tail
+    /// with more flits behind it.
+    route: [u8; QUEUES],
+    /// Output ownership per (vnet, out port): the input port a wormhole
+    /// path holds the output for, or `-1` when unowned.
+    owners: [i8; QUEUES],
+    /// Flits currently stored per queue.
+    len: [u8; QUEUES],
+    /// Ring head index per queue.
+    head: [u8; QUEUES],
+    /// This router's mesh coordinate (the `here` of the cached routes).
+    coord: Coord,
+}
+
+/// All channel buffers of one shard.
 #[derive(Debug)]
 pub(crate) struct ChannelArena {
-    /// Ring storage for every queue, at fixed computed offsets.
+    hot: Vec<Hot>,
+    /// Ring storage for every queue, at fixed computed offsets: all
+    /// directional rings, then (from `inject_base`) all injection FIFOs.
     flits: Vec<Flit>,
-    /// Ring head index per queue.
-    head: Vec<u8>,
-    /// Flits currently stored per queue.
-    len: Vec<u8>,
-    /// Per (router, vnet): bit `p` set iff queue `p` is non-empty. The
-    /// advance loop iterates set bits instead of probing all 7 ports.
-    mask: Vec<u8>,
-    /// Cycle at which each queue last had a flit popped (`u64::MAX` =
-    /// never). Lets [`ChannelArena::space`] report *start-of-cycle*
-    /// occupancy: a slot freed earlier in the same cycle is not yet visible
-    /// to upstream senders, exactly as if every router read its neighbors'
-    /// credits at the cycle boundary — which makes the space check
-    /// independent of router scan order, and therefore of sharding.
-    popped_at: Vec<u64>,
-    /// Output ownership per (router, vnet, out port): the input port a
-    /// wormhole path holds the output for, or `-1` when unowned.
-    owners: Vec<i8>,
+    /// Offset of the injection region in `flits`.
+    inject_base: usize,
     /// Capacity of the directional ports (0–5), in flits.
     flit_buffer: u8,
     /// Capacity of the injection port (6), in flits.
     inject_fifo: u8,
-    /// Flits per (router, vnet) block: `6 * flit_buffer + inject_fifo`.
-    block: usize,
-}
-
-/// A placeholder flit for unoccupied ring slots (never read).
-fn nil_flit() -> Flit {
-    Flit::nil()
 }
 
 impl ChannelArena {
-    /// Allocates the arena for `routers` routers. Done once per shard; the
-    /// advance loop never allocates.
-    pub(crate) fn new(routers: usize, flit_buffer: usize, inject_fifo: usize) -> ChannelArena {
+    /// Allocates the arena for one router per entry of `coords`. Done once
+    /// per shard; the advance loop never allocates.
+    pub(crate) fn new(
+        coords: impl ExactSizeIterator<Item = Coord>,
+        flit_buffer: usize,
+        inject_fifo: usize,
+    ) -> ChannelArena {
         assert!(
             flit_buffer > 0 && flit_buffer <= u8::MAX as usize,
             "flit buffer depth must fit the arena's u8 rings"
@@ -69,64 +96,73 @@ impl ChannelArena {
             inject_fifo > 0 && inject_fifo <= u8::MAX as usize,
             "inject FIFO depth must fit the arena's u8 rings"
         );
-        let block = 6 * flit_buffer + inject_fifo;
-        let queues = routers * 2 * PORTS;
+        let routers = coords.len();
+        let inject_base = routers * 2 * 6 * flit_buffer;
         ChannelArena {
-            flits: vec![nil_flit(); routers * 2 * block],
-            head: vec![0; queues],
-            len: vec![0; queues],
-            mask: vec![0; routers * 2],
-            popped_at: vec![u64::MAX; queues],
-            owners: vec![-1; queues],
+            hot: coords
+                .map(|coord| Hot {
+                    pop_stamp: u64::MAX,
+                    pop_bits: 0,
+                    mask: [0; 2],
+                    route: [0; QUEUES],
+                    owners: [-1; QUEUES],
+                    len: [0; QUEUES],
+                    head: [0; QUEUES],
+                    coord,
+                })
+                .collect(),
+            flits: vec![Flit::nil(); inject_base + routers * 2 * inject_fifo],
+            inject_base,
             flit_buffer: flit_buffer as u8,
             inject_fifo: inject_fifo as u8,
-            block,
         }
     }
 
-    /// Queue index of `(router, vnet, port)`.
+    /// Offset in `flits` and capacity of the ring for `(router, vnet, port)`.
     #[inline]
-    fn qi(l: usize, vnet: usize, port: usize) -> usize {
-        (l * 2 + vnet) * PORTS + port
-    }
-
-    /// Ring capacity of `port`.
-    #[inline]
-    fn cap(&self, port: usize) -> usize {
+    fn ring(&self, l: usize, vnet: usize, port: usize) -> (usize, usize) {
+        let lv = l * 2 + vnet;
         if port == INJECT {
-            self.inject_fifo as usize
+            let cap = self.inject_fifo as usize;
+            (self.inject_base + lv * cap, cap)
         } else {
-            self.flit_buffer as usize
+            let cap = self.flit_buffer as usize;
+            ((lv * 6 + port) * cap, cap)
         }
     }
 
-    /// Offset of the ring for `(router, vnet, port)` in `flits`.
+    /// Mesh coordinate of router `l`.
     #[inline]
-    fn ring_base(&self, l: usize, vnet: usize, port: usize) -> usize {
-        (l * 2 + vnet) * self.block + port * self.flit_buffer as usize
+    pub(crate) fn coord(&self, l: usize) -> Coord {
+        self.hot[l].coord
     }
 
     /// Non-empty-port mask for `(router, vnet)`.
     #[inline]
     pub(crate) fn port_mask(&self, l: usize, vnet: usize) -> u8 {
-        self.mask[l * 2 + vnet]
+        self.hot[l].mask[vnet]
     }
 
     /// Flits queued at `(router, vnet, port)`.
     #[inline]
     pub(crate) fn len(&self, l: usize, vnet: usize, port: usize) -> usize {
-        self.len[Self::qi(l, vnet, port)] as usize
+        self.hot[l].len[vnet * PORTS + port] as usize
     }
 
-    /// The queue's front flit, by reference (the advance loop probes many
-    /// fronts it never moves — copying the whole flit per probe would
-    /// dominate the scan). Callers on the hot path check the port mask
-    /// first, so an empty queue is a logic error.
+    /// The cached e-cube out port of the queue's front flit. Callers check
+    /// the port mask first: the value is stale while the queue is empty.
+    #[inline]
+    pub(crate) fn route(&self, l: usize, vnet: usize, port: usize) -> usize {
+        self.hot[l].route[vnet * PORTS + port] as usize
+    }
+
+    /// The queue's front flit, by reference. Callers on the hot path check
+    /// the port mask first, so an empty queue is a logic error.
     #[inline]
     pub(crate) fn front(&self, l: usize, vnet: usize, port: usize) -> &Flit {
-        let qi = Self::qi(l, vnet, port);
-        debug_assert!(self.len[qi] > 0, "front of empty queue");
-        &self.flits[self.ring_base(l, vnet, port) + self.head[qi] as usize]
+        let q = vnet * PORTS + port;
+        debug_assert!(self.hot[l].len[q] > 0, "front of empty queue");
+        &self.flits[self.ring(l, vnet, port).0 + self.hot[l].head[q] as usize]
     }
 
     /// Appends a flit.
@@ -137,40 +173,47 @@ impl ChannelArena {
     /// depth) happen before any push.
     #[inline]
     pub(crate) fn push(&mut self, l: usize, vnet: usize, port: usize, flit: Flit) {
-        let qi = Self::qi(l, vnet, port);
-        let cap = self.cap(port);
-        let len = self.len[qi] as usize;
+        let q = vnet * PORTS + port;
+        let (base, cap) = self.ring(l, vnet, port);
+        let hot = &mut self.hot[l];
+        let len = hot.len[q] as usize;
         debug_assert!(len < cap, "channel ring over capacity");
-        let mut slot = self.head[qi] as usize + len;
+        let mut slot = hot.head[q] as usize + len;
         if slot >= cap {
             slot -= cap;
         }
-        let base = self.ring_base(l, vnet, port);
+        if len == 0 {
+            hot.route[q] = ecube_route(hot.coord, flit.dest) as u8;
+            hot.mask[vnet] |= 1 << port;
+        }
+        hot.len[q] = (len + 1) as u8;
         self.flits[base + slot] = flit;
-        self.len[qi] = (len + 1) as u8;
-        self.mask[l * 2 + vnet] |= 1 << port;
     }
 
     /// Pops the front flit, recording `cycle` as the pop cycle (for
     /// start-of-cycle credit masking).
     #[inline]
     pub(crate) fn pop(&mut self, l: usize, vnet: usize, port: usize, cycle: u64) -> Flit {
-        let qi = Self::qi(l, vnet, port);
-        let len = self.len[qi] as usize;
+        let q = vnet * PORTS + port;
+        let (base, cap) = self.ring(l, vnet, port);
+        let hot = &mut self.hot[l];
+        let len = hot.len[q] as usize;
         debug_assert!(len > 0, "pop of empty queue");
-        let cap = self.cap(port);
-        let head = self.head[qi] as usize;
-        let flit = self.flits[self.ring_base(l, vnet, port) + head];
-        let mut next = head + 1;
-        if next >= cap {
-            next -= cap;
-        }
-        self.head[qi] = next as u8;
-        self.len[qi] = (len - 1) as u8;
+        let head = hot.head[q] as usize;
+        let flit = self.flits[base + head];
+        let next = if head + 1 == cap { 0 } else { head + 1 };
+        hot.head[q] = next as u8;
+        hot.len[q] = (len - 1) as u8;
         if len == 1 {
-            self.mask[l * 2 + vnet] &= !(1 << port);
+            hot.mask[vnet] &= !(1 << port);
+        } else if flit.tail() {
+            hot.route[q] = ecube_route(hot.coord, self.flits[base + next].dest) as u8;
         }
-        self.popped_at[qi] = cycle;
+        if hot.pop_stamp != cycle {
+            hot.pop_stamp = cycle;
+            hot.pop_bits = 0;
+        }
+        hot.pop_bits |= 1 << q;
         flit
     }
 
@@ -183,24 +226,25 @@ impl ChannelArena {
     /// saturate to 0, which only ever under-reports space).
     #[inline]
     pub(crate) fn space(&self, l: usize, vnet: usize, port: usize, cycle: u64) -> usize {
-        let qi = Self::qi(l, vnet, port);
-        let len = self.len[qi] as usize;
+        let q = vnet * PORTS + port;
+        let hot = &self.hot[l];
+        let len = hot.len[q] as usize;
+        let (base, capacity) = self.ring(l, vnet, port);
         // At most one flit crosses a channel per cycle, and its sender
         // checks space *before* pushing — so when this runs, no same-cycle
         // push can already sit in the buffer.
         debug_assert!(
             len == 0 || {
-                let cap = self.cap(port);
-                let mut back = self.head[qi] as usize + len - 1;
-                if back >= cap {
-                    back -= cap;
+                let mut back = hot.head[q] as usize + len - 1;
+                if back >= capacity {
+                    back -= capacity;
                 }
-                self.flits[self.ring_base(l, vnet, port) + back].ready_cycle <= cycle
+                self.flits[base + back].ready_cycle <= cycle
             },
             "space read after a same-cycle push"
         );
-        let capacity = self.cap(port);
-        let occupied = len + usize::from(self.popped_at[qi] == cycle);
+        let popped = hot.pop_stamp == cycle && hot.pop_bits & (1 << q) != 0;
+        let occupied = len + usize::from(popped);
         debug_assert!(
             occupied <= capacity,
             "input buffer over capacity: {occupied} > {capacity}"
@@ -211,19 +255,20 @@ impl ChannelArena {
     /// Folds the replay-visible state of every queue of `(router, vnet)`:
     /// per port, the occupancy, the buffered flits in logical FIFO order
     /// (destination, framing flags, payload, inject and ready cycles), and
-    /// the output-port owner. Physical ring head positions and the
-    /// `popped_at` credit timestamps are excluded — at a cycle boundary the
-    /// logical queue contents fully determine future behavior (a
-    /// `popped_at` stamp can only equal a cycle already finished).
+    /// the output-port owner. Physical ring head positions, the cached
+    /// routes (a function of the front flit) and the pop stamp are
+    /// excluded — at a cycle boundary the logical queue contents fully
+    /// determine future behavior (a pop stamp can only equal a cycle
+    /// already finished).
     pub(crate) fn fold_state(&self, l: usize, vnet: usize, h: &mut jm_trace::Fnv1a) {
+        let hot = &self.hot[l];
         for port in 0..PORTS {
-            let qi = Self::qi(l, vnet, port);
-            let len = self.len[qi] as usize;
+            let q = vnet * PORTS + port;
+            let len = hot.len[q] as usize;
             h.write_u8(len as u8);
-            let cap = self.cap(port);
-            let base = self.ring_base(l, vnet, port);
+            let (base, cap) = self.ring(l, vnet, port);
             for k in 0..len {
-                let mut slot = self.head[qi] as usize + k;
+                let mut slot = hot.head[q] as usize + k;
                 if slot >= cap {
                     slot -= cap;
                 }
@@ -243,36 +288,57 @@ impl ChannelArena {
                 h.write_u64(f.inject_cycle);
                 h.write_u64(f.ready_cycle);
             }
-            h.write_u8(self.owners[qi] as u8);
+            h.write_u8(hot.owners[q] as u8);
         }
     }
 
     /// The input port owning `(router, vnet, out port)`, or `-1`.
     #[inline]
     pub(crate) fn owner(&self, l: usize, vnet: usize, out: usize) -> i8 {
-        self.owners[Self::qi(l, vnet, out)]
+        self.hot[l].owners[vnet * PORTS + out]
     }
 
     /// Sets (or clears, with `-1`) the owner of an output port.
     #[inline]
     pub(crate) fn set_owner(&mut self, l: usize, vnet: usize, out: usize, owner: i8) {
-        self.owners[Self::qi(l, vnet, out)] = owner;
+        self.hot[l].owners[vnet * PORTS + out] = owner;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jm_prng::Prng;
+    use std::collections::VecDeque;
 
     fn flit(ready: u64) -> Flit {
-        let mut f = nil_flit();
+        let mut f = Flit::nil();
         f.ready_cycle = ready;
         f
     }
 
+    /// An arena of `routers` routers, all at the origin.
+    fn arena(routers: usize, flit_buffer: usize, inject_fifo: usize) -> ChannelArena {
+        ChannelArena::new(
+            std::iter::repeat_n(Coord::default(), routers),
+            flit_buffer,
+            inject_fifo,
+        )
+    }
+
+    #[test]
+    fn hot_record_stays_two_lines() {
+        assert!(
+            std::mem::size_of::<Hot>() <= 128,
+            "Hot grew past two cache lines: {}",
+            std::mem::size_of::<Hot>()
+        );
+        assert_eq!(std::mem::align_of::<Hot>(), 64);
+    }
+
     #[test]
     fn rings_wrap_and_track_mask() {
-        let mut a = ChannelArena::new(2, 4, 8);
+        let mut a = arena(2, 4, 8);
         assert_eq!(a.port_mask(1, 0), 0);
         for i in 0..4 {
             a.push(1, 0, 2, flit(i));
@@ -292,7 +358,7 @@ mod tests {
 
     #[test]
     fn space_masks_same_cycle_pops() {
-        let mut a = ChannelArena::new(1, 4, 8);
+        let mut a = arena(1, 4, 8);
         a.push(0, 1, 3, flit(0));
         a.push(0, 1, 3, flit(0));
         assert_eq!(a.space(0, 1, 3, 5), 2);
@@ -304,7 +370,7 @@ mod tests {
 
     #[test]
     fn owners_default_unowned() {
-        let mut a = ChannelArena::new(1, 4, 8);
+        let mut a = arena(1, 4, 8);
         assert_eq!(a.owner(0, 0, 4), -1);
         a.set_owner(0, 0, 4, 6);
         assert_eq!(a.owner(0, 0, 4), 6);
@@ -314,7 +380,7 @@ mod tests {
 
     #[test]
     fn inject_port_uses_its_own_capacity() {
-        let mut a = ChannelArena::new(1, 2, 6);
+        let mut a = arena(1, 2, 6);
         for _ in 0..6 {
             a.push(0, 0, 6, flit(0));
         }
@@ -323,5 +389,98 @@ mod tests {
             a.pop(0, 0, 6, 1);
         }
         assert_eq!(a.len(0, 0, 6), 0);
+    }
+
+    /// Random pushes, pops and owner writes over every queue of a small
+    /// arena, checked after every operation against one plain `VecDeque`
+    /// per queue: front, length, mask, start-of-cycle space, and the cached
+    /// route against a fresh `ecube_route`.
+    #[test]
+    fn random_operations_match_a_deque_model() {
+        let dims = jm_isa::node::MeshDims::new(3, 2, 2);
+        let (flit_buffer, inject_fifo) = (3usize, 5usize);
+        let routers = dims.nodes() as usize;
+        let coord = |l: usize| dims.coord(jm_isa::node::NodeId(l as u32));
+        let mut a = ChannelArena::new((0..routers).map(coord), flit_buffer, inject_fifo);
+        let mut model = vec![VecDeque::<Flit>::new(); routers * QUEUES];
+        let mut owners = vec![-1i8; routers * QUEUES];
+        // Cycle of the model's last pop per queue.
+        let mut popped = vec![u64::MAX; routers * QUEUES];
+        let mut rng = Prng::new(0xa7e4a);
+        let mut cycle = 0u64;
+        // Messages are runs of flits sharing a destination, ended by a tail.
+        let mut msg_dest = vec![None::<Coord>; routers * QUEUES];
+        for step in 0..40_000u32 {
+            if rng.chance(0.2) {
+                cycle += 1;
+            }
+            let l = rng.range_usize(0, routers);
+            let vnet = rng.range_usize(0, 2);
+            let port = rng.range_usize(0, PORTS);
+            let qi = l * QUEUES + vnet * PORTS + port;
+            let cap = if port == INJECT {
+                inject_fifo
+            } else {
+                flit_buffer
+            };
+            match rng.range_u32(0, 8) {
+                // Senders check start-of-cycle space before every push.
+                0..=3 if model[qi].len() + usize::from(popped[qi] == cycle) < cap => {
+                    let dest =
+                        *msg_dest[qi].get_or_insert_with(|| coord(rng.range_usize(0, routers)));
+                    let tail = rng.chance(0.3);
+                    let [_, mut f] = Flit::pair_for_word(
+                        dest,
+                        jm_isa::word::Word::int(step as i32),
+                        false,
+                        false,
+                        tail,
+                        cycle,
+                        cycle,
+                        jm_isa::TraceId::NONE,
+                    );
+                    f.ready_cycle = cycle;
+                    if tail {
+                        msg_dest[qi] = None;
+                    }
+                    a.push(l, vnet, port, f);
+                    model[qi].push_back(f);
+                }
+                4..=6 if !model[qi].is_empty() => {
+                    assert_eq!(a.pop(l, vnet, port, cycle), model[qi].pop_front().unwrap());
+                    popped[qi] = cycle;
+                }
+                7 => {
+                    let owner = rng.range_i32(-1, 7) as i8;
+                    a.set_owner(l, vnet, port, owner);
+                    owners[qi] = owner;
+                }
+                _ => {}
+            }
+            // The touched router's whole state, both vnets.
+            for v in 0..2 {
+                let mut mask = 0u8;
+                for p in 0..PORTS {
+                    let qi = l * QUEUES + v * PORTS + p;
+                    let cap = if p == INJECT {
+                        inject_fifo
+                    } else {
+                        flit_buffer
+                    };
+                    let q = &model[qi];
+                    assert_eq!(a.len(l, v, p), q.len());
+                    assert_eq!(a.owner(l, v, p), owners[qi]);
+                    let occupied = q.len() + usize::from(popped[qi] == cycle);
+                    assert_eq!(a.space(l, v, p, cycle), cap - occupied);
+                    assert_eq!(a.space(l, v, p, cycle + 1), cap - q.len());
+                    if let Some(front) = q.front() {
+                        mask |= 1 << p;
+                        assert_eq!(a.front(l, v, p), front);
+                        assert_eq!(a.route(l, v, p), ecube_route(coord(l), front.dest));
+                    }
+                }
+                assert_eq!(a.port_mask(l, v), mask);
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@ use jm_isa::instr::MsgPriority;
 use jm_isa::node::NodeId;
 use jm_isa::word::Word;
 use jm_isa::TraceId;
-use jm_trace::{Event, Tracer};
+use jm_trace::Tracer;
 
 /// The 3-D mesh network: one router per node, stepped one cycle at a time.
 #[derive(Debug)]
@@ -141,12 +141,9 @@ impl Network {
     }
 
     /// Drains the buffered lifecycle events (empty when tracing is off).
-    pub fn take_trace_events(&mut self) -> Vec<Event> {
-        let mut events = Vec::new();
-        for shard in &mut self.shards {
-            events.extend(shard.take_trace_events());
-        }
-        events
+    pub fn take_trace_events(&mut self) -> Tracer {
+        // Only shard 0 ever traces (see `set_tracing`).
+        self.shards[0].take_trace_events()
     }
 
     /// Routers currently holding buffered flits.

@@ -1,7 +1,6 @@
-//! Per-node router state that stays per-router: ejection staging and
-//! injection framing. The channel buffers, output ownership, and credit
-//! timestamps live in the shard's flat [`crate::arena::ChannelArena`]
-//! instead, so the advance loop scans contiguous memory.
+//! Per-node router state off the arbitration path: ejection staging and
+//! injection framing. The channel buffers and everything the advance loop
+//! probes live in the shard's [`crate::arena::ChannelArena`] instead.
 
 use jm_isa::node::Coord;
 use jm_isa::word::Word;
@@ -100,12 +99,11 @@ pub(crate) struct InjectState {
 }
 
 /// One node's router: the state that is *not* channel buffering. The input
-/// rings, output ownership, occupancy, and credit timestamps live in the
-/// shard's [`crate::arena::ChannelArena`] (structure-of-arrays), leaving
-/// the router struct for the colder ejection/injection interface state.
+/// rings, output ownership, cached routes, and the node's coordinate live in
+/// the shard's [`crate::arena::ChannelArena`], leaving the router struct
+/// for the colder ejection/injection interface state.
 #[derive(Debug, Clone)]
 pub(crate) struct Router {
-    pub coord: Coord,
     /// Ejected payload words awaiting the node (paired with the delivering
     /// message's trace id), per vnet.
     pub ejected: [VecDeque<(Word, TraceId)>; 2],
@@ -126,9 +124,8 @@ pub(crate) struct Router {
 }
 
 impl Router {
-    pub(crate) fn new(coord: Coord) -> Router {
+    pub(crate) fn new() -> Router {
         Router {
-            coord,
             ejected: Default::default(),
             inject: Default::default(),
             eject_cur: [TraceId::NONE; 2],

@@ -20,9 +20,9 @@
 //!
 //! Determinism: within a cycle, the only cross-router data a step reads is
 //! *downstream input-buffer space*. [`ChannelArena::space`] reports
-//! start-of-cycle occupancy (same-cycle pops are masked via `popped_at`), and
-//! the edge snapshots are by construction start-of-cycle values — so the
-//! space a sender observes is independent of the order routers are visited,
+//! start-of-cycle occupancy (same-cycle pops are masked by the router's pop
+//! bits), and the edge snapshots are by construction start-of-cycle values —
+//! so the space a sender observes is independent of the order routers are visited,
 //! and therefore of how the mesh is cut into shards or which thread runs
 //! which shard. Deferred mailbox delivery is equally invisible: a flit
 //! handed to a neighbor carries `ready_cycle = cycle + 1`, so no same-cycle
@@ -42,7 +42,7 @@ use jm_isa::node::{NodeId, RouteWord};
 use jm_isa::tag::Tag;
 use jm_isa::word::{MsgHeader, Word};
 use jm_isa::TraceId;
-use jm_trace::{Event, EventKind, FaultEvent, Tracer};
+use jm_trace::{EventKind, FaultEvent, Tracer};
 use jm_traffic::TrafficPlan;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -173,8 +173,9 @@ pub struct NetShard {
     /// First global node id owned by this shard.
     base: usize,
     routers: Vec<Router>,
-    /// Every channel buffer of every router, structure-of-arrays (flat
-    /// rings allocated once; the advance loop never allocates).
+    /// Every channel buffer of every router, and the per-router record the
+    /// arbitration loop probes (allocated once; the advance loop never
+    /// allocates).
     arena: ChannelArena,
     /// Buffered flits per local router (the advance loop's activity check,
     /// kept flat so the dense scan walks one contiguous array).
@@ -244,13 +245,11 @@ impl NetShard {
         bisect_mid: u8,
     ) -> NetShard {
         let dims = config.dims;
-        let routers: Vec<Router> = (base..base + len)
-            .map(|id| Router::new(dims.coord(NodeId(id as u32))))
-            .collect();
+        let coord = |l: usize| dims.coord(NodeId((base + l) as u32));
         let mut neigh = vec![[u32::MAX; 6]; len];
         let mut bisect_out = vec![0u8; len];
-        for (l, router) in routers.iter().enumerate() {
-            let here = router.coord;
+        for l in 0..len {
+            let here = coord(l);
             for (out, (dim, step)) in [(0i8, 1i8), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1)]
                 .into_iter()
                 .enumerate()
@@ -286,7 +285,7 @@ impl NetShard {
             }
         }
         NetShard {
-            arena: ChannelArena::new(len, config.flit_buffer, config.inject_fifo),
+            arena: ChannelArena::new((0..len).map(coord), config.flit_buffer, config.inject_fifo),
             occ: vec![0; len],
             scan: ScanPolicy::Auto,
             allow_bulk: true,
@@ -295,7 +294,7 @@ impl NetShard {
             bisect_out,
             config,
             base,
-            routers,
+            routers: vec![Router::new(); len],
             cycle: 0,
             stats: NetStats::default(),
             in_flight: 0,
@@ -703,10 +702,9 @@ impl NetShard {
         let mut path = vec![l as u32];
         let mut outs: Vec<u8> = Vec::new();
         let mut bisect: Vec<u32> = Vec::new();
-        let mut here = self.routers[l].coord;
         loop {
             let n = *path.last().expect("path starts non-empty") as usize;
-            let out = ecube_route(here, dest);
+            let out = ecube_route(self.arena.coord(n), dest);
             if self.arena.owner(n, vnet, out) >= 0 {
                 return false;
             }
@@ -723,7 +721,6 @@ impl NetShard {
                 "bulk route left the shard"
             );
             path.push(next);
-            here = self.routers[next as usize].coord;
         }
         debug_assert_eq!(*path.last().expect("non-empty") as usize, dest_l);
         let mut flits = Vec::with_capacity(2 * words.len());
@@ -1082,13 +1079,20 @@ impl NetShard {
     /// Advances one router one cycle: moves at most one flit per physical
     /// channel, priority-1 traffic first, input ports arbitrated in fixed
     /// ascending order with injection last.
+    ///
+    /// Whether a front flit may move is a conjunction of pure checks, so
+    /// their order is unobservable; they run cheapest storage first — this
+    /// router's hot record, the neighbour's, and only then the flit — and
+    /// about half of all probes at saturation stop before the flit. The one
+    /// check with a side effect is the fault plan's (`blocked_moves`), which
+    /// keeps its place after the owner and flit checks (`DESIGN.md` §4.5).
     fn step_router(&mut self, n: usize, cycle: u64, below: Option<&Edge>, above: Option<&Edge>) {
         let eject_fifo = self.config.eject_fifo;
         let plane = self.plane();
         let count = self.routers.len();
-        let here = self.routers[n].coord;
         let mut in_used: u8 = 0;
         let mut out_used: u8 = 0;
+        let (mut flit_hops, mut bisection_flits) = (0u64, 0u64);
         for &priority in [MsgPriority::P1, MsgPriority::P0].iter() {
             let vnet = priority.index();
             // Non-empty input ports in ascending (arbitration) order, minus
@@ -1097,33 +1101,37 @@ impl NetShard {
             while avail != 0 {
                 let in_port = avail.trailing_zeros() as usize;
                 avail &= avail - 1;
-                let flit = self.arena.front(n, vnet, in_port);
-                if flit.ready_cycle > cycle {
-                    continue;
-                }
-                let out = ecube_route(here, flit.dest);
+                let out = self.arena.route(n, vnet, in_port);
+                debug_assert_eq!(
+                    out,
+                    ecube_route(self.arena.coord(n), self.arena.front(n, vnet, in_port).dest),
+                    "stale cached route"
+                );
                 if out_used & (1 << out) != 0 {
                     continue;
                 }
                 let owner = self.arena.owner(n, vnet, out);
-                if owner != in_port as i8 {
-                    if owner >= 0 {
-                        continue;
-                    }
-                    if !flit.head() {
-                        // A body flit whose path was already torn down
-                        // cannot occur under wormhole FIFO discipline.
-                        debug_assert!(flit.head(), "orphan body flit");
-                        continue;
-                    }
+                let owned = owner == in_port as i8;
+                if !owned && owner >= 0 {
+                    continue;
                 }
-                // Delay faults come first and act exactly like a full
-                // downstream buffer: the flit stays queued and wormhole
-                // backpressure holds the path, so nothing is ever lost.
-                // The decision is a pure function of (global node, out
-                // port, cycle) — identical for every engine and shard
-                // layout.
+                // The flit's own say: ready to leave this buffer and, when it
+                // must acquire the output, a head (wormhole FIFO discipline
+                // never strands a body flit behind a torn-down path).
+                let flit_ok = |arena: &ChannelArena| {
+                    let flit = arena.front(n, vnet, in_port);
+                    debug_assert!(owned || flit.head(), "orphan body flit");
+                    flit.ready_cycle <= cycle && (owned || flit.head())
+                };
                 if let Some(f) = &self.fault {
+                    if !flit_ok(&self.arena) {
+                        continue;
+                    }
+                    // Delay faults act exactly like a full downstream
+                    // buffer: the flit stays queued and wormhole
+                    // backpressure holds the path, so nothing is ever lost.
+                    // The decision is a pure function of (global node, out
+                    // port, cycle) — identical for every engine and layout.
                     if f.blocked((self.base + n) as u32, out, cycle) {
                         self.stats.faults.blocked_moves += 1;
                         continue;
@@ -1135,7 +1143,8 @@ impl NetShard {
                 // both are scan-order-independent (module docs).
                 let mut local_m = usize::MAX;
                 if out == OUT_EJECT {
-                    if flit.payload().is_some() && self.routers[n].ejected[vnet].len() >= eject_fifo
+                    if self.routers[n].ejected[vnet].len() >= eject_fifo
+                        && self.arena.front(n, vnet, in_port).payload().is_some()
                     {
                         continue;
                     }
@@ -1160,6 +1169,9 @@ impl NetShard {
                             continue;
                         }
                     }
+                }
+                if self.fault.is_none() && !flit_ok(&self.arena) {
+                    continue;
                 }
                 // Commit the move.
                 let flit = self.arena.pop(n, vnet, in_port, cycle);
@@ -1229,10 +1241,8 @@ impl NetShard {
                             }
                         }
                     }
-                    self.stats.flit_hops += 1;
-                    if self.bisect_out[n] & (1 << out) != 0 {
-                        self.stats.bisection_flits += 1;
-                    }
+                    flit_hops += 1;
+                    bisection_flits += u64::from(self.bisect_out[n] >> out & 1);
                     let mut moved = flit;
                     moved.ready_cycle = cycle + 1;
                     if local_m != usize::MAX {
@@ -1259,6 +1269,8 @@ impl NetShard {
                 }
             }
         }
+        self.stats.flit_hops += flit_hops;
+        self.stats.bisection_flits += bisection_flits;
     }
 
     /// Phase 2 of a cycle: drains the edge mailboxes addressed to this shard
@@ -1357,7 +1369,7 @@ impl NetShard {
     }
 
     /// Drains the buffered lifecycle events (empty when tracing is off).
-    pub(crate) fn take_trace_events(&mut self) -> Vec<Event> {
+    pub(crate) fn take_trace_events(&mut self) -> Tracer {
         self.tracer.as_mut().map(|t| t.take()).unwrap_or_default()
     }
 

@@ -461,6 +461,14 @@ mod tests {
         old[4] = b'2';
         let err = ReplayLog::from_bytes(&old).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
+        // A corrupted mesh extent (the three bytes after the magic) is a
+        // parse error, not a panic in `MeshDims`.
+        for (offset, extent) in [(0, 0), (1, 32), (2, 255)] {
+            let mut bad = bytes.clone();
+            bad[MAGIC.len() + offset] = extent;
+            let err = ReplayLog::from_bytes(&bad).unwrap_err();
+            assert!(err.to_string().contains("mesh dimensions"), "{err}");
+        }
     }
 
     #[test]

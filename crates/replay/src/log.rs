@@ -467,7 +467,8 @@ impl ReplayLog {
         if magic != MAGIC {
             return Err(LogError::new("bad magic (not a replay log?)"));
         }
-        let dims = MeshDims::new(r.u8()?, r.u8()?, r.u8()?);
+        let dims = MeshDims::try_new(r.u8()?, r.u8()?, r.u8()?)
+            .map_err(|e| LogError::new(e.to_string()))?;
         let start = r.u8()?;
         let engine = r.u8()?;
         let threads = r.u32()?;

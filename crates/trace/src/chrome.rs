@@ -186,7 +186,7 @@ mod tests {
             active_routers: 2,
             busy_nodes: 1,
         }];
-        let t = MachineTrace::assemble(vec![events], samples, 2);
+        let t = MachineTrace::assemble(vec![events.into_iter().collect()], samples, 2);
         let json = chrome_json(&t);
         assert!(json.contains(r#""name":"net msg#1","cat":"net","ph":"X","ts":5,"dur":6"#));
         assert!(json.contains(r#""name":"queue msg#1","cat":"queue","ph":"X","ts":11,"dur":3"#));

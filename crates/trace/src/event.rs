@@ -160,6 +160,109 @@ impl EventKind {
     }
 }
 
+/// A hop or deliver event in 16 bytes — half an [`Event`]. These two kinds
+/// are about four of every five events a loaded mesh emits, and all they
+/// carry is a cycle, a message ordinal (32 bits wide on the flit already)
+/// and a node; the kind rides in the node's top bit. Buffers hold them
+/// packed and assembly widens them into the public `Event` once, in the
+/// output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Packed {
+    cycle: u64,
+    id: u32,
+    /// Node id, with [`Packed::DELIVER`] set for a deliver event.
+    node: u32,
+}
+
+impl Packed {
+    const DELIVER: u32 = 1 << 31;
+
+    /// Packs a hop or deliver event whose id and node fit; `None` for
+    /// everything else (which stays a full `Event`).
+    #[inline]
+    fn pack(cycle: u64, kind: &EventKind) -> Option<Packed> {
+        let (id, node, flag) = match *kind {
+            EventKind::Hop { id, node } => (id, node, 0),
+            EventKind::Deliver { id, node } => (id, node, Packed::DELIVER),
+            _ => return None,
+        };
+        let id = u32::try_from(id.0).ok()?;
+        (node.0 & Packed::DELIVER == 0).then_some(Packed {
+            cycle,
+            id,
+            node: node.0 | flag,
+        })
+    }
+
+    #[inline]
+    pub(crate) fn widen(self) -> Event {
+        let id = TraceId(u64::from(self.id));
+        let node = NodeId(self.node & !Packed::DELIVER);
+        let kind = if self.node & Packed::DELIVER == 0 {
+            EventKind::Hop { id, node }
+        } else {
+            EventKind::Deliver { id, node }
+        };
+        Event {
+            cycle: self.cycle,
+            kind,
+        }
+    }
+}
+
+/// Bytes per sealed storage chunk: large enough that a long run is a
+/// handful of allocations, small enough that assembly, which frees each
+/// chunk as it finishes reading it, never holds much more than its output.
+const CHUNK_BYTES: usize = 1 << 20;
+
+/// One append-only record stream, stored as fixed-size chunks: appending
+/// never copies what is already buffered (a single growing `Vec` re-copies
+/// everything at each doubling and briefly holds both copies).
+#[derive(Debug, Clone)]
+pub(crate) struct Stream<T> {
+    /// Filled chunks, oldest first.
+    pub(crate) full: Vec<Vec<T>>,
+    /// The chunk being filled (grows by doubling up to the chunk size, so a
+    /// component with a handful of events pays for a handful).
+    pub(crate) cur: Vec<T>,
+    /// Cycle of the newest record.
+    last: u64,
+    /// Whether records arrived in non-decreasing cycle order — true of
+    /// every simulator component, and what lets assembly merge streams
+    /// instead of sorting them. Checked on every push, never assumed.
+    pub(crate) monotone: bool,
+}
+
+impl<T> Default for Stream<T> {
+    fn default() -> Stream<T> {
+        Stream {
+            full: Vec::new(),
+            cur: Vec::new(),
+            last: 0,
+            monotone: true,
+        }
+    }
+}
+
+impl<T> Stream<T> {
+    const CHUNK: usize = CHUNK_BYTES / std::mem::size_of::<T>();
+
+    #[inline]
+    fn push(&mut self, cycle: u64, record: T) {
+        self.monotone &= cycle >= self.last;
+        self.last = cycle;
+        if self.cur.len() == Self::CHUNK {
+            let sealed = std::mem::replace(&mut self.cur, Vec::with_capacity(Self::CHUNK));
+            self.full.push(sealed);
+        }
+        self.cur.push(record);
+    }
+
+    fn len(&self) -> usize {
+        self.full.len() * Self::CHUNK + self.cur.len()
+    }
+}
+
 /// An append-only event buffer owned by one simulation component.
 ///
 /// Each component (the network, every node) that traces holds its own
@@ -168,9 +271,15 @@ impl EventKind {
 /// [`MachineTrace`](crate::MachineTrace) is assembled. A component that is
 /// not tracing holds no tracer at all (`Option<Box<Tracer>>`), making the
 /// disabled path a single pointer test.
+///
+/// Hop and deliver events are buffered in a packed 16-byte form, all
+/// others as full [`Event`]s; the two streams are chunked (see
+/// [`MachineTrace::assemble`](crate::MachineTrace::assemble) for how they
+/// are merged back into one order).
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    events: Vec<Event>,
+    pub(crate) packed: Stream<Packed>,
+    pub(crate) wide: Stream<Event>,
 }
 
 impl Tracer {
@@ -182,22 +291,37 @@ impl Tracer {
     /// Records one event.
     #[inline]
     pub fn emit(&mut self, cycle: u64, kind: EventKind) {
-        self.events.push(Event { cycle, kind });
+        match Packed::pack(cycle, &kind) {
+            Some(packed) => self.packed.push(cycle, packed),
+            None => self.wide.push(cycle, Event { cycle, kind }),
+        }
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.packed.len() + self.wide.len()
     }
 
     /// Whether no events have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
     /// Drains the buffer, leaving the tracer empty but still recording.
-    pub fn take(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.events)
+    /// The drained events are themselves a `Tracer`: the form
+    /// [`MachineTrace::assemble`](crate::MachineTrace::assemble) consumes.
+    pub fn take(&mut self) -> Tracer {
+        std::mem::take(self)
+    }
+}
+
+impl FromIterator<Event> for Tracer {
+    fn from_iter<I: IntoIterator<Item = Event>>(events: I) -> Tracer {
+        let mut tracer = Tracer::new();
+        for e in events {
+            tracer.emit(e.cycle, e.kind);
+        }
+        tracer
     }
 }
 
@@ -253,8 +377,67 @@ mod tests {
             },
         );
         assert_eq!(t.len(), 1);
-        let events = t.take();
-        assert_eq!(events[0].cycle, 3);
+        let drained = t.take();
+        assert_eq!(drained.len(), 1);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_a_tracer() {
+        let n = NodeId(5);
+        let kinds = |id: TraceId| {
+            [
+                EventKind::Inject {
+                    id,
+                    src: n,
+                    dst: NodeId(6),
+                    priority: MsgPriority::P1,
+                    words: 3,
+                },
+                EventKind::Hop { id, node: n },
+                EventKind::Deliver { id, node: n },
+                EventKind::QueueEnter {
+                    id,
+                    node: n,
+                    priority: MsgPriority::P1,
+                },
+                EventKind::Dispatch {
+                    id,
+                    node: n,
+                    handler: 9,
+                },
+                EventKind::HandlerEnd {
+                    id,
+                    node: n,
+                    handler: 9,
+                },
+                EventKind::Fault {
+                    id,
+                    node: n,
+                    what: FaultEvent::DropMessage,
+                },
+            ]
+        };
+        // Ids at both edges of the packed form's 32 bits, and the null id.
+        for id in [0, 1, u64::from(u32::MAX), u64::from(u32::MAX) + 1, u64::MAX] {
+            for (cycle, kind) in kinds(TraceId(id)).into_iter().enumerate() {
+                let cycle = cycle as u64 * 1_000_000_007;
+                let mut t = Tracer::new();
+                t.emit(cycle, kind);
+                assert_eq!(t.len(), 1);
+                let packs = matches!(kind, EventKind::Hop { .. } | EventKind::Deliver { .. })
+                    && id <= u64::from(u32::MAX);
+                assert_eq!(t.packed.len(), usize::from(packs), "{kind:?}");
+                let trace = crate::MachineTrace::assemble(vec![t], Vec::new(), 8);
+                assert_eq!(trace.events, [Event { cycle, kind }]);
+            }
+        }
+        // A node id using the packed form's flag bit stays wide.
+        let high = EventKind::Deliver {
+            id: TraceId(1),
+            node: NodeId(u32::MAX),
+        };
+        assert_eq!(Packed::pack(0, &high), None);
+        assert!(std::mem::size_of::<Packed>() <= 16);
     }
 }

@@ -248,7 +248,7 @@ mod tests {
                 },
             },
         ];
-        MachineTrace::assemble(vec![events], Vec::new(), 2)
+        MachineTrace::assemble(vec![events.into_iter().collect()], Vec::new(), 2)
     }
 
     #[test]

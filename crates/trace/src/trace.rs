@@ -1,6 +1,6 @@
 //! Assembled whole-machine traces and per-message latency decomposition.
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, Packed, Stream, Tracer};
 use crate::histogram::Histogram;
 use jm_isa::instr::MsgPriority;
 use jm_isa::node::NodeId;
@@ -107,17 +107,68 @@ pub struct MachineTrace {
 }
 
 impl MachineTrace {
-    /// Merges per-component event buffers into one trace. Events are sorted
-    /// by cycle, then causal rank, then message id, then node — a total
-    /// order independent of buffer iteration order, so two runs of the same
-    /// program produce byte-identical traces.
-    pub fn assemble(
-        sources: Vec<Vec<Event>>,
-        samples: Vec<SamplePoint>,
-        nodes: u32,
-    ) -> MachineTrace {
-        let mut events: Vec<Event> = sources.into_iter().flatten().collect();
-        events.sort_by_key(|e| (e.cycle, e.kind.rank(), e.kind.id(), sort_node(&e.kind)));
+    /// Merges per-component event buffers into one trace. Events are
+    /// ordered by cycle, then causal rank, then message id, then node; events
+    /// equal on all four keep the order of `sources` and, within a source,
+    /// the order they were emitted in. That total order is independent of
+    /// how the run was executed, so two runs of the same program produce
+    /// byte-identical traces.
+    ///
+    /// Linear in the event count: every source stream is already in cycle
+    /// order (a stream that is not — no simulator component produces one —
+    /// is sorted by cycle first), so assembly is a counting sort on
+    /// `(cycle, rank)` over one window of [`WINDOW`] cycles at a time,
+    /// followed by a small sort of each bucket on `(id, node)`. A window
+    /// starts at the next cycle that has an event, so an idle stretch of
+    /// any length costs nothing, and each source chunk is freed as soon as
+    /// it has been read: the trace is never held twice.
+    pub fn assemble(sources: Vec<Tracer>, samples: Vec<SamplePoint>, nodes: u32) -> MachineTrace {
+        let mut runs: Vec<Run> = sources
+            .into_iter()
+            .flat_map(|t| {
+                [
+                    Run::new(t.packed, Chunk::Packed),
+                    Run::new(t.wide, Chunk::Wide),
+                ]
+            })
+            .filter(|run| !run.chunks.is_empty())
+            .collect();
+        let total = runs.iter().flat_map(|r| &r.chunks).map(Chunk::len).sum();
+        let mut events: Vec<Event> = Vec::with_capacity(total);
+        // Per (cycle, rank) of the window: first a count, then the next
+        // output slot.
+        let slot_of = |e: &Event, lo: u64| (e.cycle - lo) as usize * RANKS + e.kind.rank() as usize;
+        let mut slots = vec![0usize; WINDOW * RANKS];
+        while let Some(lo) = runs.iter().map(Run::next_cycle).min() {
+            let last = lo.saturating_add(WINDOW as u64 - 1);
+            slots.fill(0);
+            for run in &mut runs {
+                run.walk(last, false, |e| slots[slot_of(&e, lo)] += 1);
+            }
+            let base = events.len();
+            let mut end = base;
+            for slot in &mut slots {
+                end += std::mem::replace(slot, end);
+            }
+            events.resize(end, FILLER);
+            for run in &mut runs {
+                run.walk(last, true, |e| {
+                    let slot = &mut slots[slot_of(&e, lo)];
+                    events[*slot] = e;
+                    *slot += 1;
+                });
+            }
+            // Each slot now marks the end of its bucket, whose events agree
+            // on cycle and rank and stand in source order.
+            let mut start = base;
+            for &end in &slots {
+                if end - start > 1 {
+                    events[start..end].sort_by_key(|e| (e.kind.id(), sort_node(&e.kind)));
+                }
+                start = end;
+            }
+            runs.retain(|run| run.chunk < run.chunks.len());
+        }
         MachineTrace {
             events,
             samples,
@@ -127,7 +178,7 @@ impl MachineTrace {
 
     /// Reconstructs every injected message's lifecycle, in injection order.
     pub fn messages(&self) -> Vec<MsgTrace> {
-        let mut by_id: HashMap<TraceId, usize> = HashMap::new();
+        let mut by_id = IdIndex::new(self.events.len());
         let mut msgs: Vec<MsgTrace> = Vec::new();
         for e in &self.events {
             match e.kind {
@@ -155,28 +206,28 @@ impl MachineTrace {
                     });
                 }
                 EventKind::Hop { id, .. } => {
-                    if let Some(&i) = by_id.get(&id) {
+                    if let Some(i) = by_id.get(id) {
                         msgs[i].hops += 1;
                     }
                 }
                 EventKind::Deliver { id, .. } => {
-                    if let Some(&i) = by_id.get(&id) {
+                    if let Some(i) = by_id.get(id) {
                         msgs[i].deliver = Some(e.cycle);
                     }
                 }
                 EventKind::QueueEnter { id, .. } => {
-                    if let Some(&i) = by_id.get(&id) {
+                    if let Some(i) = by_id.get(id) {
                         msgs[i].queue_enter = Some(e.cycle);
                     }
                 }
                 EventKind::Dispatch { id, handler, .. } => {
-                    if let Some(&i) = by_id.get(&id) {
+                    if let Some(i) = by_id.get(id) {
                         msgs[i].dispatch = Some(e.cycle);
                         msgs[i].handler = Some(handler);
                     }
                 }
                 EventKind::HandlerEnd { id, .. } => {
-                    if let Some(&i) = by_id.get(&id) {
+                    if let Some(i) = by_id.get(id) {
                         msgs[i].handler_end = Some(e.cycle);
                     }
                 }
@@ -263,6 +314,162 @@ impl MachineTrace {
     }
 }
 
+/// Position in the message list by [`TraceId`]. Ids are dense injection
+/// ordinals, so this is a flat table indexed by the ordinal, grown on
+/// demand; only an id beyond four times the trace's event count — nothing
+/// the simulator assigns — goes to a map instead of stretching the table.
+struct IdIndex {
+    /// Ids below this index `slots`; the rest go to `sparse`.
+    dense_limit: u64,
+    /// Message position + 1 per id ordinal; 0 = none.
+    slots: Vec<u32>,
+    sparse: HashMap<TraceId, usize>,
+}
+
+impl IdIndex {
+    fn new(events: usize) -> IdIndex {
+        // Positions are stored in 32 bits; a trace too long for that (tens of
+        // gigabytes) uses the map throughout.
+        let dense_limit = match u32::try_from(events) {
+            Ok(n) if n < u32::MAX / 4 => u64::from(n) * 4,
+            _ => 0,
+        };
+        IdIndex {
+            dense_limit,
+            slots: Vec::new(),
+            sparse: HashMap::new(),
+        }
+    }
+
+    fn insert(&mut self, id: TraceId, index: usize) {
+        if id.0 < self.dense_limit {
+            let slot = id.0 as usize;
+            if slot >= self.slots.len() {
+                self.slots.resize((slot + 1).next_power_of_two(), 0);
+            }
+            self.slots[slot] = index as u32 + 1;
+        } else {
+            self.sparse.insert(id, index);
+        }
+    }
+
+    #[inline]
+    fn get(&self, id: TraceId) -> Option<usize> {
+        if id.0 < self.dense_limit {
+            let stored = *self.slots.get(id.0 as usize)?;
+            (stored != 0).then(|| stored as usize - 1)
+        } else {
+            self.sparse.get(&id).copied()
+        }
+    }
+}
+
+/// Cycles per assembly window: small enough that the window's slots and
+/// its share of a loaded trace's output (about a megabyte) stay in cache
+/// through the count, scatter and sort passes.
+const WINDOW: usize = 256;
+
+/// Distinct values of [`EventKind::rank`], rounded up to a power of two.
+const RANKS: usize = 8;
+
+/// Placeholder for output slots between `resize` and the scatter pass.
+const FILLER: Event = Event {
+    cycle: 0,
+    kind: EventKind::Hop {
+        id: TraceId::NONE,
+        node: NodeId(0),
+    },
+};
+
+/// One chunk of a source stream, in whichever form it was buffered.
+enum Chunk {
+    Packed(Vec<Packed>),
+    Wide(Vec<Event>),
+}
+
+impl Chunk {
+    fn len(&self) -> usize {
+        match self {
+            Chunk::Packed(c) => c.len(),
+            Chunk::Wide(c) => c.len(),
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Event {
+        match self {
+            Chunk::Packed(c) => c[i].widen(),
+            Chunk::Wide(c) => c[i],
+        }
+    }
+}
+
+/// One cycle-ordered source stream being merged: its non-empty chunks and a
+/// cursor to the next unread event. Chunks behind the cursor are freed.
+struct Run {
+    chunks: Vec<Chunk>,
+    /// The next unread event is `chunks[chunk].get(at)`; a run with nothing
+    /// left has `chunk == chunks.len()` (and is dropped from the merge).
+    chunk: usize,
+    at: usize,
+}
+
+impl Run {
+    fn new<T>(stream: Stream<T>, wrap: fn(Vec<T>) -> Chunk) -> Run {
+        let mut chunks: Vec<Chunk> = stream
+            .full
+            .into_iter()
+            .chain([stream.cur])
+            .filter(|c| !c.is_empty())
+            .map(wrap)
+            .collect();
+        if !stream.monotone {
+            // Not produced by any simulator component; sorting by cycle
+            // (stably: ties keep emission order) restores the contract.
+            let mut events: Vec<Event> = chunks
+                .iter()
+                .flat_map(|c| (0..c.len()).map(|i| c.get(i)))
+                .collect();
+            events.sort_by_key(|e| e.cycle);
+            chunks = vec![Chunk::Wide(events)];
+        }
+        Run {
+            chunks,
+            chunk: 0,
+            at: 0,
+        }
+    }
+
+    fn next_cycle(&self) -> u64 {
+        self.chunks[self.chunk].get(self.at).cycle
+    }
+
+    /// Calls `f` on every unread event up to and including cycle `last`, in
+    /// order. With `consume` the cursor moves past them and every chunk
+    /// read to its end is freed; without, the run is left untouched.
+    fn walk(&mut self, last: u64, consume: bool, mut f: impl FnMut(Event)) {
+        let (mut chunk, mut at) = (self.chunk, self.at);
+        'run: while let Some(events) = self.chunks.get(chunk) {
+            while at < events.len() {
+                let e = events.get(at);
+                if e.cycle > last {
+                    break 'run;
+                }
+                f(e);
+                at += 1;
+            }
+            if consume {
+                self.chunks[chunk] = Chunk::Wide(Vec::new());
+            }
+            chunk += 1;
+            at = 0;
+        }
+        if consume {
+            (self.chunk, self.at) = (chunk, at);
+        }
+    }
+}
+
 /// Node used only to complete the deterministic sort key.
 fn sort_node(kind: &EventKind) -> u32 {
     match *kind {
@@ -345,15 +552,21 @@ mod tests {
     fn assemble_orders_across_buffers() {
         let all = lifecycle_events();
         // Split events across two buffers in a scrambled grouping.
-        let a = vec![all[3], all[6]];
-        let b = vec![all[0], all[1], all[2], all[4], all[5]];
+        let a = [all[3], all[6]].into_iter().collect();
+        let b = [all[0], all[1], all[2], all[4], all[5]]
+            .into_iter()
+            .collect();
         let t = MachineTrace::assemble(vec![a, b], Vec::new(), 8);
         assert_eq!(t.events, all);
     }
 
     #[test]
     fn messages_reconstruct_the_decomposition() {
-        let t = MachineTrace::assemble(vec![lifecycle_events()], Vec::new(), 8);
+        let t = MachineTrace::assemble(
+            vec![lifecycle_events().into_iter().collect()],
+            Vec::new(),
+            8,
+        );
         let msgs = t.messages();
         assert_eq!(msgs.len(), 1);
         let m = &msgs[0];
@@ -382,7 +595,7 @@ mod tests {
                 words: 3,
             },
         });
-        let t = MachineTrace::assemble(vec![events], Vec::new(), 8);
+        let t = MachineTrace::assemble(vec![events.into_iter().collect()], Vec::new(), 8);
         let b = t.breakdown();
         assert_eq!(b.end_to_end.count(), 1);
         assert_eq!(t.messages().len(), 2);
@@ -394,11 +607,200 @@ mod tests {
         // The lifecycle message injects at cycle 10 and dispatches at 20:
         // a window containing its injection keeps it even when the window
         // closes before dispatch; a window past its injection drops it.
-        let t = MachineTrace::assemble(vec![lifecycle_events()], Vec::new(), 8);
+        let t = MachineTrace::assemble(
+            vec![lifecycle_events().into_iter().collect()],
+            Vec::new(),
+            8,
+        );
         assert_eq!(t.breakdown_window(0, 11).end_to_end.count(), 1);
         assert_eq!(t.breakdown_window(10, 11).end_to_end.count(), 1);
         assert_eq!(t.breakdown_window(11, 100).end_to_end.count(), 0);
         assert_eq!(t.breakdown_window(0, 10).end_to_end.count(), 0);
         assert_eq!(t.breakdown_window(0, 11), t.breakdown());
+    }
+
+    /// The comparison sort that `assemble` replaced, kept as its oracle:
+    /// flatten the sources in order and stable-sort on the four-part key.
+    fn assemble_by_sorting(sources: &[Vec<Event>]) -> Vec<Event> {
+        let mut events: Vec<Event> = sources.iter().flatten().copied().collect();
+        events.sort_by_key(|e| (e.cycle, e.kind.rank(), e.kind.id(), sort_node(&e.kind)));
+        events
+    }
+
+    fn assemble_linear(sources: &[Vec<Event>]) -> Vec<Event> {
+        let tracers = sources
+            .iter()
+            .map(|s| s.iter().copied().collect())
+            .collect();
+        MachineTrace::assemble(tracers, Vec::new(), 0).events
+    }
+
+    /// A random event; small id and node ranges make full-key ties common,
+    /// and the fields outside the key (`handler`, `words`, …) tell tied
+    /// events apart, so a wrong tie order fails the comparison.
+    fn random_event(rng: &mut jm_prng::Prng, cycle: u64) -> Event {
+        let id = TraceId(rng.range_u64(0, 4));
+        let node = NodeId(rng.range_u32(0, 3));
+        let tag = rng.next_u32();
+        let priority = if tag & 1 == 0 {
+            MsgPriority::P0
+        } else {
+            MsgPriority::P1
+        };
+        let kind = match rng.range_u32(0, 7) {
+            0 => EventKind::Inject {
+                id,
+                src: node,
+                dst: NodeId(tag % 5),
+                priority,
+                words: tag % 7,
+            },
+            1 => EventKind::Hop { id, node },
+            2 => EventKind::Deliver { id, node },
+            3 => EventKind::QueueEnter { id, node, priority },
+            4 => EventKind::Dispatch {
+                id,
+                node,
+                handler: tag,
+            },
+            5 => EventKind::HandlerEnd {
+                id,
+                node,
+                handler: tag,
+            },
+            _ => EventKind::Fault {
+                id,
+                node,
+                what: [
+                    crate::FaultEvent::CorruptWord,
+                    crate::FaultEvent::DropMessage,
+                    crate::FaultEvent::SendStall,
+                ][tag as usize % 3],
+            },
+        };
+        Event { cycle, kind }
+    }
+
+    #[test]
+    fn linear_assembly_matches_the_sorting_oracle() {
+        let mut rng = jm_prng::Prng::new(0x7ace);
+        for sources in [1usize, 2, 3, 17, 600] {
+            for stride in [0u64, 1, 3, 400] {
+                let srcs: Vec<Vec<Event>> = (0..sources)
+                    .map(|_| {
+                        // Every third source or so stays empty.
+                        let len = if rng.chance(0.3) {
+                            0
+                        } else {
+                            rng.range_usize(1, 40)
+                        };
+                        let mut cycle = rng.range_u64(0, 50);
+                        (0..len)
+                            .map(|_| {
+                                cycle += rng.range_u64(0, stride + 1);
+                                random_event(&mut rng, cycle)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(
+                    assemble_linear(&srcs),
+                    assemble_by_sorting(&srcs),
+                    "{sources} sources, stride {stride}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn assembly_handles_sparse_spans_and_chunk_boundaries() {
+        let mut rng = jm_prng::Prng::new(0x5ba5e);
+        // One event at cycle 0, one at 10^9, one at the end of time.
+        let sparse = vec![
+            vec![random_event(&mut rng, 0)],
+            vec![
+                random_event(&mut rng, 1_000_000_000),
+                random_event(&mut rng, u64::MAX),
+            ],
+        ];
+        assert_eq!(assemble_linear(&sparse), assemble_by_sorting(&sparse));
+        // Two sources long enough to seal several chunks of both widths,
+        // with ids and nodes too wide for the packed form mixed in.
+        let long: Vec<Vec<Event>> = (0..2)
+            .map(|_| {
+                let mut cycle = 0;
+                (0..150_000)
+                    .map(|i| {
+                        cycle += rng.range_u64(0, 2);
+                        let mut e = random_event(&mut rng, cycle);
+                        if i % 1000 == 0 {
+                            e.kind = EventKind::Hop {
+                                id: TraceId(u64::from(u32::MAX) + 1 + i),
+                                node: NodeId(u32::MAX - i as u32),
+                            };
+                        }
+                        e
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(assemble_linear(&long), assemble_by_sorting(&long));
+    }
+
+    #[test]
+    fn a_source_out_of_cycle_order_is_still_sorted() {
+        let mut rng = jm_prng::Prng::new(0xd15c0);
+        let mut srcs: Vec<Vec<Event>> = (0..4)
+            .map(|_| (0..200).map(|i| random_event(&mut rng, i / 2)).collect())
+            .collect();
+        // Scramble one source's cycles (ties within it keep emission order).
+        for e in &mut srcs[2] {
+            e.cycle = rng.range_u64(0, 100);
+        }
+        let tracer: Tracer = srcs[2].iter().copied().collect();
+        assert!(!tracer.wide.monotone || !tracer.packed.monotone);
+        assert_eq!(assemble_linear(&srcs), assemble_by_sorting(&srcs));
+    }
+
+    #[test]
+    fn messages_index_sparse_and_repeated_ids() {
+        let inject = |cycle, id| Event {
+            cycle,
+            kind: EventKind::Inject {
+                id: TraceId(id),
+                src: NodeId(0),
+                dst: NodeId(1),
+                priority: MsgPriority::P0,
+                words: 1,
+            },
+        };
+        let deliver = |cycle, id| Event {
+            cycle,
+            kind: EventKind::Deliver {
+                id: TraceId(id),
+                node: NodeId(1),
+            },
+        };
+        // Id 1 is dense, 10^12 is far past four times the event count, and
+        // id 2 is injected twice: the later injection owns later events.
+        let far = 1_000_000_000_000;
+        let events = vec![
+            inject(0, 1),
+            inject(1, far),
+            inject(2, 2),
+            deliver(3, 2),
+            inject(4, 2),
+            deliver(5, 1),
+            deliver(6, far),
+            deliver(7, 2),
+            deliver(8, 99),
+        ];
+        let t = MachineTrace::assemble(vec![events.into_iter().collect()], Vec::new(), 2);
+        let delivered: Vec<(u64, Option<u64>)> =
+            t.messages().iter().map(|m| (m.id.0, m.deliver)).collect();
+        assert_eq!(
+            delivered,
+            [(1, Some(5)), (far, Some(6)), (2, Some(3)), (2, Some(7))]
+        );
     }
 }
