@@ -15,18 +15,19 @@
 //!   dispatch and the watchdog resends, so the counter stays exact while
 //!   retries and dropped messages climb.
 //!
-//! The `fault_sweep` binary renders these as tables, gates on weak
-//! monotonicity, and emits `BENCH_fault.json`.
+//! `jmsim faults` renders these as tables, gates on weak monotonicity,
+//! and emits `BENCH_fault.json` through [`crate::rows`].
 
 use std::fmt::Write as _;
 
+use crate::rows::Row;
 use jm_apps::lcs;
 use jm_fault::{FaultPlan, FaultSpec};
 use jm_isa::consts::FaultKind;
 use jm_isa::instr::MsgPriority;
 use jm_isa::node::{MeshDims, NodeId, RouteWord};
 use jm_isa::word::{MsgHeader, Word};
-use jm_machine::{JMachine, MachineConfig};
+use jm_machine::{Engine, JMachine, MachineConfig};
 use jm_net::{InjectResult, NetConfig, Network};
 use jm_prng::Prng;
 use jm_runtime::reliable;
@@ -184,7 +185,7 @@ fn next_msg(rng: &mut Prng, dims: MeshDims, from: u32) -> Vec<Word> {
 /// time-to-solution. The plan is delay-only plus checksum trailers (so
 /// the wire format matches the chaos runs); the app's internal assert
 /// guarantees the answer stayed exact at every point.
-pub fn lcs_sweep(seed: u64) -> Vec<InflationPoint> {
+pub fn lcs_sweep(engine: Engine, seed: u64) -> Vec<InflationPoint> {
     // One character per node: the handler does almost no arithmetic, so
     // the systolic forwarding chain is latency-bound and link faults land
     // on the critical path instead of hiding behind compute.
@@ -198,8 +199,9 @@ pub fn lcs_sweep(seed: u64) -> Vec<InflationPoint> {
         .iter()
         .map(|&ppm| {
             let spec = FaultSpec::new(seed).flaky(ppm).checksums(true);
-            let run = lcs::run_on(MachineConfig::new(8).fault(spec), &cfg, 4_000_000_000)
-                .expect("LCS completes under delay faults");
+            let mcfg = MachineConfig::new(8).engine(engine).fault(spec);
+            let run =
+                lcs::run_on(mcfg, &cfg, 4_000_000_000).expect("LCS completes under delay faults");
             InflationPoint {
                 flaky_ppm: ppm,
                 cycles: run.cycles,
@@ -212,7 +214,7 @@ pub fn lcs_sweep(seed: u64) -> Vec<InflationPoint> {
 /// Runs the reliable-RPC demo for each rate in [`CORRUPT_PPM`] and
 /// records the retry cost. Panics if the replicated counter is not exact
 /// — that would mean lost or double-applied increments.
-pub fn rpc_sweep(seed: u64) -> Vec<RpcPoint> {
+pub fn rpc_sweep(engine: Engine, seed: u64) -> Vec<RpcPoint> {
     const CALLS: i32 = 6;
     CORRUPT_PPM
         .iter()
@@ -221,7 +223,7 @@ pub fn rpc_sweep(seed: u64) -> Vec<RpcPoint> {
             let count = p.segment(reliable::COUNT);
             let retries = p.segment(reliable::RETRIES);
             let spec = FaultSpec::new(seed).corrupt(ppm).checksums(true);
-            let mut m = JMachine::new(p, MachineConfig::new(8).fault(spec));
+            let mut m = JMachine::new(p, MachineConfig::new(8).engine(engine).fault(spec));
             let cycles = m
                 .run_until_quiescent(50_000_000)
                 .expect("reliable RPC completes under corruption");
@@ -239,13 +241,14 @@ pub fn rpc_sweep(seed: u64) -> Vec<RpcPoint> {
         .collect()
 }
 
-/// Runs all three sweeps with one seed.
-pub fn sweep(seed: u64, goodput_cycles: u64) -> FaultReport {
+/// Runs all three sweeps with one seed; the two machine-level sweeps run
+/// under `engine` (the goodput sweep drives a bare network).
+pub fn sweep(engine: Engine, seed: u64, goodput_cycles: u64) -> FaultReport {
     FaultReport {
         seed,
         goodput: goodput_sweep(seed, goodput_cycles),
-        lcs: lcs_sweep(seed),
-        rpc: rpc_sweep(seed),
+        lcs: lcs_sweep(engine, seed),
+        rpc: rpc_sweep(engine, seed),
     }
 }
 
@@ -379,57 +382,36 @@ impl FaultReport {
         s
     }
 
-    /// Renders `BENCH_fault.json` (hand-rolled; the workspace takes no
-    /// serialization dependency).
-    pub fn json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        s.push_str("  \"goodput\": [\n");
-        for (i, p) in self.goodput.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"flaky_ppm\": {}, \"delivered_words\": {}, \"delivered_msgs\": {}, \
-                 \"blocked_moves\": {}, \"cycles\": {}, \"words_per_cycle\": {:.6}}}",
-                p.flaky_ppm,
-                p.delivered_words,
-                p.delivered_msgs,
-                p.blocked_moves,
-                p.cycles,
-                p.words_per_cycle()
-            );
-            s.push_str(if i + 1 == self.goodput.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
+    /// The report as `BENCH_fault.json` rows: every value is simulated
+    /// state, so the file is the same on every host and engine.
+    pub fn rows(&self) -> Vec<Row> {
+        let mut rows = vec![Row::simulated("fault", "seed", self.seed as f64, "")];
+        let mut push = |name: &str, metric: &str, value: f64, unit: &str| {
+            rows.push(Row::simulated(name, metric, value, unit));
+        };
+        for p in &self.goodput {
+            let name = format!("fault/goodput/{}", p.flaky_ppm);
+            push(&name, "delivered_words", p.delivered_words as f64, "words");
+            push(&name, "delivered_msgs", p.delivered_msgs as f64, "msgs");
+            push(&name, "blocked_moves", p.blocked_moves as f64, "moves");
+            push(&name, "cycles", p.cycles as f64, "cycles");
+            push(&name, "words_per_cycle", p.words_per_cycle(), "words/cycle");
         }
-        s.push_str("  ],\n  \"lcs\": [\n");
         let base = self.lcs.first().map_or(1, |p| p.cycles).max(1);
-        for (i, p) in self.lcs.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"flaky_ppm\": {}, \"cycles\": {}, \"blocked_moves\": {}, \
-                 \"inflation\": {:.6}}}",
-                p.flaky_ppm,
-                p.cycles,
-                p.blocked_moves,
-                p.cycles as f64 / base as f64
-            );
-            s.push_str(if i + 1 == self.lcs.len() { "\n" } else { ",\n" });
+        for p in &self.lcs {
+            let name = format!("fault/lcs/{}", p.flaky_ppm);
+            push(&name, "cycles", p.cycles as f64, "cycles");
+            push(&name, "blocked_moves", p.blocked_moves as f64, "moves");
+            push(&name, "inflation", p.cycles as f64 / base as f64, "x");
         }
-        s.push_str("  ],\n  \"rpc\": [\n");
-        for (i, p) in self.rpc.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"corrupt_ppm\": {}, \"cycles\": {}, \"retries\": {}, \"dropped\": {}, \
-                 \"corrupted_words\": {}}}",
-                p.corrupt_ppm, p.cycles, p.retries, p.dropped, p.corrupted_words
-            );
-            s.push_str(if i + 1 == self.rpc.len() { "\n" } else { ",\n" });
+        for p in &self.rpc {
+            let name = format!("fault/rpc/{}", p.corrupt_ppm);
+            push(&name, "cycles", p.cycles as f64, "cycles");
+            push(&name, "retries", p.retries as f64, "msgs");
+            push(&name, "dropped", p.dropped as f64, "msgs");
+            push(&name, "corrupted_words", p.corrupted_words as f64, "words");
         }
-        s.push_str("  ]\n}\n");
-        s
+        rows
     }
 }
 

@@ -1,0 +1,398 @@
+//! `jmsim gate`: a generic ratchet, floor and ceiling over BENCH rows
+//! (the rules are stated once, in DESIGN.md §5).
+//!
+//! `--current` (a fresh `jmsim perf` file) is compared with `--baseline`
+//! (default: the committed `BENCH_engine.json`); `--traffic` /
+//! `--traffic-baseline` add a fresh and a committed `BENCH_traffic.json`
+//! to the two sides, and the fresh one is re-checked for curve shape with
+//! the rules `jmsim traffic` enforces at generation time, so a hand-edited
+//! file cannot sneak past CI. A file that is not a well-formed row array
+//! is an input error (exit 2) — never a shorter list of rows to gate.
+
+use crate::cli::{Args, Bound, CliError, Outcome};
+use crate::rows::{self, Row};
+use crate::traffic;
+use std::process::ExitCode;
+
+/// The metrics the ratchet holds: higher-is-better ratios and rates that do
+/// not depend on the host's absolute speed.
+pub const RATCHETED: [&str; 3] = ["speedup", "vs_event", "knee_throughput"];
+
+fn load(path: &str) -> Result<Vec<Row>, CliError> {
+    let doc = std::fs::read_to_string(path).map_err(|e| CliError::io(path, e))?;
+    rows::read(&doc).map_err(|e| CliError::Input(format!("{path}: malformed BENCH file: {e}")))
+}
+
+/// Whether `row` belongs to a threaded run that asked for more workers
+/// than the measuring host had CPUs.
+fn oversubscribed(doc: &[Row], row: &Row) -> bool {
+    rows::value(doc, &row.name, "threads").is_some_and(|t| t > row.host_cpus as f64)
+}
+
+/// The verdict lines of one gate run; `failed` is the exit code.
+#[derive(Debug, Default)]
+struct Verdict {
+    lines: Vec<String>,
+    failed: bool,
+}
+
+impl Verdict {
+    fn check(&mut self, ok: bool, line: String) {
+        self.lines
+            .push(format!("[{}] {line}", if ok { "ok" } else { "FAIL" }));
+        self.failed |= !ok;
+    }
+
+    fn skip(&mut self, line: String) {
+        self.lines.push(format!("[skip] {line}"));
+    }
+}
+
+fn ratchet(v: &mut Verdict, baseline: &[Row], current: &[Row], tolerance: f64) {
+    for base in baseline {
+        if !RATCHETED.contains(&base.metric.as_str()) {
+            continue;
+        }
+        let label = format!("{}:{}", base.name, base.metric);
+        if oversubscribed(baseline, base) {
+            v.skip(format!(
+                "{label} baseline is oversubscribed (not scaling data)"
+            ));
+            continue;
+        }
+        let Some(cur) = rows::find(current, &base.name, &base.metric) else {
+            v.check(false, format!("{label} missing from the current run"));
+            continue;
+        };
+        if oversubscribed(current, cur) {
+            v.skip(format!(
+                "{label} current run is oversubscribed (host too small)"
+            ));
+            continue;
+        }
+        let floor = base.value * (1.0 - tolerance);
+        v.check(
+            cur.value >= floor,
+            format!(
+                "{label:<44} {:.4} {} (baseline {:.4}, floor {floor:.4})",
+                cur.value, cur.unit, base.value
+            ),
+        );
+    }
+}
+
+/// Absolute walls a re-blessed baseline cannot slide under. A floor
+/// (`margin` = `Some`) is enforced at `MIN × (1 − margin)` — short CI runs
+/// jitter — and skipped on an oversubscribed row; a ceiling (`None`) is
+/// enforced as given. A wall naming a missing row fails: a wall with
+/// nothing to check is not a pass.
+fn walls(v: &mut Verdict, current: &[Row], walls: &[Bound], margin: Option<f64>) {
+    let kind = if margin.is_some() { "floor" } else { "ceiling" };
+    for w in walls {
+        let label = format!("{}:{}", w.name, w.metric);
+        let Some(cur) = rows::find(current, &w.name, &w.metric) else {
+            v.check(
+                false,
+                format!("{label} {kind} names a row missing from the run"),
+            );
+            continue;
+        };
+        let Some(margin) = margin else {
+            let line = format!(
+                "{label:<44} {:.4} {} vs ceiling {:.4}",
+                cur.value, cur.unit, w.value
+            );
+            v.check(cur.value <= w.value, line);
+            continue;
+        };
+        if oversubscribed(current, cur) {
+            v.skip(format!("{label} floor: the run is oversubscribed"));
+            continue;
+        }
+        let wall = w.value * (1.0 - margin);
+        v.check(
+            cur.value >= wall,
+            format!(
+                "{label:<44} {:.4} {} vs absolute floor {:.4} (enforced at {wall:.4})",
+                cur.value, cur.unit, w.value
+            ),
+        );
+    }
+}
+
+fn traffic_shape(v: &mut Verdict, rows: &[Row]) -> Result<(), String> {
+    let curves = traffic::curves_from_rows(rows)?;
+    if curves.is_empty() {
+        return Err("no traffic/<pattern>/<load> rows".to_string());
+    }
+    for (pattern, points) in &curves {
+        let bad = traffic::check_curve(pattern, points);
+        v.check(
+            bad.is_empty(),
+            format!("traffic/{pattern} shape ({} points)", points.len()),
+        );
+        v.lines
+            .extend(bad.into_iter().map(|b| format!("       {b}")));
+    }
+    Ok(())
+}
+
+/// `jmsim gate` (see the module documentation).
+pub(crate) fn run(args: &Args) -> Outcome {
+    let baseline_path = args.text("--baseline").unwrap_or("BENCH_engine.json");
+    let tolerance = args.fraction("--tolerance").unwrap_or(0.30);
+    let margin = args.fraction("--floor-margin").unwrap_or(0.10);
+    let mut baseline = load(baseline_path)?;
+    let mut current = load(args.text("--current").expect("--current is required"))?;
+
+    let mut v = Verdict::default();
+    if let Some(path) = args.text("--traffic") {
+        let fresh = load(path)?;
+        traffic_shape(&mut v, &fresh).map_err(|e| CliError::Input(format!("{path}: {e}")))?;
+        current.extend(fresh);
+    }
+    if let Some(path) = args.text("--traffic-baseline") {
+        baseline.extend(load(path)?);
+    }
+    ratchet(&mut v, &baseline, &current, tolerance);
+    walls(&mut v, &current, &args.bounds("--floor"), Some(margin));
+    walls(&mut v, &current, &args.bounds("--ceiling"), None);
+
+    for line in &v.lines {
+        println!("{line}");
+    }
+    if v.failed {
+        eprintln!(
+            "benchmark regression gate FAILED (tolerance {:.0}%)",
+            tolerance * 100.0
+        );
+        return Ok(ExitCode::FAILURE);
+    }
+    println!("benchmark gate passed ({} checks)", v.lines.len());
+    Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::traffic::ShapePoint;
+
+    fn engine_doc(ring: f64, exch: f64) -> Vec<Row> {
+        vec![
+            Row::host("ring64_idle_dominated", "cycles", 100.0, "cycles", 2),
+            Row::host("ring64_idle_dominated", "speedup", ring, "x", 2),
+            Row::host("exchange64_load_dominated", "speedup", exch, "x", 2),
+        ]
+    }
+
+    fn thread_doc(host_cpus: usize) -> Vec<Row> {
+        let mut rows = Vec::new();
+        for (label, threads, vs) in [
+            ("event", 0.0, 1.0),
+            ("parallel-4", 4.0, 2.5),
+            ("parallel-8", 8.0, 2.0),
+        ] {
+            let name = format!("threads/{label}");
+            rows.push(Row::host(&name, "threads", threads, "threads", host_cpus));
+            rows.push(Row::host(&name, "vs_event", vs, "x", host_cpus));
+        }
+        rows
+    }
+
+    fn bound(name: &str, metric: &str, value: f64) -> Bound {
+        Bound {
+            name: name.to_string(),
+            metric: metric.to_string(),
+            value,
+        }
+    }
+
+    #[test]
+    fn parses_both_workloads() {
+        // The ratchet reads ratio rows only, holds each to its own
+        // baseline, and fails on a baseline row the run lost.
+        let mut v = Verdict::default();
+        ratchet(&mut v, &engine_doc(10.0, 0.9), &engine_doc(7.1, 0.9), 0.30);
+        assert!(!v.failed, "{:?}", v.lines);
+        assert_eq!(v.lines.len(), 2, "the cycles row is not ratcheted");
+
+        let mut v = Verdict::default();
+        ratchet(&mut v, &engine_doc(10.0, 0.9), &engine_doc(6.9, 0.9), 0.30);
+        assert!(v.failed);
+        assert!(v.lines[0].starts_with("[FAIL] ring64_idle_dominated:speedup"));
+        assert!(v.lines[1].starts_with("[ok] exchange64_load_dominated:speedup"));
+
+        let mut v = Verdict::default();
+        ratchet(
+            &mut v,
+            &engine_doc(10.0, 0.9),
+            &engine_doc(10.0, 0.9)[..2],
+            0.30,
+        );
+        assert!(v.failed);
+        assert!(v.lines[1].contains("exchange64_load_dominated:speedup missing"));
+    }
+
+    #[test]
+    fn parses_thread_rows_with_oversubscription_stamp() {
+        // "Oversubscribed" is threads > host_cpus, read off the rows.
+        let doc = thread_doc(4);
+        let over: Vec<bool> = doc
+            .iter()
+            .filter(|r| r.metric == "vs_event")
+            .map(|r| oversubscribed(&doc, r))
+            .collect();
+        assert_eq!(over, [false, false, true]);
+        // A row with no `threads` sibling is not a threaded run.
+        assert!(!oversubscribed(
+            &engine_doc(1.0, 1.0),
+            &engine_doc(1.0, 1.0)[1]
+        ));
+
+        let mut v = Verdict::default();
+        ratchet(&mut v, &doc, &doc, 0.30);
+        assert!(!v.failed);
+        assert!(v.lines[2].starts_with("[skip] threads/parallel-8:vs_event baseline"));
+    }
+
+    #[test]
+    fn unstamped_thread_rows_are_treated_as_oversubscribed() {
+        // A 4-CPU baseline against a 1-CPU run: the 4-thread row cannot be
+        // compared, and must neither pass nor fail.
+        let mut v = Verdict::default();
+        ratchet(&mut v, &thread_doc(4), &thread_doc(1), 0.30);
+        assert!(!v.failed);
+        assert!(v.lines[1].starts_with("[skip] threads/parallel-4:vs_event current"));
+        // The same holds for an absolute floor on that row…
+        let floor = [bound("threads/parallel-4", "vs_event", 9.0)];
+        let mut v = Verdict::default();
+        walls(&mut v, &thread_doc(1), &floor, Some(0.10));
+        assert!(
+            !v.failed && v.lines[0].starts_with("[skip]"),
+            "{:?}",
+            v.lines
+        );
+        // …which is enforced where the host is big enough.
+        let mut v = Verdict::default();
+        walls(&mut v, &thread_doc(4), &floor, Some(0.10));
+        assert!(v.failed);
+    }
+
+    #[test]
+    fn parses_repeated_floor_flags() {
+        let nominal = [
+            bound("exchange64_load_dominated", "speedup", 1.0),
+            bound("ring64_idle_dominated", "speedup", 2.5),
+            bound("no_such_workload", "speedup", 1.0),
+        ];
+        // 0.91 clears a nominal 1.0 floor through the 10% margin; 0.89 not.
+        let mut v = Verdict::default();
+        walls(&mut v, &engine_doc(3.0, 0.91), &nominal[..2], Some(0.10));
+        assert!(!v.failed, "{:?}", v.lines);
+        let mut v = Verdict::default();
+        walls(&mut v, &engine_doc(3.0, 0.89), &nominal, Some(0.10));
+        assert!(v.lines[0].starts_with("[FAIL]") && v.lines[1].starts_with("[ok]"));
+        assert!(v.lines[2].contains("missing"), "{:?}", v.lines);
+    }
+
+    #[test]
+    fn tracing_ceiling_reads_the_recorded_overhead() {
+        let doc = [Row::host(
+            "ring64_traced",
+            "overhead_vs_untraced",
+            0.195,
+            "ratio",
+            2,
+        )];
+        let at = |max: f64| {
+            let mut v = Verdict::default();
+            let c = [bound("ring64_traced", "overhead_vs_untraced", max)];
+            walls(&mut v, &doc, &c, None);
+            v
+        };
+        assert!(!at(0.20).failed);
+        assert!(!at(0.195).failed);
+        let over = at(0.10);
+        assert!(
+            over.failed && over.lines[0].contains("0.1950"),
+            "{:?}",
+            over.lines
+        );
+        // A ceiling with nothing to check is a failure, not a pass.
+        let mut v = Verdict::default();
+        let c = [bound("ring64_traced", "overhead_vs_untraced", 0.2)];
+        walls(&mut v, &engine_doc(1.0, 1.0), &c, None);
+        assert!(v.failed);
+    }
+
+    fn traffic_rows(points: &[(&str, u32, [f64; 4])]) -> Vec<Row> {
+        let mut rows = vec![Row::simulated("traffic", "seed", 7.0, "")];
+        for (pattern, load, [offered, accepted, dropped, thru]) in points {
+            let name = format!("traffic/{pattern}/{load}");
+            rows.push(Row::simulated(&name, "offered_msgs", *offered, "msgs"));
+            rows.push(Row::simulated(&name, "accepted_msgs", *accepted, "msgs"));
+            rows.push(Row::simulated(&name, "dropped_msgs", *dropped, "msgs"));
+            rows.push(Row::simulated(
+                &name,
+                "throughput",
+                *thru,
+                "flits/node/cycle",
+            ));
+        }
+        rows
+    }
+
+    #[test]
+    fn parses_traffic_curves_with_points_bounded_per_curve() {
+        let rows = traffic_rows(&[
+            ("uniform_random", 50_000, [1579.0, 1579.0, 0.0, 0.0493]),
+            (
+                "uniform_random",
+                900_000,
+                [28894.0, 14442.0, 14452.0, 0.4513],
+            ),
+            ("hotspot", 50_000, [1579.0, 1575.0, 4.0, 0.0492]),
+        ]);
+        let curves = traffic::curves_from_rows(&rows).unwrap();
+        assert_eq!(curves.len(), 2);
+        assert_eq!(curves[0].0, "uniform_random");
+        assert_eq!(curves[0].1.len(), 2);
+        assert_eq!(curves[0].1[1].dropped, 14_452.0);
+        assert_eq!(curves[0].1[1].load_ppm, 900_000.0);
+        assert_eq!((curves[1].0.as_str(), curves[1].1.len()), ("hotspot", 1));
+        let mut v = Verdict::default();
+        traffic_shape(&mut v, &rows).unwrap();
+        assert!(!v.failed, "{:?}", v.lines);
+        // A point group that lost a metric is an error, not a shorter curve.
+        let cut: Vec<Row> = rows
+            .iter()
+            .filter(|r| r.metric != "throughput")
+            .cloned()
+            .collect();
+        assert!(traffic::curves_from_rows(&cut).is_err());
+        assert!(traffic_shape(&mut v, &engine_doc(1.0, 1.0)).is_err());
+    }
+
+    #[test]
+    fn traffic_shape_check_flags_violations() {
+        let falling = [
+            ShapePoint {
+                load_ppm: 50_000.0,
+                offered: 1000.0,
+                accepted: 1000.0,
+                dropped: 0.0,
+                throughput: 0.10,
+            },
+            ShapePoint {
+                load_ppm: 100_000.0,
+                offered: 2000.0,
+                accepted: 900.0,
+                dropped: 1000.0, // 900 + 1000 != 2000: conservation too
+                throughput: 0.05,
+            },
+        ];
+        let bad = traffic::check_curve("transpose", &falling);
+        assert!(bad.iter().any(|v| v.contains("throughput fell")), "{bad:?}");
+        assert!(bad.iter().any(|v| v.contains("offered")), "{bad:?}");
+    }
+}

@@ -1,13 +1,15 @@
 //! # jm-bench
 //!
-//! The experiment harness: one module (and one binary) per table and figure
-//! of the paper's evaluation. Each experiment builds the measurement
-//! program with `jm-asm`/`jm-runtime`, runs it on a simulated machine, and
-//! prints the same rows/series the paper reports, alongside the paper's
-//! own numbers for comparison.
+//! The experiment harness behind the `jmsim` binary. Each experiment
+//! builds its measurement program with `jm-asm`/`jm-runtime`, runs it on a
+//! simulated machine under an explicit [`jm_machine::Engine`], and prints
+//! the same rows/series the paper reports, alongside the paper's own
+//! numbers for comparison.
 //!
-//! | module | reproduces |
-//! |--------|------------|
+//! | module | role |
+//! |--------|------|
+//! | [`cli`] | the `jmsim` dispatch table and the one argument parser |
+//! | [`registry`] | the ten paper artifacts, declared once; `jmsim repro` |
 //! | [`micro::latency`] | Figure 2 — round-trip latency vs. distance |
 //! | [`micro::overhead`] | Table 1 — one-way message overhead |
 //! | [`micro::load`] | Figure 3 — latency vs. load, efficiency vs. grain |
@@ -16,16 +18,29 @@
 //! | [`micro::barrier`] | Table 3 — barrier synchronization |
 //! | [`macrob`] | Figures 5 & 6, Tables 4 & 5 — the four applications |
 //! | [`baselines`] | comparison columns for other machines (published data) |
+//! | [`rows`] | the one BENCH row schema: sole writer and reader |
+//! | `perf`, [`threads`] | `jmsim perf` — host throughput rows |
+//! | `gate` | `jmsim gate` — ratchet, floors and ceilings over rows |
+//! | [`faultb`], [`traffic`] | the fault and traffic sweeps |
+//! | `tools` | `faults`, `traffic`, `chaos`, `mesh`, `golden`, `trace`, `replay …` |
+//! | [`workloads`], [`observe`] | canned programs shared with the test suites |
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod baselines;
+pub mod cli;
 pub mod faultb;
+mod gate;
 pub mod harness;
 pub mod macrob;
 pub mod micro;
 pub mod observe;
+mod perf;
+pub mod registry;
+pub mod rows;
 pub mod table;
 pub mod threads;
+mod tools;
 pub mod traffic;
+pub mod workloads;

@@ -4,7 +4,7 @@
 use crate::table::{fnum, TextTable};
 use jm_apps::{lcs, nqueens, radix, tsp};
 use jm_isa::instr::StatClass;
-use jm_machine::{MachineError, MachineStats};
+use jm_machine::{Engine, MachineConfig, MachineError, MachineStats};
 use std::collections::BTreeMap;
 
 /// The four applications.
@@ -111,128 +111,76 @@ impl Problems {
 
 const MAX_CYCLES: u64 = 4_000_000_000;
 
-fn thread_stats(
-    program_threads: &[(&str, &str)],
-    stats: &MachineStats,
-    program: impl Fn(&str) -> u32,
-) -> Vec<(String, jm_mdp::HandlerStats)> {
-    program_threads
-        .iter()
-        .map(|(name, label)| {
-            let ip = program(label);
-            let h = stats.nodes.handlers.get(&ip).copied().unwrap_or_default();
-            (name.to_string(), h)
-        })
-        .collect()
-}
-
-/// Runs one application on `nodes` nodes.
+/// Runs one application on `nodes` nodes under `engine`.
 ///
 /// # Errors
 ///
 /// Propagates machine failures.
-pub fn run_app(app: App, nodes: u32, problems: &Problems) -> Result<AppRun, MachineError> {
-    match app {
+pub fn run_app(
+    engine: Engine,
+    app: App,
+    nodes: u32,
+    problems: &Problems,
+) -> Result<AppRun, MachineError> {
+    let mcfg = MachineConfig::new(nodes).engine(engine);
+    // Per app: its program (for handler entry points), its run, and the
+    // `(thread name, entry label)` pairs Tables 4 and 5 report.
+    let (program, cycles, stats, threads): (_, _, _, &[(&str, &str)]) = match app {
         App::Lcs => {
-            let cfg = problems.lcs;
-            let p = lcs::program(&cfg, nodes);
-            let handler = |label: &str| p.handler(label);
-            let r = lcs::run(nodes, &cfg, MAX_CYCLES)?;
-            let threads = thread_stats(
-                &[("NxtChar", "lcs_char"), ("StartUp", "main")],
-                &r.stats,
-                handler,
-            );
-            Ok(AppRun {
-                app,
-                nodes,
-                cycles: r.cycles,
-                stats: r.stats,
+            let r = lcs::run_on(mcfg, &problems.lcs, MAX_CYCLES)?;
+            let threads = &[("NxtChar", "lcs_char"), ("StartUp", "main")];
+            (
+                lcs::program(&problems.lcs, nodes),
+                r.cycles,
+                r.stats,
                 threads,
-            })
+            )
         }
         App::Radix => {
-            let cfg = problems.radix;
-            let p = radix::program(&cfg, nodes);
-            let handler = |label: &str| p.handler(label);
-            let r = radix::run(nodes, &cfg, MAX_CYCLES)?;
-            let threads = thread_stats(
-                &[("Sort", "main"), ("Write", "rs_write"), ("Scan", "rs_scan")],
-                &r.stats,
-                handler,
-            );
-            Ok(AppRun {
-                app,
-                nodes,
-                cycles: r.cycles,
-                stats: r.stats,
-                threads,
-            })
+            let r = radix::run_on(mcfg, &problems.radix, MAX_CYCLES)?;
+            let threads = &[("Sort", "main"), ("Write", "rs_write"), ("Scan", "rs_scan")];
+            let p = radix::program(&problems.radix, nodes);
+            (p, r.cycles, r.stats, threads)
         }
         App::NQueens => {
-            let cfg = problems.nqueens;
-            let p = nqueens::program(&cfg, nodes);
-            let handler = |label: &str| p.handler(label);
-            let r = nqueens::run(nodes, &cfg, MAX_CYCLES)?;
-            let threads = thread_stats(
-                &[("NQueens", "nq_task"), ("NQDone", "nq_done")],
-                &r.stats,
-                handler,
-            );
-            Ok(AppRun {
-                app,
-                nodes,
-                cycles: r.cycles,
-                stats: r.stats,
-                threads,
-            })
+            let r = nqueens::run_on(mcfg, &problems.nqueens, MAX_CYCLES)?;
+            let threads = &[("NQueens", "nq_task"), ("NQDone", "nq_done")];
+            let p = nqueens::program(&problems.nqueens, nodes);
+            (p, r.cycles, r.stats, threads)
         }
         App::Tsp => {
-            let cfg = problems.tsp;
-            let p = tsp::program(&cfg, nodes);
-            let handler = |label: &str| p.handler(label);
-            let r = tsp::run(nodes, &cfg, MAX_CYCLES)?;
-            let threads = thread_stats(
-                &[
-                    ("Task", "tsp_work"),
-                    ("Intake", "tsp_task"),
-                    ("Bound", "tsp_bound"),
-                    ("WorkReq", "tsp_req"),
-                    ("WorkNone", "tsp_none"),
-                    ("Done", "tsp_done"),
-                ],
-                &r.stats,
-                handler,
-            );
-            Ok(AppRun {
-                app,
-                nodes,
-                cycles: r.cycles,
-                stats: r.stats,
+            let r = tsp::run_on(mcfg, &problems.tsp, MAX_CYCLES)?;
+            let threads = &[
+                ("Task", "tsp_work"),
+                ("Intake", "tsp_task"),
+                ("Bound", "tsp_bound"),
+                ("WorkReq", "tsp_req"),
+                ("WorkNone", "tsp_none"),
+                ("Done", "tsp_done"),
+            ];
+            (
+                tsp::program(&problems.tsp, nodes),
+                r.cycles,
+                r.stats,
                 threads,
-            })
+            )
         }
-    }
-}
-
-/// Figure 5: speedups of all four applications across machine sizes.
-///
-/// # Errors
-///
-/// Propagates machine failures.
-pub fn fig5(
-    sizes: &[u32],
-    problems: &Problems,
-) -> Result<BTreeMap<App, Vec<AppRun>>, MachineError> {
-    let mut out = BTreeMap::new();
-    for app in App::ALL {
-        let mut runs = Vec::new();
-        for &n in sizes {
-            runs.push(run_app(app, n, problems)?);
-        }
-        out.insert(app, runs);
-    }
-    Ok(out)
+    };
+    let threads = threads
+        .iter()
+        .map(|(name, label)| {
+            let handlers = &stats.nodes.handlers;
+            let h = handlers.get(&program.handler(label)).copied();
+            (name.to_string(), h.unwrap_or_default())
+        })
+        .collect();
+    Ok(AppRun {
+        app,
+        nodes,
+        cycles,
+        stats,
+        threads,
+    })
 }
 
 /// Renders Figure 5 as a speedup table.
@@ -447,7 +395,7 @@ mod tests {
     fn all_apps_run_and_report() {
         let problems = tiny_problems();
         for app in App::ALL {
-            let r = run_app(app, 4, &problems).unwrap();
+            let r = run_app(Engine::Event, app, 4, &problems).unwrap();
             assert!(r.cycles > 0);
             assert!(!r.threads.is_empty());
             assert!(r.stats.nodes.instructions > 0);
@@ -457,8 +405,9 @@ mod tests {
     #[test]
     fn fig5_speedup_table_renders() {
         let problems = tiny_problems();
-        let results = fig5(&[1, 4], &problems).unwrap();
-        let text = render_fig5(&results);
+        let run = |app, nodes| run_app(Engine::Event, app, nodes, &problems).unwrap();
+        let results = App::ALL.map(|app| (app, vec![run(app, 1), run(app, 4)]));
+        let text = render_fig5(&BTreeMap::from(results));
         assert!(text.contains("LCS"));
         assert!(text.contains("TSP"));
     }

@@ -14,7 +14,7 @@ use jm_isa::instr::{MsgPriority::P0, StatClass};
 use jm_isa::node::{Coord, NodeId, RouteWord};
 use jm_isa::operand::MemRef;
 use jm_isa::reg::{AReg::*, DReg::*};
-use jm_machine::{JMachine, MachineConfig, MachineError, StartPolicy};
+use jm_machine::{Engine, JMachine, MachineConfig, MachineError, StartPolicy};
 
 /// What the receiving handler does with the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,6 +106,7 @@ fn program(l: u32, sink: Sink) -> Program {
 ///
 /// Propagates machine failures.
 pub fn measure_point(
+    engine: Engine,
     l: u32,
     sink: Sink,
     warmup: u64,
@@ -115,7 +116,10 @@ pub fn measure_point(
     let handler = p.handler("f4_sink");
     // A 2×1×1 machine so the +x neighbour exists.
     let dims = jm_isa::MeshDims::new(2, 1, 1);
-    let mut m = JMachine::new(p, MachineConfig::with_dims(dims).start(StartPolicy::Node0));
+    let config = MachineConfig::with_dims(dims)
+        .start(StartPolicy::Node0)
+        .engine(engine);
+    let mut m = JMachine::new(p, config);
     m.run(warmup);
     if !m.node_errors().is_empty() {
         return Err(jm_machine::MachineError::NodeErrors(m.node_errors()));
@@ -150,11 +154,16 @@ pub fn measure_point(
 /// # Errors
 ///
 /// Propagates machine failures.
-pub fn measure(lengths: &[u32], warmup: u64, window: u64) -> Result<Vec<BwPoint>, MachineError> {
+pub fn measure(
+    engine: Engine,
+    lengths: &[u32],
+    warmup: u64,
+    window: u64,
+) -> Result<Vec<BwPoint>, MachineError> {
     let mut out = Vec::new();
     for sink in Sink::ALL {
         for &l in lengths {
-            out.push(measure_point(l, sink, warmup, window)?);
+            out.push(measure_point(engine, l, sink, warmup, window)?);
         }
     }
     Ok(out)
@@ -196,9 +205,9 @@ mod tests {
 
     #[test]
     fn discard_rate_grows_with_message_size_toward_peak() {
-        let p2 = measure_point(2, Sink::Discard, 1_000, 8_000).unwrap();
-        let p8 = measure_point(8, Sink::Discard, 1_000, 8_000).unwrap();
-        let p16 = measure_point(16, Sink::Discard, 1_000, 8_000).unwrap();
+        let p2 = measure_point(Engine::Event, 2, Sink::Discard, 1_000, 8_000).unwrap();
+        let p8 = measure_point(Engine::Event, 8, Sink::Discard, 1_000, 8_000).unwrap();
+        let p16 = measure_point(Engine::Event, 16, Sink::Discard, 1_000, 8_000).unwrap();
         assert!(p8.mbits > p2.mbits);
         assert!(p16.mbits >= p8.mbits * 0.95);
         // Peak is 200 Mb/s × L/(L+1) wire efficiency.
@@ -214,9 +223,9 @@ mod tests {
 
     #[test]
     fn slow_sinks_reduce_throughput() {
-        let d = measure_point(8, Sink::Discard, 1_000, 8_000).unwrap();
-        let i = measure_point(8, Sink::CopyImem, 1_000, 8_000).unwrap();
-        let e = measure_point(8, Sink::CopyEmem, 1_000, 8_000).unwrap();
+        let d = measure_point(Engine::Event, 8, Sink::Discard, 1_000, 8_000).unwrap();
+        let i = measure_point(Engine::Event, 8, Sink::CopyImem, 1_000, 8_000).unwrap();
+        let e = measure_point(Engine::Event, 8, Sink::CopyEmem, 1_000, 8_000).unwrap();
         assert!(d.mbits >= i.mbits);
         assert!(i.mbits > e.mbits);
     }

@@ -15,7 +15,7 @@ use jm_isa::node::NodeId;
 use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::word::Word;
-use jm_machine::{JMachine, MachineConfig, MachineError, StartPolicy};
+use jm_machine::{Engine, JMachine, MachineConfig, MachineError, StartPolicy};
 use jm_runtime::{barrier, nnr};
 
 /// Measured barrier time at one machine size.
@@ -30,11 +30,6 @@ pub struct BarrierPoint {
 }
 
 // t3_r layout: [0] rounds remaining, [1] t0, [2] sum, [3] count.
-
-/// Builds the measurement program (public for debugging).
-pub fn debug_program(rounds: i32) -> jm_asm::Program {
-    program(rounds)
-}
 
 fn program(rounds: i32) -> jm_asm::Program {
     let mut b = Builder::new();
@@ -83,10 +78,17 @@ fn program(rounds: i32) -> jm_asm::Program {
 /// # Errors
 ///
 /// Propagates machine failures.
-pub fn measure_point(nodes: u32, rounds: u32) -> Result<BarrierPoint, MachineError> {
+pub fn measure_point(
+    engine: Engine,
+    nodes: u32,
+    rounds: u32,
+) -> Result<BarrierPoint, MachineError> {
     let p = program(rounds as i32);
     let seg = p.segment("t3_r");
-    let mut m = JMachine::new(p, MachineConfig::new(nodes).start(StartPolicy::AllNodes));
+    let config = MachineConfig::new(nodes)
+        .start(StartPolicy::AllNodes)
+        .engine(engine);
+    let mut m = JMachine::new(p, config);
     m.run_until_quiescent(50_000_000)?;
     let sum = m.read_word(NodeId(0), seg.base + 2).as_i32() as u64;
     let count = m.read_word(NodeId(0), seg.base + 3).as_i32() as u64;
@@ -104,8 +106,15 @@ pub fn measure_point(nodes: u32, rounds: u32) -> Result<BarrierPoint, MachineErr
 /// # Errors
 ///
 /// Propagates machine failures.
-pub fn measure(sizes: &[u32], rounds: u32) -> Result<Vec<BarrierPoint>, MachineError> {
-    sizes.iter().map(|&n| measure_point(n, rounds)).collect()
+pub fn measure(
+    engine: Engine,
+    sizes: &[u32],
+    rounds: u32,
+) -> Result<Vec<BarrierPoint>, MachineError> {
+    sizes
+        .iter()
+        .map(|&n| measure_point(engine, n, rounds))
+        .collect()
 }
 
 /// Renders Table 3 with the published comparison columns.
@@ -146,9 +155,9 @@ mod tests {
 
     #[test]
     fn barrier_scales_logarithmically() {
-        let p2 = measure_point(2, 3).unwrap();
-        let p16 = measure_point(16, 3).unwrap();
-        let p64 = measure_point(64, 3).unwrap();
+        let p2 = measure_point(Engine::Event, 2, 3).unwrap();
+        let p16 = measure_point(Engine::Event, 16, 3).unwrap();
+        let p64 = measure_point(Engine::Event, 64, 3).unwrap();
         assert!(p2.cycles < p16.cycles);
         assert!(p16.cycles < p64.cycles);
         // Log growth: 64 nodes should cost far less than 8x the 2-node time.

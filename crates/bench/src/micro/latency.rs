@@ -11,7 +11,7 @@ use jm_isa::instr::{AluOp, MsgPriority::P0};
 use jm_isa::node::{Coord, MeshDims, NodeId, RouteWord};
 use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
-use jm_machine::{JMachine, MachineConfig, MachineError, StartPolicy};
+use jm_machine::{Engine, JMachine, MachineConfig, MachineError, StartPolicy};
 use jm_runtime::rpc;
 
 /// The five curves of Figure 2.
@@ -152,13 +152,13 @@ fn target_at(dims: MeshDims, hops: u32) -> Coord {
     Coord::new(x as u8, y as u8, z as u8)
 }
 
-/// Runs Figure 2 on a machine of `nodes` nodes, measuring every distance
-/// from 0 to the diameter.
+/// Runs Figure 2 on a machine of `nodes` nodes under `engine`, measuring
+/// every distance from 0 to the diameter.
 ///
 /// # Errors
 ///
 /// Propagates machine failures.
-pub fn measure(nodes: u32) -> Result<Vec<Curve>, MachineError> {
+pub fn measure(engine: Engine, nodes: u32) -> Result<Vec<Curve>, MachineError> {
     let dims = MeshDims::for_nodes(nodes);
     let diameter = u32::from(dims.x - 1) + u32::from(dims.y - 1) + u32::from(dims.z - 1);
     let mut curves = Vec::new();
@@ -167,7 +167,10 @@ pub fn measure(nodes: u32) -> Result<Vec<Curve>, MachineError> {
         for hops in 0..=diameter {
             let p = program(kind);
             let param = p.segment("f2_p");
-            let mut m = JMachine::new(p, MachineConfig::with_dims(dims).start(StartPolicy::Node0));
+            let config = MachineConfig::with_dims(dims)
+                .start(StartPolicy::Node0)
+                .engine(engine);
+            let mut m = JMachine::new(p, config);
             let target = target_at(dims, hops);
             m.write_word(NodeId(0), param.base, RouteWord::new(target).to_word());
             m.run_until_quiescent(1_000_000)?;
@@ -227,7 +230,7 @@ mod tests {
 
     #[test]
     fn slope_is_one_cycle_per_hop_each_way() {
-        let curves = measure(64).unwrap();
+        let curves = measure(Engine::Event, 64).unwrap();
         for c in &curves {
             let slope = c.slope();
             assert!(

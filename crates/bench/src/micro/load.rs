@@ -18,7 +18,7 @@ use jm_isa::instr::{AluOp, MsgPriority::P0, StatClass};
 use jm_isa::node::NodeId;
 use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
-use jm_machine::{JMachine, MachineConfig, MachineError, StartPolicy};
+use jm_machine::{Engine, JMachine, MachineConfig, MachineError, StartPolicy};
 use jm_runtime::{nnr, rand as jrand};
 
 /// One measured operating point.
@@ -40,12 +40,9 @@ pub struct LoadPoint {
 
 // f3_r layout (per node): [0] rt_sum, [1] count, [2] seed, [3] t0.
 
-/// Builds the exchange-loop program (public for engine benchmarks).
-pub fn debug_program(l: u32, idle_iters: u32) -> Program {
-    program(l, idle_iters)
-}
-
-fn program(l: u32, idle_iters: u32) -> Program {
+/// Builds the exchange-loop program for `l`-word messages and an
+/// `idle_iters`-iteration computation phase.
+pub fn program(l: u32, idle_iters: u32) -> Program {
     assert!(l >= 2, "need at least header + reply route");
     let mut b = Builder::new();
     b.data("f3_r", jm_asm::Region::Imem, vec![jm_isa::Word::int(0); 4]);
@@ -150,12 +147,14 @@ fn program(l: u32, idle_iters: u32) -> Program {
     b.assemble().expect("fig3 assembles")
 }
 
-/// Measures one operating point on a machine of `nodes` nodes.
+/// Measures one operating point on a machine of `nodes` nodes under
+/// `engine`.
 ///
 /// # Errors
 ///
 /// Propagates machine failures.
 pub fn measure_point(
+    engine: Engine,
     nodes: u32,
     msg_len: u32,
     idle_iters: u32,
@@ -164,7 +163,10 @@ pub fn measure_point(
 ) -> Result<LoadPoint, MachineError> {
     let p = program(msg_len, idle_iters);
     let seg = p.segment("f3_r");
-    let mut m = JMachine::new(p, MachineConfig::new(nodes).start(StartPolicy::AllNodes));
+    let config = MachineConfig::new(nodes)
+        .start(StartPolicy::AllNodes)
+        .engine(engine);
+    let mut m = JMachine::new(p, config);
     m.run(warmup);
     if !m.node_errors().is_empty() {
         return Err(jm_machine::MachineError::NodeErrors(m.node_errors()));
@@ -217,6 +219,7 @@ pub fn measure_point(
 ///
 /// Propagates machine failures.
 pub fn measure(
+    engine: Engine,
     nodes: u32,
     lengths: &[u32],
     idles: &[u32],
@@ -226,7 +229,7 @@ pub fn measure(
     let mut points = Vec::new();
     for &l in lengths {
         for &z in idles {
-            points.push(measure_point(nodes, l, z, warmup, window)?);
+            points.push(measure_point(engine, nodes, l, z, warmup, window)?);
         }
     }
     Ok(points)
@@ -274,8 +277,8 @@ mod tests {
     fn latency_rises_with_load() {
         // Heavy load (no idle) must show higher latency than light load
         // (large idle), and much higher bisection traffic.
-        let light = measure_point(64, 8, 2000, 4_000, 80_000).unwrap();
-        let heavy = measure_point(64, 8, 0, 4_000, 30_000).unwrap();
+        let light = measure_point(Engine::Event, 64, 8, 2000, 4_000, 80_000).unwrap();
+        let heavy = measure_point(Engine::Event, 64, 8, 0, 4_000, 30_000).unwrap();
         assert!(heavy.bisection_mbits > 4.0 * light.bisection_mbits);
         assert!(
             heavy.latency > light.latency,

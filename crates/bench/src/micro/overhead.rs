@@ -15,7 +15,7 @@ use jm_isa::instr::{AluOp, MsgPriority::P0};
 use jm_isa::node::{Coord, NodeId, RouteWord};
 use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
-use jm_machine::{JMachine, MachineConfig, MachineError, StartPolicy};
+use jm_machine::{Engine, JMachine, MachineConfig, MachineError, StartPolicy};
 
 /// Measured J-Machine overheads.
 #[derive(Debug, Clone, Copy)]
@@ -69,12 +69,15 @@ fn program(l: u32) -> Program {
     b.assemble().expect("table1 assembles")
 }
 
-fn send_cycles(l: u32) -> Result<u64, MachineError> {
+fn send_cycles(engine: Engine, l: u32) -> Result<u64, MachineError> {
     let p = program(l);
     let seg = p.segment("t1_r");
     // A 2×1×1 machine so the +x neighbour exists.
     let dims = jm_isa::MeshDims::new(2, 1, 1);
-    let mut m = JMachine::new(p, MachineConfig::with_dims(dims).start(StartPolicy::Node0));
+    let config = MachineConfig::with_dims(dims)
+        .start(StartPolicy::Node0)
+        .engine(engine);
+    let mut m = JMachine::new(p, config);
     m.run_until_quiescent(100_000)?;
     Ok(m.read_word(NodeId(0), seg.base).as_i32() as u64)
 }
@@ -84,9 +87,9 @@ fn send_cycles(l: u32) -> Result<u64, MachineError> {
 /// # Errors
 ///
 /// Propagates machine failures.
-pub fn measure() -> Result<Overhead, MachineError> {
-    let t2 = send_cycles(2)?;
-    let t10 = send_cycles(10)?;
+pub fn measure(engine: Engine) -> Result<Overhead, MachineError> {
+    let t2 = send_cycles(engine, 2)?;
+    let t10 = send_cycles(engine, 10)?;
     // Receiver: 4-cycle dispatch + 1-cycle SUSPEND.
     let recv = 5.0;
     let cycles_per_msg = t2 as f64 + recv;
@@ -143,7 +146,7 @@ mod tests {
 
     #[test]
     fn overhead_is_order_of_magnitude_below_baselines() {
-        let o = measure().unwrap();
+        let o = measure(Engine::Event).unwrap();
         // The paper's claim: ~11 cycles/msg vs 460+ for the best baseline,
         // and per-byte ~0.5 cycles. Accept a generous band around that.
         assert!(

@@ -28,7 +28,7 @@ use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::tag::Tag;
 use jm_isa::word::Word;
-use jm_machine::{JMachine, MachineConfig, MachineError, StartPolicy};
+use jm_machine::{Engine, JMachine, MachineConfig, MachineError, StartPolicy};
 use jm_runtime::futures;
 
 /// Measured Table 2 values, in cycles.
@@ -162,18 +162,19 @@ fn park_program() -> jm_asm::Program {
 /// # Errors
 ///
 /// Propagates machine failures.
-pub fn measure() -> Result<SyncCosts, MachineError> {
+pub fn measure(engine: Engine) -> Result<SyncCosts, MachineError> {
+    let config = MachineConfig::new(1).engine(engine);
     // Phase A: the six short sequences.
     let p = sequences_program();
     let results = p.segment("t2_r");
-    let mut m = JMachine::new(p, MachineConfig::new(1).start(StartPolicy::AllNodes));
+    let mut m = JMachine::new(p, config.start(StartPolicy::AllNodes));
     m.install_vector(NodeId(0), FaultKind::CFutRead, "t2_cfut");
     m.run_until_quiescent(100_000)?;
     let r = |i: u32| m.read_word(NodeId(0), results.base + i).as_i32() as u64;
 
     // Phase B: full park / resume through the futures runtime.
     let p = park_program();
-    let mut m = JMachine::new(p, MachineConfig::new(1).start(StartPolicy::None));
+    let mut m = JMachine::new(p, config.start(StartPolicy::None));
     m.install_vector_all(FaultKind::CFutRead, futures::CFUT_HANDLER);
     m.deliver_message(NodeId(0), MsgPriority::P0, "consumer", &[]);
     m.run(400); // consumer faults and parks
@@ -247,7 +248,7 @@ mod tests {
 
     #[test]
     fn tags_beat_flags_and_costs_are_small() {
-        let c = measure().unwrap();
+        let c = measure(Engine::Event).unwrap();
         assert!(c.success_tags < c.success_notags);
         assert!(c.write_tags < c.write_notags);
         assert_eq!(c.success_tags, 2);

@@ -5,15 +5,11 @@
 //! lifecycle stage the tracer records — injection, hop-by-hop progress,
 //! delivery, queueing (node 0's message queue backs up under the
 //! convergecast), dispatch, and handler execution — in a few thousand
-//! cycles, which makes it the standard input for `trace_dump` and for the
-//! deterministic digest of `repro_all`.
+//! cycles, which makes it the standard input for `jmsim trace` and for the
+//! deterministic digest of `jmsim repro`.
 
-use jm_asm::{hdr, Builder, Program, Region};
-use jm_isa::instr::{AluOp, MsgPriority};
+use crate::workloads::gather_program;
 use jm_isa::node::MeshDims;
-use jm_isa::operand::{MemRef, Special};
-use jm_isa::reg::{AReg::*, DReg::*};
-use jm_isa::tag::Tag;
 use jm_machine::{
     Engine, JMachine, MachineConfig, MachineError, MachineTrace, StartPolicy, TraceConfig,
 };
@@ -24,35 +20,6 @@ pub struct TraceDemo {
     pub machine: JMachine,
     /// The assembled lifecycle trace.
     pub trace: MachineTrace,
-}
-
-/// The gather program: every node RPCs its id to node 0.
-pub fn gather_program() -> Program {
-    let mut b = Builder::new();
-    b.data("sum", Region::Imem, vec![jm_isa::Word::int(0); 2]);
-
-    b.label("main");
-    // Route word for node (0,0,0): zero coordinate bits under the route tag.
-    b.movi(R0, 0);
-    b.wtag(R0, R0, Tag::Route.bits() as i32);
-    b.send(MsgPriority::P0, R0);
-    b.send2e(MsgPriority::P0, hdr("recv", 2), Special::Nid);
-    b.suspend();
-
-    // Handler: sum += sender id; count += 1.
-    b.label("recv");
-    b.mov(R0, MemRef::disp(A3, 1));
-    b.load_seg(A0, "sum");
-    b.mov(R1, MemRef::disp(A0, 0));
-    b.alu(AluOp::Add, R1, R1, R0);
-    b.mov(MemRef::disp(A0, 0), R1);
-    b.mov(R2, MemRef::disp(A0, 1));
-    b.addi(R2, R2, 1);
-    b.mov(MemRef::disp(A0, 1), R2);
-    b.suspend();
-
-    b.entry("main");
-    b.assemble().unwrap()
 }
 
 /// Runs the gather workload traced on a `dims` mesh and returns the

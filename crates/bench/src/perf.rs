@@ -1,0 +1,224 @@
+//! `jmsim perf`: host-side simulation throughput (simulated cycles per
+//! second of wall clock) of the engines, written to `BENCH_engine.json`.
+//! It only measures — every floor and ceiling on these numbers is an
+//! argument of `jmsim gate` in CI — but every pair of runs it times is also
+//! asserted bit-identical, so the measurement doubles as a differential
+//! test.
+//!
+//! Two workloads bracket the design space. On the **ring** (idle-dominated:
+//! one token, 63 of 64 nodes parked) the event engine should win big:
+//! parked nodes and flitless routers cost nothing. On the **exchange**
+//! (load-dominated: every node in the Figure-3 loop) the worklist is always
+//! full, so the event engine can only match the naive one; the row guards
+//! the bookkeeping against becoming a regression. The exchange is also run
+//! with replay capture armed and under the parallel engine at 1, 2 and 4
+//! workers (`threads/…`); `--trace` adds the ring with lifecycle tracing
+//! on. `--require-cpus N` makes a host with fewer CPUs a hard failure, so a
+//! CI job that exists to gate the 4-worker row cannot go green where the
+//! gate would skip it as oversubscribed.
+
+use crate::cli::{self, Args, Outcome};
+use crate::harness::time_once;
+use crate::rows::{self, Row};
+use crate::threads;
+use crate::workloads::{exchange_program, ring_program};
+use jm_machine::{Engine, JMachine, MachineConfig, StartPolicy};
+use std::process::ExitCode;
+
+const NODES: u32 = 64;
+const RING_MAX_CYCLES: u64 = 500_000_000;
+
+/// One timed run.
+struct Measurement {
+    wall_secs: f64,
+    cycles: u64,
+}
+
+impl Measurement {
+    fn cycles_per_sec(&self) -> f64 {
+        self.cycles as f64 / self.wall_secs.max(1e-9)
+    }
+}
+
+fn config(engine: Engine) -> MachineConfig {
+    MachineConfig::new(NODES)
+        .start(StartPolicy::AllNodes)
+        .engine(engine)
+}
+
+/// Runs the ring to quiescence under `config`; with tracing on, also
+/// returns the trace hash.
+fn run_ring(rounds: i32, config: MachineConfig) -> (Measurement, Option<u64>) {
+    let mut m = JMachine::new(ring_program(rounds, false), config);
+    let (wall, cycles) = time_once(|| m.run_until_quiescent(RING_MAX_CYCLES));
+    let measurement = Measurement {
+        wall_secs: wall.as_secs_f64(),
+        cycles: cycles.expect("the ring quiesces"),
+    };
+    (measurement, m.take_trace().map(|t| jm_trace::hash(&t)))
+}
+
+/// Steps the exchange loop for `cycles` cycles under `engine`, with replay
+/// capture armed if `captured`.
+fn run_exchange(engine: Engine, cycles: u64, captured: bool) -> Measurement {
+    let mut m = JMachine::new(exchange_program(), config(engine));
+    if captured {
+        m.record_replay(jm_replay::DEFAULT_INTERVAL);
+    }
+    let (wall, ()) = time_once(|| m.run(cycles));
+    if captured {
+        let log = m.finish_replay().expect("recording was armed");
+        assert_eq!(
+            log.end_cycle(),
+            cycles,
+            "capture must not change the run length"
+        );
+    }
+    Measurement {
+        wall_secs: wall.as_secs_f64(),
+        cycles,
+    }
+}
+
+/// Rows (and a stdout line) for `new` measured against `base` on one
+/// workload; the `speedup` row is new over base throughput.
+fn pair_rows(
+    out: &mut Vec<Row>,
+    cpus: usize,
+    name: &str,
+    (base_label, base): (&str, &Measurement),
+    (new_label, new): (&str, &Measurement),
+) {
+    let speedup = new.cycles_per_sec() / base.cycles_per_sec();
+    out.push(Row::host(name, "cycles", new.cycles as f64, "cycles", cpus));
+    for (label, m) in [(base_label, base), (new_label, new)] {
+        let (wall, cps) = (
+            format!("{label}_wall_secs"),
+            format!("{label}_cycles_per_sec"),
+        );
+        out.push(Row::host(name, &wall, m.wall_secs, "s", cpus));
+        out.push(Row::host(
+            name,
+            &cps,
+            m.cycles_per_sec().round(),
+            "cycles/s",
+            cpus,
+        ));
+    }
+    out.push(Row::host(name, "speedup", speedup, "x", cpus));
+    println!(
+        "{name:<26} {base_label} {:>12.0} cyc/s   {new_label} {:>12.0} cyc/s   speedup {speedup:.2}x",
+        base.cycles_per_sec(),
+        new.cycles_per_sec(),
+    );
+}
+
+/// `jmsim perf [--quick] [--trace] [--require-cpus N] [--out PATH]`.
+pub(crate) fn run(args: &Args) -> Outcome {
+    let quick = args.switch("--quick");
+    let out_path = args.text("--out").unwrap_or("BENCH_engine.json");
+    let host_cpus = rows::host_cpus();
+    if let Some(need) = args.count("--require-cpus") {
+        if (host_cpus as u64) < need {
+            // On its own line so GitHub Actions renders it as an error
+            // annotation; the nonzero exit fails the job either way.
+            println!(
+                "::error title=undersized bench runner::host has {host_cpus} CPU(s) but \
+                 --require-cpus {need} was passed; the thread-scaling rows would be oversubscribed"
+            );
+            return Ok(ExitCode::FAILURE);
+        }
+    }
+    let ring_rounds = if quick { 20 } else { 100 };
+    let exch_cycles = if quick { 20_000 } else { 100_000 };
+    let mut out = Vec::new();
+
+    // Idle-dominated: one busy node, 63 parked.
+    let (ring_naive, _) = run_ring(ring_rounds, config(Engine::Naive));
+    let (ring_event, _) = run_ring(ring_rounds, config(Engine::Event));
+    assert_eq!(
+        ring_naive.cycles, ring_event.cycles,
+        "engines must quiesce at the same cycle"
+    );
+    pair_rows(
+        &mut out,
+        host_cpus,
+        "ring64_idle_dominated",
+        ("naive", &ring_naive),
+        ("event", &ring_event),
+    );
+
+    // Load-dominated: every node busy every cycle.
+    let exch_naive = run_exchange(Engine::Naive, exch_cycles, false);
+    let exch_event = run_exchange(Engine::Event, exch_cycles, false);
+    pair_rows(
+        &mut out,
+        host_cpus,
+        "exchange64_load_dominated",
+        ("naive", &exch_naive),
+        ("event", &exch_event),
+    );
+
+    // Same workload with replay capture armed: the recording hook is a
+    // single pointer test per host op plus one state hash per checkpoint
+    // interval.
+    let exch_captured = run_exchange(Engine::Event, exch_cycles, true);
+    pair_rows(
+        &mut out,
+        host_cpus,
+        "exchange64_replay_capture",
+        ("uncaptured", &exch_event),
+        ("captured", &exch_captured),
+    );
+
+    if args.switch("--trace") {
+        // Both sides of the ratio are millisecond-scale runs, so one pair
+        // is mostly scheduler noise: take the best of several, interleaved
+        // so host drift hits both.
+        let mut untraced = ring_event.cycles_per_sec();
+        let (mut traced, trace_hash) = run_ring(ring_rounds, config(Engine::Event).traced());
+        for _ in 0..6 {
+            let (plain, _) = run_ring(ring_rounds, config(Engine::Event));
+            untraced = untraced.max(plain.cycles_per_sec());
+            let (again, hash) = run_ring(ring_rounds, config(Engine::Event).traced());
+            assert_eq!(hash, trace_hash, "trace hash must repeat");
+            if again.cycles_per_sec() > traced.cycles_per_sec() {
+                traced = again;
+            }
+        }
+        assert_eq!(
+            traced.cycles, ring_event.cycles,
+            "tracing must not change the quiescence cycle"
+        );
+        let overhead = untraced / traced.cycles_per_sec() - 1.0;
+        println!(
+            "ring64_traced              event {:>12.0} cyc/s   tracing overhead {:.0}%   trace hash {:016x}",
+            traced.cycles_per_sec(),
+            overhead * 100.0,
+            trace_hash.expect("tracing was enabled"),
+        );
+        let cps = traced.cycles_per_sec().round();
+        out.push(Row::host(
+            "ring64_traced",
+            "cycles_per_sec",
+            cps,
+            "cycles/s",
+            host_cpus,
+        ));
+        out.push(Row::host(
+            "ring64_traced",
+            "overhead_vs_untraced",
+            overhead,
+            "ratio",
+            host_cpus,
+        ));
+    }
+
+    let sweep = threads::sweep(NODES, exch_cycles, &[1, 2, 4]);
+    print!("{}", threads::render(&sweep));
+    out.extend(threads::rows(&sweep));
+
+    cli::write_file(out_path, rows::write(&out))?;
+    println!("wrote {out_path}");
+    Ok(ExitCode::SUCCESS)
+}

@@ -8,22 +8,20 @@
 //! statistics of every run are asserted identical before any number is
 //! reported.
 //!
-//! Used by two binaries: `engine_perf --threads` (full sweep, appended to
-//! `BENCH_engine.json`) and `repro_all` (small sweep, thread-scaling table
-//! in `EXPERIMENTS.md` — excluded from the determinism digest, since wall
-//! times vary run to run).
+//! Used by `jmsim perf` (the `threads/…` rows of `BENCH_engine.json`) and
+//! `jmsim repro` (thread-scaling table in `EXPERIMENTS.md` — excluded from
+//! the determinism digest, since wall times vary run to run).
 
 use crate::harness::time_once;
-use crate::micro::load;
+use crate::rows::Row;
+use crate::workloads::exchange_program;
 use jm_machine::{Engine, JMachine, MachineConfig, StartPolicy};
 use std::fmt::Write as _;
 
 /// One engine's timed run within the sweep.
 #[derive(Debug, Clone)]
 pub struct ThreadPoint {
-    /// Short stable label (`event`, `parallel-1`, …) — deliberately keyed
-    /// `"label"` in the JSON so `bench_gate`'s `"name"`-driven parser
-    /// ignores the section.
+    /// Short stable label (`event`, `parallel-1`, …).
     pub label: String,
     /// Worker threads requested (0 = the sequential event engine).
     pub threads: u32,
@@ -31,18 +29,13 @@ pub struct ThreadPoint {
     pub wall_secs: f64,
     /// Simulated cycles per second of wall clock.
     pub cycles_per_sec: f64,
-    /// Whether the run asked for more worker threads than the host has
-    /// logical CPUs. An oversubscribed number measures scheduler pressure,
-    /// not scaling — it is stamped so readers (and `bench_gate`'s ratchet)
-    /// never mistake it for real thread-scaling data.
-    pub oversubscribed: bool,
 }
 
 /// A completed thread-scaling sweep.
 #[derive(Debug, Clone)]
 pub struct ThreadSweep {
-    /// Logical CPUs the host reports (1 on a constrained CI runner — the
-    /// speedup acceptance floor only applies when this is ≥ 4).
+    /// Logical CPUs the host reports. A point that asked for more worker
+    /// threads than this measures scheduler pressure, not scaling.
     pub host_cpus: usize,
     /// Nodes in the simulated machine.
     pub nodes: u32,
@@ -52,21 +45,10 @@ pub struct ThreadSweep {
     pub points: Vec<ThreadPoint>,
 }
 
-impl ThreadSweep {
-    /// Speedup of the `threads`-worker run over the event baseline.
-    pub fn speedup(&self, threads: u32) -> Option<f64> {
-        let base = self.points.first()?.cycles_per_sec;
-        self.points
-            .iter()
-            .find(|p| p.threads == threads)
-            .map(|p| p.cycles_per_sec / base)
-    }
-}
-
 /// Runs the sweep: event baseline plus `Parallel(t)` for each `t` in
 /// `threads`, asserting bit-identical final statistics across all runs.
 pub fn sweep(nodes: u32, cycles: u64, threads: &[u32]) -> ThreadSweep {
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = crate::rows::host_cpus();
     let mut points = Vec::new();
     let mut baseline_stats = None;
     let mut engines = vec![(String::from("event"), 0u32, Engine::Event)];
@@ -88,7 +70,7 @@ pub fn sweep(nodes: u32, cycles: u64, threads: &[u32]) -> ThreadSweep {
     for _ in 0..REPS {
         for ((label, _, engine), best_wall) in engines.iter().zip(best_walls.iter_mut()) {
             let mut m = JMachine::new(
-                load::debug_program(4, 20),
+                exchange_program(),
                 MachineConfig::new(nodes)
                     .start(StartPolicy::AllNodes)
                     .engine(*engine),
@@ -112,7 +94,6 @@ pub fn sweep(nodes: u32, cycles: u64, threads: &[u32]) -> ThreadSweep {
             threads: t,
             wall_secs,
             cycles_per_sec: cycles as f64 / wall_secs.max(1e-9),
-            oversubscribed: t as usize > host_cpus,
         });
     }
     ThreadSweep {
@@ -140,7 +121,7 @@ pub fn render(sweep: &ThreadSweep) -> String {
             p.label,
             p.cycles_per_sec,
             p.cycles_per_sec / base,
-            if p.oversubscribed {
+            if p.threads as usize > sweep.host_cpus {
                 "  (oversubscribed)"
             } else {
                 ""
@@ -150,29 +131,22 @@ pub fn render(sweep: &ThreadSweep) -> String {
     out
 }
 
-/// Renders the sweep as the `"threads"` JSON object for `BENCH_engine.json`
-/// (no surrounding comma or key).
-pub fn render_json(sweep: &ThreadSweep) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\n    \"workload\": \"exchange{}_load_dominated\",\n    \"cycles\": {},\n    \"host_cpus\": {},\n    \"runs\": [\n",
-        sweep.nodes, sweep.cycles, sweep.host_cpus
-    );
+/// The sweep as `threads/<label>` rows for `BENCH_engine.json`. Each point
+/// carries its thread count, so a reader decides "oversubscribed" from the
+/// row itself (`threads` > `host_cpus`).
+pub fn rows(sweep: &ThreadSweep) -> Vec<Row> {
     let base = sweep.points[0].cycles_per_sec;
-    for (i, p) in sweep.points.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "      {{ \"label\": \"{}\", \"threads\": {}, \"wall_secs\": {:.6}, \"cyc_per_sec\": {:.0}, \"vs_event\": {:.2}, \"oversubscribed\": {} }}{}",
-            p.label,
-            p.threads,
-            p.wall_secs,
-            p.cycles_per_sec,
-            p.cycles_per_sec / base,
-            p.oversubscribed,
-            if i + 1 < sweep.points.len() { "," } else { "" }
-        );
+    let mut rows = Vec::new();
+    for p in &sweep.points {
+        let name = format!("threads/{}", p.label);
+        let mut push = |metric: &str, value: f64, unit: &str| {
+            rows.push(Row::host(&name, metric, value, unit, sweep.host_cpus));
+        };
+        push("threads", f64::from(p.threads), "threads");
+        push("cycles", sweep.cycles as f64, "cycles");
+        push("wall_secs", p.wall_secs, "s");
+        push("cycles_per_sec", p.cycles_per_sec.round(), "cycles/s");
+        push("vs_event", p.cycles_per_sec / base, "x");
     }
-    let _ = write!(out, "    ]\n  }}");
-    out
+    rows
 }

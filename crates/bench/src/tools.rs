@@ -1,0 +1,469 @@
+//! The `jmsim` tools that are not paper artifacts: the fault and traffic
+//! sweeps behind `BENCH_fault.json` / `BENCH_traffic.json`, the chaos
+//! application run, the large-mesh smoke, the golden-statistics gate, the
+//! trace exporter, and the replay log recorder / verifier / bisector.
+
+use crate::cli::{self, write_file, Args, CliError, Outcome};
+use crate::workloads::exchange_program;
+use crate::{faultb, harness, micro, observe, rows, traffic};
+use jm_apps::{lcs, nqueens, radix, tsp};
+use jm_isa::MeshDims;
+use jm_machine::{
+    Engine, FaultSpec, FaultWindow, HostTuning, JMachine, MachineConfig, MachineFactory,
+    StartPolicy,
+};
+use jm_replay::{Divergence, ReplayLog, DEFAULT_INTERVAL};
+use std::fmt::Write as _;
+use std::process::ExitCode;
+
+/// Writes `{kind} v1` + the FNV-1a hash of `lines` to `--digest`, if given.
+fn write_digest(args: &Args, kind: &str, lines: &str) -> Result<(), CliError> {
+    let Some(path) = args.text("--digest") else {
+        return Ok(());
+    };
+    let hash = jm_trace::fnv1a(lines.as_bytes());
+    let fingerprint = format!("{kind} v1\nstats {hash:016x}\n");
+    write_file(path, &fingerprint)?;
+    print!("{fingerprint}");
+    Ok(())
+}
+
+/// Prints a sweep's shape verdict; violations are exit code 1.
+fn shape_verdict(what: &str, check: Result<(), Vec<String>>) -> ExitCode {
+    match check {
+        Ok(()) => {
+            println!("{what} curves are weakly monotone");
+            ExitCode::SUCCESS
+        }
+        Err(violations) => {
+            eprintln!("\n{what} curves violate weak monotonicity:");
+            for v in &violations {
+                eprintln!("  - {v}");
+            }
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// `jmsim faults`: the three [`faultb`] sweeps under one fault-plan seed →
+/// curves on stdout, `BENCH_fault.json`, and exit code 1 if goodput rises
+/// or LCS completion time falls with the fault rate. `--digest` hashes the
+/// per-point simulated counters, which CI diffs between a plain and an
+/// `--engine parallel4` run to prove the fault paths schedule-independent.
+pub(crate) fn faults(args: &Args) -> Outcome {
+    let out_path = args.text("--out").unwrap_or("BENCH_fault.json");
+    let engine = args.engine().unwrap_or_default();
+    let report = faultb::sweep(engine, args.count("--seed").unwrap_or(7), 20_000);
+    print!("{}", report.render());
+    write_file(out_path, rows::write(&report.rows()))?;
+    println!("\nwrote {out_path}");
+    write_digest(args, "jm-fault-digest", &report.digest_lines())?;
+    Ok(shape_verdict("degradation", report.check_monotone()))
+}
+
+/// `jmsim traffic`: the [`traffic`] load ladder for all five patterns under
+/// one injection seed → curves with their knees on stdout,
+/// `BENCH_traffic.json`, and exit code 1 on a misshapen curve; `--digest`
+/// as for [`faults`]. With `--mesh XxYxZ --pattern NAME --load PPM` (the
+/// nightly large-mesh canary) it runs that one point instead and records
+/// its counters plus the process's peak RSS in the digest.
+pub(crate) fn traffic(args: &Args) -> Outcome {
+    let seed = args.count("--seed").unwrap_or(7);
+    let engine = args.engine().unwrap_or_default();
+    if let Some(dims) = args.mesh() {
+        let (Some(pattern), Some(load)) = (args.pattern(), args.count("--load")) else {
+            let why = "`--mesh` needs `--pattern NAME` and `--load PPM`";
+            return Err(CliError::Input(why.to_string()));
+        };
+        let load = u32::try_from(load)
+            .map_err(|_| CliError::Input(format!("--load: {load} ppm is out of range")))?;
+        return traffic_point(args, engine, seed, dims, pattern, load);
+    }
+    let out_path = args.text("--out").unwrap_or("BENCH_traffic.json");
+    let report = traffic::sweep(engine, seed);
+    print!("{}", report.render());
+    write_file(out_path, rows::write(&report.rows()))?;
+    println!("\nwrote {out_path}");
+    write_digest(args, "jm-traffic-digest", &report.digest_lines())?;
+    Ok(shape_verdict("saturation", report.check_monotone()))
+}
+
+fn traffic_point(
+    args: &Args,
+    engine: Engine,
+    seed: u64,
+    dims: MeshDims,
+    pattern: jm_machine::TrafficPattern,
+    load: u32,
+) -> Outcome {
+    let p = traffic::measure_point(engine, seed, dims, pattern, load);
+    let rss = harness::peak_rss_mib();
+    let (name, mesh) = (pattern.label(), format!("{}x{}x{}", dims.x, dims.y, dims.z));
+    println!(
+        "{name} on {mesh} at {load} ppm: offered {} accepted {} dropped {} \
+         ({:.4} flits/node/cycle, lat p99 {}, {} cycles to drain, peak rss {rss} MiB)",
+        p.offered_msgs,
+        p.accepted_msgs,
+        p.dropped_msgs,
+        p.accepted_throughput(dims.nodes()),
+        p.latency_p99,
+        p.total_cycles,
+    );
+    if let Some(path) = args.text("--digest") {
+        let fingerprint = format!(
+            "jm-traffic-point v1\n{name} {mesh} {load} offered {} accepted {} dropped {} \
+             delivered {} cycles {} p50 {} p99 {} max {}\npeak_rss_mib {rss}\n",
+            p.offered_msgs,
+            p.accepted_msgs,
+            p.dropped_msgs,
+            p.delivered_msgs,
+            p.total_cycles,
+            p.latency_p50,
+            p.latency_p99,
+            p.latency_max,
+        );
+        write_file(path, &fingerprint)?;
+        print!("{fingerprint}");
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+const MAX_CYCLES: u64 = 4_000_000_000;
+
+/// `jmsim chaos`: the four applications on 8 nodes under a seeded
+/// delay-fault plan — flaky links, link-down / router-stall / node-down
+/// windows, checksum trailers. Delay faults are lossless backpressure
+/// (loss recovery is the reliable-RPC layer's job, `jmsim faults`), so
+/// every answer must stay exact: each app's `run_on` checks it against the
+/// host reference and panics on a mismatch. A plan that disturbed nothing
+/// fails too, so a vacuous plan cannot pass.
+pub(crate) fn chaos(args: &Args) -> Outcome {
+    const NODES: u32 = 8;
+    let seed = args.count("--seed").unwrap_or(3);
+    let engine = args.engine().unwrap_or_default();
+    let plan = FaultSpec::new(seed)
+        .flaky(15_000)
+        .checksums(true)
+        .window(FaultWindow::link_down(0, 0, 2_000, 12_000))
+        .window(FaultWindow::router_stall(3, 5_000, 9_000))
+        .window(FaultWindow::node_down(5, 3_000, 4_000))
+        .window(FaultWindow::link_down(6, 2, 20_000, 30_000));
+    let mcfg = MachineConfig::new(NODES).engine(engine).fault(plan);
+    println!("chaos: seed {seed}, engine {engine:?}, {NODES} nodes");
+
+    let mut disturbed = 0u64;
+    let mut check = |name: &str, cycles: u64, stats: &jm_machine::MachineStats, answer: String| {
+        let blocked = stats.net.faults.blocked_moves;
+        println!("  {name:<8} ok: {answer}, {cycles} cycles, {blocked} blocked moves");
+        disturbed += blocked;
+    };
+    let r = lcs::run_on(mcfg, &lcs::LcsConfig::scaled(), MAX_CYCLES)?;
+    check("lcs", r.cycles, &r.stats, format!("length {}", r.length));
+    let cfg = radix::RadixConfig::scaled();
+    let r = radix::run_on(mcfg, &cfg, MAX_CYCLES)?;
+    let answer = format!("{} keys sorted", cfg.keys);
+    check("radix", r.cycles, &r.stats, answer);
+    let r = nqueens::run_on(mcfg, &nqueens::NqConfig::scaled(), MAX_CYCLES)?;
+    let answer = format!("{} solutions", r.solutions);
+    check("nqueens", r.cycles, &r.stats, answer);
+    let r = tsp::run_on(mcfg, &tsp::TspConfig::scaled(), MAX_CYCLES)?;
+    check("tsp", r.cycles, &r.stats, format!("best tour {}", r.best));
+
+    if disturbed == 0 {
+        let why = "the chaos plan disturbed nothing — it is vacuous";
+        return Err(CliError::Failed(why.to_string()));
+    }
+    println!("all four applications exact under chaos ({disturbed} blocked moves total)");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `jmsim mesh`: a bounded load-dominated run on a big cube (default
+/// 16×16×16, 5 000 cycles), every node in the exchange loop, under `event`,
+/// `parallel-T` at quantum 1 (a decide every cycle — the crew scheduler's
+/// worst case) and `parallel-T` at the auto quantum. Its own gate: the
+/// rows' full machine statistics are hashed and any difference exits
+/// nonzero. `--digest` writes the digest line, with peak RSS, for a
+/// workflow to diff day over day.
+pub(crate) fn mesh(args: &Args) -> Outcome {
+    let nodes = cli::machine_size("--nodes", args.count("--nodes").unwrap_or(4096))?;
+    let cycles = args.count("--cycles").unwrap_or(5_000);
+    let Engine::Parallel(threads) = args.engine().unwrap_or(Engine::Parallel(4)) else {
+        let why = "--engine: the mesh smoke compares event against a parallelN engine";
+        return Err(CliError::Input(why.to_string()));
+    };
+
+    // (label, engine, quantum): quantum 0 is the auto default.
+    let parallel = Engine::Parallel(threads);
+    let rows = [
+        ("event".to_string(), Engine::Event, 0),
+        (format!("parallel-{threads}-q1"), parallel, 1),
+        (format!("parallel-{threads}-qauto"), parallel, 0),
+    ];
+    let mut digests = Vec::new();
+    for (label, engine, quantum) in rows {
+        let config = MachineConfig::new(nodes)
+            .start(StartPolicy::AllNodes)
+            .engine(engine)
+            .tuning(HostTuning {
+                quantum,
+                ..HostTuning::default()
+            });
+        let mut m = JMachine::new(exchange_program(), config);
+        let (wall, ()) = harness::time_once(|| m.run(cycles));
+        let wall = wall.as_secs_f64();
+        let digest = jm_trace::fnv1a(format!("{:?}", m.stats()).as_bytes());
+        println!(
+            "{label:<18} {nodes} nodes  {cycles} cycles  {wall:.2}s wall  {:.0} cyc/s  stats digest {digest:016x}",
+            cycles as f64 / wall.max(1e-9),
+        );
+        digests.push((label, digest));
+    }
+    let rss = harness::peak_rss_mib();
+    println!("peak rss: {rss} MiB");
+
+    let (ref base_label, base) = digests[0];
+    let mut ok = true;
+    for (label, digest) in &digests[1..] {
+        if *digest != base {
+            eprintln!(
+                "[FAIL] {label} digest {digest:016x} != {base_label} digest {base:016x}: \
+                 engines diverged on the large mesh"
+            );
+            ok = false;
+        }
+    }
+    if let Some(path) = args.text("--digest") {
+        let line = format!(
+            "mesh_smoke nodes={nodes} cycles={cycles} digest={base:016x} peak_rss_mib={rss}\n"
+        );
+        write_file(path, line)?;
+    }
+    if !ok {
+        return Ok(ExitCode::FAILURE);
+    }
+    println!("mesh smoke passed: engines bit-identical at {nodes} nodes");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The golden document (exact, fixed-precision floats): Figure 2's fitted
+/// slope and intercept per curve on 64 nodes, Table 1's overhead, Table 3's
+/// barrier cycles at 2/8/64 nodes.
+fn golden_document() -> Result<String, jm_machine::MachineError> {
+    const FIG2_NODES: u32 = 64;
+    let curves = micro::latency::measure(Engine::Event, FIG2_NODES)?;
+    let overhead = micro::overhead::measure(Engine::Event)?;
+    let barrier = micro::barrier::measure(Engine::Event, &[2, 8, 64], 8)?;
+
+    let comma = |i: usize, len: usize| if i + 1 < len { "," } else { "" };
+    let mut out = String::from("{\n  \"golden\": \"stats\",\n");
+    let _ = writeln!(out, "  \"fig2_nodes\": {FIG2_NODES},");
+    out.push_str("  \"fig2\": [\n");
+    for (i, c) in curves.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "    {{ \"curve\": \"{}\", \"slope\": {:.4}, \"base\": {:.4} }}{}",
+            c.kind.name(),
+            c.slope(),
+            c.base(),
+            comma(i, curves.len())
+        );
+    }
+    out.push_str("  ],\n");
+    let _ = writeln!(
+        out,
+        "  \"table1\": {{ \"cycles_per_msg\": {:.4}, \"cycles_per_byte\": {:.4} }},",
+        overhead.cycles_per_msg, overhead.cycles_per_byte
+    );
+    out.push_str("  \"table3\": [\n");
+    for (i, p) in barrier.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "    {{ \"nodes\": {}, \"cycles\": {:.4} }}{}",
+            p.nodes,
+            p.cycles,
+            comma(i, barrier.len())
+        );
+    }
+    out.push_str("  ]\n}\n");
+    Ok(out)
+}
+
+/// `jmsim golden [--check | --bless]`: regenerates the headline metrics
+/// and diffs them against `tests/golden/stats.json`. The simulator is
+/// deterministic, so they are exact, and any drift — an ISA-timing tweak, a
+/// router change — shows here before it distorts a whole figure. `--bless`
+/// rewrites the file after an intentional change.
+pub(crate) fn golden(args: &Args) -> Outcome {
+    let path = args.text("--path").unwrap_or("tests/golden/stats.json");
+    let fresh = golden_document()?;
+    if args.switch("--bless") {
+        write_file(path, &fresh)?;
+        println!("blessed {path}");
+        return Ok(ExitCode::SUCCESS);
+    }
+    let committed = std::fs::read_to_string(path).map_err(|e| {
+        CliError::Failed(format!(
+            "cannot read {path}: {e}; run `jmsim golden --bless` to create it"
+        ))
+    })?;
+    if committed == fresh {
+        println!("golden stats match {path}");
+        return Ok(ExitCode::SUCCESS);
+    }
+    eprintln!("golden stats DIFFER from {path}:");
+    for (i, (want, got)) in committed.lines().zip(fresh.lines()).enumerate() {
+        if want != got {
+            eprintln!(
+                "  line {}:\n    committed: {want}\n    measured:  {got}",
+                i + 1
+            );
+        }
+    }
+    let (a, b) = (committed.lines().count(), fresh.lines().count());
+    if a != b {
+        eprintln!("  line counts differ: committed {a}, measured {b}");
+    }
+    eprintln!("if the change is intentional, re-bless with `jmsim golden --bless`");
+    Ok(ExitCode::FAILURE)
+}
+
+/// `jmsim trace`: runs the traced gather, prints the per-mechanism latency
+/// breakdown (`T = T_net + T_queue` per message, handler time, hops) and
+/// writes a Chrome trace-event JSON (open in Perfetto) and a compact
+/// summary (histograms plus the deterministic trace hash).
+pub(crate) fn trace(args: &Args) -> Outcome {
+    let nodes = cli::machine_size("--nodes", args.count("--nodes").unwrap_or(64))?;
+    let sample_every = args.count("--sample-every").unwrap_or(16);
+    let chrome_path = args.text("--chrome").unwrap_or("trace_chrome.json");
+    let summary_path = args.text("--summary").unwrap_or("trace_summary.json");
+
+    let dims = MeshDims::for_nodes(nodes);
+    let demo = observe::gather_demo(dims, sample_every)?;
+    let trace = &demo.trace;
+    println!(
+        "gather on {}x{}x{} ({} nodes): {} messages, {} events, {} samples\n",
+        dims.x,
+        dims.y,
+        dims.z,
+        trace.nodes,
+        trace.messages().len(),
+        trace.events.len(),
+        trace.samples.len(),
+    );
+    println!("{}", trace.breakdown_table());
+    write_file(chrome_path, jm_trace::chrome_json(trace))?;
+    println!("wrote {chrome_path} (load in Perfetto or chrome://tracing)");
+    write_file(summary_path, jm_trace::summary_json(trace))?;
+    println!("wrote {summary_path}");
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The replay target: the configuration recorded in the log, with
+/// `--engine` as the only override.
+fn factory(args: &Args) -> MachineFactory {
+    let recorded = MachineFactory::recorded();
+    args.engine().map_or(recorded, |e| recorded.engine(e))
+}
+
+fn read_log(args: &Args) -> Result<(&str, ReplayLog), CliError> {
+    let path = args.text("--log").expect("--log is a required flag");
+    let log =
+        ReplayLog::read_file(path).map_err(|e| CliError::Input(format!("--log {path}: {e}")))?;
+    Ok((path, log))
+}
+
+/// `jmsim replay record`: captures a canned 64-node workload — the exchange
+/// loop, plain or (`chaos64`) under a delay-only fault plan sized to a
+/// short run — into a `.jmrp` event log.
+pub(crate) fn replay_record(args: &Args) -> Outcome {
+    let workload = args.text("--workload").unwrap_or("exchange");
+    let default_out = format!("{workload}.jmrp");
+    let out = args.text("--out").unwrap_or(&default_out);
+    let interval = args.count("--interval").unwrap_or(DEFAULT_INTERVAL);
+    let mut config = MachineConfig::new(64)
+        .start(StartPolicy::AllNodes)
+        .engine(args.engine().unwrap_or_default());
+    if workload == "chaos64" {
+        let plan = FaultSpec::new(args.count("--seed").unwrap_or(3))
+            .flaky(15_000)
+            .checksums(true)
+            .window(FaultWindow::link_down(0, 0, 500, 3_000))
+            .window(FaultWindow::router_stall(3, 1_000, 2_500))
+            .window(FaultWindow::node_down(5, 800, 1_400));
+        config = config.fault(plan);
+    }
+    let mut m = JMachine::new(exchange_program(), config);
+    m.record_replay(interval);
+    m.run(args.count("--cycles").unwrap_or(20_000));
+    let log = m.finish_replay().expect("recording was armed");
+    log.write_file(out).map_err(|e| CliError::io(out, e))?;
+    println!(
+        "recorded {workload}: {} cycles, {} checkpoints (interval {interval}) -> {out}",
+        log.end_cycle(),
+        log.checkpoints(),
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `jmsim replay verify`: re-executes the log under its recorded
+/// configuration, or `--engine`, and compares every checkpoint hash; exit
+/// 1 on a mismatch.
+pub(crate) fn replay_verify(args: &Args) -> Outcome {
+    let (_, log) = read_log(args)?;
+    let report = jm_replay::verify(&log, &factory(args));
+    println!("verify: {report}");
+    Ok(if report.clean() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
+}
+
+/// `jmsim replay bisect`: narrows a mismatch to its first diverging cycle
+/// and components; exit 0 when clean, 2 on a genuine divergence, 3 when the
+/// log itself is irreproducible. With `--expect-log-mismatch CYCLE` (the
+/// CI self-test) exit 0 iff exactly that cycle is named a log mismatch.
+pub(crate) fn replay_bisect(args: &Args) -> Outcome {
+    let (_, log) = read_log(args)?;
+    let report = jm_replay::bisect(&log, &MachineFactory::recorded(), &factory(args));
+    println!("bisect ({} probes): {report}", report.probes);
+    if let Some(want) = args.count("--expect-log-mismatch") {
+        return Ok(match report.divergence {
+            Divergence::LogMismatch { cycle, .. } if cycle == want => {
+                println!("expected log mismatch at cycle {want}: confirmed");
+                ExitCode::SUCCESS
+            }
+            other => {
+                println!("expected log mismatch at cycle {want}, got: {other:?}");
+                ExitCode::FAILURE
+            }
+        });
+    }
+    Ok(match report.divergence {
+        Divergence::None => ExitCode::SUCCESS,
+        Divergence::Diverged { .. } => ExitCode::from(2),
+        Divergence::LogMismatch { .. } => ExitCode::from(3),
+    })
+}
+
+/// `jmsim replay corrupt --log PATH --checkpoint N [--out PATH]`: flips
+/// one checkpoint hash in a log — the fixture for the bisect self-test.
+pub(crate) fn replay_corrupt(args: &Args) -> Outcome {
+    let (path, mut log) = read_log(args)?;
+    let index = args
+        .count("--checkpoint")
+        .expect("--checkpoint is required");
+    let out = args.text("--out").unwrap_or(path);
+    let cycle = usize::try_from(index)
+        .ok()
+        .and_then(|i| log.corrupt_checkpoint(i))
+        .ok_or_else(|| {
+            let have = log.checkpoints();
+            CliError::Input(format!(
+                "--checkpoint: {index} is not one of the log's {have}"
+            ))
+        })?;
+    log.write_file(out).map_err(|e| CliError::io(out, e))?;
+    println!("corrupted checkpoint {index} at cycle {cycle} -> {out}");
+    Ok(ExitCode::SUCCESS)
+}

@@ -24,15 +24,16 @@
 //! The **saturation knee** of a curve is the highest offered load the
 //! network still accepts nearly in full (acceptance ratio at least
 //! [`KNEE_ACCEPT_RATIO`]), scanning the ladder in order and stopping at
-//! the first violation. The `traffic_sweep` binary renders the curves,
-//! gates on weak monotonicity, and emits `BENCH_traffic.json`.
+//! the first violation. `jmsim traffic` renders the curves, gates on
+//! their shape, and emits `BENCH_traffic.json` through [`crate::rows`];
+//! `jmsim gate` re-checks the same shape rules on the rows of a file.
 
 use std::fmt::Write as _;
 
-use jm_asm::{Builder, Program, Region};
+use crate::rows::Row;
+use crate::workloads::sink_program;
+use jm_asm::Program;
 use jm_isa::node::MeshDims;
-use jm_isa::operand::MemRef;
-use jm_isa::reg::{AReg, DReg};
 use jm_machine::{
     Engine, JMachine, MachineConfig, StartPolicy, TraceConfig, TrafficPattern, TrafficSpec,
 };
@@ -180,21 +181,6 @@ pub struct TrafficReport {
     pub curves: Vec<PatternCurve>,
 }
 
-/// A sink program: generated messages dispatch `sink`, which folds the
-/// first payload word into a per-node accumulator and suspends.
-pub fn sink_program() -> Program {
-    let mut b = Builder::new();
-    b.data("acc", Region::Imem, vec![jm_isa::word::Word::int(0)]);
-    b.label("sink");
-    b.load_seg(AReg::A0, "acc");
-    b.mov(DReg::R0, MemRef::disp(AReg::A0, 0));
-    b.mov(DReg::R1, MemRef::disp(AReg::A3, 1));
-    b.alu(jm_isa::instr::AluOp::Add, DReg::R0, DReg::R0, DReg::R1);
-    b.mov(MemRef::disp(AReg::A0, 0), DReg::R0);
-    b.suspend();
-    b.assemble().unwrap()
-}
-
 fn spec_for(seed: u64, pattern: TrafficPattern, load_ppm: u32, program: &Program) -> TrafficSpec {
     TrafficSpec::new(seed)
         .pattern(pattern)
@@ -204,10 +190,10 @@ fn spec_for(seed: u64, pattern: TrafficPattern, load_ppm: u32, program: &Program
         .handler(program.handler("sink"))
 }
 
-/// Measures one load point: a counter run on the default engine (so
-/// `--threads` sweeps exercise the parallel engine) paired with a traced
-/// event-engine run of the identical workload for latency.
+/// Measures one load point: a counter run under `engine` paired with a
+/// traced event-engine run of the identical workload for latency.
 pub fn measure_point(
+    engine: Engine,
     seed: u64,
     dims: MeshDims,
     pattern: TrafficPattern,
@@ -221,7 +207,8 @@ pub fn measure_point(
         sink_program(),
         MachineConfig::with_dims(dims)
             .start(StartPolicy::None)
-            .traffic(spec),
+            .traffic(spec)
+            .engine(engine),
     );
     m.run(WARMUP);
     let warm = m.stats();
@@ -264,8 +251,9 @@ pub fn measure_point(
     }
 }
 
-/// Runs the full ladder for every pattern with one seed.
-pub fn sweep(seed: u64) -> TrafficReport {
+/// Runs the full ladder for every pattern with one seed, counter runs
+/// under `engine`.
+pub fn sweep(engine: Engine, seed: u64) -> TrafficReport {
     let dims = MeshDims::new(4, 4, 4);
     let curves = PATTERNS
         .iter()
@@ -273,72 +261,158 @@ pub fn sweep(seed: u64) -> TrafficReport {
             pattern,
             points: LOAD_PPM
                 .iter()
-                .map(|&load| measure_point(seed, dims, pattern, load))
+                .map(|&load| measure_point(engine, seed, dims, pattern, load))
                 .collect(),
         })
         .collect();
     TrafficReport { seed, dims, curves }
 }
 
+/// What the shape rules read of one load point — buildable from a
+/// [`TrafficPoint`] and from the rows of a `BENCH_traffic.json` alike.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShapePoint {
+    /// Offered load, parts per million.
+    pub load_ppm: f64,
+    /// Messages offered in the measure window.
+    pub offered: f64,
+    /// Offered messages accepted.
+    pub accepted: f64,
+    /// Offered messages dropped.
+    pub dropped: f64,
+    /// Accepted throughput, flits per node per cycle.
+    pub throughput: f64,
+}
+
+impl ShapePoint {
+    fn accept_ratio(&self) -> f64 {
+        if self.offered == 0.0 {
+            1.0
+        } else {
+            self.accepted / self.offered
+        }
+    }
+}
+
+/// Checks one curve's shape: below saturation accepted throughput must
+/// track offered load (weak monotonicity with [`SLACK`]); past saturation
+/// it may degrade — hotspot tree saturation does — but only gently per
+/// step ([`POST_SAT_SLACK`]) and never below [`COLLAPSE_FLOOR`] of the
+/// curve's running peak. Every point must conserve messages (offered =
+/// accepted + dropped) and offered counts must grow with the ladder.
+/// Returns every violation found.
+pub fn check_curve(label: &str, points: &[ShapePoint]) -> Vec<String> {
+    let mut bad = Vec::new();
+    if points.is_empty() {
+        bad.push(format!("{label}: curve has no points"));
+    }
+    for p in points {
+        if p.offered != p.accepted + p.dropped {
+            bad.push(format!(
+                "{label}: offered {} != accepted {} + dropped {} at {} ppm",
+                p.offered, p.accepted, p.dropped, p.load_ppm
+            ));
+        }
+    }
+    for pair in points.windows(2) {
+        let (lo, hi) = (pair[0], pair[1]);
+        if hi.offered < lo.offered {
+            bad.push(format!(
+                "{label}: offered load fell with the ladder: {} msgs at {} ppm vs {} at {} ppm",
+                hi.offered, hi.load_ppm, lo.offered, lo.load_ppm
+            ));
+        }
+        let slack = if lo.accept_ratio() >= KNEE_ACCEPT_RATIO {
+            SLACK
+        } else {
+            POST_SAT_SLACK
+        };
+        if hi.throughput < lo.throughput * (1.0 - slack) {
+            bad.push(format!(
+                "{label}: accepted throughput fell with offered load: \
+                 {:.4} f/n/c at {} ppm vs {:.4} at {} ppm",
+                hi.throughput, hi.load_ppm, lo.throughput, lo.load_ppm
+            ));
+        }
+    }
+    // Collapse check against the *running* peak: a point may sit below a
+    // later, higher plateau (the curve still rising), but not far below
+    // what lighter loads already achieved.
+    let mut peak = 0.0_f64;
+    for p in points {
+        if p.accept_ratio() < KNEE_ACCEPT_RATIO && p.throughput < peak * COLLAPSE_FLOOR {
+            bad.push(format!(
+                "{label}: post-saturation throughput collapsed: {:.4} f/n/c at {} ppm \
+                 vs earlier peak {peak:.4}",
+                p.throughput, p.load_ppm
+            ));
+        }
+        peak = peak.max(p.throughput);
+    }
+    bad
+}
+
+/// Regroups the `traffic/<pattern>/<load>` rows of a `BENCH_traffic.json`
+/// into `(pattern, points)` curves, in file order.
+///
+/// # Errors
+///
+/// A point row group missing one of the metrics the shape rules read.
+pub fn curves_from_rows(rows: &[Row]) -> Result<Vec<(String, Vec<ShapePoint>)>, String> {
+    let mut curves: Vec<(String, Vec<ShapePoint>)> = Vec::new();
+    for row in rows.iter().filter(|r| r.metric == "offered_msgs") {
+        let Some((pattern, load)) = row
+            .name
+            .strip_prefix("traffic/")
+            .and_then(|rest| rest.split_once('/'))
+        else {
+            continue;
+        };
+        let metric = |metric: &str| {
+            crate::rows::value(rows, &row.name, metric)
+                .ok_or_else(|| format!("{}: no {metric} row", row.name))
+        };
+        let point = ShapePoint {
+            load_ppm: load
+                .parse()
+                .map_err(|_| format!("{}: `{load}` is not a load", row.name))?,
+            offered: row.value,
+            accepted: metric("accepted_msgs")?,
+            dropped: metric("dropped_msgs")?,
+            throughput: metric("throughput")?,
+        };
+        match curves.last_mut() {
+            Some((last, points)) if last == pattern => points.push(point),
+            _ => curves.push((pattern.to_string(), vec![point])),
+        }
+    }
+    Ok(curves)
+}
+
+impl PatternCurve {
+    /// The curve as the shape rules see it.
+    pub fn shape(&self, nodes: u32) -> Vec<ShapePoint> {
+        self.points
+            .iter()
+            .map(|p| ShapePoint {
+                load_ppm: f64::from(p.load_ppm),
+                offered: p.offered_msgs as f64,
+                accepted: p.accepted_msgs as f64,
+                dropped: p.dropped_msgs as f64,
+                throughput: p.accepted_throughput(nodes),
+            })
+            .collect()
+    }
+}
+
 impl TrafficReport {
-    /// Checks every curve's shape: below saturation accepted throughput
-    /// must track offered load (weak monotonicity with [`SLACK`]); past
-    /// saturation it may degrade — hotspot tree saturation does — but
-    /// only gently per step ([`POST_SAT_SLACK`]) and never below
-    /// [`COLLAPSE_FLOOR`] of the curve's peak. Every point must conserve
-    /// messages (offered = accepted + dropped), offered counts must grow
-    /// with the ladder, and the heaviest hotspot load must actually have
-    /// backpressured. Returns every violation found.
+    /// Checks every curve with [`check_curve`], and that the heaviest
+    /// hotspot load actually backpressured. Returns every violation found.
     pub fn check_monotone(&self) -> Result<(), Vec<String>> {
         let nodes = self.dims.nodes();
         let mut bad = Vec::new();
         for curve in &self.curves {
-            let label = curve.pattern.label();
-            for p in &curve.points {
-                if p.offered_msgs != p.accepted_msgs + p.dropped_msgs {
-                    bad.push(format!(
-                        "{label}: offered {} != accepted {} + dropped {} at {} ppm",
-                        p.offered_msgs, p.accepted_msgs, p.dropped_msgs, p.load_ppm
-                    ));
-                }
-            }
-            for pair in curve.points.windows(2) {
-                let (lo, hi) = (pair[0], pair[1]);
-                if hi.offered_msgs < lo.offered_msgs {
-                    bad.push(format!(
-                        "{label}: offered load fell with the ladder: {} msgs at {} ppm vs {} at {} ppm",
-                        hi.offered_msgs, hi.load_ppm, lo.offered_msgs, lo.load_ppm
-                    ));
-                }
-                let (t_lo, t_hi) = (lo.accepted_throughput(nodes), hi.accepted_throughput(nodes));
-                let slack = if lo.accept_ratio() >= KNEE_ACCEPT_RATIO {
-                    SLACK
-                } else {
-                    POST_SAT_SLACK
-                };
-                if t_hi < t_lo * (1.0 - slack) {
-                    bad.push(format!(
-                        "{label}: accepted throughput fell with offered load: \
-                         {t_hi:.4} f/n/c at {} ppm vs {t_lo:.4} at {} ppm",
-                        hi.load_ppm, lo.load_ppm
-                    ));
-                }
-            }
-            // Collapse check against the *running* peak: a point may sit
-            // below a later, higher plateau (the curve still rising), but
-            // not far below what lighter loads already achieved.
-            let mut peak = 0.0_f64;
-            for p in &curve.points {
-                let t = p.accepted_throughput(nodes);
-                if p.accept_ratio() < KNEE_ACCEPT_RATIO && t < peak * COLLAPSE_FLOOR {
-                    bad.push(format!(
-                        "{label}: post-saturation throughput collapsed: {t:.4} f/n/c at {} ppm \
-                         vs earlier peak {peak:.4}",
-                        p.load_ppm
-                    ));
-                }
-                peak = peak.max(t);
-            }
+            bad.extend(check_curve(curve.pattern.label(), &curve.shape(nodes)));
         }
         if let Some(hotspot) = self
             .curves
@@ -434,66 +508,41 @@ impl TrafficReport {
         s
     }
 
-    /// Renders `BENCH_traffic.json` (hand-rolled; the workspace takes no
-    /// serialization dependency). Rows are keyed `"pattern"` so the
-    /// gate's field scanners cannot collide with `BENCH.json`'s
-    /// `"name"`-keyed rows.
-    pub fn json(&self) -> String {
+    /// The report as `BENCH_traffic.json` rows: every value is simulated
+    /// state, so the file is the same on every host and engine.
+    pub fn rows(&self) -> Vec<Row> {
         let nodes = self.dims.nodes();
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(
-            s,
-            "  \"mesh\": \"{}x{}x{}\",",
-            self.dims.x, self.dims.y, self.dims.z
-        );
-        let _ = writeln!(s, "  \"warmup_cycles\": {WARMUP},");
-        let _ = writeln!(s, "  \"measure_cycles\": {MEASURE},");
-        s.push_str("  \"curves\": [\n");
-        for (i, curve) in self.curves.iter().enumerate() {
-            let _ = writeln!(s, "    {{\"pattern\": \"{}\",", curve.pattern.label());
-            let _ = writeln!(s, "     \"knee_ppm\": {},", curve.knee_ppm());
-            let _ = writeln!(
-                s,
-                "     \"knee_throughput\": {:.6},",
-                curve.knee_throughput(nodes)
-            );
-            s.push_str("     \"points\": [\n");
-            for (j, p) in curve.points.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "       {{\"load_ppm\": {}, \"offered_msgs\": {}, \"accepted_msgs\": {}, \
-                     \"dropped_msgs\": {}, \"delivered_msgs\": {}, \"throughput\": {:.6}, \
-                     \"latency_mean\": {:.4}, \"latency_p50\": {}, \"latency_p99\": {}, \
-                     \"latency_max\": {}, \"latency_count\": {}}}",
-                    p.load_ppm,
-                    p.offered_msgs,
-                    p.accepted_msgs,
-                    p.dropped_msgs,
-                    p.delivered_msgs,
-                    p.accepted_throughput(nodes),
-                    p.latency_mean,
-                    p.latency_p50,
-                    p.latency_p99,
-                    p.latency_max,
-                    p.latency_count
-                );
-                s.push_str(if j + 1 == curve.points.len() {
-                    "\n"
-                } else {
-                    ",\n"
-                });
+        let mut rows = Vec::new();
+        let mut push = |name: &str, metric: &str, value: f64, unit: &str| {
+            rows.push(Row::simulated(name, metric, value, unit));
+        };
+        push("traffic", "seed", self.seed as f64, "");
+        push("traffic", "mesh_x", f64::from(self.dims.x), "nodes");
+        push("traffic", "mesh_y", f64::from(self.dims.y), "nodes");
+        push("traffic", "mesh_z", f64::from(self.dims.z), "nodes");
+        push("traffic", "warmup_cycles", WARMUP as f64, "cycles");
+        push("traffic", "measure_cycles", MEASURE as f64, "cycles");
+        for curve in &self.curves {
+            let name = format!("traffic/{}", curve.pattern.label());
+            push(&name, "knee_ppm", f64::from(curve.knee_ppm()), "ppm");
+            let knee = curve.knee_throughput(nodes);
+            push(&name, "knee_throughput", knee, "flits/node/cycle");
+            for p in &curve.points {
+                let name = format!("{name}/{}", p.load_ppm);
+                let thru = p.accepted_throughput(nodes);
+                push(&name, "offered_msgs", p.offered_msgs as f64, "msgs");
+                push(&name, "accepted_msgs", p.accepted_msgs as f64, "msgs");
+                push(&name, "dropped_msgs", p.dropped_msgs as f64, "msgs");
+                push(&name, "delivered_msgs", p.delivered_msgs as f64, "msgs");
+                push(&name, "throughput", thru, "flits/node/cycle");
+                push(&name, "latency_mean", p.latency_mean, "cycles");
+                push(&name, "latency_p50", p.latency_p50 as f64, "cycles");
+                push(&name, "latency_p99", p.latency_p99 as f64, "cycles");
+                push(&name, "latency_max", p.latency_max as f64, "cycles");
+                push(&name, "latency_count", p.latency_count as f64, "msgs");
             }
-            s.push_str("     ]}");
-            s.push_str(if i + 1 == self.curves.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
         }
-        s.push_str("  ]\n}\n");
-        s
+        rows
     }
 }
 
@@ -577,6 +626,7 @@ mod tests {
     #[test]
     fn low_load_uniform_point_accepts_everything() {
         let p = measure_point(
+            Engine::Event,
             7,
             MeshDims::new(4, 4, 4),
             TrafficPattern::UniformRandom,
@@ -595,8 +645,8 @@ mod tests {
     #[test]
     fn measure_point_is_deterministic() {
         let dims = MeshDims::new(4, 4, 4);
-        let a = measure_point(9, dims, TrafficPattern::Transpose, 200_000);
-        let b = measure_point(9, dims, TrafficPattern::Transpose, 200_000);
+        let a = measure_point(Engine::Event, 9, dims, TrafficPattern::Transpose, 200_000);
+        let b = measure_point(Engine::Event, 9, dims, TrafficPattern::Transpose, 200_000);
         assert_eq!(a.offered_msgs, b.offered_msgs);
         assert_eq!(a.accepted_msgs, b.accepted_msgs);
         assert_eq!(a.total_cycles, b.total_cycles);

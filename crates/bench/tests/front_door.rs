@@ -1,0 +1,182 @@
+//! One harness, one door: a subcommand prints exactly the section `jmsim
+//! repro` embeds, and every `jmsim` invocation written down anywhere in the
+//! repository — workflows, composite actions, the docs — names a
+//! subcommand the dispatch table has. The workflows are not executed by
+//! the test suite, so the second check is what keeps them honest.
+
+use jm_bench::cli;
+use jm_bench::registry::{self, Ctx};
+use jm_machine::Engine;
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+fn jmsim(args: &[&str]) -> (i32, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_jmsim"))
+        .args(args)
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("jmsim runs");
+    (
+        out.status.code().expect("jmsim exits"),
+        String::from_utf8(out.stdout).expect("utf-8 stdout"),
+        String::from_utf8(out.stderr).expect("utf-8 stderr"),
+    )
+}
+
+#[test]
+fn a_subcommand_prints_exactly_its_repro_section() {
+    // The measured sections of `jmsim repro --quick`, as `repro` itself
+    // produces them.
+    let mut sections = Vec::new();
+    registry::measured_sections(&mut Ctx::new(Engine::Event, true), |title, body| {
+        sections.push((title.to_string(), body.to_string()));
+    })
+    .expect("quick sections run");
+    assert_eq!(sections.len(), registry::EXPERIMENTS.len() + 2);
+
+    // One micro artifact by explicit size and one macro artifact by its
+    // `--quick` default, through the front door.
+    for argv in [&["fig2", "64"][..], &["table5", "--quick"][..]] {
+        let title = registry::find(argv[0]).expect("registered").title;
+        let (_, body) = sections.iter().find(|(t, _)| t == title).expect("section");
+        let (code, stdout, stderr) = jmsim(argv);
+        assert_eq!((code, stderr.as_str()), (0, ""), "{argv:?}");
+        assert_eq!(&stdout, body, "{argv:?}");
+    }
+}
+
+#[test]
+fn misuse_exits_2_with_one_line_and_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("jmsim-misuse-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for argv in [
+        &["fig2", "8junk"][..],
+        &["chaos", "--engine", "warp"],
+        &["repro", "--quick", "--out"],
+        &["trace", "--chrome"],
+        &["fig7"],
+        &[],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_jmsim"))
+            .args(argv)
+            .current_dir(&dir)
+            .output()
+            .expect("jmsim runs");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{argv:?}");
+        assert!(
+            stderr.starts_with("jmsim: ") && stderr.lines().count() == 1,
+            "{stderr}"
+        );
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "{argv:?} wrote a file"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn gate_rejects_a_baseline_cut_mid_document() {
+    let root = repo_root();
+    let committed = std::fs::read_to_string(root.join("BENCH_engine.json")).unwrap();
+    let cut: String = committed.split_inclusive('\n').take(12).collect();
+    let path = std::env::temp_dir().join(format!("jmsim-cut-{}.json", std::process::id()));
+    std::fs::write(&path, cut).unwrap();
+    let current = root.join("BENCH_engine.json");
+    let (code, _, stderr) = jmsim(&[
+        "gate",
+        "--baseline",
+        path.to_str().unwrap(),
+        "--current",
+        current.to_str().unwrap(),
+    ]);
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(code, 2, "{stderr}");
+    assert!(
+        stderr.contains(path.to_str().unwrap()) && stderr.contains("malformed"),
+        "{stderr}"
+    );
+    // The committed file gates clean against itself.
+    let (code, stdout, stderr) = jmsim(&[
+        "gate",
+        "--baseline",
+        current.to_str().unwrap(),
+        "--current",
+        current.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "{stdout}{stderr}");
+}
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Every file that tells a reader or a runner how to invoke the harness.
+fn invocation_files() -> Vec<PathBuf> {
+    let root = repo_root();
+    let mut files = vec![
+        root.join("README.md"),
+        root.join("DESIGN.md"),
+        root.join(".claude/skills/verify/SKILL.md"),
+    ];
+    for (dir, depth) in [(".github/workflows", 0), (".github/actions", 1)] {
+        for entry in std::fs::read_dir(root.join(dir)).expect(dir) {
+            let path = entry.unwrap().path();
+            files.push(if depth == 0 {
+                path
+            } else {
+                path.join("action.yml")
+            });
+        }
+    }
+    files
+}
+
+#[test]
+fn every_written_invocation_resolves_in_the_dispatch_table() {
+    // The leading `[a-z0-9<-]*` run of a token: "repro`'s" is `repro`.
+    let word = |w: &str| -> String {
+        w.chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || ['<', '-'].contains(c))
+            .collect()
+    };
+    let mut seen = 0;
+    for file in invocation_files() {
+        let text = std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("{file:?}: {e}"));
+        // The twenty binaries `jmsim` replaced were all `-p jm-bench --bin X`;
+        // only the examples are still run that way.
+        for line in text.lines().filter(|l| l.contains("--bin")) {
+            assert!(line.contains("jm-examples"), "{file:?} still has `{line}`");
+        }
+        let tokens: Vec<&str> = text.split_whitespace().collect();
+        for (i, token) in tokens.iter().enumerate() {
+            // An invocation is `jmsim …` opening a code span, or a path to
+            // the binary; prose about "jmsim" the project is neither.
+            if !(*token == "`jmsim" || token.ends_with("/jmsim")) {
+                continue;
+            }
+            let next: Vec<String> = tokens[i + 1..].iter().take(2).map(|w| word(w)).collect();
+            let next: Vec<&str> = next.iter().map(String::as_str).collect();
+            // `jmsim <subcommand>`, `jmsim …`, `jmsim --help`: no name to check.
+            if next
+                .first()
+                .is_none_or(|w| w.is_empty() || w.starts_with(['<', '-']) || *w == "help")
+            {
+                continue;
+            }
+            assert!(
+                cli::resolve(&next).is_some(),
+                "{file:?}: `jmsim {}` is not a subcommand",
+                next.join(" ")
+            );
+            seen += 1;
+        }
+    }
+    assert!(
+        seen >= 30,
+        "only {seen} invocations found — the scan is broken"
+    );
+}

@@ -28,10 +28,11 @@ pub enum StartPolicy {
 /// scanning for it, and the parallel engine additionally spreads the mesh's
 /// z-slabs over worker threads (bit-identically: see `DESIGN.md` §4.5 for
 /// the two-phase tick and the determinism argument).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Event-driven: active-node worklist, delivery notification, active
     /// routers only, and O(1) quiescence. The default.
+    #[default]
     Event,
     /// Naive reference: every node ticks and every router is scanned every
     /// cycle. Kept as the semantic baseline for differential testing.
@@ -79,29 +80,6 @@ impl Default for HostTuning {
             quantum: 0,
             bulk: true,
         }
-    }
-}
-
-/// Process-wide default-engine override (see [`Engine::set_default`]).
-static DEFAULT_ENGINE: std::sync::OnceLock<Engine> = std::sync::OnceLock::new();
-
-impl Default for Engine {
-    /// [`Engine::Event`], unless the process overrode it.
-    fn default() -> Engine {
-        *DEFAULT_ENGINE.get().unwrap_or(&Engine::Event)
-    }
-}
-
-impl Engine {
-    /// Overrides what [`Engine::default`] — and therefore every
-    /// [`MachineConfig`] that doesn't set an engine explicitly — returns
-    /// for the rest of the process. The first call wins; later calls are
-    /// ignored. This exists for harness binaries (e.g. `repro_all
-    /// --threads N`) that must run an entire experiment suite under a
-    /// non-default engine without plumbing a parameter through every
-    /// experiment's API; call it at startup, before building machines.
-    pub fn set_default(engine: Engine) {
-        let _ = DEFAULT_ENGINE.set(engine);
     }
 }
 

@@ -55,9 +55,9 @@ static CAPTURE: OnceLock<Capture> = OnceLock::new();
 /// call records a replay log with hash boundaries every `interval` cycles
 /// and writes it to `dir/replay-NNNN.jmrp` when the machine is dropped
 /// (sequence numbers follow drop order). The first call wins; later calls
-/// are ignored — like [`Engine::set_default`], this exists for harness
-/// binaries that must capture an entire experiment suite without plumbing
-/// a parameter through every experiment's API.
+/// are ignored — this exists for the harness (`jmsim`, once, at startup)
+/// to capture an entire experiment suite without plumbing a parameter
+/// through every experiment's API.
 ///
 /// # Panics
 ///

@@ -1,27 +1,62 @@
 //! Integration-test crate for the jmsim workspace.
 //!
-//! The interesting contents live in `tests/`; this library only hosts shared
-//! helpers used by several integration-test binaries.
+//! The suites live in `tests/`; this library holds what several of them
+//! share: the differential-test observation (everything a finished run lets
+//! a host see) and the engine matrix. The canned workloads they run (token
+//! ring, ping-pong, traffic sink, traced gather) are `jm_bench::workloads`,
+//! shared with the tools whose behaviour the suites guard.
 
-/// Builds a small deterministic seed for integration tests from a label, so
-/// each test gets a distinct but reproducible random stream.
-pub fn seed_from_label(label: &str) -> u64 {
-    // FNV-1a, good enough for deriving distinct seeds from short names.
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in label.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+use jm_asm::Program;
+use jm_isa::node::NodeId;
+use jm_isa::word::Word;
+use jm_machine::{Engine, JMachine, MachineConfig, MachineStats};
+
+/// Every engine under differential test, naive reference first.
+pub const ENGINES: [Engine; 5] = [
+    Engine::Naive,
+    Engine::Event,
+    Engine::Parallel(1),
+    Engine::Parallel(2),
+    Engine::Parallel(4),
+];
+
+/// Everything observable about a finished run.
+#[derive(Debug, PartialEq)]
+pub struct Observation {
+    /// `Ok(cycles)` or the error's debug rendering.
+    pub outcome: Result<u64, String>,
+    /// Aggregated statistics (per-class cycles, handler, network, fault and
+    /// traffic counters; includes the final cycle count).
+    pub stats: MachineStats,
+    /// Per-node contents of every declared data block.
+    pub memory: Vec<Vec<Word>>,
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn seeds_are_distinct_per_label() {
-        assert_ne!(seed_from_label("a"), seed_from_label("b"));
-        assert_eq!(seed_from_label("lcs"), seed_from_label("lcs"));
+/// Builds `program` under `config`, lets `setup` touch the machine, runs it
+/// to quiescence (at most `max_cycles`) and records every observable.
+pub fn observe(
+    program: Program,
+    config: MachineConfig,
+    max_cycles: u64,
+    setup: impl FnOnce(&mut JMachine),
+) -> Observation {
+    let mut m = JMachine::new(program, config);
+    setup(&mut m);
+    let outcome = m
+        .run_until_quiescent(max_cycles)
+        .map_err(|e| format!("{e:?}"));
+    let mut memory = Vec::new();
+    for id in 0..m.node_count() {
+        let node = m.node(NodeId(id));
+        let mut words = Vec::new();
+        for block in &m.program().data {
+            words.extend(node.dump_mem(block.base, block.len));
+        }
+        memory.push(words);
+    }
+    Observation {
+        outcome,
+        stats: m.stats(),
+        memory,
     }
 }

@@ -17,58 +17,9 @@ use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::word::Word;
 use jm_isa::{Coord, RouteWord};
 use jm_machine::StartPolicy;
-use jm_machine::{Engine, JMachine, MachineConfig, MachineStats};
+use jm_machine::{Engine, JMachine, MachineConfig};
 use jm_mdp::MdpConfig;
-use jm_runtime::nnr;
-
-/// Everything observable about a finished run.
-#[derive(Debug, PartialEq)]
-struct Observation {
-    /// `Ok(cycles)` or the error's debug rendering.
-    outcome: Result<u64, String>,
-    /// Aggregated statistics (includes final cycle count).
-    stats: MachineStats,
-    /// Per-node contents of every declared data block.
-    memory: Vec<Vec<Word>>,
-}
-
-/// Runs `program` under `engine` and records every observable.
-fn observe(
-    program: Program,
-    config: MachineConfig,
-    engine: Engine,
-    max_cycles: u64,
-    setup: impl Fn(&mut JMachine),
-) -> Observation {
-    let mut m = JMachine::new(program, config.engine(engine));
-    setup(&mut m);
-    let outcome = m
-        .run_until_quiescent(max_cycles)
-        .map_err(|e| format!("{e:?}"));
-    let mut memory = Vec::new();
-    for id in 0..m.node_count() {
-        let node = m.node(NodeId(id));
-        let mut words = Vec::new();
-        for block in &m.program().data {
-            words.extend(node.dump_mem(block.base, block.len));
-        }
-        memory.push(words);
-    }
-    Observation {
-        outcome,
-        stats: m.stats(),
-        memory,
-    }
-}
-
-/// Every engine under differential test, naive reference first.
-const ENGINES: [Engine; 5] = [
-    Engine::Naive,
-    Engine::Event,
-    Engine::Parallel(1),
-    Engine::Parallel(2),
-    Engine::Parallel(4),
-];
+use jm_tests::{observe, Observation, ENGINES};
 
 /// Runs the workload on every engine and asserts bit-identical observables.
 fn assert_equivalent(
@@ -78,9 +29,9 @@ fn assert_equivalent(
     max_cycles: u64,
     setup: impl Fn(&mut JMachine),
 ) -> Observation {
-    let naive = observe(program(), config, ENGINES[0], max_cycles, &setup);
+    let naive = observe(program(), config.engine(ENGINES[0]), max_cycles, &setup);
     for engine in &ENGINES[1..] {
-        let other = observe(program(), config, *engine, max_cycles, &setup);
+        let other = observe(program(), config.engine(*engine), max_cycles, &setup);
         assert_eq!(
             naive.outcome, other.outcome,
             "{label}/{engine:?}: run outcome diverged"
@@ -132,48 +83,11 @@ fn micro_rpc_is_engine_exact() {
     assert!(obs.outcome.is_ok());
 }
 
-/// Micro workload: every node circulates a token around an id-ordered ring,
+/// Micro workload: one token circulates an id-ordered ring for three laps,
 /// keeping most nodes idle most of the time — the event engine's favorite
 /// case, and the one where idle accounting is easiest to get wrong.
 fn ring_program() -> Program {
-    const ROUNDS: i32 = 3;
-    let mut b = Builder::new();
-    b.reserve("acc", Region::Imem, 1);
-    b.reserve("next_route", Region::Imem, 1);
-    b.label("main");
-    b.mov(R0, Special::Nid);
-    b.addi(R0, R0, 1);
-    b.alu(AluOp::Rem, R0, R0, Special::NNodes);
-    b.call(nnr::NID_TO_ROUTE);
-    b.load_seg(A0, "next_route");
-    b.mov(MemRef::disp(A0, 0), R0);
-    b.load_seg(A0, "acc");
-    b.mov(MemRef::disp(A0, 0), 0);
-    b.mov(R0, Special::Nid);
-    b.bnz(R0, "main_done");
-    b.mov(R1, Special::NNodes);
-    b.alu(AluOp::Mul, R1, R1, ROUNDS);
-    b.load_seg(A1, "next_route");
-    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
-    b.send2e(MsgPriority::P0, hdr("token", 2), R1);
-    b.label("main_done");
-    b.suspend();
-    b.label("token");
-    b.mov(R1, MemRef::disp(A3, 1));
-    b.load_seg(A0, "acc");
-    b.mov(R2, MemRef::disp(A0, 0));
-    b.addi(R2, R2, 1);
-    b.mov(MemRef::disp(A0, 0), R2);
-    b.subi(R1, R1, 1);
-    b.bz(R1, "token_done");
-    b.load_seg(A1, "next_route");
-    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
-    b.send2e(MsgPriority::P0, hdr("token", 2), R1);
-    b.label("token_done");
-    b.suspend();
-    b.entry("main");
-    nnr::install(&mut b);
-    b.assemble().unwrap()
+    jm_bench::workloads::ring_program(3, false)
 }
 
 #[test]
@@ -349,9 +263,9 @@ fn ejection_backpressure_redelivery_is_engine_exact() {
         ..MdpConfig::default()
     };
     let config = MachineConfig::new(2).start(StartPolicy::AllNodes).mdp(mdp);
-    let naive = observe(program(), config, Engine::Naive, 1_000_000, |_| {});
+    let naive = observe(program(), config.engine(Engine::Naive), 1_000_000, |_| {});
     for engine in &ENGINES[1..] {
-        let other = observe(program(), config, *engine, 1_000_000, |_| {});
+        let other = observe(program(), config.engine(*engine), 1_000_000, |_| {});
         assert_eq!(naive, other, "backpressure workload diverged on {engine:?}");
     }
     // The workload really exercised backpressure: every message arrived

@@ -16,53 +16,18 @@
 //! data block on every node.
 
 use jm_isa::consts::FaultKind;
-use jm_isa::node::NodeId;
-use jm_isa::word::Word;
-use jm_machine::{Engine, FaultSpec, FaultWindow, JMachine, MachineConfig, MachineStats};
+use jm_machine::{Engine, FaultSpec, FaultWindow, MachineConfig};
 use jm_runtime::reliable;
-
-const ENGINES: [Engine; 5] = [
-    Engine::Naive,
-    Engine::Event,
-    Engine::Parallel(1),
-    Engine::Parallel(2),
-    Engine::Parallel(4),
-];
-
-/// Everything observable about a finished run.
-#[derive(Debug, PartialEq)]
-struct Observation {
-    outcome: Result<u64, String>,
-    stats: MachineStats,
-    memory: Vec<Vec<Word>>,
-}
+use jm_tests::{Observation, ENGINES};
 
 /// Runs the reliable-RPC demo (node 0 increments node 7's counter) under
 /// `engine` with an optional fault spec and records every observable.
 fn observe(engine: Engine, spec: Option<FaultSpec>, max_cycles: u64) -> Observation {
-    let program = reliable::demo_program(3, 7);
     let mut config = MachineConfig::new(8).engine(engine);
     if let Some(spec) = spec {
         config = config.fault(spec);
     }
-    let mut m = JMachine::new(program, config);
-    let outcome = m
-        .run_until_quiescent(max_cycles)
-        .map_err(|e| format!("{e:?}"));
-    let mut memory = Vec::new();
-    for id in 0..m.node_count() {
-        let node = m.node(NodeId(id));
-        let mut words = Vec::new();
-        for block in &m.program().data {
-            words.extend(node.dump_mem(block.base, block.len));
-        }
-        memory.push(words);
-    }
-    Observation {
-        outcome,
-        stats: m.stats(),
-        memory,
-    }
+    jm_tests::observe(reliable::demo_program(3, 7), config, max_cycles, |_| {})
 }
 
 #[test]

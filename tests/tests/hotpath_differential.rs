@@ -17,90 +17,15 @@
 //!   law does not model blocked moves) and fall back to flit-by-flit
 //!   advancement without double-counting any `FaultStats`.
 
-use jm_asm::{hdr, Builder, Program};
-use jm_isa::instr::{AluOp, MsgPriority};
-use jm_isa::node::NodeId;
-use jm_isa::operand::{MemRef, Special};
-use jm_isa::reg::{AReg::*, DReg::*};
-use jm_isa::word::Word;
-use jm_machine::{
-    Engine, FaultSpec, FaultWindow, JMachine, MachineConfig, MachineStats, StartPolicy,
-};
+use jm_asm::Program;
+use jm_bench::workloads::ring_program;
+use jm_machine::{Engine, FaultSpec, FaultWindow, JMachine, MachineConfig, StartPolicy};
 use jm_net::ScanPolicy;
-use jm_runtime::nnr;
-
-/// Everything observable about a finished run.
-#[derive(Debug, PartialEq)]
-struct Observation {
-    outcome: Result<u64, String>,
-    stats: MachineStats,
-    memory: Vec<Vec<Word>>,
-}
+use jm_tests::Observation;
 
 /// Runs `program` under `config` and records every observable.
 fn observe(program: Program, config: MachineConfig, max_cycles: u64) -> Observation {
-    let mut m = JMachine::new(program, config);
-    let outcome = m
-        .run_until_quiescent(max_cycles)
-        .map_err(|e| format!("{e:?}"));
-    let mut memory = Vec::new();
-    for id in 0..m.node_count() {
-        let node = m.node(NodeId(id));
-        let mut words = Vec::new();
-        for block in &m.program().data {
-            words.extend(node.dump_mem(block.base, block.len));
-        }
-        memory.push(words);
-    }
-    Observation {
-        outcome,
-        stats: m.stats(),
-        memory,
-    }
-}
-
-/// Token-ring program. With `all_nodes` false only node 0 launches a token
-/// (one message in flight at a time — the bulk path's home regime); with it
-/// true every node launches one, so tokens stream past each other and any
-/// in-progress bulk message is interrupted by new injections.
-fn ring_program(rounds: i32, all_nodes: bool) -> Program {
-    let mut b = Builder::new();
-    b.data("acc", jm_asm::Region::Imem, vec![Word::int(0)]);
-    b.reserve("next_route", jm_asm::Region::Imem, 1);
-    b.label("main");
-    b.mov(R0, Special::Nid);
-    b.addi(R0, R0, 1);
-    b.alu(AluOp::Rem, R0, R0, Special::NNodes);
-    b.call(nnr::NID_TO_ROUTE);
-    b.load_seg(A0, "next_route");
-    b.mov(MemRef::disp(A0, 0), R0);
-    if !all_nodes {
-        b.mov(R0, Special::Nid);
-        b.bnz(R0, "main_done");
-    }
-    b.mov(R1, Special::NNodes);
-    b.alu(AluOp::Mul, R1, R1, rounds);
-    b.load_seg(A1, "next_route");
-    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
-    b.send2e(MsgPriority::P0, hdr("token", 2), R1);
-    b.label("main_done");
-    b.suspend();
-    b.label("token");
-    b.mov(R1, MemRef::disp(A3, 1));
-    b.load_seg(A0, "acc");
-    b.mov(R2, MemRef::disp(A0, 0));
-    b.addi(R2, R2, 1);
-    b.mov(MemRef::disp(A0, 0), R2);
-    b.subi(R1, R1, 1);
-    b.bz(R1, "token_done");
-    b.load_seg(A1, "next_route");
-    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
-    b.send2e(MsgPriority::P0, hdr("token", 2), R1);
-    b.label("token_done");
-    b.suspend();
-    b.entry("main");
-    nnr::install(&mut b);
-    b.assemble().unwrap()
+    jm_tests::observe(program, config, max_cycles, |_| {})
 }
 
 fn base_config(nodes: u32) -> MachineConfig {

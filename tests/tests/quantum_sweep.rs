@@ -21,66 +21,19 @@
 //!   link-down window, where any divergence in cycle numbering would
 //!   reseed every downstream fault draw and cascade into the stats.
 
-use jm_asm::{hdr, Builder, Program, Region};
-use jm_isa::instr::{AluOp, MsgPriority};
-use jm_isa::node::NodeId;
-use jm_isa::operand::{MemRef, Special};
-use jm_isa::reg::{AReg::*, DReg::*};
-use jm_isa::word::Word;
+use jm_asm::Program;
+use jm_bench::workloads::pingpong_program;
 use jm_machine::{
     Engine, FaultSpec, FaultWindow, JMachine, MachineConfig, MachineStats, StartPolicy,
 };
 use jm_mdp::{MdpConfig, TimingConfig};
-use jm_runtime::{nnr, reliable};
+use jm_runtime::reliable;
+use jm_tests::{observe, Observation};
 
 /// Quanta under test. 1 forces a boundary every cycle (maximum coupling),
 /// 8 leaves multi-cycle slack inside each boundary; 0 is the auto default.
 const QUANTA: [u32; 5] = [0, 1, 2, 4, 8];
 const THREADS: [u32; 3] = [1, 2, 4];
-
-/// Everything observable about a finished run.
-#[derive(Debug, PartialEq)]
-struct Observation {
-    /// `Ok(cycles)` or the error's debug rendering.
-    outcome: Result<u64, String>,
-    /// Aggregated statistics digest (includes the network delivery record:
-    /// delivered words, messages sent/received, per-class cycle counts).
-    stats: MachineStats,
-    /// Per-node contents of every declared data block.
-    memory: Vec<Vec<Word>>,
-}
-
-/// Runs `program` under `config` and records every observable.
-fn observe(
-    program: Program,
-    config: MachineConfig,
-    max_cycles: u64,
-    setup: impl Fn(&mut JMachine),
-) -> Observation {
-    // Behind a flag: when JM_REPLAY_CAPTURE is set, every swept machine
-    // records a replay event log (DESIGN.md §4.11), so a divergence here
-    // leaves a bisectable reproducer behind.
-    jm_machine::capture_replay_from_env();
-    let mut m = JMachine::new(program, config);
-    setup(&mut m);
-    let outcome = m
-        .run_until_quiescent(max_cycles)
-        .map_err(|e| format!("{e:?}"));
-    let mut memory = Vec::new();
-    for id in 0..m.node_count() {
-        let node = m.node(NodeId(id));
-        let mut words = Vec::new();
-        for block in &m.program().data {
-            words.extend(node.dump_mem(block.base, block.len));
-        }
-        memory.push(words);
-    }
-    Observation {
-        outcome,
-        stats: m.stats(),
-        memory,
-    }
-}
 
 /// Runs the workload under `Engine::Event`, then under `Parallel(t)` for
 /// every (threads, quantum) combination, asserting bit-identical
@@ -92,6 +45,10 @@ fn assert_quantum_exact(
     max_cycles: u64,
     setup: impl Fn(&mut JMachine),
 ) -> Observation {
+    // Behind a flag: when JM_REPLAY_CAPTURE is set, every swept machine
+    // records a replay event log (DESIGN.md §4.11), so a divergence here
+    // leaves a bisectable reproducer behind.
+    jm_machine::capture_replay_from_env();
     let event = observe(program(), config.engine(Engine::Event), max_cycles, &setup);
     for &t in &THREADS {
         for &q in &QUANTA {
@@ -119,44 +76,7 @@ fn assert_quantum_exact(
 /// idle most of the time, so quiescence detection and idle crediting run
 /// constantly while the token hops across shard boundaries.
 fn ring_program() -> Program {
-    const ROUNDS: i32 = 3;
-    let mut b = Builder::new();
-    b.reserve("acc", Region::Imem, 1);
-    b.reserve("next_route", Region::Imem, 1);
-    b.label("main");
-    b.mov(R0, Special::Nid);
-    b.addi(R0, R0, 1);
-    b.alu(AluOp::Rem, R0, R0, Special::NNodes);
-    b.call(nnr::NID_TO_ROUTE);
-    b.load_seg(A0, "next_route");
-    b.mov(MemRef::disp(A0, 0), R0);
-    b.load_seg(A0, "acc");
-    b.mov(MemRef::disp(A0, 0), 0);
-    b.mov(R0, Special::Nid);
-    b.bnz(R0, "main_done");
-    b.mov(R1, Special::NNodes);
-    b.alu(AluOp::Mul, R1, R1, ROUNDS);
-    b.load_seg(A1, "next_route");
-    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
-    b.send2e(MsgPriority::P0, hdr("token", 2), R1);
-    b.label("main_done");
-    b.suspend();
-    b.label("token");
-    b.mov(R1, MemRef::disp(A3, 1));
-    b.load_seg(A0, "acc");
-    b.mov(R2, MemRef::disp(A0, 0));
-    b.addi(R2, R2, 1);
-    b.mov(MemRef::disp(A0, 0), R2);
-    b.subi(R1, R1, 1);
-    b.bz(R1, "token_done");
-    b.load_seg(A1, "next_route");
-    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
-    b.send2e(MsgPriority::P0, hdr("token", 2), R1);
-    b.label("token_done");
-    b.suspend();
-    b.entry("main");
-    nnr::install(&mut b);
-    b.assemble().unwrap()
+    jm_bench::workloads::ring_program(3, false)
 }
 
 #[test]
@@ -182,46 +102,6 @@ fn ring_is_quantum_exact() {
 /// target lies several boundaries past the current one, exercising the
 /// decide-path that rewinds the overrun idle tick and jumps `p/x` straight
 /// to the wake cycle (DESIGN.md §4.5).
-fn pingpong_program() -> Program {
-    const VOLLEYS: i32 = 8;
-    let mut b = Builder::new();
-    b.reserve("hits", Region::Imem, 1);
-    b.reserve("peer", Region::Imem, 1);
-    b.label("main");
-    b.mov(R0, Special::Nid);
-    b.alu(AluOp::Xor, R0, R0, 1); // partner: flip the low node-id bit
-    b.call(nnr::NID_TO_ROUTE);
-    b.load_seg(A0, "peer");
-    b.mov(MemRef::disp(A0, 0), R0);
-    b.load_seg(A0, "hits");
-    b.mov(MemRef::disp(A0, 0), 0);
-    b.mov(R0, Special::Nid);
-    b.alu(AluOp::And, R0, R0, 1);
-    b.bnz(R0, "main_done"); // odd nodes wait for the first serve
-    b.movi(R1, VOLLEYS);
-    b.load_seg(A1, "peer");
-    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
-    b.send2e(MsgPriority::P0, hdr("rally", 2), R1);
-    b.label("main_done");
-    b.suspend();
-    b.label("rally");
-    b.mov(R1, MemRef::disp(A3, 1));
-    b.load_seg(A0, "hits");
-    b.mov(R2, MemRef::disp(A0, 0));
-    b.addi(R2, R2, 1);
-    b.mov(MemRef::disp(A0, 0), R2);
-    b.subi(R1, R1, 1);
-    b.bz(R1, "rally_done");
-    b.load_seg(A1, "peer");
-    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
-    b.send2e(MsgPriority::P0, hdr("rally", 2), R1);
-    b.label("rally_done");
-    b.suspend();
-    b.entry("main");
-    nnr::install(&mut b);
-    b.assemble().unwrap()
-}
-
 #[test]
 fn idle_skip_across_quantum_boundary_is_exact() {
     let mdp = MdpConfig {

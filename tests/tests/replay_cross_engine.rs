@@ -21,11 +21,9 @@
 //! (the digest of `[a, c)` equals the digest of `[b, c)` seeded with the
 //! digest of `[a, b)`).
 
-use jm_asm::{hdr, Builder, Program, Region};
-use jm_isa::instr::{AluOp, MsgPriority};
+use jm_asm::Program;
+use jm_bench::workloads::pingpong_program;
 use jm_isa::node::NodeId;
-use jm_isa::operand::{MemRef, Special};
-use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::word::Word;
 use jm_machine::{
     Corruption, Engine, FaultSpec, FaultWindow, HostTuning, JMachine, MachineConfig,
@@ -33,91 +31,12 @@ use jm_machine::{
 };
 use jm_mdp::{MdpConfig, TimingConfig};
 use jm_replay::{Divergence, ReplayLog};
-use jm_runtime::{nnr, reliable};
+use jm_runtime::reliable;
 
-/// Token-ring workload (same shape as the quantum-sweep suite's): one
+/// Token-ring workload (same program as the quantum-sweep suite's): one
 /// token circulates an id-ordered ring for `rounds` laps.
 fn ring_program(rounds: i32) -> Program {
-    let mut b = Builder::new();
-    b.reserve("acc", Region::Imem, 1);
-    b.reserve("next_route", Region::Imem, 1);
-    b.label("main");
-    b.mov(R0, Special::Nid);
-    b.addi(R0, R0, 1);
-    b.alu(AluOp::Rem, R0, R0, Special::NNodes);
-    b.call(nnr::NID_TO_ROUTE);
-    b.load_seg(A0, "next_route");
-    b.mov(MemRef::disp(A0, 0), R0);
-    b.load_seg(A0, "acc");
-    b.mov(MemRef::disp(A0, 0), 0);
-    b.mov(R0, Special::Nid);
-    b.bnz(R0, "main_done");
-    b.mov(R1, Special::NNodes);
-    b.alu(AluOp::Mul, R1, R1, rounds);
-    b.load_seg(A1, "next_route");
-    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
-    b.send2e(MsgPriority::P0, hdr("token", 2), R1);
-    b.label("main_done");
-    b.suspend();
-    b.label("token");
-    b.mov(R1, MemRef::disp(A3, 1));
-    b.load_seg(A0, "acc");
-    b.mov(R2, MemRef::disp(A0, 0));
-    b.addi(R2, R2, 1);
-    b.mov(MemRef::disp(A0, 0), R2);
-    b.subi(R1, R1, 1);
-    b.bz(R1, "token_done");
-    b.load_seg(A1, "next_route");
-    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
-    b.send2e(MsgPriority::P0, hdr("token", 2), R1);
-    b.label("token_done");
-    b.suspend();
-    b.entry("main");
-    nnr::install(&mut b);
-    b.assemble().unwrap()
-}
-
-/// Ping-pong workload with a 50-cycle dispatch cost: every wake-up lands
-/// at least 50 cycles out, so idle-skip fast-forwards cross checkpoint
-/// boundaries (interval 64) many times per rally.
-fn pingpong_program() -> Program {
-    const VOLLEYS: i32 = 8;
-    let mut b = Builder::new();
-    b.reserve("hits", Region::Imem, 1);
-    b.reserve("peer", Region::Imem, 1);
-    b.label("main");
-    b.mov(R0, Special::Nid);
-    b.alu(AluOp::Xor, R0, R0, 1);
-    b.call(nnr::NID_TO_ROUTE);
-    b.load_seg(A0, "peer");
-    b.mov(MemRef::disp(A0, 0), R0);
-    b.load_seg(A0, "hits");
-    b.mov(MemRef::disp(A0, 0), 0);
-    b.mov(R0, Special::Nid);
-    b.alu(AluOp::And, R0, R0, 1);
-    b.bnz(R0, "main_done");
-    b.movi(R1, VOLLEYS);
-    b.load_seg(A1, "peer");
-    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
-    b.send2e(MsgPriority::P0, hdr("rally", 2), R1);
-    b.label("main_done");
-    b.suspend();
-    b.label("rally");
-    b.mov(R1, MemRef::disp(A3, 1));
-    b.load_seg(A0, "hits");
-    b.mov(R2, MemRef::disp(A0, 0));
-    b.addi(R2, R2, 1);
-    b.mov(MemRef::disp(A0, 0), R2);
-    b.subi(R1, R1, 1);
-    b.bz(R1, "rally_done");
-    b.load_seg(A1, "peer");
-    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
-    b.send2e(MsgPriority::P0, hdr("rally", 2), R1);
-    b.label("rally_done");
-    b.suspend();
-    b.entry("main");
-    nnr::install(&mut b);
-    b.assemble().unwrap()
+    jm_bench::workloads::ring_program(rounds, false)
 }
 
 /// Records a fixed-length run of `program` under `config` and returns the

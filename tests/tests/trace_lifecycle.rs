@@ -10,38 +10,10 @@
 //! statistics on both engines, and two traced runs produce byte-identical
 //! trace summaries.
 
-use jm_asm::{hdr, Builder, Program, Region};
-use jm_isa::instr::MsgPriority;
+use jm_bench::workloads::gather_program;
 use jm_isa::node::{MeshDims, NodeId};
-use jm_isa::operand::{MemRef, Special};
-use jm_isa::reg::{AReg::*, DReg::*};
-use jm_isa::tag::Tag;
 use jm_machine::{Engine, JMachine, MachineConfig, MachineTrace, StartPolicy, TraceConfig};
 use jm_trace::{chrome_json, hash, summary_json};
-
-/// Every node sends `(recv, nid)` to node 0; node 0's handler stores the
-/// latest sender id.
-fn gather_program() -> Program {
-    let mut b = Builder::new();
-    b.reserve("last", Region::Imem, 1);
-
-    b.label("main");
-    // Route word for node (0,0,0): zero coordinate bits, route tag.
-    b.movi(R0, 0);
-    b.wtag(R0, R0, Tag::Route.bits() as i32);
-    b.send(MsgPriority::P0, R0);
-    b.send2e(MsgPriority::P0, hdr("recv", 2), Special::Nid);
-    b.suspend();
-
-    b.label("recv");
-    b.mov(R0, MemRef::disp(A3, 1));
-    b.load_seg(A0, "last");
-    b.mov(MemRef::disp(A0, 0), R0);
-    b.suspend();
-
-    b.entry("main");
-    b.assemble().unwrap()
-}
 
 fn mesh() -> MeshDims {
     MeshDims::new(4, 4, 1)

@@ -7,26 +7,13 @@
 //! work, so the accept/drop decision at each node's inject FIFO depends
 //! only on architectural state — never on engine, shard cut, or quantum.
 
-use jm_asm::{Builder, Program, Region};
-use jm_isa::node::NodeId;
-use jm_isa::operand::MemRef;
-use jm_isa::reg::{AReg::*, DReg::*};
-use jm_isa::word::Word;
+use jm_asm::Program;
+use jm_bench::workloads::sink_program;
 use jm_isa::MeshDims;
-use jm_machine::{
-    Engine, FaultSpec, JMachine, MachineConfig, MachineStats, StartPolicy, TrafficPattern,
-    TrafficSpec,
-};
+use jm_machine::{Engine, FaultSpec, MachineConfig, StartPolicy, TrafficPattern, TrafficSpec};
+use jm_tests::{Observation, ENGINES};
 
 /// Every engine under differential test, naive reference first.
-const ENGINES: [Engine; 5] = [
-    Engine::Naive,
-    Engine::Event,
-    Engine::Parallel(1),
-    Engine::Parallel(2),
-    Engine::Parallel(4),
-];
-
 /// Parallel-engine quanta exercised per engine: auto and the pathological
 /// one-cycle quantum (maximum exchange frequency).
 const QUANTA: [u32; 2] = [0, 1];
@@ -42,33 +29,6 @@ const PATTERNS: [TrafficPattern; 5] = [
     TrafficPattern::NearestNeighbor,
 ];
 
-/// Everything observable about a finished run.
-#[derive(Debug, PartialEq)]
-struct Observation {
-    /// `Ok(cycles)` or the error's debug rendering.
-    outcome: Result<u64, String>,
-    /// Aggregated statistics (includes traffic offered/accepted/dropped).
-    stats: MachineStats,
-    /// Per-node contents of every declared data block.
-    memory: Vec<Vec<Word>>,
-}
-
-/// A sink program: generated messages dispatch `sink`, which accumulates
-/// the first payload word into a per-node counter — enough real handler
-/// work that a lost or reordered message corrupts visible memory.
-fn sink_program() -> Program {
-    let mut b = Builder::new();
-    b.data("acc", Region::Imem, vec![Word::int(0)]);
-    b.label("sink");
-    b.load_seg(A0, "acc");
-    b.mov(R0, MemRef::disp(A0, 0));
-    b.mov(R1, MemRef::disp(A3, 1));
-    b.alu(jm_isa::instr::AluOp::Add, R0, R0, R1);
-    b.mov(MemRef::disp(A0, 0), R0);
-    b.suspend();
-    b.assemble().unwrap()
-}
-
 /// Base config for the suite: a 2×2×8 mesh so `Parallel(4)` gets four real
 /// shards (shard count is clamped to z/2), with the traffic spec's handler
 /// resolved against the assembled sink program.
@@ -83,24 +43,7 @@ fn traffic_config(program: &Program, spec: TrafficSpec) -> MachineConfig {
 fn observe(config: MachineConfig, engine: Engine, quantum: u32, max_cycles: u64) -> Observation {
     let mut config = config.engine(engine);
     config.tuning.quantum = quantum;
-    let mut m = JMachine::new(sink_program(), config);
-    let outcome = m
-        .run_until_quiescent(max_cycles)
-        .map_err(|e| format!("{e:?}"));
-    let mut memory = Vec::new();
-    for id in 0..m.node_count() {
-        let node = m.node(NodeId(id));
-        let mut words = Vec::new();
-        for block in &m.program().data {
-            words.extend(node.dump_mem(block.base, block.len));
-        }
-        memory.push(words);
-    }
-    Observation {
-        outcome,
-        stats: m.stats(),
-        memory,
-    }
+    jm_tests::observe(sink_program(), config, max_cycles, |_| {})
 }
 
 /// Runs the workload on every engine × quantum and asserts bit-identical
