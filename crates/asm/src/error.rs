@@ -2,55 +2,25 @@
 
 use std::fmt;
 
-/// An error produced while building, parsing, or assembling a program.
+/// An error produced while building or assembling a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsmError {
     message: String,
-    line: Option<usize>,
 }
 
 impl AsmError {
-    /// Creates an error with no source location.
+    /// Creates an error.
     pub fn new(message: impl Into<String>) -> AsmError {
         AsmError {
             message: message.into(),
-            line: None,
         }
-    }
-
-    /// Creates an error attributed to a 1-based source line.
-    pub fn at_line(line: usize, message: impl Into<String>) -> AsmError {
-        AsmError {
-            message: message.into(),
-            line: Some(line),
-        }
-    }
-
-    /// The 1-based source line, if the error came from the text parser.
-    pub fn line(&self) -> Option<usize> {
-        self.line
     }
 }
 
 impl fmt::Display for AsmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.line {
-            Some(line) => write!(f, "line {line}: {}", self.message),
-            None => f.write_str(&self.message),
-        }
+        f.write_str(&self.message)
     }
 }
 
 impl std::error::Error for AsmError {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn display_includes_line() {
-        assert_eq!(AsmError::at_line(3, "bad").to_string(), "line 3: bad");
-        assert_eq!(AsmError::new("bad").to_string(), "bad");
-        assert_eq!(AsmError::at_line(3, "bad").line(), Some(3));
-    }
-}

@@ -2,16 +2,13 @@
 //!
 //! Assembler for the Message-Driven Processor.
 //!
-//! Programs for the J-Machine simulator can be written two ways:
+//! Programs for the J-Machine simulator are written through the
+//! programmatic [`Builder`] API, which the runtime libraries and the four
+//! macro-benchmark applications use (mirroring the paper's hand-tuned
+//! assembly, §4.1).
 //!
-//! * through the programmatic [`Builder`] API, which the runtime libraries
-//!   and the four macro-benchmark applications use (mirroring the paper's
-//!   hand-tuned assembly, §4.1), or
-//! * in a textual assembly syntax parsed by [`parse`], convenient for tests
-//!   and examples.
-//!
-//! Both paths produce a [`Program`]: a single code image plus initialized
-//! data blocks, loaded identically onto every node (the J-Machine programming
+//! It produces a [`Program`]: a single code image plus initialized data
+//! blocks, loaded identically onto every node (the J-Machine programming
 //! systems are SPMD at the image level — handler addresses must be valid on
 //! every node because message headers carry raw instruction pointers).
 //!
@@ -43,10 +40,8 @@
 
 mod builder;
 mod error;
-mod parser;
 mod program;
 
 pub use builder::{cst, hdr, lab, seg, seg_base, seg_len, Builder, PSrc, Region};
 pub use error::AsmError;
-pub use parser::parse;
 pub use program::{DataBlock, Program, SymbolTable, SymbolValue};

@@ -1,6 +1,6 @@
 //! The assembled program image.
 
-use jm_isa::consts::{EMEM_BASE, MEM_WORDS, VECTOR_COUNT};
+use jm_isa::consts::{MEM_WORDS, VECTOR_COUNT};
 use jm_isa::instr::Instruction;
 use jm_isa::word::{SegDesc, Word};
 use std::collections::HashMap;
@@ -95,11 +95,6 @@ impl DataBlock {
             SegDesc::unbounded(self.base)
         }
     }
-
-    /// Whether the block lies entirely in internal memory.
-    pub fn in_imem(&self) -> bool {
-        self.base + self.len <= EMEM_BASE
-    }
 }
 
 /// An assembled, fully resolved program image.
@@ -146,11 +141,6 @@ impl Program {
         self.symbols
             .data(name)
             .unwrap_or_else(|| panic!("program has no data block `{name}`"))
-    }
-
-    /// Whether all code fits in internal memory (affects fetch timing).
-    pub fn code_in_imem(&self) -> bool {
-        self.code_base + self.code_words <= EMEM_BASE
     }
 
     /// Validates the image: instruction constraints, address ranges, and
@@ -252,7 +242,6 @@ mod tests {
             init: vec![],
         };
         assert!(block.seg().is_unbounded());
-        assert!(!block.in_imem());
     }
 
     #[test]

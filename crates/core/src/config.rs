@@ -3,7 +3,7 @@
 use jm_fault::FaultSpec;
 use jm_isa::node::MeshDims;
 use jm_mdp::MdpConfig;
-use jm_net::{NetConfig, ScanPolicy};
+use jm_net::NetConfig;
 use jm_traffic::TrafficSpec;
 
 /// Which nodes start a background thread at boot (at the program's declared
@@ -61,10 +61,6 @@ pub enum Engine {
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostTuning {
-    /// Node-scheduler (heap vs. wake-table scan) and router-scan (active
-    /// bitset vs. occupancy scan) strategy. `Auto` switches on measured
-    /// occupancy with hysteresis.
-    pub scan: ScanPolicy,
     /// Parallel-engine quantum: simulated cycles between global
     /// coordination points. `0` picks automatically.
     pub quantum: u32,
@@ -76,7 +72,6 @@ pub struct HostTuning {
 impl Default for HostTuning {
     fn default() -> HostTuning {
         HostTuning {
-            scan: ScanPolicy::Auto,
             quantum: 0,
             bulk: true,
         }

@@ -4,8 +4,9 @@
 //! ([`JMachine::run`] and [`JMachine::run_until_quiescent`] are its two
 //! stop conditions): a naive reference that scans every node and router
 //! each cycle, the default event-driven engine that tracks *where work is*
-//! — a wake-up heap for busy nodes, the network's delivery notifications
-//! for queue pumping, and counters that make quiescence an O(1) check —
+//! — a wake table and live bitset for busy nodes, the network's delivery
+//! notifications for queue pumping, and counters that make quiescence an
+//! O(1) check —
 //! and the parallel engine that runs the event engine's per-shard step on
 //! a crew of threads. All produce bit-identical observable results;
 //! `DESIGN.md` §4.5 ("Engines and host tuning") gives the invariants and
@@ -21,11 +22,9 @@ use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::word::{MsgHeader, Word};
 use jm_isa::TraceId;
 use jm_mdp::{InjectAck, MdpNode, NetPort, NodeError};
-use jm_net::{InjectResult, Network, ScanPolicy};
+use jm_net::{BitSet, InjectResult, Network};
 use jm_trace::{MachineTrace, SamplePoint};
 use jm_traffic::TrafficPlan;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -109,36 +108,21 @@ impl NetPort for Port<'_> {
     }
 }
 
-/// Sentinel in `wake_at`: the node is parked (not in the wake heap).
+/// Sentinel in `wake_at`: the node is parked (not in the live set).
 pub(crate) const PARKED: u64 = u64::MAX;
 /// Sentinel in `idle_since`: the node is not parked idle.
 pub(crate) const NOT_IDLE: u64 = u64::MAX;
 
-/// Which strategy the scheduler is currently using to find due nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ScanMode {
-    /// Wake-up heap: O(log n) per transition, skips idle nodes entirely.
-    Heap,
-    /// Dense scan of `wake_at`: O(n) per cycle but no heap maintenance —
-    /// cheaper when most nodes tick every cycle (the load-dominated regime).
-    Dense,
-}
-
-/// A shard needs at least this many nodes before dense scanning can beat
-/// the heap (below it the heap is tiny anyway).
-const DENSE_MIN_NODES: usize = 16;
-
 /// Event-engine bookkeeping for one shard's nodes: which need ticking and
 /// when. The sequential event engine uses a single all-covering instance;
 /// the parallel engine gives each shard its own, mirroring the network's
-/// slab layout. Heap entries and method arguments use **global** node ids;
-/// the per-node vectors are indexed locally (`id - base`).
+/// slab layout. Method arguments use **global** node ids; the per-node
+/// vectors and the live set are indexed locally (`id - base`).
 ///
 /// Invariants (between steps), writing `l` for a node's local index:
-/// * in [`ScanMode::Heap`], node `i` has exactly one heap entry iff
-///   `wake_at[l] != PARKED`, and that entry is `(wake_at[l], i)`; in
-///   [`ScanMode::Dense`] the heap is empty and `wake_at` alone is
-///   authoritative (rebuilt into a heap on the down-switch);
+/// * `live` holds `l` iff `wake_at[l] != PARKED`; the per-cycle loop walks
+///   `live` a word at a time and ticks the nodes whose `wake_at` has come,
+///   so a cycle costs the live nodes and a parked node costs nothing;
 /// * a parked node's `schedule()` decision is `Idle` or `Stopped`, so it
 ///   cannot make progress until a delivery arrives (which re-schedules it);
 /// * `idle_since[l] != NOT_IDLE` iff the node is parked after an idle tick;
@@ -147,16 +131,11 @@ const DENSE_MIN_NODES: usize = 16;
 /// * `has_work[l]` mirrors `nodes[l].has_work()` and `work_count` counts
 ///   the `true` entries, making quiescence O(shards);
 /// * `errored[l]`/`error_count` latch nodes that stopped with an error.
-///
-/// Both scan modes tick the same due set in the same (ascending id) order —
-/// equal-cycle heap entries pop in id order, and the dense scan walks ids
-/// ascending — so the mode, and when the auto policy switches it, is
-/// unobservable in simulated state.
 pub(crate) struct EventSched {
     /// First global node id this scheduler covers.
     base: usize,
-    pub(crate) heap: BinaryHeap<Reverse<(u64, u32)>>,
     pub(crate) wake_at: Vec<u64>,
+    pub(crate) live: BitSet,
     pub(crate) idle_since: Vec<u64>,
     has_work: Vec<bool>,
     pub(crate) work_count: usize,
@@ -164,80 +143,46 @@ pub(crate) struct EventSched {
     pub(crate) error_count: usize,
     /// Scratch for the pump's snapshot of nodes with pending deliveries.
     pub(crate) pump_scratch: Vec<u32>,
-    /// Current advance strategy.
-    pub(crate) mode: ScanMode,
-    /// Switching policy (auto unless a test pinned it).
-    policy: ScanPolicy,
 }
 
 impl EventSched {
     /// Every node starts scheduled for cycle 0 — the first step ticks them
     /// all once, exactly like the naive engine, and the workless ones park.
     /// `nodes` is the covered slice (ids `base .. base + nodes.len()`).
-    fn new(nodes: &[MdpNode], base: usize, policy: ScanPolicy) -> EventSched {
+    fn new(nodes: &[MdpNode], base: usize) -> EventSched {
         let n = nodes.len();
         let has_work: Vec<bool> = nodes.iter().map(MdpNode::has_work).collect();
         let work_count = has_work.iter().filter(|&&w| w).count();
-        let mode = match policy {
-            ScanPolicy::ForcedDense => ScanMode::Dense,
-            ScanPolicy::Auto | ScanPolicy::ForcedSparse => ScanMode::Heap,
-        };
+        let mut live = BitSet::new(n);
+        for l in 0..n {
+            live.insert(l);
+        }
         EventSched {
             base,
-            heap: match mode {
-                ScanMode::Heap => (0..n).map(|i| Reverse((0, (base + i) as u32))).collect(),
-                ScanMode::Dense => BinaryHeap::new(),
-            },
             wake_at: vec![0; n],
+            live,
             idle_since: vec![NOT_IDLE; n],
             has_work,
             work_count,
             errored: vec![false; n],
             error_count: 0,
             pump_scratch: Vec::new(),
-            mode,
-            policy,
         }
     }
 
-    /// Enters a popped (or parked) node into the heap for cycle `at`.
+    /// Schedules (global) node `i`, parked or just ticked, for cycle `at`.
     pub(crate) fn schedule(&mut self, i: usize, at: u64) {
-        self.wake_at[i - self.base] = at;
-        if self.mode == ScanMode::Heap {
-            self.heap.push(Reverse((at, i as u32)));
-        }
+        let l = i - self.base;
+        self.wake_at[l] = at;
+        self.live.insert(l);
     }
 
-    /// Occupancy feedback after a cycle that ticked `ticked` nodes: the
-    /// auto policy switches to dense scanning when ≥ 5/8 of the shard's
-    /// nodes ticked and back to the heap when ≤ 1/4 did. The wide gap is
-    /// the hysteresis — a load sitting between the thresholds keeps
-    /// whatever mode it is in.
-    pub(crate) fn retune(&mut self, ticked: usize) {
-        if self.policy != ScanPolicy::Auto {
-            return;
-        }
-        let n = self.wake_at.len();
-        match self.mode {
-            ScanMode::Heap => {
-                if n >= DENSE_MIN_NODES && ticked * 8 >= n * 5 {
-                    self.mode = ScanMode::Dense;
-                    // `wake_at` is authoritative from here on.
-                    self.heap.clear();
-                }
-            }
-            ScanMode::Dense => {
-                if ticked * 4 <= n {
-                    self.mode = ScanMode::Heap;
-                    debug_assert!(self.heap.is_empty());
-                    for (l, &at) in self.wake_at.iter().enumerate() {
-                        if at != PARKED {
-                            self.heap.push(Reverse((at, (self.base + l) as u32)));
-                        }
-                    }
-                }
-            }
-        }
+    /// Takes the node at local index `l` out of the live set: the loop
+    /// parks a due node before ticking it, and the tick's outcome decides
+    /// whether it is scheduled again.
+    pub(crate) fn park(&mut self, l: usize) {
+        self.live.remove(l);
+        self.wake_at[l] = PARKED;
     }
 
     /// Wakes a parked node for cycle `at` (no-op if already scheduled),
@@ -278,13 +223,9 @@ impl EventSched {
     }
 
     /// Earliest scheduled wake-up, `u64::MAX` when every node is parked.
-    /// O(1) on the heap; a linear scan in dense mode (`PARKED` is `u64::MAX`,
-    /// so parked nodes never win the minimum).
     pub(crate) fn next_due(&self) -> u64 {
-        match self.mode {
-            ScanMode::Heap => self.heap.peek().map_or(u64::MAX, |&Reverse((c, _))| c),
-            ScanMode::Dense => self.wake_at.iter().copied().min().unwrap_or(u64::MAX),
-        }
+        let due = self.live.iter().map(|l| self.wake_at[l]);
+        due.min().unwrap_or(u64::MAX)
     }
 }
 
@@ -416,10 +357,7 @@ impl JMachine {
         let mut net = Network::with_shards(config.net, shards);
         net.set_fault_plan(fault);
         net.set_traffic_plan(traffic);
-        // One policy drives both occupancy-keyed switches: the scheduler's
-        // heap/dense choice and the net layer's active-set/occupancy scan.
-        let tuning = config.tuning;
-        net.set_tuning(tuning.scan, tuning.bulk);
+        net.set_tuning(config.tuning.bulk);
         if config.trace.enabled {
             net.set_tracing(true);
             for node in &mut nodes {
@@ -430,9 +368,7 @@ impl JMachine {
             let (parts, _) = net.shard_parts();
             parts
                 .iter()
-                .map(|s| {
-                    EventSched::new(&nodes[s.base()..s.base() + s.len()], s.base(), tuning.scan)
-                })
+                .map(|s| EventSched::new(&nodes[s.base()..s.base() + s.len()], s.base()))
                 .collect()
         };
         Ok(JMachine {
@@ -959,12 +895,12 @@ impl JMachine {
     /// exactly the hashes [`Self::component_hashes`] reports, over every
     /// piece of simulated state the engines are required to agree on (node
     /// registers, queues, memory, control state; per-router channel
-    /// occupancy). Engine bookkeeping — schedulers, statistics, traces,
-    /// scan modes — is excluded by construction, so equal machine states
-    /// hash equal under *any* engine, thread count, quantum, or scheduler
-    /// mode. Takes `&mut self` because in-flight bulk wormhole transfers
-    /// are first materialized to their exact buffered equivalent (a
-    /// semantically invisible canonicalization; see `jm-net`).
+    /// occupancy). Engine bookkeeping — schedulers, statistics, traces —
+    /// is excluded by construction, so equal machine states hash equal
+    /// under *any* engine, thread count or quantum. Takes `&mut self`
+    /// because in-flight bulk wormhole transfers are first materialized to
+    /// their exact buffered equivalent (a semantically invisible
+    /// canonicalization; see `jm-net`).
     pub fn state_hash(&mut self) -> u64 {
         let at = self.cycle;
         let mut h = jm_trace::Fnv1a::new();
@@ -1062,6 +998,27 @@ mod tests {
         assert_eq!(stats.nodes.msgs_sent, 2);
         assert_eq!(stats.nodes.msgs_received, 2);
         assert_eq!(stats.net.delivered_msgs, 2);
+    }
+
+    #[test]
+    fn next_due_is_the_minimum_over_scheduled_nodes() {
+        let m = JMachine::new(rpc_program(), MachineConfig::new(128));
+        // A slab's scheduler: global ids 32..128, two words of live set.
+        let mut sched = EventSched::new(&m.nodes[32..], 32);
+        assert_eq!(sched.next_due(), 0, "every node starts scheduled for 0");
+        for l in 0..96 {
+            sched.park(l);
+        }
+        assert_eq!(sched.next_due(), u64::MAX, "all parked");
+        for (i, at) in [(102, 900), (35, 17), (127, 40), (96, 17), (32, 5000)] {
+            sched.schedule(i, at);
+        }
+        assert_eq!(sched.next_due(), 17);
+        // A re-scheduled node moves; a parked one no longer counts.
+        sched.schedule(35, 1000);
+        sched.park(96 - 32);
+        assert_eq!(sched.next_due(), 40);
+        assert_eq!(sched.live.count(), 4);
     }
 
     #[test]

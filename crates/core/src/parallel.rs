@@ -58,13 +58,12 @@
 //! ∈ {1, 2, 4} × quanta ∈ {1, 2, 4, 8} against the sequential engines and
 //! demand bit-identical results.
 
-use crate::machine::{EventSched, ScanMode, NOT_IDLE, PARKED};
+use crate::machine::{EventSched, NOT_IDLE, PARKED};
 use jm_isa::instr::MsgPriority;
 use jm_isa::node::NodeId;
 use jm_isa::word::Word;
 use jm_mdp::{InjectAck, MdpNode, NetPort, TickOutcome};
-use jm_net::{edge_pair, Edge, InjectResult, NetShard};
-use std::cmp::Reverse;
+use jm_net::{edge_pair, ones, Edge, InjectResult, NetShard};
 use std::sync::atomic::{
     AtomicBool, AtomicU32, AtomicU64, AtomicUsize,
     Ordering::{AcqRel, Acquire, Relaxed, Release},
@@ -90,10 +89,9 @@ impl NetPort for ShardPort<'_> {
 
 /// Phase 1 for one shard: pump deliveries, tick due nodes, step routers.
 /// `nodes` is the slab's slice of the machine's node array (local indexing);
-/// `sched` is the slab's scheduler (global ids in its heap). Also the body
-/// of the sequential event engine's step — `Engine::Event` is exactly this
-/// with one all-covering shard, which is how the engines stay identical by
-/// construction.
+/// `sched` is the slab's scheduler. Also the body of the sequential event
+/// engine's step — `Engine::Event` is exactly this with one all-covering
+/// shard, which is how the engines stay identical by construction.
 pub(crate) fn shard_cycle(
     now: u64,
     shard: &mut NetShard,
@@ -129,47 +127,35 @@ pub(crate) fn shard_cycle(
         }
     }
     sched.pump_scratch = pending;
-    // 2. Execute every node due this cycle. Both strategies visit due nodes
-    //    in ascending id order (equal-cycle heap entries pop in id order),
-    //    and a tick touches only its own node's state and injection FIFO,
-    //    so the strategy — and when `retune` switches it — is unobservable.
-    let mut ticked = 0usize;
-    match sched.mode {
-        ScanMode::Heap => {
-            while let Some(&Reverse((c, i))) = sched.heap.peek() {
-                if c > now {
-                    break;
-                }
-                sched.heap.pop();
-                let i = i as usize;
-                let l = i - base;
-                if sched.wake_at[l] != c {
-                    continue; // superseded entry
-                }
-                sched.wake_at[l] = PARKED;
-                tick_node(now, shard, sched, nodes, base, i);
-                ticked += 1;
+    // 2. Execute every node due this cycle: walk the live set a word at a
+    //    time, ascending like the naive 0..n scan. A tick touches only its
+    //    own node's state and injection FIFO, and can re-schedule only
+    //    itself (a bit the copied word has already passed), so reading each
+    //    word as the walk reaches it needs no snapshot.
+    for w in 0..sched.live.word_count() {
+        for bit in ones(sched.live.word(w)) {
+            let l = 64 * w + bit;
+            if sched.wake_at[l] > now {
+                continue;
             }
-        }
-        ScanMode::Dense => {
-            for l in 0..sched.wake_at.len() {
-                // PARKED is u64::MAX, so parked nodes fail this test too.
-                if sched.wake_at[l] > now {
-                    continue;
-                }
-                sched.wake_at[l] = PARKED;
-                tick_node(now, shard, sched, nodes, base, base + l);
-                ticked += 1;
-            }
+            sched.park(l);
+            tick_node(now, shard, sched, nodes, base, base + l);
         }
     }
-    sched.retune(ticked);
+    // The naive full scan's answer: nothing due is left, and the live set
+    // is exactly the scheduled nodes.
+    debug_assert!(
+        (0..nodes.len())
+            .all(|l| sched.wake_at[l] > now
+                && sched.live.contains(l) == (sched.wake_at[l] != PARKED)),
+        "cycle {now}: a due node was left unticked, or the live set and wake_at disagree"
+    );
     // 3. Move this shard's routers (O(1) when no flits are buffered).
     shard.step_cycle(below, above);
 }
 
-/// Ticks one due node (already removed from the wake structures) and
-/// re-files it according to the outcome.
+/// Ticks one due node (already removed from the live set) and re-files it
+/// according to the outcome.
 #[inline]
 fn tick_node(
     now: u64,

@@ -439,7 +439,6 @@ mod tests {
     use jm_isa::reg::AReg::*;
     use jm_isa::reg::DReg::*;
     use jm_isa::tag::Tag;
-    use jm_net::ScanPolicy;
     use jm_replay::Divergence;
 
     /// Route word of the far corner of a 2×2×2 mesh, (1,1,1).
@@ -516,10 +515,6 @@ mod tests {
             MachineFactory::recorded()
                 .engine(Engine::Parallel(2))
                 .tuning(quantum(1)),
-            MachineFactory::recorded().tuning(HostTuning {
-                scan: ScanPolicy::ForcedDense,
-                ..HostTuning::default()
-            }),
         ] {
             let report = jm_replay::verify(&log, &f);
             assert!(report.clean(), "{f:?}: {report}");

@@ -44,15 +44,6 @@ pub fn cycles_to_us(cycles: u64) -> f64 {
     cycles as f64 * 1e6 / CLOCK_HZ as f64
 }
 
-/// Converts a word count and cycle count to megabits per second of data
-/// payload at the prototype clock.
-pub fn words_per_cycles_to_mbits(words: u64, cycles: u64) -> f64 {
-    if cycles == 0 {
-        return 0.0;
-    }
-    (words as f64 * DATA_BITS_PER_WORD as f64) * (CLOCK_HZ as f64 / cycles as f64) / 1e6
-}
-
 /// The processor fault repertoire.
 ///
 /// Each fault vectors through a dedicated `ip`-tagged word at the base of
@@ -153,10 +144,6 @@ mod tests {
     fn unit_conversions() {
         // 12.5 cycles = 1 microsecond at 12.5 MHz.
         assert!((cycles_to_us(125) - 10.0).abs() < 1e-9);
-        // 0.5 words/cycle of 32-bit data = 200 Mbit/s peak terminal rate,
-        // matching Figure 4's asymptote.
-        let mbits = words_per_cycles_to_mbits(1, 2);
-        assert!((mbits - 200.0).abs() < 1e-9);
     }
 
     #[test]

@@ -126,11 +126,6 @@ pub struct Encoded {
 }
 
 impl Encoded {
-    /// Length of the bit stream.
-    pub fn bit_len(&self) -> usize {
-        self.bits
-    }
-
     /// Number of 17-bit slots this instruction occupies.
     pub fn slots(&self) -> usize {
         self.bits.div_ceil(SLOT_BITS).max(1)

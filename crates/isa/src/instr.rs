@@ -75,14 +75,6 @@ impl AluOp {
         AluOp::Max,
     ];
 
-    /// Whether the result is a `bool` (comparison) rather than an `int`.
-    pub fn is_compare(self) -> bool {
-        matches!(
-            self,
-            AluOp::Eq | AluOp::Ne | AluOp::Lt | AluOp::Le | AluOp::Gt | AluOp::Ge
-        )
-    }
-
     /// Mnemonic used by the assembler and disassembler.
     pub fn mnemonic(self) -> &'static str {
         match self {

@@ -74,12 +74,6 @@ impl Memory {
         page[off % PAGE_WORDS] = word;
     }
 
-    /// Whether an address is in range.
-    #[inline]
-    pub fn in_range(&self, addr: u32) -> bool {
-        addr < MEM_WORDS
-    }
-
     /// Whether an address is in internal (on-chip) memory.
     #[inline]
     pub fn is_internal(addr: u32) -> bool {

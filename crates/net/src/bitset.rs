@@ -1,7 +1,13 @@
-//! A fixed-capacity bitset used for the simulator's active-work tracking
-//! (active routers, nodes with pending deliveries). Insertion and removal
-//! are O(1); iteration is in ascending index order, which the engines rely
-//! on for cycle-exact equivalence with naive full scans.
+//! A fixed-capacity bitset: the simulator's one worklist type (routers
+//! holding flits, nodes with pending deliveries, nodes scheduled to tick).
+//! Insertion and removal are O(1); iteration is in ascending index order,
+//! which the engines rely on for cycle-exact equivalence with naive full
+//! scans.
+//!
+//! A per-cycle loop that mutates the set while walking it reads one
+//! [`BitSet::word`] at a time and walks the copy with [`ones`]: an index
+//! inserted behind the walk waits for the next cycle, one inserted ahead of
+//! it is visited, and the index being visited may be removed freely.
 
 /// A fixed-capacity set of `usize` indices backed by `u64` words.
 #[derive(Debug, Clone, Default)]
@@ -37,24 +43,15 @@ impl BitSet {
         self.words[index / 64] & (1u64 << (index % 64)) != 0
     }
 
-    // insert/remove use an early-return branch rather than the branchless
-    // `count += fresh as usize` formulation: the branchless version is
-    // miscompiled by the current toolchain at opt-level >= 2 when overflow
-    // checks are off (const-propagated call sequences fold `count` to 0),
-    // which is exactly the release profile. The branch also costs nothing:
-    // callers almost always insert fresh / remove present indices.
-
     /// Inserts `index`; returns `true` if it was not already present.
     #[inline]
     pub fn insert(&mut self, index: usize) -> bool {
         let bit = 1u64 << (index % 64);
         let word = self.words[index / 64];
-        if word & bit != 0 {
-            return false;
-        }
+        let fresh = word & bit == 0;
         self.words[index / 64] = word | bit;
-        self.count += 1;
-        true
+        self.count += fresh as usize;
+        fresh
     }
 
     /// Removes `index`; returns `true` if it was present.
@@ -62,18 +59,29 @@ impl BitSet {
     pub fn remove(&mut self, index: usize) -> bool {
         let bit = 1u64 << (index % 64);
         let word = self.words[index / 64];
-        if word & bit == 0 {
-            return false;
-        }
+        let present = word & bit != 0;
         self.words[index / 64] = word & !bit;
-        self.count -= 1;
-        true
+        self.count -= present as usize;
+        present
     }
 
     /// Removes every index.
     pub fn clear(&mut self) {
         self.words.fill(0);
         self.count = 0;
+    }
+
+    /// Number of 64-index words backing the set.
+    #[inline]
+    pub fn word_count(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Word `w` by value: bit `b` is set iff index `64 * w + b` is in the
+    /// set.
+    #[inline]
+    pub fn word(&self, w: usize) -> u64 {
+        self.words[w]
     }
 
     /// Iterates the set in ascending index order.
@@ -84,6 +92,19 @@ impl BitSet {
             current: self.words.first().copied().unwrap_or(0),
         }
     }
+}
+
+/// The positions of the set bits of `word`, ascending.
+#[inline]
+pub fn ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if word == 0 {
+            return None;
+        }
+        let bit = word.trailing_zeros() as usize;
+        word &= word - 1;
+        Some(bit)
+    })
 }
 
 /// Ascending-order iterator over a [`BitSet`].
@@ -115,6 +136,40 @@ impl Iterator for Iter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jm_prng::Prng;
+    use std::collections::BTreeSet;
+
+    /// Every operation, against `BTreeSet`, at capacities on both sides of
+    /// a word boundary. CI runs this under the debug and release profiles.
+    #[test]
+    fn random_operations_match_a_btreeset_model() {
+        for capacity in [1usize, 63, 64, 65, 4096] {
+            let mut rng = Prng::from_label("bitset_model", capacity as u64);
+            let mut set = BitSet::new(capacity);
+            let mut model = BTreeSet::new();
+            for _ in 0..20_000 {
+                let i = rng.range_usize(0, capacity);
+                match rng.range_u32(0, 16) {
+                    0..=6 => assert_eq!(set.insert(i), model.insert(i), "insert {i}"),
+                    7..=12 => assert_eq!(set.remove(i), model.remove(&i), "remove {i}"),
+                    13 => assert_eq!(set.contains(i), model.contains(&i), "contains {i}"),
+                    14 => {
+                        assert!(set.iter().eq(model.iter().copied()), "iteration order");
+                        let by_word = (0..set.word_count())
+                            .flat_map(|w| ones(set.word(w)).map(move |b| 64 * w + b));
+                        assert!(by_word.eq(model.iter().copied()), "word view");
+                    }
+                    _ if rng.chance(0.02) => {
+                        set.clear();
+                        model.clear();
+                    }
+                    _ => {}
+                }
+                assert_eq!(set.count(), model.len(), "count after touching {i}");
+                assert_eq!(set.is_empty(), model.is_empty());
+            }
+        }
+    }
 
     #[test]
     fn insert_remove_contains() {

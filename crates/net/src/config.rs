@@ -2,30 +2,6 @@
 
 use jm_isa::node::MeshDims;
 
-/// How a per-cycle loop finds the components with work: a shard's advance
-/// loop looking for routers that hold flits, and (in `jm-machine`) a node
-/// scheduler looking for nodes that are due.
-///
-/// `Auto` (the default) flips between a sparse structure (the active-router
-/// bitset; the node wake-up heap) and a dense linear scan (the occupancy
-/// array; the wake table), keyed on measured occupancy with hysteresis —
-/// up-switch at 5/8 of the shard's components, down-switch at 1/4, so a
-/// load hovering near one threshold cannot thrash the mode. Both strategies
-/// visit the same components in the same ascending order, so the choice is
-/// unobservable in simulated state. The forced variants exist for the
-/// differential suites, which run all three side by side through the
-/// hidden `Network::set_tuning` hook; no public configuration carries them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanPolicy {
-    /// Occupancy-keyed switching with hysteresis.
-    #[default]
-    Auto,
-    /// Always use the sparse structure.
-    ForcedSparse,
-    /// Always scan densely.
-    ForcedDense,
-}
-
 /// Configuration of the mesh network.
 ///
 /// Defaults model the prototype's parameters; buffer depths are the small

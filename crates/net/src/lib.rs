@@ -33,9 +33,8 @@
 //! let route = RouteWord::new(dims.coord(NodeId(1))).to_word();
 //! let header = MsgHeader::new(100, 2).to_word();
 //!
-//! assert_eq!(net.inject(src, MsgPriority::P0, route, false), InjectResult::Accepted);
-//! assert_eq!(net.inject(src, MsgPriority::P0, header, false), InjectResult::Accepted);
-//! assert_eq!(net.inject(src, MsgPriority::P0, Word::int(7), true), InjectResult::Accepted);
+//! let msg = [route, header, Word::int(7)];
+//! assert_eq!(net.commit_msg(src, MsgPriority::P0, &msg), InjectResult::Accepted);
 //!
 //! for _ in 0..40 { net.step(); }
 //! assert_eq!(net.pop_delivered(NodeId(1), MsgPriority::P0), Some(header));
@@ -54,8 +53,8 @@ mod router;
 mod shard;
 mod stats;
 
-pub use bitset::BitSet;
-pub use config::{NetConfig, ScanPolicy};
+pub use bitset::{ones, BitSet};
+pub use config::NetConfig;
 pub use flit::Flit;
 pub use network::Network;
 pub use router::OutPort;

@@ -85,17 +85,16 @@ impl Network {
         }
     }
 
-    /// Test hook: pins every shard's router-scan strategy and enables or
-    /// disables the wormhole bulk-advance fast path (`shard::BulkMsg`).
-    /// Both are host mechanisms the shards otherwise select from what they
-    /// observe — router occupancy, an empty single-shard mesh — and both
-    /// are unobservable in simulated state, which is what the differential
+    /// Test hook: enables or disables the wormhole bulk-advance fast path
+    /// (`shard::BulkMsg`), a host mechanism the shards otherwise engage
+    /// from what they observe — an empty single-shard mesh — and which is
+    /// unobservable in simulated state, which is what the differential
     /// suites use this hook to prove. Must be called before simulation
     /// starts.
     #[doc(hidden)]
-    pub fn set_tuning(&mut self, scan: crate::ScanPolicy, bulk: bool) {
+    pub fn set_tuning(&mut self, bulk: bool) {
         for shard in &mut self.shards {
-            shard.set_tuning(scan, bulk);
+            shard.set_tuning(bulk);
         }
     }
 
@@ -235,19 +234,6 @@ impl Network {
         &mut self.shards[k]
     }
 
-    /// Offers one word to a node's injection port.
-    ///
-    /// `end` marks the final word of the message (the `SENDE` forms).
-    pub fn inject(
-        &mut self,
-        node: NodeId,
-        priority: MsgPriority,
-        word: Word,
-        end: bool,
-    ) -> InjectResult {
-        self.shard_for(node).inject(node, priority, word, end)
-    }
-
     /// Atomically offers a whole message to a node's injection port: the
     /// route word followed by at least one payload word. Either every word
     /// is accepted or none is.
@@ -260,13 +246,9 @@ impl Network {
         self.shard_for(node).commit_msg(node, priority, words)
     }
 
-    /// Next delivered payload word for a node, if any (peek).
-    pub fn delivered_front(&self, node: NodeId, priority: MsgPriority) -> Option<Word> {
-        self.delivered_front_traced(node, priority).map(|(w, _)| w)
-    }
-
-    /// Next delivered payload word with the trace id of the message that
-    /// carried it ([`TraceId::NONE`] when tracing is off).
+    /// Next delivered payload word for a node, if any (peek), with the
+    /// trace id of the message that carried it ([`TraceId::NONE`] when
+    /// tracing is off).
     pub fn delivered_front_traced(
         &self,
         node: NodeId,
@@ -321,18 +303,6 @@ impl Network {
             shard.fold_components(&mut f);
         }
     }
-
-    /// Runs until idle or `max_cycles` is reached; returns `true` if the
-    /// network drained.
-    pub fn run_until_idle(&mut self, max_cycles: u64) -> bool {
-        for _ in 0..max_cycles {
-            if self.is_idle() {
-                return true;
-            }
-            self.step();
-        }
-        self.is_idle()
-    }
 }
 
 #[cfg(test)]
@@ -341,7 +311,16 @@ mod tests {
     use jm_isa::node::{Coord, MeshDims, RouteWord};
     use jm_isa::word::MsgHeader;
 
-    /// Injects a whole message, pumping the network on FIFO stalls the way
+    /// `words` behind the route word for `to`: a message as `commit_msg`
+    /// takes it.
+    fn routed(net: &Network, to: NodeId, words: &[Word]) -> Vec<Word> {
+        let route = RouteWord::new(net.config().dims.coord(to)).to_word();
+        std::iter::once(route)
+            .chain(words.iter().copied())
+            .collect()
+    }
+
+    /// Commits a whole message, pumping the network on FIFO stalls the way
     /// the MDP retries after a send fault.
     fn send_msg(
         net: &mut Network,
@@ -350,18 +329,13 @@ mod tests {
         priority: MsgPriority,
         words: &[Word],
     ) {
-        let dims = net.config().dims;
-        let route = RouteWord::new(dims.coord(to)).to_word();
-        let offer = |net: &mut Network, word: Word, end: bool| loop {
-            match net.inject(from, priority, word, end) {
+        let msg = routed(net, to, words);
+        loop {
+            match net.commit_msg(from, priority, &msg) {
                 InjectResult::Accepted => break,
                 InjectResult::Stall => net.step(),
                 InjectResult::BadRoute => panic!("bad route"),
             }
-        };
-        offer(net, route, false);
-        for (i, &w) in words.iter().enumerate() {
-            offer(net, w, i + 1 == words.len());
         }
     }
 
@@ -432,30 +406,15 @@ mod tests {
         // Stream many messages between adjacent nodes; steady-state word
         // delivery rate must approach 0.5 words/cycle.
         let mut net = Network::new(NetConfig::new(MeshDims::new(2, 1, 1)));
-        let header = MsgHeader::new(1, 8).to_word();
-        let route = RouteWord::new(net.config().dims.coord(NodeId(1))).to_word();
-        // Per-message word stream: route, header, 7 payload words (last ends).
-        let mut pending: Vec<(Word, bool)> = Vec::new();
+        // Header plus 7 payload words behind the route word.
+        let words: Vec<Word> = std::iter::once(MsgHeader::new(1, 8).to_word())
+            .chain((0..7).map(Word::int))
+            .collect();
+        let msg = routed(&net, NodeId(1), &words);
         let mut cycles = 0u64;
         while cycles < 4000 {
-            if pending.is_empty() {
-                pending.push((route, false));
-                pending.push((header, false));
-                for k in 0..7 {
-                    pending.push((Word::int(k), k == 6));
-                }
-                pending.reverse(); // pop from the back
-            }
-            // Offer words until the FIFO stalls.
-            while let Some(&(word, end)) = pending.last() {
-                match net.inject(NodeId(0), MsgPriority::P0, word, end) {
-                    InjectResult::Accepted => {
-                        pending.pop();
-                    }
-                    InjectResult::Stall => break,
-                    InjectResult::BadRoute => panic!("bad framing"),
-                }
-            }
+            // Offer messages until the FIFO stalls.
+            while net.commit_msg(NodeId(0), MsgPriority::P0, &msg) == InjectResult::Accepted {}
             net.step();
             cycles += 1;
             // Drain so ejection never backpressures.
@@ -468,45 +427,36 @@ mod tests {
     #[test]
     fn injection_fifo_stalls_when_full() {
         let mut net = Network::new(NetConfig::new(MeshDims::new(2, 1, 1)));
-        let dims = net.config().dims;
-        let route = RouteWord::new(dims.coord(NodeId(1))).to_word();
+        // Two words a message, two flits a word.
+        let msg = routed(&net, NodeId(1), &[MsgHeader::new(1, 1).to_word()]);
         let mut accepted = 0;
         loop {
-            let result = if accepted == 0 {
-                net.inject(NodeId(0), MsgPriority::P0, route, false)
-            } else {
-                net.inject(NodeId(0), MsgPriority::P0, Word::int(1), false)
-            };
-            match result {
+            match net.commit_msg(NodeId(0), MsgPriority::P0, &msg) {
                 InjectResult::Accepted => accepted += 1,
                 InjectResult::Stall => break,
                 InjectResult::BadRoute => panic!("bad route"),
             }
             assert!(accepted < 100, "never stalled");
         }
-        assert_eq!(accepted as usize, net.config().inject_fifo / 2);
+        assert_eq!(accepted as usize, net.config().inject_fifo / 4);
     }
 
     #[test]
     fn rejects_bad_framing() {
         let mut net = Network::new(NetConfig::new(MeshDims::new(2, 1, 1)));
+        let header = MsgHeader::new(1, 1).to_word();
+        let mut commit = |words: &[Word]| net.commit_msg(NodeId(0), MsgPriority::P0, words);
         // First word must be a route word.
-        assert_eq!(
-            net.inject(NodeId(0), MsgPriority::P0, Word::int(1), false),
-            InjectResult::BadRoute
-        );
+        assert_eq!(commit(&[Word::int(1), header]), InjectResult::BadRoute);
         // Empty messages are rejected.
         let route = RouteWord::new(Coord::new(1, 0, 0)).to_word();
-        assert_eq!(
-            net.inject(NodeId(0), MsgPriority::P0, route, true),
-            InjectResult::BadRoute
-        );
+        assert_eq!(commit(&[route]), InjectResult::BadRoute);
         // Out-of-range destinations are rejected.
         let bad = RouteWord::new(Coord::new(5, 0, 0)).to_word();
-        assert_eq!(
-            net.inject(NodeId(0), MsgPriority::P0, bad, false),
-            InjectResult::BadRoute
-        );
+        assert_eq!(commit(&[bad, header]), InjectResult::BadRoute);
+        // Nothing above left anything behind.
+        assert_eq!(commit(&[route, header]), InjectResult::Accepted);
+        assert_eq!(net.stats().injected_msgs, 1);
     }
 
     #[test]
@@ -514,25 +464,18 @@ mod tests {
         // Saturate P0 between nodes 0→1, then send one P1 message; the P1
         // message must be delivered while P0 traffic still flows.
         let mut net = Network::new(NetConfig::new(MeshDims::new(2, 1, 1)));
-        let dims = net.config().dims;
-        let route = RouteWord::new(dims.coord(NodeId(1))).to_word();
-        // Fill P0 fifo.
-        net.inject(NodeId(0), MsgPriority::P0, route, false);
-        for k in 0..3 {
-            net.inject(
-                NodeId(0),
-                MsgPriority::P0,
-                MsgHeader::new(1, 3).to_word(),
-                k == 2,
-            );
-        }
+        // Fill the P0 FIFO.
+        let p0 = routed(
+            &net,
+            NodeId(1),
+            &[MsgHeader::new(1, 3).to_word(), Word::int(0), Word::int(0)],
+        );
+        while net.commit_msg(NodeId(0), MsgPriority::P0, &p0) == InjectResult::Accepted {}
         // One P1 message.
-        net.inject(NodeId(0), MsgPriority::P1, route, false);
-        net.inject(
-            NodeId(0),
-            MsgPriority::P1,
-            MsgHeader::new(2, 1).to_word(),
-            true,
+        let p1 = routed(&net, NodeId(1), &[MsgHeader::new(2, 1).to_word()]);
+        assert_eq!(
+            net.commit_msg(NodeId(0), MsgPriority::P1, &p1),
+            InjectResult::Accepted
         );
         let mut p1_cycle = None;
         for c in 0..200 {
@@ -747,20 +690,19 @@ mod tests {
         net.set_fault_plan(FaultPlan::from_spec(
             FaultSpec::new(1).window(FaultWindow::node_down(0, 0, 50)),
         ));
-        let route = RouteWord::new(Coord::new(1, 0, 0)).to_word();
+        let msg = routed(&net, NodeId(1), &[MsgHeader::new(1, 1).to_word()]);
         assert_eq!(
-            net.inject(NodeId(0), MsgPriority::P0, route, false),
+            net.commit_msg(NodeId(0), MsgPriority::P0, &msg),
             InjectResult::Stall
         );
         // The other node is unaffected, and the window clears.
-        let loop_route = RouteWord::new(Coord::new(1, 0, 0)).to_word();
         assert_eq!(
-            net.inject(NodeId(1), MsgPriority::P0, loop_route, false),
+            net.commit_msg(NodeId(1), MsgPriority::P0, &msg),
             InjectResult::Accepted
         );
         net.run(50);
         assert_eq!(
-            net.inject(NodeId(0), MsgPriority::P0, route, false),
+            net.commit_msg(NodeId(0), MsgPriority::P0, &msg),
             InjectResult::Accepted
         );
         assert_eq!(net.stats().faults.inject_stalls, 1);

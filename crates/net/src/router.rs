@@ -1,6 +1,6 @@
-//! Per-node router state off the arbitration path: ejection staging and
-//! injection framing. The channel buffers and everything the advance loop
-//! probes live in the shard's [`crate::arena::ChannelArena`] instead.
+//! Per-node router state off the arbitration path: ejection staging. The
+//! channel buffers and everything the advance loop probes live in the
+//! shard's [`crate::arena::ChannelArena`] instead.
 
 use jm_isa::node::Coord;
 use jm_isa::word::Word;
@@ -87,28 +87,15 @@ pub(crate) fn ecube_route(here: Coord, dest: Coord) -> usize {
     }
 }
 
-/// Network-interface framing state for one priority's injection stream.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct InjectState {
-    /// Destination of the message currently being composed, if any.
-    pub dest: Option<Coord>,
-    /// Inject cycle of the current message's route word (for latency stats).
-    pub msg_start: u64,
-    /// Trace id of the current message ([`TraceId::NONE`] when untraced).
-    pub trace: TraceId,
-}
-
 /// One node's router: the state that is *not* channel buffering. The input
 /// rings, output ownership, cached routes, and the node's coordinate live in
 /// the shard's [`crate::arena::ChannelArena`], leaving the router struct
-/// for the colder ejection/injection interface state.
+/// for the colder ejection interface state.
 #[derive(Debug, Clone)]
 pub(crate) struct Router {
     /// Ejected payload words awaiting the node (paired with the delivering
     /// message's trace id), per vnet.
     pub ejected: [VecDeque<(Word, TraceId)>; 2],
-    /// Injection framing per vnet.
-    pub inject: [InjectState; 2],
     /// Tracing only: trace id of the message currently streaming out of the
     /// ejection port, per vnet (wormhole routing ejects messages whole, so
     /// a changed id marks a new message's first payload word).
@@ -127,7 +114,6 @@ impl Router {
     pub(crate) fn new() -> Router {
         Router {
             ejected: Default::default(),
-            inject: Default::default(),
             eject_cur: [TraceId::NONE; 2],
             eject_hdr_seen: [false; 2],
         }

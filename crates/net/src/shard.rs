@@ -31,8 +31,8 @@
 //! single-buffered because phase 1 only reads it and phase 2 only writes it.
 
 use crate::arena::ChannelArena;
-use crate::bitset::BitSet;
-use crate::config::{NetConfig, ScanPolicy};
+use crate::bitset::{ones, BitSet};
+use crate::config::NetConfig;
 use crate::flit::Flit;
 use crate::router::{ecube_route, Router, IN_INJECT, OUT_EJECT};
 use crate::stats::NetStats;
@@ -65,10 +65,6 @@ pub enum InjectResult {
 const OUT_ZPOS: usize = 4;
 /// Output-port index of the −z channel (the only down-crossing direction).
 const OUT_ZNEG: usize = 5;
-
-/// A shard needs at least this many routers before a dense occupancy scan
-/// can beat iterating the active bitset.
-const DENSE_MIN_ROUTERS: usize = 16;
 
 /// A message streaming through an otherwise-empty mesh on the wormhole
 /// bulk-advance fast path.
@@ -177,17 +173,10 @@ pub struct NetShard {
     /// arbitration loop probes (allocated once; the advance loop never
     /// allocates).
     arena: ChannelArena,
-    /// Buffered flits per local router (the advance loop's activity check,
-    /// kept flat so the dense scan walks one contiguous array).
+    /// Buffered flits per local router (the advance loop's drop-out test).
     occ: Vec<u32>,
-    /// Scan strategy: auto-switching unless a test pinned it (see
-    /// [`Self::set_tuning`]).
-    scan: ScanPolicy,
     /// Whether the bulk fast path may engage (on unless a test disabled it).
     allow_bulk: bool,
-    /// Whether the advance loop currently scans densely (see
-    /// [`ScanPolicy`]); retuned each cycle from the active-router count.
-    scan_dense: bool,
     /// Precomputed neighbor of every (local router, directional out port):
     /// the neighbor's *local* index, or `NEIGH_BOUNDARY` (+`NEIGH_DOWN`)
     /// with the neighbor's global id for slab-crossing z channels —
@@ -207,8 +196,6 @@ pub struct NetShard {
     active: BitSet,
     /// Local router indices holding undelivered ejected words (either vnet).
     eject_pending: BitSet,
-    /// Scratch buffer for the active-set snapshot taken by `step_cycle`.
-    scratch: Vec<u32>,
     /// Boundary-crossing flits accumulated during the router scan, flushed
     /// into the edge mailboxes once per cycle — one mutex acquisition per
     /// edge instead of one per flit. FIFO order preserves the scan order
@@ -287,9 +274,7 @@ impl NetShard {
         NetShard {
             arena: ChannelArena::new((0..len).map(coord), config.flit_buffer, config.inject_fifo),
             occ: vec![0; len],
-            scan: ScanPolicy::Auto,
             allow_bulk: true,
-            scan_dense: false,
             neigh,
             bisect_out,
             config,
@@ -300,7 +285,6 @@ impl NetShard {
             in_flight: 0,
             active: BitSet::new(len),
             eject_pending: BitSet::new(len),
-            scratch: Vec::new(),
             cross_up: Vec::new(),
             cross_down: Vec::new(),
             bulk: None,
@@ -323,12 +307,9 @@ impl NetShard {
         self.traffic = plan;
     }
 
-    /// Pins the scan strategy and enables or disables the bulk fast path
-    /// (both unobservable in simulated state). Must be called before
-    /// simulation starts.
-    pub(crate) fn set_tuning(&mut self, scan: ScanPolicy, bulk: bool) {
-        self.scan = scan;
-        self.scan_dense = scan == ScanPolicy::ForcedDense;
+    /// Enables or disables the bulk fast path (unobservable in simulated
+    /// state). Must be called before simulation starts.
+    pub(crate) fn set_tuning(&mut self, bulk: bool) {
         self.allow_bulk = bulk;
     }
 
@@ -475,94 +456,6 @@ impl NetShard {
         self.routers[self.local(node)].ejected[priority.index()].len()
     }
 
-    /// Offers one word to a node's injection port.
-    ///
-    /// `end` marks the final word of the message (the `SENDE` forms).
-    pub fn inject(
-        &mut self,
-        node: NodeId,
-        priority: MsgPriority,
-        word: Word,
-        end: bool,
-    ) -> InjectResult {
-        // A new injection can observe (and contend with) in-flight traffic,
-        // so a virtual bulk message must become real buffered flits first.
-        if self.bulk.is_some() {
-            self.materialize_bulk();
-        }
-        let cycle = self.cycle;
-        let inject_latency = self.config.inject_latency;
-        let fifo_cap = self.config.inject_fifo;
-        let dims = self.config.dims;
-        let l = self.local(node);
-        if self.node_down_stall(node, cycle) {
-            return InjectResult::Stall;
-        }
-        let vnet = priority.index();
-        if self.arena.len(l, vnet, IN_INJECT) + 2 > fifo_cap {
-            return InjectResult::Stall;
-        }
-        let router = &mut self.routers[l];
-        let framing = &mut router.inject[vnet];
-        let (dest, is_route, head_word) = match framing.dest {
-            None => {
-                if word.tag() != Tag::Route || end {
-                    return InjectResult::BadRoute;
-                }
-                let dest = RouteWord::from_word(word).dest;
-                if dest.x >= dims.x || dest.y >= dims.y || dest.z >= dims.z {
-                    return InjectResult::BadRoute;
-                }
-                framing.dest = Some(dest);
-                framing.msg_start = cycle;
-                self.stats.injected_msgs += 1;
-                framing.trace = match &mut self.tracer {
-                    Some(tracer) => {
-                        let id = TraceId(self.stats.injected_msgs);
-                        tracer.emit(
-                            cycle,
-                            EventKind::Inject {
-                                id,
-                                src: node,
-                                dst: dims.id(dest),
-                                priority,
-                                words: 0,
-                            },
-                        );
-                        id
-                    }
-                    None => TraceId::NONE,
-                };
-                (dest, true, true)
-            }
-            Some(dest) => {
-                if end {
-                    framing.dest = None;
-                }
-                (dest, false, false)
-            }
-        };
-        let msg_start = router.inject[vnet].msg_start;
-        let trace = router.inject[vnet].trace;
-        let pair = Flit::pair_for_word(
-            dest,
-            word,
-            is_route,
-            head_word,
-            end,
-            msg_start,
-            cycle + inject_latency,
-            trace,
-        );
-        for flit in pair {
-            self.arena.push(l, vnet, IN_INJECT, flit);
-        }
-        self.occ[l] += 2;
-        self.in_flight += 2;
-        self.active.insert(l);
-        InjectResult::Accepted
-    }
-
     /// Atomically offers a whole message to a node's injection port: the
     /// route word followed by at least one payload word. Either every word
     /// is accepted or none is (the network interface composes messages in a
@@ -574,8 +467,9 @@ impl NetShard {
         priority: MsgPriority,
         words: &[Word],
     ) -> InjectResult {
-        // See `inject`: new traffic ends the current bulk message's
-        // virtual flight before any capacity check reads the arena.
+        // New traffic can observe (and contend with) in-flight flits, so a
+        // virtual bulk message becomes real buffered flits before any
+        // capacity check reads the arena.
         if self.bulk.is_some() {
             self.materialize_bulk();
         }
@@ -610,11 +504,6 @@ impl NetShard {
             }
             _ => words,
         };
-        if self.routers[l].inject[vnet].dest.is_some() {
-            // A word-wise injection is mid-message on this port; mixing
-            // the two APIs is a programming error.
-            return InjectResult::BadRoute;
-        }
         let needed = 2 * words.len();
         if self.arena.len(l, vnet, IN_INJECT) + needed > fifo_cap {
             return InjectResult::Stall;
@@ -696,9 +585,11 @@ impl NetShard {
         }
         debug_assert!(self.bulk.is_none(), "bulk engaged while one is in flight");
         // Walk the e-cube route, collecting hops and checking that no
-        // output port along it is still held by an earlier wormhole (a
-        // partially-injected message can leave ownership behind with zero
-        // flits in flight).
+        // output port along it is still held by an earlier wormhole. Every
+        // message is committed whole, so its tail has released each port by
+        // the time `in_flight` reads zero and nothing reachable leaves an
+        // owner behind; the check costs one byte load per hop and keeps the
+        // closed-form timing law from resting on that argument alone.
         let mut path = vec![l as u32];
         let mut outs: Vec<u8> = Vec::new();
         let mut bisect: Vec<u32> = Vec::new();
@@ -964,14 +855,12 @@ impl NetShard {
     /// picked up by [`NetShard::exchange`] on the receiving side.
     ///
     /// Only routers holding buffered flits do any work; an empty shard steps
-    /// in O(1). Two scan strategies find them (see [`ScanPolicy`]): the
-    /// sparse path iterates the active bitset, the dense path walks the flat
-    /// occupancy array directly — cheaper when most routers are active,
-    /// because it trades bitset bookkeeping for one predictable linear scan.
-    /// Both visit routers in ascending index order and both are cycle-exact
-    /// with a naive full scan: inactive routers have nothing to move, and a
-    /// router activated mid-step only holds flits with
-    /// `ready_cycle == cycle + 1`, which the scan would skip anyway.
+    /// in O(1). The scan walks the active bitset a word at a time, in
+    /// ascending index order, reading each word as it reaches it — no
+    /// snapshot. That is cycle-exact with a naive full scan: inactive routers
+    /// have nothing to move, and a router activated mid-step only holds flits
+    /// with `ready_cycle == cycle + 1`, which move next cycle whether or not
+    /// this scan still visits it.
     pub fn step_cycle(&mut self, below: Option<&Edge>, above: Option<&Edge>) {
         // Generated traffic enters first, before the idle early-out: the
         // generator is what *creates* work on an otherwise-empty shard. Node
@@ -999,29 +888,20 @@ impl NetShard {
             self.cycle += 1;
             return;
         }
-        if self.scan_dense {
-            // Dense scan: every router, ascending; the occupancy word is the
-            // activity test. The active bitset stays exact (removal below)
-            // so the retune measurement and a later sparse switch are sound.
-            for n in 0..self.routers.len() {
-                if self.occ[n] == 0 {
-                    self.active.remove(n);
-                    continue;
-                }
-                self.step_router(n, cycle, below, above);
-                if self.occ[n] == 0 {
-                    self.active.remove(n);
-                }
-            }
+        // The naive full scan's answer, taken before any flit moves, for
+        // the debug cross-check below.
+        let due: Vec<usize> = if cfg!(debug_assertions) {
+            (0..self.occ.len()).filter(|&n| self.occ[n] > 0).collect()
         } else {
-            // Sparse scan: snapshot the active set — flit hand-offs during
-            // the loop may activate routers (harmless to visit or not, see
-            // above), and a drained router leaves the set for future cycles.
-            let mut snapshot = std::mem::take(&mut self.scratch);
-            snapshot.clear();
-            snapshot.extend(self.active.iter().map(|i| i as u32));
-            for &n in &snapshot {
-                let n = n as usize;
+            Vec::new()
+        };
+        let mut seen = 0;
+        for w in 0..self.active.word_count() {
+            for bit in ones(self.active.word(w)) {
+                let n = 64 * w + bit;
+                if cfg!(debug_assertions) && due.get(seen) == Some(&n) {
+                    seen += 1;
+                }
                 if self.occ[n] == 0 {
                     self.active.remove(n);
                     continue;
@@ -1031,8 +911,13 @@ impl NetShard {
                     self.active.remove(n);
                 }
             }
-            self.scratch = snapshot;
         }
+        debug_assert_eq!(
+            seen,
+            due.len(),
+            "router {} held flits and was not visited",
+            due[seen]
+        );
         // Flush boundary crossings accumulated by the scan: one mailbox
         // acquisition per edge per cycle, in scan (FIFO) order.
         if !self.cross_up.is_empty() {
@@ -1051,29 +936,7 @@ impl NetShard {
                 .extend(self.cross_down.drain(..));
             edge.down_any.store(true, Ordering::Relaxed);
         }
-        self.retune();
         self.cycle += 1;
-    }
-
-    /// Congestion-aware scan-mode switch, applied between cycles: go dense
-    /// when ≥ 5/8 of the shard's routers hold flits, back to sparse when
-    /// ≤ 1/4 do. The hysteresis gap keeps occupancy hovering near one
-    /// threshold from thrashing the mode; tiny shards stay sparse (the
-    /// dense scan's win is cache-linearity, which needs routers to scan).
-    #[inline]
-    fn retune(&mut self) {
-        if self.scan != ScanPolicy::Auto {
-            return;
-        }
-        let n = self.routers.len();
-        let active = self.active.count();
-        if !self.scan_dense {
-            if n >= DENSE_MIN_ROUTERS && active * 8 >= n * 5 {
-                self.scan_dense = true;
-            }
-        } else if active * 4 <= n {
-            self.scan_dense = false;
-        }
     }
 
     /// Advances one router one cycle: moves at most one flit per physical
@@ -1383,11 +1246,9 @@ impl NetShard {
     /// invisible by construction.
     ///
     /// The digest covers the channel-arena queues plus the router's
-    /// interface state: the ejected-word FIFO and the injection framing.
-    /// Trace ids, the `eject_cur` trace cursor, and statistics are excluded
-    /// (observability state); `eject_hdr_seen` is included (it steers fault
-    /// corruption). The stale `msg_start` of a closed injection stream is
-    /// masked by folding it only while a message is open.
+    /// interface state: the ejected-word FIFO. Trace ids, the `eject_cur`
+    /// trace cursor, and statistics are excluded (observability state);
+    /// `eject_hdr_seen` is included (it steers fault corruption).
     pub(crate) fn fold_components(&mut self, f: &mut dyn FnMut(NodeId, usize, u64)) {
         if self.bulk.is_some() {
             self.materialize_bulk();
@@ -1401,16 +1262,6 @@ impl NetShard {
                 for &(w, _) in &router.ejected[vnet] {
                     h.write_u8(w.tag().bits());
                     h.write_u32(w.bits());
-                }
-                match router.inject[vnet].dest {
-                    Some(dest) => {
-                        h.write_u8(1);
-                        h.write_u8(dest.x);
-                        h.write_u8(dest.y);
-                        h.write_u8(dest.z);
-                        h.write_u64(router.inject[vnet].msg_start);
-                    }
-                    None => h.write_u8(0),
                 }
                 h.write_u8(u8::from(router.eject_hdr_seen[vnet]));
                 f(NodeId((self.base + l) as u32), vnet, h.finish());

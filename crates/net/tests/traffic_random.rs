@@ -24,29 +24,26 @@ struct Msg {
 
 fn run_traffic(dims: MeshDims, msgs: Vec<Msg>) {
     let mut net = Network::new(NetConfig::new(dims));
-    // Word streams awaiting injection, merged per (src, priority): a node
-    // injects one message at a time per priority (the NI has one framing
-    // state machine per priority).
-    let mut merged: HashMap<(u32, MsgPriority), Vec<(Word, bool)>> = HashMap::new();
+    // Whole messages awaiting injection, queued per (src, priority): a
+    // node's two priority FIFOs are independent.
+    let mut merged: HashMap<(u32, MsgPriority), Vec<Vec<Word>>> = HashMap::new();
     let mut expected: HashMap<(u32, u32), Vec<i32>> = HashMap::new();
     for m in &msgs {
         let route = RouteWord::new(dims.coord(NodeId(m.dst))).to_word();
         // Encode (src, seq) into the header ip field (20 bits available).
         let ip = (m.src << 10) | m.seq;
         let header = MsgHeader::new(ip, m.body.len() as u32 + 1).to_word();
-        let mut words = vec![(route, false), (header, m.body.is_empty())];
-        for (i, &v) in m.body.iter().enumerate() {
-            words.push((Word::int(v), i + 1 == m.body.len()));
-        }
-        merged.entry((m.src, m.priority)).or_default().extend(words);
+        let mut words = vec![route, header];
+        words.extend(m.body.iter().map(|&v| Word::int(v)));
+        merged.entry((m.src, m.priority)).or_default().push(words);
         expected.insert((m.src, m.seq), m.body.clone());
     }
-    type Stream = (NodeId, MsgPriority, Vec<(Word, bool)>);
+    type Stream = (NodeId, MsgPriority, Vec<Vec<Word>>);
     let mut streams: Vec<Stream> = merged
         .into_iter()
-        .map(|((src, pri), mut words)| {
-            words.reverse();
-            (NodeId(src), pri, words)
+        .map(|((src, pri), mut queue)| {
+            queue.reverse(); // pop from the back
+            (NodeId(src), pri, queue)
         })
         .collect();
     streams.sort_by_key(|(src, pri, _)| (src.0, pri.index()));
@@ -55,14 +52,14 @@ fn run_traffic(dims: MeshDims, msgs: Vec<Msg>) {
     let mut cycles = 0u64;
     loop {
         let mut all_empty = true;
-        for (src, pri, words) in streams.iter_mut() {
-            // Offer at most one word per stream per cycle; a node's two
-            // priority FIFOs are independent NI state machines.
-            if let Some(&(word, end)) = words.last() {
+        for (src, pri, queue) in streams.iter_mut() {
+            // Offer at most one message per stream per cycle, retrying a
+            // stalled one the next cycle as the MDP does after a send fault.
+            if let Some(msg) = queue.last() {
                 all_empty = false;
-                match net.inject(*src, *pri, word, end) {
+                match net.commit_msg(*src, *pri, msg) {
                     InjectResult::Accepted => {
-                        words.pop();
+                        queue.pop();
                     }
                     InjectResult::Stall => {}
                     InjectResult::BadRoute => panic!("bad framing in generator"),

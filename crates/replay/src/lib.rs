@@ -458,7 +458,7 @@ mod tests {
         assert!(ReplayLog::from_bytes(b"not a log").is_err());
         // A previous-format log stops at the magic check, not in a misparse.
         let mut old = bytes.clone();
-        old[4] = b'2';
+        old[4] = b'3';
         let err = ReplayLog::from_bytes(&old).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
         // A corrupted mesh extent (the three bytes after the magic) is a

@@ -11,10 +11,11 @@
 //! handler dispatch) is deterministic given those inputs and is
 //! deliberately not recorded.
 //!
-//! The byte format is little-endian throughout, magic `JMRP3\n` (version 2
+//! The byte format is little-endian throughout, magic `JMRP4\n` (version 2
 //! added the traffic-spec section; version 3 dropped the host-tuning
-//! fields), and has no alignment padding; see `DESIGN.md` §4.11 for the
-//! field-by-field layout.
+//! fields; version 4 has the same layout but router hashes that no longer
+//! fold the word-wise injection framing), and has no alignment padding; see
+//! `DESIGN.md` §4.11 for the field-by-field layout.
 
 use jm_asm::{DataBlock, Program, SymbolValue};
 use jm_fault::{FaultSpec, FaultWindow, FaultWindowKind};
@@ -28,12 +29,13 @@ use jm_traffic::{TrafficPattern, TrafficSpec};
 use std::fmt;
 use std::path::Path;
 
-/// Magic bytes opening every log (`JMRP` + format version 3; version 2
+/// Magic bytes opening every log (`JMRP` + format version 4; version 2
 /// also carried the recording run's quantum, scheduler mode and bulk
-/// switch). Logs are ephemeral CI artifacts, so a format bump invalidates
-/// nothing durable — an old log fails cleanly at the magic check instead
-/// of misparsing.
-pub const MAGIC: &[u8; 6] = b"JMRP3\n";
+/// switch, and a version 3 log's router hashes fold one more byte per
+/// component, so every checkpoint would read as a divergence). Logs are
+/// ephemeral CI artifacts, so a format bump invalidates nothing durable —
+/// an old log fails cleanly at the magic check instead of misparsing.
+pub const MAGIC: &[u8; 6] = b"JMRP4\n";
 
 /// Default hash-boundary spacing in cycles. Chosen so that hashing every
 /// node's register file, queues, and memory pages plus every router's

@@ -131,18 +131,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
-
-    /// A compact single-line rendering: `count/mean/p50/p99/max`.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "n={} mean={:.1} p50<={} p99<={} max={}",
-            self.count,
-            self.mean(),
-            self.quantile(0.50),
-            self.quantile(0.99),
-            self.max
-        )
-    }
 }
 
 #[cfg(test)]

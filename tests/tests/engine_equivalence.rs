@@ -11,13 +11,13 @@
 
 use jm_asm::{hdr, Builder, Program, Region};
 use jm_isa::instr::{AluOp, MsgPriority};
-use jm_isa::node::NodeId;
+use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::word::Word;
 use jm_isa::{Coord, RouteWord};
 use jm_machine::StartPolicy;
-use jm_machine::{Engine, JMachine, MachineConfig};
+use jm_machine::{Engine, JMachine, MachineConfig, TraceConfig};
 use jm_mdp::MdpConfig;
 use jm_tests::{observe, Observation, ENGINES};
 
@@ -117,6 +117,134 @@ fn fixed_cycle_run_is_engine_exact() {
     }
     for (engine, snap) in ENGINES.iter().zip(&snapshots).skip(1) {
         assert_eq!(&snapshots[0], snap, "fixed run: {engine:?} diverged");
+    }
+}
+
+/// One token walks the id-ordered ring for a lap (one node live at a time);
+/// a host-delivered `storm` then has every node fire a volley of six-word
+/// messages half the machine away (every node and most routers live); then
+/// the mesh drains.
+fn surge_program() -> Program {
+    use jm_runtime::nnr;
+    let mut b = Builder::new();
+    b.data("acc", Region::Imem, vec![Word::int(0)]);
+    b.reserve("next_route", Region::Imem, 1);
+    b.reserve("far_route", Region::Imem, 1);
+    b.label("main");
+    b.mov(R0, Special::Nid);
+    b.addi(R0, R0, 1);
+    b.alu(AluOp::Rem, R0, R0, Special::NNodes);
+    b.call(nnr::NID_TO_ROUTE);
+    b.load_seg(A0, "next_route");
+    b.mov(MemRef::disp(A0, 0), R0);
+    b.mov(R0, Special::NNodes);
+    b.alu(AluOp::Ash, R0, R0, -1);
+    b.alu(AluOp::Add, R0, R0, Special::Nid);
+    b.alu(AluOp::Rem, R0, R0, Special::NNodes);
+    b.call(nnr::NID_TO_ROUTE);
+    b.load_seg(A0, "far_route");
+    b.mov(MemRef::disp(A0, 0), R0);
+    b.mov(R0, Special::Nid);
+    b.bnz(R0, "main_done");
+    b.mov(R1, Special::NNodes);
+    b.load_seg(A1, "next_route");
+    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
+    b.send2e(MsgPriority::P0, hdr("token", 2), R1);
+    b.label("main_done");
+    b.suspend();
+    b.label("token");
+    b.mov(R1, MemRef::disp(A3, 1));
+    b.subi(R1, R1, 1);
+    b.bz(R1, "token_done");
+    b.load_seg(A1, "next_route");
+    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
+    b.send2e(MsgPriority::P0, hdr("token", 2), R1);
+    b.label("token_done");
+    b.suspend();
+    b.label("storm");
+    b.movi(R2, 8);
+    b.load_seg(A1, "far_route");
+    b.label("volley");
+    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
+    b.send2(MsgPriority::P0, hdr("hit", 6), R2);
+    b.send2(MsgPriority::P0, R2, R2);
+    b.send2e(MsgPriority::P0, R2, R2);
+    b.subi(R2, R2, 1);
+    b.bnz(R2, "volley");
+    b.suspend();
+    b.label("hit");
+    b.load_seg(A0, "acc");
+    b.mov(R0, MemRef::disp(A0, 0));
+    b.alu(AluOp::Add, R0, R0, MemRef::disp(A3, 1));
+    b.mov(MemRef::disp(A0, 0), R0);
+    b.suspend();
+    b.entry("main");
+    nnr::install(&mut b);
+    b.assemble().unwrap()
+}
+
+/// The node scheduler and the router scan each walk one live bitset whatever
+/// the occupancy. One run takes both from a single live component to all of
+/// them and back to none — on 64 nodes (one bitset word) and on 16×16×4
+/// (sixteen words; eight per slab under `Parallel(2)`) — and every engine
+/// must agree on the outcome, statistics, memory, and (traced) trace hash.
+#[test]
+fn surge_from_one_live_node_to_all_and_back_is_engine_exact() {
+    for dims in [MeshDims::new(4, 4, 4), MeshDims::new(16, 16, 4)] {
+        let nodes = dims.nodes();
+        let config = MachineConfig::with_dims(dims).start(StartPolicy::AllNodes);
+        let run = |config: MachineConfig| {
+            let mut m = JMachine::new(surge_program(), config);
+            let ring = m.run_until_quiescent(1_000_000).expect("ring quiesces");
+            for id in 0..nodes {
+                m.deliver_message(NodeId(id), MsgPriority::P0, "storm", &[]);
+            }
+            let storm = m.run_until_quiescent(1_000_000).expect("storm drains");
+            let acc = m.program().segment("acc").base;
+            let memory: Vec<i32> = (0..nodes)
+                .map(|id| m.read_word(NodeId(id), acc).as_i32())
+                .collect();
+            let trace = m.take_trace();
+            ((ring, storm, m.stats(), memory), trace)
+        };
+        let (naive, _) = run(config.engine(Engine::Naive));
+        // Eight hits of 8 + 7 + … + 1 on every node.
+        assert!(naive.3.iter().all(|&acc| acc == 36), "{dims:?}: hits lost");
+        for engine in [Engine::Event, Engine::Parallel(2)] {
+            let (other, _) = run(config.engine(engine));
+            assert_eq!(naive, other, "{dims:?}/{engine:?} diverged from naive");
+        }
+        let traced = config.trace(TraceConfig::on().sample_every(4));
+        let (naive_obs, naive_trace) = run(traced.engine(Engine::Naive));
+        let (event_obs, event_trace) = run(traced);
+        assert_eq!(naive, naive_obs, "{dims:?}: tracing changed the naive run");
+        assert_eq!(naive, event_obs, "{dims:?}: tracing changed the event run");
+        // Occupancy samples are taken on stepped cycles only, and only the
+        // event engine skips idle ones: the hash is over the events.
+        let (mut naive_trace, mut event_trace) = (naive_trace.unwrap(), event_trace.unwrap());
+        let samples = std::mem::take(&mut event_trace.samples);
+        naive_trace.samples.clear();
+        assert_eq!(
+            jm_trace::hash(&naive_trace),
+            jm_trace::hash(&event_trace),
+            "{dims:?}: trace hash diverged"
+        );
+        // The run really spans the occupancy range, past where the scans
+        // used to switch structure (down at 1/4 live, up at 5/8): once boot
+        // is over the ring keeps one node and a few routers live, and the
+        // storm has every node busy and most routers holding flits at once.
+        let mut ring = samples.iter().filter(|s| (256..naive.0).contains(&s.cycle));
+        assert!(ring.all(|s| s.busy_nodes <= 1 && s.active_routers * 4 <= nodes));
+        let peak_nodes = samples.iter().map(|s| s.busy_nodes).max().unwrap();
+        let peak_routers = samples.iter().map(|s| s.active_routers).max().unwrap();
+        assert_eq!(
+            peak_nodes, nodes,
+            "{dims:?}: storm never had every node busy"
+        );
+        assert!(
+            peak_routers * 8 >= nodes * 5,
+            "{dims:?}: storm peaked at {peak_routers} of {nodes} active routers"
+        );
     }
 }
 

@@ -1,11 +1,10 @@
-//! Differential tests for the load-dominated hot path: the scheduler's
-//! dense/sparse scan switch and the network's wormhole bulk-advance fast
-//! path are pure performance mechanisms, so every observable — quiescence
+//! Differential tests for the network's wormhole bulk-advance fast path:
+//! it is a pure performance mechanism, so every observable — quiescence
 //! cycle, full machine statistics (including fault counters), final memory,
-//! and the lifecycle trace hash — must be bit-identical whichever mode is
-//! forced and whether or not the bulk path is eligible.
+//! and the lifecycle trace hash — must be bit-identical whether or not the
+//! bulk path is eligible.
 //!
-//! Three workload shapes bracket the mechanisms:
+//! Three workload shapes bracket the mechanism:
 //!
 //! * a single token circulating a ring (idle-dominated) — the network is
 //!   empty at every send, so the bulk path engages on every hop;
@@ -20,7 +19,6 @@
 use jm_asm::Program;
 use jm_bench::workloads::ring_program;
 use jm_machine::{Engine, FaultSpec, FaultWindow, JMachine, MachineConfig, StartPolicy};
-use jm_net::ScanPolicy;
 use jm_tests::Observation;
 
 /// Runs `program` under `config` and records every observable.
@@ -30,32 +28,6 @@ fn observe(program: Program, config: MachineConfig, max_cycles: u64) -> Observat
 
 fn base_config(nodes: u32) -> MachineConfig {
     MachineConfig::new(nodes).start(StartPolicy::AllNodes)
-}
-
-/// The scan-mode switch (event-driven active-set vs dense full-scan) is a
-/// scheduling strategy, not a semantic: forcing either extreme must
-/// reproduce the adaptive run and the naive reference bit for bit, on the
-/// serial event engine and on real sharded workers.
-#[test]
-fn sched_modes_bit_identical() {
-    let nodes = 64; // single 64-node shard: over the dense-mode floor
-    let max = 1_000_000;
-    let baseline = observe(ring_program(2, true), base_config(nodes), max);
-    let variants: &[(Engine, ScanPolicy)] = &[
-        (Engine::Naive, ScanPolicy::ForcedDense),
-        (Engine::Event, ScanPolicy::Auto),
-        (Engine::Event, ScanPolicy::ForcedSparse),
-        (Engine::Event, ScanPolicy::ForcedDense),
-        (Engine::Parallel(2), ScanPolicy::Auto),
-        (Engine::Parallel(2), ScanPolicy::ForcedDense),
-        (Engine::Parallel(4), ScanPolicy::ForcedSparse),
-    ];
-    for &(engine, scan) in variants {
-        let mut config = base_config(nodes).engine(engine);
-        config.tuning.scan = scan;
-        let got = observe(ring_program(2, true), config, max);
-        assert_eq!(baseline, got, "{engine:?}/{scan:?} diverged from baseline");
-    }
 }
 
 /// One token, empty network at every send: the bulk fast path engages on
