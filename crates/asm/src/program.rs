@@ -165,7 +165,12 @@ impl Program {
             if block.base < VECTOR_COUNT {
                 return Err(format!("data block `{}` overlaps the vectors", block.name));
             }
-            if block.base + block.len > MEM_WORDS {
+            // Checked: an image read from a file can hold any two numbers.
+            if block
+                .base
+                .checked_add(block.len)
+                .is_none_or(|end| end > MEM_WORDS)
+            {
                 return Err(format!(
                     "data block `{}` exceeds node memory ({} words)",
                     block.name, MEM_WORDS

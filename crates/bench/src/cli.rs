@@ -446,7 +446,7 @@ pub fn main(argv: &[&str]) -> ExitCode {
     let outcome = parse(argv).and_then(|(cmd, args)| {
         // When JM_REPLAY_CAPTURE is set, every machine this process builds
         // records a replay log, so a CI failure ships a reproducer
-        // (DESIGN.md §4.11).
+        // (DESIGN.md §4.8).
         if jm_machine::capture_replay_from_env() {
             println!("jmsim: replay capture armed (JM_REPLAY_CAPTURE)");
         }

@@ -1,5 +1,7 @@
-//! `jmsim perf`: host-side simulation throughput (simulated cycles per
-//! second of wall clock) of the engines, written to `BENCH_engine.json`.
+//! `jmsim perf`: host-side simulation throughput of the engines *relative
+//! to each other*, written to `BENCH_engine.json` as ratios (cycles per
+//! second of wall clock go to stdout only; absolute host time is jmbench's
+//! instrument, `benchmark/`).
 //! It only measures — every floor and ceiling on these numbers is an
 //! argument of `jmsim gate` in CI — but every pair of runs it times is also
 //! asserted bit-identical, so the measurement doubles as a differential
@@ -28,16 +30,9 @@ use std::process::ExitCode;
 const NODES: u32 = 64;
 const RING_MAX_CYCLES: u64 = 500_000_000;
 
-/// One timed run.
-struct Measurement {
-    wall_secs: f64,
-    cycles: u64,
-}
-
-impl Measurement {
-    fn cycles_per_sec(&self) -> f64 {
-        self.cycles as f64 / self.wall_secs.max(1e-9)
-    }
+/// Simulated cycles per second of wall clock.
+fn rate(cycles: u64, wall_secs: f64) -> f64 {
+    cycles as f64 / wall_secs.max(1e-9)
 }
 
 fn config(engine: Engine) -> MachineConfig {
@@ -46,21 +41,19 @@ fn config(engine: Engine) -> MachineConfig {
         .engine(engine)
 }
 
-/// Runs the ring to quiescence under `config`; with tracing on, also
-/// returns the trace hash.
-fn run_ring(rounds: i32, config: MachineConfig) -> (Measurement, Option<u64>) {
+/// Runs the ring to quiescence under `config`: wall seconds, the
+/// quiescence cycle and, with tracing on, the trace hash.
+fn run_ring(rounds: i32, config: MachineConfig) -> (f64, u64, Option<u64>) {
     let mut m = JMachine::new(ring_program(rounds, false), config);
     let (wall, cycles) = time_once(|| m.run_until_quiescent(RING_MAX_CYCLES));
-    let measurement = Measurement {
-        wall_secs: wall.as_secs_f64(),
-        cycles: cycles.expect("the ring quiesces"),
-    };
-    (measurement, m.take_trace().map(|t| jm_trace::hash(&t)))
+    let cycles = cycles.expect("the ring quiesces");
+    let hash = m.take_trace().map(|t| jm_trace::hash(&t));
+    (wall.as_secs_f64(), cycles, hash)
 }
 
 /// Steps the exchange loop for `cycles` cycles under `engine`, with replay
-/// capture armed if `captured`.
-fn run_exchange(engine: Engine, cycles: u64, captured: bool) -> Measurement {
+/// capture armed if `captured`; returns the wall seconds.
+fn run_exchange(engine: Engine, cycles: u64, captured: bool) -> f64 {
     let mut m = JMachine::new(exchange_program(), config(engine));
     if captured {
         m.record_replay(jm_replay::DEFAULT_INTERVAL);
@@ -74,42 +67,28 @@ fn run_exchange(engine: Engine, cycles: u64, captured: bool) -> Measurement {
             "capture must not change the run length"
         );
     }
-    Measurement {
-        wall_secs: wall.as_secs_f64(),
-        cycles,
-    }
+    wall.as_secs_f64()
 }
 
-/// Rows (and a stdout line) for `new` measured against `base` on one
-/// workload; the `speedup` row is new over base throughput.
-fn pair_rows(
+/// The two rows of one workload — its length and `new`'s speed as a
+/// multiple of `base`'s over those same cycles — and a stdout line. Host
+/// time enters the file only as that ratio: absolute host speed is
+/// jmbench's to measure (`benchmark/`).
+fn speedup_rows(
     out: &mut Vec<Row>,
     cpus: usize,
     name: &str,
-    (base_label, base): (&str, &Measurement),
-    (new_label, new): (&str, &Measurement),
+    cycles: u64,
+    (base_label, base_secs): (&str, f64),
+    (new_label, new_secs): (&str, f64),
 ) {
-    let speedup = new.cycles_per_sec() / base.cycles_per_sec();
-    out.push(Row::host(name, "cycles", new.cycles as f64, "cycles", cpus));
-    for (label, m) in [(base_label, base), (new_label, new)] {
-        let (wall, cps) = (
-            format!("{label}_wall_secs"),
-            format!("{label}_cycles_per_sec"),
-        );
-        out.push(Row::host(name, &wall, m.wall_secs, "s", cpus));
-        out.push(Row::host(
-            name,
-            &cps,
-            m.cycles_per_sec().round(),
-            "cycles/s",
-            cpus,
-        ));
-    }
+    let speedup = base_secs / new_secs.max(1e-9);
+    out.push(Row::host(name, "cycles", cycles as f64, "cycles", cpus));
     out.push(Row::host(name, "speedup", speedup, "x", cpus));
     println!(
         "{name:<26} {base_label} {:>12.0} cyc/s   {new_label} {:>12.0} cyc/s   speedup {speedup:.2}x",
-        base.cycles_per_sec(),
-        new.cycles_per_sec(),
+        rate(cycles, base_secs),
+        rate(cycles, new_secs),
     );
 }
 
@@ -134,77 +113,71 @@ pub(crate) fn run(args: &Args) -> Outcome {
     let mut out = Vec::new();
 
     // Idle-dominated: one busy node, 63 parked.
-    let (ring_naive, _) = run_ring(ring_rounds, config(Engine::Naive));
-    let (ring_event, _) = run_ring(ring_rounds, config(Engine::Event));
+    let (ring_naive, ring_cycles, _) = run_ring(ring_rounds, config(Engine::Naive));
+    let (ring_event, event_cycles, _) = run_ring(ring_rounds, config(Engine::Event));
     assert_eq!(
-        ring_naive.cycles, ring_event.cycles,
+        ring_cycles, event_cycles,
         "engines must quiesce at the same cycle"
     );
-    pair_rows(
+    speedup_rows(
         &mut out,
         host_cpus,
         "ring64_idle_dominated",
-        ("naive", &ring_naive),
-        ("event", &ring_event),
+        ring_cycles,
+        ("naive", ring_naive),
+        ("event", ring_event),
     );
 
     // Load-dominated: every node busy every cycle.
     let exch_naive = run_exchange(Engine::Naive, exch_cycles, false);
     let exch_event = run_exchange(Engine::Event, exch_cycles, false);
-    pair_rows(
+    speedup_rows(
         &mut out,
         host_cpus,
         "exchange64_load_dominated",
-        ("naive", &exch_naive),
-        ("event", &exch_event),
+        exch_cycles,
+        ("naive", exch_naive),
+        ("event", exch_event),
     );
 
     // Same workload with replay capture armed: the recording hook is a
     // single pointer test per host op plus one state hash per checkpoint
     // interval.
     let exch_captured = run_exchange(Engine::Event, exch_cycles, true);
-    pair_rows(
+    speedup_rows(
         &mut out,
         host_cpus,
         "exchange64_replay_capture",
-        ("uncaptured", &exch_event),
-        ("captured", &exch_captured),
+        exch_cycles,
+        ("uncaptured", exch_event),
+        ("captured", exch_captured),
     );
 
     if args.switch("--trace") {
         // Both sides of the ratio are millisecond-scale runs, so one pair
         // is mostly scheduler noise: take the best of several, interleaved
         // so host drift hits both.
-        let mut untraced = ring_event.cycles_per_sec();
-        let (mut traced, trace_hash) = run_ring(ring_rounds, config(Engine::Event).traced());
-        for _ in 0..6 {
-            let (plain, _) = run_ring(ring_rounds, config(Engine::Event));
-            untraced = untraced.max(plain.cycles_per_sec());
-            let (again, hash) = run_ring(ring_rounds, config(Engine::Event).traced());
-            assert_eq!(hash, trace_hash, "trace hash must repeat");
-            if again.cycles_per_sec() > traced.cycles_per_sec() {
-                traced = again;
-            }
-        }
+        let mut untraced = ring_event;
+        let (mut traced, cycles, trace_hash) =
+            run_ring(ring_rounds, config(Engine::Event).traced());
         assert_eq!(
-            traced.cycles, ring_event.cycles,
+            cycles, ring_cycles,
             "tracing must not change the quiescence cycle"
         );
-        let overhead = untraced / traced.cycles_per_sec() - 1.0;
+        for _ in 0..6 {
+            let (plain, _, _) = run_ring(ring_rounds, config(Engine::Event));
+            untraced = untraced.min(plain);
+            let (again, _, hash) = run_ring(ring_rounds, config(Engine::Event).traced());
+            assert_eq!(hash, trace_hash, "trace hash must repeat");
+            traced = traced.min(again);
+        }
+        let overhead = traced / untraced.max(1e-9) - 1.0;
         println!(
             "ring64_traced              event {:>12.0} cyc/s   tracing overhead {:.0}%   trace hash {:016x}",
-            traced.cycles_per_sec(),
+            rate(ring_cycles, traced),
             overhead * 100.0,
             trace_hash.expect("tracing was enabled"),
         );
-        let cps = traced.cycles_per_sec().round();
-        out.push(Row::host(
-            "ring64_traced",
-            "cycles_per_sec",
-            cps,
-            "cycles/s",
-            host_cpus,
-        ));
         out.push(Row::host(
             "ring64_traced",
             "overhead_vs_untraced",

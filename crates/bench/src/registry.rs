@@ -403,7 +403,7 @@ pub(crate) fn repro(args: &Args) -> Outcome {
     );
     report.section(
         "Robustness — fault-injection degradation",
-        "Seeded `jm-fault` plans (see DESIGN.md §4.8): flaky links are\n\
+        "Seeded `jm-fault` plans (see DESIGN.md §4.7): flaky links are\n\
          lossless backpressure, so applications stay exact while\n\
          time-to-solution stretches; corrupted messages are dropped whole\n\
          at dispatch and recovered by the reliable-RPC retry layer. Also\n\
@@ -413,7 +413,7 @@ pub(crate) fn repro(args: &Args) -> Outcome {
     );
     report.section(
         "Traffic — saturation-throughput curves",
-        "Seeded `jm-traffic` Bernoulli injection (see DESIGN.md §4.12):\n\
+        "Seeded `jm-traffic` Bernoulli injection (see DESIGN.md §4.9):\n\
          every pattern is swept over an offered-load ladder with a\n\
          warmup/measure/drain protocol; the knee is the highest load the\n\
          network accepts nearly in full. Also emitted as\n\

@@ -25,8 +25,6 @@ pub struct ThreadPoint {
     pub label: String,
     /// Worker threads requested (0 = the sequential event engine).
     pub threads: u32,
-    /// Wall-clock seconds for the fixed-cycle run.
-    pub wall_secs: f64,
     /// Simulated cycles per second of wall clock.
     pub cycles_per_sec: f64,
 }
@@ -92,7 +90,6 @@ pub fn sweep(nodes: u32, cycles: u64, threads: &[u32]) -> ThreadSweep {
         points.push(ThreadPoint {
             label,
             threads: t,
-            wall_secs,
             cycles_per_sec: cycles as f64 / wall_secs.max(1e-9),
         });
     }
@@ -131,9 +128,10 @@ pub fn render(sweep: &ThreadSweep) -> String {
     out
 }
 
-/// The sweep as `threads/<label>` rows for `BENCH_engine.json`. Each point
-/// carries its thread count, so a reader decides "oversubscribed" from the
-/// row itself (`threads` > `host_cpus`).
+/// The sweep as `threads/<label>` rows for `BENCH_engine.json`: host time
+/// only as the ratio to the event engine. Each point carries its thread
+/// count, so a reader decides "oversubscribed" from the row itself
+/// (`threads` > `host_cpus`).
 pub fn rows(sweep: &ThreadSweep) -> Vec<Row> {
     let base = sweep.points[0].cycles_per_sec;
     let mut rows = Vec::new();
@@ -144,8 +142,6 @@ pub fn rows(sweep: &ThreadSweep) -> Vec<Row> {
         };
         push("threads", f64::from(p.threads), "threads");
         push("cycles", sweep.cycles as f64, "cycles");
-        push("wall_secs", p.wall_secs, "s");
-        push("cycles_per_sec", p.cycles_per_sec.round(), "cycles/s");
         push("vs_event", p.cycles_per_sec / base, "x");
     }
     rows

@@ -13,6 +13,7 @@
 //! the cycle-exactness argument.
 
 use crate::config::{Engine, MachineConfig, StartPolicy};
+use crate::parallel::{pump_node, ShardPort};
 use crate::stats::MachineStats;
 use jm_asm::Program;
 use jm_fault::{checksum_words, FaultPlan};
@@ -21,8 +22,9 @@ use jm_isa::instr::{MsgPriority, StatClass};
 use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::word::{MsgHeader, Word};
 use jm_isa::TraceId;
-use jm_mdp::{InjectAck, MdpNode, NetPort, NodeError};
-use jm_net::{BitSet, InjectResult, Network};
+use jm_mdp::{MdpNode, NodeError};
+use jm_net::{BitSet, Network};
+use jm_replay::HostOp;
 use jm_trace::{MachineTrace, SamplePoint};
 use jm_traffic::TrafficPlan;
 use std::fmt;
@@ -91,23 +93,6 @@ impl fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
-/// Adapter giving one node's `SEND` instructions access to its injection
-/// port.
-struct Port<'a> {
-    net: &'a mut Network,
-    node: NodeId,
-}
-
-impl NetPort for Port<'_> {
-    fn commit(&mut self, priority: MsgPriority, words: &[Word]) -> InjectAck {
-        match self.net.commit_msg(self.node, priority, words) {
-            InjectResult::Accepted => InjectAck::Accepted,
-            InjectResult::Stall => InjectAck::Stall,
-            InjectResult::BadRoute => InjectAck::Rejected,
-        }
-    }
-}
-
 /// Sentinel in `wake_at`: the node is parked (not in the live set).
 pub(crate) const PARKED: u64 = u64::MAX;
 /// Sentinel in `idle_since`: the node is not parked idle.
@@ -128,19 +113,17 @@ pub(crate) const NOT_IDLE: u64 = u64::MAX;
 /// * `idle_since[l] != NOT_IDLE` iff the node is parked after an idle tick;
 ///   cycles `idle_since[l]..` are idle cycles the node has not yet been
 ///   credited for (repaid on wake-up, or virtually by [`JMachine::stats`]);
-/// * `has_work[l]` mirrors `nodes[l].has_work()` and `work_count` counts
-///   the `true` entries, making quiescence O(shards);
-/// * `errored[l]`/`error_count` latch nodes that stopped with an error.
+/// * `has_work` holds `l` iff `nodes[l].has_work()`, and `errored` latches
+///   the nodes that stopped with an error; each set maintains its own
+///   count, which makes quiescence and the error check O(shards).
 pub(crate) struct EventSched {
     /// First global node id this scheduler covers.
     base: usize,
     pub(crate) wake_at: Vec<u64>,
     pub(crate) live: BitSet,
     pub(crate) idle_since: Vec<u64>,
-    has_work: Vec<bool>,
-    pub(crate) work_count: usize,
-    errored: Vec<bool>,
-    pub(crate) error_count: usize,
+    pub(crate) has_work: BitSet,
+    pub(crate) errored: BitSet,
     /// Scratch for the pump's snapshot of nodes with pending deliveries.
     pub(crate) pump_scratch: Vec<u32>,
 }
@@ -151,11 +134,13 @@ impl EventSched {
     /// `nodes` is the covered slice (ids `base .. base + nodes.len()`).
     fn new(nodes: &[MdpNode], base: usize) -> EventSched {
         let n = nodes.len();
-        let has_work: Vec<bool> = nodes.iter().map(MdpNode::has_work).collect();
-        let work_count = has_work.iter().filter(|&&w| w).count();
         let mut live = BitSet::new(n);
-        for l in 0..n {
+        let mut has_work = BitSet::new(n);
+        for (l, node) in nodes.iter().enumerate() {
             live.insert(l);
+            if node.has_work() {
+                has_work.insert(l);
+            }
         }
         EventSched {
             base,
@@ -163,9 +148,7 @@ impl EventSched {
             live,
             idle_since: vec![NOT_IDLE; n],
             has_work,
-            work_count,
-            errored: vec![false; n],
-            error_count: 0,
+            errored: BitSet::new(n),
             pump_scratch: Vec::new(),
         }
     }
@@ -203,23 +186,16 @@ impl EventSched {
     /// Updates the cached `has_work` bit for (global) node `i`.
     pub(crate) fn set_work(&mut self, i: usize, work: bool) {
         let l = i - self.base;
-        if self.has_work[l] != work {
-            self.has_work[l] = work;
-            if work {
-                self.work_count += 1;
-            } else {
-                self.work_count -= 1;
-            }
+        if work {
+            self.has_work.insert(l);
+        } else {
+            self.has_work.remove(l);
         }
     }
 
     /// Latches a node error (once).
     pub(crate) fn record_error(&mut self, i: usize) {
-        let l = i - self.base;
-        if !self.errored[l] {
-            self.errored[l] = true;
-            self.error_count += 1;
-        }
+        self.errored.insert(i - self.base);
     }
 
     /// Earliest scheduled wake-up, `u64::MAX` when every node is parked.
@@ -433,14 +409,8 @@ impl JMachine {
     ///
     /// Panics if the label is not a code symbol.
     pub fn install_vector_all(&mut self, kind: FaultKind, handler: &str) {
-        let ip = self.program.handler(handler);
-        self.record_op(jm_replay::HostOp::InstallVectorAll {
-            kind: kind.vector() as u8,
-            ip,
-        });
-        for node in &mut self.nodes {
-            node.install_vector(kind, ip);
-        }
+        let (kind, ip) = (kind.vector() as u8, self.program.handler(handler));
+        self.host_op(HostOp::InstallVectorAll { kind, ip });
     }
 
     /// Installs a fault vector on one node, resolving `handler` through the
@@ -452,13 +422,9 @@ impl JMachine {
     ///
     /// Panics if the label is not a code symbol or `node` is out of range.
     pub fn install_vector(&mut self, node: NodeId, kind: FaultKind, handler: &str) {
-        let ip = self.program.handler(handler);
-        self.record_op(jm_replay::HostOp::InstallVector {
-            node: node.0,
-            kind: kind.vector() as u8,
-            ip,
-        });
-        self.nodes[node.index()].install_vector(kind, ip);
+        let (kind, ip) = (kind.vector() as u8, self.program.handler(handler));
+        let node = node.0;
+        self.host_op(HostOp::InstallVector { node, kind, ip });
     }
 
     /// Host interface: delivers a message directly into a node's queue
@@ -484,35 +450,11 @@ impl JMachine {
         if self.config.mdp.checksum_msgs {
             words.push(checksum_words(&words));
         }
-        if self.recorder.is_some() {
-            self.record_op(jm_replay::HostOp::Deliver {
-                node: node.0,
-                priority: priority.index() as u8,
-                words: words.clone(),
-            });
-        }
-        self.deliver_words(node, priority, &words);
-    }
-
-    /// Streams pre-built message words into a node's queue — the shared
-    /// tail of [`Self::deliver_message`] and of replay application (the log
-    /// stores the delivered words, header and trailer included, so replay
-    /// does not re-resolve symbols or recompute checksums).
-    pub(crate) fn deliver_words(&mut self, node: NodeId, priority: MsgPriority, words: &[Word]) {
-        let cycle = self.cycle;
-        let target = &mut self.nodes[node.index()];
-        // Host deliveries bypass the network and carry no trace id.
-        for &w in words {
-            assert!(
-                target.deliver_traced(priority, w, TraceId::NONE, cycle),
-                "host delivery overflow"
-            );
-        }
-        if self.config.engine != Engine::Naive {
-            let shard = self.net.shard_of_node(node);
-            self.scheds[shard].wake(target, cycle);
-            self.scheds[shard].set_work(node.index(), target.has_work());
-        }
+        self.host_op(HostOp::Deliver {
+            node: node.0,
+            priority: priority.index() as u8,
+            words,
+        });
     }
 
     /// Host interface: reads a word of node memory.
@@ -522,12 +464,62 @@ impl JMachine {
 
     /// Host interface: writes a word of node memory.
     pub fn write_word(&mut self, node: NodeId, addr: u32, word: Word) {
-        self.record_op(jm_replay::HostOp::WriteWord {
-            node: node.0,
-            addr,
-            word,
-        });
-        self.nodes[node.index()].write_mem(addr, word);
+        let node = node.0;
+        self.host_op(HostOp::WriteWord { node, addr, word });
+    }
+
+    /// One host-boundary input: applied, and logged at the current cycle if
+    /// a replay capture is on.
+    fn host_op(&mut self, op: HostOp) {
+        self.apply_op(&op);
+        let cycle = self.cycle;
+        if let Some(recorder) = &mut self.recorder {
+            recorder.records.push(jm_replay::Record::Op { cycle, op });
+        }
+    }
+
+    /// What a host op does to the machine: the one body behind the host
+    /// interface above and behind replay, which applies logged ops without
+    /// re-resolving symbols or recomputing checksums (a log stores resolved
+    /// addresses and the delivered words, header and trailer included).
+    /// Discriminants and node ids of a *logged* op were range-checked by
+    /// `ReplayLog::from_bytes`.
+    pub(crate) fn apply_op(&mut self, op: &HostOp) {
+        let kind = |bits: u8| FaultKind::ALL[usize::from(bits)];
+        match *op {
+            HostOp::InstallVectorAll { kind: k, ip } => {
+                for node in &mut self.nodes {
+                    node.install_vector(kind(k), ip);
+                }
+            }
+            HostOp::InstallVector { node, kind: k, ip } => {
+                self.nodes[node as usize].install_vector(kind(k), ip);
+            }
+            HostOp::WriteWord { node, addr, word } => {
+                self.nodes[node as usize].write_mem(addr, word);
+            }
+            HostOp::Deliver {
+                node,
+                priority,
+                ref words,
+            } => {
+                let cycle = self.cycle;
+                let priority = MsgPriority::ALL[usize::from(priority)];
+                let target = &mut self.nodes[node as usize];
+                // Host deliveries bypass the network and carry no trace id.
+                for &w in words {
+                    assert!(
+                        target.deliver_traced(priority, w, TraceId::NONE, cycle),
+                        "host delivery overflow"
+                    );
+                }
+                if self.config.engine != Engine::Naive {
+                    let shard = self.net.shard_of_node(NodeId(node));
+                    self.scheds[shard].wake(target, cycle);
+                    self.scheds[shard].set_work(node as usize, target.has_work());
+                }
+            }
+        }
     }
 
     /// Host interface: reads a whole named data block from one node.
@@ -578,29 +570,25 @@ impl JMachine {
         });
     }
 
-    /// Reference engine: pump, tick, and scan everything, every cycle.
+    /// Reference engine: pump, tick, and scan everything, every cycle. What
+    /// pumping and sending *are* is the engines' shared code
+    /// ([`pump_node`], [`ShardPort`]); which nodes get pumped and ticked is
+    /// this engine's own answer — all of them.
     fn step_naive(&mut self) {
         let now = self.cycle;
-        // 1. Pump ejection FIFOs into message queues (hardware path,
-        //    rate-limited upstream by the 0.5 words/cycle eject channel).
+        let (shards, _) = self.net.shard_parts();
+        let [shard] = shards else {
+            unreachable!("the naive engine runs the mesh as one shard");
+        };
+        // 1. Pump ejection FIFOs into message queues.
         for node in &mut self.nodes {
-            let id = node.id();
-            for priority in MsgPriority::ALL {
-                while let Some((word, trace)) = self.net.delivered_front_traced(id, priority) {
-                    if node.deliver_traced(priority, word, trace, now) {
-                        self.net.pop_delivered(id, priority);
-                    } else {
-                        break; // queue full: backpressure
-                    }
-                }
-            }
+            pump_node(shard, node, now);
         }
         // 2. Execute.
         for node in &mut self.nodes {
-            let id = node.id();
-            let mut port = Port {
-                net: &mut self.net,
-                node: id,
+            let mut port = ShardPort {
+                shard,
+                node: node.id(),
             };
             node.tick(now, &mut port);
         }
@@ -666,9 +654,8 @@ impl JMachine {
     /// clock. Only called with more than one shard.
     fn drive_parallel(&mut self, mode: crate::parallel::Mode) {
         let start = self.cycle;
-        let threads = match self.config.engine {
-            Engine::Parallel(t) => t.max(1) as usize,
-            Engine::Event | Engine::Naive => unreachable!("drive_parallel without Parallel"),
+        let Engine::Parallel(threads) = self.config.engine else {
+            unreachable!("drive_parallel without Parallel");
         };
         // Auto quantum: long enough that boundary coordination is noise
         // against Q cycles of slab work, short enough that error stops and
@@ -681,19 +668,14 @@ impl JMachine {
         let ctl = crate::parallel::QuantumCtl::new(shards.len(), mode, quantum, start);
         let mut slots = Vec::with_capacity(shards.len());
         let mut nodes_rest: &mut [MdpNode] = &mut self.nodes;
-        let mut scheds_rest: &mut [EventSched] = &mut self.scheds;
-        for shard in shards.iter_mut() {
+        for (shard, sched) in shards.iter_mut().zip(&mut self.scheds) {
             let (nodes, rest) = std::mem::take(&mut nodes_rest).split_at_mut(shard.len());
             nodes_rest = rest;
-            let (sched, rest) = std::mem::take(&mut scheds_rest)
-                .split_first_mut()
-                .expect("one scheduler per shard");
-            scheds_rest = rest;
             slots.push(std::sync::Mutex::new(crate::parallel::ShardSlot::new(
                 shard, sched, nodes,
             )));
         }
-        let workers = threads.min(slots.len());
+        let workers = (threads as usize).clamp(1, slots.len());
         std::thread::scope(|scope| {
             let ctl = &ctl;
             let slots = &slots;
@@ -730,7 +712,7 @@ impl JMachine {
         match self.config.engine {
             Engine::Naive => self.net.is_idle() && self.nodes.iter().all(|n| !n.has_work()),
             Engine::Event | Engine::Parallel(_) => {
-                self.scheds.iter().all(|s| s.work_count == 0) && self.net.is_idle()
+                self.scheds.iter().all(|s| s.has_work.is_empty()) && self.net.is_idle()
             }
         }
     }
@@ -747,7 +729,9 @@ impl JMachine {
     fn any_node_error(&self) -> bool {
         match self.config.engine {
             Engine::Naive => self.nodes.iter().any(|n| n.error().is_some()),
-            Engine::Event | Engine::Parallel(_) => self.scheds.iter().any(|s| s.error_count > 0),
+            Engine::Event | Engine::Parallel(_) => {
+                self.scheds.iter().any(|s| !s.errored.is_empty())
+            }
         }
     }
 
@@ -756,7 +740,7 @@ impl JMachine {
         match self.config.engine {
             Engine::Naive => self.nodes.iter().filter(|n| n.has_work()).count() as u32,
             Engine::Event | Engine::Parallel(_) => {
-                self.scheds.iter().map(|s| s.work_count as u32).sum()
+                self.scheds.iter().map(|s| s.has_work.count() as u32).sum()
             }
         }
     }

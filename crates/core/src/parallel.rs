@@ -71,10 +71,10 @@ use std::sync::atomic::{
 use std::sync::Mutex;
 
 /// Adapter giving one node's `SEND` instructions access to its shard's
-/// injection port (the shard-local sibling of the machine-level `Port`).
-struct ShardPort<'a> {
-    shard: &'a mut NetShard,
-    node: NodeId,
+/// injection port — the one [`NetPort`] every engine ticks nodes through.
+pub(crate) struct ShardPort<'a> {
+    pub(crate) shard: &'a mut NetShard,
+    pub(crate) node: NodeId,
 }
 
 impl NetPort for ShardPort<'_> {
@@ -85,6 +85,26 @@ impl NetPort for ShardPort<'_> {
             InjectResult::BadRoute => InjectAck::Rejected,
         }
     }
+}
+
+/// Pumps one node's ejection FIFOs into its message queues, both
+/// priorities, until a FIFO runs dry or a queue refuses a word (the word
+/// then stays in the network: backpressure). This is the hardware delivery
+/// path, rate-limited upstream by the 0.5 words/cycle eject channel.
+/// Returns whether any word moved.
+pub(crate) fn pump_node(shard: &mut NetShard, node: &mut MdpNode, now: u64) -> bool {
+    let id = node.id();
+    let mut delivered = false;
+    for priority in MsgPriority::ALL {
+        while let Some((word, trace)) = shard.delivered_front_traced(id, priority) {
+            if !node.deliver_traced(priority, word, trace, now) {
+                break;
+            }
+            shard.pop_delivered(id, priority);
+            delivered = true;
+        }
+    }
+    delivered
 }
 
 /// Phase 1 for one shard: pump deliveries, tick due nodes, step routers.
@@ -108,22 +128,10 @@ pub(crate) fn shard_cycle(
     pending.clear();
     pending.extend(shard.pending_nodes().map(|id| id.0));
     for &n in &pending {
-        let id = NodeId(n);
-        let node = &mut nodes[id.index() - base];
-        let mut delivered = false;
-        for priority in MsgPriority::ALL {
-            while let Some((word, trace)) = shard.delivered_front_traced(id, priority) {
-                if node.deliver_traced(priority, word, trace, now) {
-                    shard.pop_delivered(id, priority);
-                    delivered = true;
-                } else {
-                    break; // queue full: backpressure
-                }
-            }
-        }
-        if delivered {
+        let node = &mut nodes[n as usize - base];
+        if pump_node(shard, node, now) {
             sched.wake(node, now);
-            sched.set_work(id.index(), node.has_work());
+            sched.set_work(n as usize, node.has_work());
         }
     }
     sched.pump_scratch = pending;
@@ -139,7 +147,22 @@ pub(crate) fn shard_cycle(
                 continue;
             }
             sched.park(l);
-            tick_node(now, shard, sched, nodes, base, base + l);
+            // The tick's outcome decides whether the node is filed again.
+            let node = &mut nodes[l];
+            let mut port = ShardPort {
+                shard,
+                node: node.id(),
+            };
+            match node.tick(now, &mut port) {
+                TickOutcome::Busy { until } => sched.schedule(base + l, until.max(now + 1)),
+                TickOutcome::Idle => sched.idle_since[l] = now + 1,
+                TickOutcome::Stopped => {
+                    if node.error().is_some() {
+                        sched.record_error(base + l);
+                    }
+                }
+            }
+            sched.set_work(base + l, node.has_work());
         }
     }
     // The naive full scan's answer: nothing due is left, and the live set
@@ -152,35 +175,6 @@ pub(crate) fn shard_cycle(
     );
     // 3. Move this shard's routers (O(1) when no flits are buffered).
     shard.step_cycle(below, above);
-}
-
-/// Ticks one due node (already removed from the live set) and re-files it
-/// according to the outcome.
-#[inline]
-fn tick_node(
-    now: u64,
-    shard: &mut NetShard,
-    sched: &mut EventSched,
-    nodes: &mut [MdpNode],
-    base: usize,
-    i: usize,
-) {
-    let l = i - base;
-    let node = &mut nodes[l];
-    let mut port = ShardPort {
-        shard,
-        node: node.id(),
-    };
-    match node.tick(now, &mut port) {
-        TickOutcome::Busy { until } => sched.schedule(i, until.max(now + 1)),
-        TickOutcome::Idle => sched.idle_since[l] = now + 1,
-        TickOutcome::Stopped => {
-            if node.error().is_some() {
-                sched.record_error(i);
-            }
-        }
-    }
-    sched.set_work(i, nodes[l].has_work());
 }
 
 /// Escalating wait for task-starved workers: a short spin burst (the gap is
@@ -299,7 +293,7 @@ pub(crate) struct ShardSlot<'a> {
     pub(crate) shard: &'a mut NetShard,
     pub(crate) sched: &'a mut EventSched,
     pub(crate) nodes: &'a mut [MdpNode],
-    /// First cycle of the current quiet run (work_count == 0 and network
+    /// First cycle of the current quiet run (no node with work and network
     /// idle after that cycle's exchange), [`NOT_QUIET`] otherwise.
     /// Quiescence is absorbing (nothing can wake a workless idle mesh), so
     /// this only moves forward or resets on activity.
@@ -425,7 +419,7 @@ impl QuantumCtl {
                 // A shard whose traffic window still lies ahead is not
                 // quiet: quiescence must wait for the generator to finish
                 // (mirrors `JMachine::is_quiescent`).
-                let quiet = slot.sched.work_count == 0
+                let quiet = slot.sched.has_work.is_empty()
                     && slot.shard.is_idle()
                     && slot.shard.traffic_wake() == u64::MAX;
                 if quiet {
@@ -440,8 +434,8 @@ impl QuantumCtl {
                     // the decide section (sequenced before the `Release`
                     // below).
                     let st = &self.status[k];
-                    st.work.store(slot.sched.work_count, Relaxed);
-                    st.errors.store(slot.sched.error_count, Relaxed);
+                    st.work.store(slot.sched.has_work.count(), Relaxed);
+                    st.errors.store(slot.sched.errored.count(), Relaxed);
                     st.net_idle.store(slot.shard.is_idle(), Relaxed);
                     // The traffic window's next active cycle caps the
                     // idle-skip target exactly like a scheduled node
@@ -452,7 +446,7 @@ impl QuantumCtl {
                     );
                     st.quiet_since.store(slot.quiet_since, Relaxed);
                     st.activity.store(
-                        slot.shard.in_flight() + slot.sched.work_count as u64,
+                        slot.shard.in_flight() + slot.sched.has_work.count() as u64,
                         Relaxed,
                     );
                 }
@@ -577,16 +571,9 @@ impl QuantumCtl {
         if idle {
             // Network idle everywhere but nodes still scheduled: mirror the
             // sequential fast-forward. (Stepping the idle cycles up to here
-            // was equally a no-op, so skipping from `b` is exact.)
+            // was equally a no-op, so skipping from `b` is exact.) A skip
+            // that reaches the deadline is stopped by the next decide.
             let t = wake.min(deadline);
-            if t >= deadline {
-                for slot in slots {
-                    let mut slot = slot.lock().expect("slab mutex poisoned");
-                    slot.shard.skip_to(deadline);
-                }
-                self.stop(deadline);
-                return;
-            }
             if t > b {
                 for (k, slot) in slots.iter().enumerate() {
                     let mut slot = slot.lock().expect("slab mutex poisoned");

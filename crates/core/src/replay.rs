@@ -33,8 +33,6 @@
 
 use crate::config::{Engine, HostTuning, MachineConfig, StartPolicy};
 use crate::machine::JMachine;
-use jm_isa::consts::FaultKind;
-use jm_isa::instr::MsgPriority;
 use jm_isa::node::NodeId;
 use jm_isa::word::Word;
 use jm_replay::{ComponentHash, HostOp, Record, RecordedConfig, ReplayLog};
@@ -165,20 +163,6 @@ impl JMachine {
             program: self.program().clone(),
             records,
         })
-    }
-
-    /// Records one host-boundary op at the current cycle (no-op unless
-    /// capturing).
-    pub(crate) fn record_op(&mut self, op: HostOp) {
-        if self.recorder.is_none() {
-            return;
-        }
-        let cycle = self.cycle();
-        self.recorder
-            .as_mut()
-            .expect("checked above")
-            .records
-            .push(Record::Op { cycle, op });
     }
 
     /// First hash boundary strictly after the current cycle (`u64::MAX`
@@ -351,15 +335,6 @@ impl jm_replay::ExecFactory for MachineFactory {
     }
 }
 
-/// `FaultKind` from its recorded discriminant.
-///
-/// # Panics
-///
-/// Panics on an out-of-range discriminant (a corrupt log body).
-fn fault_kind(bits: u8) -> FaultKind {
-    FaultKind::ALL[bits as usize]
-}
-
 /// A [`JMachine`] being driven through a replay log: implements
 /// `jm_replay::Execution` with exact fixed-cycle drives (all engines stop
 /// on the exact cycle asked for, which is what makes single-cycle
@@ -367,14 +342,6 @@ fn fault_kind(bits: u8) -> FaultKind {
 pub struct MachineReplayer {
     m: JMachine,
     corruption: Option<Corruption>,
-}
-
-impl MachineReplayer {
-    /// The underlying machine (for stats or memory inspection after a
-    /// replay).
-    pub fn machine(&self) -> &JMachine {
-        &self.m
-    }
 }
 
 impl jm_replay::Execution for MachineReplayer {
@@ -395,30 +362,7 @@ impl jm_replay::Execution for MachineReplayer {
     }
 
     fn apply(&mut self, op: &HostOp) {
-        match op {
-            HostOp::InstallVectorAll { kind, ip } => {
-                let kind = fault_kind(*kind);
-                for i in 0..self.m.node_count() {
-                    self.m.node_mut(NodeId(i)).install_vector(kind, *ip);
-                }
-            }
-            HostOp::InstallVector { node, kind, ip } => {
-                self.m
-                    .node_mut(NodeId(*node))
-                    .install_vector(fault_kind(*kind), *ip);
-            }
-            HostOp::Deliver {
-                node,
-                priority,
-                words,
-            } => {
-                let priority = MsgPriority::ALL[*priority as usize];
-                self.m.deliver_words(NodeId(*node), priority, words);
-            }
-            HostOp::WriteWord { node, addr, word } => {
-                self.m.node_mut(NodeId(*node)).write_mem(*addr, *word);
-            }
-        }
+        self.m.apply_op(op);
     }
 
     fn state_hash(&mut self) -> u64 {
@@ -434,6 +378,8 @@ impl jm_replay::Execution for MachineReplayer {
 mod tests {
     use super::*;
     use jm_asm::{hdr, Builder, Region};
+    use jm_isa::consts::FaultKind;
+    use jm_isa::instr::MsgPriority;
     use jm_isa::node::MeshDims;
     use jm_isa::operand::{MemRef, Special};
     use jm_isa::reg::AReg::*;

@@ -24,11 +24,30 @@
 //!   sequence-numbered RPC resend, see `jm-runtime`).
 
 use jm_isa::word::Word;
-use jm_prng::Prng;
+use jm_prng::keyed_draw;
 
-/// Output-port index of the ejection (local delivery) port. Mirrors
-/// `jm-net`'s port numbering: 0–5 are the six mesh directions.
-pub const EJECT_PORT: usize = 6;
+/// Router port numbering, stated once for the whole workspace. It lives
+/// here because this is the lowest crate that needs it: a fault plan is
+/// keyed by port, and `jm-net` (which indexes its buffers, owners and
+/// boundary lanes by the same numbers) sits above this crate.
+///
+/// Ports 0–5 are the six mesh directions in e-cube order (+x, −x, +y, −y,
+/// +z, −z): a flit travelling in direction `d` leaves through output port
+/// `d` and waits in the next router's input port `d`. Index 6 is the
+/// node's own port on both sides of the crossbar — ejection as an output,
+/// the injection FIFO as an input.
+pub mod port {
+    /// The +z direction: the only one that crosses a slab boundary upward.
+    pub const ZPOS: usize = 4;
+    /// The −z direction: the only one that crosses a slab boundary downward.
+    pub const ZNEG: usize = 5;
+    /// Output side of the node's port: ejection (local delivery).
+    pub const EJECT: usize = 6;
+    /// Input side of the node's port: the injection FIFO.
+    pub const INJECT: usize = EJECT;
+    /// Ports per router and virtual network: the directions plus the node's.
+    pub const COUNT: usize = EJECT + 1;
+}
 
 /// Maximum number of scheduled outage windows in one spec.
 pub const MAX_WINDOWS: usize = 8;
@@ -79,7 +98,7 @@ impl FaultWindow {
     /// A link-down window on `node`'s output `port` (0–5).
     pub fn link_down(node: u32, port: u8, from: u64, until: u64) -> FaultWindow {
         assert!(
-            (port as usize) < EJECT_PORT,
+            usize::from(port) < crate::port::EJECT,
             "link port out of range: {port}"
         );
         FaultWindow {
@@ -248,18 +267,6 @@ impl FaultPlan {
         self.spec.checksums
     }
 
-    /// One seeded draw per decision point. `Prng` is SplitMix64, so a
-    /// single `next_u64` fully avalanches the key.
-    #[inline]
-    fn draw(&self, salt: u64, node: u32, port: u32, cycle: u64) -> u64 {
-        let key = self.spec.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ salt
-            ^ u64::from(node).wrapping_mul(0xd134_2543_de82_ef95)
-            ^ u64::from(port).wrapping_mul(0xaf25_1af3_b0f0_25b5)
-            ^ cycle.wrapping_mul(0x2545_f491_4f6c_dd1d);
-        Prng::new(key).next_u64()
-    }
-
     /// Whether `node`'s output `out_port` refuses to move a flit at
     /// `cycle`. Lossless: callers must treat `true` exactly like "no
     /// downstream space" (the flit stays queued).
@@ -276,15 +283,15 @@ impl FaultPlan {
                 }
                 FaultWindowKind::RouterStall => return true,
                 FaultWindowKind::NodeDown => {
-                    if out_port == EJECT_PORT {
+                    if out_port == port::EJECT {
                         return true;
                     }
                 }
             }
         }
         self.spec.link_flaky_ppm != 0
-            && out_port != EJECT_PORT
-            && self.draw(SALT_FLAKY, node, out_port as u32, cycle) % PPM
+            && out_port != port::EJECT
+            && keyed_draw(self.spec.seed, SALT_FLAKY, node, out_port as u32, cycle) % PPM
                 < u64::from(self.spec.link_flaky_ppm)
     }
 
@@ -304,7 +311,13 @@ impl FaultPlan {
         if self.spec.corrupt_ppm == 0 {
             return None;
         }
-        let d = self.draw(SALT_CORRUPT, node, EJECT_PORT as u32, cycle);
+        let d = keyed_draw(
+            self.spec.seed,
+            SALT_CORRUPT,
+            node,
+            port::EJECT as u32,
+            cycle,
+        );
         if d % PPM < u64::from(self.spec.corrupt_ppm) {
             Some(((d >> 32) % 32) as u32)
         } else {
@@ -403,10 +416,10 @@ mod tests {
                 .window(FaultWindow::node_down(4, 0, 10)),
         )
         .unwrap();
-        for port in 0..=EJECT_PORT {
-            assert!(p.blocked(3, port, 5));
+        for out in 0..port::COUNT {
+            assert!(p.blocked(3, out, 5));
         }
-        assert!(p.blocked(4, EJECT_PORT, 5));
+        assert!(p.blocked(4, port::EJECT, 5));
         assert!(!p.blocked(4, 0, 5));
         assert!(p.node_down(4, 5));
         assert!(!p.node_down(4, 10));

@@ -14,18 +14,18 @@
 //!   FIFOs (most of the bytes, rarely at the front of arbitration) in a
 //!   region of their own behind them.
 //!
-//! Indexing: within a router, queue `q = vnet * 7 + port`. Ports 0–5 are
-//! the mesh directions (capacity `flit_buffer`); port 6 is the injection
-//! FIFO (capacity `inject_fifo`).
+//! Indexing: within a router, queue `q = vnet * PORTS + port`, ports as
+//! [`jm_fault::port`] numbers them: the mesh directions (capacity
+//! `flit_buffer`) below `INJECT`, the injection FIFO (capacity
+//! `inject_fifo`).
 
 use crate::flit::Flit;
 use crate::router::ecube_route;
+use jm_fault::port::{self, INJECT};
 use jm_isa::node::Coord;
 
-/// Number of ports per (router, vnet): six directions plus injection.
-const PORTS: usize = 7;
-/// The injection port index within a (router, vnet) block.
-const INJECT: usize = 6;
+/// Input queues per (router, vnet): six directions plus injection.
+const PORTS: usize = port::COUNT;
 /// Queues per router: two vnets of [`PORTS`] each.
 const QUEUES: usize = 2 * PORTS;
 
@@ -76,7 +76,7 @@ pub(crate) struct ChannelArena {
     inject_base: usize,
     /// Capacity of the directional ports (0–5), in flits.
     flit_buffer: u8,
-    /// Capacity of the injection port (6), in flits.
+    /// Capacity of the injection port, in flits.
     inject_fifo: u8,
 }
 
@@ -97,7 +97,7 @@ impl ChannelArena {
             "inject FIFO depth must fit the arena's u8 rings"
         );
         let routers = coords.len();
-        let inject_base = routers * 2 * 6 * flit_buffer;
+        let inject_base = routers * 2 * INJECT * flit_buffer;
         ChannelArena {
             hot: coords
                 .map(|coord| Hot {
@@ -127,7 +127,19 @@ impl ChannelArena {
             (self.inject_base + lv * cap, cap)
         } else {
             let cap = self.flit_buffer as usize;
-            ((lv * 6 + port) * cap, cap)
+            ((lv * INJECT + port) * cap, cap)
+        }
+    }
+
+    /// Storage index of the `k`-th flit of a ring of `cap` slots starting at
+    /// `head` (`k <= cap`).
+    #[inline]
+    fn slot(head: u8, k: usize, cap: usize) -> usize {
+        let slot = head as usize + k;
+        if slot >= cap {
+            slot - cap
+        } else {
+            slot
         }
     }
 
@@ -178,10 +190,7 @@ impl ChannelArena {
         let hot = &mut self.hot[l];
         let len = hot.len[q] as usize;
         debug_assert!(len < cap, "channel ring over capacity");
-        let mut slot = hot.head[q] as usize + len;
-        if slot >= cap {
-            slot -= cap;
-        }
+        let slot = Self::slot(hot.head[q], len, cap);
         if len == 0 {
             hot.route[q] = ecube_route(hot.coord, flit.dest) as u8;
             hot.mask[vnet] |= 1 << port;
@@ -199,9 +208,8 @@ impl ChannelArena {
         let hot = &mut self.hot[l];
         let len = hot.len[q] as usize;
         debug_assert!(len > 0, "pop of empty queue");
-        let head = hot.head[q] as usize;
-        let flit = self.flits[base + head];
-        let next = if head + 1 == cap { 0 } else { head + 1 };
+        let flit = self.flits[base + hot.head[q] as usize];
+        let next = Self::slot(hot.head[q], 1, cap);
         hot.head[q] = next as u8;
         hot.len[q] = (len - 1) as u8;
         if len == 1 {
@@ -234,13 +242,9 @@ impl ChannelArena {
         // checks space *before* pushing — so when this runs, no same-cycle
         // push can already sit in the buffer.
         debug_assert!(
-            len == 0 || {
-                let mut back = hot.head[q] as usize + len - 1;
-                if back >= capacity {
-                    back -= capacity;
-                }
-                self.flits[base + back].ready_cycle <= cycle
-            },
+            len == 0
+                || self.flits[base + Self::slot(hot.head[q], len - 1, capacity)].ready_cycle
+                    <= cycle,
             "space read after a same-cycle push"
         );
         let popped = hot.pop_stamp == cycle && hot.pop_bits & (1 << q) != 0;
@@ -268,11 +272,7 @@ impl ChannelArena {
             h.write_u8(len as u8);
             let (base, cap) = self.ring(l, vnet, port);
             for k in 0..len {
-                let mut slot = hot.head[q] as usize + k;
-                if slot >= cap {
-                    slot -= cap;
-                }
-                let f = &self.flits[base + slot];
+                let f = &self.flits[base + Self::slot(hot.head[q], k, cap)];
                 h.write_u8(f.dest.x);
                 h.write_u8(f.dest.y);
                 h.write_u8(f.dest.z);
@@ -382,13 +382,13 @@ mod tests {
     fn inject_port_uses_its_own_capacity() {
         let mut a = arena(1, 2, 6);
         for _ in 0..6 {
-            a.push(0, 0, 6, flit(0));
+            a.push(0, 0, INJECT, flit(0));
         }
-        assert_eq!(a.len(0, 0, 6), 6);
+        assert_eq!(a.len(0, 0, INJECT), 6);
         for _ in 0..6 {
-            a.pop(0, 0, 6, 1);
+            a.pop(0, 0, INJECT, 1);
         }
-        assert_eq!(a.len(0, 0, 6), 0);
+        assert_eq!(a.len(0, 0, INJECT), 0);
     }
 
     /// Random pushes, pops and owner writes over every queue of a small
@@ -429,17 +429,12 @@ mod tests {
                     let dest =
                         *msg_dest[qi].get_or_insert_with(|| coord(rng.range_usize(0, routers)));
                     let tail = rng.chance(0.3);
-                    let [_, mut f] = Flit::pair_for_word(
-                        dest,
-                        jm_isa::word::Word::int(step as i32),
-                        false,
-                        false,
-                        tail,
-                        cycle,
-                        cycle,
-                        jm_isa::TraceId::NONE,
-                    );
-                    f.ready_cycle = cycle;
+                    // Of a three-word message, flit 3 completes a payload
+                    // word mid-message and flit 5 is the tail.
+                    let word = jm_isa::word::Word::int(step as i32);
+                    let f = Flit::message(dest, &[word; 3], cycle, cycle, jm_isa::TraceId::NONE)
+                        .nth(if tail { 5 } else { 3 })
+                        .expect("six flits");
                     if tail {
                         msg_dest[qi] = None;
                     }

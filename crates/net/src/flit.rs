@@ -87,50 +87,45 @@ impl Flit {
         TraceId(u64::from(self.trace))
     }
 
-    /// Expands one message word into its two flits.
-    ///
-    /// `is_route` marks the route word (stripped at ejection); `tail_word`
-    /// marks the message's final word.
-    #[allow(clippy::too_many_arguments)]
-    pub fn pair_for_word(
+    /// Expands a message into its flits, in wire order: two per word. The
+    /// first flit of the route word (`words[0]`) is the head and the second
+    /// flit of the last word the tail; the second flit of every *payload*
+    /// word carries the word, while the route word is consumed by the
+    /// network and carries nothing. Every flit is stamped with the commit
+    /// cycle (for latency accounting) and may leave the injection FIFO from
+    /// `ready_cycle` on.
+    pub(crate) fn message(
         dest: Coord,
-        word: Word,
-        is_route: bool,
-        head_word: bool,
-        tail_word: bool,
+        words: &[Word],
         inject_cycle: u64,
         ready_cycle: u64,
         trace: TraceId,
-    ) -> [Flit; 2] {
+    ) -> impl Iterator<Item = Flit> + '_ {
         debug_assert!(
             u32::try_from(trace.0).is_ok(),
             "trace ordinal exceeds the flit's 32-bit field"
         );
-        let trace = trace.0 as u32;
-        let first = Flit {
+        let blank = Flit {
             dest,
-            flags: if head_word { FLAG_HEAD } else { 0 },
-            trace,
+            flags: 0,
+            trace: trace.0 as u32,
             word: Word::NIL,
             inject_cycle,
             ready_cycle,
         };
-        let mut flags = if tail_word { FLAG_TAIL } else { 0 };
-        let word = if is_route {
-            Word::NIL
-        } else {
-            flags |= FLAG_PAYLOAD;
-            word
-        };
-        let second = Flit {
-            dest,
-            flags,
-            trace,
-            word,
-            inject_cycle,
-            ready_cycle,
-        };
-        [first, second]
+        words.iter().enumerate().flat_map(move |(i, &word)| {
+            let (mut first, mut second) = (blank, blank);
+            if i == 0 {
+                first.flags = FLAG_HEAD;
+            } else {
+                second.flags = FLAG_PAYLOAD;
+                second.word = word;
+            }
+            if i + 1 == words.len() {
+                second.flags |= FLAG_TAIL;
+            }
+            [first, second]
+        })
     }
 }
 
@@ -147,26 +142,35 @@ mod tests {
         );
     }
 
+    fn message() -> (Coord, [Word; 3], Vec<Flit>) {
+        let dest = Coord::new(1, 2, 3);
+        let words = [Word::int(5), Word::int(9), Word::int(-1)];
+        let flits = Flit::message(dest, &words, 7, 9, TraceId(3)).collect();
+        (dest, words, flits)
+    }
+
     #[test]
     fn route_words_carry_no_payload() {
-        let dest = Coord::new(1, 2, 3);
-        let [a, b] =
-            Flit::pair_for_word(dest, Word::int(5), true, true, false, 0, 0, TraceId::NONE);
-        assert!(a.head() && !b.head());
-        assert_eq!(a.payload(), None);
-        assert_eq!(b.payload(), None);
+        let (_, _, flits) = message();
+        assert_eq!(flits.len(), 6, "two flits a word");
+        // Framing: one head, first; one tail, last.
+        let heads: Vec<bool> = flits.iter().map(Flit::head).collect();
+        let tails: Vec<bool> = flits.iter().map(Flit::tail).collect();
+        assert_eq!(heads, [true, false, false, false, false, false]);
+        assert_eq!(tails, [false, false, false, false, false, true]);
+        assert_eq!(flits[0].payload(), None);
+        assert_eq!(flits[1].payload(), None);
     }
 
     #[test]
     fn payload_words_complete_on_second_flit() {
-        let dest = Coord::new(0, 0, 0);
-        let [a, b] = Flit::pair_for_word(dest, Word::int(9), false, false, true, 7, 9, TraceId(3));
-        assert_eq!(a.payload(), None);
-        assert_eq!(b.payload(), Some(Word::int(9)));
-        assert!(!a.tail() && b.tail());
-        assert_eq!(b.inject_cycle, 7);
-        assert_eq!(b.ready_cycle, 9);
-        assert_eq!(a.trace(), TraceId(3));
-        assert_eq!(b.trace(), TraceId(3));
+        let (dest, words, flits) = message();
+        let payload: Vec<Option<Word>> = flits[2..].iter().map(Flit::payload).collect();
+        assert_eq!(payload, [None, Some(words[1]), None, Some(words[2])]);
+        for f in &flits {
+            assert_eq!(f.dest, dest);
+            assert_eq!((f.inject_cycle, f.ready_cycle), (7, 9));
+            assert_eq!(f.trace(), TraceId(3));
+        }
     }
 }

@@ -21,6 +21,25 @@
 //! the payload words (whose first word must be a `msg` header). Each word is
 //! two flits; the route word is stripped at the ejection port.
 //!
+//! # Modules
+//!
+//! | module | what it owns |
+//! |---|---|
+//! | `flit` | the flit, and the expansion of a message into flits |
+//! | `router` | the e-cube route function; a node's ejection staging |
+//! | `arena` | every channel buffer of a shard, and the per-router record arbitration probes |
+//! | `shard` | one z-slab's state, and its cycle in four modules: |
+//! | `shard::inject` | how a message enters: framing, the checksum trailer, FIFO room, the traffic generator, node-down stalls |
+//! | `shard::arbitrate` | which flits move this cycle, and what moving one hop or ejecting *is* |
+//! | `shard::edge` | the slab boundary: two identical lanes, each a mailbox and a space snapshot |
+//! | `shard::bulk` | the closed-form timing law that stands in for `arbitrate` while one message is alone in the mesh |
+//! | `network` | the whole mesh: a facade over the shards and the edges between them |
+//! | `bitset` | the one worklist type (routers holding flits, nodes with deliveries) |
+//! | `config`, `stats` | [`NetConfig`], [`NetStats`] |
+//!
+//! Port numbers (directions 0–5, ejection/injection 6) are
+//! [`jm_fault::port`]'s.
+//!
 //! # Example
 //!
 //! ```
@@ -57,6 +76,5 @@ pub use bitset::{ones, BitSet};
 pub use config::NetConfig;
 pub use flit::Flit;
 pub use network::Network;
-pub use router::OutPort;
 pub use shard::{edge_pair, Edge, InjectResult, NetShard};
 pub use stats::NetStats;

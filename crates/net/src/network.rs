@@ -43,7 +43,6 @@ impl Network {
         let z = dims.z as usize;
         let count = shards.clamp(1, z);
         let mut parts = Vec::with_capacity(count);
-        let mut cuts = Vec::new();
         for k in 0..count {
             let z_lo = k * z / count;
             let z_hi = (k + 1) * z / count;
@@ -54,14 +53,12 @@ impl Network {
                 bisect_dim,
                 bisect_mid,
             ));
-            if k + 1 < count {
-                cuts.push(Edge::new(plane, config.flit_buffer));
-            }
         }
+        let cut = |_| Edge::new(plane, config.flit_buffer);
         Network {
             config,
             shards: parts,
-            edges: cuts,
+            edges: (1..count).map(cut).collect(),
         }
     }
 
@@ -86,7 +83,7 @@ impl Network {
     }
 
     /// Test hook: enables or disables the wormhole bulk-advance fast path
-    /// (`shard::BulkMsg`), a host mechanism the shards otherwise engage
+    /// (`shard::bulk`), a host mechanism the shards otherwise engage
     /// from what they observe — an empty single-shard mesh — and which is
     /// unobservable in simulated state, which is what the differential
     /// suites use this hook to prove. Must be called before simulation
@@ -132,11 +129,6 @@ impl Network {
         if on {
             self.shards[0].tracer = Some(Box::new(Tracer::new()));
         }
-    }
-
-    /// Whether lifecycle tracing is on.
-    pub fn tracing(&self) -> bool {
-        self.shards.iter().any(|s| s.tracer.is_some())
     }
 
     /// Drains the buffered lifecycle events (empty when tracing is off).

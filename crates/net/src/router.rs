@@ -2,88 +2,26 @@
 //! channel buffers and everything the advance loop probes live in the
 //! shard's [`crate::arena::ChannelArena`] instead.
 
+use jm_fault::port;
 use jm_isa::node::Coord;
 use jm_isa::word::Word;
 use jm_isa::TraceId;
 use std::collections::VecDeque;
 
-/// Router ports: six mesh directions plus ejection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutPort {
-    /// Toward larger X.
-    XPos,
-    /// Toward smaller X.
-    XNeg,
-    /// Toward larger Y.
-    YPos,
-    /// Toward smaller Y.
-    YNeg,
-    /// Toward larger Z.
-    ZPos,
-    /// Toward smaller Z.
-    ZNeg,
-    /// Delivery to the local node.
-    Eject,
-}
-
-impl OutPort {
-    /// All ports in arbitration order.
-    pub const ALL: [OutPort; 7] = [
-        OutPort::XPos,
-        OutPort::XNeg,
-        OutPort::YPos,
-        OutPort::YNeg,
-        OutPort::ZPos,
-        OutPort::ZNeg,
-        OutPort::Eject,
-    ];
-
-    /// Port index (0–6).
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Decodes a port index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index > 6`.
-    #[inline]
-    pub fn from_index(index: usize) -> OutPort {
-        Self::ALL[index]
-    }
-}
-
-/// Index of the injection input port.
-pub(crate) const IN_INJECT: usize = 6;
-/// Index of the ejection output port.
-pub(crate) const OUT_EJECT: usize = 6;
-
 /// Computes the e-cube (dimension-order) output port at `here` for a flit
-/// destined for `dest`: resolve X first, then Y, then Z, then eject.
+/// destined for `dest`: resolve X first, then Y, then Z, then eject. Out
+/// port `2 * dim` heads up dimension `dim`, `2 * dim + 1` down it.
 #[inline]
 pub(crate) fn ecube_route(here: Coord, dest: Coord) -> usize {
+    let toward = |dim: usize, here: u8, dest: u8| 2 * dim + usize::from(dest < here);
     if dest.x != here.x {
-        if dest.x > here.x {
-            0
-        } else {
-            1
-        }
+        toward(0, here.x, dest.x)
     } else if dest.y != here.y {
-        if dest.y > here.y {
-            2
-        } else {
-            3
-        }
+        toward(1, here.y, dest.y)
     } else if dest.z != here.z {
-        if dest.z > here.z {
-            4
-        } else {
-            5
-        }
+        toward(2, here.z, dest.z)
     } else {
-        OUT_EJECT
+        port::EJECT
     }
 }
 
@@ -91,14 +29,15 @@ pub(crate) fn ecube_route(here: Coord, dest: Coord) -> usize {
 /// rings, output ownership, cached routes, and the node's coordinate live in
 /// the shard's [`crate::arena::ChannelArena`], leaving the router struct
 /// for the colder ejection interface state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Router {
     /// Ejected payload words awaiting the node (paired with the delivering
     /// message's trace id), per vnet.
     pub ejected: [VecDeque<(Word, TraceId)>; 2],
     /// Tracing only: trace id of the message currently streaming out of the
     /// ejection port, per vnet (wormhole routing ejects messages whole, so
-    /// a changed id marks a new message's first payload word).
+    /// a changed id marks a new message's first payload word; starts at
+    /// [`TraceId::NONE`]).
     pub eject_cur: [TraceId; 2],
     /// Fault-injection only: whether the message currently streaming out of
     /// the ejection port has already delivered its first payload word (the
@@ -108,16 +47,6 @@ pub(crate) struct Router {
     /// payload word, cleared by the tail flit), so it needs no knowledge of
     /// message contents.
     pub eject_hdr_seen: [bool; 2],
-}
-
-impl Router {
-    pub(crate) fn new() -> Router {
-        Router {
-            ejected: Default::default(),
-            eject_cur: [TraceId::NONE; 2],
-            eject_hdr_seen: [false; 2],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -133,13 +62,6 @@ mod tests {
         assert_eq!(ecube_route(here, Coord::new(3, 1, 9)), 3);
         assert_eq!(ecube_route(here, Coord::new(3, 3, 9)), 4); // then Z
         assert_eq!(ecube_route(here, Coord::new(3, 3, 1)), 5);
-        assert_eq!(ecube_route(here, here), OUT_EJECT);
-    }
-
-    #[test]
-    fn port_index_round_trip() {
-        for p in OutPort::ALL {
-            assert_eq!(OutPort::from_index(p.index()), p);
-        }
+        assert_eq!(ecube_route(here, here), port::EJECT);
     }
 }

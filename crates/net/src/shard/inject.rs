@@ -1,0 +1,171 @@
+//! How traffic enters a shard: whole-message commits from the nodes and
+//! from the synthetic-traffic generator, with the fault plan's hooks on the
+//! injection side (node-down stalls, checksum trailers).
+
+use super::NetShard;
+use crate::flit::Flit;
+use jm_fault::{checksum_words, port};
+use jm_isa::instr::MsgPriority;
+use jm_isa::node::{NodeId, RouteWord};
+use jm_isa::tag::Tag;
+use jm_isa::word::{MsgHeader, Word};
+use jm_isa::TraceId;
+use jm_trace::{EventKind, FaultEvent};
+
+/// Result of offering one message to the injection port.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InjectResult {
+    /// The message was accepted.
+    Accepted,
+    /// The injection FIFO is full — on the MDP this surfaces as a *send
+    /// fault* in the executing thread, which retries (§4.3.2).
+    Stall,
+    /// Framing error: the first word of a message must be a `route` word
+    /// naming an in-range destination, and a message must contain at least
+    /// one payload word.
+    BadRoute,
+}
+
+impl NetShard {
+    /// Atomically offers a whole message to a node's injection port: the
+    /// route word followed by at least one payload word. Either every word
+    /// is accepted or none is (the network interface composes messages in a
+    /// per-thread buffer and launches them whole, so a preempting handler
+    /// can never interleave words into an open message).
+    pub fn commit_msg(
+        &mut self,
+        node: NodeId,
+        priority: MsgPriority,
+        words: &[Word],
+    ) -> InjectResult {
+        // New traffic can observe (and contend with) in-flight flits, so a
+        // virtual bulk message becomes real buffered flits before any
+        // capacity check reads the arena.
+        self.materialize_bulk();
+        let cycle = self.cycle;
+        let dims = self.config.dims;
+        let vnet = priority.index();
+        // Framing checks first.
+        if words.len() < 2 || words[0].tag() != Tag::Route {
+            return InjectResult::BadRoute;
+        }
+        let dest = RouteWord::from_word(words[0]).dest;
+        if dest.x >= dims.x || dest.y >= dims.y || dest.z >= dims.z {
+            return InjectResult::BadRoute;
+        }
+        let l = self.local(node);
+        if self.node_down_stall(node, cycle) {
+            return InjectResult::Stall;
+        }
+        // Fault-injection runs append a checksum trailer word so the MDP
+        // can validate the payload at dispatch. The header's length field
+        // is untouched; the trailer travels at a known offset (header len)
+        // and is stripped by the dispatch machinery.
+        let mut checked;
+        let words: &[Word] = match &self.fault {
+            Some(f) if f.checksums() => {
+                checked = Vec::with_capacity(words.len() + 1);
+                checked.extend_from_slice(words);
+                checked.push(checksum_words(&words[1..]));
+                &checked
+            }
+            _ => words,
+        };
+        let needed = 2 * words.len();
+        if self.arena.len(l, vnet, port::INJECT) + needed > self.config.inject_fifo {
+            return InjectResult::Stall;
+        }
+        self.stats.injected_msgs += 1;
+        let trace = match &mut self.tracer {
+            Some(tracer) => {
+                let id = TraceId(self.stats.injected_msgs);
+                tracer.emit(
+                    cycle,
+                    EventKind::Inject {
+                        id,
+                        src: node,
+                        dst: dims.id(dest),
+                        priority,
+                        words: words.len() as u32 - 1,
+                    },
+                );
+                id
+            }
+            None => TraceId::NONE,
+        };
+        let ready = cycle + self.config.inject_latency;
+        let flits = Flit::message(dest, words, cycle, ready, trace);
+        if let Some(mut bulk) = self.bulk_route(l, vnet, dest, words.len() - 1) {
+            // Alone in the mesh: the flits stay virtual (see `bulk`).
+            bulk.flits = flits.collect();
+            self.bulk = Some(bulk);
+        } else {
+            for flit in flits {
+                self.arena.push(l, vnet, port::INJECT, flit);
+            }
+            self.occ[l] += needed as u32;
+            self.active.insert(l);
+        }
+        self.in_flight += needed as u64;
+        InjectResult::Accepted
+    }
+
+    /// Offers every message the traffic plan generates this cycle to the
+    /// local injection ports, in ascending node order. Refusals (FIFO
+    /// backpressure or a node-down fault) are counted and *not* retried:
+    /// the Bernoulli process models independent offered load, and because
+    /// injection-FIFO occupancy at this point in the cycle is engine-
+    /// independent, the drop pattern is too.
+    pub(super) fn inject_traffic(&mut self) {
+        let Some(plan) = self.traffic else { return };
+        let cycle = self.cycle;
+        if !plan.in_window(cycle) {
+            return;
+        }
+        let dims = self.config.dims;
+        let payload_words = plan.msg_words();
+        for l in 0..self.routers.len() {
+            let node = (self.base + l) as u32;
+            if !plan.fires(node, cycle) {
+                continue;
+            }
+            self.stats.traffic.offered_msgs += 1;
+            let dest = plan.dest(node, cycle, dims);
+            let mut words = std::mem::take(&mut self.traffic_words);
+            words.clear();
+            words.push(RouteWord::new(dims.coord(dest)).to_word());
+            words.push(MsgHeader::new(plan.handler_ip(), payload_words).to_word());
+            for k in 1..payload_words {
+                words.push(Word::int(k as i32));
+            }
+            match self.commit_msg(NodeId(node), MsgPriority::P0, &words) {
+                InjectResult::Accepted => self.stats.traffic.accepted_msgs += 1,
+                InjectResult::Stall => self.stats.traffic.dropped_msgs += 1,
+                InjectResult::BadRoute => unreachable!("generated message misframed"),
+            }
+            self.traffic_words = words;
+        }
+    }
+
+    /// Whether `node`'s interface is down this cycle; counts the refusal
+    /// (and traces it) so degradation curves can attribute send stalls.
+    fn node_down_stall(&mut self, node: NodeId, cycle: u64) -> bool {
+        match &self.fault {
+            Some(f) if f.node_down(node.0, cycle) => {
+                self.stats.faults.inject_stalls += 1;
+                if let Some(tracer) = &mut self.tracer {
+                    tracer.emit(
+                        cycle,
+                        EventKind::Fault {
+                            id: TraceId::NONE,
+                            node,
+                            what: FaultEvent::SendStall,
+                        },
+                    );
+                }
+                true
+            }
+            _ => false,
+        }
+    }
+}

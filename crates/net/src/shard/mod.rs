@@ -1,0 +1,369 @@
+//! Slab-sharded network state.
+//!
+//! The mesh is split into contiguous z-slabs (node ids are z-major, so each
+//! slab owns a contiguous id range). A [`NetShard`] owns its slab's routers,
+//! ejection FIFOs, and statistics, and can advance one cycle touching only
+//! its own state plus the [`Edge`] interfaces shared with the slabs directly
+//! below and above it. That makes shards safe to step on parallel worker
+//! threads; [`crate::Network`] also drives the same shards sequentially, so
+//! both modes execute literally the same per-cycle code.
+//!
+//! Each simulated cycle is two phases:
+//!
+//! 1. **Step** ([`NetShard::step_cycle`]): every shard moves its own flits.
+//!    A flit bound for a router in another shard is appended to the edge's
+//!    mailbox instead of being pushed into the remote input buffer; space in
+//!    remote boundary buffers is read from the edge's published snapshot.
+//! 2. **Exchange** ([`NetShard::exchange`]): every shard drains the
+//!    mailboxes addressed to it into its boundary input buffers and
+//!    publishes those buffers' free space for its neighbors' next step.
+//!
+//! Determinism: within a cycle, the only cross-router data a step reads is
+//! *downstream input-buffer space*. [`ChannelArena::space`] reports
+//! start-of-cycle occupancy (same-cycle pops are masked by the router's pop
+//! bits), and the edge snapshots are by construction start-of-cycle values —
+//! so the space a sender observes is independent of the order routers are visited,
+//! and therefore of how the mesh is cut into shards or which thread runs
+//! which shard. Deferred mailbox delivery is equally invisible: a flit
+//! handed to a neighbor carries `ready_cycle = cycle + 1`, so no same-cycle
+//! consumer exists. A single barrier between the two phases (provided by the
+//! caller) is the only synchronization the scheme needs; the snapshot is
+//! single-buffered because phase 1 only reads it and phase 2 only writes it.
+//!
+//! The shard's code is cut along the decisions it makes, one module each
+//! (`inject`, `arbitrate`, `edge`, `bulk`: the crate docs say which); this
+//! file keeps the state they share and the accessors around it.
+
+mod arbitrate;
+mod bulk;
+mod edge;
+mod inject;
+
+pub use edge::{edge_pair, Edge};
+pub use inject::InjectResult;
+
+use crate::arena::ChannelArena;
+use crate::bitset::BitSet;
+use crate::config::NetConfig;
+use crate::router::Router;
+use crate::stats::NetStats;
+use bulk::BulkMsg;
+use edge::{boundary_code, Crossing};
+use jm_fault::{port, FaultPlan};
+use jm_isa::instr::MsgPriority;
+use jm_isa::node::{Coord, NodeId};
+use jm_isa::word::Word;
+use jm_isa::TraceId;
+use jm_trace::Tracer;
+use jm_traffic::TrafficPlan;
+
+/// One contiguous z-slab of the mesh: routers for node ids
+/// `base .. base + len`, plus everything needed to advance them one cycle.
+///
+/// All node-addressed methods take **global** [`NodeId`]s and expect them to
+/// fall inside the slab (debug-asserted).
+#[derive(Debug)]
+pub struct NetShard {
+    config: NetConfig,
+    /// First global node id owned by this shard.
+    base: usize,
+    routers: Vec<Router>,
+    /// Every channel buffer of every router, and the per-router record the
+    /// arbitration loop probes (allocated once; the advance loop never
+    /// allocates).
+    arena: ChannelArena,
+    /// Buffered flits per local router (the advance loop's drop-out test).
+    occ: Vec<u32>,
+    /// Whether the bulk fast path may engage (on unless a test disabled it).
+    allow_bulk: bool,
+    /// Precomputed neighbor of every (local router, directional out port):
+    /// the neighbor's *local* index, or an [`edge::boundary_code`] (larger
+    /// than any local index) for slab-crossing z channels — replacing
+    /// per-move coordinate arithmetic with one table load. Off-mesh
+    /// directions hold `u32::MAX` (e-cube never routes off-mesh).
+    neigh: Vec<[u32; port::EJECT]>,
+    /// Per-router bitmask of out ports whose channel crosses the bisection
+    /// mid-plane (for the traffic counters).
+    bisect_out: Vec<u8>,
+    cycle: u64,
+    stats: NetStats,
+    /// Flits currently buffered in *this shard* (a flit handed to an edge
+    /// mailbox leaves the sender's count and joins the receiver's at drain).
+    in_flight: u64,
+    /// Local router indices with `occupancy > 0` — the only ones
+    /// `step_cycle` must visit.
+    active: BitSet,
+    /// Local router indices holding undelivered ejected words (either vnet).
+    eject_pending: BitSet,
+    /// Boundary-crossing flits accumulated during the router scan, per
+    /// direction, until [`Self::post_crossings`] posts them.
+    crossings: [Vec<Crossing>; 2],
+    /// The message currently streaming on the bulk fast path, if any.
+    /// Invariant: while set, the shard holds no buffered flits — every
+    /// in-flight flit belongs to this message and is virtual.
+    bulk: Option<BulkMsg>,
+    /// Lifecycle-event buffer; `None` (the default) disables tracing, so
+    /// the hot paths pay one pointer test.
+    pub(crate) tracer: Option<Box<Tracer>>,
+    /// Fault plan, if this run injects faults. Queries key on *global* node
+    /// ids and the lockstep cycle counter, so every shard layout answers
+    /// identically; `None` (the default) keeps the fault-free fast paths.
+    fault: Option<FaultPlan>,
+    /// Synthetic-traffic plan, if this run generates background traffic.
+    /// Like the fault plan, queries are pure functions of global node id
+    /// and the lockstep cycle, so the generated workload is identical under
+    /// every shard layout; `None` keeps the traffic-free fast paths.
+    traffic: Option<TrafficPlan>,
+    /// Reusable message-composition buffer for the traffic generator (no
+    /// per-message allocation on the injection path).
+    traffic_words: Vec<Word>,
+}
+
+impl NetShard {
+    pub(crate) fn new(
+        config: NetConfig,
+        base: usize,
+        len: usize,
+        bisect_dim: usize,
+        bisect_mid: u8,
+    ) -> NetShard {
+        let dims = config.dims;
+        let coord = |l: usize| dims.coord(NodeId((base + l) as u32));
+        let mut neigh = vec![[u32::MAX; port::EJECT]; len];
+        let mut bisect_out = vec![0u8; len];
+        for l in 0..len {
+            let here = coord(l);
+            let here = [here.x, here.y, here.z];
+            // Out port `2 * dim` steps +1 along `dim` and `2 * dim + 1`
+            // steps −1: the numbering `ecube_route` returns.
+            for (out, slot) in neigh[l].iter_mut().enumerate() {
+                let (dim, up) = (out / 2, out % 2 == 0);
+                let extent = [dims.x, dims.y, dims.z][dim];
+                if (up && here[dim] + 1 >= extent) || (!up && here[dim] == 0) {
+                    continue; // off-mesh: e-cube never routes there
+                }
+                let mut c = here;
+                c[dim] = if up { c[dim] + 1 } else { c[dim] - 1 };
+                let m = dims.id(Coord::new(c[0], c[1], c[2])).index();
+                let ml = m.wrapping_sub(base);
+                *slot = if ml < len {
+                    ml as u32
+                } else {
+                    boundary_code(out, m)
+                };
+                if bisect_mid != 0 && dim == bisect_dim {
+                    // The channel joins coordinates `lower` and `lower + 1`.
+                    let lower = here[dim] - u8::from(!up);
+                    let crosses = lower + 1 == bisect_mid;
+                    bisect_out[l] |= u8::from(crosses) << out;
+                }
+            }
+        }
+        NetShard {
+            arena: ChannelArena::new((0..len).map(coord), config.flit_buffer, config.inject_fifo),
+            occ: vec![0; len],
+            allow_bulk: true,
+            neigh,
+            bisect_out,
+            config,
+            base,
+            routers: vec![Router::default(); len],
+            cycle: 0,
+            stats: NetStats::default(),
+            in_flight: 0,
+            active: BitSet::new(len),
+            eject_pending: BitSet::new(len),
+            crossings: [Vec::new(), Vec::new()],
+            bulk: None,
+            tracer: None,
+            fault: None,
+            traffic: None,
+            traffic_words: Vec::new(),
+        }
+    }
+
+    /// Installs (or clears) the fault plan. Must be set identically on
+    /// every shard before simulation starts.
+    pub(crate) fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
+        self.fault = plan;
+    }
+
+    /// Installs (or clears) the traffic plan. Must be set identically on
+    /// every shard before simulation starts.
+    pub(crate) fn set_traffic_plan(&mut self, plan: Option<TrafficPlan>) {
+        self.traffic = plan;
+    }
+
+    /// Enables or disables the bulk fast path (unobservable in simulated
+    /// state). Must be called before simulation starts.
+    pub(crate) fn set_tuning(&mut self, bulk: bool) {
+        self.allow_bulk = bulk;
+    }
+
+    /// The next cycle at or after the shard's current cycle with possible
+    /// generated traffic, or `u64::MAX` when there is none. Engines must
+    /// not skip the cycle counter past this point, and must not treat the
+    /// shard as finished while it is finite: an idle mesh whose generation
+    /// window lies ahead still has work coming.
+    pub fn traffic_wake(&self) -> u64 {
+        self.traffic.map_or(u64::MAX, |p| p.next_active(self.cycle))
+    }
+
+    /// First global node id owned by this shard.
+    pub fn base(&self) -> usize {
+        self.base
+    }
+
+    /// Number of nodes (routers) owned by this shard.
+    pub fn len(&self) -> usize {
+        self.routers.len()
+    }
+
+    /// Whether the shard owns no routers (never true for shards built by
+    /// [`crate::Network`]).
+    pub fn is_empty(&self) -> bool {
+        self.routers.is_empty()
+    }
+
+    /// The shard's cycle counter (in lockstep with its siblings outside the
+    /// two tick phases).
+    pub fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    /// This shard's share of the network statistics.
+    pub fn stats(&self) -> &NetStats {
+        &self.stats
+    }
+
+    /// Flits currently buffered in this shard.
+    pub fn in_flight(&self) -> u64 {
+        self.in_flight
+    }
+
+    /// Whether this shard holds no flits and no undelivered words.
+    pub fn is_idle(&self) -> bool {
+        self.in_flight == 0 && self.eject_pending.is_empty()
+    }
+
+    /// Advances the cycle counter without simulating. Only legal while the
+    /// shard holds no flits (and, in parallel mode, only when every shard
+    /// agrees — the coordinator checks that before issuing a skip).
+    pub fn skip_to(&mut self, cycle: u64) {
+        debug_assert_eq!(self.in_flight, 0, "skip_to with flits in flight");
+        debug_assert!(
+            self.traffic
+                .is_none_or(|p| cycle <= p.next_active(self.cycle)),
+            "skip_to past the traffic window"
+        );
+        self.cycle = self.cycle.max(cycle);
+    }
+
+    /// Moves the cycle counter *backwards* to `cycle`, undoing counter-only
+    /// idle steps. Only legal while the shard holds no flits and no
+    /// undelivered words: an idle [`NetShard::step_cycle`] does nothing but
+    /// increment the counter, so unwinding the increments reconstructs the
+    /// pre-step state exactly. The parallel engine's quantum coordinator
+    /// uses this when deferred quiescence detection finds the mesh went
+    /// quiet mid-quantum (see `DESIGN.md` §4.5).
+    pub fn rewind_idle_to(&mut self, cycle: u64) {
+        debug_assert_eq!(self.in_flight, 0, "rewind_idle_to with flits in flight");
+        debug_assert!(
+            self.eject_pending.is_empty(),
+            "rewind_idle_to with undelivered words"
+        );
+        debug_assert!(cycle <= self.cycle, "rewind_idle_to must not advance");
+        debug_assert!(
+            self.traffic
+                .is_none_or(|p| p.next_active(cycle) == u64::MAX),
+            "rewind_idle_to into the traffic window"
+        );
+        self.cycle = cycle;
+    }
+
+    #[inline]
+    fn local(&self, node: NodeId) -> usize {
+        let l = node.index().wrapping_sub(self.base);
+        debug_assert!(l < self.routers.len(), "{node} outside shard");
+        l
+    }
+
+    /// Nodes currently holding undelivered ejected words, in ascending id
+    /// order (global ids).
+    pub fn pending_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let base = self.base;
+        self.eject_pending
+            .iter()
+            .map(move |i| NodeId((base + i) as u32))
+    }
+
+    /// Next delivered payload word with the trace id of the message that
+    /// carried it ([`TraceId::NONE`] when tracing is off).
+    pub fn delivered_front_traced(
+        &self,
+        node: NodeId,
+        priority: MsgPriority,
+    ) -> Option<(Word, TraceId)> {
+        self.routers[self.local(node)].ejected[priority.index()]
+            .front()
+            .copied()
+    }
+
+    /// Pops the next delivered payload word for a node.
+    pub fn pop_delivered(&mut self, node: NodeId, priority: MsgPriority) -> Option<Word> {
+        let l = self.local(node);
+        let router = &mut self.routers[l];
+        let word = router.ejected[priority.index()].pop_front().map(|(w, _)| w);
+        if word.is_some() && router.ejected[0].is_empty() && router.ejected[1].is_empty() {
+            self.eject_pending.remove(l);
+        }
+        word
+    }
+
+    /// Number of delivered words waiting at a node.
+    pub fn delivered_len(&self, node: NodeId, priority: MsgPriority) -> usize {
+        self.routers[self.local(node)].ejected[priority.index()].len()
+    }
+
+    /// Nodes per z-plane (boundary buffers are indexed by plane offset).
+    #[inline]
+    fn plane(&self) -> usize {
+        self.config.dims.x as usize * self.config.dims.y as usize
+    }
+
+    /// Drains the buffered lifecycle events (empty when tracing is off).
+    pub(crate) fn take_trace_events(&mut self) -> Tracer {
+        self.tracer.as_mut().map(|t| t.take()).unwrap_or_default()
+    }
+
+    /// Calls `f` with a per-`(global node, vnet)` occupancy digest for every
+    /// router in the shard, in ascending (node, vnet) order.
+    ///
+    /// Takes `&mut self` because a message on the wormhole bulk fast path
+    /// must first be [materialized](Self::materialize_bulk) into the exact
+    /// buffered state it stands for — the digest canonicalizes on the
+    /// buffered representation, and materialization is semantically
+    /// invisible by construction.
+    ///
+    /// The digest covers the channel-arena queues plus the router's
+    /// interface state: the ejected-word FIFO. Trace ids, the `eject_cur`
+    /// trace cursor, and statistics are excluded (observability state);
+    /// `eject_hdr_seen` is included (it steers fault corruption).
+    pub(crate) fn fold_components(&mut self, f: &mut dyn FnMut(NodeId, usize, u64)) {
+        self.materialize_bulk();
+        for l in 0..self.routers.len() {
+            for vnet in 0..2 {
+                let mut h = jm_trace::Fnv1a::new();
+                self.arena.fold_state(l, vnet, &mut h);
+                let router = &self.routers[l];
+                h.write_u32(router.ejected[vnet].len() as u32);
+                for &(w, _) in &router.ejected[vnet] {
+                    h.write_u8(w.tag().bits());
+                    h.write_u32(w.bits());
+                }
+                h.write_u8(u8::from(router.eject_hdr_seen[vnet]));
+                f(NodeId((self.base + l) as u32), vnet, h.finish());
+            }
+        }
+    }
+}

@@ -90,6 +90,24 @@ impl Prng {
     }
 }
 
+/// One seeded draw per decision point: 64 bits that are a pure function of
+/// `(seed, salt, node, port, cycle)`, for the fault and traffic plans, whose
+/// answers must not depend on which engine asks or in what order. `salt`
+/// separates the decision kinds sharing a seed; a decision that has no port
+/// passes 0, which contributes nothing to the key. SplitMix64 fully
+/// avalanches the key in a single output, so neighbouring nodes, ports and
+/// cycles draw independently. Like the stream itself, the mix is frozen:
+/// every committed fault and traffic curve is derived from it.
+#[inline]
+pub fn keyed_draw(seed: u64, salt: u64, node: u32, port: u32, cycle: u64) -> u64 {
+    let key = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        ^ salt
+        ^ u64::from(node).wrapping_mul(0xd134_2543_de82_ef95)
+        ^ u64::from(port).wrapping_mul(0xaf25_1af3_b0f0_25b5)
+        ^ cycle.wrapping_mul(0x2545_f491_4f6c_dd1d);
+    Prng::new(key).next_u64()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

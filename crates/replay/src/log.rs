@@ -15,14 +15,15 @@
 //! added the traffic-spec section; version 3 dropped the host-tuning
 //! fields; version 4 has the same layout but router hashes that no longer
 //! fold the word-wise injection framing), and has no alignment padding; see
-//! `DESIGN.md` §4.11 for the field-by-field layout.
+//! `DESIGN.md` §4.8 for the field-by-field layout.
 
 use jm_asm::{DataBlock, Program, SymbolValue};
 use jm_fault::{FaultSpec, FaultWindow, FaultWindowKind};
-use jm_isa::encode::{decode, encode, Encoded};
+use jm_isa::consts::{FaultKind, MEM_WORDS};
+use jm_isa::encode::{decode, encode, Encoded, SLOT_BITS};
 use jm_isa::node::MeshDims;
 use jm_isa::tag::Tag;
-use jm_isa::word::{SegDesc, Word};
+use jm_isa::word::{MsgHeader, SegDesc, Word};
 use jm_mdp::{MdpConfig, TimingConfig};
 use jm_net::NetConfig;
 use jm_traffic::{TrafficPattern, TrafficSpec};
@@ -462,7 +463,10 @@ impl ReplayLog {
     /// # Errors
     ///
     /// [`LogError`] on bad magic, truncation, or any malformed field
-    /// (including instructions that fail to decode).
+    /// (including instructions that fail to decode), and on any value a
+    /// replayer would otherwise panic on or allocate without bound for: a
+    /// log is input from outside the program, so everything the replayer
+    /// later indexes with or builds from is checked here, once.
     pub fn from_bytes(bytes: &[u8]) -> Result<ReplayLog, LogError> {
         let mut r = Reader { bytes, pos: 0 };
         let magic = r.take(MAGIC.len())?;
@@ -512,6 +516,9 @@ impl ReplayLog {
                 .corrupt(r.u32()?)
                 .checksums(r.u8()? != 0);
             let nwin = r.u8()?;
+            if usize::from(nwin) > jm_fault::MAX_WINDOWS {
+                return Err(LogError::new(format!("{nwin} fault windows")));
+            }
             for _ in 0..nwin {
                 let kind = r.u8()?;
                 let node = r.u32()?;
@@ -519,6 +526,9 @@ impl ReplayLog {
                 let from = r.u64()?;
                 let until = r.u64()?;
                 spec = spec.window(match kind {
+                    0 if usize::from(port) >= jm_fault::port::EJECT => {
+                        return Err(LogError::new(format!("bad link-down port {port}")))
+                    }
                     0 => FaultWindow::link_down(node, port, from, until),
                     1 => FaultWindow::router_stall(node, from, until),
                     2 => FaultWindow::node_down(node, from, until),
@@ -551,13 +561,20 @@ impl ReplayLog {
         } else {
             None
         };
-        let ninstr = r.u32()?;
-        let mut code = Vec::with_capacity(ninstr as usize);
+        // An instruction is its slot count and at least one slot.
+        let ninstr = r.count(1 + 4)?;
+        let mut code = Vec::with_capacity(ninstr);
         for i in 0..ninstr {
             let nslots = r.u8()?;
             let mut slots = Vec::with_capacity(nslots as usize);
             for _ in 0..nslots {
-                slots.push(r.u32()?);
+                let slot = r.u32()?;
+                if slot >> SLOT_BITS != 0 {
+                    return Err(LogError::new(format!(
+                        "instruction {i}: bad slot {slot:#x}"
+                    )));
+                }
+                slots.push(slot);
             }
             let instr = decode(&Encoded::from_slots(&slots))
                 .map_err(|e| LogError::new(format!("instruction {i}: {e}")))?;
@@ -565,14 +582,15 @@ impl ReplayLog {
         }
         let code_base = r.u32()?;
         let code_words = r.u32()?;
-        let nblocks = r.u32()?;
-        let mut data = Vec::with_capacity(nblocks as usize);
+        // A data block is a name, three counts, and its init words.
+        let nblocks = r.count(2 + 3 * 4)?;
+        let mut data = Vec::with_capacity(nblocks);
         for _ in 0..nblocks {
             let name = r.name()?;
             let base = r.u32()?;
             let len = r.u32()?;
-            let ninit = r.u32()?;
-            let mut init = Vec::with_capacity(ninit as usize);
+            let ninit = r.count(WORD_BYTES)?;
+            let mut init = Vec::with_capacity(ninit);
             for _ in 0..ninit {
                 init.push(r.word()?);
             }
@@ -590,7 +608,8 @@ impl ReplayLog {
             data,
             ..Program::default()
         };
-        let nsyms = r.u32()?;
+        // A symbol is a name, a kind byte, and at least an address.
+        let nsyms = r.count(2 + 1 + 4)?;
         for _ in 0..nsyms {
             let name = r.name()?;
             let value = match r.u8()? {
@@ -625,8 +644,8 @@ impl ReplayLog {
                 3 => {
                     let node = r.u32()?;
                     let priority = r.u8()?;
-                    let nwords = r.u32()?;
-                    let mut words = Vec::with_capacity(nwords as usize);
+                    let nwords = r.count(WORD_BYTES)?;
+                    let mut words = Vec::with_capacity(nwords);
                     for _ in 0..nwords {
                         words.push(r.word()?);
                     }
@@ -659,7 +678,7 @@ impl ReplayLog {
             };
             records.push(record);
         }
-        Ok(ReplayLog {
+        let log = ReplayLog {
             config: RecordedConfig {
                 dims,
                 start,
@@ -673,7 +692,96 @@ impl ReplayLog {
             interval,
             program,
             records,
-        })
+        };
+        log.validate()?;
+        Ok(log)
+    }
+
+    /// Checks every value a replayer indexes with or sizes a structure by
+    /// (see [`Self::from_bytes`]). What cannot be checked statically stays
+    /// an assertion in the replayer: a host delivery into a queue the
+    /// replayed run has already filled.
+    fn validate(&self) -> Result<(), LogError> {
+        let err = |what: String| Err(LogError::new(what));
+        let (mdp, net) = (&self.config.mdp, &self.config.net);
+        let traffic_words = self.traffic.map_or(1, |t| t.msg_words);
+        for (what, value, max) in [
+            // Channel rings and boundary space counters index with a byte.
+            ("net.flit_buffer", net.flit_buffer as u64, 255),
+            ("net.inject_fifo", net.inject_fifo as u64, 255),
+            ("net.eject_fifo", net.eject_fifo as u64, u64::MAX),
+            // Queues and the translation cache are carved out of node memory.
+            (
+                "mdp.queue0_words",
+                mdp.queue0_words.into(),
+                MEM_WORDS.into(),
+            ),
+            (
+                "mdp.queue1_words",
+                mdp.queue1_words.into(),
+                MEM_WORDS.into(),
+            ),
+            (
+                "mdp.xlate_entries",
+                mdp.xlate_entries as u64,
+                MEM_WORDS.into(),
+            ),
+            // Every generated message is led by a header of this length.
+            (
+                "traffic.msg_words",
+                traffic_words.into(),
+                MsgHeader::MAX_LEN.into(),
+            ),
+        ] {
+            if value == 0 || value > max {
+                return err(format!("{what} = {value} is outside 1..={max}"));
+            }
+        }
+        if let Some(ip) = self.traffic.map(|t| t.handler_ip) {
+            if ip > MsgHeader::MAX_IP {
+                return err(format!("traffic.handler_ip = {ip:#x} is no code address"));
+            }
+        }
+        if let Err(e) = self.program.validate() {
+            return err(format!("program image: {e}"));
+        }
+        let nodes = self.config.dims.nodes();
+        let queues = [mdp.queue0_words, mdp.queue1_words];
+        let bad_kind = |kind: u8| {
+            (usize::from(kind) >= FaultKind::ALL.len()).then(|| format!("bad vector kind {kind}"))
+        };
+        for r in &self.records {
+            let Record::Op { cycle, op } = r else {
+                continue;
+            };
+            let (node, problem) = match op {
+                HostOp::InstallVectorAll { kind, .. } => (0, bad_kind(*kind)),
+                HostOp::InstallVector { node, kind, .. } => (*node, bad_kind(*kind)),
+                HostOp::WriteWord { node, addr, .. } => (
+                    *node,
+                    (*addr >= MEM_WORDS).then(|| format!("write to address {addr:#x}")),
+                ),
+                HostOp::Deliver {
+                    node,
+                    priority,
+                    words,
+                } => (
+                    *node,
+                    match queues.get(usize::from(*priority)) {
+                        None => Some(format!("bad priority {priority}")),
+                        Some(&room) if words.len() > room as usize => {
+                            Some(format!("{} words into a {room}-word queue", words.len()))
+                        }
+                        Some(_) => None,
+                    },
+                ),
+            };
+            let problem = problem.or_else(|| (node >= nodes).then(|| format!("no node {node}")));
+            if let Some(problem) = problem {
+                return err(format!("host op at cycle {cycle}: {problem}"));
+            }
+        }
+        Ok(())
     }
 
     /// Writes the log to a file.
@@ -726,6 +834,9 @@ impl Writer {
     }
 }
 
+/// Serialized size of a [`Word`]: tag byte and payload.
+const WORD_BYTES: usize = 1 + 4;
+
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -733,7 +844,7 @@ struct Reader<'a> {
 
 impl Reader<'_> {
     fn take(&mut self, n: usize) -> Result<&[u8], LogError> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.bytes.len() - self.pos {
             return Err(LogError::new(format!(
                 "truncated at byte {} (wanted {n} more)",
                 self.pos
@@ -745,6 +856,20 @@ impl Reader<'_> {
     }
     fn at_end(&self) -> bool {
         self.pos == self.bytes.len()
+    }
+    /// Reads an element count, refusing one the rest of the input could
+    /// not hold at `min_bytes` an element: what passes is safe to allocate
+    /// for, and what does not would have failed as a truncation anyway.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, LogError> {
+        let n = self.u32()? as usize;
+        let left = self.bytes.len() - self.pos;
+        if n > left / min_bytes {
+            return Err(LogError::new(format!(
+                "count {n} at byte {}, but only {left} bytes remain",
+                self.pos - 4
+            )));
+        }
+        Ok(n)
     }
     fn u8(&mut self) -> Result<u8, LogError> {
         Ok(self.take(1)?[0])

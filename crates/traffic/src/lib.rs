@@ -28,7 +28,7 @@
 #![warn(rust_2018_idioms)]
 
 use jm_isa::node::{Coord, MeshDims, NodeId};
-use jm_prng::Prng;
+use jm_prng::keyed_draw;
 
 /// Denominator for the offered-load and hotspot-weight rates (parts per
 /// million), shared with `jm-fault`'s convention.
@@ -232,15 +232,11 @@ impl TrafficPlan {
         }
     }
 
-    /// One seeded draw per decision point, mixing identically to
-    /// `jm-fault` (SplitMix64 fully avalanches the key).
+    /// One seeded draw per decision point (the mix `jm-fault` draws from
+    /// too; traffic decisions have no port).
     #[inline]
     fn draw(&self, salt: u64, node: u32, cycle: u64) -> u64 {
-        let key = self.spec.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ salt
-            ^ u64::from(node).wrapping_mul(0xd134_2543_de82_ef95)
-            ^ cycle.wrapping_mul(0x2545_f491_4f6c_dd1d);
-        Prng::new(key).next_u64()
+        keyed_draw(self.spec.seed, salt, node, 0, cycle)
     }
 
     /// Whether `node` sources one message at `cycle`. The Bernoulli rate is

@@ -46,7 +46,7 @@ fn assert_quantum_exact(
     setup: impl Fn(&mut JMachine),
 ) -> Observation {
     // Behind a flag: when JM_REPLAY_CAPTURE is set, every swept machine
-    // records a replay event log (DESIGN.md §4.11), so a divergence here
+    // records a replay event log (DESIGN.md §4.8), so a divergence here
     // leaves a bisectable reproducer behind.
     jm_machine::capture_replay_from_env();
     let event = observe(program(), config.engine(Engine::Event), max_cycles, &setup);
@@ -136,7 +136,7 @@ fn chaos_fault_plan_is_quantum_exact() {
     // The fault-injection chaos matrix, swept over quanta: flaky links
     // (10% per-flit stall probability), checksummed retries, and a hard
     // link-down window early in the run. Fault draws are keyed by cycle
-    // and position (DESIGN.md §4.8), so any boundary-placement bug that
+    // and position (DESIGN.md §4.7), so any boundary-placement bug that
     // shifted a single flit by one cycle would change the draw sequence
     // and diverge loudly.
     let spec = || {

@@ -3,7 +3,7 @@
 //! under any other engine, thread count, or quantum, because the replay
 //! hash covers exactly the architectural state (registers, queues,
 //! memory, router occupancy) and none of the engines' bookkeeping
-//! (DESIGN.md §4.11). The suite records under `Engine::Event` and
+//! (DESIGN.md §4.8). The suite records under `Engine::Event` and
 //! replays under Naive and `Parallel(t)` for t ∈ {1, 2, 4} × quantum ∈
 //! {auto, 1}, across the schedules most likely to break checkpoint
 //! placement:
@@ -145,7 +145,7 @@ fn idle_skip_replay_is_clean_across_engines() {
 
 #[test]
 fn chaos_fault_plan_replay_is_clean_across_engines() {
-    // Fault draws are keyed by cycle and position (DESIGN.md §4.8), so a
+    // Fault draws are keyed by cycle and position (DESIGN.md §4.7), so a
     // single-cycle replay divergence would reseed every downstream draw
     // and fail loudly at the next checkpoint.
     let spec = FaultSpec::new(4242)
