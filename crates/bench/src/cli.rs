@@ -268,7 +268,7 @@ const ARTIFACT_FIXED: &str = "[--quick] [--engine ENGINE]";
 const TOOLS: &[Command] = &[
     Command {
         name: "repro",
-        synopsis: "[--quick] [--out PATH] [--digest PATH] [--engine ENGINE]",
+        synopsis: "[--quick] [--out PATH] [--engine ENGINE]",
         about: "run every experiment and regenerate EXPERIMENTS.md",
         run: registry::repro,
     },
@@ -289,14 +289,14 @@ const TOOLS: &[Command] = &[
     },
     Command {
         name: "faults",
-        synopsis: "[--seed N] [--out PATH] [--digest PATH] [--engine ENGINE]",
+        synopsis: "[--seed N] [--out PATH] [--engine ENGINE]",
         about: "fault-injection degradation sweep; write BENCH_fault.json",
         run: tools::faults,
     },
     Command {
         name: "traffic",
-        synopsis: "[--seed N] [--out PATH] [--digest PATH] [--engine ENGINE] [--mesh XxYxZ] \
-         [--pattern PATTERN] [--load N]",
+        synopsis: "[--seed N] [--out PATH] [--engine ENGINE] [--mesh XxYxZ] [--pattern PATTERN] \
+         [--load N]",
         about: "traffic saturation sweep (or one --mesh point); write BENCH_traffic.json",
         run: tools::traffic,
     },
@@ -308,15 +308,9 @@ const TOOLS: &[Command] = &[
     },
     Command {
         name: "mesh",
-        synopsis: "[--nodes N] [--cycles N] [--engine ENGINE] [--digest PATH]",
-        about: "large-mesh smoke: event vs parallelN digests on a big cube",
+        synopsis: "[--nodes N] [--cycles N] [--engine ENGINE] [--out PATH]",
+        about: "large-mesh smoke: event vs parallelN statistics on a big cube",
         run: tools::mesh,
-    },
-    Command {
-        name: "golden",
-        synopsis: "[--check] [--bless] [--path PATH]",
-        about: "check (or --bless) tests/golden/stats.json",
-        run: tools::golden,
     },
     Command {
         name: "trace",

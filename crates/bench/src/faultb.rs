@@ -3,10 +3,10 @@
 //! Three curves, all driven by seeded `jm-fault` plans so every point is
 //! reproducible bit-for-bit on any engine:
 //!
-//! * **Goodput vs. flaky-link rate** — a raw 32-node network under
-//!   saturating uniform-random traffic; goodput is delivered words per
-//!   cycle and must fall (weakly) as the per-port-cycle block probability
-//!   rises.
+//! * **Goodput vs. flaky-link rate** — a 32-node machine of sink handlers
+//!   under saturating uniform-random `jm-traffic`; goodput is delivered
+//!   words per cycle and must fall (weakly) as the per-port-cycle block
+//!   probability rises.
 //! * **Completion-cycle inflation vs. flaky-link rate** — the LCS
 //!   application end to end; delay faults are lossless backpressure, so
 //!   the answer stays exact while time-to-solution stretches.
@@ -21,15 +21,12 @@
 use std::fmt::Write as _;
 
 use crate::rows::Row;
+use crate::traffic::MSG_WORDS;
+use crate::workloads::sink_program;
 use jm_apps::lcs;
-use jm_fault::{FaultPlan, FaultSpec};
 use jm_isa::consts::FaultKind;
-use jm_isa::instr::MsgPriority;
-use jm_isa::node::{MeshDims, NodeId, RouteWord};
-use jm_isa::word::{MsgHeader, Word};
-use jm_machine::{Engine, JMachine, MachineConfig};
-use jm_net::{InjectResult, NetConfig, Network};
-use jm_prng::Prng;
+use jm_isa::node::{MeshDims, NodeId};
+use jm_machine::{Engine, FaultSpec, JMachine, MachineConfig, StartPolicy, TrafficSpec};
 use jm_runtime::reliable;
 
 /// Flaky-link rates swept (parts per million per port-cycle draw).
@@ -49,7 +46,7 @@ pub const CORRUPT_PPM: [u32; 4] = [0, 10_000, 30_000, 60_000];
 /// the curve being wrong.
 pub const SLACK: f64 = 0.02;
 
-/// One point of the raw-network goodput curve.
+/// One point of the goodput curve.
 #[derive(Debug, Clone, Copy)]
 pub struct GoodputPoint {
     /// Flaky-link block probability, parts per million.
@@ -102,7 +99,7 @@ pub struct RpcPoint {
 pub struct FaultReport {
     /// Fault-plan seed all three curves share.
     pub seed: u64,
-    /// Raw-network goodput curve.
+    /// Goodput curve.
     pub goodput: Vec<GoodputPoint>,
     /// LCS completion-time curve.
     pub lcs: Vec<InflationPoint>,
@@ -110,75 +107,44 @@ pub struct FaultReport {
     pub rpc: Vec<RpcPoint>,
 }
 
-/// Measures raw-network goodput under saturating uniform-random traffic
-/// for each rate in [`FLAKY_PPM`].
-///
-/// Every node keeps one 4-word message (plus route word) offered to its
-/// injection port each cycle, addressed to a PRNG-chosen other node, and
-/// drains its ejection FIFO as fast as words arrive. The offered load is
-/// far past saturation, so delivered words per cycle measures the
-/// network's remaining capacity under the fault plan.
-pub fn goodput_sweep(seed: u64, cycles: u64) -> Vec<GoodputPoint> {
+/// Offered load of the goodput runs: one flit per node per cycle — the
+/// injection port's full rate, about three times the uniform-random knee
+/// (`BENCH_traffic.json`) — so delivered words per cycle measures what the
+/// network can still carry under the fault plan.
+const GOODPUT_LOAD_PPM: u32 = 1_000_000;
+
+/// Measures goodput under saturating uniform-random traffic for each rate
+/// in [`FLAKY_PPM`]: a 32-node machine under `engine` whose nodes run the
+/// sink handler while `jm-traffic` offers [`GOODPUT_LOAD_PPM`] for `cycles`
+/// cycles.
+pub fn goodput_sweep(engine: Engine, seed: u64, cycles: u64) -> Vec<GoodputPoint> {
     FLAKY_PPM
         .iter()
-        .map(|&ppm| goodput_point(seed, ppm, cycles))
+        .map(|&ppm| goodput_point(engine, seed, ppm, cycles))
         .collect()
 }
 
-fn goodput_point(seed: u64, flaky_ppm: u32, cycles: u64) -> GoodputPoint {
-    let dims = MeshDims::new(4, 4, 2);
-    let nodes = dims.nodes();
-    let mut net = Network::new(NetConfig::new(dims));
-    net.set_fault_plan(FaultPlan::from_spec(FaultSpec::new(seed).flaky(flaky_ppm)));
-
-    // Per-node source state: a PRNG for destinations and the message
-    // currently being offered (committed atomically, retried on stall).
-    let mut rngs: Vec<Prng> = (0..nodes)
-        .map(|n| Prng::from_label("goodput", seed ^ u64::from(n)))
-        .collect();
-    let mut pending: Vec<Vec<Word>> = (0..nodes)
-        .map(|n| next_msg(&mut rngs[n as usize], dims, n))
-        .collect();
-
-    for _ in 0..cycles {
-        for n in 0..nodes {
-            let node = NodeId(n);
-            match net.commit_msg(node, MsgPriority::P0, &pending[n as usize]) {
-                InjectResult::Accepted => {
-                    pending[n as usize] = next_msg(&mut rngs[n as usize], dims, n);
-                }
-                InjectResult::Stall => {}
-                InjectResult::BadRoute => unreachable!("generator picks in-mesh nodes"),
-            }
-            while net.pop_delivered(node, MsgPriority::P0).is_some() {}
-        }
-        net.step();
-    }
-    let stats = net.stats();
+fn goodput_point(engine: Engine, seed: u64, flaky_ppm: u32, cycles: u64) -> GoodputPoint {
+    let program = sink_program();
+    let traffic = TrafficSpec::new(seed)
+        .load(GOODPUT_LOAD_PPM)
+        .msg_words(MSG_WORDS)
+        .handler(program.handler("sink"));
+    let config = MachineConfig::with_dims(MeshDims::new(4, 4, 2))
+        .start(StartPolicy::None)
+        .engine(engine)
+        .traffic(traffic)
+        .fault(FaultSpec::new(seed).flaky(flaky_ppm));
+    let mut m = JMachine::new(program, config);
+    m.run(cycles);
+    let net = m.stats().net;
     GoodputPoint {
         flaky_ppm,
-        delivered_words: stats.delivered_words,
-        delivered_msgs: stats.delivered_msgs,
-        blocked_moves: stats.faults.blocked_moves,
+        delivered_words: net.delivered_words,
+        delivered_msgs: net.delivered_msgs,
+        blocked_moves: net.faults.blocked_moves,
         cycles,
     }
-}
-
-/// A fresh 4-word message (route + header + 3 payload words) to a
-/// uniform-random other node.
-fn next_msg(rng: &mut Prng, dims: MeshDims, from: u32) -> Vec<Word> {
-    let nodes = dims.nodes();
-    let mut dest = rng.range_u32(0, nodes - 1);
-    if dest >= from {
-        dest += 1; // uniform over the other nodes
-    }
-    vec![
-        RouteWord::new(dims.coord(NodeId(dest))).to_word(),
-        MsgHeader::new(1, 4).to_word(),
-        Word::int(from as i32),
-        Word::int(rng.range_i32(0, 1 << 20)),
-        Word::int(rng.range_i32(0, 1 << 20)),
-    ]
 }
 
 /// Runs LCS end to end for each rate in [`LCS_FLAKY_PPM`] and records
@@ -241,12 +207,11 @@ pub fn rpc_sweep(engine: Engine, seed: u64) -> Vec<RpcPoint> {
         .collect()
 }
 
-/// Runs all three sweeps with one seed; the two machine-level sweeps run
-/// under `engine` (the goodput sweep drives a bare network).
+/// Runs all three sweeps with one seed, every machine under `engine`.
 pub fn sweep(engine: Engine, seed: u64, goodput_cycles: u64) -> FaultReport {
     FaultReport {
         seed,
-        goodput: goodput_sweep(seed, goodput_cycles),
+        goodput: goodput_sweep(engine, seed, goodput_cycles),
         lcs: lcs_sweep(engine, seed),
         rpc: rpc_sweep(engine, seed),
     }
@@ -294,32 +259,6 @@ impl FaultReport {
         } else {
             Err(bad)
         }
-    }
-
-    /// Deterministic per-point counter lines — the digest source. Every
-    /// number here is simulated state, so the digest is identical across
-    /// engines and host thread counts.
-    pub fn digest_lines(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "seed {}", self.seed);
-        for p in &self.goodput {
-            let _ = writeln!(
-                s,
-                "goodput {} {} {} {} {}",
-                p.flaky_ppm, p.delivered_words, p.delivered_msgs, p.blocked_moves, p.cycles
-            );
-        }
-        for p in &self.lcs {
-            let _ = writeln!(s, "lcs {} {} {}", p.flaky_ppm, p.cycles, p.blocked_moves);
-        }
-        for p in &self.rpc {
-            let _ = writeln!(
-                s,
-                "rpc {} {} {} {} {}",
-                p.corrupt_ppm, p.cycles, p.retries, p.dropped, p.corrupted_words
-            );
-        }
-        s
     }
 
     /// Renders the three curves as aligned text tables.
@@ -421,8 +360,8 @@ mod tests {
 
     #[test]
     fn goodput_degrades_with_fault_rate() {
-        let clean = goodput_point(42, 0, 2_000);
-        let faulty = goodput_point(42, 200_000, 2_000);
+        let clean = goodput_point(Engine::Event, 42, 0, 2_000);
+        let faulty = goodput_point(Engine::Event, 42, 200_000, 2_000);
         assert!(clean.delivered_words > 0);
         assert_eq!(clean.blocked_moves, 0);
         assert!(faulty.blocked_moves > 0);
@@ -436,8 +375,8 @@ mod tests {
 
     #[test]
     fn goodput_point_is_deterministic() {
-        let a = goodput_point(7, 50_000, 1_000);
-        let b = goodput_point(7, 50_000, 1_000);
+        let a = goodput_point(Engine::Event, 7, 50_000, 1_000);
+        let b = goodput_point(Engine::Parallel(2), 7, 50_000, 1_000);
         assert_eq!(a.delivered_words, b.delivered_words);
         assert_eq!(a.blocked_moves, b.blocked_moves);
     }

@@ -12,7 +12,7 @@ pub fn time_once<T, F: FnOnce() -> T>(f: F) -> (Duration, T) {
 }
 
 /// Peak resident set size of this process in MiB (0 when unavailable —
-/// `/proc` is Linux-only). Recorded in nightly digest artifacts so a
+/// `/proc` is Linux-only). Recorded as a row of the nightly artifacts so a
 /// workload's memory footprint stays visible run over run.
 pub fn peak_rss_mib() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {

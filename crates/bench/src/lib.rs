@@ -22,7 +22,7 @@
 //! | `perf`, [`threads`] | `jmsim perf` — host throughput rows |
 //! | `gate` | `jmsim gate` — ratchet, floors and ceilings over rows |
 //! | [`faultb`], [`traffic`] | the fault and traffic sweeps |
-//! | `tools` | `faults`, `traffic`, `chaos`, `mesh`, `golden`, `trace`, `replay …` |
+//! | `tools` | `faults`, `traffic`, `chaos`, `mesh`, `trace`, `replay …` |
 //! | [`workloads`], [`observe`] | canned programs shared with the test suites |
 
 #![warn(missing_docs)]

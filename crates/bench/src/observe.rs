@@ -6,7 +6,7 @@
 //! delivery, queueing (node 0's message queue backs up under the
 //! convergecast), dispatch, and handler execution — in a few thousand
 //! cycles, which makes it the standard input for `jmsim trace` and for the
-//! deterministic digest of `jmsim repro`.
+//! trace hash `jmsim repro` prints into `EXPERIMENTS.md`.
 
 use crate::workloads::gather_program;
 use jm_isa::node::MeshDims;

@@ -9,7 +9,7 @@
 
 use crate::cli::{self, Args, Outcome};
 use crate::macrob::{self, App, AppRun, Problems};
-use crate::{baselines, faultb, micro, observe, threads, traffic};
+use crate::{baselines, faultb, micro, observe, traffic};
 use jm_machine::{Engine, MachineError};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -22,8 +22,6 @@ use std::time::Instant;
 pub struct Ctx {
     /// Engine every machine of the run uses.
     engine: Engine,
-    /// Scaled-down problem sizes and machine sizes (`--quick`).
-    quick: bool,
     problems: Problems,
     apps: BTreeMap<(App, u32), AppRun>,
 }
@@ -39,7 +37,6 @@ impl Ctx {
         };
         Ctx {
             engine,
-            quick,
             problems,
             apps: BTreeMap::new(),
         }
@@ -66,8 +63,9 @@ impl Ctx {
 pub struct Section {
     /// The text `jmsim <name>` prints and `EXPERIMENTS.md` embeds.
     pub body: String,
-    /// `[ok] …` / `[FAIL] …` against the paper's shape.
-    pub check: Option<String>,
+    /// A claim about the paper's shape, and whether the measurement bears
+    /// it out.
+    pub check: Option<(bool, String)>,
 }
 
 impl Section {
@@ -76,11 +74,31 @@ impl Section {
     }
 
     fn checked(body: String, ok: bool, claim: String) -> Section {
-        let verdict = if ok { "ok" } else { "FAIL" };
         Section {
             body,
-            check: Some(format!("[{verdict}] {claim}")),
+            check: Some((ok, claim)),
         }
+    }
+
+    /// The check as the report prints it: `[ok] …` / `[FAIL] …`.
+    fn check_line(&self) -> Option<String> {
+        let (ok, claim) = self.check.as_ref()?;
+        Some(format!("[{}] {claim}", if *ok { "ok" } else { "FAIL" }))
+    }
+
+    /// False when the section's check printed `[FAIL]`.
+    fn holds(&self) -> bool {
+        self.check.as_ref().is_none_or(|(ok, _)| *ok)
+    }
+}
+
+/// Exit code of a run whose checks all held, or did not: a `[FAIL]` is
+/// exit 1, so a script or a CI step sees it without reading the output.
+fn exit_code(checks_hold: bool) -> ExitCode {
+    if checks_hold {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -281,7 +299,7 @@ fn table5(ctx: &mut Ctx, nodes: u32) -> Result<Section, MachineError> {
 }
 
 /// `jmsim <artifact> [nodes] [--quick] [--engine E]`: prints one section
-/// body.
+/// body; exit 1 (and the check on stderr) if its qualitative check fails.
 pub(crate) fn run_one(args: &Args) -> Outcome {
     let e = find(args.command()).expect("dispatched from the registry");
     let quick = args.switch("--quick");
@@ -290,71 +308,33 @@ pub(crate) fn run_one(args: &Args) -> Outcome {
         None => e.default_nodes(quick),
     };
     let mut ctx = Ctx::new(args.engine().unwrap_or_default(), quick);
-    print!("{}", (e.run)(&mut ctx, nodes)?.body);
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Runs the measured — deterministic, digested — part of the report and
-/// hands each `(title, body)` to `emit` as it completes: the ten artifacts
-/// in registry order at their default sizes, the per-mechanism latency
-/// breakdown of the standard traced gather, and the qualitative checks the
-/// artifacts contributed. Returns the gather's lifecycle-trace hash.
-///
-/// # Errors
-///
-/// Propagates machine failures.
-pub fn measured_sections(
-    ctx: &mut Ctx,
-    mut emit: impl FnMut(&str, &str),
-) -> Result<u64, MachineError> {
-    let mut checks = String::new();
-    for e in &EXPERIMENTS {
-        let section = (e.run)(ctx, e.default_nodes(ctx.quick))?;
-        emit(e.title, &section.body);
-        if let Some(line) = section.check {
-            let _ = writeln!(checks, "{line}");
-        }
+    let section = (e.run)(&mut ctx, nodes)?;
+    print!("{}", section.body);
+    if !section.holds() {
+        eprintln!("{}", section.check_line().expect("a failed check"));
     }
-    // T = T_net + T_queue per message, from the lifecycle tracer.
-    let demo = observe::gather_demo(jm_isa::MeshDims::for_nodes(64), 16)?;
-    let trace_hash = jm_trace::hash(&demo.trace);
-    let mut obs = demo.trace.breakdown_table();
-    let _ = writeln!(obs, "\ntrace hash: {trace_hash:016x}");
-    emit(
-        "Per-mechanism latency breakdown — traced 64-node gather",
-        &obs,
-    );
-    emit("Qualitative checks", &checks);
-    Ok(trace_hash)
+    Ok(exit_code(section.holds()))
 }
 
-/// `EXPERIMENTS.md` under construction. Digested sections also feed the
-/// determinism fingerprint; host-timing sections go to the report only.
-struct Report {
-    md: String,
-    digest_src: String,
+/// Appends one section to the report `md` under construction, echoing it
+/// to stdout.
+fn section(md: &mut String, title: &str, intro: &str, body: &str) {
+    println!("==== {title} ====\n{body}");
+    let _ = writeln!(md, "## {title}\n\n{intro}```text\n{body}```\n");
 }
 
-impl Report {
-    fn section(&mut self, title: &str, intro: &str, body: &str, digested: bool) {
-        println!("==== {title} ====\n{body}");
-        let _ = writeln!(self.md, "## {title}\n\n{intro}```text\n{body}```\n");
-        if digested {
-            let _ = writeln!(self.digest_src, "{title}\n{body}");
-        }
-    }
-}
-
-/// `jmsim repro [--quick] [--out PATH] [--digest PATH] [--engine E]`: runs
-/// every experiment and regenerates `EXPERIMENTS.md`.
+/// `jmsim repro [--quick] [--out PATH] [--engine E]`: runs every experiment
+/// and regenerates `EXPERIMENTS.md`; exit 1 if a qualitative check fails.
 ///
 /// `--quick` shrinks the big sweeps (64-node instead of 512-node network
-/// experiments, scaled application problems). `--digest` additionally
-/// writes a small deterministic fingerprint — an FNV-1a hash over every
-/// measured section body plus the lifecycle-trace hash of the standard
-/// traced gather — which CI produces twice in fresh processes and once
-/// under `--engine parallel4` and diffs: every engine is bit-exact, so the
-/// three must be identical.
+/// experiments, scaled application problems). The file is a pure function
+/// of the code and `--quick` — no wall-clock number, host name or date
+/// enters it, and every engine is bit-exact — so the file is its own
+/// determinism proof: CI writes it twice in fresh processes and
+/// once under `--engine parallel4`, and `diff`s the three against each
+/// other and against the committed `EXPERIMENTS.md`. Host-time records
+/// live in `PERFLOG.md` and `BENCH_engine.json`, which this command never
+/// touches.
 pub(crate) fn repro(args: &Args) -> Outcome {
     let quick = args.switch("--quick");
     let out_path = args.text("--out").unwrap_or("EXPERIMENTS.md");
@@ -363,45 +343,43 @@ pub(crate) fn repro(args: &Args) -> Outcome {
         println!("running all experiments under {engine:?}");
     }
     let t0 = Instant::now();
-    let mut report = Report {
-        md: format!(
-            "# EXPERIMENTS — paper vs. measured\n\n\
-             Regenerated by `jmsim repro`{}.\n\n\
-             Every J-Machine number below is **measured from the simulator**; the\n\
-             paper's numbers and the other machines' published constants are shown\n\
-             for comparison. Problem sizes are the scaled defaults documented in\n\
-             each section (the simulator is cycle-accurate, so paper-sized runs are\n\
-             possible but slow); *shapes* — who wins, slopes, crossovers,\n\
-             saturation points — are the reproduction target, per DESIGN.md.\n\n",
-            if quick { " (--quick)" } else { "" }
-        ),
-        digest_src: String::new(),
-    };
-
-    let mut ctx = Ctx::new(engine, quick);
-    let trace_hash = measured_sections(&mut ctx, |title, body| {
-        report.section(title, "", body, true);
-    })?;
-
-    // The three sections below are written to the report only: wall-clock
-    // numbers vary run to run, and the fault and traffic paths have their
-    // own digests (`jmsim faults|traffic --digest`), so the pre-fault
-    // fingerprint stays byte-identical.
-    let sweep = threads::sweep(64, if quick { 20_000 } else { 100_000 }, &[1, 2, 4]);
-    report.section(
-        "Thread scaling — parallel engine",
-        "Host wall-clock only (simulated results are bit-identical across\n\
-         engines and thread counts — every run below is asserted equal).\n\
-         Numbers regenerated on a 1-CPU host understate the scaling; CI's\n\
-         bench-gate job runs the same sweep on a ≥4-CPU runner and uploads\n\
-         the rows as the `bench-thread-sweep` artifact (the `threads/…`\n\
-         rows of `BENCH_engine.json`). To import them here, download\n\
-         that artifact from the latest `main` run and paste its rows over\n\
-         the table below.\n\n",
-        &threads::render(&sweep),
-        false,
+    let mut md = format!(
+        "# EXPERIMENTS — paper vs. measured\n\n\
+         Regenerated by `jmsim repro`{}.\n\n\
+         Every J-Machine number below is **measured from the simulator**; the\n\
+         paper's numbers and the other machines' published constants are shown\n\
+         for comparison. Problem sizes are the scaled defaults documented in\n\
+         each section (the simulator is cycle-accurate, so paper-sized runs are\n\
+         possible but slow); *shapes* — who wins, slopes, crossovers,\n\
+         saturation points — are the reproduction target, per DESIGN.md.\n\n",
+        if quick { " (--quick)" } else { "" }
     );
-    report.section(
+
+    // The ten artifacts in registry order at their default sizes, then the
+    // checks they contributed.
+    let mut ctx = Ctx::new(engine, quick);
+    let (mut checks, mut checks_hold) = (String::new(), true);
+    for e in &EXPERIMENTS {
+        let artifact = (e.run)(&mut ctx, e.default_nodes(quick))?;
+        section(&mut md, e.title, "", &artifact.body);
+        if let Some(line) = artifact.check_line() {
+            let _ = writeln!(checks, "{line}");
+        }
+        checks_hold &= artifact.holds();
+    }
+    // T = T_net + T_queue per message, from the lifecycle tracer.
+    let demo = observe::gather_demo(jm_isa::MeshDims::for_nodes(64), 16)?;
+    let mut obs = demo.trace.breakdown_table();
+    let _ = writeln!(obs, "\ntrace hash: {:016x}", jm_trace::hash(&demo.trace));
+    section(
+        &mut md,
+        "Per-mechanism latency breakdown — traced 64-node gather",
+        "",
+        &obs,
+    );
+    section(&mut md, "Qualitative checks", "", &checks);
+    section(
+        &mut md,
         "Robustness — fault-injection degradation",
         "Seeded `jm-fault` plans (see DESIGN.md §4.7): flaky links are\n\
          lossless backpressure, so applications stay exact while\n\
@@ -409,9 +387,9 @@ pub(crate) fn repro(args: &Args) -> Outcome {
          at dispatch and recovered by the reliable-RPC retry layer. Also\n\
          emitted as `BENCH_fault.json` by `jmsim faults`.\n\n",
         &faultb::sweep(engine, 7, 20_000).render(),
-        false,
     );
-    report.section(
+    section(
+        &mut md,
         "Traffic — saturation-throughput curves",
         "Seeded `jm-traffic` Bernoulli injection (see DESIGN.md §4.9):\n\
          every pattern is swept over an offered-load ladder with a\n\
@@ -419,25 +397,11 @@ pub(crate) fn repro(args: &Args) -> Outcome {
          network accepts nearly in full. Also emitted as\n\
          `BENCH_traffic.json` by `jmsim traffic`.\n\n",
         &traffic::sweep(engine, 7).render(),
-        false,
     );
 
-    let secs = t0.elapsed().as_secs_f64();
-    let _ = writeln!(
-        report.md,
-        "\n_Total regeneration time: {secs:.1} s of host time._"
-    );
-    cli::write_file(out_path, &report.md)?;
-    println!("wrote {out_path} in {secs:.1}s");
-
-    if let Some(path) = args.text("--digest") {
-        let stats_hash = jm_trace::fnv1a(report.digest_src.as_bytes());
-        let fingerprint =
-            format!("jm-digest v1\nstats {stats_hash:016x}\ntrace {trace_hash:016x}\n");
-        cli::write_file(path, &fingerprint)?;
-        print!("{fingerprint}");
-    }
-    Ok(ExitCode::SUCCESS)
+    cli::write_file(out_path, &md)?;
+    println!("wrote {out_path} in {:.1}s", t0.elapsed().as_secs_f64());
+    Ok(exit_code(checks_hold))
 }
 
 #[cfg(test)]
@@ -459,16 +423,29 @@ mod tests {
 
     #[test]
     fn report_sections_embed_the_body_verbatim() {
-        let mut report = Report {
-            md: String::new(),
-            digest_src: String::new(),
-        };
-        report.section("T1", "", "body one\n", true);
-        report.section("T2", "Intro.\n\n", "body two\n", false);
+        let mut md = String::new();
+        section(&mut md, "T1", "", "body one\n");
+        section(&mut md, "T2", "Intro.\n\n", "body two\n");
         assert_eq!(
-            report.md,
+            md,
             "## T1\n\n```text\nbody one\n```\n\n## T2\n\nIntro.\n\n```text\nbody two\n```\n\n"
         );
-        assert_eq!(report.digest_src, "T1\nbody one\n\n");
+    }
+
+    #[test]
+    fn a_failed_check_is_exit_1() {
+        let body = || "body\n".to_string();
+        let ok = Section::checked(body(), true, "slope ~2".to_string());
+        let bad = Section::checked(body(), false, "slope ~2".to_string());
+        assert_eq!(ok.check_line().as_deref(), Some("[ok] slope ~2"));
+        assert_eq!(bad.check_line().as_deref(), Some("[FAIL] slope ~2"));
+        assert_eq!(Section::plain(body()).check_line(), None);
+        for (section, code) in [
+            (Section::plain(body()), ExitCode::SUCCESS),
+            (ok, ExitCode::SUCCESS),
+            (bad, ExitCode::FAILURE),
+        ] {
+            assert_eq!(exit_code(section.holds()), code, "{section:?}");
+        }
     }
 }

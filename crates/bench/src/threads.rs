@@ -8,9 +8,8 @@
 //! statistics of every run are asserted identical before any number is
 //! reported.
 //!
-//! Used by `jmsim perf` (the `threads/…` rows of `BENCH_engine.json`) and
-//! `jmsim repro` (thread-scaling table in `EXPERIMENTS.md` — excluded from
-//! the determinism digest, since wall times vary run to run).
+//! Used by `jmsim perf` only (the `threads/…` rows of `BENCH_engine.json`):
+//! wall times vary run to run, so they stay out of `EXPERIMENTS.md`.
 
 use crate::harness::time_once;
 use crate::rows::Row;
@@ -101,7 +100,7 @@ pub fn sweep(nodes: u32, cycles: u64, threads: &[u32]) -> ThreadSweep {
     }
 }
 
-/// Renders the sweep as a text table (for `EXPERIMENTS.md` and stdout).
+/// Renders the sweep as a text table for stdout.
 pub fn render(sweep: &ThreadSweep) -> String {
     let mut out = String::new();
     let _ = writeln!(

@@ -1,32 +1,26 @@
 //! The `jmsim` tools that are not paper artifacts: the fault and traffic
 //! sweeps behind `BENCH_fault.json` / `BENCH_traffic.json`, the chaos
-//! application run, the large-mesh smoke, the golden-statistics gate, the
-//! trace exporter, and the replay log recorder / verifier / bisector.
+//! application run, the large-mesh smoke, the trace exporter, and the
+//! replay log recorder / verifier / bisector.
+//!
+//! Every tool that measures simulated counters writes them to `--out` as
+//! [`rows`]: the row file holds each number exactly, so `diff` of two
+//! files — a plain run against a threaded one, today's against
+//! yesterday's, a fresh one against the committed one — is the one proof
+//! that no simulated number moved.
 
 use crate::cli::{self, write_file, Args, CliError, Outcome};
 use crate::workloads::exchange_program;
-use crate::{faultb, harness, micro, observe, rows, traffic};
+use crate::{faultb, harness, observe, rows, traffic};
 use jm_apps::{lcs, nqueens, radix, tsp};
+use jm_isa::instr::StatClass;
 use jm_isa::MeshDims;
 use jm_machine::{
     Engine, FaultSpec, FaultWindow, HostTuning, JMachine, MachineConfig, MachineFactory,
-    StartPolicy,
+    MachineStats, StartPolicy,
 };
 use jm_replay::{Divergence, ReplayLog, DEFAULT_INTERVAL};
-use std::fmt::Write as _;
 use std::process::ExitCode;
-
-/// Writes `{kind} v1` + the FNV-1a hash of `lines` to `--digest`, if given.
-fn write_digest(args: &Args, kind: &str, lines: &str) -> Result<(), CliError> {
-    let Some(path) = args.text("--digest") else {
-        return Ok(());
-    };
-    let hash = jm_trace::fnv1a(lines.as_bytes());
-    let fingerprint = format!("{kind} v1\nstats {hash:016x}\n");
-    write_file(path, &fingerprint)?;
-    print!("{fingerprint}");
-    Ok(())
-}
 
 /// Prints a sweep's shape verdict; violations are exit code 1.
 fn shape_verdict(what: &str, check: Result<(), Vec<String>>) -> ExitCode {
@@ -47,9 +41,9 @@ fn shape_verdict(what: &str, check: Result<(), Vec<String>>) -> ExitCode {
 
 /// `jmsim faults`: the three [`faultb`] sweeps under one fault-plan seed →
 /// curves on stdout, `BENCH_fault.json`, and exit code 1 if goodput rises
-/// or LCS completion time falls with the fault rate. `--digest` hashes the
-/// per-point simulated counters, which CI diffs between a plain and an
-/// `--engine parallel4` run to prove the fault paths schedule-independent.
+/// or LCS completion time falls with the fault rate. Every row is a
+/// simulated counter, so CI diffs the file of a plain run against an
+/// `--engine parallel4` one to prove the fault paths schedule-independent.
 pub(crate) fn faults(args: &Args) -> Outcome {
     let out_path = args.text("--out").unwrap_or("BENCH_fault.json");
     let engine = args.engine().unwrap_or_default();
@@ -57,16 +51,15 @@ pub(crate) fn faults(args: &Args) -> Outcome {
     print!("{}", report.render());
     write_file(out_path, rows::write(&report.rows()))?;
     println!("\nwrote {out_path}");
-    write_digest(args, "jm-fault-digest", &report.digest_lines())?;
     Ok(shape_verdict("degradation", report.check_monotone()))
 }
 
 /// `jmsim traffic`: the [`traffic`] load ladder for all five patterns under
 /// one injection seed → curves with their knees on stdout,
-/// `BENCH_traffic.json`, and exit code 1 on a misshapen curve; `--digest`
-/// as for [`faults`]. With `--mesh XxYxZ --pattern NAME --load PPM` (the
-/// nightly large-mesh canary) it runs that one point instead and records
-/// its counters plus the process's peak RSS in the digest.
+/// `BENCH_traffic.json`, and exit code 1 on a misshapen curve. With
+/// `--mesh XxYxZ --pattern NAME --load PPM` (the nightly large-mesh
+/// canary) it runs that one point instead and writes its counters, plus
+/// the process's peak RSS as the one host row, to `--out` if given.
 pub(crate) fn traffic(args: &Args) -> Outcome {
     let seed = args.count("--seed").unwrap_or(7);
     let engine = args.engine().unwrap_or_default();
@@ -84,7 +77,6 @@ pub(crate) fn traffic(args: &Args) -> Outcome {
     print!("{}", report.render());
     write_file(out_path, rows::write(&report.rows()))?;
     println!("\nwrote {out_path}");
-    write_digest(args, "jm-traffic-digest", &report.digest_lines())?;
     Ok(shape_verdict("saturation", report.check_monotone()))
 }
 
@@ -109,23 +101,21 @@ fn traffic_point(
         p.latency_p99,
         p.total_cycles,
     );
-    if let Some(path) = args.text("--digest") {
-        let fingerprint = format!(
-            "jm-traffic-point v1\n{name} {mesh} {load} offered {} accepted {} dropped {} \
-             delivered {} cycles {} p50 {} p99 {} max {}\npeak_rss_mib {rss}\n",
-            p.offered_msgs,
-            p.accepted_msgs,
-            p.dropped_msgs,
-            p.delivered_msgs,
-            p.total_cycles,
-            p.latency_p50,
-            p.latency_p99,
-            p.latency_max,
-        );
-        write_file(path, &fingerprint)?;
-        print!("{fingerprint}");
+    if let Some(path) = args.text("--out") {
+        let mut out = traffic::header_rows(seed, dims);
+        out.extend(p.rows(&format!("traffic/{name}/{load}"), dims.nodes()));
+        out.push(peak_rss_row(rss));
+        write_file(path, rows::write(&out))?;
+        println!("wrote {path}");
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// The process's peak RSS as a row: the one host-dependent number a
+/// nightly row file carries, so the large-mesh footprint is tracked day
+/// over day beside the counters.
+fn peak_rss_row(mib: u64) -> rows::Row {
+    rows::Row::host("host", "peak_rss", mib as f64, "MiB", rows::host_cpus())
 }
 
 const MAX_CYCLES: u64 = 4_000_000_000;
@@ -180,10 +170,10 @@ pub(crate) fn chaos(args: &Args) -> Outcome {
 /// `jmsim mesh`: a bounded load-dominated run on a big cube (default
 /// 16×16×16, 5 000 cycles), every node in the exchange loop, under `event`,
 /// `parallel-T` at quantum 1 (a decide every cycle — the crew scheduler's
-/// worst case) and `parallel-T` at the auto quantum. Its own gate: the
-/// rows' full machine statistics are hashed and any difference exits
-/// nonzero. `--digest` writes the digest line, with peak RSS, for a
-/// workflow to diff day over day.
+/// worst case) and `parallel-T` at the auto quantum. Its own gate: a run
+/// whose machine statistics differ from the event engine's in any field
+/// exits nonzero. `--out` writes the simulated counters, and peak RSS as
+/// the one host row, for a workflow to diff day over day.
 pub(crate) fn mesh(args: &Args) -> Outcome {
     let nodes = cli::machine_size("--nodes", args.count("--nodes").unwrap_or(4096))?;
     let cycles = args.count("--cycles").unwrap_or(5_000);
@@ -194,13 +184,14 @@ pub(crate) fn mesh(args: &Args) -> Outcome {
 
     // (label, engine, quantum): quantum 0 is the auto default.
     let parallel = Engine::Parallel(threads);
-    let rows = [
+    let runs = [
         ("event".to_string(), Engine::Event, 0),
         (format!("parallel-{threads}-q1"), parallel, 1),
         (format!("parallel-{threads}-qauto"), parallel, 0),
     ];
-    let mut digests = Vec::new();
-    for (label, engine, quantum) in rows {
+    let mut event_stats = None;
+    let mut ok = true;
+    for (label, engine, quantum) in runs {
         let config = MachineConfig::new(nodes)
             .start(StartPolicy::AllNodes)
             .engine(engine)
@@ -211,32 +202,26 @@ pub(crate) fn mesh(args: &Args) -> Outcome {
         let mut m = JMachine::new(exchange_program(), config);
         let (wall, ()) = harness::time_once(|| m.run(cycles));
         let wall = wall.as_secs_f64();
-        let digest = jm_trace::fnv1a(format!("{:?}", m.stats()).as_bytes());
         println!(
-            "{label:<18} {nodes} nodes  {cycles} cycles  {wall:.2}s wall  {:.0} cyc/s  stats digest {digest:016x}",
+            "{label:<18} {nodes} nodes  {cycles} cycles  {wall:.2}s wall  {:.0} cyc/s",
             cycles as f64 / wall.max(1e-9),
         );
-        digests.push((label, digest));
-    }
-    let rss = harness::peak_rss_mib();
-    println!("peak rss: {rss} MiB");
-
-    let (ref base_label, base) = digests[0];
-    let mut ok = true;
-    for (label, digest) in &digests[1..] {
-        if *digest != base {
+        let stats = m.stats();
+        if *event_stats.get_or_insert_with(|| stats.clone()) != stats {
             eprintln!(
-                "[FAIL] {label} digest {digest:016x} != {base_label} digest {base:016x}: \
-                 engines diverged on the large mesh"
+                "[FAIL] {label}: statistics differ from the event engine's on the large mesh"
             );
             ok = false;
         }
     }
-    if let Some(path) = args.text("--digest") {
-        let line = format!(
-            "mesh_smoke nodes={nodes} cycles={cycles} digest={base:016x} peak_rss_mib={rss}\n"
-        );
-        write_file(path, line)?;
+    let rss = harness::peak_rss_mib();
+    println!("peak rss: {rss} MiB");
+    if let Some(path) = args.text("--out") {
+        let mut out = vec![rows::Row::simulated("mesh", "nodes", nodes.into(), "nodes")];
+        out.extend(stats_rows("mesh", &event_stats.expect("the event run")));
+        out.push(peak_rss_row(rss));
+        write_file(path, rows::write(&out))?;
+        println!("wrote {path}");
     }
     if !ok {
         return Ok(ExitCode::FAILURE);
@@ -245,86 +230,32 @@ pub(crate) fn mesh(args: &Args) -> Outcome {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The golden document (exact, fixed-precision floats): Figure 2's fitted
-/// slope and intercept per curve on 64 nodes, Table 1's overhead, Table 3's
-/// barrier cycles at 2/8/64 nodes.
-fn golden_document() -> Result<String, jm_machine::MachineError> {
-    const FIG2_NODES: u32 = 64;
-    let curves = micro::latency::measure(Engine::Event, FIG2_NODES)?;
-    let overhead = micro::overhead::measure(Engine::Event)?;
-    let barrier = micro::barrier::measure(Engine::Event, &[2, 8, 64], 8)?;
-
-    let comma = |i: usize, len: usize| if i + 1 < len { "," } else { "" };
-    let mut out = String::from("{\n  \"golden\": \"stats\",\n");
-    let _ = writeln!(out, "  \"fig2_nodes\": {FIG2_NODES},");
-    out.push_str("  \"fig2\": [\n");
-    for (i, c) in curves.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{ \"curve\": \"{}\", \"slope\": {:.4}, \"base\": {:.4} }}{}",
-            c.kind.name(),
-            c.slope(),
-            c.base(),
-            comma(i, curves.len())
-        );
+/// A machine's simulated counters as rows named `name`.
+fn stats_rows(name: &str, stats: &MachineStats) -> Vec<rows::Row> {
+    let (n, net) = (&stats.nodes, &stats.net);
+    let mut out = vec![("cycles", stats.cycles, "cycles")];
+    for class in StatClass::ALL {
+        out.push((class.label(), n.class_cycles(class), "node-cycles"));
     }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"table1\": {{ \"cycles_per_msg\": {:.4}, \"cycles_per_byte\": {:.4} }},",
-        overhead.cycles_per_msg, overhead.cycles_per_byte
-    );
-    out.push_str("  \"table3\": [\n");
-    for (i, p) in barrier.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{ \"nodes\": {}, \"cycles\": {:.4} }}{}",
-            p.nodes,
-            p.cycles,
-            comma(i, barrier.len())
-        );
-    }
-    out.push_str("  ]\n}\n");
-    Ok(out)
-}
-
-/// `jmsim golden [--check | --bless]`: regenerates the headline metrics
-/// and diffs them against `tests/golden/stats.json`. The simulator is
-/// deterministic, so they are exact, and any drift — an ISA-timing tweak, a
-/// router change — shows here before it distorts a whole figure. `--bless`
-/// rewrites the file after an intentional change.
-pub(crate) fn golden(args: &Args) -> Outcome {
-    let path = args.text("--path").unwrap_or("tests/golden/stats.json");
-    let fresh = golden_document()?;
-    if args.switch("--bless") {
-        write_file(path, &fresh)?;
-        println!("blessed {path}");
-        return Ok(ExitCode::SUCCESS);
-    }
-    let committed = std::fs::read_to_string(path).map_err(|e| {
-        CliError::Failed(format!(
-            "cannot read {path}: {e}; run `jmsim golden --bless` to create it"
-        ))
-    })?;
-    if committed == fresh {
-        println!("golden stats match {path}");
-        return Ok(ExitCode::SUCCESS);
-    }
-    eprintln!("golden stats DIFFER from {path}:");
-    for (i, (want, got)) in committed.lines().zip(fresh.lines()).enumerate() {
-        if want != got {
-            eprintln!(
-                "  line {}:\n    committed: {want}\n    measured:  {got}",
-                i + 1
-            );
-        }
-    }
-    let (a, b) = (committed.lines().count(), fresh.lines().count());
-    if a != b {
-        eprintln!("  line counts differ: committed {a}, measured {b}");
-    }
-    eprintln!("if the change is intentional, re-bless with `jmsim golden --bless`");
-    Ok(ExitCode::FAILURE)
+    out.extend([
+        ("instructions", n.instructions, "instrs"),
+        ("threads", n.threads, "threads"),
+        ("sends", n.sends, "instrs"),
+        ("send_faults", n.send_faults, "faults"),
+        ("msgs_sent", n.msgs_sent, "msgs"),
+        ("msgs_received", n.msgs_received, "msgs"),
+        ("arrival_stalls", n.arrival_stalls, "cycles"),
+        ("injected_msgs", net.injected_msgs, "msgs"),
+        ("delivered_msgs", net.delivered_msgs, "msgs"),
+        ("delivered_words", net.delivered_words, "words"),
+        ("flit_hops", net.flit_hops, "flits"),
+        ("bisection_flits", net.bisection_flits, "flits"),
+        ("latency_sum", net.latency_sum, "cycles"),
+        ("latency_max", net.latency_max, "cycles"),
+    ]);
+    out.into_iter()
+        .map(|(metric, value, unit)| rows::Row::simulated(name, metric, value as f64, unit))
+        .collect()
 }
 
 /// `jmsim trace`: runs the traced gather, prints the per-mechanism latency

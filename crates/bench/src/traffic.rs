@@ -134,6 +134,27 @@ impl TrafficPoint {
             self.accepted_msgs as f64 / self.offered_msgs as f64
         }
     }
+
+    /// The point's counters as rows named `name`, on a `nodes`-node mesh.
+    pub fn rows(&self, name: &str, nodes: u32) -> Vec<Row> {
+        let thru = self.accepted_throughput(nodes);
+        [
+            ("offered_msgs", self.offered_msgs as f64, "msgs"),
+            ("accepted_msgs", self.accepted_msgs as f64, "msgs"),
+            ("dropped_msgs", self.dropped_msgs as f64, "msgs"),
+            ("delivered_msgs", self.delivered_msgs as f64, "msgs"),
+            ("throughput", thru, "flits/node/cycle"),
+            ("latency_mean", self.latency_mean, "cycles"),
+            ("latency_p50", self.latency_p50 as f64, "cycles"),
+            ("latency_p99", self.latency_p99 as f64, "cycles"),
+            ("latency_max", self.latency_max as f64, "cycles"),
+            ("latency_count", self.latency_count as f64, "msgs"),
+            ("total_cycles", self.total_cycles as f64, "cycles"),
+        ]
+        .into_iter()
+        .map(|(metric, value, unit)| Row::simulated(name, metric, value, unit))
+        .collect()
+    }
 }
 
 /// The saturation curve of one destination pattern.
@@ -405,6 +426,22 @@ impl PatternCurve {
     }
 }
 
+/// The rows that say what a traffic row file was measured under: the
+/// injection seed, the mesh and the warmup / measure protocol.
+pub fn header_rows(seed: u64, dims: MeshDims) -> Vec<Row> {
+    [
+        ("seed", seed as f64, ""),
+        ("mesh_x", f64::from(dims.x), "nodes"),
+        ("mesh_y", f64::from(dims.y), "nodes"),
+        ("mesh_z", f64::from(dims.z), "nodes"),
+        ("warmup_cycles", WARMUP as f64, "cycles"),
+        ("measure_cycles", MEASURE as f64, "cycles"),
+    ]
+    .into_iter()
+    .map(|(metric, value, unit)| Row::simulated("traffic", metric, value, unit))
+    .collect()
+}
+
 impl TrafficReport {
     /// Checks every curve with [`check_curve`], and that the heaviest
     /// hotspot load actually backpressured. Returns every violation found.
@@ -428,37 +465,6 @@ impl TrafficReport {
         } else {
             Err(bad)
         }
-    }
-
-    /// Deterministic per-point counter lines — the digest source. Every
-    /// number is simulated state (counters from the default-engine run,
-    /// latencies from the event-engine trace of the same workload), so
-    /// the digest is identical across engines and host thread counts.
-    pub fn digest_lines(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "seed {}", self.seed);
-        let _ = writeln!(s, "mesh {}x{}x{}", self.dims.x, self.dims.y, self.dims.z);
-        for curve in &self.curves {
-            for p in &curve.points {
-                let _ = writeln!(
-                    s,
-                    "{} {} {} {} {} {} {} {} {} {} {} {}",
-                    curve.pattern.label(),
-                    p.load_ppm,
-                    p.offered_msgs,
-                    p.accepted_msgs,
-                    p.dropped_msgs,
-                    p.delivered_msgs,
-                    p.measure_cycles,
-                    p.total_cycles,
-                    p.latency_p50,
-                    p.latency_p99,
-                    p.latency_max,
-                    p.latency_count,
-                );
-            }
-        }
-        s
     }
 
     /// Renders the curves as aligned text tables.
@@ -511,35 +517,16 @@ impl TrafficReport {
     /// The report as `BENCH_traffic.json` rows: every value is simulated
     /// state, so the file is the same on every host and engine.
     pub fn rows(&self) -> Vec<Row> {
+        let mut rows = header_rows(self.seed, self.dims);
         let nodes = self.dims.nodes();
-        let mut rows = Vec::new();
-        let mut push = |name: &str, metric: &str, value: f64, unit: &str| {
-            rows.push(Row::simulated(name, metric, value, unit));
-        };
-        push("traffic", "seed", self.seed as f64, "");
-        push("traffic", "mesh_x", f64::from(self.dims.x), "nodes");
-        push("traffic", "mesh_y", f64::from(self.dims.y), "nodes");
-        push("traffic", "mesh_z", f64::from(self.dims.z), "nodes");
-        push("traffic", "warmup_cycles", WARMUP as f64, "cycles");
-        push("traffic", "measure_cycles", MEASURE as f64, "cycles");
         for curve in &self.curves {
             let name = format!("traffic/{}", curve.pattern.label());
-            push(&name, "knee_ppm", f64::from(curve.knee_ppm()), "ppm");
+            let row = |metric, value, unit| Row::simulated(&name, metric, value, unit);
             let knee = curve.knee_throughput(nodes);
-            push(&name, "knee_throughput", knee, "flits/node/cycle");
+            rows.push(row("knee_ppm", curve.knee_ppm().into(), "ppm"));
+            rows.push(row("knee_throughput", knee, "flits/node/cycle"));
             for p in &curve.points {
-                let name = format!("{name}/{}", p.load_ppm);
-                let thru = p.accepted_throughput(nodes);
-                push(&name, "offered_msgs", p.offered_msgs as f64, "msgs");
-                push(&name, "accepted_msgs", p.accepted_msgs as f64, "msgs");
-                push(&name, "dropped_msgs", p.dropped_msgs as f64, "msgs");
-                push(&name, "delivered_msgs", p.delivered_msgs as f64, "msgs");
-                push(&name, "throughput", thru, "flits/node/cycle");
-                push(&name, "latency_mean", p.latency_mean, "cycles");
-                push(&name, "latency_p50", p.latency_p50 as f64, "cycles");
-                push(&name, "latency_p99", p.latency_p99 as f64, "cycles");
-                push(&name, "latency_max", p.latency_max as f64, "cycles");
-                push(&name, "latency_count", p.latency_count as f64, "msgs");
+                rows.extend(p.rows(&format!("{name}/{}", p.load_ppm), nodes));
             }
         }
         rows

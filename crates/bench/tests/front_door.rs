@@ -1,14 +1,14 @@
 //! One harness, one door: a subcommand prints exactly the section `jmsim
-//! repro` embeds, and every `jmsim` invocation written down anywhere in the
-//! repository — workflows, composite actions, the docs — names a
-//! subcommand the dispatch table has. The workflows are not executed by
-//! the test suite, so the second check is what keeps them honest.
+//! repro` embeds, two `repro` runs write the same bytes, and every `jmsim`
+//! invocation written down anywhere in the repository — workflows,
+//! composite actions, the docs — names a subcommand the dispatch table has.
+//! The workflows are not executed by the test suite, so the last check is
+//! what keeps them honest.
 
-use jm_bench::cli;
-use jm_bench::registry::{self, Ctx};
-use jm_machine::Engine;
+use jm_bench::{cli, registry};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 
 fn jmsim(args: &[&str]) -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_jmsim"))
@@ -23,25 +23,53 @@ fn jmsim(args: &[&str]) -> (i32, String, String) {
     )
 }
 
+/// The files of two `jmsim repro --quick --out …` processes, run side by
+/// side once for the whole suite.
+fn quick_reports() -> &'static [String; 2] {
+    static REPORTS: OnceLock<[String; 2]> = OnceLock::new();
+    REPORTS.get_or_init(|| {
+        let paths = ["a", "b"].map(|run| {
+            std::env::temp_dir().join(format!("jmsim-repro-{}-{run}.md", std::process::id()))
+        });
+        let children = paths.each_ref().map(|path| {
+            Command::new(env!("CARGO_BIN_EXE_jmsim"))
+                .args(["repro", "--quick", "--out", path.to_str().unwrap()])
+                .stdout(std::process::Stdio::null())
+                .spawn()
+                .expect("jmsim runs")
+        });
+        for mut child in children {
+            assert!(child.wait().expect("jmsim exits").success());
+        }
+        paths.map(|path| {
+            let report = std::fs::read_to_string(&path).expect("repro wrote its file");
+            std::fs::remove_file(&path).unwrap();
+            report
+        })
+    })
+}
+
 #[test]
 fn a_subcommand_prints_exactly_its_repro_section() {
-    // The measured sections of `jmsim repro --quick`, as `repro` itself
-    // produces them.
-    let mut sections = Vec::new();
-    registry::measured_sections(&mut Ctx::new(Engine::Event, true), |title, body| {
-        sections.push((title.to_string(), body.to_string()));
-    })
-    .expect("quick sections run");
-    assert_eq!(sections.len(), registry::EXPERIMENTS.len() + 2);
-
     // One micro artifact by explicit size and one macro artifact by its
     // `--quick` default, through the front door.
     for argv in [&["fig2", "64"][..], &["table5", "--quick"][..]] {
         let title = registry::find(argv[0]).expect("registered").title;
-        let (_, body) = sections.iter().find(|(t, _)| t == title).expect("section");
         let (code, stdout, stderr) = jmsim(argv);
         assert_eq!((code, stderr.as_str()), (0, ""), "{argv:?}");
-        assert_eq!(&stdout, body, "{argv:?}");
+        let section = format!("## {title}\n\n```text\n{stdout}```\n");
+        assert!(quick_reports()[0].contains(&section), "{argv:?}");
+    }
+}
+
+#[test]
+fn repro_writes_the_same_bytes_twice_and_no_host_time() {
+    let [a, b] = quick_reports();
+    assert!(a == b, "two `repro --quick` runs wrote different files");
+    let sections = a.matches("\n## ").count();
+    assert_eq!(sections, registry::EXPERIMENTS.len() + 4, "{a}");
+    for host_time in ["cyc/s", "host time"] {
+        assert!(!a.contains(host_time), "the report holds `{host_time}`");
     }
 }
 

@@ -7,7 +7,9 @@
 //! every way a single fault can: each bit flipped, and cut at each offset.
 //! The hand-picked damage cases ride the same loop with the error they must
 //! produce. Every mutant must parse to `Ok` or `Err`; every one that parses
-//! must build under [`MachineFactory`] and take all its ops.
+//! must build under [`MachineFactory`] and take all its ops; and one whose
+//! cycle costs differ from the recorded ones must also run, since those are
+//! added to the clock on every step and the test profile checks overflow.
 
 use jm_asm::{hdr, Builder, Region};
 use jm_isa::consts::FaultKind;
@@ -141,13 +143,22 @@ fn every_mutant_of_a_log_errors_or_replays() {
         wrapped.to_bytes(),
         Some("program image"),
     ));
+    // Cycle costs that would overflow the clock they are added to.
+    let mut slow = log.clone();
+    slow.config.mdp.timing.div = u64::MAX;
+    mutants.push(("endless divide".into(), slow.to_bytes(), Some("timing.div")));
+    let mut stuck = log.clone();
+    stuck.config.net.inject_latency = 1 << 40;
+    let what = "2^40-cycle injection".into();
+    mutants.push((what, stuck.to_bytes(), Some("inject_latency")));
     // A count no log of this size could hold.
     let code_count = program_offset(&log);
     let mut huge = bytes.clone();
     huge[code_count..code_count + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     mutants.push(("4G instructions".into(), huge, Some("bytes remain")));
 
-    let (mut parsed, mut applied) = (0, 0);
+    let costs = |log: &ReplayLog| (log.config.mdp.timing, log.config.net.inject_latency);
+    let (mut parsed, mut applied, mut ran) = (0, 0, 0);
     for (what, mutant, must_fail_with) in &mutants {
         LARGEST.store(0, Relaxed);
         let result = ReplayLog::from_bytes(mutant);
@@ -161,14 +172,18 @@ fn every_mutant_of_a_log_errors_or_replays() {
             (Err(e), Some(why)) => assert!(e.to_string().contains(why), "{what}: {e}"),
             (Ok(_), Some(why)) => panic!("{what}: parsed, expected an error about {why}"),
             (Err(_), None) => {}
-            (Ok(log), None) => {
+            (Ok(mutant), None) => {
                 parsed += 1;
-                let mut exec = MachineFactory::recorded().build(&log);
-                for r in &log.records {
+                let mut exec = MachineFactory::recorded().build(&mutant);
+                for r in &mutant.records {
                     if let Record::Op { op, .. } = r {
                         exec.apply(op);
                         applied += 1;
                     }
+                }
+                if costs(&mutant) != costs(&log) {
+                    exec.advance_to(300);
+                    ran += 1;
                 }
             }
         }
@@ -177,6 +192,8 @@ fn every_mutant_of_a_log_errors_or_replays() {
     // at a record boundary is a shorter log.
     assert!(parsed > mutants.len() / 10, "{parsed} of {}", mutants.len());
     assert!(applied > parsed, "{applied} ops over {parsed} logs");
+    // Sixteen cost fields, the low 21 bits of each under the bound.
+    assert!(ran >= 16 * 20, "{ran} mutants with other cycle costs ran");
 }
 
 /// Byte offset of the program section, whose first field is the

@@ -68,6 +68,35 @@ impl fmt::Display for LogError {
 
 impl std::error::Error for LogError {}
 
+/// Largest cycle cost a log may set — each [`TimingConfig`] field and the
+/// network's `inject_latency`. The simulator adds these to its 64-bit
+/// clock unchecked, so an absurd one would overflow it (a panic in a debug
+/// build, a wrapped clock in a release one); a million cycles is far past
+/// any machine worth modelling, and 2⁴⁴ such charges fit the clock.
+const MAX_COST: u64 = 1 << 20;
+
+/// The timing model's fields in serialization order, each with the name an
+/// error reports it under.
+fn timing_fields(t: &TimingConfig) -> [(&'static str, u64); 15] {
+    [
+        ("timing.base", t.base),
+        ("timing.imem_operand", t.imem_operand),
+        ("timing.emem_operand", t.emem_operand),
+        ("timing.queue_operand", t.queue_operand),
+        ("timing.emem_fetch", t.emem_fetch),
+        ("timing.imm_ext", t.imm_ext),
+        ("timing.branch_taken", t.branch_taken),
+        ("timing.jump", t.jump),
+        ("timing.mul", t.mul),
+        ("timing.div", t.div),
+        ("timing.dispatch", t.dispatch),
+        ("timing.fault_entry", t.fault_entry),
+        ("timing.xlate_extra", t.xlate_extra),
+        ("timing.enter_extra", t.enter_extra),
+        ("timing.resume_extra", t.resume_extra),
+    ]
+}
+
 /// The machine configuration a log was recorded under, as plain data.
 ///
 /// Engine and thread count are *metadata*: the three engines are
@@ -282,24 +311,7 @@ impl ReplayLog {
         w.u8(c.engine);
         w.u32(c.threads);
         w.u64(self.interval);
-        let t = &c.mdp.timing;
-        for v in [
-            t.base,
-            t.imem_operand,
-            t.emem_operand,
-            t.queue_operand,
-            t.emem_fetch,
-            t.imm_ext,
-            t.branch_taken,
-            t.jump,
-            t.mul,
-            t.div,
-            t.dispatch,
-            t.fault_entry,
-            t.xlate_extra,
-            t.enter_extra,
-            t.resume_extra,
-        ] {
+        for (_, v) in timing_fields(&c.mdp.timing) {
             w.u64(v);
         }
         w.u32(c.mdp.queue0_words);
@@ -735,6 +747,13 @@ impl ReplayLog {
         ] {
             if value == 0 || value > max {
                 return err(format!("{what} = {value} is outside 1..={max}"));
+            }
+        }
+        // Cycle costs are added to the clock wherever they are charged.
+        let latency = ("net.inject_latency", net.inject_latency);
+        for (what, value) in timing_fields(&mdp.timing).into_iter().chain([latency]) {
+            if value > MAX_COST {
+                return err(format!("{what} = {value} cycles is outside 0..={MAX_COST}"));
             }
         }
         if let Some(ip) = self.traffic.map(|t| t.handler_ip) {
