@@ -31,11 +31,6 @@ impl MessagingModel {
     pub fn cycles_per_byte(&self) -> f64 {
         self.us_per_byte * self.clock_mhz
     }
-
-    /// One-way overhead for an `n`-byte message, in microseconds.
-    pub fn overhead_us(&self, bytes: u32) -> f64 {
-        self.us_per_msg + self.us_per_byte * f64::from(bytes)
-    }
 }
 
 /// Table 1's comparison rows (vendor libraries and Active Messages).
@@ -170,12 +165,5 @@ mod tests {
         let em4 = &table3_models()[0];
         assert_eq!(em4.at(8), Some(4.7));
         assert_eq!(em4.at(128), None);
-    }
-
-    #[test]
-    fn overhead_is_affine() {
-        let m = &table1_models()[2];
-        let d = m.overhead_us(100) - m.overhead_us(0);
-        assert!((d - 8.0).abs() < 1e-9);
     }
 }

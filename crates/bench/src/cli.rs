@@ -282,8 +282,7 @@ const TOOLS: &[Command] = &[
         name: "gate",
         synopsis:
             "--current PATH [--baseline PATH] [--tolerance FRAC] [--floor NAME:METRIC=NUM]... \
-         [--floor-margin FRAC] [--ceiling NAME:METRIC=NUM]... [--traffic PATH] \
-         [--traffic-baseline PATH]",
+         [--floor-margin FRAC] [--ceiling NAME:METRIC=NUM]...",
         about: "ratchet, floor and ceiling a fresh BENCH file against a baseline",
         run: gate::run,
     },
@@ -309,7 +308,7 @@ const TOOLS: &[Command] = &[
     Command {
         name: "mesh",
         synopsis: "[--nodes N] [--cycles N] [--engine ENGINE] [--out PATH]",
-        about: "large-mesh smoke: event vs parallelN statistics on a big cube",
+        about: "large-mesh smoke: the event vs parallelN thread sweep on a big cube",
         run: tools::mesh,
     },
     Command {
@@ -334,15 +333,9 @@ const TOOLS: &[Command] = &[
     },
     Command {
         name: "replay bisect",
-        synopsis: "--log PATH [--engine ENGINE] [--expect-log-mismatch N]",
+        synopsis: "--log PATH [--engine ENGINE]",
         about: "narrow a replay mismatch to its first diverging cycle",
         run: tools::replay_bisect,
-    },
-    Command {
-        name: "replay corrupt",
-        synopsis: "--log PATH --checkpoint N [--out PATH]",
-        about: "flip one checkpoint hash in a log (self-test fixture)",
-        run: tools::replay_corrupt,
     },
 ];
 
@@ -587,7 +580,7 @@ mod tests {
     fn a_synopsis_declares_its_flags_and_values_come_out_typed() {
         let find = |name: &str| commands().into_iter().find(|c| c.name == name).unwrap();
         let flags = find("gate").flags();
-        assert_eq!(flags.len(), 8);
+        assert_eq!(flags.len(), 6);
         let floor = Flag {
             name: "--floor",
             value: Some("NAME:METRIC=NUM"),
@@ -600,10 +593,7 @@ mod tests {
         assert_eq!(find("table1").positional(), None);
         assert_eq!(find("fig3").flags()[0].value, None);
 
-        let floors = [
-            "ring64:speedup=2.0",
-            "traffic/hotspot:knee_throughput=0.045",
-        ];
+        let floors = ["ring64:speedup=2.0", "threads/parallel-4:vs_event=1.5"];
         let (cmd, args) = parse(&[
             "gate",
             "--current",
@@ -624,7 +614,7 @@ mod tests {
         assert_eq!(floors[0].name, "ring64");
         assert_eq!(
             (floors[1].metric.as_str(), floors[1].value),
-            ("knee_throughput", 0.045)
+            ("vs_event", 1.5)
         );
         assert!(args.bounds("--ceiling").is_empty());
 

@@ -2,21 +2,18 @@
 //! (the rules are stated once, in DESIGN.md §5).
 //!
 //! `--current` (a fresh `jmsim perf` file) is compared with `--baseline`
-//! (default: the committed `BENCH_engine.json`); `--traffic` /
-//! `--traffic-baseline` add a fresh and a committed `BENCH_traffic.json`
-//! to the two sides, and the fresh one is re-checked for curve shape with
-//! the rules `jmsim traffic` enforces at generation time, so a hand-edited
-//! file cannot sneak past CI. A file that is not a well-formed row array
-//! is an input error (exit 2) — never a shorter list of rows to gate.
+//! (default: the committed `BENCH_engine.json`). A file that is not a
+//! well-formed row array is an input error (exit 2) — never a shorter list
+//! of rows to gate. Simulated rows need no gate: CI `diff`s a fresh
+//! `BENCH_fault.json` / `BENCH_traffic.json` against the committed one.
 
 use crate::cli::{Args, Bound, CliError, Outcome};
 use crate::rows::{self, Row};
-use crate::traffic;
 use std::process::ExitCode;
 
-/// The metrics the ratchet holds: higher-is-better ratios and rates that do
-/// not depend on the host's absolute speed.
-pub const RATCHETED: [&str; 3] = ["speedup", "vs_event", "knee_throughput"];
+/// The metrics the ratchet holds: higher-is-better ratios that do not
+/// depend on the host's absolute speed.
+pub const RATCHETED: [&str; 2] = ["speedup", "vs_event"];
 
 fn load(path: &str) -> Result<Vec<Row>, CliError> {
     let doc = std::fs::read_to_string(path).map_err(|e| CliError::io(path, e))?;
@@ -120,40 +117,15 @@ fn walls(v: &mut Verdict, current: &[Row], walls: &[Bound], margin: Option<f64>)
     }
 }
 
-fn traffic_shape(v: &mut Verdict, rows: &[Row]) -> Result<(), String> {
-    let curves = traffic::curves_from_rows(rows)?;
-    if curves.is_empty() {
-        return Err("no traffic/<pattern>/<load> rows".to_string());
-    }
-    for (pattern, points) in &curves {
-        let bad = traffic::check_curve(pattern, points);
-        v.check(
-            bad.is_empty(),
-            format!("traffic/{pattern} shape ({} points)", points.len()),
-        );
-        v.lines
-            .extend(bad.into_iter().map(|b| format!("       {b}")));
-    }
-    Ok(())
-}
-
 /// `jmsim gate` (see the module documentation).
 pub(crate) fn run(args: &Args) -> Outcome {
     let baseline_path = args.text("--baseline").unwrap_or("BENCH_engine.json");
     let tolerance = args.fraction("--tolerance").unwrap_or(0.30);
     let margin = args.fraction("--floor-margin").unwrap_or(0.10);
-    let mut baseline = load(baseline_path)?;
-    let mut current = load(args.text("--current").expect("--current is required"))?;
+    let baseline = load(baseline_path)?;
+    let current = load(args.text("--current").expect("--current is required"))?;
 
     let mut v = Verdict::default();
-    if let Some(path) = args.text("--traffic") {
-        let fresh = load(path)?;
-        traffic_shape(&mut v, &fresh).map_err(|e| CliError::Input(format!("{path}: {e}")))?;
-        current.extend(fresh);
-    }
-    if let Some(path) = args.text("--traffic-baseline") {
-        baseline.extend(load(path)?);
-    }
     ratchet(&mut v, &baseline, &current, tolerance);
     walls(&mut v, &current, &args.bounds("--floor"), Some(margin));
     walls(&mut v, &current, &args.bounds("--ceiling"), None);
@@ -175,7 +147,6 @@ pub(crate) fn run(args: &Args) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::ShapePoint;
 
     fn engine_doc(ring: f64, exch: f64) -> Vec<Row> {
         vec![
@@ -323,76 +294,5 @@ mod tests {
         let c = [bound("ring64_traced", "overhead_vs_untraced", 0.2)];
         walls(&mut v, &engine_doc(1.0, 1.0), &c, None);
         assert!(v.failed);
-    }
-
-    fn traffic_rows(points: &[(&str, u32, [f64; 4])]) -> Vec<Row> {
-        let mut rows = vec![Row::simulated("traffic", "seed", 7.0, "")];
-        for (pattern, load, [offered, accepted, dropped, thru]) in points {
-            let name = format!("traffic/{pattern}/{load}");
-            rows.push(Row::simulated(&name, "offered_msgs", *offered, "msgs"));
-            rows.push(Row::simulated(&name, "accepted_msgs", *accepted, "msgs"));
-            rows.push(Row::simulated(&name, "dropped_msgs", *dropped, "msgs"));
-            rows.push(Row::simulated(
-                &name,
-                "throughput",
-                *thru,
-                "flits/node/cycle",
-            ));
-        }
-        rows
-    }
-
-    #[test]
-    fn parses_traffic_curves_with_points_bounded_per_curve() {
-        let rows = traffic_rows(&[
-            ("uniform_random", 50_000, [1579.0, 1579.0, 0.0, 0.0493]),
-            (
-                "uniform_random",
-                900_000,
-                [28894.0, 14442.0, 14452.0, 0.4513],
-            ),
-            ("hotspot", 50_000, [1579.0, 1575.0, 4.0, 0.0492]),
-        ]);
-        let curves = traffic::curves_from_rows(&rows).unwrap();
-        assert_eq!(curves.len(), 2);
-        assert_eq!(curves[0].0, "uniform_random");
-        assert_eq!(curves[0].1.len(), 2);
-        assert_eq!(curves[0].1[1].dropped, 14_452.0);
-        assert_eq!(curves[0].1[1].load_ppm, 900_000.0);
-        assert_eq!((curves[1].0.as_str(), curves[1].1.len()), ("hotspot", 1));
-        let mut v = Verdict::default();
-        traffic_shape(&mut v, &rows).unwrap();
-        assert!(!v.failed, "{:?}", v.lines);
-        // A point group that lost a metric is an error, not a shorter curve.
-        let cut: Vec<Row> = rows
-            .iter()
-            .filter(|r| r.metric != "throughput")
-            .cloned()
-            .collect();
-        assert!(traffic::curves_from_rows(&cut).is_err());
-        assert!(traffic_shape(&mut v, &engine_doc(1.0, 1.0)).is_err());
-    }
-
-    #[test]
-    fn traffic_shape_check_flags_violations() {
-        let falling = [
-            ShapePoint {
-                load_ppm: 50_000.0,
-                offered: 1000.0,
-                accepted: 1000.0,
-                dropped: 0.0,
-                throughput: 0.10,
-            },
-            ShapePoint {
-                load_ppm: 100_000.0,
-                offered: 2000.0,
-                accepted: 900.0,
-                dropped: 1000.0, // 900 + 1000 != 2000: conservation too
-                throughput: 0.05,
-            },
-        ];
-        let bad = traffic::check_curve("transpose", &falling);
-        assert!(bad.iter().any(|v| v.contains("throughput fell")), "{bad:?}");
-        assert!(bad.iter().any(|v| v.contains("offered")), "{bad:?}");
     }
 }

@@ -13,13 +13,14 @@
 //! (load-dominated: every node in the Figure-3 loop) the worklist is always
 //! full, so the event engine can only match the naive one; the row guards
 //! the bookkeeping against becoming a regression. The exchange is also run
-//! with replay capture armed and under the parallel engine at 1, 2 and 4
-//! workers (`threads/…`); `--trace` adds the ring with lifecycle tracing
-//! on. `--require-cpus N` makes a host with fewer CPUs a hard failure, so a
+//! with replay capture armed, and on 512 nodes under the parallel engine
+//! at 1, 2 and 4 workers (`threads/…`, [`threads::sweep`]); `--trace` adds
+//! the ring with lifecycle tracing on. `--require-cpus N` makes a host
+//! with fewer CPUs a hard failure, so a
 //! CI job that exists to gate the 4-worker row cannot go green where the
 //! gate would skip it as oversubscribed.
 
-use crate::cli::{self, Args, Outcome};
+use crate::cli::{self, Args, CliError, Outcome};
 use crate::harness::time_once;
 use crate::rows::{self, Row};
 use crate::threads;
@@ -28,6 +29,9 @@ use jm_machine::{Engine, JMachine, MachineConfig, StartPolicy};
 use std::process::ExitCode;
 
 const NODES: u32 = 64;
+/// The thread sweep's machine: 8×8×8 cuts into four two-plane slabs, so
+/// `parallel-4` is four workers (4×4×4 has two slabs, and would run two).
+const SWEEP_NODES: u32 = 512;
 const RING_MAX_CYCLES: u64 = 500_000_000;
 
 /// Simulated cycles per second of wall clock.
@@ -187,7 +191,9 @@ pub(crate) fn run(args: &Args) -> Outcome {
         ));
     }
 
-    let sweep = threads::sweep(NODES, exch_cycles, &[1, 2, 4]);
+    // An eighth of the cycles on eight times the nodes: the same work.
+    let sweep =
+        threads::sweep(SWEEP_NODES, exch_cycles / 8, &[1, 2, 4]).map_err(CliError::Failed)?;
     print!("{}", threads::render(&sweep));
     out.extend(threads::rows(&sweep));
 

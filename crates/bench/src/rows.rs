@@ -221,6 +221,27 @@ mod tests {
     }
 
     #[test]
+    fn committed_traffic_knees_clear_their_floors() {
+        // Absolute walls a regenerated file cannot slide under. CI diffs a
+        // fresh sweep against the committed file, so the file is the sweep.
+        let (file, doc) = &committed()[2];
+        let rows = read(doc).unwrap();
+        for (pattern, floor) in [
+            ("uniform_random", 0.30),
+            ("transpose", 0.19),
+            ("bit_reversal", 0.20),
+            ("hotspot", 0.045),
+            ("nearest_neighbor", 0.85),
+        ] {
+            let knee = value(&rows, &format!("traffic/{pattern}"), "knee_throughput");
+            assert!(
+                knee.is_some_and(|k| k >= floor),
+                "{file}: {pattern} knee {knee:?}, floor {floor}"
+            );
+        }
+    }
+
+    #[test]
     fn committed_files_cut_at_every_line_boundary_are_errors() {
         for (file, doc) in committed() {
             let lines: Vec<&str> = doc.split_inclusive('\n').collect();

@@ -54,17 +54,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders as a GitHub-markdown table.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-        out.push_str(&format!("|{}\n", "---|".repeat(self.header.len())));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
 }
 
 /// Formats a float with sensible precision for reports.
@@ -92,15 +81,6 @@ mod tests {
         let s = t.render();
         assert!(s.contains("333"));
         assert!(s.lines().count() == 4);
-    }
-
-    #[test]
-    fn markdown_shape() {
-        let mut t = TextTable::new(vec!["x"]);
-        t.row(vec!["1"]);
-        let md = t.render_markdown();
-        assert!(md.starts_with("| x |"));
-        assert!(md.contains("|---|"));
     }
 
     #[test]

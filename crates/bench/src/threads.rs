@@ -3,18 +3,20 @@
 //! Runs one load-dominated workload (the Figure-3 exchange loop, every node
 //! busy every cycle — the case where threading can actually help) for a
 //! fixed cycle count under `Engine::Event` and `Engine::Parallel(t)` for
-//! t ∈ {1, 2, 4}, timing each run. Because every engine is bit-exact
-//! (DESIGN.md §4.5), the sweep doubles as a differential test: the final
-//! statistics of every run are asserted identical before any number is
-//! reported.
+//! each requested `t`, timing each run. Because every engine is bit-exact
+//! (DESIGN.md §4.5), the sweep doubles as a differential test: a run whose
+//! final statistics differ from the event engine's fails the sweep before
+//! any number is reported.
 //!
-//! Used by `jmsim perf` only (the `threads/…` rows of `BENCH_engine.json`):
-//! wall times vary run to run, so they stay out of `EXPERIMENTS.md`.
+//! This is the one body that measures the parallel engine: `jmsim perf`
+//! runs it at 8×8×8 (the `threads/…` rows of `BENCH_engine.json`) and
+//! `jmsim mesh` at `--nodes`. Wall times vary run to run, so they stay out
+//! of `EXPERIMENTS.md`.
 
 use crate::harness::time_once;
 use crate::rows::Row;
 use crate::workloads::exchange_program;
-use jm_machine::{Engine, JMachine, MachineConfig, StartPolicy};
+use jm_machine::{Engine, JMachine, MachineConfig, MachineStats, StartPolicy};
 use std::fmt::Write as _;
 
 /// One engine's timed run within the sweep.
@@ -40,11 +42,19 @@ pub struct ThreadSweep {
     pub cycles: u64,
     /// One point per engine, event baseline first.
     pub points: Vec<ThreadPoint>,
+    /// The final statistics every run agreed on.
+    pub stats: MachineStats,
 }
 
 /// Runs the sweep: event baseline plus `Parallel(t)` for each `t` in
-/// `threads`, asserting bit-identical final statistics across all runs.
-pub fn sweep(nodes: u32, cycles: u64, threads: &[u32]) -> ThreadSweep {
+/// `threads`.
+///
+/// # Errors
+///
+/// A run whose final statistics differ from the event engine's, or a `t`
+/// the mesh has too few z-slabs to give a worker each — a point named
+/// `parallel-t` is `t` workers or it is not measured.
+pub fn sweep(nodes: u32, cycles: u64, threads: &[u32]) -> Result<ThreadSweep, String> {
     let host_cpus = crate::rows::host_cpus();
     let mut points = Vec::new();
     let mut baseline_stats = None;
@@ -60,8 +70,8 @@ pub fn sweep(nodes: u32, cycles: u64, threads: &[u32]) -> ThreadSweep {
     // (round-robin over engines) rather than run back-to-back per engine,
     // so a burst of host load lands on all engines roughly equally instead
     // of skewing whichever engine owned that time window. Every
-    // repetition's stats are still asserted identical, so the differential
-    // check gets N× deeper.
+    // repetition's stats are compared, so the differential check gets N×
+    // deeper.
     const REPS: u32 = 5;
     let mut best_walls = vec![None::<std::time::Duration>; engines.len()];
     for _ in 0..REPS {
@@ -72,14 +82,21 @@ pub fn sweep(nodes: u32, cycles: u64, threads: &[u32]) -> ThreadSweep {
                     .start(StartPolicy::AllNodes)
                     .engine(*engine),
             );
+            let slabs = m.network().shard_count();
+            if let Engine::Parallel(t @ 2..) = *engine {
+                if t as usize > slabs {
+                    return Err(format!(
+                        "{label}: a {nodes}-node mesh cuts into {slabs} slab(s), \
+                         so only {slabs} of the {t} workers would run"
+                    ));
+                }
+            }
             let (wall, ()) = time_once(|| m.run(cycles));
             let stats = m.stats();
-            match &baseline_stats {
-                None => baseline_stats = Some(stats),
-                Some(base) => assert_eq!(
-                    base, &stats,
-                    "{label}: parallel engine diverged from the event engine"
-                ),
+            if *baseline_stats.get_or_insert_with(|| stats.clone()) != stats {
+                return Err(format!(
+                    "{label}: statistics differ from the event engine's"
+                ));
             }
             *best_wall = Some(best_wall.map_or(wall, |b| b.min(wall)));
         }
@@ -92,12 +109,13 @@ pub fn sweep(nodes: u32, cycles: u64, threads: &[u32]) -> ThreadSweep {
             cycles_per_sec: cycles as f64 / wall_secs.max(1e-9),
         });
     }
-    ThreadSweep {
+    Ok(ThreadSweep {
         host_cpus,
         nodes,
         cycles,
         points,
-    }
+        stats: baseline_stats.expect("the event run"),
+    })
 }
 
 /// Renders the sweep as a text table for stdout.
@@ -140,6 +158,7 @@ pub fn rows(sweep: &ThreadSweep) -> Vec<Row> {
             rows.push(Row::host(&name, metric, value, unit, sweep.host_cpus));
         };
         push("threads", f64::from(p.threads), "threads");
+        push("nodes", f64::from(sweep.nodes), "nodes");
         push("cycles", sweep.cycles as f64, "cycles");
         push("vs_event", p.cycles_per_sec / base, "x");
     }

@@ -11,15 +11,15 @@
 
 use crate::cli::{self, write_file, Args, CliError, Outcome};
 use crate::workloads::exchange_program;
-use crate::{faultb, harness, observe, rows, traffic};
+use crate::{faultb, harness, observe, rows, threads, traffic};
 use jm_apps::{lcs, nqueens, radix, tsp};
 use jm_isa::instr::StatClass;
 use jm_isa::MeshDims;
 use jm_machine::{
-    Engine, FaultSpec, FaultWindow, HostTuning, JMachine, MachineConfig, MachineFactory,
+    Divergence, Engine, FaultSpec, FaultWindow, JMachine, MachineConfig, MachineFactory,
     MachineStats, StartPolicy,
 };
-use jm_replay::{Divergence, ReplayLog, DEFAULT_INTERVAL};
+use jm_replay::{ReplayLog, DEFAULT_INTERVAL};
 use std::process::ExitCode;
 
 /// Prints a sweep's shape verdict; violations are exit code 1.
@@ -99,7 +99,7 @@ fn traffic_point(
         p.dropped_msgs,
         p.accepted_throughput(dims.nodes()),
         p.latency_p99,
-        p.total_cycles,
+        p.drain_cycles,
     );
     if let Some(path) = args.text("--out") {
         let mut out = traffic::header_rows(seed, dims);
@@ -167,13 +167,12 @@ pub(crate) fn chaos(args: &Args) -> Outcome {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `jmsim mesh`: a bounded load-dominated run on a big cube (default
-/// 16×16×16, 5 000 cycles), every node in the exchange loop, under `event`,
-/// `parallel-T` at quantum 1 (a decide every cycle — the crew scheduler's
-/// worst case) and `parallel-T` at the auto quantum. Its own gate: a run
-/// whose machine statistics differ from the event engine's in any field
-/// exits nonzero. `--out` writes the simulated counters, and peak RSS as
-/// the one host row, for a workflow to diff day over day.
+/// `jmsim mesh`: the thread sweep ([`threads::sweep`]) on a big cube
+/// (default 16×16×16, 5 000 cycles, every node in the exchange loop) —
+/// `event` against `parallel-T`. Its own gate: a run whose machine
+/// statistics differ from the event engine's in any field is exit 1.
+/// `--out` writes the simulated counters, the sweep's `threads/…` rows and
+/// peak RSS (host rows) for a workflow to diff day over day.
 pub(crate) fn mesh(args: &Args) -> Outcome {
     let nodes = cli::machine_size("--nodes", args.count("--nodes").unwrap_or(4096))?;
     let cycles = args.count("--cycles").unwrap_or(5_000);
@@ -181,50 +180,17 @@ pub(crate) fn mesh(args: &Args) -> Outcome {
         let why = "--engine: the mesh smoke compares event against a parallelN engine";
         return Err(CliError::Input(why.to_string()));
     };
-
-    // (label, engine, quantum): quantum 0 is the auto default.
-    let parallel = Engine::Parallel(threads);
-    let runs = [
-        ("event".to_string(), Engine::Event, 0),
-        (format!("parallel-{threads}-q1"), parallel, 1),
-        (format!("parallel-{threads}-qauto"), parallel, 0),
-    ];
-    let mut event_stats = None;
-    let mut ok = true;
-    for (label, engine, quantum) in runs {
-        let config = MachineConfig::new(nodes)
-            .start(StartPolicy::AllNodes)
-            .engine(engine)
-            .tuning(HostTuning {
-                quantum,
-                ..HostTuning::default()
-            });
-        let mut m = JMachine::new(exchange_program(), config);
-        let (wall, ()) = harness::time_once(|| m.run(cycles));
-        let wall = wall.as_secs_f64();
-        println!(
-            "{label:<18} {nodes} nodes  {cycles} cycles  {wall:.2}s wall  {:.0} cyc/s",
-            cycles as f64 / wall.max(1e-9),
-        );
-        let stats = m.stats();
-        if *event_stats.get_or_insert_with(|| stats.clone()) != stats {
-            eprintln!(
-                "[FAIL] {label}: statistics differ from the event engine's on the large mesh"
-            );
-            ok = false;
-        }
-    }
+    let sweep = threads::sweep(nodes, cycles, &[threads]).map_err(CliError::Failed)?;
+    print!("{}", threads::render(&sweep));
     let rss = harness::peak_rss_mib();
     println!("peak rss: {rss} MiB");
     if let Some(path) = args.text("--out") {
         let mut out = vec![rows::Row::simulated("mesh", "nodes", nodes.into(), "nodes")];
-        out.extend(stats_rows("mesh", &event_stats.expect("the event run")));
+        out.extend(stats_rows("mesh", &sweep.stats));
+        out.extend(threads::rows(&sweep));
         out.push(peak_rss_row(rss));
         write_file(path, rows::write(&out))?;
         println!("wrote {path}");
-    }
-    if !ok {
-        return Ok(ExitCode::FAILURE);
     }
     println!("mesh smoke passed: engines bit-identical at {nodes} nodes");
     Ok(ExitCode::SUCCESS)
@@ -296,11 +262,9 @@ fn factory(args: &Args) -> MachineFactory {
     args.engine().map_or(recorded, |e| recorded.engine(e))
 }
 
-fn read_log(args: &Args) -> Result<(&str, ReplayLog), CliError> {
+fn read_log(args: &Args) -> Result<ReplayLog, CliError> {
     let path = args.text("--log").expect("--log is a required flag");
-    let log =
-        ReplayLog::read_file(path).map_err(|e| CliError::Input(format!("--log {path}: {e}")))?;
-    Ok((path, log))
+    ReplayLog::read_file(path).map_err(|e| CliError::Input(format!("--log {path}: {e}")))
 }
 
 /// `jmsim replay record`: captures a canned 64-node workload — the exchange
@@ -340,8 +304,8 @@ pub(crate) fn replay_record(args: &Args) -> Outcome {
 /// configuration, or `--engine`, and compares every checkpoint hash; exit
 /// 1 on a mismatch.
 pub(crate) fn replay_verify(args: &Args) -> Outcome {
-    let (_, log) = read_log(args)?;
-    let report = jm_replay::verify(&log, &factory(args));
+    let log = read_log(args)?;
+    let report = jm_machine::verify(&log, &factory(args));
     println!("verify: {report}");
     Ok(if report.clean() {
         ExitCode::SUCCESS
@@ -352,49 +316,14 @@ pub(crate) fn replay_verify(args: &Args) -> Outcome {
 
 /// `jmsim replay bisect`: narrows a mismatch to its first diverging cycle
 /// and components; exit 0 when clean, 2 on a genuine divergence, 3 when the
-/// log itself is irreproducible. With `--expect-log-mismatch CYCLE` (the
-/// CI self-test) exit 0 iff exactly that cycle is named a log mismatch.
+/// log itself is irreproducible.
 pub(crate) fn replay_bisect(args: &Args) -> Outcome {
-    let (_, log) = read_log(args)?;
-    let report = jm_replay::bisect(&log, &MachineFactory::recorded(), &factory(args));
+    let log = read_log(args)?;
+    let report = jm_machine::bisect(&log, &MachineFactory::recorded(), &factory(args));
     println!("bisect ({} probes): {report}", report.probes);
-    if let Some(want) = args.count("--expect-log-mismatch") {
-        return Ok(match report.divergence {
-            Divergence::LogMismatch { cycle, .. } if cycle == want => {
-                println!("expected log mismatch at cycle {want}: confirmed");
-                ExitCode::SUCCESS
-            }
-            other => {
-                println!("expected log mismatch at cycle {want}, got: {other:?}");
-                ExitCode::FAILURE
-            }
-        });
-    }
     Ok(match report.divergence {
         Divergence::None => ExitCode::SUCCESS,
         Divergence::Diverged { .. } => ExitCode::from(2),
         Divergence::LogMismatch { .. } => ExitCode::from(3),
     })
-}
-
-/// `jmsim replay corrupt --log PATH --checkpoint N [--out PATH]`: flips
-/// one checkpoint hash in a log — the fixture for the bisect self-test.
-pub(crate) fn replay_corrupt(args: &Args) -> Outcome {
-    let (path, mut log) = read_log(args)?;
-    let index = args
-        .count("--checkpoint")
-        .expect("--checkpoint is required");
-    let out = args.text("--out").unwrap_or(path);
-    let cycle = usize::try_from(index)
-        .ok()
-        .and_then(|i| log.corrupt_checkpoint(i))
-        .ok_or_else(|| {
-            let have = log.checkpoints();
-            CliError::Input(format!(
-                "--checkpoint: {index} is not one of the log's {have}"
-            ))
-        })?;
-    log.write_file(out).map_err(|e| CliError::io(out, e))?;
-    println!("corrupted checkpoint {index} at cycle {cycle} -> {out}");
-    Ok(ExitCode::SUCCESS)
 }

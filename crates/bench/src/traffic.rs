@@ -25,8 +25,7 @@
 //! network still accepts nearly in full (acceptance ratio at least
 //! [`KNEE_ACCEPT_RATIO`]), scanning the ladder in order and stopping at
 //! the first violation. `jmsim traffic` renders the curves, gates on
-//! their shape, and emits `BENCH_traffic.json` through [`crate::rows`];
-//! `jmsim gate` re-checks the same shape rules on the rows of a file.
+//! their shape, and emits `BENCH_traffic.json` through [`crate::rows`].
 
 use std::fmt::Write as _;
 
@@ -103,8 +102,8 @@ pub struct TrafficPoint {
     pub delivered_msgs: u64,
     /// Length of the measure window in cycles.
     pub measure_cycles: u64,
-    /// Total cycles to quiescence (window plus drain).
-    pub total_cycles: u64,
+    /// Cycles from the end of the measure window to quiescence.
+    pub drain_cycles: u64,
     /// Mean end-to-end latency (inject → dispatch) of messages injected
     /// during the measure window.
     pub latency_mean: f64,
@@ -149,7 +148,7 @@ impl TrafficPoint {
             ("latency_p99", self.latency_p99 as f64, "cycles"),
             ("latency_max", self.latency_max as f64, "cycles"),
             ("latency_count", self.latency_count as f64, "msgs"),
-            ("total_cycles", self.total_cycles as f64, "cycles"),
+            ("drain_cycles", self.drain_cycles as f64, "cycles"),
         ]
         .into_iter()
         .map(|(metric, value, unit)| Row::simulated(name, metric, value, unit))
@@ -235,7 +234,7 @@ pub fn measure_point(
     let warm = m.stats();
     m.run(MEASURE);
     let window = m.stats().net.since(&warm.net);
-    let total_cycles = m
+    let drain_cycles = m
         .run_until_quiescent(DRAIN_LIMIT)
         .expect("traffic run drains to quiescence once the window closes");
 
@@ -263,7 +262,7 @@ pub fn measure_point(
         dropped_msgs: window.traffic.dropped_msgs,
         delivered_msgs: window.delivered_msgs,
         measure_cycles: MEASURE,
-        total_cycles,
+        drain_cycles,
         latency_mean: lat.mean(),
         latency_p50: lat.quantile(0.50),
         latency_p99: lat.quantile(0.99),
@@ -289,32 +288,6 @@ pub fn sweep(engine: Engine, seed: u64) -> TrafficReport {
     TrafficReport { seed, dims, curves }
 }
 
-/// What the shape rules read of one load point — buildable from a
-/// [`TrafficPoint`] and from the rows of a `BENCH_traffic.json` alike.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShapePoint {
-    /// Offered load, parts per million.
-    pub load_ppm: f64,
-    /// Messages offered in the measure window.
-    pub offered: f64,
-    /// Offered messages accepted.
-    pub accepted: f64,
-    /// Offered messages dropped.
-    pub dropped: f64,
-    /// Accepted throughput, flits per node per cycle.
-    pub throughput: f64,
-}
-
-impl ShapePoint {
-    fn accept_ratio(&self) -> f64 {
-        if self.offered == 0.0 {
-            1.0
-        } else {
-            self.accepted / self.offered
-        }
-    }
-}
-
 /// Checks one curve's shape: below saturation accepted throughput must
 /// track offered load (weak monotonicity with [`SLACK`]); past saturation
 /// it may degrade — hotspot tree saturation does — but only gently per
@@ -322,25 +295,25 @@ impl ShapePoint {
 /// curve's running peak. Every point must conserve messages (offered =
 /// accepted + dropped) and offered counts must grow with the ladder.
 /// Returns every violation found.
-pub fn check_curve(label: &str, points: &[ShapePoint]) -> Vec<String> {
+pub fn check_curve(label: &str, points: &[TrafficPoint], nodes: u32) -> Vec<String> {
     let mut bad = Vec::new();
     if points.is_empty() {
         bad.push(format!("{label}: curve has no points"));
     }
     for p in points {
-        if p.offered != p.accepted + p.dropped {
+        if p.offered_msgs != p.accepted_msgs + p.dropped_msgs {
             bad.push(format!(
                 "{label}: offered {} != accepted {} + dropped {} at {} ppm",
-                p.offered, p.accepted, p.dropped, p.load_ppm
+                p.offered_msgs, p.accepted_msgs, p.dropped_msgs, p.load_ppm
             ));
         }
     }
     for pair in points.windows(2) {
         let (lo, hi) = (pair[0], pair[1]);
-        if hi.offered < lo.offered {
+        if hi.offered_msgs < lo.offered_msgs {
             bad.push(format!(
                 "{label}: offered load fell with the ladder: {} msgs at {} ppm vs {} at {} ppm",
-                hi.offered, hi.load_ppm, lo.offered, lo.load_ppm
+                hi.offered_msgs, hi.load_ppm, lo.offered_msgs, lo.load_ppm
             ));
         }
         let slack = if lo.accept_ratio() >= KNEE_ACCEPT_RATIO {
@@ -348,11 +321,12 @@ pub fn check_curve(label: &str, points: &[ShapePoint]) -> Vec<String> {
         } else {
             POST_SAT_SLACK
         };
-        if hi.throughput < lo.throughput * (1.0 - slack) {
+        let (lo_thru, hi_thru) = (lo.accepted_throughput(nodes), hi.accepted_throughput(nodes));
+        if hi_thru < lo_thru * (1.0 - slack) {
             bad.push(format!(
                 "{label}: accepted throughput fell with offered load: \
-                 {:.4} f/n/c at {} ppm vs {:.4} at {} ppm",
-                hi.throughput, hi.load_ppm, lo.throughput, lo.load_ppm
+                 {hi_thru:.4} f/n/c at {} ppm vs {lo_thru:.4} at {} ppm",
+                hi.load_ppm, lo.load_ppm
             ));
         }
     }
@@ -361,69 +335,17 @@ pub fn check_curve(label: &str, points: &[ShapePoint]) -> Vec<String> {
     // what lighter loads already achieved.
     let mut peak = 0.0_f64;
     for p in points {
-        if p.accept_ratio() < KNEE_ACCEPT_RATIO && p.throughput < peak * COLLAPSE_FLOOR {
+        let thru = p.accepted_throughput(nodes);
+        if p.accept_ratio() < KNEE_ACCEPT_RATIO && thru < peak * COLLAPSE_FLOOR {
             bad.push(format!(
-                "{label}: post-saturation throughput collapsed: {:.4} f/n/c at {} ppm \
+                "{label}: post-saturation throughput collapsed: {thru:.4} f/n/c at {} ppm \
                  vs earlier peak {peak:.4}",
-                p.throughput, p.load_ppm
+                p.load_ppm
             ));
         }
-        peak = peak.max(p.throughput);
+        peak = peak.max(thru);
     }
     bad
-}
-
-/// Regroups the `traffic/<pattern>/<load>` rows of a `BENCH_traffic.json`
-/// into `(pattern, points)` curves, in file order.
-///
-/// # Errors
-///
-/// A point row group missing one of the metrics the shape rules read.
-pub fn curves_from_rows(rows: &[Row]) -> Result<Vec<(String, Vec<ShapePoint>)>, String> {
-    let mut curves: Vec<(String, Vec<ShapePoint>)> = Vec::new();
-    for row in rows.iter().filter(|r| r.metric == "offered_msgs") {
-        let Some((pattern, load)) = row
-            .name
-            .strip_prefix("traffic/")
-            .and_then(|rest| rest.split_once('/'))
-        else {
-            continue;
-        };
-        let metric = |metric: &str| {
-            crate::rows::value(rows, &row.name, metric)
-                .ok_or_else(|| format!("{}: no {metric} row", row.name))
-        };
-        let point = ShapePoint {
-            load_ppm: load
-                .parse()
-                .map_err(|_| format!("{}: `{load}` is not a load", row.name))?,
-            offered: row.value,
-            accepted: metric("accepted_msgs")?,
-            dropped: metric("dropped_msgs")?,
-            throughput: metric("throughput")?,
-        };
-        match curves.last_mut() {
-            Some((last, points)) if last == pattern => points.push(point),
-            _ => curves.push((pattern.to_string(), vec![point])),
-        }
-    }
-    Ok(curves)
-}
-
-impl PatternCurve {
-    /// The curve as the shape rules see it.
-    pub fn shape(&self, nodes: u32) -> Vec<ShapePoint> {
-        self.points
-            .iter()
-            .map(|p| ShapePoint {
-                load_ppm: f64::from(p.load_ppm),
-                offered: p.offered_msgs as f64,
-                accepted: p.accepted_msgs as f64,
-                dropped: p.dropped_msgs as f64,
-                throughput: p.accepted_throughput(nodes),
-            })
-            .collect()
-    }
 }
 
 /// The rows that say what a traffic row file was measured under: the
@@ -449,7 +371,7 @@ impl TrafficReport {
         let nodes = self.dims.nodes();
         let mut bad = Vec::new();
         for curve in &self.curves {
-            bad.extend(check_curve(curve.pattern.label(), &curve.shape(nodes)));
+            bad.extend(check_curve(curve.pattern.label(), &curve.points, nodes));
         }
         if let Some(hotspot) = self
             .curves
@@ -545,7 +467,7 @@ mod tests {
             dropped_msgs: offered - accepted,
             delivered_msgs: accepted,
             measure_cycles: MEASURE,
-            total_cycles: WARMUP + MEASURE + 100,
+            drain_cycles: 100,
             latency_mean: 20.0,
             latency_p50: 16,
             latency_p99: 64,
@@ -611,6 +533,20 @@ mod tests {
     }
 
     #[test]
+    fn traffic_shape_check_flags_violations() {
+        let falling = [
+            point(50_000, 1000, 1000),
+            TrafficPoint {
+                dropped_msgs: 1000, // 900 + 1000 != 2000: conservation too
+                ..point(100_000, 2000, 900)
+            },
+        ];
+        let bad = check_curve("transpose", &falling, 64);
+        assert!(bad.iter().any(|v| v.contains("throughput fell")), "{bad:?}");
+        assert!(bad.iter().any(|v| v.contains("offered")), "{bad:?}");
+    }
+
+    #[test]
     fn low_load_uniform_point_accepts_everything() {
         let p = measure_point(
             Engine::Event,
@@ -636,7 +572,7 @@ mod tests {
         let b = measure_point(Engine::Event, 9, dims, TrafficPattern::Transpose, 200_000);
         assert_eq!(a.offered_msgs, b.offered_msgs);
         assert_eq!(a.accepted_msgs, b.accepted_msgs);
-        assert_eq!(a.total_cycles, b.total_cycles);
+        assert_eq!(a.drain_cycles, b.drain_cycles);
         assert_eq!(a.latency_p99, b.latency_p99);
     }
 }

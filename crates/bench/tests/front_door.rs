@@ -82,6 +82,16 @@ fn misuse_exits_2_with_one_line_and_writes_nothing() {
         &["chaos", "--engine", "warp"],
         &["repro", "--quick", "--out"],
         &["trace", "--chrome"],
+        &["replay", "corrupt", "--log", "x.jmrp", "--checkpoint", "3"],
+        &[
+            "replay",
+            "bisect",
+            "--log",
+            "x.jmrp",
+            "--expect-log-mismatch",
+            "512",
+        ],
+        &["gate", "--current", "x.json", "--traffic", "y.json"],
         &["fig7"],
         &[],
     ] {
@@ -136,6 +146,29 @@ fn gate_rejects_a_baseline_cut_mid_document() {
         current.to_str().unwrap(),
     ]);
     assert_eq!(code, 0, "{stdout}{stderr}");
+}
+
+#[test]
+fn bisect_of_a_log_with_one_flipped_checkpoint_exits_3() {
+    let path = std::env::temp_dir().join(format!("jmsim-flip-{}.jmrp", std::process::id()));
+    let path = path.to_str().unwrap();
+    let record = ["--out", path, "--interval", "256", "--cycles", "1000"];
+    let (code, _, stderr) = jmsim(&[&["replay", "record"][..], &record].concat());
+    assert_eq!(code, 0, "{stderr}");
+    let mut log = jm_replay::ReplayLog::read_file(path).unwrap();
+    let Some(jm_replay::Record::Boundary { cycle, hash }) = log.records.get_mut(1) else {
+        panic!("a 1 000-cycle recording at interval 256 has no host ops and three boundaries");
+    };
+    *hash ^= 1;
+    let flipped = *cycle;
+    log.write_file(path).unwrap();
+    let (code, stdout, stderr) = jmsim(&["replay", "bisect", "--log", path]);
+    std::fs::remove_file(path).unwrap();
+    assert_eq!(code, 3, "{stdout}{stderr}");
+    assert!(
+        stdout.contains(&format!("log mismatch at cycle {flipped}")),
+        "{stdout}"
+    );
 }
 
 fn repo_root() -> PathBuf {

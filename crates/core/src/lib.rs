@@ -52,7 +52,8 @@ pub use jm_trace::{MachineTrace, MsgTrace, SamplePoint};
 pub use jm_traffic::{TrafficPattern, TrafficSpec, TrafficStats};
 pub use machine::{JMachine, MachineError};
 pub use replay::{
-    capture_replay, capture_replay_from_env, recorded_machine_config, Corruption, MachineFactory,
-    MachineReplayer,
+    bisect, capture_replay, capture_replay_from_env, recorded_machine_config, state_at, verify,
+    BisectReport, BoundaryMismatch, ComponentDiff, ComponentHash, Corruption, Divergence,
+    MachineFactory, VerifyReport,
 };
 pub use stats::MachineStats;

@@ -14,12 +14,13 @@
 
 use crate::config::{Engine, MachineConfig, StartPolicy};
 use crate::parallel::{pump_node, ShardPort};
+use crate::replay::ComponentHash;
 use crate::stats::MachineStats;
 use jm_asm::Program;
 use jm_fault::{checksum_words, FaultPlan};
 use jm_isa::consts::FaultKind;
 use jm_isa::instr::{MsgPriority, StatClass};
-use jm_isa::node::{MeshDims, NodeId};
+use jm_isa::node::NodeId;
 use jm_isa::word::{MsgHeader, Word};
 use jm_isa::TraceId;
 use jm_mdp::{MdpNode, NodeError};
@@ -262,9 +263,12 @@ impl JMachine {
     /// [`MachineError::TraceUnsupportedUnderParallel`] when the config
     /// enables lifecycle tracing under [`Engine::Parallel`] — a benchmark
     /// that asked for the parallel engine must not silently measure a
-    /// different one. [`MachineError::InvalidConfig`] when a mesh extent is
-    /// outside 1..=31, `net.dims` differs from `dims`, or a network buffer
-    /// depth is zero.
+    /// different one. [`MachineError::InvalidConfig`], naming the field,
+    /// when `net.dims` differs from `dims` or the crate that owns a field
+    /// rejects its value ([`NetConfig::validate`](jm_net::NetConfig::validate),
+    /// [`MdpConfig::validate`](jm_mdp::MdpConfig::validate),
+    /// [`TrafficSpec::validate`](jm_traffic::TrafficSpec::validate)) — before
+    /// anything is allocated.
     ///
     /// # Panics
     ///
@@ -273,23 +277,19 @@ impl JMachine {
     pub fn try_new(program: Program, config: MachineConfig) -> Result<JMachine, MachineError> {
         program.validate().expect("invalid program image");
         let mut config = config;
-        let net = &config.net;
-        let dims = config.dims;
-        for (bad, why) in [
-            (
-                // The fields are public, so a hand-built struct gets here.
-                MeshDims::try_new(dims.x, dims.y, dims.z).is_err(),
-                "dims: every extent must be in 1..=31",
-            ),
-            (net.dims != dims, "net.dims differs from dims"),
-            (net.flit_buffer == 0, "net.flit_buffer is zero"),
-            (net.inject_fifo == 0, "net.inject_fifo is zero"),
-            (net.eject_fifo == 0, "net.eject_fifo is zero"),
-        ] {
-            if bad {
-                return Err(MachineError::InvalidConfig(why));
+        // The fields are public, so a hand-built struct gets here. Each
+        // crate says what its own part of a buildable machine is.
+        let buildable = || {
+            config.net.validate()?;
+            if config.net.dims != config.dims {
+                // A network sized for another mesh would route only part
+                // of the machine.
+                return Err("net.dims differs from dims");
             }
-        }
+            config.mdp.validate()?;
+            config.traffic.map_or(Ok(()), |t| t.validate())
+        };
+        buildable().map_err(MachineError::InvalidConfig)?;
         if config.trace.enabled && matches!(config.engine, Engine::Parallel(_)) {
             // Trace ids are injection ordinals from one global counter,
             // which sharded injection does not maintain.
@@ -409,7 +409,7 @@ impl JMachine {
     ///
     /// Panics if the label is not a code symbol.
     pub fn install_vector_all(&mut self, kind: FaultKind, handler: &str) {
-        let (kind, ip) = (kind.vector() as u8, self.program.handler(handler));
+        let ip = self.program.handler(handler);
         self.host_op(HostOp::InstallVectorAll { kind, ip });
     }
 
@@ -422,8 +422,7 @@ impl JMachine {
     ///
     /// Panics if the label is not a code symbol or `node` is out of range.
     pub fn install_vector(&mut self, node: NodeId, kind: FaultKind, handler: &str) {
-        let (kind, ip) = (kind.vector() as u8, self.program.handler(handler));
-        let node = node.0;
+        let (node, ip) = (node.0, self.program.handler(handler));
         self.host_op(HostOp::InstallVector { node, kind, ip });
     }
 
@@ -452,7 +451,7 @@ impl JMachine {
         }
         self.host_op(HostOp::Deliver {
             node: node.0,
-            priority: priority.index() as u8,
+            priority,
             words,
         });
     }
@@ -482,18 +481,22 @@ impl JMachine {
     /// interface above and behind replay, which applies logged ops without
     /// re-resolving symbols or recomputing checksums (a log stores resolved
     /// addresses and the delivered words, header and trailer included).
-    /// Discriminants and node ids of a *logged* op were range-checked by
-    /// `ReplayLog::from_bytes`.
-    pub(crate) fn apply_op(&mut self, op: &HostOp) {
-        let kind = |bits: u8| FaultKind::ALL[usize::from(bits)];
+    /// Unlike the host interface it records nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the op names a node the machine does not have or delivers
+    /// into a full queue (`ReplayLog::from_bytes` checks a logged op's node
+    /// id, address and length against the recorded configuration).
+    pub fn apply_op(&mut self, op: &HostOp) {
         match *op {
-            HostOp::InstallVectorAll { kind: k, ip } => {
+            HostOp::InstallVectorAll { kind, ip } => {
                 for node in &mut self.nodes {
-                    node.install_vector(kind(k), ip);
+                    node.install_vector(kind, ip);
                 }
             }
-            HostOp::InstallVector { node, kind: k, ip } => {
-                self.nodes[node as usize].install_vector(kind(k), ip);
+            HostOp::InstallVector { node, kind, ip } => {
+                self.nodes[node as usize].install_vector(kind, ip);
             }
             HostOp::WriteWord { node, addr, word } => {
                 self.nodes[node as usize].write_mem(addr, word);
@@ -504,7 +507,6 @@ impl JMachine {
                 ref words,
             } => {
                 let cycle = self.cycle;
-                let priority = MsgPriority::ALL[usize::from(priority)];
                 let target = &mut self.nodes[node as usize];
                 // Host deliveries bypass the network and carry no trace id.
                 for &w in words {
@@ -903,13 +905,13 @@ impl JMachine {
     /// (ascending id) its two virtual networks' channel occupancy. Labels
     /// are stable, human-readable component names — divergence reports
     /// print them verbatim.
-    pub fn component_hashes(&mut self) -> Vec<jm_replay::ComponentHash> {
+    pub fn component_hashes(&mut self) -> Vec<ComponentHash> {
         let at = self.cycle;
         let dims = self.config.dims;
         let mut out = Vec::with_capacity(self.nodes.len() * 6);
         for node in &self.nodes {
             for (part, hash) in node.state_components(at) {
-                out.push(jm_replay::ComponentHash {
+                out.push(ComponentHash {
                     label: format!("node {} {part}", node.id().0),
                     hash,
                 });
@@ -917,7 +919,7 @@ impl JMachine {
         }
         self.net.fold_components(|id, vnet, hash| {
             let c = dims.coord(id);
-            out.push(jm_replay::ComponentHash {
+            out.push(ComponentHash {
                 label: format!("router ({},{},{}) vnet{vnet} occupancy", c.x, c.y, c.z),
                 hash,
             });
@@ -931,7 +933,41 @@ mod tests {
     use super::*;
     use jm_asm::{hdr, Builder, Region};
     use jm_isa::instr::{AluOp, StatClass};
+    use jm_isa::node::MeshDims;
     use jm_isa::operand::{MemRef, Special};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+    /// Largest single allocation any test thread has requested since the
+    /// last reset.
+    static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+    /// The system allocator, recording the size of every request
+    /// (`unbuildable_configs_are_errors` reads it).
+    struct Watch;
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the only addition is an
+    // atomic store of the requested size, which touches no allocator state.
+    unsafe impl GlobalAlloc for Watch {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            LARGEST.fetch_max(layout.size(), Relaxed);
+            // SAFETY: the caller's obligations are `System.alloc`'s.
+            unsafe { System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
+            unsafe { System.dealloc(ptr, layout) }
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            LARGEST.fetch_max(new_size, Relaxed);
+            // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Watch = Watch;
     use jm_isa::reg::AReg::*;
     use jm_isa::reg::DReg::*;
     use jm_isa::tag::Tag;
@@ -1147,6 +1183,16 @@ mod tests {
             edit(&mut cfg.net);
             cfg
         };
+        let mdp = |edit: fn(&mut jm_mdp::MdpConfig)| {
+            let mut cfg = ok;
+            edit(&mut cfg.mdp);
+            cfg
+        };
+        let traffic = |edit: fn(&mut jm_traffic::TrafficSpec)| {
+            let mut spec = jm_traffic::TrafficSpec::new(1).load(100_000);
+            edit(&mut spec);
+            ok.traffic(spec)
+        };
         // `MeshDims`' fields are public: a zero or oversized extent can be
         // written straight into the struct, past `MeshDims::new`.
         let mut flat = ok;
@@ -1156,8 +1202,8 @@ mod tests {
         deep.dims.x = 32;
         deep.net.dims.x = 32;
         let cases = [
-            (flat, "dims: every extent"),
-            (deep, "dims: every extent"),
+            (flat, "must be in 1..=31"),
+            (deep, "must be in 1..=31"),
             // A benchmark that asked for the parallel engine must not
             // silently measure a different one.
             (
@@ -1167,15 +1213,59 @@ mod tests {
             // A network sized for another mesh would route only part of
             // the machine.
             (net(|n| n.dims = MeshDims::new(2, 2, 2)), "net.dims"),
-            // A zero-depth buffer can never accept a flit.
+            // A zero-depth buffer can never accept a flit, and the channel
+            // rings are indexed with a byte.
             (net(|n| n.flit_buffer = 0), "net.flit_buffer"),
             (net(|n| n.inject_fifo = 0), "net.inject_fifo"),
             (net(|n| n.eject_fifo = 0), "net.eject_fifo"),
+            (net(|n| n.flit_buffer = 300), "net.flit_buffer"),
+            (net(|n| n.inject_fifo = 300), "net.inject_fifo"),
+            // Queues and the translation cache hold at least one entry and
+            // at most a node's memory: 2^30 queue words are 8 GiB a node,
+            // 2^40 cache entries abort the process outright.
+            (mdp(|m| m.queue0_words = 0), "mdp.queue0_words"),
+            (mdp(|m| m.queue0_words = 1 << 30), "mdp.queue0_words"),
+            (mdp(|m| m.xlate_entries = 0), "mdp.xlate_entries"),
+            (mdp(|m| m.xlate_entries = 1 << 40), "mdp.xlate_entries"),
+            // Cycle costs are added to the clock wherever they are charged:
+            // these build, and overflow once an instruction retires or a
+            // message is sent.
+            (mdp(|m| m.timing.base = u64::MAX), "mdp.timing.base"),
+            (net(|n| n.inject_latency = u64::MAX), "net.inject_latency"),
+            // Every generated message is led by a header of its length.
+            (
+                traffic(|t| t.msg_words = MsgHeader::MAX_LEN + 1),
+                "traffic.msg_words",
+            ),
         ];
+        let recorded = {
+            let mut m = JMachine::new(rpc_program(), ok);
+            m.record_replay(64);
+            m.finish_replay().unwrap()
+        };
         for (cfg, names) in cases {
-            match JMachine::try_new(rpc_program(), cfg) {
-                Err(e) => assert!(e.to_string().contains(names), "{e}"),
+            LARGEST.store(0, Relaxed);
+            let built = JMachine::try_new(rpc_program(), cfg);
+            // Other tests of this binary allocate meanwhile, none of them
+            // anything near the smallest hostile request above (8 GiB).
+            let largest = LARGEST.load(Relaxed);
+            assert!(largest < 1 << 30, "{names}: {largest} bytes at once");
+            match built {
+                Err(MachineError::TraceUnsupportedUnderParallel) => {}
+                Err(MachineError::InvalidConfig(why)) => assert!(why.contains(names), "{why}"),
+                Err(other) => panic!("a config with a bad {names}: {other}"),
                 Ok(_) => panic!("a config with a bad {names} built a machine"),
+            }
+            // What the front door refuses, a log header cannot carry in:
+            // the reader calls the validators `try_new` calls.
+            if cfg.net.dims == cfg.dims && !cfg.trace.enabled {
+                let mut log = recorded.clone();
+                (log.config.dims, log.config.mdp, log.config.net) = (cfg.dims, cfg.mdp, cfg.net);
+                log.traffic = cfg.traffic;
+                match jm_replay::ReplayLog::from_bytes(&log.to_bytes()) {
+                    Err(e) => assert!(e.to_string().contains(names), "{e}"),
+                    Ok(_) => panic!("a header with a bad {names} parsed"),
+                }
             }
         }
         assert!(JMachine::try_new(rpc_program(), ok).is_ok());

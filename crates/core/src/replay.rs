@@ -1,8 +1,11 @@
-//! Replay capture and re-execution for [`JMachine`].
+//! Replay for [`JMachine`]: capture, re-execution, divergence bisection.
 //!
-//! This module is `jm-machine`'s half of the deterministic-replay story
-//! (the format and the engine-agnostic verify/bisect algorithms live in
-//! `jm-replay`, below this crate in the dependency order):
+//! The three engines (Naive, Event, Parallel with any thread count and
+//! quantum) are held bit-identical by differential test suites — but when
+//! one of them fails, a bare "digests differ" is undebuggable. A run is
+//! therefore recordable as a `jm_replay::ReplayLog` (the format lives in
+//! `jm-replay`, below this crate in the dependency order), and this module
+//! is everything that touches a machine:
 //!
 //! * **Recording.** A capturing machine logs every host-boundary input
 //!   (vector installs, host message deliveries, memory pokes) stamped with
@@ -22,20 +25,25 @@
 //!   writes each machine's log into the capture directory when it drops —
 //!   this is how harness binaries capture replay artifacts from
 //!   experiments they cannot individually instrument.
-//! * **Re-execution.** [`MachineFactory`] implements
-//!   `jm_replay::ExecFactory`: it rebuilds a machine from a log's recorded
-//!   configuration — optionally overriding the engine and thread count,
-//!   which is the whole point of cross-engine verification — and drives it
-//!   with exact fixed-cycle runs. A [`Corruption`] can be attached to
-//!   inject a deliberate, unrecorded single-word divergence at a chosen
-//!   cycle; the CI acceptance test uses it to prove the bisector localizes
-//!   a fault to the exact cycle and component.
+//! * **Re-execution.** A [`MachineFactory`] rebuilds a machine from a
+//!   log's recorded configuration — optionally overriding the engine,
+//!   which is the whole point of cross-engine verification. [`verify`]
+//!   drives one through the log ([`JMachine::run`] stops on the exact
+//!   cycle asked for under every engine, which is what makes a
+//!   single-cycle probe meaningful) and compares every checkpoint;
+//!   [`bisect`] narrows a mismatch to the **first diverging cycle and
+//!   component** (e.g. `cycle 48211, router (3,1,2) vnet1 occupancy`). A
+//!   [`Corruption`] can be attached to a factory to inject a deliberate,
+//!   unrecorded single-word divergence at a chosen cycle; the tests use it
+//!   to prove the bisector localizes a fault to the exact cycle and
+//!   component.
 
 use crate::config::{Engine, HostTuning, MachineConfig, StartPolicy};
 use crate::machine::JMachine;
 use jm_isa::node::NodeId;
 use jm_isa::word::Word;
-use jm_replay::{ComponentHash, HostOp, Record, RecordedConfig, ReplayLog};
+use jm_replay::{Record, RecordedConfig, RecordedEngine, RecordedStart, ReplayLog};
+use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -215,16 +223,16 @@ impl Drop for JMachine {
 /// [`MachineConfig`] → the log header's engine-portable subset.
 fn recorded_config(c: &MachineConfig) -> RecordedConfig {
     let (engine, threads) = match c.engine {
-        Engine::Naive => (0, 0),
-        Engine::Event => (1, 0),
-        Engine::Parallel(t) => (2, t),
+        Engine::Naive => (RecordedEngine::Naive, 0),
+        Engine::Event => (RecordedEngine::Event, 0),
+        Engine::Parallel(t) => (RecordedEngine::Parallel, t),
     };
     RecordedConfig {
         dims: c.dims,
         start: match c.start {
-            StartPolicy::Node0 => 0,
-            StartPolicy::AllNodes => 1,
-            StartPolicy::None => 2,
+            StartPolicy::Node0 => RecordedStart::Node0,
+            StartPolicy::AllNodes => RecordedStart::AllNodes,
+            StartPolicy::None => RecordedStart::None,
         },
         engine,
         threads,
@@ -235,23 +243,21 @@ fn recorded_config(c: &MachineConfig) -> RecordedConfig {
 
 /// Reconstructs the [`MachineConfig`] a log was recorded under (tracing
 /// off — it is observational and not part of the recorded run). This is
-/// the configuration [`MachineFactory::recorded`] replays with;
-/// out-of-range discriminants fall back to the defaults rather than
-/// panicking on a hand-edited log.
+/// the configuration [`MachineFactory::recorded`] replays with.
 pub fn recorded_machine_config(log: &ReplayLog) -> MachineConfig {
     let rc = &log.config;
     let mut cfg = MachineConfig::with_dims(rc.dims);
     cfg.mdp = rc.mdp;
     cfg.net = rc.net;
     cfg.start = match rc.start {
-        1 => StartPolicy::AllNodes,
-        2 => StartPolicy::None,
-        _ => StartPolicy::Node0,
+        RecordedStart::Node0 => StartPolicy::Node0,
+        RecordedStart::AllNodes => StartPolicy::AllNodes,
+        RecordedStart::None => StartPolicy::None,
     };
     cfg.engine = match rc.engine {
-        0 => Engine::Naive,
-        2 => Engine::Parallel(rc.threads),
-        _ => Engine::Event,
+        RecordedEngine::Naive => Engine::Naive,
+        RecordedEngine::Event => Engine::Event,
+        RecordedEngine::Parallel => Engine::Parallel(rc.threads),
     };
     cfg.fault = log.fault;
     cfg.traffic = log.traffic;
@@ -278,11 +284,12 @@ pub struct Corruption {
     pub word: Word,
 }
 
-/// Builds [`JMachine`]-backed executions of a replay log
-/// (`jm_replay::ExecFactory`). The default replays under the *recorded*
-/// configuration; the builder methods override the engine (with thread
-/// count) — the cross-engine axis the replay machinery exists to compare —
-/// and optionally attach a [`Corruption`].
+/// Builds the machines a replay log is re-executed on. The default replays
+/// under the *recorded* configuration; the builder methods override the
+/// engine (with thread count) — the cross-engine axis the replay machinery
+/// exists to compare — and optionally attach a [`Corruption`]. Bisection
+/// restarts from cycle 0 for each probe (machines are not cloneable), so a
+/// factory builds `O(log interval)` machines.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MachineFactory {
     engine: Option<Engine>,
@@ -316,10 +323,15 @@ impl MachineFactory {
         self.corruption = Some(corruption);
         self
     }
-}
 
-impl jm_replay::ExecFactory for MachineFactory {
-    fn build(&self, log: &ReplayLog) -> Box<dyn jm_replay::Execution> {
+    /// A fresh machine at cycle 0, configured per the log header and this
+    /// factory's overrides.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the log was not read by `ReplayLog::from_bytes` (or
+    /// recorded by a machine) and its configuration builds no machine.
+    pub fn build(&self, log: &ReplayLog) -> JMachine {
         let mut cfg = recorded_machine_config(log);
         if let Some(e) = self.engine {
             cfg.engine = e;
@@ -328,49 +340,311 @@ impl jm_replay::ExecFactory for MachineFactory {
         let mut m = JMachine::new(log.program.clone(), cfg);
         // A replayed machine never re-captures, even under global capture.
         m.recorder = None;
-        Box::new(MachineReplayer {
-            m,
-            corruption: self.corruption,
-        })
-    }
-}
-
-/// A [`JMachine`] being driven through a replay log: implements
-/// `jm_replay::Execution` with exact fixed-cycle drives (all engines stop
-/// on the exact cycle asked for, which is what makes single-cycle
-/// bisection probes meaningful).
-pub struct MachineReplayer {
-    m: JMachine,
-    corruption: Option<Corruption>,
-}
-
-impl jm_replay::Execution for MachineReplayer {
-    fn cycle(&self) -> u64 {
-        self.m.cycle()
+        m
     }
 
-    fn advance_to(&mut self, cycle: u64) {
+    /// Advances `m` to exactly `cycle` (no-op if already there), landing
+    /// the corruption on the way past its cycle.
+    fn advance(&self, m: &mut JMachine, cycle: u64) {
         if let Some(c) = self.corruption {
-            if self.m.cycle() < c.cycle && cycle >= c.cycle {
-                self.m.run(c.cycle - self.m.cycle());
-                self.m.node_mut(c.node).write_mem(c.addr, c.word);
+            if m.cycle() < c.cycle && cycle >= c.cycle {
+                m.run(c.cycle - m.cycle());
+                m.node_mut(c.node).write_mem(c.addr, c.word);
             }
         }
-        if cycle > self.m.cycle() {
-            self.m.run(cycle - self.m.cycle());
+        m.run(cycle.saturating_sub(m.cycle()));
+    }
+}
+
+/// One named component's state hash at some cycle. Labels are stable,
+/// human-readable identifiers like `node 17 mem` or
+/// `router (3,1,2) vnet1 occupancy`; the combined machine hash is the
+/// in-order FNV-1a fold of exactly these component hashes, so a combined
+/// mismatch always names at least one component.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ComponentHash {
+    /// Stable component label.
+    pub label: String,
+    /// FNV-1a fold of the component's architecturally-visible state.
+    pub hash: u64,
+}
+
+/// The first checkpoint where a re-execution's hash differed from the log.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BoundaryMismatch {
+    /// Cycle of the last checkpoint that still matched (0 if none did —
+    /// both sides start from the same built machine state).
+    pub prev_cycle: u64,
+    /// Cycle of the first mismatching checkpoint.
+    pub cycle: u64,
+    /// Hash the log recorded at that checkpoint.
+    pub logged: u64,
+    /// Hash the re-execution computed.
+    pub got: u64,
+}
+
+/// Outcome of a [`verify`] pass.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VerifyReport {
+    /// Checkpoints compared (stops at the first mismatch).
+    pub checked: u64,
+    /// Cycle the pass ended at.
+    pub end_cycle: u64,
+    /// The first mismatch, or `None` for a clean replay.
+    pub mismatch: Option<BoundaryMismatch>,
+}
+
+impl VerifyReport {
+    /// Whether the re-execution matched the log at every checkpoint.
+    pub fn clean(&self) -> bool {
+        self.mismatch.is_none()
+    }
+}
+
+impl fmt::Display for VerifyReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.mismatch {
+            None => write!(
+                f,
+                "clean replay: {} checkpoints matched through cycle {}",
+                self.checked, self.end_cycle
+            ),
+            Some(m) => write!(
+                f,
+                "hash mismatch at checkpoint cycle {} (logged {:#018x}, got {:#018x}); \
+                 last match at cycle {}",
+                m.cycle, m.logged, m.got, m.prev_cycle
+            ),
         }
     }
+}
 
-    fn apply(&mut self, op: &HostOp) {
-        self.m.apply_op(op);
+/// One component whose hash differed at the first diverging cycle.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ComponentDiff {
+    /// Component label (e.g. `router (3,1,2) vnet1 occupancy`).
+    pub label: String,
+    /// The reference execution's hash.
+    pub reference: u64,
+    /// The target execution's hash.
+    pub target: u64,
+}
+
+/// What [`bisect`] concluded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Divergence {
+    /// The target replay matched every checkpoint.
+    None,
+    /// The target mismatched the log, but so did a fresh run under the
+    /// *recorded* configuration — the log itself is wrong (corrupted, or
+    /// the recording environment was nondeterministic). `cycle` is the
+    /// first checkpoint the recorded configuration cannot reproduce.
+    LogMismatch {
+        /// First irreproducible checkpoint cycle.
+        cycle: u64,
+        /// Hash the log recorded there.
+        logged: u64,
+        /// Hash the recorded configuration reproduces.
+        recomputed: u64,
+    },
+    /// Reference and target executions genuinely diverge.
+    Diverged {
+        /// First cycle at which the combined hashes differ.
+        cycle: u64,
+        /// The checkpoint interval the mismatch was narrowed from.
+        interval: (u64, u64),
+        /// Components whose hashes differ at `cycle`.
+        components: Vec<ComponentDiff>,
+    },
+}
+
+/// Outcome of a [`bisect`] pass.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BisectReport {
+    /// The conclusion.
+    pub divergence: Divergence,
+    /// Fresh executions built while narrowing (2 per halving probe).
+    pub probes: u32,
+}
+
+impl fmt::Display for BisectReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.divergence {
+            Divergence::None => write!(f, "no divergence"),
+            Divergence::LogMismatch {
+                cycle,
+                logged,
+                recomputed,
+            } => write!(
+                f,
+                "log mismatch at cycle {cycle}: the recorded configuration reproduces \
+                 {recomputed:#018x} but the log says {logged:#018x} (log corrupt, or the \
+                 recording was nondeterministic)"
+            ),
+            Divergence::Diverged {
+                cycle,
+                interval,
+                components,
+            } => {
+                write!(
+                    f,
+                    "first divergence at cycle {cycle} (bisected from checkpoint interval \
+                     ({}, {}]):",
+                    interval.0, interval.1
+                )?;
+                for c in components {
+                    write!(
+                        f,
+                        "\n  cycle {cycle}, {} (reference {:#018x}, target {:#018x})",
+                        c.label, c.reference, c.target
+                    )?;
+                }
+                Ok(())
+            }
+        }
     }
+}
 
-    fn state_hash(&mut self) -> u64 {
-        self.m.state_hash()
+/// Replays `log` under `factory`'s configuration, comparing the machine's
+/// state hash against every recorded checkpoint in order. Stops at the
+/// first mismatch.
+pub fn verify(log: &ReplayLog, factory: &MachineFactory) -> VerifyReport {
+    let mut m = factory.build(log);
+    let mut checked = 0;
+    let mut prev_cycle = 0;
+    for r in &log.records {
+        match r {
+            Record::Op { cycle, op } => {
+                factory.advance(&mut m, *cycle);
+                m.apply_op(op);
+            }
+            Record::Boundary { cycle, hash } | Record::End { cycle, hash } => {
+                factory.advance(&mut m, *cycle);
+                let got = m.state_hash();
+                checked += 1;
+                if got != *hash {
+                    return VerifyReport {
+                        checked,
+                        end_cycle: *cycle,
+                        mismatch: Some(BoundaryMismatch {
+                            prev_cycle,
+                            cycle: *cycle,
+                            logged: *hash,
+                            got,
+                        }),
+                    };
+                }
+                prev_cycle = *cycle;
+            }
+        }
     }
+    VerifyReport {
+        checked,
+        end_cycle: m.cycle(),
+        mismatch: None,
+    }
+}
 
-    fn component_hashes(&mut self) -> Vec<ComponentHash> {
-        self.m.component_hashes()
+/// Builds a fresh machine and drives it through the log to exactly
+/// `cycle`, applying every host op stamped at or before it (in recording
+/// order). No checkpoint comparison happens — this is the probe primitive
+/// bisection uses to sample machine state mid-interval.
+pub fn state_at(log: &ReplayLog, factory: &MachineFactory, cycle: u64) -> JMachine {
+    let mut m = factory.build(log);
+    for r in &log.records {
+        match r {
+            Record::Op { cycle: c, op } => {
+                if *c > cycle {
+                    break;
+                }
+                factory.advance(&mut m, *c);
+                m.apply_op(op);
+            }
+            Record::Boundary { cycle: c, .. } | Record::End { cycle: c, .. } => {
+                if *c >= cycle {
+                    break;
+                }
+            }
+        }
+    }
+    factory.advance(&mut m, cycle);
+    m
+}
+
+/// Verifies `target` against the log and, on mismatch, narrows the failure
+/// to a single cycle and component set.
+///
+/// The algorithm: (1) [`verify`] the target; a clean pass is
+/// [`Divergence::None`]. (2) Re-verify under `reference` (the *recorded*
+/// configuration); if the reference cannot reproduce a checkpoint at or
+/// before the target's first mismatch, the log itself is wrong —
+/// [`Divergence::LogMismatch`] names that checkpoint's cycle exactly.
+/// (3) Otherwise binary-search the mismatching checkpoint interval
+/// `(a, b]`: each probe rebuilds both machines from cycle 0 and drives
+/// them to the midpoint (every engine can stop on any exact cycle, so the
+/// probe is bit-exact), until the first cycle where the combined hashes
+/// differ; the per-component hash vectors at that cycle name the diverging
+/// components.
+pub fn bisect(
+    log: &ReplayLog,
+    reference: &MachineFactory,
+    target: &MachineFactory,
+) -> BisectReport {
+    let tv = verify(log, target);
+    let Some(tm) = tv.mismatch else {
+        return BisectReport {
+            divergence: Divergence::None,
+            probes: 0,
+        };
+    };
+    let rv = verify(log, reference);
+    if let Some(rm) = rv.mismatch {
+        if rm.cycle <= tm.cycle {
+            return BisectReport {
+                divergence: Divergence::LogMismatch {
+                    cycle: rm.cycle,
+                    logged: rm.logged,
+                    recomputed: rm.got,
+                },
+                probes: 0,
+            };
+        }
+    }
+    // Hashes agree at tm.prev_cycle (both replays matched the log there)
+    // and differ at tm.cycle. Halve until the bounds are adjacent.
+    let (mut lo, mut hi) = (tm.prev_cycle, tm.cycle);
+    let mut probes = 0;
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        let r = state_at(log, reference, mid).state_hash();
+        let t = state_at(log, target, mid).state_hash();
+        probes += 2;
+        if r == t {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let rc = state_at(log, reference, hi).component_hashes();
+    let tc = state_at(log, target, hi).component_hashes();
+    probes += 2;
+    let components = rc
+        .iter()
+        .zip(tc.iter())
+        .filter(|(r, t)| r.hash != t.hash || r.label != t.label)
+        .map(|(r, t)| ComponentDiff {
+            label: r.label.clone(),
+            reference: r.hash,
+            target: t.hash,
+        })
+        .collect();
+    BisectReport {
+        divergence: Divergence::Diverged {
+            cycle: hi,
+            interval: (tm.prev_cycle, tm.cycle),
+            components,
+        },
+        probes,
     }
 }
 
@@ -385,7 +659,6 @@ mod tests {
     use jm_isa::reg::AReg::*;
     use jm_isa::reg::DReg::*;
     use jm_isa::tag::Tag;
-    use jm_replay::Divergence;
 
     /// Route word of the far corner of a 2×2×2 mesh, (1,1,1).
     const CORNER: i32 = 0x421;
@@ -462,7 +735,7 @@ mod tests {
                 .engine(Engine::Parallel(2))
                 .tuning(quantum(1)),
         ] {
-            let report = jm_replay::verify(&log, &f);
+            let report = verify(&log, &f);
             assert!(report.clean(), "{f:?}: {report}");
             assert_eq!(report.checked as usize, log.checkpoints());
         }
@@ -501,7 +774,7 @@ mod tests {
             .filter(|r| matches!(r, Record::Op { .. }))
             .count();
         assert_eq!(ops, 4);
-        let report = jm_replay::verify(&back, &MachineFactory::recorded().engine(Engine::Naive));
+        let report = verify(&back, &MachineFactory::recorded().engine(Engine::Naive));
         assert!(report.clean(), "{report}");
     }
 
@@ -517,7 +790,7 @@ mod tests {
             addr: 0x300,
             word: Word::int(123),
         });
-        let report = jm_replay::bisect(&log, &MachineFactory::recorded(), &target);
+        let report = bisect(&log, &MachineFactory::recorded(), &target);
         match &report.divergence {
             Divergence::Diverged {
                 cycle, components, ..
@@ -533,8 +806,15 @@ mod tests {
     #[test]
     fn corrupted_checkpoint_is_named_as_log_mismatch() {
         let mut log = record(Engine::Event, 64);
-        let cycle = log.corrupt_checkpoint(1).unwrap();
-        let report = jm_replay::bisect(
+        let is_checkpoint = |r: &&mut Record| !matches!(r, Record::Op { .. });
+        let Some(Record::Boundary { cycle, hash }) =
+            log.records.iter_mut().filter(is_checkpoint).nth(1)
+        else {
+            panic!("the second checkpoint is a boundary");
+        };
+        *hash ^= 1;
+        let cycle = *cycle;
+        let report = bisect(
             &log,
             &MachineFactory::recorded(),
             &MachineFactory::recorded().engine(Engine::Parallel(2)),
@@ -660,7 +940,7 @@ mod tests {
                 .engine(Engine::Parallel(2))
                 .tuning(quantum(1)),
         ] {
-            let report = jm_replay::verify(&log, &f);
+            let report = verify(&log, &f);
             assert!(report.clean(), "{f:?}: {report}");
             assert_eq!(report.checked as usize, log.checkpoints());
         }

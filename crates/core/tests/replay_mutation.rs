@@ -20,7 +20,7 @@ use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::tag::Tag;
 use jm_isa::word::Word;
 use jm_machine::{JMachine, MachineConfig, MachineFactory};
-use jm_replay::{ExecFactory, Record, ReplayLog, MAGIC};
+use jm_replay::{Record, ReplayLog, MAGIC};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -151,6 +151,39 @@ fn every_mutant_of_a_log_errors_or_replays() {
     stuck.config.net.inject_latency = 1 << 40;
     let what = "2^40-cycle injection".into();
     mutants.push((what, stuck.to_bytes(), Some("inject_latency")));
+    // A discriminant byte past its enum: the start policy and engine of the
+    // header, the vector kind and priority of a host op.
+    let record_offset = |index: usize| {
+        let mut head = log.clone();
+        head.records.truncate(index);
+        head.to_bytes().len()
+    };
+    let third = &log.records[2];
+    assert!(matches!(
+        third,
+        Record::Op {
+            op: jm_replay::HostOp::Deliver { .. },
+            ..
+        }
+    ));
+    for (what, at, byte, names) in [
+        ("start policy", MAGIC.len() + 3, 3, "bad start policy 3"),
+        ("engine", MAGIC.len() + 4, 3, "bad engine 3"),
+        // The log opens with the all-node install, the one-node install
+        // and the delivery. An op is its tag, its cycle, then (all-node
+        // install) the kind or (delivery) the node id and the priority.
+        (
+            "vector kind",
+            record_offset(0) + 9,
+            255,
+            "bad vector kind 255",
+        ),
+        ("priority", record_offset(2) + 13, 2, "bad priority 2"),
+    ] {
+        let mut bad = bytes.clone();
+        bad[at] = byte;
+        mutants.push((format!("{what} set to {byte}"), bad, Some(names)));
+    }
     // A count no log of this size could hold.
     let code_count = program_offset(&log);
     let mut huge = bytes.clone();
@@ -174,15 +207,15 @@ fn every_mutant_of_a_log_errors_or_replays() {
             (Err(_), None) => {}
             (Ok(mutant), None) => {
                 parsed += 1;
-                let mut exec = MachineFactory::recorded().build(&mutant);
+                let mut m = MachineFactory::recorded().build(&mutant);
                 for r in &mutant.records {
                     if let Record::Op { op, .. } = r {
-                        exec.apply(op);
+                        m.apply_op(op);
                         applied += 1;
                     }
                 }
                 if costs(&mutant) != costs(&log) {
-                    exec.advance_to(300);
+                    m.run(300);
                     ran += 1;
                 }
             }

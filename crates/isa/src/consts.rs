@@ -20,6 +20,14 @@ pub const EMEM_BASE: u32 = IMEM_WORDS;
 /// Total addressable words per node.
 pub const MEM_WORDS: u32 = IMEM_WORDS + EMEM_WORDS;
 
+/// Largest cycle cost a configuration may charge for one action: each
+/// field of the node timing model and the network's injection latency. The
+/// simulator adds these to its 64-bit clock unchecked, so an absurd one
+/// would overflow it (a panic in a debug build, a wrapped clock in a
+/// release one); a million cycles is far past any machine worth modelling,
+/// and 2⁴⁴ such charges fit the clock.
+pub const MAX_CYCLE_COST: u64 = 1 << 20;
+
 /// Number of fault vectors at the base of internal memory.
 pub const VECTOR_COUNT: u32 = 16;
 

@@ -1,6 +1,6 @@
 //! Node configuration: timing model and microarchitectural parameters.
 
-use jm_isa::consts::{QUEUE0_WORDS, QUEUE1_WORDS};
+use jm_isa::consts::{MAX_CYCLE_COST, MEM_WORDS, QUEUE0_WORDS, QUEUE1_WORDS};
 
 /// Virtual base addresses of the two message-queue windows (priority 0 and
 /// priority 1). A dispatched handler's `A3` descriptor points into this
@@ -81,6 +81,46 @@ impl Default for TimingConfig {
     }
 }
 
+impl TimingConfig {
+    /// Whether every cost is one the clock can be charged
+    /// ([`MAX_CYCLE_COST`]).
+    ///
+    /// # Errors
+    ///
+    /// The name of the first field over the ceiling.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        macro_rules! ceiling {
+            ($($field:ident),*) => {$(
+                if self.$field > MAX_CYCLE_COST {
+                    return Err(concat!(
+                        "mdp.timing.",
+                        stringify!($field),
+                        " is over MAX_CYCLE_COST"
+                    ));
+                }
+            )*};
+        }
+        ceiling!(
+            base,
+            imem_operand,
+            emem_operand,
+            queue_operand,
+            emem_fetch,
+            imm_ext,
+            branch_taken,
+            jump,
+            mul,
+            div,
+            dispatch,
+            fault_entry,
+            xlate_extra,
+            enter_extra,
+            resume_extra
+        );
+        Ok(())
+    }
+}
+
 /// Full node configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MdpConfig {
@@ -110,6 +150,29 @@ impl Default for MdpConfig {
             queue1_words: QUEUE1_WORDS,
             xlate_entries: 1024,
             checksum_msgs: false,
+        }
+    }
+}
+
+impl MdpConfig {
+    /// Whether a node can be built from this configuration. The fields are
+    /// public, so a hand-built struct (or a log header) can hold anything;
+    /// [`crate::MdpNode`] is only ever built from one that passed.
+    ///
+    /// # Errors
+    ///
+    /// The name of the first field out of range, and the range.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        // Queues and the translation cache are carved out of node memory.
+        let fits = |words: u64| (1..=u64::from(MEM_WORDS)).contains(&words);
+        if !fits(self.queue0_words.into()) {
+            Err("mdp.queue0_words is outside 1..=MEM_WORDS")
+        } else if !fits(self.queue1_words.into()) {
+            Err("mdp.queue1_words is outside 1..=MEM_WORDS")
+        } else if !fits(self.xlate_entries as u64) {
+            Err("mdp.xlate_entries is outside 1..=MEM_WORDS")
+        } else {
+            self.timing.validate()
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Network configuration.
 
+use jm_isa::consts::MAX_CYCLE_COST;
 use jm_isa::node::MeshDims;
 
 /// Configuration of the mesh network.
@@ -33,6 +34,32 @@ impl NetConfig {
             inject_fifo: 64,
             inject_latency: 2,
             eject_fifo: 8,
+        }
+    }
+
+    /// Whether a network can be built from this configuration. The fields
+    /// are public, so a hand-built struct (or a log header) can hold
+    /// anything; [`crate::Network`] is only ever built from one that passed.
+    ///
+    /// # Errors
+    ///
+    /// The name of the first field out of range, and the range.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let d = self.dims;
+        // A channel ring is indexed with a byte.
+        let ring = |depth: usize| (1..=usize::from(u8::MAX)).contains(&depth);
+        if MeshDims::try_new(d.x, d.y, d.z).is_err() {
+            Err("net.dims: every extent must be in 1..=31")
+        } else if !ring(self.flit_buffer) {
+            Err("net.flit_buffer is outside 1..=255")
+        } else if !ring(self.inject_fifo) {
+            Err("net.inject_fifo is outside 1..=255")
+        } else if self.eject_fifo == 0 {
+            Err("net.eject_fifo is zero")
+        } else if self.inject_latency > MAX_CYCLE_COST {
+            Err("net.inject_latency is over MAX_CYCLE_COST")
+        } else {
+            Ok(())
         }
     }
 

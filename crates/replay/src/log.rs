@@ -21,9 +21,10 @@ use jm_asm::{DataBlock, Program, SymbolValue};
 use jm_fault::{FaultSpec, FaultWindow, FaultWindowKind};
 use jm_isa::consts::{FaultKind, MEM_WORDS};
 use jm_isa::encode::{decode, encode, Encoded, SLOT_BITS};
+use jm_isa::instr::MsgPriority;
 use jm_isa::node::MeshDims;
 use jm_isa::tag::Tag;
-use jm_isa::word::{MsgHeader, SegDesc, Word};
+use jm_isa::word::{SegDesc, Word};
 use jm_mdp::{MdpConfig, TimingConfig};
 use jm_net::NetConfig;
 use jm_traffic::{TrafficPattern, TrafficSpec};
@@ -68,33 +69,30 @@ impl fmt::Display for LogError {
 
 impl std::error::Error for LogError {}
 
-/// Largest cycle cost a log may set — each [`TimingConfig`] field and the
-/// network's `inject_latency`. The simulator adds these to its 64-bit
-/// clock unchecked, so an absurd one would overflow it (a panic in a debug
-/// build, a wrapped clock in a release one); a million cycles is far past
-/// any machine worth modelling, and 2⁴⁴ such charges fit the clock.
-const MAX_COST: u64 = 1 << 20;
+/// Which nodes the recorded machine started a background thread on — the
+/// log's own name for `jm-machine`'s start policy (this crate sits below
+/// `jm-machine` in the dependency order). The discriminant is the header
+/// byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordedStart {
+    /// Node 0 only.
+    Node0 = 0,
+    /// Every node.
+    AllNodes = 1,
+    /// No node; the host delivers the first messages.
+    None = 2,
+}
 
-/// The timing model's fields in serialization order, each with the name an
-/// error reports it under.
-fn timing_fields(t: &TimingConfig) -> [(&'static str, u64); 15] {
-    [
-        ("timing.base", t.base),
-        ("timing.imem_operand", t.imem_operand),
-        ("timing.emem_operand", t.emem_operand),
-        ("timing.queue_operand", t.queue_operand),
-        ("timing.emem_fetch", t.emem_fetch),
-        ("timing.imm_ext", t.imm_ext),
-        ("timing.branch_taken", t.branch_taken),
-        ("timing.jump", t.jump),
-        ("timing.mul", t.mul),
-        ("timing.div", t.div),
-        ("timing.dispatch", t.dispatch),
-        ("timing.fault_entry", t.fault_entry),
-        ("timing.xlate_extra", t.xlate_extra),
-        ("timing.enter_extra", t.enter_extra),
-        ("timing.resume_extra", t.resume_extra),
-    ]
+/// The engine of the recording run, likewise (the discriminant is the
+/// header byte; the thread count is [`RecordedConfig::threads`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordedEngine {
+    /// The naive reference engine.
+    Naive = 0,
+    /// The event-driven engine.
+    Event = 1,
+    /// The multi-threaded engine.
+    Parallel = 2,
 }
 
 /// The machine configuration a log was recorded under, as plain data.
@@ -105,19 +103,14 @@ fn timing_fields(t: &TimingConfig) -> [(&'static str, u64); 15] {
 /// can name both sides. Everything else (dims, start policy, timing, queue
 /// depths, network buffers) shapes simulated behavior and must be
 /// reproduced exactly.
-///
-/// Discriminant fields mirror `jm-machine` enums this crate cannot name
-/// (it sits below `jm-machine` in the dependency order): `start` is
-/// 0 = Node0 / 1 = AllNodes / 2 = None, `engine` is 0 = Naive / 1 = Event /
-/// 2 = Parallel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordedConfig {
     /// Mesh dimensions.
     pub dims: MeshDims,
-    /// Start-policy discriminant.
-    pub start: u8,
-    /// Engine discriminant of the recording run.
-    pub engine: u8,
+    /// Start policy.
+    pub start: RecordedStart,
+    /// Engine of the recording run.
+    pub engine: RecordedEngine,
     /// Thread count of the recording run (parallel engine only).
     pub threads: u32,
     /// Node configuration (timing model, queue depths, checksum mode).
@@ -134,8 +127,8 @@ pub enum HostOp {
     /// `install_vector_all`: fault vector `kind` set to handler `ip` on
     /// every node.
     InstallVectorAll {
-        /// `FaultKind` discriminant.
-        kind: u8,
+        /// Which fault vector.
+        kind: FaultKind,
         /// Resolved handler instruction address.
         ip: u32,
     },
@@ -143,8 +136,8 @@ pub enum HostOp {
     InstallVector {
         /// Global node id.
         node: u32,
-        /// `FaultKind` discriminant.
-        kind: u8,
+        /// Which fault vector.
+        kind: FaultKind,
         /// Resolved handler instruction address.
         ip: u32,
     },
@@ -154,8 +147,8 @@ pub enum HostOp {
     Deliver {
         /// Global node id.
         node: u32,
-        /// Message priority (0 or 1).
-        priority: u8,
+        /// Message priority.
+        priority: MsgPriority,
         /// The delivered words, verbatim.
         words: Vec<Word>,
     },
@@ -256,49 +249,6 @@ impl ReplayLog {
             .count()
     }
 
-    /// Digest of the checkpoint stream in `[from, to)`: every boundary's
-    /// `(cycle, hash)` folded through FNV-1a in order, starting from
-    /// `seed`. Because FNV-1a composes over concatenation, the digest of
-    /// `[a, c)` equals the digest of `[b, c)` seeded with the digest of
-    /// `[a, b)` — the interval-composition property the replay test suite
-    /// checks on real logs.
-    pub fn interval_digest_from(&self, seed: u64, from: u64, to: u64) -> u64 {
-        let mut f = jm_trace::Fnv1a::with_seed(seed);
-        for r in &self.records {
-            if let Record::Boundary { cycle, hash } | Record::End { cycle, hash } = *r {
-                if cycle >= from && cycle < to {
-                    f.write_u64(cycle);
-                    f.write_u64(hash);
-                }
-            }
-        }
-        f.finish()
-    }
-
-    /// [`Self::interval_digest_from`] seeded with the FNV offset basis.
-    pub fn interval_digest(&self, from: u64, to: u64) -> u64 {
-        self.interval_digest_from(jm_trace::fnv1a(b""), from, to)
-    }
-
-    /// Flips one bit of the hash in the `index`-th checkpoint record
-    /// (boundaries and the end record both count), returning the cycle of
-    /// the corrupted checkpoint. Used by the CI self-test that proves the
-    /// bisector localizes a corrupt log to exactly the right cycle.
-    /// Returns `None` when the log has fewer checkpoints.
-    pub fn corrupt_checkpoint(&mut self, index: usize) -> Option<u64> {
-        let mut seen = 0;
-        for r in &mut self.records {
-            if let Record::Boundary { cycle, hash } | Record::End { cycle, hash } = r {
-                if seen == index {
-                    *hash ^= 1;
-                    return Some(*cycle);
-                }
-                seen += 1;
-            }
-        }
-        None
-    }
-
     /// Serializes the log to its byte format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::default();
@@ -307,12 +257,29 @@ impl ReplayLog {
         w.u8(c.dims.x);
         w.u8(c.dims.y);
         w.u8(c.dims.z);
-        w.u8(c.start);
-        w.u8(c.engine);
+        w.u8(c.start as u8);
+        w.u8(c.engine as u8);
         w.u32(c.threads);
         w.u64(self.interval);
-        for (_, v) in timing_fields(&c.mdp.timing) {
-            w.u64(v);
+        let t = &c.mdp.timing;
+        for cost in [
+            t.base,
+            t.imem_operand,
+            t.emem_operand,
+            t.queue_operand,
+            t.emem_fetch,
+            t.imm_ext,
+            t.branch_taken,
+            t.jump,
+            t.mul,
+            t.div,
+            t.dispatch,
+            t.fault_entry,
+            t.xlate_extra,
+            t.enter_extra,
+            t.resume_extra,
+        ] {
+            w.u64(cost);
         }
         w.u32(c.mdp.queue0_words);
         w.u32(c.mdp.queue1_words);
@@ -423,14 +390,14 @@ impl ReplayLog {
                     HostOp::InstallVectorAll { kind, ip } => {
                         w.u8(1);
                         w.u64(*cycle);
-                        w.u8(*kind);
+                        w.u8(kind.vector() as u8);
                         w.u32(*ip);
                     }
                     HostOp::InstallVector { node, kind, ip } => {
                         w.u8(2);
                         w.u64(*cycle);
                         w.u32(*node);
-                        w.u8(*kind);
+                        w.u8(kind.vector() as u8);
                         w.u32(*ip);
                     }
                     HostOp::Deliver {
@@ -441,7 +408,7 @@ impl ReplayLog {
                         w.u8(3);
                         w.u64(*cycle);
                         w.u32(*node);
-                        w.u8(*priority);
+                        w.u8(priority.index() as u8);
                         w.u32(words.len() as u32);
                         for word in words {
                             w.word(*word);
@@ -477,8 +444,15 @@ impl ReplayLog {
     /// [`LogError`] on bad magic, truncation, or any malformed field
     /// (including instructions that fail to decode), and on any value a
     /// replayer would otherwise panic on or allocate without bound for: a
-    /// log is input from outside the program, so everything the replayer
-    /// later indexes with or builds from is checked here, once.
+    /// log is input from outside the program, so each value is checked
+    /// where it is read. What makes a configuration buildable is the
+    /// owning crate's to say (`MdpConfig::validate`, `NetConfig::validate`,
+    /// `TrafficSpec::validate` — the checks `JMachine::try_new` makes);
+    /// what is about the *log* is checked here: counts against the bytes
+    /// left, host ops against the recorded node count, queue room and
+    /// address space. What cannot be checked statically stays an assertion
+    /// in the replayer: a host delivery into a queue the replayed run has
+    /// already filled.
     pub fn from_bytes(bytes: &[u8]) -> Result<ReplayLog, LogError> {
         let mut r = Reader { bytes, pos: 0 };
         let magic = r.take(MAGIC.len())?;
@@ -487,8 +461,19 @@ impl ReplayLog {
         }
         let dims = MeshDims::try_new(r.u8()?, r.u8()?, r.u8()?)
             .map_err(|e| LogError::new(e.to_string()))?;
-        let start = r.u8()?;
-        let engine = r.u8()?;
+        // Each table is its enum's variants in discriminant order.
+        let starts = [
+            RecordedStart::Node0,
+            RecordedStart::AllNodes,
+            RecordedStart::None,
+        ];
+        let start = r.variant("start policy", &starts)?;
+        let engines = [
+            RecordedEngine::Naive,
+            RecordedEngine::Event,
+            RecordedEngine::Parallel,
+        ];
+        let engine = r.variant("engine", &engines)?;
         let threads = r.u32()?;
         let interval = r.u64()?;
         let timing = TimingConfig {
@@ -515,6 +500,7 @@ impl ReplayLog {
             xlate_entries: r.u64()? as usize,
             checksum_msgs: r.u8()? != 0,
         };
+        mdp.validate().map_err(LogError::new)?;
         let net = NetConfig {
             dims,
             flit_buffer: r.u64()? as usize,
@@ -522,6 +508,7 @@ impl ReplayLog {
             inject_latency: r.u64()?,
             eject_fifo: r.u64()? as usize,
         };
+        net.validate().map_err(LogError::new)?;
         let fault = if r.u8()? != 0 {
             let mut spec = FaultSpec::new(r.u64()?)
                 .flaky(r.u32()?)
@@ -569,6 +556,7 @@ impl ReplayLog {
             spec.from = r.u64()?;
             spec.until = r.u64()?;
             spec.handler_ip = r.u32()?;
+            spec.validate().map_err(LogError::new)?;
             Some(spec)
         } else {
             None
@@ -633,6 +621,10 @@ impl ReplayLog {
             program.symbols.insert(name, value);
         }
         program.entry = if r.u8()? != 0 { Some(r.u32()?) } else { None };
+        program
+            .validate()
+            .map_err(|e| LogError::new(format!("program image: {e}")))?;
+        let nodes = dims.nodes();
         let mut records = Vec::new();
         while !r.at_end() {
             let tag = r.u8()?;
@@ -641,22 +633,29 @@ impl ReplayLog {
                 1 => Record::Op {
                     cycle,
                     op: HostOp::InstallVectorAll {
-                        kind: r.u8()?,
+                        kind: r.variant("vector kind", &FaultKind::ALL)?,
                         ip: r.u32()?,
                     },
                 },
                 2 => Record::Op {
                     cycle,
                     op: HostOp::InstallVector {
-                        node: r.u32()?,
-                        kind: r.u8()?,
+                        node: r.node(nodes)?,
+                        kind: r.variant("vector kind", &FaultKind::ALL)?,
                         ip: r.u32()?,
                     },
                 },
                 3 => {
-                    let node = r.u32()?;
-                    let priority = r.u8()?;
+                    let node = r.node(nodes)?;
+                    let priority = r.variant("priority", &MsgPriority::ALL)?;
+                    let room = [mdp.queue0_words, mdp.queue1_words][priority.index()];
                     let nwords = r.count(WORD_BYTES)?;
+                    if nwords > room as usize {
+                        return Err(LogError::new(format!(
+                            "host delivery at cycle {cycle}: {nwords} words into a \
+                             {room}-word queue"
+                        )));
+                    }
                     let mut words = Vec::with_capacity(nwords);
                     for _ in 0..nwords {
                         words.push(r.word()?);
@@ -670,14 +669,20 @@ impl ReplayLog {
                         },
                     }
                 }
-                4 => Record::Op {
-                    cycle,
-                    op: HostOp::WriteWord {
-                        node: r.u32()?,
-                        addr: r.u32()?,
-                        word: r.word()?,
-                    },
-                },
+                4 => {
+                    let node = r.node(nodes)?;
+                    let addr = r.u32()?;
+                    if addr >= MEM_WORDS {
+                        return Err(LogError::new(format!(
+                            "host write at cycle {cycle}: no address {addr:#x}"
+                        )));
+                    }
+                    let word = r.word()?;
+                    Record::Op {
+                        cycle,
+                        op: HostOp::WriteWord { node, addr, word },
+                    }
+                }
                 5 => Record::Boundary {
                     cycle,
                     hash: r.u64()?,
@@ -690,7 +695,7 @@ impl ReplayLog {
             };
             records.push(record);
         }
-        let log = ReplayLog {
+        Ok(ReplayLog {
             config: RecordedConfig {
                 dims,
                 start,
@@ -704,103 +709,7 @@ impl ReplayLog {
             interval,
             program,
             records,
-        };
-        log.validate()?;
-        Ok(log)
-    }
-
-    /// Checks every value a replayer indexes with or sizes a structure by
-    /// (see [`Self::from_bytes`]). What cannot be checked statically stays
-    /// an assertion in the replayer: a host delivery into a queue the
-    /// replayed run has already filled.
-    fn validate(&self) -> Result<(), LogError> {
-        let err = |what: String| Err(LogError::new(what));
-        let (mdp, net) = (&self.config.mdp, &self.config.net);
-        let traffic_words = self.traffic.map_or(1, |t| t.msg_words);
-        for (what, value, max) in [
-            // Channel rings and boundary space counters index with a byte.
-            ("net.flit_buffer", net.flit_buffer as u64, 255),
-            ("net.inject_fifo", net.inject_fifo as u64, 255),
-            ("net.eject_fifo", net.eject_fifo as u64, u64::MAX),
-            // Queues and the translation cache are carved out of node memory.
-            (
-                "mdp.queue0_words",
-                mdp.queue0_words.into(),
-                MEM_WORDS.into(),
-            ),
-            (
-                "mdp.queue1_words",
-                mdp.queue1_words.into(),
-                MEM_WORDS.into(),
-            ),
-            (
-                "mdp.xlate_entries",
-                mdp.xlate_entries as u64,
-                MEM_WORDS.into(),
-            ),
-            // Every generated message is led by a header of this length.
-            (
-                "traffic.msg_words",
-                traffic_words.into(),
-                MsgHeader::MAX_LEN.into(),
-            ),
-        ] {
-            if value == 0 || value > max {
-                return err(format!("{what} = {value} is outside 1..={max}"));
-            }
-        }
-        // Cycle costs are added to the clock wherever they are charged.
-        let latency = ("net.inject_latency", net.inject_latency);
-        for (what, value) in timing_fields(&mdp.timing).into_iter().chain([latency]) {
-            if value > MAX_COST {
-                return err(format!("{what} = {value} cycles is outside 0..={MAX_COST}"));
-            }
-        }
-        if let Some(ip) = self.traffic.map(|t| t.handler_ip) {
-            if ip > MsgHeader::MAX_IP {
-                return err(format!("traffic.handler_ip = {ip:#x} is no code address"));
-            }
-        }
-        if let Err(e) = self.program.validate() {
-            return err(format!("program image: {e}"));
-        }
-        let nodes = self.config.dims.nodes();
-        let queues = [mdp.queue0_words, mdp.queue1_words];
-        let bad_kind = |kind: u8| {
-            (usize::from(kind) >= FaultKind::ALL.len()).then(|| format!("bad vector kind {kind}"))
-        };
-        for r in &self.records {
-            let Record::Op { cycle, op } = r else {
-                continue;
-            };
-            let (node, problem) = match op {
-                HostOp::InstallVectorAll { kind, .. } => (0, bad_kind(*kind)),
-                HostOp::InstallVector { node, kind, .. } => (*node, bad_kind(*kind)),
-                HostOp::WriteWord { node, addr, .. } => (
-                    *node,
-                    (*addr >= MEM_WORDS).then(|| format!("write to address {addr:#x}")),
-                ),
-                HostOp::Deliver {
-                    node,
-                    priority,
-                    words,
-                } => (
-                    *node,
-                    match queues.get(usize::from(*priority)) {
-                        None => Some(format!("bad priority {priority}")),
-                        Some(&room) if words.len() > room as usize => {
-                            Some(format!("{} words into a {room}-word queue", words.len()))
-                        }
-                        Some(_) => None,
-                    },
-                ),
-            };
-            let problem = problem.or_else(|| (node >= nodes).then(|| format!("no node {node}")));
-            if let Some(problem) = problem {
-                return err(format!("host op at cycle {cycle}: {problem}"));
-            }
-        }
-        Ok(())
+        })
     }
 
     /// Writes the log to a file.
@@ -889,6 +798,23 @@ impl Reader<'_> {
             )));
         }
         Ok(n)
+    }
+    /// Reads a discriminant byte: an index into `variants`, the enum's
+    /// variants in discriminant order.
+    fn variant<T: Copy>(&mut self, what: &str, variants: &[T]) -> Result<T, LogError> {
+        let at = self.pos;
+        let byte = self.u8()?;
+        let variant = variants.get(usize::from(byte)).copied();
+        variant.ok_or_else(|| LogError::new(format!("bad {what} {byte} at byte {at}")))
+    }
+    /// Reads the node id of a host op on a `nodes`-node machine.
+    fn node(&mut self, nodes: u32) -> Result<u32, LogError> {
+        let at = self.pos;
+        let node = self.u32()?;
+        if node >= nodes {
+            return Err(LogError::new(format!("no node {node} at byte {at}")));
+        }
+        Ok(node)
     }
     fn u8(&mut self) -> Result<u8, LogError> {
         Ok(self.take(1)?[0])

@@ -28,6 +28,7 @@
 #![warn(rust_2018_idioms)]
 
 use jm_isa::node::{Coord, MeshDims, NodeId};
+use jm_isa::word::MsgHeader;
 use jm_prng::keyed_draw;
 
 /// Denominator for the offered-load and hotspot-weight rates (parts per
@@ -151,6 +152,23 @@ impl TrafficSpec {
     pub fn handler(mut self, ip: u32) -> TrafficSpec {
         self.handler_ip = ip;
         self
+    }
+
+    /// Whether every generated message can be led by a header word: the
+    /// fields are public, so a hand-built spec (or a log header) can hold a
+    /// length or a handler address the header has no bits for.
+    ///
+    /// # Errors
+    ///
+    /// The name of the first field out of range, and the range.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if !(1..=MsgHeader::MAX_LEN).contains(&self.msg_words) {
+            Err("traffic.msg_words is outside 1..=MsgHeader::MAX_LEN")
+        } else if self.handler_ip > MsgHeader::MAX_IP {
+            Err("traffic.handler_ip is no code address")
+        } else {
+            Ok(())
+        }
     }
 
     /// Whether this spec can never inject anything.

@@ -30,6 +30,9 @@ pub struct Observation {
     pub stats: MachineStats,
     /// Per-node contents of every declared data block.
     pub memory: Vec<Vec<Word>>,
+    /// The machine's final [`JMachine::state_hash`]: registers, queues,
+    /// all of memory and router occupancy, which the blocks above leave out.
+    pub state_hash: u64,
 }
 
 /// Builds `program` under `config`, lets `setup` touch the machine, runs it
@@ -58,5 +61,6 @@ pub fn observe(
         outcome,
         stats: m.stats(),
         memory,
+        state_hash: m.state_hash(),
     }
 }

@@ -15,22 +15,20 @@
 //!   window) where a one-cycle divergence would reseed every later
 //!   fault draw.
 //!
-//! It also proves the two localization claims end-to-end: an injected
+//! It also proves the localization claim end-to-end: an injected
 //! single-cycle divergence in a 64-node chaos run is bisected to exactly
-//! its cycle and component, and the checkpoint-interval digest composes
-//! (the digest of `[a, c)` equals the digest of `[b, c)` seeded with the
-//! digest of `[a, b)`).
+//! its cycle and component.
 
 use jm_asm::Program;
 use jm_bench::workloads::pingpong_program;
 use jm_isa::node::NodeId;
 use jm_isa::word::Word;
 use jm_machine::{
-    Corruption, Engine, FaultSpec, FaultWindow, HostTuning, JMachine, MachineConfig,
+    Corruption, Divergence, Engine, FaultSpec, FaultWindow, HostTuning, JMachine, MachineConfig,
     MachineFactory, StartPolicy,
 };
 use jm_mdp::{MdpConfig, TimingConfig};
-use jm_replay::{Divergence, ReplayLog};
+use jm_replay::ReplayLog;
 use jm_runtime::reliable;
 
 /// Token-ring workload (same program as the quantum-sweep suite's): one
@@ -87,7 +85,7 @@ fn assert_clean_across_engines(label: &str, log: &ReplayLog) {
         log.checkpoints()
     );
     for (name, factory) in cross_factories() {
-        let report = jm_replay::verify(log, &factory);
+        let report = jm_machine::verify(log, &factory);
         assert!(
             report.clean(),
             "{label}: replay under {name} diverged: {report}"
@@ -192,7 +190,7 @@ fn injected_divergence_in_64_node_chaos_run_is_bisected_to_cycle_and_component()
     let target = MachineFactory::recorded()
         .engine(Engine::Parallel(4))
         .corrupt(corruption);
-    let report = jm_replay::bisect(&log, &MachineFactory::recorded(), &target);
+    let report = jm_machine::bisect(&log, &MachineFactory::recorded(), &target);
     match report.divergence {
         Divergence::Diverged {
             cycle,
@@ -214,36 +212,4 @@ fn injected_divergence_in_64_node_chaos_run_is_bisected_to_cycle_and_component()
         other => panic!("expected a genuine divergence, got {other:?}"),
     }
     assert!(report.probes > 0, "a 512-cycle interval needs halving");
-}
-
-#[test]
-fn interval_digest_composes_on_a_real_log() {
-    // FNV-1a composes over concatenation: for every checkpoint boundary
-    // b, digest[0, end] == digest[b, end] seeded with digest[0, b). The
-    // property is checked on a real recorded log, not a synthetic one.
-    let log = record_fixed(
-        ring_program(50),
-        MachineConfig::new(16)
-            .start(StartPolicy::AllNodes)
-            .engine(Engine::Event),
-        256,
-        3_000,
-    );
-    let end = log.end_cycle() + 1;
-    let whole = log.interval_digest(0, end);
-    let mut splits = 0;
-    for b in (0..end).step_by(97) {
-        let left = log.interval_digest(0, b);
-        assert_eq!(
-            whole,
-            log.interval_digest_from(left, b, end),
-            "digest does not compose at split {b}"
-        );
-        splits += 1;
-    }
-    assert!(splits > 10);
-    // And a three-way split, seeded twice.
-    let a = log.interval_digest(0, 700);
-    let ab = log.interval_digest_from(a, 700, 2_100);
-    assert_eq!(whole, log.interval_digest_from(ab, 2_100, end));
 }
