@@ -22,12 +22,16 @@ pub struct TraceDemo {
     pub trace: MachineTrace,
 }
 
-/// Runs the gather workload traced on a `dims` mesh and returns the
-/// machine plus its trace.
-pub fn gather_demo(dims: MeshDims, sample_every: u64) -> Result<TraceDemo, MachineError> {
+/// Runs the gather workload traced on a `dims` mesh under `engine` and
+/// returns the machine plus its trace.
+pub fn gather_demo(
+    engine: Engine,
+    dims: MeshDims,
+    sample_every: u64,
+) -> Result<TraceDemo, MachineError> {
     let config = MachineConfig::with_dims(dims)
         .start(StartPolicy::AllNodes)
-        .engine(Engine::Event)
+        .engine(engine)
         .trace(TraceConfig::on().sample_every(sample_every));
     let mut machine = JMachine::new(gather_program(), config);
     machine.run_until_quiescent(1_000_000)?;
@@ -41,7 +45,7 @@ mod tests {
 
     #[test]
     fn gather_demo_traces_every_node() {
-        let demo = gather_demo(MeshDims::new(4, 4, 1), 32).unwrap();
+        let demo = gather_demo(Engine::Event, MeshDims::new(4, 4, 1), 32).unwrap();
         let msgs = demo.trace.messages();
         assert_eq!(msgs.len(), 16);
         assert!(msgs.iter().all(|m| m.dispatch.is_some()));

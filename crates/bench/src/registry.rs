@@ -368,7 +368,7 @@ pub(crate) fn repro(args: &Args) -> Outcome {
         checks_hold &= artifact.holds();
     }
     // T = T_net + T_queue per message, from the lifecycle tracer.
-    let demo = observe::gather_demo(jm_isa::MeshDims::for_nodes(64), 16)?;
+    let demo = observe::gather_demo(engine, jm_isa::MeshDims::for_nodes(64), 16)?;
     let mut obs = demo.trace.breakdown_table();
     let _ = writeln!(obs, "\ntrace hash: {:016x}", jm_trace::hash(&demo.trace));
     section(

@@ -235,7 +235,7 @@ pub(crate) fn trace(args: &Args) -> Outcome {
     let summary_path = args.text("--summary").unwrap_or("trace_summary.json");
 
     let dims = MeshDims::for_nodes(nodes);
-    let demo = observe::gather_demo(dims, sample_every)?;
+    let demo = observe::gather_demo(Engine::default(), dims, sample_every)?;
     let trace = &demo.trace;
     println!(
         "gather on {}x{}x{} ({} nodes): {} messages, {} events, {} samples\n",

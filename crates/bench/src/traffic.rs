@@ -13,13 +13,10 @@
 //!   quiescence, so every accepted message is delivered and end-to-end
 //!   latencies are complete, not censored at a cutoff.
 //!
-//! Latency comes from a second, traced run of the identical workload
-//! pinned to the event engine (tracing is single-shard), windowed to
-//! messages *injected* during the measure phase via
-//! [`jm_trace::MachineTrace::breakdown_window`]. Both runs see the exact
-//! same injection sequence — the Bernoulli process is a pure function of
-//! `(seed, node, cycle)` — so the curves pair counters and latencies from
-//! one workload, not two similar ones.
+//! Each point is one traced run: counters and latencies come from the same
+//! machine, the latencies from its lifecycle trace windowed to messages
+//! *injected* during the measure phase via
+//! [`jm_trace::MachineTrace::breakdown_window`].
 //!
 //! The **saturation knee** of a curve is the highest offered load the
 //! network still accepts nearly in full (acceptance ratio at least
@@ -210,8 +207,7 @@ fn spec_for(seed: u64, pattern: TrafficPattern, load_ppm: u32, program: &Program
         .handler(program.handler("sink"))
 }
 
-/// Measures one load point: a counter run under `engine` paired with a
-/// traced event-engine run of the identical workload for latency.
+/// Measures one load point: one traced run under `engine`.
 pub fn measure_point(
     engine: Engine,
     seed: u64,
@@ -222,13 +218,14 @@ pub fn measure_point(
     let program = sink_program();
     let spec = spec_for(seed, pattern, load_ppm, &program);
 
-    // Counter run: warmup, snapshot, measure, snapshot, drain.
+    // Warmup, snapshot, measure, snapshot, drain.
     let mut m = JMachine::new(
-        sink_program(),
+        program,
         MachineConfig::with_dims(dims)
             .start(StartPolicy::None)
             .traffic(spec)
-            .engine(engine),
+            .engine(engine)
+            .trace(TraceConfig::on().sample_every(1 << 20)),
     );
     m.run(WARMUP);
     let warm = m.stats();
@@ -237,22 +234,7 @@ pub fn measure_point(
     let drain_cycles = m
         .run_until_quiescent(DRAIN_LIMIT)
         .expect("traffic run drains to quiescence once the window closes");
-
-    // Latency run: same workload, traced, pinned to the single-shard
-    // event engine (bit-identical with every other engine by the
-    // differential suite, so the pairing is exact).
-    let mut traced = JMachine::new(
-        sink_program(),
-        MachineConfig::with_dims(dims)
-            .start(StartPolicy::None)
-            .traffic(spec)
-            .engine(Engine::Event)
-            .trace(TraceConfig::on().sample_every(1 << 20)),
-    );
-    traced
-        .run_until_quiescent(DRAIN_LIMIT)
-        .expect("traced traffic run drains to quiescence");
-    let trace = traced.take_trace().expect("tracing was enabled");
+    let trace = m.take_trace().expect("tracing was enabled");
     let lat = trace.breakdown_window(WARMUP, WARMUP + MEASURE).end_to_end;
 
     TrafficPoint {
@@ -271,8 +253,7 @@ pub fn measure_point(
     }
 }
 
-/// Runs the full ladder for every pattern with one seed, counter runs
-/// under `engine`.
+/// Runs the full ladder for every pattern with one seed under `engine`.
 pub fn sweep(engine: Engine, seed: u64) -> TrafficReport {
     let dims = MeshDims::new(4, 4, 4);
     let curves = PATTERNS

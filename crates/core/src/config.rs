@@ -23,8 +23,8 @@ pub enum StartPolicy {
 /// Which simulation engine drives the machine's clock.
 ///
 /// All engines are **cycle-exact**: final memory, machine statistics,
-/// per-class cycle attribution, and network counters are identical. They
-/// differ only in host run time — the event engine tracks work instead of
+/// per-class cycle attribution, network counters and the lifecycle trace
+/// are identical. They differ only in host run time — the event engine tracks work instead of
 /// scanning for it, and the parallel engine additionally spreads the mesh's
 /// z-slabs over worker threads (bit-identically: see `DESIGN.md` §4.5 for
 /// the two-phase tick and the determinism argument).
@@ -46,10 +46,7 @@ pub enum Engine {
     /// documented divergence is *when* a `run_until_quiescent` drive stops
     /// after a node error (at the next coordination point rather than the
     /// cycle after the error). `Parallel(1)` runs the event engine's
-    /// sequential path. Building a machine with lifecycle tracing enabled
-    /// is an error
-    /// ([`MachineError::TraceUnsupportedUnderParallel`](crate::MachineError)):
-    /// trace ids need a global injection counter.
+    /// sequential path.
     Parallel(u32),
 }
 
@@ -89,7 +86,8 @@ pub struct TraceConfig {
     /// Whether lifecycle events are recorded.
     pub enabled: bool,
     /// Cycle interval between occupancy samples (queue depths, flits in
-    /// flight, active routers). Only read while `enabled`.
+    /// flight, active routers): one at every multiple the clock reaches,
+    /// under every engine. Only read while `enabled`; zero takes none.
     pub sample_every: u64,
 }
 

@@ -1,16 +1,17 @@
 //! The machine: nodes + network under one clock.
 //!
-//! Three engines drive that clock (see [`Engine`]) through one drive loop
-//! ([`JMachine::run`] and [`JMachine::run_until_quiescent`] are its two
-//! stop conditions): a naive reference that scans every node and router
-//! each cycle, the default event-driven engine that tracks *where work is*
-//! — a wake table and live bitset for busy nodes, the network's delivery
-//! notifications for queue pumping, and counters that make quiescence an
-//! O(1) check —
-//! and the parallel engine that runs the event engine's per-shard step on
-//! a crew of threads. All produce bit-identical observable results;
-//! `DESIGN.md` §4.5 ("Engines and host tuning") gives the invariants and
-//! the cycle-exactness argument.
+//! Three engines advance that clock (see [`Engine`]) between the
+//! boundaries of one drive loop ([`JMachine::run`] and
+//! [`JMachine::run_until_quiescent`] are its two stop conditions), which
+//! alone decides when to stop, skip or observe (`head`): a naive
+//! reference that scans every node and router each cycle, the default
+//! event-driven engine that tracks *where work is* — a wake table and live
+//! bitset for busy nodes, the network's delivery notifications for queue
+//! pumping, and counters that make quiescence an O(1) check — and the
+//! parallel engine that runs the event engine's per-shard step on a crew
+//! of threads. All produce bit-identical observable results, the lifecycle
+//! trace included; `DESIGN.md` §4.5 ("Engines and host tuning") gives the
+//! invariants and the cycle-exactness argument.
 
 use crate::config::{Engine, MachineConfig, StartPolicy};
 use crate::parallel::{pump_node, ShardPort};
@@ -24,7 +25,7 @@ use jm_isa::node::NodeId;
 use jm_isa::word::{MsgHeader, Word};
 use jm_isa::TraceId;
 use jm_mdp::{MdpNode, NodeError};
-use jm_net::{BitSet, Network};
+use jm_net::{BitSet, NetShard, Network};
 use jm_replay::HostOp;
 use jm_trace::{MachineTrace, SamplePoint};
 use jm_traffic::TrafficPlan;
@@ -51,11 +52,6 @@ pub enum MachineError {
         /// Nodes with stranded words.
         nodes: Vec<NodeId>,
     },
-    /// The configuration asked for [`Engine::Parallel`] with lifecycle
-    /// tracing enabled. Trace ids are injection ordinals from one global
-    /// counter, which sharded injection does not maintain — run traced
-    /// machines on [`Engine::Event`] (bit-identical).
-    TraceUnsupportedUnderParallel,
     /// The configuration describes no buildable machine; the message names
     /// the offending field.
     InvalidConfig(&'static str),
@@ -82,11 +78,6 @@ impl fmt::Display for MachineError {
             MachineError::StrandedMessages { nodes } => {
                 write!(f, "messages stranded at {} halted node(s)", nodes.len())
             }
-            MachineError::TraceUnsupportedUnderParallel => write!(
-                f,
-                "lifecycle tracing is unsupported under Engine::Parallel; \
-                 use Engine::Event (bit-identical)"
-            ),
             MachineError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
         }
     }
@@ -206,14 +197,82 @@ impl EventSched {
     }
 }
 
-/// Why [`JMachine::drive`] returned.
-enum Stop {
-    /// The clock reached the deadline.
-    Deadline,
-    /// Nothing can happen anymore.
-    Quiescent,
+/// Why a drive ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stop {
     /// A node stopped with an error.
     NodeError,
+    /// Nothing can happen anymore.
+    Quiescent,
+    /// The clock reached the deadline.
+    Deadline,
+}
+
+/// What the head of the drive loop finds at cycle `now`: a stop, an idle
+/// stretch to jump, or a cycle to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Head {
+    /// The drive is over.
+    Stop(Stop),
+    /// Every network is idle and nothing is due before this cycle (later
+    /// than `now`, no later than the deadline): every cycle in between is a
+    /// no-op for every component except idle accounting, which is repaid
+    /// on wake-up or virtually in [`JMachine::stats`].
+    Skip(u64),
+    /// Something can act this cycle.
+    Run,
+}
+
+/// Whether a slab can never act again on its own: no node with work, no
+/// flit or undelivered word, and no traffic window still ahead (a mesh
+/// whose generator can still fire is not finished, however idle it looks).
+pub(crate) fn quiet(sched: &EventSched, shard: &NetShard) -> bool {
+    sched.has_work.is_empty() && shard.is_idle() && shard.traffic_wake() == u64::MAX
+}
+
+/// The one stop / skip rule of a drive toward quiescence, over a machine's
+/// slabs — an error beats quiescence beats the deadline beats a skip: the
+/// sequential loop asks it every cycle, the parallel engine's coordinator
+/// at every quantum boundary. O(slabs), plus a walk of the live sets when
+/// every network is idle.
+pub(crate) fn head<'a>(
+    slabs: impl Iterator<Item = (&'a EventSched, &'a NetShard)> + Clone,
+    now: u64,
+    deadline: u64,
+) -> Head {
+    let (mut error, mut all_quiet, mut idle) = (false, true, true);
+    for (sched, shard) in slabs.clone() {
+        error |= !sched.errored.is_empty();
+        all_quiet &= quiet(sched, shard);
+        idle &= shard.is_idle();
+    }
+    if error {
+        return Head::Stop(Stop::NodeError);
+    }
+    if all_quiet {
+        return Head::Stop(Stop::Quiescent);
+    }
+    if now >= deadline {
+        return Head::Stop(Stop::Deadline);
+    }
+    if idle {
+        // A pending traffic window is a scheduled wake-up too: skipping to
+        // its first cycle is sound (nothing can fire before it), skipping
+        // past it would lose generated messages.
+        let wake = slabs.map(|(sched, shard)| sched.next_due().min(shard.traffic_wake()));
+        let t = wake.min().unwrap_or(u64::MAX).min(deadline);
+        if t > now {
+            return Head::Skip(t);
+        }
+    }
+    Head::Run
+}
+
+/// First multiple of `every` strictly after `cycle`: where the next
+/// periodic boundary of the drive loop falls (never, for a zero interval).
+pub(crate) fn next_multiple(cycle: u64, every: u64) -> u64 {
+    let passed = cycle.checked_div(every);
+    passed.map_or(u64::MAX, |n| (n + 1).saturating_mul(every))
 }
 
 /// A simulated J-Machine.
@@ -260,10 +319,7 @@ impl JMachine {
     ///
     /// # Errors
     ///
-    /// [`MachineError::TraceUnsupportedUnderParallel`] when the config
-    /// enables lifecycle tracing under [`Engine::Parallel`] — a benchmark
-    /// that asked for the parallel engine must not silently measure a
-    /// different one. [`MachineError::InvalidConfig`], naming the field,
+    /// [`MachineError::InvalidConfig`], naming the field,
     /// when `net.dims` differs from `dims` or the crate that owns a field
     /// rejects its value ([`NetConfig::validate`](jm_net::NetConfig::validate),
     /// [`MdpConfig::validate`](jm_mdp::MdpConfig::validate),
@@ -290,11 +346,6 @@ impl JMachine {
             config.traffic.map_or(Ok(()), |t| t.validate())
         };
         buildable().map_err(MachineError::InvalidConfig)?;
-        if config.trace.enabled && matches!(config.engine, Engine::Parallel(_)) {
-            // Trace ids are injection ordinals from one global counter,
-            // which sharded injection does not maintain.
-            return Err(MachineError::TraceUnsupportedUnderParallel);
-        }
         // Canonicalize the fault plan: a vacuous spec is no plan at all, so
         // every fault hook below stays on its fault-free path.
         let fault = config.fault.and_then(FaultPlan::from_spec);
@@ -539,37 +590,46 @@ impl JMachine {
         self.nodes[node.index()].dump_mem(block.base, block.len)
     }
 
-    /// Advances the machine by one cycle: ejected words are pumped into the
-    /// queues, nodes tick, and the network moves flits. Always sequential —
-    /// a parallel-configured machine steps its shards on the calling thread.
-    pub fn step(&mut self) {
-        self.step_cycle();
-        self.checkpoint();
-    }
-
-    /// One cycle under the configured engine's sequential stepper, plus the
-    /// occupancy sample when tracing.
+    /// One cycle under the configured engine's sequential stepper: ejected
+    /// words are pumped into the queues, nodes tick, and the network moves
+    /// flits.
     fn step_cycle(&mut self) {
         match self.config.engine {
             Engine::Naive => self.step_naive(),
             Engine::Event | Engine::Parallel(_) => self.step_sharded(),
         }
-        if self.config.trace.enabled && self.cycle.is_multiple_of(self.config.trace.sample_every) {
-            self.record_sample();
-        }
     }
 
-    /// Appends one occupancy sample (tracing only). Pure observation: reads
-    /// counters every engine already maintains.
-    fn record_sample(&mut self) {
-        let queued_words: u64 = self.nodes.iter().map(|n| n.queued_words() as u64).sum();
-        self.samples.push(SamplePoint {
-            cycle: self.cycle,
-            queued_words,
-            in_flight: self.net.in_flight(),
-            active_routers: self.net.active_routers(),
-            busy_nodes: self.busy_nodes(),
-        });
+    /// First boundary strictly after the current cycle: the next occupancy
+    /// sample (tracing) or replay hash boundary (capturing), `u64::MAX`
+    /// with neither on. The drive loop ends every stretch there.
+    fn next_boundary(&self) -> u64 {
+        let trace = self.config.trace;
+        let sample = if trace.enabled {
+            next_multiple(self.cycle, trace.sample_every)
+        } else {
+            u64::MAX
+        };
+        sample.min(self.next_hash_boundary())
+    }
+
+    /// The one post-stretch hook: records whatever boundary the clock just
+    /// landed on — an occupancy sample, a replay checkpoint — however the
+    /// machine got there (stepped, skipped, or driven by the crew). Pure
+    /// observation: reads counters every engine already maintains.
+    fn observe_boundary(&mut self) {
+        let trace = self.config.trace;
+        if trace.enabled && self.cycle.is_multiple_of(trace.sample_every) {
+            let queued_words: u64 = self.nodes.iter().map(|n| n.queued_words() as u64).sum();
+            self.samples.push(SamplePoint {
+                cycle: self.cycle,
+                queued_words,
+                in_flight: self.net.in_flight(),
+                active_routers: self.net.active_routers(),
+                busy_nodes: self.busy_nodes(),
+            });
+        }
+        self.checkpoint();
     }
 
     /// Reference engine: pump, tick, and scan everything, every cycle. What
@@ -605,9 +665,7 @@ impl JMachine {
     /// (still busy) or a pure idle count (repaid on wake-up), and skipped
     /// routers hold no flits. With one shard (the event engine) this is the
     /// classic event-driven step; with several it is the *same* per-shard
-    /// code the worker threads run, driven sequentially — which is why
-    /// single-cycle stepping of a parallel-configured machine needs no
-    /// threads and stays bit-identical.
+    /// code the worker threads run, driven sequentially.
     fn step_sharded(&mut self) {
         let now = self.cycle;
         let (shards, edges) = self.net.shard_parts();
@@ -625,36 +683,12 @@ impl JMachine {
         self.cycle += 1;
     }
 
-    /// Jumps the clock to the next cycle where anything can happen
-    /// (earliest scheduled wake-up across all shards), bounded by `limit`.
-    /// Legal only while the network is idle — every skipped cycle is then
-    /// provably a no-op for every component except idle accounting, which
-    /// is repaid on wake-up or virtually in [`Self::stats`].
-    fn fast_forward(&mut self, limit: u64) {
-        if !self.net.is_idle() {
-            return;
-        }
-        let next = self
-            .scheds
-            .iter()
-            .map(EventSched::next_due)
-            .min()
-            .unwrap_or(u64::MAX);
-        // A pending traffic window is a scheduled wake-up too: skipping to
-        // its first cycle is sound (nothing can fire before it), skipping
-        // past it would lose generated messages.
-        let target = next.min(self.net.traffic_wake()).min(limit);
-        if target > self.cycle {
-            self.net.skip_to(target);
-            self.cycle = target;
-        }
-    }
-
     /// Hands the machine to a crew of worker threads (at most one per slab,
-    /// at most the configured thread count) until the quantum coordinator
-    /// stops them (see [`crate::parallel`]), then resyncs the machine
-    /// clock. Only called with more than one shard.
-    fn drive_parallel(&mut self, mode: crate::parallel::Mode) {
+    /// at most the configured thread count) until the clock reaches `stop`
+    /// or — when `until_quiescent` — the quantum coordinator stops them
+    /// earlier (see [`crate::parallel`]), then resyncs the machine clock.
+    /// Only called with more than one shard.
+    fn drive_parallel(&mut self, stop: u64, until_quiescent: bool) {
         let start = self.cycle;
         let Engine::Parallel(threads) = self.config.engine else {
             unreachable!("drive_parallel without Parallel");
@@ -667,7 +701,8 @@ impl JMachine {
             q => u64::from(q),
         };
         let (shards, edges) = self.net.shard_parts();
-        let ctl = crate::parallel::QuantumCtl::new(shards.len(), mode, quantum, start);
+        let ctl =
+            crate::parallel::QuantumCtl::new(shards.len(), stop, until_quiescent, quantum, start);
         let mut slots = Vec::with_capacity(shards.len());
         let mut nodes_rest: &mut [MdpNode] = &mut self.nodes;
         for (shard, sched) in shards.iter_mut().zip(&mut self.scheds) {
@@ -703,20 +738,14 @@ impl JMachine {
     }
 
     /// Whether nothing can happen anymore: every node idle with empty
-    /// queues and the network drained. O(1) on the event engine (maintained
-    /// counters); a full scan on the naive engine.
+    /// queues, the network drained, and no traffic window still ahead (a
+    /// machine whose plan can still generate messages is not finished,
+    /// however idle it looks right now). A full scan — the drive loop's
+    /// own answer is `head`'s, from maintained counters.
     pub fn is_quiescent(&self) -> bool {
-        // A machine whose traffic plan can still generate messages is not
-        // finished, however idle it looks right now.
-        if self.net.traffic_wake() != u64::MAX {
-            return false;
-        }
-        match self.config.engine {
-            Engine::Naive => self.net.is_idle() && self.nodes.iter().all(|n| !n.has_work()),
-            Engine::Event | Engine::Parallel(_) => {
-                self.scheds.iter().all(|s| s.has_work.is_empty()) && self.net.is_idle()
-            }
-        }
+        self.net.traffic_wake() == u64::MAX
+            && self.net.is_idle()
+            && self.nodes.iter().all(|n| !n.has_work())
     }
 
     /// Nodes that stopped with an error.
@@ -725,16 +754,6 @@ impl JMachine {
             .iter()
             .filter_map(|n| n.error().map(|e| (n.id(), e.clone())))
             .collect()
-    }
-
-    /// Whether any node stopped with an error (O(1) on the event engine).
-    fn any_node_error(&self) -> bool {
-        match self.config.engine {
-            Engine::Naive => self.nodes.iter().any(|n| n.error().is_some()),
-            Engine::Event | Engine::Parallel(_) => {
-                self.scheds.iter().any(|s| !s.errored.is_empty())
-            }
-        }
     }
 
     /// Nodes that still have runnable or queued work.
@@ -783,48 +802,58 @@ impl JMachine {
         }
     }
 
-    /// The one drive loop: advances the clock to `deadline`, or — when
-    /// `until_quiescent` — to the first node error or quiescence before it.
-    /// Each pass advances one stretch: an idle skip (quiescence drives on
-    /// the event engines; fixed runs step every cycle), then a single
-    /// sequential cycle or, threaded, a whole crew drive. While a replay
-    /// capture is on, every stretch also ends at the next hash boundary,
-    /// where [`Self::checkpoint`] records the state hash; every engine
-    /// stops on the exact cycle asked for, so that chunking is
+    /// What the loop head finds. On a drive toward quiescence the event
+    /// engines ask [`head`] and the naive engine answers by its own full
+    /// scans, never skipping; a fixed run stops for nothing but its
+    /// deadline, and steps every cycle.
+    fn loop_head(&mut self, deadline: u64, until_quiescent: bool) -> Head {
+        if until_quiescent && self.config.engine != Engine::Naive {
+            let (shards, _) = self.net.shard_parts();
+            return head(self.scheds.iter().zip(&*shards), self.cycle, deadline);
+        }
+        if until_quiescent && self.nodes.iter().any(|n| n.error().is_some()) {
+            Head::Stop(Stop::NodeError)
+        } else if until_quiescent && self.is_quiescent() {
+            Head::Stop(Stop::Quiescent)
+        } else if self.cycle >= deadline {
+            Head::Stop(Stop::Deadline)
+        } else {
+            Head::Run
+        }
+    }
+
+    /// The one drive loop, and the only place that decides anything:
+    /// advances the clock to `deadline`, or — when `until_quiescent` — to
+    /// the first node error or quiescence before it. Each pass asks the
+    /// loop head, then advances one stretch: an idle skip, and a single
+    /// sequential cycle or, threaded, a whole crew drive. A stretch ends at
+    /// the deadline or the next boundary (an occupancy sample while
+    /// tracing, a state hash while a replay capture is on), whichever
+    /// comes first, where [`Self::observe_boundary`] records it; every
+    /// engine stops on the exact cycle asked for, so that chunking is
     /// unobservable in simulated state.
     fn drive(&mut self, deadline: u64, until_quiescent: bool) -> Stop {
         let threaded = self.threaded();
-        let skip_idle = until_quiescent && self.config.engine != Engine::Naive;
         loop {
-            if until_quiescent {
-                if self.any_node_error() {
-                    return Stop::NodeError;
+            let stop = deadline.min(self.next_boundary());
+            match self.loop_head(deadline, until_quiescent) {
+                Head::Stop(why) => return why,
+                Head::Skip(t) => {
+                    self.cycle = t.min(stop);
+                    self.net.skip_to(self.cycle);
                 }
-                if self.is_quiescent() {
-                    return Stop::Quiescent;
-                }
+                Head::Run => {}
             }
-            if self.cycle >= deadline {
-                return Stop::Deadline;
-            }
-            let stop = deadline.min(self.next_hash_boundary());
-            if skip_idle {
-                self.fast_forward(stop);
-            }
+            // Short of the boundary a skip ends on a cycle where something
+            // is due, so the head's answer there is already known: run.
             if self.cycle < stop {
                 if threaded {
-                    // The coordinator's decision rule mirrors the checks
-                    // above exactly; loop around to classify its stop.
-                    self.drive_parallel(if until_quiescent {
-                        crate::parallel::Mode::Quiescent { deadline: stop }
-                    } else {
-                        crate::parallel::Mode::Fixed { deadline: stop }
-                    });
+                    self.drive_parallel(stop, until_quiescent);
                 } else {
                     self.step_cycle();
                 }
             }
-            self.checkpoint();
+            self.observe_boundary();
         }
     }
 
@@ -865,8 +894,10 @@ impl JMachine {
         if !self.config.trace.enabled {
             return None;
         }
-        let mut sources = Vec::with_capacity(self.nodes.len() + 1);
-        sources.push(self.net.take_trace_events());
+        // Shard streams in slab order, then node streams by id: the order
+        // `assemble` breaks full-key ties by, whatever the cut.
+        let mut sources = self.net.take_trace_events();
+        sources.reserve(self.nodes.len());
         for node in &mut self.nodes {
             sources.push(node.take_trace_events());
         }
@@ -1042,6 +1073,98 @@ mod tests {
     }
 
     #[test]
+    fn head_ranks_its_answers() {
+        // Two hand-built slabs of a 2×2×4 mesh and their schedulers, every
+        // node parked: nothing the head reads is set.
+        let dims = MeshDims::new(2, 2, 4);
+        let cfg = MachineConfig::with_dims(dims).start(StartPolicy::None);
+        let boot = JMachine::new(rpc_program(), cfg);
+        let slabs = |traffic: Option<jm_traffic::TrafficSpec>| {
+            let mut net = Network::with_shards(cfg.net, 2);
+            net.set_traffic_plan(traffic.and_then(TrafficPlan::from_spec));
+            let (parts, _) = net.shard_parts();
+            let mut scheds: Vec<EventSched> = parts
+                .iter()
+                .map(|s| EventSched::new(&boot.nodes[s.base()..s.base() + s.len()], s.base()))
+                .collect();
+            for sched in &mut scheds {
+                (0..8).for_each(|l| sched.park(l));
+            }
+            (net, scheds)
+        };
+        let ask = |net: &mut Network, scheds: &[EventSched], now, deadline| {
+            let (parts, _) = net.shard_parts();
+            head(scheds.iter().zip(&*parts), now, deadline)
+        };
+        let msg = |to| {
+            let route = jm_isa::node::RouteWord::new(dims.coord(NodeId(to))).to_word();
+            [route, MsgHeader::new(0, 1).to_word()]
+        };
+        let (stop, quiescent) = (Head::Stop, Stop::Quiescent);
+
+        // Nothing anywhere: quiescent, even past the deadline.
+        let (mut net, mut scheds) = slabs(None);
+        assert_eq!(ask(&mut net, &scheds, 5, 100), stop(quiescent));
+        assert_eq!(ask(&mut net, &scheds, 100, 100), stop(quiescent));
+        // A node with work, scheduled later, under an idle network: skip to
+        // its wake-up — the earliest over the slabs, capped at the deadline
+        // — and run once the clock is there; the deadline beats the skip.
+        scheds[1].set_work(12, true);
+        scheds[1].schedule(12, 40);
+        assert_eq!(ask(&mut net, &scheds, 5, 100), Head::Skip(40));
+        scheds[0].schedule(3, 30);
+        assert_eq!(ask(&mut net, &scheds, 5, 100), Head::Skip(30));
+        assert_eq!(ask(&mut net, &scheds, 5, 20), Head::Skip(20));
+        assert_eq!(ask(&mut net, &scheds, 30, 100), Head::Run);
+        assert_eq!(ask(&mut net, &scheds, 20, 20), stop(Stop::Deadline));
+        // A flit anywhere forbids the skip, and quiescence.
+        let sent = net.commit_msg(NodeId(0), MsgPriority::P0, &msg(15));
+        assert_eq!(sent, jm_net::InjectResult::Accepted);
+        assert_eq!(ask(&mut net, &scheds, 5, 100), Head::Run);
+        scheds[1].set_work(12, false);
+        assert_eq!(ask(&mut net, &scheds, 5, 100), Head::Run);
+        assert_eq!(ask(&mut net, &scheds, 100, 100), stop(Stop::Deadline));
+        // An error beats everything.
+        scheds[0].record_error(2);
+        assert_eq!(ask(&mut net, &scheds, 100, 100), stop(Stop::NodeError));
+        let (mut net, mut scheds) = slabs(None);
+        scheds[1].record_error(9);
+        assert_eq!(ask(&mut net, &scheds, 5, 100), stop(Stop::NodeError));
+
+        // A traffic window still ahead defers quiescence and bounds the
+        // skip like a scheduled wake-up; once it has passed it does neither.
+        // (At one flit per node per million cycles the window stays empty.)
+        let window = jm_traffic::TrafficSpec::new(1).load(1).window(50, 60);
+        let (mut net, mut scheds) = slabs(Some(window));
+        assert_eq!(ask(&mut net, &scheds, 5, 100), Head::Skip(50));
+        scheds[0].set_work(3, true);
+        scheds[0].schedule(3, 70);
+        assert_eq!(ask(&mut net, &scheds, 5, 100), Head::Skip(50));
+        assert_eq!(ask(&mut net, &scheds, 5, 45), Head::Skip(45));
+        net.skip_to(50);
+        assert_eq!(ask(&mut net, &scheds, 50, 100), Head::Run);
+        net.run(10);
+        assert!(net.is_idle(), "the window fired");
+        assert_eq!(ask(&mut net, &scheds, 60, 100), Head::Skip(70));
+        scheds[0].set_work(3, false);
+        assert_eq!(ask(&mut net, &scheds, 60, 100), stop(quiescent));
+    }
+
+    #[test]
+    fn parallel_one_is_the_event_engine() {
+        // One worker gets one slab and no crew: the differential suites
+        // need no `Parallel(1)` column, it would run `Event` twice.
+        let run = |engine| {
+            let mut m = JMachine::new(rpc_program(), MachineConfig::new(64).engine(engine));
+            assert_eq!(m.network().shard_count(), 1);
+            assert!(!m.threaded());
+            let outcome = m.run_until_quiescent(10_000).unwrap();
+            (outcome, m.stats(), m.state_hash())
+        };
+        assert_eq!(run(Engine::Parallel(1)), run(Engine::Event));
+    }
+
+    #[test]
     fn faulted_rpc_completes_and_engines_agree() {
         // A lossless delay plan (flaky links) plus checksum trailers: the
         // RPC must still produce the right answer on every engine, with
@@ -1204,12 +1327,6 @@ mod tests {
         let cases = [
             (flat, "must be in 1..=31"),
             (deep, "must be in 1..=31"),
-            // A benchmark that asked for the parallel engine must not
-            // silently measure a different one.
-            (
-                ok.engine(Engine::Parallel(2)).traced(),
-                "lifecycle tracing is unsupported",
-            ),
             // A network sized for another mesh would route only part of
             // the machine.
             (net(|n| n.dims = MeshDims::new(2, 2, 2)), "net.dims"),
@@ -1251,14 +1368,13 @@ mod tests {
             let largest = LARGEST.load(Relaxed);
             assert!(largest < 1 << 30, "{names}: {largest} bytes at once");
             match built {
-                Err(MachineError::TraceUnsupportedUnderParallel) => {}
                 Err(MachineError::InvalidConfig(why)) => assert!(why.contains(names), "{why}"),
                 Err(other) => panic!("a config with a bad {names}: {other}"),
                 Ok(_) => panic!("a config with a bad {names} built a machine"),
             }
             // What the front door refuses, a log header cannot carry in:
             // the reader calls the validators `try_new` calls.
-            if cfg.net.dims == cfg.dims && !cfg.trace.enabled {
+            if cfg.net.dims == cfg.dims {
                 let mut log = recorded.clone();
                 (log.config.dims, log.config.mdp, log.config.net) = (cfg.dims, cfg.mdp, cfg.net);
                 log.traffic = cfg.traffic;

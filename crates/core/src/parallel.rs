@@ -34,12 +34,13 @@
 //! sweeps *all* slabs forward itself instead of spinning on stragglers,
 //! and task-starved workers back off spin → yield → sleep ([`Backoff`]).
 //!
-//! Global coordination — the stop/skip decision `run_until_quiescent`
-//! makes every cycle on the sequential engines — runs only at **quantum
-//! boundaries**, every Q cycles (64 unless a test pins it): phase 1 may
-//! not pass `decided_through`, so the task graph drains naturally at the
-//! boundary and exactly one worker claims the serial [`QuantumCtl::decide`]
-//! section. Fixed-cycle drives (`run(cycles)`) need no decisions at all —
+//! Global coordination — the stop/skip decision the drive loop's
+//! [`head`] makes every cycle on the sequential engines — runs only at
+//! **quantum boundaries**, every Q cycles (64 unless a test pins it):
+//! phase 1 may not pass `decided_through`, so the task graph drains
+//! naturally at the boundary and exactly one worker claims the serial
+//! [`QuantumCtl::decide`] section, which asks the same `head`.
+//! Fixed-cycle drives (`run(cycles)`) need no decisions at all —
 //! the deadline is the only boundary. Quiescence and the deadline are
 //! reconstructed *exactly* despite the deferred check (see
 //! `DESIGN.md` §4.5: a quiescent machine's extra cycles are pure counter
@@ -51,24 +52,24 @@
 //! Determinism: every task runs exactly once, under its slab's mutex, with
 //! all dependencies complete; phase 1 reads nothing another slab writes
 //! during phase 1, exchange touches only slab-own state plus mailboxes
-//! with deterministic content, and the decide section reduces slab
-//! statuses in fixed order. Which worker runs a task, the thread count,
+//! with deterministic content, and the decide section reads the slabs in
+//! fixed order. Which worker runs a task, the thread count,
 //! the slab count, and the quantum therefore cannot change any observable
 //! value — the equivalence suites run the same workloads across threads
 //! ∈ {1, 2, 4} × quanta ∈ {1, 2, 4, 8} against the sequential engines and
 //! demand bit-identical results.
 
-use crate::machine::{EventSched, NOT_IDLE, PARKED};
+use crate::machine::{head, quiet, EventSched, Head, Stop, NOT_IDLE, PARKED};
 use jm_isa::instr::MsgPriority;
 use jm_isa::node::NodeId;
 use jm_isa::word::Word;
 use jm_mdp::{InjectAck, MdpNode, NetPort, TickOutcome};
 use jm_net::{edge_pair, ones, Edge, InjectResult, NetShard};
 use std::sync::atomic::{
-    AtomicBool, AtomicU32, AtomicU64, AtomicUsize,
+    AtomicBool, AtomicU64,
     Ordering::{AcqRel, Acquire, Relaxed, Release},
 };
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Adapter giving one node's `SEND` instructions access to its shard's
 /// injection port — the one [`NetPort`] every engine ticks nodes through.
@@ -231,57 +232,8 @@ impl Backoff {
     }
 }
 
-/// What the machine is driving toward.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Mode {
-    /// `run(cycles)`: step to the deadline, no other checks (and therefore
-    /// no quantum decisions at all — the deadline is the only boundary).
-    Fixed {
-        /// Absolute cycle to stop at.
-        deadline: u64,
-    },
-    /// `run_until_quiescent`: stop on error, quiescence, or the deadline;
-    /// skip idle stretches. Checked at quantum boundaries.
-    Quiescent {
-        /// Absolute cycle of the budget.
-        deadline: u64,
-    },
-}
-
-/// Sentinel in `quiet_since` slots: the shard is not currently quiet.
+/// Sentinel in a slot's `quiet_since`: the shard is not currently quiet.
 const NOT_QUIET: u64 = u64::MAX;
-
-/// Per-shard status written with the exchange of the last pre-boundary
-/// cycle and read by the decide section, aligned out so two workers never
-/// share a cache line. Plain (`Relaxed`) stores suffice: they are sequenced
-/// before the `Release` publication of `x_cycle`, whose `Acquire` read is
-/// how the decider learns the boundary completed.
-#[repr(align(128))]
-struct ShardStatus {
-    work: AtomicUsize,
-    errors: AtomicUsize,
-    net_idle: AtomicBool,
-    next_wake: AtomicU64,
-    /// First cycle of the shard's current quiet run ([`NOT_QUIET`] when the
-    /// shard was not quiet after its last pre-boundary exchange).
-    quiet_since: AtomicU64,
-    /// Activity signal for the claim-order heuristic: flits buffered in the
-    /// slab plus nodes with work, as of the last boundary.
-    activity: AtomicU64,
-}
-
-impl ShardStatus {
-    fn new() -> ShardStatus {
-        ShardStatus {
-            work: AtomicUsize::new(0),
-            errors: AtomicUsize::new(0),
-            net_idle: AtomicBool::new(false),
-            next_wake: AtomicU64::new(0),
-            quiet_since: AtomicU64::new(NOT_QUIET),
-            activity: AtomicU64::new(0),
-        }
-    }
-}
 
 /// Per-shard progress word, aligned out of its neighbors' cache lines.
 #[repr(align(128))]
@@ -317,14 +269,17 @@ impl<'a> ShardSlot<'a> {
 
 /// Shared control block for one parallel drive.
 pub(crate) struct QuantumCtl {
-    mode: Mode,
-    /// Cycles between global decisions (`Quiescent` mode only).
+    /// Absolute cycle the drive stops at, at the latest.
+    deadline: u64,
+    /// Whether the drive may stop or skip before that (decided every
+    /// `quantum` cycles); otherwise the deadline is the only boundary.
+    until_quiescent: bool,
+    /// Cycles between global decisions (`until_quiescent` only).
     quantum: u64,
     /// Per-slab: the next cycle whose phase 1 has not run.
     p_cycle: Vec<Progress>,
     /// Per-slab: the next cycle whose exchange has not run.
     x_cycle: Vec<Progress>,
-    status: Vec<ShardStatus>,
     /// Phase 1 may run cycles strictly below this (the current boundary).
     decided_through: AtomicU64,
     /// Boundary cycle whose decide section has been claimed (strictly
@@ -332,36 +287,33 @@ pub(crate) struct QuantumCtl {
     claimed: AtomicU64,
     stopped: AtomicBool,
     final_cycle: AtomicU64,
-    /// Claim-order hint: slab indices, busiest first, refreshed by the
-    /// decide section from the boundary statuses. Purely a scheduling
-    /// heuristic — any order is correct — so entries are read/written
-    /// `Relaxed` and may be observed mid-update.
-    order: Vec<AtomicU32>,
 }
 
 impl QuantumCtl {
-    pub(crate) fn new(shards: usize, mode: Mode, quantum: u64, start: u64) -> QuantumCtl {
+    pub(crate) fn new(
+        shards: usize,
+        deadline: u64,
+        until_quiescent: bool,
+        quantum: u64,
+        start: u64,
+    ) -> QuantumCtl {
         let quantum = quantum.max(1);
-        let first_boundary = match mode {
+        let first_boundary = match until_quiescent {
+            true => deadline.min(start.saturating_add(quantum)),
             // No decisions: the whole drive is one quantum.
-            Mode::Fixed { deadline } => deadline,
-            Mode::Quiescent { deadline } => deadline.min(start.saturating_add(quantum)),
+            false => deadline,
         };
+        let progress = || (0..shards).map(|_| Progress(AtomicU64::new(start)));
         QuantumCtl {
-            mode,
+            deadline,
+            until_quiescent,
             quantum,
-            p_cycle: (0..shards)
-                .map(|_| Progress(AtomicU64::new(start)))
-                .collect(),
-            x_cycle: (0..shards)
-                .map(|_| Progress(AtomicU64::new(start)))
-                .collect(),
-            status: (0..shards).map(|_| ShardStatus::new()).collect(),
+            p_cycle: progress().collect(),
+            x_cycle: progress().collect(),
             decided_through: AtomicU64::new(first_boundary),
             claimed: AtomicU64::new(start),
             stopped: AtomicBool::new(false),
             final_cycle: AtomicU64::new(start),
-            order: (0..shards).map(|k| AtomicU32::new(k as u32)).collect(),
         }
     }
 
@@ -402,12 +354,6 @@ impl QuantumCtl {
         let (below, above) = edge_pair(edges, k);
         let mut progressed = false;
         loop {
-            // Acquire: reading our own progress (possibly advanced by
-            // another worker that held this mutex) must also bring in the
-            // boundary value that worker saw, so the status-publication test
-            // below never compares against a stale `decided_through`
-            // (read-read coherence carries it over the mutex anyway; the
-            // Acquire documents the dependency).
             let p = self.p_cycle[k].0.load(Acquire);
             let x = self.x_cycle[k].0.load(Acquire);
             if x < p {
@@ -416,39 +362,10 @@ impl QuantumCtl {
                     return progressed;
                 }
                 slot.shard.exchange(below, above);
-                // A shard whose traffic window still lies ahead is not
-                // quiet: quiescence must wait for the generator to finish
-                // (mirrors `JMachine::is_quiescent`).
-                let quiet = slot.sched.has_work.is_empty()
-                    && slot.shard.is_idle()
-                    && slot.shard.traffic_wake() == u64::MAX;
-                if quiet {
-                    if slot.quiet_since == NOT_QUIET {
-                        slot.quiet_since = x;
-                    }
-                } else {
+                if !quiet(slot.sched, slot.shard) {
                     slot.quiet_since = NOT_QUIET;
-                }
-                if x + 1 == self.decided_through.load(Acquire) {
-                    // Last exchange before the boundary: publish status for
-                    // the decide section (sequenced before the `Release`
-                    // below).
-                    let st = &self.status[k];
-                    st.work.store(slot.sched.has_work.count(), Relaxed);
-                    st.errors.store(slot.sched.errored.count(), Relaxed);
-                    st.net_idle.store(slot.shard.is_idle(), Relaxed);
-                    // The traffic window's next active cycle caps the
-                    // idle-skip target exactly like a scheduled node
-                    // wake-up (mirrors `JMachine::fast_forward`).
-                    st.next_wake.store(
-                        slot.sched.next_due().min(slot.shard.traffic_wake()),
-                        Relaxed,
-                    );
-                    st.quiet_since.store(slot.quiet_since, Relaxed);
-                    st.activity.store(
-                        slot.shard.in_flight() + slot.sched.has_work.count() as u64,
-                        Relaxed,
-                    );
+                } else if slot.quiet_since == NOT_QUIET {
+                    slot.quiet_since = x;
                 }
                 self.x_cycle[k].0.store(x + 1, Release);
             } else {
@@ -464,7 +381,7 @@ impl QuantumCtl {
     }
 
     /// Boundary bookkeeping: detect completion of the current boundary and
-    /// either finish a `Fixed` drive or claim and run the serial decide
+    /// either finish a fixed drive or claim and run the serial decide
     /// section. Cheap when the boundary is not yet complete (n atomic
     /// loads). Returns whether this call decided (progress for the caller).
     fn try_decide(&self, slots: &[Mutex<ShardSlot<'_>>]) -> bool {
@@ -475,10 +392,10 @@ impl QuantumCtl {
         if self.x_cycle.iter().any(|x| x.0.load(Acquire) < b) {
             return false;
         }
-        if let Mode::Fixed { deadline } = self.mode {
+        if !self.until_quiescent {
             // All slabs exchanged through the deadline: the drive is done.
             // Several workers may observe this; the store is idempotent.
-            self.stop(deadline);
+            self.stop(self.deadline);
             return true;
         }
         // Claim this boundary (boundaries strictly increase, so an equal
@@ -497,118 +414,78 @@ impl QuantumCtl {
     }
 
     /// Serial coordinator section at boundary `b` (all slabs aligned at
-    /// `b`, no task runnable, this worker holds the claim). Mirrors the
-    /// sequential `run_until_quiescent` loop head: stop on error,
-    /// quiescence, or deadline; with every slab's network idle, skip to the
-    /// earliest wake-up. Quiescence is reconstructed exactly even though
-    /// the check is deferred — see the module docs and `DESIGN.md` §4.5.
+    /// `b`, no task runnable, this worker holds the claim): asks the drive
+    /// loop's [`head`] over the slabs — locking a slab waits out the worker
+    /// that ran its last task and brings in everything that task wrote;
+    /// the crew only ever `try_lock`s, so holding them all blocks nobody —
+    /// and carries out the answer. Only quiescence needs more than the
+    /// sequential loop does with it: the check is deferred, so it is
+    /// reconstructed exactly — see the module docs and `DESIGN.md` §4.5.
     fn decide(&self, b: u64, slots: &[Mutex<ShardSlot<'_>>]) {
-        let Mode::Quiescent { deadline } = self.mode else {
-            unreachable!("Fixed drives make no decisions");
-        };
-        let mut work = 0usize;
-        let mut errors = 0usize;
-        let mut idle = true;
-        let mut wake = u64::MAX;
-        let mut quiet_max = 0u64;
-        let mut all_quiet = true;
-        for st in &self.status {
-            work += st.work.load(Relaxed);
-            errors += st.errors.load(Relaxed);
-            idle &= st.net_idle.load(Relaxed);
-            wake = wake.min(st.next_wake.load(Relaxed));
-            let q = st.quiet_since.load(Relaxed);
-            if q == NOT_QUIET {
-                all_quiet = false;
-            } else {
-                quiet_max = quiet_max.max(q);
-            }
-        }
-        self.refresh_order();
-        if errors > 0 {
-            // Deterministic, quantum-granular: the sequential engines stop
-            // the cycle after the error; we stop at the boundary after it
-            // (identical when quantum == 1). Documented in DESIGN.md §4.5.
-            self.stop(b);
-            return;
-        }
-        if all_quiet {
-            debug_assert_eq!(work, 0, "quiet shards reported work");
-            // Globally quiescent since the end of cycle `quiet_max`: the
-            // sequential engines stop at `quiet_max + 1`; we overran by up
-            // to a quantum. The overrun simulated nothing except shard
-            // cycle-counter bumps plus — for each node that was still
-            // *scheduled* when the machine went quiet (a handler's final
-            // instruction reports busy-until before the node parks) —
-            // exactly one idle tick. Both are exactly invertible; unwind
-            // them and stop where the sequential engines stop.
-            let stop_at = quiet_max + 1;
-            for slot in slots {
-                let mut slot = slot.lock().expect("slab mutex poisoned");
-                let slot = &mut *slot;
-                slot.shard.rewind_idle_to(stop_at);
-                let base = slot.shard.base();
-                for l in 0..slot.nodes.len() {
-                    let since = slot.sched.idle_since[l];
-                    // `idle_since == w + 1` marks an idle tick at cycle `w`;
-                    // `w >= stop_at` means it ran in the overrun window.
-                    if since != NOT_IDLE && since > stop_at {
-                        slot.nodes[l].undo_idle_tick();
-                        slot.sched.idle_since[l] = NOT_IDLE;
-                        // Re-park the node exactly as sequential leaves it:
-                        // scheduled for the tick it has not yet taken.
-                        slot.sched.schedule(base + l, since - 1);
+        let mut slots: Vec<MutexGuard<'_, ShardSlot<'_>>> = slots
+            .iter()
+            .map(|slot| slot.lock().expect("slab mutex poisoned"))
+            .collect();
+        let next = |from: u64| self.deadline.min(from.saturating_add(self.quantum));
+        let slabs = slots.iter().map(|s| (&*s.sched, &*s.shard));
+        match head(slabs, b, self.deadline) {
+            // An error stop is deterministic and quantum-granular: the
+            // sequential engines stop the cycle after the error, the crew
+            // at the boundary after it (identical when quantum == 1).
+            Head::Stop(Stop::NodeError | Stop::Deadline) => self.stop(b),
+            Head::Stop(Stop::Quiescent) => {
+                // Every slab has been quiet since its own `quiet_since`
+                // (quiescence is absorbing), so the machine has been
+                // quiescent since the end of the latest of those cycles:
+                // the sequential engines stop the cycle after it; the crew
+                // overran by up to a quantum. The overrun simulated nothing
+                // except shard cycle-counter bumps plus — for each node
+                // that was still *scheduled* when the machine went quiet (a
+                // handler's final instruction reports busy-until before the
+                // node parks) — exactly one idle tick. Both are exactly
+                // invertible; unwind them and stop where the sequential
+                // engines stop.
+                let quiet_max = slots.iter().map(|s| s.quiet_since).max();
+                let stop_at = quiet_max.expect("a machine has a slab") + 1;
+                for slot in &mut slots {
+                    let slot = &mut **slot;
+                    slot.shard.rewind_idle_to(stop_at);
+                    let base = slot.shard.base();
+                    for l in 0..slot.nodes.len() {
+                        let since = slot.sched.idle_since[l];
+                        // `idle_since == w + 1` marks an idle tick at cycle `w`;
+                        // `w >= stop_at` means it ran in the overrun window.
+                        if since != NOT_IDLE && since > stop_at {
+                            slot.nodes[l].undo_idle_tick();
+                            slot.sched.idle_since[l] = NOT_IDLE;
+                            // Re-park the node exactly as sequential leaves it:
+                            // scheduled for the tick it has not yet taken.
+                            slot.sched.schedule(base + l, since - 1);
+                        }
                     }
                 }
+                self.stop(stop_at);
             }
-            self.stop(stop_at);
-            return;
-        }
-        if b >= deadline {
-            self.stop(b);
-            return;
-        }
-        if idle {
-            // Network idle everywhere but nodes still scheduled: mirror the
-            // sequential fast-forward. (Stepping the idle cycles up to here
-            // was equally a no-op, so skipping from `b` is exact.) A skip
-            // that reaches the deadline is stopped by the next decide.
-            let t = wake.min(deadline);
-            if t > b {
-                for (k, slot) in slots.iter().enumerate() {
-                    let mut slot = slot.lock().expect("slab mutex poisoned");
+            Head::Skip(t) => {
+                // Stepping the idle cycles up to `b` was equally a no-op,
+                // so skipping from here is exact. A skip that reaches the
+                // deadline is stopped by the next decide.
+                for (k, slot) in slots.iter_mut().enumerate() {
                     slot.shard.skip_to(t);
                     self.p_cycle[k].0.store(t, Release);
                     self.x_cycle[k].0.store(t, Release);
                 }
-                self.decided_through
-                    .store(deadline.min(t.saturating_add(self.quantum)), Release);
-                return;
+                self.decided_through.store(next(t), Release);
             }
-        }
-        self.decided_through
-            .store(deadline.min(b.saturating_add(self.quantum)), Release);
-    }
-
-    /// Re-sorts the claim-order hint by the just-published activity,
-    /// busiest slab first. Heuristic only: racing readers may see a mix of
-    /// old and new entries, which is harmless.
-    fn refresh_order(&self) {
-        let n = self.status.len();
-        let mut pairs: Vec<(u64, u32)> = (0..n)
-            .map(|k| (self.status[k].activity.load(Relaxed), k as u32))
-            .collect();
-        pairs.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        for (slot, (_, k)) in self.order.iter().zip(pairs) {
-            slot.store(k, Relaxed);
+            Head::Run => self.decided_through.store(next(b), Release),
         }
     }
 }
 
-/// Body of one crew worker: sweep the slabs (own home slab first, then the
-/// activity-ordered rest), advancing every slab whose mutex is free and
-/// whose next task is ready, deciding at quantum boundaries, and backing
-/// off when task-starved.
+/// Body of one crew worker: sweep the slabs (own home slab first, then all
+/// of them in ascending order), advancing every slab whose mutex is free
+/// and whose next task is ready, deciding at quantum boundaries, and
+/// backing off when task-starved.
 pub(crate) fn crew_loop(
     me: usize,
     workers: usize,
@@ -623,15 +500,9 @@ pub(crate) fn crew_loop(
     let mut backoff = Backoff::new();
     while !ctl.stopped.load(Acquire) {
         let mut progressed = false;
-        // Home slab first, then every slab in activity order (busiest
-        // first). Every slab appears in the sweep — the order hint biases
+        // Every slab appears in the sweep: the home bias spreads
         // contention, it must never starve a dependency.
-        for j in 0..=n {
-            let k = if j == 0 {
-                home
-            } else {
-                ctl.order[j - 1].load(Relaxed) as usize % n
-            };
+        for k in std::iter::once(home).chain(0..n) {
             if let Ok(mut slot) = slots[k].try_lock() {
                 progressed |= ctl.advance(k, &mut slot, edges);
             }

@@ -39,7 +39,7 @@
 //!   component.
 
 use crate::config::{Engine, HostTuning, MachineConfig, StartPolicy};
-use crate::machine::JMachine;
+use crate::machine::{next_multiple, JMachine};
 use jm_isa::node::NodeId;
 use jm_isa::word::Word;
 use jm_replay::{Record, RecordedConfig, RecordedEngine, RecordedStart, ReplayLog};
@@ -176,15 +176,14 @@ impl JMachine {
     /// First hash boundary strictly after the current cycle (`u64::MAX`
     /// unless capturing): the drive loop ends every stretch there.
     pub(crate) fn next_hash_boundary(&self) -> u64 {
-        self.recorder.as_ref().map_or(u64::MAX, |r| {
-            (self.cycle() / r.interval + 1).saturating_mul(r.interval)
-        })
+        let capturing = self.recorder.as_ref();
+        capturing.map_or(u64::MAX, |r| next_multiple(self.cycle(), r.interval))
     }
 
     /// Records a state-hash checkpoint if the clock just landed on a hash
-    /// boundary (no-op unless capturing). Called after every advance of the
-    /// clock, so a boundary is recorded exactly once however the machine
-    /// got there — `run`, `run_until_quiescent`, or single `step`s.
+    /// boundary (no-op unless capturing). Called after every stretch of the
+    /// drive loop, so a boundary is recorded exactly once however the
+    /// machine got there — `run` or `run_until_quiescent`, in any chunks.
     pub(crate) fn checkpoint(&mut self) {
         let cycle = self.cycle();
         let due = |r: &Recorder| cycle.is_multiple_of(r.interval);
@@ -878,7 +877,7 @@ mod tests {
             drive(&mut m);
             m.finish_replay().unwrap()
         };
-        let stepped = log(|m| (0..16).for_each(|_| m.step()));
+        let stepped = log(|m| (0..16).for_each(|_| m.run(1)));
         assert_eq!(stepped.checkpoints(), 5);
         assert_eq!(stepped, log(|m| m.run(16)));
     }

@@ -12,9 +12,12 @@ use std::fmt;
 
 /// Identity of one message for lifecycle tracing.
 ///
-/// Ids are assigned densely from 1 by the injection port, in injection
-/// order; [`TraceId::NONE`] (zero) marks words with no network provenance,
-/// such as host-port deliveries.
+/// An id is a pure function of the message's source node and that node's
+/// injection ordinal — `ordinal × nodes + node + 1`, within the 32 bits a
+/// flit carries — so it is the same however the mesh is cut and whichever
+/// engine runs it. [`TraceId::NONE`] (zero) marks words with no traced
+/// network provenance: host-port deliveries, and messages of a source that
+/// has used up its share of the id space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TraceId(pub u64);
 

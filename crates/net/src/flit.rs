@@ -18,8 +18,8 @@ use jm_isa::TraceId;
 /// routers), and every boundary crossing copies one through an edge
 /// mailbox, so flit size is arena footprint *and* parallel-engine
 /// bandwidth. Head/tail/payload-presence share one flag byte, the trace
-/// id is stored in 32 bits (dense per-run message ordinals; checked on
-/// construction), and the virtual network is *not* stored — every path
+/// id is stored in 32 bits (`commit_msg`, which makes the ids, hands out
+/// none wider), and the virtual network is *not* stored — every path
 /// that handles a flit already knows its vnet from the buffer it sits in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
@@ -27,8 +27,8 @@ pub struct Flit {
     pub dest: Coord,
     /// Bit-packed `FLAG_*` bits.
     flags: u8,
-    /// Lifecycle-trace ordinal (`0` = untraced), widened to [`TraceId`]
-    /// on read.
+    /// Lifecycle-trace id (`0` = untraced), widened to [`TraceId`] on
+    /// read.
     trace: u32,
     /// The word completed by this flit ([`Word::NIL`] unless
     /// `FLAG_PAYLOAD` is set).
@@ -103,7 +103,7 @@ impl Flit {
     ) -> impl Iterator<Item = Flit> + '_ {
         debug_assert!(
             u32::try_from(trace.0).is_ok(),
-            "trace ordinal exceeds the flit's 32-bit field"
+            "trace id exceeds the flit's 32-bit field"
         );
         let blank = Flit {
             dest,

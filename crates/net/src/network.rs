@@ -109,32 +109,21 @@ impl Network {
     }
 
     /// Turns lifecycle tracing on or off. While on, every accepted message
-    /// is assigned a [`TraceId`] (its 1-based injection ordinal) and the
-    /// network emits inject / per-hop / deliver events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if enabled on a multi-shard network: trace ids are injection
-    /// ordinals from a single counter, which sharded injection does not
-    /// maintain (the machine falls back to a sequential engine for traced
-    /// runs).
+    /// is assigned a [`TraceId`] — a function of its source node and that
+    /// node's injection ordinal, so the same under every shard cut — and
+    /// each shard buffers the inject / per-hop / deliver events of its own
+    /// routers.
     pub fn set_tracing(&mut self, on: bool) {
-        assert!(
-            !on || self.shards.len() == 1,
-            "lifecycle tracing requires a single-shard network"
-        );
         for shard in &mut self.shards {
-            shard.tracer = None;
-        }
-        if on {
-            self.shards[0].tracer = Some(Box::new(Tracer::new()));
+            shard.tracer = on.then(Box::default);
         }
     }
 
-    /// Drains the buffered lifecycle events (empty when tracing is off).
-    pub fn take_trace_events(&mut self) -> Tracer {
-        // Only shard 0 ever traces (see `set_tracing`).
-        self.shards[0].take_trace_events()
+    /// Drains the buffered lifecycle events, one stream per shard in slab
+    /// order (empty streams when tracing is off).
+    pub fn take_trace_events(&mut self) -> Vec<Tracer> {
+        let shards = self.shards.iter_mut();
+        shards.map(NetShard::take_trace_events).collect()
     }
 
     /// Routers currently holding buffered flits.

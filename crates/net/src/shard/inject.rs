@@ -78,7 +78,20 @@ impl NetShard {
         self.stats.injected_msgs += 1;
         let trace = match &mut self.tracer {
             Some(tracer) => {
-                let id = TraceId(self.stats.injected_msgs);
+                // The id is a pure function of (source node, that node's
+                // injection ordinal), so every shard cut and engine assigns
+                // the same one. A source past its share of the flit's 32-bit
+                // field sends the message untraced: the inject event (with
+                // the null id) is all the trace knows of it.
+                let ordinal = &mut self.traced_msgs[l];
+                let wide = u64::from(*ordinal) * u64::from(dims.nodes()) + u64::from(node.0) + 1;
+                let id = match u32::try_from(wide) {
+                    Ok(id) => {
+                        *ordinal += 1;
+                        TraceId(u64::from(id))
+                    }
+                    Err(_) => TraceId::NONE,
+                };
                 tracer.emit(
                     cycle,
                     EventKind::Inject {
@@ -167,5 +180,60 @@ impl NetShard {
             }
             _ => false,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::NetConfig;
+    use jm_isa::node::{Coord, MeshDims};
+    use jm_trace::MachineTrace;
+
+    #[test]
+    fn a_source_past_the_id_space_injects_untraced() {
+        let dims = MeshDims::new(2, 1, 1);
+        let mut shard = NetShard::new(NetConfig::new(dims), 0, 2, 0, 0);
+        shard.tracer = Some(Box::default());
+        // Node 0's last id that fits the flit's 32 bits: ordinal × 2 + 1.
+        shard.traced_msgs[0] = u32::MAX / 2;
+        let msg = [
+            RouteWord::new(Coord::new(1, 0, 0)).to_word(),
+            MsgHeader::new(1, 1).to_word(),
+        ];
+        for _ in 0..3 {
+            let sent = shard.commit_msg(NodeId(0), MsgPriority::P0, &msg);
+            assert_eq!(sent, InjectResult::Accepted);
+        }
+        assert_eq!(
+            shard.traced_msgs[0],
+            u32::MAX / 2 + 1,
+            "the ordinal wrapped"
+        );
+        while !shard.is_idle() {
+            shard.step_cycle(None, None);
+            while shard.pop_delivered(NodeId(1), MsgPriority::P0).is_some() {}
+        }
+        assert_eq!(
+            shard.stats().delivered_msgs,
+            3,
+            "an untraced message is lost"
+        );
+        let trace = MachineTrace::assemble(vec![shard.take_trace_events()], Vec::new(), 2);
+        // One message has the last id; the other two have none — not a
+        // truncated one — and are counted.
+        let msgs = trace.messages();
+        assert_eq!(msgs.len(), 1);
+        assert_eq!(msgs[0].id, TraceId(u64::from(u32::MAX)));
+        assert_eq!((msgs[0].hops, msgs[0].deliver.is_some()), (1, true));
+        let ids = trace.events.iter().map(|e| e.kind.id());
+        assert!(ids
+            .clone()
+            .all(|id| id == msgs[0].id || id == TraceId::NONE));
+        assert_eq!(ids.filter(|id| *id == TraceId::NONE).count(), 2);
+        assert!(jm_trace::summary_json(&trace).contains(r#""untraced": 2"#));
+        assert!(trace
+            .breakdown_table()
+            .contains("2 more message(s) injected untraced"));
     }
 }

@@ -102,9 +102,12 @@ pub struct NetShard {
     /// Invariant: while set, the shard holds no buffered flits — every
     /// in-flight flit belongs to this message and is virtual.
     bulk: Option<BulkMsg>,
-    /// Lifecycle-event buffer; `None` (the default) disables tracing, so
-    /// the hot paths pay one pointer test.
+    /// Lifecycle-event buffer for this shard's routers; `None` (the
+    /// default) disables tracing, so the hot paths pay one pointer test.
     pub(crate) tracer: Option<Box<Tracer>>,
+    /// Messages each local node has injected while traced: the ordinal its
+    /// next [`TraceId`] is made from (see [`NetShard::commit_msg`]).
+    traced_msgs: Vec<u32>,
     /// Fault plan, if this run injects faults. Queries key on *global* node
     /// ids and the lockstep cycle counter, so every shard layout answers
     /// identically; `None` (the default) keeps the fault-free fast paths.
@@ -176,6 +179,7 @@ impl NetShard {
             crossings: [Vec::new(), Vec::new()],
             bulk: None,
             tracer: None,
+            traced_msgs: vec![0; len],
             fault: None,
             traffic: None,
             traffic_words: Vec::new(),

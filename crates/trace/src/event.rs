@@ -162,7 +162,7 @@ impl EventKind {
 
 /// A hop or deliver event in 16 bytes — half an [`Event`]. These two kinds
 /// are about four of every five events a loaded mesh emits, and all they
-/// carry is a cycle, a message ordinal (32 bits wide on the flit already)
+/// carry is a cycle, a message id (32 bits wide on the flit already)
 /// and a node; the kind rides in the node's top bit. Buffers hold them
 /// packed and assembly widens them into the public `Event` once, in the
 /// output.
@@ -265,9 +265,9 @@ impl<T> Stream<T> {
 
 /// An append-only event buffer owned by one simulation component.
 ///
-/// Each component (the network, every node) that traces holds its own
-/// `Tracer`, so the hot paths never contend on a shared sink; the machine
-/// collects and merges the buffers when a
+/// Each component (every network shard, every node) that traces holds its
+/// own `Tracer`, so the hot paths never contend on a shared sink; the
+/// machine collects and merges the buffers when a
 /// [`MachineTrace`](crate::MachineTrace) is assembled. A component that is
 /// not tracing holds no tracer at all (`Option<Box<Tracer>>`), making the
 /// disabled path a single pointer test.

@@ -161,8 +161,9 @@ fn histogram_json(h: &Histogram) -> String {
     )
 }
 
-/// Renders the compact summary JSON: per-kind event counts, message totals,
-/// the four latency-component histograms, sample count, and the trace hash
+/// Renders the compact summary JSON: per-kind event counts, message totals
+/// (traced ones, and those injected untraced past the id space), the four
+/// latency-component histograms, sample count, and the trace hash
 /// (as a hex string so shell tooling can compare it verbatim).
 pub fn summary_json(trace: &MachineTrace) -> String {
     let mut kind_counts = [0u64; 7];
@@ -179,7 +180,7 @@ pub fn summary_json(trace: &MachineTrace) -> String {
             "  \"events\": {{\"inject\": {}, \"hop\": {}, \"deliver\": {}, ",
             "\"queue_enter\": {}, \"dispatch\": {}, \"handler_end\": {}, ",
             "\"fault\": {}}},\n",
-            "  \"messages\": {{\"injected\": {}, \"dispatched\": {}}},\n",
+            "  \"messages\": {{\"injected\": {}, \"dispatched\": {}, \"untraced\": {}}},\n",
             "  \"latency\": {{\n",
             "    \"net\": {},\n",
             "    \"queue\": {},\n",
@@ -201,6 +202,7 @@ pub fn summary_json(trace: &MachineTrace) -> String {
         kind_counts[6],
         msgs.len(),
         dispatched,
+        trace.untraced(),
         histogram_json(&b.net),
         histogram_json(&b.queue),
         histogram_json(&b.handler),

@@ -111,8 +111,11 @@ impl MachineTrace {
     /// ordered by cycle, then causal rank, then message id, then node; events
     /// equal on all four keep the order of `sources` and, within a source,
     /// the order they were emitted in. That total order is independent of
-    /// how the run was executed, so two runs of the same program produce
-    /// byte-identical traces.
+    /// how the run was executed — events equal on all four keys come from
+    /// one router or one node, so however the routers are spread over
+    /// network streams (listed before the node streams), the tie falls
+    /// within one stream — and two runs of the same program produce
+    /// byte-identical traces under every engine and shard cut.
     ///
     /// Linear in the event count: every source stream is already in cycle
     /// order (a stream that is not — no simulator component produces one —
@@ -176,7 +179,23 @@ impl MachineTrace {
         }
     }
 
-    /// Reconstructs every injected message's lifecycle, in injection order.
+    /// Messages injected untraced because their source had used up its
+    /// share of the trace-id space: each left an inject event with the null
+    /// id and nothing else.
+    pub(crate) fn untraced(&self) -> usize {
+        let untraced = |e: &&Event| {
+            matches!(
+                e.kind,
+                EventKind::Inject {
+                    id: TraceId::NONE,
+                    ..
+                }
+            )
+        };
+        self.events.iter().filter(untraced).count()
+    }
+
+    /// Reconstructs every traced message's lifecycle, in injection order.
     pub fn messages(&self) -> Vec<MsgTrace> {
         let mut by_id = IdIndex::new(self.events.len());
         let mut msgs: Vec<MsgTrace> = Vec::new();
@@ -188,7 +207,7 @@ impl MachineTrace {
                     dst,
                     priority,
                     words,
-                } => {
+                } if id.is_some() => {
                     by_id.insert(id, msgs.len());
                     msgs.push(MsgTrace {
                         id,
@@ -232,8 +251,8 @@ impl MachineTrace {
                     }
                 }
                 // Fault events annotate a message's lifecycle but are not
-                // themselves a stage of it.
-                EventKind::Fault { .. } => {}
+                // themselves a stage of it; an untraced message has none.
+                EventKind::Fault { .. } | EventKind::Inject { .. } => {}
             }
         }
         msgs
@@ -310,18 +329,26 @@ impl MachineTrace {
                 h.max()
             ));
         }
+        match self.untraced() {
+            0 => {}
+            n => out.push_str(&format!(
+                "\n  {n} more message(s) injected untraced: past the trace-id space\n"
+            )),
+        }
         out
     }
 }
 
-/// Position in the message list by [`TraceId`]. Ids are dense injection
-/// ordinals, so this is a flat table indexed by the ordinal, grown on
-/// demand; only an id beyond four times the trace's event count — nothing
-/// the simulator assigns — goes to a map instead of stretching the table.
+/// Position in the message list by [`TraceId`]. Ids interleave the
+/// sources' injection ordinals (`ordinal × nodes + node + 1`), so sources
+/// that inject alike keep them near-dense and this is a flat table indexed
+/// by the id, grown on demand; only an id beyond four times the trace's
+/// event count — a source far ahead of the rest — goes to a map instead
+/// of stretching the table.
 struct IdIndex {
     /// Ids below this index `slots`; the rest go to `sparse`.
     dense_limit: u64,
-    /// Message position + 1 per id ordinal; 0 = none.
+    /// Message position + 1 per id; 0 = none.
     slots: Vec<u32>,
     sparse: HashMap<TraceId, usize>,
 }

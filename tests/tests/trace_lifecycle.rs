@@ -8,11 +8,17 @@
 //! end-to-end latency. Tracing must also be *purely observational*: the
 //! same workload with tracing on and off produces bit-identical machine
 //! statistics on both engines, and two traced runs produce byte-identical
-//! trace summaries.
+//! trace summaries. And a trace is an observation of the machine, not of
+//! the engine: its hash, events and occupancy samples are the same under
+//! every engine, shard cut and quantum.
 
-use jm_bench::workloads::gather_program;
+use jm_asm::Program;
+use jm_bench::workloads::{exchange_program, gather_program, ring_program, sink_program};
 use jm_isa::node::{MeshDims, NodeId};
-use jm_machine::{Engine, JMachine, MachineConfig, MachineTrace, StartPolicy, TraceConfig};
+use jm_machine::{
+    Engine, HostTuning, JMachine, MachineConfig, MachineTrace, StartPolicy, TraceConfig,
+    TrafficSpec,
+};
 use jm_trace::{chrome_json, hash, summary_json};
 
 fn mesh() -> MeshDims {
@@ -107,6 +113,68 @@ fn tracing_is_purely_observational() {
     let (_, ev) = traced_run(Engine::Event);
     let (_, na) = traced_run(Engine::Naive);
     assert_eq!(ev.messages(), na.messages());
+}
+
+/// Drives `program` under every engine (the parallel ones at quantum auto,
+/// 1 and 3) and holds the trace — final cycle, hash, event count, sample
+/// count at `sample_every = 16` — to the naive engine's.
+fn assert_one_trace(
+    name: &str,
+    program: Program,
+    config: MachineConfig,
+    drive: impl Fn(&mut JMachine),
+) {
+    let config = config.trace(TraceConfig::on().sample_every(16));
+    let observe = |engine, quantum| {
+        let tuning = HostTuning {
+            quantum,
+            ..HostTuning::default()
+        };
+        let mut m = JMachine::new(program.clone(), config.engine(engine).tuning(tuning));
+        drive(&mut m);
+        let trace = m.take_trace().expect("tracing was enabled");
+        let counts = (trace.events.len(), trace.samples.len() as u64);
+        (m.cycle(), hash(&trace), counts)
+    };
+    let naive = observe(Engine::Naive, 0);
+    let (cycles, _, (events, samples)) = naive;
+    assert!(events > 0, "{name}: nothing traced");
+    assert_eq!(samples, cycles / 16, "{name}: a sample boundary was missed");
+    assert_eq!(naive, observe(Engine::Event, 0), "{name}: event");
+    for threads in [2, 4] {
+        for quantum in [0, 1, 3] {
+            let parallel = observe(Engine::Parallel(threads), quantum);
+            assert_eq!(naive, parallel, "{name}: parallel-{threads}, q{quantum}");
+        }
+    }
+}
+
+#[test]
+fn the_trace_is_the_same_under_every_engine() {
+    let to_quiescence = |m: &mut JMachine| {
+        m.run_until_quiescent(1_000_000).expect("workload finished");
+    };
+    // Meshes deep enough in z that the parallel engines cut them (into 4,
+    // 2, 2 and 4 slabs). The ring passes one token: idle almost everywhere,
+    // so the event engines skip most cycles and most sample boundaries lie
+    // in a skip.
+    let all_nodes = |dims| MachineConfig::with_dims(dims).start(StartPolicy::AllNodes);
+    let ring = all_nodes(MeshDims::new(2, 1, 8));
+    assert_one_trace("ring", ring_program(2, false), ring, to_quiescence);
+    let gather = all_nodes(MeshDims::new(2, 2, 4));
+    assert_one_trace("gather", gather_program(), gather, to_quiescence);
+    let exchange = all_nodes(MeshDims::new(4, 4, 4));
+    assert_one_trace("exchange", exchange_program(), exchange, |m| m.run(1_500));
+    let sink = sink_program();
+    let uniform = TrafficSpec::new(7)
+        .load(200_000)
+        .msg_words(3)
+        .window(100, 400)
+        .handler(sink.handler("sink"));
+    let windowed = MachineConfig::with_dims(MeshDims::new(2, 2, 8))
+        .start(StartPolicy::None)
+        .traffic(uniform);
+    assert_one_trace("uniform", sink, windowed, to_quiescence);
 }
 
 #[test]

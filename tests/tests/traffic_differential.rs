@@ -1,6 +1,6 @@
 //! Differential tests for the synthetic-traffic layer: every destination
 //! pattern must produce **bit-identical** runs across the naive, event, and
-//! parallel engines (threads ∈ {1, 2, 4}), at quantum auto and quantum 1,
+//! parallel engines (threads ∈ {2, 4}), at quantum auto and quantum 1,
 //! under a chaos fault plan, and with the wormhole bulk-advance fast path
 //! toggled off. The injection process is a pure function of
 //! `(seed, node, cycle)` and hooks into `step_cycle` before any routing
@@ -89,6 +89,23 @@ fn all_patterns_are_engine_exact() {
         // quiescence, so network delivery count matches acceptance.
         assert_eq!(obs.stats.net.delivered_msgs, traffic.accepted_msgs);
     }
+}
+
+#[test]
+fn latency_columns_come_from_the_engine_that_ran() {
+    // A saturation point is one traced machine, so under `Parallel(2)` its
+    // latency columns are the parallel engine's own trace: they must be
+    // the event engine's, like the counters beside them.
+    let point = |engine| {
+        let pattern = TrafficPattern::Hotspot {
+            weight_ppm: 300_000,
+        };
+        let p =
+            jm_bench::traffic::measure_point(engine, 7, MeshDims::new(2, 2, 8), pattern, 300_000);
+        assert!(p.latency_count > 0 && p.dropped_msgs > 0, "{p:?}");
+        format!("{p:?}")
+    };
+    assert_eq!(point(Engine::Event), point(Engine::Parallel(2)));
 }
 
 #[test]
