@@ -55,6 +55,9 @@ pub enum MachineError {
     /// The configuration describes no buildable machine; the message names
     /// the offending field.
     InvalidConfig(&'static str),
+    /// The program image fails [`Program::validate`]; the message is its
+    /// first violation.
+    InvalidProgram(String),
 }
 
 impl fmt::Display for MachineError {
@@ -79,6 +82,7 @@ impl fmt::Display for MachineError {
                 write!(f, "messages stranded at {} halted node(s)", nodes.len())
             }
             MachineError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
+            MachineError::InvalidProgram(why) => write!(f, "invalid program image: {why}"),
         }
     }
 }
@@ -87,14 +91,12 @@ impl std::error::Error for MachineError {}
 
 /// Sentinel in `wake_at`: the node is parked (not in the live set).
 pub(crate) const PARKED: u64 = u64::MAX;
-/// Sentinel in `idle_since`: the node is not parked idle.
-pub(crate) const NOT_IDLE: u64 = u64::MAX;
 
 /// Event-engine bookkeeping for one shard's nodes: which need ticking and
 /// when. The sequential event engine uses a single all-covering instance;
 /// the parallel engine gives each shard its own, mirroring the network's
-/// slab layout. Method arguments use **global** node ids; the per-node
-/// vectors and the live set are indexed locally (`id - base`).
+/// slab layout. Everything is indexed locally (`id - base`); only
+/// [`EventSched::wake`], handed a node, needs `base` to find its index.
 ///
 /// Invariants (between steps), writing `l` for a node's local index:
 /// * `live` holds `l` iff `wake_at[l] != PARKED`; the per-cycle loop walks
@@ -102,9 +104,9 @@ pub(crate) const NOT_IDLE: u64 = u64::MAX;
 ///   so a cycle costs the live nodes and a parked node costs nothing;
 /// * a parked node's `schedule()` decision is `Idle` or `Stopped`, so it
 ///   cannot make progress until a delivery arrives (which re-schedules it);
-/// * `idle_since[l] != NOT_IDLE` iff the node is parked after an idle tick;
-///   cycles `idle_since[l]..` are idle cycles the node has not yet been
-///   credited for (repaid on wake-up, or virtually by [`JMachine::stats`]);
+///   the cycles it sits out are nobody's to count here — the node's next
+///   tick claims them as the gap since its `busy_until`, and until then
+///   they are its [`MdpNode::idle_owed`];
 /// * `has_work` holds `l` iff `nodes[l].has_work()`, and `errored` latches
 ///   the nodes that stopped with an error; each set maintains its own
 ///   count, which makes quiescence and the error check O(shards).
@@ -113,16 +115,13 @@ pub(crate) struct EventSched {
     base: usize,
     pub(crate) wake_at: Vec<u64>,
     pub(crate) live: BitSet,
-    pub(crate) idle_since: Vec<u64>,
     pub(crate) has_work: BitSet,
     pub(crate) errored: BitSet,
-    /// Scratch for the pump's snapshot of nodes with pending deliveries.
-    pub(crate) pump_scratch: Vec<u32>,
 }
 
 impl EventSched {
-    /// Every node starts scheduled for cycle 0 — the first step ticks them
-    /// all once, exactly like the naive engine, and the workless ones park.
+    /// Every node starts scheduled for cycle 0: the first step ticks the
+    /// ones with work and parks the rest.
     /// `nodes` is the covered slice (ids `base .. base + nodes.len()`).
     fn new(nodes: &[MdpNode], base: usize) -> EventSched {
         let n = nodes.len();
@@ -138,16 +137,13 @@ impl EventSched {
             base,
             wake_at: vec![0; n],
             live,
-            idle_since: vec![NOT_IDLE; n],
             has_work,
             errored: BitSet::new(n),
-            pump_scratch: Vec::new(),
         }
     }
 
-    /// Schedules (global) node `i`, parked or just ticked, for cycle `at`.
-    pub(crate) fn schedule(&mut self, i: usize, at: u64) {
-        let l = i - self.base;
+    /// Schedules node `l`, parked or just ticked, for cycle `at`.
+    pub(crate) fn schedule(&mut self, l: usize, at: u64) {
         self.wake_at[l] = at;
         self.live.insert(l);
     }
@@ -160,24 +156,20 @@ impl EventSched {
         self.wake_at[l] = PARKED;
     }
 
-    /// Wakes a parked node for cycle `at` (no-op if already scheduled),
-    /// first repaying the idle cycles it skipped while parked.
-    pub(crate) fn wake(&mut self, node: &mut MdpNode, at: u64) {
-        let i = node.id().index();
-        let l = i - self.base;
-        if self.wake_at[l] != PARKED {
-            return;
+    /// A delivery reached `node` at cycle `at`: schedules it for then if
+    /// it is parked (an already-scheduled node keeps its cycle) and
+    /// refreshes its cached `has_work` bit. `at` may precede the node's
+    /// `busy_until` — its tick then reports `Busy` and files it for later.
+    pub(crate) fn wake(&mut self, node: &MdpNode, at: u64) {
+        let l = node.id().index() - self.base;
+        if self.wake_at[l] == PARKED {
+            self.schedule(l, at);
         }
-        if self.idle_since[l] != NOT_IDLE {
-            node.credit_idle(at - self.idle_since[l]);
-            self.idle_since[l] = NOT_IDLE;
-        }
-        self.schedule(i, at);
+        self.set_work(l, node.has_work());
     }
 
-    /// Updates the cached `has_work` bit for (global) node `i`.
-    pub(crate) fn set_work(&mut self, i: usize, work: bool) {
-        let l = i - self.base;
+    /// Updates the cached `has_work` bit for node `l`.
+    pub(crate) fn set_work(&mut self, l: usize, work: bool) {
         if work {
             self.has_work.insert(l);
         } else {
@@ -185,9 +177,9 @@ impl EventSched {
         }
     }
 
-    /// Latches a node error (once).
-    pub(crate) fn record_error(&mut self, i: usize) {
-        self.errored.insert(i - self.base);
+    /// Latches node `l`'s error (once).
+    pub(crate) fn record_error(&mut self, l: usize) {
+        self.errored.insert(l);
     }
 
     /// Earliest scheduled wake-up, `u64::MAX` when every node is parked.
@@ -215,19 +207,19 @@ pub(crate) enum Head {
     /// The drive is over.
     Stop(Stop),
     /// Every network is idle and nothing is due before this cycle (later
-    /// than `now`, no later than the deadline): every cycle in between is a
-    /// no-op for every component except idle accounting, which is repaid
-    /// on wake-up or virtually in [`JMachine::stats`].
+    /// than `now`, no later than the deadline): every cycle in between
+    /// changes nothing, so the skip is an assignment to the clock.
     Skip(u64),
     /// Something can act this cycle.
     Run,
 }
 
-/// Whether a slab can never act again on its own: no node with work, no
-/// flit or undelivered word, and no traffic window still ahead (a mesh
-/// whose generator can still fire is not finished, however idle it looks).
-pub(crate) fn quiet(sched: &EventSched, shard: &NetShard) -> bool {
-    sched.has_work.is_empty() && shard.is_idle() && shard.traffic_wake() == u64::MAX
+/// Whether a slab can never act again on its own from cycle `now` on: no
+/// node with work, no flit or undelivered word, and no traffic window still
+/// ahead (a mesh whose generator can still fire is not finished, however
+/// idle it looks).
+pub(crate) fn quiet(sched: &EventSched, shard: &NetShard, now: u64) -> bool {
+    sched.has_work.is_empty() && shard.is_idle() && shard.traffic_wake(now) == u64::MAX
 }
 
 /// The one stop / skip rule of a drive toward quiescence, over a machine's
@@ -243,7 +235,7 @@ pub(crate) fn head<'a>(
     let (mut error, mut all_quiet, mut idle) = (false, true, true);
     for (sched, shard) in slabs.clone() {
         error |= !sched.errored.is_empty();
-        all_quiet &= quiet(sched, shard);
+        all_quiet &= quiet(sched, shard, now);
         idle &= shard.is_idle();
     }
     if error {
@@ -259,7 +251,7 @@ pub(crate) fn head<'a>(
         // A pending traffic window is a scheduled wake-up too: skipping to
         // its first cycle is sound (nothing can fire before it), skipping
         // past it would lose generated messages.
-        let wake = slabs.map(|(sched, shard)| sched.next_due().min(shard.traffic_wake()));
+        let wake = slabs.map(|(sched, shard)| sched.next_due().min(shard.traffic_wake(now)));
         let t = wake.min().unwrap_or(u64::MAX).min(deadline);
         if t > now {
             return Head::Skip(t);
@@ -280,8 +272,8 @@ pub struct JMachine {
     program: Arc<Program>,
     config: MachineConfig,
     nodes: Vec<MdpNode>,
+    /// The network — and the machine's one stored clock ([`Network::cycle`]).
     net: Network,
-    cycle: u64,
     /// One scheduler per network shard (a single all-covering instance on
     /// the sequential engines), mirroring the network's slab layout.
     scheds: Vec<EventSched>,
@@ -297,7 +289,7 @@ impl fmt::Debug for JMachine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JMachine")
             .field("nodes", &self.nodes.len())
-            .field("cycle", &self.cycle)
+            .field("cycle", &self.cycle())
             .finish_non_exhaustive()
     }
 }
@@ -311,27 +303,24 @@ impl JMachine {
     /// always valid), or if the configuration is rejected (see
     /// [`JMachine::try_new`] for the fallible form).
     pub fn new(program: Program, config: MachineConfig) -> JMachine {
-        JMachine::try_new(program, config).expect("invalid machine configuration")
+        JMachine::try_new(program, config).expect("unbuildable machine")
     }
 
-    /// Boots a machine with `program` loaded on every node, reporting
-    /// configuration errors instead of panicking.
+    /// Boots a machine with `program` loaded on every node, reporting a
+    /// bad program or configuration instead of panicking.
     ///
     /// # Errors
     ///
+    /// [`MachineError::InvalidProgram`] when the image fails
+    /// [`Program::validate`] (assembled programs are always valid), and
     /// [`MachineError::InvalidConfig`], naming the field,
     /// when `net.dims` differs from `dims` or the crate that owns a field
     /// rejects its value ([`NetConfig::validate`](jm_net::NetConfig::validate),
     /// [`MdpConfig::validate`](jm_mdp::MdpConfig::validate),
     /// [`TrafficSpec::validate`](jm_traffic::TrafficSpec::validate)) — before
     /// anything is allocated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program fails validation (assembled programs are
-    /// always valid).
     pub fn try_new(program: Program, config: MachineConfig) -> Result<JMachine, MachineError> {
-        program.validate().expect("invalid program image");
+        program.validate().map_err(MachineError::InvalidProgram)?;
         let mut config = config;
         // The fields are public, so a hand-built struct gets here. Each
         // crate says what its own part of a buildable machine is.
@@ -403,7 +392,6 @@ impl JMachine {
             config,
             nodes,
             net,
-            cycle: 0,
             scheds,
             samples: Vec::new(),
             recorder: crate::replay::Recorder::from_capture(),
@@ -421,8 +409,9 @@ impl JMachine {
     }
 
     /// Current cycle.
+    #[inline]
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.net.cycle()
     }
 
     /// Number of nodes.
@@ -522,7 +511,7 @@ impl JMachine {
     /// a replay capture is on.
     fn host_op(&mut self, op: HostOp) {
         self.apply_op(&op);
-        let cycle = self.cycle;
+        let cycle = self.cycle();
         if let Some(recorder) = &mut self.recorder {
             recorder.records.push(jm_replay::Record::Op { cycle, op });
         }
@@ -557,7 +546,7 @@ impl JMachine {
                 priority,
                 ref words,
             } => {
-                let cycle = self.cycle;
+                let cycle = self.cycle();
                 let target = &mut self.nodes[node as usize];
                 // Host deliveries bypass the network and carry no trace id.
                 for &w in words {
@@ -566,11 +555,8 @@ impl JMachine {
                         "host delivery overflow"
                     );
                 }
-                if self.config.engine != Engine::Naive {
-                    let shard = self.net.shard_of_node(NodeId(node));
-                    self.scheds[shard].wake(target, cycle);
-                    self.scheds[shard].set_work(node as usize, target.has_work());
-                }
+                let shard = self.net.shard_of_node(NodeId(node));
+                self.scheds[shard].wake(target, cycle);
             }
         }
     }
@@ -606,7 +592,7 @@ impl JMachine {
     fn next_boundary(&self) -> u64 {
         let trace = self.config.trace;
         let sample = if trace.enabled {
-            next_multiple(self.cycle, trace.sample_every)
+            next_multiple(self.cycle(), trace.sample_every)
         } else {
             u64::MAX
         };
@@ -619,10 +605,11 @@ impl JMachine {
     /// observation: reads counters every engine already maintains.
     fn observe_boundary(&mut self) {
         let trace = self.config.trace;
-        if trace.enabled && self.cycle.is_multiple_of(trace.sample_every) {
+        let cycle = self.cycle();
+        if trace.enabled && cycle.is_multiple_of(trace.sample_every) {
             let queued_words: u64 = self.nodes.iter().map(|n| n.queued_words() as u64).sum();
             self.samples.push(SamplePoint {
-                cycle: self.cycle,
+                cycle,
                 queued_words,
                 in_flight: self.net.in_flight(),
                 active_routers: self.net.active_routers(),
@@ -637,7 +624,7 @@ impl JMachine {
     /// ([`pump_node`], [`ShardPort`]); which nodes get pumped and ticked is
     /// this engine's own answer — all of them.
     fn step_naive(&mut self) {
-        let now = self.cycle;
+        let now = self.cycle();
         let (shards, _) = self.net.shard_parts();
         let [shard] = shards else {
             unreachable!("the naive engine runs the mesh as one shard");
@@ -651,23 +638,23 @@ impl JMachine {
             let mut port = ShardPort {
                 shard,
                 node: node.id(),
+                now,
             };
             node.tick(now, &mut port);
         }
-        // 3. Move the network.
+        // 3. Move the network, and the clock with it.
         self.net.step();
-        self.cycle += 1;
     }
 
     /// Event/parallel engine step: touch only nodes that can act this
     /// cycle, shard by shard. Cycle-exact with [`Self::step_naive`] —
     /// skipped nodes are exactly those whose naive tick would be a no-op
-    /// (still busy) or a pure idle count (repaid on wake-up), and skipped
-    /// routers hold no flits. With one shard (the event engine) this is the
-    /// classic event-driven step; with several it is the *same* per-shard
-    /// code the worker threads run, driven sequentially.
+    /// (still busy) or a pure idle count (the gap their next tick claims),
+    /// and skipped routers hold no flits. With one shard (the event engine)
+    /// this is the classic event-driven step; with several it is the *same*
+    /// per-shard code the worker threads run, driven sequentially.
     fn step_sharded(&mut self) {
-        let now = self.cycle;
+        let now = self.cycle();
         let (shards, edges) = self.net.shard_parts();
         for (k, shard) in shards.iter_mut().enumerate() {
             let (below, above) = jm_net::edge_pair(edges, k);
@@ -680,16 +667,16 @@ impl JMachine {
                 shard.exchange(below, above);
             }
         }
-        self.cycle += 1;
+        self.net.advance_to(now + 1);
     }
 
     /// Hands the machine to a crew of worker threads (at most one per slab,
     /// at most the configured thread count) until the clock reaches `stop`
     /// or — when `until_quiescent` — the quantum coordinator stops them
-    /// earlier (see [`crate::parallel`]), then resyncs the machine clock.
-    /// Only called with more than one shard.
+    /// earlier (see [`crate::parallel`]), then sets the clock to where the
+    /// crew stopped. Only called with more than one shard.
     fn drive_parallel(&mut self, stop: u64, until_quiescent: bool) {
-        let start = self.cycle;
+        let start = self.cycle();
         let Engine::Parallel(threads) = self.config.engine else {
             unreachable!("drive_parallel without Parallel");
         };
@@ -722,7 +709,7 @@ impl JMachine {
             // The calling thread joins the crew instead of idling.
             crate::parallel::crew_loop(0, workers, slots, edges, ctl);
         });
-        self.cycle = ctl.final_cycle();
+        self.net.advance_to(ctl.final_cycle());
     }
 
     /// Whether this machine runs multi-threaded (parallel engine with more
@@ -734,7 +721,7 @@ impl JMachine {
 
     /// Runs for a fixed number of cycles.
     pub fn run(&mut self, cycles: u64) {
-        self.drive(self.cycle.saturating_add(cycles), false);
+        self.drive(self.cycle().saturating_add(cycles), false);
     }
 
     /// Whether nothing can happen anymore: every node idle with empty
@@ -779,7 +766,7 @@ impl JMachine {
     /// [`MachineError::StrandedMessages`] if the machine quiesced with
     /// words still queued at halted/errored nodes.
     pub fn run_until_quiescent(&mut self, max_cycles: u64) -> Result<u64, MachineError> {
-        let start = self.cycle;
+        let start = self.cycle();
         match self.drive(start.saturating_add(max_cycles), true) {
             Stop::NodeError => Err(MachineError::NodeErrors(self.node_errors())),
             Stop::Quiescent => {
@@ -792,10 +779,10 @@ impl JMachine {
                 if !stranded.is_empty() {
                     return Err(MachineError::StrandedMessages { nodes: stranded });
                 }
-                Ok(self.cycle - start)
+                Ok(self.cycle() - start)
             }
             Stop::Deadline => Err(MachineError::Timeout {
-                cycles: self.cycle - start,
+                cycles: self.cycle() - start,
                 busy_nodes: self.busy_nodes(),
                 in_flight: self.net.in_flight(),
             }),
@@ -807,15 +794,16 @@ impl JMachine {
     /// scans, never skipping; a fixed run stops for nothing but its
     /// deadline, and steps every cycle.
     fn loop_head(&mut self, deadline: u64, until_quiescent: bool) -> Head {
+        let now = self.cycle();
         if until_quiescent && self.config.engine != Engine::Naive {
             let (shards, _) = self.net.shard_parts();
-            return head(self.scheds.iter().zip(&*shards), self.cycle, deadline);
+            return head(self.scheds.iter().zip(&*shards), now, deadline);
         }
         if until_quiescent && self.nodes.iter().any(|n| n.error().is_some()) {
             Head::Stop(Stop::NodeError)
         } else if until_quiescent && self.is_quiescent() {
             Head::Stop(Stop::Quiescent)
-        } else if self.cycle >= deadline {
+        } else if now >= deadline {
             Head::Stop(Stop::Deadline)
         } else {
             Head::Run
@@ -838,15 +826,12 @@ impl JMachine {
             let stop = deadline.min(self.next_boundary());
             match self.loop_head(deadline, until_quiescent) {
                 Head::Stop(why) => return why,
-                Head::Skip(t) => {
-                    self.cycle = t.min(stop);
-                    self.net.skip_to(self.cycle);
-                }
+                Head::Skip(t) => self.net.skip_to(t.min(stop)),
                 Head::Run => {}
             }
             // Short of the boundary a skip ends on a cycle where something
             // is due, so the head's answer there is already known: run.
-            if self.cycle < stop {
+            if self.cycle() < stop {
                 if threaded {
                     self.drive_parallel(stop, until_quiescent);
                 } else {
@@ -859,27 +844,23 @@ impl JMachine {
 
     /// Aggregated statistics snapshot.
     ///
-    /// On the event engine, idle cycles owed to currently-parked nodes
-    /// (skipped since their last tick) are included here virtually, so the
-    /// snapshot always matches what the naive engine would report at the
-    /// same cycle. Per-node [`MdpNode::stats`] of a parked node lag by
-    /// exactly that idle residue until the node next wakes.
+    /// A node an engine left unticked while it could do nothing has not yet
+    /// claimed those cycles; they are added here as its
+    /// [`MdpNode::idle_owed`], so the snapshot is what the naive engine
+    /// (which owes nothing: it ticks every node every cycle) reports at the
+    /// same cycle. Per node the exact statement is `node.stats()` plus
+    /// `node.idle_owed(now)` idle cycles.
     pub fn stats(&self) -> MachineStats {
+        let now = self.cycle();
         let mut nodes = jm_mdp::NodeStats::default();
         for node in &self.nodes {
             nodes.merge(node.stats());
-        }
-        if self.config.engine != Engine::Naive {
-            for sched in &self.scheds {
-                for &since in &sched.idle_since {
-                    if since != NOT_IDLE && self.cycle > since {
-                        nodes.add_cycles(StatClass::Idle, self.cycle - since);
-                    }
-                }
-            }
+            // `idle_owed` debug-asserts the ledger on the way: a live
+            // node's counters reach its `busy_until`, the rest is owed.
+            nodes.add_cycles(StatClass::Idle, node.idle_owed(now));
         }
         MachineStats {
-            cycles: self.cycle,
+            cycles: now,
             nodes,
             net: self.net.stats(),
         }
@@ -919,7 +900,7 @@ impl JMachine {
     /// their exact buffered equivalent (a semantically invisible
     /// canonicalization; see `jm-net`).
     pub fn state_hash(&mut self) -> u64 {
-        let at = self.cycle;
+        let at = self.cycle();
         let mut h = jm_trace::Fnv1a::new();
         for node in &self.nodes {
             for (_, hash) in node.state_components(at) {
@@ -937,7 +918,7 @@ impl JMachine {
     /// are stable, human-readable component names — divergence reports
     /// print them verbatim.
     pub fn component_hashes(&mut self) -> Vec<ComponentHash> {
-        let at = self.cycle;
+        let at = self.cycle();
         let dims = self.config.dims;
         let mut out = Vec::with_capacity(self.nodes.len() * 6);
         for node in &self.nodes {
@@ -1054,20 +1035,20 @@ mod tests {
     #[test]
     fn next_due_is_the_minimum_over_scheduled_nodes() {
         let m = JMachine::new(rpc_program(), MachineConfig::new(128));
-        // A slab's scheduler: global ids 32..128, two words of live set.
+        // A slab's scheduler: 96 nodes, two words of live set.
         let mut sched = EventSched::new(&m.nodes[32..], 32);
         assert_eq!(sched.next_due(), 0, "every node starts scheduled for 0");
         for l in 0..96 {
             sched.park(l);
         }
         assert_eq!(sched.next_due(), u64::MAX, "all parked");
-        for (i, at) in [(102, 900), (35, 17), (127, 40), (96, 17), (32, 5000)] {
-            sched.schedule(i, at);
+        for (l, at) in [(70, 900), (3, 17), (95, 40), (64, 17), (0, 5000)] {
+            sched.schedule(l, at);
         }
         assert_eq!(sched.next_due(), 17);
         // A re-scheduled node moves; a parked one no longer counts.
-        sched.schedule(35, 1000);
-        sched.park(96 - 32);
+        sched.schedule(3, 1000);
+        sched.park(64);
         assert_eq!(sched.next_due(), 40);
         assert_eq!(sched.live.count(), 4);
     }
@@ -1109,8 +1090,8 @@ mod tests {
         // A node with work, scheduled later, under an idle network: skip to
         // its wake-up — the earliest over the slabs, capped at the deadline
         // — and run once the clock is there; the deadline beats the skip.
-        scheds[1].set_work(12, true);
-        scheds[1].schedule(12, 40);
+        scheds[1].set_work(4, true);
+        scheds[1].schedule(4, 40);
         assert_eq!(ask(&mut net, &scheds, 5, 100), Head::Skip(40));
         scheds[0].schedule(3, 30);
         assert_eq!(ask(&mut net, &scheds, 5, 100), Head::Skip(30));
@@ -1121,14 +1102,14 @@ mod tests {
         let sent = net.commit_msg(NodeId(0), MsgPriority::P0, &msg(15));
         assert_eq!(sent, jm_net::InjectResult::Accepted);
         assert_eq!(ask(&mut net, &scheds, 5, 100), Head::Run);
-        scheds[1].set_work(12, false);
+        scheds[1].set_work(4, false);
         assert_eq!(ask(&mut net, &scheds, 5, 100), Head::Run);
         assert_eq!(ask(&mut net, &scheds, 100, 100), stop(Stop::Deadline));
         // An error beats everything.
         scheds[0].record_error(2);
         assert_eq!(ask(&mut net, &scheds, 100, 100), stop(Stop::NodeError));
         let (mut net, mut scheds) = slabs(None);
-        scheds[1].record_error(9);
+        scheds[1].record_error(1);
         assert_eq!(ask(&mut net, &scheds, 5, 100), stop(Stop::NodeError));
 
         // A traffic window still ahead defers quiescence and bounds the
@@ -1383,6 +1364,14 @@ mod tests {
                     Ok(_) => panic!("a header with a bad {names} parsed"),
                 }
             }
+        }
+        // A program is input too: an image whose entry point lies outside
+        // its code is an error, not a panic.
+        let mut image = rpc_program();
+        image.entry = Some(image.code.len() as u32);
+        match JMachine::try_new(image, ok) {
+            Err(MachineError::InvalidProgram(why)) => assert!(why.contains("entry point"), "{why}"),
+            other => panic!("a bad program image: {other:?}"),
         }
         assert!(JMachine::try_new(rpc_program(), ok).is_ok());
     }

@@ -42,9 +42,11 @@
 //! [`QuantumCtl::decide`] section, which asks the same `head`.
 //! Fixed-cycle drives (`run(cycles)`) need no decisions at all —
 //! the deadline is the only boundary. Quiescence and the deadline are
-//! reconstructed *exactly* despite the deferred check (see
-//! `DESIGN.md` §4.5: a quiescent machine's extra cycles are pure counter
-//! increments, rewound before stopping); a node error stops the drive at
+//! *exact* despite the deferred check (see `DESIGN.md` §4.5: a quiet
+//! slab's cycle changes nothing — time is an argument its tasks are given,
+//! and a workless node that comes due is parked unticked — so the crew
+//! may overrun quiescence by up to a quantum and the coordinator only
+//! says at which cycle the clock stops); a node error stops the drive at
 //! the boundary after the error rather than the cycle after it — the one
 //! documented, deterministic divergence, and `quantum == 1` restores the
 //! per-cycle behavior bit-for-bit.
@@ -59,7 +61,7 @@
 //! ∈ {1, 2, 4} × quanta ∈ {1, 2, 4, 8} against the sequential engines and
 //! demand bit-identical results.
 
-use crate::machine::{head, quiet, EventSched, Head, Stop, NOT_IDLE, PARKED};
+use crate::machine::{head, quiet, EventSched, Head, Stop, PARKED};
 use jm_isa::instr::MsgPriority;
 use jm_isa::node::NodeId;
 use jm_isa::word::Word;
@@ -72,15 +74,17 @@ use std::sync::atomic::{
 use std::sync::{Mutex, MutexGuard};
 
 /// Adapter giving one node's `SEND` instructions access to its shard's
-/// injection port — the one [`NetPort`] every engine ticks nodes through.
+/// injection port at cycle `now` — the one [`NetPort`] every engine ticks
+/// nodes through.
 pub(crate) struct ShardPort<'a> {
     pub(crate) shard: &'a mut NetShard,
     pub(crate) node: NodeId,
+    pub(crate) now: u64,
 }
 
 impl NetPort for ShardPort<'_> {
     fn commit(&mut self, priority: MsgPriority, words: &[Word]) -> InjectAck {
-        match self.shard.commit_msg(self.node, priority, words) {
+        match self.shard.commit_msg(self.now, self.node, priority, words) {
             InjectResult::Accepted => InjectAck::Accepted,
             InjectResult::Stall => InjectAck::Stall,
             InjectResult::BadRoute => InjectAck::Rejected,
@@ -121,61 +125,67 @@ pub(crate) fn shard_cycle(
     below: Option<&Edge>,
     above: Option<&Edge>,
 ) {
-    let base = shard.base();
-    // 1. Pump — only nodes the shard flagged as holding deliveries. The
-    //    ascending-id snapshot mirrors the naive 0..n scan order (nothing a
-    //    pump does affects another node).
-    let mut pending = std::mem::take(&mut sched.pump_scratch);
-    pending.clear();
-    pending.extend(shard.pending_nodes().map(|id| id.0));
-    for &n in &pending {
-        let node = &mut nodes[n as usize - base];
-        if pump_node(shard, node, now) {
-            sched.wake(node, now);
-            sched.set_work(n as usize, node.has_work());
+    // 1. Pump — only nodes the shard flagged as holding deliveries, a word
+    //    of the flag set at a time, ascending like the naive 0..n scan. A
+    //    pump clears only its own node's flag (a bit the copied word has
+    //    already passed) and nothing it does affects another node.
+    for w in 0..shard.pending().word_count() {
+        for bit in ones(shard.pending().word(w)) {
+            let node = &mut nodes[64 * w + bit];
+            if pump_node(shard, node, now) {
+                sched.wake(node, now);
+            }
         }
     }
-    sched.pump_scratch = pending;
-    // 2. Execute every node due this cycle: walk the live set a word at a
-    //    time, ascending like the naive 0..n scan. A tick touches only its
-    //    own node's state and injection FIFO, and can re-schedule only
-    //    itself (a bit the copied word has already passed), so reading each
-    //    word as the walk reaches it needs no snapshot.
+    // 2. Execute every node due this cycle: walk the live set the same
+    //    way. A tick touches only its own node's state and injection FIFO,
+    //    and can re-schedule only itself, so this walk needs no snapshot
+    //    either.
     for w in 0..sched.live.word_count() {
         for bit in ones(sched.live.word(w)) {
             let l = 64 * w + bit;
             if sched.wake_at[l] > now {
                 continue;
             }
+            // The tick's outcome decides whether the node is filed again —
+            // and a node without work is not ticked at all: its tick could
+            // only count an idle cycle, which the gap rule
+            // ([`MdpNode::tick`]) counts when the node next acts.
             sched.park(l);
-            // The tick's outcome decides whether the node is filed again.
+            if !sched.has_work.contains(l) {
+                continue;
+            }
             let node = &mut nodes[l];
             let mut port = ShardPort {
                 shard,
                 node: node.id(),
+                now,
             };
             match node.tick(now, &mut port) {
-                TickOutcome::Busy { until } => sched.schedule(base + l, until.max(now + 1)),
-                TickOutcome::Idle => sched.idle_since[l] = now + 1,
+                TickOutcome::Busy { until } => sched.schedule(l, until.max(now + 1)),
+                // Queued words and nothing dispatchable: parked until the
+                // delivery that completes the message.
+                TickOutcome::Idle => {}
                 TickOutcome::Stopped => {
                     if node.error().is_some() {
-                        sched.record_error(base + l);
+                        sched.record_error(l);
                     }
                 }
             }
-            sched.set_work(base + l, node.has_work());
+            sched.set_work(l, node.has_work());
         }
     }
-    // The naive full scan's answer: nothing due is left, and the live set
-    // is exactly the scheduled nodes.
+    // The naive full scan's answer: nothing due is left, the live set is
+    // exactly the scheduled nodes, and the cached work bits — which decide
+    // who is parked unticked — are the nodes' own.
     debug_assert!(
-        (0..nodes.len())
-            .all(|l| sched.wake_at[l] > now
-                && sched.live.contains(l) == (sched.wake_at[l] != PARKED)),
-        "cycle {now}: a due node was left unticked, or the live set and wake_at disagree"
+        (0..nodes.len()).all(|l| sched.wake_at[l] > now
+            && sched.live.contains(l) == (sched.wake_at[l] != PARKED)
+            && sched.has_work.contains(l) == nodes[l].has_work()),
+        "cycle {now}: a due node was passed over, or the scheduler's sets disagree with the nodes"
     );
     // 3. Move this shard's routers (O(1) when no flits are buffered).
-    shard.step_cycle(below, above);
+    shard.step_cycle(now, below, above);
 }
 
 /// Escalating wait for task-starved workers: a short spin burst (the gap is
@@ -362,7 +372,7 @@ impl QuantumCtl {
                     return progressed;
                 }
                 slot.shard.exchange(below, above);
-                if !quiet(slot.sched, slot.shard) {
+                if !quiet(slot.sched, slot.shard, x + 1) {
                     slot.quiet_since = NOT_QUIET;
                 } else if slot.quiet_since == NOT_QUIET {
                     slot.quiet_since = x;
@@ -418,11 +428,10 @@ impl QuantumCtl {
     /// loop's [`head`] over the slabs — locking a slab waits out the worker
     /// that ran its last task and brings in everything that task wrote;
     /// the crew only ever `try_lock`s, so holding them all blocks nobody —
-    /// and carries out the answer. Only quiescence needs more than the
-    /// sequential loop does with it: the check is deferred, so it is
-    /// reconstructed exactly — see the module docs and `DESIGN.md` §4.5.
+    /// and carries out the answer, which never touches a node or a shard:
+    /// time is an argument the next task is given.
     fn decide(&self, b: u64, slots: &[Mutex<ShardSlot<'_>>]) {
-        let mut slots: Vec<MutexGuard<'_, ShardSlot<'_>>> = slots
+        let slots: Vec<MutexGuard<'_, ShardSlot<'_>>> = slots
             .iter()
             .map(|slot| slot.lock().expect("slab mutex poisoned"))
             .collect();
@@ -436,44 +445,20 @@ impl QuantumCtl {
             Head::Stop(Stop::Quiescent) => {
                 // Every slab has been quiet since its own `quiet_since`
                 // (quiescence is absorbing), so the machine has been
-                // quiescent since the end of the latest of those cycles:
-                // the sequential engines stop the cycle after it; the crew
-                // overran by up to a quantum. The overrun simulated nothing
-                // except shard cycle-counter bumps plus — for each node
-                // that was still *scheduled* when the machine went quiet (a
-                // handler's final instruction reports busy-until before the
-                // node parks) — exactly one idle tick. Both are exactly
-                // invertible; unwind them and stop where the sequential
-                // engines stop.
+                // quiescent since the end of the latest of those cycles,
+                // and the sequential engines stop the cycle after it. The
+                // crew ran on to `b`, but a quiet slab's cycle changes
+                // nothing, so stopping the clock there is all it takes.
                 let quiet_max = slots.iter().map(|s| s.quiet_since).max();
-                let stop_at = quiet_max.expect("a machine has a slab") + 1;
-                for slot in &mut slots {
-                    let slot = &mut **slot;
-                    slot.shard.rewind_idle_to(stop_at);
-                    let base = slot.shard.base();
-                    for l in 0..slot.nodes.len() {
-                        let since = slot.sched.idle_since[l];
-                        // `idle_since == w + 1` marks an idle tick at cycle `w`;
-                        // `w >= stop_at` means it ran in the overrun window.
-                        if since != NOT_IDLE && since > stop_at {
-                            slot.nodes[l].undo_idle_tick();
-                            slot.sched.idle_since[l] = NOT_IDLE;
-                            // Re-park the node exactly as sequential leaves it:
-                            // scheduled for the tick it has not yet taken.
-                            slot.sched.schedule(base + l, since - 1);
-                        }
-                    }
-                }
-                self.stop(stop_at);
+                self.stop(quiet_max.expect("a machine has a slab") + 1);
             }
             Head::Skip(t) => {
-                // Stepping the idle cycles up to `b` was equally a no-op,
-                // so skipping from here is exact. A skip that reaches the
-                // deadline is stopped by the next decide.
-                for (k, slot) in slots.iter_mut().enumerate() {
-                    slot.shard.skip_to(t);
-                    self.p_cycle[k].0.store(t, Release);
-                    self.x_cycle[k].0.store(t, Release);
+                // Stepping the idle cycles up to `b` changed nothing
+                // either, so skipping from here is exact. A skip that
+                // reaches the deadline is stopped by the next decide.
+                for (p, x) in self.p_cycle.iter().zip(&self.x_cycle) {
+                    p.0.store(t, Release);
+                    x.0.store(t, Release);
                 }
                 self.decided_through.store(next(t), Release);
             }

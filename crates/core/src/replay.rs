@@ -20,11 +20,11 @@
 //!   localized).
 //! * **Capture control.** Per machine, [`JMachine::record_replay`] /
 //!   [`JMachine::finish_replay`]. Process-wide, [`capture_replay`] (or
-//!   [`capture_replay_from_env`], reading `JM_REPLAY_CAPTURE` and
-//!   `JM_REPLAY_INTERVAL`) arms every subsequently-built machine and
-//!   writes each machine's log into the capture directory when it drops —
-//!   this is how harness binaries capture replay artifacts from
-//!   experiments they cannot individually instrument.
+//!   [`capture_replay_from_env`], reading `JM_REPLAY_CAPTURE`) arms every
+//!   subsequently-built machine and writes each machine's log into the
+//!   capture directory when it drops — this is how harness binaries
+//!   capture replay artifacts from experiments they cannot individually
+//!   instrument.
 //! * **Re-execution.** A [`MachineFactory`] rebuilds a machine from a
 //!   log's recorded configuration — optionally overriding the engine,
 //!   which is the whole point of cross-engine verification. [`verify`]
@@ -85,20 +85,14 @@ pub fn capture_replay(dir: impl Into<PathBuf>, interval: u64) {
 }
 
 /// Arms [`capture_replay`] from the environment: `JM_REPLAY_CAPTURE` names
-/// the capture directory (unset or empty leaves capture off) and
-/// `JM_REPLAY_INTERVAL` optionally overrides the boundary spacing
-/// (default [`jm_replay::DEFAULT_INTERVAL`]). Returns whether capture was
-/// armed. Harness binaries call this at startup so CI can flip capture on
-/// without new flags.
+/// the capture directory (unset or empty leaves capture off); boundaries
+/// are [`jm_replay::DEFAULT_INTERVAL`] cycles apart. Returns whether
+/// capture was armed. Harness binaries call this at startup so CI can flip
+/// capture on without new flags.
 pub fn capture_replay_from_env() -> bool {
     match std::env::var("JM_REPLAY_CAPTURE") {
         Ok(dir) if !dir.is_empty() => {
-            let interval = std::env::var("JM_REPLAY_INTERVAL")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .filter(|&i| i > 0)
-                .unwrap_or(jm_replay::DEFAULT_INTERVAL);
-            capture_replay(dir, interval);
+            capture_replay(dir, jm_replay::DEFAULT_INTERVAL);
             true
         }
         _ => false,

@@ -527,7 +527,7 @@ impl MdpNode {
             } => self.exec_send(priority, mp, a, b, end, now, net),
             Instruction::Suspend => match priority {
                 Priority::Background => {
-                    self.end_thread(priority);
+                    self.end_thread(priority, now);
                     Step::End { cost: base }
                 }
                 Priority::P0 | Priority::P1 => {
@@ -536,7 +536,7 @@ impl MdpNode {
                         self.stats.arrival_stalls += 1;
                         return Step::Retry { cost: 1 };
                     }
-                    self.end_thread(priority);
+                    self.end_thread(priority, now);
                     Step::End { cost: base }
                 }
             },

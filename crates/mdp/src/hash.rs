@@ -4,8 +4,8 @@
 //! into four architectural components so a divergence report can name the
 //! part of the node that first disagreed. The fold deliberately excludes
 //! observability state that differs between cycle-exact engines without
-//! being architecturally visible: statistics, tracers, the `now` timestamp
-//! of the most recent tick, and the handler-slot attribution cache. It also
+//! being architecturally visible: statistics, tracers, and the
+//! handler-slot attribution cache. It also
 //! folds `busy_until` relative to the checkpoint cycle, because a parked
 //! event-driven node legitimately carries a stale absolute value.
 
@@ -162,7 +162,7 @@ mod tests {
 
         // A queued word moves only the queues component.
         let mut d = node();
-        d.deliver(MsgPriority::P0, Word::int(1));
+        d.deliver_traced(MsgPriority::P0, Word::int(1), jm_isa::TraceId::NONE, 0);
         let queued = d.state_components(0);
         assert_eq!(before[0], queued[0]);
         assert_ne!(before[1].1, queued[1].1);

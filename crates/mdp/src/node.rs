@@ -59,10 +59,13 @@ pub enum TickOutcome {
         /// First cycle at which the node can do further work.
         until: u64,
     },
-    /// No runnable thread and no queued message: the node burned one idle
+    /// Nothing runnable and nothing dispatchable: the node burned one idle
     /// cycle (already attributed to [`StatClass::Idle`]) and every
-    /// subsequent cycle is idle too until a delivery arrives. Parked
-    /// engines owe those cycles via [`MdpNode::credit_idle`].
+    /// subsequent cycle is idle too until a delivery arrives. An engine
+    /// that ticks every node every cycle sees this whenever a node has
+    /// nothing to do; one that parks workless nodes unticked (the machine's
+    /// `shard_cycle`) still receives it from a node with queued words and
+    /// nothing dispatchable — a checksummed message short of its trailer.
     Idle,
     /// The node halted or stopped on an error; it will never tick again.
     Stopped,
@@ -176,9 +179,6 @@ pub struct MdpNode {
     pub(crate) stats: NodeStats,
     /// Lifecycle-event buffer; `None` (the default) disables tracing.
     pub(crate) tracer: Option<Box<Tracer>>,
-    /// Cycle of the most recent tick (timestamp for events emitted from
-    /// execution paths that carry no cycle parameter).
-    pub(crate) now: u64,
     /// Tracing only: payload words still owed by the message currently
     /// streaming into each queue (frames word deliveries into messages).
     pub(crate) incoming_rem: [u32; 2],
@@ -282,7 +282,6 @@ impl MdpNode {
             error: None,
             stats: NodeStats::default(),
             tracer: None,
-            now: 0,
             incoming_rem: [0; 2],
             trace_pending: Default::default(),
             cur_trace: [TraceId::NONE; 3],
@@ -370,16 +369,11 @@ impl MdpNode {
 
     /// Offers one arriving word to a message queue, returning `false` when
     /// the queue is full (the network must hold the word — backpressure).
-    pub fn deliver(&mut self, priority: MsgPriority, word: Word) -> bool {
-        let now = self.now;
-        self.deliver_traced(priority, word, TraceId::NONE, now)
-    }
-
-    /// [`Self::deliver`] with trace correlation: `trace` is the id of the
-    /// message the word belongs to and `now` the delivery cycle. When the
-    /// word opens a new message (the previous one's words have all arrived)
-    /// a queue-enter event is emitted and `trace` is remembered so the
-    /// eventual dispatch can name it.
+    /// `trace` is the id of the message the word belongs to
+    /// ([`TraceId::NONE`] for a host delivery) and `now` the delivery
+    /// cycle: when the word opens a new message (the previous one's words
+    /// have all arrived) a queue-enter event is emitted and `trace` is
+    /// remembered so the eventual dispatch can name it.
     pub fn deliver_traced(
         &mut self,
         priority: MsgPriority,
@@ -480,14 +474,26 @@ impl MdpNode {
     /// cycles the returned [`TickOutcome`] names (plus wake-ups on
     /// deliveries). Generic over the port so monomorphized engines inline
     /// the injection path.
+    ///
+    /// Idle is the gap between two acts: before the node acts or counts an
+    /// idle cycle at `now`, the cycles since `busy_until` that no tick
+    /// claimed go to [`StatClass::Idle`] — none for a node ticked every
+    /// cycle, all of them for a node an engine left alone while it could do
+    /// nothing. Every cycle a live node has lived through thus belongs to
+    /// exactly one class: `stats().total_cycles() == busy_until`, and
+    /// between ticks the remainder is [`Self::idle_owed`].
     pub fn tick<P: NetPort + ?Sized>(&mut self, now: u64, net: &mut P) -> TickOutcome {
-        self.now = now;
         if now < self.busy_until {
             return TickOutcome::Busy {
                 until: self.busy_until,
             };
         }
-        match self.schedule() {
+        let decision = self.schedule();
+        if decision != Decision::Stopped {
+            let gap = now - self.busy_until;
+            self.stats.add_cycles(StatClass::Idle, gap);
+        }
+        match decision {
             Decision::Stopped => TickOutcome::Stopped,
             Decision::Idle => {
                 self.stats.add_cycles(StatClass::Idle, 1);
@@ -517,28 +523,23 @@ impl MdpNode {
         }
     }
 
-    /// Attributes `cycles` idle cycles in one batch. Event-driven engines
-    /// park a node after an [`TickOutcome::Idle`] tick instead of ticking it
-    /// every cycle; on wake-up they repay the skipped cycles here so the
-    /// per-class cycle accounting matches a cycle-scanning engine exactly.
-    pub fn credit_idle(&mut self, cycles: u64) {
-        self.stats.add_cycles(StatClass::Idle, cycles);
-    }
-
-    /// Unwinds the idle tick the node just took (engine-internal). The
-    /// parallel engine's quantum coordinator detects quiescence a few
-    /// cycles late; a node that was still scheduled when the machine went
-    /// quiet takes exactly one [`TickOutcome::Idle`] tick in that overrun
-    /// window, which the sequential engines never run. An idle tick's whole
-    /// effect on the node is one idle stat cycle and the `busy_until` bump,
-    /// so undoing both restores the pre-tick state bit for bit.
-    pub fn undo_idle_tick(&mut self) {
-        debug_assert!(
-            self.stats.class_cycles(StatClass::Idle) > 0 && self.busy_until > 0,
-            "undo_idle_tick without a preceding idle tick"
+    /// Idle cycles a live node has lived through by `now` that no tick has
+    /// claimed yet (its next one will, see [`Self::tick`]): what a
+    /// cycle-scanning engine would already have counted. Zero for a halted
+    /// or errored node, which accrues nothing.
+    pub fn idle_owed(&self, now: u64) -> u64 {
+        if self.error.is_some() || self.halted {
+            return 0;
+        }
+        // The ledger: every cycle a live node has lived through belongs to
+        // exactly one class, so `total + owed == max(busy_until, now)`.
+        debug_assert_eq!(
+            self.stats.total_cycles(),
+            self.busy_until,
+            "{}: cycles counted twice or never",
+            self.id
         );
-        self.stats.cycles[StatClass::Idle.index()] -= 1;
-        self.busy_until -= 1;
+        now.saturating_sub(self.busy_until)
     }
 
     fn dispatch(&mut self, mp: MsgPriority, now: u64) {
@@ -653,7 +654,7 @@ impl MdpNode {
 
     /// Ends the thread at `priority`: pops its message (if any) and clears
     /// activity. Background suspension parks the background thread for good.
-    pub(crate) fn end_thread(&mut self, priority: Priority) {
+    pub(crate) fn end_thread(&mut self, priority: Priority, now: u64) {
         if !self.compose[priority.index()].is_empty() {
             self.error = Some(NodeError::OpenMessage);
             return;
@@ -669,7 +670,7 @@ impl MdpNode {
                     if let Some(tracer) = &mut self.tracer {
                         let pi = priority.index();
                         tracer.emit(
-                            self.now,
+                            now,
                             EventKind::HandlerEnd {
                                 id: self.cur_trace[pi],
                                 node: self.id,

@@ -9,6 +9,7 @@ use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::tag::Tag;
 use jm_isa::word::{MsgHeader, Word};
+use jm_isa::TraceId;
 use jm_mdp::{InjectAck, MdpConfig, MdpNode, NetPort};
 use std::sync::Arc;
 
@@ -43,6 +44,11 @@ fn node_for(program: Program) -> MdpNode {
         MdpConfig::default(),
         true,
     )
+}
+
+/// A host delivery at cycle `now`: one untraced word into a queue.
+fn deliver(node: &mut MdpNode, priority: MsgPriority, word: Word, now: u64) {
+    assert!(node.deliver_traced(priority, word, TraceId::NONE, now));
 }
 
 /// Runs the node until it has no work or `max` cycles pass; returns the
@@ -118,8 +124,13 @@ fn message_dispatch_runs_handler() {
     let handler = p.handler("handler");
     let mut node = node_for(p);
     let mut net = MockNet::default();
-    node.deliver(MsgPriority::P0, MsgHeader::new(handler, 2).to_word());
-    node.deliver(MsgPriority::P0, Word::int(77));
+    deliver(
+        &mut node,
+        MsgPriority::P0,
+        MsgHeader::new(handler, 2).to_word(),
+        0,
+    );
+    deliver(&mut node, MsgPriority::P0, Word::int(77), 0);
     run(&mut node, &mut net, 100);
     assert_eq!(node.read_mem(out.base).as_i32(), 77);
     assert_eq!(node.stats().threads, 1);
@@ -144,11 +155,16 @@ fn handler_stalls_until_argument_arrives() {
     let handler = p.handler("handler");
     let mut node = node_for(p);
     let mut net = MockNet::default();
-    node.deliver(MsgPriority::P0, MsgHeader::new(handler, 2).to_word());
+    deliver(
+        &mut node,
+        MsgPriority::P0,
+        MsgHeader::new(handler, 2).to_word(),
+        0,
+    );
     // Argument arrives only at cycle 40.
     for now in 0..80 {
         if now == 40 {
-            node.deliver(MsgPriority::P0, Word::int(5));
+            deliver(&mut node, MsgPriority::P0, Word::int(5), now);
         }
         node.tick(now, &mut net);
         assert!(node.error().is_none(), "{:?}", node.error());
@@ -180,12 +196,22 @@ fn priority_one_preempts_priority_zero() {
     let (h0, h1) = (p.handler("p0_handler"), p.handler("p1_handler"));
     let mut node = node_for(p);
     let mut net = MockNet::default();
-    node.deliver(MsgPriority::P0, MsgHeader::new(h0, 1).to_word());
+    deliver(
+        &mut node,
+        MsgPriority::P0,
+        MsgHeader::new(h0, 1).to_word(),
+        0,
+    );
     let mut p1_done_at = None;
     let mut p0_done_at = None;
     for now in 0..2000 {
         if now == 20 {
-            node.deliver(MsgPriority::P1, MsgHeader::new(h1, 1).to_word());
+            deliver(
+                &mut node,
+                MsgPriority::P1,
+                MsgHeader::new(h1, 1).to_word(),
+                now,
+            );
         }
         node.tick(now, &mut net);
         if p1_done_at.is_none() && node.read_mem(out.base + 1).as_i32() == 1 {
@@ -441,8 +467,13 @@ fn seg_reference_via_message_and_queue_window_is_readonly() {
     let mut node = node_for(p);
     node.install_vector(FaultKind::Bounds, bounds);
     let mut net = MockNet::default();
-    node.deliver(MsgPriority::P0, MsgHeader::new(handler, 2).to_word());
-    node.deliver(MsgPriority::P0, Word::int(1));
+    deliver(
+        &mut node,
+        MsgPriority::P0,
+        MsgHeader::new(handler, 2).to_word(),
+        0,
+    );
+    deliver(&mut node, MsgPriority::P0, Word::int(1), 0);
     for now in 0..100 {
         node.tick(now, &mut net);
     }
@@ -569,14 +600,19 @@ fn checksum_mode_drops_corrupt_messages_and_passes_clean_ones() {
     // deliver it).
     let intended = [MsgHeader::new(handler, 2).to_word(), Word::int(13)];
     let trailer = jm_fault::checksum_words(&intended);
-    node.deliver(MsgPriority::P0, intended[0]);
-    node.deliver(MsgPriority::P0, Word::int(99));
-    node.deliver(MsgPriority::P0, trailer);
+    deliver(&mut node, MsgPriority::P0, intended[0], 0);
+    deliver(&mut node, MsgPriority::P0, Word::int(99), 0);
+    deliver(&mut node, MsgPriority::P0, trailer, 0);
     // Then a clean one.
     let clean = [MsgHeader::new(handler, 2).to_word(), Word::int(42)];
-    node.deliver(MsgPriority::P0, clean[0]);
-    node.deliver(MsgPriority::P0, clean[1]);
-    node.deliver(MsgPriority::P0, jm_fault::checksum_words(&clean));
+    deliver(&mut node, MsgPriority::P0, clean[0], 0);
+    deliver(&mut node, MsgPriority::P0, clean[1], 0);
+    deliver(
+        &mut node,
+        MsgPriority::P0,
+        jm_fault::checksum_words(&clean),
+        0,
+    );
     run(&mut node, &mut net, 200);
     // The damaged message was dropped whole — its argument never reached
     // memory, no thread ran for it — and the clean one dispatched normally.
@@ -599,19 +635,74 @@ fn checksum_mode_defers_dispatch_until_full_arrival() {
     let mut node = MdpNode::new(NodeId(0), MeshDims::new(2, 2, 2), Arc::new(p), cfg, true);
     let mut net = MockNet::default();
     let msg = [MsgHeader::new(handler, 2).to_word(), Word::int(7)];
-    node.deliver(MsgPriority::P0, msg[0]);
-    node.deliver(MsgPriority::P0, msg[1]);
+    deliver(&mut node, MsgPriority::P0, msg[0], 0);
+    deliver(&mut node, MsgPriority::P0, msg[1], 0);
     // Trailer not yet arrived: validation cannot run, so dispatch waits
     // (in plain mode the header alone would have started the handler).
     for now in 0..40 {
         node.tick(now, &mut net);
     }
     assert_eq!(node.stats().threads, 0);
-    node.deliver(MsgPriority::P0, jm_fault::checksum_words(&msg));
+    deliver(
+        &mut node,
+        MsgPriority::P0,
+        jm_fault::checksum_words(&msg),
+        40,
+    );
     for now in 40..120 {
         node.tick(now, &mut net);
     }
     assert_eq!(node.stats().threads, 1);
     assert_eq!(node.read_mem(out.base).as_i32(), 7);
     assert!(node.error().is_none());
+}
+
+#[test]
+fn idle_is_the_gap_between_two_acts() {
+    // One node ticked only where it has something to do — an idle tick at
+    // 0, a dispatch at 40 (the header's arrival), the handler's SUSPEND at
+    // 41, an idle tick at 300 — against a twin ticked every cycle: at every
+    // cycle the sparse node's counters plus what it is owed are the twin's,
+    // and every cycle either has lived through is in exactly one class.
+    let mut b = Builder::new();
+    b.label("handler");
+    b.suspend();
+    let p = Arc::new(b.assemble().unwrap());
+    let header = MsgHeader::new(p.handler("handler"), 1).to_word();
+    let mut cfg = MdpConfig::default();
+    cfg.timing.dispatch = 1;
+    let boot = || {
+        MdpNode::new(
+            NodeId(0),
+            MeshDims::new(2, 2, 2),
+            Arc::clone(&p),
+            cfg,
+            false,
+        )
+    };
+    let (mut sparse, mut twin) = (boot(), boot());
+    let mut net = MockNet::default();
+    for now in 0..=300 {
+        if now == 40 {
+            deliver(&mut sparse, MsgPriority::P0, header, now);
+            deliver(&mut twin, MsgPriority::P0, header, now);
+        }
+        twin.tick(now, &mut net);
+        if [0, 40, 41, 300].contains(&now) {
+            sparse.tick(now, &mut net);
+        }
+        let mut owed = sparse.stats().clone();
+        owed.add_cycles(StatClass::Idle, sparse.idle_owed(now + 1));
+        assert_eq!(&owed, twin.stats(), "after cycle {now}");
+        assert_eq!(twin.idle_owed(now + 1), 0);
+        assert_eq!(owed.total_cycles(), now + 1);
+    }
+    assert_eq!(sparse.stats(), twin.stats());
+    assert_eq!(twin.stats().threads, 1);
+    assert_eq!(twin.stats().class_cycles(StatClass::Idle), 299);
+    // A tick before `busy_until` claims nothing, and nothing is owed for
+    // a cycle that has not come.
+    sparse.tick(200, &mut net);
+    assert_eq!(sparse.stats(), twin.stats());
+    assert_eq!(sparse.idle_owed(200), 0);
 }

@@ -22,6 +22,9 @@ pub struct Network {
     config: NetConfig,
     shards: Vec<NetShard>,
     edges: Vec<Edge>,
+    /// The machine's one stored clock: the cycle about to be simulated.
+    /// Shards hold no copy; every shard call is told the time.
+    cycle: u64,
 }
 
 impl Network {
@@ -59,12 +62,13 @@ impl Network {
             config,
             shards: parts,
             edges: (1..count).map(cut).collect(),
+            cycle: 0,
         }
     }
 
     /// Installs (or clears) a fault plan on every shard. Must be called
     /// before simulation starts; plan queries key on global node ids and
-    /// the lockstep cycle counter, so behavior under faults is independent
+    /// the cycle, so behavior under faults is independent
     /// of the shard cut exactly like the fault-free case.
     pub fn set_fault_plan(&mut self, plan: Option<jm_fault::FaultPlan>) {
         for shard in &mut self.shards {
@@ -74,7 +78,7 @@ impl Network {
 
     /// Installs (or clears) a traffic plan on every shard. Must be called
     /// before simulation starts; plan queries key on global node ids and
-    /// the lockstep cycle counter, so the generated workload is independent
+    /// the cycle, so the generated workload is independent
     /// of the shard cut exactly like the fault plans.
     pub fn set_traffic_plan(&mut self, plan: Option<jm_traffic::TrafficPlan>) {
         for shard in &mut self.shards {
@@ -101,11 +105,8 @@ impl Network {
     /// counter must never skip past it, and a machine is not finished while
     /// it is finite.
     pub fn traffic_wake(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(NetShard::traffic_wake)
-            .min()
-            .unwrap_or(u64::MAX)
+        let wake = self.shards.iter().map(|s| s.traffic_wake(self.cycle));
+        wake.min().unwrap_or(u64::MAX)
     }
 
     /// Turns lifecycle tracing on or off. While on, every accepted message
@@ -128,7 +129,8 @@ impl Network {
 
     /// Routers currently holding buffered flits.
     pub fn active_routers(&self) -> u32 {
-        self.shards.iter().map(NetShard::active_count).sum()
+        let active = self.shards.iter().map(|s| s.active_count(self.cycle));
+        active.sum()
     }
 
     /// The network configuration.
@@ -137,10 +139,19 @@ impl Network {
     }
 
     /// The current cycle number.
+    #[inline]
     pub fn cycle(&self) -> u64 {
-        // Shards advance in lockstep; outside the two tick phases every
-        // counter agrees.
-        self.shards[0].cycle()
+        self.cycle
+    }
+
+    /// Sets the clock to `cycle` after the caller has itself stepped the
+    /// shards (handed out by [`Self::shard_parts`]) through every cycle
+    /// before it — the machine's engines, which tell each shard the time.
+    #[doc(hidden)]
+    #[inline]
+    pub fn advance_to(&mut self, cycle: u64) {
+        debug_assert!(cycle >= self.cycle, "the clock runs forward");
+        self.cycle = cycle;
     }
 
     /// Accumulated statistics, reduced over shards in fixed (ascending slab)
@@ -173,22 +184,30 @@ impl Network {
     pub fn pending_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         // Shards hold disjoint ascending id ranges, so chaining in slab
         // order preserves global ascending order.
-        self.shards.iter().flat_map(NetShard::pending_nodes)
+        self.shards.iter().flat_map(|s| {
+            let base = s.base();
+            s.pending().iter().map(move |l| NodeId((base + l) as u32))
+        })
     }
 
-    /// Advances the cycle counter to `cycle` without simulating the
-    /// intervening cycles. Only legal while no flits are buffered
-    /// (`in_flight == 0`): an empty network's step is a pure cycle-counter
-    /// increment, so skipping is exactly equivalent to stepping. Undelivered
-    /// ejected words may remain — they are cycle-independent state.
+    /// Advances the clock to `cycle` without simulating the intervening
+    /// cycles. Only legal while no flits are buffered (`in_flight == 0`)
+    /// and no traffic window opens before `cycle`: an empty network's step
+    /// changes nothing but the clock, so skipping is an assignment to it.
+    /// Undelivered ejected words may remain — they are cycle-independent
+    /// state.
     ///
     /// # Panics
     ///
-    /// Debug builds panic if flits are in flight.
+    /// Debug builds panic if flits are in flight or the skip passes the
+    /// start of a traffic window.
     pub fn skip_to(&mut self, cycle: u64) {
-        for shard in &mut self.shards {
-            shard.skip_to(cycle);
-        }
+        debug_assert_eq!(self.in_flight(), 0, "skip_to with flits in flight");
+        debug_assert!(
+            cycle <= self.traffic_wake(),
+            "skip_to past the traffic window"
+        );
+        self.cycle = self.cycle.max(cycle);
     }
 
     /// The number of z-slab shards the mesh is cut into.
@@ -224,7 +243,9 @@ impl Network {
         priority: MsgPriority,
         words: &[Word],
     ) -> InjectResult {
-        self.shard_for(node).commit_msg(node, priority, words)
+        let cycle = self.cycle;
+        self.shard_for(node)
+            .commit_msg(cycle, node, priority, words)
     }
 
     /// Next delivered payload word for a node, if any (peek), with the
@@ -256,7 +277,7 @@ impl Network {
         let count = self.shards.len();
         for k in 0..count {
             let (below, above) = edge_pair(&self.edges, k);
-            self.shards[k].step_cycle(below, above);
+            self.shards[k].step_cycle(self.cycle, below, above);
         }
         if count > 1 {
             for k in 0..count {
@@ -264,6 +285,7 @@ impl Network {
                 self.shards[k].exchange(below, above);
             }
         }
+        self.cycle += 1;
     }
 
     /// Runs `cycles` steps.
@@ -281,7 +303,7 @@ impl Network {
     /// invisible; see [`crate::shard`]).
     pub fn fold_components(&mut self, mut f: impl FnMut(NodeId, usize, u64)) {
         for shard in &mut self.shards {
-            shard.fold_components(&mut f);
+            shard.fold_components(self.cycle, &mut f);
         }
     }
 }

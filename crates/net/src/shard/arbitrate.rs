@@ -18,7 +18,7 @@ use jm_isa::TraceId;
 use jm_trace::{EventKind, FaultEvent};
 
 impl NetShard {
-    /// Phase 1 of a cycle: moves at most one flit per physical channel,
+    /// Phase 1 of cycle `cycle`: moves at most one flit per physical channel,
     /// priority-1 traffic first, input ports arbitrated in fixed order with
     /// injection last. `below`/`above` are the edges toward the adjacent
     /// shards (`None` at the mesh faces, or when the whole mesh is one
@@ -32,7 +32,7 @@ impl NetShard {
     /// have nothing to move, and a router activated mid-step only holds flits
     /// with `ready_cycle == cycle + 1`, which move next cycle whether or not
     /// this scan still visits it.
-    pub fn step_cycle(&mut self, below: Option<&Edge>, above: Option<&Edge>) {
+    pub fn step_cycle(&mut self, cycle: u64, below: Option<&Edge>, above: Option<&Edge>) {
         // Generated traffic enters first, before the idle early-out: the
         // generator is what *creates* work on an otherwise-empty shard. Node
         // sends for this cycle have already been committed by the caller
@@ -40,7 +40,7 @@ impl NetShard {
         // inject-FIFO occupancy the generator observes — and therefore every
         // accept/drop decision — is identical under every engine.
         if self.traffic.is_some() {
-            self.inject_traffic();
+            self.inject_traffic(cycle);
         }
         if self.bulk.is_some() {
             // A bulk message in flight is the only traffic (any other
@@ -50,17 +50,15 @@ impl NetShard {
                 self.active.is_empty(),
                 "buffered flits during a bulk flight"
             );
-            self.step_bulk(self.cycle);
+            self.step_bulk(cycle);
         } else if self.in_flight != 0 {
-            self.scan_routers(below, above);
+            self.scan_routers(cycle, below, above);
         }
-        self.cycle += 1;
     }
 
     /// Steps every router holding flits, in ascending order, and posts the
     /// boundary crossings that produced.
-    fn scan_routers(&mut self, below: Option<&Edge>, above: Option<&Edge>) {
-        let cycle = self.cycle;
+    fn scan_routers(&mut self, cycle: u64, below: Option<&Edge>, above: Option<&Edge>) {
         // The naive full scan's answer, taken before any flit moves, for
         // the debug cross-check below.
         let due: Vec<usize> = if cfg!(debug_assertions) {

@@ -51,7 +51,7 @@ pub(super) struct BulkMsg {
 }
 
 impl NetShard {
-    /// Local router indices currently holding buffered flits.
+    /// Local router indices holding buffered flits at cycle `cycle`.
     ///
     /// During a bulk flight the flits are virtual, so the count is derived
     /// from the timing law instead of the (empty) active set: flit `f` sits
@@ -59,18 +59,18 @@ impl NetShard {
     /// the source's inject FIFO), and because `done` falls by one per flit
     /// index the occupied positions form one contiguous range. Occupancy
     /// samples taken mid-flight must match the slow path bit for bit.
-    pub(crate) fn active_count(&self) -> u32 {
+    pub(crate) fn active_count(&self, cycle: u64) -> u32 {
         let buffered = self.active.count() as u32;
         let Some(b) = &self.bulk else { return buffered };
         let hops = b.path.len() as i64 - 1;
-        let rel = self.cycle as i64 - b.q as i64;
+        let rel = cycle as i64 - b.q as i64;
         let hi = rel.clamp(0, hops);
         let lo = (rel - (b.flits.len() as i64 - 1)).clamp(0, hops);
         buffered + (hi - lo + 1) as u32
     }
 
-    /// The route of a message of `payload_words` words from local router
-    /// `l` to `dest`, as a [`BulkMsg`] still missing its flits, if the
+    /// The route of a message of `payload_words` words committed at `cycle`
+    /// from local router `l` to `dest`, as a [`BulkMsg`] still missing its flits, if the
     /// message may travel on the bulk path. `None` unless the flit-by-flit
     /// outcome is fully determined: a single shard covering the whole mesh,
     /// no other flit in flight, no fault plan, a clear (unowned) route,
@@ -79,6 +79,7 @@ impl NetShard {
     /// nothing before the tail arrives.
     pub(super) fn bulk_route(
         &self,
+        cycle: u64,
         l: usize,
         vnet: usize,
         dest: Coord,
@@ -136,7 +137,7 @@ impl NetShard {
             path,
             outs,
             bisect,
-            q: self.cycle + self.config.inject_latency,
+            q: cycle + self.config.inject_latency,
             vnet,
         })
     }
@@ -187,14 +188,13 @@ impl NetShard {
 
     /// Converts the in-flight bulk message, if there is one, back into
     /// ordinary buffered flits, reconstructing exactly the state the
-    /// flit-by-flit path would hold at the start of the current cycle:
+    /// flit-by-flit path would hold at the start of cycle `cycle`:
     /// every undelivered flit's buffer position and ready cycle, plus
     /// wormhole port ownership along the route. Called before anything that
     /// reads the buffers: a new injection, which could otherwise contend
     /// with (or fail to see) the virtual flits, and the state digest.
-    pub(super) fn materialize_bulk(&mut self) {
+    pub(super) fn materialize_bulk(&mut self, cycle: u64) {
         let Some(b) = self.bulk.take() else { return };
-        let cycle = self.cycle;
         let hops = b.outs.len() as u64;
         let f_count = b.flits.len() as u64;
         let src = b.path[0] as usize;

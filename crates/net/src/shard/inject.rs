@@ -27,13 +27,14 @@ pub enum InjectResult {
 }
 
 impl NetShard {
-    /// Atomically offers a whole message to a node's injection port: the
-    /// route word followed by at least one payload word. Either every word
-    /// is accepted or none is (the network interface composes messages in a
+    /// Atomically offers a whole message to a node's injection port at
+    /// cycle `cycle`: the route word followed by at least one payload word.
+    /// Either every word is accepted or none is (the network interface composes messages in a
     /// per-thread buffer and launches them whole, so a preempting handler
     /// can never interleave words into an open message).
     pub fn commit_msg(
         &mut self,
+        cycle: u64,
         node: NodeId,
         priority: MsgPriority,
         words: &[Word],
@@ -41,8 +42,7 @@ impl NetShard {
         // New traffic can observe (and contend with) in-flight flits, so a
         // virtual bulk message becomes real buffered flits before any
         // capacity check reads the arena.
-        self.materialize_bulk();
-        let cycle = self.cycle;
+        self.materialize_bulk(cycle);
         let dims = self.config.dims;
         let vnet = priority.index();
         // Framing checks first.
@@ -108,7 +108,7 @@ impl NetShard {
         };
         let ready = cycle + self.config.inject_latency;
         let flits = Flit::message(dest, words, cycle, ready, trace);
-        if let Some(mut bulk) = self.bulk_route(l, vnet, dest, words.len() - 1) {
+        if let Some(mut bulk) = self.bulk_route(cycle, l, vnet, dest, words.len() - 1) {
             // Alone in the mesh: the flits stay virtual (see `bulk`).
             bulk.flits = flits.collect();
             self.bulk = Some(bulk);
@@ -129,9 +129,8 @@ impl NetShard {
     /// the Bernoulli process models independent offered load, and because
     /// injection-FIFO occupancy at this point in the cycle is engine-
     /// independent, the drop pattern is too.
-    pub(super) fn inject_traffic(&mut self) {
+    pub(super) fn inject_traffic(&mut self, cycle: u64) {
         let Some(plan) = self.traffic else { return };
-        let cycle = self.cycle;
         if !plan.in_window(cycle) {
             return;
         }
@@ -151,7 +150,7 @@ impl NetShard {
             for k in 1..payload_words {
                 words.push(Word::int(k as i32));
             }
-            match self.commit_msg(NodeId(node), MsgPriority::P0, &words) {
+            match self.commit_msg(cycle, NodeId(node), MsgPriority::P0, &words) {
                 InjectResult::Accepted => self.stats.traffic.accepted_msgs += 1,
                 InjectResult::Stall => self.stats.traffic.dropped_msgs += 1,
                 InjectResult::BadRoute => unreachable!("generated message misframed"),
@@ -202,7 +201,7 @@ mod tests {
             MsgHeader::new(1, 1).to_word(),
         ];
         for _ in 0..3 {
-            let sent = shard.commit_msg(NodeId(0), MsgPriority::P0, &msg);
+            let sent = shard.commit_msg(0, NodeId(0), MsgPriority::P0, &msg);
             assert_eq!(sent, InjectResult::Accepted);
         }
         assert_eq!(
@@ -210,8 +209,11 @@ mod tests {
             u32::MAX / 2 + 1,
             "the ordinal wrapped"
         );
-        while !shard.is_idle() {
-            shard.step_cycle(None, None);
+        for cycle in 0.. {
+            if shard.is_idle() {
+                break;
+            }
+            shard.step_cycle(cycle, None, None);
             while shard.pop_delivered(NodeId(1), MsgPriority::P0).is_some() {}
         }
         assert_eq!(

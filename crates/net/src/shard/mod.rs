@@ -6,7 +6,10 @@
 //! its own state plus the [`Edge`] interfaces shared with the slabs directly
 //! below and above it. That makes shards safe to step on parallel worker
 //! threads; [`crate::Network`] also drives the same shards sequentially, so
-//! both modes execute literally the same per-cycle code.
+//! both modes execute literally the same per-cycle code. A shard keeps no
+//! clock: every call that depends on the time is told it, by the one owner
+//! of the clock ([`crate::Network`]) or by the machine engine stepping the
+//! shards itself.
 //!
 //! Each simulated cycle is two phases:
 //!
@@ -85,7 +88,6 @@ pub struct NetShard {
     /// Per-router bitmask of out ports whose channel crosses the bisection
     /// mid-plane (for the traffic counters).
     bisect_out: Vec<u8>,
-    cycle: u64,
     stats: NetStats,
     /// Flits currently buffered in *this shard* (a flit handed to an edge
     /// mailbox leaves the sender's count and joins the receiver's at drain).
@@ -109,13 +111,14 @@ pub struct NetShard {
     /// next [`TraceId`] is made from (see [`NetShard::commit_msg`]).
     traced_msgs: Vec<u32>,
     /// Fault plan, if this run injects faults. Queries key on *global* node
-    /// ids and the lockstep cycle counter, so every shard layout answers
+    /// ids and the cycle the shard is told, so every shard layout answers
     /// identically; `None` (the default) keeps the fault-free fast paths.
     fault: Option<FaultPlan>,
     /// Synthetic-traffic plan, if this run generates background traffic.
     /// Like the fault plan, queries are pure functions of global node id
-    /// and the lockstep cycle, so the generated workload is identical under
-    /// every shard layout; `None` keeps the traffic-free fast paths.
+    /// and the cycle the shard is told, so the generated workload is
+    /// identical under every shard layout; `None` keeps the traffic-free
+    /// fast paths.
     traffic: Option<TrafficPlan>,
     /// Reusable message-composition buffer for the traffic generator (no
     /// per-message allocation on the injection path).
@@ -171,7 +174,6 @@ impl NetShard {
             config,
             base,
             routers: vec![Router::default(); len],
-            cycle: 0,
             stats: NetStats::default(),
             in_flight: 0,
             active: BitSet::new(len),
@@ -204,13 +206,13 @@ impl NetShard {
         self.allow_bulk = bulk;
     }
 
-    /// The next cycle at or after the shard's current cycle with possible
-    /// generated traffic, or `u64::MAX` when there is none. Engines must
-    /// not skip the cycle counter past this point, and must not treat the
-    /// shard as finished while it is finite: an idle mesh whose generation
-    /// window lies ahead still has work coming.
-    pub fn traffic_wake(&self) -> u64 {
-        self.traffic.map_or(u64::MAX, |p| p.next_active(self.cycle))
+    /// The next cycle at or after `now` with possible generated traffic, or
+    /// `u64::MAX` when there is none. Engines must not skip the clock past
+    /// this point, and must not treat the shard as finished while it is
+    /// finite: an idle mesh whose generation window lies ahead still has
+    /// work coming.
+    pub fn traffic_wake(&self, now: u64) -> u64 {
+        self.traffic.map_or(u64::MAX, |p| p.next_active(now))
     }
 
     /// First global node id owned by this shard.
@@ -229,12 +231,6 @@ impl NetShard {
         self.routers.is_empty()
     }
 
-    /// The shard's cycle counter (in lockstep with its siblings outside the
-    /// two tick phases).
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
     /// This shard's share of the network statistics.
     pub fn stats(&self) -> &NetStats {
         &self.stats
@@ -250,41 +246,6 @@ impl NetShard {
         self.in_flight == 0 && self.eject_pending.is_empty()
     }
 
-    /// Advances the cycle counter without simulating. Only legal while the
-    /// shard holds no flits (and, in parallel mode, only when every shard
-    /// agrees — the coordinator checks that before issuing a skip).
-    pub fn skip_to(&mut self, cycle: u64) {
-        debug_assert_eq!(self.in_flight, 0, "skip_to with flits in flight");
-        debug_assert!(
-            self.traffic
-                .is_none_or(|p| cycle <= p.next_active(self.cycle)),
-            "skip_to past the traffic window"
-        );
-        self.cycle = self.cycle.max(cycle);
-    }
-
-    /// Moves the cycle counter *backwards* to `cycle`, undoing counter-only
-    /// idle steps. Only legal while the shard holds no flits and no
-    /// undelivered words: an idle [`NetShard::step_cycle`] does nothing but
-    /// increment the counter, so unwinding the increments reconstructs the
-    /// pre-step state exactly. The parallel engine's quantum coordinator
-    /// uses this when deferred quiescence detection finds the mesh went
-    /// quiet mid-quantum (see `DESIGN.md` §4.5).
-    pub fn rewind_idle_to(&mut self, cycle: u64) {
-        debug_assert_eq!(self.in_flight, 0, "rewind_idle_to with flits in flight");
-        debug_assert!(
-            self.eject_pending.is_empty(),
-            "rewind_idle_to with undelivered words"
-        );
-        debug_assert!(cycle <= self.cycle, "rewind_idle_to must not advance");
-        debug_assert!(
-            self.traffic
-                .is_none_or(|p| p.next_active(cycle) == u64::MAX),
-            "rewind_idle_to into the traffic window"
-        );
-        self.cycle = cycle;
-    }
-
     #[inline]
     fn local(&self, node: NodeId) -> usize {
         let l = node.index().wrapping_sub(self.base);
@@ -292,13 +253,10 @@ impl NetShard {
         l
     }
 
-    /// Nodes currently holding undelivered ejected words, in ascending id
-    /// order (global ids).
-    pub fn pending_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let base = self.base;
-        self.eject_pending
-            .iter()
-            .map(move |i| NodeId((base + i) as u32))
+    /// Local indices of the nodes currently holding undelivered ejected
+    /// words: the delivery notification an engine's pump walks.
+    pub fn pending(&self) -> &BitSet {
+        &self.eject_pending
     }
 
     /// Next delivered payload word with the trace id of the message that
@@ -341,7 +299,7 @@ impl NetShard {
     }
 
     /// Calls `f` with a per-`(global node, vnet)` occupancy digest for every
-    /// router in the shard, in ascending (node, vnet) order.
+    /// router in the shard at cycle `now`, in ascending (node, vnet) order.
     ///
     /// Takes `&mut self` because a message on the wormhole bulk fast path
     /// must first be [materialized](Self::materialize_bulk) into the exact
@@ -353,8 +311,8 @@ impl NetShard {
     /// interface state: the ejected-word FIFO. Trace ids, the `eject_cur`
     /// trace cursor, and statistics are excluded (observability state);
     /// `eject_hdr_seen` is included (it steers fault corruption).
-    pub(crate) fn fold_components(&mut self, f: &mut dyn FnMut(NodeId, usize, u64)) {
-        self.materialize_bulk();
+    pub(crate) fn fold_components(&mut self, now: u64, f: &mut dyn FnMut(NodeId, usize, u64)) {
+        self.materialize_bulk(now);
         for l in 0..self.routers.len() {
             for vnet in 0..2 {
                 let mut h = jm_trace::Fnv1a::new();

@@ -246,9 +246,10 @@ fn queue_desync_is_a_counted_node_error() {
     let mut m = JMachine::new(p, MachineConfig::new(8).start(StartPolicy::None));
     // Bypass the host's header-framing helper and push a bare integer at
     // the queue head — the hardware-level corruption the dispatcher guards.
+    let bare = Word::int(42);
     assert!(m
         .node_mut(NodeId(3))
-        .deliver(MsgPriority::P0, Word::int(42)));
+        .deliver_traced(MsgPriority::P0, bare, jm_isa::TraceId::NONE, 0));
     // A well-formed delivery behind it wakes the node; dispatch must trip
     // over the corrupted head word before ever reaching this message.
     m.deliver_message(NodeId(3), MsgPriority::P0, "noop", &[]);

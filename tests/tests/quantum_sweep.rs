@@ -15,14 +15,21 @@
 //!
 //! * **Idle-skip across a quantum boundary** — a workload whose dispatch
 //!   cost (50 cycles) dwarfs every quantum under test, so each fast-forward
-//!   skip crosses several boundaries and the deferred-quiescence rewind
-//!   must restore the pre-overrun state exactly.
+//!   skip crosses several boundaries, and quiescence is found up to a
+//!   quantum after the fact.
+//! * **Resuming after an overrun** — a machine whose nodes are all still
+//!   scheduled when it goes quiet, driven again from where it stopped.
 //! * **A chaos fault plan** — flaky links, checksummed retries, and a
 //!   link-down window, where any divergence in cycle numbering would
 //!   reseed every downstream fault draw and cascade into the stats.
 
-use jm_asm::Program;
+use jm_asm::{Builder, Program, Region};
 use jm_bench::workloads::pingpong_program;
+use jm_isa::instr::MsgPriority;
+use jm_isa::node::{MeshDims, NodeId};
+use jm_isa::operand::MemRef;
+use jm_isa::reg::{AReg::A0, DReg::R0};
+use jm_isa::word::Word;
 use jm_machine::{
     Engine, FaultSpec, FaultWindow, JMachine, MachineConfig, MachineStats, StartPolicy,
 };
@@ -100,8 +107,8 @@ fn ring_is_quantum_exact() {
 /// after each handler retires the whole machine goes net-idle with the next
 /// wake-up 50 cycles out. For every quantum under test (Q ≤ 8) the skip
 /// target lies several boundaries past the current one, exercising the
-/// decide-path that rewinds the overrun idle tick and jumps `p/x` straight
-/// to the wake cycle (DESIGN.md §4.5).
+/// decide-path that jumps `p/x` straight to the wake cycle (DESIGN.md
+/// §4.5).
 #[test]
 fn idle_skip_across_quantum_boundary_is_exact() {
     let mdp = MdpConfig {
@@ -180,6 +187,66 @@ fn fixed_cycle_stop_is_quantum_exact() {
             let mut cfg = config.engine(Engine::Parallel(t));
             cfg.tuning.quantum = q;
             run_fixed(cfg, format!("parallel-{t}/q{q}"));
+        }
+    }
+}
+
+#[test]
+fn resuming_a_quiesced_machine_is_quantum_exact() {
+    // Every instruction costs 7 cycles, so when the last handler's SUSPEND
+    // issues the machine is quiet — no work, no flit — one cycle later,
+    // while every node is still scheduled for the cycle the SUSPEND
+    // retires. The sequential engines stop there and leave the nodes
+    // scheduled; a crew finds out up to a quantum late, and with Q ≥ 7 its
+    // overrun reaches those wake-ups: the nodes are parked. The next
+    // round's host delivery then lands *before* their `busy_until`, and
+    // everything a host can see must still agree, round after round.
+    let program = || {
+        let mut b = Builder::new();
+        b.data("hits", Region::Imem, vec![Word::int(0)]);
+        b.label("hit");
+        b.load_seg(A0, "hits");
+        b.mov(R0, MemRef::disp(A0, 0));
+        b.addi(R0, R0, 1);
+        b.mov(MemRef::disp(A0, 0), R0);
+        b.suspend();
+        b.assemble().unwrap()
+    };
+    let mdp = MdpConfig {
+        timing: TimingConfig {
+            base: 7,
+            ..TimingConfig::default()
+        },
+        ..MdpConfig::default()
+    };
+    let config = MachineConfig::with_dims(MeshDims::new(2, 2, 4))
+        .start(StartPolicy::None)
+        .mdp(mdp);
+    let rounds = |cfg: MachineConfig| {
+        let mut m = JMachine::new(program(), cfg);
+        let mut seen = Vec::new();
+        for _ in 0..3 {
+            for id in 0..m.node_count() {
+                m.deliver_message(NodeId(id), MsgPriority::P0, "hit", &[]);
+            }
+            let cycles = m.run_until_quiescent(10_000).unwrap();
+            seen.push((cycles, m.cycle(), m.stats(), m.state_hash()));
+        }
+        let hits = m.program().segment("hits").base;
+        assert!((0..16).all(|id| m.read_word(NodeId(id), hits).as_i32() == 3));
+        seen
+    };
+    let naive = rounds(config.engine(Engine::Naive));
+    // The premise: the machine stops one cycle into the SUSPEND, with every
+    // node's counters already six cycles past the clock.
+    let (_, stop, stats, _) = &naive[0];
+    assert_eq!(stats.nodes.total_cycles(), 16 * (stop + 6));
+    assert_eq!(rounds(config.engine(Engine::Event)), naive, "event");
+    for &t in &THREADS {
+        for &q in &QUANTA {
+            let mut cfg = config.engine(Engine::Parallel(t));
+            cfg.tuning.quantum = q;
+            assert_eq!(rounds(cfg), naive, "parallel-{t}/q{q}");
         }
     }
 }
