@@ -212,6 +212,9 @@ pub fn setup(m: &mut JMachine, cfg: &LcsConfig) -> (Vec<u8>, Vec<u8>) {
     (a, b)
 }
 
+/// The thread types of Table 4: `(name, entry label)`.
+pub const THREADS: [(&str, &str); 2] = [("NxtChar", "lcs_char"), ("StartUp", "main")];
+
 /// Result of a validated run.
 #[derive(Debug, Clone)]
 pub struct LcsRun {
@@ -221,6 +224,8 @@ pub struct LcsRun {
     pub cycles: u64,
     /// Machine statistics.
     pub stats: MachineStats,
+    /// Statistics of each of [`THREADS`].
+    pub threads: crate::Threads,
 }
 
 /// Builds, loads, runs, and validates LCS on `nodes` nodes.
@@ -262,10 +267,12 @@ pub fn run_on(
     let length = m.read_word(last, param.base + 5).as_i32() as u32;
     let expected = reference(&a, &b);
     assert_eq!(length, expected, "LCS mismatch on {nodes} nodes");
+    let stats = m.stats();
     Ok(LcsRun {
         length,
         cycles,
-        stats: m.stats(),
+        threads: crate::threads(&m, &stats, &THREADS),
+        stats,
     })
 }
 

@@ -17,7 +17,8 @@
 //!
 //! Every module exposes `program`/`setup`/`run` plus a host `reference`
 //! function; `run` validates the machine's answer against the reference
-//! before returning statistics.
+//! before returning statistics, among them those of the thread types its
+//! `THREADS` table names (the rows of the paper's Tables 4 and 5).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -26,3 +27,19 @@ pub mod lcs;
 pub mod nqueens;
 pub mod radix;
 pub mod tsp;
+
+use jm_machine::{JMachine, MachineStats};
+use jm_mdp::HandlerStats;
+
+/// A run's statistics per thread type, in its module's `THREADS` order.
+pub type Threads = Vec<(&'static str, HandlerStats)>;
+
+/// Looks each `(thread name, entry label)` of `table` up in `stats`, the
+/// statistics of `m`'s finished run.
+fn threads(m: &JMachine, stats: &MachineStats, table: &[(&'static str, &str)]) -> Threads {
+    let of = |label| stats.nodes.handlers.get(&m.program().handler(label));
+    table
+        .iter()
+        .map(|&(name, label)| (name, of(label).copied().unwrap_or_default()))
+        .collect()
+}

@@ -308,6 +308,9 @@ pub fn program(cfg: &NqConfig, nodes: u32) -> Program {
     b.assemble().expect("nqueens assembles")
 }
 
+/// The thread types of Table 4: `(name, entry label)`.
+pub const THREADS: [(&str, &str); 2] = [("NQueens", "nq_task"), ("NQDone", "nq_done")];
+
 /// Result of a validated run.
 #[derive(Debug, Clone)]
 pub struct NqRun {
@@ -321,6 +324,8 @@ pub struct NqRun {
     pub cycles: u64,
     /// Machine statistics.
     pub stats: MachineStats,
+    /// Statistics of each of [`THREADS`].
+    pub threads: crate::Threads,
 }
 
 /// Builds, runs, and validates n-queens on `nodes` nodes.
@@ -359,12 +364,14 @@ pub fn run_on(mcfg: MachineConfig, cfg: &NqConfig, max_cycles: u64) -> Result<Nq
     assert_eq!(finished, 1, "n-queens did not finish");
     let expected = reference(cfg.n);
     assert_eq!(total, expected, "n-queens mismatch on {nodes} nodes");
+    let stats = m.stats();
     Ok(NqRun {
         solutions: total,
         depth: cfg.depth_for(nodes),
         tasks,
         cycles,
-        stats: m.stats(),
+        threads: crate::threads(&m, &stats, &THREADS),
+        stats,
     })
 }
 

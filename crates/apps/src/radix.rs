@@ -430,6 +430,10 @@ pub fn result(m: &JMachine, cfg: &RadixConfig) -> Vec<u32> {
     out
 }
 
+/// The thread types of Table 4: `(name, entry label)`.
+pub const THREADS: [(&str, &str); 3] =
+    [("Sort", "main"), ("Write", "rs_write"), ("Scan", "rs_scan")];
+
 /// Result of a validated run.
 #[derive(Debug, Clone)]
 pub struct RadixRun {
@@ -437,6 +441,8 @@ pub struct RadixRun {
     pub cycles: u64,
     /// Machine statistics.
     pub stats: MachineStats,
+    /// Statistics of each of [`THREADS`].
+    pub threads: crate::Threads,
 }
 
 /// Builds, loads, runs, and validates radix sort on `nodes` nodes.
@@ -476,9 +482,11 @@ pub fn run_on(
     let got = result(&m, cfg);
     let expected = reference(&keys);
     assert_eq!(got, expected, "radix sort mismatch on {nodes} nodes");
+    let stats = m.stats();
     Ok(RadixRun {
         cycles,
-        stats: m.stats(),
+        threads: crate::threads(&m, &stats, &THREADS),
+        stats,
     })
 }
 

@@ -667,6 +667,20 @@ pub fn setup(m: &mut JMachine, cfg: &TspConfig) -> Vec<u32> {
     matrix
 }
 
+/// The thread types of Table 5, `(name, entry label)`: the first
+/// [`USER_THREADS`] are the application's, the rest the object runtime's.
+pub const THREADS: [(&str, &str); 6] = [
+    ("Task", "tsp_work"),
+    ("Intake", "tsp_task"),
+    ("Bound", "tsp_bound"),
+    ("WorkReq", "tsp_req"),
+    ("WorkNone", "tsp_none"),
+    ("Done", "tsp_done"),
+];
+
+/// How many of [`THREADS`] are user code.
+pub const USER_THREADS: usize = 2;
+
 /// Result of a validated run.
 #[derive(Debug, Clone)]
 pub struct TspRun {
@@ -680,6 +694,8 @@ pub struct TspRun {
     pub cycles: u64,
     /// Machine statistics.
     pub stats: MachineStats,
+    /// Statistics of each of [`THREADS`].
+    pub threads: crate::Threads,
 }
 
 /// Builds, runs, and validates TSP on `nodes` nodes.
@@ -724,12 +740,14 @@ pub fn run_on(
     let expected = reference(&matrix, cfg.cities);
     assert_eq!(best, expected, "tsp mismatch on {nodes} nodes");
     let depth = cfg.depth_for(nodes);
+    let stats = m.stats();
     Ok(TspRun {
         best,
         depth,
         tasks: cfg.task_count(depth),
         cycles,
-        stats: m.stats(),
+        threads: crate::threads(&m, &stats, &THREADS),
+        stats,
     })
 }
 

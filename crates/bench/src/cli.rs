@@ -155,6 +155,15 @@ impl Args {
         self.text(flag).map(|v| v.parse().expect("validated count"))
     }
 
+    /// The value of `N` flag `flag` where zero is not a count of anything
+    /// (an interval, a period).
+    pub(crate) fn positive(&self, flag: &str) -> Result<Option<u64>, CliError> {
+        match self.count(flag) {
+            Some(0) => Err(CliError::Input(format!("{flag}: must be at least 1"))),
+            n => Ok(n),
+        }
+    }
+
     /// The value of `FRAC` flag `flag`.
     pub(crate) fn fraction(&self, flag: &str) -> Option<f64> {
         self.text(flag)
@@ -269,7 +278,7 @@ const TOOLS: &[Command] = &[
     Command {
         name: "repro",
         synopsis: "[--quick] [--out PATH] [--engine ENGINE]",
-        about: "run every experiment and regenerate EXPERIMENTS.md",
+        about: "run every experiment; regenerate EXPERIMENTS.md and the BENCH row files beside it",
         run: registry::repro,
     },
     Command {
@@ -290,7 +299,7 @@ const TOOLS: &[Command] = &[
         name: "faults",
         synopsis: "[--seed N] [--out PATH] [--engine ENGINE]",
         about: "fault-injection degradation sweep; write BENCH_fault.json",
-        run: tools::faults,
+        run: registry::run_one,
     },
     Command {
         name: "traffic",
@@ -340,9 +349,11 @@ const TOOLS: &[Command] = &[
 ];
 
 /// The dispatch table: the ten paper artifacts of the experiment
-/// registry, then the tools.
+/// registry, then the tools (the registry's two sweeps among them, under
+/// their own synopses).
 pub(crate) fn commands() -> Vec<Command> {
-    let artifacts = registry::EXPERIMENTS.iter().map(|e| Command {
+    let artifacts = registry::EXPERIMENTS.iter().filter(|e| e.file.is_none());
+    let artifacts = artifacts.map(|e| Command {
         name: e.name,
         synopsis: e.nodes.map_or(ARTIFACT_FIXED, |_| ARTIFACT_SIZED),
         about: e.title,

@@ -15,10 +15,9 @@
 //!   dispatch and the watchdog resends, so the counter stays exact while
 //!   retries and dropped messages climb.
 //!
-//! `jmsim faults` renders these as tables, gates on weak monotonicity,
-//! and emits `BENCH_fault.json` through [`crate::rows`].
-
-use std::fmt::Write as _;
+//! `jmsim faults` (and `jmsim repro`) tabulate the rows, hold the curves
+//! to weak monotonicity, and write `BENCH_fault.json` through
+//! [`crate::rows`].
 
 use crate::rows::Row;
 use crate::traffic::MSG_WORDS;
@@ -259,66 +258,6 @@ impl FaultReport {
         } else {
             Err(bad)
         }
-    }
-
-    /// Renders the three curves as aligned text tables.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "fault degradation sweep (seed {})\n", self.seed);
-        let _ = writeln!(
-            s,
-            "  goodput under flaky links (32-node mesh, saturating uniform-random traffic)"
-        );
-        let _ = writeln!(
-            s,
-            "  {:>10} {:>12} {:>10} {:>12} {:>10}",
-            "flaky ppm", "words", "msgs", "blocked", "words/cyc"
-        );
-        for p in &self.goodput {
-            let _ = writeln!(
-                s,
-                "  {:>10} {:>12} {:>10} {:>12} {:>10.4}",
-                p.flaky_ppm,
-                p.delivered_words,
-                p.delivered_msgs,
-                p.blocked_moves,
-                p.words_per_cycle()
-            );
-        }
-        let _ = writeln!(s, "\n  LCS completion time under flaky links (8 nodes)");
-        let base = self.lcs.first().map_or(1, |p| p.cycles).max(1);
-        let _ = writeln!(
-            s,
-            "  {:>10} {:>12} {:>12} {:>10}",
-            "flaky ppm", "cycles", "blocked", "inflation"
-        );
-        for p in &self.lcs {
-            let _ = writeln!(
-                s,
-                "  {:>10} {:>12} {:>12} {:>9.2}x",
-                p.flaky_ppm,
-                p.cycles,
-                p.blocked_moves,
-                p.cycles as f64 / base as f64
-            );
-        }
-        let _ = writeln!(
-            s,
-            "\n  reliable RPC under payload corruption (8 nodes, 6 calls)"
-        );
-        let _ = writeln!(
-            s,
-            "  {:>11} {:>12} {:>8} {:>8} {:>10}",
-            "corrupt ppm", "cycles", "retries", "drops", "corrupted"
-        );
-        for p in &self.rpc {
-            let _ = writeln!(
-                s,
-                "  {:>11} {:>12} {:>8} {:>8} {:>10}",
-                p.corrupt_ppm, p.cycles, p.retries, p.dropped, p.corrupted_words
-            );
-        }
-        s
     }
 
     /// The report as `BENCH_fault.json` rows: every value is simulated

@@ -26,22 +26,37 @@ fn oversubscribed(doc: &[Row], row: &Row) -> bool {
     rows::value(doc, &row.name, "threads").is_some_and(|t| t > row.host_cpus as f64)
 }
 
-/// The verdict lines of one gate run; `failed` is the exit code.
+/// The verdict lines of one run of checks; `failed` is the exit code.
 #[derive(Debug, Default)]
-struct Verdict {
-    lines: Vec<String>,
-    failed: bool,
+pub(crate) struct Verdict {
+    pub(crate) lines: Vec<String>,
+    pub(crate) failed: bool,
 }
 
 impl Verdict {
-    fn check(&mut self, ok: bool, line: String) {
+    pub(crate) fn check(&mut self, ok: bool, line: String) {
         self.lines
             .push(format!("[{}] {line}", if ok { "ok" } else { "FAIL" }));
         self.failed |= !ok;
     }
 
-    fn skip(&mut self, line: String) {
+    pub(crate) fn skip(&mut self, line: String) {
         self.lines.push(format!("[skip] {line}"));
+    }
+
+    /// A number known to miss what it is held against, and why.
+    pub(crate) fn off(&mut self, line: String) {
+        self.lines.push(format!("[off] {line}"));
+    }
+
+    /// A sweep's shape check: one `[ok]`, or a `[FAIL]` per violation.
+    pub(crate) fn shape(&mut self, what: &str, check: Result<(), Vec<String>>) {
+        match check {
+            Ok(()) => self.check(true, format!("{what} curves keep their shape")),
+            Err(violations) => violations
+                .into_iter()
+                .for_each(|v| self.check(false, format!("{what}: {v}"))),
+        }
     }
 }
 

@@ -2,14 +2,16 @@
 //!
 //! The experiment harness behind the `jmsim` binary. Each experiment
 //! builds its measurement program with `jm-asm`/`jm-runtime`, runs it on a
-//! simulated machine under an explicit [`jm_machine::Engine`], and prints
-//! the same rows/series the paper reports, alongside the paper's own
-//! numbers for comparison.
+//! simulated machine under an explicit [`jm_machine::Engine`], and says
+//! what it measured as [`rows::Row`]s — the same series the paper reports.
+//! Every table printed is [`table::pivot`] over rows, the paper's own
+//! numbers are rows of one table ([`baselines`]), and one comparator holds
+//! the first against the second.
 //!
 //! | module | role |
 //! |--------|------|
 //! | [`cli`] | the `jmsim` dispatch table and the one argument parser |
-//! | [`registry`] | the ten paper artifacts, declared once; `jmsim repro` |
+//! | [`registry`] | the ten paper artifacts and two sweeps, declared once; `jmsim repro` |
 //! | [`micro::latency`] | Figure 2 — round-trip latency vs. distance |
 //! | [`micro::overhead`] | Table 1 — one-way message overhead |
 //! | [`micro::load`] | Figure 3 — latency vs. load, efficiency vs. grain |
@@ -17,12 +19,13 @@
 //! | [`micro::sync`] | Table 2 — producer/consumer synchronization |
 //! | [`micro::barrier`] | Table 3 — barrier synchronization |
 //! | [`macrob`] | Figures 5 & 6, Tables 4 & 5 — the four applications |
-//! | [`baselines`] | comparison columns for other machines (published data) |
+//! | [`baselines`] | the one table of published values, and the comparator |
 //! | [`rows`] | the one BENCH row schema: sole writer and reader |
+//! | [`table`] | the one view: a pivot of rows |
 //! | `perf`, [`threads`] | `jmsim perf` — host throughput rows |
 //! | `gate` | `jmsim gate` — ratchet, floors and ceilings over rows |
 //! | [`faultb`], [`traffic`] | the fault and traffic sweeps |
-//! | `tools` | `faults`, `traffic`, `chaos`, `mesh`, `trace`, `replay …` |
+//! | `tools` | `traffic --mesh`, `chaos`, `mesh`, `trace`, `replay …` |
 //! | [`workloads`], [`observe`] | canned programs shared with the test suites |
 
 #![warn(missing_docs)]

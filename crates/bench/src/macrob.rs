@@ -1,11 +1,10 @@
 //! Macro-benchmarks: Figures 5–6 and Tables 4–5 over the four
 //! applications of `jm-apps`.
 
-use crate::table::{fnum, TextTable};
+use crate::rows::Row;
 use jm_apps::{lcs, nqueens, radix, tsp};
 use jm_isa::instr::StatClass;
-use jm_machine::{Engine, MachineConfig, MachineError, MachineStats};
-use std::collections::BTreeMap;
+use jm_machine::{MachineConfig, MachineError, MachineStats};
 
 /// The four applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -46,9 +45,10 @@ pub struct AppRun {
     pub cycles: u64,
     /// Machine statistics.
     pub stats: MachineStats,
-    /// `(thread name, entry label stats)` for Table 4/5, resolved from
-    /// handler entry points.
-    pub threads: Vec<(String, jm_mdp::HandlerStats)>,
+    /// Statistics of the application's named thread types (Tables 4, 5).
+    pub threads: jm_apps::Threads,
+    /// The validated answer, for a progress line.
+    pub answer: String,
 }
 
 /// Scaled default problem configurations (see `EXPERIMENTS.md` for the
@@ -111,258 +111,137 @@ impl Problems {
 
 const MAX_CYCLES: u64 = 4_000_000_000;
 
-/// Runs one application on `nodes` nodes under `engine`.
+/// Runs one application on the machine `mcfg` describes (its size, engine
+/// and fault plan); the application checks its own answer against the host
+/// reference.
 ///
 /// # Errors
 ///
 /// Propagates machine failures.
-pub fn run_app(
-    engine: Engine,
-    app: App,
-    nodes: u32,
-    problems: &Problems,
-) -> Result<AppRun, MachineError> {
-    let mcfg = MachineConfig::new(nodes).engine(engine);
-    // Per app: its program (for handler entry points), its run, and the
-    // `(thread name, entry label)` pairs Tables 4 and 5 report.
-    let (program, cycles, stats, threads): (_, _, _, &[(&str, &str)]) = match app {
+pub fn run_app(mcfg: MachineConfig, app: App, problems: &Problems) -> Result<AppRun, MachineError> {
+    let (cycles, stats, threads, answer) = match app {
         App::Lcs => {
             let r = lcs::run_on(mcfg, &problems.lcs, MAX_CYCLES)?;
-            let threads = &[("NxtChar", "lcs_char"), ("StartUp", "main")];
-            (
-                lcs::program(&problems.lcs, nodes),
-                r.cycles,
-                r.stats,
-                threads,
-            )
+            (r.cycles, r.stats, r.threads, format!("length {}", r.length))
         }
         App::Radix => {
             let r = radix::run_on(mcfg, &problems.radix, MAX_CYCLES)?;
-            let threads = &[("Sort", "main"), ("Write", "rs_write"), ("Scan", "rs_scan")];
-            let p = radix::program(&problems.radix, nodes);
-            (p, r.cycles, r.stats, threads)
+            let answer = format!("{} keys sorted", problems.radix.keys);
+            (r.cycles, r.stats, r.threads, answer)
         }
         App::NQueens => {
             let r = nqueens::run_on(mcfg, &problems.nqueens, MAX_CYCLES)?;
-            let threads = &[("NQueens", "nq_task"), ("NQDone", "nq_done")];
-            let p = nqueens::program(&problems.nqueens, nodes);
-            (p, r.cycles, r.stats, threads)
+            let answer = format!("{} solutions", r.solutions);
+            (r.cycles, r.stats, r.threads, answer)
         }
         App::Tsp => {
             let r = tsp::run_on(mcfg, &problems.tsp, MAX_CYCLES)?;
-            let threads = &[
-                ("Task", "tsp_work"),
-                ("Intake", "tsp_task"),
-                ("Bound", "tsp_bound"),
-                ("WorkReq", "tsp_req"),
-                ("WorkNone", "tsp_none"),
-                ("Done", "tsp_done"),
-            ];
             (
-                tsp::program(&problems.tsp, nodes),
                 r.cycles,
                 r.stats,
-                threads,
+                r.threads,
+                format!("best tour {}", r.best),
             )
         }
     };
-    let threads = threads
-        .iter()
-        .map(|(name, label)| {
-            let handlers = &stats.nodes.handlers;
-            let h = handlers.get(&program.handler(label)).copied();
-            (name.to_string(), h.unwrap_or_default())
-        })
-        .collect();
     Ok(AppRun {
         app,
-        nodes,
+        nodes: mcfg.nodes(),
         cycles,
         stats,
         threads,
+        answer,
     })
 }
 
-/// Renders Figure 5 as a speedup table.
-pub fn render_fig5(results: &BTreeMap<App, Vec<AppRun>>) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 5: application speedup vs machine size\n");
-    out.push_str("(base = the application's own 1-node run, problem size constant)\n\n");
-    let sizes: Vec<u32> = results
-        .values()
-        .next()
-        .map(|runs| runs.iter().map(|r| r.nodes).collect())
-        .unwrap_or_default();
-    let mut header = vec!["app".to_string()];
-    for n in &sizes {
-        header.push(format!("{n}n"));
-    }
-    let mut t = TextTable::new(header);
-    for (app, runs) in results {
-        let base = runs
-            .iter()
-            .find(|r| r.nodes == 1)
-            .map_or(runs[0].cycles, |r| r.cycles);
-        let mut row = vec![app.name().to_string()];
-        for r in runs {
-            row.push(format!("{:.2}", base as f64 / r.cycles as f64));
-        }
-        t.row(row);
-    }
-    out.push_str(&t.render());
-    out.push_str("\npaper shape: TSP super-linear on small machines (pruning),\n");
-    out.push_str("LCS and NQueens sub-linear, RadixSort limited by global bandwidth\n");
-    out
-}
-
-/// Figure 6: per-class cycle breakdown at one machine size.
-pub fn render_fig6(runs: &[AppRun]) -> String {
-    let mut out = String::new();
-    let nodes = runs.first().map_or(0, |r| r.nodes);
-    out.push_str(&format!(
-        "Figure 6: breakdown of time by function, {nodes}-node machine (% of cycles)\n\n"
-    ));
-    let mut header = vec!["class".to_string()];
+/// Figure 5 as rows: `fig5/<app>` holds the speedup over the application's
+/// own smallest run at each size, `fig5/cycles/<app>` the cycles behind it.
+pub fn fig5_rows(runs: &[AppRun]) -> Vec<Row> {
+    let mut rows = Vec::new();
     for r in runs {
-        header.push(r.app.name().to_string());
+        let base = runs.iter().find(|b| b.app == r.app).expect("itself");
+        let (app, at) = (r.app.name(), format!("{}n", r.nodes));
+        let speedup = base.cycles as f64 / r.cycles as f64;
+        rows.push(Row::simulated(&format!("fig5/{app}"), &at, speedup, "x"));
+        let cycles = r.cycles as f64;
+        rows.push(Row::simulated(
+            &format!("fig5/cycles/{app}"),
+            &at,
+            cycles,
+            "cycles",
+        ));
     }
-    let mut t = TextTable::new(header);
-    for class in StatClass::ALL {
-        let mut row = vec![class.to_string()];
-        for r in runs {
-            row.push(format!("{:.1}", 100.0 * r.stats.class_fraction(class)));
-        }
-        t.row(row);
-    }
-    out.push_str(&t.render());
-    out.push_str("\npaper anchors at 64 nodes: NQueens idle 15%, TSP idle 3.8%,\n");
-    out.push_str("TSP sync 16%, visible xlate slice only for TSP (CST)\n");
-    out
+    rows
 }
 
-/// Table 4: per-thread statistics for LCS / NQueens / RadixSort.
-pub fn render_table4(runs: &[AppRun]) -> String {
-    let mut out = String::new();
-    let nodes = runs.first().map_or(0, |r| r.nodes);
-    out.push_str(&format!(
-        "Table 4: application statistics, {nodes}-node machine\n\n"
-    ));
-    let mut t = TextTable::new(vec![
-        "app",
-        "run(ms)",
-        "thread",
-        "#threads",
-        "#K instr",
-        "instr/thread",
-        "msg len",
-    ]);
+/// Figure 6 as rows: `fig6/<app>` holds the share of cycles per class.
+pub fn fig6_rows(runs: &[AppRun]) -> Vec<Row> {
+    let mut rows = Vec::new();
     for r in runs {
-        for (i, (name, h)) in r.threads.iter().enumerate() {
-            t.row(vec![
-                if i == 0 {
-                    format!("{} ({:.0} ms)", r.app.name(), r.stats.millis())
-                } else {
-                    String::new()
-                },
-                if i == 0 {
-                    format!("{:.1}", r.stats.millis())
-                } else {
-                    String::new()
-                },
-                name.clone(),
-                h.threads.to_string(),
-                (h.instructions / 1000).to_string(),
-                fnum(h.instr_per_thread()),
-                fnum(h.mean_msg_len()),
-            ]);
+        let line = format!("fig6/{}", r.app.name());
+        for class in StatClass::ALL {
+            let share = 100.0 * r.stats.class_fraction(class);
+            rows.push(Row::simulated(&line, class.label(), share, "%"));
         }
     }
-    out.push_str(&t.render());
-    out.push_str("\npaper (64 nodes): LCS NxtChar 262k threads, 232 instr/thread, len 3;\n");
-    out.push_str(
-        "RadixSort Write threads of 4 instructions, len 3; NQueens ~300k-instr tasks, len 8\n",
-    );
-    out
+    rows
 }
 
-/// Table 5: the major cost components of TSP.
-pub fn render_table5(run: &AppRun) -> String {
+/// The four numbers Tables 4 and 5 report of a set of threads.
+fn thread_numbers(h: &jm_mdp::HandlerStats) -> [(&'static str, f64, &'static str); 4] {
+    [
+        ("threads", h.threads as f64, "threads"),
+        ("instructions", h.instructions as f64, "instrs"),
+        ("instr per thread", h.instr_per_thread(), "instrs"),
+        ("msg len", h.mean_msg_len(), "words"),
+    ]
+}
+
+/// Table 4 as rows: `table4/<app>` holds the run time, `table4/<app>
+/// <thread>` a thread type's statistics.
+pub fn table4_rows(runs: &[AppRun]) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for r in runs {
+        let app = format!("table4/{}", r.app.name());
+        rows.push(Row::simulated(&app, "run", r.stats.millis(), "ms"));
+        for (thread, h) in &r.threads {
+            let line = format!("{app} {thread}");
+            let numbers = thread_numbers(h);
+            rows.extend(numbers.map(|(metric, v, unit)| Row::simulated(&line, metric, v, unit)));
+        }
+    }
+    rows
+}
+
+/// Table 5 as rows: `table5/<component>` holds TSP's cost split between
+/// the application's threads (`user`) and the object runtime's (`os`).
+pub fn table5_rows(run: &AppRun) -> Vec<Row> {
     assert_eq!(run.app, App::Tsp);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Table 5: major components of cost for TSP, {} nodes\n\n",
-        run.nodes
-    ));
-    let user: Vec<&(String, jm_mdp::HandlerStats)> = run
-        .threads
-        .iter()
-        .filter(|(n, _)| n == "Task" || n == "Intake")
-        .collect();
-    let os: Vec<&(String, jm_mdp::HandlerStats)> = run
-        .threads
-        .iter()
-        .filter(|(n, _)| n == "Bound" || n == "Done" || n == "WorkReq" || n == "WorkNone")
-        .collect();
-    let sum = |set: &[&(String, jm_mdp::HandlerStats)]| {
-        let threads: u64 = set.iter().map(|(_, h)| h.threads).sum();
-        let instr: u64 = set.iter().map(|(_, h)| h.instructions).sum();
-        let words: u64 = set.iter().map(|(_, h)| h.msg_words).sum();
-        (threads, instr, words)
-    };
-    let (ut, ui, uw) = sum(&user);
-    let (ot, oi, ow) = sum(&os);
-    let mut t = TextTable::new(vec!["metric", "user", "os", "paper user", "paper os"]);
-    t.row(vec![
-        "run time (ms)".to_string(),
-        format!("{:.1}", run.stats.millis()),
-        String::new(),
-        "26300".to_string(),
-        String::new(),
-    ]);
-    t.row(vec![
-        "# threads (msgs)".to_string(),
-        ut.to_string(),
-        ot.to_string(),
-        "9.1e6".to_string(),
-        "8.9e6".to_string(),
-    ]);
-    t.row(vec![
-        "# instructions".to_string(),
-        ui.to_string(),
-        oi.to_string(),
-        "2.8e9".to_string(),
-        "5.4e8".to_string(),
-    ]);
-    t.row(vec![
-        "# xlates".to_string(),
-        run.stats.nodes.xlates.to_string(),
-        String::new(),
-        "5.1e8".to_string(),
-        String::new(),
-    ]);
-    t.row(vec![
-        "# xlate faults".to_string(),
-        run.stats.nodes.xlate_misses.to_string(),
-        String::new(),
-        "1.6e4".to_string(),
-        String::new(),
-    ]);
-    t.row(vec![
-        "instr/thread (mean)".to_string(),
-        fnum(if ut == 0 { 0.0 } else { ui as f64 / ut as f64 }),
-        fnum(if ot == 0 { 0.0 } else { oi as f64 / ot as f64 }),
-        "309".to_string(),
-        "61".to_string(),
-    ]);
-    t.row(vec![
-        "avg msg length".to_string(),
-        fnum(if ut == 0 { 0.0 } else { uw as f64 / ut as f64 }),
-        fnum(if ot == 0 { 0.0 } else { ow as f64 / ot as f64 }),
-        "5.1".to_string(),
-        "4".to_string(),
-    ]);
-    out.push_str(&t.render());
-    out
+    let mut rows = vec![Row::simulated(
+        "table5/run time",
+        "user",
+        run.stats.millis(),
+        "ms",
+    )];
+    let (user, os) = run.threads.split_at(tsp::USER_THREADS);
+    for (side, set) in [("user", user), ("os", os)] {
+        let mut sum = jm_mdp::HandlerStats::default();
+        for (_, h) in set {
+            sum.threads += h.threads;
+            sum.instructions += h.instructions;
+            sum.msg_words += h.msg_words;
+        }
+        rows.extend(thread_numbers(&sum).map(|(component, v, unit)| {
+            Row::simulated(&format!("table5/{component}"), side, v, unit)
+        }));
+    }
+    let n = &run.stats.nodes;
+    let xlates = [
+        ("table5/xlates", n.xlates, "xlates"),
+        ("table5/xlate faults", n.xlate_misses, "faults"),
+    ];
+    rows.extend(xlates.map(|(line, v, unit)| Row::simulated(line, "user", v as f64, unit)));
+    rows
 }
 
 #[cfg(test)]
@@ -395,20 +274,30 @@ mod tests {
     fn all_apps_run_and_report() {
         let problems = tiny_problems();
         for app in App::ALL {
-            let r = run_app(Engine::Event, app, 4, &problems).unwrap();
-            assert!(r.cycles > 0);
-            assert!(!r.threads.is_empty());
+            let r = run_app(MachineConfig::new(4), app, &problems).unwrap();
+            assert!(r.cycles > 0 && r.nodes == 4);
+            assert!(!r.threads.is_empty() && !r.answer.is_empty());
             assert!(r.stats.nodes.instructions > 0);
+            // Every named thread type resolved to a handler that ran.
+            assert!(r.threads.iter().any(|(_, h)| h.threads > 0), "{app:?}");
         }
     }
 
     #[test]
     fn fig5_speedup_table_renders() {
         let problems = tiny_problems();
-        let run = |app, nodes| run_app(Engine::Event, app, nodes, &problems).unwrap();
-        let results = App::ALL.map(|app| (app, vec![run(app, 1), run(app, 4)]));
-        let text = render_fig5(&BTreeMap::from(results));
-        assert!(text.contains("LCS"));
-        assert!(text.contains("TSP"));
+        let run = |app, nodes| run_app(MachineConfig::new(nodes), app, &problems).unwrap();
+        let runs: Vec<AppRun> = [1, 4]
+            .into_iter()
+            .flat_map(|nodes| App::ALL.map(|app| run(app, nodes)))
+            .collect();
+        let rows = fig5_rows(&runs);
+        assert_eq!(crate::rows::value(&rows, "fig5/LCS", "1n"), Some(1.0));
+        let speedup = crate::rows::value(&rows, "fig5/TSP", "4n").unwrap();
+        let cycles = |n| crate::rows::value(&rows, "fig5/cycles/TSP", n).unwrap();
+        assert_eq!(speedup, cycles("1n") / cycles("4n"));
+        let text = crate::table::pivot(&rows, "fig5", "app");
+        assert!(text.starts_with("      app    1n    4n\n"), "{text}");
+        assert_eq!(text.lines().count(), 2 + App::ALL.len(), "{text}");
     }
 }

@@ -7,7 +7,7 @@
 //! resumed").
 
 use crate::baselines;
-use crate::table::{fnum, TextTable};
+use crate::rows::Row;
 use jm_asm::{hdr, Builder};
 use jm_isa::consts::cycles_to_us;
 use jm_isa::instr::{AluOp, StatClass};
@@ -117,36 +117,19 @@ pub fn measure(
         .collect()
 }
 
-/// Renders Table 3 with the published comparison columns.
-pub fn render(points: &[BarrierPoint]) -> String {
-    let mut out = String::new();
-    out.push_str("Table 3: software barrier synchronization (microseconds)\n\n");
-    let models = baselines::table3_models();
-    let paper = baselines::paper_jmachine_barrier();
-    let mut header = vec![
-        "nodes".to_string(),
-        "J (measured)".to_string(),
-        "J (paper)".to_string(),
-    ];
-    for m in &models {
-        header.push(m.name.to_string());
-    }
-    let mut t = TextTable::new(header);
+/// Table 3 as rows: `table3/<nodes>` holds the measured microseconds and,
+/// where the iPSC/860's barrier is published, how many times faster the
+/// J-Machine's is — the comparison the paper's table is there to make.
+pub fn rows(points: &[BarrierPoint]) -> Vec<Row> {
+    let mut rows = Vec::new();
     for p in points {
-        let mut row = vec![p.nodes.to_string(), format!("{:.1}", p.us)];
-        row.push(
-            paper
-                .iter()
-                .find(|(n, _)| *n == p.nodes)
-                .map_or("-".to_string(), |(_, us)| format!("{us:.1}")),
-        );
-        for m in &models {
-            row.push(m.at(p.nodes).map_or("-".to_string(), fnum));
+        let line = format!("table3/{}", p.nodes);
+        rows.push(Row::simulated(&line, "J-Machine", p.us, "us"));
+        if let Some(ipsc) = baselines::published(&line, "iPSC/860") {
+            rows.push(Row::simulated(&line, "iPSC/860 over J", ipsc / p.us, "x"));
         }
-        t.row(row);
     }
-    out.push_str(&t.render());
-    out
+    rows
 }
 
 #[cfg(test)]
@@ -162,9 +145,17 @@ mod tests {
         assert!(p16.cycles < p64.cycles);
         // Log growth: 64 nodes should cost far less than 8x the 2-node time.
         assert!(p64.cycles < p2.cycles * 8.0);
-        // Order of magnitude near the paper: 2 nodes = 4.4 us = 55 cycles,
-        // 64 nodes = 16.5 us = 206 cycles. Accept a factor-of-2.5 band.
-        assert!(p2.us > 1.5 && p2.us < 12.0, "2 nodes: {} us", p2.us);
-        assert!(p64.us > 7.0 && p64.us < 45.0, "64 nodes: {} us", p64.us);
+        // Under the iPSC/860 from the start, and by an order of magnitude
+        // once there is a machine to synchronize. (How far from the
+        // paper's own 4.4 and 16.5 us is the table's verdict on
+        // `table3/*`.)
+        let ipsc = |nodes| baselines::published(&format!("table3/{nodes}"), "iPSC/860").unwrap();
+        assert!(p2.us < ipsc(2), "2 nodes: {} us", p2.us);
+        assert!(p64.us * 10.0 < ipsc(64), "64 nodes: {} us", p64.us);
+        // Ten waves, back to back: the largest machine the paper names. (A
+        // second round's first wave overtakes a node still finishing the
+        // first; its `flags[nwaves]` probe once read a route word here.)
+        let p1024 = measure_point(Engine::Event, 1024, 2).unwrap();
+        assert!(p64.cycles < p1024.cycles);
     }
 }

@@ -5,7 +5,7 @@
 //! kinds: a 2-word ping with a 1-word ack, and remote reads of 1 or 6 words
 //! from internal or external memory.
 
-use crate::table::TextTable;
+use crate::rows::Row;
 use jm_asm::{Builder, Program};
 use jm_isa::instr::{AluOp, MsgPriority::P0};
 use jm_isa::node::{Coord, MeshDims, NodeId, RouteWord};
@@ -72,7 +72,7 @@ impl Curve {
             .map(|(h, c)| (f64::from(*h), *c as f64))
     }
 
-    /// Least-squares slope in cycles/hop over remote points (paper: 2).
+    /// Least-squares slope in cycles/hop over remote points.
     pub fn slope(&self) -> f64 {
         let n = self.remote_points().count() as f64;
         let sx: f64 = self.remote_points().map(|(h, _)| h).sum();
@@ -182,37 +182,25 @@ pub fn measure(engine: Engine, nodes: u32) -> Result<Vec<Curve>, MachineError> {
     Ok(curves)
 }
 
-/// Renders the measured curves with paper comparisons.
-pub fn render(curves: &[Curve]) -> String {
-    let mut out = String::new();
-    out.push_str("Figure 2: round-trip latency (cycles) vs distance (hops)\n\n");
-    let mut header = vec!["hops".to_string()];
+/// The curves as rows: `fig2/<hops>` holds each transfer's round trip,
+/// `fig2/fit/<transfer>` its least-squares line.
+pub fn rows(curves: &[Curve]) -> Vec<Row> {
+    let mut rows = Vec::new();
     for c in curves {
-        header.push(c.kind.name().to_string());
-    }
-    let mut table = TextTable::new(header);
-    let max_h = curves[0].points.len();
-    for i in 0..max_h {
-        let mut row = vec![curves[0].points[i].0.to_string()];
-        for c in curves {
-            row.push(c.points[i].1.to_string());
+        for &(hops, cycles) in &c.points {
+            let line = format!("fig2/{hops}");
+            rows.push(Row::simulated(
+                &line,
+                c.kind.name(),
+                cycles as f64,
+                "cycles",
+            ));
         }
-        table.row(row);
+        let line = format!("fig2/fit/{}", c.kind.name());
+        rows.push(Row::simulated(&line, "slope", c.slope(), "cycles/hop"));
+        rows.push(Row::simulated(&line, "base", c.base(), "cycles"));
     }
-    out.push_str(&table.render());
-    out.push('\n');
-    for c in curves {
-        out.push_str(&format!(
-            "{:<14} slope {:.2} cyc/hop (paper: 2.0), base {:.0} cycles\n",
-            c.kind.name(),
-            c.slope(),
-            c.base()
-        ));
-    }
-    out.push_str(
-        "\npaper anchors: ping-self 43 cycles; neighbour read 60; opposite-corner read 98\n",
-    );
-    out
+    rows
 }
 
 #[cfg(test)]
@@ -231,13 +219,11 @@ mod tests {
     #[test]
     fn slope_is_one_cycle_per_hop_each_way() {
         let curves = measure(Engine::Event, 64).unwrap();
+        // Distance costs every transfer the same: the slopes agree (that
+        // they are the paper's 2 is the table's hold on `fig2/fit/*`).
         for c in &curves {
-            let slope = c.slope();
-            assert!(
-                (slope - 2.0).abs() < 0.4,
-                "{}: slope {slope}",
-                c.kind.name()
-            );
+            let (slope, ping) = (c.slope(), curves[0].slope());
+            assert!((slope - ping).abs() < 1e-9, "{}: {slope}", c.kind.name());
         }
         // Reads cost more than pings; external reads more than internal.
         let base = |k: RpcKind| curves.iter().find(|c| c.kind == k).unwrap().base();

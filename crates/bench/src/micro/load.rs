@@ -12,7 +12,7 @@
 //! * bisection traffic from the network's flit counters;
 //! * efficiency = compute cycles / total cycles (the right-hand plot).
 
-use crate::table::{fnum, TextTable};
+use crate::rows::Row;
 use jm_asm::{hdr, Builder, Program};
 use jm_isa::instr::{AluOp, MsgPriority::P0, StatClass};
 use jm_isa::node::NodeId;
@@ -235,38 +235,50 @@ pub fn measure(
     Ok(points)
 }
 
-/// Renders both projections of Figure 3.
-pub fn render(nodes: u32, points: &[LoadPoint], capacity_mbits: f64) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Figure 3 (left): one-way latency vs bisection traffic, {nodes} nodes\n"
-    ));
-    out.push_str(&format!(
-        "bisection capacity {capacity_mbits:.0} Mbit/s; paper saturates near 6000 of 14400 Mbit/s\n\n",
-    ));
-    let mut t = TextTable::new(vec!["len(words)", "idle", "traffic(Mb/s)", "latency(cyc)"]);
-    for p in points {
-        t.row(vec![
-            p.msg_len.to_string(),
-            p.idle_iters.to_string(),
-            fnum(p.bisection_mbits),
-            fnum(p.latency),
-        ]);
+/// The computation per message at which efficiency crosses one half:
+/// linear between the two operating points of `points` (one message
+/// length, grain ascending) that straddle it. `None` if none do.
+fn half_efficiency_grain(points: &[LoadPoint]) -> Option<f64> {
+    let grain = |p: &LoadPoint| p.efficiency * p.period;
+    points.windows(2).find_map(|w| {
+        let (lo, hi) = (&w[0], &w[1]);
+        (lo.efficiency < 0.5 && hi.efficiency >= 0.5).then(|| {
+            let t = (0.5 - lo.efficiency) / (hi.efficiency - lo.efficiency);
+            grain(lo) + t * (grain(hi) - grain(lo))
+        })
+    })
+}
+
+/// Figure 3 as rows: `fig3` holds the mesh's bisection capacity and the
+/// heaviest traffic any point carried, `fig3/<len>` the half-efficiency
+/// grain of one message length, `fig3/<len>/<idle>` both projections of one
+/// operating point.
+pub fn rows(nodes: u32, points: &[LoadPoint]) -> Vec<Row> {
+    let dims = jm_isa::MeshDims::for_nodes(nodes);
+    let capacity = jm_net::NetConfig::new(dims).bisection_capacity_bits() / 1e6;
+    let peak = points.iter().map(|p| p.bisection_mbits).fold(0.0, f64::max);
+    let mut rows = vec![
+        Row::simulated("fig3", "capacity", capacity, "Mbit/s"),
+        Row::simulated("fig3", "saturation", peak, "Mbit/s"),
+    ];
+    for of_len in points.chunk_by(|a, b| a.msg_len == b.msg_len) {
+        let len = format!("fig3/{}", of_len[0].msg_len);
+        if let Some(grain) = half_efficiency_grain(of_len) {
+            let metric = "half-efficiency grain";
+            rows.push(Row::simulated(&len, metric, grain, "cycles"));
+        }
+        for p in of_len {
+            let line = format!("{len}/{}", p.idle_iters);
+            let numbers = [
+                ("traffic Mbit/s", p.bisection_mbits, "Mbit/s"),
+                ("latency cycles", p.latency, "cycles"),
+                ("grain cycles", p.efficiency * p.period, "cycles"),
+                ("efficiency", p.efficiency, "ratio"),
+            ];
+            rows.extend(numbers.map(|(metric, v, unit)| Row::simulated(&line, metric, v, unit)));
+        }
     }
-    out.push_str(&t.render());
-    out.push_str("\nFigure 3 (right): efficiency vs grain size\n\n");
-    let mut t = TextTable::new(vec!["len(words)", "grain(cyc)", "efficiency"]);
-    for p in points {
-        let grain = p.efficiency * p.period;
-        t.row(vec![
-            p.msg_len.to_string(),
-            fnum(grain),
-            format!("{:.2}", p.efficiency),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push_str("\npaper: 50% efficiency at 100-300 cycles/message of computation\n");
-    out
+    rows
 }
 
 #[cfg(test)]

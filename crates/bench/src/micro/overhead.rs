@@ -5,10 +5,9 @@
 //! sequence, the receiver's costs are the 4-cycle hardware dispatch plus
 //! its (timestamped) handler epilogue. The per-byte cost comes from the
 //! slope between 2-word and 10-word messages. Comparison rows are the
-//! published constants modelled in [`crate::baselines`].
+//! published constants of [`crate::baselines`].
 
-use crate::baselines;
-use crate::table::{fnum, TextTable};
+use crate::rows::Row;
 use jm_asm::{hdr, Builder, Program};
 use jm_isa::consts::CLOCK_HZ;
 use jm_isa::instr::{AluOp, MsgPriority::P0};
@@ -101,65 +100,32 @@ pub fn measure(engine: Engine) -> Result<Overhead, MachineError> {
     })
 }
 
-/// Renders Table 1.
-pub fn render(measured: &Overhead) -> String {
-    let mut out = String::new();
-    out.push_str("Table 1: one-way message overhead\n\n");
-    let mut t = TextTable::new(vec![
-        "machine",
-        "us/msg",
-        "us/byte",
-        "cycles/msg",
-        "cycles/byte",
-    ]);
-    for m in baselines::table1_models() {
-        t.row(vec![
-            m.name.to_string(),
-            fnum(m.us_per_msg),
-            format!("{:.2}", m.us_per_byte),
-            fnum(m.cycles_per_msg()),
-            fnum(m.cycles_per_byte()),
-        ]);
-    }
-    t.row(vec![
-        "J-Machine (measured)".to_string(),
-        format!("{:.2}", measured.us_per_msg()),
-        format!("{:.3}", measured.us_per_byte()),
-        fnum(measured.cycles_per_msg),
-        format!("{:.2}", measured.cycles_per_byte),
-    ]);
-    let (paper_msg, paper_byte) = baselines::paper_jmachine_overhead();
-    t.row(vec![
-        "J-Machine (paper)".to_string(),
-        format!("{paper_msg:.2}"),
-        format!("{paper_byte:.3}"),
-        "11".to_string(),
-        "0.50".to_string(),
-    ]);
-    out.push_str(&t.render());
-    out
+/// The measured J-Machine line of Table 1.
+pub fn rows(measured: &Overhead) -> Vec<Row> {
+    [
+        ("us/msg", measured.us_per_msg(), "us"),
+        ("us/byte", measured.us_per_byte(), "us"),
+        ("cycles/msg", measured.cycles_per_msg, "cycles"),
+        ("cycles/byte", measured.cycles_per_byte, "cycles"),
+    ]
+    .map(|(metric, value, unit)| Row::simulated("table1/J-Machine", metric, value, unit))
+    .to_vec()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::published;
 
     #[test]
     fn overhead_is_order_of_magnitude_below_baselines() {
         let o = measure(Engine::Event).unwrap();
-        // The paper's claim: ~11 cycles/msg vs 460+ for the best baseline,
-        // and per-byte ~0.5 cycles. Accept a generous band around that.
-        assert!(
-            o.cycles_per_msg > 4.0 && o.cycles_per_msg < 40.0,
-            "cycles/msg {}",
-            o.cycles_per_msg
-        );
-        assert!(
-            o.cycles_per_byte > 0.1 && o.cycles_per_byte < 1.0,
-            "cycles/byte {}",
-            o.cycles_per_byte
-        );
-        let best_baseline = 109.0; // CM-5 Active Messages, cycles/msg
-        assert!(o.cycles_per_msg * 3.0 < best_baseline);
+        // The paper's claim, against its own best comparison machine: the
+        // whole overhead is an order of magnitude under Active Messages on
+        // the CM-5, per message and per byte. (That it is the paper's 11
+        // and 0.5 cycles is the table's hold on `table1/J-Machine`.)
+        let cm5 = |metric| published("table1/CM-5 (Active)", metric).unwrap();
+        assert!(o.cycles_per_msg > 0.0 && o.cycles_per_msg * 10.0 < cm5("cycles/msg"));
+        assert!(o.cycles_per_byte > 0.0 && o.cycles_per_byte * 10.0 < cm5("cycles/byte"));
     }
 }

@@ -14,12 +14,12 @@
 //! * **Restart** — both schemes hand the woken thread its value for free
 //!   (0 cycles beyond save/restore).
 //!
-//! Save/restore (the dominant cost of a failed synchronization, 30–50 and
-//! 20–50 cycles in the paper) is measured from the runtime futures
-//! library: the host splits a park/resume run into its two phases and reads
-//! the Sync-class cycle counters.
+//! Save/restore (the dominant cost of a failed synchronization) is
+//! measured from the runtime futures library: the host splits a
+//! park/resume run into its two phases and reads the Sync-class cycle
+//! counters.
 
-use crate::table::TextTable;
+use crate::rows::Row;
 use jm_asm::{Builder, Region};
 use jm_isa::consts::FaultKind;
 use jm_isa::instr::{AluOp, MsgPriority, StatClass};
@@ -195,51 +195,22 @@ pub fn measure(engine: Engine) -> Result<SyncCosts, MachineError> {
     })
 }
 
-/// Renders Table 2 next to the paper's values.
-pub fn render(c: &SyncCosts) -> String {
-    let mut out = String::new();
-    out.push_str("Table 2: producer-consumer synchronization (cycles)\n\n");
-    let mut t = TextTable::new(vec![
-        "event",
-        "tags",
-        "no tags",
-        "paper tags",
-        "paper no-tags",
-    ]);
-    t.row(vec![
-        "Success".to_string(),
-        c.success_tags.to_string(),
-        c.success_notags.to_string(),
-        "2".to_string(),
-        "5".to_string(),
-    ]);
-    t.row(vec![
-        "Failure".to_string(),
-        c.failure_tags.to_string(),
-        c.failure_notags.to_string(),
-        "6".to_string(),
-        "7".to_string(),
-    ]);
-    t.row(vec![
-        "Write".to_string(),
-        c.write_tags.to_string(),
-        c.write_notags.to_string(),
-        "4".to_string(),
-        "6".to_string(),
-    ]);
-    t.row(vec![
-        "Restart".to_string(),
-        "0".to_string(),
-        "0".to_string(),
-        "0".to_string(),
-        "0".to_string(),
-    ]);
-    out.push_str(&t.render());
-    out.push_str(&format!(
-        "\nsave/restore: save {} cycles (paper 30-50), restore {} cycles (paper 20-50)\n",
-        c.save, c.restore
-    ));
-    out
+/// Table 2 as rows: `table2/<event>` with and without tags, and the
+/// thread `save` / `restore` costs under `table2/thread`. (Restart is free
+/// under both schemes by construction, so it has no measured row.)
+pub fn rows(c: &SyncCosts) -> Vec<Row> {
+    [
+        ("table2/Success", "tags", c.success_tags),
+        ("table2/Success", "no tags", c.success_notags),
+        ("table2/Failure", "tags", c.failure_tags),
+        ("table2/Failure", "no tags", c.failure_notags),
+        ("table2/Write", "tags", c.write_tags),
+        ("table2/Write", "no tags", c.write_notags),
+        ("table2/thread/save", "cycles", c.save),
+        ("table2/thread/restore", "cycles", c.restore),
+    ]
+    .map(|(line, metric, cycles)| Row::simulated(line, metric, cycles as f64, "cycles"))
+    .to_vec()
 }
 
 #[cfg(test)]
@@ -251,17 +222,10 @@ mod tests {
         let c = measure(Engine::Event).unwrap();
         assert!(c.success_tags < c.success_notags);
         assert!(c.write_tags < c.write_notags);
-        assert_eq!(c.success_tags, 2);
-        assert_eq!(c.success_notags, 5);
-        assert_eq!(c.write_notags, 6);
-        // Failure with tags: fault entry dominated, single digits.
-        assert!(
-            c.failure_tags >= 5 && c.failure_tags <= 10,
-            "{}",
-            c.failure_tags
-        );
-        // Save/restore in or near the paper's ranges.
-        assert!(c.save >= 25 && c.save <= 90, "save {}", c.save);
-        assert!(c.restore >= 15 && c.restore <= 90, "restore {}", c.restore);
+        // A failed read with tags is a fault entry, yet still costs less
+        // than the context save it leads to; restoring is no cheaper than
+        // the produce that triggers it.
+        assert!(c.success_tags < c.failure_tags && c.failure_tags < c.save);
+        assert!(c.write_tags < c.restore);
     }
 }

@@ -1,35 +1,50 @@
 //! The experiment registry: the paper's ten artifacts (Figs. 2–6,
-//! Tables 1–5), each declared once — name, section title, default machine
-//! size, and the function that measures and renders it.
+//! Tables 1–5) and the fault and traffic sweeps, each declared once — name,
+//! section title, machine sizes, the tables of its section, and the function
+//! that measures it.
 //!
-//! `jmsim fig3 [nodes]` indexes the table and `jmsim repro` iterates it, so
-//! an experiment's parameters (Figure 3's message lengths and idle ladder,
-//! Figure 4's sizes, …) exist in exactly one place, and a section of
-//! `EXPERIMENTS.md` is byte for byte what the matching subcommand prints.
+//! A number is a row: an experiment's one output is `Vec<Row>`, and
+//! everything else is a view of those rows. `jmsim fig3 [nodes]` indexes
+//! the table and prints the section; `jmsim repro` iterates it and writes
+//! the sections as `EXPERIMENTS.md`, the rows as `BENCH_paper.json` /
+//! `BENCH_fault.json` / `BENCH_traffic.json` beside it, and one scorecard
+//! holding every row the paper states a value for
+//! ([`baselines::compare`]). An experiment's parameters (Figure 3's message
+//! lengths and idle ladder, Figure 4's sizes, …) exist in exactly one
+//! place, and a section of `EXPERIMENTS.md` is byte for byte what the
+//! matching subcommand prints.
 
-use crate::cli::{self, Args, Outcome};
+use crate::cli::{self, Args, CliError, Outcome};
+use crate::gate::Verdict;
 use crate::macrob::{self, App, AppRun, Problems};
+use crate::rows::{self, Row};
+use crate::table::pivot;
 use crate::{baselines, faultb, micro, observe, traffic};
-use jm_machine::{Engine, MachineError};
+use jm_machine::{Engine, MachineConfig, MachineError};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// What an experiment runs under: the engine, the problem scale, and the
-/// application runs shared between Figures 5–6 and Tables 4–5.
+/// What an experiment runs under — the engine, the sweep seed, the problem
+/// scale — with the application runs shared between Figures 5–6 and Tables
+/// 4–5 and the shape checks the sweeps contribute.
 #[derive(Debug)]
 pub struct Ctx {
     /// Engine every machine of the run uses.
     engine: Engine,
+    /// Seed of the fault plans and the traffic injection process.
+    seed: u64,
     problems: Problems,
     apps: BTreeMap<(App, u32), AppRun>,
+    verdict: Verdict,
 }
 
 impl Ctx {
     /// A fresh context. `quick` selects the scaled application problems
     /// (sized for a smoke pass) over the evaluation ones.
-    pub fn new(engine: Engine, quick: bool) -> Ctx {
+    pub fn new(engine: Engine, quick: bool, seed: u64) -> Ctx {
         let problems = if quick {
             Problems::default()
         } else {
@@ -37,8 +52,10 @@ impl Ctx {
         };
         Ctx {
             engine,
+            seed,
             problems,
             apps: BTreeMap::new(),
+            verdict: Verdict::default(),
         }
     }
 
@@ -48,7 +65,8 @@ impl Ctx {
         let mut runs = Vec::new();
         for &app in apps {
             if !self.apps.contains_key(&(app, nodes)) {
-                let run = macrob::run_app(self.engine, app, nodes, &self.problems)?;
+                let mcfg = MachineConfig::new(nodes).engine(self.engine);
+                let run = macrob::run_app(mcfg, app, &self.problems)?;
                 self.apps.insert((app, nodes), run);
             }
             runs.push(self.apps[&(app, nodes)].clone());
@@ -57,284 +75,334 @@ impl Ctx {
     }
 }
 
-/// One rendered experiment: the section body, and its line of the
-/// report's qualitative checks if it contributes one.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Section {
-    /// The text `jmsim <name>` prints and `EXPERIMENTS.md` embeds.
-    pub body: String,
-    /// A claim about the paper's shape, and whether the measurement bears
-    /// it out.
-    pub check: Option<(bool, String)>,
-}
-
-impl Section {
-    fn plain(body: String) -> Section {
-        Section { body, check: None }
-    }
-
-    fn checked(body: String, ok: bool, claim: String) -> Section {
-        Section {
-            body,
-            check: Some((ok, claim)),
-        }
-    }
-
-    /// The check as the report prints it: `[ok] …` / `[FAIL] …`.
-    fn check_line(&self) -> Option<String> {
-        let (ok, claim) = self.check.as_ref()?;
-        Some(format!("[{}] {claim}", if *ok { "ok" } else { "FAIL" }))
-    }
-
-    /// False when the section's check printed `[FAIL]`.
-    fn holds(&self) -> bool {
-        self.check.as_ref().is_none_or(|(ok, _)| *ok)
-    }
-}
-
 /// Exit code of a run whose checks all held, or did not: a `[FAIL]` is
 /// exit 1, so a script or a CI step sees it without reading the output.
-fn exit_code(checks_hold: bool) -> ExitCode {
-    if checks_hold {
-        ExitCode::SUCCESS
-    } else {
+fn exit_code(verdict: &Verdict) -> ExitCode {
+    if verdict.failed {
         ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }
 
-/// One paper artifact.
+/// One experiment.
 pub struct Experiment {
-    /// Subcommand name.
+    /// Subcommand name, and the root of its row names.
     pub name: &'static str,
     /// Section title in `EXPERIMENTS.md`.
     pub title: &'static str,
-    /// Default machine size — `(full, --quick)` — when the experiment has
-    /// a size parameter (for Table 3 and Figure 5 it is the largest size of
-    /// the sweep).
-    pub nodes: Option<(u32, u32)>,
-    /// Measures on `nodes` nodes and renders.
-    pub run: fn(&mut Ctx, u32) -> Result<Section, MachineError>,
+    /// Machine sizes — `(full, --quick, smallest)` — when the experiment
+    /// has a size parameter (for Table 3 and Figure 5 it is the largest
+    /// size of the sweep). Below `smallest` a derived number (a slope, a
+    /// bisection) does not exist.
+    pub nodes: Option<(u32, u32, u32)>,
+    /// Row file of its own; `None` for a paper artifact, whose rows and
+    /// their `paper/…` twins go to `BENCH_paper.json`.
+    pub file: Option<&'static str>,
+    /// The tables of its section: `(caption, row-name prefix, corner)`.
+    pub captions: &'static [(&'static str, &'static str, &'static str)],
+    /// Measures on `nodes` nodes.
+    pub run: fn(&mut Ctx, u32) -> Result<Vec<Row>, MachineError>,
 }
 
 impl Experiment {
     /// The machine size `repro` uses, and a bare `jmsim <name>`.
     pub fn default_nodes(&self, quick: bool) -> u32 {
         self.nodes
-            .map_or(0, |(full, q)| if quick { q } else { full })
+            .map_or(0, |(full, q, _)| if quick { q } else { full })
+    }
+
+    /// Everything the experiment says: its size, what it measured, and
+    /// what the paper published about it.
+    fn rows(&self, ctx: &mut Ctx, nodes: u32) -> Result<Vec<Row>, MachineError> {
+        let mut rows = Vec::new();
+        if self.nodes.is_some() {
+            rows.push(Row::simulated(self.name, "nodes", nodes.into(), "nodes"));
+        }
+        rows.extend((self.run)(ctx, nodes)?);
+        if self.file.is_none() {
+            rows.extend(baselines::paper_rows(self.name));
+        }
+        Ok(rows)
+    }
+
+    /// The section: each caption over the table of its rows.
+    fn body(&self, rows: &[Row]) -> String {
+        let tables = self.captions.iter().map(|(caption, prefix, corner)| {
+            format!("{caption}\n\n{}", pivot(rows, prefix, corner))
+        });
+        tables.collect::<Vec<_>>().join("\n")
     }
 }
 
-/// The ten artifacts, in `EXPERIMENTS.md` order.
-pub static EXPERIMENTS: [Experiment; 10] = [
+/// The ten artifacts in `EXPERIMENTS.md` order, then the two sweeps.
+pub static EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "fig2",
         title: "Figure 2 — round-trip latency vs distance",
-        nodes: Some((512, 64)),
+        nodes: Some((512, 64, 4)),
+        file: None,
+        captions: &[
+            ("round-trip cycles by distance", "fig2", "hops"),
+            ("least-squares line, cycles", "fig2/fit", "transfer"),
+        ],
         run: fig2,
     },
     Experiment {
         name: "table1",
         title: "Table 1 — one-way message overhead",
         nodes: None,
+        file: None,
+        captions: &[("overhead per message and per byte", "table1", "machine")],
         run: table1,
     },
     Experiment {
         name: "fig3",
         title: "Figure 3 — latency vs load; efficiency vs grain",
-        nodes: Some((512, 64)),
+        nodes: Some((512, 64, 2)),
+        file: None,
+        captions: &[
+            ("bisection traffic, Mbit/s", "", "artifact"),
+            ("cycles per message, published as 100-300", "fig3", "words"),
+            ("2-word messages", "fig3/2", "idle"),
+            ("4-word messages", "fig3/4", "idle"),
+            ("8-word messages", "fig3/8", "idle"),
+            ("16-word messages", "fig3/16", "idle"),
+        ],
         run: fig3,
     },
     Experiment {
         name: "fig4",
         title: "Figure 4 — terminal bandwidth",
         nodes: None,
+        file: None,
+        captions: &[("data words, Mbit/s, by message size", "fig4", "words")],
         run: fig4,
     },
     Experiment {
         name: "table2",
         title: "Table 2 — producer-consumer synchronization",
         nodes: None,
+        file: None,
+        captions: &[
+            ("cycles per event", "table2", "event"),
+            ("published as 30-50 and 20-50", "table2/thread", "phase"),
+        ],
         run: table2,
     },
     Experiment {
         name: "table3",
         title: "Table 3 — barrier synchronization",
-        nodes: Some((512, 64)),
+        nodes: Some((512, 64, 2)),
+        file: None,
+        captions: &[("microseconds per software barrier", "table3", "nodes")],
         run: table3,
     },
     Experiment {
         name: "fig5",
         title: "Figure 5 — application speedup",
-        nodes: Some((64, 64)),
+        nodes: Some((64, 64, 1)),
+        file: None,
+        captions: &[
+            ("speedup over its own 1-node run", "fig5", "app"),
+            ("cycles to completion", "fig5/cycles", "app"),
+        ],
         run: fig5,
     },
     Experiment {
         name: "fig6",
         title: "Figure 6 — breakdown of time by function",
-        nodes: Some((64, 64)),
+        nodes: Some((64, 64, 1)),
+        file: None,
+        captions: &[MACHINE, ("% of cycles by class", "fig6", "app")],
         run: fig6,
     },
     Experiment {
         name: "table4",
         title: "Table 4 — application statistics",
-        nodes: Some((64, 64)),
+        nodes: Some((64, 64, 1)),
+        file: None,
+        captions: &[MACHINE, ("run in ms; thread types", "table4", "app thread")],
         run: table4,
     },
     Experiment {
         name: "table5",
         title: "Table 5 — TSP cost components",
-        nodes: Some((64, 64)),
+        nodes: Some((64, 64, 1)),
+        file: None,
+        captions: &[MACHINE, ("run time in ms", "table5", "component")],
         run: table5,
     },
+    Experiment {
+        name: "faults",
+        title: "Robustness — fault-injection degradation",
+        nodes: None,
+        file: Some("BENCH_fault.json"),
+        captions: &[
+            ("jm-fault plans, DESIGN.md §4.7", "", "sweep"),
+            ("goodput, 32 nodes saturated", "fault/goodput", "flaky ppm"),
+            ("LCS completion, 8 nodes", "fault/lcs", "flaky ppm"),
+            ("reliable RPC, 6 calls", "fault/rpc", "corrupt ppm"),
+        ],
+        run: faults,
+    },
+    Experiment {
+        name: "traffic",
+        title: "Traffic — saturation-throughput curves",
+        nodes: None,
+        file: Some("BENCH_traffic.json"),
+        captions: &[
+            ("jm-traffic injection, DESIGN.md §4.9", "", "sweep"),
+            ("highest load accepted in full", "traffic", "pattern"),
+            ("uniform_random", "traffic/uniform_random", "load ppm"),
+            ("transpose", "traffic/transpose", "load ppm"),
+            ("bit_reversal", "traffic/bit_reversal", "load ppm"),
+            ("hotspot", "traffic/hotspot", "load ppm"),
+            ("nearest_neighbor", "traffic/nearest_neighbor", "load ppm"),
+        ],
+        run: traffic,
+    },
 ];
+
+/// The size a macro artifact ran at: its header row.
+const MACHINE: (&str, &str, &str) = ("machine", "", "artifact");
 
 /// Looks an experiment up by subcommand name.
 pub fn find(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.name == name)
 }
 
-fn fig2(ctx: &mut Ctx, nodes: u32) -> Result<Section, MachineError> {
+fn fig2(ctx: &mut Ctx, nodes: u32) -> Result<Vec<Row>, MachineError> {
     let curves = micro::latency::measure(ctx.engine, nodes)?;
-    let slope = curves[0].slope();
-    Ok(Section::checked(
-        micro::latency::render(&curves),
-        (slope - 2.0).abs() < 0.4,
-        format!("fig2 slope ~2 cyc/hop (measured {slope:.2})"),
-    ))
+    Ok(micro::latency::rows(&curves))
 }
 
-fn table1(ctx: &mut Ctx, _: u32) -> Result<Section, MachineError> {
-    let overhead = micro::overhead::measure(ctx.engine)?;
-    // CM-5 Active Messages, the best comparison machine, in cycles/msg.
-    let best_base = 109.0;
-    Ok(Section::checked(
-        micro::overhead::render(&overhead),
-        overhead.cycles_per_msg * 3.0 < best_base,
-        format!(
-            "table1 overhead ({:.1} cyc/msg) at least 3x below best baseline ({best_base})",
-            overhead.cycles_per_msg
-        ),
-    ))
+fn table1(ctx: &mut Ctx, _: u32) -> Result<Vec<Row>, MachineError> {
+    Ok(micro::overhead::rows(&micro::overhead::measure(
+        ctx.engine,
+    )?))
 }
 
-fn fig3(ctx: &mut Ctx, nodes: u32) -> Result<Section, MachineError> {
+fn fig3(ctx: &mut Ctx, nodes: u32) -> Result<Vec<Row>, MachineError> {
     let lengths = [2, 4, 8, 16];
     let idles = [0, 50, 150, 400, 1000, 3000];
     let points = micro::load::measure(ctx.engine, nodes, &lengths, &idles, 3_000, 20_000)?;
-    let dims = jm_isa::MeshDims::for_nodes(nodes);
-    let capacity = jm_net::NetConfig::new(dims).bisection_capacity_bits() / 1e6;
-    let peak = points.iter().map(|p| p.bisection_mbits).fold(0.0, f64::max);
-    Ok(Section::checked(
-        micro::load::render(nodes, &points, capacity),
-        peak / capacity > 0.30 && peak / capacity < 0.75,
-        format!(
-            "fig3 saturation between 30% and 75% of capacity (measured {:.0}%)",
-            100.0 * peak / capacity
-        ),
-    ))
+    Ok(micro::load::rows(nodes, &points))
 }
 
-fn fig4(ctx: &mut Ctx, _: u32) -> Result<Section, MachineError> {
+fn fig4(ctx: &mut Ctx, _: u32) -> Result<Vec<Row>, MachineError> {
     let lengths = [1, 2, 3, 4, 6, 8, 12, 16];
     let points = micro::bandwidth::measure(ctx.engine, &lengths, 2_000, 20_000)?;
-    Ok(Section::plain(micro::bandwidth::render(&points, &lengths)))
+    Ok(micro::bandwidth::rows(&points))
 }
 
-fn table2(ctx: &mut Ctx, _: u32) -> Result<Section, MachineError> {
-    let sync = micro::sync::measure(ctx.engine)?;
-    Ok(Section::checked(
-        micro::sync::render(&sync),
-        sync.success_tags < sync.success_notags && sync.write_tags < sync.write_notags,
-        "table2 tags beat software flags".to_string(),
-    ))
+fn table2(ctx: &mut Ctx, _: u32) -> Result<Vec<Row>, MachineError> {
+    Ok(micro::sync::rows(&micro::sync::measure(ctx.engine)?))
 }
 
 /// Powers of two from `2^first` up to `max`.
 fn sizes(first: u32, max: u32) -> Vec<u32> {
-    (first..=9).map(|k| 1 << k).filter(|&n| n <= max).collect()
+    (first..=max.ilog2()).map(|k| 1 << k).collect()
 }
 
-fn table3(ctx: &mut Ctx, max_nodes: u32) -> Result<Section, MachineError> {
+fn table3(ctx: &mut Ctx, max_nodes: u32) -> Result<Vec<Row>, MachineError> {
     let points = micro::barrier::measure(ctx.engine, &sizes(1, max_nodes), 8)?;
-    let body = micro::barrier::render(&points);
-    let models = baselines::table3_models();
-    let j64 = points.iter().find(|p| p.nodes == 64);
-    let (Some(j), Some(em4)) = (j64, models[0].at(64)) else {
-        return Ok(Section::plain(body));
-    };
-    let ipsc = models[2].at(64).unwrap_or(847.0);
-    Ok(Section::checked(
-        body,
-        j.us < ipsc / 5.0,
-        format!(
-            "table3 J-barrier ({:.1}us at 64) within EM4-like range ({em4}) and far below iPSC ({ipsc})",
-            j.us
-        ),
-    ))
+    Ok(micro::barrier::rows(&points))
 }
 
-fn fig5(ctx: &mut Ctx, max_nodes: u32) -> Result<Section, MachineError> {
-    let mut results = BTreeMap::new();
+fn fig5(ctx: &mut Ctx, max_nodes: u32) -> Result<Vec<Row>, MachineError> {
+    let mut runs = Vec::new();
     for n in sizes(0, max_nodes) {
-        for run in ctx.apps(&App::ALL, n)? {
-            results.entry(run.app).or_insert_with(Vec::new).push(run);
-        }
+        runs.extend(ctx.apps(&App::ALL, n)?);
     }
-    Ok(Section::plain(macrob::render_fig5(&results)))
+    Ok(macrob::fig5_rows(&runs))
 }
 
-fn fig6(ctx: &mut Ctx, nodes: u32) -> Result<Section, MachineError> {
-    let runs = ctx.apps(&App::ALL, nodes)?;
-    Ok(Section::plain(macrob::render_fig6(&runs)))
+fn fig6(ctx: &mut Ctx, nodes: u32) -> Result<Vec<Row>, MachineError> {
+    Ok(macrob::fig6_rows(&ctx.apps(&App::ALL, nodes)?))
 }
 
-fn table4(ctx: &mut Ctx, nodes: u32) -> Result<Section, MachineError> {
+fn table4(ctx: &mut Ctx, nodes: u32) -> Result<Vec<Row>, MachineError> {
     let runs = ctx.apps(&[App::Lcs, App::Radix, App::NQueens], nodes)?;
-    Ok(Section::plain(macrob::render_table4(&runs)))
+    Ok(macrob::table4_rows(&runs))
 }
 
-fn table5(ctx: &mut Ctx, nodes: u32) -> Result<Section, MachineError> {
-    let run = ctx.apps(&[App::Tsp], nodes)?;
-    Ok(Section::plain(macrob::render_table5(&run[0])))
+fn table5(ctx: &mut Ctx, nodes: u32) -> Result<Vec<Row>, MachineError> {
+    Ok(macrob::table5_rows(&ctx.apps(&[App::Tsp], nodes)?[0]))
 }
 
-/// `jmsim <artifact> [nodes] [--quick] [--engine E]`: prints one section
-/// body; exit 1 (and the check on stderr) if its qualitative check fails.
+fn faults(ctx: &mut Ctx, _: u32) -> Result<Vec<Row>, MachineError> {
+    let report = faultb::sweep(ctx.engine, ctx.seed, 20_000);
+    ctx.verdict.shape("fault", report.check_monotone());
+    Ok(report.rows())
+}
+
+fn traffic(ctx: &mut Ctx, _: u32) -> Result<Vec<Row>, MachineError> {
+    let report = traffic::sweep(ctx.engine, ctx.seed);
+    ctx.verdict.shape("traffic", report.check_monotone());
+    Ok(report.rows())
+}
+
+/// `jmsim <experiment> [nodes] [--quick] [--engine E]`, and `jmsim faults`
+/// / `jmsim traffic` with their `[--seed N] [--out PATH]`: prints one
+/// section body, writes a sweep's row file, and holds the rows the way
+/// `repro` does — a `[FAIL]` goes to stderr and is exit 1. What the paper
+/// published is held against the default invocation only (a `--quick`,
+/// sized or re-seeded run is measured, not judged); a sweep's shape is held
+/// always.
 pub(crate) fn run_one(args: &Args) -> Outcome {
     let e = find(args.command()).expect("dispatched from the registry");
     let quick = args.switch("--quick");
-    let nodes = match args.positional() {
-        Some(n) => cli::machine_size("nodes", n)?,
-        None => e.default_nodes(quick),
+    let nodes = match (args.positional(), e.nodes) {
+        (Some(n), Some((.., smallest))) => {
+            let n = cli::machine_size("nodes", n)?;
+            if n < smallest {
+                let why = format!("nodes: {} needs at least {smallest} nodes", e.name);
+                return Err(CliError::Input(why));
+            }
+            n
+        }
+        _ => e.default_nodes(quick),
     };
-    let mut ctx = Ctx::new(args.engine().unwrap_or_default(), quick);
-    let section = (e.run)(&mut ctx, nodes)?;
-    print!("{}", section.body);
-    if !section.holds() {
-        eprintln!("{}", section.check_line().expect("a failed check"));
+    let seed = args.count("--seed");
+    let mut ctx = Ctx::new(args.engine().unwrap_or_default(), quick, seed.unwrap_or(7));
+    let rows = e.rows(&mut ctx, nodes)?;
+    print!("{}", e.body(&rows));
+    if let Some(file) = e.file {
+        let path = args.text("--out").unwrap_or(file);
+        cli::write_file(path, rows::write(&rows))?;
+        println!("\nwrote {path}");
     }
-    Ok(exit_code(section.holds()))
+    let held = !quick && args.positional().is_none() && seed.is_none();
+    baselines::compare(&mut ctx.verdict, baselines::under(e.name), &rows, held);
+    for line in ctx.verdict.lines.iter().filter(|l| l.starts_with("[FAIL]")) {
+        eprintln!("{line}");
+    }
+    Ok(exit_code(&ctx.verdict))
 }
 
 /// Appends one section to the report `md` under construction, echoing it
 /// to stdout.
-fn section(md: &mut String, title: &str, intro: &str, body: &str) {
+fn section(md: &mut String, title: &str, body: &str) {
     println!("==== {title} ====\n{body}");
-    let _ = writeln!(md, "## {title}\n\n{intro}```text\n{body}```\n");
+    let _ = writeln!(md, "## {title}\n\n```text\n{body}```\n");
 }
 
 /// `jmsim repro [--quick] [--out PATH] [--engine E]`: runs every experiment
-/// and regenerates `EXPERIMENTS.md`; exit 1 if a qualitative check fails.
+/// once and writes every committed simulated number — the report
+/// (`EXPERIMENTS.md`) and, beside it, the rows it is a view of
+/// (`BENCH_paper.json`, `BENCH_fault.json`, `BENCH_traffic.json`); exit 1
+/// if the scorecard holds a `[FAIL]`.
 ///
 /// `--quick` shrinks the big sweeps (64-node instead of 512-node network
-/// experiments, scaled application problems). The file is a pure function
-/// of the code and `--quick` — no wall-clock number, host name or date
-/// enters it, and every engine is bit-exact — so the file is its own
-/// determinism proof: CI writes it twice in fresh processes and
-/// once under `--engine parallel4`, and `diff`s the three against each
-/// other and against the committed `EXPERIMENTS.md`. Host-time records
-/// live in `PERFLOG.md` and `BENCH_engine.json`, which this command never
-/// touches.
+/// experiments, scaled application problems) and holds nothing against the
+/// paper. The files are a pure function of the code and `--quick` — no
+/// wall-clock number, host name or date enters them, and every engine is
+/// bit-exact — so they are their own determinism proof: CI writes them
+/// twice in fresh processes and once under `--engine parallel4`, and
+/// `diff`s the three directories against each other and against the
+/// committed files. Host-time records live in `PERFLOG.md` and
+/// `BENCH_engine.json`, which this command never touches.
 pub(crate) fn repro(args: &Args) -> Outcome {
     let quick = args.switch("--quick");
     let out_path = args.text("--out").unwrap_or("EXPERIMENTS.md");
@@ -345,27 +413,25 @@ pub(crate) fn repro(args: &Args) -> Outcome {
     let t0 = Instant::now();
     let mut md = format!(
         "# EXPERIMENTS — paper vs. measured\n\n\
-         Regenerated by `jmsim repro`{}.\n\n\
-         Every J-Machine number below is **measured from the simulator**; the\n\
-         paper's numbers and the other machines' published constants are shown\n\
-         for comparison. Problem sizes are the scaled defaults documented in\n\
-         each section (the simulator is cycle-accurate, so paper-sized runs are\n\
-         possible but slow); *shapes* — who wins, slopes, crossovers,\n\
-         saturation points — are the reproduction target, per DESIGN.md.\n\n",
+         Regenerated by `jmsim repro`{}, with the rows every table here is a\n\
+         view of: `BENCH_paper.json`, `BENCH_fault.json`, `BENCH_traffic.json`.\n\n\
+         Every J-Machine number below is **measured from the simulator**, at\n\
+         scaled problem sizes; a `paper …` column is what the paper published\n\
+         for the same line, and the scorecard at the end holds each published\n\
+         value against its measured twin: `[ok]` inside the stated band, `[off]`\n\
+         known to miss it, with the reason. *Shapes* — who wins, slopes,\n\
+         crossovers, saturation points — are the reproduction target.\n\n",
         if quick { " (--quick)" } else { "" }
     );
 
-    // The ten artifacts in registry order at their default sizes, then the
-    // checks they contributed.
-    let mut ctx = Ctx::new(engine, quick);
-    let (mut checks, mut checks_hold) = (String::new(), true);
+    // The experiments in registry order at their default sizes.
+    let mut ctx = Ctx::new(engine, quick, 7);
+    let mut files: BTreeMap<&str, Vec<Row>> = BTreeMap::new();
     for e in &EXPERIMENTS {
-        let artifact = (e.run)(&mut ctx, e.default_nodes(quick))?;
-        section(&mut md, e.title, "", &artifact.body);
-        if let Some(line) = artifact.check_line() {
-            let _ = writeln!(checks, "{line}");
-        }
-        checks_hold &= artifact.holds();
+        let rows = e.rows(&mut ctx, e.default_nodes(quick))?;
+        section(&mut md, e.title, &e.body(&rows));
+        let file = e.file.unwrap_or("BENCH_paper.json");
+        files.entry(file).or_default().extend(rows);
     }
     // T = T_net + T_queue per message, from the lifecycle tracer.
     let demo = observe::gather_demo(engine, jm_isa::MeshDims::for_nodes(64), 16)?;
@@ -374,34 +440,25 @@ pub(crate) fn repro(args: &Args) -> Outcome {
     section(
         &mut md,
         "Per-mechanism latency breakdown — traced 64-node gather",
-        "",
         &obs,
     );
-    section(&mut md, "Qualitative checks", "", &checks);
-    section(
-        &mut md,
-        "Robustness — fault-injection degradation",
-        "Seeded `jm-fault` plans (see DESIGN.md §4.7): flaky links are\n\
-         lossless backpressure, so applications stay exact while\n\
-         time-to-solution stretches; corrupted messages are dropped whole\n\
-         at dispatch and recovered by the reliable-RPC retry layer. Also\n\
-         emitted as `BENCH_fault.json` by `jmsim faults`.\n\n",
-        &faultb::sweep(engine, 7, 20_000).render(),
-    );
-    section(
-        &mut md,
-        "Traffic — saturation-throughput curves",
-        "Seeded `jm-traffic` Bernoulli injection (see DESIGN.md §4.9):\n\
-         every pattern is swept over an offered-load ladder with a\n\
-         warmup/measure/drain protocol; the knee is the highest load the\n\
-         network accepts nearly in full. Also emitted as\n\
-         `BENCH_traffic.json` by `jmsim traffic`.\n\n",
-        &traffic::sweep(engine, 7).render(),
-    );
+    let mut verdict = ctx.verdict;
+    let measured: Vec<Row> = files.values().flatten().cloned().collect();
+    baselines::compare(&mut verdict, baselines::under(""), &measured, !quick);
+    section(&mut md, "Scorecard", &(verdict.lines.join("\n") + "\n"));
 
     cli::write_file(out_path, &md)?;
-    println!("wrote {out_path} in {:.1}s", t0.elapsed().as_secs_f64());
-    Ok(exit_code(checks_hold))
+    let dir = Path::new(out_path).parent().unwrap_or(Path::new(""));
+    for (file, rows) in &files {
+        let path = dir.join(file);
+        cli::write_file(&path.to_string_lossy(), rows::write(rows))?;
+    }
+    println!(
+        "wrote {out_path} and {} row files beside it in {:.1}s",
+        files.len(),
+        t0.elapsed().as_secs_f64()
+    );
+    Ok(exit_code(&verdict))
 }
 
 #[cfg(test)]
@@ -413,39 +470,91 @@ mod tests {
         for (i, e) in EXPERIMENTS.iter().enumerate() {
             assert!(std::ptr::eq(find(e.name).unwrap(), e), "{}", e.name);
             assert!(EXPERIMENTS[..i].iter().all(|o| o.title != e.title));
-            if let Some((full, quick)) = e.nodes {
-                assert!(quick <= full && quick.is_power_of_two() && full.is_power_of_two());
+            if let Some((full, quick, smallest)) = e.nodes {
+                assert!(smallest <= quick && quick <= full, "{}", e.name);
+                assert!([full, quick, smallest].iter().all(|n| n.is_power_of_two()));
             }
         }
         assert_eq!(sizes(1, 64), [2, 4, 8, 16, 32, 64]);
         assert_eq!(sizes(0, 4), [1, 2, 4]);
+        assert_eq!(sizes(1, 1024).last(), Some(&1024));
+        assert!(sizes(1, 1).is_empty());
     }
 
     #[test]
     fn report_sections_embed_the_body_verbatim() {
         let mut md = String::new();
-        section(&mut md, "T1", "", "body one\n");
-        section(&mut md, "T2", "Intro.\n\n", "body two\n");
+        section(&mut md, "T1", "body one\n");
+        section(&mut md, "T2", "body two\n");
         assert_eq!(
             md,
-            "## T1\n\n```text\nbody one\n```\n\n## T2\n\nIntro.\n\n```text\nbody two\n```\n\n"
+            "## T1\n\n```text\nbody one\n```\n\n## T2\n\n```text\nbody two\n```\n\n"
         );
+        // A body is each caption over its pivot, a blank line between.
+        let e = find("table2").unwrap();
+        let rows = [
+            Row::simulated("table2/Write", "tags", 5.0, "cycles"),
+            Row::simulated("table2/thread/save", "cycles", 51.0, "cycles"),
+        ];
+        let body = e.body(&rows);
+        let (first, second) = (e.captions[0].0, e.captions[1].0);
+        let expected = format!(
+            "{first}\n\nevent  tags\n-----------\nWrite     5\n\n\
+             {second}\n\nphase  cycles\n-------------\n save      51\n"
+        );
+        assert_eq!(body, expected);
     }
 
     #[test]
     fn a_failed_check_is_exit_1() {
-        let body = || "body\n".to_string();
-        let ok = Section::checked(body(), true, "slope ~2".to_string());
-        let bad = Section::checked(body(), false, "slope ~2".to_string());
-        assert_eq!(ok.check_line().as_deref(), Some("[ok] slope ~2"));
-        assert_eq!(bad.check_line().as_deref(), Some("[FAIL] slope ~2"));
-        assert_eq!(Section::plain(body()).check_line(), None);
-        for (section, code) in [
-            (Section::plain(body()), ExitCode::SUCCESS),
-            (ok, ExitCode::SUCCESS),
-            (bad, ExitCode::FAILURE),
-        ] {
-            assert_eq!(exit_code(section.holds()), code, "{section:?}");
-        }
+        // A held row outside its band…
+        let held = |cycles: f64| {
+            let rows = [Row::simulated("table2/Success", "tags", cycles, "cycles")];
+            let table = baselines::under("table2/Success").filter(|p| p.1 == "tags");
+            let mut v = Verdict::default();
+            baselines::compare(&mut v, table, &rows, true);
+            v
+        };
+        assert_eq!(exit_code(&held(2.0)), ExitCode::SUCCESS);
+        let bad = held(9.0);
+        assert!(bad.lines[0].starts_with("[FAIL] table2/Success tags"));
+        assert_eq!(exit_code(&bad), ExitCode::FAILURE);
+        // …and a misshapen sweep curve: the violations of a falling
+        // traffic curve are `[FAIL]` lines of the same verdict.
+        let point = |load_ppm, offered_msgs, accepted_msgs| traffic::TrafficPoint {
+            load_ppm,
+            offered_msgs,
+            accepted_msgs,
+            dropped_msgs: offered_msgs - accepted_msgs,
+            delivered_msgs: accepted_msgs,
+            measure_cycles: traffic::MEASURE,
+            drain_cycles: 100,
+            latency_mean: 20.0,
+            latency_p50: 16,
+            latency_p99: 64,
+            latency_max: 80,
+            latency_count: accepted_msgs,
+        };
+        let report = |points| traffic::TrafficReport {
+            seed: 1,
+            dims: jm_isa::MeshDims::new(4, 4, 4),
+            curves: vec![traffic::PatternCurve {
+                pattern: jm_machine::TrafficPattern::Transpose,
+                points,
+            }],
+        };
+        let rising = report(vec![point(50_000, 1000, 1000), point(100_000, 2000, 1990)]);
+        let falling = report(vec![point(50_000, 1000, 1000), point(100_000, 2000, 600)]);
+        let mut v = Verdict::default();
+        v.shape("traffic", rising.check_monotone());
+        assert_eq!(v.lines, ["[ok] traffic curves keep their shape"]);
+        assert_eq!(exit_code(&v), ExitCode::SUCCESS);
+        v.shape("traffic", falling.check_monotone());
+        assert!(
+            v.lines[1].starts_with("[FAIL] traffic: transpose:"),
+            "{:?}",
+            v.lines
+        );
+        assert_eq!(exit_code(&v), ExitCode::FAILURE);
     }
 }

@@ -1,7 +1,7 @@
-//! The `jmsim` tools that are not paper artifacts: the fault and traffic
-//! sweeps behind `BENCH_fault.json` / `BENCH_traffic.json`, the chaos
-//! application run, the large-mesh smoke, the trace exporter, and the
-//! replay log recorder / verifier / bisector.
+//! The `jmsim` tools that are not registry experiments: the one-point
+//! large-mesh traffic canary, the chaos application run, the large-mesh
+//! smoke, the trace exporter, and the replay log recorder / verifier /
+//! bisector.
 //!
 //! Every tool that measures simulated counters writes them to `--out` as
 //! [`rows`]: the row file holds each number exactly, so `diff` of two
@@ -10,9 +10,9 @@
 //! that no simulated number moved.
 
 use crate::cli::{self, write_file, Args, CliError, Outcome};
+use crate::macrob::{self, App, Problems};
 use crate::workloads::exchange_program;
-use crate::{faultb, harness, observe, rows, threads, traffic};
-use jm_apps::{lcs, nqueens, radix, tsp};
+use crate::{harness, observe, registry, rows, threads, traffic};
 use jm_isa::instr::StatClass;
 use jm_isa::MeshDims;
 use jm_machine::{
@@ -22,62 +22,26 @@ use jm_machine::{
 use jm_replay::{ReplayLog, DEFAULT_INTERVAL};
 use std::process::ExitCode;
 
-/// Prints a sweep's shape verdict; violations are exit code 1.
-fn shape_verdict(what: &str, check: Result<(), Vec<String>>) -> ExitCode {
-    match check {
-        Ok(()) => {
-            println!("{what} curves are weakly monotone");
-            ExitCode::SUCCESS
-        }
-        Err(violations) => {
-            eprintln!("\n{what} curves violate weak monotonicity:");
-            for v in &violations {
-                eprintln!("  - {v}");
-            }
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `jmsim faults`: the three [`faultb`] sweeps under one fault-plan seed →
-/// curves on stdout, `BENCH_fault.json`, and exit code 1 if goodput rises
-/// or LCS completion time falls with the fault rate. Every row is a
-/// simulated counter, so CI diffs the file of a plain run against an
-/// `--engine parallel4` one to prove the fault paths schedule-independent.
-pub(crate) fn faults(args: &Args) -> Outcome {
-    let out_path = args.text("--out").unwrap_or("BENCH_fault.json");
-    let engine = args.engine().unwrap_or_default();
-    let report = faultb::sweep(engine, args.count("--seed").unwrap_or(7), 20_000);
-    print!("{}", report.render());
-    write_file(out_path, rows::write(&report.rows()))?;
-    println!("\nwrote {out_path}");
-    Ok(shape_verdict("degradation", report.check_monotone()))
-}
-
-/// `jmsim traffic`: the [`traffic`] load ladder for all five patterns under
-/// one injection seed → curves with their knees on stdout,
-/// `BENCH_traffic.json`, and exit code 1 on a misshapen curve. With
-/// `--mesh XxYxZ --pattern NAME --load PPM` (the nightly large-mesh
-/// canary) it runs that one point instead and writes its counters, plus
-/// the process's peak RSS as the one host row, to `--out` if given.
+/// `jmsim traffic`: the registry's traffic sweep ([`registry::run_one`]) —
+/// the [`traffic`] load ladder for all five patterns under one injection
+/// seed → curves with their knees on stdout, `BENCH_traffic.json`, and exit
+/// code 1 on a misshapen curve. With `--mesh XxYxZ --pattern NAME --load
+/// PPM` (the nightly large-mesh canary) it runs that one point instead and
+/// writes its counters, plus the process's peak RSS as the one host row, to
+/// `--out` if given.
 pub(crate) fn traffic(args: &Args) -> Outcome {
+    let Some(dims) = args.mesh() else {
+        return registry::run_one(args);
+    };
+    let (Some(pattern), Some(load)) = (args.pattern(), args.count("--load")) else {
+        let why = "`--mesh` needs `--pattern NAME` and `--load PPM`";
+        return Err(CliError::Input(why.to_string()));
+    };
+    let load = u32::try_from(load)
+        .map_err(|_| CliError::Input(format!("--load: {load} ppm is out of range")))?;
     let seed = args.count("--seed").unwrap_or(7);
     let engine = args.engine().unwrap_or_default();
-    if let Some(dims) = args.mesh() {
-        let (Some(pattern), Some(load)) = (args.pattern(), args.count("--load")) else {
-            let why = "`--mesh` needs `--pattern NAME` and `--load PPM`";
-            return Err(CliError::Input(why.to_string()));
-        };
-        let load = u32::try_from(load)
-            .map_err(|_| CliError::Input(format!("--load: {load} ppm is out of range")))?;
-        return traffic_point(args, engine, seed, dims, pattern, load);
-    }
-    let out_path = args.text("--out").unwrap_or("BENCH_traffic.json");
-    let report = traffic::sweep(engine, seed);
-    print!("{}", report.render());
-    write_file(out_path, rows::write(&report.rows()))?;
-    println!("\nwrote {out_path}");
-    Ok(shape_verdict("saturation", report.check_monotone()))
+    traffic_point(args, engine, seed, dims, pattern, load)
 }
 
 fn traffic_point(
@@ -118,8 +82,6 @@ fn peak_rss_row(mib: u64) -> rows::Row {
     rows::Row::host("host", "peak_rss", mib as f64, "MiB", rows::host_cpus())
 }
 
-const MAX_CYCLES: u64 = 4_000_000_000;
-
 /// `jmsim chaos`: the four applications on 8 nodes under a seeded
 /// delay-fault plan — flaky links, link-down / router-stall / node-down
 /// windows, checksum trailers. Delay faults are lossless backpressure
@@ -142,22 +104,13 @@ pub(crate) fn chaos(args: &Args) -> Outcome {
     println!("chaos: seed {seed}, engine {engine:?}, {NODES} nodes");
 
     let mut disturbed = 0u64;
-    let mut check = |name: &str, cycles: u64, stats: &jm_machine::MachineStats, answer: String| {
-        let blocked = stats.net.faults.blocked_moves;
-        println!("  {name:<8} ok: {answer}, {cycles} cycles, {blocked} blocked moves");
+    for app in App::ALL {
+        let r = macrob::run_app(mcfg, app, &Problems::default())?;
+        let blocked = r.stats.net.faults.blocked_moves;
+        let (name, answer, cycles) = (app.name(), r.answer, r.cycles);
+        println!("  {name:<9} ok: {answer}, {cycles} cycles, {blocked} blocked moves");
         disturbed += blocked;
-    };
-    let r = lcs::run_on(mcfg, &lcs::LcsConfig::scaled(), MAX_CYCLES)?;
-    check("lcs", r.cycles, &r.stats, format!("length {}", r.length));
-    let cfg = radix::RadixConfig::scaled();
-    let r = radix::run_on(mcfg, &cfg, MAX_CYCLES)?;
-    let answer = format!("{} keys sorted", cfg.keys);
-    check("radix", r.cycles, &r.stats, answer);
-    let r = nqueens::run_on(mcfg, &nqueens::NqConfig::scaled(), MAX_CYCLES)?;
-    let answer = format!("{} solutions", r.solutions);
-    check("nqueens", r.cycles, &r.stats, answer);
-    let r = tsp::run_on(mcfg, &tsp::TspConfig::scaled(), MAX_CYCLES)?;
-    check("tsp", r.cycles, &r.stats, format!("best tour {}", r.best));
+    }
 
     if disturbed == 0 {
         let why = "the chaos plan disturbed nothing — it is vacuous";
@@ -230,7 +183,7 @@ fn stats_rows(name: &str, stats: &MachineStats) -> Vec<rows::Row> {
 /// summary (histograms plus the deterministic trace hash).
 pub(crate) fn trace(args: &Args) -> Outcome {
     let nodes = cli::machine_size("--nodes", args.count("--nodes").unwrap_or(64))?;
-    let sample_every = args.count("--sample-every").unwrap_or(16);
+    let sample_every = args.positive("--sample-every")?.unwrap_or(16);
     let chrome_path = args.text("--chrome").unwrap_or("trace_chrome.json");
     let summary_path = args.text("--summary").unwrap_or("trace_summary.json");
 
@@ -274,7 +227,7 @@ pub(crate) fn replay_record(args: &Args) -> Outcome {
     let workload = args.text("--workload").unwrap_or("exchange");
     let default_out = format!("{workload}.jmrp");
     let out = args.text("--out").unwrap_or(&default_out);
-    let interval = args.count("--interval").unwrap_or(DEFAULT_INTERVAL);
+    let interval = args.positive("--interval")?.unwrap_or(DEFAULT_INTERVAL);
     let mut config = MachineConfig::new(64)
         .start(StartPolicy::AllNodes)
         .engine(args.engine().unwrap_or_default());

@@ -21,10 +21,10 @@
 //! The **saturation knee** of a curve is the highest offered load the
 //! network still accepts nearly in full (acceptance ratio at least
 //! [`KNEE_ACCEPT_RATIO`]), scanning the ladder in order and stopping at
-//! the first violation. `jmsim traffic` renders the curves, gates on
-//! their shape, and emits `BENCH_traffic.json` through [`crate::rows`].
-
-use std::fmt::Write as _;
+//! the first violation. `jmsim traffic` (and `jmsim repro`) tabulate the
+//! rows, hold the curves to their shape and the knees to their floors
+//! ([`crate::baselines`]), and write `BENCH_traffic.json` through
+//! [`crate::rows`].
 
 use crate::rows::Row;
 use crate::workloads::sink_program;
@@ -368,53 +368,6 @@ impl TrafficReport {
         } else {
             Err(bad)
         }
-    }
-
-    /// Renders the curves as aligned text tables.
-    pub fn render(&self) -> String {
-        let nodes = self.dims.nodes();
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "traffic saturation sweep (seed {}, {}x{}x{} mesh, warmup {} + measure {} cycles)",
-            self.seed, self.dims.x, self.dims.y, self.dims.z, WARMUP, MEASURE
-        );
-        for curve in &self.curves {
-            let _ = writeln!(
-                s,
-                "\n  {} (knee {} ppm, {:.4} flits/node/cycle)",
-                curve.pattern.label(),
-                curve.knee_ppm(),
-                curve.knee_throughput(nodes)
-            );
-            let _ = writeln!(
-                s,
-                "  {:>9} {:>9} {:>9} {:>8} {:>10} {:>9} {:>8} {:>8}",
-                "load ppm",
-                "offered",
-                "accepted",
-                "dropped",
-                "thru f/n/c",
-                "lat mean",
-                "lat p99",
-                "lat max"
-            );
-            for p in &curve.points {
-                let _ = writeln!(
-                    s,
-                    "  {:>9} {:>9} {:>9} {:>8} {:>10.4} {:>9.1} {:>8} {:>8}",
-                    p.load_ppm,
-                    p.offered_msgs,
-                    p.accepted_msgs,
-                    p.dropped_msgs,
-                    p.accepted_throughput(nodes),
-                    p.latency_mean,
-                    p.latency_p99,
-                    p.latency_max
-                );
-            }
-        }
-        s
     }
 
     /// The report as `BENCH_traffic.json` rows: every value is simulated

@@ -1,6 +1,6 @@
 //! One harness, one door: a subcommand prints exactly the section `jmsim
-//! repro` embeds, two `repro` runs write the same bytes, and every `jmsim`
-//! invocation written down anywhere in the repository — workflows,
+//! repro` embeds, two `repro` runs write the same four files, and every
+//! `jmsim` invocation written down anywhere in the repository — workflows,
 //! composite actions, the docs — names a subcommand the dispatch table has.
 //! The workflows are not executed by the test suite, so the last check is
 //! what keeps them honest.
@@ -23,17 +23,29 @@ fn jmsim(args: &[&str]) -> (i32, String, String) {
     )
 }
 
-/// The files of two `jmsim repro --quick --out …` processes, run side by
-/// side once for the whole suite.
-fn quick_reports() -> &'static [String; 2] {
-    static REPORTS: OnceLock<[String; 2]> = OnceLock::new();
+/// What `jmsim repro` writes: the report, then the row files beside it.
+const REPRO_FILES: [&str; 4] = [
+    "EXPERIMENTS.md",
+    "BENCH_paper.json",
+    "BENCH_fault.json",
+    "BENCH_traffic.json",
+];
+
+/// The files of two `jmsim repro --quick --out DIR/EXPERIMENTS.md`
+/// processes, a directory each, run side by side once for the whole suite.
+fn quick_reports() -> &'static [[String; 4]; 2] {
+    static REPORTS: OnceLock<[[String; 4]; 2]> = OnceLock::new();
     REPORTS.get_or_init(|| {
-        let paths = ["a", "b"].map(|run| {
-            std::env::temp_dir().join(format!("jmsim-repro-{}-{run}.md", std::process::id()))
+        let dirs = ["a", "b"].map(|run| {
+            let dir = format!("jmsim-repro-{}-{run}", std::process::id());
+            let dir = std::env::temp_dir().join(dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            dir
         });
-        let children = paths.each_ref().map(|path| {
+        let children = dirs.each_ref().map(|dir| {
+            let out = dir.join(REPRO_FILES[0]);
             Command::new(env!("CARGO_BIN_EXE_jmsim"))
-                .args(["repro", "--quick", "--out", path.to_str().unwrap()])
+                .args(["repro", "--quick", "--out", out.to_str().unwrap()])
                 .stdout(std::process::Stdio::null())
                 .spawn()
                 .expect("jmsim runs")
@@ -41,10 +53,13 @@ fn quick_reports() -> &'static [String; 2] {
         for mut child in children {
             assert!(child.wait().expect("jmsim exits").success());
         }
-        paths.map(|path| {
-            let report = std::fs::read_to_string(&path).expect("repro wrote its file");
-            std::fs::remove_file(&path).unwrap();
-            report
+        dirs.map(|dir| {
+            let written = std::fs::read_dir(&dir).unwrap().count();
+            assert_eq!(written, REPRO_FILES.len(), "{dir:?}");
+            let files = REPRO_FILES
+                .map(|file| std::fs::read_to_string(dir.join(file)).expect("repro wrote its file"));
+            std::fs::remove_dir_all(&dir).unwrap();
+            files
         })
     })
 }
@@ -58,18 +73,28 @@ fn a_subcommand_prints_exactly_its_repro_section() {
         let (code, stdout, stderr) = jmsim(argv);
         assert_eq!((code, stderr.as_str()), (0, ""), "{argv:?}");
         let section = format!("## {title}\n\n```text\n{stdout}```\n");
-        assert!(quick_reports()[0].contains(&section), "{argv:?}");
+        assert!(quick_reports()[0][0].contains(&section), "{argv:?}");
     }
 }
 
 #[test]
 fn repro_writes_the_same_bytes_twice_and_no_host_time() {
     let [a, b] = quick_reports();
-    assert!(a == b, "two `repro --quick` runs wrote different files");
-    let sections = a.matches("\n## ").count();
-    assert_eq!(sections, registry::EXPERIMENTS.len() + 4, "{a}");
+    for (file, (a, b)) in REPRO_FILES.iter().zip(a.iter().zip(b)) {
+        assert!(a == b, "two `repro --quick` runs wrote different {file}");
+    }
+    // A section per experiment, the traced gather, the scorecard — which
+    // off the full size holds the sweeps' shapes and nothing else.
+    let report = &a[0];
+    let sections = report.matches("\n## ").count();
+    assert_eq!(sections, registry::EXPERIMENTS.len() + 2, "{report}");
+    assert!(report.contains("\n[skip] "), "{report}");
+    assert!(!report.contains("[FAIL]"), "{report}");
     for host_time in ["cyc/s", "host time"] {
-        assert!(!a.contains(host_time), "the report holds `{host_time}`");
+        assert!(
+            !report.contains(host_time),
+            "the report holds `{host_time}`"
+        );
     }
 }
 
@@ -82,6 +107,14 @@ fn misuse_exits_2_with_one_line_and_writes_nothing() {
         &["chaos", "--engine", "warp"],
         &["repro", "--quick", "--out"],
         &["trace", "--chrome"],
+        // Zero is not an interval, and a size at which an artifact's
+        // derived number does not exist is not a size.
+        &["trace", "--sample-every", "0"],
+        &["replay", "record", "--interval", "0"],
+        &["fig2", "1"],
+        &["fig2", "2"],
+        &["fig3", "1"],
+        &["table3", "1"],
         &["replay", "corrupt", "--log", "x.jmrp", "--checkpoint", "3"],
         &[
             "replay",

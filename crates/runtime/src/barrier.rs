@@ -36,15 +36,21 @@ pub const BAR_WAVE: &str = "bar_wave";
 pub const STATE: &str = "bar_state";
 
 // State layout: [0] round, [1] wave, [2] continuation, [3] nwaves,
-// [4] route-cache valid, [5] scratch, [6..16] per-wave flags holding the
-// latest round received, [16..26] cached partner route words (a tuned
-// implementation converts node ids to router addresses once, not per
-// barrier — NNR calculation is expensive, §5).
+// [4] route-cache valid, [5] scratch, [6..17] per-wave flags holding the
+// latest round received — one more than the ten waves of the largest
+// (1024-node) machine, because a node that has finished its round still
+// tests `flags[nwaves]` when the next round's first wave overtakes it —
+// and [17..27] cached partner route words (a tuned implementation converts
+// node ids to router addresses once, not per barrier — NNR calculation is
+// expensive, §5).
 //
 // Every state transition happens in a priority-0 handler (`bar_start` or
 // `bar_wave`), so transitions are serialized by the dispatch hardware. The
 // enter routine only records the continuation and posts `bar_start` to its
 // own node — entering from background or handler context is equally safe.
+
+/// Offset of the partner-route cache in the state block.
+const ROUTES: i32 = 17;
 
 /// Installs the barrier library. Requires [`nnr::install`] in the same
 /// program.
@@ -94,7 +100,7 @@ pub fn install(b: &mut Builder) {
     b.jal(R3, nnr::NID_TO_ROUTE);
     b.mark(StatClass::Sync);
     b.mov(R1, MemRef::disp(A0, 5));
-    b.alu(AluOp::Add, R2, R1, 16);
+    b.alu(AluOp::Add, R2, R1, ROUTES);
     b.mov(MemRef::reg(A0, R2), R0);
     b.addi(R1, R1, 1);
     b.mov(MemRef::disp(A0, 5), R1);
@@ -105,7 +111,7 @@ pub fn install(b: &mut Builder) {
     // --- send current wave's message, then try to advance ---
     b.label("bar_send");
     b.mov(R2, MemRef::disp(A0, 1));
-    b.addi(R2, R2, 16);
+    b.addi(R2, R2, ROUTES);
     b.send(P0, MemRef::reg(A0, R2)); // cached partner route
     b.send2(P0, hdr(BAR_WAVE, 3), MemRef::disp(A0, 1));
     b.sende(P0, MemRef::disp(A0, 0));
