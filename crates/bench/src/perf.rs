@@ -11,8 +11,11 @@
 //! one token, 63 of 64 nodes parked) the event engine should win big:
 //! parked nodes and flitless routers cost nothing. On the **exchange**
 //! (load-dominated: every node in the Figure-3 loop) the worklist is always
-//! full, so the event engine can only match the naive one; the row guards
-//! the bookkeeping against becoming a regression. The exchange is also run
+//! full, and the event engine wins only by visiting a node once per
+//! stretch of private instructions where the naive one ticks it once per
+//! instruction; each workload's instructions per visit and re-executed
+//! share are rows too (host rows: they describe the simulator, and the
+//! naive engine's would be 1 and 0). The exchange is also run
 //! with replay capture armed, and on 512 nodes under the parallel engine
 //! at 1, 2 and 4 workers (`threads/…`, [`threads::sweep`]); `--trace` adds
 //! the ring with lifecycle tracing on. `--require-cpus N` makes a host
@@ -46,18 +49,21 @@ fn config(engine: Engine) -> MachineConfig {
 }
 
 /// Runs the ring to quiescence under `config`: wall seconds, the
-/// quiescence cycle and, with tracing on, the trace hash.
-fn run_ring(rounds: i32, config: MachineConfig) -> (f64, u64, Option<u64>) {
+/// quiescence cycle and the machine.
+fn run_ring(rounds: i32, config: MachineConfig) -> (f64, u64, JMachine) {
     let mut m = JMachine::new(ring_program(rounds, false), config);
     let (wall, cycles) = time_once(|| m.run_until_quiescent(RING_MAX_CYCLES));
-    let cycles = cycles.expect("the ring quiesces");
-    let hash = m.take_trace().map(|t| jm_trace::hash(&t));
-    (wall.as_secs_f64(), cycles, hash)
+    (wall.as_secs_f64(), cycles.expect("the ring quiesces"), m)
+}
+
+/// The trace hash of a traced machine's run.
+fn trace_hash(m: &mut JMachine) -> u64 {
+    jm_trace::hash(&m.take_trace().expect("tracing was enabled"))
 }
 
 /// Steps the exchange loop for `cycles` cycles under `engine`, with replay
-/// capture armed if `captured`; returns the wall seconds.
-fn run_exchange(engine: Engine, cycles: u64, captured: bool) -> f64 {
+/// capture armed if `captured`; returns the wall seconds and the machine.
+fn run_exchange(engine: Engine, cycles: u64, captured: bool) -> (f64, JMachine) {
     let mut m = JMachine::new(exchange_program(), config(engine));
     if captured {
         m.record_replay(jm_replay::DEFAULT_INTERVAL);
@@ -71,7 +77,24 @@ fn run_exchange(engine: Engine, cycles: u64, captured: bool) -> f64 {
             "capture must not change the run length"
         );
     }
-    wall.as_secs_f64()
+    (wall.as_secs_f64(), m)
+}
+
+/// How far `m`'s nodes ran on past their visits (DESIGN.md §4.5,
+/// "Stretches"): instructions retired per visit that retired any — its
+/// own plus the stretch after it — and the share of all retired
+/// instructions retired a second time after a rewind. Counts, not times,
+/// but of the simulator: host rows.
+fn stretch_rows(out: &mut Vec<Row>, cpus: usize, name: &str, m: &JMachine) {
+    let (counts, instructions) = (m.stretch_stats(), m.stats().nodes.instructions);
+    let per_visit = instructions as f64 / (instructions - counts.retired).max(1) as f64;
+    let reexecuted = counts.reexecuted as f64 / instructions.max(1) as f64;
+    out.push(Row::host(name, "instr_per_visit", per_visit, "instr", cpus));
+    out.push(Row::host(name, "reexecuted", reexecuted, "ratio", cpus));
+    println!(
+        "{name:<26} event: {per_visit:.2} instructions per visit, {:.2}% re-executed",
+        reexecuted * 100.0
+    );
 }
 
 /// The two rows of one workload — its length and `new`'s speed as a
@@ -118,7 +141,7 @@ pub(crate) fn run(args: &Args) -> Outcome {
 
     // Idle-dominated: one busy node, 63 parked.
     let (ring_naive, ring_cycles, _) = run_ring(ring_rounds, config(Engine::Naive));
-    let (ring_event, event_cycles, _) = run_ring(ring_rounds, config(Engine::Event));
+    let (ring_event, event_cycles, ring_machine) = run_ring(ring_rounds, config(Engine::Event));
     assert_eq!(
         ring_cycles, event_cycles,
         "engines must quiesce at the same cycle"
@@ -131,10 +154,11 @@ pub(crate) fn run(args: &Args) -> Outcome {
         ("naive", ring_naive),
         ("event", ring_event),
     );
+    stretch_rows(&mut out, host_cpus, "ring64_idle_dominated", &ring_machine);
 
     // Load-dominated: every node busy every cycle.
-    let exch_naive = run_exchange(Engine::Naive, exch_cycles, false);
-    let exch_event = run_exchange(Engine::Event, exch_cycles, false);
+    let (exch_naive, _) = run_exchange(Engine::Naive, exch_cycles, false);
+    let (exch_event, exch_machine) = run_exchange(Engine::Event, exch_cycles, false);
     speedup_rows(
         &mut out,
         host_cpus,
@@ -143,11 +167,17 @@ pub(crate) fn run(args: &Args) -> Outcome {
         ("naive", exch_naive),
         ("event", exch_event),
     );
+    stretch_rows(
+        &mut out,
+        host_cpus,
+        "exchange64_load_dominated",
+        &exch_machine,
+    );
 
     // Same workload with replay capture armed: the recording hook is a
     // single pointer test per host op plus one state hash per checkpoint
     // interval.
-    let exch_captured = run_exchange(Engine::Event, exch_cycles, true);
+    let (exch_captured, _) = run_exchange(Engine::Event, exch_cycles, true);
     speedup_rows(
         &mut out,
         host_cpus,
@@ -162,8 +192,8 @@ pub(crate) fn run(args: &Args) -> Outcome {
         // is mostly scheduler noise: take the best of several, interleaved
         // so host drift hits both.
         let mut untraced = ring_event;
-        let (mut traced, cycles, trace_hash) =
-            run_ring(ring_rounds, config(Engine::Event).traced());
+        let (mut traced, cycles, mut m) = run_ring(ring_rounds, config(Engine::Event).traced());
+        let hash = trace_hash(&mut m);
         assert_eq!(
             cycles, ring_cycles,
             "tracing must not change the quiescence cycle"
@@ -171,8 +201,8 @@ pub(crate) fn run(args: &Args) -> Outcome {
         for _ in 0..6 {
             let (plain, _, _) = run_ring(ring_rounds, config(Engine::Event));
             untraced = untraced.min(plain);
-            let (again, _, hash) = run_ring(ring_rounds, config(Engine::Event).traced());
-            assert_eq!(hash, trace_hash, "trace hash must repeat");
+            let (again, _, mut m) = run_ring(ring_rounds, config(Engine::Event).traced());
+            assert_eq!(trace_hash(&mut m), hash, "trace hash must repeat");
             traced = traced.min(again);
         }
         let overhead = traced / untraced.max(1e-9) - 1.0;
@@ -180,7 +210,7 @@ pub(crate) fn run(args: &Args) -> Outcome {
             "ring64_traced              event {:>12.0} cyc/s   tracing overhead {:.0}%   trace hash {:016x}",
             rate(ring_cycles, traced),
             overhead * 100.0,
-            trace_hash.expect("tracing was enabled"),
+            hash,
         );
         out.push(Row::host(
             "ring64_traced",

@@ -24,7 +24,7 @@ use jm_isa::instr::{MsgPriority, StatClass};
 use jm_isa::node::NodeId;
 use jm_isa::word::{MsgHeader, Word};
 use jm_isa::TraceId;
-use jm_mdp::{MdpNode, NodeError};
+use jm_mdp::{MdpNode, NodeError, StretchStats};
 use jm_net::{BitSet, NetShard, Network};
 use jm_replay::HostOp;
 use jm_trace::{MachineTrace, SamplePoint};
@@ -156,14 +156,16 @@ impl EventSched {
         self.wake_at[l] = PARKED;
     }
 
-    /// A delivery reached `node` at cycle `at`: schedules it for then if
-    /// it is parked (an already-scheduled node keeps its cycle) and
-    /// refreshes its cached `has_work` bit. `at` may precede the node's
-    /// `busy_until` — its tick then reports `Busy` and files it for later.
+    /// A delivery reached `node` at cycle `at`, or a drive stopped there:
+    /// files it for the first cycle it can act, `at` or its `busy_until`,
+    /// if that is earlier than where it is filed — a parked node, or one
+    /// whose stretch the delivery rewound — and refreshes its cached
+    /// `has_work` bit.
     pub(crate) fn wake(&mut self, node: &MdpNode, at: u64) {
         let l = node.id().index() - self.base;
-        if self.wake_at[l] == PARKED {
-            self.schedule(l, at);
+        let due = at.max(node.busy_until());
+        if due < self.wake_at[l] {
+            self.schedule(l, due);
         }
         self.set_work(l, node.has_work());
     }
@@ -201,7 +203,7 @@ pub(crate) enum Stop {
 }
 
 /// What the head of the drive loop finds at cycle `now`: a stop, an idle
-/// stretch to jump, or a cycle to run.
+/// span to jump, or a cycle to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Head {
     /// The drive is over.
@@ -577,18 +579,18 @@ impl JMachine {
     }
 
     /// One cycle under the configured engine's sequential stepper: ejected
-    /// words are pumped into the queues, nodes tick, and the network moves
-    /// flits.
-    fn step_cycle(&mut self) {
+    /// words are pumped into the queues, nodes act, and the network moves
+    /// flits. The sharded engines' nodes may run on up to `stop`.
+    fn step_cycle(&mut self, stop: u64) {
         match self.config.engine {
             Engine::Naive => self.step_naive(),
-            Engine::Event | Engine::Parallel(_) => self.step_sharded(),
+            Engine::Event | Engine::Parallel(_) => self.step_sharded(stop),
         }
     }
 
     /// First boundary strictly after the current cycle: the next occupancy
     /// sample (tracing) or replay hash boundary (capturing), `u64::MAX`
-    /// with neither on. The drive loop ends every stretch there.
+    /// with neither on. The drive loop ends every leg there.
     fn next_boundary(&self) -> u64 {
         let trace = self.config.trace;
         let sample = if trace.enabled {
@@ -599,7 +601,7 @@ impl JMachine {
         sample.min(self.next_hash_boundary())
     }
 
-    /// The one post-stretch hook: records whatever boundary the clock just
+    /// The one post-leg hook: records whatever boundary the clock just
     /// landed on — an occupancy sample, a replay checkpoint — however the
     /// machine got there (stepped, skipped, or driven by the crew). Pure
     /// observation: reads counters every engine already maintains.
@@ -653,13 +655,14 @@ impl JMachine {
     /// and skipped routers hold no flits. With one shard (the event engine)
     /// this is the classic event-driven step; with several it is the *same*
     /// per-shard code the worker threads run, driven sequentially.
-    fn step_sharded(&mut self) {
+    fn step_sharded(&mut self, stop: u64) {
         let now = self.cycle();
         let (shards, edges) = self.net.shard_parts();
         for (k, shard) in shards.iter_mut().enumerate() {
             let (below, above) = jm_net::edge_pair(edges, k);
             let nodes = &mut self.nodes[shard.base()..shard.base() + shard.len()];
-            crate::parallel::shard_cycle(now, shard, &mut self.scheds[k], nodes, below, above);
+            let sched = &mut self.scheds[k];
+            crate::parallel::shard_cycle(now, stop, shard, sched, nodes, below, above);
         }
         if shards.len() > 1 {
             for (k, shard) in shards.iter_mut().enumerate() {
@@ -757,7 +760,7 @@ impl JMachine {
     /// conditions are checked every cycle on the sequential engines, so the
     /// returned cycle counts (and timeout cycle counts) are
     /// engine-independent; on the event engine each check is O(1) and
-    /// stretches of cycles where nothing can happen are skipped outright.
+    /// runs of cycles where nothing can happen are skipped outright.
     ///
     /// # Errors
     ///
@@ -813,8 +816,8 @@ impl JMachine {
     /// The one drive loop, and the only place that decides anything:
     /// advances the clock to `deadline`, or — when `until_quiescent` — to
     /// the first node error or quiescence before it. Each pass asks the
-    /// loop head, then advances one stretch: an idle skip, and a single
-    /// sequential cycle or, threaded, a whole crew drive. A stretch ends at
+    /// loop head, then advances one leg: an idle skip, and a single
+    /// sequential cycle or, threaded, a whole crew drive. A leg ends at
     /// the deadline or the next boundary (an occupancy sample while
     /// tracing, a state hash while a replay capture is on), whichever
     /// comes first, where [`Self::observe_boundary`] records it; every
@@ -825,6 +828,10 @@ impl JMachine {
         loop {
             let stop = deadline.min(self.next_boundary());
             match self.loop_head(deadline, until_quiescent) {
+                Head::Stop(Stop::NodeError) => {
+                    self.settle();
+                    return Stop::NodeError;
+                }
                 Head::Stop(why) => return why,
                 Head::Skip(t) => self.net.skip_to(t.min(stop)),
                 Head::Run => {}
@@ -835,11 +842,37 @@ impl JMachine {
                 if threaded {
                     self.drive_parallel(stop, until_quiescent);
                 } else {
-                    self.step_cycle();
+                    self.step_cycle(stop);
                 }
             }
             self.observe_boundary();
         }
+    }
+
+    /// Settles every node at the current cycle: the one stop no stretch
+    /// is bounded by is another node's error, so a node may have run on
+    /// past it (DESIGN.md §4.5, "Stretches"). Its stretch is rewound to
+    /// the stop and the node re-filed where it can act again.
+    fn settle(&mut self) {
+        let now = self.cycle();
+        for sched in &mut self.scheds {
+            let nodes = &mut self.nodes[sched.base..sched.base + sched.wake_at.len()];
+            for node in nodes {
+                if node.settle(now) {
+                    sched.wake(node, now);
+                }
+            }
+        }
+    }
+
+    /// The nodes' host-side stretch counters, summed: how much of the
+    /// sharded engines' work ran on past the visits that started it.
+    pub fn stretch_stats(&self) -> StretchStats {
+        let mut total = StretchStats::default();
+        for node in &self.nodes {
+            total.merge(&node.stretch_stats());
+        }
+        total
     }
 
     /// Aggregated statistics snapshot.

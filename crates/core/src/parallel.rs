@@ -112,13 +112,25 @@ pub(crate) fn pump_node(shard: &mut NetShard, node: &mut MdpNode, now: u64) -> b
     delivered
 }
 
-/// Phase 1 for one shard: pump deliveries, tick due nodes, step routers.
-/// `nodes` is the slab's slice of the machine's node array (local indexing);
-/// `sched` is the slab's scheduler. Also the body of the sequential event
-/// engine's step — `Engine::Event` is exactly this with one all-covering
-/// shard, which is how the engines stay identical by construction.
+/// Most cycles a node may run on past a visit (DESIGN.md §4.5,
+/// "Stretches"). A thread that polls — `wait_writes`, `scan_poll` — runs
+/// as far ahead as it is allowed and is rewound by the write it waits
+/// for: uncapped, `exchange512` ran 11× slower and `radix512` did not
+/// finish. Measured (PERFLOG.md, "Stretches"), 8 / 16 / 32 / 64 / 128
+/// cycles took 26 / 32 / 33 / 29 / 26 % off `radix512` and 16 / 16 / 19 /
+/// 18 / 13 % off `exchange512`.
+const STRETCH: u64 = 32;
+
+/// Phase 1 for one shard: pump deliveries, advance due nodes, step
+/// routers. `nodes` is the slab's slice of the machine's node array (local
+/// indexing); `sched` is the slab's scheduler. A node may run on to `stop`,
+/// the cycle its drive stops at, or [`STRETCH`] cycles, whichever is
+/// nearer. Also the body of the sequential event engine's step —
+/// `Engine::Event` is exactly this with one all-covering shard, which is
+/// how the engines stay identical by construction.
 pub(crate) fn shard_cycle(
     now: u64,
+    stop: u64,
     shard: &mut NetShard,
     sched: &mut EventSched,
     nodes: &mut [MdpNode],
@@ -138,9 +150,10 @@ pub(crate) fn shard_cycle(
         }
     }
     // 2. Execute every node due this cycle: walk the live set the same
-    //    way. A tick touches only its own node's state and injection FIFO,
+    //    way. A visit touches only its own node's state and injection FIFO,
     //    and can re-schedule only itself, so this walk needs no snapshot
     //    either.
+    let limit = stop.min(now + STRETCH);
     for w in 0..sched.live.word_count() {
         for bit in ones(sched.live.word(w)) {
             let l = 64 * w + bit;
@@ -161,7 +174,7 @@ pub(crate) fn shard_cycle(
                 node: node.id(),
                 now,
             };
-            match node.tick(now, &mut port) {
+            match node.advance(now, limit, &mut port) {
                 TickOutcome::Busy { until } => sched.schedule(l, until.max(now + 1)),
                 // Queued words and nothing dispatchable: parked until the
                 // delivery that completes the message.
@@ -383,7 +396,15 @@ impl QuantumCtl {
                 if !self.phase1_ready(k, p) {
                     return progressed;
                 }
-                shard_cycle(p, slot.shard, slot.sched, slot.nodes, below, above);
+                shard_cycle(
+                    p,
+                    self.deadline,
+                    slot.shard,
+                    slot.sched,
+                    slot.nodes,
+                    below,
+                    above,
+                );
                 self.p_cycle[k].0.store(p + 1, Release);
             }
             progressed = true;

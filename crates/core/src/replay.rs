@@ -11,7 +11,7 @@
 //!   (vector installs, host message deliveries, memory pokes) stamped with
 //!   the cycle it was applied at, plus a combined state hash
 //!   ([`JMachine::state_hash`]) at every `interval`-cycle boundary. The
-//!   machine's drive loop ends each stretch at those boundaries; the
+//!   machine's drive loop ends each leg at those boundaries; the
 //!   chunking is unobservable in simulated state because every engine can
 //!   stop on any exact cycle. Nothing else needs recording — given the
 //!   config, the program, the fault spec, and the host inputs, every
@@ -168,14 +168,14 @@ impl JMachine {
     }
 
     /// First hash boundary strictly after the current cycle (`u64::MAX`
-    /// unless capturing): the drive loop ends every stretch there.
+    /// unless capturing): the drive loop ends every leg there.
     pub(crate) fn next_hash_boundary(&self) -> u64 {
         let capturing = self.recorder.as_ref();
         capturing.map_or(u64::MAX, |r| next_multiple(self.cycle(), r.interval))
     }
 
     /// Records a state-hash checkpoint if the clock just landed on a hash
-    /// boundary (no-op unless capturing). Called after every stretch of the
+    /// boundary (no-op unless capturing). Called after every leg of the
     /// drive loop, so a boundary is recorded exactly once however the
     /// machine got there — `run` or `run_until_quiescent`, in any chunks.
     pub(crate) fn checkpoint(&mut self) {

@@ -96,9 +96,10 @@ impl fmt::Display for AReg {
 /// whenever both message queues are empty, all without save/restore cost
 /// (§2.1: "Fast interrupt processing is achieved through the use of three
 /// distinct register sets").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Background execution: runs only when both message queues are empty.
+    #[default]
     Background,
     /// Priority 0: normal message handlers.
     P0,

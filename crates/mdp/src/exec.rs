@@ -17,6 +17,9 @@ enum Hazard {
     Stall,
     /// Processor fault: vector through the fault table.
     Fault(FaultKind, Word, Word),
+    /// Inside a stretch only: an access the checkpoint cannot undo — the
+    /// staging window, or a write that would allocate a DRAM page.
+    Visible,
 }
 
 /// How strictly a source read enforces presence tags.
@@ -42,60 +45,183 @@ enum Step {
     Vectored { cost: u64 },
     /// The node recorded a fatal [`NodeError`].
     Error,
+    /// Inside a stretch only: not executed, nothing changed; the stretch
+    /// ends before it.
+    Yield,
+}
+
+/// The port a stretch runs with: it stops before every message commit.
+struct NoPort;
+
+impl NetPort for NoPort {
+    fn commit(&mut self, _: MsgPriority, _: &[Word]) -> InjectAck {
+        unreachable!("a stretch stops before a message commit")
+    }
+}
+
+/// Whether `instr` may retire inside a stretch: everything but what makes
+/// a thread visible outside its node — a message commit, the thread's end
+/// (`SUSPEND`, `HALT`) — and what the stretch's checkpoint does not hold:
+/// `RESUME`'s staging frame and fault state, and the translation cache
+/// behind `ENTER`/`XLATE`/`PROBE`.
+fn private(instr: Instruction) -> bool {
+    match instr {
+        Instruction::Send { end, .. } => !end,
+        Instruction::Suspend
+        | Instruction::Halt
+        | Instruction::Resume
+        | Instruction::Enter { .. }
+        | Instruction::Xlate { .. }
+        | Instruction::Probe { .. } => false,
+        _ => true,
+    }
 }
 
 impl MdpNode {
-    /// Executes at the given priority for one instruction (plus any
-    /// zero-cost `MARK`s preceding it).
+    /// Executes `priority`'s thread at cycle `now`: one instruction (plus
+    /// any zero-cost `MARK`s preceding it), and, if it retired and the
+    /// engine gave room (`limit` past its end), the stretch after it.
     pub(crate) fn exec_slice<P: NetPort + ?Sized>(
         &mut self,
         priority: Priority,
         now: u64,
+        limit: u64,
         net: &mut P,
     ) {
+        if self.step::<false, _>(priority, now, net) && self.busy_until < limit {
+            let retired = self.run_on(priority, limit);
+            if retired > 0 {
+                let counts = &mut self.stretch.stats;
+                counts.stretches += 1;
+                counts.retired += retired;
+            }
+        }
+    }
+
+    /// Runs `priority`'s thread on from `busy_until`, an instruction
+    /// boundary, while the next instruction starts before `limit` and is
+    /// node-private; checkpoints where it starts. Returns the instructions
+    /// retired.
+    pub(crate) fn run_on(&mut self, priority: Priority, limit: u64) -> u64 {
+        let before = self.stats.instructions;
+        self.spec_end = 0;
+        while self.busy_until < limit
+            && self.step::<true, _>(priority, self.busy_until, &mut NoPort)
+        {}
+        self.stats.instructions - before
+    }
+
+    /// Executes one instruction of `priority`'s thread, starting at cycle
+    /// `start`: a visit's own (`SPEC` false), whose stall, fault or error
+    /// takes effect, or one inside a stretch (`SPEC` true), which is not
+    /// executed at all — no side effect, `MARK`s included — if it is not
+    /// node-private or would stall or fault, so that it does so at its own
+    /// visit. Returns whether it retired plainly, so a stretch may go on.
+    /// (`SPEC` is a parameter of the type, not the call, so that neither
+    /// mode pays for the other's checks; each instance has one caller.)
+    #[inline(always)]
+    fn step<const SPEC: bool, P: NetPort + ?Sized>(
+        &mut self,
+        priority: Priority,
+        start: u64,
+        net: &mut P,
+    ) -> bool {
         let pi = priority.index();
-        loop {
-            let ip = self.regs.bank(priority).ip;
+        let (first_ip, first_class) = (self.regs.bank(priority).ip, self.class[pi]);
+        let mut ip = first_ip;
+        let instr = loop {
             let Some(&instr) = self.program.code.get(ip as usize) else {
-                self.error = Some(NodeError::IpOutOfRange(ip));
-                return;
-            };
-            if let Instruction::Mark { class } = instr {
-                self.class[pi] = class;
-                self.regs.bank_mut(priority).ip = ip + 1;
-                continue;
-            }
-            let fetch_extra = if ip >= self.emem_code_from {
-                self.config.timing.emem_fetch
-            } else {
-                0
-            };
-            let step = self.exec_one(priority, instr, ip, now, net);
-            let retired = matches!(step, Step::Done { .. } | Step::End { .. });
-            if retired {
-                self.stats.instructions += 1;
-                let mut slot = self.handler_slot[pi];
-                if slot == usize::MAX {
-                    slot = self.stats.handlers.entry_slot(self.cur_handler[pi]);
-                    self.handler_slot[pi] = slot;
+                if SPEC {
+                    self.class[pi] = first_class;
+                } else {
+                    self.regs.bank_mut(priority).ip = ip;
+                    self.error = Some(NodeError::IpOutOfRange(ip));
                 }
-                self.stats.handlers.slot_mut(slot).instructions += 1;
-            }
-            let cost = match step {
-                Step::Done { cost, next_ip } => {
-                    self.regs.bank_mut(priority).ip = next_ip;
-                    cost
-                }
-                Step::Retry { cost } | Step::End { cost } | Step::Vectored { cost } => cost,
-                Step::Error => return,
+                return false;
             };
-            if self.error.is_some() {
-                return;
+            match instr {
+                Instruction::Mark { class } => {
+                    self.class[pi] = class;
+                    ip += 1;
+                }
+                _ => break instr,
             }
-            let cost = (cost + fetch_extra).max(1);
-            self.stats.add_cycles(self.class[pi], cost);
-            self.busy_until = now + cost;
-            return;
+        };
+        if SPEC {
+            if !private(instr) {
+                self.class[pi] = first_class;
+                return false;
+            }
+            if self.spec_end == 0 {
+                self.checkpoint(priority, first_class);
+            }
+        }
+        if ip != first_ip {
+            self.regs.bank_mut(priority).ip = ip;
+        }
+        let fetch_extra = if ip >= self.emem_code_from {
+            self.config.timing.emem_fetch
+        } else {
+            0
+        };
+        let step = self.exec_one::<SPEC, P>(priority, instr, ip, start, net);
+        if matches!(step, Step::Done { .. } | Step::End { .. }) {
+            self.stats.instructions += 1;
+            let mut slot = self.handler_slot[pi];
+            if slot == usize::MAX {
+                slot = self.stats.handlers.entry_slot(self.cur_handler[pi]);
+                self.handler_slot[pi] = slot;
+            }
+            self.stats.handlers.slot_mut(slot).instructions += 1;
+        }
+        let cost = match step {
+            Step::Done { cost, next_ip } => {
+                self.regs.bank_mut(priority).ip = next_ip;
+                cost
+            }
+            Step::Retry { cost } | Step::End { cost } | Step::Vectored { cost } => cost,
+            Step::Yield => {
+                self.class[pi] = first_class;
+                self.regs.bank_mut(priority).ip = first_ip;
+                return false;
+            }
+            Step::Error => return false,
+        };
+        if self.error.is_some() {
+            return false;
+        }
+        let cost = (cost + fetch_extra).max(1);
+        self.stats.add_cycles(self.class[pi], cost);
+        self.busy_until = start + cost;
+        if SPEC {
+            self.spec_end = start + 1;
+        }
+        matches!(step, Step::Done { .. })
+    }
+
+    /// What a hazard met `cost` cycles into an instruction makes of it.
+    /// Cold: inlined at each of `exec_one`'s hazard sites it made the
+    /// interpreter loop ~5 % slower per instruction.
+    #[cold]
+    fn blocked(&mut self, priority: Priority, hazard: Hazard, spec: bool, cost: u64) -> Step {
+        match hazard {
+            _ if spec => Step::Yield,
+            Hazard::Stall => {
+                self.stats.arrival_stalls += 1;
+                Step::Retry { cost: 1 }
+            }
+            Hazard::Fault(kind, val, addr) => {
+                let entry = self.raise_fault(priority, kind, val, addr);
+                if self.error.is_some() {
+                    return Step::Error;
+                }
+                // The detecting instruction spends its own cycles (base +
+                // operand access) before the vector entry: a cfut read
+                // costs 2 (detect) + 4 (vector) = the paper's 6-cycle
+                // failure (Table 2).
+                Step::Vectored { cost: entry + cost }
+            }
+            Hazard::Visible => unreachable!("only a stretch stops at a visible access"),
         }
     }
 
@@ -119,7 +245,7 @@ impl MdpNode {
 
     /// Resolves a memory reference to an absolute address.
     #[inline]
-    fn resolve_mem(&mut self, priority: Priority, m: MemRef) -> Result<u32, Hazard> {
+    fn resolve_mem(&self, priority: Priority, m: MemRef) -> Result<u32, Hazard> {
         let bank = self.regs.bank(priority);
         let desc_word = bank.a[m.base.index()];
         if desc_word.tag() != Tag::Addr {
@@ -155,9 +281,10 @@ impl MdpNode {
     }
 
     /// Reads the word at an absolute address, charging region cost into
-    /// `extra`. Queue-window reads stall until the word has arrived.
+    /// `extra`. Queue-window reads stall until the word has arrived; a
+    /// stretch (`SPEC`) stops at the staging window.
     #[inline]
-    fn addressed_read(&mut self, addr: u32, extra: &mut u64) -> Result<Word, Hazard> {
+    fn addressed_read<const SPEC: bool>(&self, addr: u32, extra: &mut u64) -> Result<Word, Hazard> {
         let t = &self.config.timing;
         if addr < MEM_WORDS {
             *extra += if Memory::is_internal(addr) {
@@ -174,16 +301,14 @@ impl MdpNode {
             // ring end and wrap (read_slot reduces modulo the capacity).
             if addr >= base && addr < base + 2 * cap {
                 *extra += t.queue_operand;
-                return match self.queues[q].read_slot((addr - base) as usize) {
-                    Some(word) => Ok(word),
-                    None => {
-                        self.stats.arrival_stalls += 1;
-                        Err(Hazard::Stall)
-                    }
-                };
+                let slot = self.queues[q].read_slot((addr - base) as usize);
+                return slot.ok_or(Hazard::Stall);
             }
         }
         if (STAGING_VBASE..STAGING_VBASE + 3 * STAGING_FRAME).contains(&addr) {
+            if SPEC {
+                return Err(Hazard::Visible);
+            }
             if let Some(word) = self.staging_read(addr) {
                 return Ok(word);
             }
@@ -196,8 +321,16 @@ impl MdpNode {
     }
 
     /// Writes the word at an absolute address, charging region cost.
+    /// Inside a stretch (`SPEC`) the overwritten word goes to its undo log,
+    /// and a write that would allocate a DRAM page, or any staging-window
+    /// write, stops the stretch.
     #[inline]
-    fn addressed_write(&mut self, addr: u32, word: Word, extra: &mut u64) -> Result<(), Hazard> {
+    fn addressed_write<const SPEC: bool>(
+        &mut self,
+        addr: u32,
+        word: Word,
+        extra: &mut u64,
+    ) -> Result<(), Hazard> {
         let t = &self.config.timing;
         if addr < MEM_WORDS {
             *extra += if Memory::is_internal(addr) {
@@ -205,13 +338,22 @@ impl MdpNode {
             } else {
                 t.emem_operand
             };
+            if SPEC {
+                if !self.mem.is_mapped(addr) {
+                    return Err(Hazard::Visible);
+                }
+                self.stretch.undo.push((addr, self.mem.read(addr)));
+            }
             self.mem.write(addr, word);
             return Ok(());
         }
-        if (STAGING_VBASE..STAGING_VBASE + 3 * STAGING_FRAME).contains(&addr)
-            && self.staging_write(addr, word)
-        {
-            return Ok(());
+        if (STAGING_VBASE..STAGING_VBASE + 3 * STAGING_FRAME).contains(&addr) {
+            if SPEC {
+                return Err(Hazard::Visible);
+            }
+            if self.staging_write(addr, word) {
+                return Ok(());
+            }
         }
         // Queue windows are read-only to software.
         Err(Hazard::Fault(
@@ -222,13 +364,13 @@ impl MdpNode {
     }
 
     #[inline]
-    fn read_src(
-        &mut self,
+    fn read_src<const SPEC: bool>(
+        &self,
         priority: Priority,
         src: Src,
         level: ReadLevel,
-        extra: &mut u64,
         now: u64,
+        extra: &mut u64,
     ) -> Result<Word, Hazard> {
         let t = &self.config.timing;
         let (word, addr) = match src {
@@ -250,7 +392,10 @@ impl MdpNode {
             }
             Src::Mem(m) => {
                 let addr = self.resolve_mem(priority, m)?;
-                (self.addressed_read(addr, extra)?, Word::int(addr as i32))
+                (
+                    self.addressed_read::<SPEC>(addr, extra)?,
+                    Word::int(addr as i32),
+                )
             }
         };
         // Inside a fault handler the MDP masks presence-tag faults (a
@@ -283,7 +428,7 @@ impl MdpNode {
     }
 
     #[inline]
-    fn write_dst(
+    fn write_dst<const SPEC: bool>(
         &mut self,
         priority: Priority,
         dst: Dst,
@@ -301,7 +446,7 @@ impl MdpNode {
             }
             Dst::Mem(m) => {
                 let addr = self.resolve_mem(priority, m)?;
-                self.addressed_write(addr, word, extra)
+                self.addressed_write::<SPEC>(addr, word, extra)
             }
         }
     }
@@ -380,7 +525,7 @@ impl MdpNode {
         Ok(Word::int(value))
     }
 
-    fn exec_one<P: NetPort + ?Sized>(
+    fn exec_one<const SPEC: bool, P: NetPort + ?Sized>(
         &mut self,
         priority: Priority,
         instr: Instruction,
@@ -396,39 +541,37 @@ impl MdpNode {
             ($e:expr) => {
                 match $e {
                     Ok(v) => v,
-                    Err(Hazard::Stall) => return Step::Retry { cost: 1 },
-                    Err(Hazard::Fault(kind, val, addr)) => {
-                        let cost = self.raise_fault(priority, kind, val, addr);
-                        if self.error.is_some() {
-                            return Step::Error;
-                        }
-                        // The detecting instruction spends its own cycles
-                        // (base + operand access) before the vector entry:
-                        // a cfut read costs 2 (detect) + 4 (vector) = the
-                        // paper's 6-cycle failure (Table 2).
-                        return Step::Vectored {
-                            cost: cost + base + extra,
-                        };
-                    }
+                    Err(hazard) => return self.blocked(priority, hazard, SPEC, base + extra),
                 }
+            };
+        }
+        // A source operand read at a `ReadLevel`, and a destination write.
+        macro_rules! src {
+            ($src:expr, $level:ident) => {
+                hazard!(self.read_src::<SPEC>(priority, $src, ReadLevel::$level, now, &mut extra))
+            };
+        }
+        macro_rules! dst {
+            ($dst:expr, $word:expr) => {
+                hazard!(self.write_dst::<SPEC>(priority, $dst, $word, &mut extra))
             };
         }
 
         match instr {
-            Instruction::Mark { .. } => unreachable!("handled in exec_slice"),
+            Instruction::Mark { .. } => unreachable!("handled in step"),
             Instruction::Move { dst, src } => {
-                let v = hazard!(self.read_src(priority, src, ReadLevel::Move, &mut extra, now));
-                hazard!(self.write_dst(priority, dst, v, &mut extra));
+                let v = src!(src, Move);
+                dst!(dst, v);
                 Step::Done {
                     cost: base + extra,
                     next_ip: ip + 1,
                 }
             }
             Instruction::Alu { op, dst, a, b } => {
-                let av = hazard!(self.read_src(priority, a, ReadLevel::Use, &mut extra, now));
-                let bv = hazard!(self.read_src(priority, b, ReadLevel::Use, &mut extra, now));
+                let av = src!(a, Use);
+                let bv = src!(b, Use);
                 let out = hazard!(self.alu2(op, av, bv));
-                hazard!(self.write_dst(priority, dst, out, &mut extra));
+                dst!(dst, out);
                 let op_extra = match op {
                     AluOp::Mul => self.config.timing.mul,
                     AluOp::Div | AluOp::Rem => self.config.timing.div,
@@ -440,7 +583,7 @@ impl MdpNode {
                 }
             }
             Instruction::Alu1 { op, dst, src } => {
-                let v = hazard!(self.read_src(priority, src, ReadLevel::Use, &mut extra, now));
+                let v = src!(src, Use);
                 let out = match op {
                     Alu1Op::Neg => {
                         if v.tag() != Tag::Int {
@@ -464,7 +607,7 @@ impl MdpNode {
                         }
                     }
                 };
-                hazard!(self.write_dst(priority, dst, out, &mut extra));
+                dst!(dst, out);
                 Step::Done {
                     cost: base + extra,
                     next_ip: ip + 1,
@@ -475,7 +618,7 @@ impl MdpNode {
                 next_ip: (ip as i64 + 1 + off as i64) as u32,
             },
             Instruction::Bc { cond, src, off } => {
-                let v = hazard!(self.read_src(priority, src, ReadLevel::Use, &mut extra, now));
+                let v = src!(src, Use);
                 let taken = match cond {
                     Cond::True | Cond::False => {
                         if v.tag() != Tag::Bool {
@@ -503,7 +646,7 @@ impl MdpNode {
                 Step::Done { cost, next_ip }
             }
             Instruction::Jmp { target } => {
-                let v = hazard!(self.read_src(priority, target, ReadLevel::Use, &mut extra, now));
+                let v = src!(target, Use);
                 if v.tag() != Tag::Ip && v.tag() != Tag::Int {
                     hazard!(Err(Hazard::Fault(FaultKind::TagMismatch, v, Word::NIL)))
                 }
@@ -524,7 +667,7 @@ impl MdpNode {
                 a,
                 b,
                 end,
-            } => self.exec_send(priority, mp, a, b, end, now, net),
+            } => self.exec_send::<SPEC, P>(priority, mp, a, b, end, ip, now, net),
             Instruction::Suspend => match priority {
                 Priority::Background => {
                     self.end_thread(priority, now);
@@ -557,42 +700,38 @@ impl MdpNode {
                 }
             }
             Instruction::Rtag { dst, src } => {
-                let v = hazard!(self.read_src(priority, src, ReadLevel::Raw, &mut extra, now));
-                hazard!(self.write_dst(
-                    priority,
-                    dst,
-                    Word::int(i32::from(v.tag().bits())),
-                    &mut extra
-                ));
+                let v = src!(src, Raw);
+                let tag = Word::int(i32::from(v.tag().bits()));
+                dst!(dst, tag);
                 Step::Done {
                     cost: base + extra,
                     next_ip: ip + 1,
                 }
             }
             Instruction::Wtag { dst, src, tag } => {
-                let v = hazard!(self.read_src(priority, src, ReadLevel::Raw, &mut extra, now));
-                let t = hazard!(self.read_src(priority, tag, ReadLevel::Use, &mut extra, now));
+                let v = src!(src, Raw);
+                let t = src!(tag, Use);
                 if t.tag() != Tag::Int {
                     hazard!(Err(Hazard::Fault(FaultKind::TagMismatch, t, Word::NIL)))
                 }
                 let new_tag = Tag::from_bits((t.bits() & 0xf) as u8);
-                hazard!(self.write_dst(priority, dst, v.retagged(new_tag), &mut extra));
+                dst!(dst, v.retagged(new_tag));
                 Step::Done {
                     cost: base + extra,
                     next_ip: ip + 1,
                 }
             }
             Instruction::Check { dst, src, tag } => {
-                let v = hazard!(self.read_src(priority, src, ReadLevel::Raw, &mut extra, now));
-                hazard!(self.write_dst(priority, dst, Word::bool(v.tag() == tag), &mut extra));
+                let v = src!(src, Raw);
+                dst!(dst, Word::bool(v.tag() == tag));
                 Step::Done {
                     cost: base + extra,
                     next_ip: ip + 1,
                 }
             }
             Instruction::Enter { key, value } => {
-                let k = hazard!(self.read_src(priority, key, ReadLevel::Raw, &mut extra, now));
-                let v = hazard!(self.read_src(priority, value, ReadLevel::Raw, &mut extra, now));
+                let k = src!(key, Raw);
+                let v = src!(value, Raw);
                 self.xlate.enter(k, v);
                 Step::Done {
                     cost: base + extra + self.config.timing.enter_extra,
@@ -600,11 +739,11 @@ impl MdpNode {
                 }
             }
             Instruction::Xlate { dst, key } => {
-                let k = hazard!(self.read_src(priority, key, ReadLevel::Raw, &mut extra, now));
+                let k = src!(key, Raw);
                 self.stats.xlates += 1;
                 match self.xlate.xlate(k) {
                     Some(v) => {
-                        hazard!(self.write_dst(priority, dst, v, &mut extra));
+                        dst!(dst, v);
                         Step::Done {
                             cost: base + extra + self.config.timing.xlate_extra,
                             next_ip: ip + 1,
@@ -618,13 +757,13 @@ impl MdpNode {
                 }
             }
             Instruction::Probe { dst, key } => {
-                let k = hazard!(self.read_src(priority, key, ReadLevel::Raw, &mut extra, now));
+                let k = src!(key, Raw);
                 self.stats.xlates += 1;
                 let v = self.xlate.xlate(k).unwrap_or_else(|| {
                     self.stats.xlate_misses += 1;
                     Word::NIL
                 });
-                hazard!(self.write_dst(priority, dst, v, &mut extra));
+                dst!(dst, v);
                 Step::Done {
                     cost: base + extra + self.config.timing.xlate_extra,
                     next_ip: ip + 1,
@@ -643,40 +782,38 @@ impl MdpNode {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn exec_send<P: NetPort + ?Sized>(
+    fn exec_send<const SPEC: bool, P: NetPort + ?Sized>(
         &mut self,
         priority: Priority,
         mp: MsgPriority,
         a: Src,
         b: Option<Src>,
         end: bool,
+        ip: u32,
         now: u64,
         net: &mut P,
     ) -> Step {
         let pi = priority.index();
         let base = self.config.timing.base;
+        debug_assert!(!SPEC || !(end || self.commit_pending[pi]));
         let mut extra = 0u64;
         // Compose (unless this is a retried commit, whose operands were
-        // already appended before the send fault).
+        // already appended before the send fault). Both operands are read
+        // before either is appended: a `SEND2` that stalls or faults on
+        // its second retries (or resumes) from a composition that does not
+        // hold its first.
         if !self.commit_pending[pi] {
+            let mut words = [Word::NIL; 2];
             let operands = [Some(a), b];
-            let count = if b.is_some() { 2 } else { 1 };
-            for src in operands.iter().take(count).flatten() {
-                let word = match self.read_src(priority, *src, ReadLevel::Move, &mut extra, now) {
-                    Ok(v) => v,
-                    Err(Hazard::Stall) => return Step::Retry { cost: 1 },
-                    Err(Hazard::Fault(kind, val, addr)) => {
-                        let cost = self.raise_fault(priority, kind, val, addr);
-                        if self.error.is_some() {
-                            return Step::Error;
-                        }
-                        return Step::Vectored {
-                            cost: cost + base + extra,
-                        };
-                    }
-                };
-                self.compose[pi].push(word);
+            for (word, src) in words.iter_mut().zip(operands.iter().flatten()) {
+                *word =
+                    match self.read_src::<SPEC>(priority, *src, ReadLevel::Move, now, &mut extra) {
+                        Ok(word) => word,
+                        Err(hazard) => return self.blocked(priority, hazard, SPEC, base + extra),
+                    };
             }
+            let count = if b.is_some() { 2 } else { 1 };
+            self.compose[pi].extend_from_slice(&words[..count]);
             if end {
                 self.commit_pending[pi] = true;
             }
@@ -703,7 +840,7 @@ impl MdpNode {
         self.stats.sends += 1;
         Step::Done {
             cost: base + extra,
-            next_ip: self.regs.bank(priority).ip + 1,
+            next_ip: ip + 1,
         }
     }
 }

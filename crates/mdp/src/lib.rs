@@ -38,6 +38,7 @@ mod memory;
 mod node;
 mod queue;
 mod stats;
+mod stretch;
 mod xlate;
 
 pub use config::{MdpConfig, TimingConfig, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
@@ -45,4 +46,5 @@ pub use memory::Memory;
 pub use node::{InjectAck, MdpNode, NetPort, NodeError, TickOutcome};
 pub use queue::MsgQueue;
 pub use stats::{HandlerStats, NodeStats};
+pub use stretch::StretchStats;
 pub use xlate::XlateCache;

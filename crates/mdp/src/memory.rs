@@ -80,6 +80,15 @@ impl Memory {
         addr < EMEM_BASE
     }
 
+    /// Whether a write to `addr` lands in storage that already exists: the
+    /// SRAM, or a DRAM page some earlier write allocated. Allocation is
+    /// state (see [`Self::fold_state`]), so a write that would allocate
+    /// cannot be undone by restoring one word.
+    #[inline]
+    pub fn is_mapped(&self, addr: u32) -> bool {
+        addr < EMEM_BASE || self.pages[(addr - EMEM_BASE) as usize / PAGE_WORDS].is_some()
+    }
+
     /// Bulk-writes a slice starting at `base` (host-side loader).
     ///
     /// # Panics

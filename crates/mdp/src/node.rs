@@ -5,6 +5,7 @@ use crate::config::{MdpConfig, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
 use crate::memory::Memory;
 use crate::queue::MsgQueue;
 use crate::stats::NodeStats;
+use crate::stretch::Stretch;
 use crate::xlate::XlateCache;
 use jm_asm::Program;
 use jm_isa::consts::{FaultKind, EMEM_BASE};
@@ -187,6 +188,12 @@ pub struct MdpNode {
     pub(crate) trace_pending: [VecDeque<TraceId>; 2],
     /// Tracing only: trace id of the message each bank's thread is handling.
     pub(crate) cur_trace: [TraceId; 3],
+    /// One past the start cycle of the last instruction the current
+    /// stretch retired (0: none): a delivery or a drive stop before it
+    /// lands inside the stretch.
+    pub(crate) spec_end: u64,
+    /// The current stretch's checkpoint (see [`crate::stretch`]).
+    pub(crate) stretch: Box<Stretch>,
 }
 
 impl fmt::Debug for MdpNode {
@@ -285,6 +292,8 @@ impl MdpNode {
             incoming_rem: [0; 2],
             trace_pending: Default::default(),
             cur_trace: [TraceId::NONE; 3],
+            spec_end: 0,
+            stretch: Box::default(),
         }
     }
 
@@ -374,6 +383,12 @@ impl MdpNode {
     /// cycle: when the word opens a new message (the previous one's words
     /// have all arrived) a queue-enter event is emitted and `trace` is
     /// remembered so the eventual dispatch can name it.
+    ///
+    /// A word landing above the priority of a thread that ran on past
+    /// `now` (see [`Self::advance`]) rewinds that stretch to `now`: the
+    /// instructions starting from `now` on belong to whatever the word
+    /// dispatches — or, in checksum mode, waits for — first. The node's
+    /// [`Self::busy_until`] then moves back.
     pub fn deliver_traced(
         &mut self,
         priority: MsgPriority,
@@ -384,6 +399,9 @@ impl MdpNode {
         let q = priority.index();
         if !self.queues[q].push(word) {
             return false;
+        }
+        if now < self.spec_end && q + 1 > self.stretch.priority.index() {
+            self.rewind(now);
         }
         if let Some(tracer) = &mut self.tracer {
             if self.incoming_rem[q] == 0 {
@@ -469,11 +487,12 @@ impl MdpNode {
         }
     }
 
-    /// Advances the node at cycle `now`. A cycle-scanning engine calls this
-    /// once per machine cycle; an event-driven engine calls it only at the
-    /// cycles the returned [`TickOutcome`] names (plus wake-ups on
-    /// deliveries). Generic over the port so monomorphized engines inline
-    /// the injection path.
+    /// Advances the node at cycle `now` by at most one instruction (or
+    /// dispatch): [`Self::advance`] with no room to run on. A cycle-scanning
+    /// engine calls this once per machine cycle; an event-driven engine
+    /// calls it only at the cycles the returned [`TickOutcome`] names (plus
+    /// wake-ups on deliveries). Generic over the port so monomorphized
+    /// engines inline the injection path.
     ///
     /// Idle is the gap between two acts: before the node acts or counts an
     /// idle cycle at `now`, the cycles since `busy_until` that no tick
@@ -483,6 +502,25 @@ impl MdpNode {
     /// exactly one class: `stats().total_cycles() == busy_until`, and
     /// between ticks the remainder is [`Self::idle_owed`].
     pub fn tick<P: NetPort + ?Sized>(&mut self, now: u64, net: &mut P) -> TickOutcome {
+        self.advance(now, now + 1, net)
+    }
+
+    /// Advances the node at cycle `now`, running on until `limit`: a thread
+    /// whose instruction at `now` retires keeps retiring the node-private
+    /// instructions after it that start before `limit` — a *stretch*,
+    /// which ends before a message commit, the thread's end, a queue word
+    /// that has not arrived, or anything that would stall or fault
+    /// (DESIGN.md §4.5, "Stretches"). The result is the node a
+    /// [`Self::tick`] at every cycle up to `limit` leaves behind, as long
+    /// as nothing is delivered above the thread's priority inside the
+    /// stretch; a delivery that is rewinds it ([`Self::deliver_traced`]),
+    /// and so does [`Self::settle`] at a drive stop inside it.
+    pub fn advance<P: NetPort + ?Sized>(
+        &mut self,
+        now: u64,
+        limit: u64,
+        net: &mut P,
+    ) -> TickOutcome {
         if now < self.busy_until {
             return TickOutcome::Busy {
                 until: self.busy_until,
@@ -505,7 +543,7 @@ impl MdpNode {
                 self.outcome()
             }
             Decision::Exec(priority) => {
-                self.exec_slice(priority, now, net);
+                self.exec_slice(priority, now, limit, net);
                 self.outcome()
             }
         }
@@ -521,6 +559,11 @@ impl MdpNode {
                 until: self.busy_until,
             }
         }
+    }
+
+    /// First cycle at which the node can act again.
+    pub fn busy_until(&self) -> u64 {
+        self.busy_until
     }
 
     /// Idle cycles a live node has lived through by `now` that no tick has

@@ -706,3 +706,72 @@ fn idle_is_the_gap_between_two_acts() {
     assert_eq!(sparse.stats(), twin.stats());
     assert_eq!(sparse.idle_owed(200), 0);
 }
+
+#[test]
+fn a_stretch_rewinds_to_a_delivery_at_any_cycle_inside_it() {
+    // A background loop that folds the cycle into what it stores, and a P0
+    // handler that overwrites the word the loop reads. One node is advanced
+    // at cycle 0 with room to run on to LIMIT, then handed the handler's
+    // header at cycle d, inside the stretch; its twin is ticked every cycle
+    // and handed the header at d. Rewound to d, the first is the node the
+    // twin is — and so it stays.
+    const LIMIT: u64 = 48;
+    let mut b = Builder::new();
+    b.data("buf", Region::Imem, vec![Word::int(0); 8]);
+    b.label("main");
+    b.load_seg(A0, "buf");
+    b.movi(R0, 0);
+    b.label("loop");
+    b.mov(R1, MemRef::disp(A0, 1));
+    b.alu(AluOp::Add, R1, R1, Special::Cycle);
+    b.alu(AluOp::And, R2, R0, 7);
+    b.mov(MemRef::reg(A0, R2), R1);
+    b.addi(R0, R0, 1);
+    b.br("loop");
+    b.label("handler");
+    b.load_seg(A0, "buf");
+    b.mov(MemRef::disp(A0, 1), Special::Cycle);
+    b.suspend();
+    b.entry("main");
+    let p = Arc::new(b.assemble().unwrap());
+    let header = MsgHeader::new(p.handler("handler"), 1).to_word();
+    let boot = || {
+        MdpNode::new(
+            NodeId(0),
+            MeshDims::new(2, 2, 2),
+            Arc::clone(&p),
+            MdpConfig::default(),
+            true,
+        )
+    };
+    let mut net = MockNet::default();
+    for d in 1..LIMIT {
+        let (mut run_on, mut twin) = (boot(), boot());
+        run_on.advance(0, LIMIT, &mut net);
+        assert!(run_on.busy_until() >= LIMIT, "no stretch");
+        for now in 0..d {
+            twin.tick(now, &mut net);
+        }
+        deliver(&mut run_on, MsgPriority::P0, header, d);
+        deliver(&mut twin, MsgPriority::P0, header, d);
+        assert_eq!(run_on.busy_until(), twin.busy_until(), "delivery at {d}");
+        assert_eq!(run_on.stats(), twin.stats(), "delivery at {d}");
+        assert_eq!(
+            run_on.state_components(d),
+            twin.state_components(d),
+            "delivery at {d}"
+        );
+        for now in d..d + 100 {
+            run_on.tick(now, &mut net);
+            twin.tick(now, &mut net);
+            assert_eq!(run_on.stats(), twin.stats(), "delivery at {d}, cycle {now}");
+            assert_eq!(
+                run_on.state_components(now + 1),
+                twin.state_components(now + 1),
+                "delivery at {d}, cycle {now}"
+            );
+        }
+        assert_eq!(twin.stats().threads, 1);
+        assert_eq!(run_on.stretch_stats().stretches, 1);
+    }
+}

@@ -16,10 +16,13 @@ use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::word::Word;
 use jm_isa::{Coord, RouteWord};
+use jm_machine::FaultSpec;
 use jm_machine::StartPolicy;
 use jm_machine::{Engine, JMachine, MachineConfig, TraceConfig};
 use jm_mdp::MdpConfig;
-use jm_tests::{observe, Observation, ENGINES};
+use jm_mdp::StretchStats;
+use jm_runtime::nnr;
+use jm_tests::{observe, observe_stretched, Observation, ENGINES};
 
 /// Runs the workload on every engine and asserts bit-identical observables.
 fn assert_equivalent(
@@ -44,11 +47,15 @@ fn assert_equivalent(
             naive.memory, other.memory,
             "{label}/{engine:?}: final memory diverged"
         );
+        assert_eq!(
+            naive.state_hash, other.state_hash,
+            "{label}/{engine:?}: final state hash diverged"
+        );
     }
     naive
 }
 
-/// Micro workload: a three-hop RPC chain with long idle stretches — node 0
+/// Micro workload: a three-hop RPC chain with long idle spans — node 0
 /// asks the far corner to increment a value and store the reply.
 fn rpc_program() -> Program {
     let mut b = Builder::new();
@@ -449,4 +456,270 @@ fn queue_full_redelivers_next_cycle() {
     // Despite the refusals, every message was eventually re-delivered.
     assert_eq!(m.stats().nodes.msgs_received, 4);
     assert_eq!(m.stats().net.delivered_words, 4 * 3);
+}
+
+/// [`assert_equivalent`] for a workload built to make the sharded engines'
+/// nodes run on past their visits and be rewound; returns the event
+/// engine's stretch counters, which say whether it did.
+fn assert_stretch_exact(
+    label: &str,
+    program: impl Fn() -> Program,
+    config: MachineConfig,
+    max_cycles: u64,
+) -> StretchStats {
+    assert_equivalent(label, &program, config, max_cycles, |_| {});
+    let event = config.engine(Engine::Event);
+    observe_stretched(program(), event, max_cycles, |_| {}).1
+}
+
+/// Boot code every stretch workload shares: the route to the next node
+/// (ascending id, wrapping) into `next`, then `A0` at `shared`.
+fn route_to_next(b: &mut Builder) {
+    b.reserve("next", Region::Imem, 1);
+    b.data("shared", Region::Imem, vec![Word::int(0); 2]);
+    b.label("main");
+    b.mov(R0, Special::Nid);
+    b.addi(R0, R0, 1);
+    b.alu(AluOp::Rem, R0, R0, Special::NNodes);
+    b.call(nnr::NID_TO_ROUTE);
+    b.load_seg(A1, "next");
+    b.mov(MemRef::disp(A1, 0), R0);
+    b.load_seg(A0, "shared");
+}
+
+/// Every node runs a store-heavy background loop — each iteration writes
+/// the cycle it reads and a running sum — and node 5 divides by zero,
+/// unhandled, at iteration `fault_at`.
+fn store_loop_program(fault_at: i32) -> Program {
+    let mut b = Builder::new();
+    b.reserve("buf", Region::Imem, 8);
+    b.label("main");
+    b.load_seg(A0, "buf");
+    b.movi(R0, 0);
+    b.label("loop");
+    b.alu(AluOp::And, R1, R0, 7);
+    b.mov(MemRef::reg(A0, R1), Special::Cycle);
+    b.mov(R2, MemRef::disp(A0, 0));
+    b.alu(AluOp::Add, R2, R2, R0);
+    b.mov(MemRef::disp(A0, 0), R2);
+    b.addi(R0, R0, 1);
+    b.alu(AluOp::Eq, R3, R0, fault_at);
+    b.bf(R3, "loop");
+    b.mov(R3, Special::Nid);
+    b.alu(AluOp::Sub, R3, R3, 5);
+    b.bnz(R3, "loop");
+    b.alu(AluOp::Div, R0, R0, 0);
+    b.br("loop");
+    b.entry("main");
+    b.assemble().unwrap()
+}
+
+/// A node error is the one stop a stretch is not bounded by: the drive
+/// stops the cycle after it, inside the other nodes' stretches, and each is
+/// settled there. (The crew runs at quantum 1, where it too stops the
+/// cycle after the error rather than at its next coordination point.)
+#[test]
+fn an_error_stop_settles_every_stretch() {
+    let mut config = MachineConfig::new(64).start(StartPolicy::AllNodes);
+    config.tuning.quantum = 1;
+    let mut rewinds = 0;
+    for fault_at in [1, 7, 50, 333, 400] {
+        let label = format!("error at iteration {fault_at}");
+        let program = || store_loop_program(fault_at);
+        rewinds += assert_stretch_exact(&label, program, config, 100_000).rewinds;
+        let obs = observe(program(), config, 100_000, |_| {});
+        let err = obs.outcome.unwrap_err();
+        assert!(err.contains("UnhandledFault"), "{label}: {err}");
+    }
+    assert!(rewinds > 0, "no error stop landed inside a stretch");
+}
+
+/// Background loops read a word that P0 `poke` handlers add to and write
+/// one the handlers read; each loop pokes the next node every eighth
+/// iteration, so pokes land inside the neighbours' stretches, and each
+/// handler folds in when it ran and what the loop it interrupted had
+/// written last.
+fn poked_loop_program() -> Program {
+    let mut b = Builder::new();
+    route_to_next(&mut b);
+    b.movi(R2, 200);
+    b.label("loop");
+    b.mov(R0, MemRef::disp(A0, 0));
+    b.alu(AluOp::Add, R0, R0, R2);
+    b.mov(MemRef::disp(A0, 1), R0);
+    b.alu(AluOp::And, R1, R2, 7);
+    b.bnz(R1, "no_poke");
+    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
+    b.send2e(MsgPriority::P0, hdr("poke", 2), R2);
+    b.label("no_poke");
+    b.subi(R2, R2, 1);
+    b.bnz(R2, "loop");
+    b.suspend();
+    interrupt_handler(&mut b, "poke");
+    b.entry("main");
+    nnr::install(&mut b);
+    b.assemble().unwrap()
+}
+
+/// A handler that adds its argument, the cycle it runs at and the word its
+/// node's interrupted thread wrote last into the word that thread reads.
+fn interrupt_handler(b: &mut Builder, name: &str) {
+    b.label(name);
+    b.load_seg(A0, "shared");
+    b.mov(R0, MemRef::disp(A0, 0));
+    b.alu(AluOp::Add, R0, R0, MemRef::disp(A3, 1));
+    b.alu(AluOp::Add, R0, R0, Special::Cycle);
+    b.alu(AluOp::Add, R0, R0, MemRef::disp(A0, 1));
+    b.mov(MemRef::disp(A0, 0), R0);
+    b.suspend();
+}
+
+#[test]
+fn preempted_background_stretches_are_engine_exact() {
+    let config = MachineConfig::new(64).start(StartPolicy::AllNodes);
+    let counts = assert_stretch_exact("poked loops", poked_loop_program, config, 1_000_000);
+    assert!(counts.rewinds > 0, "no poke landed inside a stretch");
+}
+
+/// Each node hands the next a long P0 `work` handler that reads what P1
+/// `urgent` handlers write (and writes what they read), then fires six P1
+/// messages after it at staggered intervals, busy-waiting (a background
+/// stretch of its own) between them.
+fn preempted_handler_program() -> Program {
+    let mut b = Builder::new();
+    route_to_next(&mut b);
+    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
+    b.send2e(MsgPriority::P0, hdr("work", 2), 300);
+    b.movi(R2, 6);
+    b.label("volley");
+    b.alu(AluOp::Mul, R3, R2, 7);
+    b.label("wait");
+    b.subi(R3, R3, 1);
+    b.bnz(R3, "wait");
+    b.send(MsgPriority::P1, MemRef::disp(A1, 0));
+    b.send2e(MsgPriority::P1, hdr("urgent", 2), R2);
+    b.subi(R2, R2, 1);
+    b.bnz(R2, "volley");
+    b.suspend();
+    b.label("work");
+    b.load_seg(A0, "shared");
+    b.mov(R2, MemRef::disp(A3, 1));
+    b.label("work_loop");
+    b.mov(R0, MemRef::disp(A0, 0));
+    b.alu(AluOp::Add, R1, R0, R2);
+    b.mov(MemRef::disp(A0, 1), R1);
+    b.subi(R2, R2, 1);
+    b.bnz(R2, "work_loop");
+    b.suspend();
+    interrupt_handler(&mut b, "urgent");
+    b.entry("main");
+    nnr::install(&mut b);
+    b.assemble().unwrap()
+}
+
+#[test]
+fn p1_preempting_a_stretching_p0_handler_is_engine_exact() {
+    let config = MachineConfig::new(64).start(StartPolicy::AllNodes);
+    let counts = assert_stretch_exact("P1 over P0", preempted_handler_program, config, 1_000_000);
+    assert!(counts.rewinds > 0, "no P1 message landed inside a stretch");
+}
+
+/// Checksum mode: a message dispatches only once its trailer is in, so
+/// every word landing above a stretching thread rewinds it, header or not.
+#[test]
+fn checksummed_preemption_is_engine_exact() {
+    let spec = FaultSpec::new(7).flaky(50_000).checksums(true);
+    let config = MachineConfig::new(64)
+        .start(StartPolicy::AllNodes)
+        .fault(spec);
+    let counts = assert_stretch_exact("checksums", preempted_handler_program, config, 1_000_000);
+    assert!(counts.rewinds > 0, "no word landed inside a stretch");
+}
+
+/// Each node pokes the next one — after a delay of its own, so pokes land
+/// at every phase of the receiver's run — then writes six DRAM blocks a
+/// page apart, each a fresh page, for as long as it has not been poked.
+/// Page allocation is state: a stretch stops before the write that would
+/// allocate, which a node ticked every cycle might never reach.
+#[test]
+fn stretches_stop_before_a_fresh_dram_page() {
+    let program = || {
+        let mut b = Builder::new();
+        for k in 0..6 {
+            b.reserve(format!("e{k}"), Region::Emem, 4000);
+        }
+        route_to_next(&mut b);
+        b.mov(R3, Special::Nid);
+        b.alu(AluOp::And, R3, R3, 7);
+        b.addi(R3, R3, 1);
+        b.label("stagger");
+        b.subi(R3, R3, 1);
+        b.bnz(R3, "stagger");
+        b.send(MsgPriority::P0, MemRef::disp(A1, 0));
+        b.send2e(MsgPriority::P0, hdr("poke", 2), 1);
+        for k in 0..6 {
+            b.mov(R0, MemRef::disp(A0, 0));
+            b.bnz(R0, "poked");
+            b.load_seg(A1, format!("e{k}"));
+            b.mov(MemRef::disp(A1, 3000), Special::Cycle);
+        }
+        b.label("poked");
+        b.suspend();
+        interrupt_handler(&mut b, "poke");
+        b.entry("main");
+        nnr::install(&mut b);
+        b.assemble().unwrap()
+    };
+    let config = MachineConfig::new(64).start(StartPolicy::AllNodes);
+    let counts = assert_stretch_exact("fresh pages", program, config, 1_000_000);
+    assert!(counts.rewinds > 0, "no poke landed inside a stretch");
+}
+
+/// Occupancy samples (every 7 cycles) and replay checkpoints (every 13)
+/// are drive boundaries no stretch runs past: a traced, captured run of the
+/// P1-over-P0 workload is the same on every engine, down to each sample,
+/// each checkpoint hash and the trace hash.
+#[test]
+fn trace_samples_and_replay_checkpoints_cut_stretches_exactly() {
+    let config = MachineConfig::new(64)
+        .start(StartPolicy::AllNodes)
+        .trace(TraceConfig::on().sample_every(7));
+    let run = |engine| {
+        let mut m = JMachine::new(preempted_handler_program(), config.engine(engine));
+        m.record_replay(13);
+        let outcome = m.run_until_quiescent(1_000_000).map_err(|e| e.to_string());
+        let log = m.finish_replay().expect("capture was armed");
+        let trace = m.take_trace().expect("tracing was on");
+        let hash = jm_trace::hash(&trace);
+        (outcome, m.stats(), log.records, hash, trace.samples)
+    };
+    let naive = run(Engine::Naive);
+    assert!(naive.0.is_ok(), "{:?}", naive.0);
+    for engine in &ENGINES[1..] {
+        assert_eq!(naive, run(*engine), "{engine:?} diverged from naive");
+    }
+}
+
+/// `run(n)` stops every engine on the cycle asked for, so a run in chunks
+/// — of 1, 2, 3, 5, 7, 11, 100 and 1001 cycles — is one run, whatever
+/// stretches the chunk ends cut.
+#[test]
+fn chunked_runs_are_one_run() {
+    const TOTAL: u64 = 2_000;
+    let config = MachineConfig::new(64).start(StartPolicy::AllNodes);
+    let run = |engine, chunk: u64| {
+        let mut m = JMachine::new(poked_loop_program(), config.engine(engine));
+        while m.cycle() < TOTAL {
+            m.run(chunk.min(TOTAL - m.cycle()));
+        }
+        (m.stats(), m.state_hash())
+    };
+    let whole = run(Engine::Naive, TOTAL);
+    for engine in &ENGINES[1..] {
+        assert_eq!(run(*engine, TOTAL), whole, "{engine:?} diverged from naive");
+        for chunk in [1, 2, 3, 5, 7, 11, 100, 1001] {
+            let chunked = run(*engine, chunk);
+            assert_eq!(chunked, whole, "{engine:?} in {chunk}-cycle chunks");
+        }
+    }
 }
