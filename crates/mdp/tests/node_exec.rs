@@ -399,6 +399,33 @@ fn mark_switches_attribution_for_free() {
     assert_eq!(node.stats().instructions, 4);
 }
 
+/// A program whose last instructions are `MARK`s runs off its end having
+/// taken them: the error names the index past the end, and a node that
+/// was given room to run on stops in front of the `MARK`s and then fails
+/// the same way at its next tick.
+#[test]
+fn a_trailing_mark_run_runs_off_the_end() {
+    let mut b = Builder::new();
+    b.label("main");
+    b.nop();
+    b.mark(StatClass::Comm);
+    b.mark(StatClass::Sync);
+    b.entry("main");
+    let p = b.assemble().unwrap();
+    let (mut ticked, mut stretched) = (node_for(p.clone()), node_for(p));
+    let mut net = MockNet::default();
+    stretched.advance(0, 10, &mut net);
+    assert_eq!(stretched.busy_until(), 1, "ran into the MARKs");
+    for now in 0..3 {
+        ticked.tick(now, &mut net);
+        stretched.tick(now, &mut net);
+    }
+    assert_eq!(ticked.error(), Some(&jm_mdp::NodeError::IpOutOfRange(3)));
+    assert_eq!(stretched.error(), ticked.error());
+    assert_eq!(stretched.state_components(3), ticked.state_components(3));
+    assert_eq!(stretched.stats(), ticked.stats());
+}
+
 #[test]
 fn specials_report_identity() {
     let mut b = Builder::new();

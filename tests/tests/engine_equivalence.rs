@@ -700,6 +700,90 @@ fn trace_samples_and_replay_checkpoints_cut_stretches_exactly() {
     }
 }
 
+/// Node 0's background thread counts down and then reaches `MARK comm;
+/// SUSPEND`, which no stretch runs: a stretch stops in front of the `MARK`.
+/// Node 1 sends it a P0 `poke` after `delay` loop turns and `pad` `NOP`s,
+/// so that across the sweep the poke lands at every cycle around that stop.
+fn marked_stop_program(delay: i32, pad: usize) -> Program {
+    let mut b = Builder::new();
+    b.label("main");
+    b.mov(R0, Special::Nid);
+    b.bnz(R0, "sender");
+    b.movi(R1, MARKED_STOP_COUNT);
+    b.label("spin");
+    b.subi(R1, R1, 1);
+    b.bnz(R1, "spin");
+    b.mark(jm_isa::instr::StatClass::Comm);
+    b.suspend();
+    b.label("sender");
+    for _ in 0..pad {
+        b.nop();
+    }
+    b.movi(R1, delay);
+    b.label("delay");
+    b.subi(R1, R1, 1);
+    b.bnz(R1, "delay");
+    b.send(
+        MsgPriority::P0,
+        RouteWord::new(Coord::new(0, 0, 0)).to_word(),
+    );
+    b.sende(MsgPriority::P0, hdr("poke", 1));
+    b.suspend();
+    b.label("poke");
+    b.movi(R2, 20);
+    b.label("busy");
+    b.subi(R2, R2, 1);
+    b.bnz(R2, "busy");
+    b.suspend();
+    b.entry("main");
+    b.assemble().unwrap()
+}
+
+/// Turns of node 0's countdown: its `MARK` is reached at cycle
+/// `3 * MARKED_STOP_COUNT + 2`.
+const MARKED_STOP_COUNT: i32 = 20;
+
+/// A stretch that stops in front of a `MARK`-prefixed instruction it may
+/// not run leaves the thread as a node ticked every cycle has it there: the
+/// IP at the `MARK`, the class from before it. Only a preempting word that
+/// lands before the instruction starts lets anyone see that state — the
+/// thread does not run again until the handler ends, and then takes the
+/// `MARK` on its own — so the state hash is taken at every cycle while the
+/// poke handler runs.
+#[test]
+fn a_stretch_stopped_before_a_mark_shows_the_class_before_it() {
+    let stop = 3 * MARKED_STOP_COUNT as u64 + 2;
+    let config = MachineConfig::new(2).start(StartPolicy::AllNodes);
+    let run = |program: Program, engine| {
+        let mut m = JMachine::new(program, config.engine(engine));
+        m.run(stop + 1);
+        let mut hashes = vec![m.state_hash()];
+        while m.cycle() < stop + 70 {
+            m.run(1);
+            hashes.push(m.state_hash());
+        }
+        let outcome = m.run_until_quiescent(100_000).map_err(|e| e.to_string());
+        (hashes, outcome, m.stats())
+    };
+    for pad in 0..3 {
+        for delay in 8..26 {
+            let naive = run(marked_stop_program(delay, pad), Engine::Naive);
+            assert!(naive.1.is_ok(), "{:?}", naive.1);
+            for engine in &ENGINES[1..] {
+                let other = run(marked_stop_program(delay, pad), *engine);
+                let case = format!("{engine:?}, poke after {delay} turns and {pad} NOPs");
+                if let Some(k) = naive.0.iter().zip(&other.0).position(|(a, b)| a != b) {
+                    panic!(
+                        "{case}: state hash diverged at cycle {}",
+                        stop + 1 + k as u64
+                    );
+                }
+                assert_eq!((&naive.1, &naive.2), (&other.1, &other.2), "{case}");
+            }
+        }
+    }
+}
+
 /// `run(n)` stops every engine on the cycle asked for, so a run in chunks
 /// — of 1, 2, 3, 5, 7, 11, 100 and 1001 cycles — is one run, whatever
 /// stretches the chunk ends cut.
