@@ -24,7 +24,7 @@ use jm_isa::instr::{MsgPriority, StatClass};
 use jm_isa::node::NodeId;
 use jm_isa::word::{MsgHeader, Word};
 use jm_isa::TraceId;
-use jm_mdp::{MdpNode, NodeError, StretchStats};
+use jm_mdp::{Code, MdpNode, NodeError, StretchStats};
 use jm_net::{BitSet, NetShard, Network};
 use jm_replay::HostOp;
 use jm_trace::{MachineTrace, SamplePoint};
@@ -360,6 +360,8 @@ impl JMachine {
             Engine::Parallel(_) | Engine::Event | Engine::Naive => 1,
         };
         let program = Arc::new(program);
+        // Lowered once: every node runs the one table.
+        let code = Code::lower(Arc::clone(&program), &config.mdp.timing);
         let mut nodes = config
             .dims
             .iter_nodes()
@@ -369,7 +371,7 @@ impl JMachine {
                     StartPolicy::Node0 => id.0 == 0,
                     StartPolicy::None => false,
                 };
-                MdpNode::new(id, config.dims, Arc::clone(&program), config.mdp, start)
+                MdpNode::with_code(id, config.dims, &code, config.mdp, start)
             })
             .collect::<Vec<_>>();
         let mut net = Network::with_shards(config.net, shards);

@@ -1,17 +1,24 @@
-//! Instruction semantics and timing: the execution engine.
+//! Instruction semantics and timing: the executor of the ops
+//! [`crate::lower`] makes.
+//!
+//! An op reads every operand first and commits its writes last, so nothing
+//! is written before every hazard is known — a stall, a presence-tag fault,
+//! or (inside a stretch) an access the checkpoint cannot undo. A stretch
+//! therefore stops before an op with nothing to take back.
 
 use crate::config::{QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
+use crate::lower::{Kind, Op, Opd};
 use crate::memory::Memory;
 use crate::node::{InjectAck, MdpNode, NetPort, NodeError};
 use jm_isa::consts::{FaultKind, MEM_WORDS};
-use jm_isa::instr::{Alu1Op, AluOp, Cond, Instruction, MsgPriority};
+use jm_isa::instr::{Alu1Op, AluOp, Cond};
 use jm_isa::node::RouteWord;
-use jm_isa::operand::{Dst, Index, MemRef, Special, Src};
-use jm_isa::reg::Priority;
+use jm_isa::operand::Special;
+use jm_isa::reg::{DReg, Priority, RegBank};
 use jm_isa::tag::Tag;
 use jm_isa::word::{SegDesc, Word};
 
-/// Why an operand access could not complete this cycle.
+/// Why an op could not complete this cycle.
 enum Hazard {
     /// Data not available yet (message word in flight): retry next cycle.
     Stall,
@@ -22,9 +29,12 @@ enum Hazard {
     Visible,
 }
 
+/// A hazard, and the operand cycles spent before it was met.
+type Blocked = (Hazard, u64);
+
 /// How strictly a source read enforces presence tags.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum ReadLevel {
+enum Level {
     /// No tag enforcement (`RTAG`/`WTAG`/`CHECK`, fault handlers).
     Raw,
     /// `MOVE`/`SEND` semantics: `cfut` faults, `fut` may be copied.
@@ -33,54 +43,42 @@ enum ReadLevel {
     Use,
 }
 
-/// Result of executing one instruction.
+/// A retired op: its cycles and the index it continues at.
+struct Retired {
+    cost: u64,
+    next: u32,
+}
+
+impl Retired {
+    /// `op`, retired after `extra` cycles on top of its own, continuing at
+    /// `next`.
+    #[inline(always)]
+    fn at(op: &Op, extra: u64, next: u32) -> Retired {
+        Retired {
+            cost: (u64::from(op.cost) + extra).max(1),
+            next,
+        }
+    }
+}
+
+/// What a visit's op did.
 enum Step {
-    /// Retired normally; continue at `next_ip`.
-    Done { cost: u64, next_ip: u32 },
-    /// Not retired (send fault or arrival stall); retry the instruction.
-    Retry { cost: u64 },
-    /// Thread ended (`SUSPEND`/`HALT`); bookkeeping already done.
-    End { cost: u64 },
-    /// A fault vectored; the bank IP now points at the handler.
-    Vectored { cost: u64 },
+    /// Retired.
+    Done(Retired),
+    /// Ended the thread (`SUSPEND`, `HALT`); bookkeeping already done.
+    End,
+    /// Not retired (a send fault or an arrival stall): retry it.
+    Retry,
+    /// A fault vectored, costing this much; the bank IP is the handler's.
+    Vectored(u64),
     /// The node recorded a fatal [`NodeError`].
     Error,
-    /// Inside a stretch only: not executed, nothing changed; the stretch
-    /// ends before it.
-    Yield,
-}
-
-/// The port a stretch runs with: it stops before every message commit.
-struct NoPort;
-
-impl NetPort for NoPort {
-    fn commit(&mut self, _: MsgPriority, _: &[Word]) -> InjectAck {
-        unreachable!("a stretch stops before a message commit")
-    }
-}
-
-/// Whether `instr` may retire inside a stretch: everything but what makes
-/// a thread visible outside its node — a message commit, the thread's end
-/// (`SUSPEND`, `HALT`) — and what the stretch's checkpoint does not hold:
-/// `RESUME`'s staging frame and fault state, and the translation cache
-/// behind `ENTER`/`XLATE`/`PROBE`.
-fn private(instr: Instruction) -> bool {
-    match instr {
-        Instruction::Send { end, .. } => !end,
-        Instruction::Suspend
-        | Instruction::Halt
-        | Instruction::Resume
-        | Instruction::Enter { .. }
-        | Instruction::Xlate { .. }
-        | Instruction::Probe { .. } => false,
-        _ => true,
-    }
 }
 
 impl MdpNode {
-    /// Executes `priority`'s thread at cycle `now`: one instruction (plus
-    /// any zero-cost `MARK`s preceding it), and, if it retired and the
-    /// engine gave room (`limit` past its end), the stretch after it.
+    /// Executes `priority`'s thread at cycle `now`: one op, and, if it
+    /// retired and the engine gave room (`limit` past its end), the stretch
+    /// after it.
     pub(crate) fn exec_slice<P: NetPort + ?Sized>(
         &mut self,
         priority: Priority,
@@ -88,7 +86,7 @@ impl MdpNode {
         limit: u64,
         net: &mut P,
     ) {
-        if self.step::<false, _>(priority, now, net) && self.busy_until < limit {
+        if self.step(priority, now, net) && self.busy_until < limit {
             let retired = self.run_on(priority, limit);
             if retired > 0 {
                 let counts = &mut self.stretch.stats;
@@ -98,117 +96,136 @@ impl MdpNode {
         }
     }
 
-    /// Runs `priority`'s thread on from `busy_until`, an instruction
-    /// boundary, while the next instruction starts before `limit` and is
-    /// node-private; checkpoints where it starts. Returns the instructions
-    /// retired.
+    /// Runs `priority`'s thread on from `busy_until`, an op boundary, while
+    /// the next op starts before `limit`, is private and meets no hazard;
+    /// checkpoints where it starts. The run's instructions, handler count
+    /// and class cycles are credited once, at its end. Returns the
+    /// instructions retired.
     pub(crate) fn run_on(&mut self, priority: Priority, limit: u64) -> u64 {
-        let before = self.stats.instructions;
+        let pi = priority.index();
+        let mut t = self.busy_until;
+        let mut ip = self.regs.bank(priority).ip;
+        let mut class = self.class[pi];
+        let (mut retired, mut cycles, mut last) = (0, 0, 0);
+        while t < limit {
+            let Some(&op) = self.ops.get(ip as usize) else {
+                break;
+            };
+            if !op.private {
+                break;
+            }
+            if retired == 0 {
+                self.checkpoint(priority, class);
+            }
+            let Ok(done) = self.exec(priority, &op, t, true) else {
+                break;
+            };
+            if let Some(marked) = op.class {
+                if marked != class {
+                    self.stats.add_cycles(class, cycles);
+                    (class, cycles) = (marked, 0);
+                }
+            }
+            (retired, cycles, last) = (retired + 1, cycles + done.cost, t);
+            t += done.cost;
+            ip = done.next;
+        }
         self.spec_end = 0;
-        while self.busy_until < limit
-            && self.step::<true, _>(priority, self.busy_until, &mut NoPort)
-        {}
-        self.stats.instructions - before
+        if retired > 0 {
+            self.stats.add_cycles(class, cycles);
+            self.class[pi] = class;
+            self.regs.bank_mut(priority).ip = ip;
+            self.credit(pi, retired);
+            self.busy_until = t;
+            self.spec_end = last + 1;
+        }
+        retired
     }
 
-    /// Executes one instruction of `priority`'s thread, starting at cycle
-    /// `start`: a visit's own (`SPEC` false), whose stall, fault or error
-    /// takes effect, or one inside a stretch (`SPEC` true), which is not
-    /// executed at all — no side effect, `MARK`s included — if it is not
-    /// node-private or would stall or fault, so that it does so at its own
-    /// visit. Returns whether it retired plainly, so a stretch may go on.
-    /// (`SPEC` is a parameter of the type, not the call, so that neither
-    /// mode pays for the other's checks; each instance has one caller.)
-    #[inline(always)]
-    fn step<const SPEC: bool, P: NetPort + ?Sized>(
-        &mut self,
-        priority: Priority,
-        start: u64,
-        net: &mut P,
-    ) -> bool {
+    /// Executes the op at `priority`'s IP at cycle `start`, the visit's own:
+    /// the `MARK`s in front of it are taken, and its stall, fault or error
+    /// takes effect. Returns whether it retired plainly, so a stretch may go
+    /// on.
+    fn step<P: NetPort + ?Sized>(&mut self, priority: Priority, start: u64, net: &mut P) -> bool {
         let pi = priority.index();
-        let (first_ip, first_class) = (self.regs.bank(priority).ip, self.class[pi]);
-        let mut ip = first_ip;
-        let instr = loop {
-            let Some(&instr) = self.program.code.get(ip as usize) else {
-                if SPEC {
-                    self.class[pi] = first_class;
-                } else {
-                    self.regs.bank_mut(priority).ip = ip;
-                    self.error = Some(NodeError::IpOutOfRange(ip));
-                }
-                return false;
-            };
-            match instr {
-                Instruction::Mark { class } => {
-                    self.class[pi] = class;
-                    ip += 1;
-                }
-                _ => break instr,
-            }
+        let ip = self.regs.bank(priority).ip;
+        let Some(&op) = self.ops.get(ip as usize) else {
+            self.error = Some(NodeError::IpOutOfRange(ip));
+            return false;
         };
-        if SPEC {
-            if !private(instr) {
-                self.class[pi] = first_class;
-                return false;
-            }
-            if self.spec_end == 0 {
-                self.checkpoint(priority, first_class);
-            }
+        if let Some(class) = op.class {
+            self.class[pi] = class;
+            self.regs.bank_mut(priority).ip = op.next - 1;
         }
-        if ip != first_ip {
-            self.regs.bank_mut(priority).ip = ip;
-        }
-        let fetch_extra = if ip >= self.emem_code_from {
-            self.config.timing.emem_fetch
+        let step = if op.private {
+            match self.exec(priority, &op, start, false) {
+                // The common case, without the rest's bookkeeping: about
+                // 5 % of a tick (PERFLOG.md, "One decode").
+                Ok(Retired { cost, next }) => {
+                    self.regs.bank_mut(priority).ip = next;
+                    self.credit(pi, 1);
+                    self.stats.add_cycles(self.class[pi], cost);
+                    self.busy_until = start + cost;
+                    return true;
+                }
+                Err(blocked) => Err(blocked),
+            }
         } else {
-            0
+            self.exec_visible(priority, &op, start, net)
         };
-        let step = self.exec_one::<SPEC, P>(priority, instr, ip, start, net);
-        if matches!(step, Step::Done { .. } | Step::End { .. }) {
-            self.stats.instructions += 1;
-            let mut slot = self.handler_slot[pi];
-            if slot == usize::MAX {
-                slot = self.stats.handlers.entry_slot(self.cur_handler[pi]);
-                self.handler_slot[pi] = slot;
-            }
-            self.stats.handlers.slot_mut(slot).instructions += 1;
-        }
+        let step = step.unwrap_or_else(|(hazard, extra)| self.blocked(priority, hazard, extra));
+        let fetch = self.fetch(&op);
         let cost = match step {
-            Step::Done { cost, next_ip } => {
-                self.regs.bank_mut(priority).ip = next_ip;
+            Step::Done(Retired { cost, next }) => {
+                self.regs.bank_mut(priority).ip = next;
+                self.credit(pi, 1);
                 cost
             }
-            Step::Retry { cost } | Step::End { cost } | Step::Vectored { cost } => cost,
-            Step::Yield => {
-                self.class[pi] = first_class;
-                self.regs.bank_mut(priority).ip = first_ip;
-                return false;
+            Step::End => {
+                self.credit(pi, 1);
+                u64::from(op.cost).max(1)
             }
+            Step::Retry => 1 + fetch,
+            Step::Vectored(cost) => (cost + fetch).max(1),
             Step::Error => return false,
         };
         if self.error.is_some() {
             return false;
         }
-        let cost = (cost + fetch_extra).max(1);
         self.stats.add_cycles(self.class[pi], cost);
         self.busy_until = start + cost;
-        if SPEC {
-            self.spec_end = start + 1;
-        }
-        matches!(step, Step::Done { .. })
+        matches!(step, Step::Done(_))
     }
 
-    /// What a hazard met `cost` cycles into an instruction makes of it.
-    /// Cold: inlined at each of `exec_one`'s hazard sites it made the
-    /// interpreter loop ~5 % slower per instruction.
+    /// Credits `n` retired instructions to the node and to the handler
+    /// running at bank `pi`.
+    fn credit(&mut self, pi: usize, n: u64) {
+        self.stats.instructions += n;
+        let mut slot = self.handler_slot[pi];
+        if slot == usize::MAX {
+            slot = self.stats.handlers.entry_slot(self.cur_handler[pi]);
+            self.handler_slot[pi] = slot;
+        }
+        self.stats.handlers.slot_mut(slot).instructions += n;
+    }
+
+    /// The extra cycles of fetching `op` from external memory.
+    fn fetch(&self, op: &Op) -> u64 {
+        if op.emem {
+            self.config.timing.emem_fetch
+        } else {
+            0
+        }
+    }
+
+    /// What a hazard met after `extra` operand cycles makes of a visit's op.
+    /// Cold: it is off every op's common path.
     #[cold]
-    fn blocked(&mut self, priority: Priority, hazard: Hazard, spec: bool, cost: u64) -> Step {
+    fn blocked(&mut self, priority: Priority, hazard: Hazard, extra: u64) -> Step {
         match hazard {
-            _ if spec => Step::Yield,
             Hazard::Stall => {
                 self.stats.arrival_stalls += 1;
-                Step::Retry { cost: 1 }
+                Step::Retry
             }
             Hazard::Fault(kind, val, addr) => {
                 let entry = self.raise_fault(priority, kind, val, addr);
@@ -219,10 +236,257 @@ impl MdpNode {
                 // operand access) before the vector entry: a cfut read
                 // costs 2 (detect) + 4 (vector) = the paper's 6-cycle
                 // failure (Table 2).
-                Step::Vectored { cost: entry + cost }
+                Step::Vectored(entry + self.config.timing.base + extra)
             }
             Hazard::Visible => unreachable!("only a stretch stops at a visible access"),
         }
+    }
+
+    /// Executes a private op starting at cycle `now`: reads its operands,
+    /// then commits its one write. Inside a stretch (`spec`), memory writes
+    /// go to the undo log, and the staging window and a write that would
+    /// allocate a DRAM page are hazards.
+    #[inline(always)]
+    fn exec(
+        &mut self,
+        priority: Priority,
+        op: &Op,
+        now: u64,
+        spec: bool,
+    ) -> Result<Retired, Blocked> {
+        let mut extra = 0;
+        macro_rules! read {
+            ($opd:ident, $k:expr, $level:ident) => {
+                match self.read(
+                    priority,
+                    op.$opd,
+                    op.val[$k],
+                    Level::$level,
+                    now,
+                    &mut extra,
+                    spec,
+                ) {
+                    Ok(word) => word,
+                    Err(hazard) => return Err((hazard, extra)),
+                }
+            };
+        }
+        let fault = |kind, word| Hazard::Fault(kind, word, Word::NIL);
+        let word = match op.kind {
+            Kind::Nop => return Ok(Retired::at(op, 0, op.next)),
+            Kind::Move => read!(a, 0, Move),
+            Kind::Alu(alu) => {
+                let a = read!(a, 0, Use);
+                let b = read!(b, 1, Use);
+                alu2(alu, a, b).map_err(|hazard| (hazard, extra))?
+            }
+            Kind::Alu1(alu) => {
+                let v = read!(a, 0, Use);
+                let (want, out) = match alu {
+                    Alu1Op::Neg => (Tag::Int, Word::int(v.as_i32().wrapping_neg())),
+                    Alu1Op::Not => (Tag::Bool, Word::bool(!v.as_bool())),
+                    Alu1Op::Inv => (Tag::Int, Word::int(!v.as_i32())),
+                };
+                if v.tag() != want {
+                    return Err((fault(FaultKind::TagMismatch, v), extra));
+                }
+                out
+            }
+            Kind::Br => return Ok(Retired::at(op, 0, op.val[2])),
+            Kind::Bc(cond) => {
+                let v = read!(a, 0, Use);
+                let taken = match cond {
+                    Cond::True | Cond::False if v.tag() == Tag::Bool => {
+                        (cond == Cond::True) == v.as_bool()
+                    }
+                    Cond::Zero | Cond::NonZero if v.tag() == Tag::Int => {
+                        (cond == Cond::Zero) == (v.as_i32() == 0)
+                    }
+                    _ => return Err((fault(FaultKind::TagMismatch, v), extra)),
+                };
+                return Ok(if taken {
+                    let refill = self.config.timing.branch_taken;
+                    Retired::at(op, extra + refill, op.val[2])
+                } else {
+                    Retired::at(op, extra, op.next)
+                });
+            }
+            Kind::Jmp => {
+                let v = read!(a, 0, Use);
+                if v.tag() != Tag::Ip && v.tag() != Tag::Int {
+                    return Err((fault(FaultKind::TagMismatch, v), extra));
+                }
+                return Ok(Retired::at(op, extra, v.bits()));
+            }
+            Kind::Jal => {
+                let Opd::D(link) = op.d else {
+                    unreachable!("JAL links through a data register")
+                };
+                self.regs.bank_mut(priority).r[link.index()] = Word::ip(op.next);
+                return Ok(Retired::at(op, 0, op.val[2]));
+            }
+            Kind::Send(_) => {
+                debug_assert!(!self.commit_pending[priority.index()]);
+                let extra = self.compose(priority, op, now, spec)?;
+                self.stats.sends += 1;
+                return Ok(Retired::at(op, extra, op.next));
+            }
+            Kind::Rtag => Word::int(i32::from(read!(a, 0, Raw).tag().bits())),
+            Kind::Wtag => {
+                let v = read!(a, 0, Raw);
+                let t = read!(b, 1, Use);
+                if t.tag() != Tag::Int {
+                    return Err((fault(FaultKind::TagMismatch, t), extra));
+                }
+                v.retagged(Tag::from_bits((t.bits() & 0xf) as u8))
+            }
+            Kind::Check(tag) => Word::bool(read!(a, 0, Raw).tag() == tag),
+            _ => unreachable!("a visible op runs at its visit"),
+        };
+        if let Err(hazard) = self.write(priority, op.d, op.val[2], word, &mut extra, spec) {
+            return Err((hazard, extra));
+        }
+        Ok(Retired::at(op, extra, op.next))
+    }
+
+    /// Reads both operands of a `SEND` — both before either is appended: a
+    /// `SEND2` that stalls or faults on its second retries (or resumes) from
+    /// a composition that does not hold its first — and appends them.
+    /// Returns the operand cycles.
+    #[inline(always)]
+    fn compose(
+        &mut self,
+        priority: Priority,
+        op: &Op,
+        now: u64,
+        spec: bool,
+    ) -> Result<u64, Blocked> {
+        let mut extra = 0;
+        let mut words = [Word::NIL; 2];
+        let n = if op.b == Opd::None { 1 } else { 2 };
+        for (k, opd) in [op.a, op.b].into_iter().take(n).enumerate() {
+            words[k] = self
+                .read(priority, opd, op.val[k], Level::Move, now, &mut extra, spec)
+                .map_err(|hazard| (hazard, extra))?;
+        }
+        self.compose[priority.index()].extend_from_slice(&words[..n]);
+        Ok(extra)
+    }
+
+    /// Executes an op no stretch runs — one that commits a message, ends
+    /// the thread or touches state the checkpoint does not hold — at its
+    /// visit, at cycle `now`.
+    fn exec_visible<P: NetPort + ?Sized>(
+        &mut self,
+        priority: Priority,
+        op: &Op,
+        now: u64,
+        net: &mut P,
+    ) -> Result<Step, Blocked> {
+        let pi = priority.index();
+        let mut extra = 0;
+        macro_rules! read {
+            ($opd:ident, $k:expr) => {
+                match self.read(
+                    priority,
+                    op.$opd,
+                    op.val[$k],
+                    Level::Raw,
+                    now,
+                    &mut extra,
+                    false,
+                ) {
+                    Ok(word) => word,
+                    Err(hazard) => return Err((hazard, extra)),
+                }
+            };
+        }
+        let word = match op.kind {
+            Kind::SendEnd(mp) => {
+                // A retried commit's operands were appended before its send
+                // fault.
+                if !self.commit_pending[pi] {
+                    extra = self.compose(priority, op, now, false)?;
+                    self.commit_pending[pi] = true;
+                }
+                match net.commit(mp, &self.compose[pi]) {
+                    InjectAck::Accepted => {
+                        self.compose[pi].clear();
+                        self.commit_pending[pi] = false;
+                        self.stats.msgs_sent += 1;
+                    }
+                    InjectAck::Stall => {
+                        self.stats.send_faults += 1;
+                        return Ok(Step::Retry);
+                    }
+                    InjectAck::Rejected => {
+                        let word = self.compose[pi].first().copied().unwrap_or(Word::NIL);
+                        self.error = Some(NodeError::BadSend(word));
+                        return Ok(Step::Error);
+                    }
+                }
+                self.stats.sends += 1;
+                return Ok(Step::Done(Retired::at(op, extra, op.next)));
+            }
+            Kind::Suspend => {
+                // A handler ends only once its whole message is in.
+                if let Some(q) = pi.checked_sub(1) {
+                    if self.msg_ctx[q].is_some() && !self.queues[q].head_complete() {
+                        return Err((Hazard::Stall, 0));
+                    }
+                }
+                self.end_thread(priority, now);
+                return Ok(Step::End);
+            }
+            Kind::Halt => {
+                self.halted = true;
+                self.bg_runnable = false;
+                return Ok(Step::End);
+            }
+            Kind::Resume => {
+                let frame = self.staging[pi];
+                let staged_ip = frame[8];
+                if staged_ip.tag() != Tag::Ip {
+                    self.error = Some(NodeError::BadResume(staged_ip));
+                    return Ok(Step::Error);
+                }
+                let bank = self.regs.bank_mut(priority);
+                bank.r.copy_from_slice(&frame[..4]);
+                bank.a.copy_from_slice(&frame[4..8]);
+                self.in_fault[pi] = false;
+                return Ok(Step::Done(Retired::at(op, 0, staged_ip.bits())));
+            }
+            Kind::Enter => {
+                let key = read!(a, 0);
+                let value = read!(b, 1);
+                self.xlate.enter(key, value);
+                return Ok(Step::Done(Retired::at(op, extra, op.next)));
+            }
+            Kind::Xlate | Kind::Probe => {
+                let key = read!(a, 0);
+                self.stats.xlates += 1;
+                match self.xlate.xlate(key) {
+                    Some(value) => value,
+                    None => {
+                        self.stats.xlate_misses += 1;
+                        if op.kind == Kind::Xlate {
+                            let miss = Hazard::Fault(FaultKind::XlateMiss, key, Word::NIL);
+                            return Err((miss, extra));
+                        }
+                        Word::NIL
+                    }
+                }
+            }
+            Kind::PastEnd => {
+                self.error = Some(NodeError::IpOutOfRange(op.next - 1));
+                return Ok(Step::Error);
+            }
+            _ => unreachable!("a private op runs through exec"),
+        };
+        if let Err(hazard) = self.write(priority, op.d, op.val[2], word, &mut extra, false) {
+            return Err((hazard, extra));
+        }
+        Ok(Step::Done(Retired::at(op, extra, op.next)))
     }
 
     fn read_special(&self, sp: Special, now: u64) -> Word {
@@ -243,48 +507,92 @@ impl MdpNode {
         }
     }
 
-    /// Resolves a memory reference to an absolute address.
-    #[inline]
-    fn resolve_mem(&self, priority: Priority, m: MemRef) -> Result<u32, Hazard> {
+    /// Reads source operand `opd` (payload `val`) at `level`, charging
+    /// operand cycles into `extra`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn read(
+        &self,
+        priority: Priority,
+        opd: Opd,
+        val: u32,
+        level: Level,
+        now: u64,
+        extra: &mut u64,
+        spec: bool,
+    ) -> Result<Word, Hazard> {
         let bank = self.regs.bank(priority);
-        let desc_word = bank.a[m.base.index()];
-        if desc_word.tag() != Tag::Addr {
-            return Err(Hazard::Fault(FaultKind::Bounds, desc_word, Word::NIL));
-        }
-        let desc = SegDesc::from_word(desc_word);
-        let index = match m.index {
-            Index::Disp(d) => d,
-            Index::Reg(r) => {
-                let w = bank.r[r.index()];
-                if w.faults_on_use() {
-                    let kind = if w.tag() == Tag::CFut {
-                        FaultKind::CFutRead
-                    } else {
-                        FaultKind::FutUse
-                    };
-                    return Err(Hazard::Fault(kind, w, Word::NIL));
+        let (word, addr) = match opd {
+            Opd::D(r) => (bank.r[r.index()], Word::NIL),
+            Opd::A(a) => (bank.a[a.index()], Word::NIL),
+            Opd::Imm(tag) | Opd::Ext(tag) => {
+                if let Opd::Ext(_) = opd {
+                    *extra += self.config.timing.imm_ext;
                 }
-                if w.tag() != Tag::Int || w.as_i32() < 0 {
-                    return Err(Hazard::Fault(FaultKind::Bounds, w, desc_word));
+                // Immediates are program text, not data: a `cfut` immediate
+                // is how slots are (re)initialized, so it never faults as a
+                // MOVE source. Computing uses still enforce tags below.
+                let word = Word::new(tag, val);
+                if level == Level::Move {
+                    return Ok(word);
                 }
-                w.bits()
+                (word, Word::NIL)
             }
+            Opd::Sp(sp) => (self.read_special(sp, now), Word::NIL),
+            Opd::Disp(_) | Opd::Index(_) => {
+                let addr = address(bank, opd, val)?;
+                (self.load(addr, extra, spec)?, Word::int(addr as i32))
+            }
+            Opd::None => unreachable!("the lowering gives every read operand"),
         };
-        match desc.address(index) {
-            Some(addr) => Ok(addr),
-            None => Err(Hazard::Fault(
-                FaultKind::Bounds,
-                desc_word,
-                Word::int(index as i32),
-            )),
+        // Inside a fault handler the MDP masks presence-tag faults (a
+        // nested fault would clobber the staging buffer), so handlers can
+        // copy arbitrary words with plain MOVEs.
+        if self.in_fault[priority.index()] {
+            return Ok(word);
         }
+        match level {
+            Level::Raw => Ok(word),
+            Level::Move if word.faults_on_read() => {
+                Err(Hazard::Fault(FaultKind::CFutRead, word, addr))
+            }
+            Level::Move => Ok(word),
+            Level::Use => match word.tag() {
+                Tag::CFut => Err(Hazard::Fault(FaultKind::CFutRead, word, addr)),
+                Tag::Fut => Err(Hazard::Fault(FaultKind::FutUse, word, addr)),
+                _ => Ok(word),
+            },
+        }
+    }
+
+    /// Writes `word` to destination operand `opd` (payload `val`).
+    #[inline(always)]
+    fn write(
+        &mut self,
+        priority: Priority,
+        opd: Opd,
+        val: u32,
+        word: Word,
+        extra: &mut u64,
+        spec: bool,
+    ) -> Result<(), Hazard> {
+        let bank = self.regs.bank_mut(priority);
+        match opd {
+            Opd::D(r) => bank.r[r.index()] = word,
+            Opd::A(a) => bank.a[a.index()] = word,
+            _ => {
+                let addr = address(bank, opd, val)?;
+                self.store(addr, word, extra, spec)?;
+            }
+        }
+        Ok(())
     }
 
     /// Reads the word at an absolute address, charging region cost into
     /// `extra`. Queue-window reads stall until the word has arrived; a
-    /// stretch (`SPEC`) stops at the staging window.
+    /// stretch (`spec`) stops at the staging window.
     #[inline]
-    fn addressed_read<const SPEC: bool>(&self, addr: u32, extra: &mut u64) -> Result<Word, Hazard> {
+    fn load(&self, addr: u32, extra: &mut u64, spec: bool) -> Result<Word, Hazard> {
         let t = &self.config.timing;
         if addr < MEM_WORDS {
             *extra += if Memory::is_internal(addr) {
@@ -306,7 +614,7 @@ impl MdpNode {
             }
         }
         if (STAGING_VBASE..STAGING_VBASE + 3 * STAGING_FRAME).contains(&addr) {
-            if SPEC {
+            if spec {
                 return Err(Hazard::Visible);
             }
             if let Some(word) = self.staging_read(addr) {
@@ -321,16 +629,11 @@ impl MdpNode {
     }
 
     /// Writes the word at an absolute address, charging region cost.
-    /// Inside a stretch (`SPEC`) the overwritten word goes to its undo log,
+    /// Inside a stretch (`spec`) the overwritten word goes to its undo log,
     /// and a write that would allocate a DRAM page, or any staging-window
     /// write, stops the stretch.
     #[inline]
-    fn addressed_write<const SPEC: bool>(
-        &mut self,
-        addr: u32,
-        word: Word,
-        extra: &mut u64,
-    ) -> Result<(), Hazard> {
+    fn store(&mut self, addr: u32, word: Word, extra: &mut u64, spec: bool) -> Result<(), Hazard> {
         let t = &self.config.timing;
         if addr < MEM_WORDS {
             *extra += if Memory::is_internal(addr) {
@@ -338,7 +641,7 @@ impl MdpNode {
             } else {
                 t.emem_operand
             };
-            if SPEC {
+            if spec {
                 if !self.mem.is_mapped(addr) {
                     return Err(Hazard::Visible);
                 }
@@ -348,7 +651,7 @@ impl MdpNode {
             return Ok(());
         }
         if (STAGING_VBASE..STAGING_VBASE + 3 * STAGING_FRAME).contains(&addr) {
-            if SPEC {
+            if spec {
                 return Err(Hazard::Visible);
             }
             if self.staging_write(addr, word) {
@@ -362,485 +665,116 @@ impl MdpNode {
             word,
         ))
     }
+}
 
-    #[inline]
-    fn read_src<const SPEC: bool>(
-        &self,
-        priority: Priority,
-        src: Src,
-        level: ReadLevel,
-        now: u64,
-        extra: &mut u64,
-    ) -> Result<Word, Hazard> {
-        let t = &self.config.timing;
-        let (word, addr) = match src {
-            Src::D(r) => (self.regs.bank(priority).r[r.index()], Word::NIL),
-            Src::A(a) => (self.regs.bank(priority).a[a.index()], Word::NIL),
-            Src::Sp(sp) => (self.read_special(sp, now), Word::NIL),
-            Src::Imm(w) => {
-                if !(w.tag() == Tag::Int && (-128..128).contains(&w.as_i32())) {
-                    *extra += t.imm_ext;
-                }
-                // Immediates are program text, not data: a `cfut` immediate
-                // is how slots are (re)initialized, so it never faults as a
-                // MOVE source. Computing uses still enforce tags below by
-                // falling through.
-                if level == ReadLevel::Move {
-                    return Ok(w);
-                }
-                (w, Word::NIL)
-            }
-            Src::Mem(m) => {
-                let addr = self.resolve_mem(priority, m)?;
-                (
-                    self.addressed_read::<SPEC>(addr, extra)?,
-                    Word::int(addr as i32),
-                )
-            }
-        };
-        // Inside a fault handler the MDP masks presence-tag faults (a
-        // nested fault would clobber the staging buffer), so handlers can
-        // copy arbitrary words with plain MOVEs.
-        let level = if self.in_fault[priority.index()] {
-            ReadLevel::Raw
-        } else {
-            level
-        };
-        match level {
-            ReadLevel::Raw => Ok(word),
-            ReadLevel::Move => {
-                if word.faults_on_read() {
-                    Err(Hazard::Fault(FaultKind::CFutRead, word, addr))
-                } else {
-                    Ok(word)
-                }
-            }
-            ReadLevel::Use => {
-                if word.tag() == Tag::CFut {
-                    Err(Hazard::Fault(FaultKind::CFutRead, word, addr))
-                } else if word.tag() == Tag::Fut {
-                    Err(Hazard::Fault(FaultKind::FutUse, word, addr))
-                } else {
-                    Ok(word)
-                }
-            }
-        }
+/// Resolves memory operand `opd` (payload `val`: a displacement, or the
+/// index register's number) to an absolute address.
+#[inline(always)]
+fn address(bank: &RegBank, opd: Opd, val: u32) -> Result<u32, Hazard> {
+    let (Opd::Disp(base) | Opd::Index(base)) = opd else {
+        unreachable!("the lowering gives every memory operand a base")
+    };
+    let desc_word = bank.a[base.index()];
+    if desc_word.tag() != Tag::Addr {
+        return Err(Hazard::Fault(FaultKind::Bounds, desc_word, Word::NIL));
     }
-
-    #[inline]
-    fn write_dst<const SPEC: bool>(
-        &mut self,
-        priority: Priority,
-        dst: Dst,
-        word: Word,
-        extra: &mut u64,
-    ) -> Result<(), Hazard> {
-        match dst {
-            Dst::D(r) => {
-                self.regs.bank_mut(priority).r[r.index()] = word;
-                Ok(())
-            }
-            Dst::A(a) => {
-                self.regs.bank_mut(priority).a[a.index()] = word;
-                Ok(())
-            }
-            Dst::Mem(m) => {
-                let addr = self.resolve_mem(priority, m)?;
-                self.addressed_write::<SPEC>(addr, word, extra)
-            }
-        }
-    }
-
-    #[inline]
-    fn alu2(&self, op: AluOp, a: Word, b: Word) -> Result<Word, Hazard> {
-        use AluOp::*;
-        let mismatch = |w: Word| Hazard::Fault(FaultKind::TagMismatch, w, Word::NIL);
-        match op {
-            Eq => return Ok(Word::bool(a == b)),
-            Ne => return Ok(Word::bool(a != b)),
-            And | Or | Xor if a.tag() == Tag::Bool && b.tag() == Tag::Bool => {
-                let v = match op {
-                    And => a.as_bool() && b.as_bool(),
-                    Or => a.as_bool() || b.as_bool(),
-                    _ => a.as_bool() != b.as_bool(),
+    let index = match opd {
+        Opd::Index(_) => {
+            let w = bank.r[DReg::from_index(val as usize & 3).index()];
+            if w.faults_on_use() {
+                let kind = if w.tag() == Tag::CFut {
+                    FaultKind::CFutRead
+                } else {
+                    FaultKind::FutUse
                 };
-                return Ok(Word::bool(v));
+                return Err(Hazard::Fault(kind, w, Word::NIL));
             }
-            _ => {}
+            if w.tag() != Tag::Int || w.as_i32() < 0 {
+                return Err(Hazard::Fault(FaultKind::Bounds, w, desc_word));
+            }
+            w.bits()
         }
-        if a.tag() != Tag::Int {
-            return Err(mismatch(a));
-        }
-        if b.tag() != Tag::Int {
-            return Err(mismatch(b));
-        }
-        let (x, y) = (a.as_i32(), b.as_i32());
-        let value = match op {
-            Add => x.wrapping_add(y),
-            Sub => x.wrapping_sub(y),
-            Mul => x.wrapping_mul(y),
-            Div => {
-                if y == 0 {
-                    return Err(Hazard::Fault(FaultKind::DivZero, a, b));
-                }
-                x.wrapping_div(y)
-            }
-            Rem => {
-                if y == 0 {
-                    return Err(Hazard::Fault(FaultKind::DivZero, a, b));
-                }
-                x.wrapping_rem(y)
-            }
-            And => ((x as u32) & (y as u32)) as i32,
-            Or => ((x as u32) | (y as u32)) as i32,
-            Xor => ((x as u32) ^ (y as u32)) as i32,
-            Lsh => {
-                if y >= 32 || y <= -32 {
-                    0
-                } else if y >= 0 {
-                    ((x as u32) << y) as i32
-                } else {
-                    ((x as u32) >> (-y)) as i32
-                }
-            }
-            Ash => {
-                if y >= 32 {
-                    0
-                } else if y <= -32 {
-                    x >> 31
-                } else if y >= 0 {
-                    ((x as u32) << y) as i32
-                } else {
-                    x >> (-y)
-                }
-            }
-            Lt => return Ok(Word::bool(x < y)),
-            Le => return Ok(Word::bool(x <= y)),
-            Gt => return Ok(Word::bool(x > y)),
-            Ge => return Ok(Word::bool(x >= y)),
-            Min => x.min(y),
-            Max => x.max(y),
-            Eq | Ne => unreachable!(),
-        };
-        Ok(Word::int(value))
-    }
+        _ => val,
+    };
+    SegDesc::from_word(desc_word)
+        .address(index)
+        .ok_or(Hazard::Fault(
+            FaultKind::Bounds,
+            desc_word,
+            Word::int(index as i32),
+        ))
+}
 
-    fn exec_one<const SPEC: bool, P: NetPort + ?Sized>(
-        &mut self,
-        priority: Priority,
-        instr: Instruction,
-        ip: u32,
-        now: u64,
-        net: &mut P,
-    ) -> Step {
-        let pi = priority.index();
-        let base = self.config.timing.base;
-        let mut extra = 0u64;
-
-        macro_rules! hazard {
-            ($e:expr) => {
-                match $e {
-                    Ok(v) => v,
-                    Err(hazard) => return self.blocked(priority, hazard, SPEC, base + extra),
-                }
+#[inline]
+fn alu2(op: AluOp, a: Word, b: Word) -> Result<Word, Hazard> {
+    use AluOp::*;
+    let mismatch = |w: Word| Hazard::Fault(FaultKind::TagMismatch, w, Word::NIL);
+    match op {
+        Eq => return Ok(Word::bool(a == b)),
+        Ne => return Ok(Word::bool(a != b)),
+        And | Or | Xor if a.tag() == Tag::Bool && b.tag() == Tag::Bool => {
+            let v = match op {
+                And => a.as_bool() && b.as_bool(),
+                Or => a.as_bool() || b.as_bool(),
+                _ => a.as_bool() != b.as_bool(),
             };
+            return Ok(Word::bool(v));
         }
-        // A source operand read at a `ReadLevel`, and a destination write.
-        macro_rules! src {
-            ($src:expr, $level:ident) => {
-                hazard!(self.read_src::<SPEC>(priority, $src, ReadLevel::$level, now, &mut extra))
-            };
-        }
-        macro_rules! dst {
-            ($dst:expr, $word:expr) => {
-                hazard!(self.write_dst::<SPEC>(priority, $dst, $word, &mut extra))
-            };
-        }
-
-        match instr {
-            Instruction::Mark { .. } => unreachable!("handled in step"),
-            Instruction::Move { dst, src } => {
-                let v = src!(src, Move);
-                dst!(dst, v);
-                Step::Done {
-                    cost: base + extra,
-                    next_ip: ip + 1,
-                }
-            }
-            Instruction::Alu { op, dst, a, b } => {
-                let av = src!(a, Use);
-                let bv = src!(b, Use);
-                let out = hazard!(self.alu2(op, av, bv));
-                dst!(dst, out);
-                let op_extra = match op {
-                    AluOp::Mul => self.config.timing.mul,
-                    AluOp::Div | AluOp::Rem => self.config.timing.div,
-                    _ => 0,
-                };
-                Step::Done {
-                    cost: base + extra + op_extra,
-                    next_ip: ip + 1,
-                }
-            }
-            Instruction::Alu1 { op, dst, src } => {
-                let v = src!(src, Use);
-                let out = match op {
-                    Alu1Op::Neg => {
-                        if v.tag() != Tag::Int {
-                            hazard!(Err(Hazard::Fault(FaultKind::TagMismatch, v, Word::NIL)))
-                        } else {
-                            Word::int(v.as_i32().wrapping_neg())
-                        }
-                    }
-                    Alu1Op::Not => {
-                        if v.tag() != Tag::Bool {
-                            hazard!(Err(Hazard::Fault(FaultKind::TagMismatch, v, Word::NIL)))
-                        } else {
-                            Word::bool(!v.as_bool())
-                        }
-                    }
-                    Alu1Op::Inv => {
-                        if v.tag() != Tag::Int {
-                            hazard!(Err(Hazard::Fault(FaultKind::TagMismatch, v, Word::NIL)))
-                        } else {
-                            Word::int(!v.as_i32())
-                        }
-                    }
-                };
-                dst!(dst, out);
-                Step::Done {
-                    cost: base + extra,
-                    next_ip: ip + 1,
-                }
-            }
-            Instruction::Br { off } => Step::Done {
-                cost: base + self.config.timing.branch_taken,
-                next_ip: (ip as i64 + 1 + off as i64) as u32,
-            },
-            Instruction::Bc { cond, src, off } => {
-                let v = src!(src, Use);
-                let taken = match cond {
-                    Cond::True | Cond::False => {
-                        if v.tag() != Tag::Bool {
-                            hazard!(Err(Hazard::Fault(FaultKind::TagMismatch, v, Word::NIL)))
-                        } else {
-                            (cond == Cond::True) == v.as_bool()
-                        }
-                    }
-                    Cond::Zero | Cond::NonZero => {
-                        if v.tag() != Tag::Int {
-                            hazard!(Err(Hazard::Fault(FaultKind::TagMismatch, v, Word::NIL)))
-                        } else {
-                            (cond == Cond::Zero) == (v.as_i32() == 0)
-                        }
-                    }
-                };
-                let (cost, next_ip) = if taken {
-                    (
-                        base + extra + self.config.timing.branch_taken,
-                        (ip as i64 + 1 + off as i64) as u32,
-                    )
-                } else {
-                    (base + extra, ip + 1)
-                };
-                Step::Done { cost, next_ip }
-            }
-            Instruction::Jmp { target } => {
-                let v = src!(target, Use);
-                if v.tag() != Tag::Ip && v.tag() != Tag::Int {
-                    hazard!(Err(Hazard::Fault(FaultKind::TagMismatch, v, Word::NIL)))
-                }
-                Step::Done {
-                    cost: base + extra + self.config.timing.jump,
-                    next_ip: v.bits(),
-                }
-            }
-            Instruction::Jal { link, off } => {
-                self.regs.bank_mut(priority).r[link.index()] = Word::ip(ip + 1);
-                Step::Done {
-                    cost: base + self.config.timing.jump,
-                    next_ip: (ip as i64 + 1 + off as i64) as u32,
-                }
-            }
-            Instruction::Send {
-                priority: mp,
-                a,
-                b,
-                end,
-            } => self.exec_send::<SPEC, P>(priority, mp, a, b, end, ip, now, net),
-            Instruction::Suspend => match priority {
-                Priority::Background => {
-                    self.end_thread(priority, now);
-                    Step::End { cost: base }
-                }
-                Priority::P0 | Priority::P1 => {
-                    let q = if priority == Priority::P0 { 0 } else { 1 };
-                    if self.msg_ctx[q].is_some() && !self.queues[q].head_complete() {
-                        self.stats.arrival_stalls += 1;
-                        return Step::Retry { cost: 1 };
-                    }
-                    self.end_thread(priority, now);
-                    Step::End { cost: base }
-                }
-            },
-            Instruction::Resume => {
-                let frame = self.staging[pi];
-                let staged_ip = frame[8];
-                if staged_ip.tag() != Tag::Ip {
-                    self.error = Some(NodeError::BadResume(staged_ip));
-                    return Step::Error;
-                }
-                let bank = self.regs.bank_mut(priority);
-                bank.r.copy_from_slice(&frame[..4]);
-                bank.a.copy_from_slice(&frame[4..8]);
-                self.in_fault[pi] = false;
-                Step::Done {
-                    cost: base + self.config.timing.resume_extra,
-                    next_ip: staged_ip.bits(),
-                }
-            }
-            Instruction::Rtag { dst, src } => {
-                let v = src!(src, Raw);
-                let tag = Word::int(i32::from(v.tag().bits()));
-                dst!(dst, tag);
-                Step::Done {
-                    cost: base + extra,
-                    next_ip: ip + 1,
-                }
-            }
-            Instruction::Wtag { dst, src, tag } => {
-                let v = src!(src, Raw);
-                let t = src!(tag, Use);
-                if t.tag() != Tag::Int {
-                    hazard!(Err(Hazard::Fault(FaultKind::TagMismatch, t, Word::NIL)))
-                }
-                let new_tag = Tag::from_bits((t.bits() & 0xf) as u8);
-                dst!(dst, v.retagged(new_tag));
-                Step::Done {
-                    cost: base + extra,
-                    next_ip: ip + 1,
-                }
-            }
-            Instruction::Check { dst, src, tag } => {
-                let v = src!(src, Raw);
-                dst!(dst, Word::bool(v.tag() == tag));
-                Step::Done {
-                    cost: base + extra,
-                    next_ip: ip + 1,
-                }
-            }
-            Instruction::Enter { key, value } => {
-                let k = src!(key, Raw);
-                let v = src!(value, Raw);
-                self.xlate.enter(k, v);
-                Step::Done {
-                    cost: base + extra + self.config.timing.enter_extra,
-                    next_ip: ip + 1,
-                }
-            }
-            Instruction::Xlate { dst, key } => {
-                let k = src!(key, Raw);
-                self.stats.xlates += 1;
-                match self.xlate.xlate(k) {
-                    Some(v) => {
-                        dst!(dst, v);
-                        Step::Done {
-                            cost: base + extra + self.config.timing.xlate_extra,
-                            next_ip: ip + 1,
-                        }
-                    }
-                    None => {
-                        self.stats.xlate_misses += 1;
-                        hazard!(Err(Hazard::Fault(FaultKind::XlateMiss, k, Word::NIL)));
-                        unreachable!()
-                    }
-                }
-            }
-            Instruction::Probe { dst, key } => {
-                let k = src!(key, Raw);
-                self.stats.xlates += 1;
-                let v = self.xlate.xlate(k).unwrap_or_else(|| {
-                    self.stats.xlate_misses += 1;
-                    Word::NIL
-                });
-                dst!(dst, v);
-                Step::Done {
-                    cost: base + extra + self.config.timing.xlate_extra,
-                    next_ip: ip + 1,
-                }
-            }
-            Instruction::Halt => {
-                self.halted = true;
-                self.bg_runnable = false;
-                Step::End { cost: base }
-            }
-            Instruction::Nop => Step::Done {
-                cost: base,
-                next_ip: ip + 1,
-            },
-        }
+        _ => {}
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn exec_send<const SPEC: bool, P: NetPort + ?Sized>(
-        &mut self,
-        priority: Priority,
-        mp: MsgPriority,
-        a: Src,
-        b: Option<Src>,
-        end: bool,
-        ip: u32,
-        now: u64,
-        net: &mut P,
-    ) -> Step {
-        let pi = priority.index();
-        let base = self.config.timing.base;
-        debug_assert!(!SPEC || !(end || self.commit_pending[pi]));
-        let mut extra = 0u64;
-        // Compose (unless this is a retried commit, whose operands were
-        // already appended before the send fault). Both operands are read
-        // before either is appended: a `SEND2` that stalls or faults on
-        // its second retries (or resumes) from a composition that does not
-        // hold its first.
-        if !self.commit_pending[pi] {
-            let mut words = [Word::NIL; 2];
-            let operands = [Some(a), b];
-            for (word, src) in words.iter_mut().zip(operands.iter().flatten()) {
-                *word =
-                    match self.read_src::<SPEC>(priority, *src, ReadLevel::Move, now, &mut extra) {
-                        Ok(word) => word,
-                        Err(hazard) => return self.blocked(priority, hazard, SPEC, base + extra),
-                    };
-            }
-            let count = if b.is_some() { 2 } else { 1 };
-            self.compose[pi].extend_from_slice(&words[..count]);
-            if end {
-                self.commit_pending[pi] = true;
-            }
-        }
-        // Launch on message end.
-        if self.commit_pending[pi] {
-            match net.commit(mp, &self.compose[pi]) {
-                InjectAck::Accepted => {
-                    self.compose[pi].clear();
-                    self.commit_pending[pi] = false;
-                    self.stats.msgs_sent += 1;
-                }
-                InjectAck::Stall => {
-                    self.stats.send_faults += 1;
-                    return Step::Retry { cost: 1 };
-                }
-                InjectAck::Rejected => {
-                    let word = self.compose[pi].first().copied().unwrap_or(Word::NIL);
-                    self.error = Some(NodeError::BadSend(word));
-                    return Step::Error;
-                }
-            }
-        }
-        self.stats.sends += 1;
-        Step::Done {
-            cost: base + extra,
-            next_ip: ip + 1,
-        }
+    if a.tag() != Tag::Int {
+        return Err(mismatch(a));
     }
+    if b.tag() != Tag::Int {
+        return Err(mismatch(b));
+    }
+    let (x, y) = (a.as_i32(), b.as_i32());
+    let value = match op {
+        Add => x.wrapping_add(y),
+        Sub => x.wrapping_sub(y),
+        Mul => x.wrapping_mul(y),
+        Div => {
+            if y == 0 {
+                return Err(Hazard::Fault(FaultKind::DivZero, a, b));
+            }
+            x.wrapping_div(y)
+        }
+        Rem => {
+            if y == 0 {
+                return Err(Hazard::Fault(FaultKind::DivZero, a, b));
+            }
+            x.wrapping_rem(y)
+        }
+        And => ((x as u32) & (y as u32)) as i32,
+        Or => ((x as u32) | (y as u32)) as i32,
+        Xor => ((x as u32) ^ (y as u32)) as i32,
+        Lsh => {
+            if y >= 32 || y <= -32 {
+                0
+            } else if y >= 0 {
+                ((x as u32) << y) as i32
+            } else {
+                ((x as u32) >> (-y)) as i32
+            }
+        }
+        Ash => {
+            if y >= 32 {
+                0
+            } else if y <= -32 {
+                x >> 31
+            } else if y >= 0 {
+                ((x as u32) << y) as i32
+            } else {
+                x >> (-y)
+            }
+        }
+        Lt => return Ok(Word::bool(x < y)),
+        Le => return Ok(Word::bool(x <= y)),
+        Gt => return Ok(Word::bool(x > y)),
+        Ge => return Ok(Word::bool(x >= y)),
+        Min => x.min(y),
+        Max => x.max(y),
+        Eq | Ne => unreachable!(),
+    };
+    Ok(Word::int(value))
 }

@@ -24,6 +24,10 @@
 //!   NNR-calc / dispatch / idle), per-handler thread counts and lengths
 //!   (Table 4), fault and xlate counters (Table 5).
 //!
+//! A node runs its program lowered: [`Code`] decodes the assembler's
+//! instructions once into a table of ops that every node running the
+//! program shares.
+//!
 //! The node is network-agnostic: the machine crate (`jm-machine`) pumps
 //! ejected words into [`MdpNode::deliver`] and passes a [`NetPort`] for
 //! injection.
@@ -34,6 +38,7 @@
 mod config;
 mod exec;
 mod hash;
+mod lower;
 mod memory;
 mod node;
 mod queue;
@@ -42,6 +47,7 @@ mod stretch;
 mod xlate;
 
 pub use config::{MdpConfig, TimingConfig, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
+pub use lower::Code;
 pub use memory::Memory;
 pub use node::{InjectAck, MdpNode, NetPort, NodeError, TickOutcome};
 pub use queue::MsgQueue;

@@ -2,13 +2,14 @@
 //! fault machinery. Instruction semantics live in [`crate::exec`].
 
 use crate::config::{MdpConfig, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
+use crate::lower::{Code, Op};
 use crate::memory::Memory;
 use crate::queue::MsgQueue;
 use crate::stats::NodeStats;
 use crate::stretch::Stretch;
 use crate::xlate::XlateCache;
 use jm_asm::Program;
-use jm_isa::consts::{FaultKind, EMEM_BASE};
+use jm_isa::consts::FaultKind;
 use jm_isa::instr::{MsgPriority, StatClass};
 use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::reg::{Priority, RegFile};
@@ -141,10 +142,9 @@ pub struct MdpNode {
     pub(crate) config: MdpConfig,
     pub(crate) regs: RegFile,
     pub(crate) mem: Memory,
-    pub(crate) program: Arc<Program>,
-    /// First instruction index whose code word lies in external memory
-    /// (`u32::MAX` when all code is internal).
-    pub(crate) emem_code_from: u32,
+    /// The program's lowered code ([`Code`]), shared by every node that
+    /// runs it.
+    pub(crate) ops: Arc<[Op]>,
     pub(crate) queues: [MsgQueue; 2],
     pub(crate) xlate: XlateCache,
     /// Register staging frames (R0–3, A0–3, IP), one per priority bank.
@@ -220,7 +220,9 @@ enum Decision {
 impl MdpNode {
     /// Creates a node, loads the shared program image (code placement, data
     /// blocks), and prepares the background thread if the program declares
-    /// an entry point and `start_background` is set.
+    /// an entry point and `start_background` is set. The program is lowered
+    /// ([`Code`]) once for all the nodes one thread builds from the same
+    /// `Arc` while any of them lives.
     pub fn new(
         id: NodeId,
         dims: MeshDims,
@@ -228,25 +230,34 @@ impl MdpNode {
         config: MdpConfig,
         start_background: bool,
     ) -> MdpNode {
+        let code = Code::shared(program, &config.timing);
+        MdpNode::with_code(id, dims, &code, config, start_background)
+    }
+
+    /// [`Self::new`] for a program already lowered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `code` was lowered under another timing model than
+    /// `config`'s.
+    pub fn with_code(
+        id: NodeId,
+        dims: MeshDims,
+        code: &Code,
+        config: MdpConfig,
+        start_background: bool,
+    ) -> MdpNode {
+        assert_eq!(
+            code.timing, config.timing,
+            "code lowered under another timing model"
+        );
+        let program = &code.program;
         let mut mem = Memory::new();
         for block in &program.data {
             if !block.init.is_empty() {
                 mem.load(block.base, &block.init);
             }
         }
-        // Compute where code crosses into external memory (2 instructions
-        // per word, nominally).
-        let emem_code_from = if program.code_base >= EMEM_BASE {
-            0
-        } else {
-            let imem_words = EMEM_BASE - program.code_base;
-            let boundary = imem_words.saturating_mul(2);
-            if (boundary as usize) < program.code.len() {
-                boundary
-            } else {
-                u32::MAX
-            }
-        };
         let mut regs = RegFile::new();
         let bg_entry = if start_background {
             program.entry
@@ -264,8 +275,7 @@ impl MdpNode {
             config,
             regs,
             mem,
-            program,
-            emem_code_from,
+            ops: Arc::clone(&code.ops),
             queues: [
                 MsgQueue::new(config.queue0_words),
                 MsgQueue::new(config.queue1_words),
@@ -602,7 +612,7 @@ impl MdpNode {
         if self.config.checksum_msgs && !self.verify_checksum(q, header, now) {
             return;
         }
-        if header.ip as usize >= self.program.code.len() {
+        if header.ip as usize >= self.ops.len() {
             self.error = Some(NodeError::BadHandler(header.ip));
             return;
         }
@@ -749,7 +759,7 @@ impl MdpNode {
             return 0;
         }
         let vector = self.mem.read(kind.vector());
-        if vector.tag() != Tag::Ip || vector.bits() as usize >= self.program.code.len() {
+        if vector.tag() != Tag::Ip || vector.bits() as usize >= self.ops.len() {
             self.error = Some(NodeError::UnhandledFault { kind, ip });
             return 0;
         }

@@ -7,14 +7,18 @@
 //! header arrival (§2.1). Everything in between is node-private, so an
 //! engine that gives [`MdpNode::advance`] room lets the thread keep
 //! retiring instructions that start before the room's end — a *stretch* —
-//! and [`crate::exec`] stops it before any instruction that is not
-//! private. The one thing a stretch cannot see coming is a delivery into a
-//! higher-priority queue at a cycle inside it. It is not predicted: the
-//! stretch keeps one checkpoint (the running bank, the counters it bumps,
-//! the compose length and class, and an undo log of the memory words it
-//! overwrote), and [`MdpNode::deliver_traced`] — or the machine's drive,
-//! stopping on another node's error — rewinds to the cycle in question and
-//! re-executes the instructions that started before it.
+//! and [`crate::exec`] stops it before any op the lowering did not mark
+//! private: a message commit (`SEND…E`), the thread's end (`SUSPEND`,
+//! `HALT`), and what the checkpoint does not hold — `RESUME`'s staging
+//! frame and fault state, and the translation cache behind `ENTER`,
+//! `XLATE` and `PROBE`. The one thing a stretch cannot see coming is a
+//! delivery into a higher-priority queue at a cycle inside it. It is not
+//! predicted: the stretch keeps one checkpoint (the running bank, the
+//! counters it bumps, the compose length and class, and an undo log of the
+//! memory words it overwrote), and [`MdpNode::deliver_traced`] — or the
+//! machine's drive, stopping on another node's error — rewinds to the
+//! cycle in question and re-executes the instructions that started before
+//! it.
 
 use crate::node::MdpNode;
 use jm_isa::instr::StatClass;
