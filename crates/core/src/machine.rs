@@ -360,7 +360,8 @@ impl JMachine {
             Engine::Parallel(_) | Engine::Event | Engine::Naive => 1,
         };
         let program = Arc::new(program);
-        // Lowered once: every node runs the one table.
+        // One table for every node: a copy each would multiply its
+        // footprint by the node count (4 096 on a 16³ mesh).
         let code = Code::lower(Arc::clone(&program), &config.mdp.timing);
         let mut nodes = config
             .dims

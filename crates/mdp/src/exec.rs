@@ -160,7 +160,8 @@ impl MdpNode {
         let step = if op.private {
             match self.exec(priority, &op, start, false) {
                 // The common case, without the rest's bookkeeping: about
-                // 5 % of a tick (PERFLOG.md, "One decode").
+                // 5 % of a tick (PERFLOG.md, "Where the time goes after
+                // stretches").
                 Ok(Retired { cost, next }) => {
                     self.regs.bank_mut(priority).ip = next;
                     self.credit(pi, 1);
@@ -174,7 +175,11 @@ impl MdpNode {
             self.exec_visible(priority, &op, start, net)
         };
         let step = step.unwrap_or_else(|(hazard, extra)| self.blocked(priority, hazard, extra));
-        let fetch = self.fetch(&op);
+        let fetch = if op.emem {
+            self.config.timing.emem_fetch
+        } else {
+            0
+        };
         let cost = match step {
             Step::Done(Retired { cost, next }) => {
                 self.regs.bank_mut(priority).ip = next;
@@ -207,15 +212,6 @@ impl MdpNode {
             self.handler_slot[pi] = slot;
         }
         self.stats.handlers.slot_mut(slot).instructions += n;
-    }
-
-    /// The extra cycles of fetching `op` from external memory.
-    fn fetch(&self, op: &Op) -> u64 {
-        if op.emem {
-            self.config.timing.emem_fetch
-        } else {
-            0
-        }
     }
 
     /// What a hazard met after `extra` operand cycles makes of a visit's op.
