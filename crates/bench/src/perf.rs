@@ -1,6 +1,6 @@
 //! `jmsim perf`: host-side simulation throughput of the engines *relative
-//! to each other*, written to `BENCH_engine.json` as ratios (cycles per
-//! second of wall clock go to stdout only; absolute host time is jmbench's
+//! to each other*, written to `BENCH_engine.json` as ratios and printed as
+//! the [`pivot`] of those rows (absolute host time is jmbench's
 //! instrument, `benchmark/`).
 //! It only measures — every floor and ceiling on these numbers is an
 //! argument of `jmsim gate` in CI — but every pair of runs it times is also
@@ -26,6 +26,7 @@
 use crate::cli::{self, Args, CliError, Outcome};
 use crate::harness::time_once;
 use crate::rows::{self, Row};
+use crate::table::pivot;
 use crate::threads;
 use crate::workloads::{exchange_program, ring_program};
 use jm_machine::{Engine, JMachine, MachineConfig, StartPolicy};
@@ -36,11 +37,6 @@ const NODES: u32 = 64;
 /// `parallel-4` is four workers (4×4×4 has two slabs, and would run two).
 const SWEEP_NODES: u32 = 512;
 const RING_MAX_CYCLES: u64 = 500_000_000;
-
-/// Simulated cycles per second of wall clock.
-fn rate(cycles: u64, wall_secs: f64) -> f64 {
-    cycles as f64 / wall_secs.max(1e-9)
-}
 
 fn config(engine: Engine) -> MachineConfig {
     MachineConfig::new(NODES)
@@ -91,32 +87,23 @@ fn stretch_rows(out: &mut Vec<Row>, cpus: usize, name: &str, m: &JMachine) {
     let reexecuted = counts.reexecuted as f64 / instructions.max(1) as f64;
     out.push(Row::host(name, "instr_per_visit", per_visit, "instr", cpus));
     out.push(Row::host(name, "reexecuted", reexecuted, "ratio", cpus));
-    println!(
-        "{name:<26} event: {per_visit:.2} instructions per visit, {:.2}% re-executed",
-        reexecuted * 100.0
-    );
 }
 
-/// The two rows of one workload — its length and `new`'s speed as a
-/// multiple of `base`'s over those same cycles — and a stdout line. Host
-/// time enters the file only as that ratio: absolute host speed is
-/// jmbench's to measure (`benchmark/`).
+/// The two rows of one workload: its length and the new side's speed as a
+/// multiple of the base side's over those same cycles. Host time enters
+/// the file only as that ratio: absolute host speed is jmbench's to
+/// measure (`benchmark/`).
 fn speedup_rows(
     out: &mut Vec<Row>,
     cpus: usize,
     name: &str,
     cycles: u64,
-    (base_label, base_secs): (&str, f64),
-    (new_label, new_secs): (&str, f64),
+    base_secs: f64,
+    new_secs: f64,
 ) {
     let speedup = base_secs / new_secs.max(1e-9);
     out.push(Row::host(name, "cycles", cycles as f64, "cycles", cpus));
     out.push(Row::host(name, "speedup", speedup, "x", cpus));
-    println!(
-        "{name:<26} {base_label} {:>12.0} cyc/s   {new_label} {:>12.0} cyc/s   speedup {speedup:.2}x",
-        rate(cycles, base_secs),
-        rate(cycles, new_secs),
-    );
 }
 
 /// `jmsim perf [--quick] [--trace] [--require-cpus N] [--out PATH]`.
@@ -151,8 +138,8 @@ pub(crate) fn run(args: &Args) -> Outcome {
         host_cpus,
         "ring64_idle_dominated",
         ring_cycles,
-        ("naive", ring_naive),
-        ("event", ring_event),
+        ring_naive,
+        ring_event,
     );
     stretch_rows(&mut out, host_cpus, "ring64_idle_dominated", &ring_machine);
 
@@ -164,8 +151,8 @@ pub(crate) fn run(args: &Args) -> Outcome {
         host_cpus,
         "exchange64_load_dominated",
         exch_cycles,
-        ("naive", exch_naive),
-        ("event", exch_event),
+        exch_naive,
+        exch_event,
     );
     stretch_rows(
         &mut out,
@@ -183,8 +170,8 @@ pub(crate) fn run(args: &Args) -> Outcome {
         host_cpus,
         "exchange64_replay_capture",
         exch_cycles,
-        ("uncaptured", exch_event),
-        ("captured", exch_captured),
+        exch_event,
+        exch_captured,
     );
 
     if args.switch("--trace") {
@@ -206,12 +193,6 @@ pub(crate) fn run(args: &Args) -> Outcome {
             traced = traced.min(again);
         }
         let overhead = traced / untraced.max(1e-9) - 1.0;
-        println!(
-            "ring64_traced              event {:>12.0} cyc/s   tracing overhead {:.0}%   trace hash {:016x}",
-            rate(ring_cycles, traced),
-            overhead * 100.0,
-            hash,
-        );
         out.push(Row::host(
             "ring64_traced",
             "overhead_vs_untraced",
@@ -224,9 +205,11 @@ pub(crate) fn run(args: &Args) -> Outcome {
     // An eighth of the cycles on eight times the nodes: the same work.
     let sweep =
         threads::sweep(SWEEP_NODES, exch_cycles / 8, &[1, 2, 4]).map_err(CliError::Failed)?;
-    print!("{}", threads::render(&sweep));
     out.extend(threads::rows(&sweep));
 
+    println!("{}", pivot(&out, "", "workload"));
+    let sweep_table = pivot(&out, "threads", "engine");
+    print!("exchange loop, host CPUs: {host_cpus}\n\n{sweep_table}");
     cli::write_file(out_path, rows::write(&out))?;
     println!("wrote {out_path}");
     Ok(ExitCode::SUCCESS)

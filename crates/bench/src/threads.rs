@@ -17,7 +17,6 @@ use crate::harness::time_once;
 use crate::rows::Row;
 use crate::workloads::exchange_program;
 use jm_machine::{Engine, JMachine, MachineConfig, MachineStats, StartPolicy};
-use std::fmt::Write as _;
 
 /// One engine's timed run within the sweep.
 #[derive(Debug, Clone)]
@@ -116,33 +115,6 @@ pub fn sweep(nodes: u32, cycles: u64, threads: &[u32]) -> Result<ThreadSweep, St
         points,
         stats: baseline_stats.expect("the event run"),
     })
-}
-
-/// Renders the sweep as a text table for stdout.
-pub fn render(sweep: &ThreadSweep) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "exchange loop, {} nodes, {} cycles, host CPUs: {}\n",
-        sweep.nodes, sweep.cycles, sweep.host_cpus
-    );
-    let _ = writeln!(out, "{:<12} {:>14} {:>10}", "engine", "cyc/s", "speedup");
-    let base = sweep.points[0].cycles_per_sec;
-    for p in &sweep.points {
-        let _ = writeln!(
-            out,
-            "{:<12} {:>14.0} {:>9.2}x{}",
-            p.label,
-            p.cycles_per_sec,
-            p.cycles_per_sec / base,
-            if p.threads as usize > sweep.host_cpus {
-                "  (oversubscribed)"
-            } else {
-                ""
-            }
-        );
-    }
-    out
 }
 
 /// The sweep as `threads/<label>` rows for `BENCH_engine.json`: host time

@@ -11,6 +11,7 @@
 
 use crate::cli::{self, write_file, Args, CliError, Outcome};
 use crate::macrob::{self, App, Problems};
+use crate::table::pivot;
 use crate::workloads::exchange_program;
 use crate::{harness, observe, registry, rows, threads, traffic};
 use jm_isa::instr::StatClass;
@@ -134,14 +135,15 @@ pub(crate) fn mesh(args: &Args) -> Outcome {
         return Err(CliError::Input(why.to_string()));
     };
     let sweep = threads::sweep(nodes, cycles, &[threads]).map_err(CliError::Failed)?;
-    print!("{}", threads::render(&sweep));
     let rss = harness::peak_rss_mib();
+    let mut out = vec![rows::Row::simulated("mesh", "nodes", nodes.into(), "nodes")];
+    out.extend(stats_rows("mesh", &sweep.stats));
+    out.extend(threads::rows(&sweep));
+    out.push(peak_rss_row(rss));
+    let (cpus, sweep_table) = (sweep.host_cpus, pivot(&out, "threads", "engine"));
+    println!("exchange loop, host CPUs: {cpus}\n\n{sweep_table}");
     println!("peak rss: {rss} MiB");
     if let Some(path) = args.text("--out") {
-        let mut out = vec![rows::Row::simulated("mesh", "nodes", nodes.into(), "nodes")];
-        out.extend(stats_rows("mesh", &sweep.stats));
-        out.extend(threads::rows(&sweep));
-        out.push(peak_rss_row(rss));
         write_file(path, rows::write(&out))?;
         println!("wrote {path}");
     }

@@ -50,31 +50,6 @@ pub enum Engine {
     Parallel(u32),
 }
 
-/// Test hook: host-performance mechanisms the engines otherwise select
-/// from what they observe. No value here can change a simulated result —
-/// that is exactly what the differential suites set these to prove — so
-/// none is part of the public configuration and none is recorded in
-/// replay logs.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostTuning {
-    /// Parallel-engine quantum: simulated cycles between global
-    /// coordination points. `0` picks automatically.
-    pub quantum: u32,
-    /// Whether a message committed into an otherwise-empty single-shard
-    /// mesh may take the wormhole bulk-advance fast path.
-    pub bulk: bool,
-}
-
-impl Default for HostTuning {
-    fn default() -> HostTuning {
-        HostTuning {
-            quantum: 0,
-            bulk: true,
-        }
-    }
-}
-
 /// Message-lifecycle tracing configuration.
 ///
 /// Off by default: an untraced machine allocates no event buffers, and the
@@ -87,7 +62,8 @@ pub struct TraceConfig {
     pub enabled: bool,
     /// Cycle interval between occupancy samples (queue depths, flits in
     /// flight, active routers): one at every multiple the clock reaches,
-    /// under every engine. Only read while `enabled`; zero takes none.
+    /// under every engine. Only read while `enabled`, and then positive:
+    /// [`JMachine::try_new`](crate::JMachine::try_new) refuses zero.
     pub sample_every: u64,
 }
 
@@ -144,9 +120,13 @@ pub struct MachineConfig {
     /// spec — zero load or an empty window — canonicalizes to no plan at
     /// machine build, so it takes the exact traffic-free code paths.
     pub traffic: Option<TrafficSpec>,
-    /// Test hook (see [`HostTuning`]).
+    /// Test hook: the parallel engine's quantum, simulated cycles between
+    /// the crew's global coordination points (`0` picks 64). No value can
+    /// change a simulated result — `quantum_sweep` sets it to prove that —
+    /// so it is not part of the public configuration and replay logs do
+    /// not record it.
     #[doc(hidden)]
-    pub tuning: HostTuning,
+    pub quantum: u32,
 }
 
 impl MachineConfig {
@@ -171,7 +151,7 @@ impl MachineConfig {
             trace: TraceConfig::default(),
             fault: None,
             traffic: None,
-            tuning: HostTuning::default(),
+            quantum: 0,
         }
     }
 
@@ -219,13 +199,6 @@ impl MachineConfig {
     /// Sets the synthetic background-traffic plan (builder style).
     pub fn traffic(mut self, spec: TrafficSpec) -> MachineConfig {
         self.traffic = Some(spec);
-        self
-    }
-
-    /// Sets the host tuning (builder style; test hook).
-    #[doc(hidden)]
-    pub fn tuning(mut self, tuning: HostTuning) -> MachineConfig {
-        self.tuning = tuning;
         self
     }
 

@@ -44,8 +44,6 @@ mod parallel;
 mod replay;
 mod stats;
 
-#[doc(hidden)]
-pub use config::HostTuning;
 pub use config::{Engine, MachineConfig, StartPolicy, TraceConfig};
 pub use jm_fault::{FaultSpec, FaultStats, FaultWindow, FaultWindowKind};
 pub use jm_trace::{MachineTrace, MsgTrace, SamplePoint};

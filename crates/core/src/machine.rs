@@ -25,7 +25,7 @@ use jm_isa::node::NodeId;
 use jm_isa::word::{MsgHeader, Word};
 use jm_isa::TraceId;
 use jm_mdp::{Code, MdpNode, NodeError, StretchStats};
-use jm_net::{BitSet, NetShard, Network};
+use jm_net::{BitSet, BulkStats, NetShard, Network};
 use jm_replay::HostOp;
 use jm_trace::{MachineTrace, SamplePoint};
 use jm_traffic::TrafficPlan;
@@ -316,7 +316,8 @@ impl JMachine {
     /// [`MachineError::InvalidProgram`] when the image fails
     /// [`Program::validate`] (assembled programs are always valid), and
     /// [`MachineError::InvalidConfig`], naming the field,
-    /// when `net.dims` differs from `dims` or the crate that owns a field
+    /// when `net.dims` differs from `dims`, tracing is on with a zero
+    /// `trace.sample_every`, or the crate that owns a field
     /// rejects its value ([`NetConfig::validate`](jm_net::NetConfig::validate),
     /// [`MdpConfig::validate`](jm_mdp::MdpConfig::validate),
     /// [`TrafficSpec::validate`](jm_traffic::TrafficSpec::validate)) — before
@@ -334,6 +335,10 @@ impl JMachine {
                 return Err("net.dims differs from dims");
             }
             config.mdp.validate()?;
+            if config.trace.enabled && config.trace.sample_every == 0 {
+                // Samples fall on multiples of the interval.
+                return Err("trace.sample_every is zero while tracing");
+            }
             config.traffic.map_or(Ok(()), |t| t.validate())
         };
         buildable().map_err(MachineError::InvalidConfig)?;
@@ -378,7 +383,6 @@ impl JMachine {
         let mut net = Network::with_shards(config.net, shards);
         net.set_fault_plan(fault);
         net.set_traffic_plan(traffic);
-        net.set_tuning(config.tuning.bulk);
         if config.trace.enabled {
             net.set_tracing(true);
             for node in &mut nodes {
@@ -689,7 +693,7 @@ impl JMachine {
         // Auto quantum: long enough that boundary coordination is noise
         // against Q cycles of slab work, short enough that error stops and
         // quiescence detection stay prompt.
-        let quantum = match self.config.tuning.quantum {
+        let quantum = match self.config.quantum {
             0 => 64,
             q => u64::from(q),
         };
@@ -876,6 +880,13 @@ impl JMachine {
             total.merge(&node.stretch_stats());
         }
         total
+    }
+
+    /// The shards' host-side bulk-advance counters, summed: how often a
+    /// message alone in the mesh took the closed-form timing law, and how
+    /// often one was turned back into buffered flits.
+    pub fn bulk_stats(&self) -> BulkStats {
+        self.net.bulk_stats()
     }
 
     /// Aggregated statistics snapshot.
@@ -1366,6 +1377,15 @@ mod tests {
             // message is sent.
             (mdp(|m| m.timing.base = u64::MAX), "mdp.timing.base"),
             (net(|n| n.inject_latency = u64::MAX), "net.inject_latency"),
+            // Samples fall on multiples of the interval. The builder and
+            // the CLI refuse zero; a hand-built struct gets past both.
+            (
+                ok.trace(crate::TraceConfig {
+                    enabled: true,
+                    sample_every: 0,
+                }),
+                "trace.sample_every",
+            ),
             // Every generated message is led by a header of its length.
             (
                 traffic(|t| t.msg_words = MsgHeader::MAX_LEN + 1),
@@ -1390,8 +1410,9 @@ mod tests {
                 Ok(_) => panic!("a config with a bad {names} built a machine"),
             }
             // What the front door refuses, a log header cannot carry in:
-            // the reader calls the validators `try_new` calls.
-            if cfg.net.dims == cfg.dims {
+            // the reader calls the validators `try_new` calls. (A header
+            // holds one set of dims and no trace settings.)
+            if cfg.net.dims == cfg.dims && cfg.trace == ok.trace {
                 let mut log = recorded.clone();
                 (log.config.dims, log.config.mdp, log.config.net) = (cfg.dims, cfg.mdp, cfg.net);
                 log.traffic = cfg.traffic;

@@ -38,7 +38,7 @@
 //!   to prove the bisector localizes a fault to the exact cycle and
 //!   component.
 
-use crate::config::{Engine, HostTuning, MachineConfig, StartPolicy};
+use crate::config::{Engine, MachineConfig, StartPolicy};
 use crate::machine::{next_multiple, JMachine};
 use jm_isa::node::NodeId;
 use jm_isa::word::Word;
@@ -286,7 +286,7 @@ pub struct Corruption {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MachineFactory {
     engine: Option<Engine>,
-    tuning: HostTuning,
+    quantum: u32,
     corruption: Option<Corruption>,
 }
 
@@ -302,11 +302,11 @@ impl MachineFactory {
         self
     }
 
-    /// Sets the host tuning of the replaying machine (builder style; test
-    /// hook — logs never record tuning).
+    /// Sets the replaying machine's parallel quantum (builder style; test
+    /// hook — logs never record it).
     #[doc(hidden)]
-    pub fn tuning(mut self, tuning: HostTuning) -> MachineFactory {
-        self.tuning = tuning;
+    pub fn quantum(mut self, quantum: u32) -> MachineFactory {
+        self.quantum = quantum;
         self
     }
 
@@ -329,7 +329,7 @@ impl MachineFactory {
         if let Some(e) = self.engine {
             cfg.engine = e;
         }
-        cfg.tuning = self.tuning;
+        cfg.quantum = self.quantum;
         let mut m = JMachine::new(log.program.clone(), cfg);
         // A replayed machine never re-captures, even under global capture.
         m.recorder = None;
@@ -659,13 +659,6 @@ mod tests {
     /// parallel engine cuts into two slabs, with node 0 in the other one.
     const FAR_SLAB: i32 = 0xC21;
 
-    fn quantum(quantum: u32) -> HostTuning {
-        HostTuning {
-            quantum,
-            ..HostTuning::default()
-        }
-    }
-
     /// Node 0 ping-pongs a counter with the node at `route` `rounds` times,
     /// then stores it — enough traffic to keep routers and queues busy
     /// across many hash boundaries.
@@ -726,7 +719,7 @@ mod tests {
             MachineFactory::recorded().engine(Engine::Parallel(2)),
             MachineFactory::recorded()
                 .engine(Engine::Parallel(2))
-                .tuning(quantum(1)),
+                .quantum(1),
         ] {
             let report = verify(&log, &f);
             assert!(report.clean(), "{f:?}: {report}");
@@ -847,7 +840,10 @@ mod tests {
                 (
                     "Err(NodeErrors",
                     remote_fault.clone(),
-                    config.tuning(quantum(1)),
+                    MachineConfig {
+                        quantum: 1,
+                        ..config
+                    },
                     100_000,
                 ),
             ] {
@@ -931,7 +927,7 @@ mod tests {
             MachineFactory::recorded().engine(Engine::Naive),
             MachineFactory::recorded()
                 .engine(Engine::Parallel(2))
-                .tuning(quantum(1)),
+                .quantum(1),
         ] {
             let report = verify(&log, &f);
             assert!(report.clean(), "{f:?}: {report}");

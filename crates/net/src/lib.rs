@@ -76,5 +76,5 @@ pub use bitset::{ones, BitSet};
 pub use config::NetConfig;
 pub use flit::Flit;
 pub use network::Network;
-pub use shard::{edge_pair, Edge, InjectResult, NetShard};
+pub use shard::{edge_pair, BulkStats, Edge, InjectResult, NetShard};
 pub use stats::NetStats;

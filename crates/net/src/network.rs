@@ -8,7 +8,7 @@
 //! the phase structure and the determinism argument.
 
 use crate::config::NetConfig;
-use crate::shard::{edge_pair, Edge, InjectResult, NetShard};
+use crate::shard::{edge_pair, BulkStats, Edge, InjectResult, NetShard};
 use crate::stats::NetStats;
 use jm_isa::instr::MsgPriority;
 use jm_isa::node::NodeId;
@@ -86,19 +86,6 @@ impl Network {
         }
     }
 
-    /// Test hook: enables or disables the wormhole bulk-advance fast path
-    /// (`shard::bulk`), a host mechanism the shards otherwise engage
-    /// from what they observe — an empty single-shard mesh — and which is
-    /// unobservable in simulated state, which is what the differential
-    /// suites use this hook to prove. Must be called before simulation
-    /// starts.
-    #[doc(hidden)]
-    pub fn set_tuning(&mut self, bulk: bool) {
-        for shard in &mut self.shards {
-            shard.set_tuning(bulk);
-        }
-    }
-
     /// The next cycle at or after the current one with possible generated
     /// traffic, or `u64::MAX` when there is none (no plan, or its window is
     /// exhausted). Engines gate idle-skip and quiescence on this: the cycle
@@ -160,6 +147,17 @@ impl Network {
         let mut total = NetStats::default();
         for shard in &self.shards {
             total.merge(shard.stats());
+        }
+        total
+    }
+
+    /// The shards' bulk-advance counters, summed (host counters, outside
+    /// [`Self::stats`]).
+    pub fn bulk_stats(&self) -> BulkStats {
+        let mut total = BulkStats::default();
+        for shard in &self.shards {
+            total.engaged += shard.bulk_stats.engaged;
+            total.materialized += shard.bulk_stats.materialized;
         }
         total
     }

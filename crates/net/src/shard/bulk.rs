@@ -12,6 +12,19 @@ use crate::router::ecube_route;
 use jm_fault::port;
 use jm_isa::node::Coord;
 
+/// Host-side counters of the bulk-advance law: how often a message took
+/// it, and how often one was turned back into buffered flits before its
+/// tail ejected. They describe the simulator, not the network, so they stay
+/// outside [`NetStats`](crate::NetStats), its `PartialEq` and every digest.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BulkStats {
+    /// Messages committed onto the law.
+    pub engaged: u64,
+    /// Messages on the law materialized into buffered flits: new traffic
+    /// arrived while one was in flight, or a state hash was taken.
+    pub materialized: u64,
+}
+
 /// A message streaming through an otherwise-empty mesh on the wormhole
 /// bulk-advance fast path.
 ///
@@ -88,8 +101,7 @@ impl NetShard {
         let dims = self.config.dims;
         let nodes = dims.x as usize * dims.y as usize * dims.z as usize;
         let dest_l = dims.id(dest).index();
-        if !self.allow_bulk
-            || self.fault.is_some()
+        if self.fault.is_some()
             || self.in_flight != 0
             || self.base != 0
             || self.routers.len() != nodes
@@ -195,6 +207,7 @@ impl NetShard {
     /// with (or fail to see) the virtual flits, and the state digest.
     pub(super) fn materialize_bulk(&mut self, cycle: u64) {
         let Some(b) = self.bulk.take() else { return };
+        self.bulk_stats.materialized += 1;
         let hops = b.outs.len() as u64;
         let f_count = b.flits.len() as u64;
         let src = b.path[0] as usize;
@@ -243,5 +256,72 @@ impl NetShard {
             }
         }
         // `in_flight` already counts the still-buffered flits.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::BulkStats;
+    use crate::{InjectResult, NetConfig, Network};
+    use jm_fault::{FaultPlan, FaultSpec, FaultWindow};
+    use jm_isa::instr::MsgPriority;
+    use jm_isa::node::{MeshDims, NodeId, RouteWord};
+    use jm_isa::word::{MsgHeader, Word};
+
+    const FAR: NodeId = NodeId(15);
+
+    /// Commits a `payload`-word message from node 0 to the far corner of
+    /// the 2×2×4 mesh and returns the law's engagements after it.
+    fn offer(net: &mut Network, payload: u32) -> u64 {
+        let route = RouteWord::new(net.config().dims.coord(FAR)).to_word();
+        let mut words = vec![route, MsgHeader::new(1, payload).to_word()];
+        words.extend((1..payload).map(|k| Word::int(k as i32)));
+        let sent = net.commit_msg(NodeId(0), MsgPriority::P0, &words);
+        assert_eq!(sent, InjectResult::Accepted);
+        net.bulk_stats().engaged
+    }
+
+    #[test]
+    fn the_law_engages_only_on_an_empty_single_shard_mesh() {
+        let config = NetConfig::new(MeshDims::new(2, 2, 4));
+        let mut alone = Network::new(config);
+        assert_eq!(offer(&mut alone, 2), 1, "an empty single-shard mesh");
+
+        // One case each in which the law declines.
+        let mut two_shards = Network::with_shards(config, 2);
+        assert_eq!(offer(&mut two_shards, 2), 0, "two shards");
+        let mut faulted = Network::new(config);
+        let later = FaultSpec::new(1).window(FaultWindow::node_down(3, 1_000, 2_000));
+        faulted.set_fault_plan(FaultPlan::from_spec(later));
+        assert_eq!(offer(&mut faulted, 2), 0, "a fault plan");
+        let mut long = Network::new(config);
+        let too_long = config.eject_fifo as u32 + 1;
+        assert_eq!(offer(&mut long, too_long), 0, "payload past eject_fifo");
+        let mut shallow = Network::new(NetConfig {
+            flit_buffer: 1,
+            ..config
+        });
+        assert_eq!(offer(&mut shallow, 2), 0, "flit_buffer 1");
+
+        // A second message in the same cycle turns the first back into
+        // buffered flits, and then finds them in flight.
+        assert_eq!(offer(&mut alone, 2), 1, "a flit already buffered");
+        let twice = BulkStats {
+            engaged: 1,
+            materialized: 1,
+        };
+        assert_eq!(alone.bulk_stats(), twice);
+
+        // Delivered and left in the destination's ejection FIFO.
+        while alone.in_flight() > 0 {
+            alone.step();
+        }
+        assert!(alone.delivered_len(FAR, MsgPriority::P0) > 0);
+        assert_eq!(offer(&mut alone, 2), 1, "a word in the ejection FIFO");
+        while !alone.is_idle() {
+            while alone.pop_delivered(FAR, MsgPriority::P0).is_some() {}
+            alone.step();
+        }
+        assert_eq!(offer(&mut alone, 2), 2, "drained, the mesh is empty again");
     }
 }

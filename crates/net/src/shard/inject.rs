@@ -112,6 +112,7 @@ impl NetShard {
             // Alone in the mesh: the flits stay virtual (see `bulk`).
             bulk.flits = flits.collect();
             self.bulk = Some(bulk);
+            self.bulk_stats.engaged += 1;
         } else {
             for flit in flits {
                 self.arena.push(l, vnet, port::INJECT, flit);

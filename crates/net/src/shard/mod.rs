@@ -42,6 +42,7 @@ mod bulk;
 mod edge;
 mod inject;
 
+pub use bulk::BulkStats;
 pub use edge::{edge_pair, Edge};
 pub use inject::InjectResult;
 
@@ -77,8 +78,6 @@ pub struct NetShard {
     arena: ChannelArena,
     /// Buffered flits per local router (the advance loop's drop-out test).
     occ: Vec<u32>,
-    /// Whether the bulk fast path may engage (on unless a test disabled it).
-    allow_bulk: bool,
     /// Precomputed neighbor of every (local router, directional out port):
     /// the neighbor's *local* index, or an [`edge::boundary_code`] (larger
     /// than any local index) for slab-crossing z channels — replacing
@@ -104,6 +103,8 @@ pub struct NetShard {
     /// Invariant: while set, the shard holds no buffered flits — every
     /// in-flight flit belongs to this message and is virtual.
     bulk: Option<BulkMsg>,
+    /// How often the bulk law engaged and materialized (host counters).
+    pub(crate) bulk_stats: BulkStats,
     /// Lifecycle-event buffer for this shard's routers; `None` (the
     /// default) disables tracing, so the hot paths pay one pointer test.
     pub(crate) tracer: Option<Box<Tracer>>,
@@ -168,7 +169,6 @@ impl NetShard {
         NetShard {
             arena: ChannelArena::new((0..len).map(coord), config.flit_buffer, config.inject_fifo),
             occ: vec![0; len],
-            allow_bulk: true,
             neigh,
             bisect_out,
             config,
@@ -180,6 +180,7 @@ impl NetShard {
             eject_pending: BitSet::new(len),
             crossings: [Vec::new(), Vec::new()],
             bulk: None,
+            bulk_stats: BulkStats::default(),
             tracer: None,
             traced_msgs: vec![0; len],
             fault: None,
@@ -198,12 +199,6 @@ impl NetShard {
     /// every shard before simulation starts.
     pub(crate) fn set_traffic_plan(&mut self, plan: Option<TrafficPlan>) {
         self.traffic = plan;
-    }
-
-    /// Enables or disables the bulk fast path (unobservable in simulated
-    /// state). Must be called before simulation starts.
-    pub(crate) fn set_tuning(&mut self, bulk: bool) {
-        self.allow_bulk = bulk;
     }
 
     /// The next cycle at or after `now` with possible generated traffic, or

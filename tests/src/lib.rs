@@ -10,7 +10,6 @@ use jm_asm::Program;
 use jm_isa::node::NodeId;
 use jm_isa::word::Word;
 use jm_machine::{Engine, JMachine, MachineConfig, MachineStats};
-use jm_mdp::StretchStats;
 
 /// Every engine under differential test, naive reference first.
 /// (`Parallel(1)` is one slab and no crew — the `Event` column again;
@@ -45,18 +44,18 @@ pub fn observe(
     max_cycles: u64,
     setup: impl FnOnce(&mut JMachine),
 ) -> Observation {
-    observe_stretched(program, config, max_cycles, setup).0
+    observe_machine(program, config, max_cycles, setup).0
 }
 
-/// [`observe`], and how the run's nodes ran on past their visits — host
-/// counters, never part of an observation, that show a stretch test is not
-/// vacuous (the naive engine's are all zero).
-pub fn observe_stretched(
+/// [`observe`], and the finished machine: for what an observation leaves
+/// out — its trace, and the host counters (`stretch_stats`, `bulk_stats`)
+/// that show a fast-path test is not vacuous.
+pub fn observe_machine(
     program: Program,
     config: MachineConfig,
     max_cycles: u64,
     setup: impl FnOnce(&mut JMachine),
-) -> (Observation, StretchStats) {
+) -> (Observation, JMachine) {
     let mut m = JMachine::new(program, config);
     setup(&mut m);
     let outcome = m
@@ -77,5 +76,5 @@ pub fn observe_stretched(
         memory,
         state_hash: m.state_hash(),
     };
-    (observation, m.stretch_stats())
+    (observation, m)
 }

@@ -22,7 +22,7 @@ use jm_machine::{Engine, JMachine, MachineConfig, TraceConfig};
 use jm_mdp::MdpConfig;
 use jm_mdp::StretchStats;
 use jm_runtime::nnr;
-use jm_tests::{observe, observe_stretched, Observation, ENGINES};
+use jm_tests::{observe, observe_machine, Observation, ENGINES};
 
 /// Runs the workload on every engine and asserts bit-identical observables.
 fn assert_equivalent(
@@ -469,7 +469,9 @@ fn assert_stretch_exact(
 ) -> StretchStats {
     assert_equivalent(label, &program, config, max_cycles, |_| {});
     let event = config.engine(Engine::Event);
-    observe_stretched(program(), event, max_cycles, |_| {}).1
+    observe_machine(program(), event, max_cycles, |_| {})
+        .1
+        .stretch_stats()
 }
 
 /// Boot code every stretch workload shares: the route to the next node
@@ -521,7 +523,7 @@ fn store_loop_program(fault_at: i32) -> Program {
 #[test]
 fn an_error_stop_settles_every_stretch() {
     let mut config = MachineConfig::new(64).start(StartPolicy::AllNodes);
-    config.tuning.quantum = 1;
+    config.quantum = 1;
     let mut rewinds = 0;
     for fault_at in [1, 7, 50, 333, 400] {
         let label = format!("error at iteration {fault_at}");

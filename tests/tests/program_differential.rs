@@ -33,7 +33,7 @@ use jm_isa::word::{SegDesc, Word};
 use jm_isa::RouteWord;
 use jm_machine::{Engine, JMachine, MachineConfig, StartPolicy};
 use jm_prng::Prng;
-use jm_tests::{observe_stretched, Observation, ENGINES};
+use jm_tests::{observe_machine, Observation, ENGINES};
 
 /// Words in the internal and the initialized external data segments.
 const DATA_WORDS: u32 = 16;
@@ -778,7 +778,7 @@ fn trajectory(program: &Program, engine: Engine, every: u64, until: u64) -> Vec<
 /// observation and the rewinds the stretching engines took.
 fn verdict(gen: &Gen) -> Result<(Observation, u64), String> {
     let program = assemble(gen);
-    let observe = |engine| observe_stretched(program.clone(), config(engine), MAX_CYCLES, setup);
+    let observe = |engine| observe_machine(program.clone(), config(engine), MAX_CYCLES, setup);
     let naive = observe(Engine::Naive).0;
     // Two dozen looks along the first few thousand cycles.
     let until = naive.stats.cycles.min(4_000);
@@ -786,8 +786,8 @@ fn verdict(gen: &Gen) -> Result<(Observation, u64), String> {
     let hashes = trajectory(&program, Engine::Naive, every, until);
     let mut rewinds = 0;
     for engine in &ENGINES[1..] {
-        let (other, counts) = observe(*engine);
-        rewinds += counts.rewinds;
+        let (other, m) = observe(*engine);
+        rewinds += m.stretch_stats().rewinds;
         if other != naive {
             return Err(format!(
                 "{engine:?}: observation diverged\nnaive: {naive:?}\n{engine:?}: {other:?}"
@@ -967,7 +967,7 @@ fn generated_programs_mostly_quiesce() {
     let clean = (0..20)
         .filter(|&seed| {
             let program = assemble(&generate(seed));
-            observe_stretched(program, config(Engine::Event), MAX_CYCLES, setup)
+            observe_machine(program, config(Engine::Event), MAX_CYCLES, setup)
                 .0
                 .outcome
                 .is_ok()
@@ -1020,6 +1020,10 @@ fn shrinking_drops_what_the_divergence_does_not_need() {
 #[test]
 #[ignore = "fresh seeds every run; nightly"]
 fn fresh_generated_programs_are_engine_exact() {
+    // Behind a flag: when JM_REPLAY_CAPTURE is set, every machine records
+    // a replay event log (DESIGN.md §4.8), so a diverging fresh seed
+    // leaves a bisectable reproducer behind.
+    jm_machine::capture_replay_from_env();
     let base = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .expect("clock after the epoch")

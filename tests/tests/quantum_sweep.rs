@@ -60,7 +60,7 @@ fn assert_quantum_exact(
     for &t in &THREADS {
         for &q in &QUANTA {
             let mut cfg = config.engine(Engine::Parallel(t));
-            cfg.tuning.quantum = q;
+            cfg.quantum = q;
             let other = observe(program(), cfg, max_cycles, &setup);
             assert_eq!(
                 event.outcome, other.outcome,
@@ -185,7 +185,7 @@ fn fixed_cycle_stop_is_quantum_exact() {
     for &t in &THREADS {
         for &q in &QUANTA {
             let mut cfg = config.engine(Engine::Parallel(t));
-            cfg.tuning.quantum = q;
+            cfg.quantum = q;
             run_fixed(cfg, format!("parallel-{t}/q{q}"));
         }
     }
@@ -245,7 +245,7 @@ fn resuming_a_quiesced_machine_is_quantum_exact() {
     for &t in &THREADS {
         for &q in &QUANTA {
             let mut cfg = config.engine(Engine::Parallel(t));
-            cfg.tuning.quantum = q;
+            cfg.quantum = q;
             assert_eq!(rounds(cfg), naive, "parallel-{t}/q{q}");
         }
     }

@@ -24,7 +24,7 @@ use jm_bench::workloads::pingpong_program;
 use jm_isa::node::NodeId;
 use jm_isa::word::Word;
 use jm_machine::{
-    Corruption, Divergence, Engine, FaultSpec, FaultWindow, HostTuning, JMachine, MachineConfig,
+    Corruption, Divergence, Engine, FaultSpec, FaultWindow, JMachine, MachineConfig,
     MachineFactory, StartPolicy,
 };
 use jm_mdp::{MdpConfig, TimingConfig};
@@ -67,10 +67,7 @@ fn cross_factories() -> Vec<(String, MachineFactory)> {
                 format!("parallel-{t}/q{q}"),
                 MachineFactory::recorded()
                     .engine(Engine::Parallel(t))
-                    .tuning(HostTuning {
-                        quantum: q,
-                        ..HostTuning::default()
-                    }),
+                    .quantum(q),
             ));
         }
     }

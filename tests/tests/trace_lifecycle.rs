@@ -16,8 +16,7 @@ use jm_asm::Program;
 use jm_bench::workloads::{exchange_program, gather_program, ring_program, sink_program};
 use jm_isa::node::{MeshDims, NodeId};
 use jm_machine::{
-    Engine, HostTuning, JMachine, MachineConfig, MachineTrace, StartPolicy, TraceConfig,
-    TrafficSpec,
+    Engine, JMachine, MachineConfig, MachineTrace, StartPolicy, TraceConfig, TrafficSpec,
 };
 use jm_trace::{chrome_json, hash, summary_json};
 
@@ -126,11 +125,11 @@ fn assert_one_trace(
 ) {
     let config = config.trace(TraceConfig::on().sample_every(16));
     let observe = |engine, quantum| {
-        let tuning = HostTuning {
+        let config = MachineConfig {
             quantum,
-            ..HostTuning::default()
+            ..config.engine(engine)
         };
-        let mut m = JMachine::new(program.clone(), config.engine(engine).tuning(tuning));
+        let mut m = JMachine::new(program.clone(), config);
         drive(&mut m);
         let trace = m.take_trace().expect("tracing was enabled");
         let counts = (trace.events.len(), trace.samples.len() as u64);

@@ -1,8 +1,7 @@
 //! Differential tests for the synthetic-traffic layer: every destination
 //! pattern must produce **bit-identical** runs across the naive, event, and
 //! parallel engines (threads ∈ {2, 4}), at quantum auto and quantum 1,
-//! under a chaos fault plan, and with the wormhole bulk-advance fast path
-//! toggled off. The injection process is a pure function of
+//! and under a chaos fault plan. The injection process is a pure function of
 //! `(seed, node, cycle)` and hooks into `step_cycle` before any routing
 //! work, so the accept/drop decision at each node's inject FIFO depends
 //! only on architectural state — never on engine, shard cut, or quantum.
@@ -42,7 +41,7 @@ fn traffic_config(program: &Program, spec: TrafficSpec) -> MachineConfig {
 /// observable.
 fn observe(config: MachineConfig, engine: Engine, quantum: u32, max_cycles: u64) -> Observation {
     let mut config = config.engine(engine);
-    config.tuning.quantum = quantum;
+    config.quantum = quantum;
     jm_tests::observe(sink_program(), config, max_cycles, |_| {})
 }
 
@@ -129,24 +128,6 @@ fn traffic_under_chaos_fault_plan_is_engine_exact() {
         obs.stats.net.faults.blocked_moves > 0,
         "chaos plan never blocked a flit move"
     );
-}
-
-#[test]
-fn traffic_with_bulk_advance_disabled_is_engine_exact() {
-    // The wormhole bulk-advance fast path must be a pure optimization:
-    // disabling it may not change a single observable, and the toggled
-    // config must still be engine-exact.
-    let program = sink_program();
-    let spec = TrafficSpec::new(7)
-        .pattern(TrafficPattern::Transpose)
-        .load(150_000)
-        .window(0, 400);
-    let mut config = traffic_config(&program, spec);
-    let with_bulk = assert_equivalent("bulk-on", config, 50_000);
-    config.tuning.bulk = false;
-    let without_bulk = assert_equivalent("bulk-off", config, 50_000);
-    assert_eq!(with_bulk, without_bulk, "bulk-advance changed observables");
-    assert!(with_bulk.stats.net.traffic.offered_msgs > 0);
 }
 
 #[test]
