@@ -12,8 +12,9 @@ use crate::rows::{self, Row};
 use std::process::ExitCode;
 
 /// The metrics the ratchet holds: higher-is-better ratios that do not
-/// depend on the host's absolute speed.
-pub const RATCHETED: [&str; 2] = ["speedup", "vs_event"];
+/// depend on the host's absolute speed — the engines' relative speeds, and
+/// the share of the flit moves the bulk law carried.
+pub const RATCHETED: [&str; 3] = ["speedup", "vs_event", "law_share"];
 
 fn load(path: &str) -> Result<Vec<Row>, CliError> {
     let doc = std::fs::read_to_string(path).map_err(|e| CliError::io(path, e))?;
@@ -217,6 +218,20 @@ mod tests {
         );
         assert!(v.failed);
         assert!(v.lines[1].contains("exchange64_load_dominated:speedup missing"));
+    }
+
+    #[test]
+    fn a_law_that_stops_engaging_fails_the_ratchet() {
+        let doc = |share| {
+            let name = "exchange64_load_dominated";
+            vec![Row::host(name, "law_share", share, "ratio", 2)]
+        };
+        let mut v = Verdict::default();
+        ratchet(&mut v, &doc(0.3), &doc(0.25), 0.30);
+        assert!(!v.failed, "{:?}", v.lines);
+        let mut v = Verdict::default();
+        ratchet(&mut v, &doc(0.3), &doc(0.0), 0.30);
+        assert!(v.failed);
     }
 
     #[test]

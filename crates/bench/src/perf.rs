@@ -15,7 +15,8 @@
 //! stretch of private instructions where the naive one ticks it once per
 //! instruction; each workload's instructions per visit and re-executed
 //! share are rows too (host rows: they describe the simulator, and the
-//! naive engine's would be 1 and 0). The exchange is also run
+//! naive engine's would be 1 and 0), and so is the share of the
+//! exchange's flit moves the bulk law made. The exchange is also run
 //! with replay capture armed, and on 512 nodes under the parallel engine
 //! at 1, 2 and 4 workers (`threads/…`, [`threads::sweep`]); `--trace` adds
 //! the ring with lifecycle tracing on. `--require-cpus N` makes a host
@@ -89,6 +90,18 @@ fn stretch_rows(out: &mut Vec<Row>, cpus: usize, name: &str, m: &JMachine) {
     out.push(Row::host(name, "reexecuted", reexecuted, "ratio", cpus));
 }
 
+/// The share of `m`'s flit moves — hops, and the ejection of two flits a
+/// word, route word included — that the wormhole bulk law made (DESIGN.md
+/// §4.5, "Where the bulk law substitutes"). A count of the simulator: a
+/// host row, and one the ratchet holds, so a change that stops the law
+/// engaging fails CI.
+fn law_row(out: &mut Vec<Row>, cpus: usize, name: &str, m: &JMachine) {
+    let net = m.stats().net;
+    let moves = net.flit_hops + 2 * (net.delivered_words + net.delivered_msgs);
+    let share = m.bulk_stats().moves as f64 / moves.max(1) as f64;
+    out.push(Row::host(name, "law_share", share, "ratio", cpus));
+}
+
 /// The two rows of one workload: its length and the new side's speed as a
 /// multiple of the base side's over those same cycles. Host time enters
 /// the file only as that ratio: absolute host speed is jmbench's to
@@ -155,6 +168,12 @@ pub(crate) fn run(args: &Args) -> Outcome {
         exch_event,
     );
     stretch_rows(
+        &mut out,
+        host_cpus,
+        "exchange64_load_dominated",
+        &exch_machine,
+    );
+    law_row(
         &mut out,
         host_cpus,
         "exchange64_load_dominated",

@@ -32,7 +32,7 @@
 //! | `shard::inject` | how a message enters: framing, the checksum trailer, FIFO room, the traffic generator, node-down stalls |
 //! | `shard::arbitrate` | which flits move this cycle, and what moving one hop or ejecting *is* |
 //! | `shard::edge` | the slab boundary: two identical lanes, each a mailbox and a space snapshot |
-//! | `shard::bulk` | the closed-form timing law that stands in for `arbitrate` while one message is alone in the mesh |
+//! | `shard::bulk` | the closed-form timing law that stands in for `arbitrate` for every message whose route nothing else contends for |
 //! | `network` | the whole mesh: a facade over the shards and the edges between them |
 //! | `bitset` | the one worklist type (routers holding flits, nodes with deliveries) |
 //! | `config`, `stats` | [`NetConfig`], [`NetStats`] |

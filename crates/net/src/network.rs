@@ -151,13 +151,16 @@ impl Network {
         total
     }
 
-    /// The shards' bulk-advance counters, summed (host counters, outside
-    /// [`Self::stats`]).
+    /// The shards' bulk-advance counters, summed (`peak`: the largest
+    /// shard's; host counters, outside [`Self::stats`]).
     pub fn bulk_stats(&self) -> BulkStats {
         let mut total = BulkStats::default();
         for shard in &self.shards {
-            total.engaged += shard.bulk_stats.engaged;
-            total.materialized += shard.bulk_stats.materialized;
+            let s = shard.bulk_stats();
+            total.engaged += s.engaged;
+            total.materialized += s.materialized;
+            total.moves += s.moves;
+            total.peak = total.peak.max(s.peak);
         }
         total
     }

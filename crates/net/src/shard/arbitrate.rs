@@ -42,16 +42,10 @@ impl NetShard {
         if self.traffic.is_some() {
             self.inject_traffic(cycle);
         }
-        if self.bulk.is_some() {
-            // A bulk message in flight is the only traffic (any other
-            // injection would have materialized it), so the router scan
-            // would find nothing buffered to move.
-            debug_assert!(
-                self.active.is_empty(),
-                "buffered flits during a bulk flight"
-            );
-            self.step_bulk(cycle);
-        } else if self.in_flight != 0 {
+        // The law's messages share no resource with the buffered flits, so
+        // the two may move in either order.
+        self.step_bulk(cycle);
+        if !self.active.is_empty() {
             self.scan_routers(cycle, below, above);
         }
     }
@@ -187,6 +181,9 @@ impl NetShard {
                 out_used |= 1 << out;
                 self.arena
                     .set_owner(n, vnet, out, if flit.tail() { -1 } else { in_port as i8 });
+                if self.law.on && flit.tail() {
+                    self.release(n, in_port, out);
+                }
                 if out == port::EJECT {
                     self.eject(n, vnet, flit, cycle);
                     continue;
@@ -230,6 +227,7 @@ impl NetShard {
     #[inline]
     pub(super) fn eject(&mut self, n: usize, vnet: usize, flit: Flit, cycle: u64) {
         self.in_flight -= 1;
+        self.debug_assert_released();
         let trace = flit.trace();
         if let Some(mut word) = flit.payload() {
             if self.fault.is_some() {

@@ -39,10 +39,6 @@ impl NetShard {
         priority: MsgPriority,
         words: &[Word],
     ) -> InjectResult {
-        // New traffic can observe (and contend with) in-flight flits, so a
-        // virtual bulk message becomes real buffered flits before any
-        // capacity check reads the arena.
-        self.materialize_bulk(cycle);
         let dims = self.config.dims;
         let vnet = priority.index();
         // Framing checks first.
@@ -72,6 +68,10 @@ impl NetShard {
             _ => words,
         };
         let needed = 2 * words.len();
+        if self.law.on {
+            // The capacity check reads real flits.
+            self.materialize_queued(l, cycle);
+        }
         if self.arena.len(l, vnet, port::INJECT) + needed > self.config.inject_fifo {
             return InjectResult::Stall;
         }
@@ -108,20 +108,23 @@ impl NetShard {
         };
         let ready = cycle + self.config.inject_latency;
         let flits = Flit::message(dest, words, cycle, ready, trace);
-        if let Some(mut bulk) = self.bulk_route(cycle, l, vnet, dest, words.len() - 1) {
-            // Alone in the mesh: the flits stay virtual (see `bulk`).
-            bulk.flits = flits.collect();
-            self.bulk = Some(bulk);
-            self.bulk_stats.engaged += 1;
+        if self.law.on {
+            self.launch(cycle, l, vnet, dest, words.len() - 1, flits);
         } else {
-            for flit in flits {
-                self.arena.push(l, vnet, port::INJECT, flit);
-            }
-            self.occ[l] += needed as u32;
-            self.active.insert(l);
+            self.enqueue(l, vnet, flits);
         }
         self.in_flight += needed as u64;
         InjectResult::Accepted
+    }
+
+    /// Appends a message's flits to local router `l`'s injection FIFO.
+    #[inline]
+    pub(super) fn enqueue(&mut self, l: usize, vnet: usize, flits: impl Iterator<Item = Flit>) {
+        for flit in flits {
+            self.arena.push(l, vnet, port::INJECT, flit);
+            self.occ[l] += 1;
+        }
+        self.active.insert(l);
     }
 
     /// Offers every message the traffic plan generates this cycle to the

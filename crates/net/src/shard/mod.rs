@@ -51,7 +51,7 @@ use crate::bitset::BitSet;
 use crate::config::NetConfig;
 use crate::router::Router;
 use crate::stats::NetStats;
-use bulk::BulkMsg;
+use bulk::Law;
 use edge::{boundary_code, Crossing};
 use jm_fault::{port, FaultPlan};
 use jm_isa::instr::MsgPriority;
@@ -99,12 +99,9 @@ pub struct NetShard {
     /// Boundary-crossing flits accumulated during the router scan, per
     /// direction, until [`Self::post_crossings`] posts them.
     crossings: [Vec<Crossing>; 2],
-    /// The message currently streaming on the bulk fast path, if any.
-    /// Invariant: while set, the shard holds no buffered flits — every
-    /// in-flight flit belongs to this message and is virtual.
-    bulk: Option<BulkMsg>,
-    /// How often the bulk law engaged and materialized (host counters).
-    pub(crate) bulk_stats: BulkStats,
+    /// The messages on the bulk-advance law, who holds each resource, and
+    /// the law's host counters.
+    law: Law,
     /// Lifecycle-event buffer for this shard's routers; `None` (the
     /// default) disables tracing, so the hot paths pay one pointer test.
     pub(crate) tracer: Option<Box<Tracer>>,
@@ -166,7 +163,7 @@ impl NetShard {
                 }
             }
         }
-        NetShard {
+        let mut shard = NetShard {
             arena: ChannelArena::new((0..len).map(coord), config.flit_buffer, config.inject_fifo),
             occ: vec![0; len],
             neigh,
@@ -179,20 +176,31 @@ impl NetShard {
             active: BitSet::new(len),
             eject_pending: BitSet::new(len),
             crossings: [Vec::new(), Vec::new()],
-            bulk: None,
-            bulk_stats: BulkStats::default(),
+            law: Law::default(),
             tracer: None,
             traced_msgs: vec![0; len],
             fault: None,
             traffic: None,
             traffic_words: Vec::new(),
-        }
+        };
+        shard.set_fault_plan(None);
+        shard
     }
 
     /// Installs (or clears) the fault plan. Must be set identically on
-    /// every shard before simulation starts.
+    /// every shard before simulation starts. The bulk law needs the whole
+    /// mesh in one shard, no fault plan (it does not model blocked moves),
+    /// and `flit_buffer ≥ 2`.
     pub(crate) fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
+        let whole = self.base == 0 && self.routers.len() == self.config.dims.nodes() as usize;
+        let on = whole && plan.is_none() && self.config.flit_buffer >= 2;
+        self.law = Law::new(self.routers.len(), on);
+    }
+
+    /// The bulk law's host counters.
+    pub(crate) fn bulk_stats(&self) -> BulkStats {
+        self.law.stats
     }
 
     /// Installs (or clears) the traffic plan. Must be set identically on
@@ -296,9 +304,9 @@ impl NetShard {
     /// Calls `f` with a per-`(global node, vnet)` occupancy digest for every
     /// router in the shard at cycle `now`, in ascending (node, vnet) order.
     ///
-    /// Takes `&mut self` because a message on the wormhole bulk fast path
-    /// must first be [materialized](Self::materialize_bulk) into the exact
-    /// buffered state it stands for — the digest canonicalizes on the
+    /// Takes `&mut self` because the messages on the wormhole bulk law
+    /// must first be [materialized](Self::materialize_all) into the exact
+    /// buffered state they stand for — the digest canonicalizes on the
     /// buffered representation, and materialization is semantically
     /// invisible by construction.
     ///
@@ -307,7 +315,7 @@ impl NetShard {
     /// trace cursor, and statistics are excluded (observability state);
     /// `eject_hdr_seen` is included (it steers fault corruption).
     pub(crate) fn fold_components(&mut self, now: u64, f: &mut dyn FnMut(NodeId, usize, u64)) {
-        self.materialize_bulk(now);
+        self.materialize_all(now);
         for l in 0..self.routers.len() {
             for vnet in 0..2 {
                 let mut h = jm_trace::Fnv1a::new();

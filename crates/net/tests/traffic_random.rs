@@ -135,6 +135,107 @@ fn random_traffic_is_conserved() {
     }
 }
 
+/// The bulk-advance law against the flit-by-flit path, cycle for cycle:
+/// the same random traffic, committed and drained identically, on a
+/// one-shard mesh (where the law engages) and a two-shard one (where it
+/// never does) must produce the same acceptances, deliveries, statistics
+/// and occupancy every cycle, and the same component hashes whenever they
+/// are taken (which materializes every law message).
+#[test]
+fn the_law_matches_the_sharded_mesh_cycle_for_cycle() {
+    let mut engaged = 0;
+    let mut materialized = 0;
+    for case in 0..12u64 {
+        let mut rng = Prng::from_label("law_vs_shards", case);
+        let dims = [
+            MeshDims::new(4, 4, 4),
+            MeshDims::new(8, 4, 2),
+            MeshDims::new(2, 2, 4),
+        ][case as usize % 3];
+        let nodes = dims.nodes();
+        // Most messages go to a node's fixed partner, so messages on the
+        // law follow each other down the same links.
+        let partner: Vec<u32> = (0..nodes).map(|_| rng.range_u32(0, nodes)).collect();
+        let config = NetConfig::new(dims);
+        let mut nets = [Network::new(config), Network::with_shards(config, 2)];
+        assert_eq!(nets[1].shard_count(), 2);
+        // Light loads leave most routes clear, heavy ones make them meet.
+        let load = [0.005, 0.01, 0.02, 0.04][case as usize / 3 % 4];
+        for cycle in 0..8_000u32 {
+            if cycle < 6_000 {
+                for src in 0..nodes {
+                    if !rng.chance(load) {
+                        continue;
+                    }
+                    let dst = if rng.chance(0.8) {
+                        partner[src as usize]
+                    } else {
+                        rng.range_u32(0, nodes)
+                    };
+                    let priority = if rng.chance(0.25) {
+                        MsgPriority::P1
+                    } else {
+                        MsgPriority::P0
+                    };
+                    // Mostly short messages, the odd one too long for the
+                    // law.
+                    let len = if rng.chance(0.8) {
+                        rng.range_u32(1, 4)
+                    } else {
+                        rng.range_u32(4, 11)
+                    };
+                    let route = RouteWord::new(dims.coord(NodeId(dst))).to_word();
+                    let mut words = vec![route, MsgHeader::new(src, len).to_word()];
+                    words.extend((1..len).map(|k| Word::int((cycle * 16 + k) as i32)));
+                    let [a, b] = &mut nets;
+                    let got = a.commit_msg(NodeId(src), priority, &words);
+                    assert_eq!(got, b.commit_msg(NodeId(src), priority, &words));
+                }
+            }
+            for net in &mut nets {
+                net.step();
+            }
+            for node in dims.iter_nodes() {
+                // A node that drains nothing this cycle backs its FIFO up.
+                if rng.chance(0.3) {
+                    continue;
+                }
+                for pri in MsgPriority::ALL {
+                    let [a, b] = &mut nets;
+                    while let Some(w) = a.pop_delivered(node, pri) {
+                        assert_eq!(Some(w), b.pop_delivered(node, pri));
+                    }
+                    assert_eq!(b.delivered_len(node, pri), 0);
+                }
+            }
+            let [a, b] = &mut nets;
+            let at = format!("case {case}, cycle {cycle}");
+            assert_eq!(a.stats(), b.stats(), "{at}");
+            assert_eq!(a.in_flight(), b.in_flight(), "{at}");
+            assert_eq!(a.active_routers(), b.active_routers(), "{at}");
+            if rng.chance(0.01) {
+                let mut hashes = [Vec::new(), Vec::new()];
+                for (net, h) in nets.iter_mut().zip(&mut hashes) {
+                    net.fold_components(|n, vnet, hash| h.push((n, vnet, hash)));
+                }
+                assert_eq!(hashes[0], hashes[1], "{at}");
+            }
+        }
+        assert!(
+            nets[0].is_idle() && nets[1].is_idle(),
+            "case {case} did not drain"
+        );
+        let law = nets[0].bulk_stats();
+        assert_eq!(nets[1].bulk_stats().engaged, 0);
+        engaged += law.engaged;
+        materialized += law.materialized;
+    }
+    assert!(
+        engaged > 1_000 && materialized > 100,
+        "{engaged} / {materialized}"
+    );
+}
+
 #[test]
 fn conservation_holds_on_a_line() {
     // Deterministic stress on a 4×1×1 line with overlapping paths.
