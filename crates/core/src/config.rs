@@ -40,13 +40,11 @@ pub enum Engine {
     /// Deterministic multi-threaded: the mesh is cut into contiguous
     /// z-slabs (about two per worker, clamped to the z extent) and a crew
     /// of this many worker threads advances them as a task graph with
-    /// neighbor-only synchronization; global coordination happens only at
-    /// multi-cycle quantum boundaries (`DESIGN.md` §4.5). Results are
-    /// bit-identical to the other engines for every thread count; the one
-    /// documented divergence is *when* a `run_until_quiescent` drive stops
-    /// after a node error (at the next coordination point rather than the
-    /// cycle after the error). `Parallel(1)` runs the event engine's
-    /// sequential path.
+    /// neighbor-only synchronization; global coordination happens only
+    /// every 64 cycles (`DESIGN.md` §4.5), the cycles a node error stops a
+    /// `run_until_quiescent` drive on under every engine. Results are
+    /// bit-identical to the other engines for every thread count.
+    /// `Parallel(1)` runs the event engine's sequential path.
     Parallel(u32),
 }
 
@@ -120,13 +118,6 @@ pub struct MachineConfig {
     /// spec — zero load or an empty window — canonicalizes to no plan at
     /// machine build, so it takes the exact traffic-free code paths.
     pub traffic: Option<TrafficSpec>,
-    /// Test hook: the parallel engine's quantum, simulated cycles between
-    /// the crew's global coordination points (`0` picks 64). No value can
-    /// change a simulated result — `quantum_sweep` sets it to prove that —
-    /// so it is not part of the public configuration and replay logs do
-    /// not record it.
-    #[doc(hidden)]
-    pub quantum: u32,
 }
 
 impl MachineConfig {
@@ -151,7 +142,6 @@ impl MachineConfig {
             trace: TraceConfig::default(),
             fault: None,
             traffic: None,
-            quantum: 0,
         }
     }
 

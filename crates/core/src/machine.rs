@@ -10,7 +10,7 @@
 //! pumping, and counters that make quiescence an O(1) check — and the
 //! parallel engine that runs the event engine's per-shard step on a crew
 //! of threads. All produce bit-identical observable results, the lifecycle
-//! trace included; `DESIGN.md` §4.5 ("Engines and host tuning") gives the
+//! trace included; `DESIGN.md` §4.5 ("Engines") gives the
 //! invariants and the cycle-exactness argument.
 
 use crate::config::{Engine, MachineConfig, StartPolicy};
@@ -92,6 +92,11 @@ impl std::error::Error for MachineError {}
 /// Sentinel in `wake_at`: the node is parked (not in the live set).
 pub(crate) const PARKED: u64 = u64::MAX;
 
+/// Cycles between the crew's global decisions, and the grain of an error
+/// stop: a drive toward quiescence stops on the first multiple of this
+/// after a node error, under every engine (DESIGN.md §4.5).
+pub(crate) const QUANTUM: u64 = 64;
+
 /// Event-engine bookkeeping for one shard's nodes: which need ticking and
 /// when. The sequential event engine uses a single all-covering instance;
 /// the parallel engine gives each shard its own, mirroring the network's
@@ -108,8 +113,9 @@ pub(crate) const PARKED: u64 = u64::MAX;
 ///   tick claims them as the gap since its `busy_until`, and until then
 ///   they are its [`MdpNode::idle_owed`];
 /// * `has_work` holds `l` iff `nodes[l].has_work()`, and `errored` latches
-///   the nodes that stopped with an error; each set maintains its own
-///   count, which makes quiescence and the error check O(shards).
+///   the nodes that stopped with an error (the only set the naive engine
+///   keeps too); each set maintains its own count, which makes quiescence
+///   and the error check O(shards).
 pub(crate) struct EventSched {
     /// First global node id this scheduler covers.
     base: usize,
@@ -224,11 +230,25 @@ pub(crate) fn quiet(sched: &EventSched, shard: &NetShard, now: u64) -> bool {
     sched.has_work.is_empty() && shard.is_idle() && shard.traffic_wake(now) == u64::MAX
 }
 
+/// The stop rule of a drive toward quiescence at cycle `now`, under every
+/// engine: a latched node error stops it on a multiple of [`QUANTUM`] or at
+/// the deadline, whichever comes first, and until then the machine runs on
+/// and is not quiescent; otherwise quiescence beats the deadline.
+fn stop_rule(error: bool, quiet: bool, now: u64, deadline: u64) -> Option<Stop> {
+    if error && (now.is_multiple_of(QUANTUM) || now >= deadline) {
+        Some(Stop::NodeError)
+    } else if quiet && !error {
+        Some(Stop::Quiescent)
+    } else {
+        (now >= deadline).then_some(Stop::Deadline)
+    }
+}
+
 /// The one stop / skip rule of a drive toward quiescence, over a machine's
-/// slabs — an error beats quiescence beats the deadline beats a skip: the
-/// sequential loop asks it every cycle, the parallel engine's coordinator
-/// at every quantum boundary. O(slabs), plus a walk of the live sets when
-/// every network is idle.
+/// slabs — [`stop_rule`], then a skip: the sequential loop asks it every
+/// cycle, the parallel engine's coordinator at every multiple of
+/// [`QUANTUM`]. O(slabs), plus a walk of the live sets when every network
+/// is idle.
 pub(crate) fn head<'a>(
     slabs: impl Iterator<Item = (&'a EventSched, &'a NetShard)> + Clone,
     now: u64,
@@ -240,14 +260,8 @@ pub(crate) fn head<'a>(
         all_quiet &= quiet(sched, shard, now);
         idle &= shard.is_idle();
     }
-    if error {
-        return Head::Stop(Stop::NodeError);
-    }
-    if all_quiet {
-        return Head::Stop(Stop::Quiescent);
-    }
-    if now >= deadline {
-        return Head::Stop(Stop::Deadline);
+    if let Some(stop) = stop_rule(error, all_quiet, now, deadline) {
+        return Head::Stop(stop);
     }
     if idle {
         // A pending traffic window is a scheduled wake-up too: skipping to
@@ -596,16 +610,21 @@ impl JMachine {
     }
 
     /// First boundary strictly after the current cycle: the next occupancy
-    /// sample (tracing) or replay hash boundary (capturing), `u64::MAX`
-    /// with neither on. The drive loop ends every leg there.
+    /// sample (tracing), replay hash boundary (capturing) or — while a node
+    /// error is latched — multiple of [`QUANTUM`], where the error stops
+    /// the drive; `u64::MAX` with none of them on. The drive loop ends
+    /// every leg there.
     fn next_boundary(&self) -> u64 {
-        let trace = self.config.trace;
-        let sample = if trace.enabled {
-            next_multiple(self.cycle(), trace.sample_every)
-        } else {
-            u64::MAX
-        };
-        sample.min(self.next_hash_boundary())
+        // A zero interval has no multiple to reach.
+        let (now, trace) = (self.cycle(), self.config.trace);
+        let sample = next_multiple(now, if trace.enabled { trace.sample_every } else { 0 });
+        let error = next_multiple(now, if self.error_latched() { QUANTUM } else { 0 });
+        sample.min(error).min(self.next_hash_boundary())
+    }
+
+    /// Whether a node has stopped with an error. O(slabs).
+    fn error_latched(&self) -> bool {
+        self.scheds.iter().any(|s| !s.errored.is_empty())
     }
 
     /// The one post-leg hook: records whatever boundary the clock just
@@ -642,14 +661,17 @@ impl JMachine {
         for node in &mut self.nodes {
             pump_node(shard, node, now);
         }
-        // 2. Execute.
-        for node in &mut self.nodes {
+        // 2. Execute, latching errors where the drive loop looks for them.
+        for (l, node) in self.nodes.iter_mut().enumerate() {
             let mut port = ShardPort {
                 shard,
                 node: node.id(),
                 now,
             };
             node.tick(now, &mut port);
+            if node.error().is_some() {
+                self.scheds[0].record_error(l);
+            }
         }
         // 3. Move the network, and the clock with it.
         self.net.step();
@@ -682,24 +704,17 @@ impl JMachine {
 
     /// Hands the machine to a crew of worker threads (at most one per slab,
     /// at most the configured thread count) until the clock reaches `stop`
-    /// or — when `until_quiescent` — the quantum coordinator stops them
-    /// earlier (see [`crate::parallel`]), then sets the clock to where the
-    /// crew stopped. Only called with more than one shard.
+    /// or — when `until_quiescent` — the crew's decision at a multiple of
+    /// [`QUANTUM`] stops them earlier (see [`crate::parallel`]), then sets
+    /// the clock to where the crew stopped. Only called with more than one
+    /// shard.
     fn drive_parallel(&mut self, stop: u64, until_quiescent: bool) {
         let start = self.cycle();
         let Engine::Parallel(threads) = self.config.engine else {
             unreachable!("drive_parallel without Parallel");
         };
-        // Auto quantum: long enough that boundary coordination is noise
-        // against Q cycles of slab work, short enough that error stops and
-        // quiescence detection stay prompt.
-        let quantum = match self.config.quantum {
-            0 => 64,
-            q => u64::from(q),
-        };
         let (shards, edges) = self.net.shard_parts();
-        let ctl =
-            crate::parallel::QuantumCtl::new(shards.len(), stop, until_quiescent, quantum, start);
+        let ctl = crate::parallel::QuantumCtl::new(shards.len(), stop, until_quiescent, start);
         let mut slots = Vec::with_capacity(shards.len());
         let mut nodes_rest: &mut [MdpNode] = &mut self.nodes;
         for (shard, sched) in shards.iter_mut().zip(&mut self.scheds) {
@@ -763,11 +778,12 @@ impl JMachine {
         }
     }
 
-    /// Runs until quiescence, a node error, or the cycle budget. All three
-    /// conditions are checked every cycle on the sequential engines, so the
-    /// returned cycle counts (and timeout cycle counts) are
-    /// engine-independent; on the event engine each check is O(1) and
-    /// runs of cycles where nothing can happen are skipped outright.
+    /// Runs until quiescence, a node error, or the cycle budget, and stops
+    /// on the same cycle under every engine: the cycle quiescence sets in,
+    /// the budget's last, or — after a node error, while every other node
+    /// runs on — the first multiple of 64 cycles after it (the budget's
+    /// last, if that comes first). On the event engine each check is O(1)
+    /// and runs of cycles where nothing can happen are skipped outright.
     ///
     /// # Errors
     ///
@@ -800,35 +816,28 @@ impl JMachine {
     }
 
     /// What the loop head finds. On a drive toward quiescence the event
-    /// engines ask [`head`] and the naive engine answers by its own full
-    /// scans, never skipping; a fixed run stops for nothing but its
-    /// deadline, and steps every cycle.
+    /// engines ask [`head`] and the naive engine applies its [`stop_rule`]
+    /// to its own full scan, never skipping; a fixed run stops for nothing
+    /// but its deadline, and steps every cycle.
     fn loop_head(&mut self, deadline: u64, until_quiescent: bool) -> Head {
         let now = self.cycle();
         if until_quiescent && self.config.engine != Engine::Naive {
             let (shards, _) = self.net.shard_parts();
             return head(self.scheds.iter().zip(&*shards), now, deadline);
         }
-        if until_quiescent && self.nodes.iter().any(|n| n.error().is_some()) {
-            Head::Stop(Stop::NodeError)
-        } else if until_quiescent && self.is_quiescent() {
-            Head::Stop(Stop::Quiescent)
-        } else if now >= deadline {
-            Head::Stop(Stop::Deadline)
-        } else {
-            Head::Run
-        }
+        let error = until_quiescent && self.error_latched();
+        let quiet = until_quiescent && self.is_quiescent();
+        stop_rule(error, quiet, now, deadline).map_or(Head::Run, Head::Stop)
     }
 
     /// The one drive loop, and the only place that decides anything:
     /// advances the clock to `deadline`, or — when `until_quiescent` — to
-    /// the first node error or quiescence before it. Each pass asks the
+    /// quiescence or a node error's stop before it. Each pass asks the
     /// loop head, then advances one leg: an idle skip, and a single
     /// sequential cycle or, threaded, a whole crew drive. A leg ends at
-    /// the deadline or the next boundary (an occupancy sample while
-    /// tracing, a state hash while a replay capture is on), whichever
-    /// comes first, where [`Self::observe_boundary`] records it; every
-    /// engine stops on the exact cycle asked for, so that chunking is
+    /// the deadline or the next boundary ([`Self::next_boundary`]),
+    /// whichever comes first, where [`Self::observe_boundary`] records it;
+    /// every engine stops on the exact cycle asked for, so that chunking is
     /// unobservable in simulated state.
     fn drive(&mut self, deadline: u64, until_quiescent: bool) -> Stop {
         let threaded = self.threaded();
@@ -843,8 +852,9 @@ impl JMachine {
                 Head::Skip(t) => self.net.skip_to(t.min(stop)),
                 Head::Run => {}
             }
-            // Short of the boundary a skip ends on a cycle where something
-            // is due, so the head's answer there is already known: run.
+            // Short of the boundary — an error's stop is one — a skip ends
+            // on a cycle where something is due, so the head's answer there
+            // is already known: run.
             if self.cycle() < stop {
                 if threaded {
                     self.drive_parallel(stop, until_quiescent);
@@ -857,9 +867,10 @@ impl JMachine {
     }
 
     /// Settles every node at the current cycle: the one stop no stretch
-    /// is bounded by is another node's error, so a node may have run on
-    /// past it (DESIGN.md §4.5, "Stretches"). Its stretch is rewound to
-    /// the stop and the node re-filed where it can act again.
+    /// is bounded by is another node's error, which a stretch begun before
+    /// the error latched, or on the crew, may have run on past (DESIGN.md
+    /// §4.5, "Stretches"). Its stretch is rewound to the stop and the node
+    /// re-filed where it can act again.
     fn settle(&mut self) {
         let now = self.cycle();
         for sched in &mut self.scheds {
@@ -882,9 +893,11 @@ impl JMachine {
         total
     }
 
-    /// The shards' host-side bulk-advance counters, summed: how often a
-    /// message alone in the mesh took the closed-form timing law, and how
-    /// often one was turned back into buffered flits.
+    /// The shards' host-side bulk-advance counters, summed: how many
+    /// messages whose route no other message in flight contended for took
+    /// the closed-form timing law, how many of them were turned back into
+    /// buffered flits, the flit moves the law made, and the most it carried
+    /// at once.
     pub fn bulk_stats(&self) -> BulkStats {
         self.net.bulk_stats()
     }
@@ -942,7 +955,7 @@ impl JMachine {
     /// registers, queues, memory, control state; per-router channel
     /// occupancy). Engine bookkeeping — schedulers, statistics, traces —
     /// is excluded by construction, so equal machine states hash equal
-    /// under *any* engine, thread count or quantum. Takes `&mut self`
+    /// under *any* engine or thread count. Takes `&mut self`
     /// because in-flight bulk wormhole transfers are first materialized to
     /// their exact buffered equivalent (a semantically invisible
     /// canonicalization; see `jm-net`).
@@ -1152,12 +1165,18 @@ mod tests {
         scheds[1].set_work(4, false);
         assert_eq!(ask(&mut net, &scheds, 5, 100), Head::Run);
         assert_eq!(ask(&mut net, &scheds, 100, 100), stop(Stop::Deadline));
-        // An error beats everything.
+        // An error beats everything on a multiple of the quantum or at the
+        // deadline; in between the machine runs on.
         scheds[0].record_error(2);
         assert_eq!(ask(&mut net, &scheds, 100, 100), stop(Stop::NodeError));
+        assert_eq!(ask(&mut net, &scheds, 64, 100), stop(Stop::NodeError));
+        assert_eq!(ask(&mut net, &scheds, 65, 100), Head::Run);
+        // Nor is a machine with an error latched ever quiescent: it skips,
+        // and the drive cuts the skip at the quantum's next multiple.
         let (mut net, mut scheds) = slabs(None);
         scheds[1].record_error(1);
-        assert_eq!(ask(&mut net, &scheds, 5, 100), stop(Stop::NodeError));
+        assert_eq!(ask(&mut net, &scheds, 5, 100), Head::Skip(100));
+        assert_eq!(ask(&mut net, &scheds, 128, 200), stop(Stop::NodeError));
 
         // A traffic window still ahead defers quiescence and bounds the
         // skip like a scheduled wake-up; once it has passed it does neither.

@@ -36,32 +36,30 @@
 //!
 //! Global coordination — the stop/skip decision the drive loop's
 //! [`head`] makes every cycle on the sequential engines — runs only at
-//! **quantum boundaries**, every Q cycles (64 unless a test pins it):
-//! phase 1 may not pass `decided_through`, so the task graph drains
-//! naturally at the boundary and exactly one worker claims the serial
-//! [`QuantumCtl::decide`] section, which asks the same `head`.
+//! **quantum boundaries**, the absolute multiples of [`QUANTUM`] and the
+//! drive's stop: phase 1 may not pass `decided_through`, so the task graph
+//! drains naturally at the boundary and exactly one worker claims the
+//! serial [`QuantumCtl::decide`] section, which asks the same `head`.
 //! Fixed-cycle drives (`run(cycles)`) need no decisions at all —
 //! the deadline is the only boundary. Quiescence and the deadline are
 //! *exact* despite the deferred check (see `DESIGN.md` §4.5: a quiet
 //! slab's cycle changes nothing — time is an argument its tasks are given,
 //! and a workless node that comes due is parked unticked — so the crew
 //! may overrun quiescence by up to a quantum and the coordinator only
-//! says at which cycle the clock stops); a node error stops the drive at
-//! the boundary after the error rather than the cycle after it — the one
-//! documented, deterministic divergence, and `quantum == 1` restores the
-//! per-cycle behavior bit-for-bit.
+//! says at which cycle the clock stops); a node error stops every engine
+//! on the first multiple of [`QUANTUM`] after it, which is a boundary
+//! wherever the drive's legs fall.
 //!
 //! Determinism: every task runs exactly once, under its slab's mutex, with
 //! all dependencies complete; phase 1 reads nothing another slab writes
 //! during phase 1, exchange touches only slab-own state plus mailboxes
 //! with deterministic content, and the decide section reads the slabs in
-//! fixed order. Which worker runs a task, the thread count,
-//! the slab count, and the quantum therefore cannot change any observable
-//! value — the equivalence suites run the same workloads across threads
-//! ∈ {1, 2, 4} × quanta ∈ {1, 2, 4, 8} against the sequential engines and
-//! demand bit-identical results.
+//! fixed order. Which worker runs a task, the thread count and the slab
+//! count therefore cannot change any observable value — the equivalence
+//! suites run the same workloads under two and four threads against the
+//! sequential engines and demand bit-identical results.
 
-use crate::machine::{head, quiet, EventSched, Head, Stop, PARKED};
+use crate::machine::{head, next_multiple, quiet, EventSched, Head, Stop, PARKED, QUANTUM};
 use jm_isa::instr::MsgPriority;
 use jm_isa::node::NodeId;
 use jm_isa::word::Word;
@@ -294,11 +292,10 @@ impl<'a> ShardSlot<'a> {
 pub(crate) struct QuantumCtl {
     /// Absolute cycle the drive stops at, at the latest.
     deadline: u64,
-    /// Whether the drive may stop or skip before that (decided every
-    /// `quantum` cycles); otherwise the deadline is the only boundary.
+    /// Whether the drive may stop or skip before that (decided at every
+    /// multiple of [`QUANTUM`]); otherwise the deadline is the only
+    /// boundary.
     until_quiescent: bool,
-    /// Cycles between global decisions (`until_quiescent` only).
-    quantum: u64,
     /// Per-slab: the next cycle whose phase 1 has not run.
     p_cycle: Vec<Progress>,
     /// Per-slab: the next cycle whose exchange has not run.
@@ -317,12 +314,10 @@ impl QuantumCtl {
         shards: usize,
         deadline: u64,
         until_quiescent: bool,
-        quantum: u64,
         start: u64,
     ) -> QuantumCtl {
-        let quantum = quantum.max(1);
         let first_boundary = match until_quiescent {
-            true => deadline.min(start.saturating_add(quantum)),
+            true => deadline.min(next_multiple(start, QUANTUM)),
             // No decisions: the whole drive is one quantum.
             false => deadline,
         };
@@ -330,7 +325,6 @@ impl QuantumCtl {
         QuantumCtl {
             deadline,
             until_quiescent,
-            quantum,
             p_cycle: progress().collect(),
             x_cycle: progress().collect(),
             decided_through: AtomicU64::new(first_boundary),
@@ -456,12 +450,11 @@ impl QuantumCtl {
             .iter()
             .map(|slot| slot.lock().expect("slab mutex poisoned"))
             .collect();
-        let next = |from: u64| self.deadline.min(from.saturating_add(self.quantum));
+        let next = |from: u64| self.deadline.min(next_multiple(from, QUANTUM));
         let slabs = slots.iter().map(|s| (&*s.sched, &*s.shard));
         match head(slabs, b, self.deadline) {
-            // An error stop is deterministic and quantum-granular: the
-            // sequential engines stop the cycle after the error, the crew
-            // at the boundary after it (identical when quantum == 1).
+            // `b` is a multiple of QUANTUM, where an error stops every
+            // engine, or this drive's stop, where the drive loop asks again.
             Head::Stop(Stop::NodeError | Stop::Deadline) => self.stop(b),
             Head::Stop(Stop::Quiescent) => {
                 // Every slab has been quiet since its own `quiet_since`
@@ -541,10 +534,6 @@ mod tests {
 
     #[test]
     fn backoff_sleep_slices_are_bounded() {
-        // The capped slice keeps worst-case wake-up latency small even
-        // after long starvation.
-        let exp = 16u32;
-        assert!((BASE_SLEEP_US << exp.min(16)).min(MAX_SLEEP_US) <= MAX_SLEEP_US);
         let mut b = Backoff::new();
         for _ in 0..(SPIN_STEPS + YIELD_STEPS) {
             b.snooze();

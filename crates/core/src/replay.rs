@@ -1,7 +1,7 @@
 //! Replay for [`JMachine`]: capture, re-execution, divergence bisection.
 //!
-//! The three engines (Naive, Event, Parallel with any thread count and
-//! quantum) are held bit-identical by differential test suites — but when
+//! The three engines (Naive, Event, Parallel with any thread count) are
+//! held bit-identical by differential test suites — but when
 //! one of them fails, a bare "digests differ" is undebuggable. A run is
 //! therefore recordable as a `jm_replay::ReplayLog` (the format lives in
 //! `jm-replay`, below this crate in the dependency order), and this module
@@ -286,7 +286,6 @@ pub struct Corruption {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MachineFactory {
     engine: Option<Engine>,
-    quantum: u32,
     corruption: Option<Corruption>,
 }
 
@@ -299,14 +298,6 @@ impl MachineFactory {
     /// Overrides the engine (builder style).
     pub fn engine(mut self, engine: Engine) -> MachineFactory {
         self.engine = Some(engine);
-        self
-    }
-
-    /// Sets the replaying machine's parallel quantum (builder style; test
-    /// hook — logs never record it).
-    #[doc(hidden)]
-    pub fn quantum(mut self, quantum: u32) -> MachineFactory {
-        self.quantum = quantum;
         self
     }
 
@@ -329,7 +320,6 @@ impl MachineFactory {
         if let Some(e) = self.engine {
             cfg.engine = e;
         }
-        cfg.quantum = self.quantum;
         let mut m = JMachine::new(log.program.clone(), cfg);
         // A replayed machine never re-captures, even under global capture.
         m.recorder = None;
@@ -717,9 +707,6 @@ mod tests {
             MachineFactory::recorded(),
             MachineFactory::recorded().engine(Engine::Naive),
             MachineFactory::recorded().engine(Engine::Parallel(2)),
-            MachineFactory::recorded()
-                .engine(Engine::Parallel(2))
-                .quantum(1),
         ] {
             let report = verify(&log, &f);
             assert!(report.clean(), "{f:?}: {report}");
@@ -831,21 +818,10 @@ mod tests {
         let remote_fault = b.assemble().unwrap();
         for engine in [Engine::Event, Engine::Parallel(2)] {
             let config = MachineConfig::with_dims(MeshDims::new(2, 2, 4)).engine(engine);
-            for (expect, program, config, budget) in [
-                ("Ok(", pingpong(FAR_SLAB, 25), config, 100_000),
-                ("Err(Timeout", pingpong(FAR_SLAB, 25), config, 777),
-                // A threaded error stop lands on the next coordination
-                // point, and a hash boundary is one: pin the quantum that
-                // makes every cycle a coordination point either way.
-                (
-                    "Err(NodeErrors",
-                    remote_fault.clone(),
-                    MachineConfig {
-                        quantum: 1,
-                        ..config
-                    },
-                    100_000,
-                ),
+            for (expect, program, budget) in [
+                ("Ok(", pingpong(FAR_SLAB, 25), 100_000),
+                ("Err(Timeout", pingpong(FAR_SLAB, 25), 777),
+                ("Err(NodeErrors", remote_fault.clone(), 100_000),
             ] {
                 let run = |capture: bool| {
                     let mut m = JMachine::new(program.clone(), config);
@@ -925,9 +901,7 @@ mod tests {
         for f in [
             MachineFactory::recorded(),
             MachineFactory::recorded().engine(Engine::Naive),
-            MachineFactory::recorded()
-                .engine(Engine::Parallel(2))
-                .quantum(1),
+            MachineFactory::recorded().engine(Engine::Parallel(2)),
         ] {
             let report = verify(&log, &f);
             assert!(report.clean(), "{f:?}: {report}");

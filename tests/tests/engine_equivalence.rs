@@ -517,13 +517,11 @@ fn store_loop_program(fault_at: i32) -> Program {
 }
 
 /// A node error is the one stop a stretch is not bounded by: the drive
-/// stops the cycle after it, inside the other nodes' stretches, and each is
-/// settled there. (The crew runs at quantum 1, where it too stops the
-/// cycle after the error rather than at its next coordination point.)
+/// stops on the first multiple of 64 after it, inside the stretches other
+/// nodes began before the error, and each is settled there.
 #[test]
 fn an_error_stop_settles_every_stretch() {
-    let mut config = MachineConfig::new(64).start(StartPolicy::AllNodes);
-    config.quantum = 1;
+    let config = MachineConfig::new(64).start(StartPolicy::AllNodes);
     let mut rewinds = 0;
     for fault_at in [1, 7, 50, 333, 400] {
         let label = format!("error at iteration {fault_at}");
@@ -534,6 +532,70 @@ fn an_error_stop_settles_every_stretch() {
         assert!(err.contains("UnhandledFault"), "{label}: {err}");
     }
     assert!(rewinds > 0, "no error stop landed inside a stretch");
+}
+
+/// Node 0 sends one message to the far corner of a 2×2×4 mesh, (1,1,3), in
+/// the other slab of a two-slab cut, whose handler divides by zero with no
+/// vector installed.
+fn remote_fault_program() -> Program {
+    let mut b = Builder::new();
+    b.label("main");
+    b.movi(R0, 0xC21);
+    b.wtag(R0, R0, jm_isa::Tag::Route.bits() as i32);
+    b.send(MsgPriority::P0, R0);
+    b.send2e(MsgPriority::P0, hdr("boom", 2), 0);
+    b.suspend();
+    b.label("boom");
+    b.alu(AluOp::Div, R0, 1, 0);
+    b.suspend();
+    b.entry("main");
+    b.assemble().unwrap()
+}
+
+/// A node error stops every engine on one cycle, a multiple of 64, and no
+/// observation moves it: run plain, traced every 7 cycles and captured
+/// every 13, each engine ends in the same outcome, cycle, statistics and
+/// state.
+#[test]
+fn an_error_stop_is_one_answer_under_every_engine_and_observer() {
+    let workloads = [
+        (
+            remote_fault_program(),
+            MachineConfig::with_dims(MeshDims::new(2, 2, 4)),
+        ),
+        (
+            store_loop_program(333),
+            MachineConfig::new(64).start(StartPolicy::AllNodes),
+        ),
+    ];
+    let observers = [
+        ("plain", None, None),
+        ("traced", Some(7), None),
+        ("captured", None, Some(13)),
+    ];
+    for (program, config) in workloads {
+        let run = |engine, sample_every: Option<u64>, interval: Option<u64>| {
+            let mut config = config.engine(engine);
+            if let Some(every) = sample_every {
+                config = config.trace(TraceConfig::on().sample_every(every));
+            }
+            let mut m = JMachine::new(program.clone(), config);
+            if let Some(interval) = interval {
+                m.record_replay(interval);
+            }
+            let outcome = format!("{:?}", m.run_until_quiescent(100_000));
+            (outcome, m.cycle(), m.stats(), m.state_hash())
+        };
+        let one = run(ENGINES[0], None, None);
+        assert!(one.0.starts_with("Err(NodeErrors"), "{one:?}");
+        assert!(one.1.is_multiple_of(64), "stopped on cycle {}", one.1);
+        for engine in ENGINES {
+            for (observer, sample_every, interval) in observers {
+                let other = run(engine, sample_every, interval);
+                assert_eq!(other, one, "{engine:?} {observer}");
+            }
+        }
+    }
 }
 
 /// Background loops read a word that P0 `poke` handlers add to and write

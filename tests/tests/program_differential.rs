@@ -12,7 +12,9 @@
 //!   carrying a fuel word its handler decrements before sending on, so every
 //!   chain dies;
 //! * `cfut`/`fut` slots read under an installed fault handler that fills the
-//!   slot and resumes, and `XLATE` misses under one that enters the key.
+//!   slot and resumes, and `XLATE` misses under one that enters the key;
+//! * in about one seed in eight, a fatal fault no handler catches: one node
+//!   divides by zero after a counted loop, and the run ends in a node error.
 //!
 //! Every engine runs each program. The naive reference ticks one
 //! instruction per call and the others run on through stretches, so this
@@ -176,6 +178,9 @@ struct Gen {
     main: Vec<Stmt>,
     handlers: Vec<Handler>,
     subs: Vec<Vec<Stmt>>,
+    /// At the end of its background thread this node turns an empty loop
+    /// this many times, then divides by zero with no vector installed.
+    fatal: Option<(u32, i32)>,
 }
 
 /// What a statement may use where it stands.
@@ -425,10 +430,14 @@ fn generate(seed: u64) -> Gen {
         .collect();
     let leaf = Ctx { leaf: true, ..ctx };
     let subs = (0..subs).map(|_| body(&mut g, leaf, 1, 4)).collect();
+    let fatal = g
+        .chance(0.125)
+        .then(|| (g.range_u32(0, dims().nodes()), g.range_i32(1, 150)));
     Gen {
         main,
         handlers,
         subs,
+        fatal,
     }
 }
 
@@ -701,6 +710,18 @@ fn assemble(gen: &Gen) -> Program {
     b.movi(R0, 1);
     b.movi(R1, 2);
     e.stmts(&gen.main, false);
+    if let Some((node, turns)) = gen.fatal {
+        let (head, spared) = (e.fresh(), e.fresh());
+        e.b.mov(R2, Special::Nid);
+        e.b.alu(AluOp::Sub, R2, R2, node as i32);
+        e.b.bnz(R2, spared.as_str());
+        e.b.movi(R3, turns);
+        e.b.label(head.as_str());
+        e.b.subi(R3, R3, 1);
+        e.b.bnz(R3, head);
+        e.b.alu(AluOp::Div, R0, 1, 0);
+        e.b.label(spared);
+    }
     e.b.suspend();
     for (k, h) in gen.handlers.iter().enumerate() {
         e.b.label(format!("h{k}"));
@@ -804,11 +825,17 @@ fn verdict(gen: &Gen) -> Result<(Observation, u64), String> {
     Ok((naive, rewinds))
 }
 
-/// Every program one deletion smaller: a handler (with the sends to it), a
-/// leaf routine (with the calls to it), a statement, or a loop or branch
-/// replaced by its body.
+/// Every program one deletion smaller: the fatal fault, a handler (with the
+/// sends to it), a leaf routine (with the calls to it), a statement, or a
+/// loop or branch replaced by its body.
 fn smaller(gen: &Gen) -> Vec<Gen> {
     let mut out = Vec::new();
+    if gen.fatal.is_some() {
+        out.push(Gen {
+            fatal: None,
+            ..gen.clone()
+        });
+    }
     for k in 0..gen.handlers.len() {
         let mut next = gen.clone();
         next.handlers.remove(k);
@@ -919,11 +946,17 @@ fn shrink(mut gen: Gen) -> (Gen, String) {
     }
 }
 
+/// Whether a run ended in a node error.
+fn node_error(outcome: &Result<u64, String>) -> bool {
+    outcome.as_ref().is_err_and(|e| e.starts_with("NodeErrors"))
+}
+
 /// Runs the differential over `seeds`; panics with the shrunk program at
-/// the first divergence. Returns the summed naive statistics and rewinds.
-fn check_seeds(seeds: impl Iterator<Item = u64>) -> (jm_machine::MachineStats, u64) {
+/// the first divergence. Returns the summed naive statistics, the rewinds,
+/// and how many runs ended in a node error.
+fn check_seeds(seeds: impl Iterator<Item = u64>) -> (jm_machine::MachineStats, u64, u32) {
     let mut total = jm_machine::MachineStats::default();
-    let mut rewinds = 0;
+    let (mut rewinds, mut errors) = (0, 0);
     for seed in seeds {
         let gen = generate(seed);
         match verdict(&gen) {
@@ -931,6 +964,7 @@ fn check_seeds(seeds: impl Iterator<Item = u64>) -> (jm_machine::MachineStats, u
                 total.nodes.merge(&obs.stats.nodes);
                 total.cycles += obs.stats.cycles;
                 rewinds += taken;
+                errors += u32::from(node_error(&obs.outcome));
             }
             Err(_) => {
                 let (small, why) = shrink(gen);
@@ -941,13 +975,15 @@ fn check_seeds(seeds: impl Iterator<Item = u64>) -> (jm_machine::MachineStats, u
             }
         }
     }
-    (total, rewinds)
+    (total, rewinds, errors)
 }
 
 #[test]
 fn generated_programs_are_engine_exact() {
-    let (total, rewinds) = check_seeds(0..120);
-    // The programs did what they were generated to do.
+    let (total, rewinds, errors) = check_seeds(0..120);
+    // The programs did what they were generated to do, fatal faults and
+    // the error stops they end in included.
+    assert!(errors > 0, "no run ended in a node error");
     let nodes = &total.nodes;
     assert!(nodes.msgs_received > 100, "{nodes:?}");
     assert!(nodes.fault_count(FaultKind::CFutRead) > 0, "{nodes:?}");
@@ -961,19 +997,25 @@ fn generated_programs_are_engine_exact() {
 }
 
 /// A generated program that fails to run at all would make the
-/// differential vacuous: most seeds must quiesce cleanly.
+/// differential vacuous: most seeds must quiesce cleanly or stop on the
+/// fatal fault they were generated with, and only those stop on an error.
 #[test]
 fn generated_programs_mostly_quiesce() {
-    let clean = (0..20)
-        .filter(|&seed| {
-            let program = assemble(&generate(seed));
-            observe_machine(program, config(Engine::Event), MAX_CYCLES, setup)
-                .0
-                .outcome
-                .is_ok()
-        })
-        .count();
-    assert!(clean >= 15, "only {clean} of 20 programs quiesced");
+    let (mut clean, mut fatal) = (0, 0);
+    for seed in 0..20 {
+        let gen = generate(seed);
+        let run = observe_machine(assemble(&gen), config(Engine::Event), MAX_CYCLES, setup);
+        let outcome = run.0.outcome;
+        if node_error(&outcome) {
+            assert!(gen.fatal.is_some(), "seed {seed}: {outcome:?}");
+            fatal += 1;
+        }
+        clean += usize::from(outcome.is_ok());
+    }
+    assert!(
+        clean + fatal >= 15,
+        "only {clean} of 20 programs quiesced and {fatal} stopped on their fatal fault"
+    );
 }
 
 /// The shrinker keeps what the runs need to disagree and drops the rest: a

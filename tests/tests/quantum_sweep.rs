@@ -1,22 +1,19 @@
-//! Quantum-sweep differential tests: the parallel engine must stay
-//! **cycle-exact** with the event engine for every quantum length, not just
-//! the default. The quantum Q controls how many cycles each shard advances
-//! between synchronization boundaries (DESIGN.md §4.5); correctness must
-//! not depend on where those boundaries fall, so every workload here is
-//! swept over Q ∈ {1, 2, 4, 8} × threads ∈ {1, 2, 4} (plus Q = 0, the
-//! auto-tuned default) and every observable is compared against an
+//! Crew differential tests: the parallel engine must stay **cycle-exact**
+//! with the event engine although its crew decides only at the multiples of
+//! the 64-cycle quantum (DESIGN.md §4.5). Every workload here runs under
+//! two and four threads and every observable is compared against an
 //! `Engine::Event` baseline: the `run_until_quiescent` outcome, the
 //! aggregated statistics digest (per-class cycles, handler counters,
 //! network delivery record), and the final contents of every declared data
 //! block on every node.
 //!
-//! The sweep deliberately includes the two schedules most likely to break
+//! The workloads deliberately include the schedules most likely to break
 //! boundary handling:
 //!
 //! * **Idle-skip across a quantum boundary** — a workload whose dispatch
-//!   cost (50 cycles) dwarfs every quantum under test, so each fast-forward
-//!   skip crosses several boundaries, and quiescence is found up to a
-//!   quantum after the fact.
+//!   cost (100 cycles) exceeds the quantum, so every fast-forward skip
+//!   crosses a decision point, and quiescence is found up to a quantum
+//!   after the fact.
 //! * **Resuming after an overrun** — a machine whose nodes are all still
 //!   scheduled when it goes quiet, driven again from where it stopped.
 //! * **A chaos fault plan** — flaky links, checksummed retries, and a
@@ -37,14 +34,12 @@ use jm_mdp::{MdpConfig, TimingConfig};
 use jm_runtime::reliable;
 use jm_tests::{observe, Observation};
 
-/// Quanta under test. 1 forces a boundary every cycle (maximum coupling),
-/// 8 leaves multi-cycle slack inside each boundary; 0 is the auto default.
-const QUANTA: [u32; 5] = [0, 1, 2, 4, 8];
-const THREADS: [u32; 3] = [1, 2, 4];
+/// Crew sizes under test (`Parallel(1)` is the event engine itself).
+const THREADS: [u32; 2] = [2, 4];
 
 /// Runs the workload under `Engine::Event`, then under `Parallel(t)` for
-/// every (threads, quantum) combination, asserting bit-identical
-/// observables against the event baseline. Returns the baseline.
+/// every thread count, asserting bit-identical observables against the
+/// event baseline. Returns the baseline.
 fn assert_quantum_exact(
     label: &str,
     program: impl Fn() -> Program,
@@ -58,23 +53,20 @@ fn assert_quantum_exact(
     jm_machine::capture_replay_from_env();
     let event = observe(program(), config.engine(Engine::Event), max_cycles, &setup);
     for &t in &THREADS {
-        for &q in &QUANTA {
-            let mut cfg = config.engine(Engine::Parallel(t));
-            cfg.quantum = q;
-            let other = observe(program(), cfg, max_cycles, &setup);
-            assert_eq!(
-                event.outcome, other.outcome,
-                "{label}/parallel-{t}/q{q}: run outcome diverged"
-            );
-            assert_eq!(
-                event.stats, other.stats,
-                "{label}/parallel-{t}/q{q}: statistics digest diverged"
-            );
-            assert_eq!(
-                event.memory, other.memory,
-                "{label}/parallel-{t}/q{q}: final memory diverged"
-            );
-        }
+        let cfg = config.engine(Engine::Parallel(t));
+        let other = observe(program(), cfg, max_cycles, &setup);
+        assert_eq!(
+            event.outcome, other.outcome,
+            "{label}/parallel-{t}: run outcome diverged"
+        );
+        assert_eq!(
+            event.stats, other.stats,
+            "{label}/parallel-{t}: statistics digest diverged"
+        );
+        assert_eq!(
+            event.memory, other.memory,
+            "{label}/parallel-{t}: final memory diverged"
+        );
     }
     event
 }
@@ -103,18 +95,17 @@ fn ring_is_quantum_exact() {
 }
 
 /// Ping-pong workload built to force **idle-skip fast-forward across
-/// quantum boundaries**: the dispatch cost is cranked to 50 cycles, so
+/// quantum boundaries**: the dispatch cost is cranked to 100 cycles, so
 /// after each handler retires the whole machine goes net-idle with the next
-/// wake-up 50 cycles out. For every quantum under test (Q ≤ 8) the skip
-/// target lies several boundaries past the current one, exercising the
-/// decide-path that jumps `p/x` straight to the wake cycle (DESIGN.md
-/// §4.5).
+/// wake-up 100 cycles out. Every skip target then lies past the next
+/// multiple of the 64-cycle quantum, exercising the decide-path that jumps
+/// `p/x` straight to the wake cycle (DESIGN.md §4.5).
 #[test]
 fn idle_skip_across_quantum_boundary_is_exact() {
     let mdp = MdpConfig {
         timing: TimingConfig {
-            dispatch: 50,              // every wake-up lands ≥ 50 cycles out: skips must
-            ..TimingConfig::default()  // cross every quantum in the sweep
+            dispatch: 100,             // every wake-up lands ≥ 100 cycles out: each
+            ..TimingConfig::default()  // skip crosses a decision point
         },
         ..MdpConfig::default()
     };
@@ -127,8 +118,8 @@ fn idle_skip_across_quantum_boundary_is_exact() {
     );
     assert!(obs.outcome.is_ok());
     // The rallies completed (8 volleys split across each pair), and the
-    // run was long enough that skips of 50 cycles had to cross quantum
-    // boundaries for every Q ≤ 8.
+    // run was long enough that skips of 100 cycles had to cross quantum
+    // boundaries.
     let total_hits: i32 = obs.memory.iter().map(|w| w[0].as_i32()).sum();
     assert_eq!(total_hits, 8 * 8);
     assert!(
@@ -140,7 +131,7 @@ fn idle_skip_across_quantum_boundary_is_exact() {
 
 #[test]
 fn chaos_fault_plan_is_quantum_exact() {
-    // The fault-injection chaos matrix, swept over quanta: flaky links
+    // The fault-injection chaos matrix under the crew: flaky links
     // (10% per-flit stall probability), checksummed retries, and a hard
     // link-down window early in the run. Fault draws are keyed by cycle
     // and position (DESIGN.md §4.7), so any boundary-placement bug that
@@ -166,9 +157,8 @@ fn chaos_fault_plan_is_quantum_exact() {
 #[test]
 fn fixed_cycle_stop_is_quantum_exact() {
     // `run(n)` exercises the fixed-deadline mode, where the final quantum
-    // is truncated (deadline not a multiple of Q): every combination must
-    // stop at exactly the same cycle with the same statistics snapshot.
-    // 1_499 is deliberately coprime with every quantum in the sweep.
+    // is truncated (1_499 is not a multiple of 64): every crew must stop
+    // at exactly the same cycle with the same statistics snapshot.
     let config = MachineConfig::new(16).start(StartPolicy::AllNodes);
     let mut baseline: Option<MachineStats> = None;
     let mut run_fixed = |cfg: MachineConfig, label: String| {
@@ -183,11 +173,7 @@ fn fixed_cycle_stop_is_quantum_exact() {
     };
     run_fixed(config.engine(Engine::Event), "event".into());
     for &t in &THREADS {
-        for &q in &QUANTA {
-            let mut cfg = config.engine(Engine::Parallel(t));
-            cfg.quantum = q;
-            run_fixed(cfg, format!("parallel-{t}/q{q}"));
-        }
+        run_fixed(config.engine(Engine::Parallel(t)), format!("parallel-{t}"));
     }
 }
 
@@ -197,8 +183,8 @@ fn resuming_a_quiesced_machine_is_quantum_exact() {
     // issues the machine is quiet — no work, no flit — one cycle later,
     // while every node is still scheduled for the cycle the SUSPEND
     // retires. The sequential engines stop there and leave the nodes
-    // scheduled; a crew finds out up to a quantum late, and with Q ≥ 7 its
-    // overrun reaches those wake-ups: the nodes are parked. The next
+    // scheduled; a crew finds out up to a quantum late, and an overrun past
+    // six cycles reaches those wake-ups: the nodes are parked. The next
     // round's host delivery then lands *before* their `busy_until`, and
     // everything a host can see must still agree, round after round.
     let program = || {
@@ -243,10 +229,10 @@ fn resuming_a_quiesced_machine_is_quantum_exact() {
     assert_eq!(stats.nodes.total_cycles(), 16 * (stop + 6));
     assert_eq!(rounds(config.engine(Engine::Event)), naive, "event");
     for &t in &THREADS {
-        for &q in &QUANTA {
-            let mut cfg = config.engine(Engine::Parallel(t));
-            cfg.quantum = q;
-            assert_eq!(rounds(cfg), naive, "parallel-{t}/q{q}");
-        }
+        assert_eq!(
+            rounds(config.engine(Engine::Parallel(t))),
+            naive,
+            "parallel-{t}"
+        );
     }
 }

@@ -1,12 +1,11 @@
 //! Cross-engine replay tests: a run recorded under one engine must
 //! **verify clean** — every checkpoint hash matched — when re-executed
-//! under any other engine, thread count, or quantum, because the replay
-//! hash covers exactly the architectural state (registers, queues,
-//! memory, router occupancy) and none of the engines' bookkeeping
-//! (DESIGN.md §4.8). The suite records under `Engine::Event` and
-//! replays under Naive and `Parallel(t)` for t ∈ {1, 2, 4} × quantum ∈
-//! {auto, 1}, across the schedules most likely to break checkpoint
-//! placement:
+//! under any other engine or thread count, because the replay hash covers
+//! exactly the architectural state (registers, queues, memory, router
+//! occupancy) and none of the engines' bookkeeping (DESIGN.md §4.8). The
+//! suite records under `Engine::Event` and replays under every engine of
+//! `jm_tests::ENGINES` (Naive, Event, `Parallel(t)` for t ∈ {2, 4}),
+//! across the schedules most likely to break checkpoint placement:
 //!
 //! * a mostly-idle token ring (idle crediting between checkpoints);
 //! * an idle-skip ping-pong whose 50-cycle dispatch cost makes every
@@ -30,8 +29,9 @@ use jm_machine::{
 use jm_mdp::{MdpConfig, TimingConfig};
 use jm_replay::ReplayLog;
 use jm_runtime::reliable;
+use jm_tests::ENGINES;
 
-/// Token-ring workload (same program as the quantum-sweep suite's): one
+/// Token-ring workload (same program as the crew suite's): one
 /// token circulates an id-ordered ring for `rounds` laps.
 fn ring_program(rounds: i32) -> Program {
     jm_bench::workloads::ring_program(rounds, false)
@@ -54,49 +54,29 @@ fn record_quiescent(program: Program, config: MachineConfig, interval: u64, max:
     m.finish_replay().expect("recording was armed")
 }
 
-/// The cross-engine matrix: Naive plus every Parallel thread count under
-/// the auto quantum and the maximally-coupled quantum of 1.
-fn cross_factories() -> Vec<(String, MachineFactory)> {
-    let mut v = vec![(
-        "naive".to_string(),
-        MachineFactory::recorded().engine(Engine::Naive),
-    )];
-    for t in [1u32, 2, 4] {
-        for q in [0u32, 1] {
-            v.push((
-                format!("parallel-{t}/q{q}"),
-                MachineFactory::recorded()
-                    .engine(Engine::Parallel(t))
-                    .quantum(q),
-            ));
-        }
-    }
-    v
-}
-
-/// Verifies `log` clean under every factory in the cross-engine matrix.
+/// Verifies `log` clean under every engine of the differential matrix.
 fn assert_clean_across_engines(label: &str, log: &ReplayLog) {
     assert!(
         log.checkpoints() >= 2,
         "{label}: too few checkpoints ({}) to be a meaningful replay",
         log.checkpoints()
     );
-    for (name, factory) in cross_factories() {
-        let report = jm_machine::verify(log, &factory);
+    for engine in ENGINES {
+        let report = jm_machine::verify(log, &MachineFactory::recorded().engine(engine));
         assert!(
             report.clean(),
-            "{label}: replay under {name} diverged: {report}"
+            "{label}: replay under {engine:?} diverged: {report}"
         );
         assert_eq!(
             report.checked,
             log.checkpoints() as u64,
-            "{label}: {name} checked the wrong number of checkpoints"
+            "{label}: {engine:?} checked the wrong number of checkpoints"
         );
     }
 }
 
 #[test]
-fn ring_replay_is_clean_across_engines_and_quanta() {
+fn ring_replay_is_clean_across_engines() {
     let log = record_fixed(
         ring_program(50),
         MachineConfig::new(16)

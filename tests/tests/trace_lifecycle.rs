@@ -10,7 +10,7 @@
 //! statistics on both engines, and two traced runs produce byte-identical
 //! trace summaries. And a trace is an observation of the machine, not of
 //! the engine: its hash, events and occupancy samples are the same under
-//! every engine, shard cut and quantum.
+//! every engine and shard cut.
 
 use jm_asm::Program;
 use jm_bench::workloads::{exchange_program, gather_program, ring_program, sink_program};
@@ -18,6 +18,7 @@ use jm_isa::node::{MeshDims, NodeId};
 use jm_machine::{
     Engine, JMachine, MachineConfig, MachineTrace, StartPolicy, TraceConfig, TrafficSpec,
 };
+use jm_tests::ENGINES;
 use jm_trace::{chrome_json, hash, summary_json};
 
 fn mesh() -> MeshDims {
@@ -114,9 +115,9 @@ fn tracing_is_purely_observational() {
     assert_eq!(ev.messages(), na.messages());
 }
 
-/// Drives `program` under every engine (the parallel ones at quantum auto,
-/// 1 and 3) and holds the trace — final cycle, hash, event count, sample
-/// count at `sample_every = 16` — to the naive engine's.
+/// Drives `program` under every engine and holds the trace — final cycle,
+/// hash, event count, sample count at `sample_every = 16` — to the naive
+/// engine's.
 fn assert_one_trace(
     name: &str,
     program: Program,
@@ -124,27 +125,19 @@ fn assert_one_trace(
     drive: impl Fn(&mut JMachine),
 ) {
     let config = config.trace(TraceConfig::on().sample_every(16));
-    let observe = |engine, quantum| {
-        let config = MachineConfig {
-            quantum,
-            ..config.engine(engine)
-        };
-        let mut m = JMachine::new(program.clone(), config);
+    let observe = |engine| {
+        let mut m = JMachine::new(program.clone(), config.engine(engine));
         drive(&mut m);
         let trace = m.take_trace().expect("tracing was enabled");
         let counts = (trace.events.len(), trace.samples.len() as u64);
         (m.cycle(), hash(&trace), counts)
     };
-    let naive = observe(Engine::Naive, 0);
+    let naive = observe(ENGINES[0]);
     let (cycles, _, (events, samples)) = naive;
     assert!(events > 0, "{name}: nothing traced");
     assert_eq!(samples, cycles / 16, "{name}: a sample boundary was missed");
-    assert_eq!(naive, observe(Engine::Event, 0), "{name}: event");
-    for threads in [2, 4] {
-        for quantum in [0, 1, 3] {
-            let parallel = observe(Engine::Parallel(threads), quantum);
-            assert_eq!(naive, parallel, "{name}: parallel-{threads}, q{quantum}");
-        }
+    for engine in &ENGINES[1..] {
+        assert_eq!(naive, observe(*engine), "{name}: {engine:?}");
     }
 }
 

@@ -1,21 +1,16 @@
 //! Differential tests for the synthetic-traffic layer: every destination
 //! pattern must produce **bit-identical** runs across the naive, event, and
-//! parallel engines (threads ∈ {2, 4}), at quantum auto and quantum 1,
-//! and under a chaos fault plan. The injection process is a pure function of
-//! `(seed, node, cycle)` and hooks into `step_cycle` before any routing
-//! work, so the accept/drop decision at each node's inject FIFO depends
-//! only on architectural state — never on engine, shard cut, or quantum.
+//! parallel engines (threads ∈ {2, 4}), and under a chaos fault plan. The
+//! injection process is a pure function of `(seed, node, cycle)` and hooks
+//! into `step_cycle` before any routing work, so the accept/drop decision
+//! at each node's inject FIFO depends only on architectural state — never
+//! on engine or shard cut.
 
 use jm_asm::Program;
 use jm_bench::workloads::sink_program;
 use jm_isa::MeshDims;
 use jm_machine::{Engine, FaultSpec, MachineConfig, StartPolicy, TrafficPattern, TrafficSpec};
 use jm_tests::{Observation, ENGINES};
-
-/// Every engine under differential test, naive reference first.
-/// Parallel-engine quanta exercised per engine: auto and the pathological
-/// one-cycle quantum (maximum exchange frequency).
-const QUANTA: [u32; 2] = [0, 1];
 
 /// All five destination patterns.
 const PATTERNS: [TrafficPattern; 5] = [
@@ -37,26 +32,18 @@ fn traffic_config(program: &Program, spec: TrafficSpec) -> MachineConfig {
         .traffic(spec.handler(program.handler("sink")).msg_words(3))
 }
 
-/// Runs the sink program under `engine`/`quantum` and records every
-/// observable.
-fn observe(config: MachineConfig, engine: Engine, quantum: u32, max_cycles: u64) -> Observation {
-    let mut config = config.engine(engine);
-    config.quantum = quantum;
-    jm_tests::observe(sink_program(), config, max_cycles, |_| {})
+/// Runs the sink program under `engine` and records every observable.
+fn observe(config: MachineConfig, engine: Engine, max_cycles: u64) -> Observation {
+    jm_tests::observe(sink_program(), config.engine(engine), max_cycles, |_| {})
 }
 
-/// Runs the workload on every engine × quantum and asserts bit-identical
+/// Runs the workload on every engine and asserts bit-identical
 /// observables against the naive reference.
 fn assert_equivalent(label: &str, config: MachineConfig, max_cycles: u64) -> Observation {
-    let naive = observe(config, ENGINES[0], 0, max_cycles);
+    let naive = observe(config, ENGINES[0], max_cycles);
     for engine in &ENGINES[1..] {
-        for quantum in QUANTA {
-            let other = observe(config, *engine, quantum, max_cycles);
-            assert_eq!(
-                naive, other,
-                "{label}/{engine:?}/q{quantum}: run diverged from naive"
-            );
-        }
+        let other = observe(config, *engine, max_cycles);
+        assert_eq!(naive, other, "{label}/{engine:?}: run diverged from naive");
     }
     naive
 }
