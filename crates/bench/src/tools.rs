@@ -83,26 +83,32 @@ fn peak_rss_row(mib: u64) -> rows::Row {
     rows::Row::host("host", "peak_rss", mib as f64, "MiB", rows::host_cpus())
 }
 
-/// `jmsim chaos`: the four applications on 8 nodes under a seeded
-/// delay-fault plan — flaky links, link-down / router-stall / node-down
-/// windows, checksum trailers. Delay faults are lossless backpressure
-/// (loss recovery is the reliable-RPC layer's job, `jmsim faults`), so
-/// every answer must stay exact: each app's `run_on` checks it against the
-/// host reference and panics on a mismatch. A plan that disturbed nothing
-/// fails too, so a vacuous plan cannot pass.
+/// `jmsim chaos`: the four applications on 16 nodes (2×2×4, the smallest
+/// mesh a crew cuts in two) under a seeded delay-fault plan — flaky links,
+/// link-down / router-stall / node-down windows on both slabs, checksum
+/// trailers. Delay faults are lossless backpressure (loss recovery is the
+/// reliable-RPC layer's job, `jmsim faults`), so every answer must stay
+/// exact: each app's `run_on` checks it against the host reference and
+/// panics on a mismatch. A plan that disturbed nothing fails too, so a
+/// vacuous plan cannot pass.
 pub(crate) fn chaos(args: &Args) -> Outcome {
-    const NODES: u32 = 8;
+    const NODES: u32 = 16;
     let seed = args.count("--seed").unwrap_or(3);
     let engine = args.engine().unwrap_or_default();
     let plan = FaultSpec::new(seed)
         .flaky(15_000)
         .checksums(true)
         .window(FaultWindow::link_down(0, 0, 2_000, 12_000))
-        .window(FaultWindow::router_stall(3, 5_000, 9_000))
+        .window(FaultWindow::router_stall(11, 5_000, 9_000))
         .window(FaultWindow::node_down(5, 3_000, 4_000))
-        .window(FaultWindow::link_down(6, 2, 20_000, 30_000));
+        .window(FaultWindow::link_down(6, 4, 20_000, 30_000));
     let mcfg = MachineConfig::new(NODES).engine(engine).fault(plan);
-    println!("chaos: seed {seed}, engine {engine:?}, {NODES} nodes");
+    // A machine that never runs, asked how the engine cuts the mesh; its
+    // empty replay log is not kept.
+    let mut probe = JMachine::new(exchange_program(), mcfg);
+    probe.finish_replay();
+    let slabs = probe.network().shard_count();
+    println!("chaos: seed {seed}, engine {engine:?}, {NODES} nodes, {slabs} slab(s)");
 
     let mut disturbed = 0u64;
     for app in App::ALL {

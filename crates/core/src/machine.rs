@@ -605,7 +605,7 @@ impl JMachine {
     fn step_cycle(&mut self, stop: u64) {
         match self.config.engine {
             Engine::Naive => self.step_naive(),
-            Engine::Event | Engine::Parallel(_) => self.step_sharded(stop),
+            Engine::Event | Engine::Parallel(_) => self.step_event(stop),
         }
     }
 
@@ -677,28 +677,21 @@ impl JMachine {
         self.net.step();
     }
 
-    /// Event/parallel engine step: touch only nodes that can act this
-    /// cycle, shard by shard. Cycle-exact with [`Self::step_naive`] —
-    /// skipped nodes are exactly those whose naive tick would be a no-op
-    /// (still busy) or a pure idle count (the gap their next tick claims),
-    /// and skipped routers hold no flits. With one shard (the event engine)
-    /// this is the classic event-driven step; with several it is the *same*
-    /// per-shard code the worker threads run, driven sequentially.
-    fn step_sharded(&mut self, stop: u64) {
+    /// Event engine step: touch only nodes that can act this cycle.
+    /// Cycle-exact with [`Self::step_naive`] — skipped nodes are exactly
+    /// those whose naive tick would be a no-op (still busy) or a pure idle
+    /// count (the gap their next tick claims), and skipped routers hold no
+    /// flits. It is the per-shard code the worker threads run, on the one
+    /// shard that covers the mesh: a machine cut into several is threaded,
+    /// and [`Self::drive`] hands it to [`Self::drive_parallel`].
+    fn step_event(&mut self, stop: u64) {
         let now = self.cycle();
-        let (shards, edges) = self.net.shard_parts();
-        for (k, shard) in shards.iter_mut().enumerate() {
-            let (below, above) = jm_net::edge_pair(edges, k);
-            let nodes = &mut self.nodes[shard.base()..shard.base() + shard.len()];
-            let sched = &mut self.scheds[k];
-            crate::parallel::shard_cycle(now, stop, shard, sched, nodes, below, above);
-        }
-        if shards.len() > 1 {
-            for (k, shard) in shards.iter_mut().enumerate() {
-                let (below, above) = jm_net::edge_pair(edges, k);
-                shard.exchange(below, above);
-            }
-        }
+        let (shards, _) = self.net.shard_parts();
+        let [shard] = shards else {
+            unreachable!("a machine of several shards is driven by its crew");
+        };
+        let nodes = &mut self.nodes;
+        crate::parallel::shard_cycle(now, stop, shard, &mut self.scheds[0], nodes, None, None);
         self.net.advance_to(now + 1);
     }
 
@@ -1044,17 +1037,15 @@ mod tests {
     use jm_isa::reg::DReg::*;
     use jm_isa::tag::Tag;
 
-    /// Node 0 sends an increment request to node `N-1`; that node replies
-    /// with the incremented value; node 0 stores it.
+    /// Node 0 sends an increment request to node (1,1,3) — the last node of
+    /// a 2×2×4 mesh, in the other slab of its two-slab cut; that node
+    /// replies with the incremented value; node 0 stores it.
     fn rpc_program() -> Program {
         let mut b = Builder::new();
         b.reserve("out", Region::Imem, 1);
 
         b.label("main");
-        // Build a route word for the last node. Dims are read from the
-        // DIMS special; for the test machine (2x2x2) the last node is
-        // (1,1,1) = bits 0b10000100001.
-        b.movi(R0, 0x421);
+        b.movi(R0, 0xC21);
         b.wtag(R0, R0, Tag::Route.bits() as i32);
         b.send(MsgPriority::P0, R0);
         b.send2(MsgPriority::P0, hdr("incr", 3), 41);
@@ -1080,7 +1071,7 @@ mod tests {
 
     #[test]
     fn end_to_end_rpc() {
-        let mut m = JMachine::new(rpc_program(), MachineConfig::new(8));
+        let mut m = JMachine::new(rpc_program(), MachineConfig::new(16));
         let cycles = m.run_until_quiescent(10_000).unwrap();
         let out = m.program().segment("out");
         assert_eq!(m.read_word(NodeId(0), out.base).as_i32(), 42);
@@ -1219,8 +1210,11 @@ mod tests {
         let spec = jm_fault::FaultSpec::new(99).flaky(200_000).checksums(true);
         let mut reference: Option<(u64, MachineStats)> = None;
         for engine in [Engine::Naive, Engine::Event, Engine::Parallel(2)] {
-            let cfg = MachineConfig::new(8).engine(engine).fault(spec);
+            let cfg = MachineConfig::new(16).engine(engine).fault(spec);
             let mut m = JMachine::new(rpc_program(), cfg);
+            if engine == Engine::Parallel(2) {
+                assert_eq!(m.network().shard_count(), 2, "no crew");
+            }
             let cycles = m.run_until_quiescent(100_000).unwrap();
             let out = m.program().segment("out");
             assert_eq!(m.read_word(NodeId(0), out.base).as_i32(), 42);
@@ -1242,9 +1236,9 @@ mod tests {
 
     #[test]
     fn vacuous_fault_spec_is_fault_free() {
-        let mut clean = JMachine::new(rpc_program(), MachineConfig::new(8));
+        let mut clean = JMachine::new(rpc_program(), MachineConfig::new(16));
         let clean_cycles = clean.run_until_quiescent(10_000).unwrap();
-        let cfg = MachineConfig::new(8).fault(jm_fault::FaultSpec::none());
+        let cfg = MachineConfig::new(16).fault(jm_fault::FaultSpec::none());
         let mut vacuous = JMachine::new(rpc_program(), cfg);
         let vac_cycles = vacuous.run_until_quiescent(10_000).unwrap();
         assert_eq!(clean_cycles, vac_cycles);

@@ -689,14 +689,24 @@ mod tests {
         b.assemble().unwrap()
     }
 
+    /// Records 40 rounds of [`pingpong`] between the two slabs of a 2×2×4
+    /// mesh.
     fn record(engine: Engine, interval: u64) -> ReplayLog {
-        let cfg = MachineConfig::new(8).engine(engine);
-        let mut m = JMachine::new(pingpong(CORNER, 40), cfg);
+        let cfg = MachineConfig::with_dims(MeshDims::new(2, 2, 4)).engine(engine);
+        let mut m = JMachine::new(pingpong(FAR_SLAB, 40), cfg);
         m.record_replay(interval);
         m.run_until_quiescent(100_000).unwrap();
         let log = m.finish_replay().unwrap();
         assert!(m.finish_replay().is_none(), "finish is one-shot");
         log
+    }
+
+    /// A factory for the parallel engine that forms a crew on `log`'s mesh:
+    /// two slabs, one per thread.
+    fn crew(log: &ReplayLog) -> MachineFactory {
+        let crew = MachineFactory::recorded().engine(Engine::Parallel(2));
+        assert_eq!(crew.build(log).network().shard_count(), 2);
+        crew
     }
 
     #[test]
@@ -706,7 +716,7 @@ mod tests {
         for f in [
             MachineFactory::recorded(),
             MachineFactory::recorded().engine(Engine::Naive),
-            MachineFactory::recorded().engine(Engine::Parallel(2)),
+            crew(&log),
         ] {
             let report = verify(&log, &f);
             assert!(report.clean(), "{f:?}: {report}");
@@ -787,11 +797,7 @@ mod tests {
         };
         *hash ^= 1;
         let cycle = *cycle;
-        let report = bisect(
-            &log,
-            &MachineFactory::recorded(),
-            &MachineFactory::recorded().engine(Engine::Parallel(2)),
-        );
+        let report = bisect(&log, &MachineFactory::recorded(), &crew(&log));
         match &report.divergence {
             Divergence::LogMismatch { cycle: c, .. } => assert_eq!(*c, cycle, "{report}"),
             other => panic!("expected LogMismatch, got {other:?}"),
@@ -887,7 +893,9 @@ mod tests {
             .msg_words(3)
             .window(0, 300)
             .handler(program.handler("sink"));
-        let cfg = MachineConfig::new(8).start(StartPolicy::None).traffic(spec);
+        let cfg = MachineConfig::with_dims(MeshDims::new(2, 2, 4))
+            .start(StartPolicy::None)
+            .traffic(spec);
         let mut m = JMachine::new(program, cfg);
         m.record_replay(64);
         m.run(300);
@@ -901,7 +909,7 @@ mod tests {
         for f in [
             MachineFactory::recorded(),
             MachineFactory::recorded().engine(Engine::Naive),
-            MachineFactory::recorded().engine(Engine::Parallel(2)),
+            crew(&log),
         ] {
             let report = verify(&log, &f);
             assert!(report.clean(), "{f:?}: {report}");

@@ -41,8 +41,7 @@ pub enum EventKind {
         dst: NodeId,
         /// Virtual network.
         priority: MsgPriority,
-        /// Payload length in words (route word excluded); 0 when unknown
-        /// (word-at-a-time injection).
+        /// Payload length in words (route word excluded).
         words: u32,
     },
     /// The message's head flit advanced one hop to a neighbouring router.

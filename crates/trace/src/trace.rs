@@ -36,7 +36,7 @@ pub struct MsgTrace {
     pub dst: NodeId,
     /// Virtual network.
     pub priority: MsgPriority,
-    /// Payload words (route word excluded); 0 when injected word-at-a-time.
+    /// Payload words (route word excluded).
     pub words: u32,
     /// Cycle the injection port accepted the message.
     pub inject: u64,
@@ -260,19 +260,7 @@ impl MachineTrace {
 
     /// Histograms of the latency decomposition over all dispatched messages.
     pub fn breakdown(&self) -> Breakdown {
-        let mut b = Breakdown::default();
-        for m in self.messages() {
-            if let (Some(net), Some(queue), Some(e2e)) = (m.t_net(), m.t_queue(), m.end_to_end()) {
-                b.net.record(net);
-                b.queue.record(queue);
-                b.end_to_end.record(e2e);
-                b.hops.record(u64::from(m.hops));
-            }
-            if let Some(h) = m.t_handler() {
-                b.handler.record(h);
-            }
-        }
-        b
+        self.breakdown_window(0, u64::MAX)
     }
 
     /// Histograms of the latency decomposition restricted to messages

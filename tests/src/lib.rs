@@ -1,25 +1,67 @@
 //! Integration-test crate for the jmsim workspace.
 //!
 //! The suites live in `tests/`; this library holds what several of them
-//! share: the differential-test observation (everything a finished run lets
-//! a host see) and the engine matrix. The canned workloads they run (token
-//! ring, ping-pong, traffic sink, traced gather) are `jm_bench::workloads`,
-//! shared with the tools whose behaviour the suites guard.
+//! share: the engine matrix, the one check that holds a workload's result
+//! under every engine to the naive reference's ([`agree`]), and the
+//! differential-test observation (everything a finished run lets a host
+//! see). The canned workloads they run (token ring, ping-pong, traffic
+//! sink, traced gather) are `jm_bench::workloads`, shared with the tools
+//! whose behaviour the suites guard.
 
 use jm_asm::Program;
 use jm_isa::node::NodeId;
 use jm_isa::word::Word;
 use jm_machine::{Engine, JMachine, MachineConfig, MachineStats};
+use std::fmt::Debug;
 
-/// Every engine under differential test, naive reference first.
-/// (`Parallel(1)` is one slab and no crew — the `Event` column again;
-/// `jm-machine` pins that in a unit test.)
+/// Every engine under differential test, naive reference first. A
+/// `Parallel(t)` column is a crew only on a mesh cut into two slabs or
+/// more — `z ≥ 4`, two z-planes a slab at least — and [`agree`] refuses it
+/// anywhere else: on one slab it is the `Event` column again. (So is
+/// `Parallel(1)`; `jm-machine` pins that in a unit test.)
 pub const ENGINES: [Engine; 4] = [
     Engine::Naive,
     Engine::Event,
     Engine::Parallel(2),
     Engine::Parallel(4),
 ];
+
+/// Builds `program` under `config` once per engine of [`ENGINES`], runs
+/// `drive` on each machine and holds every engine's result to the naive
+/// reference's. Returns that result and every engine's finished machine,
+/// in `ENGINES` order, for what a result leaves out: host counters
+/// (`stretch_stats`, `bulk_stats`) that say a fast path ran.
+///
+/// # Panics
+///
+/// On a result that differs from the naive one, and on a `Parallel(t)`
+/// machine the engine cuts into fewer than two slabs: its column would
+/// check the event engine twice and the crew never.
+pub fn agree<R: PartialEq + Debug>(
+    label: &str,
+    program: &Program,
+    config: MachineConfig,
+    mut drive: impl FnMut(&mut JMachine) -> R,
+) -> (R, [JMachine; 4]) {
+    let mut naive = None;
+    let machines = ENGINES.map(|engine| {
+        let mut m = JMachine::new(program.clone(), config.engine(engine));
+        let slabs = m.network().shard_count();
+        if matches!(engine, Engine::Parallel(_)) && slabs < 2 {
+            panic!(
+                "{label}: {engine:?} cuts {} into one slab: no crew",
+                config.dims
+            );
+        }
+        let result = drive(&mut m);
+        match &naive {
+            None => naive = Some(result),
+            Some(naive) => assert_eq!(*naive, result, "{label}: {engine:?} diverged from naive"),
+        }
+        m
+    });
+    (naive.expect("ENGINES is not empty"), machines)
+}
 
 /// Everything observable about a finished run.
 #[derive(Debug, PartialEq)]
@@ -36,28 +78,9 @@ pub struct Observation {
     pub state_hash: u64,
 }
 
-/// Builds `program` under `config`, lets `setup` touch the machine, runs it
-/// to quiescence (at most `max_cycles`) and records every observable.
-pub fn observe(
-    program: Program,
-    config: MachineConfig,
-    max_cycles: u64,
-    setup: impl FnOnce(&mut JMachine),
-) -> Observation {
-    observe_machine(program, config, max_cycles, setup).0
-}
-
-/// [`observe`], and the finished machine: for what an observation leaves
-/// out — its trace, and the host counters (`stretch_stats`, `bulk_stats`)
-/// that show a fast-path test is not vacuous.
-pub fn observe_machine(
-    program: Program,
-    config: MachineConfig,
-    max_cycles: u64,
-    setup: impl FnOnce(&mut JMachine),
-) -> (Observation, JMachine) {
-    let mut m = JMachine::new(program, config);
-    setup(&mut m);
+/// Runs `m` to quiescence (at most `max_cycles`) and records every
+/// observable.
+pub fn observe(m: &mut JMachine, max_cycles: u64) -> Observation {
     let outcome = m
         .run_until_quiescent(max_cycles)
         .map_err(|e| format!("{e:?}"));
@@ -70,11 +93,28 @@ pub fn observe_machine(
         }
         memory.push(words);
     }
-    let observation = Observation {
+    Observation {
         outcome,
         stats: m.stats(),
         memory,
         state_hash: m.state_hash(),
-    };
-    (observation, m)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jm_isa::node::MeshDims;
+    use jm_machine::StartPolicy;
+
+    /// On 2×2×2 every parallel engine runs one slab: the check refuses it
+    /// rather than pass it as a crew.
+    #[test]
+    #[should_panic(expected = "Parallel(2) cuts 2x2x2 into one slab: no crew")]
+    fn a_parallel_column_on_one_slab_is_refused() {
+        let program = jm_bench::workloads::ring_program(1, false);
+        let dims = MeshDims::new(2, 2, 2);
+        let config = MachineConfig::with_dims(dims).start(StartPolicy::AllNodes);
+        agree("2x2x2", &program, config, |m| observe(m, 100_000));
+    }
 }

@@ -1,15 +1,22 @@
 //! Differential tests: the event-driven and parallel engines must be
-//! **cycle-exact** with the naive reference engine. For each workload every
-//! engine — including `Parallel(threads)` for threads ∈ {2, 4} — runs
-//! the same program and every observable is compared: the
+//! **cycle-exact** with the naive reference engine. Every workload runs
+//! through [`agree`] under each engine of `jm_tests::ENGINES` — the
+//! parallel engine with two threads and with four, on a mesh it cuts into
+//! two slabs or more (z ≥ 4) — and every observable is compared: the
 //! `run_until_quiescent` outcome (success cycle count or error), the
 //! aggregated machine statistics (per-class cycles, per-handler counters,
-//! network counters), and the final contents of every declared data block
-//! on every node. Thread counts beyond the mesh's z extent are clamped, so
-//! `Parallel(4)` on a 2×2×2 mesh re-checks the 2-shard cut while on a
-//! 2×2×4 mesh it exercises four real worker threads.
+//! network counters), the final contents of every declared data block on
+//! every node, and the state hash.
+//!
+//! The crew decides only at the multiples of the 64-cycle quantum
+//! (DESIGN.md §4.5), and the sharded engines' nodes run on past their
+//! visits, so the workloads include the schedules most likely to break
+//! that: an idle skip across a quantum boundary, a fixed run whose last
+//! quantum is truncated, a machine resumed after the crew overran its
+//! quiescence, node errors, and stretches rewound by a preempting word.
 
 use jm_asm::{hdr, Builder, Program, Region};
+use jm_bench::workloads::pingpong_program;
 use jm_isa::instr::{AluOp, MsgPriority};
 use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::operand::{MemRef, Special};
@@ -18,50 +25,23 @@ use jm_isa::word::Word;
 use jm_isa::{Coord, RouteWord};
 use jm_machine::FaultSpec;
 use jm_machine::StartPolicy;
-use jm_machine::{Engine, JMachine, MachineConfig, TraceConfig};
-use jm_mdp::MdpConfig;
+use jm_machine::{JMachine, MachineConfig, TraceConfig};
 use jm_mdp::StretchStats;
+use jm_mdp::{MdpConfig, TimingConfig};
 use jm_runtime::nnr;
-use jm_tests::{observe, observe_machine, Observation, ENGINES};
+use jm_tests::{agree, observe, Observation};
 
-/// Runs the workload on every engine and asserts bit-identical observables.
-fn assert_equivalent(
-    label: &str,
-    program: impl Fn() -> Program,
-    config: MachineConfig,
-    max_cycles: u64,
-    setup: impl Fn(&mut JMachine),
-) -> Observation {
-    let naive = observe(program(), config.engine(ENGINES[0]), max_cycles, &setup);
-    for engine in &ENGINES[1..] {
-        let other = observe(program(), config.engine(*engine), max_cycles, &setup);
-        assert_eq!(
-            naive.outcome, other.outcome,
-            "{label}/{engine:?}: run outcome diverged"
-        );
-        assert_eq!(
-            naive.stats, other.stats,
-            "{label}/{engine:?}: statistics diverged"
-        );
-        assert_eq!(
-            naive.memory, other.memory,
-            "{label}/{engine:?}: final memory diverged"
-        );
-        assert_eq!(
-            naive.state_hash, other.state_hash,
-            "{label}/{engine:?}: final state hash diverged"
-        );
-    }
-    naive
-}
+/// Route word of (1,1,3), the far corner of a 2×2×4 mesh: in the other
+/// slab of the crew's two-slab cut from node 0.
+const FAR_CORNER: i32 = 0xC21;
 
-/// Micro workload: a three-hop RPC chain with long idle spans — node 0
-/// asks the far corner to increment a value and store the reply.
+/// Micro workload: an RPC with long idle spans — node 0 asks the far
+/// corner of a 2×2×4 mesh to increment a value and store the reply.
 fn rpc_program() -> Program {
     let mut b = Builder::new();
     b.reserve("out", Region::Imem, 1);
     b.label("main");
-    b.movi(R0, 0x421); // route to node (1,1,1) on a 2x2x2 mesh
+    b.movi(R0, FAR_CORNER);
     b.wtag(R0, R0, jm_isa::Tag::Route.bits() as i32);
     b.send(MsgPriority::P0, R0);
     b.send2(MsgPriority::P0, hdr("incr", 3), 41);
@@ -84,7 +64,8 @@ fn rpc_program() -> Program {
 
 #[test]
 fn micro_rpc_is_engine_exact() {
-    let obs = assert_equivalent("rpc", rpc_program, MachineConfig::new(8), 10_000, |_| {});
+    let config = MachineConfig::new(16);
+    let (obs, _) = agree("rpc", &rpc_program(), config, |m| observe(m, 10_000));
     // Sanity: the workload did what it claims (value stored, 2 messages).
     assert_eq!(obs.stats.nodes.msgs_sent, 2);
     assert!(obs.outcome.is_ok());
@@ -99,32 +80,103 @@ fn ring_program() -> Program {
 
 #[test]
 fn micro_ring_is_engine_exact() {
-    let obs = assert_equivalent(
-        "ring",
-        ring_program,
-        MachineConfig::new(16).start(StartPolicy::AllNodes),
-        1_000_000,
-        |_| {},
-    );
+    let config = MachineConfig::new(16).start(StartPolicy::AllNodes);
+    let (obs, _) = agree("ring", &ring_program(), config, |m| observe(m, 1_000_000));
     assert!(obs.outcome.is_ok());
+    // Every node's accumulator saw all 3 rounds.
+    assert!(obs.memory.iter().all(|words| words[0].as_i32() == 3));
 }
 
 #[test]
 fn fixed_cycle_run_is_engine_exact() {
     // `run(n)` drives the parallel engine through its fixed-deadline mode
-    // (no quiescence detection): stopping mid-workload must leave every
-    // engine at the same cycle with the same statistics snapshot.
+    // (no quiescence detection), and 1 499 is no multiple of the 64-cycle
+    // quantum, so the crew's last quantum is cut short: stopping
+    // mid-workload must leave every engine at the same cycle with the same
+    // statistics and state.
     let config = MachineConfig::new(16).start(StartPolicy::AllNodes);
-    let mut snapshots = Vec::new();
-    for engine in ENGINES {
-        let mut m = JMachine::new(ring_program(), config.engine(engine));
-        m.run(1_500);
-        assert_eq!(m.cycle(), 1_500, "{engine:?}: wrong stop cycle");
-        snapshots.push(m.stats());
-    }
-    for (engine, snap) in ENGINES.iter().zip(&snapshots).skip(1) {
-        assert_eq!(&snapshots[0], snap, "fixed run: {engine:?} diverged");
-    }
+    let (run, _) = agree("fixed run", &ring_program(), config, |m| {
+        m.run(1_499);
+        (m.cycle(), m.stats(), m.state_hash())
+    });
+    assert_eq!(run.0, 1_499, "wrong stop cycle");
+}
+
+/// Ping-pong workload built to force **idle-skip fast-forward across
+/// quantum boundaries**: the dispatch cost is cranked to 100 cycles, so
+/// after each handler retires the whole machine goes net-idle with the next
+/// wake-up 100 cycles out. Every skip target then lies past the next
+/// multiple of the 64-cycle quantum, exercising the decide-path that jumps
+/// `p/x` straight to the wake cycle (DESIGN.md §4.5).
+#[test]
+fn idle_skip_across_quantum_boundary_is_exact() {
+    let mdp = MdpConfig {
+        timing: TimingConfig {
+            dispatch: 100,
+            ..TimingConfig::default()
+        },
+        ..MdpConfig::default()
+    };
+    let config = MachineConfig::new(16).start(StartPolicy::AllNodes).mdp(mdp);
+    let (obs, _) = agree("idle-skip", &pingpong_program(), config, |m| {
+        observe(m, 1_000_000)
+    });
+    // The rallies completed (8 volleys split across each pair), and the
+    // run was long enough that skips of 100 cycles had to cross quantum
+    // boundaries.
+    let total_hits: i32 = obs.memory.iter().map(|w| w[0].as_i32()).sum();
+    assert_eq!(total_hits, 8 * 8);
+    assert!(
+        obs.outcome.as_ref().is_ok_and(|&cycles| cycles > 400),
+        "workload too short to force boundary-crossing skips: {:?}",
+        obs.outcome
+    );
+}
+
+#[test]
+fn resuming_a_quiesced_machine_is_engine_exact() {
+    // Every instruction costs 7 cycles, so when the last handler's SUSPEND
+    // issues the machine is quiet — no work, no flit — one cycle later,
+    // while every node is still scheduled for the cycle the SUSPEND
+    // retires. The sequential engines stop there and leave the nodes
+    // scheduled; a crew finds out up to a quantum late, and an overrun past
+    // six cycles reaches those wake-ups: the nodes are parked. The next
+    // round's host delivery then lands *before* their `busy_until`, and
+    // everything a host can see must still agree, round after round.
+    let mut b = Builder::new();
+    b.data("hits", Region::Imem, vec![Word::int(0)]);
+    b.label("hit");
+    b.load_seg(A0, "hits");
+    b.mov(R0, MemRef::disp(A0, 0));
+    b.addi(R0, R0, 1);
+    b.mov(MemRef::disp(A0, 0), R0);
+    b.suspend();
+    let program = b.assemble().unwrap();
+    let mdp = MdpConfig {
+        timing: TimingConfig {
+            base: 7,
+            ..TimingConfig::default()
+        },
+        ..MdpConfig::default()
+    };
+    let config = MachineConfig::new(16).start(StartPolicy::None).mdp(mdp);
+    let (rounds, _) = agree("resume", &program, config, |m| {
+        let mut seen = Vec::new();
+        for _ in 0..3 {
+            for id in 0..m.node_count() {
+                m.deliver_message(NodeId(id), MsgPriority::P0, "hit", &[]);
+            }
+            let cycles = m.run_until_quiescent(10_000).unwrap();
+            seen.push((cycles, m.cycle(), m.stats(), m.state_hash()));
+        }
+        let hits = m.program().segment("hits").base;
+        assert!((0..16).all(|id| m.read_word(NodeId(id), hits).as_i32() == 3));
+        seen
+    });
+    // The premise: the machine stops one cycle into the SUSPEND, with every
+    // node's counters already six cycles past the clock.
+    let (_, stop, stats, _) = &rounds[0];
+    assert_eq!(stats.nodes.total_cycles(), 16 * (stop + 6));
 }
 
 /// One token walks the id-ordered ring for a lap (one node live at a time);
@@ -193,15 +245,15 @@ fn surge_program() -> Program {
 /// The node scheduler and the router scan each walk one live bitset whatever
 /// the occupancy. One run takes both from a single live component to all of
 /// them and back to none — on 64 nodes (one bitset word) and on 16×16×4
-/// (sixteen words; eight per slab under `Parallel(2)`) — and every engine
-/// must agree on the outcome, statistics, memory, and (traced) trace hash.
+/// (sixteen words; eight per slab under the crew) — and every engine must
+/// agree on the outcome, statistics and memory, traced or not, and traced
+/// on the trace hash and every occupancy sample.
 #[test]
 fn surge_from_one_live_node_to_all_and_back_is_engine_exact() {
     for dims in [MeshDims::new(4, 4, 4), MeshDims::new(16, 16, 4)] {
         let nodes = dims.nodes();
         let config = MachineConfig::with_dims(dims).start(StartPolicy::AllNodes);
-        let run = |config: MachineConfig| {
-            let mut m = JMachine::new(surge_program(), config);
+        let run = |m: &mut JMachine| {
             let ring = m.run_until_quiescent(1_000_000).expect("ring quiesces");
             for id in 0..nodes {
                 m.deliver_message(NodeId(id), MsgPriority::P0, "storm", &[]);
@@ -211,43 +263,32 @@ fn surge_from_one_live_node_to_all_and_back_is_engine_exact() {
             let memory: Vec<i32> = (0..nodes)
                 .map(|id| m.read_word(NodeId(id), acc).as_i32())
                 .collect();
-            let trace = m.take_trace();
+            let trace = m.take_trace().map(|t| (jm_trace::hash(&t), t.samples));
             ((ring, storm, m.stats(), memory), trace)
         };
-        let (naive, _) = run(config.engine(Engine::Naive));
-        // Eight hits of 8 + 7 + … + 1 on every node.
-        assert!(naive.3.iter().all(|&acc| acc == 36), "{dims:?}: hits lost");
-        for engine in [Engine::Event, Engine::Parallel(2)] {
-            let (other, _) = run(config.engine(engine));
-            assert_eq!(naive, other, "{dims:?}/{engine:?} diverged from naive");
-        }
+        let label = format!("surge on {dims}");
         let traced = config.trace(TraceConfig::on().sample_every(4));
-        let (naive_obs, naive_trace) = run(traced.engine(Engine::Naive));
-        let (event_obs, event_trace) = run(traced);
-        assert_eq!(naive, naive_obs, "{dims:?}: tracing changed the naive run");
-        assert_eq!(naive, event_obs, "{dims:?}: tracing changed the event run");
-        let (naive_trace, event_trace) = (naive_trace.unwrap(), event_trace.unwrap());
-        assert_eq!(
-            jm_trace::hash(&naive_trace),
-            jm_trace::hash(&event_trace),
-            "{dims:?}: trace hash diverged"
-        );
-        let samples = event_trace.samples;
+        let [(plain, _), (with_trace, trace)] =
+            [config, traced].map(|config| agree(&label, &surge_program(), config, run).0);
+        assert_eq!(plain, with_trace, "{dims}: tracing changed the run");
+        let (ring_cycles, _, _, memory) = plain;
+        // Eight hits of 8 + 7 + … + 1 on every node.
+        assert!(memory.iter().all(|&acc| acc == 36), "{dims}: hits lost");
+        let (_, samples) = trace.expect("tracing was on");
         // The run really spans the occupancy range, past where the scans
         // used to switch structure (down at 1/4 live, up at 5/8): once boot
         // is over the ring keeps one node and a few routers live, and the
         // storm has every node busy and most routers holding flits at once.
-        let mut ring = samples.iter().filter(|s| (256..naive.0).contains(&s.cycle));
+        let mut ring = samples
+            .iter()
+            .filter(|s| (256..ring_cycles).contains(&s.cycle));
         assert!(ring.all(|s| s.busy_nodes <= 1 && s.active_routers * 4 <= nodes));
         let peak_nodes = samples.iter().map(|s| s.busy_nodes).max().unwrap();
         let peak_routers = samples.iter().map(|s| s.active_routers).max().unwrap();
-        assert_eq!(
-            peak_nodes, nodes,
-            "{dims:?}: storm never had every node busy"
-        );
+        assert_eq!(peak_nodes, nodes, "{dims}: storm never had every node busy");
         assert!(
             peak_routers * 8 >= nodes * 5,
-            "{dims:?}: storm peaked at {peak_routers} of {nodes} active routers"
+            "{dims}: storm peaked at {peak_routers} of {nodes} active routers"
         );
     }
 }
@@ -256,32 +297,22 @@ fn surge_from_one_live_node_to_all_and_back_is_engine_exact() {
 fn host_delivery_wakeup_is_engine_exact() {
     // StartPolicy::None: nothing runs until the host injects work, so the
     // event engine must wake parked nodes on the host-delivery path.
-    let program = || {
-        let mut b = Builder::new();
-        b.reserve("out", Region::Imem, 1);
-        b.label("fill");
-        b.load_seg(A0, "out");
-        b.mov(R0, MemRef::disp(A3, 1));
-        b.mov(MemRef::disp(A0, 0), R0);
-        b.suspend();
-        b.assemble().unwrap()
-    };
-    let obs = assert_equivalent(
-        "host-delivery",
-        program,
-        MachineConfig::new(8).start(StartPolicy::None),
-        10_000,
-        |m| {
-            for id in 0..8 {
-                m.deliver_message(
-                    NodeId(id),
-                    MsgPriority::P0,
-                    "fill",
-                    &[Word::int(id as i32 * 7)],
-                );
-            }
-        },
-    );
+    let mut b = Builder::new();
+    b.reserve("out", Region::Imem, 1);
+    b.label("fill");
+    b.load_seg(A0, "out");
+    b.mov(R0, MemRef::disp(A3, 1));
+    b.mov(MemRef::disp(A0, 0), R0);
+    b.suspend();
+    let program = b.assemble().unwrap();
+    let config = MachineConfig::new(16).start(StartPolicy::None);
+    let (obs, _) = agree("host-delivery", &program, config, |m| {
+        for id in 0..16 {
+            let value = Word::int(id as i32 * 7);
+            m.deliver_message(NodeId(id), MsgPriority::P0, "fill", &[value]);
+        }
+        observe(m, 10_000)
+    });
     assert!(obs.outcome.is_ok());
     for (id, words) in obs.memory.iter().enumerate() {
         assert_eq!(words[0].as_i32(), id as i32 * 7);
@@ -290,31 +321,26 @@ fn host_delivery_wakeup_is_engine_exact() {
 
 #[test]
 fn timeout_and_idle_residue_are_engine_exact() {
-    // Node 0 spins forever while seven nodes idle-park: the run must time
+    // Node 0 spins forever while fifteen nodes idle-park: the run must time
     // out at the same cycle with the same busy-node count, and the parked
     // nodes' skipped idle cycles must be credited in the stats snapshot.
-    let program = || {
-        let mut b = Builder::new();
-        b.label("spin");
-        b.br("spin");
-        b.entry("spin");
-        b.assemble().unwrap()
-    };
-    let obs = assert_equivalent(
-        "timeout",
-        program,
-        MachineConfig::new(8), // Node0 policy: 7 nodes never work
-        5_000,
-        |_| {},
-    );
+    let mut b = Builder::new();
+    b.label("spin");
+    b.br("spin");
+    b.entry("spin");
+    let program = b.assemble().unwrap();
+    // Node0 policy: 15 nodes never work.
+    let (obs, _) = agree("timeout", &program, MachineConfig::new(16), |m| {
+        observe(m, 5_000)
+    });
     let err = obs.outcome.unwrap_err();
     assert!(err.contains("Timeout"), "expected timeout, got {err}");
-    // All 8 nodes account every one of the 5000 cycles (spin or idle).
-    assert_eq!(obs.stats.nodes.total_cycles(), 5_000 * 8);
+    // All 16 nodes account every one of the 5000 cycles (spin or idle).
+    assert_eq!(obs.stats.nodes.total_cycles(), 5_000 * 16);
 }
 
 /// Macro workload: the paper's radix sort, whole pipeline — setup writes
-/// key strips into node memory, the run sorts, and both engines must agree
+/// key strips into node memory, the run sorts, and every engine must agree
 /// on every counter and the sorted output.
 #[test]
 fn macro_radix_is_engine_exact() {
@@ -322,27 +348,15 @@ fn macro_radix_is_engine_exact() {
         keys: 128,
         seed: 11,
     };
+    let program = jm_apps::radix::program(&cfg, 16);
+    let config = MachineConfig::new(16).start(StartPolicy::AllNodes);
+    let (obs, [naive, ..]) = agree("radix", &program, config, |m| {
+        jm_apps::radix::setup(m, &cfg);
+        observe(m, 50_000_000)
+    });
+    assert!(obs.outcome.is_ok(), "{:?}", obs.outcome);
     let expected = jm_apps::radix::reference(&cfg.generate());
-    let program = || jm_apps::radix::program(&cfg, 8);
-    let mut sorted_per_engine = Vec::new();
-    for engine in ENGINES {
-        let mut m = JMachine::new(
-            program(),
-            MachineConfig::new(8)
-                .start(StartPolicy::AllNodes)
-                .engine(engine),
-        );
-        jm_apps::radix::setup(&mut m, &cfg);
-        let cycles = m.run_until_quiescent(50_000_000).unwrap();
-        assert_eq!(jm_apps::radix::result(&m, &cfg), expected);
-        sorted_per_engine.push((cycles, m.stats()));
-    }
-    for (engine, run) in ENGINES.iter().zip(&sorted_per_engine).skip(1) {
-        assert_eq!(
-            &sorted_per_engine[0], run,
-            "radix: {engine:?} diverged from naive"
-        );
-    }
+    assert_eq!(jm_apps::radix::result(&naive, &cfg), expected);
 }
 
 #[test]
@@ -353,58 +367,58 @@ fn ejection_backpressure_redelivery_is_engine_exact() {
     // the handler drains the queue. The event engine must keep the node in
     // the network's pending set across refusals (it may not "forget" the
     // parked words) and match the naive engine cycle for cycle.
-    let program = || {
-        let mut b = Builder::new();
-        b.data("sum", Region::Imem, vec![Word::int(0)]);
-        b.label("main");
-        b.mov(R0, Special::Nid);
-        b.bz(R0, "main_done");
-        // Node 1 fires 6 five-word messages back to back at node 0.
-        b.movi(R2, 6);
-        b.label("volley");
-        b.send(
-            MsgPriority::P0,
-            RouteWord::new(Coord::new(0, 0, 0)).to_word(),
-        );
-        b.send2(MsgPriority::P0, hdr("slow", 5), R2);
-        b.send2(MsgPriority::P0, R2, R2);
-        b.sende(MsgPriority::P0, R2);
-        b.subi(R2, R2, 1);
-        b.bnz(R2, "volley");
-        b.label("main_done");
-        b.suspend();
-        // The handler burns cycles before retiring, so arrivals outpace
-        // consumption and the queue stays full.
-        b.label("slow");
-        b.load_seg(A0, "sum");
-        b.mov(R0, MemRef::disp(A0, 0));
-        b.mov(R1, MemRef::disp(A3, 1));
-        b.alu(AluOp::Add, R0, R0, R1);
-        b.mov(MemRef::disp(A0, 0), R0);
-        b.movi(R3, 40);
-        b.label("burn");
-        b.subi(R3, R3, 1);
-        b.bnz(R3, "burn");
-        b.suspend();
-        b.entry("main");
-        b.assemble().unwrap()
-    };
+    let mut b = Builder::new();
+    b.data("sum", Region::Imem, vec![Word::int(0)]);
+    b.label("main");
+    b.mov(R0, Special::Nid);
+    b.subi(R0, R0, 3);
+    b.bnz(R0, "main_done");
+    // Node 3, in the other slab, fires 6 five-word messages back to back
+    // at node 0.
+    b.movi(R2, 6);
+    b.label("volley");
+    b.send(
+        MsgPriority::P0,
+        RouteWord::new(Coord::new(0, 0, 0)).to_word(),
+    );
+    b.send2(MsgPriority::P0, hdr("slow", 5), R2);
+    b.send2(MsgPriority::P0, R2, R2);
+    b.sende(MsgPriority::P0, R2);
+    b.subi(R2, R2, 1);
+    b.bnz(R2, "volley");
+    b.label("main_done");
+    b.suspend();
+    // The handler burns cycles before retiring, so arrivals outpace
+    // consumption and the queue stays full.
+    b.label("slow");
+    b.load_seg(A0, "sum");
+    b.mov(R0, MemRef::disp(A0, 0));
+    b.mov(R1, MemRef::disp(A3, 1));
+    b.alu(AluOp::Add, R0, R0, R1);
+    b.mov(MemRef::disp(A0, 0), R0);
+    b.movi(R3, 40);
+    b.label("burn");
+    b.subi(R3, R3, 1);
+    b.bnz(R3, "burn");
+    b.suspend();
+    b.entry("main");
+    let program = b.assemble().unwrap();
     // A 10-word P0 queue holds at most two 5-word messages.
     let mdp = MdpConfig {
         queue0_words: 10,
         ..MdpConfig::default()
     };
-    let config = MachineConfig::new(2).start(StartPolicy::AllNodes).mdp(mdp);
-    let naive = observe(program(), config.engine(Engine::Naive), 1_000_000, |_| {});
-    for engine in &ENGINES[1..] {
-        let other = observe(program(), config.engine(*engine), 1_000_000, |_| {});
-        assert_eq!(naive, other, "backpressure workload diverged on {engine:?}");
-    }
+    let config = MachineConfig::with_dims(MeshDims::new(1, 1, 4))
+        .start(StartPolicy::AllNodes)
+        .mdp(mdp);
+    let (naive, [_, event, ..]) =
+        agree("backpressure", &program, config, |m| observe(m, 1_000_000));
     // The workload really exercised backpressure: every message arrived
     // and summed correctly, and deliveries were refused along the way.
     assert!(naive.outcome.is_ok(), "{:?}", naive.outcome);
     assert_eq!(naive.memory[0][0].as_i32(), 6 + 5 + 4 + 3 + 2 + 1);
     assert_eq!(naive.stats.nodes.msgs_received, 6);
+    assert!(event.node(NodeId(0)).queue_refusals(MsgPriority::P0) > 0);
 }
 
 #[test]
@@ -458,20 +472,17 @@ fn queue_full_redelivers_next_cycle() {
     assert_eq!(m.stats().net.delivered_words, 4 * 3);
 }
 
-/// [`assert_equivalent`] for a workload built to make the sharded engines'
-/// nodes run on past their visits and be rewound; returns the event
-/// engine's stretch counters, which say whether it did.
-fn assert_stretch_exact(
+/// [`agree`] on a workload built to make the sharded engines' nodes run on
+/// past their visits and be rewound: the naive observation, and the event
+/// engine's stretch counters, which say whether they did.
+fn stretched(
     label: &str,
-    program: impl Fn() -> Program,
+    program: Program,
     config: MachineConfig,
     max_cycles: u64,
-) -> StretchStats {
-    assert_equivalent(label, &program, config, max_cycles, |_| {});
-    let event = config.engine(Engine::Event);
-    observe_machine(program(), event, max_cycles, |_| {})
-        .1
-        .stretch_stats()
+) -> (Observation, StretchStats) {
+    let (naive, [_, event, ..]) = agree(label, &program, config, |m| observe(m, max_cycles));
+    (naive, event.stretch_stats())
 }
 
 /// Boot code every stretch workload shares: the route to the next node
@@ -525,9 +536,8 @@ fn an_error_stop_settles_every_stretch() {
     let mut rewinds = 0;
     for fault_at in [1, 7, 50, 333, 400] {
         let label = format!("error at iteration {fault_at}");
-        let program = || store_loop_program(fault_at);
-        rewinds += assert_stretch_exact(&label, program, config, 100_000).rewinds;
-        let obs = observe(program(), config, 100_000, |_| {});
+        let (obs, counts) = stretched(&label, store_loop_program(fault_at), config, 100_000);
+        rewinds += counts.rewinds;
         let err = obs.outcome.unwrap_err();
         assert!(err.contains("UnhandledFault"), "{label}: {err}");
     }
@@ -540,7 +550,7 @@ fn an_error_stop_settles_every_stretch() {
 fn remote_fault_program() -> Program {
     let mut b = Builder::new();
     b.label("main");
-    b.movi(R0, 0xC21);
+    b.movi(R0, FAR_CORNER);
     b.wtag(R0, R0, jm_isa::Tag::Route.bits() as i32);
     b.send(MsgPriority::P0, R0);
     b.send2e(MsgPriority::P0, hdr("boom", 2), 0);
@@ -574,26 +584,25 @@ fn an_error_stop_is_one_answer_under_every_engine_and_observer() {
         ("captured", None, Some(13)),
     ];
     for (program, config) in workloads {
-        let run = |engine, sample_every: Option<u64>, interval: Option<u64>| {
-            let mut config = config.engine(engine);
+        let answers = observers.map(|(observer, sample_every, interval)| {
+            let mut config = config;
             if let Some(every) = sample_every {
                 config = config.trace(TraceConfig::on().sample_every(every));
             }
-            let mut m = JMachine::new(program.clone(), config);
-            if let Some(interval) = interval {
-                m.record_replay(interval);
-            }
-            let outcome = format!("{:?}", m.run_until_quiescent(100_000));
-            (outcome, m.cycle(), m.stats(), m.state_hash())
-        };
-        let one = run(ENGINES[0], None, None);
+            let (answer, _) = agree(observer, &program, config, |m| {
+                if let Some(interval) = interval {
+                    m.record_replay(interval);
+                }
+                let outcome = format!("{:?}", m.run_until_quiescent(100_000));
+                (outcome, m.cycle(), m.stats(), m.state_hash())
+            });
+            answer
+        });
+        let one = &answers[0];
         assert!(one.0.starts_with("Err(NodeErrors"), "{one:?}");
         assert!(one.1.is_multiple_of(64), "stopped on cycle {}", one.1);
-        for engine in ENGINES {
-            for (observer, sample_every, interval) in observers {
-                let other = run(engine, sample_every, interval);
-                assert_eq!(other, one, "{engine:?} {observer}");
-            }
+        for ((observer, ..), answer) in observers.iter().zip(&answers) {
+            assert_eq!(answer, one, "{observer}");
         }
     }
 }
@@ -641,7 +650,7 @@ fn interrupt_handler(b: &mut Builder, name: &str) {
 #[test]
 fn preempted_background_stretches_are_engine_exact() {
     let config = MachineConfig::new(64).start(StartPolicy::AllNodes);
-    let counts = assert_stretch_exact("poked loops", poked_loop_program, config, 1_000_000);
+    let (_, counts) = stretched("poked loops", poked_loop_program(), config, 1_000_000);
     assert!(counts.rewinds > 0, "no poke landed inside a stretch");
 }
 
@@ -684,7 +693,8 @@ fn preempted_handler_program() -> Program {
 #[test]
 fn p1_preempting_a_stretching_p0_handler_is_engine_exact() {
     let config = MachineConfig::new(64).start(StartPolicy::AllNodes);
-    let counts = assert_stretch_exact("P1 over P0", preempted_handler_program, config, 1_000_000);
+    let program = preempted_handler_program();
+    let (_, counts) = stretched("P1 over P0", program, config, 1_000_000);
     assert!(counts.rewinds > 0, "no P1 message landed inside a stretch");
 }
 
@@ -696,7 +706,8 @@ fn checksummed_preemption_is_engine_exact() {
     let config = MachineConfig::new(64)
         .start(StartPolicy::AllNodes)
         .fault(spec);
-    let counts = assert_stretch_exact("checksums", preempted_handler_program, config, 1_000_000);
+    let program = preempted_handler_program();
+    let (_, counts) = stretched("checksums", program, config, 1_000_000);
     assert!(counts.rewinds > 0, "no word landed inside a stretch");
 }
 
@@ -707,35 +718,32 @@ fn checksummed_preemption_is_engine_exact() {
 /// allocate, which a node ticked every cycle might never reach.
 #[test]
 fn stretches_stop_before_a_fresh_dram_page() {
-    let program = || {
-        let mut b = Builder::new();
-        for k in 0..6 {
-            b.reserve(format!("e{k}"), Region::Emem, 4000);
-        }
-        route_to_next(&mut b);
-        b.mov(R3, Special::Nid);
-        b.alu(AluOp::And, R3, R3, 7);
-        b.addi(R3, R3, 1);
-        b.label("stagger");
-        b.subi(R3, R3, 1);
-        b.bnz(R3, "stagger");
-        b.send(MsgPriority::P0, MemRef::disp(A1, 0));
-        b.send2e(MsgPriority::P0, hdr("poke", 2), 1);
-        for k in 0..6 {
-            b.mov(R0, MemRef::disp(A0, 0));
-            b.bnz(R0, "poked");
-            b.load_seg(A1, format!("e{k}"));
-            b.mov(MemRef::disp(A1, 3000), Special::Cycle);
-        }
-        b.label("poked");
-        b.suspend();
-        interrupt_handler(&mut b, "poke");
-        b.entry("main");
-        nnr::install(&mut b);
-        b.assemble().unwrap()
-    };
+    let mut b = Builder::new();
+    for k in 0..6 {
+        b.reserve(format!("e{k}"), Region::Emem, 4000);
+    }
+    route_to_next(&mut b);
+    b.mov(R3, Special::Nid);
+    b.alu(AluOp::And, R3, R3, 7);
+    b.addi(R3, R3, 1);
+    b.label("stagger");
+    b.subi(R3, R3, 1);
+    b.bnz(R3, "stagger");
+    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
+    b.send2e(MsgPriority::P0, hdr("poke", 2), 1);
+    for k in 0..6 {
+        b.mov(R0, MemRef::disp(A0, 0));
+        b.bnz(R0, "poked");
+        b.load_seg(A1, format!("e{k}"));
+        b.mov(MemRef::disp(A1, 3000), Special::Cycle);
+    }
+    b.label("poked");
+    b.suspend();
+    interrupt_handler(&mut b, "poke");
+    b.entry("main");
+    nnr::install(&mut b);
     let config = MachineConfig::new(64).start(StartPolicy::AllNodes);
-    let counts = assert_stretch_exact("fresh pages", program, config, 1_000_000);
+    let (_, counts) = stretched("fresh pages", b.assemble().unwrap(), config, 1_000_000);
     assert!(counts.rewinds > 0, "no poke landed inside a stretch");
 }
 
@@ -748,26 +756,23 @@ fn trace_samples_and_replay_checkpoints_cut_stretches_exactly() {
     let config = MachineConfig::new(64)
         .start(StartPolicy::AllNodes)
         .trace(TraceConfig::on().sample_every(7));
-    let run = |engine| {
-        let mut m = JMachine::new(preempted_handler_program(), config.engine(engine));
+    let program = preempted_handler_program();
+    let (naive, _) = agree("samples and checkpoints", &program, config, |m| {
         m.record_replay(13);
         let outcome = m.run_until_quiescent(1_000_000).map_err(|e| e.to_string());
         let log = m.finish_replay().expect("capture was armed");
         let trace = m.take_trace().expect("tracing was on");
         let hash = jm_trace::hash(&trace);
         (outcome, m.stats(), log.records, hash, trace.samples)
-    };
-    let naive = run(Engine::Naive);
+    });
     assert!(naive.0.is_ok(), "{:?}", naive.0);
-    for engine in &ENGINES[1..] {
-        assert_eq!(naive, run(*engine), "{engine:?} diverged from naive");
-    }
 }
 
 /// Node 0's background thread counts down and then reaches `MARK comm;
 /// SUSPEND`, which no stretch runs: a stretch stops in front of the `MARK`.
-/// Node 1 sends it a P0 `poke` after `delay` loop turns and `pad` `NOP`s,
-/// so that across the sweep the poke lands at every cycle around that stop.
+/// Node 2 of a 1×1×4 mesh, in the crew's other slab, sends it a P0 `poke`
+/// after `delay` loop turns and `pad` `NOP`s, so that across the sweep the
+/// poke lands at every cycle around that stop; nodes 1 and 3 stop at once.
 fn marked_stop_program(delay: i32, pad: usize) -> Program {
     let mut b = Builder::new();
     b.label("main");
@@ -780,6 +785,8 @@ fn marked_stop_program(delay: i32, pad: usize) -> Program {
     b.mark(jm_isa::instr::StatClass::Comm);
     b.suspend();
     b.label("sender");
+    b.subi(R0, R0, 2);
+    b.bnz(R0, "idle");
     for _ in 0..pad {
         b.nop();
     }
@@ -792,6 +799,7 @@ fn marked_stop_program(delay: i32, pad: usize) -> Program {
         RouteWord::new(Coord::new(0, 0, 0)).to_word(),
     );
     b.sende(MsgPriority::P0, hdr("poke", 1));
+    b.label("idle");
     b.suspend();
     b.label("poke");
     b.movi(R2, 20);
@@ -807,6 +815,10 @@ fn marked_stop_program(delay: i32, pad: usize) -> Program {
 /// `3 * MARKED_STOP_COUNT + 2`.
 const MARKED_STOP_COUNT: i32 = 20;
 
+/// Turns of node 2's delay loop: with the `NOP`s, the poke enters node 0's
+/// queue on each cycle from 36 to 89.
+const MARKED_STOP_DELAYS: std::ops::Range<i32> = 7..25;
+
 /// A stretch that stops in front of a `MARK`-prefixed instruction it may
 /// not run leaves the thread as a node ticked every cycle has it there: the
 /// IP at the `MARK`, the class from before it. Only a preempting word that
@@ -817,33 +829,22 @@ const MARKED_STOP_COUNT: i32 = 20;
 #[test]
 fn a_stretch_stopped_before_a_mark_shows_the_class_before_it() {
     let stop = 3 * MARKED_STOP_COUNT as u64 + 2;
-    let config = MachineConfig::new(2).start(StartPolicy::AllNodes);
-    let run = |program: Program, engine| {
-        let mut m = JMachine::new(program, config.engine(engine));
-        m.run(stop + 1);
-        let mut hashes = vec![m.state_hash()];
-        while m.cycle() < stop + 70 {
-            m.run(1);
-            hashes.push(m.state_hash());
-        }
-        let outcome = m.run_until_quiescent(100_000).map_err(|e| e.to_string());
-        (hashes, outcome, m.stats())
-    };
+    let config = MachineConfig::with_dims(MeshDims::new(1, 1, 4)).start(StartPolicy::AllNodes);
     for pad in 0..3 {
-        for delay in 8..26 {
-            let naive = run(marked_stop_program(delay, pad), Engine::Naive);
-            assert!(naive.1.is_ok(), "{:?}", naive.1);
-            for engine in &ENGINES[1..] {
-                let other = run(marked_stop_program(delay, pad), *engine);
-                let case = format!("{engine:?}, poke after {delay} turns and {pad} NOPs");
-                if let Some(k) = naive.0.iter().zip(&other.0).position(|(a, b)| a != b) {
-                    panic!(
-                        "{case}: state hash diverged at cycle {}",
-                        stop + 1 + k as u64
-                    );
+        for delay in MARKED_STOP_DELAYS {
+            let case = format!("poke after {delay} turns and {pad} NOPs");
+            let program = marked_stop_program(delay, pad);
+            let (run, _) = agree(&case, &program, config, |m| {
+                m.run(stop + 1);
+                let mut hashes = vec![m.state_hash()];
+                while m.cycle() < stop + 70 {
+                    m.run(1);
+                    hashes.push(m.state_hash());
                 }
-                assert_eq!((&naive.1, &naive.2), (&other.1, &other.2), "{case}");
-            }
+                let outcome = m.run_until_quiescent(100_000).map_err(|e| e.to_string());
+                (hashes, outcome, m.stats())
+            });
+            assert!(run.1.is_ok(), "{case}: {:?}", run.1);
         }
     }
 }
@@ -855,19 +856,19 @@ fn a_stretch_stopped_before_a_mark_shows_the_class_before_it() {
 fn chunked_runs_are_one_run() {
     const TOTAL: u64 = 2_000;
     let config = MachineConfig::new(64).start(StartPolicy::AllNodes);
-    let run = |engine, chunk: u64| {
-        let mut m = JMachine::new(poked_loop_program(), config.engine(engine));
-        while m.cycle() < TOTAL {
-            m.run(chunk.min(TOTAL - m.cycle()));
-        }
-        (m.stats(), m.state_hash())
+    let program = poked_loop_program();
+    let run = |chunk: u64| {
+        let label = format!("{chunk}-cycle chunks");
+        let (run, _) = agree(&label, &program, config, |m| {
+            while m.cycle() < TOTAL {
+                m.run(chunk.min(TOTAL - m.cycle()));
+            }
+            (m.stats(), m.state_hash())
+        });
+        run
     };
-    let whole = run(Engine::Naive, TOTAL);
-    for engine in &ENGINES[1..] {
-        assert_eq!(run(*engine, TOTAL), whole, "{engine:?} diverged from naive");
-        for chunk in [1, 2, 3, 5, 7, 11, 100, 1001] {
-            let chunked = run(*engine, chunk);
-            assert_eq!(chunked, whole, "{engine:?} in {chunk}-cycle chunks");
-        }
+    let whole = run(TOTAL);
+    for chunk in [1, 2, 3, 5, 7, 11, 100, 1001] {
+        assert_eq!(run(chunk), whole, "in {chunk}-cycle chunks");
     }
 }

@@ -1,12 +1,12 @@
 //! Differential tests for the network's wormhole bulk-advance law: it is a
 //! pure performance mechanism, so every observable — quiescence cycle, full
 //! machine statistics (fault counters included), final memory, state hash
-//! and the lifecycle trace hash — must be bit-identical under every engine.
+//! and the lifecycle trace — must be bit-identical under every engine.
 //!
 //! The law engages only while one shard covers the whole mesh. On the
 //! 2×2×4 mesh used here `Naive` and `Event` run one shard and the
-//! `Parallel` columns two, so the sharded engines are the bulk-free
-//! control every run is held to, and the host counters
+//! `Parallel` columns two (which `jm_tests::agree` insists on), so the
+//! crew is the bulk-free control every run is held to, and the host counters
 //! ([`jm_net::BulkStats`]) show which columns the law actually ran in.
 //!
 //! Node `n` of the mesh sits at `(n % 2, n / 2 % 2, n / 4)`, and e-cube
@@ -32,10 +32,10 @@ use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::word::Word;
 use jm_isa::{AluOp, MeshDims};
-use jm_machine::{Engine, FaultSpec, FaultWindow, MachineConfig, StartPolicy};
+use jm_machine::{FaultSpec, FaultWindow, MachineConfig, StartPolicy};
 use jm_net::BulkStats;
 use jm_runtime::nnr;
-use jm_tests::{observe_machine, Observation, ENGINES};
+use jm_tests::{agree, observe, Observation};
 use jm_trace::MachineTrace;
 
 const MAX_CYCLES: u64 = 1_000_000;
@@ -44,39 +44,24 @@ fn mesh() -> MachineConfig {
     MachineConfig::with_dims(MeshDims::new(2, 2, 4)).start(StartPolicy::AllNodes)
 }
 
-/// Runs `program` under `config` once per engine of [`ENGINES`], holds
-/// every engine's observation and trace hash (when traced) to the naive
-/// reference's, and checks that the parallel engines cut the mesh in two
-/// and never took the law.
-/// Returns the reference observation and trace, and each engine's bulk
-/// counters, in `ENGINES` order.
+/// Runs `program` under `config` on every engine, holds each engine's
+/// observation and trace (when traced) to the naive reference's, and checks
+/// that the parallel engines never took the law. Returns the reference
+/// observation and trace, and each engine's bulk counters, in
+/// `jm_tests::ENGINES` order.
 fn per_engine(
     program: Program,
     config: MachineConfig,
 ) -> (Observation, Option<MachineTrace>, [BulkStats; 4]) {
-    let mut reference = None;
-    let mut naive_trace = None;
-    let bulk = ENGINES.map(|engine| {
-        let (observation, mut m) =
-            observe_machine(program.clone(), config.engine(engine), MAX_CYCLES, |_| {});
-        let trace = m.take_trace();
-        let seen = (observation, trace.as_ref().map(jm_trace::hash));
-        match &reference {
-            None => {
-                reference = Some(seen);
-                naive_trace = trace;
-            }
-            Some(naive) => assert_eq!(*naive, seen, "{engine:?} diverged from naive"),
-        }
-        let bulk = m.bulk_stats();
-        if let Engine::Parallel(_) = engine {
-            let control = (m.network().shard_count(), bulk.engaged);
-            assert_eq!(control, (2, 0), "{engine:?}: not a bulk-free control");
-        }
-        bulk
-    });
-    let (naive, _) = reference.expect("ENGINES is not empty");
-    (naive, naive_trace, bulk)
+    let drive = |m: &mut _| (observe(m, MAX_CYCLES), m.take_trace());
+    let ((naive, trace), machines) = agree("bulk", &program, config, drive);
+    let bulk = machines.map(|m| m.bulk_stats());
+    let [_, _, crew @ ..] = bulk;
+    assert!(
+        crew.iter().all(|b| b.engaged == 0),
+        "{crew:?}: not a bulk-free control"
+    );
+    (naive, trace, bulk)
 }
 
 /// One token, empty network at every send: the event engine takes the law

@@ -35,7 +35,7 @@ use jm_isa::word::{SegDesc, Word};
 use jm_isa::RouteWord;
 use jm_machine::{Engine, JMachine, MachineConfig, StartPolicy};
 use jm_prng::Prng;
-use jm_tests::{observe_machine, Observation, ENGINES};
+use jm_tests::{observe, Observation, ENGINES};
 
 /// Words in the internal and the initialized external data segments.
 const DATA_WORDS: u32 = 16;
@@ -799,15 +799,19 @@ fn trajectory(program: &Program, engine: Engine, every: u64, until: u64) -> Vec<
 /// observation and the rewinds the stretching engines took.
 fn verdict(gen: &Gen) -> Result<(Observation, u64), String> {
     let program = assemble(gen);
-    let observe = |engine| observe_machine(program.clone(), config(engine), MAX_CYCLES, setup);
-    let naive = observe(Engine::Naive).0;
+    let run = |engine| {
+        let mut m = JMachine::new(program.clone(), config(engine));
+        setup(&mut m);
+        (observe(&mut m, MAX_CYCLES), m)
+    };
+    let naive = run(Engine::Naive).0;
     // Two dozen looks along the first few thousand cycles.
     let until = naive.stats.cycles.min(4_000);
     let every = (until / 24).max(1);
     let hashes = trajectory(&program, Engine::Naive, every, until);
     let mut rewinds = 0;
     for engine in &ENGINES[1..] {
-        let (other, m) = observe(*engine);
+        let (other, m) = run(*engine);
         rewinds += m.stretch_stats().rewinds;
         if other != naive {
             return Err(format!(
@@ -1004,8 +1008,9 @@ fn generated_programs_mostly_quiesce() {
     let (mut clean, mut fatal) = (0, 0);
     for seed in 0..20 {
         let gen = generate(seed);
-        let run = observe_machine(assemble(&gen), config(Engine::Event), MAX_CYCLES, setup);
-        let outcome = run.0.outcome;
+        let mut m = JMachine::new(assemble(&gen), config(Engine::Event));
+        setup(&mut m);
+        let outcome = observe(&mut m, MAX_CYCLES).outcome;
         if node_error(&outcome) {
             assert!(gen.fatal.is_some(), "seed {seed}: {outcome:?}");
             fatal += 1;

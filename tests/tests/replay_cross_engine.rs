@@ -14,13 +14,16 @@
 //!   window) where a one-cycle divergence would reseed every later
 //!   fault draw.
 //!
+//! Each runs on a 2×2×4 mesh, which the parallel engines cut into two
+//! slabs.
+//!
 //! It also proves the localization claim end-to-end: an injected
 //! single-cycle divergence in a 64-node chaos run is bisected to exactly
 //! its cycle and component.
 
 use jm_asm::Program;
 use jm_bench::workloads::pingpong_program;
-use jm_isa::node::NodeId;
+use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::word::Word;
 use jm_machine::{
     Corruption, Divergence, Engine, FaultSpec, FaultWindow, JMachine, MachineConfig,
@@ -31,7 +34,7 @@ use jm_replay::ReplayLog;
 use jm_runtime::reliable;
 use jm_tests::ENGINES;
 
-/// Token-ring workload (same program as the crew suite's): one
+/// Token-ring workload (the one `engine_equivalence` runs): one
 /// token circulates an id-ordered ring for `rounds` laps.
 fn ring_program(rounds: i32) -> Program {
     jm_bench::workloads::ring_program(rounds, false)
@@ -128,8 +131,10 @@ fn chaos_fault_plan_replay_is_clean_across_engines() {
         .checksums(true)
         .window(FaultWindow::link_down(0, 0, 100, 600));
     let log = record_quiescent(
-        reliable::demo_program(3, 7),
-        MachineConfig::new(8).engine(Engine::Event).fault(spec),
+        reliable::demo_program(3, 15),
+        MachineConfig::with_dims(MeshDims::new(2, 2, 4))
+            .engine(Engine::Event)
+            .fault(spec),
         128,
         1_000_000,
     );

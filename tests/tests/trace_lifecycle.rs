@@ -18,7 +18,7 @@ use jm_isa::node::{MeshDims, NodeId};
 use jm_machine::{
     Engine, JMachine, MachineConfig, MachineTrace, StartPolicy, TraceConfig, TrafficSpec,
 };
-use jm_tests::ENGINES;
+use jm_tests::agree;
 use jm_trace::{chrome_json, hash, summary_json};
 
 fn mesh() -> MeshDims {
@@ -109,10 +109,6 @@ fn tracing_is_purely_observational() {
             "{engine:?}: tracing changed observable statistics"
         );
     }
-    // Both engines see the same lifecycle (same per-message cycle stamps).
-    let (_, ev) = traced_run(Engine::Event);
-    let (_, na) = traced_run(Engine::Naive);
-    assert_eq!(ev.messages(), na.messages());
 }
 
 /// Drives `program` under every engine and holds the trace — final cycle,
@@ -125,20 +121,15 @@ fn assert_one_trace(
     drive: impl Fn(&mut JMachine),
 ) {
     let config = config.trace(TraceConfig::on().sample_every(16));
-    let observe = |engine| {
-        let mut m = JMachine::new(program.clone(), config.engine(engine));
-        drive(&mut m);
+    let trace = |m: &mut JMachine| {
+        drive(m);
         let trace = m.take_trace().expect("tracing was enabled");
         let counts = (trace.events.len(), trace.samples.len() as u64);
         (m.cycle(), hash(&trace), counts)
     };
-    let naive = observe(ENGINES[0]);
-    let (cycles, _, (events, samples)) = naive;
+    let ((cycles, _, (events, samples)), _) = agree(name, &program, config, trace);
     assert!(events > 0, "{name}: nothing traced");
     assert_eq!(samples, cycles / 16, "{name}: a sample boundary was missed");
-    for engine in &ENGINES[1..] {
-        assert_eq!(naive, observe(*engine), "{name}: {engine:?}");
-    }
 }
 
 #[test]

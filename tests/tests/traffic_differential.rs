@@ -1,6 +1,7 @@
 //! Differential tests for the synthetic-traffic layer: every destination
 //! pattern must produce **bit-identical** runs across the naive, event, and
-//! parallel engines (threads ∈ {2, 4}), and under a chaos fault plan. The
+//! parallel engines (four slabs under two threads and under four), and
+//! under a chaos fault plan. The
 //! injection process is a pure function of `(seed, node, cycle)` and hooks
 //! into `step_cycle` before any routing work, so the accept/drop decision
 //! at each node's inject FIFO depends only on architectural state — never
@@ -10,7 +11,7 @@ use jm_asm::Program;
 use jm_bench::workloads::sink_program;
 use jm_isa::MeshDims;
 use jm_machine::{Engine, FaultSpec, MachineConfig, StartPolicy, TrafficPattern, TrafficSpec};
-use jm_tests::{Observation, ENGINES};
+use jm_tests::{agree, observe, Observation};
 
 /// All five destination patterns.
 const PATTERNS: [TrafficPattern; 5] = [
@@ -23,8 +24,8 @@ const PATTERNS: [TrafficPattern; 5] = [
     TrafficPattern::NearestNeighbor,
 ];
 
-/// Base config for the suite: a 2×2×8 mesh so `Parallel(4)` gets four real
-/// shards (shard count is clamped to z/2), with the traffic spec's handler
+/// Base config for the suite: a 2×2×8 mesh, which the parallel engines cut
+/// into four slabs (two z-planes each), with the traffic spec's handler
 /// resolved against the assembled sink program.
 fn traffic_config(program: &Program, spec: TrafficSpec) -> MachineConfig {
     MachineConfig::with_dims(MeshDims::new(2, 2, 8))
@@ -32,20 +33,10 @@ fn traffic_config(program: &Program, spec: TrafficSpec) -> MachineConfig {
         .traffic(spec.handler(program.handler("sink")).msg_words(3))
 }
 
-/// Runs the sink program under `engine` and records every observable.
-fn observe(config: MachineConfig, engine: Engine, max_cycles: u64) -> Observation {
-    jm_tests::observe(sink_program(), config.engine(engine), max_cycles, |_| {})
-}
-
-/// Runs the workload on every engine and asserts bit-identical
-/// observables against the naive reference.
+/// Runs the sink program under every engine and holds each to the naive
+/// reference.
 fn assert_equivalent(label: &str, config: MachineConfig, max_cycles: u64) -> Observation {
-    let naive = observe(config, ENGINES[0], max_cycles);
-    for engine in &ENGINES[1..] {
-        let other = observe(config, *engine, max_cycles);
-        assert_eq!(naive, other, "{label}/{engine:?}: run diverged from naive");
-    }
-    naive
+    agree(label, &sink_program(), config, |m| observe(m, max_cycles)).0
 }
 
 #[test]
