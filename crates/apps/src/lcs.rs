@@ -8,13 +8,14 @@
 //! overhead growing from 9% (64 nodes) to 33% (512), idle time from load
 //! imbalance at node 0 plus systolic skew.
 
+use crate::{App, Run};
 use jm_asm::{hdr, Builder, Program, Region};
 use jm_isa::instr::{AluOp, MsgPriority::P0, StatClass};
 use jm_isa::node::NodeId;
 use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::word::Word;
-use jm_machine::{JMachine, MachineConfig, MachineError, MachineStats, StartPolicy};
+use jm_machine::{JMachine, MachineConfig, MachineError};
 use jm_prng::Prng;
 use jm_runtime::nnr;
 
@@ -215,20 +216,14 @@ pub fn setup(m: &mut JMachine, cfg: &LcsConfig) -> (Vec<u8>, Vec<u8>) {
 /// The thread types of Table 4: `(name, entry label)`.
 pub const THREADS: [(&str, &str); 2] = [("NxtChar", "lcs_char"), ("StartUp", "main")];
 
-/// Result of a validated run.
-#[derive(Debug, Clone)]
-pub struct LcsRun {
-    /// The LCS length (already checked against the host reference).
-    pub length: u32,
-    /// Cycles to quiescence.
-    pub cycles: u64,
-    /// Machine statistics.
-    pub stats: MachineStats,
-    /// Statistics of each of [`THREADS`].
-    pub threads: crate::Threads,
+/// Reads back the LCS length, which the last node records.
+pub fn result(m: &JMachine) -> u32 {
+    crate::word(m, m.node_count() - 1, "lcs_p", 5) as u32
 }
 
-/// Builds, loads, runs, and validates LCS on `nodes` nodes.
+/// Builds, loads, runs, and validates LCS on the machine `mcfg` describes
+/// (size, engine, fault plan, mesh shape); every node starts at the entry
+/// point.
 ///
 /// # Errors
 ///
@@ -237,43 +232,14 @@ pub struct LcsRun {
 /// # Panics
 ///
 /// Panics if the machine's answer differs from the host reference.
-pub fn run(nodes: u32, cfg: &LcsConfig, max_cycles: u64) -> Result<LcsRun, MachineError> {
-    run_on(MachineConfig::new(nodes), cfg, max_cycles)
-}
-
-/// [`run`] on an explicit machine configuration (engine, fault plan,
-/// mesh shape). The node count comes from `mcfg`; the start policy is
-/// forced to [`StartPolicy::AllNodes`], which the app requires.
-///
-/// # Errors
-///
-/// Propagates machine failures (timeout, node errors).
-///
-/// # Panics
-///
-/// Panics if the machine's answer differs from the host reference.
-pub fn run_on(
-    mcfg: MachineConfig,
-    cfg: &LcsConfig,
-    max_cycles: u64,
-) -> Result<LcsRun, MachineError> {
+pub fn run(mcfg: MachineConfig, cfg: &LcsConfig, max_cycles: u64) -> Result<Run, MachineError> {
     let nodes = mcfg.nodes();
-    let p = program(cfg, nodes);
-    let param = p.segment("lcs_p");
-    let mut m = JMachine::new(p, mcfg.start(StartPolicy::AllNodes));
+    let mut m = crate::boot(program(cfg, nodes), mcfg);
     let (a, b) = setup(&mut m, cfg);
     let cycles = m.run_until_quiescent(max_cycles)?;
-    let last = NodeId(nodes - 1);
-    let length = m.read_word(last, param.base + 5).as_i32() as u32;
-    let expected = reference(&a, &b);
-    assert_eq!(length, expected, "LCS mismatch on {nodes} nodes");
-    let stats = m.stats();
-    Ok(LcsRun {
-        length,
-        cycles,
-        threads: crate::threads(&m, &stats, &THREADS),
-        stats,
-    })
+    let length = result(&m);
+    assert_eq!(length, reference(&a, &b), "LCS mismatch on {nodes} nodes");
+    Ok(crate::finish(App::Lcs, &m, cycles, length.into(), &THREADS))
 }
 
 #[cfg(test)]
@@ -297,8 +263,8 @@ mod tests {
             alphabet: 3,
         };
         for nodes in [1u32, 2, 8] {
-            let run = run(nodes, &cfg, 20_000_000).unwrap();
-            assert!(run.length > 0);
+            let run = run(MachineConfig::new(nodes), &cfg, 20_000_000).unwrap();
+            assert!(run.answer > 0);
         }
     }
 
@@ -310,8 +276,8 @@ mod tests {
             seed: 9,
             alphabet: 4,
         };
-        let t1 = run(1, &cfg, 50_000_000).unwrap().cycles;
-        let t8 = run(8, &cfg, 50_000_000).unwrap().cycles;
+        let t1 = run(MachineConfig::new(1), &cfg, 50_000_000).unwrap().cycles;
+        let t8 = run(MachineConfig::new(8), &cfg, 50_000_000).unwrap().cycles;
         assert!(
             t8 * 2 < t1,
             "expected speedup: 1 node {t1} cycles, 8 nodes {t8}"

@@ -14,13 +14,14 @@
 //! Node 0 expands twice: a counting pass (so the expected task count is
 //! known before any result can arrive) and a sending pass.
 
+use crate::{App, Run};
 use jm_asm::{hdr, Builder, Program, Region};
 use jm_isa::instr::{AluOp, MsgPriority::P0, StatClass};
-use jm_isa::node::{Coord, NodeId, RouteWord};
+use jm_isa::node::{Coord, RouteWord};
 use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::word::Word;
-use jm_machine::{JMachine, MachineConfig, MachineError, MachineStats, StartPolicy};
+use jm_machine::{JMachine, MachineConfig, MachineError};
 use jm_runtime::nnr;
 
 /// Problem configuration.
@@ -311,24 +312,19 @@ pub fn program(cfg: &NqConfig, nodes: u32) -> Program {
 /// The thread types of Table 4: `(name, entry label)`.
 pub const THREADS: [(&str, &str); 2] = [("NQueens", "nq_task"), ("NQDone", "nq_done")];
 
-/// Result of a validated run.
-#[derive(Debug, Clone)]
-pub struct NqRun {
-    /// Number of solutions found (already validated).
-    pub solutions: u64,
-    /// Expansion depth used.
-    pub depth: u32,
-    /// Number of tasks generated.
-    pub tasks: u64,
-    /// Cycles to quiescence.
-    pub cycles: u64,
-    /// Machine statistics.
-    pub stats: MachineStats,
-    /// Statistics of each of [`THREADS`].
-    pub threads: crate::Threads,
+/// Reads back the solution count node 0 has summed.
+///
+/// # Panics
+///
+/// Panics if node 0 has not heard from every task.
+pub fn result(m: &JMachine) -> u64 {
+    assert_eq!(crate::word(m, 0, "nq_p", 6), 1, "n-queens did not finish");
+    crate::word(m, 0, "nq_p", 3) as u64
 }
 
-/// Builds, runs, and validates n-queens on `nodes` nodes.
+/// Builds, runs, and validates n-queens on the machine `mcfg` describes
+/// (size, engine, fault plan, mesh shape); every node starts at the entry
+/// point.
 ///
 /// # Errors
 ///
@@ -336,43 +332,15 @@ pub struct NqRun {
 ///
 /// # Panics
 ///
-/// Panics if the solution count differs from the host reference.
-pub fn run(nodes: u32, cfg: &NqConfig, max_cycles: u64) -> Result<NqRun, MachineError> {
-    run_on(MachineConfig::new(nodes), cfg, max_cycles)
-}
-
-/// [`run`] on an explicit machine configuration (engine, fault plan,
-/// mesh shape). The node count comes from `mcfg`; the start policy is
-/// forced to [`StartPolicy::AllNodes`], which the app requires.
-///
-/// # Errors
-///
-/// Propagates machine failures.
-///
-/// # Panics
-///
-/// Panics if the solution count differs from the host reference.
-pub fn run_on(mcfg: MachineConfig, cfg: &NqConfig, max_cycles: u64) -> Result<NqRun, MachineError> {
+/// Panics if the search did not finish or the solution count differs from
+/// the host reference.
+pub fn run(mcfg: MachineConfig, cfg: &NqConfig, max_cycles: u64) -> Result<Run, MachineError> {
     let nodes = mcfg.nodes();
-    let p = program(cfg, nodes);
-    let param = p.segment("nq_p");
-    let mut m = JMachine::new(p, mcfg.start(StartPolicy::AllNodes));
+    let mut m = crate::boot(program(cfg, nodes), mcfg);
     let cycles = m.run_until_quiescent(max_cycles)?;
-    let total = m.read_word(NodeId(0), param.base + 3).as_i32() as u64;
-    let finished = m.read_word(NodeId(0), param.base + 6).as_i32();
-    let tasks = m.read_word(NodeId(0), param.base + 4).as_i32() as u64;
-    assert_eq!(finished, 1, "n-queens did not finish");
-    let expected = reference(cfg.n);
-    assert_eq!(total, expected, "n-queens mismatch on {nodes} nodes");
-    let stats = m.stats();
-    Ok(NqRun {
-        solutions: total,
-        depth: cfg.depth_for(nodes),
-        tasks,
-        cycles,
-        threads: crate::threads(&m, &stats, &THREADS),
-        stats,
-    })
+    let (solutions, expected) = (result(&m), reference(cfg.n));
+    assert_eq!(solutions, expected, "n-queens mismatch on {nodes} nodes");
+    Ok(crate::finish(App::NQueens, &m, cycles, solutions, &THREADS))
 }
 
 #[cfg(test)]
@@ -401,10 +369,11 @@ mod tests {
             expand_depth: None,
         };
         for nodes in [1u32, 4, 8] {
-            let run =
-                run(nodes, &cfg, 100_000_000).unwrap_or_else(|e| panic!("{nodes} nodes: {e}"));
-            assert_eq!(run.solutions, 4);
-            assert!(run.tasks >= 3);
+            let run = run(MachineConfig::new(nodes), &cfg, 100_000_000)
+                .unwrap_or_else(|e| panic!("{nodes} nodes: {e}"));
+            assert_eq!(run.answer, 4);
+            // `THREADS[0]`, `nq_task`, is dispatched once per task.
+            assert!(run.threads[0].1.threads >= 3);
         }
     }
 
@@ -414,8 +383,8 @@ mod tests {
             n: 8,
             expand_depth: Some(2),
         };
-        let run = run(4, &cfg, 200_000_000).unwrap();
-        assert_eq!(run.solutions, 92);
-        assert_eq!(run.tasks, prefix_count(8, 2));
+        let run = run(MachineConfig::new(4), &cfg, 200_000_000).unwrap();
+        assert_eq!(run.answer, 92);
+        assert_eq!(run.threads[0].1.threads, prefix_count(8, 2));
     }
 }

@@ -23,13 +23,14 @@
 //! the destination parity so a fast neighbour's next-pass writes can never
 //! corrupt the current pass.
 
+use crate::{App, Run};
 use jm_asm::{hdr, Builder, Program, Region};
 use jm_isa::instr::{Alu1Op, AluOp, MsgPriority::P0, StatClass};
 use jm_isa::node::NodeId;
 use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::word::Word;
-use jm_machine::{JMachine, MachineConfig, MachineError, MachineStats, StartPolicy};
+use jm_machine::{JMachine, MachineConfig, MachineError};
 use jm_prng::Prng;
 use jm_runtime::nnr;
 
@@ -434,18 +435,9 @@ pub fn result(m: &JMachine, cfg: &RadixConfig) -> Vec<u32> {
 pub const THREADS: [(&str, &str); 3] =
     [("Sort", "main"), ("Write", "rs_write"), ("Scan", "rs_scan")];
 
-/// Result of a validated run.
-#[derive(Debug, Clone)]
-pub struct RadixRun {
-    /// Cycles to quiescence.
-    pub cycles: u64,
-    /// Machine statistics.
-    pub stats: MachineStats,
-    /// Statistics of each of [`THREADS`].
-    pub threads: crate::Threads,
-}
-
-/// Builds, loads, runs, and validates radix sort on `nodes` nodes.
+/// Builds, loads, runs, and validates radix sort on the machine `mcfg`
+/// describes (size, engine, fault plan, mesh shape); every node starts at
+/// the entry point.
 ///
 /// # Errors
 ///
@@ -454,40 +446,15 @@ pub struct RadixRun {
 /// # Panics
 ///
 /// Panics if the sorted output differs from the host reference.
-pub fn run(nodes: u32, cfg: &RadixConfig, max_cycles: u64) -> Result<RadixRun, MachineError> {
-    run_on(MachineConfig::new(nodes), cfg, max_cycles)
-}
-
-/// [`run`] on an explicit machine configuration (engine, fault plan,
-/// mesh shape). The node count comes from `mcfg`; the start policy is
-/// forced to [`StartPolicy::AllNodes`], which the app requires.
-///
-/// # Errors
-///
-/// Propagates machine failures.
-///
-/// # Panics
-///
-/// Panics if the sorted output differs from the host reference.
-pub fn run_on(
-    mcfg: MachineConfig,
-    cfg: &RadixConfig,
-    max_cycles: u64,
-) -> Result<RadixRun, MachineError> {
+pub fn run(mcfg: MachineConfig, cfg: &RadixConfig, max_cycles: u64) -> Result<Run, MachineError> {
     let nodes = mcfg.nodes();
-    let p = program(cfg, nodes);
-    let mut m = JMachine::new(p, mcfg.start(StartPolicy::AllNodes));
+    let mut m = crate::boot(program(cfg, nodes), mcfg);
     let keys = setup(&mut m, cfg);
     let cycles = m.run_until_quiescent(max_cycles)?;
-    let got = result(&m, cfg);
-    let expected = reference(&keys);
-    assert_eq!(got, expected, "radix sort mismatch on {nodes} nodes");
-    let stats = m.stats();
-    Ok(RadixRun {
-        cycles,
-        threads: crate::threads(&m, &stats, &THREADS),
-        stats,
-    })
+    let (sorted, expected) = (result(&m, cfg), reference(&keys));
+    assert_eq!(sorted, expected, "radix sort mismatch on {nodes} nodes");
+    let answer = u64::from(cfg.keys);
+    Ok(crate::finish(App::Radix, &m, cycles, answer, &THREADS))
 }
 
 #[cfg(test)]
@@ -497,14 +464,15 @@ mod tests {
     #[test]
     fn sorts_on_one_node() {
         let cfg = RadixConfig { keys: 64, seed: 3 };
-        run(1, &cfg, 50_000_000).unwrap();
+        run(MachineConfig::new(1), &cfg, 50_000_000).unwrap();
     }
 
     #[test]
     fn sorts_across_machine_sizes() {
         let cfg = RadixConfig { keys: 256, seed: 5 };
         for nodes in [2u32, 4, 8, 16] {
-            run(nodes, &cfg, 100_000_000).unwrap_or_else(|e| panic!("{nodes} nodes: {e}"));
+            run(MachineConfig::new(nodes), &cfg, 100_000_000)
+                .unwrap_or_else(|e| panic!("{nodes} nodes: {e}"));
         }
     }
 
@@ -515,7 +483,7 @@ mod tests {
             seed: 11,
         };
         let p = program(&cfg, 4);
-        let mut m = JMachine::new(p, MachineConfig::new(4).start(StartPolicy::AllNodes));
+        let mut m = crate::boot(p, MachineConfig::new(4));
         let arr0 = m.program().segment("rs_arr0");
         let k = cfg.keys / 4;
         let mut keys = Vec::new();

@@ -24,13 +24,14 @@
 //! Every node enumerates the prefixes twice (count, then post) so the
 //! completion count is known before any result arrives.
 
+use crate::{App, Run};
 use jm_asm::{hdr, Builder, Program, Region};
 use jm_isa::instr::{AluOp, MsgPriority::P0, StatClass};
 use jm_isa::node::{Coord, NodeId, RouteWord};
 use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::word::Word;
-use jm_machine::{JMachine, MachineConfig, MachineError, MachineStats, StartPolicy};
+use jm_machine::{JMachine, MachineConfig, MachineError};
 use jm_prng::Prng;
 use jm_runtime::nnr;
 
@@ -681,24 +682,18 @@ pub const THREADS: [(&str, &str); 6] = [
 /// How many of [`THREADS`] are user code.
 pub const USER_THREADS: usize = 2;
 
-/// Result of a validated run.
-#[derive(Debug, Clone)]
-pub struct TspRun {
-    /// Optimal tour cost (validated).
-    pub best: u32,
-    /// Task prefix depth used.
-    pub depth: u32,
-    /// Number of tasks.
-    pub tasks: u64,
-    /// Cycles to quiescence.
-    pub cycles: u64,
-    /// Machine statistics.
-    pub stats: MachineStats,
-    /// Statistics of each of [`THREADS`].
-    pub threads: crate::Threads,
+/// Reads back the best tour's cost, which node 0 holds.
+///
+/// # Panics
+///
+/// Panics if node 0 has not accounted for every tour.
+pub fn result(m: &JMachine) -> u32 {
+    assert_eq!(crate::word(m, 0, "tsp_p", 4), 1, "tsp did not finish");
+    crate::word(m, 0, "tsp_best", 0) as u32
 }
 
-/// Builds, runs, and validates TSP on `nodes` nodes.
+/// Builds, runs, and validates TSP on the machine `mcfg` describes (size,
+/// engine, fault plan, mesh shape); every node starts at the entry point.
 ///
 /// # Errors
 ///
@@ -706,49 +701,16 @@ pub struct TspRun {
 ///
 /// # Panics
 ///
-/// Panics if the tour cost differs from the host reference.
-pub fn run(nodes: u32, cfg: &TspConfig, max_cycles: u64) -> Result<TspRun, MachineError> {
-    run_on(MachineConfig::new(nodes), cfg, max_cycles)
-}
-
-/// [`run`] on an explicit machine configuration (engine, fault plan,
-/// mesh shape). The node count comes from `mcfg`; the start policy is
-/// forced to [`StartPolicy::AllNodes`], which the app requires.
-///
-/// # Errors
-///
-/// Propagates machine failures.
-///
-/// # Panics
-///
-/// Panics if the tour cost differs from the host reference.
-pub fn run_on(
-    mcfg: MachineConfig,
-    cfg: &TspConfig,
-    max_cycles: u64,
-) -> Result<TspRun, MachineError> {
+/// Panics if the search did not finish or the tour cost differs from the
+/// host reference.
+pub fn run(mcfg: MachineConfig, cfg: &TspConfig, max_cycles: u64) -> Result<Run, MachineError> {
     let nodes = mcfg.nodes();
-    let p = program(cfg, nodes);
-    let param = p.segment("tsp_p");
-    let best_seg = p.segment("tsp_best");
-    let mut m = JMachine::new(p, mcfg.start(StartPolicy::AllNodes));
+    let mut m = crate::boot(program(cfg, nodes), mcfg);
     let matrix = setup(&mut m, cfg);
     let cycles = m.run_until_quiescent(max_cycles)?;
-    let finished = m.read_word(NodeId(0), param.base + 4).as_i32();
-    assert_eq!(finished, 1, "tsp did not finish on {nodes} nodes");
-    let best = m.read_word(NodeId(0), best_seg.base).as_i32() as u32;
-    let expected = reference(&matrix, cfg.cities);
+    let (best, expected) = (result(&m), reference(&matrix, cfg.cities));
     assert_eq!(best, expected, "tsp mismatch on {nodes} nodes");
-    let depth = cfg.depth_for(nodes);
-    let stats = m.stats();
-    Ok(TspRun {
-        best,
-        depth,
-        tasks: cfg.task_count(depth),
-        cycles,
-        threads: crate::threads(&m, &stats, &THREADS),
-        stats,
-    })
+    Ok(crate::finish(App::Tsp, &m, cycles, best.into(), &THREADS))
 }
 
 #[cfg(test)]
@@ -777,8 +739,9 @@ mod tests {
             yield_every: 16,
         };
         for nodes in [1u32, 4, 8] {
-            let r = run(nodes, &cfg, 500_000_000).unwrap_or_else(|e| panic!("{nodes} nodes: {e}"));
-            assert!(r.best > 0);
+            let r = run(MachineConfig::new(nodes), &cfg, 500_000_000)
+                .unwrap_or_else(|e| panic!("{nodes} nodes: {e}"));
+            assert!(r.answer > 0);
         }
     }
 
@@ -790,7 +753,7 @@ mod tests {
             task_depth: None,
             yield_every: 16,
         };
-        let r = run(4, &cfg, 500_000_000).unwrap();
+        let r = run(MachineConfig::new(4), &cfg, 500_000_000).unwrap();
         // One xlate per expansion: xlates should be plentiful, with an
         // (almost) zero miss ratio — Table 5's shape.
         assert!(

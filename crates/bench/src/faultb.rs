@@ -166,7 +166,7 @@ pub fn lcs_sweep(engine: Engine, seed: u64) -> Vec<InflationPoint> {
             let spec = FaultSpec::new(seed).flaky(ppm).checksums(true);
             let mcfg = MachineConfig::new(8).engine(engine).fault(spec);
             let run =
-                lcs::run_on(mcfg, &cfg, 4_000_000_000).expect("LCS completes under delay faults");
+                lcs::run(mcfg, &cfg, 4_000_000_000).expect("LCS completes under delay faults");
             InflationPoint {
                 flaky_ppm: ppm,
                 cycles: run.cycles,

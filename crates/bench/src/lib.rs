@@ -18,7 +18,7 @@
 //! | [`micro::bandwidth`] | Figure 4 — terminal bandwidth vs. message size |
 //! | [`micro::sync`] | Table 2 — producer/consumer synchronization |
 //! | [`micro::barrier`] | Table 3 — barrier synchronization |
-//! | [`macrob`] | Figures 5 & 6, Tables 4 & 5 — the four applications |
+//! | [`macrob`] | Figures 5 & 6, Tables 4 & 5 as rows of `jm_apps` runs |
 //! | [`baselines`] | the one table of published values, and the comparator |
 //! | [`rows`] | the one BENCH row schema: sole writer and reader |
 //! | [`table`] | the one view: a pivot of rows |

@@ -1,181 +1,27 @@
-//! Macro-benchmarks: Figures 5–6 and Tables 4–5 over the four
-//! applications of `jm-apps`.
+//! Macro-benchmarks: Figures 5–6 and Tables 4–5 as rows of the four
+//! applications' runs ([`jm_apps::Run`]).
 
 use crate::rows::Row;
-use jm_apps::{lcs, nqueens, radix, tsp};
+use jm_apps::{tsp, App, Run};
 use jm_isa::instr::StatClass;
-use jm_machine::{MachineConfig, MachineError, MachineStats};
-
-/// The four applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum App {
-    /// Longest Common Subsequence.
-    Lcs,
-    /// Radix Sort.
-    Radix,
-    /// N-Queens.
-    NQueens,
-    /// Traveling Salesperson.
-    Tsp,
-}
-
-impl App {
-    /// All applications, figure order.
-    pub const ALL: [App; 4] = [App::Lcs, App::Radix, App::NQueens, App::Tsp];
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            App::Lcs => "LCS",
-            App::Radix => "RadixSort",
-            App::NQueens => "NQueens",
-            App::Tsp => "TSP",
-        }
-    }
-}
-
-/// One application run's harvest.
-#[derive(Debug, Clone)]
-pub struct AppRun {
-    /// Application.
-    pub app: App,
-    /// Machine size.
-    pub nodes: u32,
-    /// Cycles to completion.
-    pub cycles: u64,
-    /// Machine statistics.
-    pub stats: MachineStats,
-    /// Statistics of the application's named thread types (Tables 4, 5).
-    pub threads: jm_apps::Threads,
-    /// The validated answer, for a progress line.
-    pub answer: String,
-}
-
-/// Scaled default problem configurations (see `EXPERIMENTS.md` for the
-/// paper-size originals).
-#[derive(Debug, Clone, Copy)]
-pub struct Problems {
-    /// LCS configuration.
-    pub lcs: lcs::LcsConfig,
-    /// Radix configuration.
-    pub radix: radix::RadixConfig,
-    /// N-Queens configuration.
-    pub nqueens: nqueens::NqConfig,
-    /// TSP configuration.
-    pub tsp: tsp::TspConfig,
-}
-
-impl Default for Problems {
-    fn default() -> Problems {
-        Problems {
-            lcs: lcs::LcsConfig::scaled(),
-            radix: radix::RadixConfig::scaled(),
-            nqueens: nqueens::NqConfig::scaled(),
-            tsp: tsp::TspConfig::scaled(),
-        }
-    }
-}
-
-impl Problems {
-    /// The evaluation sizes used for the reported figures: large enough
-    /// that a 64-node machine has real work per node (the scaled defaults
-    /// are sized for fast tests and leave 64 nodes mostly idle).
-    pub fn evaluation() -> Problems {
-        Problems {
-            lcs: lcs::LcsConfig {
-                a_len: 512,
-                b_len: 2048,
-                seed: 0x1c5,
-                alphabet: 4,
-            },
-            radix: radix::RadixConfig {
-                keys: 16_384,
-                seed: 0xad1,
-            },
-            nqueens: nqueens::NqConfig {
-                n: 10,
-                // Depth 4 gives ~2600 tasks: enough slack for the law of
-                // averages to balance 64 nodes (the paper's 15%-idle
-                // regime rather than the few-large-tasks regime).
-                expand_depth: Some(4),
-            },
-            tsp: tsp::TspConfig {
-                cities: 10,
-                seed: 0x75b,
-                task_depth: None,
-                yield_every: 64,
-            },
-        }
-    }
-}
-
-const MAX_CYCLES: u64 = 4_000_000_000;
-
-/// Runs one application on the machine `mcfg` describes (its size, engine
-/// and fault plan); the application checks its own answer against the host
-/// reference.
-///
-/// # Errors
-///
-/// Propagates machine failures.
-pub fn run_app(mcfg: MachineConfig, app: App, problems: &Problems) -> Result<AppRun, MachineError> {
-    let (cycles, stats, threads, answer) = match app {
-        App::Lcs => {
-            let r = lcs::run_on(mcfg, &problems.lcs, MAX_CYCLES)?;
-            (r.cycles, r.stats, r.threads, format!("length {}", r.length))
-        }
-        App::Radix => {
-            let r = radix::run_on(mcfg, &problems.radix, MAX_CYCLES)?;
-            let answer = format!("{} keys sorted", problems.radix.keys);
-            (r.cycles, r.stats, r.threads, answer)
-        }
-        App::NQueens => {
-            let r = nqueens::run_on(mcfg, &problems.nqueens, MAX_CYCLES)?;
-            let answer = format!("{} solutions", r.solutions);
-            (r.cycles, r.stats, r.threads, answer)
-        }
-        App::Tsp => {
-            let r = tsp::run_on(mcfg, &problems.tsp, MAX_CYCLES)?;
-            (
-                r.cycles,
-                r.stats,
-                r.threads,
-                format!("best tour {}", r.best),
-            )
-        }
-    };
-    Ok(AppRun {
-        app,
-        nodes: mcfg.nodes(),
-        cycles,
-        stats,
-        threads,
-        answer,
-    })
-}
 
 /// Figure 5 as rows: `fig5/<app>` holds the speedup over the application's
 /// own smallest run at each size, `fig5/cycles/<app>` the cycles behind it.
-pub fn fig5_rows(runs: &[AppRun]) -> Vec<Row> {
+pub fn fig5_rows(runs: &[Run]) -> Vec<Row> {
     let mut rows = Vec::new();
     for r in runs {
         let base = runs.iter().find(|b| b.app == r.app).expect("itself");
-        let (app, at) = (r.app.name(), format!("{}n", r.nodes));
-        let speedup = base.cycles as f64 / r.cycles as f64;
+        let (app, at, cycles) = (r.app.name(), format!("{}n", r.nodes), r.cycles as f64);
+        let speedup = base.cycles as f64 / cycles;
         rows.push(Row::simulated(&format!("fig5/{app}"), &at, speedup, "x"));
-        let cycles = r.cycles as f64;
-        rows.push(Row::simulated(
-            &format!("fig5/cycles/{app}"),
-            &at,
-            cycles,
-            "cycles",
-        ));
+        let line = format!("fig5/cycles/{app}");
+        rows.push(Row::simulated(&line, &at, cycles, "cycles"));
     }
     rows
 }
 
 /// Figure 6 as rows: `fig6/<app>` holds the share of cycles per class.
-pub fn fig6_rows(runs: &[AppRun]) -> Vec<Row> {
+pub fn fig6_rows(runs: &[Run]) -> Vec<Row> {
     let mut rows = Vec::new();
     for r in runs {
         let line = format!("fig6/{}", r.app.name());
@@ -199,7 +45,7 @@ fn thread_numbers(h: &jm_mdp::HandlerStats) -> [(&'static str, f64, &'static str
 
 /// Table 4 as rows: `table4/<app>` holds the run time, `table4/<app>
 /// <thread>` a thread type's statistics.
-pub fn table4_rows(runs: &[AppRun]) -> Vec<Row> {
+pub fn table4_rows(runs: &[Run]) -> Vec<Row> {
     let mut rows = Vec::new();
     for r in runs {
         let app = format!("table4/{}", r.app.name());
@@ -215,14 +61,10 @@ pub fn table4_rows(runs: &[AppRun]) -> Vec<Row> {
 
 /// Table 5 as rows: `table5/<component>` holds TSP's cost split between
 /// the application's threads (`user`) and the object runtime's (`os`).
-pub fn table5_rows(run: &AppRun) -> Vec<Row> {
+pub fn table5_rows(run: &Run) -> Vec<Row> {
     assert_eq!(run.app, App::Tsp);
-    let mut rows = vec![Row::simulated(
-        "table5/run time",
-        "user",
-        run.stats.millis(),
-        "ms",
-    )];
+    let millis = run.stats.millis();
+    let mut rows = vec![Row::simulated("table5/run time", "user", millis, "ms")];
     let (user, os) = run.threads.split_at(tsp::USER_THREADS);
     for (side, set) in [("user", user), ("os", os)] {
         let mut sum = jm_mdp::HandlerStats::default();
@@ -247,6 +89,8 @@ pub fn table5_rows(run: &AppRun) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jm_apps::{lcs, nqueens, radix, Problems};
+    use jm_machine::MachineConfig;
 
     fn tiny_problems() -> Problems {
         Problems {
@@ -271,23 +115,13 @@ mod tests {
     }
 
     #[test]
-    fn all_apps_run_and_report() {
-        let problems = tiny_problems();
-        for app in App::ALL {
-            let r = run_app(MachineConfig::new(4), app, &problems).unwrap();
-            assert!(r.cycles > 0 && r.nodes == 4);
-            assert!(!r.threads.is_empty() && !r.answer.is_empty());
-            assert!(r.stats.nodes.instructions > 0);
-            // Every named thread type resolved to a handler that ran.
-            assert!(r.threads.iter().any(|(_, h)| h.threads > 0), "{app:?}");
-        }
-    }
-
-    #[test]
     fn fig5_speedup_table_renders() {
         let problems = tiny_problems();
-        let run = |app, nodes| run_app(MachineConfig::new(nodes), app, &problems).unwrap();
-        let runs: Vec<AppRun> = [1, 4]
+        let run = |app: App, nodes| {
+            app.run(MachineConfig::new(nodes), &problems, 4_000_000_000)
+                .unwrap()
+        };
+        let runs: Vec<Run> = [1, 4]
             .into_iter()
             .flat_map(|nodes| App::ALL.map(|app| run(app, nodes)))
             .collect();

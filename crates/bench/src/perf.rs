@@ -18,7 +18,7 @@
 //! naive engine's would be 1 and 0), and so is the share of the
 //! exchange's flit moves the bulk law made. The exchange is also run
 //! with replay capture armed, and on 512 nodes under the parallel engine
-//! at 1, 2 and 4 workers (`threads/…`, [`threads::sweep`]); `--trace` adds
+//! at 2 and 4 workers (`threads/…`, [`threads::sweep`]); `--trace` adds
 //! the ring with lifecycle tracing on. `--require-cpus N` makes a host
 //! with fewer CPUs a hard failure, so a
 //! CI job that exists to gate the 4-worker row cannot go green where the
@@ -222,8 +222,7 @@ pub(crate) fn run(args: &Args) -> Outcome {
     }
 
     // An eighth of the cycles on eight times the nodes: the same work.
-    let sweep =
-        threads::sweep(SWEEP_NODES, exch_cycles / 8, &[1, 2, 4]).map_err(CliError::Failed)?;
+    let sweep = threads::sweep(SWEEP_NODES, exch_cycles / 8, &[2, 4]).map_err(CliError::Failed)?;
     out.extend(threads::rows(&sweep));
 
     println!("{}", pivot(&out, "", "workload"));

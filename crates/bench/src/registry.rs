@@ -16,16 +16,19 @@
 
 use crate::cli::{self, Args, CliError, Outcome};
 use crate::gate::Verdict;
-use crate::macrob::{self, App, AppRun, Problems};
 use crate::rows::{self, Row};
 use crate::table::pivot;
-use crate::{baselines, faultb, micro, observe, traffic};
+use crate::{baselines, faultb, macrob, micro, observe, traffic};
+use jm_apps::{App, Problems, Run};
 use jm_machine::{Engine, MachineConfig, MachineError};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
+
+/// Cycle budget of one application run, far past the longest.
+pub(crate) const APP_CYCLES: u64 = 4_000_000_000;
 
 /// What an experiment runs under — the engine, the sweep seed, the problem
 /// scale — with the application runs shared between Figures 5–6 and Tables
@@ -37,7 +40,7 @@ pub struct Ctx {
     /// Seed of the fault plans and the traffic injection process.
     seed: u64,
     problems: Problems,
-    apps: BTreeMap<(App, u32), AppRun>,
+    apps: BTreeMap<(App, u32), Run>,
     verdict: Verdict,
 }
 
@@ -46,7 +49,7 @@ impl Ctx {
     /// (sized for a smoke pass) over the evaluation ones.
     pub fn new(engine: Engine, quick: bool, seed: u64) -> Ctx {
         let problems = if quick {
-            Problems::default()
+            Problems::scaled()
         } else {
             Problems::evaluation()
         };
@@ -61,12 +64,12 @@ impl Ctx {
 
     /// The run of each of `apps` on `nodes` nodes, simulated on first
     /// request: Figures 5–6 and Tables 4–5 read the same runs.
-    fn apps(&mut self, apps: &[App], nodes: u32) -> Result<Vec<AppRun>, MachineError> {
+    fn apps(&mut self, apps: &[App], nodes: u32) -> Result<Vec<Run>, MachineError> {
         let mut runs = Vec::new();
         for &app in apps {
             if !self.apps.contains_key(&(app, nodes)) {
                 let mcfg = MachineConfig::new(nodes).engine(self.engine);
-                let run = macrob::run_app(mcfg, app, &self.problems)?;
+                let run = app.run(mcfg, &self.problems, APP_CYCLES)?;
                 self.apps.insert((app, nodes), run);
             }
             runs.push(self.apps[&(app, nodes)].clone());

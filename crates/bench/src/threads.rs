@@ -21,7 +21,7 @@ use jm_machine::{Engine, JMachine, MachineConfig, MachineStats, StartPolicy};
 /// One engine's timed run within the sweep.
 #[derive(Debug, Clone)]
 pub struct ThreadPoint {
-    /// Short stable label (`event`, `parallel-1`, …).
+    /// Short stable label (`event`, `parallel-2`, `parallel-4`).
     pub label: String,
     /// Worker threads requested (0 = the sequential event engine).
     pub threads: u32,
@@ -50,10 +50,17 @@ pub struct ThreadSweep {
 ///
 /// # Errors
 ///
-/// A run whose final statistics differ from the event engine's, or a `t`
-/// the mesh has too few z-slabs to give a worker each — a point named
-/// `parallel-t` is `t` workers or it is not measured.
+/// A `t` below 2 (`Parallel(1)` is the event engine, so its point would
+/// time the baseline against itself), a `t` the mesh has too few z-slabs
+/// to give a worker each — a point named `parallel-t` is `t` workers or it
+/// is not measured — and a run whose final statistics differ from the
+/// event engine's.
 pub fn sweep(nodes: u32, cycles: u64, threads: &[u32]) -> Result<ThreadSweep, String> {
+    if let Some(t) = threads.iter().find(|&&t| t < 2) {
+        return Err(format!(
+            "parallel{t}: one worker is the event engine, so the sweep starts at two"
+        ));
+    }
     let host_cpus = crate::rows::host_cpus();
     let mut points = Vec::new();
     let mut baseline_stats = None;
@@ -82,7 +89,7 @@ pub fn sweep(nodes: u32, cycles: u64, threads: &[u32]) -> Result<ThreadSweep, St
                     .engine(*engine),
             );
             let slabs = m.network().shard_count();
-            if let Engine::Parallel(t @ 2..) = *engine {
+            if let Engine::Parallel(t) = *engine {
                 if t as usize > slabs {
                     return Err(format!(
                         "{label}: a {nodes}-node mesh cuts into {slabs} slab(s), \

@@ -10,10 +10,10 @@
 //! that no simulated number moved.
 
 use crate::cli::{self, write_file, Args, CliError, Outcome};
-use crate::macrob::{self, App, Problems};
 use crate::table::pivot;
 use crate::workloads::exchange_program;
 use crate::{harness, observe, registry, rows, threads, traffic};
+use jm_apps::{App, Problems};
 use jm_isa::instr::StatClass;
 use jm_isa::MeshDims;
 use jm_machine::{
@@ -88,7 +88,7 @@ fn peak_rss_row(mib: u64) -> rows::Row {
 /// link-down / router-stall / node-down windows on both slabs, checksum
 /// trailers. Delay faults are lossless backpressure (loss recovery is the
 /// reliable-RPC layer's job, `jmsim faults`), so every answer must stay
-/// exact: each app's `run_on` checks it against the host reference and
+/// exact: each app's `run` checks it against the host reference and
 /// panics on a mismatch. A plan that disturbed nothing fails too, so a
 /// vacuous plan cannot pass.
 pub(crate) fn chaos(args: &Args) -> Outcome {
@@ -112,9 +112,9 @@ pub(crate) fn chaos(args: &Args) -> Outcome {
 
     let mut disturbed = 0u64;
     for app in App::ALL {
-        let r = macrob::run_app(mcfg, app, &Problems::default())?;
+        let r = app.run(mcfg, &Problems::scaled(), registry::APP_CYCLES)?;
         let blocked = r.stats.net.faults.blocked_moves;
-        let (name, answer, cycles) = (app.name(), r.answer, r.cycles);
+        let (name, answer, cycles) = (app.name(), r.answer_line(), r.cycles);
         println!("  {name:<9} ok: {answer}, {cycles} cycles, {blocked} blocked moves");
         disturbed += blocked;
     }

@@ -333,7 +333,8 @@ impl JMachine {
     /// when `net.dims` differs from `dims`, tracing is on with a zero
     /// `trace.sample_every`, or the crate that owns a field
     /// rejects its value ([`NetConfig::validate`](jm_net::NetConfig::validate),
-    /// [`MdpConfig::validate`](jm_mdp::MdpConfig::validate),
+    /// [`MdpConfig::validate_for`](jm_mdp::MdpConfig::validate_for), which
+    /// also bounds the product of the node count and each node's buffers,
     /// [`TrafficSpec::validate`](jm_traffic::TrafficSpec::validate)) — before
     /// anything is allocated.
     pub fn try_new(program: Program, config: MachineConfig) -> Result<JMachine, MachineError> {
@@ -348,7 +349,7 @@ impl JMachine {
                 // of the machine.
                 return Err("net.dims differs from dims");
             }
-            config.mdp.validate()?;
+            config.mdp.validate_for(config.dims.nodes())?;
             if config.trace.enabled && config.trace.sample_every == 0 {
                 // Samples fall on multiples of the interval.
                 return Err("trace.sample_every is zero while tracing");
@@ -1365,6 +1366,12 @@ mod tests {
         let mut deep = ok;
         deep.dims.x = 32;
         deep.net.dims.x = 32;
+        let mut huge = ok;
+        huge.dims = MeshDims::new(31, 31, 31);
+        huge.net.dims = huge.dims;
+        huge.mdp.queue0_words = jm_isa::consts::MEM_WORDS;
+        huge.mdp.queue1_words = jm_isa::consts::MEM_WORDS;
+        huge.mdp.xlate_entries = jm_isa::consts::MEM_WORDS as usize;
         let cases = [
             (flat, "must be in 1..=31"),
             (deep, "must be in 1..=31"),
@@ -1385,6 +1392,9 @@ mod tests {
             (mdp(|m| m.queue0_words = 1 << 30), "mdp.queue0_words"),
             (mdp(|m| m.xlate_entries = 0), "mdp.xlate_entries"),
             (mdp(|m| m.xlate_entries = 1 << 40), "mdp.xlate_entries"),
+            // Each field in range, their product not: every node of a 31³
+            // mesh with maximal queues and caches, hundreds of GiB.
+            (huge, "exceed 16 GiB"),
             // Cycle costs are added to the clock wherever they are charged:
             // these build, and overflow once an instruction retires or a
             // message is sent.

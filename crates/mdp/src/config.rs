@@ -155,22 +155,39 @@ impl Default for MdpConfig {
 }
 
 impl MdpConfig {
-    /// Whether a node can be built from this configuration. The fields are
-    /// public, so a hand-built struct (or a log header) can hold anything;
-    /// [`crate::MdpNode`] is only ever built from one that passed.
+    /// Whether a machine of `nodes` nodes can be built from this
+    /// configuration. The fields are public, so a hand-built struct (or a
+    /// log header) can hold anything; [`crate::MdpNode`] is only ever built
+    /// from one that passed.
+    ///
+    /// Each field is checked on its own, and then their product: every
+    /// node allocates its two queues and its translation cache up front,
+    /// so a 31³ mesh of fields each in range would ask for hundreds of GiB
+    /// and abort in the allocator. Counted at 8 bytes a queue word and 32 a
+    /// cache entry (a hash-map slot and a FIFO slot), they may take at most
+    /// 16 GiB over the whole machine — far past every configuration the
+    /// simulator models (the 16³ mesh at defaults takes about 150 MiB).
     ///
     /// # Errors
     ///
-    /// The name of the first field out of range, and the range.
-    pub fn validate(&self) -> Result<(), &'static str> {
+    /// The name of the first field out of range, and the range; or the
+    /// product over the bound.
+    pub fn validate_for(&self, nodes: u32) -> Result<(), &'static str> {
         // Queues and the translation cache are carved out of node memory.
         let fits = |words: u64| (1..=u64::from(MEM_WORDS)).contains(&words);
+        // Called once every field fits, so no product overflows.
+        let machine_bytes = || {
+            let queue_words = u64::from(self.queue0_words) + u64::from(self.queue1_words);
+            u64::from(nodes) * (queue_words * 8 + self.xlate_entries as u64 * 32)
+        };
         if !fits(self.queue0_words.into()) {
             Err("mdp.queue0_words is outside 1..=MEM_WORDS")
         } else if !fits(self.queue1_words.into()) {
             Err("mdp.queue1_words is outside 1..=MEM_WORDS")
         } else if !fits(self.xlate_entries as u64) {
             Err("mdp.xlate_entries is outside 1..=MEM_WORDS")
+        } else if machine_bytes() > 16 << 30 {
+            Err("mdp: the queues and xlate caches of all nodes exceed 16 GiB")
         } else {
             self.timing.validate()
         }

@@ -446,7 +446,7 @@ impl ReplayLog {
     /// replayer would otherwise panic on or allocate without bound for: a
     /// log is input from outside the program, so each value is checked
     /// where it is read. What makes a configuration buildable is the
-    /// owning crate's to say (`MdpConfig::validate`, `NetConfig::validate`,
+    /// owning crate's to say (`MdpConfig::validate_for`, `NetConfig::validate`,
     /// `TrafficSpec::validate` — the checks `JMachine::try_new` makes);
     /// what is about the *log* is checked here: counts against the bytes
     /// left, host ops against the recorded node count, queue room and
@@ -500,7 +500,7 @@ impl ReplayLog {
             xlate_entries: r.u64()? as usize,
             checksum_msgs: r.u8()? != 0,
         };
-        mdp.validate().map_err(LogError::new)?;
+        mdp.validate_for(dims.nodes()).map_err(LogError::new)?;
         let net = NetConfig {
             dims,
             flit_buffer: r.u64()? as usize,

@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release -p jm-examples --bin parallel_sort [keys] [nodes]`
 
 use jm_apps::radix::{self, RadixConfig};
+use jm_machine::MachineConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -12,7 +13,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = RadixConfig { keys, seed: 0xfeed };
 
     println!("sorting {keys} 28-bit keys on {nodes} nodes (7 passes of 4 bits)…");
-    let run = radix::run(nodes, &cfg, 4_000_000_000)?;
+    let run = radix::run(MachineConfig::new(nodes), &cfg, 4_000_000_000)?;
     println!(
         "sorted and validated in {} cycles ({:.2} ms at 12.5 MHz)",
         run.cycles,

@@ -3,6 +3,7 @@
 //! the suite runs hermetically and reproducibly.
 
 use jm_apps::{lcs, nqueens, radix, tsp};
+use jm_machine::MachineConfig;
 use jm_prng::Prng;
 
 #[test]
@@ -15,7 +16,7 @@ fn radix_sorts_arbitrary_inputs() {
             keys,
             seed: g.next_u64(),
         };
-        radix::run(nodes, &cfg, 500_000_000)
+        radix::run(MachineConfig::new(nodes), &cfg, 500_000_000)
             .unwrap_or_else(|e| panic!("case {case} ({nodes} nodes, {keys} keys): {e}"));
     }
 }
@@ -31,7 +32,7 @@ fn lcs_matches_reference_for_arbitrary_strings() {
             seed: g.next_u64(),
             alphabet: g.range_u32(2, 6) as u8,
         };
-        lcs::run(nodes, &cfg, 500_000_000)
+        lcs::run(MachineConfig::new(nodes), &cfg, 500_000_000)
             .unwrap_or_else(|e| panic!("case {case} ({nodes} nodes): {e}"));
     }
 }
@@ -47,7 +48,7 @@ fn tsp_finds_the_optimum_for_arbitrary_matrices() {
             task_depth: None,
             yield_every: 16,
         };
-        tsp::run(nodes, &cfg, 500_000_000)
+        tsp::run(MachineConfig::new(nodes), &cfg, 500_000_000)
             .unwrap_or_else(|e| panic!("case {case} ({nodes} nodes): {e}"));
     }
 }
@@ -60,9 +61,11 @@ fn nqueens_counts_are_right_for_all_depths() {
             n: 7,
             expand_depth: Some(depth),
         };
-        let run = nqueens::run(4, &cfg, 500_000_000).unwrap();
-        assert_eq!(run.solutions, 40);
-        assert_eq!(run.tasks, nqueens::prefix_count(7, depth));
+        let run = nqueens::run(MachineConfig::new(4), &cfg, 500_000_000).unwrap();
+        assert_eq!(run.answer, 40);
+        // `THREADS[0]`, `nq_task`, is dispatched once per task.
+        assert_eq!(nqueens::THREADS[0].0, "NQueens");
+        assert_eq!(run.threads[0].1.threads, nqueens::prefix_count(7, depth));
     }
 }
 
@@ -77,8 +80,8 @@ fn tsp_yield_period_does_not_change_the_answer() {
             task_depth: None,
             yield_every,
         };
-        let run = tsp::run(4, &cfg, 500_000_000).unwrap();
-        costs.push(run.best);
+        let run = tsp::run(MachineConfig::new(4), &cfg, 500_000_000).unwrap();
+        costs.push(run.answer);
     }
     assert!(costs.windows(2).all(|w| w[0] == w[1]), "{costs:?}");
 }

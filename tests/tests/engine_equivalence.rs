@@ -359,6 +359,55 @@ fn macro_radix_is_engine_exact() {
     assert_eq!(jm_apps::radix::result(&naive, &cfg), expected);
 }
 
+/// Macro workloads: the other three applications at their modules' small
+/// test sizes, on the 2×2×4 mesh the crew cuts into two slabs — every
+/// engine must agree on every counter and the answer, and the answer must
+/// be the host reference's.
+#[test]
+fn macro_lcs_nqueens_tsp_are_engine_exact() {
+    use jm_apps::{lcs, nqueens, tsp};
+    const MAX: u64 = 500_000_000;
+    let config = MachineConfig::new(16).start(StartPolicy::AllNodes);
+    let check = |app: &str, (obs, answer): (Observation, u64), expected: u64| {
+        assert!(obs.outcome.is_ok(), "{app}: {:?}", obs.outcome);
+        assert_eq!(answer, expected, "{app}: every engine got it wrong");
+    };
+
+    let cfg = lcs::LcsConfig {
+        a_len: 32,
+        b_len: 64,
+        seed: 7,
+        alphabet: 3,
+    };
+    let (a, b) = cfg.strings();
+    let (run, _) = agree("lcs", &lcs::program(&cfg, 16), config, |m| {
+        lcs::setup(m, &cfg);
+        (observe(m, MAX), u64::from(lcs::result(m)))
+    });
+    check("lcs", run, lcs::reference(&a, &b).into());
+
+    let cfg = nqueens::NqConfig {
+        n: 6,
+        expand_depth: None,
+    };
+    let (run, _) = agree("nqueens", &nqueens::program(&cfg, 16), config, |m| {
+        (observe(m, MAX), nqueens::result(m))
+    });
+    check("nqueens", run, nqueens::reference(cfg.n));
+
+    let cfg = tsp::TspConfig {
+        cities: 7,
+        seed: 42,
+        task_depth: None,
+        yield_every: 16,
+    };
+    let (run, _) = agree("tsp", &tsp::program(&cfg, 16), config, |m| {
+        tsp::setup(m, &cfg);
+        (observe(m, MAX), u64::from(tsp::result(m)))
+    });
+    check("tsp", run, tsp::reference(&cfg.matrix(), cfg.cities).into());
+}
+
 #[test]
 fn ejection_backpressure_redelivery_is_engine_exact() {
     // Regression test for the queue-full → break → redeliver-next-cycle
