@@ -19,8 +19,8 @@
 //! exchange's flit moves the bulk law made. The exchange is also run
 //! with replay capture armed, and on 512 nodes under the parallel engine
 //! at 2 and 4 workers (`threads/…`, [`threads::sweep`]); `--trace` adds
-//! the ring with lifecycle tracing on. `--require-cpus N` makes a host
-//! with fewer CPUs a hard failure, so a
+//! the ring with lifecycle tracing on, and what taking its trace costs.
+//! `--require-cpus N` makes a host with fewer CPUs a hard failure, so a
 //! CI job that exists to gate the 4-worker row cannot go green where the
 //! gate would skip it as oversubscribed.
 
@@ -53,9 +53,11 @@ fn run_ring(rounds: i32, config: MachineConfig) -> (f64, u64, JMachine) {
     (wall.as_secs_f64(), cycles.expect("the ring quiesces"), m)
 }
 
-/// The trace hash of a traced machine's run.
-fn trace_hash(m: &mut JMachine) -> u64 {
-    jm_trace::hash(&m.take_trace().expect("tracing was enabled"))
+/// Takes a traced machine's trace: its hash, and the wall seconds the take
+/// spent merging what the run left buffered.
+fn take_trace(m: &mut JMachine) -> (u64, f64) {
+    let (wall, trace) = time_once(|| m.take_trace().expect("tracing was enabled"));
+    (jm_trace::hash(&trace), wall.as_secs_f64())
 }
 
 /// Steps the exchange loop for `cycles` cycles under `engine`, with replay
@@ -194,12 +196,12 @@ pub(crate) fn run(args: &Args) -> Outcome {
     );
 
     if args.switch("--trace") {
-        // Both sides of the ratio are millisecond-scale runs, so one pair
-        // is mostly scheduler noise: take the best of several, interleaved
-        // so host drift hits both.
+        // Both sides of each ratio are millisecond-scale, so one pair is
+        // mostly scheduler noise: take the best of several, interleaved so
+        // host drift hits both.
         let mut untraced = ring_event;
         let (mut traced, cycles, mut m) = run_ring(ring_rounds, config(Engine::Event).traced());
-        let hash = trace_hash(&mut m);
+        let (hash, mut take) = take_trace(&mut m);
         assert_eq!(
             cycles, ring_cycles,
             "tracing must not change the quiescence cycle"
@@ -208,14 +210,28 @@ pub(crate) fn run(args: &Args) -> Outcome {
             let (plain, _, _) = run_ring(ring_rounds, config(Engine::Event));
             untraced = untraced.min(plain);
             let (again, _, mut m) = run_ring(ring_rounds, config(Engine::Event).traced());
-            assert_eq!(trace_hash(&mut m), hash, "trace hash must repeat");
+            let (again_hash, again_take) = take_trace(&mut m);
+            assert_eq!(again_hash, hash, "trace hash must repeat");
             traced = traced.min(again);
+            take = take.min(again_take);
         }
-        let overhead = traced / untraced.max(1e-9) - 1.0;
+        let untraced = untraced.max(1e-9);
+        let ring = "ring64_traced";
+        let overhead = traced / untraced - 1.0;
         out.push(Row::host(
-            "ring64_traced",
+            ring,
             "overhead_vs_untraced",
             overhead,
+            "ratio",
+            host_cpus,
+        ));
+        // The merge the take does is per event: one that cost per cycle
+        // spanned would show here, on a trace whose events are sparse.
+        let take = take / untraced;
+        out.push(Row::host(
+            ring,
+            "take_vs_untraced",
+            take,
             "ratio",
             host_cpus,
         ));

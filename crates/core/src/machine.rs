@@ -27,9 +27,10 @@ use jm_isa::TraceId;
 use jm_mdp::{Code, MdpNode, NodeError, StretchStats};
 use jm_net::{BitSet, BulkStats, NetShard, Network};
 use jm_replay::HostOp;
-use jm_trace::{MachineTrace, SamplePoint};
+use jm_trace::{MachineTrace, SamplePoint, Tracer};
 use jm_traffic::TrafficPlan;
 use std::fmt;
+use std::ops::RangeBounds;
 use std::sync::Arc;
 
 /// A machine-level failure.
@@ -96,6 +97,12 @@ pub(crate) const PARKED: u64 = u64::MAX;
 /// stop: a drive toward quiescence stops on the first multiple of this
 /// after a node error, under every engine (DESIGN.md §4.5).
 pub(crate) const QUANTUM: u64 = 64;
+
+/// Buffered lifecycle events past which an occupancy sample merges them
+/// into the machine's trace: a batch small enough that the buffers and the
+/// merge's working set stay a few megabytes and cache-warm, large enough
+/// that the 512-node mesh's per-source bookkeeping is a small share of it.
+const TRACE_BATCH: usize = 1 << 16;
 
 /// Event-engine bookkeeping for one shard's nodes: which need ticking and
 /// when. The sequential event engine uses a single all-covering instance;
@@ -283,6 +290,17 @@ pub(crate) fn next_multiple(cycle: u64, every: u64) -> u64 {
     passed.map_or(u64::MAX, |n| (n + 1).saturating_mul(every))
 }
 
+/// Every component's lifecycle event buffer: shards in slab order, then
+/// nodes by id — the order [`MachineTrace::merge`] breaks full-key ties by,
+/// whatever the cut.
+fn trace_sources<'a>(
+    net: &'a mut Network,
+    nodes: &'a mut [MdpNode],
+) -> impl Iterator<Item = &'a mut Tracer> {
+    let nodes = nodes.iter_mut().filter_map(MdpNode::tracer_mut);
+    net.tracers_mut().chain(nodes)
+}
+
 /// A simulated J-Machine.
 pub struct JMachine {
     program: Arc<Program>,
@@ -293,8 +311,12 @@ pub struct JMachine {
     /// One scheduler per network shard (a single all-covering instance on
     /// the sequential engines), mirroring the network's slab layout.
     scheds: Vec<EventSched>,
-    /// Periodic occupancy samples (tracing only).
-    samples: Vec<SamplePoint>,
+    /// The lifecycle trace so far (tracing only): occupancy samples, and
+    /// the events merged out of the components' buffers.
+    trace: MachineTrace,
+    /// The clock at the last merge: every event still buffered is at or
+    /// after it.
+    trace_from: u64,
     /// Replay recorder: `Some` while this machine is capturing a replay log
     /// (see [`crate::replay`]). `None` on the hot path — every hook below
     /// is a single pointer test.
@@ -417,7 +439,11 @@ impl JMachine {
             nodes,
             net,
             scheds,
-            samples: Vec::new(),
+            trace: MachineTrace {
+                nodes: config.nodes(),
+                ..MachineTrace::default()
+            },
+            trace_from: 0,
             recorder: crate::replay::Recorder::from_capture(),
         })
     }
@@ -631,21 +657,36 @@ impl JMachine {
     /// The one post-leg hook: records whatever boundary the clock just
     /// landed on — an occupancy sample, a replay checkpoint — however the
     /// machine got there (stepped, skipped, or driven by the crew). Pure
-    /// observation: reads counters every engine already maintains.
+    /// observation: reads counters every engine already maintains. A
+    /// sample with a batch of events buffered also merges them into the
+    /// trace: every component has simulated every cycle before this one,
+    /// so whatever it emits from here on comes later.
     fn observe_boundary(&mut self) {
         let trace = self.config.trace;
         let cycle = self.cycle();
         if trace.enabled && cycle.is_multiple_of(trace.sample_every) {
             let queued_words: u64 = self.nodes.iter().map(|n| n.queued_words() as u64).sum();
-            self.samples.push(SamplePoint {
+            self.trace.samples.push(SamplePoint {
                 cycle,
                 queued_words,
                 in_flight: self.net.in_flight(),
                 active_routers: self.net.active_routers(),
                 busy_nodes: self.busy_nodes(),
             });
+            let buffered = trace_sources(&mut self.net, &mut self.nodes).map(|t| t.len());
+            if buffered.sum::<usize>() >= TRACE_BATCH {
+                self.merge_trace(self.trace_from..cycle);
+            }
         }
         self.checkpoint();
+    }
+
+    /// Drains the buffered events in `cycles` into the trace; the next
+    /// merge starts at the current cycle.
+    fn merge_trace(&mut self, cycles: impl RangeBounds<u64>) {
+        let sources = trace_sources(&mut self.net, &mut self.nodes);
+        self.trace.merge(sources, cycles);
+        self.trace_from = self.cycle();
     }
 
     /// Reference engine: pump, tick, and scan everything, every cycle. What
@@ -920,27 +961,23 @@ impl JMachine {
         }
     }
 
-    /// Collects the machine's lifecycle trace: every component's event
-    /// buffer merged into one deterministically-ordered [`MachineTrace`],
-    /// plus the periodic occupancy samples. Returns `None` when the machine
-    /// was built with tracing disabled. Draining is destructive — buffers
-    /// restart empty, so a second call covers only cycles simulated since.
+    /// Collects the machine's lifecycle trace: every component's events in
+    /// one deterministically-ordered [`MachineTrace`], plus the periodic
+    /// occupancy samples. Most events were merged during the run (a sample
+    /// with a batch buffered merges it); this merges the rest. Returns
+    /// `None` when the machine was built with tracing disabled. Taking is
+    /// destructive — a second call covers only what happened since, and two
+    /// calls around a stop of the run concatenate to what one would return.
     pub fn take_trace(&mut self) -> Option<MachineTrace> {
         if !self.config.trace.enabled {
             return None;
         }
-        // Shard streams in slab order, then node streams by id: the order
-        // `assemble` breaks full-key ties by, whatever the cut.
-        let mut sources = self.net.take_trace_events();
-        sources.reserve(self.nodes.len());
-        for node in &mut self.nodes {
-            sources.push(node.take_trace_events());
-        }
-        Some(MachineTrace::assemble(
-            sources,
-            std::mem::take(&mut self.samples),
-            self.node_count(),
-        ))
+        self.merge_trace(self.trace_from..);
+        let fresh = MachineTrace {
+            nodes: self.node_count(),
+            ..MachineTrace::default()
+        };
+        Some(std::mem::replace(&mut self.trace, fresh))
     }
 
     /// Combined state hash at the current cycle: an in-order FNV-1a fold of

@@ -323,9 +323,10 @@ impl MdpNode {
         self.tracer.is_some()
     }
 
-    /// Drains the buffered lifecycle events (empty when tracing is off).
-    pub fn take_trace_events(&mut self) -> Tracer {
-        self.tracer.as_mut().map(|t| t.take()).unwrap_or_default()
+    /// The buffered lifecycle events (`None` when tracing is off), for the
+    /// machine to drain as it merges its trace.
+    pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
+        self.tracer.as_deref_mut()
     }
 
     /// The node's identity.

@@ -107,11 +107,12 @@ impl Network {
         }
     }
 
-    /// Drains the buffered lifecycle events, one stream per shard in slab
-    /// order (empty streams when tracing is off).
-    pub fn take_trace_events(&mut self) -> Vec<Tracer> {
-        let shards = self.shards.iter_mut();
-        shards.map(NetShard::take_trace_events).collect()
+    /// The shards' lifecycle event buffers, in slab order (none when
+    /// tracing is off), for the machine to drain as it merges its trace.
+    pub fn tracers_mut(&mut self) -> impl Iterator<Item = &mut Tracer> {
+        self.shards
+            .iter_mut()
+            .filter_map(|s| s.tracer.as_deref_mut())
     }
 
     /// Routers currently holding buffered flits.

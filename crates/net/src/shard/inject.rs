@@ -225,7 +225,8 @@ mod tests {
             3,
             "an untraced message is lost"
         );
-        let trace = MachineTrace::assemble(vec![shard.take_trace_events()], Vec::new(), 2);
+        let mut trace = MachineTrace::default();
+        trace.merge(shard.tracer.as_deref_mut(), ..);
         // One message has the last id; the other two have none — not a
         // truncated one — and are counted.
         let msgs = trace.messages();

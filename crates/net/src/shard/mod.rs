@@ -296,11 +296,6 @@ impl NetShard {
         self.config.dims.x as usize * self.config.dims.y as usize
     }
 
-    /// Drains the buffered lifecycle events (empty when tracing is off).
-    pub(crate) fn take_trace_events(&mut self) -> Tracer {
-        self.tracer.as_mut().map(|t| t.take()).unwrap_or_default()
-    }
-
     /// Calls `f` with a per-`(global node, vnet)` occupancy digest for every
     /// router in the shard at cycle `now`, in ascending (node, vnet) order.
     ///

@@ -194,6 +194,11 @@ impl Packed {
     }
 
     #[inline]
+    pub(crate) fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    #[inline]
     pub(crate) fn widen(self) -> Event {
         let id = TraceId(u64::from(self.id));
         let node = NodeId(self.node & !Packed::DELIVER);
@@ -209,76 +214,23 @@ impl Packed {
     }
 }
 
-/// Bytes per sealed storage chunk: large enough that a long run is a
-/// handful of allocations, small enough that assembly, which frees each
-/// chunk as it finishes reading it, never holds much more than its output.
-const CHUNK_BYTES: usize = 1 << 20;
-
-/// One append-only record stream, stored as fixed-size chunks: appending
-/// never copies what is already buffered (a single growing `Vec` re-copies
-/// everything at each doubling and briefly holds both copies).
-#[derive(Debug, Clone)]
-pub(crate) struct Stream<T> {
-    /// Filled chunks, oldest first.
-    pub(crate) full: Vec<Vec<T>>,
-    /// The chunk being filled (grows by doubling up to the chunk size, so a
-    /// component with a handful of events pays for a handful).
-    pub(crate) cur: Vec<T>,
-    /// Cycle of the newest record.
-    last: u64,
-    /// Whether records arrived in non-decreasing cycle order — true of
-    /// every simulator component, and what lets assembly merge streams
-    /// instead of sorting them. Checked on every push, never assumed.
-    pub(crate) monotone: bool,
-}
-
-impl<T> Default for Stream<T> {
-    fn default() -> Stream<T> {
-        Stream {
-            full: Vec::new(),
-            cur: Vec::new(),
-            last: 0,
-            monotone: true,
-        }
-    }
-}
-
-impl<T> Stream<T> {
-    const CHUNK: usize = CHUNK_BYTES / std::mem::size_of::<T>();
-
-    #[inline]
-    fn push(&mut self, cycle: u64, record: T) {
-        self.monotone &= cycle >= self.last;
-        self.last = cycle;
-        if self.cur.len() == Self::CHUNK {
-            let sealed = std::mem::replace(&mut self.cur, Vec::with_capacity(Self::CHUNK));
-            self.full.push(sealed);
-        }
-        self.cur.push(record);
-    }
-
-    fn len(&self) -> usize {
-        self.full.len() * Self::CHUNK + self.cur.len()
-    }
-}
-
 /// An append-only event buffer owned by one simulation component.
 ///
 /// Each component (every network shard, every node) that traces holds its
 /// own `Tracer`, so the hot paths never contend on a shared sink; the
-/// machine collects and merges the buffers when a
-/// [`MachineTrace`](crate::MachineTrace) is assembled. A component that is
-/// not tracing holds no tracer at all (`Option<Box<Tracer>>`), making the
-/// disabled path a single pointer test.
+/// machine drains the buffers into its [`MachineTrace`](crate::MachineTrace)
+/// as the run goes ([`MachineTrace::merge`](crate::MachineTrace::merge)). A
+/// component that is not tracing holds no tracer at all
+/// (`Option<Box<Tracer>>`), making the disabled path a single pointer test.
 ///
 /// Hop and deliver events are buffered in a packed 16-byte form, all
-/// others as full [`Event`]s; the two streams are chunked (see
-/// [`MachineTrace::assemble`](crate::MachineTrace::assemble) for how they
-/// are merged back into one order).
+/// others as full [`Event`]s: two plain vectors, each in emission order.
+/// A merge drains them in place, so they keep their capacity and a long
+/// run's buffers stay the size of one batch.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    pub(crate) packed: Stream<Packed>,
-    pub(crate) wide: Stream<Event>,
+    pub(crate) packed: Vec<Packed>,
+    pub(crate) wide: Vec<Event>,
 }
 
 impl Tracer {
@@ -291,8 +243,8 @@ impl Tracer {
     #[inline]
     pub fn emit(&mut self, cycle: u64, kind: EventKind) {
         match Packed::pack(cycle, &kind) {
-            Some(packed) => self.packed.push(cycle, packed),
-            None => self.wide.push(cycle, Event { cycle, kind }),
+            Some(packed) => self.packed.push(packed),
+            None => self.wide.push(Event { cycle, kind }),
         }
     }
 
@@ -304,13 +256,6 @@ impl Tracer {
     /// Whether no events have been recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drains the buffer, leaving the tracer empty but still recording.
-    /// The drained events are themselves a `Tracer`: the form
-    /// [`MachineTrace::assemble`](crate::MachineTrace::assemble) consumes.
-    pub fn take(&mut self) -> Tracer {
-        std::mem::take(self)
     }
 }
 
@@ -376,9 +321,14 @@ mod tests {
             },
         );
         assert_eq!(t.len(), 1);
-        let drained = t.take();
-        assert_eq!(drained.len(), 1);
+        let mut trace = crate::MachineTrace::default();
+        trace.merge([&mut t], 0..);
+        assert_eq!(trace.events.len(), 1);
         assert!(t.is_empty());
+        assert!(
+            t.packed.capacity() > 0,
+            "a drained buffer keeps its capacity"
+        );
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //!
 //! Components buffer events locally in a [`Tracer`] (`Option<Box<Tracer>>`
 //! on each component: the disabled path is one pointer test and zero
-//! allocation). The machine merges buffers into a [`MachineTrace`], which
-//! reconstructs per-message [`MsgTrace`] lifecycles, accumulates log-scaled
-//! [`Histogram`]s, and exports either Chrome trace-event JSON
-//! ([`chrome_json`], for Perfetto) or a compact machine-readable summary
-//! ([`summary_json`]) with a deterministic FNV-1a trace [`hash`].
+//! allocation). The machine drains the buffers into a [`MachineTrace`] a
+//! batch at a time as the run goes ([`MachineTrace::merge`]), so the trace
+//! is held once; the trace reconstructs per-message [`MsgTrace`]
+//! lifecycles, accumulates log-scaled [`Histogram`]s, and exports either
+//! Chrome trace-event JSON ([`chrome_json`], for Perfetto) or a compact
+//! machine-readable summary ([`summary_json`]) with a deterministic FNV-1a
+//! trace [`hash`].
 //!
 //! This crate depends only on `jm-isa`; it knows nothing about the network
 //! or node microarchitecture beyond what the events carry.

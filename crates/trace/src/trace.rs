@@ -1,11 +1,12 @@
-//! Assembled whole-machine traces and per-message latency decomposition.
+//! Merged whole-machine traces and per-message latency decomposition.
 
-use crate::event::{Event, EventKind, Packed, Stream, Tracer};
+use crate::event::{Event, EventKind, Packed, Tracer};
 use crate::histogram::Histogram;
 use jm_isa::instr::MsgPriority;
 use jm_isa::node::NodeId;
 use jm_isa::TraceId;
 use std::collections::HashMap;
+use std::ops::{Bound, RangeBounds};
 
 /// One periodic sample of machine-wide occupancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,75 +108,79 @@ pub struct MachineTrace {
 }
 
 impl MachineTrace {
-    /// Merges per-component event buffers into one trace. Events are
-    /// ordered by cycle, then causal rank, then message id, then node; events
-    /// equal on all four keep the order of `sources` and, within a source,
-    /// the order they were emitted in. That total order is independent of
-    /// how the run was executed — events equal on all four keys come from
-    /// one router or one node, so however the routers are spread over
-    /// network streams (listed before the node streams), the tie falls
-    /// within one stream — and two runs of the same program produce
-    /// byte-identical traces under every engine and shard cut.
-    ///
-    /// Linear in the event count: every source stream is already in cycle
-    /// order (a stream that is not — no simulator component produces one —
-    /// is sorted by cycle first), so assembly is a counting sort on
-    /// `(cycle, rank)` over one window of [`WINDOW`] cycles at a time,
-    /// followed by a small sort of each bucket on `(id, node)`. A window
-    /// starts at the next cycle that has an event, so an idle stretch of
-    /// any length costs nothing, and each source chunk is freed as soon as
-    /// it has been read: the trace is never held twice.
-    pub fn assemble(sources: Vec<Tracer>, samples: Vec<SamplePoint>, nodes: u32) -> MachineTrace {
-        let mut runs: Vec<Run> = sources
-            .into_iter()
-            .flat_map(|t| {
-                [
-                    Run::new(t.packed, Chunk::Packed),
-                    Run::new(t.wide, Chunk::Wide),
-                ]
-            })
-            .filter(|run| !run.chunks.is_empty())
-            .collect();
-        let total = runs.iter().flat_map(|r| &r.chunks).map(Chunk::len).sum();
-        let mut events: Vec<Event> = Vec::with_capacity(total);
-        // Per (cycle, rank) of the window: first a count, then the next
-        // output slot.
-        let slot_of = |e: &Event, lo: u64| (e.cycle - lo) as usize * RANKS + e.kind.rank() as usize;
-        let mut slots = vec![0usize; WINDOW * RANKS];
-        while let Some(lo) = runs.iter().map(Run::next_cycle).min() {
-            let last = lo.saturating_add(WINDOW as u64 - 1);
-            slots.fill(0);
-            for run in &mut runs {
-                run.walk(last, false, |e| slots[slot_of(&e, lo)] += 1);
-            }
-            let base = events.len();
-            let mut end = base;
-            for slot in &mut slots {
-                end += std::mem::replace(slot, end);
-            }
-            events.resize(end, FILLER);
-            for run in &mut runs {
-                run.walk(last, true, |e| {
-                    let slot = &mut slots[slot_of(&e, lo)];
-                    events[*slot] = e;
-                    *slot += 1;
-                });
-            }
-            // Each slot now marks the end of its bucket, whose events agree
-            // on cycle and rank and stand in source order.
-            let mut start = base;
-            for &end in &slots {
-                if end - start > 1 {
-                    events[start..end].sort_by_key(|e| (e.kind.id(), sort_node(&e.kind)));
-                }
-                start = end;
-            }
-            runs.retain(|run| run.chunk < run.chunks.len());
-        }
-        MachineTrace {
-            events,
+    /// Merges hand-built per-component event buffers into one trace: every
+    /// event of `sources`, in the order [`Self::merge`] gives them.
+    pub fn assemble(
+        mut sources: Vec<Tracer>,
+        samples: Vec<SamplePoint>,
+        nodes: u32,
+    ) -> MachineTrace {
+        let mut trace = MachineTrace {
+            events: Vec::new(),
             samples,
             nodes,
+        };
+        trace.merge(&mut sources, ..);
+        trace
+    }
+
+    /// Drains the events of `sources` in `cycles` into [`Self::events`];
+    /// later ones stay buffered. Events are ordered by cycle, then causal
+    /// rank, then message id, then node; events equal on all four — which
+    /// only one router or one node emits — keep the order of `sources` (the
+    /// machine lists shards before nodes) and, within a source, emission
+    /// order, so the trace is the same under every engine and shard cut.
+    /// Batches merge to the events one merge would, as long as each ends
+    /// at a cycle every source has passed and the next starts there.
+    ///
+    /// Linear in the event count, one window of [`WINDOW`] cycles at a time,
+    /// each starting at the next cycle with an event, so an idle stretch
+    /// costs nothing (DESIGN.md §4.6). A source out of cycle order is sorted
+    /// by cycle first, stably.
+    ///
+    /// # Panics
+    ///
+    /// On a buffered event before the start of `cycles`: it belongs among
+    /// events an earlier batch merged.
+    pub fn merge<'a>(
+        &mut self,
+        sources: impl IntoIterator<Item = &'a mut Tracer>,
+        cycles: impl RangeBounds<u64>,
+    ) {
+        let from = match cycles.start_bound() {
+            Bound::Included(&c) => c,
+            Bound::Excluded(&c) => c + 1,
+            Bound::Unbounded => 0,
+        };
+        let mut sources: Vec<&mut Tracer> = sources.into_iter().collect();
+        // How much of each buffer this merge takes.
+        let ends: Vec<(usize, usize)> = (sources.iter_mut())
+            .map(|t| {
+                let packed = taken(&mut t.packed, from, &cycles, Packed::cycle);
+                (packed, taken(&mut t.wide, from, &cycles, |e| e.cycle))
+            })
+            .collect();
+        let runs = sources.iter().zip(&ends).flat_map(|(t, &(packed, wide))| {
+            [
+                Events::Packed(&t.packed[..packed]),
+                Events::Wide(&t.wide[..wide]),
+            ]
+        });
+        let total = ends.iter().map(|(packed, wide)| packed + wide).sum();
+        self.events.reserve(total);
+        let runs = runs.filter_map(|events| {
+            let head = events.cycle(0)?;
+            Some(Run {
+                events,
+                from: 0,
+                at: 0,
+                head,
+            })
+        });
+        merge_runs(&mut self.events, runs.collect());
+        for (t, (packed, wide)) in sources.into_iter().zip(ends) {
+            t.packed.drain(..packed);
+            t.wide.drain(..wide);
         }
     }
 
@@ -379,7 +384,7 @@ impl IdIndex {
     }
 }
 
-/// Cycles per assembly window: small enough that the window's slots and
+/// Cycles per merge window: small enough that the window's slots and
 /// its share of a loaded trace's output (about a megabyte) stay in cache
 /// through the count, scatter and sort passes.
 const WINDOW: usize = 256;
@@ -387,101 +392,148 @@ const WINDOW: usize = 256;
 /// Distinct values of [`EventKind::rank`], rounded up to a power of two.
 const RANKS: usize = 8;
 
-/// Placeholder for output slots between `resize` and the scatter pass.
-const FILLER: Event = Event {
-    cycle: 0,
-    kind: EventKind::Hop {
-        id: TraceId::NONE,
-        node: NodeId(0),
-    },
-};
+/// A window holding fewer events than this counts them per cycle, not per
+/// `(cycle, rank)`: they would leave most of the finer slots empty, and
+/// clearing and summing those would cost more than sorting the few events
+/// that share a cycle.
+const DENSE: usize = WINDOW * RANKS / 16;
 
-/// One chunk of a source stream, in whichever form it was buffered.
-enum Chunk {
-    Packed(Vec<Packed>),
-    Wide(Vec<Event>),
+/// How many of a buffer's events fall in `cycles`, once it is in cycle
+/// order: one that is not is sorted by cycle (stably: ties keep emission
+/// order).
+///
+/// # Panics
+///
+/// On an event before `from`, the start of `cycles`.
+fn taken<T>(
+    buffer: &mut [T],
+    from: u64,
+    cycles: &impl RangeBounds<u64>,
+    cycle: impl Fn(&T) -> u64,
+) -> usize {
+    if !buffer.is_sorted_by_key(&cycle) {
+        buffer.sort_by_key(&cycle);
+    }
+    if let Some(early) = buffer.first().map(&cycle).filter(|&c| c < from) {
+        panic!("trace event at cycle {early} after a merge of every cycle before {from}");
+    }
+    buffer.partition_point(|e| cycles.contains(&cycle(e)))
 }
 
-impl Chunk {
-    fn len(&self) -> usize {
+/// One source buffer's events to merge, in whichever form it holds them.
+#[derive(Clone, Copy)]
+enum Events<'a> {
+    Packed(&'a [Packed]),
+    Wide(&'a [Event]),
+}
+
+impl Events<'_> {
+    /// The cycle of event `i`, if there is one.
+    fn cycle(&self, i: usize) -> Option<u64> {
         match self {
-            Chunk::Packed(c) => c.len(),
-            Chunk::Wide(c) => c.len(),
+            Events::Packed(e) => e.get(i).map(Packed::cycle),
+            Events::Wide(e) => e.get(i).map(|e| e.cycle),
         }
     }
 
     #[inline]
     fn get(&self, i: usize) -> Event {
         match self {
-            Chunk::Packed(c) => c[i].widen(),
-            Chunk::Wide(c) => c[i],
+            Events::Packed(e) => e[i].widen(),
+            Events::Wide(e) => e[i],
+        }
+    }
+
+    /// End of the events from `at` on at or before cycle `last`.
+    fn end(&self, at: usize, last: u64) -> usize {
+        match self {
+            Events::Packed(e) => gallop(e, at, last, Packed::cycle),
+            Events::Wide(e) => gallop(e, at, last, |e| e.cycle),
         }
     }
 }
 
-/// One cycle-ordered source stream being merged: its non-empty chunks and a
-/// cursor to the next unread event. Chunks behind the cursor are freed.
-struct Run {
-    chunks: Vec<Chunk>,
-    /// The next unread event is `chunks[chunk].get(at)`; a run with nothing
-    /// left has `chunk == chunks.len()` (and is dropped from the merge).
-    chunk: usize,
+/// End of the cycle-ordered `items` from `at` on at or before cycle
+/// `last`: a galloping search, so a window costs the log of its own
+/// events, not of the buffer's.
+fn gallop<T>(items: &[T], at: usize, last: u64, cycle: impl Fn(&T) -> u64) -> usize {
+    let (mut lo, mut step) = (at, 1);
+    while lo < items.len() && cycle(&items[lo]) <= last {
+        lo += step;
+        step *= 2;
+    }
+    // The event `step / 2` before `lo` is in (or there was none: `at`).
+    let from = lo - step / 2;
+    from + items[from..lo.min(items.len())].partition_point(|e| cycle(e) <= last)
+}
+
+/// One cycle-ordered source buffer being merged: where the current
+/// window's events start, the next unread event, and that event's cycle.
+struct Run<'a> {
+    events: Events<'a>,
+    from: usize,
     at: usize,
+    head: u64,
 }
 
-impl Run {
-    fn new<T>(stream: Stream<T>, wrap: fn(Vec<T>) -> Chunk) -> Run {
-        let mut chunks: Vec<Chunk> = stream
-            .full
-            .into_iter()
-            .chain([stream.cur])
-            .filter(|c| !c.is_empty())
-            .map(wrap)
-            .collect();
-        if !stream.monotone {
-            // Not produced by any simulator component; sorting by cycle
-            // (stably: ties keep emission order) restores the contract.
-            let mut events: Vec<Event> = chunks
-                .iter()
-                .flat_map(|c| (0..c.len()).map(|i| c.get(i)))
-                .collect();
-            events.sort_by_key(|e| e.cycle);
-            chunks = vec![Chunk::Wide(events)];
+/// Appends the events of cycle-ordered `runs` to `out` in trace order, one
+/// window at a time: a counting sort on `(cycle, rank)` — on `cycle` alone
+/// when the window is sparse — and a small sort of each bucket on the rest
+/// of the key.
+fn merge_runs(out: &mut Vec<Event>, mut runs: Vec<Run<'_>>) {
+    // Per slot of the window: first a count, then the next output position.
+    let mut slots = Vec::new();
+    while let Some(lo) = runs.iter().map(|r| r.head).min() {
+        let last = lo.saturating_add(WINDOW as u64 - 1);
+        // The window's events, in source order.
+        let base = out.len();
+        for run in &mut runs {
+            run.from = run.at;
+            if run.head <= last {
+                run.at = run.events.end(run.at, last);
+                out.extend((run.from..run.at).map(|i| run.events.get(i)));
+            }
         }
-        Run {
-            chunks,
-            chunk: 0,
-            at: 0,
+        // A sparse window gets one slot per cycle, not per (cycle, rank).
+        let sparse = out.len() - base < DENSE;
+        let shift = RANKS.ilog2() * u32::from(sparse);
+        let slot_of =
+            |e: &Event| ((e.cycle - lo) as usize * RANKS + e.kind.rank() as usize) >> shift;
+        slots.clear();
+        slots.resize((WINDOW * RANKS) >> shift, 0usize);
+        for e in &out[base..] {
+            slots[slot_of(e)] += 1;
         }
-    }
-
-    fn next_cycle(&self) -> u64 {
-        self.chunks[self.chunk].get(self.at).cycle
-    }
-
-    /// Calls `f` on every unread event up to and including cycle `last`, in
-    /// order. With `consume` the cursor moves past them and every chunk
-    /// read to its end is freed; without, the run is left untouched.
-    fn walk(&mut self, last: u64, consume: bool, mut f: impl FnMut(Event)) {
-        let (mut chunk, mut at) = (self.chunk, self.at);
-        'run: while let Some(events) = self.chunks.get(chunk) {
-            while at < events.len() {
-                let e = events.get(at);
-                if e.cycle > last {
-                    break 'run;
+        let mut end = base;
+        for slot in &mut slots {
+            end += std::mem::replace(slot, end);
+        }
+        for run in &runs {
+            for e in (run.from..run.at).map(|i| run.events.get(i)) {
+                let slot = &mut slots[slot_of(&e)];
+                out[*slot] = e;
+                *slot += 1;
+            }
+        }
+        // Each slot now marks the end of its bucket, whose events agree on
+        // cycle (and rank, when dense) and stand in source order.
+        let mut start = base;
+        for &end in &slots {
+            if end - start > 1 {
+                out[start..end].sort_by_key(|e| (e.kind.rank(), e.kind.id(), sort_node(&e.kind)));
+            }
+            start = end;
+        }
+        // A run read to its end leaves the merge.
+        runs.retain_mut(|run| {
+            if run.from < run.at {
+                match run.events.cycle(run.at) {
+                    Some(cycle) => run.head = cycle,
+                    None => return false,
                 }
-                f(e);
-                at += 1;
             }
-            if consume {
-                self.chunks[chunk] = Chunk::Wide(Vec::new());
-            }
-            chunk += 1;
-            at = 0;
-        }
-        if consume {
-            (self.chunk, self.at) = (chunk, at);
-        }
+            true
+        });
     }
 }
 
@@ -728,7 +780,7 @@ mod tests {
     }
 
     #[test]
-    fn assembly_handles_sparse_spans_and_chunk_boundaries() {
+    fn assembly_handles_sparse_spans_and_long_sources() {
         let mut rng = jm_prng::Prng::new(0x5ba5e);
         // One event at cycle 0, one at 10^9, one at the end of time.
         let sparse = vec![
@@ -739,8 +791,8 @@ mod tests {
             ],
         ];
         assert_eq!(assemble_linear(&sparse), assemble_by_sorting(&sparse));
-        // Two sources long enough to seal several chunks of both widths,
-        // with ids and nodes too wide for the packed form mixed in.
+        // Two sources long enough to span many windows, with ids and nodes
+        // too wide for the packed form mixed in.
         let long: Vec<Vec<Event>> = (0..2)
             .map(|_| {
                 let mut cycle = 0;
@@ -762,6 +814,108 @@ mod tests {
         assert_eq!(assemble_linear(&long), assemble_by_sorting(&long));
     }
 
+    /// Sources shaped like a run's: `dense` ones emit an event every cycle
+    /// or two, the rest one every few cycles (a token ring's shape), and
+    /// any may jump 10^9 cycles ahead.
+    fn run_shaped_sources(rng: &mut jm_prng::Prng, count: usize, dense: bool) -> Vec<Vec<Event>> {
+        (0..count)
+            .map(|_| {
+                let mut cycle = rng.range_u64(0, 20);
+                let len = rng.range_usize(0, if dense { 3_000 } else { 300 });
+                (0..len)
+                    .map(|_| {
+                        cycle += match rng.range_u32(0, 200) {
+                            0 => 1_000_000_000,
+                            _ if dense => rng.range_u64(0, 2),
+                            _ => rng.range_u64(1, 12),
+                        };
+                        random_event(rng, cycle)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Emits `sources` into tracers as a run would and merges them in
+    /// batches at `cuts`: by each cut a source has emitted every event
+    /// before it and perhaps a few more, which stay buffered; the last
+    /// merge takes the rest.
+    fn merge_in_batches(
+        sources: &[Vec<Event>],
+        cuts: &[u64],
+        rng: &mut jm_prng::Prng,
+    ) -> Vec<Event> {
+        let mut tracers = vec![Tracer::new(); sources.len()];
+        let mut emitted = vec![0; sources.len()];
+        let mut trace = MachineTrace::default();
+        let mut from = 0;
+        for &cut in cuts {
+            for ((src, t), done) in sources.iter().zip(&mut tracers).zip(&mut emitted) {
+                let due = src.partition_point(|e| e.cycle < cut);
+                let upto = (due + rng.range_usize(0, 4)).min(src.len()).max(*done);
+                for e in &src[*done..upto] {
+                    t.emit(e.cycle, e.kind);
+                }
+                *done = upto;
+            }
+            trace.merge(&mut tracers, from..cut);
+            from = cut;
+        }
+        for ((src, t), done) in sources.iter().zip(&mut tracers).zip(&emitted) {
+            for e in &src[*done..] {
+                t.emit(e.cycle, e.kind);
+            }
+        }
+        trace.merge(&mut tracers, from..);
+        assert!(tracers.iter().all(Tracer::is_empty));
+        trace.events
+    }
+
+    #[test]
+    fn batched_merging_matches_the_sorting_oracle() {
+        let mut rng = jm_prng::Prng::new(0xba7c4);
+        for (count, dense) in [(1, false), (3, true), (40, false), (40, true), (300, false)] {
+            for _ in 0..4 {
+                let srcs = run_shaped_sources(&mut rng, count, dense);
+                let mut cycles: Vec<u64> = srcs.iter().flatten().map(|e| e.cycle).collect();
+                cycles.sort_unstable();
+                // Cuts on a cycle that has events (ties included), between
+                // two, past the end, and one repeated: an empty batch.
+                let mut cuts: Vec<u64> = (0..rng.range_usize(0, 12))
+                    .filter_map(|_| {
+                        let at = *cycles.get(rng.range_usize(0, cycles.len().max(1)))?;
+                        Some(at + rng.range_u64(0, 2))
+                    })
+                    .collect();
+                cuts.push(cycles.last().map_or(0, |c| c + 5));
+                cuts.sort_unstable();
+                if let Some(&first) = cuts.first() {
+                    cuts.push(first);
+                    cuts.sort_unstable();
+                }
+                assert_eq!(
+                    merge_in_batches(&srcs, &cuts, &mut rng),
+                    assemble_by_sorting(&srcs),
+                    "{count} sources, dense {dense}, cuts {cuts:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "trace event at cycle 7 after a merge of every cycle before 10")]
+    fn an_event_older_than_a_merge_panics() {
+        let mut rng = jm_prng::Prng::new(0x1a7e);
+        let mut source = Tracer::new();
+        let mut trace = MachineTrace::default();
+        let e = random_event(&mut rng, 5);
+        source.emit(e.cycle, e.kind);
+        trace.merge([&mut source], 0..10);
+        assert_eq!(trace.events, [e]);
+        source.emit(7, e.kind);
+        trace.merge([&mut source], 10..20);
+    }
+
     #[test]
     fn a_source_out_of_cycle_order_is_still_sorted() {
         let mut rng = jm_prng::Prng::new(0xd15c0);
@@ -773,7 +927,10 @@ mod tests {
             e.cycle = rng.range_u64(0, 100);
         }
         let tracer: Tracer = srcs[2].iter().copied().collect();
-        assert!(!tracer.wide.monotone || !tracer.packed.monotone);
+        assert!(
+            !tracer.wide.is_sorted_by_key(|e| e.cycle)
+                || !tracer.packed.is_sorted_by_key(Packed::cycle)
+        );
         assert_eq!(assemble_linear(&srcs), assemble_by_sorting(&srcs));
     }
 

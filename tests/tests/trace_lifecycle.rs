@@ -187,3 +187,45 @@ fn exports_are_well_formed() {
     assert!(summary.contains(r#""dispatched": 16"#));
     assert!(summary.contains("\"trace_hash\""));
 }
+
+/// The machine merges its components' event buffers into the trace at
+/// occupancy samples, a batch at a time, while the run goes on. That is
+/// unobservable: however often the samples fall — every cycle, every 16,
+/// never before the take — and wherever the run stops to take a trace,
+/// the events are those of one take at the end, under every engine.
+#[test]
+fn merging_the_trace_during_the_run_is_unobservable() {
+    let sink = sink_program();
+    let traffic = TrafficSpec::new(11)
+        .load(400_000)
+        .msg_words(3)
+        .window(0, 20_000)
+        .handler(sink.handler("sink"));
+    // Cut into 4 and 2 slabs by the parallel engines.
+    let config = MachineConfig::with_dims(MeshDims::new(2, 2, 8))
+        .start(StartPolicy::None)
+        .traffic(traffic);
+    let events = |every: u64, stop: Option<u64>| {
+        let config = config.trace(TraceConfig::on().sample_every(every));
+        let label = format!("sample every {every}, stop at {stop:?}");
+        let (events, _) = agree(&label, &sink, config, |m| {
+            let mut events = Vec::new();
+            if let Some(stop) = stop {
+                m.run(stop);
+                events = m.take_trace().expect("tracing was enabled").events;
+            }
+            m.run_until_quiescent(1_000_000)
+                .expect("the traffic drains");
+            events.extend(m.take_trace().expect("tracing was enabled").events);
+            events
+        });
+        events
+    };
+    let whole = events(1 << 40, None);
+    // Several of the machine's merge batches (2^16 events each).
+    assert!(whole.len() > 3 << 16, "{} events", whole.len());
+    for every in [1, 16] {
+        assert!(events(every, None) == whole, "sample every {every}");
+    }
+    assert!(events(16, Some(9_001)) == whole, "taken twice");
+}
