@@ -318,7 +318,7 @@ const TOOLS: &[Command] = &[
         name: "mesh",
         synopsis: "[--nodes N] [--cycles N] [--engine ENGINE] [--out PATH]",
         about: "large-mesh smoke: the event vs parallelN thread sweep on a big cube",
-        run: tools::mesh,
+        run: perf::mesh,
     },
     Command {
         name: "trace",

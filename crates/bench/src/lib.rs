@@ -22,10 +22,10 @@
 //! | [`baselines`] | the one table of published values, and the comparator |
 //! | [`rows`] | the one BENCH row schema: sole writer and reader |
 //! | [`table`] | the one view: a pivot of rows |
-//! | `perf`, [`threads`] | `jmsim perf` — host throughput rows |
+//! | `perf` | `jmsim perf` and `mesh` — host throughput rows, each read off one timed race |
 //! | `gate` | `jmsim gate` — ratchet, floors and ceilings over rows |
 //! | [`faultb`], [`traffic`] | the fault and traffic sweeps |
-//! | `tools` | `traffic --mesh`, `chaos`, `mesh`, `trace`, `replay …` |
+//! | `tools` | `traffic --mesh`, `chaos`, `trace`, `replay …` |
 //! | [`workloads`], [`observe`] | canned programs shared with the test suites |
 
 #![warn(missing_docs)]
@@ -43,7 +43,6 @@ mod perf;
 pub mod registry;
 pub mod rows;
 pub mod table;
-pub mod threads;
 mod tools;
 pub mod traffic;
 pub mod workloads;

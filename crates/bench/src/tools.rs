@@ -1,7 +1,6 @@
-//! The `jmsim` tools that are not registry experiments: the one-point
-//! large-mesh traffic canary, the chaos application run, the large-mesh
-//! smoke, the trace exporter, and the replay log recorder / verifier /
-//! bisector.
+//! The `jmsim` tools that are not registry experiments or timed races: the
+//! one-point large-mesh traffic canary, the chaos application run, the
+//! trace exporter, and the replay log recorder / verifier / bisector.
 //!
 //! Every tool that measures simulated counters writes them to `--out` as
 //! [`rows`]: the row file holds each number exactly, so `diff` of two
@@ -10,15 +9,13 @@
 //! that no simulated number moved.
 
 use crate::cli::{self, write_file, Args, CliError, Outcome};
-use crate::table::pivot;
 use crate::workloads::exchange_program;
-use crate::{harness, observe, registry, rows, threads, traffic};
+use crate::{harness, observe, registry, rows, traffic};
 use jm_apps::{App, Problems};
-use jm_isa::instr::StatClass;
 use jm_isa::MeshDims;
 use jm_machine::{
     Divergence, Engine, FaultSpec, FaultWindow, JMachine, MachineConfig, MachineFactory,
-    MachineStats, StartPolicy,
+    StartPolicy,
 };
 use jm_replay::{ReplayLog, DEFAULT_INTERVAL};
 use std::process::ExitCode;
@@ -79,7 +76,7 @@ fn traffic_point(
 /// The process's peak RSS as a row: the one host-dependent number a
 /// nightly row file carries, so the large-mesh footprint is tracked day
 /// over day beside the counters.
-fn peak_rss_row(mib: u64) -> rows::Row {
+pub(crate) fn peak_rss_row(mib: u64) -> rows::Row {
     rows::Row::host("host", "peak_rss", mib as f64, "MiB", rows::host_cpus())
 }
 
@@ -125,64 +122,6 @@ pub(crate) fn chaos(args: &Args) -> Outcome {
     }
     println!("all four applications exact under chaos ({disturbed} blocked moves total)");
     Ok(ExitCode::SUCCESS)
-}
-
-/// `jmsim mesh`: the thread sweep ([`threads::sweep`]) on a big cube
-/// (default 16×16×16, 5 000 cycles, every node in the exchange loop) —
-/// `event` against `parallel-T`. Its own gate: a run whose machine
-/// statistics differ from the event engine's in any field is exit 1.
-/// `--out` writes the simulated counters, the sweep's `threads/…` rows and
-/// peak RSS (host rows) for a workflow to diff day over day.
-pub(crate) fn mesh(args: &Args) -> Outcome {
-    let nodes = cli::machine_size("--nodes", args.count("--nodes").unwrap_or(4096))?;
-    let cycles = args.count("--cycles").unwrap_or(5_000);
-    let Engine::Parallel(threads) = args.engine().unwrap_or(Engine::Parallel(4)) else {
-        let why = "--engine: the mesh smoke compares event against a parallelN engine";
-        return Err(CliError::Input(why.to_string()));
-    };
-    let sweep = threads::sweep(nodes, cycles, &[threads]).map_err(CliError::Failed)?;
-    let rss = harness::peak_rss_mib();
-    let mut out = vec![rows::Row::simulated("mesh", "nodes", nodes.into(), "nodes")];
-    out.extend(stats_rows("mesh", &sweep.stats));
-    out.extend(threads::rows(&sweep));
-    out.push(peak_rss_row(rss));
-    let (cpus, sweep_table) = (sweep.host_cpus, pivot(&out, "threads", "engine"));
-    println!("exchange loop, host CPUs: {cpus}\n\n{sweep_table}");
-    println!("peak rss: {rss} MiB");
-    if let Some(path) = args.text("--out") {
-        write_file(path, rows::write(&out))?;
-        println!("wrote {path}");
-    }
-    println!("mesh smoke passed: engines bit-identical at {nodes} nodes");
-    Ok(ExitCode::SUCCESS)
-}
-
-/// A machine's simulated counters as rows named `name`.
-fn stats_rows(name: &str, stats: &MachineStats) -> Vec<rows::Row> {
-    let (n, net) = (&stats.nodes, &stats.net);
-    let mut out = vec![("cycles", stats.cycles, "cycles")];
-    for class in StatClass::ALL {
-        out.push((class.label(), n.class_cycles(class), "node-cycles"));
-    }
-    out.extend([
-        ("instructions", n.instructions, "instrs"),
-        ("threads", n.threads, "threads"),
-        ("sends", n.sends, "instrs"),
-        ("send_faults", n.send_faults, "faults"),
-        ("msgs_sent", n.msgs_sent, "msgs"),
-        ("msgs_received", n.msgs_received, "msgs"),
-        ("arrival_stalls", n.arrival_stalls, "cycles"),
-        ("injected_msgs", net.injected_msgs, "msgs"),
-        ("delivered_msgs", net.delivered_msgs, "msgs"),
-        ("delivered_words", net.delivered_words, "words"),
-        ("flit_hops", net.flit_hops, "flits"),
-        ("bisection_flits", net.bisection_flits, "flits"),
-        ("latency_sum", net.latency_sum, "cycles"),
-        ("latency_max", net.latency_max, "cycles"),
-    ]);
-    out.into_iter()
-        .map(|(metric, value, unit)| rows::Row::simulated(name, metric, value as f64, unit))
-        .collect()
 }
 
 /// `jmsim trace`: runs the traced gather, prints the per-mechanism latency

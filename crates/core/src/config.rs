@@ -145,11 +145,6 @@ impl MachineConfig {
         }
     }
 
-    /// The paper's 512-node prototype (8×8×8).
-    pub fn prototype_512() -> MachineConfig {
-        MachineConfig::new(512)
-    }
-
     /// Sets the start policy (builder style).
     pub fn start(mut self, policy: StartPolicy) -> MachineConfig {
         self.start = policy;

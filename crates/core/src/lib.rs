@@ -50,8 +50,7 @@ pub use jm_trace::{MachineTrace, MsgTrace, SamplePoint};
 pub use jm_traffic::{TrafficPattern, TrafficSpec, TrafficStats};
 pub use machine::{JMachine, MachineError};
 pub use replay::{
-    bisect, capture_replay, capture_replay_from_env, recorded_machine_config, state_at, verify,
-    BisectReport, BoundaryMismatch, ComponentDiff, ComponentHash, Corruption, Divergence,
-    MachineFactory, VerifyReport,
+    bisect, capture_replay_from_env, verify, BisectReport, BoundaryMismatch, ComponentDiff,
+    ComponentHash, Corruption, Divergence, MachineFactory, VerifyReport,
 };
 pub use stats::MachineStats;

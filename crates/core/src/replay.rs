@@ -19,8 +19,8 @@
 //!   invariant, and the hashes are how a violation is caught and
 //!   localized).
 //! * **Capture control.** Per machine, [`JMachine::record_replay`] /
-//!   [`JMachine::finish_replay`]. Process-wide, [`capture_replay`] (or
-//!   [`capture_replay_from_env`], reading `JM_REPLAY_CAPTURE`) arms every
+//!   [`JMachine::finish_replay`]. Process-wide,
+//!   [`capture_replay_from_env`] (reading `JM_REPLAY_CAPTURE`) arms every
 //!   subsequently-built machine and writes each machine's log into the
 //!   capture directory when it drops — this is how harness binaries
 //!   capture replay artifacts from experiments they cannot individually
@@ -48,7 +48,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Process-wide capture directive (see [`capture_replay`]).
+/// Process-wide capture directive (see [`capture_replay_from_env`]).
 struct Capture {
     dir: PathBuf,
     interval: u64,
@@ -57,20 +57,21 @@ struct Capture {
 
 static CAPTURE: OnceLock<Capture> = OnceLock::new();
 
-/// Arms process-wide replay capture: every [`JMachine`] built after this
-/// call records a replay log with hash boundaries every `interval` cycles
+/// Arms process-wide replay capture from the environment:
+/// `JM_REPLAY_CAPTURE` names the capture directory (unset or empty leaves
+/// capture off). Every [`JMachine`] built after this call records a replay
+/// log with hash boundaries every [`jm_replay::DEFAULT_INTERVAL`] cycles
 /// and writes it to `dir/replay-NNNN.jmrp` when the machine is dropped
-/// (sequence numbers follow drop order). The first call wins; later calls
-/// are ignored — this exists for the harness (`jmsim`, once, at startup)
-/// to capture an entire experiment suite without plumbing a parameter
-/// through every experiment's API.
-///
-/// # Panics
-///
-/// Panics if `interval` is zero.
-pub fn capture_replay(dir: impl Into<PathBuf>, interval: u64) {
-    assert!(interval > 0, "replay interval must be positive");
-    let dir = dir.into();
+/// (sequence numbers follow drop order). Returns whether capture was
+/// armed. The first arming wins; later calls are ignored — harness
+/// binaries call this once, at startup, so CI can capture an entire
+/// experiment suite without a flag or a parameter plumbed through every
+/// experiment's API.
+pub fn capture_replay_from_env() -> bool {
+    let dir = match std::env::var("JM_REPLAY_CAPTURE") {
+        Ok(dir) if !dir.is_empty() => PathBuf::from(dir),
+        _ => return false,
+    };
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!(
             "jm-machine: warning: cannot create replay capture dir {}: {e}",
@@ -79,24 +80,10 @@ pub fn capture_replay(dir: impl Into<PathBuf>, interval: u64) {
     }
     let _ = CAPTURE.set(Capture {
         dir,
-        interval,
+        interval: jm_replay::DEFAULT_INTERVAL,
         seq: AtomicU64::new(0),
     });
-}
-
-/// Arms [`capture_replay`] from the environment: `JM_REPLAY_CAPTURE` names
-/// the capture directory (unset or empty leaves capture off); boundaries
-/// are [`jm_replay::DEFAULT_INTERVAL`] cycles apart. Returns whether
-/// capture was armed. Harness binaries call this at startup so CI can flip
-/// capture on without new flags.
-pub fn capture_replay_from_env() -> bool {
-    match std::env::var("JM_REPLAY_CAPTURE") {
-        Ok(dir) if !dir.is_empty() => {
-            capture_replay(dir, jm_replay::DEFAULT_INTERVAL);
-            true
-        }
-        _ => false,
-    }
+    true
 }
 
 /// Per-machine recording state (attached to a [`JMachine`] while it is
@@ -237,7 +224,7 @@ fn recorded_config(c: &MachineConfig) -> RecordedConfig {
 /// Reconstructs the [`MachineConfig`] a log was recorded under (tracing
 /// off — it is observational and not part of the recorded run). This is
 /// the configuration [`MachineFactory::recorded`] replays with.
-pub fn recorded_machine_config(log: &ReplayLog) -> MachineConfig {
+fn recorded_machine_config(log: &ReplayLog) -> MachineConfig {
     let rc = &log.config;
     let mut cfg = MachineConfig::with_dims(rc.dims);
     cfg.mdp = rc.mdp;
@@ -488,68 +475,69 @@ impl fmt::Display for BisectReport {
     }
 }
 
+/// The one re-execution of a log: builds a fresh machine from `factory`
+/// and walks `log.records` in order, up to the first op stamped after
+/// `until` or checkpoint at or after it, applying each host op at its
+/// cycle. At each checkpoint on the way, `checkpoint` sees the machine
+/// advanced to it and the logged hash, and the walk stops where it returns
+/// false. Returns the machine where the walk stopped.
+fn walk(
+    log: &ReplayLog,
+    factory: &MachineFactory,
+    until: u64,
+    mut checkpoint: impl FnMut(&mut JMachine, u64, u64) -> bool,
+) -> JMachine {
+    let mut m = factory.build(log);
+    for r in &log.records {
+        match *r {
+            Record::Op { cycle, ref op } if cycle <= until => {
+                factory.advance(&mut m, cycle);
+                m.apply_op(op);
+            }
+            Record::Boundary { cycle, hash } | Record::End { cycle, hash } if cycle < until => {
+                factory.advance(&mut m, cycle);
+                if !checkpoint(&mut m, cycle, hash) {
+                    break;
+                }
+            }
+            _ => break,
+        }
+    }
+    m
+}
+
 /// Replays `log` under `factory`'s configuration, comparing the machine's
 /// state hash against every recorded checkpoint in order. Stops at the
 /// first mismatch.
 pub fn verify(log: &ReplayLog, factory: &MachineFactory) -> VerifyReport {
-    let mut m = factory.build(log);
-    let mut checked = 0;
-    let mut prev_cycle = 0;
-    for r in &log.records {
-        match r {
-            Record::Op { cycle, op } => {
-                factory.advance(&mut m, *cycle);
-                m.apply_op(op);
-            }
-            Record::Boundary { cycle, hash } | Record::End { cycle, hash } => {
-                factory.advance(&mut m, *cycle);
-                let got = m.state_hash();
-                checked += 1;
-                if got != *hash {
-                    return VerifyReport {
-                        checked,
-                        end_cycle: *cycle,
-                        mismatch: Some(BoundaryMismatch {
-                            prev_cycle,
-                            cycle: *cycle,
-                            logged: *hash,
-                            got,
-                        }),
-                    };
-                }
-                prev_cycle = *cycle;
-            }
+    let (mut checked, mut prev_cycle, mut mismatch) = (0, 0, None);
+    let m = walk(log, factory, u64::MAX, |m, cycle, logged| {
+        let got = m.state_hash();
+        checked += 1;
+        if got != logged {
+            mismatch = Some(BoundaryMismatch {
+                prev_cycle,
+                cycle,
+                logged,
+                got,
+            });
+            return false;
         }
-    }
+        prev_cycle = cycle;
+        true
+    });
     VerifyReport {
         checked,
         end_cycle: m.cycle(),
-        mismatch: None,
+        mismatch,
     }
 }
 
-/// Builds a fresh machine and drives it through the log to exactly
-/// `cycle`, applying every host op stamped at or before it (in recording
-/// order). No checkpoint comparison happens — this is the probe primitive
-/// bisection uses to sample machine state mid-interval.
-pub fn state_at(log: &ReplayLog, factory: &MachineFactory, cycle: u64) -> JMachine {
-    let mut m = factory.build(log);
-    for r in &log.records {
-        match r {
-            Record::Op { cycle: c, op } => {
-                if *c > cycle {
-                    break;
-                }
-                factory.advance(&mut m, *c);
-                m.apply_op(op);
-            }
-            Record::Boundary { cycle: c, .. } | Record::End { cycle: c, .. } => {
-                if *c >= cycle {
-                    break;
-                }
-            }
-        }
-    }
+/// A fresh machine driven through the log to exactly `cycle`, every host
+/// op stamped at or before it applied (in recording order) and no
+/// checkpoint compared: the probe bisection samples state with.
+fn state_at(log: &ReplayLog, factory: &MachineFactory, cycle: u64) -> JMachine {
+    let mut m = walk(log, factory, cycle, |_, _, _| true);
     factory.advance(&mut m, cycle);
     m
 }

@@ -18,8 +18,9 @@
 //! * [`futures`] — `cfut` fault handling: context save/restore through the
 //!   hardware staging buffer, suspension, and producer-side restart
 //!   (Table 2's save/restore costs);
-//! * [`tree`] — a binary combining tree (used by Radix Sort's
-//!   count-combining phase and as a barrier ablation);
+//! * [`tree`] — a binary combining tree, the barrier ablation of
+//!   `examples/barrier_tree.rs` (Radix Sort combines its counts with a
+//!   hypercube scan instead, `jm_apps::radix`);
 //! * [`rand`] — a small LCG for synthetic traffic generation;
 //! * [`reliable`] — sequence-numbered idempotent RPC with watchdog resend
 //!   and exponential backoff, the guest-level recovery protocol for

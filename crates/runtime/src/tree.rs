@@ -5,14 +5,15 @@
 //! it upward; when the root's count completes it posts the configured
 //! continuation to itself with the machine-wide total as the argument.
 //!
-//! Radix Sort uses the same pattern (vectorized) for its count-combining
-//! phase (§4.3.2: "the counts computed by each node are combined … using a
-//! binary combining/distributing tree"), and the tree doubles as a barrier
-//! ablation.
+//! The paper's Radix Sort combines its counts "using a binary
+//! combining/distributing tree" (§4.3.2); `jm_apps::radix` plays that role
+//! with a hypercube scan instead (same message count, no root bottleneck),
+//! so this tree's one user is the barrier ablation,
+//! `examples/barrier_tree.rs`.
 //!
 //! **Rounds must not overlap**: a node may contribute to round `k+1` only
 //! after the round-`k` result has been observed (true for phase-structured
-//! uses like Radix Sort).
+//! uses like a barrier).
 
 use crate::nnr;
 use jm_asm::{hdr, lab, Builder, Region};

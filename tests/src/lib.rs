@@ -1,7 +1,7 @@
 //! Integration-test crate for the jmsim workspace.
 //!
 //! The suites live in `tests/`; this library holds what several of them
-//! share: the engine matrix, the one check that holds a workload's result
+//! share: the engine matrix ([`columns`]), the one check that holds a workload's result
 //! under every engine to the naive reference's ([`agree`]), and the
 //! differential-test observation (everything a finished run lets a host
 //! see). The canned workloads they run (token ring, ping-pong, traffic
@@ -16,8 +16,8 @@ use std::fmt::Debug;
 
 /// Every engine under differential test, naive reference first. A
 /// `Parallel(t)` column is a crew only on a mesh cut into two slabs or
-/// more — `z ≥ 4`, two z-planes a slab at least — and [`agree`] refuses it
-/// anywhere else: on one slab it is the `Event` column again. (So is
+/// more — `z ≥ 4`, two z-planes a slab at least — and [`columns`] refuses
+/// it anywhere else: on one slab it is the `Event` column again. (So is
 /// `Parallel(1)`; `jm-machine` pins that in a unit test.)
 pub const ENGINES: [Engine; 4] = [
     Engine::Naive,
@@ -26,41 +26,63 @@ pub const ENGINES: [Engine; 4] = [
     Engine::Parallel(4),
 ];
 
-/// Builds `program` under `config` once per engine of [`ENGINES`], runs
+/// Builds one machine per column of [`ENGINES`] with `build`, in order,
+/// leaving out a `Parallel(t)` column whose crew — slab and worker count —
+/// an earlier column already is. `Parallel(t)` cuts `min(2t, z/2)` slabs
+/// and runs `min(t, slabs)` workers, so on a mesh four z-planes deep
+/// (2×2×4, 4×4×4) `Parallel(4)` is `Parallel(2)`'s machine again, and
+/// running it would check the same crew twice.
+///
+/// # Panics
+///
+/// On a `Parallel(t)` machine the engine cuts into fewer than two slabs:
+/// its column would check the event engine twice and the crew never.
+pub fn columns(label: &str, mut build: impl FnMut(Engine) -> JMachine) -> Vec<JMachine> {
+    let mut crews = Vec::new();
+    let mut machines = Vec::new();
+    for engine in ENGINES {
+        let m = build(engine);
+        if let Engine::Parallel(t) = engine {
+            let slabs = m.network().shard_count();
+            let dims = m.config().dims;
+            assert!(
+                slabs >= 2,
+                "{label}: {engine:?} cuts {dims} into one slab: no crew"
+            );
+            let crew = (slabs, slabs.min(t as usize));
+            if crews.contains(&crew) {
+                continue;
+            }
+            crews.push(crew);
+        }
+        machines.push(m);
+    }
+    machines
+}
+
+/// Builds `program` under `config` once per [`columns`] entry, runs
 /// `drive` on each machine and holds every engine's result to the naive
-/// reference's. Returns that result and every engine's finished machine,
-/// in `ENGINES` order, for what a result leaves out: host counters
+/// reference's. Returns that result and every machine it ran, in
+/// `ENGINES` order, for what a result leaves out: host counters
 /// (`stretch_stats`, `bulk_stats`) that say a fast path ran.
 ///
 /// # Panics
 ///
-/// On a result that differs from the naive one, and on a `Parallel(t)`
-/// machine the engine cuts into fewer than two slabs: its column would
-/// check the event engine twice and the crew never.
+/// On a result that differs from the naive one, and where [`columns`]
+/// does.
 pub fn agree<R: PartialEq + Debug>(
     label: &str,
     program: &Program,
     config: MachineConfig,
     mut drive: impl FnMut(&mut JMachine) -> R,
-) -> (R, [JMachine; 4]) {
-    let mut naive = None;
-    let machines = ENGINES.map(|engine| {
-        let mut m = JMachine::new(program.clone(), config.engine(engine));
-        let slabs = m.network().shard_count();
-        if matches!(engine, Engine::Parallel(_)) && slabs < 2 {
-            panic!(
-                "{label}: {engine:?} cuts {} into one slab: no crew",
-                config.dims
-            );
-        }
-        let result = drive(&mut m);
-        match &naive {
-            None => naive = Some(result),
-            Some(naive) => assert_eq!(*naive, result, "{label}: {engine:?} diverged from naive"),
-        }
-        m
-    });
-    (naive.expect("ENGINES is not empty"), machines)
+) -> (R, Vec<JMachine>) {
+    let mut machines = columns(label, |e| JMachine::new(program.clone(), config.engine(e)));
+    let mut results = machines.iter_mut().map(|m| (m.config().engine, drive(m)));
+    let (_, naive) = results.next().expect("ENGINES is not empty");
+    for (engine, result) in results {
+        assert_eq!(naive, result, "{label}: {engine:?} diverged from naive");
+    }
+    (naive, machines)
 }
 
 /// Everything observable about a finished run.

@@ -2,7 +2,8 @@
 //! **cycle-exact** with the naive reference engine. Every workload runs
 //! through [`agree`] under each engine of `jm_tests::ENGINES` — the
 //! parallel engine with two threads and with four, on a mesh it cuts into
-//! two slabs or more (z ≥ 4) — and every observable is compared: the
+//! two slabs or more (z ≥ 4), and with four only where that is another
+//! crew than two's — and every observable is compared: the
 //! `run_until_quiescent` outcome (success cycle count or error), the
 //! aggregated machine statistics (per-class cycles, per-handler counters,
 //! network counters), the final contents of every declared data block on
@@ -350,13 +351,13 @@ fn macro_radix_is_engine_exact() {
     };
     let program = jm_apps::radix::program(&cfg, 16);
     let config = MachineConfig::new(16).start(StartPolicy::AllNodes);
-    let (obs, [naive, ..]) = agree("radix", &program, config, |m| {
+    let (obs, machines) = agree("radix", &program, config, |m| {
         jm_apps::radix::setup(m, &cfg);
         observe(m, 50_000_000)
     });
     assert!(obs.outcome.is_ok(), "{:?}", obs.outcome);
     let expected = jm_apps::radix::reference(&cfg.generate());
-    assert_eq!(jm_apps::radix::result(&naive, &cfg), expected);
+    assert_eq!(jm_apps::radix::result(&machines[0], &cfg), expected);
 }
 
 /// Macro workloads: the other three applications at their modules' small
@@ -460,14 +461,13 @@ fn ejection_backpressure_redelivery_is_engine_exact() {
     let config = MachineConfig::with_dims(MeshDims::new(1, 1, 4))
         .start(StartPolicy::AllNodes)
         .mdp(mdp);
-    let (naive, [_, event, ..]) =
-        agree("backpressure", &program, config, |m| observe(m, 1_000_000));
+    let (naive, machines) = agree("backpressure", &program, config, |m| observe(m, 1_000_000));
     // The workload really exercised backpressure: every message arrived
     // and summed correctly, and deliveries were refused along the way.
     assert!(naive.outcome.is_ok(), "{:?}", naive.outcome);
     assert_eq!(naive.memory[0][0].as_i32(), 6 + 5 + 4 + 3 + 2 + 1);
     assert_eq!(naive.stats.nodes.msgs_received, 6);
-    assert!(event.node(NodeId(0)).queue_refusals(MsgPriority::P0) > 0);
+    assert!(machines[1].node(NodeId(0)).queue_refusals(MsgPriority::P0) > 0);
 }
 
 #[test]
@@ -530,8 +530,8 @@ fn stretched(
     config: MachineConfig,
     max_cycles: u64,
 ) -> (Observation, StretchStats) {
-    let (naive, [_, event, ..]) = agree(label, &program, config, |m| observe(m, max_cycles));
-    (naive, event.stretch_stats())
+    let (naive, machines) = agree(label, &program, config, |m| observe(m, max_cycles));
+    (naive, machines[1].stretch_stats())
 }
 
 /// Boot code every stretch workload shares: the route to the next node

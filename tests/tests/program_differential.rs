@@ -35,7 +35,7 @@ use jm_isa::word::{SegDesc, Word};
 use jm_isa::RouteWord;
 use jm_machine::{Engine, JMachine, MachineConfig, StartPolicy};
 use jm_prng::Prng;
-use jm_tests::{observe, Observation, ENGINES};
+use jm_tests::{columns, observe, Observation};
 
 /// Words in the internal and the initialized external data segments.
 const DATA_WORDS: u32 = 16;
@@ -799,26 +799,27 @@ fn trajectory(program: &Program, engine: Engine, every: u64, until: u64) -> Vec<
 /// observation and the rewinds the stretching engines took.
 fn verdict(gen: &Gen) -> Result<(Observation, u64), String> {
     let program = assemble(gen);
-    let run = |engine| {
+    let mut machines = columns("program", |engine| {
         let mut m = JMachine::new(program.clone(), config(engine));
         setup(&mut m);
-        (observe(&mut m, MAX_CYCLES), m)
-    };
-    let naive = run(Engine::Naive).0;
+        m
+    })
+    .into_iter();
+    let naive = observe(&mut machines.next().expect("the naive column"), MAX_CYCLES);
     // Two dozen looks along the first few thousand cycles.
     let until = naive.stats.cycles.min(4_000);
     let every = (until / 24).max(1);
     let hashes = trajectory(&program, Engine::Naive, every, until);
     let mut rewinds = 0;
-    for engine in &ENGINES[1..] {
-        let (other, m) = run(*engine);
+    for mut m in machines {
+        let (engine, other) = (m.config().engine, observe(&mut m, MAX_CYCLES));
         rewinds += m.stretch_stats().rewinds;
         if other != naive {
             return Err(format!(
                 "{engine:?}: observation diverged\nnaive: {naive:?}\n{engine:?}: {other:?}"
             ));
         }
-        let theirs = trajectory(&program, *engine, every, until);
+        let theirs = trajectory(&program, engine, every, until);
         if let Some(k) = (0..hashes.len()).find(|&k| hashes[k] != theirs[k]) {
             return Err(format!(
                 "{engine:?}: state hash diverged at cycle {}",

@@ -3,9 +3,10 @@
 //! under any other engine or thread count, because the replay hash covers
 //! exactly the architectural state (registers, queues, memory, router
 //! occupancy) and none of the engines' bookkeeping (DESIGN.md §4.8). The
-//! suite records under `Engine::Event` and replays under every engine of
-//! `jm_tests::ENGINES` (Naive, Event, `Parallel(t)` for t ∈ {2, 4}),
-//! across the schedules most likely to break checkpoint placement:
+//! suite records under `Engine::Event` and replays under every column of
+//! `jm_tests::columns` (Naive, Event, and each distinct crew of
+//! `Parallel(t)` for t ∈ {2, 4}), across the schedules most likely to
+//! break checkpoint placement:
 //!
 //! * a mostly-idle token ring (idle crediting between checkpoints);
 //! * an idle-skip ping-pong whose 50-cycle dispatch cost makes every
@@ -14,8 +15,8 @@
 //!   window) where a one-cycle divergence would reseed every later
 //!   fault draw.
 //!
-//! Each runs on a 2×2×4 mesh, which the parallel engines cut into two
-//! slabs.
+//! Each runs on a 2×2×4 mesh, which both parallel engines cut into the
+//! same two slabs with two workers: one crew.
 //!
 //! It also proves the localization claim end-to-end: an injected
 //! single-cycle divergence in a 64-node chaos run is bisected to exactly
@@ -32,7 +33,7 @@ use jm_machine::{
 use jm_mdp::{MdpConfig, TimingConfig};
 use jm_replay::ReplayLog;
 use jm_runtime::reliable;
-use jm_tests::ENGINES;
+use jm_tests::columns;
 
 /// Token-ring workload (the one `engine_equivalence` runs): one
 /// token circulates an id-ordered ring for `rounds` laps.
@@ -64,7 +65,8 @@ fn assert_clean_across_engines(label: &str, log: &ReplayLog) {
         "{label}: too few checkpoints ({}) to be a meaningful replay",
         log.checkpoints()
     );
-    for engine in ENGINES {
+    let build = |engine| MachineFactory::recorded().engine(engine).build(log);
+    for engine in columns(label, build).iter().map(|m| m.config().engine) {
         let report = jm_machine::verify(log, &MachineFactory::recorded().engine(engine));
         assert!(
             report.clean(),
