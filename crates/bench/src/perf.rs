@@ -39,7 +39,7 @@ use crate::workloads::{exchange_program, ring_program};
 use jm_asm::Program;
 use jm_isa::instr::StatClass;
 use jm_machine::{Engine, JMachine, MachineConfig, MachineError, MachineStats, StartPolicy};
-use jm_mdp::StretchStats;
+use jm_mdp::{MemoryStats, StretchStats};
 use jm_net::BulkStats;
 use std::process::ExitCode;
 
@@ -87,6 +87,7 @@ struct Race {
     stats: MachineStats,
     stretch: StretchStats,
     bulk: BulkStats,
+    memory: MemoryStats,
 }
 
 fn quiesce(m: &mut JMachine) -> Result<(), MachineError> {
@@ -142,8 +143,10 @@ fn race(
                 .then(|| m.finish_replay().expect("capture was armed"));
             let (take, trace) = time_once(|| m.take_trace());
             let end = (m.cycle(), m.stats(), m.state_hash());
-            let (reference, ..) =
-                first.get_or_insert_with(|| (end.clone(), m.stretch_stats(), m.bulk_stats()));
+            let (reference, ..) = first.get_or_insert_with(|| {
+                let host = (m.stretch_stats(), m.bulk_stats(), m.memory_stats());
+                (end.clone(), host)
+            });
             if *reference != end {
                 let side0 = &sides[0].label;
                 let why =
@@ -163,13 +166,14 @@ fn race(
             }
         }
     }
-    let ((_, stats, _), stretch, bulk) = first.expect("a race runs");
+    let ((_, stats, _), (stretch, bulk, memory)) = first.expect("a race runs");
     Ok(Race {
         walls,
         takes,
         stats,
         stretch,
         bulk,
+        memory,
     })
 }
 
@@ -325,8 +329,9 @@ pub(crate) fn run(args: &Args) -> Outcome {
 /// cycles, every node in the exchange loop) — `event` against
 /// `parallel-T`, raced like every `perf` ratio, so a run that ends with
 /// other statistics or state than the event engine's is exit 1. `--out`
-/// writes the simulated counters, the sweep's `threads/…` rows and peak
-/// RSS (host rows) for a workflow to diff day over day.
+/// writes the simulated counters, the sweep's `threads/…` rows, the event
+/// run's storage counters and peak RSS (host rows) for a workflow to diff
+/// day over day.
 pub(crate) fn mesh(args: &Args) -> Outcome {
     let nodes = cli::machine_size("--nodes", args.count("--nodes").unwrap_or(4096))?;
     let cycles = args.count("--cycles").unwrap_or(5_000);
@@ -340,6 +345,15 @@ pub(crate) fn mesh(args: &Args) -> Outcome {
     let mut out = vec![Row::simulated("mesh", "nodes", nodes.into(), "nodes")];
     out.extend(stats_rows("mesh", &race.stats));
     out.extend(sweep);
+    let memory = race.memory;
+    out.extend(
+        [
+            ("sram_pages", memory.sram_pages, "pages"),
+            ("dram_pages", memory.dram_pages, "pages"),
+            ("queue_words", memory.queue_words, "words"),
+        ]
+        .map(|(metric, value, unit)| Row::host("memory", metric, value as f64, unit, cpus)),
+    );
     out.push(peak_rss_row(rss));
     let sweep_table = pivot(&out, "threads", "engine");
     println!("exchange loop, host CPUs: {cpus}\n\n{sweep_table}");

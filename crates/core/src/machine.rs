@@ -24,7 +24,7 @@ use jm_isa::instr::{MsgPriority, StatClass};
 use jm_isa::node::NodeId;
 use jm_isa::word::{MsgHeader, Word};
 use jm_isa::TraceId;
-use jm_mdp::{Code, MdpNode, NodeError, StretchStats};
+use jm_mdp::{Code, MdpNode, MemoryStats, NodeError, StretchStats};
 use jm_net::{BitSet, BulkStats, NetShard, Network};
 use jm_replay::HostOp;
 use jm_trace::{MachineTrace, SamplePoint, Tracer};
@@ -924,6 +924,18 @@ impl JMachine {
         let mut total = StretchStats::default();
         for node in &self.nodes {
             total.merge(&node.stretch_stats());
+        }
+        total
+    }
+
+    /// The nodes' host-side storage counters, summed: SRAM and DRAM pages
+    /// and message-queue words their programs have written. Outside
+    /// [`MachineStats`] and every digest; `dram_pages` alone is state, and
+    /// the same under every engine.
+    pub fn memory_stats(&self) -> MemoryStats {
+        let mut total = MemoryStats::default();
+        for node in &self.nodes {
+            total.merge(&node.memory_stats());
         }
         total
     }

@@ -160,13 +160,14 @@ impl MdpConfig {
     /// log header) can hold anything; [`crate::MdpNode`] is only ever built
     /// from one that passed.
     ///
-    /// Each field is checked on its own, and then their product: every
-    /// node allocates its two queues and its translation cache up front,
-    /// so a 31³ mesh of fields each in range would ask for hundreds of GiB
-    /// and abort in the allocator. Counted at 8 bytes a queue word and 32 a
-    /// cache entry (a hash-map slot and a FIFO slot), they may take at most
-    /// 16 GiB over the whole machine — far past every configuration the
-    /// simulator models (the 16³ mesh at defaults takes about 150 MiB).
+    /// Each field is checked on its own, and then their product: a node's
+    /// two queues and its translation cache start empty but may grow to
+    /// their full sizes, so a 31³ mesh of fields each in range could come
+    /// to ask for hundreds of GiB and abort in the allocator mid-run.
+    /// Counted at 8 bytes a queue word and 32 a cache entry (a hash-map
+    /// slot and a FIFO slot), what they may grow to is held to 16 GiB over
+    /// the whole machine — far past every configuration the simulator
+    /// models (the 16³ mesh at defaults may grow to about 150 MiB).
     ///
     /// # Errors
     ///

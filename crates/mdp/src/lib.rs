@@ -48,7 +48,7 @@ mod xlate;
 
 pub use config::{MdpConfig, TimingConfig, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
 pub use lower::Code;
-pub use memory::Memory;
+pub use memory::{Memory, MemoryStats};
 pub use node::{InjectAck, MdpNode, NetPort, NodeError, TickOutcome};
 pub use queue::MsgQueue;
 pub use stats::{HandlerStats, NodeStats};

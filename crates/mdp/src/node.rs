@@ -3,7 +3,7 @@
 
 use crate::config::{MdpConfig, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
 use crate::lower::{Code, Op};
-use crate::memory::Memory;
+use crate::memory::{Memory, MemoryStats};
 use crate::queue::MsgQueue;
 use crate::stats::NodeStats;
 use crate::stretch::Stretch;
@@ -337,6 +337,17 @@ impl MdpNode {
     /// Accumulated statistics.
     pub fn stats(&self) -> &NodeStats {
         &self.stats
+    }
+
+    /// The node's host-side storage counters: the memory pages and queue
+    /// words its program has written so far.
+    pub fn memory_stats(&self) -> MemoryStats {
+        let (sram, dram) = self.mem.allocated_pages();
+        MemoryStats {
+            sram_pages: sram as u64,
+            dram_pages: dram as u64,
+            queue_words: self.queues.iter().map(|q| q.stored_words() as u64).sum(),
+        }
     }
 
     /// The node's fatal error, if it stopped.

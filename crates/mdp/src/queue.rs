@@ -11,9 +11,17 @@ use jm_isa::tag::Tag;
 use jm_isa::word::{MsgHeader, Word};
 
 /// One priority level's message queue.
+///
+/// The ring is stored only as far as it has been written: `buf` starts
+/// empty and the first pass round the ring pushes, after which words go
+/// into slots an earlier pass wrote. Nothing reads outside
+/// `[head, head + len)`, so the words never stored are never seen.
 #[derive(Debug, Clone)]
 pub struct MsgQueue {
+    /// The ring's slots written so far: `0..buf.len()`.
     buf: Vec<Word>,
+    /// Ring size in words.
+    capacity: usize,
     /// Ring index of the first word of the head message.
     head: usize,
     /// Words currently stored.
@@ -33,7 +41,8 @@ impl MsgQueue {
     pub fn new(capacity: u32) -> MsgQueue {
         assert!(capacity > 0, "queue capacity must be positive");
         MsgQueue {
-            buf: vec![Word::NIL; capacity as usize],
+            buf: Vec::new(),
+            capacity: capacity as usize,
             head: 0,
             len: 0,
             hwm: 0,
@@ -43,6 +52,11 @@ impl MsgQueue {
 
     /// Queue capacity in words.
     pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Ring words stored so far (the storage the queue has grown to).
+    pub(crate) fn stored_words(&self) -> usize {
         self.buf.len()
     }
 
@@ -68,12 +82,18 @@ impl MsgQueue {
 
     /// Accepts one arriving word, or refuses it if the queue is full.
     pub fn push(&mut self, word: Word) -> bool {
-        if self.len == self.buf.len() {
+        if self.len == self.capacity {
             self.refusals += 1;
             return false;
         }
-        let slot = (self.head + self.len) % self.buf.len();
-        self.buf[slot] = word;
+        // Slots fill in ring order, so the next one is either stored or
+        // the first not yet stored.
+        let slot = (self.head + self.len) % self.capacity;
+        if slot == self.buf.len() {
+            self.buf.push(word);
+        } else {
+            self.buf[slot] = word;
+        }
         self.len += 1;
         self.hwm = self.hwm.max(self.len);
         true
@@ -83,7 +103,7 @@ impl MsgQueue {
     /// arrived.
     pub fn get(&self, offset: usize) -> Option<Word> {
         if offset < self.len {
-            Some(self.buf[(self.head + offset) % self.buf.len()])
+            Some(self.buf[(self.head + offset) % self.capacity])
         } else {
             None
         }
@@ -98,7 +118,7 @@ impl MsgQueue {
     /// Reads the word in ring slot `slot` if it currently holds an arrived
     /// word.
     pub fn read_slot(&self, slot: usize) -> Option<Word> {
-        let cap = self.buf.len();
+        let cap = self.capacity;
         let offset = (slot + cap - self.head) % cap;
         self.get(offset)
     }
@@ -132,7 +152,7 @@ impl MsgQueue {
         h.write_u32(self.head as u32);
         h.write_u32(self.len as u32);
         for offset in 0..self.len {
-            let w = self.buf[(self.head + offset) % self.buf.len()];
+            let w = self.buf[(self.head + offset) % self.capacity];
             crate::hash::fold_word(h, w);
         }
     }
@@ -144,7 +164,7 @@ impl MsgQueue {
     /// Panics if fewer than `words` words are buffered.
     pub fn pop_msg(&mut self, words: usize) {
         assert!(words <= self.len, "popping an incomplete message");
-        self.head = (self.head + words) % self.buf.len();
+        self.head = (self.head + words) % self.capacity;
         self.len -= words;
     }
 }
@@ -152,6 +172,9 @@ impl MsgQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jm_prng::Prng;
+    use jm_trace::Fnv1a;
+    use std::collections::VecDeque;
 
     fn hdr(ip: u32, len: u32) -> Word {
         MsgHeader::new(ip, len).to_word()
@@ -259,5 +282,68 @@ mod tests {
         // The surviving message's slots still read back.
         assert_eq!(q.read_slot(2), Some(hdr(2, 2)));
         assert_eq!(q.read_slot(3), Some(Word::int(20)));
+    }
+
+    fn fold(q: &MsgQueue) -> u64 {
+        let mut h = Fnv1a::new();
+        q.fold_state(&mut h);
+        h.finish()
+    }
+
+    /// Random pushes and pops against a `VecDeque` of the buffered words
+    /// and a head slot, at ring sizes 1, 3, 256 and 512, through many
+    /// wraps: every accessor agrees with the model, a full ring refuses,
+    /// and the storage never grows past the ring or past what was pushed.
+    #[test]
+    fn matches_a_deque_model() {
+        for cap in [1usize, 3, 256, 512] {
+            let mut rng = Prng::from_label("queue-model", cap as u64);
+            let mut q = MsgQueue::new(cap as u32);
+            let (mut model, mut head, mut refusals, mut pushed) = (VecDeque::new(), 0, 0, 0);
+            for step in 0..40 * cap + 200 {
+                // Alternate filling and draining phases two rings long,
+                // so the ring both fills and empties.
+                let filling = (step / (2 * cap)) % 2 == 0;
+                if rng.chance(if filling { 0.9 } else { 0.2 }) {
+                    let word = Word::int(step as i32);
+                    let accepted = model.len() < cap;
+                    assert_eq!(q.push(word), accepted, "cap {cap} step {step}");
+                    if accepted {
+                        model.push_back(word);
+                        pushed += 1;
+                    } else {
+                        refusals += 1;
+                    }
+                } else if !model.is_empty() {
+                    let words = rng.range_usize(1, model.len().min(4) + 1);
+                    q.pop_msg(words);
+                    model.drain(..words);
+                    head = (head + words) % cap;
+                }
+                assert_eq!(
+                    (q.len(), q.head_slot(), q.refusals()),
+                    (model.len(), head, refusals)
+                );
+                assert_eq!(q.stored_words(), pushed.min(cap));
+                for offset in [0, 1, model.len().saturating_sub(1), model.len(), cap] {
+                    assert_eq!(q.get(offset), model.get(offset).copied(), "get({offset})");
+                }
+                let slot = rng.range_usize(0, 2 * cap);
+                let offset = (slot + cap - head) % cap;
+                assert_eq!(q.read_slot(slot), model.get(offset).copied(), "slot {slot}");
+                let mut h = Fnv1a::new();
+                h.write_u32(head as u32);
+                h.write_u32(model.len() as u32);
+                for &w in &model {
+                    crate::hash::fold_word(&mut h, w);
+                }
+                assert_eq!(fold(&q), h.finish(), "cap {cap} step {step}");
+            }
+            assert!(
+                pushed > 3 * cap,
+                "cap {cap}: the ring wrapped too few times"
+            );
+            assert!(refusals > 0, "cap {cap}: the ring never filled");
+        }
     }
 }

@@ -17,10 +17,13 @@ fn key_of(word: Word) -> Key {
     (word.tag().bits(), word.bits())
 }
 
-/// A bounded key→value map of tagged words with FIFO replacement.
+/// A bounded key→value map of tagged words with FIFO replacement. Both
+/// tables start empty and grow with the entries; `capacity` is only the
+/// eviction bound.
 #[derive(Debug, Clone)]
 pub struct XlateCache {
     map: HashMap<Key, Word>,
+    /// The live keys, in insertion order.
     order: VecDeque<Key>,
     capacity: usize,
     evictions: u64,
@@ -35,8 +38,8 @@ impl XlateCache {
     pub fn new(capacity: usize) -> XlateCache {
         assert!(capacity > 0, "xlate cache capacity must be positive");
         XlateCache {
-            map: HashMap::with_capacity(capacity),
-            order: VecDeque::with_capacity(capacity),
+            map: HashMap::new(),
+            order: VecDeque::new(),
             capacity,
             evictions: 0,
         }
@@ -63,13 +66,9 @@ impl XlateCache {
         if self.map.insert(k, value).is_none() {
             self.order.push_back(k);
             if self.map.len() > self.capacity {
-                // FIFO eviction; skip stale order entries.
-                while let Some(victim) = self.order.pop_front() {
-                    if self.map.remove(&victim).is_some() {
-                        self.evictions += 1;
-                        break;
-                    }
-                }
+                let victim = self.order.pop_front().expect("order holds the live keys");
+                self.map.remove(&victim);
+                self.evictions += 1;
             }
         }
     }
@@ -79,31 +78,21 @@ impl XlateCache {
         self.map.get(&key_of(key)).copied()
     }
 
-    /// Folds the cache state into a replay digest. The FIFO `order` deque —
-    /// including entries gone stale through replacement or `purge`, whose
-    /// presence still determines future evictions — is itself fully
-    /// deterministic, so folding it in order (with each key's current
-    /// binding) captures the live map without touching `HashMap` iteration
-    /// order.
+    /// Folds the cache state into a replay digest: the live keys in
+    /// insertion order, each with its binding, so the fold never touches
+    /// `HashMap` iteration order. Each entry keeps a presence byte, always
+    /// 1, so the digest reads as it did when `order` could hold removed
+    /// keys.
     pub fn fold_state(&self, h: &mut jm_trace::Fnv1a) {
         h.write_u32(self.map.len() as u32);
         for &(tag, bits) in &self.order {
+            let v = self.map[&(tag, bits)];
             h.write_u8(tag);
             h.write_u32(bits);
-            match self.map.get(&(tag, bits)) {
-                Some(v) => {
-                    h.write_u8(1);
-                    h.write_u8(v.tag().bits());
-                    h.write_u32(v.bits());
-                }
-                None => h.write_u8(0),
-            }
+            h.write_u8(1);
+            h.write_u8(v.tag().bits());
+            h.write_u32(v.bits());
         }
-    }
-
-    /// Removes a binding, returning the previous value.
-    pub fn purge(&mut self, key: Word) -> Option<Word> {
-        self.map.remove(&key_of(key))
     }
 }
 
@@ -141,14 +130,5 @@ mod tests {
         assert_eq!(c.evictions(), 1);
         assert_eq!(c.xlate(Word::sym(1)), None);
         assert_eq!(c.xlate(Word::sym(3)), Some(Word::int(3)));
-    }
-
-    #[test]
-    fn purge_removes() {
-        let mut c = XlateCache::new(4);
-        c.enter(Word::sym(5), Word::int(50));
-        assert_eq!(c.purge(Word::sym(5)), Some(Word::int(50)));
-        assert_eq!(c.xlate(Word::sym(5)), None);
-        assert_eq!(c.purge(Word::sym(5)), None);
     }
 }

@@ -796,6 +796,91 @@ fn stretches_stop_before_a_fresh_dram_page() {
     assert!(counts.rewinds > 0, "no poke landed inside a stretch");
 }
 
+/// Words of an SRAM page, and the pages `fill` writes.
+const SRAM_PAGE: u32 = 512;
+const FILL_PAGES: u32 = 6;
+
+/// Each even node sends the next a P0 `fill` and, after a delay of its
+/// own, a P1 `urgent`. `fill` writes the first word of one untouched SRAM
+/// page after another (word `first + 512 k` of `far`), for as long as no
+/// `urgent` has landed.
+fn fill_program(first: u32) -> Program {
+    let mut b = Builder::new();
+    b.reserve("far", Region::Imem, FILL_PAGES * SRAM_PAGE);
+    route_to_next(&mut b);
+    b.mov(R3, Special::Nid);
+    b.alu(AluOp::And, R3, R3, 1);
+    b.bnz(R3, "odd");
+    b.send(MsgPriority::P0, MemRef::disp(A1, 0));
+    b.send2e(MsgPriority::P0, hdr("fill", 2), 0);
+    b.mov(R3, Special::Nid);
+    b.alu(AluOp::Mul, R3, R3, 5);
+    b.addi(R3, R3, 3);
+    b.label("stagger");
+    b.subi(R3, R3, 1);
+    b.bnz(R3, "stagger");
+    b.send(MsgPriority::P1, MemRef::disp(A1, 0));
+    b.send2e(MsgPriority::P1, hdr("urgent", 2), 1);
+    b.label("odd");
+    b.suspend();
+    b.label("fill");
+    b.load_seg(A0, "shared");
+    b.load_seg(A2, "far");
+    for k in 0..FILL_PAGES {
+        b.mov(R0, MemRef::disp(A0, 0));
+        b.bnz(R0, "filled");
+        b.movi(R2, 6);
+        b.label(format!("spin{k}"));
+        b.subi(R2, R2, 1);
+        b.bnz(R2, format!("spin{k}"));
+        b.mov(MemRef::disp(A2, first + SRAM_PAGE * k), Special::Cycle);
+    }
+    b.label("filled");
+    b.suspend();
+    interrupt_handler(&mut b, "urgent");
+    b.entry("main");
+    nnr::install(&mut b);
+    b.assemble().unwrap()
+}
+
+/// A stretch may allocate an SRAM page — SRAM allocation is not state —
+/// and a P1 delivery that rewinds it leaves the page allocated and NIL.
+/// Stopped at every cycle of the run, every engine's state hash is
+/// naive's; run to quiescence, the event engine holds SRAM pages naive
+/// never allocated, so a rewound stretch did allocate one.
+#[test]
+fn a_rewound_stretch_leaves_an_sram_page_that_hashes_as_unwritten() {
+    // `far` sits after the code, whose length depends on the offsets the
+    // stores encode: settle on an offset that places itself.
+    let mut first = 0;
+    let program = loop {
+        let program = fill_program(first);
+        let base = program.segment("far").base;
+        if (base + first).is_multiple_of(SRAM_PAGE) {
+            break program;
+        }
+        first = SRAM_PAGE - base % SRAM_PAGE;
+    };
+    let config = MachineConfig::new(16).start(StartPolicy::AllNodes);
+    let (end, machines) = agree("fresh SRAM pages", &program, config, |m| {
+        observe(m, 100_000)
+    });
+    let cycles = end.outcome.expect("the fill workload quiesces");
+    for at in 0..=cycles {
+        agree(&format!("stopped at {at}"), &program, config, |m| {
+            m.run(at);
+            m.state_hash()
+        });
+    }
+    let (naive, event) = (machines[0].memory_stats(), machines[1].memory_stats());
+    assert_eq!(naive.dram_pages, event.dram_pages);
+    assert!(
+        event.sram_pages > naive.sram_pages,
+        "no rewound stretch allocated an SRAM page: {event:?} against naive's {naive:?}"
+    );
+    assert!(machines[1].stretch_stats().rewinds > 0);
+}
+
 /// Occupancy samples (every 7 cycles) and replay checkpoints (every 13)
 /// are drive boundaries no stretch runs past: a traced, captured run of the
 /// P1-over-P0 workload is the same on every engine, down to each sample,

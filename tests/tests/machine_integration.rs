@@ -2,12 +2,15 @@
 //! machines of several shapes.
 
 use jm_asm::{hdr, Builder, Region};
+use jm_isa::consts::EMEM_BASE;
 use jm_isa::instr::{AluOp, MsgPriority, StatClass};
 use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
-use jm_machine::{JMachine, MachineConfig, StartPolicy};
+use jm_machine::{Engine, JMachine, MachineConfig, StartPolicy};
+use jm_mdp::MemoryStats;
 use jm_runtime::nnr;
+use std::collections::BTreeSet;
 
 /// Every node sends `ROUNDS` counters around a ring; the values must
 /// arrive in order and message accounting must balance exactly.
@@ -317,4 +320,40 @@ fn send2_stalled_on_its_second_operand_appends_its_first_once() {
         naive.stats.nodes.arrival_stalls > 0,
         "the relay never stalled: the test is vacuous"
     );
+}
+
+/// A node holds only what its program has written. The exchange loop
+/// installs no vector and initialises one data block, `f3_r` (four words
+/// after the code, on SRAM page 0; `f3_flag` is reserved, not written), so
+/// a freshly built 16×16×16 exchange machine holds one 512-word SRAM page
+/// a node — 4 096 in all — no DRAM page and no queue word. DRAM
+/// allocation is state, so a run leaves the same DRAM pages under the
+/// naive and the event engine.
+#[test]
+fn a_fresh_machine_holds_only_what_its_program_wrote() {
+    const SRAM_PAGE: u32 = 512;
+    let program = jm_bench::workloads::exchange_program();
+    let written: BTreeSet<u32> = program
+        .data
+        .iter()
+        .filter(|block| !block.init.is_empty())
+        .flat_map(|block| block.base..block.base + block.len)
+        .inspect(|&addr| assert!(addr < EMEM_BASE, "initialised DRAM at {addr}"))
+        .map(|addr| addr / SRAM_PAGE)
+        .collect();
+    assert_eq!(written, BTreeSet::from([0]));
+    let config = MachineConfig::new(4096).start(StartPolicy::AllNodes);
+    let fresh = JMachine::new(program.clone(), config.engine(Engine::Event));
+    let expect = MemoryStats {
+        sram_pages: 4096,
+        dram_pages: 0,
+        queue_words: 0,
+    };
+    assert_eq!(fresh.memory_stats(), expect);
+    let dram_pages = [Engine::Naive, Engine::Event].map(|engine| {
+        let mut m = JMachine::new(program.clone(), config.engine(engine));
+        m.run(200);
+        m.memory_stats().dram_pages
+    });
+    assert_eq!(dram_pages[0], dram_pages[1]);
 }
