@@ -88,6 +88,8 @@ struct Race {
     stretch: StretchStats,
     bulk: BulkStats,
     memory: MemoryStats,
+    /// Injection FIFOs the network allocated ([`jm_net::Network::inject_fifos`]).
+    inject_fifos: u64,
 }
 
 fn quiesce(m: &mut JMachine) -> Result<(), MachineError> {
@@ -144,7 +146,8 @@ fn race(
             let (take, trace) = time_once(|| m.take_trace());
             let end = (m.cycle(), m.stats(), m.state_hash());
             let (reference, ..) = first.get_or_insert_with(|| {
-                let host = (m.stretch_stats(), m.bulk_stats(), m.memory_stats());
+                let memory = (m.memory_stats(), m.network().inject_fifos());
+                let host = (m.stretch_stats(), m.bulk_stats(), memory);
                 (end.clone(), host)
             });
             if *reference != end {
@@ -166,7 +169,7 @@ fn race(
             }
         }
     }
-    let ((_, stats, _), (stretch, bulk, memory)) = first.expect("a race runs");
+    let ((_, stats, _), (stretch, bulk, (memory, inject_fifos))) = first.expect("a race runs");
     Ok(Race {
         walls,
         takes,
@@ -174,6 +177,7 @@ fn race(
         stretch,
         bulk,
         memory,
+        inject_fifos,
     })
 }
 
@@ -351,6 +355,7 @@ pub(crate) fn mesh(args: &Args) -> Outcome {
             ("sram_pages", memory.sram_pages, "pages"),
             ("dram_pages", memory.dram_pages, "pages"),
             ("queue_words", memory.queue_words, "words"),
+            ("inject_fifos", race.inject_fifos, "fifos"),
         ]
         .map(|(metric, value, unit)| Row::host("memory", metric, value as f64, unit, cpus)),
     );

@@ -14,13 +14,16 @@ use jm_isa::TraceId;
 /// by the network.
 ///
 /// The struct is deliberately packed to 32 bytes: channel arenas hold
-/// `routers × 14 buffers × depth` of these (a 16×16×16 mesh has 4096
+/// `routers × 12 buffers × depth` of these (a 16×16×16 mesh has 4096
 /// routers), and every boundary crossing copies one through an edge
 /// mailbox, so flit size is arena footprint *and* parallel-engine
 /// bandwidth. Head/tail/payload-presence share one flag byte, the trace
 /// id is stored in 32 bits (`commit_msg`, which makes the ids, hands out
 /// none wider), and the virtual network is *not* stored — every path
 /// that handles a flit already knows its vnet from the buffer it sits in.
+/// A message waiting to leave its source is not stored as flits at all:
+/// the injection FIFO and the bulk law hold one [`Message`] record and
+/// its payload words, and [`Message::flit`] makes each flit as it is read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Destination coordinates (from the message's route word).
@@ -87,13 +90,9 @@ impl Flit {
         TraceId(u64::from(self.trace))
     }
 
-    /// Expands a message into its flits, in wire order: two per word. The
-    /// first flit of the route word (`words[0]`) is the head and the second
-    /// flit of the last word the tail; the second flit of every *payload*
-    /// word carries the word, while the route word is consumed by the
-    /// network and carries nothing. Every flit is stamped with the commit
-    /// cycle (for latency accounting) and may leave the injection FIFO from
-    /// `ready_cycle` on.
+    /// The old per-flit expansion of a message, kept as the oracle
+    /// [`Message::flit`] is tested against.
+    #[cfg(test)]
     pub(crate) fn message(
         dest: Coord,
         words: &[Word],
@@ -101,10 +100,6 @@ impl Flit {
         ready_cycle: u64,
         trace: TraceId,
     ) -> impl Iterator<Item = Flit> + '_ {
-        debug_assert!(
-            u32::try_from(trace.0).is_ok(),
-            "trace id exceeds the flit's 32-bit field"
-        );
         let blank = Flit {
             dest,
             flags: 0,
@@ -129,6 +124,100 @@ impl Flit {
     }
 }
 
+/// A committed message, as the injection FIFO and the bulk law hold it:
+/// everything its flits share, once. Its payload words (every word after
+/// the route word) are kept beside it, and [`Message::flit`] makes any of
+/// its flits from the two.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Message {
+    /// Destination coordinates (from the route word).
+    pub(crate) dest: Coord,
+    /// Flits in the message: two per word, the route word included.
+    pub(crate) flits: u8,
+    /// Flits already popped out of the injection FIFO: the index of the
+    /// one at its front.
+    pub(crate) popped: u8,
+    /// Lifecycle-trace id, as [`Flit`] stores it.
+    pub(crate) trace: u32,
+    /// Commit cycle, for latency accounting.
+    pub(crate) inject_cycle: u64,
+    /// Earliest cycle the message's flits may leave the injection FIFO.
+    pub(crate) ready_cycle: u64,
+}
+
+impl Message {
+    /// The record of a message of `words` words (route word included),
+    /// committed in `inject_cycle`, whose flits may leave the injection
+    /// FIFO from `ready_cycle` on.
+    pub(crate) fn new(
+        dest: Coord,
+        words: usize,
+        inject_cycle: u64,
+        ready_cycle: u64,
+        trace: TraceId,
+    ) -> Message {
+        debug_assert!(
+            u32::try_from(trace.0).is_ok(),
+            "trace id exceeds the flit's 32-bit field"
+        );
+        Message {
+            dest,
+            flits: u8::try_from(2 * words).expect("a message fits a u8 ring"),
+            popped: 0,
+            trace: trace.0 as u32,
+            inject_cycle,
+            ready_cycle,
+        }
+    }
+
+    /// Lifecycle-trace id ([`TraceId::NONE`] when tracing is disabled).
+    #[inline]
+    pub(crate) fn trace(&self) -> TraceId {
+        TraceId(u64::from(self.trace))
+    }
+
+    /// Payload words: every word after the route word.
+    #[inline]
+    pub(crate) fn payload_words(&self) -> usize {
+        self.flits as usize / 2 - 1
+    }
+
+    /// Flits not yet popped out of the injection FIFO.
+    #[inline]
+    pub(crate) fn left(&self) -> usize {
+        (self.flits - self.popped) as usize
+    }
+
+    /// The message's flit `f`, in wire order: two per word. The first
+    /// flit of the route word is the head and the second flit of the last
+    /// word the tail; the second flit of every *payload* word carries the
+    /// word (`payload(k)` is payload word `k`, asked for only then), while
+    /// the route word is consumed by the network and carries nothing.
+    /// Every flit is stamped with the commit cycle and may leave the
+    /// injection FIFO from `ready_cycle` on.
+    #[inline]
+    pub(crate) fn flit(&self, f: usize, payload: impl FnOnce(usize) -> Word) -> Flit {
+        debug_assert!(f < self.flits as usize, "flit {f} past the message");
+        let mut flags = if f == 0 { FLAG_HEAD } else { 0 };
+        if f + 1 == self.flits as usize {
+            flags |= FLAG_TAIL;
+        }
+        let mut word = Word::NIL;
+        if f % 2 == 1 && f > 1 {
+            flags |= FLAG_PAYLOAD;
+            word = payload(f / 2 - 1);
+        }
+        Flit {
+            dest: self.dest,
+            flags,
+            trace: self.trace,
+            word,
+            inject_cycle: self.inject_cycle,
+            ready_cycle: self.ready_cycle,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,11 +231,30 @@ mod tests {
         );
     }
 
+    /// A three-word message's flits, as [`Message::flit`] makes them.
     fn message() -> (Coord, [Word; 3], Vec<Flit>) {
         let dest = Coord::new(1, 2, 3);
         let words = [Word::int(5), Word::int(9), Word::int(-1)];
-        let flits = Flit::message(dest, &words, 7, 9, TraceId(3)).collect();
+        let msg = Message::new(dest, words.len(), 7, 9, TraceId(3));
+        let flits = (0..msg.flits as usize)
+            .map(|f| msg.flit(f, |k| words[1 + k]))
+            .collect();
         (dest, words, flits)
+    }
+
+    #[test]
+    fn message_records_make_the_flits_of_the_expansion() {
+        let words: Vec<Word> = (0..9).map(Word::int).collect();
+        for len in 1..=words.len() {
+            let words = &words[..len];
+            let msg = Message::new(Coord::new(3, 0, 1), len, 4, 6, TraceId(11));
+            assert_eq!((msg.payload_words(), msg.left()), (len - 1, 2 * len));
+            let made: Vec<Flit> = (0..2 * len)
+                .map(|f| msg.flit(f, |k| words[1 + k]))
+                .collect();
+            let expanded: Vec<Flit> = Flit::message(msg.dest, words, 4, 6, TraceId(11)).collect();
+            assert_eq!(made, expanded, "{len} words");
+        }
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //!
 //! | module | what it owns |
 //! |---|---|
-//! | `flit` | the flit, and the expansion of a message into flits |
+//! | `flit` | the flit, and the message record every flit of a message is made from |
 //! | `router` | the e-cube route function; a node's ejection staging |
-//! | `arena` | every channel buffer of a shard, and the per-router record arbitration probes |
+//! | `arena` | every channel buffer of a shard — flit rings between routers, message FIFOs at injection — and the per-router record arbitration probes |
 //! | `shard` | one z-slab's state, and its cycle in four modules: |
 //! | `shard::inject` | how a message enters: framing, the checksum trailer, FIFO room, the traffic generator, node-down stalls |
 //! | `shard::arbitrate` | which flits move this cycle, and what moving one hop or ejecting *is* |

@@ -166,6 +166,15 @@ impl Network {
         total
     }
 
+    /// Injection FIFOs allocated: one per `(node, priority)` that has ever
+    /// had a message committed to it. A host counter of the simulator's
+    /// footprint, outside [`Self::stats`] and every digest; it depends on
+    /// the engine, since the bulk law commits a message to its FIFO only if
+    /// something contends for its route.
+    pub fn inject_fifos(&self) -> u64 {
+        self.shards.iter().map(|s| s.inject_fifos() as u64).sum()
+    }
+
     /// Flits currently buffered anywhere in the network (excluding ejected
     /// words awaiting the node).
     pub fn in_flight(&self) -> u64 {

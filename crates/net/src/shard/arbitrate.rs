@@ -17,6 +17,16 @@ use jm_isa::word::Word;
 use jm_isa::TraceId;
 use jm_trace::{EventKind, FaultEvent};
 
+/// One router's arbitration cycle so far: the physical input and output
+/// channels a flit already used, and the counters it adds to the shard's.
+#[derive(Default)]
+struct Pass {
+    in_used: u8,
+    out_used: u8,
+    flit_hops: u64,
+    bisection_flits: u64,
+}
+
 impl NetShard {
     /// Phase 1 of cycle `cycle`: moves at most one flit per physical channel,
     /// priority-1 traffic first, input ports arbitrated in fixed order with
@@ -56,7 +66,9 @@ impl NetShard {
         // The naive full scan's answer, taken before any flit moves, for
         // the debug cross-check below.
         let due: Vec<usize> = if cfg!(debug_assertions) {
-            (0..self.occ.len()).filter(|&n| self.occ[n] > 0).collect()
+            (0..self.routers.len())
+                .filter(|&n| self.arena.holds(n))
+                .collect()
         } else {
             Vec::new()
         };
@@ -67,12 +79,12 @@ impl NetShard {
                 if cfg!(debug_assertions) && due.get(seen) == Some(&n) {
                     seen += 1;
                 }
-                if self.occ[n] == 0 {
+                if !self.arena.holds(n) {
                     self.active.remove(n);
                     continue;
                 }
                 self.step_router(n, cycle, below, above);
-                if self.occ[n] == 0 {
+                if !self.arena.holds(n) {
                     self.active.remove(n);
                 }
             }
@@ -89,6 +101,31 @@ impl NetShard {
     /// Advances one router one cycle: moves at most one flit per physical
     /// channel, priority-1 traffic first, input ports arbitrated in fixed
     /// ascending order with injection last.
+    fn step_router(&mut self, n: usize, cycle: u64, below: Option<&Edge>, above: Option<&Edge>) {
+        let mut pass = Pass::default();
+        for &priority in [MsgPriority::P1, MsgPriority::P0].iter() {
+            let vnet = priority.index();
+            // Non-empty input ports in ascending (arbitration) order, minus
+            // physical channels a higher-priority flit already used.
+            let ports = self.arena.port_mask(n, vnet) & !pass.in_used;
+            let mut avail = ports & !(1 << port::INJECT);
+            while avail != 0 {
+                let in_port = avail.trailing_zeros() as usize;
+                avail &= avail - 1;
+                self.try_move::<false>(n, vnet, in_port, cycle, &mut pass, below, above);
+            }
+            // Injection last, and apart: its front flit is made from the
+            // FIFO's front message, not read from a ring.
+            if ports >> port::INJECT & 1 != 0 {
+                self.try_move::<true>(n, vnet, port::INJECT, cycle, &mut pass, below, above);
+            }
+        }
+        self.stats.flit_hops += pass.flit_hops;
+        self.stats.bisection_flits += pass.bisection_flits;
+    }
+
+    /// Moves the front flit of input `in_port` (the injection FIFO when
+    /// `INJECT`) of router `n` if it may move this cycle.
     ///
     /// Whether a front flit may move is a conjunction of pure checks, so
     /// their order is unobservable; they run cheapest storage first — this
@@ -96,117 +133,122 @@ impl NetShard {
     /// about half of all probes at saturation stop before the flit. The one
     /// check with a side effect is the fault plan's (`blocked_moves`), which
     /// keeps its place after the owner and flit checks (`DESIGN.md` §4.5).
-    fn step_router(&mut self, n: usize, cycle: u64, below: Option<&Edge>, above: Option<&Edge>) {
-        let eject_fifo = self.config.eject_fifo;
-        let count = self.routers.len();
-        let mut in_used: u8 = 0;
-        let mut out_used: u8 = 0;
-        let (mut flit_hops, mut bisection_flits) = (0u64, 0u64);
-        for &priority in [MsgPriority::P1, MsgPriority::P0].iter() {
-            let vnet = priority.index();
-            // Non-empty input ports in ascending (arbitration) order, minus
-            // physical channels a higher-priority flit already used.
-            let mut avail = self.arena.port_mask(n, vnet) & !in_used;
-            while avail != 0 {
-                let in_port = avail.trailing_zeros() as usize;
-                avail &= avail - 1;
-                let out = self.arena.route(n, vnet, in_port);
-                debug_assert_eq!(
-                    out,
-                    ecube_route(self.arena.coord(n), self.arena.front(n, vnet, in_port).dest),
-                    "stale cached route"
-                );
-                if out_used & (1 << out) != 0 {
-                    continue;
-                }
-                let owner = self.arena.owner(n, vnet, out);
-                let owned = owner == in_port as i8;
-                if !owned && owner >= 0 {
-                    continue;
-                }
-                // The flit's own say: ready to leave this buffer and, when it
-                // must acquire the output, a head (wormhole FIFO discipline
-                // never strands a body flit behind a torn-down path).
-                let flit_ok = |arena: &ChannelArena| {
-                    let flit = arena.front(n, vnet, in_port);
-                    debug_assert!(owned || flit.head(), "orphan body flit");
-                    flit.ready_cycle <= cycle && (owned || flit.head())
-                };
-                if let Some(f) = &self.fault {
-                    if !flit_ok(&self.arena) {
-                        continue;
-                    }
-                    // Delay faults act exactly like a full downstream
-                    // buffer: the flit stays queued and wormhole
-                    // backpressure holds the path, so nothing is ever lost.
-                    // The decision is a pure function of (global node, out
-                    // port, cycle) — identical for every engine and layout.
-                    if f.blocked((self.base + n) as u32, out, cycle) {
-                        self.stats.faults.blocked_moves += 1;
-                        continue;
-                    }
-                }
-                // Space check downstream. Local targets report
-                // start-of-cycle occupancy; boundary targets were
-                // published by the owning shard at the last exchange —
-                // both are scan-order-independent (module docs). `next` is
-                // the neighbor-table entry: a local index, or a boundary
-                // code (always larger).
-                let next = if out == port::EJECT {
-                    if self.routers[n].ejected[vnet].len() >= eject_fifo
-                        && self.arena.front(n, vnet, in_port).payload().is_some()
-                    {
-                        continue;
-                    }
-                    u32::MAX
-                } else {
-                    let next = self.neigh[n][out];
-                    let space = if (next as usize) < count {
-                        self.arena.space(next as usize, vnet, out, cycle)
-                    } else {
-                        usize::from(self.boundary_space(next, vnet, below, above))
-                    };
-                    if space == 0 {
-                        continue;
-                    }
-                    next
-                };
-                if self.fault.is_none() && !flit_ok(&self.arena) {
-                    continue;
-                }
-                // Commit the move.
-                let flit = self.arena.pop(n, vnet, in_port, cycle);
-                self.occ[n] -= 1;
-                in_used |= 1 << in_port;
-                out_used |= 1 << out;
-                self.arena
-                    .set_owner(n, vnet, out, if flit.tail() { -1 } else { in_port as i8 });
-                if self.law.on && flit.tail() {
-                    self.release(n, in_port, out);
-                }
-                if out == port::EJECT {
-                    self.eject(n, vnet, flit, cycle);
-                    continue;
-                }
-                if flit.head() {
-                    self.emit_hop(flit.trace(), n, cycle);
-                }
-                flit_hops += 1;
-                bisection_flits += u64::from(self.bisect_out[n] >> out & 1);
-                let mut moved = flit;
-                moved.ready_cycle = cycle + 1;
-                if (next as usize) < count {
-                    let m = next as usize;
-                    self.arena.push(m, vnet, out, moved);
-                    self.occ[m] += 1;
-                    self.active.insert(m);
-                } else {
-                    self.cross(next, vnet, moved);
-                }
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn try_move<const INJECT: bool>(
+        &mut self,
+        n: usize,
+        vnet: usize,
+        in_port: usize,
+        cycle: u64,
+        pass: &mut Pass,
+        below: Option<&Edge>,
+        above: Option<&Edge>,
+    ) {
+        // The front flit's framing, destination and cycles (an injection
+        // probe leaves out the payload word, which no check reads).
+        let front = |arena: &ChannelArena| {
+            if INJECT {
+                arena.inject_probe(n, vnet)
+            } else {
+                *arena.front(n, vnet, in_port)
+            }
+        };
+        let out = self.arena.route(n, vnet, in_port);
+        debug_assert_eq!(
+            out,
+            ecube_route(self.arena.coord(n), front(&self.arena).dest),
+            "stale cached route"
+        );
+        if pass.out_used & (1 << out) != 0 {
+            return;
+        }
+        let owner = self.arena.owner(n, vnet, out);
+        let owned = owner == in_port as i8;
+        if !owned && owner >= 0 {
+            return;
+        }
+        // The flit's own say: ready to leave this buffer and, when it must
+        // acquire the output, a head (wormhole FIFO discipline never
+        // strands a body flit behind a torn-down path).
+        let flit_ok = |arena: &ChannelArena| {
+            let flit = front(arena);
+            debug_assert!(owned || flit.head(), "orphan body flit");
+            flit.ready_cycle <= cycle && (owned || flit.head())
+        };
+        if let Some(f) = &self.fault {
+            if !flit_ok(&self.arena) {
+                return;
+            }
+            // Delay faults act exactly like a full downstream buffer: the
+            // flit stays queued and wormhole backpressure holds the path, so
+            // nothing is ever lost. The decision is a pure function of
+            // (global node, out port, cycle) — identical for every engine
+            // and layout.
+            if f.blocked((self.base + n) as u32, out, cycle) {
+                self.stats.faults.blocked_moves += 1;
+                return;
             }
         }
-        self.stats.flit_hops += flit_hops;
-        self.stats.bisection_flits += bisection_flits;
+        // Space check downstream. Local targets report start-of-cycle
+        // occupancy; boundary targets were published by the owning shard at
+        // the last exchange — both are scan-order-independent (module docs).
+        // `next` is the neighbor-table entry: a local index, or a boundary
+        // code (always larger).
+        let count = self.routers.len();
+        let next = if out == port::EJECT {
+            if self.routers[n].ejected[vnet].len() >= self.config.eject_fifo
+                && front(&self.arena).payload().is_some()
+            {
+                return;
+            }
+            u32::MAX
+        } else {
+            let next = self.neigh[n][out];
+            let space = if (next as usize) < count {
+                self.arena.space(next as usize, vnet, out, cycle)
+            } else {
+                usize::from(self.boundary_space(next, vnet, below, above))
+            };
+            if space == 0 {
+                return;
+            }
+            next
+        };
+        if self.fault.is_none() && !flit_ok(&self.arena) {
+            return;
+        }
+        // Commit the move.
+        let flit = if INJECT {
+            self.arena.pop_inject(n, vnet, cycle)
+        } else {
+            self.arena.pop(n, vnet, in_port, cycle)
+        };
+        pass.in_used |= 1 << in_port;
+        pass.out_used |= 1 << out;
+        self.arena
+            .set_owner(n, vnet, out, if flit.tail() { -1 } else { in_port as i8 });
+        if self.law.on && flit.tail() {
+            self.release(n, in_port, out);
+        }
+        if out == port::EJECT {
+            self.eject(n, vnet, flit, cycle);
+            return;
+        }
+        if flit.head() {
+            self.emit_hop(flit.trace(), n, cycle);
+        }
+        pass.flit_hops += 1;
+        pass.bisection_flits += u64::from(self.bisect_out[n] >> out & 1);
+        let mut moved = flit;
+        moved.ready_cycle = cycle + 1;
+        if (next as usize) < count {
+            let m = next as usize;
+            self.arena.push(m, vnet, out, moved);
+            self.active.insert(m);
+        } else {
+            self.cross(next, vnet, moved);
+        }
     }
 
     /// The per-hop lifecycle event: the head of traced message `id` acquired

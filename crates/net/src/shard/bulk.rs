@@ -36,13 +36,16 @@
 //! a materialized one on some resource is materialized with it, and so on
 //! down the chain. A commit at a source whose injection FIFO still holds a
 //! law message's flits materializes that message before the capacity check
-//! reads the FIFO, and a state hash materializes every one.
+//! reads the FIFO, and a state hash materializes every one. A law message
+//! is the injection FIFO's own record and payload words, so the part of it
+//! still at its source goes back into the FIFO as that record, its cursor
+//! past the flits already gone.
 
 use super::NetShard;
-use crate::flit::Flit;
+use crate::flit::{Flit, Message};
 use crate::router::ecube_route;
 use jm_fault::port;
-use jm_isa::node::Coord;
+use jm_isa::word::Word;
 
 /// Host-side counters of the bulk-advance law: how much of the network's
 /// work it carried. They describe the simulator, not the network, so they
@@ -167,8 +170,11 @@ impl Law {
 /// path would.
 #[derive(Debug, Default)]
 pub(super) struct BulkMsg {
-    /// The message's flits, exactly as the injection FIFO would hold them.
-    flits: Vec<Flit>,
+    /// The message's record, exactly as the injection FIFO would hold it
+    /// (cursor at 0).
+    msg: Message,
+    /// Its payload words.
+    words: Vec<Word>,
     /// The route as the `H + 2` resources it takes, in order: the source's
     /// injection input, the link of each hop, the destination's ejection
     /// port. A link is named by its downstream router and the input port
@@ -195,6 +201,16 @@ impl BulkMsg {
         self.route.len() as u64 - 2
     }
 
+    /// Flits in the message.
+    fn flits(&self) -> u64 {
+        u64::from(self.msg.flits)
+    }
+
+    /// The message's flit `f`.
+    fn flit(&self, f: u64) -> Flit {
+        self.msg.flit(f as usize, |k| self.words[k])
+    }
+
     /// The router at hop position `m ≤ H`.
     fn at(&self, m: u64) -> usize {
         router(self.route[m as usize])
@@ -205,7 +221,7 @@ impl BulkMsg {
     /// `q + F − 1`), the downstream router of hop `j` (in `q + F + j`), or
     /// the ejection port (in `q + F − 1 + H`).
     fn frees(&self) -> impl Iterator<Item = (Res, u64)> + '_ {
-        let (gone, h) = (self.q + self.flits.len() as u64, self.hops());
+        let (gone, h) = (self.q + self.flits(), self.hops());
         let frees = self.route.iter().zip(0..);
         frees.map(move |(&r, pos): (&Res, u64)| (r, gone + pos.min(h)))
     }
@@ -225,7 +241,7 @@ impl NetShard {
             let hops = b.hops() as i64;
             let rel = cycle as i64 - b.q as i64;
             let hi = rel.clamp(0, hops) as u64;
-            let lo = (rel - (b.flits.len() as i64 - 1)).clamp(0, hops) as u64;
+            let lo = (rel - (b.flits() as i64 - 1)).clamp(0, hops) as u64;
             let routers = (lo..=hi).map(|m| b.at(m));
             extra.extend(routers.filter(|&n| !self.active.contains(n)));
         }
@@ -244,10 +260,10 @@ impl NetShard {
         commit: u64,
         l: usize,
         vnet: usize,
-        dest: Coord,
-        payload_words: usize,
-        flits: impl Iterator<Item = Flit>,
+        msg: Message,
+        payload: &[Word],
     ) {
+        let dest = msg.dest;
         let mut b = self.law.spare.pop().unwrap_or_default();
         let q = commit + self.config.inject_latency;
         b.q = q;
@@ -302,7 +318,7 @@ impl NetShard {
         clear &= self.law.take(&mut b, eject, q + hops, live);
         // Deep enough, and empty, so the ejection FIFO cannot stall the
         // tail even if the node drains nothing before it arrives.
-        clear &= payload_words <= self.config.eject_fifo
+        clear &= payload.len() <= self.config.eject_fifo
             && self.routers[n].ejected[vnet].is_empty()
             && (!live || self.law.free[eject as usize] <= commit);
         if clear && self.law.contested.is_empty() {
@@ -313,8 +329,9 @@ impl NetShard {
                 }),
                 "a free route with an owned output"
             );
-            b.flits.clear();
-            b.flits.extend(flits);
+            b.msg = msg;
+            b.words.clear();
+            b.words.extend_from_slice(payload);
             // On the law the message holds its route up to its closed-form
             // clear cycles instead.
             for (r, free) in b.frees() {
@@ -328,7 +345,7 @@ impl NetShard {
             return;
         }
         self.materialize_contested(commit);
-        self.enqueue(l, vnet, flits);
+        self.enqueue(l, vnet, msg, payload);
         self.law.spare.push(b);
     }
 
@@ -407,7 +424,7 @@ impl NetShard {
         if cycle < b.q {
             return false;
         }
-        let f_count = b.flits.len() as u64;
+        let f_count = b.flits();
         let hops = b.hops();
         let rel = cycle - b.q;
         if hops > 0 {
@@ -427,14 +444,14 @@ impl NetShard {
             }
             // The head acquires one output port per cycle along the route.
             if rel < hops && self.tracer.is_some() {
-                self.emit_hop(b.flits[0].trace(), b.at(rel), cycle);
+                self.emit_hop(b.msg.trace(), b.at(rel), cycle);
             }
         }
         // Ejection: flit `f = rel - H` leaves the mesh this cycle.
         if rel < hops || rel - hops >= f_count {
             return false;
         }
-        let flit = b.flits[(rel - hops) as usize];
+        let flit = b.flit(rel - hops);
         self.law.stats.moves += 1;
         self.eject(b.at(hops), b.vnet, flit, cycle);
         flit.tail()
@@ -449,38 +466,40 @@ impl NetShard {
         let b = self.law.live.swap_remove(k);
         self.law.stats.materialized += 1;
         let hops = b.hops();
-        let f_count = b.flits.len() as u64;
+        let f_count = b.flits();
         let src = b.at(0);
-        for (f, flit) in b.flits.iter().enumerate() {
-            // Moves completed so far: one per cycle in `[q + f, cycle)`.
-            let done = cycle.saturating_sub(b.q + f as u64).min(hops + 1);
+        // Flit `f` has made one move a cycle in `[q + f, cycle)`: from
+        // `first` on, none, so the flits still in the injection FIFO go
+        // back into it as the message's record, its cursor at `first` and
+        // its ready cycle the original one.
+        let first = cycle.saturating_sub(b.q).min(f_count);
+        if first < f_count {
+            debug_assert_eq!(
+                self.arena.len(src, b.vnet, port::INJECT),
+                0,
+                "a law message's source FIFO holds another message"
+            );
+            let mut msg = b.msg;
+            msg.popped = first as u8;
+            self.arena.commit(src, b.vnet, msg, &b.words);
+        }
+        for f in 0..first {
+            let done = (cycle - b.q - f).min(hops + 1);
             if done > hops {
                 continue; // already ejected
             }
-            if done == 0 {
-                // Still in the injection FIFO, at its original ready cycle;
-                // ascending `f` keeps FIFO order.
-                debug_assert!(
-                    self.arena.len(src, b.vnet, port::INJECT) < self.config.inject_fifo,
-                    "a materialized flit overflows the injection FIFO"
-                );
-                self.arena.push(src, b.vnet, port::INJECT, *flit);
-                self.occ[src] += 1;
-            } else {
-                // One flit per hop position: the channel buffer held nothing
-                // else, since the message held the link.
-                let r = b.route[done as usize];
-                let (at, via) = (router(r), slot(r));
-                debug_assert_eq!(
-                    self.arena.len(at, b.vnet, via),
-                    0,
-                    "a materialized flit lands in an occupied channel buffer"
-                );
-                let mut flit = *flit;
-                flit.ready_cycle = b.q + f as u64 + done;
-                self.arena.push(at, b.vnet, via, flit);
-                self.occ[at] += 1;
-            }
+            // One flit per hop position: the channel buffer held nothing
+            // else, since the message held the link.
+            let r = b.route[done as usize];
+            let (at, via) = (router(r), slot(r));
+            debug_assert_eq!(
+                self.arena.len(at, b.vnet, via),
+                0,
+                "a materialized flit lands in an occupied channel buffer"
+            );
+            let mut flit = b.flit(f);
+            flit.ready_cycle = b.q + f + done;
+            self.arena.push(at, b.vnet, via, flit);
         }
         // Wormhole ownership: router `m` on the path holds its output for
         // this message from the head's pass (cycle `q + m`) until the
@@ -514,7 +533,7 @@ impl NetShard {
         }
         for m in 0..=hops {
             let n = b.at(m);
-            if self.occ[n] > 0 {
+            if self.arena.holds(n) {
                 self.active.insert(n);
             }
         }

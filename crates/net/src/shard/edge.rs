@@ -200,7 +200,6 @@ impl NetShard {
                     "crossing flit landed outside the boundary plane"
                 );
                 self.arena.push(l, vnet, in_port(d), flit);
-                self.occ[l] += 1;
                 self.in_flight += 1;
                 self.active.insert(l);
             }

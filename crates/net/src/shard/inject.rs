@@ -3,7 +3,7 @@
 //! injection side (node-down stalls, checksum trailers).
 
 use super::NetShard;
-use crate::flit::Flit;
+use crate::flit::Message;
 use jm_fault::{checksum_words, port};
 use jm_isa::instr::MsgPriority;
 use jm_isa::node::{NodeId, RouteWord};
@@ -69,7 +69,7 @@ impl NetShard {
         };
         let needed = 2 * words.len();
         if self.law.on {
-            // The capacity check reads real flits.
+            // The capacity check reads the FIFO's real occupancy.
             self.materialize_queued(l, cycle);
         }
         if self.arena.len(l, vnet, port::INJECT) + needed > self.config.inject_fifo {
@@ -107,23 +107,21 @@ impl NetShard {
             None => TraceId::NONE,
         };
         let ready = cycle + self.config.inject_latency;
-        let flits = Flit::message(dest, words, cycle, ready, trace);
+        let msg = Message::new(dest, words.len(), cycle, ready, trace);
         if self.law.on {
-            self.launch(cycle, l, vnet, dest, words.len() - 1, flits);
+            self.launch(cycle, l, vnet, msg, &words[1..]);
         } else {
-            self.enqueue(l, vnet, flits);
+            self.enqueue(l, vnet, msg, &words[1..]);
         }
         self.in_flight += needed as u64;
         InjectResult::Accepted
     }
 
-    /// Appends a message's flits to local router `l`'s injection FIFO.
+    /// Appends a message — its record and payload words — to local router
+    /// `l`'s injection FIFO.
     #[inline]
-    pub(super) fn enqueue(&mut self, l: usize, vnet: usize, flits: impl Iterator<Item = Flit>) {
-        for flit in flits {
-            self.arena.push(l, vnet, port::INJECT, flit);
-            self.occ[l] += 1;
-        }
+    pub(super) fn enqueue(&mut self, l: usize, vnet: usize, msg: Message, payload: &[Word]) {
+        self.arena.commit(l, vnet, msg, payload);
         self.active.insert(l);
     }
 

@@ -73,11 +73,8 @@ pub struct NetShard {
     base: usize,
     routers: Vec<Router>,
     /// Every channel buffer of every router, and the per-router record the
-    /// arbitration loop probes (allocated once; the advance loop never
-    /// allocates).
+    /// arbitration loop probes.
     arena: ChannelArena,
-    /// Buffered flits per local router (the advance loop's drop-out test).
-    occ: Vec<u32>,
     /// Precomputed neighbor of every (local router, directional out port):
     /// the neighbor's *local* index, or an [`edge::boundary_code`] (larger
     /// than any local index) for slab-crossing z channels — replacing
@@ -91,8 +88,8 @@ pub struct NetShard {
     /// Flits currently buffered in *this shard* (a flit handed to an edge
     /// mailbox leaves the sender's count and joins the receiver's at drain).
     in_flight: u64,
-    /// Local router indices with `occupancy > 0` — the only ones
-    /// `step_cycle` must visit.
+    /// Local router indices holding buffered flits (non-zero port masks)
+    /// — the only ones `step_cycle` must visit.
     active: BitSet,
     /// Local router indices holding undelivered ejected words (either vnet).
     eject_pending: BitSet,
@@ -165,7 +162,6 @@ impl NetShard {
         }
         let mut shard = NetShard {
             arena: ChannelArena::new((0..len).map(coord), config.flit_buffer, config.inject_fifo),
-            occ: vec![0; len],
             neigh,
             bisect_out,
             config,
@@ -201,6 +197,11 @@ impl NetShard {
     /// The bulk law's host counters.
     pub(crate) fn bulk_stats(&self) -> BulkStats {
         self.law.stats
+    }
+
+    /// Injection FIFOs this shard has allocated.
+    pub(crate) fn inject_fifos(&self) -> usize {
+        self.arena.inject_fifos()
     }
 
     /// Installs (or clears) the traffic plan. Must be set identically on

@@ -326,9 +326,9 @@ fn send2_stalled_on_its_second_operand_appends_its_first_once() {
 /// installs no vector and initialises one data block, `f3_r` (four words
 /// after the code, on SRAM page 0; `f3_flag` is reserved, not written), so
 /// a freshly built 16×16×16 exchange machine holds one 512-word SRAM page
-/// a node — 4 096 in all — no DRAM page and no queue word. DRAM
-/// allocation is state, so a run leaves the same DRAM pages under the
-/// naive and the event engine.
+/// a node — 4 096 in all — no DRAM page, no queue word and no injection
+/// FIFO. DRAM allocation is state, so a run leaves the same DRAM pages
+/// under the naive and the event engine.
 #[test]
 fn a_fresh_machine_holds_only_what_its_program_wrote() {
     const SRAM_PAGE: u32 = 512;
@@ -350,6 +350,7 @@ fn a_fresh_machine_holds_only_what_its_program_wrote() {
         queue_words: 0,
     };
     assert_eq!(fresh.memory_stats(), expect);
+    assert_eq!(fresh.network().inject_fifos(), 0);
     let dram_pages = [Engine::Naive, Engine::Event].map(|engine| {
         let mut m = JMachine::new(program.clone(), config.engine(engine));
         m.run(200);
