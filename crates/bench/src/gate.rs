@@ -50,13 +50,14 @@ impl Verdict {
         self.lines.push(format!("[off] {line}"));
     }
 
-    /// A sweep's shape check: one `[ok]`, or a `[FAIL]` per violation.
-    pub(crate) fn shape(&mut self, what: &str, check: Result<(), Vec<String>>) {
-        match check {
-            Ok(()) => self.check(true, format!("{what} curves keep their shape")),
-            Err(violations) => violations
-                .into_iter()
-                .for_each(|v| self.check(false, format!("{what}: {v}"))),
+    /// A sweep's shape check: one `[ok]` when there are no `violations`,
+    /// or a `[FAIL]` per violation.
+    pub(crate) fn shape(&mut self, what: &str, violations: Vec<String>) {
+        if violations.is_empty() {
+            self.check(true, format!("{what} curves keep their shape"));
+        }
+        for v in violations {
+            self.check(false, format!("{what}: {v}"));
         }
     }
 }

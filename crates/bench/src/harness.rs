@@ -1,5 +1,6 @@
-//! Host-side measurement helpers shared by the bench binaries: a one-shot
-//! wall-clock timer and the process's peak resident set size.
+//! Host-side measurement helpers of `jmsim perf`, `jmsim mesh` and the
+//! `jmsim traffic --mesh` canary: a one-shot wall-clock timer and the
+//! process's peak resident set size.
 
 use std::time::{Duration, Instant};
 

@@ -1,9 +1,12 @@
 //! # jm-bench
 //!
 //! The experiment harness behind the `jmsim` binary. Each experiment
-//! builds its measurement program with `jm-asm`/`jm-runtime`, runs it on a
-//! simulated machine under an explicit [`jm_machine::Engine`], and says
-//! what it measured as [`rows::Row`]s — the same series the paper reports.
+//! declares the machines it measures as [`registry::Point`]s — a program
+//! built with `jm-asm`/`jm-runtime`, a machine configuration, and a reader
+//! that drives the machine and says what it measured as [`rows::Row`]s,
+//! the same series the paper reports. One body, [`registry::Ctx::run`],
+//! boots every point under the run's [`jm_machine::Engine`] and fails it
+//! on any node error.
 //! Every table printed is [`table::pivot`] over rows, the paper's own
 //! numbers are rows of one table ([`baselines`]), and one comparator holds
 //! the first against the second.
@@ -11,7 +14,7 @@
 //! | module | role |
 //! |--------|------|
 //! | [`cli`] | the `jmsim` dispatch table and the one argument parser |
-//! | [`registry`] | the ten paper artifacts and two sweeps, declared once; `jmsim repro` |
+//! | [`registry`] | the ten paper artifacts and two sweeps, declared once; `jmsim repro`; the point type and the one body that runs a point |
 //! | [`micro::latency`] | Figure 2 — round-trip latency vs. distance |
 //! | [`micro::overhead`] | Table 1 — one-way message overhead |
 //! | [`micro::load`] | Figure 3 — latency vs. load, efficiency vs. grain |
@@ -23,6 +26,7 @@
 //! | [`rows`] | the one BENCH row schema: sole writer and reader |
 //! | [`table`] | the one view: a pivot of rows |
 //! | `perf` | `jmsim perf` and `mesh` — host throughput rows, each read off one timed race |
+//! | [`harness`] | host-side helpers: a one-shot timer and the peak RSS |
 //! | `gate` | `jmsim gate` — ratchet, floors and ceilings over rows |
 //! | [`faultb`], [`traffic`] | the fault and traffic sweeps |
 //! | `tools` | `traffic --mesh`, `chaos`, `trace`, `replay …` |

@@ -7,6 +7,7 @@
 //! consumption rate is read from its handler statistics over a measurement
 //! window.
 
+use crate::registry::{Ctx, Point};
 use crate::rows::Row;
 use jm_asm::{hdr, Builder, Program};
 use jm_isa::consts::CLOCK_HZ;
@@ -14,7 +15,7 @@ use jm_isa::instr::{MsgPriority::P0, StatClass};
 use jm_isa::node::{Coord, NodeId, RouteWord};
 use jm_isa::operand::MemRef;
 use jm_isa::reg::{AReg::*, DReg::*};
-use jm_machine::{Engine, JMachine, MachineConfig, MachineError, StartPolicy};
+use jm_machine::{MachineConfig, MachineError, StartPolicy};
 
 /// What the receiving handler does with the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,17 +40,6 @@ impl Sink {
             Sink::CopyEmem => "Copy to Emem",
         }
     }
-}
-
-/// One measured point.
-#[derive(Debug, Clone, Copy)]
-pub struct BwPoint {
-    /// Message size in words.
-    pub msg_len: u32,
-    /// Consumption mode.
-    pub sink: Sink,
-    /// Sustained data rate in Mbit/s (32 data bits per delivered word).
-    pub mbits: f64,
 }
 
 fn program(l: u32, sink: Sink) -> Program {
@@ -100,114 +90,70 @@ fn program(l: u32, sink: Sink) -> Program {
     b.assemble().expect("fig4 assembles")
 }
 
-/// Measures one point.
-///
-/// # Errors
-///
-/// Propagates machine failures.
-pub fn measure_point(
-    engine: Engine,
-    l: u32,
-    sink: Sink,
-    warmup: u64,
-    window: u64,
-) -> Result<BwPoint, MachineError> {
+/// One point: `l`-word messages into `sink`, the rate measured over
+/// `window` cycles after `warmup`, as the row `fig4/<l>` — sustained data
+/// in Mbit/s, 32 data bits per delivered word.
+pub fn point(l: u32, sink: Sink, warmup: u64, window: u64) -> Point {
     let p = program(l, sink);
     let handler = p.handler("f4_sink");
     // A 2×1×1 machine so the +x neighbour exists.
     let dims = jm_isa::MeshDims::new(2, 1, 1);
-    let config = MachineConfig::with_dims(dims)
-        .start(StartPolicy::Node0)
-        .engine(engine);
-    let mut m = JMachine::new(p, config);
-    m.run(warmup);
-    if !m.node_errors().is_empty() {
-        return Err(jm_machine::MachineError::NodeErrors(m.node_errors()));
-    }
-    let words0 = m
-        .node(NodeId(1))
-        .stats()
-        .handlers
-        .get(&handler)
-        .map_or(0, |h| h.msg_words);
-    m.run(window);
-    if !m.node_errors().is_empty() {
-        return Err(jm_machine::MachineError::NodeErrors(m.node_errors()));
-    }
-    let words1 = m
-        .node(NodeId(1))
-        .stats()
-        .handlers
-        .get(&handler)
-        .map_or(0, |h| h.msg_words);
-    let words = words1 - words0;
-    let mbits = words as f64 * 32.0 * CLOCK_HZ as f64 / window as f64 / 1e6;
-    Ok(BwPoint {
-        msg_len: l,
-        sink,
-        mbits,
+    let config = MachineConfig::with_dims(dims).start(StartPolicy::Node0);
+    Point::new(p, config, move |m| {
+        let words = |m: &jm_machine::JMachine| {
+            let handlers = &m.node(NodeId(1)).stats().handlers;
+            handlers.get(&handler).map_or(0, |h| h.msg_words)
+        };
+        m.run(warmup);
+        let words0 = words(m);
+        m.run(window);
+        let mbits = (words(m) - words0) as f64 * 32.0 * CLOCK_HZ as f64 / window as f64 / 1e6;
+        let line = format!("fig4/{l}");
+        Ok(vec![Row::simulated(&line, sink.name(), mbits, "Mbit/s")])
     })
 }
 
-/// Runs the full Figure 4 sweep.
+/// Figure 4: `fig4/<words>` holds each consumption mode's rate.
 ///
 /// # Errors
 ///
 /// Propagates machine failures.
-pub fn measure(
-    engine: Engine,
-    lengths: &[u32],
-    warmup: u64,
-    window: u64,
-) -> Result<Vec<BwPoint>, MachineError> {
-    let mut out = Vec::new();
-    for sink in Sink::ALL {
-        for &l in lengths {
-            out.push(measure_point(engine, l, sink, warmup, window)?);
-        }
-    }
-    Ok(out)
-}
-
-/// Figure 4 as rows: `fig4/<words>` holds each consumption mode's rate.
-pub fn rows(points: &[BwPoint]) -> Vec<Row> {
-    let row = |p: &BwPoint| {
-        let line = format!("fig4/{}", p.msg_len);
-        Row::simulated(&line, p.sink.name(), p.mbits, "Mbit/s")
-    };
-    points.iter().map(row).collect()
+pub fn fig4(ctx: &mut Ctx, _: u32) -> Result<Vec<Row>, MachineError> {
+    let lengths = [1, 2, 3, 4, 6, 8, 12, 16];
+    let points = Sink::ALL.map(|sink| lengths.map(|l| point(l, sink, 2_000, 20_000)));
+    Ok(ctx
+        .run_all(points.into_iter().flatten().collect())?
+        .concat())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baselines::published;
+    use jm_machine::Engine;
+
+    /// The rate of one point on the event engine.
+    fn rate(l: u32, sink: Sink) -> f64 {
+        let ctx = Ctx::new(Engine::Event, false, 7);
+        ctx.run(point(l, sink, 1_000, 8_000)).unwrap()[0].value
+    }
 
     #[test]
     fn discard_rate_grows_with_message_size_toward_peak() {
-        let p2 = measure_point(Engine::Event, 2, Sink::Discard, 1_000, 8_000).unwrap();
-        let p8 = measure_point(Engine::Event, 8, Sink::Discard, 1_000, 8_000).unwrap();
-        let p16 = measure_point(Engine::Event, 16, Sink::Discard, 1_000, 8_000).unwrap();
-        assert!(p8.mbits > p2.mbits);
-        assert!(p16.mbits >= p8.mbits * 0.95);
+        let [p2, p8, p16] = [2, 8, 16].map(|l| rate(l, Sink::Discard));
+        assert!(p8 > p2);
+        assert!(p16 >= p8 * 0.95);
         // The channel's peak bounds every rate (how near 16-word messages
         // come to it is the table's hold on `fig4/16`).
-        assert!(p16.mbits <= published("fig4/16", "Discard Data").unwrap());
+        assert!(p16 <= published("fig4/16", "Discard Data").unwrap());
         // 2-word messages already beat half the eventual peak (paper).
-        assert!(
-            p2.mbits * 2.0 > p16.mbits,
-            "p2 {} p16 {}",
-            p2.mbits,
-            p16.mbits
-        );
+        assert!(p2 * 2.0 > p16, "p2 {p2} p16 {p16}");
     }
 
     #[test]
     fn slow_sinks_reduce_throughput() {
-        let d = measure_point(Engine::Event, 8, Sink::Discard, 1_000, 8_000).unwrap();
-        let i = measure_point(Engine::Event, 8, Sink::CopyImem, 1_000, 8_000).unwrap();
-        let e = measure_point(Engine::Event, 8, Sink::CopyEmem, 1_000, 8_000).unwrap();
-        assert!(d.mbits >= i.mbits);
-        assert!(i.mbits > e.mbits);
+        let [d, i, e] = Sink::ALL.map(|sink| rate(8, sink));
+        assert!(d >= i);
+        assert!(i > e);
     }
 }

@@ -7,6 +7,7 @@
 //! resumed").
 
 use crate::baselines;
+use crate::registry::{sizes, Ctx, Point};
 use crate::rows::Row;
 use jm_asm::{hdr, Builder};
 use jm_isa::consts::cycles_to_us;
@@ -15,19 +16,8 @@ use jm_isa::node::NodeId;
 use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::word::Word;
-use jm_machine::{Engine, JMachine, MachineConfig, MachineError, StartPolicy};
+use jm_machine::{MachineConfig, MachineError, StartPolicy};
 use jm_runtime::{barrier, nnr};
-
-/// Measured barrier time at one machine size.
-#[derive(Debug, Clone, Copy)]
-pub struct BarrierPoint {
-    /// Nodes.
-    pub nodes: u32,
-    /// Mean cycles per barrier.
-    pub cycles: f64,
-    /// Mean microseconds per barrier at 12.5 MHz.
-    pub us: f64,
-}
 
 // t3_r layout: [0] rounds remaining, [1] t0, [2] sum, [3] count.
 
@@ -73,89 +63,63 @@ fn program(rounds: i32) -> jm_asm::Program {
     b.assemble().expect("table3 assembles")
 }
 
-/// Measures the barrier at one machine size.
-///
-/// # Errors
-///
-/// Propagates machine failures.
-pub fn measure_point(
-    engine: Engine,
-    nodes: u32,
-    rounds: u32,
-) -> Result<BarrierPoint, MachineError> {
+/// The barrier on `nodes` nodes, `rounds` times: `table3/<nodes>` holds
+/// the mean microseconds per barrier at 12.5 MHz and, where the iPSC/860's
+/// barrier is published, how many times faster the J-Machine's is — the
+/// comparison the paper's table is there to make.
+pub fn point(nodes: u32, rounds: u32) -> Point {
     let p = program(rounds as i32);
     let seg = p.segment("t3_r");
-    let config = MachineConfig::new(nodes)
-        .start(StartPolicy::AllNodes)
-        .engine(engine);
-    let mut m = JMachine::new(p, config);
-    m.run_until_quiescent(50_000_000)?;
-    let sum = m.read_word(NodeId(0), seg.base + 2).as_i32() as u64;
-    let count = m.read_word(NodeId(0), seg.base + 3).as_i32() as u64;
-    assert_eq!(count, u64::from(rounds), "barrier round count mismatch");
-    let cycles = sum as f64 / count as f64;
-    Ok(BarrierPoint {
-        nodes,
-        cycles,
-        us: cycles_to_us(1) * cycles,
+    let config = MachineConfig::new(nodes).start(StartPolicy::AllNodes);
+    Point::new(p, config, move |m| {
+        m.run_until_quiescent(50_000_000)?;
+        let sum = m.read_word(NodeId(0), seg.base + 2).as_i32() as u64;
+        let count = m.read_word(NodeId(0), seg.base + 3).as_i32() as u64;
+        assert_eq!(count, u64::from(rounds), "barrier round count mismatch");
+        let us = cycles_to_us(1) * (sum as f64 / count as f64);
+        let line = format!("table3/{nodes}");
+        let mut rows = vec![Row::simulated(&line, "J-Machine", us, "us")];
+        if let Some(ipsc) = baselines::published(&line, "iPSC/860") {
+            rows.push(Row::simulated(&line, "iPSC/860 over J", ipsc / us, "x"));
+        }
+        Ok(rows)
     })
 }
 
-/// Measures across machine sizes.
+/// Table 3: eight barriers at every power of two from 2 to `max_nodes`.
 ///
 /// # Errors
 ///
 /// Propagates machine failures.
-pub fn measure(
-    engine: Engine,
-    sizes: &[u32],
-    rounds: u32,
-) -> Result<Vec<BarrierPoint>, MachineError> {
-    sizes
-        .iter()
-        .map(|&n| measure_point(engine, n, rounds))
-        .collect()
-}
-
-/// Table 3 as rows: `table3/<nodes>` holds the measured microseconds and,
-/// where the iPSC/860's barrier is published, how many times faster the
-/// J-Machine's is — the comparison the paper's table is there to make.
-pub fn rows(points: &[BarrierPoint]) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for p in points {
-        let line = format!("table3/{}", p.nodes);
-        rows.push(Row::simulated(&line, "J-Machine", p.us, "us"));
-        if let Some(ipsc) = baselines::published(&line, "iPSC/860") {
-            rows.push(Row::simulated(&line, "iPSC/860 over J", ipsc / p.us, "x"));
-        }
-    }
-    rows
+pub fn table3(ctx: &mut Ctx, max_nodes: u32) -> Result<Vec<Row>, MachineError> {
+    let points = sizes(1, max_nodes).into_iter().map(|n| point(n, 8));
+    Ok(ctx.run_all(points.collect())?.concat())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jm_machine::Engine;
 
     #[test]
     fn barrier_scales_logarithmically() {
-        let p2 = measure_point(Engine::Event, 2, 3).unwrap();
-        let p16 = measure_point(Engine::Event, 16, 3).unwrap();
-        let p64 = measure_point(Engine::Event, 64, 3).unwrap();
-        assert!(p2.cycles < p16.cycles);
-        assert!(p16.cycles < p64.cycles);
+        let ctx = Ctx::new(Engine::Event, false, 7);
+        let us = |nodes, rounds| ctx.run(point(nodes, rounds)).unwrap()[0].value;
+        let (p2, p16, p64) = (us(2, 3), us(16, 3), us(64, 3));
+        assert!(p2 < p16);
+        assert!(p16 < p64);
         // Log growth: 64 nodes should cost far less than 8x the 2-node time.
-        assert!(p64.cycles < p2.cycles * 8.0);
+        assert!(p64 < p2 * 8.0);
         // Under the iPSC/860 from the start, and by an order of magnitude
         // once there is a machine to synchronize. (How far from the
         // paper's own 4.4 and 16.5 us is the table's verdict on
         // `table3/*`.)
         let ipsc = |nodes| baselines::published(&format!("table3/{nodes}"), "iPSC/860").unwrap();
-        assert!(p2.us < ipsc(2), "2 nodes: {} us", p2.us);
-        assert!(p64.us * 10.0 < ipsc(64), "64 nodes: {} us", p64.us);
+        assert!(p2 < ipsc(2), "2 nodes: {p2} us");
+        assert!(p64 * 10.0 < ipsc(64), "64 nodes: {p64} us");
         // Ten waves, back to back: the largest machine the paper names. (A
         // second round's first wave overtakes a node still finishing the
         // first; its `flags[nwaves]` probe once read a route word here.)
-        let p1024 = measure_point(Engine::Event, 1024, 2).unwrap();
-        assert!(p64.cycles < p1024.cycles);
+        assert!(p64 < us(1024, 2));
     }
 }

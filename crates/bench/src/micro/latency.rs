@@ -5,13 +5,14 @@
 //! kinds: a 2-word ping with a 1-word ack, and remote reads of 1 or 6 words
 //! from internal or external memory.
 
+use crate::registry::{Ctx, Point};
 use crate::rows::Row;
 use jm_asm::{Builder, Program};
 use jm_isa::instr::{AluOp, MsgPriority::P0};
 use jm_isa::node::{Coord, MeshDims, NodeId, RouteWord};
 use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
-use jm_machine::{Engine, JMachine, MachineConfig, MachineError, StartPolicy};
+use jm_machine::{MachineConfig, MachineError, StartPolicy};
 use jm_runtime::rpc;
 
 /// The five curves of Figure 2.
@@ -51,44 +52,23 @@ impl RpcKind {
     }
 }
 
-/// One curve: `(hops, round-trip cycles)` points.
-#[derive(Debug, Clone)]
-pub struct Curve {
-    /// Which transfer.
-    pub kind: RpcKind,
-    /// Measured points.
-    pub points: Vec<(u32, u64)>,
-}
-
-impl Curve {
-    /// Points at one hop or more. The 0-hop self-exchange serializes the
-    /// requester, the handler, and the loopback on a single processor, so
-    /// (as in the paper, which reports it separately as the "ping itself"
-    /// base case) it is excluded from the distance fit.
-    fn remote_points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.points
-            .iter()
-            .filter(|(h, _)| *h >= 1)
-            .map(|(h, c)| (f64::from(*h), *c as f64))
-    }
-
-    /// Least-squares slope in cycles/hop over remote points.
-    pub fn slope(&self) -> f64 {
-        let n = self.remote_points().count() as f64;
-        let sx: f64 = self.remote_points().map(|(h, _)| h).sum();
-        let sy: f64 = self.remote_points().map(|(_, c)| c).sum();
-        let sxx: f64 = self.remote_points().map(|(h, _)| h * h).sum();
-        let sxy: f64 = self.remote_points().map(|(h, c)| h * c).sum();
-        (n * sxy - sx * sy) / (n * sxx - sx * sx)
-    }
-
-    /// Extrapolated zero-distance latency of the remote fit.
-    pub fn base(&self) -> f64 {
-        let n = self.remote_points().count() as f64;
-        let sx: f64 = self.remote_points().map(|(h, _)| h).sum();
-        let sy: f64 = self.remote_points().map(|(_, c)| c).sum();
-        sy / n - self.slope() * sx / n
-    }
+/// The least-squares line `(slope, base)` of one transfer's round trips,
+/// `curve[h]` at `h` hops: cycles per hop, and the extrapolated
+/// zero-distance latency. The 0-hop self-exchange serializes the
+/// requester, the handler, and the loopback on a single processor, so (as
+/// in the paper, which reports it separately as the "ping itself" base
+/// case) it is excluded from the fit.
+fn fit(curve: &[Row]) -> (f64, f64) {
+    let remote: Vec<(f64, f64)> = (curve.iter().enumerate().skip(1))
+        .map(|(h, r)| (h as f64, r.value))
+        .collect();
+    let n = remote.len() as f64;
+    let sx: f64 = remote.iter().map(|(h, _)| h).sum();
+    let sy: f64 = remote.iter().map(|(_, c)| c).sum();
+    let sxx: f64 = remote.iter().map(|(h, _)| h * h).sum();
+    let sxy: f64 = remote.iter().map(|(h, c)| h * c).sum();
+    let slope = (n * sxy - sx * sy) / (n * sxx - sx * sx);
+    (slope, sy / n - slope * sx / n)
 }
 
 fn program(kind: RpcKind) -> Program {
@@ -152,60 +132,58 @@ fn target_at(dims: MeshDims, hops: u32) -> Coord {
     Coord::new(x as u8, y as u8, z as u8)
 }
 
-/// Runs Figure 2 on a machine of `nodes` nodes under `engine`, measuring
-/// every distance from 0 to the diameter.
+/// One round trip: `kind` between node 0 and the node `hops` away, as the
+/// row `fig2/<hops>`.
+fn point(dims: MeshDims, kind: RpcKind, hops: u32) -> Point {
+    let p = program(kind);
+    let param = p.segment("f2_p");
+    let config = MachineConfig::with_dims(dims).start(StartPolicy::Node0);
+    let target = RouteWord::new(target_at(dims, hops)).to_word();
+    Point::new(p, config, move |m| {
+        m.write_word(NodeId(0), param.base, target);
+        m.run_until_quiescent(1_000_000)?;
+        let cycles = m.read_word(NodeId(0), param.base + 1).as_i32() as u64;
+        let line = format!("fig2/{hops}");
+        Ok(vec![Row::simulated(
+            &line,
+            kind.name(),
+            cycles as f64,
+            "cycles",
+        )])
+    })
+}
+
+/// Figure 2 on a machine of `nodes` nodes: `fig2/<hops>` holds each
+/// transfer's round trip at every distance from 0 to the diameter, and
+/// `fig2/fit/<transfer>` its least-squares line.
 ///
 /// # Errors
 ///
 /// Propagates machine failures.
-pub fn measure(engine: Engine, nodes: u32) -> Result<Vec<Curve>, MachineError> {
+pub fn fig2(ctx: &mut Ctx, nodes: u32) -> Result<Vec<Row>, MachineError> {
     let dims = MeshDims::for_nodes(nodes);
     let diameter = u32::from(dims.x - 1) + u32::from(dims.y - 1) + u32::from(dims.z - 1);
-    let mut curves = Vec::new();
-    for kind in RpcKind::ALL {
-        let mut points = Vec::new();
-        for hops in 0..=diameter {
-            let p = program(kind);
-            let param = p.segment("f2_p");
-            let config = MachineConfig::with_dims(dims)
-                .start(StartPolicy::Node0)
-                .engine(engine);
-            let mut m = JMachine::new(p, config);
-            let target = target_at(dims, hops);
-            m.write_word(NodeId(0), param.base, RouteWord::new(target).to_word());
-            m.run_until_quiescent(1_000_000)?;
-            let cycles = m.read_word(NodeId(0), param.base + 1).as_i32() as u64;
-            points.push((hops, cycles));
-        }
-        curves.push(Curve { kind, points });
-    }
-    Ok(curves)
-}
-
-/// The curves as rows: `fig2/<hops>` holds each transfer's round trip,
-/// `fig2/fit/<transfer>` its least-squares line.
-pub fn rows(curves: &[Curve]) -> Vec<Row> {
+    let points = RpcKind::ALL.map(|kind| (0..=diameter).map(move |hops| point(dims, kind, hops)));
+    let measured = ctx.run_all(points.into_iter().flatten().collect())?;
     let mut rows = Vec::new();
-    for c in curves {
-        for &(hops, cycles) in &c.points {
-            let line = format!("fig2/{hops}");
-            rows.push(Row::simulated(
-                &line,
-                c.kind.name(),
-                cycles as f64,
-                "cycles",
-            ));
-        }
-        let line = format!("fig2/fit/{}", c.kind.name());
-        rows.push(Row::simulated(&line, "slope", c.slope(), "cycles/hop"));
-        rows.push(Row::simulated(&line, "base", c.base(), "cycles"));
+    for (kind, curve) in RpcKind::ALL
+        .iter()
+        .zip(measured.chunks(diameter as usize + 1))
+    {
+        let curve = curve.concat();
+        let (slope, base) = fit(&curve);
+        rows.extend(curve);
+        let line = format!("fig2/fit/{}", kind.name());
+        rows.push(Row::simulated(&line, "slope", slope, "cycles/hop"));
+        rows.push(Row::simulated(&line, "base", base, "cycles"));
     }
-    rows
+    Ok(rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jm_machine::Engine;
 
     #[test]
     fn target_walk_is_monotone() {
@@ -218,15 +196,18 @@ mod tests {
 
     #[test]
     fn slope_is_one_cycle_per_hop_each_way() {
-        let curves = measure(Engine::Event, 64).unwrap();
+        let rows = fig2(&mut Ctx::new(Engine::Event, false, 7), 64).unwrap();
+        let fit = |k: RpcKind, metric| {
+            crate::rows::value(&rows, &format!("fig2/fit/{}", k.name()), metric).unwrap()
+        };
         // Distance costs every transfer the same: the slopes agree (that
         // they are the paper's 2 is the table's hold on `fig2/fit/*`).
-        for c in &curves {
-            let (slope, ping) = (c.slope(), curves[0].slope());
-            assert!((slope - ping).abs() < 1e-9, "{}: {slope}", c.kind.name());
+        for k in RpcKind::ALL {
+            let (slope, ping) = (fit(k, "slope"), fit(RpcKind::Ping, "slope"));
+            assert!((slope - ping).abs() < 1e-9, "{}: {slope}", k.name());
         }
         // Reads cost more than pings; external reads more than internal.
-        let base = |k: RpcKind| curves.iter().find(|c| c.kind == k).unwrap().base();
+        let base = |k: RpcKind| fit(k, "base");
         assert!(base(RpcKind::Read1Imem) > base(RpcKind::Ping));
         assert!(base(RpcKind::Read1Emem) > base(RpcKind::Read1Imem));
         assert!(base(RpcKind::Read6Emem) > base(RpcKind::Read6Imem));

@@ -12,31 +12,21 @@
 //! * bisection traffic from the network's flit counters;
 //! * efficiency = compute cycles / total cycles (the right-hand plot).
 
-use crate::rows::Row;
+use crate::registry::{Ctx, Point};
+use crate::rows::{line, metric, Row};
 use jm_asm::{hdr, Builder, Program};
 use jm_isa::instr::{AluOp, MsgPriority::P0, StatClass};
 use jm_isa::node::NodeId;
 use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
-use jm_machine::{Engine, JMachine, MachineConfig, MachineError, StartPolicy};
+use jm_machine::{MachineConfig, MachineError, StartPolicy};
 use jm_runtime::{nnr, rand as jrand};
 
-/// One measured operating point.
-#[derive(Debug, Clone, Copy)]
-pub struct LoadPoint {
-    /// Message length in words.
-    pub msg_len: u32,
-    /// Spin iterations per exchange (grain knob).
-    pub idle_iters: u32,
-    /// Mean one-way latency, cycles.
-    pub latency: f64,
-    /// Bisection traffic, Mbit/s.
-    pub bisection_mbits: f64,
-    /// Mean cycles between exchanges (loop period).
-    pub period: f64,
-    /// Processor efficiency: compute fraction of all cycles.
-    pub efficiency: f64,
-}
+/// Message lengths of Figure 3, in words.
+const LENGTHS: [u32; 4] = [2, 4, 8, 16];
+
+/// The idle ladder each length runs over: spin iterations per exchange.
+const IDLES: [u32; 6] = [0, 50, 150, 400, 1000, 3000];
 
 // f3_r layout (per node): [0] rt_sum, [1] count, [2] seed, [3] t0.
 
@@ -147,157 +137,130 @@ pub fn program(l: u32, idle_iters: u32) -> Program {
     b.assemble().expect("fig3 assembles")
 }
 
-/// Measures one operating point on a machine of `nodes` nodes under
-/// `engine`.
-///
-/// # Errors
-///
-/// Propagates machine failures.
-pub fn measure_point(
-    engine: Engine,
-    nodes: u32,
-    msg_len: u32,
-    idle_iters: u32,
-    warmup: u64,
-    window: u64,
-) -> Result<LoadPoint, MachineError> {
+/// One operating point on a machine of `nodes` nodes: `msg_len`-word
+/// messages and `idle_iters` spins per exchange, measured over `window`
+/// cycles after `warmup`, as the rows `fig3/<len>/<idle>` — the bisection
+/// traffic and one-way latency (left plot), the computation per message
+/// and the efficiency, its share of all cycles (right plot).
+pub fn point(nodes: u32, msg_len: u32, idle_iters: u32, warmup: u64, window: u64) -> Point {
     let p = program(msg_len, idle_iters);
     let seg = p.segment("f3_r");
-    let config = MachineConfig::new(nodes)
-        .start(StartPolicy::AllNodes)
-        .engine(engine);
-    let mut m = JMachine::new(p, config);
-    m.run(warmup);
-    if !m.node_errors().is_empty() {
-        return Err(jm_machine::MachineError::NodeErrors(m.node_errors()));
-    }
-    // Zero the guest accumulators and snapshot host-side counters.
-    for n in 0..nodes {
-        m.write_word(NodeId(n), seg.base, jm_isa::Word::int(0));
-        m.write_word(NodeId(n), seg.base + 1, jm_isa::Word::int(0));
-    }
-    let net0 = m.network().stats().clone();
-    let stats0 = m.stats();
-    m.run(window);
-    if !m.node_errors().is_empty() {
-        return Err(jm_machine::MachineError::NodeErrors(m.node_errors()));
-    }
-    let net1 = m.network().stats().since(&net0);
-    let stats1 = m.stats();
-    let mut rt_sum = 0u64;
-    let mut count = 0u64;
-    for n in 0..nodes {
-        rt_sum += m.read_word(NodeId(n), seg.base).as_i32() as u64;
-        count += m.read_word(NodeId(n), seg.base + 1).as_i32() as u64;
-    }
-    let latency = if count == 0 {
-        0.0
-    } else {
-        rt_sum as f64 / count as f64 / 2.0
-    };
-    let compute = stats1.nodes.class_cycles(StatClass::Compute)
-        - stats0.nodes.class_cycles(StatClass::Compute);
-    let total = u64::from(nodes) * window;
-    let period = if count == 0 {
-        0.0
-    } else {
-        total as f64 / count as f64
-    };
-    Ok(LoadPoint {
-        msg_len,
-        idle_iters,
-        latency,
-        bisection_mbits: net1.bisection_bits_per_sec(window) / 1e6,
-        period,
-        efficiency: compute as f64 / total as f64,
-    })
-}
-
-/// Runs the full Figure 3 sweep.
-///
-/// # Errors
-///
-/// Propagates machine failures.
-pub fn measure(
-    engine: Engine,
-    nodes: u32,
-    lengths: &[u32],
-    idles: &[u32],
-    warmup: u64,
-    window: u64,
-) -> Result<Vec<LoadPoint>, MachineError> {
-    let mut points = Vec::new();
-    for &l in lengths {
-        for &z in idles {
-            points.push(measure_point(engine, nodes, l, z, warmup, window)?);
+    let config = MachineConfig::new(nodes).start(StartPolicy::AllNodes);
+    Point::new(p, config, move |m| {
+        m.run(warmup);
+        // Zero the guest accumulators and snapshot host-side counters.
+        for n in 0..nodes {
+            m.write_word(NodeId(n), seg.base, jm_isa::Word::int(0));
+            m.write_word(NodeId(n), seg.base + 1, jm_isa::Word::int(0));
         }
-    }
-    Ok(points)
+        let net0 = m.network().stats().clone();
+        let stats0 = m.stats();
+        m.run(window);
+        let net1 = m.network().stats().since(&net0);
+        let stats1 = m.stats();
+        let mut rt_sum = 0u64;
+        let mut count = 0u64;
+        for n in 0..nodes {
+            rt_sum += m.read_word(NodeId(n), seg.base).as_i32() as u64;
+            count += m.read_word(NodeId(n), seg.base + 1).as_i32() as u64;
+        }
+        let latency = if count == 0 {
+            0.0
+        } else {
+            rt_sum as f64 / count as f64 / 2.0
+        };
+        let compute = stats1.nodes.class_cycles(StatClass::Compute)
+            - stats0.nodes.class_cycles(StatClass::Compute);
+        let total = u64::from(nodes) * window;
+        // Mean cycles between exchanges: the loop period.
+        let period = if count == 0 {
+            0.0
+        } else {
+            total as f64 / count as f64
+        };
+        let efficiency = compute as f64 / total as f64;
+        let numbers = [
+            (
+                "traffic Mbit/s",
+                net1.bisection_bits_per_sec(window) / 1e6,
+                "Mbit/s",
+            ),
+            ("latency cycles", latency, "cycles"),
+            ("grain cycles", efficiency * period, "cycles"),
+            ("efficiency", efficiency, "ratio"),
+        ];
+        Ok(line(&format!("fig3/{msg_len}/{idle_iters}"), &numbers))
+    })
 }
 
 /// The computation per message at which efficiency crosses one half:
 /// linear between the two operating points of `points` (one message
 /// length, grain ascending) that straddle it. `None` if none do.
-fn half_efficiency_grain(points: &[LoadPoint]) -> Option<f64> {
-    let grain = |p: &LoadPoint| p.efficiency * p.period;
+fn half_efficiency_grain(points: &[Vec<Row>]) -> Option<f64> {
+    let (efficiency, grain) = (|p| metric(p, "efficiency"), |p| metric(p, "grain cycles"));
     points.windows(2).find_map(|w| {
         let (lo, hi) = (&w[0], &w[1]);
-        (lo.efficiency < 0.5 && hi.efficiency >= 0.5).then(|| {
-            let t = (0.5 - lo.efficiency) / (hi.efficiency - lo.efficiency);
+        (efficiency(lo) < 0.5 && efficiency(hi) >= 0.5).then(|| {
+            let t = (0.5 - efficiency(lo)) / (efficiency(hi) - efficiency(lo));
             grain(lo) + t * (grain(hi) - grain(lo))
         })
     })
 }
 
-/// Figure 3 as rows: `fig3` holds the mesh's bisection capacity and the
-/// heaviest traffic any point carried, `fig3/<len>` the half-efficiency
-/// grain of one message length, `fig3/<len>/<idle>` both projections of one
-/// operating point.
-pub fn rows(nodes: u32, points: &[LoadPoint]) -> Vec<Row> {
+/// Figure 3 on a machine of `nodes` nodes: `fig3` holds the mesh's
+/// bisection capacity and the heaviest traffic any point carried,
+/// `fig3/<len>` the half-efficiency grain of one message length,
+/// `fig3/<len>/<idle>` both projections of one operating point.
+///
+/// # Errors
+///
+/// Propagates machine failures.
+pub fn fig3(ctx: &mut Ctx, nodes: u32) -> Result<Vec<Row>, MachineError> {
+    let points = LENGTHS.map(|l| IDLES.map(|z| point(nodes, l, z, 3_000, 20_000)));
+    let measured = ctx.run_all(points.into_iter().flatten().collect())?;
     let dims = jm_isa::MeshDims::for_nodes(nodes);
     let capacity = jm_net::NetConfig::new(dims).bisection_capacity_bits() / 1e6;
-    let peak = points.iter().map(|p| p.bisection_mbits).fold(0.0, f64::max);
+    let traffic = measured.iter().map(|p| metric(p, "traffic Mbit/s"));
     let mut rows = vec![
         Row::simulated("fig3", "capacity", capacity, "Mbit/s"),
-        Row::simulated("fig3", "saturation", peak, "Mbit/s"),
+        Row::simulated("fig3", "saturation", traffic.fold(0.0, f64::max), "Mbit/s"),
     ];
-    for of_len in points.chunk_by(|a, b| a.msg_len == b.msg_len) {
-        let len = format!("fig3/{}", of_len[0].msg_len);
+    for (l, of_len) in LENGTHS.iter().zip(measured.chunks(IDLES.len())) {
         if let Some(grain) = half_efficiency_grain(of_len) {
             let metric = "half-efficiency grain";
-            rows.push(Row::simulated(&len, metric, grain, "cycles"));
+            rows.push(Row::simulated(
+                &format!("fig3/{l}"),
+                metric,
+                grain,
+                "cycles",
+            ));
         }
-        for p in of_len {
-            let line = format!("{len}/{}", p.idle_iters);
-            let numbers = [
-                ("traffic Mbit/s", p.bisection_mbits, "Mbit/s"),
-                ("latency cycles", p.latency, "cycles"),
-                ("grain cycles", p.efficiency * p.period, "cycles"),
-                ("efficiency", p.efficiency, "ratio"),
-            ];
-            rows.extend(numbers.map(|(metric, v, unit)| Row::simulated(&line, metric, v, unit)));
-        }
+        rows.extend(of_len.concat());
     }
-    rows
+    Ok(rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jm_machine::Engine;
 
     #[test]
     fn latency_rises_with_load() {
         // Heavy load (no idle) must show higher latency than light load
         // (large idle), and much higher bisection traffic.
-        let light = measure_point(Engine::Event, 64, 8, 2000, 4_000, 80_000).unwrap();
-        let heavy = measure_point(Engine::Event, 64, 8, 0, 4_000, 30_000).unwrap();
-        assert!(heavy.bisection_mbits > 4.0 * light.bisection_mbits);
+        let ctx = Ctx::new(Engine::Event, false, 7);
+        let light = ctx.run(point(64, 8, 2000, 4_000, 80_000)).unwrap();
+        let heavy = ctx.run(point(64, 8, 0, 4_000, 30_000)).unwrap();
+        let traffic = |p| metric(p, "traffic Mbit/s");
+        assert!(traffic(&heavy) > 4.0 * traffic(&light));
+        let latency = |p| metric(p, "latency cycles");
         assert!(
-            heavy.latency > light.latency,
+            latency(&heavy) > latency(&light),
             "heavy {} vs light {}",
-            heavy.latency,
-            light.latency
+            latency(&heavy),
+            latency(&light)
         );
-        assert!(light.efficiency > heavy.efficiency);
+        assert!(metric(&light, "efficiency") > metric(&heavy, "efficiency"));
     }
 }

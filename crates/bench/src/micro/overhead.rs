@@ -7,35 +7,15 @@
 //! slope between 2-word and 10-word messages. Comparison rows are the
 //! published constants of [`crate::baselines`].
 
-use crate::rows::Row;
+use crate::registry::{Ctx, Point};
+use crate::rows::{line, Row};
 use jm_asm::{hdr, Builder, Program};
 use jm_isa::consts::CLOCK_HZ;
 use jm_isa::instr::{AluOp, MsgPriority::P0};
 use jm_isa::node::{Coord, NodeId, RouteWord};
 use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
-use jm_machine::{Engine, JMachine, MachineConfig, MachineError, StartPolicy};
-
-/// Measured J-Machine overheads.
-#[derive(Debug, Clone, Copy)]
-pub struct Overhead {
-    /// Fixed one-way overhead in cycles (send + dispatch + receive).
-    pub cycles_per_msg: f64,
-    /// Incremental cost per byte, in cycles.
-    pub cycles_per_byte: f64,
-}
-
-impl Overhead {
-    /// Microseconds per message at the prototype clock.
-    pub fn us_per_msg(&self) -> f64 {
-        self.cycles_per_msg * 1e6 / CLOCK_HZ as f64
-    }
-
-    /// Microseconds per byte.
-    pub fn us_per_byte(&self) -> f64 {
-        self.cycles_per_byte * 1e6 / CLOCK_HZ as f64
-    }
-}
+use jm_machine::{MachineConfig, MachineError, StartPolicy};
 
 /// Builds the measurement program for an `l`-word message (header + pad).
 fn program(l: u32) -> Program {
@@ -68,64 +48,60 @@ fn program(l: u32) -> Program {
     b.assemble().expect("table1 assembles")
 }
 
-fn send_cycles(engine: Engine, l: u32) -> Result<u64, MachineError> {
+/// The sender's cycles to inject one `l`-word message.
+fn send_cycles(l: u32) -> Point<u64> {
     let p = program(l);
     let seg = p.segment("t1_r");
     // A 2×1×1 machine so the +x neighbour exists.
     let dims = jm_isa::MeshDims::new(2, 1, 1);
-    let config = MachineConfig::with_dims(dims)
-        .start(StartPolicy::Node0)
-        .engine(engine);
-    let mut m = JMachine::new(p, config);
-    m.run_until_quiescent(100_000)?;
-    Ok(m.read_word(NodeId(0), seg.base).as_i32() as u64)
+    let config = MachineConfig::with_dims(dims).start(StartPolicy::Node0);
+    Point::new(p, config, move |m| {
+        m.run_until_quiescent(100_000)?;
+        Ok(m.read_word(NodeId(0), seg.base).as_i32() as u64)
+    })
 }
 
-/// Measures the J-Machine overheads.
+/// The measured J-Machine line of Table 1, `table1/J-Machine`: the fixed
+/// one-way overhead (send + dispatch + receive) and the incremental cost
+/// per byte, in cycles and in microseconds at the prototype clock.
 ///
 /// # Errors
 ///
 /// Propagates machine failures.
-pub fn measure(engine: Engine) -> Result<Overhead, MachineError> {
-    let t2 = send_cycles(engine, 2)?;
-    let t10 = send_cycles(engine, 10)?;
+pub fn table1(ctx: &mut Ctx, _: u32) -> Result<Vec<Row>, MachineError> {
+    let sends = ctx.run_all(vec![send_cycles(2), send_cycles(10)])?;
+    let (t2, t10) = (sends[0] as f64, sends[1] as f64);
     // Receiver: 4-cycle dispatch + 1-cycle SUSPEND.
-    let recv = 5.0;
-    let cycles_per_msg = t2 as f64 + recv;
+    let cycles_per_msg = t2 + 5.0;
     // 8 extra words = 32 extra bytes between the two runs.
-    let cycles_per_byte = (t10 as f64 - t2 as f64) / 32.0;
-    Ok(Overhead {
-        cycles_per_msg,
-        cycles_per_byte,
-    })
-}
-
-/// The measured J-Machine line of Table 1.
-pub fn rows(measured: &Overhead) -> Vec<Row> {
-    [
-        ("us/msg", measured.us_per_msg(), "us"),
-        ("us/byte", measured.us_per_byte(), "us"),
-        ("cycles/msg", measured.cycles_per_msg, "cycles"),
-        ("cycles/byte", measured.cycles_per_byte, "cycles"),
-    ]
-    .map(|(metric, value, unit)| Row::simulated("table1/J-Machine", metric, value, unit))
-    .to_vec()
+    let cycles_per_byte = (t10 - t2) / 32.0;
+    let us = |cycles: f64| cycles * 1e6 / CLOCK_HZ as f64;
+    let numbers = [
+        ("us/msg", us(cycles_per_msg), "us"),
+        ("us/byte", us(cycles_per_byte), "us"),
+        ("cycles/msg", cycles_per_msg, "cycles"),
+        ("cycles/byte", cycles_per_byte, "cycles"),
+    ];
+    Ok(line("table1/J-Machine", &numbers))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baselines::published;
+    use jm_machine::Engine;
 
     #[test]
     fn overhead_is_order_of_magnitude_below_baselines() {
-        let o = measure(Engine::Event).unwrap();
+        let rows = table1(&mut Ctx::new(Engine::Event, false, 7), 0).unwrap();
+        let measured = |metric| crate::rows::value(&rows, "table1/J-Machine", metric).unwrap();
         // The paper's claim, against its own best comparison machine: the
         // whole overhead is an order of magnitude under Active Messages on
         // the CM-5, per message and per byte. (That it is the paper's 11
         // and 0.5 cycles is the table's hold on `table1/J-Machine`.)
         let cm5 = |metric| published("table1/CM-5 (Active)", metric).unwrap();
-        assert!(o.cycles_per_msg > 0.0 && o.cycles_per_msg * 10.0 < cm5("cycles/msg"));
-        assert!(o.cycles_per_byte > 0.0 && o.cycles_per_byte * 10.0 < cm5("cycles/byte"));
+        for metric in ["cycles/msg", "cycles/byte"] {
+            assert!(measured(metric) > 0.0 && measured(metric) * 10.0 < cm5(metric));
+        }
     }
 }

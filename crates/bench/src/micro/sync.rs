@@ -19,6 +19,7 @@
 //! park/resume run into its two phases and reads the Sync-class cycle
 //! counters.
 
+use crate::registry::{Ctx, Point};
 use crate::rows::Row;
 use jm_asm::{Builder, Region};
 use jm_isa::consts::FaultKind;
@@ -28,29 +29,8 @@ use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_isa::tag::Tag;
 use jm_isa::word::Word;
-use jm_machine::{Engine, JMachine, MachineConfig, MachineError, StartPolicy};
+use jm_machine::{MachineConfig, MachineError, StartPolicy};
 use jm_runtime::futures;
-
-/// Measured Table 2 values, in cycles.
-#[derive(Debug, Clone, Copy)]
-pub struct SyncCosts {
-    /// Ready read, with tags.
-    pub success_tags: u64,
-    /// Ready read, without tags.
-    pub success_notags: u64,
-    /// Unavailable read, with tags (detect + vector).
-    pub failure_tags: u64,
-    /// Unavailable read, without tags (test + taken branch).
-    pub failure_notags: u64,
-    /// Produce, with tags.
-    pub write_tags: u64,
-    /// Produce, without tags.
-    pub write_notags: u64,
-    /// Thread save cost (fault entry to suspension).
-    pub save: u64,
-    /// Thread restore cost (resume message to re-execution).
-    pub restore: u64,
-}
 
 // Slot block: [0] ready value, [1] flag, [2] flagged data, [3] write-tags
 // target, [4] cfut slot, [5] zero flag. Results in "t2_r"[0..6].
@@ -157,75 +137,78 @@ fn park_program() -> jm_asm::Program {
     b.assemble().expect("park assembles")
 }
 
-/// Measures Table 2.
-///
-/// # Errors
-///
-/// Propagates machine failures.
-pub fn measure(engine: Engine) -> Result<SyncCosts, MachineError> {
-    let config = MachineConfig::new(1).engine(engine);
-    // Phase A: the six short sequences.
+/// A Table 2 row: `cycles` of one event or thread phase.
+fn row(line: &str, metric: &str, cycles: u64) -> Row {
+    Row::simulated(line, metric, cycles as f64, "cycles")
+}
+
+/// The six short sequences, timestamped in-guest: `table2/<event>` with and
+/// without tags.
+fn sequences() -> Point {
     let p = sequences_program();
     let results = p.segment("t2_r");
-    let mut m = JMachine::new(p, config.start(StartPolicy::AllNodes));
-    m.install_vector(NodeId(0), FaultKind::CFutRead, "t2_cfut");
-    m.run_until_quiescent(100_000)?;
-    let r = |i: u32| m.read_word(NodeId(0), results.base + i).as_i32() as u64;
+    let config = MachineConfig::new(1).start(StartPolicy::AllNodes);
+    Point::new(p, config, move |m| {
+        m.install_vector(NodeId(0), FaultKind::CFutRead, "t2_cfut");
+        m.run_until_quiescent(100_000)?;
+        let events = ["Success", "Failure", "Write"].map(|e| format!("table2/{e}"));
+        let slots = events.iter().flat_map(|e| [(e, "tags"), (e, "no tags")]);
+        let cycles = |i| m.read_word(NodeId(0), results.base + i).as_i32() as u64;
+        Ok((slots.zip(0..))
+            .map(|((e, metric), i)| row(e, metric, cycles(i)))
+            .collect())
+    })
+}
 
-    // Phase B: full park / resume through the futures runtime.
-    let p = park_program();
-    let mut m = JMachine::new(p, config.start(StartPolicy::None));
-    m.install_vector_all(FaultKind::CFutRead, futures::CFUT_HANDLER);
-    m.deliver_message(NodeId(0), MsgPriority::P0, "consumer", &[]);
-    m.run(400); // consumer faults and parks
-    let save = m.stats().nodes.class_cycles(StatClass::Sync);
-    m.deliver_message(NodeId(0), MsgPriority::P0, "producer", &[]);
-    m.run_until_quiescent(100_000)?;
-    let total_sync = m.stats().nodes.class_cycles(StatClass::Sync);
-
-    Ok(SyncCosts {
-        success_tags: r(0),
-        success_notags: r(1),
-        failure_tags: r(2),
-        failure_notags: r(3),
-        write_tags: r(4),
-        write_notags: r(5),
-        save,
-        restore: total_sync - save,
+/// A full park / resume through the futures runtime, split into its two
+/// phases by the Sync-class cycle counters: `table2/thread/save` and
+/// `table2/thread/restore`.
+fn park() -> Point {
+    let config = MachineConfig::new(1).start(StartPolicy::None);
+    Point::new(park_program(), config, |m| {
+        m.install_vector_all(FaultKind::CFutRead, futures::CFUT_HANDLER);
+        m.deliver_message(NodeId(0), MsgPriority::P0, "consumer", &[]);
+        m.run(400); // consumer faults and parks
+        let save = m.stats().nodes.class_cycles(StatClass::Sync);
+        m.deliver_message(NodeId(0), MsgPriority::P0, "producer", &[]);
+        m.run_until_quiescent(100_000)?;
+        let restore = m.stats().nodes.class_cycles(StatClass::Sync) - save;
+        Ok(vec![
+            row("table2/thread/save", "cycles", save),
+            row("table2/thread/restore", "cycles", restore),
+        ])
     })
 }
 
 /// Table 2 as rows: `table2/<event>` with and without tags, and the
 /// thread `save` / `restore` costs under `table2/thread`. (Restart is free
 /// under both schemes by construction, so it has no measured row.)
-pub fn rows(c: &SyncCosts) -> Vec<Row> {
-    [
-        ("table2/Success", "tags", c.success_tags),
-        ("table2/Success", "no tags", c.success_notags),
-        ("table2/Failure", "tags", c.failure_tags),
-        ("table2/Failure", "no tags", c.failure_notags),
-        ("table2/Write", "tags", c.write_tags),
-        ("table2/Write", "no tags", c.write_notags),
-        ("table2/thread/save", "cycles", c.save),
-        ("table2/thread/restore", "cycles", c.restore),
-    ]
-    .map(|(line, metric, cycles)| Row::simulated(line, metric, cycles as f64, "cycles"))
-    .to_vec()
+///
+/// # Errors
+///
+/// Propagates machine failures.
+pub fn table2(ctx: &mut Ctx, _: u32) -> Result<Vec<Row>, MachineError> {
+    Ok(ctx.run_all(vec![sequences(), park()])?.concat())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jm_machine::Engine;
 
     #[test]
     fn tags_beat_flags_and_costs_are_small() {
-        let c = measure(Engine::Event).unwrap();
-        assert!(c.success_tags < c.success_notags);
-        assert!(c.write_tags < c.write_notags);
+        let rows = table2(&mut Ctx::new(Engine::Event, false, 7), 0).unwrap();
+        let c = |line: &str, metric| crate::rows::value(&rows, line, metric).unwrap();
+        let tags = |event: &str| c(&format!("table2/{event}"), "tags");
+        let no_tags = |event: &str| c(&format!("table2/{event}"), "no tags");
+        let thread = |phase: &str| c(&format!("table2/thread/{phase}"), "cycles");
+        assert!(tags("Success") < no_tags("Success"));
+        assert!(tags("Write") < no_tags("Write"));
         // A failed read with tags is a fault entry, yet still costs less
         // than the context save it leads to; restoring is no cheaper than
         // the produce that triggers it.
-        assert!(c.success_tags < c.failure_tags && c.failure_tags < c.save);
-        assert!(c.write_tags < c.restore);
+        assert!(tags("Success") < tags("Failure") && tags("Failure") < thread("save"));
+        assert!(tags("Write") < thread("restore"));
     }
 }

@@ -8,52 +8,46 @@
 //! cycles, which makes it the standard input for `jmsim trace` and for the
 //! trace hash `jmsim repro` prints into `EXPERIMENTS.md`.
 
+use crate::registry::Point;
 use crate::workloads::gather_program;
 use jm_isa::node::MeshDims;
-use jm_machine::{
-    Engine, JMachine, MachineConfig, MachineError, MachineTrace, StartPolicy, TraceConfig,
-};
+use jm_machine::{MachineConfig, MachineTrace, StartPolicy, TraceConfig};
 
-/// A finished traced run: the machine (for its statistics) and its trace.
-pub struct TraceDemo {
-    /// The quiesced machine.
-    pub machine: JMachine,
-    /// The assembled lifecycle trace.
-    pub trace: MachineTrace,
-}
-
-/// Runs the gather workload traced on a `dims` mesh under `engine` and
-/// returns the machine plus its trace.
-pub fn gather_demo(
-    engine: Engine,
-    dims: MeshDims,
-    sample_every: u64,
-) -> Result<TraceDemo, MachineError> {
+/// The gather workload traced on a `dims` mesh, one sample every
+/// `sample_every` cycles, run to quiescence: its reader returns the trace.
+pub fn gather(dims: MeshDims, sample_every: u64) -> Point<MachineTrace> {
     let config = MachineConfig::with_dims(dims)
         .start(StartPolicy::AllNodes)
-        .engine(engine)
         .trace(TraceConfig::on().sample_every(sample_every));
-    let mut machine = JMachine::new(gather_program(), config);
-    machine.run_until_quiescent(1_000_000)?;
-    let trace = machine.take_trace().expect("tracing was enabled");
-    Ok(TraceDemo { machine, trace })
+    Point::new(gather_program(), config, |m| {
+        m.run_until_quiescent(1_000_000)?;
+        Ok(m.take_trace().expect("tracing was enabled"))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Ctx;
+    use jm_machine::Engine;
 
     #[test]
     fn gather_demo_traces_every_node() {
-        let demo = gather_demo(Engine::Event, MeshDims::new(4, 4, 1), 32).unwrap();
-        let msgs = demo.trace.messages();
+        // The gather's own reader, then node 0's sum of the sender ids.
+        let Point {
+            program,
+            config,
+            read,
+        } = gather(MeshDims::new(4, 4, 1), 32);
+        let sum = program.segment("sum");
+        let point = Point::new(program, config, move |m| {
+            Ok((read(m)?, m.read_word(jm_isa::NodeId(0), sum.base).as_i32()))
+        });
+        let (trace, sum) = Ctx::new(Engine::Event, false, 7).run(point).unwrap();
+        let msgs = trace.messages();
         assert_eq!(msgs.len(), 16);
         assert!(msgs.iter().all(|m| m.dispatch.is_some()));
         // Node 0 summed all 16 sender ids: 0 + 1 + ... + 15.
-        let sum = demo.machine.program().segment("sum");
-        assert_eq!(
-            demo.machine.read_word(jm_isa::NodeId(0), sum.base).as_i32(),
-            (0..16).sum::<i32>()
-        );
+        assert_eq!(sum, (0..16).sum::<i32>());
     }
 }

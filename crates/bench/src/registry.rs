@@ -13,6 +13,11 @@
 //! lengths and idle ladder, Figure 4's sizes, …) exist in exactly one
 //! place, and a section of `EXPERIMENTS.md` is byte for byte what the
 //! matching subcommand prints.
+//!
+//! Every machine an experiment measures is a [`Point`]: a value holding its
+//! program, its configuration and the reader that drives it and says what
+//! it measured. [`Ctx::run`] is the one body that boots a point under the
+//! run's engine and fails it if any node error latched.
 
 use crate::cli::{self, Args, CliError, Outcome};
 use crate::gate::Verdict;
@@ -20,7 +25,8 @@ use crate::rows::{self, Row};
 use crate::table::pivot;
 use crate::{baselines, faultb, macrob, micro, observe, traffic};
 use jm_apps::{App, Problems, Run};
-use jm_machine::{Engine, MachineConfig, MachineError};
+use jm_asm::Program;
+use jm_machine::{Engine, JMachine, MachineConfig, MachineError};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -30,6 +36,36 @@ use std::time::Instant;
 /// Cycle budget of one application run, far past the longest.
 pub(crate) const APP_CYCLES: u64 = 4_000_000_000;
 
+/// Drives a booted machine and reads what it measured.
+pub type Reader<T> = Box<dyn FnOnce(&mut JMachine) -> Result<T, MachineError> + Send>;
+
+/// One machine an experiment measures, as a value: the program it boots,
+/// its configuration with no engine set, and its reader. A point depends on
+/// nothing but these, so points run in any order give the same results.
+pub struct Point<T = Vec<Row>> {
+    /// What every node boots.
+    pub program: Program,
+    /// The machine; [`Ctx::run`] sets the engine.
+    pub config: MachineConfig,
+    /// Drives the machine and reads it — most readers return rows.
+    pub read: Reader<T>,
+}
+
+impl<T> Point<T> {
+    /// A point of `program` on `config`, read by `read`.
+    pub fn new(
+        program: Program,
+        config: MachineConfig,
+        read: impl FnOnce(&mut JMachine) -> Result<T, MachineError> + Send + 'static,
+    ) -> Point<T> {
+        Point {
+            program,
+            config,
+            read: Box::new(read),
+        }
+    }
+}
+
 /// What an experiment runs under — the engine, the sweep seed, the problem
 /// scale — with the application runs shared between Figures 5–6 and Tables
 /// 4–5 and the shape checks the sweeps contribute.
@@ -38,10 +74,10 @@ pub struct Ctx {
     /// Engine every machine of the run uses.
     engine: Engine,
     /// Seed of the fault plans and the traffic injection process.
-    seed: u64,
+    pub(crate) seed: u64,
     problems: Problems,
     apps: BTreeMap<(App, u32), Run>,
-    verdict: Verdict,
+    pub(crate) verdict: Verdict,
 }
 
 impl Ctx {
@@ -62,13 +98,48 @@ impl Ctx {
         }
     }
 
+    /// `config` under the run's engine: the one place a machine of the run,
+    /// a point's or an application's, gets its engine.
+    pub(crate) fn config(&self, config: MachineConfig) -> MachineConfig {
+        config.engine(self.engine)
+    }
+
+    /// Runs one point: boots its machine under the run's engine and hands
+    /// it to the reader.
+    ///
+    /// # Errors
+    ///
+    /// The reader's error, or [`MachineError::NodeErrors`] if any node
+    /// error latched, whatever the reader returned — a fixed-length `run`
+    /// reports none itself.
+    pub fn run<T>(&self, point: Point<T>) -> Result<T, MachineError> {
+        debug_assert_eq!(point.config.engine, Engine::default(), "the run sets it");
+        let mut m = JMachine::new(point.program, self.config(point.config));
+        let read = (point.read)(&mut m);
+        let errors = m.node_errors();
+        if errors.is_empty() {
+            read
+        } else {
+            Err(MachineError::NodeErrors(errors))
+        }
+    }
+
+    /// Runs `points` through [`Ctx::run`]: one result per point, in order.
+    ///
+    /// # Errors
+    ///
+    /// The first point's error.
+    pub fn run_all<T>(&self, points: Vec<Point<T>>) -> Result<Vec<T>, MachineError> {
+        points.into_iter().map(|p| self.run(p)).collect()
+    }
+
     /// The run of each of `apps` on `nodes` nodes, simulated on first
     /// request: Figures 5–6 and Tables 4–5 read the same runs.
     fn apps(&mut self, apps: &[App], nodes: u32) -> Result<Vec<Run>, MachineError> {
         let mut runs = Vec::new();
         for &app in apps {
             if !self.apps.contains_key(&(app, nodes)) {
-                let mcfg = MachineConfig::new(nodes).engine(self.engine);
+                let mcfg = self.config(MachineConfig::new(nodes));
                 let run = app.run(mcfg, &self.problems, APP_CYCLES)?;
                 self.apps.insert((app, nodes), run);
             }
@@ -149,7 +220,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
             ("round-trip cycles by distance", "fig2", "hops"),
             ("least-squares line, cycles", "fig2/fit", "transfer"),
         ],
-        run: fig2,
+        run: micro::latency::fig2,
     },
     Experiment {
         name: "table1",
@@ -157,7 +228,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
         nodes: None,
         file: None,
         captions: &[("overhead per message and per byte", "table1", "machine")],
-        run: table1,
+        run: micro::overhead::table1,
     },
     Experiment {
         name: "fig3",
@@ -172,7 +243,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
             ("8-word messages", "fig3/8", "idle"),
             ("16-word messages", "fig3/16", "idle"),
         ],
-        run: fig3,
+        run: micro::load::fig3,
     },
     Experiment {
         name: "fig4",
@@ -180,7 +251,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
         nodes: None,
         file: None,
         captions: &[("data words, Mbit/s, by message size", "fig4", "words")],
-        run: fig4,
+        run: micro::bandwidth::fig4,
     },
     Experiment {
         name: "table2",
@@ -191,7 +262,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
             ("cycles per event", "table2", "event"),
             ("published as 30-50 and 20-50", "table2/thread", "phase"),
         ],
-        run: table2,
+        run: micro::sync::table2,
     },
     Experiment {
         name: "table3",
@@ -199,7 +270,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
         nodes: Some((512, 64, 2)),
         file: None,
         captions: &[("microseconds per software barrier", "table3", "nodes")],
-        run: table3,
+        run: micro::barrier::table3,
     },
     Experiment {
         name: "fig5",
@@ -247,7 +318,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
             ("LCS completion, 8 nodes", "fault/lcs", "flaky ppm"),
             ("reliable RPC, 6 calls", "fault/rpc", "corrupt ppm"),
         ],
-        run: faults,
+        run: faultb::faults,
     },
     Experiment {
         name: "traffic",
@@ -263,7 +334,7 @@ pub static EXPERIMENTS: [Experiment; 12] = [
             ("hotspot", "traffic/hotspot", "load ppm"),
             ("nearest_neighbor", "traffic/nearest_neighbor", "load ppm"),
         ],
-        run: traffic,
+        run: traffic::saturation,
     },
 ];
 
@@ -275,42 +346,9 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.name == name)
 }
 
-fn fig2(ctx: &mut Ctx, nodes: u32) -> Result<Vec<Row>, MachineError> {
-    let curves = micro::latency::measure(ctx.engine, nodes)?;
-    Ok(micro::latency::rows(&curves))
-}
-
-fn table1(ctx: &mut Ctx, _: u32) -> Result<Vec<Row>, MachineError> {
-    Ok(micro::overhead::rows(&micro::overhead::measure(
-        ctx.engine,
-    )?))
-}
-
-fn fig3(ctx: &mut Ctx, nodes: u32) -> Result<Vec<Row>, MachineError> {
-    let lengths = [2, 4, 8, 16];
-    let idles = [0, 50, 150, 400, 1000, 3000];
-    let points = micro::load::measure(ctx.engine, nodes, &lengths, &idles, 3_000, 20_000)?;
-    Ok(micro::load::rows(nodes, &points))
-}
-
-fn fig4(ctx: &mut Ctx, _: u32) -> Result<Vec<Row>, MachineError> {
-    let lengths = [1, 2, 3, 4, 6, 8, 12, 16];
-    let points = micro::bandwidth::measure(ctx.engine, &lengths, 2_000, 20_000)?;
-    Ok(micro::bandwidth::rows(&points))
-}
-
-fn table2(ctx: &mut Ctx, _: u32) -> Result<Vec<Row>, MachineError> {
-    Ok(micro::sync::rows(&micro::sync::measure(ctx.engine)?))
-}
-
 /// Powers of two from `2^first` up to `max`.
-fn sizes(first: u32, max: u32) -> Vec<u32> {
+pub(crate) fn sizes(first: u32, max: u32) -> Vec<u32> {
     (first..=max.ilog2()).map(|k| 1 << k).collect()
-}
-
-fn table3(ctx: &mut Ctx, max_nodes: u32) -> Result<Vec<Row>, MachineError> {
-    let points = micro::barrier::measure(ctx.engine, &sizes(1, max_nodes), 8)?;
-    Ok(micro::barrier::rows(&points))
 }
 
 fn fig5(ctx: &mut Ctx, max_nodes: u32) -> Result<Vec<Row>, MachineError> {
@@ -332,18 +370,6 @@ fn table4(ctx: &mut Ctx, nodes: u32) -> Result<Vec<Row>, MachineError> {
 
 fn table5(ctx: &mut Ctx, nodes: u32) -> Result<Vec<Row>, MachineError> {
     Ok(macrob::table5_rows(&ctx.apps(&[App::Tsp], nodes)?[0]))
-}
-
-fn faults(ctx: &mut Ctx, _: u32) -> Result<Vec<Row>, MachineError> {
-    let report = faultb::sweep(ctx.engine, ctx.seed, 20_000);
-    ctx.verdict.shape("fault", report.check_monotone());
-    Ok(report.rows())
-}
-
-fn traffic(ctx: &mut Ctx, _: u32) -> Result<Vec<Row>, MachineError> {
-    let report = traffic::sweep(ctx.engine, ctx.seed);
-    ctx.verdict.shape("traffic", report.check_monotone());
-    Ok(report.rows())
 }
 
 /// `jmsim <experiment> [nodes] [--quick] [--engine E]`, and `jmsim faults`
@@ -437,9 +463,9 @@ pub(crate) fn repro(args: &Args) -> Outcome {
         files.entry(file).or_default().extend(rows);
     }
     // T = T_net + T_queue per message, from the lifecycle tracer.
-    let demo = observe::gather_demo(engine, jm_isa::MeshDims::for_nodes(64), 16)?;
-    let mut obs = demo.trace.breakdown_table();
-    let _ = writeln!(obs, "\ntrace hash: {:016x}", jm_trace::hash(&demo.trace));
+    let trace = ctx.run(observe::gather(jm_isa::MeshDims::for_nodes(64), 16))?;
+    let mut obs = trace.breakdown_table();
+    let _ = writeln!(obs, "\ntrace hash: {:016x}", jm_trace::hash(&trace));
     section(
         &mut md,
         "Per-mechanism latency breakdown — traced 64-node gather",
@@ -538,26 +564,55 @@ mod tests {
             latency_max: 80,
             latency_count: accepted_msgs,
         };
-        let report = |points| traffic::TrafficReport {
-            seed: 1,
-            dims: jm_isa::MeshDims::new(4, 4, 4),
-            curves: vec![traffic::PatternCurve {
-                pattern: jm_machine::TrafficPattern::Transpose,
-                points,
-            }],
-        };
-        let rising = report(vec![point(50_000, 1000, 1000), point(100_000, 2000, 1990)]);
-        let falling = report(vec![point(50_000, 1000, 1000), point(100_000, 2000, 600)]);
+        let transpose = jm_machine::TrafficPattern::Transpose;
+        let rising = [point(50_000, 1000, 1000), point(100_000, 2000, 1990)];
+        let falling = [point(50_000, 1000, 1000), point(100_000, 2000, 600)];
         let mut v = Verdict::default();
-        v.shape("traffic", rising.check_monotone());
+        v.shape("traffic", traffic::check(&[(transpose, &rising)], 64));
         assert_eq!(v.lines, ["[ok] traffic curves keep their shape"]);
         assert_eq!(exit_code(&v), ExitCode::SUCCESS);
-        v.shape("traffic", falling.check_monotone());
+        v.shape("traffic", traffic::check(&[(transpose, &falling)], 64));
         assert!(
             v.lines[1].starts_with("[FAIL] traffic: transpose:"),
             "{:?}",
             v.lines
         );
         assert_eq!(exit_code(&v), ExitCode::FAILURE);
+    }
+
+    #[test]
+    fn a_node_error_in_a_fixed_length_run_fails_the_point() {
+        // A divide by zero with no vector installed stops the node; `run`
+        // itself reports nothing, and the reader does not look.
+        let mut b = jm_asm::Builder::new();
+        b.label("main");
+        b.alu(jm_isa::instr::AluOp::Div, jm_isa::reg::DReg::R0, 1, 0);
+        b.halt();
+        b.entry("main");
+        let point = Point::new(b.assemble().unwrap(), MachineConfig::new(1), |m| {
+            m.run(1_000);
+            Ok(())
+        });
+        let got = Ctx::new(Engine::Event, true, 7).run(point);
+        assert!(
+            matches!(&got, Err(MachineError::NodeErrors(errors)) if errors.len() == 1),
+            "{got:?}"
+        );
+    }
+
+    #[test]
+    fn points_are_independent_values() {
+        // Figure 4 at two lengths, run in declared order and reversed.
+        let ctx = Ctx::new(Engine::Event, true, 7);
+        let points = || {
+            let sinks = micro::bandwidth::Sink::ALL.into_iter();
+            let at = |sink| [2, 8].map(|l| micro::bandwidth::point(l, sink, 500, 4_000));
+            sinks.flat_map(at).collect::<Vec<_>>()
+        };
+        let declared = ctx.run_all(points()).unwrap();
+        let mut reversed = ctx.run_all(points().into_iter().rev().collect()).unwrap();
+        reversed.reverse();
+        assert_eq!(declared.len(), 6);
+        assert_eq!(declared, reversed);
     }
 }

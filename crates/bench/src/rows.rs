@@ -164,6 +164,23 @@ pub fn value(rows: &[Row], name: &str, metric: &str) -> Option<f64> {
     find(rows, name, metric).map(|r| r.value)
 }
 
+/// Simulated rows of one line: `name` holding each `(metric, value, unit)`.
+pub fn line(name: &str, numbers: &[(&str, f64, &str)]) -> Vec<Row> {
+    let row =
+        |&(metric, value, unit): &(&str, f64, &str)| Row::simulated(name, metric, value, unit);
+    numbers.iter().map(row).collect()
+}
+
+/// The value of `metric` among one point's rows, which share a name.
+///
+/// # Panics
+///
+/// If no row is `metric`: a point's reader writes every metric it has.
+pub fn metric(rows: &[Row], metric: &str) -> f64 {
+    let row = rows.iter().find(|r| r.metric == metric);
+    row.unwrap_or_else(|| panic!("no {metric} row")).value
+}
+
 /// Row `(name, metric)`, if present.
 pub fn find<'a>(rows: &'a [Row], name: &str, metric: &str) -> Option<&'a Row> {
     rows.iter().find(|r| r.name == name && r.metric == metric)

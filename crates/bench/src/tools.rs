@@ -9,8 +9,9 @@
 //! that no simulated number moved.
 
 use crate::cli::{self, write_file, Args, CliError, Outcome};
+use crate::registry::{self, Ctx};
 use crate::workloads::exchange_program;
-use crate::{harness, observe, registry, rows, traffic};
+use crate::{harness, observe, rows, traffic};
 use jm_apps::{App, Problems};
 use jm_isa::MeshDims;
 use jm_machine::{
@@ -38,19 +39,8 @@ pub(crate) fn traffic(args: &Args) -> Outcome {
     let load = u32::try_from(load)
         .map_err(|_| CliError::Input(format!("--load: {load} ppm is out of range")))?;
     let seed = args.count("--seed").unwrap_or(7);
-    let engine = args.engine().unwrap_or_default();
-    traffic_point(args, engine, seed, dims, pattern, load)
-}
-
-fn traffic_point(
-    args: &Args,
-    engine: Engine,
-    seed: u64,
-    dims: MeshDims,
-    pattern: jm_machine::TrafficPattern,
-    load: u32,
-) -> Outcome {
-    let p = traffic::measure_point(engine, seed, dims, pattern, load);
+    let ctx = Ctx::new(args.engine().unwrap_or_default(), false, seed);
+    let p = ctx.run(traffic::point(seed, dims, pattern, load))?;
     let rss = harness::peak_rss_mib();
     let (name, mesh) = (pattern.label(), format!("{}x{}x{}", dims.x, dims.y, dims.z));
     println!(
@@ -135,8 +125,8 @@ pub(crate) fn trace(args: &Args) -> Outcome {
     let summary_path = args.text("--summary").unwrap_or("trace_summary.json");
 
     let dims = MeshDims::for_nodes(nodes);
-    let demo = observe::gather_demo(Engine::default(), dims, sample_every)?;
-    let trace = &demo.trace;
+    let ctx = Ctx::new(Engine::default(), false, 7);
+    let trace = &ctx.run(observe::gather(dims, sample_every))?;
     println!(
         "gather on {}x{}x{} ({} nodes): {} messages, {} events, {} samples\n",
         dims.x,

@@ -26,12 +26,12 @@
 //! ([`crate::baselines`]), and write `BENCH_traffic.json` through
 //! [`crate::rows`].
 
-use crate::rows::Row;
+use crate::registry::{Ctx, Point};
+use crate::rows::{line, Row};
 use crate::workloads::sink_program;
-use jm_asm::Program;
 use jm_isa::node::MeshDims;
 use jm_machine::{
-    Engine, JMachine, MachineConfig, StartPolicy, TraceConfig, TrafficPattern, TrafficSpec,
+    MachineConfig, MachineError, StartPolicy, TraceConfig, TrafficPattern, TrafficSpec,
 };
 
 /// Offered-load ladder, flits per node per cycle in parts per million.
@@ -134,7 +134,7 @@ impl TrafficPoint {
     /// The point's counters as rows named `name`, on a `nodes`-node mesh.
     pub fn rows(&self, name: &str, nodes: u32) -> Vec<Row> {
         let thru = self.accepted_throughput(nodes);
-        [
+        let numbers = [
             ("offered_msgs", self.offered_msgs as f64, "msgs"),
             ("accepted_msgs", self.accepted_msgs as f64, "msgs"),
             ("dropped_msgs", self.dropped_msgs as f64, "msgs"),
@@ -146,127 +146,101 @@ impl TrafficPoint {
             ("latency_max", self.latency_max as f64, "cycles"),
             ("latency_count", self.latency_count as f64, "msgs"),
             ("drain_cycles", self.drain_cycles as f64, "cycles"),
-        ]
-        .into_iter()
-        .map(|(metric, value, unit)| Row::simulated(name, metric, value, unit))
-        .collect()
+        ];
+        line(name, &numbers)
     }
 }
 
-/// The saturation curve of one destination pattern.
-#[derive(Debug, Clone)]
-pub struct PatternCurve {
-    /// The destination pattern.
-    pub pattern: TrafficPattern,
-    /// One point per ladder entry, in [`LOAD_PPM`] order.
-    pub points: Vec<TrafficPoint>,
+/// The saturation knee of a curve (one point per ladder entry, in
+/// [`LOAD_PPM`] order): the highest offered load (ppm) whose acceptance
+/// ratio — and that of every lighter load — is at least
+/// [`KNEE_ACCEPT_RATIO`], and its accepted throughput (flits/node/cycle).
+/// Zero if even the lightest load saturates.
+pub fn knee(points: &[TrafficPoint], nodes: u32) -> (u32, f64) {
+    let below = points
+        .iter()
+        .take_while(|p| p.accept_ratio() >= KNEE_ACCEPT_RATIO);
+    below
+        .last()
+        .map_or((0, 0.0), |p| (p.load_ppm, p.accepted_throughput(nodes)))
 }
 
-impl PatternCurve {
-    /// The saturation knee: highest offered load (ppm) whose acceptance
-    /// ratio — and that of every lighter load — is at least
-    /// [`KNEE_ACCEPT_RATIO`]. Zero if even the lightest load saturates.
-    pub fn knee_ppm(&self) -> u32 {
-        let mut knee = 0;
-        for p in &self.points {
-            if p.accept_ratio() < KNEE_ACCEPT_RATIO {
-                break;
-            }
-            knee = p.load_ppm;
-        }
-        knee
-    }
-
-    /// Accepted throughput (flits/node/cycle) at the knee point.
-    pub fn knee_throughput(&self, nodes: u32) -> f64 {
-        let knee = self.knee_ppm();
-        self.points
-            .iter()
-            .find(|p| p.load_ppm == knee)
-            .map_or(0.0, |p| p.accepted_throughput(nodes))
-    }
-}
-
-/// A full sweep: every pattern's curve under one seed on one mesh.
-#[derive(Debug, Clone)]
-pub struct TrafficReport {
-    /// Injection-process seed all curves share.
-    pub seed: u64,
-    /// Mesh dimensions of every run.
-    pub dims: MeshDims,
-    /// One curve per entry of [`PATTERNS`].
-    pub curves: Vec<PatternCurve>,
-}
-
-fn spec_for(seed: u64, pattern: TrafficPattern, load_ppm: u32, program: &Program) -> TrafficSpec {
-    TrafficSpec::new(seed)
-        .pattern(pattern)
-        .load(load_ppm)
-        .msg_words(MSG_WORDS)
-        .window(0, WARMUP + MEASURE)
-        .handler(program.handler("sink"))
-}
-
-/// Measures one load point: one traced run under `engine`.
-pub fn measure_point(
-    engine: Engine,
+/// One load point on a `dims` mesh of sink handlers: one traced run,
+/// warmup, measure, drain.
+pub fn point(
     seed: u64,
     dims: MeshDims,
     pattern: TrafficPattern,
     load_ppm: u32,
-) -> TrafficPoint {
+) -> Point<TrafficPoint> {
     let program = sink_program();
-    let spec = spec_for(seed, pattern, load_ppm, &program);
-
-    // Warmup, snapshot, measure, snapshot, drain.
-    let mut m = JMachine::new(
-        program,
-        MachineConfig::with_dims(dims)
-            .start(StartPolicy::None)
-            .traffic(spec)
-            .engine(engine)
-            .trace(TraceConfig::on().sample_every(1 << 20)),
-    );
-    m.run(WARMUP);
-    let warm = m.stats();
-    m.run(MEASURE);
-    let window = m.stats().net.since(&warm.net);
-    let drain_cycles = m
-        .run_until_quiescent(DRAIN_LIMIT)
-        .expect("traffic run drains to quiescence once the window closes");
-    let trace = m.take_trace().expect("tracing was enabled");
-    let lat = trace.breakdown_window(WARMUP, WARMUP + MEASURE).end_to_end;
-
-    TrafficPoint {
-        load_ppm,
-        offered_msgs: window.traffic.offered_msgs,
-        accepted_msgs: window.traffic.accepted_msgs,
-        dropped_msgs: window.traffic.dropped_msgs,
-        delivered_msgs: window.delivered_msgs,
-        measure_cycles: MEASURE,
-        drain_cycles,
-        latency_mean: lat.mean(),
-        latency_p50: lat.quantile(0.50),
-        latency_p99: lat.quantile(0.99),
-        latency_max: lat.max(),
-        latency_count: lat.count(),
-    }
+    let spec = TrafficSpec::new(seed)
+        .pattern(pattern)
+        .load(load_ppm)
+        .msg_words(MSG_WORDS)
+        .window(0, WARMUP + MEASURE)
+        .handler(program.handler("sink"));
+    let config = MachineConfig::with_dims(dims)
+        .start(StartPolicy::None)
+        .traffic(spec)
+        .trace(TraceConfig::on().sample_every(1 << 20));
+    Point::new(program, config, move |m| {
+        m.run(WARMUP);
+        let warm = m.stats();
+        m.run(MEASURE);
+        let window = m.stats().net.since(&warm.net);
+        let drain_cycles = m.run_until_quiescent(DRAIN_LIMIT)?;
+        let trace = m.take_trace().expect("tracing was enabled");
+        let lat = trace.breakdown_window(WARMUP, WARMUP + MEASURE).end_to_end;
+        Ok(TrafficPoint {
+            load_ppm,
+            offered_msgs: window.traffic.offered_msgs,
+            accepted_msgs: window.traffic.accepted_msgs,
+            dropped_msgs: window.traffic.dropped_msgs,
+            delivered_msgs: window.delivered_msgs,
+            measure_cycles: MEASURE,
+            drain_cycles,
+            latency_mean: lat.mean(),
+            latency_p50: lat.quantile(0.50),
+            latency_p99: lat.quantile(0.99),
+            latency_max: lat.max(),
+            latency_count: lat.count(),
+        })
+    })
 }
 
-/// Runs the full ladder for every pattern with one seed under `engine`.
-pub fn sweep(engine: Engine, seed: u64) -> TrafficReport {
-    let dims = MeshDims::new(4, 4, 4);
-    let curves = PATTERNS
-        .iter()
-        .map(|&pattern| PatternCurve {
-            pattern,
-            points: LOAD_PPM
-                .iter()
-                .map(|&load| measure_point(engine, seed, dims, pattern, load))
-                .collect(),
-        })
+/// The full ladder for every pattern under one seed on a 4×4×4 mesh, as
+/// `BENCH_traffic.json` rows — every value is simulated state, so the file
+/// is the same on every host and engine — with the curves' shape held by
+/// [`check`].
+///
+/// # Errors
+///
+/// Propagates machine failures.
+pub fn saturation(ctx: &mut Ctx, _: u32) -> Result<Vec<Row>, MachineError> {
+    let (seed, dims) = (ctx.seed, MeshDims::new(4, 4, 4));
+    let points = PATTERNS.map(|pattern| LOAD_PPM.map(|load| point(seed, dims, pattern, load)));
+    let measured = ctx.run_all(points.into_iter().flatten().collect())?;
+    let curves: Vec<_> = PATTERNS
+        .into_iter()
+        .zip(measured.chunks(LOAD_PPM.len()))
         .collect();
-    TrafficReport { seed, dims, curves }
+    ctx.verdict.shape("traffic", check(&curves, dims.nodes()));
+    let mut rows = header_rows(seed, dims);
+    for (pattern, points) in curves {
+        let name = format!("traffic/{}", pattern.label());
+        let (knee_ppm, knee_throughput) = knee(points, dims.nodes());
+        let unit = "flits/node/cycle";
+        let knees = [
+            ("knee_ppm", knee_ppm.into(), "ppm"),
+            ("knee_throughput", knee_throughput, unit),
+        ];
+        rows.extend(line(&name, &knees));
+        for p in points {
+            rows.extend(p.rows(&format!("{name}/{}", p.load_ppm), dims.nodes()));
+        }
+    }
+    Ok(rows)
 }
 
 /// Checks one curve's shape: below saturation accepted throughput must
@@ -332,66 +306,35 @@ pub fn check_curve(label: &str, points: &[TrafficPoint], nodes: u32) -> Vec<Stri
 /// The rows that say what a traffic row file was measured under: the
 /// injection seed, the mesh and the warmup / measure protocol.
 pub fn header_rows(seed: u64, dims: MeshDims) -> Vec<Row> {
-    [
+    let numbers = [
         ("seed", seed as f64, ""),
         ("mesh_x", f64::from(dims.x), "nodes"),
         ("mesh_y", f64::from(dims.y), "nodes"),
         ("mesh_z", f64::from(dims.z), "nodes"),
         ("warmup_cycles", WARMUP as f64, "cycles"),
         ("measure_cycles", MEASURE as f64, "cycles"),
-    ]
-    .into_iter()
-    .map(|(metric, value, unit)| Row::simulated("traffic", metric, value, unit))
-    .collect()
+    ];
+    line("traffic", &numbers)
 }
 
-impl TrafficReport {
-    /// Checks every curve with [`check_curve`], and that the heaviest
-    /// hotspot load actually backpressured. Returns every violation found.
-    pub fn check_monotone(&self) -> Result<(), Vec<String>> {
-        let nodes = self.dims.nodes();
-        let mut bad = Vec::new();
-        for curve in &self.curves {
-            bad.extend(check_curve(curve.pattern.label(), &curve.points, nodes));
-        }
-        if let Some(hotspot) = self
-            .curves
-            .iter()
-            .find(|c| matches!(c.pattern, TrafficPattern::Hotspot { .. }))
-        {
-            if hotspot.points.last().is_some_and(|p| p.dropped_msgs == 0) {
-                bad.push("hotspot: heaviest load never backpressured".to_string());
-            }
-        }
-        if bad.is_empty() {
-            Ok(())
-        } else {
-            Err(bad)
+/// Checks every curve with [`check_curve`], and that the heaviest hotspot
+/// load actually backpressured. Returns every violation found.
+pub fn check(curves: &[(TrafficPattern, &[TrafficPoint])], nodes: u32) -> Vec<String> {
+    let mut bad = Vec::new();
+    for (pattern, points) in curves {
+        bad.extend(check_curve(pattern.label(), points, nodes));
+        let hotspot = matches!(pattern, TrafficPattern::Hotspot { .. });
+        if hotspot && points.last().is_some_and(|p| p.dropped_msgs == 0) {
+            bad.push("hotspot: heaviest load never backpressured".to_string());
         }
     }
-
-    /// The report as `BENCH_traffic.json` rows: every value is simulated
-    /// state, so the file is the same on every host and engine.
-    pub fn rows(&self) -> Vec<Row> {
-        let mut rows = header_rows(self.seed, self.dims);
-        let nodes = self.dims.nodes();
-        for curve in &self.curves {
-            let name = format!("traffic/{}", curve.pattern.label());
-            let row = |metric, value, unit| Row::simulated(&name, metric, value, unit);
-            let knee = curve.knee_throughput(nodes);
-            rows.push(row("knee_ppm", curve.knee_ppm().into(), "ppm"));
-            rows.push(row("knee_throughput", knee, "flits/node/cycle"));
-            for p in &curve.points {
-                rows.extend(p.rows(&format!("{name}/{}", p.load_ppm), nodes));
-            }
-        }
-        rows
-    }
+    bad
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jm_machine::Engine;
 
     fn point(load_ppm: u32, offered: u64, accepted: u64) -> TrafficPoint {
         TrafficPoint {
@@ -412,54 +355,30 @@ mod tests {
 
     #[test]
     fn knee_is_the_last_load_before_acceptance_collapses() {
-        let curve = PatternCurve {
-            pattern: TrafficPattern::UniformRandom,
-            points: vec![
-                point(50_000, 1000, 1000),
-                point(100_000, 2000, 1995), // 99.75% — above the knee ratio
-                point(150_000, 3000, 2400), // 80% — saturated
-                point(200_000, 4000, 3990), // recovery past the knee is ignored
-            ],
-        };
-        assert_eq!(curve.knee_ppm(), 100_000);
+        let points = [
+            point(50_000, 1000, 1000),
+            point(100_000, 2000, 1995), // 99.75% — above the knee ratio
+            point(150_000, 3000, 2400), // 80% — saturated
+            point(200_000, 4000, 3990), // recovery past the knee is ignored
+        ];
+        assert_eq!(knee(&points, 64).0, 100_000);
     }
 
     #[test]
     fn knee_is_zero_when_even_the_lightest_load_saturates() {
-        let curve = PatternCurve {
-            pattern: TrafficPattern::UniformRandom,
-            points: vec![point(50_000, 1000, 100)],
-        };
-        assert_eq!(curve.knee_ppm(), 0);
-        assert_eq!(curve.knee_throughput(64), 0.0);
+        assert_eq!(knee(&[point(50_000, 1000, 100)], 64), (0, 0.0));
     }
 
     #[test]
     fn monotonicity_gate_flags_a_falling_curve() {
-        let dims = MeshDims::new(4, 4, 4);
-        let good = TrafficReport {
-            seed: 1,
-            dims,
-            curves: vec![PatternCurve {
-                pattern: TrafficPattern::Hotspot {
-                    weight_ppm: 300_000,
-                },
-                points: vec![point(50_000, 1000, 1000), point(100_000, 2000, 1800)],
-            }],
+        let hotspot = TrafficPattern::Hotspot {
+            weight_ppm: 300_000,
         };
-        assert!(good.check_monotone().is_ok());
+        let good = [point(50_000, 1000, 1000), point(100_000, 2000, 1800)];
+        assert!(check(&[(hotspot, &good)], 64).is_empty());
 
-        let falling = TrafficReport {
-            seed: 1,
-            dims,
-            curves: vec![PatternCurve {
-                pattern: TrafficPattern::Hotspot {
-                    weight_ppm: 300_000,
-                },
-                points: vec![point(50_000, 1000, 1000), point(100_000, 2000, 600)],
-            }],
-        };
-        let violations = falling.check_monotone().unwrap_err();
+        let falling = [point(50_000, 1000, 1000), point(100_000, 2000, 600)];
+        let violations = check(&[(hotspot, &falling)], 64);
         assert!(
             violations.iter().any(|v| v.contains("throughput fell")),
             "{violations:?}"
@@ -480,15 +399,17 @@ mod tests {
         assert!(bad.iter().any(|v| v.contains("offered")), "{bad:?}");
     }
 
+    /// One load point on a 4×4×4 mesh under the event engine.
+    fn measure(seed: u64, pattern: TrafficPattern, load_ppm: u32) -> TrafficPoint {
+        let ctx = Ctx::new(Engine::Event, false, seed);
+        let dims = MeshDims::new(4, 4, 4);
+        ctx.run(super::point(seed, dims, pattern, load_ppm))
+            .unwrap()
+    }
+
     #[test]
     fn low_load_uniform_point_accepts_everything() {
-        let p = measure_point(
-            Engine::Event,
-            7,
-            MeshDims::new(4, 4, 4),
-            TrafficPattern::UniformRandom,
-            50_000,
-        );
+        let p = measure(7, TrafficPattern::UniformRandom, 50_000);
         assert!(p.offered_msgs > 0);
         assert_eq!(p.dropped_msgs, 0, "50k ppm must be far below saturation");
         assert_eq!(p.offered_msgs, p.accepted_msgs);
@@ -501,9 +422,8 @@ mod tests {
 
     #[test]
     fn measure_point_is_deterministic() {
-        let dims = MeshDims::new(4, 4, 4);
-        let a = measure_point(Engine::Event, 9, dims, TrafficPattern::Transpose, 200_000);
-        let b = measure_point(Engine::Event, 9, dims, TrafficPattern::Transpose, 200_000);
+        let a = measure(9, TrafficPattern::Transpose, 200_000);
+        let b = measure(9, TrafficPattern::Transpose, 200_000);
         assert_eq!(a.offered_msgs, b.offered_msgs);
         assert_eq!(a.accepted_msgs, b.accepted_msgs);
         assert_eq!(a.drain_cycles, b.drain_cycles);

@@ -77,8 +77,9 @@ fn latency_columns_come_from_the_engine_that_ran() {
         let pattern = TrafficPattern::Hotspot {
             weight_ppm: 300_000,
         };
-        let p =
-            jm_bench::traffic::measure_point(engine, 7, MeshDims::new(2, 2, 8), pattern, 300_000);
+        let ctx = jm_bench::registry::Ctx::new(engine, false, 7);
+        let point = jm_bench::traffic::point(7, MeshDims::new(2, 2, 8), pattern, 300_000);
+        let p = ctx.run(point).unwrap();
         assert!(p.latency_count > 0 && p.dropped_msgs > 0, "{p:?}");
         format!("{p:?}")
     };
