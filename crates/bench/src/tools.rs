@@ -30,6 +30,11 @@ use std::process::ExitCode;
 /// `--out` if given.
 pub(crate) fn traffic(args: &Args) -> Outcome {
     let Some(dims) = args.mesh() else {
+        if args.switch("--pattern") || args.switch("--load") {
+            let why =
+                "`--pattern` and `--load` pick the one `--mesh` point; the sweep runs them all";
+            return Err(CliError::Input(why.to_string()));
+        }
         return registry::run_one(args);
     };
     let (Some(pattern), Some(load)) = (args.pattern(), args.count("--load")) else {
@@ -154,7 +159,13 @@ fn factory(args: &Args) -> MachineFactory {
 
 fn read_log(args: &Args) -> Result<ReplayLog, CliError> {
     let path = args.text("--log").expect("--log is a required flag");
-    ReplayLog::read_file(path).map_err(|e| CliError::Input(format!("--log {path}: {e}")))
+    ReplayLog::read_file(path).map_err(|e| bad_log(args, e))
+}
+
+/// A log that cannot be read, or holds an op the replay refuses: exit 2.
+fn bad_log(args: &Args, err: impl std::fmt::Display) -> CliError {
+    let path = args.text("--log").expect("--log is a required flag");
+    CliError::Input(format!("--log {path}: {err}"))
 }
 
 /// `jmsim replay record`: captures a canned 64-node workload — the exchange
@@ -162,6 +173,10 @@ fn read_log(args: &Args) -> Result<ReplayLog, CliError> {
 /// short run — into a `.jmrp` event log.
 pub(crate) fn replay_record(args: &Args) -> Outcome {
     let workload = args.text("--workload").unwrap_or("exchange");
+    if workload != "chaos64" && args.switch("--seed") {
+        let why = "`--seed` seeds the fault plan of `--workload chaos64`; `exchange` has none";
+        return Err(CliError::Input(why.to_string()));
+    }
     let default_out = format!("{workload}.jmrp");
     let out = args.text("--out").unwrap_or(&default_out);
     let interval = args.positive("--interval")?.unwrap_or(DEFAULT_INTERVAL);
@@ -192,10 +207,10 @@ pub(crate) fn replay_record(args: &Args) -> Outcome {
 
 /// `jmsim replay verify`: re-executes the log under its recorded
 /// configuration, or `--engine`, and compares every checkpoint hash; exit
-/// 1 on a mismatch.
+/// 1 on a mismatch, 2 on a log that cannot be replayed.
 pub(crate) fn replay_verify(args: &Args) -> Outcome {
     let log = read_log(args)?;
-    let report = jm_machine::verify(&log, &factory(args));
+    let report = jm_machine::verify(&log, &factory(args)).map_err(|e| bad_log(args, e))?;
     println!("verify: {report}");
     Ok(if report.clean() {
         ExitCode::SUCCESS
@@ -205,11 +220,12 @@ pub(crate) fn replay_verify(args: &Args) -> Outcome {
 }
 
 /// `jmsim replay bisect`: narrows a mismatch to its first diverging cycle
-/// and components; exit 0 when clean, 2 on a genuine divergence, 3 when the
-/// log itself is irreproducible.
+/// and components; exit 0 when clean, 2 on a genuine divergence (or a log
+/// that cannot be replayed), 3 when the log itself is irreproducible.
 pub(crate) fn replay_bisect(args: &Args) -> Outcome {
     let log = read_log(args)?;
-    let report = jm_machine::bisect(&log, &MachineFactory::recorded(), &factory(args));
+    let report = jm_machine::bisect(&log, &MachineFactory::recorded(), &factory(args))
+        .map_err(|e| bad_log(args, e))?;
     println!("bisect ({} probes): {report}", report.probes);
     Ok(match report.divergence {
         Divergence::None => ExitCode::SUCCESS,

@@ -125,6 +125,9 @@ fn misuse_exits_2_with_one_line_and_writes_nothing() {
             "512",
         ],
         &["gate", "--current", "x.json", "--traffic", "y.json"],
+        // A flag the command would accept and then ignore.
+        &["traffic", "--pattern", "transpose", "--load", "100000"],
+        &["replay", "record", "--seed", "5"],
         &["fig7"],
         &[],
     ] {
@@ -202,6 +205,36 @@ fn bisect_of_a_log_with_one_flipped_checkpoint_exits_3() {
         stdout.contains(&format!("log mismatch at cycle {flipped}")),
         "{stdout}"
     );
+}
+
+#[test]
+fn a_log_whose_deliveries_overfill_a_queue_exits_2() {
+    let path = std::env::temp_dir().join(format!("jmsim-full-{}.jmrp", std::process::id()));
+    let path = path.to_str().unwrap();
+    let record = ["--out", path, "--interval", "256", "--cycles", "1000"];
+    let (code, _, stderr) = jmsim(&[&["replay", "record"][..], &record].concat());
+    assert_eq!(code, 0, "{stderr}");
+    // Two deliveries, each within the 512-word queue and together past it:
+    // the reader takes both, and the replay refuses the second.
+    let mut log = jm_replay::ReplayLog::read_file(path).unwrap();
+    let op = jm_replay::HostOp::Deliver {
+        node: 0,
+        priority: jm_isa::MsgPriority::P0,
+        words: vec![jm_isa::Word::int(0); 300],
+    };
+    let ops = [op.clone(), op].map(|op| jm_replay::Record::Op { cycle: 0, op });
+    log.records.splice(0..0, ops);
+    log.write_file(path).unwrap();
+    for verb in ["verify", "bisect"] {
+        let (code, stdout, stderr) = jmsim(&["replay", verb, "--log", path]);
+        assert_eq!((code, stdout.as_str()), (2, ""), "{verb}: {stderr}");
+        let named = "host delivery at cycle 0 overfills node 0's priority-0 queue";
+        assert!(
+            stderr.lines().count() == 1 && stderr.contains(named),
+            "{verb}: {stderr}"
+        );
+    }
+    std::fs::remove_file(path).unwrap();
 }
 
 fn repo_root() -> PathBuf {

@@ -59,6 +59,16 @@ pub enum MachineError {
     /// The program image fails [`Program::validate`]; the message is its
     /// first violation.
     InvalidProgram(String),
+    /// A host delivery found its queue without room for all its words: a
+    /// replay log whose deliveries together overfill a queue.
+    QueueFull {
+        /// Cycle of the delivery.
+        cycle: u64,
+        /// Target node.
+        node: NodeId,
+        /// Target queue.
+        priority: MsgPriority,
+    },
 }
 
 impl fmt::Display for MachineError {
@@ -84,6 +94,15 @@ impl fmt::Display for MachineError {
             }
             MachineError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
             MachineError::InvalidProgram(why) => write!(f, "invalid program image: {why}"),
+            MachineError::QueueFull {
+                cycle,
+                node,
+                priority,
+            } => write!(
+                f,
+                "host delivery at cycle {cycle} overfills node {}'s priority-{priority} queue",
+                node.0
+            ),
         }
     }
 }
@@ -353,10 +372,9 @@ impl JMachine {
     /// [`Program::validate`] (assembled programs are always valid), and
     /// [`MachineError::InvalidConfig`], naming the field,
     /// when `net.dims` differs from `dims`, tracing is on with a zero
-    /// `trace.sample_every`, or the crate that owns a field
-    /// rejects its value ([`NetConfig::validate`](jm_net::NetConfig::validate),
-    /// [`MdpConfig::validate_for`](jm_mdp::MdpConfig::validate_for), which
-    /// also bounds the product of the node count and each node's buffers,
+    /// `trace.sample_every`, or the crate that owns a field rejects its
+    /// value ([`NetConfig::validate`](jm_net::NetConfig::validate),
+    /// [`TimingConfig::validate`](jm_mdp::TimingConfig::validate),
     /// [`TrafficSpec::validate`](jm_traffic::TrafficSpec::validate)) — before
     /// anything is allocated.
     pub fn try_new(program: Program, config: MachineConfig) -> Result<JMachine, MachineError> {
@@ -371,7 +389,7 @@ impl JMachine {
                 // of the machine.
                 return Err("net.dims differs from dims");
             }
-            config.mdp.validate_for(config.dims.nodes())?;
+            config.mdp.timing.validate()?;
             if config.trace.enabled && config.trace.sample_every == 0 {
                 // Samples fall on multiples of the interval.
                 return Err("trace.sample_every is zero while tracing");
@@ -560,7 +578,7 @@ impl JMachine {
     /// One host-boundary input: applied, and logged at the current cycle if
     /// a replay capture is on.
     fn host_op(&mut self, op: HostOp) {
-        self.apply_op(&op);
+        self.apply_op(&op).unwrap_or_else(|e| panic!("{e}"));
         let cycle = self.cycle();
         if let Some(recorder) = &mut self.recorder {
             recorder.records.push(jm_replay::Record::Op { cycle, op });
@@ -573,12 +591,17 @@ impl JMachine {
     /// addresses and the delivered words, header and trailer included).
     /// Unlike the host interface it records nothing.
     ///
+    /// # Errors
+    ///
+    /// [`MachineError::QueueFull`], applying nothing, when a delivery has
+    /// more words than its queue has room for.
+    ///
     /// # Panics
     ///
-    /// Panics if the op names a node the machine does not have or delivers
-    /// into a full queue (`ReplayLog::from_bytes` checks a logged op's node
-    /// id, address and length against the recorded configuration).
-    pub fn apply_op(&mut self, op: &HostOp) {
+    /// Panics if the op names a node the machine does not have
+    /// (`ReplayLog::from_bytes` checks a logged op's node id, address and
+    /// length).
+    pub fn apply_op(&mut self, op: &HostOp) -> Result<(), MachineError> {
         match *op {
             HostOp::InstallVectorAll { kind, ip } => {
                 for node in &mut self.nodes {
@@ -598,17 +621,23 @@ impl JMachine {
             } => {
                 let cycle = self.cycle();
                 let target = &mut self.nodes[node as usize];
+                if words.len() > target.queue_room(priority) {
+                    let node = NodeId(node);
+                    return Err(MachineError::QueueFull {
+                        cycle,
+                        node,
+                        priority,
+                    });
+                }
                 // Host deliveries bypass the network and carry no trace id.
                 for &w in words {
-                    assert!(
-                        target.deliver_traced(priority, w, TraceId::NONE, cycle),
-                        "host delivery overflow"
-                    );
+                    target.deliver_traced(priority, w, TraceId::NONE, cycle);
                 }
                 let shard = self.net.shard_of_node(NodeId(node));
                 self.scheds[shard].wake(target, cycle);
             }
         }
+        Ok(())
     }
 
     /// Host interface: reads a whole named data block from one node.
@@ -1050,39 +1079,6 @@ mod tests {
     use jm_isa::instr::{AluOp, StatClass};
     use jm_isa::node::MeshDims;
     use jm_isa::operand::{MemRef, Special};
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-    /// Largest single allocation any test thread has requested since the
-    /// last reset.
-    static LARGEST: AtomicUsize = AtomicUsize::new(0);
-
-    /// The system allocator, recording the size of every request
-    /// (`unbuildable_configs_are_errors` reads it).
-    struct Watch;
-
-    // SAFETY: every method forwards its arguments unchanged to `System`,
-    // which upholds the `GlobalAlloc` contract; the only addition is an
-    // atomic store of the requested size, which touches no allocator state.
-    unsafe impl GlobalAlloc for Watch {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            LARGEST.fetch_max(layout.size(), Relaxed);
-            // SAFETY: the caller's obligations are `System.alloc`'s.
-            unsafe { System.alloc(layout) }
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
-            unsafe { System.dealloc(ptr, layout) }
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            LARGEST.fetch_max(new_size, Relaxed);
-            // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
-    #[global_allocator]
-    static ALLOCATOR: Watch = Watch;
     use jm_isa::reg::AReg::*;
     use jm_isa::reg::DReg::*;
     use jm_isa::tag::Tag;
@@ -1397,11 +1393,6 @@ mod tests {
             edit(&mut cfg.net);
             cfg
         };
-        let mdp = |edit: fn(&mut jm_mdp::MdpConfig)| {
-            let mut cfg = ok;
-            edit(&mut cfg.mdp);
-            cfg
-        };
         let traffic = |edit: fn(&mut jm_traffic::TrafficSpec)| {
             let mut spec = jm_traffic::TrafficSpec::new(1).load(100_000);
             edit(&mut spec);
@@ -1415,40 +1406,17 @@ mod tests {
         let mut deep = ok;
         deep.dims.x = 32;
         deep.net.dims.x = 32;
-        let mut huge = ok;
-        huge.dims = MeshDims::new(31, 31, 31);
-        huge.net.dims = huge.dims;
-        huge.mdp.queue0_words = jm_isa::consts::MEM_WORDS;
-        huge.mdp.queue1_words = jm_isa::consts::MEM_WORDS;
-        huge.mdp.xlate_entries = jm_isa::consts::MEM_WORDS as usize;
+        let mut slow = ok;
+        slow.mdp.timing.base = u64::MAX;
         let cases = [
             (flat, "must be in 1..=31"),
             (deep, "must be in 1..=31"),
             // A network sized for another mesh would route only part of
             // the machine.
             (net(|n| n.dims = MeshDims::new(2, 2, 2)), "net.dims"),
-            // A zero-depth buffer can never accept a flit, and the channel
-            // rings are indexed with a byte.
-            (net(|n| n.flit_buffer = 0), "net.flit_buffer"),
-            (net(|n| n.inject_fifo = 0), "net.inject_fifo"),
-            (net(|n| n.eject_fifo = 0), "net.eject_fifo"),
-            (net(|n| n.flit_buffer = 300), "net.flit_buffer"),
-            (net(|n| n.inject_fifo = 300), "net.inject_fifo"),
-            // Queues and the translation cache hold at least one entry and
-            // at most a node's memory: 2^30 queue words are 8 GiB a node,
-            // 2^40 cache entries abort the process outright.
-            (mdp(|m| m.queue0_words = 0), "mdp.queue0_words"),
-            (mdp(|m| m.queue0_words = 1 << 30), "mdp.queue0_words"),
-            (mdp(|m| m.xlate_entries = 0), "mdp.xlate_entries"),
-            (mdp(|m| m.xlate_entries = 1 << 40), "mdp.xlate_entries"),
-            // Each field in range, their product not: every node of a 31³
-            // mesh with maximal queues and caches, hundreds of GiB.
-            (huge, "exceed 16 GiB"),
             // Cycle costs are added to the clock wherever they are charged:
-            // these build, and overflow once an instruction retires or a
-            // message is sent.
-            (mdp(|m| m.timing.base = u64::MAX), "mdp.timing.base"),
-            (net(|n| n.inject_latency = u64::MAX), "net.inject_latency"),
+            // this builds, and overflows once an instruction retires.
+            (slow, "mdp.timing.base"),
             // Samples fall on multiples of the interval. The builder and
             // the CLI refuse zero; a hand-built struct gets past both.
             (
@@ -1470,13 +1438,7 @@ mod tests {
             m.finish_replay().unwrap()
         };
         for (cfg, names) in cases {
-            LARGEST.store(0, Relaxed);
-            let built = JMachine::try_new(rpc_program(), cfg);
-            // Other tests of this binary allocate meanwhile, none of them
-            // anything near the smallest hostile request above (8 GiB).
-            let largest = LARGEST.load(Relaxed);
-            assert!(largest < 1 << 30, "{names}: {largest} bytes at once");
-            match built {
+            match JMachine::try_new(rpc_program(), cfg) {
                 Err(MachineError::InvalidConfig(why)) => assert!(why.contains(names), "{why}"),
                 Err(other) => panic!("a config with a bad {names}: {other}"),
                 Ok(_) => panic!("a config with a bad {names} built a machine"),
@@ -1486,7 +1448,7 @@ mod tests {
             // holds one set of dims and no trace settings.)
             if cfg.net.dims == cfg.dims && cfg.trace == ok.trace {
                 let mut log = recorded.clone();
-                (log.config.dims, log.config.mdp, log.config.net) = (cfg.dims, cfg.mdp, cfg.net);
+                (log.config.dims, log.config.timing) = (cfg.dims, cfg.mdp.timing);
                 log.traffic = cfg.traffic;
                 match jm_replay::ReplayLog::from_bytes(&log.to_bytes()) {
                     Err(e) => assert!(e.to_string().contains(names), "{e}"),

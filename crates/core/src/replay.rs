@@ -39,7 +39,7 @@
 //!   component.
 
 use crate::config::{Engine, MachineConfig, StartPolicy};
-use crate::machine::{next_multiple, JMachine};
+use crate::machine::{next_multiple, JMachine, MachineError};
 use jm_isa::node::NodeId;
 use jm_isa::word::Word;
 use jm_replay::{Record, RecordedConfig, RecordedEngine, RecordedStart, ReplayLog};
@@ -216,19 +216,18 @@ fn recorded_config(c: &MachineConfig) -> RecordedConfig {
         },
         engine,
         threads,
-        mdp: c.mdp,
-        net: c.net,
+        timing: c.mdp.timing,
     }
 }
 
 /// Reconstructs the [`MachineConfig`] a log was recorded under (tracing
-/// off — it is observational and not part of the recorded run). This is
-/// the configuration [`MachineFactory::recorded`] replays with.
+/// off — it is observational and not part of the recorded run; checksum
+/// mode is re-derived from the fault spec at build). This is the
+/// configuration [`MachineFactory::recorded`] replays with.
 fn recorded_machine_config(log: &ReplayLog) -> MachineConfig {
     let rc = &log.config;
     let mut cfg = MachineConfig::with_dims(rc.dims);
-    cfg.mdp = rc.mdp;
-    cfg.net = rc.net;
+    cfg.mdp.timing = rc.timing;
     cfg.start = match rc.start {
         RecordedStart::Node0 => StartPolicy::Node0,
         RecordedStart::AllNodes => StartPolicy::AllNodes,
@@ -480,19 +479,20 @@ impl fmt::Display for BisectReport {
 /// `until` or checkpoint at or after it, applying each host op at its
 /// cycle. At each checkpoint on the way, `checkpoint` sees the machine
 /// advanced to it and the logged hash, and the walk stops where it returns
-/// false. Returns the machine where the walk stopped.
+/// false. Returns the machine where the walk stopped, or the op it refused
+/// ([`JMachine::apply_op`]).
 fn walk(
     log: &ReplayLog,
     factory: &MachineFactory,
     until: u64,
     mut checkpoint: impl FnMut(&mut JMachine, u64, u64) -> bool,
-) -> JMachine {
+) -> Result<JMachine, MachineError> {
     let mut m = factory.build(log);
     for r in &log.records {
         match *r {
             Record::Op { cycle, ref op } if cycle <= until => {
                 factory.advance(&mut m, cycle);
-                m.apply_op(op);
+                m.apply_op(op)?;
             }
             Record::Boundary { cycle, hash } | Record::End { cycle, hash } if cycle < until => {
                 factory.advance(&mut m, cycle);
@@ -503,13 +503,18 @@ fn walk(
             _ => break,
         }
     }
-    m
+    Ok(m)
 }
 
 /// Replays `log` under `factory`'s configuration, comparing the machine's
 /// state hash against every recorded checkpoint in order. Stops at the
 /// first mismatch.
-pub fn verify(log: &ReplayLog, factory: &MachineFactory) -> VerifyReport {
+///
+/// # Errors
+///
+/// [`MachineError::QueueFull`] when a logged host delivery does not fit
+/// the queue the replayed run has filled so far.
+pub fn verify(log: &ReplayLog, factory: &MachineFactory) -> Result<VerifyReport, MachineError> {
     let (mut checked, mut prev_cycle, mut mismatch) = (0, 0, None);
     let m = walk(log, factory, u64::MAX, |m, cycle, logged| {
         let got = m.state_hash();
@@ -525,21 +530,25 @@ pub fn verify(log: &ReplayLog, factory: &MachineFactory) -> VerifyReport {
         }
         prev_cycle = cycle;
         true
-    });
-    VerifyReport {
+    })?;
+    Ok(VerifyReport {
         checked,
         end_cycle: m.cycle(),
         mismatch,
-    }
+    })
 }
 
 /// A fresh machine driven through the log to exactly `cycle`, every host
 /// op stamped at or before it applied (in recording order) and no
 /// checkpoint compared: the probe bisection samples state with.
-fn state_at(log: &ReplayLog, factory: &MachineFactory, cycle: u64) -> JMachine {
-    let mut m = walk(log, factory, cycle, |_, _, _| true);
+fn state_at(
+    log: &ReplayLog,
+    factory: &MachineFactory,
+    cycle: u64,
+) -> Result<JMachine, MachineError> {
+    let mut m = walk(log, factory, cycle, |_, _, _| true)?;
     factory.advance(&mut m, cycle);
-    m
+    Ok(m)
 }
 
 /// Verifies `target` against the log and, on mismatch, narrows the failure
@@ -556,29 +565,33 @@ fn state_at(log: &ReplayLog, factory: &MachineFactory, cycle: u64) -> JMachine {
 /// probe is bit-exact), until the first cycle where the combined hashes
 /// differ; the per-component hash vectors at that cycle name the diverging
 /// components.
+///
+/// # Errors
+///
+/// As [`verify`], from either side.
 pub fn bisect(
     log: &ReplayLog,
     reference: &MachineFactory,
     target: &MachineFactory,
-) -> BisectReport {
-    let tv = verify(log, target);
+) -> Result<BisectReport, MachineError> {
+    let tv = verify(log, target)?;
     let Some(tm) = tv.mismatch else {
-        return BisectReport {
+        return Ok(BisectReport {
             divergence: Divergence::None,
             probes: 0,
-        };
+        });
     };
-    let rv = verify(log, reference);
+    let rv = verify(log, reference)?;
     if let Some(rm) = rv.mismatch {
         if rm.cycle <= tm.cycle {
-            return BisectReport {
+            return Ok(BisectReport {
                 divergence: Divergence::LogMismatch {
                     cycle: rm.cycle,
                     logged: rm.logged,
                     recomputed: rm.got,
                 },
                 probes: 0,
-            };
+            });
         }
     }
     // Hashes agree at tm.prev_cycle (both replays matched the log there)
@@ -587,8 +600,8 @@ pub fn bisect(
     let mut probes = 0;
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        let r = state_at(log, reference, mid).state_hash();
-        let t = state_at(log, target, mid).state_hash();
+        let r = state_at(log, reference, mid)?.state_hash();
+        let t = state_at(log, target, mid)?.state_hash();
         probes += 2;
         if r == t {
             lo = mid;
@@ -596,8 +609,8 @@ pub fn bisect(
             hi = mid;
         }
     }
-    let rc = state_at(log, reference, hi).component_hashes();
-    let tc = state_at(log, target, hi).component_hashes();
+    let rc = state_at(log, reference, hi)?.component_hashes();
+    let tc = state_at(log, target, hi)?.component_hashes();
     probes += 2;
     let components = rc
         .iter()
@@ -609,14 +622,14 @@ pub fn bisect(
             target: t.hash,
         })
         .collect();
-    BisectReport {
+    Ok(BisectReport {
         divergence: Divergence::Diverged {
             cycle: hi,
             interval: (tm.prev_cycle, tm.cycle),
             components,
         },
         probes,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -706,7 +719,7 @@ mod tests {
             MachineFactory::recorded().engine(Engine::Naive),
             crew(&log),
         ] {
-            let report = verify(&log, &f);
+            let report = verify(&log, &f).unwrap();
             assert!(report.clean(), "{f:?}: {report}");
             assert_eq!(report.checked as usize, log.checkpoints());
         }
@@ -745,7 +758,7 @@ mod tests {
             .filter(|r| matches!(r, Record::Op { .. }))
             .count();
         assert_eq!(ops, 4);
-        let report = verify(&back, &MachineFactory::recorded().engine(Engine::Naive));
+        let report = verify(&back, &MachineFactory::recorded().engine(Engine::Naive)).unwrap();
         assert!(report.clean(), "{report}");
     }
 
@@ -761,7 +774,7 @@ mod tests {
             addr: 0x300,
             word: Word::int(123),
         });
-        let report = bisect(&log, &MachineFactory::recorded(), &target);
+        let report = bisect(&log, &MachineFactory::recorded(), &target).unwrap();
         match &report.divergence {
             Divergence::Diverged {
                 cycle, components, ..
@@ -785,7 +798,7 @@ mod tests {
         };
         *hash ^= 1;
         let cycle = *cycle;
-        let report = bisect(&log, &MachineFactory::recorded(), &crew(&log));
+        let report = bisect(&log, &MachineFactory::recorded(), &crew(&log)).unwrap();
         match &report.divergence {
             Divergence::LogMismatch { cycle: c, .. } => assert_eq!(*c, cycle, "{report}"),
             other => panic!("expected LogMismatch, got {other:?}"),
@@ -899,7 +912,7 @@ mod tests {
             MachineFactory::recorded().engine(Engine::Naive),
             crew(&log),
         ] {
-            let report = verify(&log, &f);
+            let report = verify(&log, &f).unwrap();
             assert!(report.clean(), "{f:?}: {report}");
             assert_eq!(report.checked as usize, log.checkpoints());
         }

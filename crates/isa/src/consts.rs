@@ -21,25 +21,36 @@ pub const EMEM_BASE: u32 = IMEM_WORDS;
 pub const MEM_WORDS: u32 = IMEM_WORDS + EMEM_WORDS;
 
 /// Largest cycle cost a configuration may charge for one action: each
-/// field of the node timing model and the network's injection latency. The
-/// simulator adds these to its 64-bit clock unchecked, so an absurd one
-/// would overflow it (a panic in a debug build, a wrapped clock in a
-/// release one); a million cycles is far past any machine worth modelling,
-/// and 2⁴⁴ such charges fit the clock.
+/// field of the node timing model (and, by a `const` assertion, the
+/// network's injection latency). The simulator adds these to its 64-bit
+/// clock unchecked, so an absurd one would overflow it (a panic in a debug
+/// build, a wrapped clock in a release one); a million cycles is far past
+/// any machine worth modelling, and 2⁴⁴ such charges fit the clock.
 pub const MAX_CYCLE_COST: u64 = 1 << 20;
 
 /// Number of fault vectors at the base of internal memory.
 pub const VECTOR_COUNT: u32 = 16;
 
-/// Default capacity of the priority-0 message queue, in words.
+/// Capacity of the priority-0 message queue, in words.
 ///
 /// §4.3.3: the queue "can contain no more than 256 minimum-length messages
 /// (four words)" = 1024 words, "and is configured for 128 of these messages
-/// in Tuned-J" = 512 words. We default to the Tuned-J configuration.
+/// in Tuned-J" = 512 words. jmsim models the Tuned-J configuration.
 pub const QUEUE0_WORDS: u32 = 512;
 
-/// Default capacity of the priority-1 message queue, in words.
+/// Capacity of the priority-1 message queue, in words.
 pub const QUEUE1_WORDS: u32 = 256;
+
+/// Capacity of a node's name-translation (`ENTER`/`XLATE`) cache, in
+/// entries. An assumption: the paper gives the cache's cost (§2.1), not its
+/// size.
+pub const XLATE_ENTRIES: u32 = 1024;
+
+// Queues and the translation cache are carved out of node memory, and each
+// holds at least one entry.
+const _: () = assert!(QUEUE0_WORDS >= 1 && QUEUE0_WORDS <= MEM_WORDS);
+const _: () = assert!(QUEUE1_WORDS >= 1 && QUEUE1_WORDS <= MEM_WORDS);
+const _: () = assert!(XLATE_ENTRIES >= 1 && XLATE_ENTRIES <= MEM_WORDS);
 
 /// Data bits per word that count toward transfer rates (32 of the 36).
 pub const DATA_BITS_PER_WORD: u64 = 32;

@@ -1,6 +1,6 @@
 //! Node configuration: timing model and microarchitectural parameters.
 
-use jm_isa::consts::{MAX_CYCLE_COST, MEM_WORDS, QUEUE0_WORDS, QUEUE1_WORDS};
+use jm_isa::consts::MAX_CYCLE_COST;
 
 /// Virtual base addresses of the two message-queue windows (priority 0 and
 /// priority 1). A dispatched handler's `A3` descriptor points into this
@@ -121,17 +121,13 @@ impl TimingConfig {
     }
 }
 
-/// Full node configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Full node configuration. The node's sizes — its two queues and its
+/// name cache — are the constants `QUEUE0_WORDS`, `QUEUE1_WORDS` and
+/// `XLATE_ENTRIES` of [`jm_isa::consts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MdpConfig {
     /// Timing model.
     pub timing: TimingConfig,
-    /// Priority-0 queue capacity in words (default: the Tuned-J 512).
-    pub queue0_words: u32,
-    /// Priority-1 queue capacity in words.
-    pub queue1_words: u32,
-    /// Name-translation cache capacity in entries.
-    pub xlate_entries: usize,
     /// Checksummed-message mode (fault-injection runs): every message
     /// carries one extra trailer word — an FNV-1a fold of its header and
     /// payload — appended at injection and validated at dispatch. A
@@ -140,59 +136,6 @@ pub struct MdpConfig {
     /// handler run on damaged arguments. Off by default: fault-free runs
     /// carry no trailer and take the unchecked dispatch path.
     pub checksum_msgs: bool,
-}
-
-impl Default for MdpConfig {
-    fn default() -> MdpConfig {
-        MdpConfig {
-            timing: TimingConfig::default(),
-            queue0_words: QUEUE0_WORDS,
-            queue1_words: QUEUE1_WORDS,
-            xlate_entries: 1024,
-            checksum_msgs: false,
-        }
-    }
-}
-
-impl MdpConfig {
-    /// Whether a machine of `nodes` nodes can be built from this
-    /// configuration. The fields are public, so a hand-built struct (or a
-    /// log header) can hold anything; [`crate::MdpNode`] is only ever built
-    /// from one that passed.
-    ///
-    /// Each field is checked on its own, and then their product: a node's
-    /// two queues and its translation cache start empty but may grow to
-    /// their full sizes, so a 31³ mesh of fields each in range could come
-    /// to ask for hundreds of GiB and abort in the allocator mid-run.
-    /// Counted at 8 bytes a queue word and 32 a cache entry (a hash-map
-    /// slot and a FIFO slot), what they may grow to is held to 16 GiB over
-    /// the whole machine — far past every configuration the simulator
-    /// models (the 16³ mesh at defaults may grow to about 150 MiB).
-    ///
-    /// # Errors
-    ///
-    /// The name of the first field out of range, and the range; or the
-    /// product over the bound.
-    pub fn validate_for(&self, nodes: u32) -> Result<(), &'static str> {
-        // Queues and the translation cache are carved out of node memory.
-        let fits = |words: u64| (1..=u64::from(MEM_WORDS)).contains(&words);
-        // Called once every field fits, so no product overflows.
-        let machine_bytes = || {
-            let queue_words = u64::from(self.queue0_words) + u64::from(self.queue1_words);
-            u64::from(nodes) * (queue_words * 8 + self.xlate_entries as u64 * 32)
-        };
-        if !fits(self.queue0_words.into()) {
-            Err("mdp.queue0_words is outside 1..=MEM_WORDS")
-        } else if !fits(self.queue1_words.into()) {
-            Err("mdp.queue1_words is outside 1..=MEM_WORDS")
-        } else if !fits(self.xlate_entries as u64) {
-            Err("mdp.xlate_entries is outside 1..=MEM_WORDS")
-        } else if machine_bytes() > 16 << 30 {
-            Err("mdp: the queues and xlate caches of all nodes exceed 16 GiB")
-        } else {
-            self.timing.validate()
-        }
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use crate::stats::NodeStats;
 use crate::stretch::Stretch;
 use crate::xlate::XlateCache;
 use jm_asm::Program;
-use jm_isa::consts::FaultKind;
+use jm_isa::consts::{FaultKind, QUEUE0_WORDS, QUEUE1_WORDS, XLATE_ENTRIES};
 use jm_isa::instr::{MsgPriority, StatClass};
 use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::reg::{Priority, RegFile};
@@ -276,11 +276,8 @@ impl MdpNode {
             regs,
             mem,
             ops: Arc::clone(&code.ops),
-            queues: [
-                MsgQueue::new(config.queue0_words),
-                MsgQueue::new(config.queue1_words),
-            ],
-            xlate: XlateCache::new(config.xlate_entries),
+            queues: [MsgQueue::new(QUEUE0_WORDS), MsgQueue::new(QUEUE1_WORDS)],
+            xlate: XlateCache::new(XLATE_ENTRIES as usize),
             staging: [[Word::NIL; 9]; 3],
             bg_runnable,
             active: [false, false],
@@ -457,6 +454,12 @@ impl MdpNode {
             }
         }
         true
+    }
+
+    /// Words the queue can still take.
+    pub fn queue_room(&self, priority: MsgPriority) -> usize {
+        let queue = &self.queues[priority.index()];
+        queue.capacity() - queue.len()
     }
 
     /// Queue occupancy high-water mark.

@@ -19,9 +19,10 @@
 //!
 //! Indexing: within a router, queue `q = vnet * PORTS + port`, ports as
 //! [`jm_fault::port`] numbers them: the mesh directions (capacity
-//! `flit_buffer`) below `INJECT`, the injection FIFO (capacity
-//! `inject_fifo`).
+//! [`FLIT_BUFFER`]) below `INJECT`, the injection FIFO (capacity
+//! [`INJECT_FIFO`]).
 
+use crate::config::{FLIT_BUFFER, INJECT_FIFO};
 use crate::flit::{Flit, Message};
 use crate::router::ecube_route;
 use jm_fault::port::{self, INJECT};
@@ -128,29 +129,13 @@ pub(crate) struct ChannelArena {
     /// Injection FIFO per `router * 2 + vnet`, `None` until the first
     /// commit there.
     inject: Vec<Option<Box<InjectFifo>>>,
-    /// Capacity of the directional ports (0–5), in flits.
-    flit_buffer: u8,
-    /// Capacity of the injection port, in flits.
-    inject_fifo: u8,
 }
 
 impl ChannelArena {
     /// Allocates the arena for one router per entry of `coords`. Done once
     /// per shard; the advance loop allocates only an injection FIFO's
     /// first storage, and a FIFO's growth to its high-water mark.
-    pub(crate) fn new(
-        coords: impl ExactSizeIterator<Item = Coord>,
-        flit_buffer: usize,
-        inject_fifo: usize,
-    ) -> ChannelArena {
-        assert!(
-            flit_buffer > 0 && flit_buffer <= u8::MAX as usize,
-            "flit buffer depth must fit the arena's u8 rings"
-        );
-        assert!(
-            inject_fifo > 0 && inject_fifo <= u8::MAX as usize,
-            "inject FIFO depth must fit the arena's u8 rings"
-        );
+    pub(crate) fn new(coords: impl ExactSizeIterator<Item = Coord>) -> ChannelArena {
         let routers = coords.len();
         ChannelArena {
             hot: coords
@@ -165,32 +150,24 @@ impl ChannelArena {
                     coord,
                 })
                 .collect(),
-            flits: vec![Flit::nil(); routers * 2 * INJECT * flit_buffer],
+            flits: vec![Flit::nil(); routers * 2 * INJECT * FLIT_BUFFER],
             inject: vec![None; routers * 2],
-            flit_buffer: flit_buffer as u8,
-            inject_fifo: inject_fifo as u8,
         }
     }
 
-    /// Offset in `flits` and capacity of the ring for directional
-    /// `(router, vnet, port)`.
+    /// Offset in `flits` of the ring for directional `(router, vnet,
+    /// port)`.
     #[inline]
-    fn ring(&self, l: usize, vnet: usize, port: usize) -> (usize, usize) {
+    fn ring(l: usize, vnet: usize, port: usize) -> usize {
         debug_assert!(port < INJECT, "the injection FIFO is not a flit ring");
-        let cap = self.flit_buffer as usize;
-        (((l * 2 + vnet) * INJECT + port) * cap, cap)
+        ((l * 2 + vnet) * INJECT + port) * FLIT_BUFFER
     }
 
-    /// Storage index of the `k`-th flit of a ring of `cap` slots starting at
-    /// `head` (`k <= cap`).
+    /// Storage index of the `k`-th flit of a ring starting at `head` (the
+    /// depth is a constant, so the remainder compiles to no division).
     #[inline]
-    fn slot(head: u8, k: usize, cap: usize) -> usize {
-        let slot = head as usize + k;
-        if slot >= cap {
-            slot - cap
-        } else {
-            slot
-        }
+    fn slot(head: u8, k: usize) -> usize {
+        (head as usize + k) % FLIT_BUFFER
     }
 
     /// Mesh coordinate of router `l`.
@@ -232,7 +209,7 @@ impl ChannelArena {
     pub(crate) fn front(&self, l: usize, vnet: usize, port: usize) -> &Flit {
         let q = vnet * PORTS + port;
         debug_assert!(self.hot[l].len[q] > 0, "front of empty queue");
-        &self.flits[self.ring(l, vnet, port).0 + self.hot[l].head[q] as usize]
+        &self.flits[Self::ring(l, vnet, port) + self.hot[l].head[q] as usize]
     }
 
     /// Appends a flit to a directional queue.
@@ -244,11 +221,11 @@ impl ChannelArena {
     #[inline]
     pub(crate) fn push(&mut self, l: usize, vnet: usize, port: usize, flit: Flit) {
         let q = vnet * PORTS + port;
-        let (base, cap) = self.ring(l, vnet, port);
+        let base = Self::ring(l, vnet, port);
         let hot = &mut self.hot[l];
         let len = hot.len[q] as usize;
-        debug_assert!(len < cap, "channel ring over capacity");
-        let slot = Self::slot(hot.head[q], len, cap);
+        debug_assert!(len < FLIT_BUFFER, "channel ring over capacity");
+        let slot = Self::slot(hot.head[q], len);
         if len == 0 {
             hot.route[q] = ecube_route(hot.coord, flit.dest) as u8;
             hot.mask[vnet] |= 1 << port;
@@ -262,12 +239,12 @@ impl ChannelArena {
     #[inline]
     pub(crate) fn pop(&mut self, l: usize, vnet: usize, port: usize, cycle: u64) -> Flit {
         let q = vnet * PORTS + port;
-        let (base, cap) = self.ring(l, vnet, port);
+        let base = Self::ring(l, vnet, port);
         let hot = &mut self.hot[l];
         let len = hot.len[q] as usize;
         debug_assert!(len > 0, "pop of empty queue");
         let flit = self.flits[base + hot.head[q] as usize];
-        let next = Self::slot(hot.head[q], 1, cap);
+        let next = Self::slot(hot.head[q], 1);
         hot.head[q] = next as u8;
         if len > 1 && flit.tail() {
             hot.route[q] = ecube_route(hot.coord, self.flits[base + next].dest) as u8;
@@ -290,7 +267,7 @@ impl ChannelArena {
         let hot = &mut self.hot[l];
         let len = hot.len[q] as usize;
         debug_assert!(
-            len + msg.left() <= self.inject_fifo as usize,
+            len + msg.left() <= INJECT_FIFO,
             "injection FIFO over capacity"
         );
         if len == 0 {
@@ -373,23 +350,21 @@ impl ChannelArena {
         let q = vnet * PORTS + port;
         let hot = &self.hot[l];
         let len = hot.len[q] as usize;
-        let (base, capacity) = self.ring(l, vnet, port);
+        let base = Self::ring(l, vnet, port);
         // At most one flit crosses a channel per cycle, and its sender
         // checks space *before* pushing — so when this runs, no same-cycle
         // push can already sit in the buffer.
         debug_assert!(
-            len == 0
-                || self.flits[base + Self::slot(hot.head[q], len - 1, capacity)].ready_cycle
-                    <= cycle,
+            len == 0 || self.flits[base + Self::slot(hot.head[q], len - 1)].ready_cycle <= cycle,
             "space read after a same-cycle push"
         );
         let popped = hot.pop_stamp == cycle && hot.pop_bits & (1 << q) != 0;
         let occupied = len + usize::from(popped);
         debug_assert!(
-            occupied <= capacity,
-            "input buffer over capacity: {occupied} > {capacity}"
+            occupied <= FLIT_BUFFER,
+            "input buffer over capacity: {occupied} > {FLIT_BUFFER}"
         );
-        capacity.saturating_sub(occupied)
+        FLIT_BUFFER.saturating_sub(occupied)
     }
 
     /// Folds the replay-visible state of every queue of `(router, vnet)`:
@@ -419,9 +394,9 @@ impl ChannelArena {
                     }
                 }
             } else {
-                let (base, cap) = self.ring(l, vnet, port);
+                let base = Self::ring(l, vnet, port);
                 for k in 0..len {
-                    fold_flit(h, &self.flits[base + Self::slot(hot.head[q], k, cap)]);
+                    fold_flit(h, &self.flits[base + Self::slot(hot.head[q], k)]);
                 }
             }
             h.write_u8(hot.owners[q] as u8);
@@ -454,12 +429,8 @@ mod tests {
     }
 
     /// An arena of `routers` routers, all at the origin.
-    fn arena(routers: usize, flit_buffer: usize, inject_fifo: usize) -> ChannelArena {
-        ChannelArena::new(
-            std::iter::repeat_n(Coord::default(), routers),
-            flit_buffer,
-            inject_fifo,
-        )
+    fn arena(routers: usize) -> ChannelArena {
+        ChannelArena::new(std::iter::repeat_n(Coord::default(), routers))
     }
 
     #[test]
@@ -474,7 +445,7 @@ mod tests {
 
     #[test]
     fn rings_wrap_and_track_mask() {
-        let mut a = arena(2, 4, 8);
+        let mut a = arena(2);
         assert_eq!(a.port_mask(1, 0), 0);
         for i in 0..4 {
             a.push(1, 0, 2, flit(i));
@@ -494,7 +465,7 @@ mod tests {
 
     #[test]
     fn space_masks_same_cycle_pops() {
-        let mut a = arena(1, 4, 8);
+        let mut a = arena(1);
         a.push(0, 1, 3, flit(0));
         a.push(0, 1, 3, flit(0));
         assert_eq!(a.space(0, 1, 3, 5), 2);
@@ -506,7 +477,7 @@ mod tests {
 
     #[test]
     fn owners_default_unowned() {
-        let mut a = arena(1, 4, 8);
+        let mut a = arena(1);
         assert_eq!(a.owner(0, 0, 4), -1);
         a.set_owner(0, 0, 4, 6);
         assert_eq!(a.owner(0, 0, 4), 6);
@@ -542,7 +513,7 @@ mod tests {
 
     #[test]
     fn inject_port_uses_its_own_capacity() {
-        let mut a = arena(1, 2, 6);
+        let mut a = arena(1);
         assert_eq!(a.inject_fifos(), 0, "nothing committed, nothing allocated");
         let (msg, payload, flits) = message(Coord::default(), 3, 0, 1);
         a.commit(0, 0, msg, &payload);
@@ -567,8 +538,7 @@ mod tests {
     fn message_fifo_matches_a_flit_deque_model() {
         let dims = jm_isa::node::MeshDims::new(3, 3, 2);
         let here = dims.coord(jm_isa::node::NodeId(4));
-        let inject_fifo = 40;
-        let mut a = ChannelArena::new(std::iter::once(here), 2, inject_fifo);
+        let mut a = ChannelArena::new(std::iter::once(here));
         let mut model = vec![VecDeque::<Flit>::new(); 2];
         let mut rng = Prng::new(0x1f1f0);
         let (mut cycle, mut materialized) = (0u64, 0);
@@ -580,7 +550,7 @@ mod tests {
             let (mut msg, payload, flits) = message(dest, words, cycle, step);
             let fifo = &mut model[vnet];
             match rng.range_u32(0, 8) {
-                0..=2 if fifo.len() + flits.len() <= inject_fifo => {
+                0..=2 if fifo.len() + flits.len() <= INJECT_FIFO => {
                     a.commit(0, vnet, msg, &payload);
                     fifo.extend(flits);
                 }
@@ -636,10 +606,9 @@ mod tests {
     #[test]
     fn random_operations_match_a_deque_model() {
         let dims = jm_isa::node::MeshDims::new(3, 2, 2);
-        let (flit_buffer, inject_fifo) = (3usize, 13usize);
         let routers = dims.nodes() as usize;
         let coord = |l: usize| dims.coord(jm_isa::node::NodeId(l as u32));
-        let mut a = ChannelArena::new((0..routers).map(coord), flit_buffer, inject_fifo);
+        let mut a = ChannelArena::new((0..routers).map(coord));
         let mut model = vec![VecDeque::<Flit>::new(); routers * QUEUES];
         let mut owners = vec![-1i8; routers * QUEUES];
         // Cycle of the model's last pop per queue.
@@ -662,13 +631,13 @@ mod tests {
                     let dest = coord(rng.range_usize(0, routers));
                     let words = rng.range_usize(2, 5);
                     let (msg, payload, flits) = message(dest, words, cycle, step as i32);
-                    if model[qi].len() + flits.len() <= inject_fifo {
+                    if model[qi].len() + flits.len() <= INJECT_FIFO {
                         a.commit(l, vnet, msg, &payload);
                         model[qi].extend(flits);
                     }
                 }
                 // Senders check start-of-cycle space before every push.
-                0..=3 if model[qi].len() + usize::from(popped[qi] == cycle) < flit_buffer => {
+                0..=3 if model[qi].len() + usize::from(popped[qi] == cycle) < FLIT_BUFFER => {
                     let dest =
                         *msg_dest[qi].get_or_insert_with(|| coord(rng.range_usize(0, routers)));
                     let tail = rng.chance(0.3);
@@ -711,8 +680,8 @@ mod tests {
                     assert_eq!(a.owner(l, v, p), owners[qi]);
                     if p != INJECT {
                         let occupied = q.len() + usize::from(popped[qi] == cycle);
-                        assert_eq!(a.space(l, v, p, cycle), flit_buffer - occupied);
-                        assert_eq!(a.space(l, v, p, cycle + 1), flit_buffer - q.len());
+                        assert_eq!(a.space(l, v, p, cycle), FLIT_BUFFER - occupied);
+                        assert_eq!(a.space(l, v, p, cycle + 1), FLIT_BUFFER - q.len());
                     }
                     if let Some(front) = q.front() {
                         mask |= 1 << p;

@@ -1,65 +1,64 @@
-//! Network configuration.
+//! Network configuration: the mesh's extents, and the buffer depths and
+//! latency of the one router jmsim models.
 
 use jm_isa::consts::MAX_CYCLE_COST;
 use jm_isa::node::MeshDims;
 
-/// Configuration of the mesh network.
-///
-/// Defaults model the prototype's parameters; buffer depths are the small
-/// values typical of wormhole routers of the era.
+/// Per-input-port, per-priority buffer depth in flits: the small depth
+/// typical of wormhole routers of the era.
+pub(crate) const FLIT_BUFFER: usize = 4;
+/// Injection FIFO depth in flits, per priority. Sized to hold at least one
+/// maximum-length composed message (the interface commits whole messages
+/// atomically).
+pub(crate) const INJECT_FIFO: usize = 64;
+/// Pipeline latency from a `SEND` retiring to the word being visible to the
+/// local router, in cycles.
+pub(crate) const INJECT_LATENCY: u64 = 2;
+/// Ejection FIFO depth in words, per priority (the network-interface
+/// staging between the router and the message queue).
+pub(crate) const EJECT_FIFO: usize = 8;
+
+// A channel ring is indexed and counted with a byte.
+const _: () = assert!(FLIT_BUFFER <= u8::MAX as usize);
+const _: () = assert!(INJECT_FIFO <= u8::MAX as usize);
+// The bulk-advance law pipelines at full rate only with one slot of slack
+// over the same-cycle credit mask.
+const _: () = assert!(FLIT_BUFFER >= 2);
+// The shortest message (a route word and one payload word, two flits each)
+// must fit the injection FIFO, or no node could ever send.
+const _: () = assert!(INJECT_FIFO >= 4);
+// A node whose ejection FIFO holds no word delivers nothing.
+const _: () = assert!(EJECT_FIFO >= 1);
+// The latency is added to the clock at every injection.
+const _: () = assert!(INJECT_LATENCY <= MAX_CYCLE_COST);
+
+/// Configuration of the mesh network: its extents. Every other parameter of
+/// the router is a constant of this module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
     /// Mesh dimensions.
     pub dims: MeshDims,
-    /// Per-input-port, per-priority buffer depth in flits.
-    pub flit_buffer: usize,
-    /// Injection FIFO depth in flits, per priority. Sized to hold at least
-    /// one maximum-length composed message (the interface commits whole
-    /// messages atomically).
-    pub inject_fifo: usize,
-    /// Pipeline latency from a `SEND` retiring to the word being visible to
-    /// the local router, in cycles.
-    pub inject_latency: u64,
-    /// Ejection FIFO depth in words, per priority (the network-interface
-    /// staging between the router and the message queue).
-    pub eject_fifo: usize,
 }
 
 impl NetConfig {
-    /// Creates the default configuration for a mesh of the given dimensions.
+    /// The configuration for a mesh of the given dimensions.
     pub fn new(dims: MeshDims) -> NetConfig {
-        NetConfig {
-            dims,
-            flit_buffer: 4,
-            inject_fifo: 64,
-            inject_latency: 2,
-            eject_fifo: 8,
-        }
+        NetConfig { dims }
     }
 
-    /// Whether a network can be built from this configuration. The fields
-    /// are public, so a hand-built struct (or a log header) can hold
-    /// anything; [`crate::Network`] is only ever built from one that passed.
+    /// Whether a network can be built from this configuration. `MeshDims`'
+    /// fields are public, so a hand-built struct (or a log header) can hold
+    /// any extent; [`crate::Network`] is only ever built from one that
+    /// passed.
     ///
     /// # Errors
     ///
-    /// The name of the first field out of range, and the range.
+    /// The range the extents must lie in.
     pub fn validate(&self) -> Result<(), &'static str> {
         let d = self.dims;
-        // A channel ring is indexed with a byte.
-        let ring = |depth: usize| (1..=usize::from(u8::MAX)).contains(&depth);
-        if MeshDims::try_new(d.x, d.y, d.z).is_err() {
-            Err("net.dims: every extent must be in 1..=31")
-        } else if !ring(self.flit_buffer) {
-            Err("net.flit_buffer is outside 1..=255")
-        } else if !ring(self.inject_fifo) {
-            Err("net.inject_fifo is outside 1..=255")
-        } else if self.eject_fifo == 0 {
-            Err("net.eject_fifo is zero")
-        } else if self.inject_latency > MAX_CYCLE_COST {
-            Err("net.inject_latency is over MAX_CYCLE_COST")
-        } else {
-            Ok(())
+        match MeshDims::try_new(d.x, d.y, d.z) {
+            Ok(_) => Ok(()),
+            Err(_) => Err("net.dims: every extent must be in 1..=31"),
         }
     }
 

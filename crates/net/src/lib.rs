@@ -35,7 +35,7 @@
 //! | `shard::bulk` | the closed-form timing law that stands in for `arbitrate` for every message whose route nothing else contends for |
 //! | `network` | the whole mesh: a facade over the shards and the edges between them |
 //! | `bitset` | the one worklist type (routers holding flits, nodes with deliveries) |
-//! | `config`, `stats` | [`NetConfig`], [`NetStats`] |
+//! | `config`, `stats` | [`NetConfig`] and the router's constant depths and latency; [`NetStats`] |
 //!
 //! Port numbers (directions 0–5, ejection/injection 6) are
 //! [`jm_fault::port`]'s.

@@ -57,7 +57,7 @@ impl Network {
                 bisect_mid,
             ));
         }
-        let cut = |_| Edge::new(plane, config.flit_buffer);
+        let cut = |_| Edge::new(plane);
         Network {
             config,
             shards: parts,
@@ -452,7 +452,7 @@ mod tests {
             }
             assert!(accepted < 100, "never stalled");
         }
-        assert_eq!(accepted as usize, net.config().inject_fifo / 4);
+        assert_eq!(accepted as usize, crate::config::INJECT_FIFO / 4);
     }
 
     #[test]
@@ -515,8 +515,10 @@ mod tests {
             &(0..12).map(Word::int).collect::<Vec<_>>(),
         );
         net.run(400);
-        let cap = net.config().eject_fifo;
-        assert_eq!(net.delivered_len(NodeId(1), MsgPriority::P0), cap);
+        assert_eq!(
+            net.delivered_len(NodeId(1), MsgPriority::P0),
+            crate::config::EJECT_FIFO
+        );
         assert!(net.in_flight() > 0, "remaining flits must be blocked");
         // Drain and let the rest through.
         let mut guard = 0;

@@ -8,6 +8,7 @@
 use super::{Edge, NetShard};
 use crate::arena::ChannelArena;
 use crate::bitset::ones;
+use crate::config::EJECT_FIFO;
 use crate::flit::Flit;
 use crate::router::ecube_route;
 use jm_fault::port;
@@ -197,7 +198,7 @@ impl NetShard {
         // code (always larger).
         let count = self.routers.len();
         let next = if out == port::EJECT {
-            if self.routers[n].ejected[vnet].len() >= self.config.eject_fifo
+            if self.routers[n].ejected[vnet].len() >= EJECT_FIFO
                 && front(&self.arena).payload().is_some()
             {
                 return;

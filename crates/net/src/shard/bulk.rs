@@ -42,6 +42,7 @@
 //! past the flits already gone.
 
 use super::NetShard;
+use crate::config::{EJECT_FIFO, INJECT_LATENCY};
 use crate::flit::{Flit, Message};
 use crate::router::ecube_route;
 use jm_fault::port;
@@ -99,9 +100,10 @@ fn slot(r: Res) -> usize {
 #[derive(Debug, Default)]
 pub(super) struct Law {
     /// Whether the shard can carry a message on the law at all: one shard
-    /// covering the whole mesh, no fault plan, and `flit_buffer ≥ 2` (full-
-    /// rate pipelining needs one slot of slack over the same-cycle credit
-    /// mask). Holds are tracked only then.
+    /// covering the whole mesh, and no fault plan. (Full-rate pipelining
+    /// also needs one slot of slack over the same-cycle credit mask, which
+    /// [`FLIT_BUFFER`](crate::config::FLIT_BUFFER) ≥ 2 guarantees at compile time.) Holds are
+    /// tracked only then.
     pub(super) on: bool,
     /// The messages on the law. Their order is immaterial: they share no
     /// resource, so what one does in a cycle never reads what another did.
@@ -265,7 +267,7 @@ impl NetShard {
     ) {
         let dest = msg.dest;
         let mut b = self.law.spare.pop().unwrap_or_default();
-        let q = commit + self.config.inject_latency;
+        let q = commit + INJECT_LATENCY;
         b.q = q;
         b.vnet = vnet;
         b.route.clear();
@@ -318,7 +320,7 @@ impl NetShard {
         clear &= self.law.take(&mut b, eject, q + hops, live);
         // Deep enough, and empty, so the ejection FIFO cannot stall the
         // tail even if the node drains nothing before it arrives.
-        clear &= payload.len() <= self.config.eject_fifo
+        clear &= payload.len() <= EJECT_FIFO
             && self.routers[n].ejected[vnet].is_empty()
             && (!live || self.law.free[eject as usize] <= commit);
         if clear && self.law.contested.is_empty() {
@@ -570,6 +572,7 @@ impl NetShard {
 #[cfg(test)]
 mod tests {
     use super::BulkStats;
+    use crate::config::EJECT_FIFO;
     use crate::{InjectResult, NetConfig, Network};
     use jm_fault::{FaultPlan, FaultSpec, FaultWindow};
     use jm_isa::instr::MsgPriority;
@@ -669,13 +672,8 @@ mod tests {
         faulted.set_fault_plan(FaultPlan::from_spec(later));
         assert_eq!(offer(&mut faulted, 2), 0, "a fault plan");
         let mut long = Network::new(config);
-        let too_long = config.eject_fifo as u32 + 1;
-        assert_eq!(offer(&mut long, too_long), 0, "payload past eject_fifo");
-        let mut shallow = Network::new(NetConfig {
-            flit_buffer: 1,
-            ..config
-        });
-        assert_eq!(offer(&mut shallow, 2), 0, "flit_buffer 1");
+        let too_long = EJECT_FIFO as u32 + 1;
+        assert_eq!(offer(&mut long, too_long), 0, "payload past EJECT_FIFO");
 
         // A second message in the same cycle finds the first's flits in the
         // source FIFO: they are materialized for the capacity check, and
@@ -743,10 +741,7 @@ mod tests {
     /// law, would run into its tail.
     #[test]
     fn a_message_queued_behind_a_materialized_one_is_materialized_too() {
-        let config = NetConfig {
-            flit_buffer: 2,
-            ..NetConfig::new(MeshDims::new(8, 1, 2))
-        };
+        let config = NetConfig::new(MeshDims::new(8, 1, 2));
         let sends = [
             (3, 13, 10, MsgPriority::P0, 3),
             (9, 15, 1, MsgPriority::P0, 3),

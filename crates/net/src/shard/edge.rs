@@ -14,6 +14,7 @@
 //! port [`in_port`]`(d)` of the receiver's plane nearest the sender.
 
 use super::NetShard;
+use crate::config::FLIT_BUFFER;
 use crate::flit::Flit;
 use jm_fault::port;
 use jm_isa::node::NodeId;
@@ -89,10 +90,11 @@ pub struct Edge {
 
 impl Edge {
     /// Creates the edge for a boundary of `plane` node columns, with every
-    /// boundary buffer empty (`capacity` free slots).
-    pub(crate) fn new(plane: usize, capacity: usize) -> Edge {
-        assert!(u8::try_from(capacity).is_ok(), "flit buffer too deep");
-        let fresh = |_| [AtomicU8::new(capacity as u8), AtomicU8::new(capacity as u8)];
+    /// boundary buffer empty ([`FLIT_BUFFER`] free slots, a byte's worth by
+    /// the constant's own assertion).
+    pub(crate) fn new(plane: usize) -> Edge {
+        let empty = FLIT_BUFFER as u8;
+        let fresh = |_| [AtomicU8::new(empty), AtomicU8::new(empty)];
         let lane = || Lane {
             mailbox: Mutex::new(Vec::new()),
             any: AtomicBool::new(false),
@@ -181,7 +183,6 @@ impl NetShard {
     /// Drains and republishes one incoming lane.
     fn receive(&mut self, d: usize, lane: &Lane) {
         let plane = self.plane();
-        let flit_buffer = self.config.flit_buffer;
         // The receiving plane is the one facing the sender: the bottom
         // plane for upward traffic, the top plane for downward.
         let first = if d == UP {
@@ -210,8 +211,8 @@ impl NetShard {
         for p in 0..plane {
             for vnet in 0..2 {
                 let len = self.arena.len(first + p, vnet, in_port(d));
-                debug_assert!(len <= flit_buffer, "boundary buffer over capacity");
-                let space = (flit_buffer - len) as u8;
+                debug_assert!(len <= FLIT_BUFFER, "boundary buffer over capacity");
+                let space = (FLIT_BUFFER - len) as u8;
                 let slot = &lane.space[p][vnet];
                 if slot.load(Ordering::Relaxed) != space {
                     slot.store(space, Ordering::Release);

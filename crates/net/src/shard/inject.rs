@@ -3,6 +3,7 @@
 //! injection side (node-down stalls, checksum trailers).
 
 use super::NetShard;
+use crate::config::{INJECT_FIFO, INJECT_LATENCY};
 use crate::flit::Message;
 use jm_fault::{checksum_words, port};
 use jm_isa::instr::MsgPriority;
@@ -72,7 +73,7 @@ impl NetShard {
             // The capacity check reads the FIFO's real occupancy.
             self.materialize_queued(l, cycle);
         }
-        if self.arena.len(l, vnet, port::INJECT) + needed > self.config.inject_fifo {
+        if self.arena.len(l, vnet, port::INJECT) + needed > INJECT_FIFO {
             return InjectResult::Stall;
         }
         self.stats.injected_msgs += 1;
@@ -106,7 +107,7 @@ impl NetShard {
             }
             None => TraceId::NONE,
         };
-        let ready = cycle + self.config.inject_latency;
+        let ready = cycle + INJECT_LATENCY;
         let msg = Message::new(dest, words.len(), cycle, ready, trace);
         if self.law.on {
             self.launch(cycle, l, vnet, msg, &words[1..]);

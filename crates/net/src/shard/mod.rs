@@ -161,7 +161,7 @@ impl NetShard {
             }
         }
         let mut shard = NetShard {
-            arena: ChannelArena::new((0..len).map(coord), config.flit_buffer, config.inject_fifo),
+            arena: ChannelArena::new((0..len).map(coord)),
             neigh,
             bisect_out,
             config,
@@ -185,12 +185,12 @@ impl NetShard {
 
     /// Installs (or clears) the fault plan. Must be set identically on
     /// every shard before simulation starts. The bulk law needs the whole
-    /// mesh in one shard, no fault plan (it does not model blocked moves),
-    /// and `flit_buffer ≥ 2`.
+    /// mesh in one shard and no fault plan (it does not model blocked
+    /// moves).
     pub(crate) fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
         let whole = self.base == 0 && self.routers.len() == self.config.dims.nodes() as usize;
-        let on = whole && plan.is_none() && self.config.flit_buffer >= 2;
+        let on = whole && plan.is_none();
         self.law = Law::new(self.routers.len(), on);
     }
 

@@ -27,8 +27,7 @@ mod tests {
     use jm_isa::instr::MsgPriority;
     use jm_isa::node::MeshDims;
     use jm_isa::word::Word;
-    use jm_mdp::MdpConfig;
-    use jm_net::NetConfig;
+    use jm_mdp::TimingConfig;
 
     fn sample_log() -> ReplayLog {
         let mut b = Builder::new();
@@ -46,8 +45,7 @@ mod tests {
                 start: RecordedStart::AllNodes,
                 engine: RecordedEngine::Event,
                 threads: 0,
-                mdp: MdpConfig::default(),
-                net: NetConfig::new(dims),
+                timing: TimingConfig::default(),
             },
             fault: Some(
                 jm_fault::FaultSpec::new(7)

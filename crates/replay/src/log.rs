@@ -11,33 +11,35 @@
 //! handler dispatch) is deterministic given those inputs and is
 //! deliberately not recorded.
 //!
-//! The byte format is little-endian throughout, magic `JMRP4\n` (version 2
+//! The byte format is little-endian throughout, magic `JMRP5\n` (version 2
 //! added the traffic-spec section; version 3 dropped the host-tuning
 //! fields; version 4 has the same layout but router hashes that no longer
-//! fold the word-wise injection framing), and has no alignment padding; see
+//! fold the word-wise injection framing; version 5 dropped the seven buffer
+//! sizes, now constants of the machine, and the checksum-mode byte, which a
+//! replay re-derives from the fault spec), and has no alignment padding; see
 //! `DESIGN.md` §4.8 for the field-by-field layout.
 
 use jm_asm::{DataBlock, Program, SymbolValue};
 use jm_fault::{FaultSpec, FaultWindow, FaultWindowKind};
-use jm_isa::consts::{FaultKind, MEM_WORDS};
+use jm_isa::consts::{FaultKind, MEM_WORDS, QUEUE0_WORDS, QUEUE1_WORDS};
 use jm_isa::encode::{decode, encode, Encoded, SLOT_BITS};
 use jm_isa::instr::MsgPriority;
 use jm_isa::node::MeshDims;
 use jm_isa::tag::Tag;
 use jm_isa::word::{SegDesc, Word};
-use jm_mdp::{MdpConfig, TimingConfig};
-use jm_net::NetConfig;
+use jm_mdp::TimingConfig;
 use jm_traffic::{TrafficPattern, TrafficSpec};
 use std::fmt;
 use std::path::Path;
 
-/// Magic bytes opening every log (`JMRP` + format version 4; version 2
+/// Magic bytes opening every log (`JMRP` + format version 5; version 2
 /// also carried the recording run's quantum, scheduler mode and bulk
-/// switch, and a version 3 log's router hashes fold one more byte per
-/// component, so every checkpoint would read as a divergence). Logs are
+/// switch, a version 3 log's router hashes fold one more byte per
+/// component, so every checkpoint would read as a divergence, and version 4
+/// carried 49 header bytes of sizes and modes version 5 does not). Logs are
 /// ephemeral CI artifacts, so a format bump invalidates nothing durable —
 /// an old log fails cleanly at the magic check instead of misparsing.
-pub const MAGIC: &[u8; 6] = b"JMRP4\n";
+pub const MAGIC: &[u8; 6] = b"JMRP5\n";
 
 /// Default hash-boundary spacing in cycles. Chosen so that hashing every
 /// node's register file, queues, and memory pages plus every router's
@@ -100,9 +102,8 @@ pub enum RecordedEngine {
 /// Engine and thread count are *metadata*: the three engines are
 /// bit-identical by construction, so a replay may run under any of them —
 /// these fields record what the original run used so a divergence report
-/// can name both sides. Everything else (dims, start policy, timing, queue
-/// depths, network buffers) shapes simulated behavior and must be
-/// reproduced exactly.
+/// can name both sides. Everything else (dims, start policy, timing) shapes
+/// simulated behavior and must be reproduced exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordedConfig {
     /// Mesh dimensions.
@@ -113,10 +114,8 @@ pub struct RecordedConfig {
     pub engine: RecordedEngine,
     /// Thread count of the recording run (parallel engine only).
     pub threads: u32,
-    /// Node configuration (timing model, queue depths, checksum mode).
-    pub mdp: MdpConfig,
-    /// Network configuration (buffer depths, latencies).
-    pub net: NetConfig,
+    /// The node timing model.
+    pub timing: TimingConfig,
 }
 
 /// One host-boundary input. Each op is stored with the cycle it was
@@ -261,7 +260,7 @@ impl ReplayLog {
         w.u8(c.engine as u8);
         w.u32(c.threads);
         w.u64(self.interval);
-        let t = &c.mdp.timing;
+        let t = &c.timing;
         for cost in [
             t.base,
             t.imem_operand,
@@ -281,14 +280,6 @@ impl ReplayLog {
         ] {
             w.u64(cost);
         }
-        w.u32(c.mdp.queue0_words);
-        w.u32(c.mdp.queue1_words);
-        w.u64(c.mdp.xlate_entries as u64);
-        w.u8(c.mdp.checksum_msgs as u8);
-        w.u64(c.net.flit_buffer as u64);
-        w.u64(c.net.inject_fifo as u64);
-        w.u64(c.net.inject_latency);
-        w.u64(c.net.eject_fifo as u64);
         match &self.fault {
             None => w.u8(0),
             Some(spec) => {
@@ -446,13 +437,14 @@ impl ReplayLog {
     /// replayer would otherwise panic on or allocate without bound for: a
     /// log is input from outside the program, so each value is checked
     /// where it is read. What makes a configuration buildable is the
-    /// owning crate's to say (`MdpConfig::validate_for`, `NetConfig::validate`,
+    /// owning crate's to say (`TimingConfig::validate`,
     /// `TrafficSpec::validate` — the checks `JMachine::try_new` makes);
     /// what is about the *log* is checked here: counts against the bytes
-    /// left, host ops against the recorded node count, queue room and
-    /// address space. What cannot be checked statically stays an assertion
-    /// in the replayer: a host delivery into a queue the replayed run has
-    /// already filled.
+    /// left, host ops against the recorded node count, each delivery's
+    /// length against its queue's size, and address space. What depends on
+    /// the run cannot be checked here — a host delivery into a queue the
+    /// replayed run has already part filled — and the replay walk refuses
+    /// such an op when it reaches it.
     pub fn from_bytes(bytes: &[u8]) -> Result<ReplayLog, LogError> {
         let mut r = Reader { bytes, pos: 0 };
         let magic = r.take(MAGIC.len())?;
@@ -493,22 +485,7 @@ impl ReplayLog {
             enter_extra: r.u64()?,
             resume_extra: r.u64()?,
         };
-        let mdp = MdpConfig {
-            timing,
-            queue0_words: r.u32()?,
-            queue1_words: r.u32()?,
-            xlate_entries: r.u64()? as usize,
-            checksum_msgs: r.u8()? != 0,
-        };
-        mdp.validate_for(dims.nodes()).map_err(LogError::new)?;
-        let net = NetConfig {
-            dims,
-            flit_buffer: r.u64()? as usize,
-            inject_fifo: r.u64()? as usize,
-            inject_latency: r.u64()?,
-            eject_fifo: r.u64()? as usize,
-        };
-        net.validate().map_err(LogError::new)?;
+        timing.validate().map_err(LogError::new)?;
         let fault = if r.u8()? != 0 {
             let mut spec = FaultSpec::new(r.u64()?)
                 .flaky(r.u32()?)
@@ -648,7 +625,7 @@ impl ReplayLog {
                 3 => {
                     let node = r.node(nodes)?;
                     let priority = r.variant("priority", &MsgPriority::ALL)?;
-                    let room = [mdp.queue0_words, mdp.queue1_words][priority.index()];
+                    let room = [QUEUE0_WORDS, QUEUE1_WORDS][priority.index()];
                     let nwords = r.count(WORD_BYTES)?;
                     if nwords > room as usize {
                         return Err(LogError::new(format!(
@@ -701,8 +678,7 @@ impl ReplayLog {
                 start,
                 engine,
                 threads,
-                mdp,
-                net,
+                timing,
             },
             fault,
             traffic,

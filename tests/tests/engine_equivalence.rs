@@ -18,6 +18,7 @@
 
 use jm_asm::{hdr, Builder, Program, Region};
 use jm_bench::workloads::pingpong_program;
+use jm_isa::consts::QUEUE0_WORDS;
 use jm_isa::instr::{AluOp, MsgPriority};
 use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::operand::{MemRef, Special};
@@ -412,20 +413,21 @@ fn macro_lcs_nqueens_tsp_are_engine_exact() {
 #[test]
 fn ejection_backpressure_redelivery_is_engine_exact() {
     // Regression test for the queue-full → break → redeliver-next-cycle
-    // pump path: a tiny P0 queue and a slow handler force the pump to
-    // refuse deliveries, leaving words parked in the ejection FIFO until
-    // the handler drains the queue. The event engine must keep the node in
-    // the network's pending set across refusals (it may not "forget" the
-    // parked words) and match the naive engine cycle for cycle.
+    // pump path: a volley longer than the P0 queue and a slow handler force
+    // the pump to refuse deliveries, leaving words parked in the ejection
+    // FIFO until the handler drains the queue. The event engine must keep
+    // the node in the network's pending set across refusals (it may not
+    // "forget" the parked words) and match the naive engine cycle for
+    // cycle.
     let mut b = Builder::new();
     b.data("sum", Region::Imem, vec![Word::int(0)]);
     b.label("main");
     b.mov(R0, Special::Nid);
     b.subi(R0, R0, 3);
     b.bnz(R0, "main_done");
-    // Node 3, in the other slab, fires 6 five-word messages back to back
-    // at node 0.
-    b.movi(R2, 6);
+    // Node 3, in the other slab, fires five-word messages back to back at
+    // node 0, more than the 512-word queue holds.
+    b.movi(R2, VOLLEY);
     b.label("volley");
     b.send(
         MsgPriority::P0,
@@ -453,34 +455,35 @@ fn ejection_backpressure_redelivery_is_engine_exact() {
     b.suspend();
     b.entry("main");
     let program = b.assemble().unwrap();
-    // A 10-word P0 queue holds at most two 5-word messages.
-    let mdp = MdpConfig {
-        queue0_words: 10,
-        ..MdpConfig::default()
-    };
-    let config = MachineConfig::with_dims(MeshDims::new(1, 1, 4))
-        .start(StartPolicy::AllNodes)
-        .mdp(mdp);
+    // Arrivals outpace the slow handler, so the queue fills long before
+    // the volley ends.
+    const VOLLEY: i32 = 150;
+    const _: () = assert!(5 * VOLLEY as u32 > QUEUE0_WORDS);
+    let config = MachineConfig::with_dims(MeshDims::new(1, 1, 4)).start(StartPolicy::AllNodes);
     let (naive, machines) = agree("backpressure", &program, config, |m| observe(m, 1_000_000));
     // The workload really exercised backpressure: every message arrived
     // and summed correctly, and deliveries were refused along the way.
     assert!(naive.outcome.is_ok(), "{:?}", naive.outcome);
-    assert_eq!(naive.memory[0][0].as_i32(), 6 + 5 + 4 + 3 + 2 + 1);
-    assert_eq!(naive.stats.nodes.msgs_received, 6);
+    assert_eq!(naive.memory[0][0].as_i32(), VOLLEY * (VOLLEY + 1) / 2);
+    assert_eq!(naive.stats.nodes.msgs_received, VOLLEY as u64);
     assert!(machines[1].node(NodeId(0)).queue_refusals(MsgPriority::P0) > 0);
 }
 
 #[test]
 fn queue_full_redelivers_next_cycle() {
-    // Unit-level check of the same pump path, observed directly: with the
-    // handler stalled, a refused word must stay in the ejection FIFO and
-    // land in the queue on a later cycle once space opens.
-    let program = || {
+    // The same pump path, observed at the queue: with the handler slow, a
+    // refused word must stay in the ejection FIFO and land in the queue on
+    // a later cycle once space opens — under every engine alike.
+    // Three senders' volleys of three-word messages, more than the 512-word
+    // queue holds.
+    const VOLLEY: i32 = 100;
+    const _: () = assert!(3 * 3 * VOLLEY as u32 > QUEUE0_WORDS);
+    let program = {
         let mut b = Builder::new();
         b.label("main");
         b.mov(R0, Special::Nid);
         b.bz(R0, "main_done");
-        b.movi(R2, 4);
+        b.movi(R2, VOLLEY);
         b.label("volley");
         b.send(
             MsgPriority::P0,
@@ -501,24 +504,23 @@ fn queue_full_redelivers_next_cycle() {
         b.entry("main");
         b.assemble().unwrap()
     };
-    let mdp = MdpConfig {
-        queue0_words: 6, // two 3-word messages
-        ..MdpConfig::default()
-    };
-    let mut m = JMachine::new(
-        program(),
-        MachineConfig::new(2).start(StartPolicy::AllNodes).mdp(mdp),
-    );
-    m.run_until_quiescent(100_000).unwrap();
-    let node0 = m.node(NodeId(0));
+    let config = MachineConfig::with_dims(MeshDims::new(1, 1, 4)).start(StartPolicy::AllNodes);
+    let ((run, refusals, high_water), _) = agree("queue full", &program, config, |m| {
+        let run = observe(m, 1_000_000);
+        let node0 = m.node(NodeId(0));
+        let p0 = MsgPriority::P0;
+        (run, node0.queue_refusals(p0), node0.queue_high_water(p0))
+    });
+    assert!(run.outcome.is_ok(), "{:?}", run.outcome);
     assert!(
-        node0.queue_refusals(MsgPriority::P0) > 0,
+        refusals > 0,
         "queue never refused a delivery — workload did not backpressure"
     );
-    assert_eq!(node0.queue_high_water(MsgPriority::P0), 6);
+    assert_eq!(high_water, QUEUE0_WORDS as usize);
     // Despite the refusals, every message was eventually re-delivered.
-    assert_eq!(m.stats().nodes.msgs_received, 4);
-    assert_eq!(m.stats().net.delivered_words, 4 * 3);
+    let sent = 3 * VOLLEY as u64;
+    assert_eq!(run.stats.nodes.msgs_received, sent);
+    assert_eq!(run.stats.net.delivered_words, sent * 3);
 }
 
 /// [`agree`] on a workload built to make the sharded engines' nodes run on

@@ -67,7 +67,7 @@ fn assert_clean_across_engines(label: &str, log: &ReplayLog) {
     );
     let build = |engine| MachineFactory::recorded().engine(engine).build(log);
     for engine in columns(label, build).iter().map(|m| m.config().engine) {
-        let report = jm_machine::verify(log, &MachineFactory::recorded().engine(engine));
+        let report = jm_machine::verify(log, &MachineFactory::recorded().engine(engine)).unwrap();
         assert!(
             report.clean(),
             "{label}: replay under {engine:?} diverged: {report}"
@@ -174,7 +174,7 @@ fn injected_divergence_in_64_node_chaos_run_is_bisected_to_cycle_and_component()
     let target = MachineFactory::recorded()
         .engine(Engine::Parallel(4))
         .corrupt(corruption);
-    let report = jm_machine::bisect(&log, &MachineFactory::recorded(), &target);
+    let report = jm_machine::bisect(&log, &MachineFactory::recorded(), &target).unwrap();
     match report.divergence {
         Divergence::Diverged {
             cycle,
