@@ -25,9 +25,10 @@
 //! Any worker may execute any ready task: a slab is claimed with a
 //! `try_lock`, advanced as far as its dependencies allow, and released.
 //! Per-slab progress counters (`p_cycle`/`x_cycle`) are the dependency
-//! state; cross-slab latency is one cycle in both directions (mailbox
-//! deliveries carry `ready_cycle = c + 1`, space snapshots describe the
-//! *next* cycle's credit), so neighbor skew never exceeds one cycle and a
+//! state; cross-slab latency is one cycle in both directions (a mailbox
+//! delivery lands at exchange `c`, free to move from cycle `c + 1`; space
+//! snapshots describe the *next* cycle's credit), so neighbor skew never
+//! exceeds one cycle and a
 //! mailbox holds at most one cycle's flits — which is why the single-slot
 //! mailbox/snapshot structures need no versioning. On an oversubscribed
 //! host the crew degenerates gracefully: whichever thread the OS runs

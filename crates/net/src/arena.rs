@@ -4,12 +4,14 @@
 //!
 //! * one [`Hot`] record per router — everything a *probe* reads (ring
 //!   heads and lengths, non-empty port masks, output owners, the cached
-//!   e-cube out port of every queue's front flit, this cycle's pop bits) in
-//!   two cache lines, so finding out that a flit cannot move (about half of
-//!   all probes at saturation) never loads a 32-byte flit;
-//! * the directional rings' flits, each `(router, vnet, port)` queue a
-//!   fixed-capacity ring at a computed offset in one `Vec<Flit>`, allocated
-//!   once per shard;
+//!   e-cube out port of every queue's front flit, this cycle's pop and push
+//!   bits) in two cache lines, so finding out that a flit cannot move
+//!   (about half of all probes at saturation) never loads a flit, and only
+//!   a probe that must know whether its front flit is a head loads one;
+//! * the directional rings, each `(router, vnet, port)` queue a
+//!   [`FLIT_BUFFER`]-flit ring that is one 64-byte line ([`Ring`]), at a
+//!   computed index in one `Vec<Ring>` allocated once per shard — so every
+//!   probe, pop and push of a ring touches one line;
 //! * the injection FIFOs, one per `(router, vnet)`, holding *messages*: a
 //!   [`Message`] record each and their payload words, allocated on the
 //!   first commit there. A message is stored once on its way in; the
@@ -35,6 +37,12 @@ const PORTS: usize = port::COUNT;
 /// Queues per router: two vnets of [`PORTS`] each.
 const QUEUES: usize = 2 * PORTS;
 
+/// One directional queue's storage: [`FLIT_BUFFER`] flits on one cache
+/// line.
+#[repr(C, align(64))]
+#[derive(Debug, Clone, Copy)]
+struct Ring([Flit; FLIT_BUFFER]);
+
 /// One router's arbitration state. The fields a probe reads come first so
 /// they share the record's first cache line; ring heads (needed only once
 /// a flit is actually looked at) and the coordinate (needed only when a
@@ -42,15 +50,23 @@ const QUEUES: usize = 2 * PORTS;
 #[repr(C, align(64))]
 #[derive(Debug, Clone)]
 struct Hot {
-    /// Cycle `pop_bits` belongs to (`u64::MAX` = never popped).
-    pop_stamp: u64,
-    /// Bit `q` set iff queue `q` had a flit popped in cycle `pop_stamp`.
+    /// Cycle `pop_bits` and `push_bits` belong to (`u64::MAX` = never
+    /// touched).
+    stamp: u64,
+    /// Bit `q` set iff queue `q` had a flit popped in cycle `stamp`.
     /// Lets [`ChannelArena::space`] report *start-of-cycle* occupancy: a
     /// slot freed earlier in the same cycle is not yet visible to upstream
     /// senders, exactly as if every router read its neighbors' credits at
     /// the cycle boundary — which makes the space check independent of
     /// router scan order, and therefore of sharding.
     pop_bits: u16,
+    /// Bit `q` set iff a flit that moved in cycle `stamp` was pushed into
+    /// queue `q` ([`ChannelArena::push_moved`]). At most one flit crosses a
+    /// channel per cycle, so that flit is the ring's last; it is its front
+    /// only when the ring holds nothing else, and then it may not move on
+    /// until the next cycle ([`ChannelArena::ready`]) — one hop per cycle,
+    /// whichever order the routers are scanned in.
+    push_bits: u16,
     /// Per vnet: bit `p` set iff queue `p` is non-empty. The advance loop
     /// iterates set bits instead of probing all 7 ports.
     mask: [u8; 2],
@@ -73,6 +89,23 @@ struct Hot {
 }
 
 impl Hot {
+    /// Makes the pop and push bits `cycle`'s: clears them on the first
+    /// pop or push of a new cycle.
+    #[inline]
+    fn restamp(&mut self, cycle: u64) {
+        if self.stamp != cycle {
+            self.stamp = cycle;
+            self.pop_bits = 0;
+            self.push_bits = 0;
+        }
+    }
+
+    /// Whether queue `q` took a moved flit in `cycle`.
+    #[inline]
+    fn pushed(&self, q: usize, cycle: u64) -> bool {
+        self.stamp == cycle && self.push_bits & (1 << q) != 0
+    }
+
     /// Queue `(vnet, port)` had its front flit popped in `cycle`: one flit
     /// fewer, its mask bit cleared when it empties, and the pop recorded
     /// for start-of-cycle credit masking.
@@ -83,30 +116,9 @@ impl Hot {
         if self.len[q] == 0 {
             self.mask[vnet] &= !(1 << port);
         }
-        if self.pop_stamp != cycle {
-            self.pop_stamp = cycle;
-            self.pop_bits = 0;
-        }
+        self.restamp(cycle);
         self.pop_bits |= 1 << q;
     }
-}
-
-/// Folds one buffered flit into a state hash.
-fn fold_flit(h: &mut jm_trace::Fnv1a, f: &Flit) {
-    h.write_u8(f.dest.x);
-    h.write_u8(f.dest.y);
-    h.write_u8(f.dest.z);
-    h.write_u8(u8::from(f.head()) | (u8::from(f.tail()) << 1));
-    match f.payload() {
-        Some(w) => {
-            h.write_u8(1);
-            h.write_u8(w.tag().bits());
-            h.write_u32(w.bits());
-        }
-        None => h.write_u8(0),
-    }
-    h.write_u64(f.inject_cycle);
-    h.write_u64(f.ready_cycle);
 }
 
 /// One `(router, vnet)`'s injection FIFO: the messages committed there,
@@ -123,9 +135,8 @@ struct InjectFifo {
 #[derive(Debug)]
 pub(crate) struct ChannelArena {
     hot: Vec<Hot>,
-    /// Ring storage for every directional queue, at fixed computed
-    /// offsets.
-    flits: Vec<Flit>,
+    /// Every directional queue's ring, at a fixed computed index.
+    rings: Vec<Ring>,
     /// Injection FIFO per `router * 2 + vnet`, `None` until the first
     /// commit there.
     inject: Vec<Option<Box<InjectFifo>>>,
@@ -140,8 +151,9 @@ impl ChannelArena {
         ChannelArena {
             hot: coords
                 .map(|coord| Hot {
-                    pop_stamp: u64::MAX,
+                    stamp: u64::MAX,
                     pop_bits: 0,
+                    push_bits: 0,
                     mask: [0; 2],
                     route: [0; QUEUES],
                     owners: [-1; QUEUES],
@@ -150,21 +162,20 @@ impl ChannelArena {
                     coord,
                 })
                 .collect(),
-            flits: vec![Flit::nil(); routers * 2 * INJECT * FLIT_BUFFER],
+            rings: vec![Ring([Flit::NIL; FLIT_BUFFER]); routers * 2 * INJECT],
             inject: vec![None; routers * 2],
         }
     }
 
-    /// Offset in `flits` of the ring for directional `(router, vnet,
-    /// port)`.
+    /// Index in `rings` of directional `(router, vnet, port)`.
     #[inline]
     fn ring(l: usize, vnet: usize, port: usize) -> usize {
         debug_assert!(port < INJECT, "the injection FIFO is not a flit ring");
-        ((l * 2 + vnet) * INJECT + port) * FLIT_BUFFER
+        (l * 2 + vnet) * INJECT + port
     }
 
-    /// Storage index of the `k`-th flit of a ring starting at `head` (the
-    /// depth is a constant, so the remainder compiles to no division).
+    /// Slot of the `k`-th flit of a ring starting at `head` (the depth is a
+    /// constant, so the remainder compiles to no division).
     #[inline]
     fn slot(head: u8, k: usize) -> usize {
         (head as usize + k) % FLIT_BUFFER
@@ -209,10 +220,22 @@ impl ChannelArena {
     pub(crate) fn front(&self, l: usize, vnet: usize, port: usize) -> &Flit {
         let q = vnet * PORTS + port;
         debug_assert!(self.hot[l].len[q] > 0, "front of empty queue");
-        &self.flits[Self::ring(l, vnet, port) + self.hot[l].head[q] as usize]
+        &self.rings[Self::ring(l, vnet, port)].0[self.hot[l].head[q] as usize]
     }
 
-    /// Appends a flit to a directional queue.
+    /// Whether a directional queue's front flit may leave it in `cycle`:
+    /// it did not arrive in `cycle` ([`Hot::push_bits`]). Callers check
+    /// the port mask first.
+    #[inline]
+    pub(crate) fn ready(&self, l: usize, vnet: usize, port: usize, cycle: u64) -> bool {
+        let q = vnet * PORTS + port;
+        let hot = &self.hot[l];
+        !(hot.len[q] == 1 && hot.pushed(q, cycle))
+    }
+
+    /// Appends a flit that may leave at the start of the next cycle to a
+    /// directional queue: one the exchange delivers from another shard, or
+    /// one a materialized law message had already moved.
     ///
     /// # Panics
     ///
@@ -221,17 +244,33 @@ impl ChannelArena {
     #[inline]
     pub(crate) fn push(&mut self, l: usize, vnet: usize, port: usize, flit: Flit) {
         let q = vnet * PORTS + port;
-        let base = Self::ring(l, vnet, port);
+        let ring = &mut self.rings[Self::ring(l, vnet, port)];
         let hot = &mut self.hot[l];
         let len = hot.len[q] as usize;
         debug_assert!(len < FLIT_BUFFER, "channel ring over capacity");
-        let slot = Self::slot(hot.head[q], len);
         if len == 0 {
             hot.route[q] = ecube_route(hot.coord, flit.dest) as u8;
             hot.mask[vnet] |= 1 << port;
         }
         hot.len[q] = (len + 1) as u8;
-        self.flits[base + slot] = flit;
+        ring.0[Self::slot(hot.head[q], len)] = flit;
+    }
+
+    /// Appends a flit that moved in `cycle` to a directional queue,
+    /// recording the push so the flit moves no further this cycle.
+    #[inline]
+    pub(crate) fn push_moved(
+        &mut self,
+        l: usize,
+        vnet: usize,
+        port: usize,
+        flit: Flit,
+        cycle: u64,
+    ) {
+        self.push(l, vnet, port, flit);
+        let hot = &mut self.hot[l];
+        hot.restamp(cycle);
+        hot.push_bits |= 1 << (vnet * PORTS + port);
     }
 
     /// Pops a directional queue's front flit, recording `cycle` as the pop
@@ -239,15 +278,15 @@ impl ChannelArena {
     #[inline]
     pub(crate) fn pop(&mut self, l: usize, vnet: usize, port: usize, cycle: u64) -> Flit {
         let q = vnet * PORTS + port;
-        let base = Self::ring(l, vnet, port);
+        let ring = &self.rings[Self::ring(l, vnet, port)];
         let hot = &mut self.hot[l];
         let len = hot.len[q] as usize;
         debug_assert!(len > 0, "pop of empty queue");
-        let flit = self.flits[base + hot.head[q] as usize];
+        let flit = ring.0[hot.head[q] as usize];
         let next = Self::slot(hot.head[q], 1);
         hot.head[q] = next as u8;
         if len > 1 && flit.tail() {
-            hot.route[q] = ecube_route(hot.coord, self.flits[base + next].dest) as u8;
+            hot.route[q] = ecube_route(hot.coord, ring.0[next].dest) as u8;
         }
         hot.popped(vnet, port, cycle);
         flit
@@ -287,6 +326,15 @@ impl ChannelArena {
         self.inject[l * 2 + vnet]
             .as_deref()
             .expect("a non-empty injection FIFO exists")
+    }
+
+    /// Whether the injection FIFO's front flit may leave it in `cycle`: its
+    /// message's injection latency has passed. Callers check the port mask
+    /// first.
+    #[inline]
+    pub(crate) fn inject_ready(&self, l: usize, vnet: usize, cycle: u64) -> bool {
+        let msg = self.fifo(l, vnet).msgs.front();
+        msg.expect("front of empty injection FIFO").ready_cycle <= cycle
     }
 
     /// The injection FIFO's front flit as an arbitration probe reads it:
@@ -350,15 +398,11 @@ impl ChannelArena {
         let q = vnet * PORTS + port;
         let hot = &self.hot[l];
         let len = hot.len[q] as usize;
-        let base = Self::ring(l, vnet, port);
         // At most one flit crosses a channel per cycle, and its sender
         // checks space *before* pushing — so when this runs, no same-cycle
         // push can already sit in the buffer.
-        debug_assert!(
-            len == 0 || self.flits[base + Self::slot(hot.head[q], len - 1)].ready_cycle <= cycle,
-            "space read after a same-cycle push"
-        );
-        let popped = hot.pop_stamp == cycle && hot.pop_bits & (1 << q) != 0;
+        debug_assert!(!hot.pushed(q, cycle), "space read after a same-cycle push");
+        let popped = hot.stamp == cycle && hot.pop_bits & (1 << q) != 0;
         let occupied = len + usize::from(popped);
         debug_assert!(
             occupied <= FLIT_BUFFER,
@@ -369,13 +413,15 @@ impl ChannelArena {
 
     /// Folds the replay-visible state of every queue of `(router, vnet)`:
     /// per port, the occupancy, the buffered flits in logical FIFO order
-    /// (destination, framing flags, payload, inject and ready cycles), and
+    /// (destination, framing flags, a head's commit cycle, payload), and
     /// the output-port owner. The injection FIFO folds the flits its
-    /// messages stand for, exactly as if it stored them. Physical ring head
-    /// positions, the cached routes (a function of the front flit) and the
-    /// pop stamp are excluded — at a cycle boundary the logical queue
-    /// contents fully determine future behavior (a pop stamp can only equal
-    /// a cycle already finished).
+    /// messages stand for, exactly as if it stored them (a message's ready
+    /// cycle is its commit cycle plus the constant injection latency).
+    /// Physical ring head positions, the cached routes (a function of the
+    /// front flit) and the stamp with its pop and push bits are excluded —
+    /// at a cycle boundary the logical queue contents fully determine future
+    /// behavior (a stamp can only equal a cycle already finished, so every
+    /// buffered flit may move).
     pub(crate) fn fold_state(&self, l: usize, vnet: usize, h: &mut jm_trace::Fnv1a) {
         let hot = &self.hot[l];
         for port in 0..PORTS {
@@ -388,15 +434,15 @@ impl ChannelArena {
                     let mut base = 0;
                     for msg in &fifo.msgs {
                         for f in msg.popped as usize..msg.flits as usize {
-                            fold_flit(h, &msg.flit(f, |k| fifo.words[base + k]));
+                            msg.flit(f, |k| fifo.words[base + k]).fold(h);
                         }
                         base += msg.payload_words();
                     }
                 }
             } else {
-                let base = Self::ring(l, vnet, port);
+                let ring = &self.rings[Self::ring(l, vnet, port)];
                 for k in 0..len {
-                    fold_flit(h, &self.flits[base + Self::slot(hot.head[q], k)]);
+                    ring.0[Self::slot(hot.head[q], k)].fold(h);
                 }
             }
             h.write_u8(hot.owners[q] as u8);
@@ -422,16 +468,23 @@ mod tests {
     use jm_prng::Prng;
     use std::collections::VecDeque;
 
-    fn flit(ready: u64) -> Flit {
-        let mut f = Flit::nil();
-        f.ready_cycle = ready;
-        f
+    /// A head flit to the origin, told apart from others by its commit
+    /// cycle `mark`.
+    fn flit(mark: u64) -> Flit {
+        let words = [Word::NIL];
+        let mut flits = Flit::message(Coord::default(), &words, mark, jm_isa::TraceId::NONE);
+        flits.next().expect("a head")
     }
 
     /// An arena of `routers` routers, all at the origin.
     fn arena(routers: usize) -> ChannelArena {
         ChannelArena::new(std::iter::repeat_n(Coord::default(), routers))
     }
+
+    // A flit is what the wire carries, and a ring is one cache line.
+    const _: () = assert!(std::mem::size_of::<Flit>() == 16);
+    const _: () = assert!(std::mem::size_of::<Ring>() == 64);
+    const _: () = assert!(std::mem::align_of::<Ring>() == 64);
 
     #[test]
     fn hot_record_stays_two_lines() {
@@ -453,12 +506,12 @@ mod tests {
         assert_eq!(a.len(1, 0, 2), 4);
         assert_eq!(a.port_mask(1, 0), 1 << 2);
         // Drain two, refill two: the ring wraps.
-        assert_eq!(a.pop(1, 0, 2, 10).ready_cycle, 0);
-        assert_eq!(a.pop(1, 0, 2, 10).ready_cycle, 1);
+        assert_eq!(a.pop(1, 0, 2, 10), flit(0));
+        assert_eq!(a.pop(1, 0, 2, 10), flit(1));
         a.push(1, 0, 2, flit(4));
         a.push(1, 0, 2, flit(5));
         for want in 2..6 {
-            assert_eq!(a.pop(1, 0, 2, 11).ready_cycle, want);
+            assert_eq!(a.pop(1, 0, 2, 11), flit(want));
         }
         assert_eq!(a.port_mask(1, 0), 0);
     }
@@ -473,6 +526,28 @@ mod tests {
         // The freed slot is invisible until the next cycle.
         assert_eq!(a.space(0, 1, 3, 5), 2);
         assert_eq!(a.space(0, 1, 3, 6), 3);
+    }
+
+    #[test]
+    fn a_moved_flit_waits_for_the_next_cycle() {
+        let mut a = arena(1);
+        a.push_moved(0, 0, 1, flit(0), 5);
+        assert!(!a.ready(0, 0, 1, 5), "arrived this cycle");
+        assert!(a.ready(0, 0, 1, 6));
+        // Behind an older flit the front may move; once that flit has gone
+        // in the same cycle, the newcomer may not.
+        a.push_moved(0, 0, 1, flit(1), 6);
+        assert!(a.ready(0, 0, 1, 6));
+        a.pop(0, 0, 1, 6);
+        assert!(!a.ready(0, 0, 1, 6));
+        assert!(a.ready(0, 0, 1, 7));
+        // A pop of a new cycle clears the last cycle's pushes; an unstamped
+        // push (exchange, materialize) may move at once.
+        a.push(0, 1, 2, flit(2));
+        assert!(a.ready(0, 1, 2, 7));
+        a.pop(0, 0, 1, 7);
+        a.push_moved(0, 0, 1, flit(3), 8);
+        assert_eq!((a.ready(0, 1, 2, 8), a.ready(0, 0, 1, 8)), (true, false));
     }
 
     #[test]
@@ -493,7 +568,7 @@ mod tests {
         let mut all = vec![jm_isa::node::RouteWord::new(dest).to_word()];
         all.extend((1..words as i32).map(|k| Word::int(tag * 16 + k)));
         let msg = Message::new(dest, words, cycle, cycle + 2, trace);
-        let flits = Flit::message(dest, &all, cycle, cycle + 2, trace).collect();
+        let flits = Flit::message(dest, &all, cycle, trace).collect();
         (msg, all.split_off(1), flits)
     }
 
@@ -504,7 +579,7 @@ mod tests {
         for (q, owner) in model.iter().zip(owners) {
             h.write_u8(q.len() as u8);
             for f in q {
-                fold_flit(&mut h, f);
+                f.fold(&mut h);
             }
             h.write_u8(*owner as u8);
         }
@@ -575,8 +650,8 @@ mod tests {
                 if let Some(front) = fifo.front() {
                     assert_eq!(&a.inject_front(0, v), front, "step {step}");
                     let probe = a.inject_probe(0, v);
-                    let unworded = (front.payload().map(|_| Word::NIL), front.ready_cycle);
-                    assert_eq!((probe.payload(), probe.ready_cycle), unworded);
+                    let unworded = (front.payload().map(|_| Word::NIL), front.inject_cycle());
+                    assert_eq!((probe.payload(), probe.inject_cycle()), unworded);
                     assert_eq!(
                         (probe.head(), probe.tail(), probe.dest),
                         (front.head(), front.tail(), front.dest)
@@ -598,21 +673,23 @@ mod tests {
     }
 
     /// Random pushes, pops and owner writes over every queue of a small
-    /// arena — flits into the directional rings, whole messages into the
-    /// injection FIFOs — checked after every operation against one plain
-    /// `VecDeque<Flit>` per queue: front, length, mask, start-of-cycle
-    /// space of the rings, the cached route against a fresh `ecube_route`,
-    /// and the fold.
+    /// arena — flits into the directional rings, moved in this cycle or
+    /// not, whole messages into the injection FIFOs — checked after every
+    /// operation against one plain `VecDeque` per queue of flits and the
+    /// cycle each may leave from: front, readiness, length, mask,
+    /// start-of-cycle space of the rings, the cached route against a fresh
+    /// `ecube_route`, and the fold.
     #[test]
     fn random_operations_match_a_deque_model() {
         let dims = jm_isa::node::MeshDims::new(3, 2, 2);
         let routers = dims.nodes() as usize;
         let coord = |l: usize| dims.coord(jm_isa::node::NodeId(l as u32));
         let mut a = ChannelArena::new((0..routers).map(coord));
-        let mut model = vec![VecDeque::<Flit>::new(); routers * QUEUES];
+        let mut model = vec![VecDeque::<(Flit, u64)>::new(); routers * QUEUES];
         let mut owners = vec![-1i8; routers * QUEUES];
-        // Cycle of the model's last pop per queue.
+        // Cycle of the model's last pop and last moved push per queue.
         let mut popped = vec![u64::MAX; routers * QUEUES];
+        let mut pushed = vec![u64::MAX; routers * QUEUES];
         let mut rng = Prng::new(0xa7e4a);
         let mut cycle = 0u64;
         // Messages are runs of flits sharing a destination, ended by a tail.
@@ -633,25 +710,35 @@ mod tests {
                     let (msg, payload, flits) = message(dest, words, cycle, step as i32);
                     if model[qi].len() + flits.len() <= INJECT_FIFO {
                         a.commit(l, vnet, msg, &payload);
-                        model[qi].extend(flits);
+                        model[qi].extend(flits.into_iter().map(|f| (f, msg.ready_cycle)));
                     }
                 }
-                // Senders check start-of-cycle space before every push.
-                0..=3 if model[qi].len() + usize::from(popped[qi] == cycle) < FLIT_BUFFER => {
+                // Senders check start-of-cycle space before every push, and
+                // a channel carries one flit a cycle.
+                0..=3
+                    if model[qi].len() + usize::from(popped[qi] == cycle) < FLIT_BUFFER
+                        && pushed[qi] != cycle =>
+                {
                     let dest =
                         *msg_dest[qi].get_or_insert_with(|| coord(rng.range_usize(0, routers)));
                     let tail = rng.chance(0.3);
                     // Of a three-word message, flit 3 completes a payload
                     // word mid-message and flit 5 is the tail.
                     let word = jm_isa::word::Word::int(step as i32);
-                    let f = Flit::message(dest, &[word; 3], cycle, cycle, jm_isa::TraceId::NONE)
+                    let f = Flit::message(dest, &[word; 3], cycle, jm_isa::TraceId::NONE)
                         .nth(if tail { 5 } else { 3 })
                         .expect("six flits");
                     if tail {
                         msg_dest[qi] = None;
                     }
-                    a.push(l, vnet, port, f);
-                    model[qi].push_back(f);
+                    if rng.chance(0.5) {
+                        a.push_moved(l, vnet, port, f, cycle);
+                        model[qi].push_back((f, cycle + 1));
+                        pushed[qi] = cycle;
+                    } else {
+                        a.push(l, vnet, port, f);
+                        model[qi].push_back((f, 0));
+                    }
                 }
                 4..=6 if !model[qi].is_empty() => {
                     let flit = if port == INJECT {
@@ -659,7 +746,7 @@ mod tests {
                     } else {
                         a.pop(l, vnet, port, cycle)
                     };
-                    assert_eq!(flit, model[qi].pop_front().unwrap());
+                    assert_eq!(flit, model[qi].pop_front().unwrap().0);
                     popped[qi] = cycle;
                 }
                 7 => {
@@ -673,32 +760,37 @@ mod tests {
             for v in 0..2 {
                 let mut mask = 0u8;
                 let queues = l * QUEUES + v * PORTS..l * QUEUES + (v + 1) * PORTS;
+                let mut flits = Vec::new();
                 for p in 0..PORTS {
                     let qi = l * QUEUES + v * PORTS + p;
                     let q = &model[qi];
                     assert_eq!(a.len(l, v, p), q.len());
                     assert_eq!(a.owner(l, v, p), owners[qi]);
                     if p != INJECT {
-                        let occupied = q.len() + usize::from(popped[qi] == cycle);
-                        assert_eq!(a.space(l, v, p, cycle), FLIT_BUFFER - occupied);
+                        // Space is never read after a same-cycle push.
+                        if pushed[qi] != cycle {
+                            let occupied = q.len() + usize::from(popped[qi] == cycle);
+                            assert_eq!(a.space(l, v, p, cycle), FLIT_BUFFER - occupied);
+                        }
                         assert_eq!(a.space(l, v, p, cycle + 1), FLIT_BUFFER - q.len());
                     }
-                    if let Some(front) = q.front() {
+                    if let Some(&(front, from)) = q.front() {
                         mask |= 1 << p;
-                        let made = if p == INJECT {
-                            a.inject_front(l, v)
+                        let (made, ready) = if p == INJECT {
+                            (a.inject_front(l, v), a.inject_ready(l, v, cycle))
                         } else {
-                            *a.front(l, v, p)
+                            (*a.front(l, v, p), a.ready(l, v, p, cycle))
                         };
-                        assert_eq!(&made, front);
+                        assert_eq!((made, ready), (front, from <= cycle), "step {step}");
                         assert_eq!(a.route(l, v, p), ecube_route(coord(l), front.dest));
                     }
+                    flits.push(q.iter().map(|&(f, _)| f).collect::<VecDeque<_>>());
                 }
                 assert_eq!(a.port_mask(l, v), mask);
                 assert_eq!(a.holds(l), a.port_mask(l, 0) | a.port_mask(l, 1) != 0);
                 let mut h = jm_trace::Fnv1a::new();
                 a.fold_state(l, v, &mut h);
-                let want = model_fold(&model[queues.clone()], &owners[queues]);
+                let want = model_fold(&flits, &owners[queues]);
                 assert_eq!(h.finish(), want, "step {step}");
             }
         }

@@ -1,29 +1,37 @@
 //! Flits: the 18-bit (half-word) units moved by channels each cycle.
 
 use jm_isa::node::Coord;
+use jm_isa::tag::Tag;
 use jm_isa::word::Word;
 use jm_isa::TraceId;
 
-/// A flit in flight.
+/// A flit in flight: 16 bytes, what the wire carries.
 ///
 /// Physically a flit is half a word (channels carry 0.5 words/cycle). For
 /// simulation convenience every flit carries the full routing destination;
 /// the *second* flit of each payload word carries the word itself, so the
 /// ejection port reassembles words by accepting `payload().is_some()`
 /// flits. Route-word flits carry no payload — the route word is consumed
-/// by the network.
+/// by the network — so the head's data bytes carry the message's commit
+/// cycle instead, which the ejection port keeps until the tail closes the
+/// message's latency.
 ///
-/// The struct is deliberately packed to 32 bytes: channel arenas hold
-/// `routers × 12 buffers × depth` of these (a 16×16×16 mesh has 4096
-/// routers), and every boundary crossing copies one through an edge
-/// mailbox, so flit size is arena footprint *and* parallel-engine
-/// bandwidth. Head/tail/payload-presence share one flag byte, the trace
-/// id is stored in 32 bits (`commit_msg`, which makes the ids, hands out
-/// none wider), and the virtual network is *not* stored — every path
-/// that handles a flit already knows its vnet from the buffer it sits in.
-/// A message waiting to leave its source is not stored as flits at all:
-/// the injection FIFO and the bulk law hold one [`Message`] record and
-/// its payload words, and [`Message::flit`] makes each flit as it is read.
+/// The struct is packed to 16 bytes — destination (3), flags (1), trace id
+/// (4), data (8) — so a directional ring of [`FLIT_BUFFER`] flits is one
+/// cache line: channel arenas hold `routers × 12 rings` of them (a
+/// 16×16×16 mesh has 4096 routers), and every boundary crossing copies one
+/// through an edge mailbox, so flit size is arena footprint *and*
+/// parallel-engine bandwidth. Head/tail/payload-presence share one flag
+/// byte, the trace id is stored in 32 bits (`commit_msg`, which makes the
+/// ids, hands out none wider), and neither the virtual network nor the
+/// cycle a flit may move is stored — every path that handles a flit
+/// already knows its vnet from the buffer it sits in, and the arena keeps
+/// one push bit per queue for "arrived this cycle". A message waiting to
+/// leave its source is not stored as flits at all: the injection FIFO and
+/// the bulk law hold one [`Message`] record and its payload words, and
+/// [`Message::flit`] makes each flit as it is read.
+///
+/// [`FLIT_BUFFER`]: crate::config::FLIT_BUFFER
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Destination coordinates (from the message's route word).
@@ -33,36 +41,32 @@ pub struct Flit {
     /// Lifecycle-trace id (`0` = untraced), widened to [`TraceId`] on
     /// read.
     trace: u32,
-    /// The word completed by this flit ([`Word::NIL`] unless
-    /// `FLAG_PAYLOAD` is set).
-    word: Word,
-    /// Cycle at which the message's first flit was injected, for latency
-    /// accounting.
-    pub inject_cycle: u64,
-    /// Earliest cycle at which this flit may leave the buffer it sits in
-    /// (prevents multi-hop moves within one cycle).
-    pub ready_cycle: u64,
+    /// The head's commit cycle, or the word a payload flit completes (tag
+    /// above the 32 payload bits); `0` on every other flit.
+    data: u64,
 }
 
 /// First flit of its message (triggers output-port allocation in routers).
 const FLAG_HEAD: u8 = 1 << 0;
 /// Last flit of its message (releases the path).
 const FLAG_TAIL: u8 = 1 << 1;
-/// The flit completes a payload word (`word` is meaningful).
+/// The flit completes a payload word (`data` holds it).
 const FLAG_PAYLOAD: u8 = 1 << 2;
+
+/// A payload word as a flit's data bytes.
+#[inline]
+fn pack(word: Word) -> u64 {
+    u64::from(word.tag().bits()) << 32 | u64::from(word.bits())
+}
 
 impl Flit {
     /// The all-zero filler flit arenas use for untouched slots.
-    pub(crate) fn nil() -> Flit {
-        Flit {
-            dest: Coord::default(),
-            flags: 0,
-            trace: 0,
-            word: Word::NIL,
-            inject_cycle: 0,
-            ready_cycle: 0,
-        }
-    }
+    pub(crate) const NIL: Flit = Flit {
+        dest: Coord { x: 0, y: 0, z: 0 },
+        flags: 0,
+        trace: 0,
+        data: 0,
+    };
 
     /// Whether this is the first flit of its message.
     #[inline]
@@ -80,7 +84,14 @@ impl Flit {
     /// (and the word is payload rather than routing).
     #[inline]
     pub fn payload(&self) -> Option<Word> {
-        (self.flags & FLAG_PAYLOAD != 0).then_some(self.word)
+        (self.flags & FLAG_PAYLOAD != 0)
+            .then(|| Word::new(Tag::from_bits((self.data >> 32) as u8), self.data as u32))
+    }
+
+    /// The cycle the message was committed in, carried by its head.
+    #[inline]
+    pub fn inject_cycle(&self) -> Option<u64> {
+        self.head().then_some(self.data)
     }
 
     /// Lifecycle-trace id of the message this flit belongs to
@@ -90,6 +101,17 @@ impl Flit {
         TraceId(u64::from(self.trace))
     }
 
+    /// Folds the flit into a state hash: destination, framing flags and
+    /// data bytes — everything but the trace id, which is observability
+    /// state.
+    pub(crate) fn fold(&self, h: &mut jm_trace::Fnv1a) {
+        h.write_u8(self.dest.x);
+        h.write_u8(self.dest.y);
+        h.write_u8(self.dest.z);
+        h.write_u8(self.flags);
+        h.write_u64(self.data);
+    }
+
     /// The old per-flit expansion of a message, kept as the oracle
     /// [`Message::flit`] is tested against.
     #[cfg(test)]
@@ -97,24 +119,21 @@ impl Flit {
         dest: Coord,
         words: &[Word],
         inject_cycle: u64,
-        ready_cycle: u64,
         trace: TraceId,
     ) -> impl Iterator<Item = Flit> + '_ {
         let blank = Flit {
             dest,
-            flags: 0,
             trace: trace.0 as u32,
-            word: Word::NIL,
-            inject_cycle,
-            ready_cycle,
+            ..Flit::NIL
         };
         words.iter().enumerate().flat_map(move |(i, &word)| {
             let (mut first, mut second) = (blank, blank);
             if i == 0 {
                 first.flags = FLAG_HEAD;
+                first.data = inject_cycle;
             } else {
                 second.flags = FLAG_PAYLOAD;
-                second.word = word;
+                second.data = pack(word);
             }
             if i + 1 == words.len() {
                 second.flags |= FLAG_TAIL;
@@ -189,31 +208,31 @@ impl Message {
     }
 
     /// The message's flit `f`, in wire order: two per word. The first
-    /// flit of the route word is the head and the second flit of the last
-    /// word the tail; the second flit of every *payload* word carries the
-    /// word (`payload(k)` is payload word `k`, asked for only then), while
-    /// the route word is consumed by the network and carries nothing.
-    /// Every flit is stamped with the commit cycle and may leave the
-    /// injection FIFO from `ready_cycle` on.
+    /// flit of the route word is the head, stamped with the commit cycle,
+    /// and the second flit of the last word the tail; the second flit of
+    /// every *payload* word carries the word (`payload(k)` is payload word
+    /// `k`, asked for only then), while the route word is consumed by the
+    /// network and carries nothing.
     #[inline]
     pub(crate) fn flit(&self, f: usize, payload: impl FnOnce(usize) -> Word) -> Flit {
         debug_assert!(f < self.flits as usize, "flit {f} past the message");
-        let mut flags = if f == 0 { FLAG_HEAD } else { 0 };
+        let mut flags = 0;
+        let mut data = 0;
+        if f == 0 {
+            flags = FLAG_HEAD;
+            data = self.inject_cycle;
+        } else if f % 2 == 1 && f > 1 {
+            flags = FLAG_PAYLOAD;
+            data = pack(payload(f / 2 - 1));
+        }
         if f + 1 == self.flits as usize {
             flags |= FLAG_TAIL;
-        }
-        let mut word = Word::NIL;
-        if f % 2 == 1 && f > 1 {
-            flags |= FLAG_PAYLOAD;
-            word = payload(f / 2 - 1);
         }
         Flit {
             dest: self.dest,
             flags,
             trace: self.trace,
-            word,
-            inject_cycle: self.inject_cycle,
-            ready_cycle: self.ready_cycle,
+            data,
         }
     }
 }
@@ -224,11 +243,8 @@ mod tests {
 
     #[test]
     fn flit_stays_packed() {
-        assert!(
-            std::mem::size_of::<Flit>() <= 32,
-            "Flit grew past 32 bytes: {}",
-            std::mem::size_of::<Flit>()
-        );
+        assert_eq!(std::mem::size_of::<Flit>(), 16, "what the wire carries");
+        assert_eq!(std::mem::align_of::<Flit>(), 8);
     }
 
     /// A three-word message's flits, as [`Message::flit`] makes them.
@@ -252,7 +268,7 @@ mod tests {
             let made: Vec<Flit> = (0..2 * len)
                 .map(|f| msg.flit(f, |k| words[1 + k]))
                 .collect();
-            let expanded: Vec<Flit> = Flit::message(msg.dest, words, 4, 6, TraceId(11)).collect();
+            let expanded: Vec<Flit> = Flit::message(msg.dest, words, 4, TraceId(11)).collect();
             assert_eq!(made, expanded, "{len} words");
         }
     }
@@ -268,6 +284,9 @@ mod tests {
         assert_eq!(tails, [false, false, false, false, false, true]);
         assert_eq!(flits[0].payload(), None);
         assert_eq!(flits[1].payload(), None);
+        // The head carries the commit cycle instead; no other flit does.
+        let cycles: Vec<Option<u64>> = flits.iter().map(Flit::inject_cycle).collect();
+        assert_eq!(cycles, [Some(7), None, None, None, None, None]);
     }
 
     #[test]
@@ -277,8 +296,13 @@ mod tests {
         assert_eq!(payload, [None, Some(words[1]), None, Some(words[2])]);
         for f in &flits {
             assert_eq!(f.dest, dest);
-            assert_eq!((f.inject_cycle, f.ready_cycle), (7, 9));
             assert_eq!(f.trace(), TraceId(3));
+        }
+        // Every tag survives the data bytes.
+        let msg = Message::new(dest, 2, 0, 2, TraceId::NONE);
+        for bits in 0..16 {
+            let word = Word::new(Tag::from_bits(bits), 0xdead_beef ^ u32::from(bits));
+            assert_eq!(msg.flit(3, |_| word).payload(), Some(word));
         }
     }
 }

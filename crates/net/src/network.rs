@@ -871,4 +871,106 @@ mod tests {
             }
         }
     }
+
+    /// A flit moves at most one router a cycle, whichever order the routers
+    /// are scanned in. On a 1×1×8 line cut into two shards (so no message
+    /// takes the bulk law), 0 → 3 climbs through routers scanned after the
+    /// one it leaves, and 3 → 0 descends through routers scanned before it.
+    /// Each head leaves the `k`-th router of its path in cycle `q + k`.
+    #[test]
+    fn a_head_advances_one_router_a_cycle() {
+        use jm_trace::{EventKind, MachineTrace};
+        let mut net = Network::with_shards(NetConfig::new(MeshDims::new(1, 1, 8)), 2);
+        net.set_tracing(true);
+        let payload = [MsgHeader::new(9, 2).to_word(), Word::int(5)];
+        let paths = [[0, 1, 2, 3], [3, 2, 1, 0]];
+        for path in paths {
+            let (from, to) = (NodeId(path[0]), NodeId(path[3]));
+            send_msg(&mut net, from, to, MsgPriority::P0, &payload);
+        }
+        assert!(settle(&mut net, 100));
+        let mut trace = MachineTrace::default();
+        trace.merge(net.tracers_mut(), ..);
+        for path in paths {
+            // The first message a node sends is traced as its id plus one.
+            let id = jm_isa::TraceId(u64::from(path[0]) + 1);
+            let hops: Vec<(u64, u32)> = (trace.events.iter())
+                .filter_map(|e| match e.kind {
+                    EventKind::Hop { id: hop, node } if hop == id => Some((e.cycle, node.0)),
+                    _ => None,
+                })
+                .collect();
+            let q = crate::config::INJECT_LATENCY;
+            let want: Vec<(u64, u32)> = (q..).zip(path[..3].iter().copied()).collect();
+            assert_eq!(hops, want, "{} -> {}", path[0], path[3]);
+        }
+        // Six flits a message, each one hop a cycle behind the one before:
+        // the tail ejects in q + 5 + 3.
+        assert_eq!(net.stats().latency_max, 2 + 6 + 3);
+    }
+
+    /// A message's latency is measured from the commit cycle its head
+    /// leaves at the destination router, per vnet, however its ejection is
+    /// split: behind a full ejection FIFO while the other vnet ejects whole
+    /// messages, and across a law message's materialization.
+    #[test]
+    fn latency_survives_a_split_ejection() {
+        let (src, dst) = (NodeId(0), NodeId(1));
+        let config = NetConfig::new(MeshDims::new(2, 1, 1));
+        let header = |words: u32| MsgHeader::new(9, words).to_word();
+        let message = |words: u32| {
+            let mut msg = vec![header(words)];
+            msg.extend((1..words as i32).map(Word::int));
+            msg
+        };
+
+        // A (12 words, cycle 0, priority 0) fills the ejection FIFO and
+        // waits, head ejected, with its tail behind; B and C (one word,
+        // cycles 20 and 30, priority 1) eject whole meanwhile, 2 + 4 + 1
+        // cycles each. From cycle 40 the node drains: A's flit 19 ejects in
+        // 40, the three flits buffered behind it in 41–43, and the last
+        // three, which only then find space, in 44–46.
+        let mut net = Network::new(config);
+        send_msg(&mut net, src, dst, MsgPriority::P0, &message(12));
+        net.run(20);
+        send_msg(&mut net, src, dst, MsgPriority::P1, &message(1));
+        net.run(10);
+        send_msg(&mut net, src, dst, MsgPriority::P1, &message(1));
+        net.run(10);
+        assert_eq!(
+            net.delivered_len(dst, MsgPriority::P0),
+            crate::config::EJECT_FIFO
+        );
+        assert_eq!(net.stats().delivered_msgs, 2);
+        while !net.is_idle() {
+            drain(&mut net, dst, MsgPriority::P0);
+            drain(&mut net, dst, MsgPriority::P1);
+            net.step();
+        }
+        let stats = net.stats();
+        assert_eq!(stats.delivered_msgs, 3);
+        assert_eq!((stats.latency_sum, stats.latency_max), (47 + 7 + 7, 47));
+
+        // D (8 words, cycle 3) takes the law: q = 5, its head ejects in 6
+        // and its tail in 5 + 17 + 1 = 23. E (one word, cycle 9) queues
+        // behind it at the same source, which materializes D part-way out
+        // of the ejection port; E's head leaves the source in 23 and its
+        // tail ejects in 27.
+        let mut net = Network::new(config);
+        net.run(3);
+        send_msg(&mut net, src, dst, MsgPriority::P0, &message(8));
+        net.run(6);
+        let b = net.bulk_stats();
+        assert_eq!((b.engaged, b.materialized), (1, 0));
+        send_msg(&mut net, src, dst, MsgPriority::P0, &message(1));
+        let b = net.bulk_stats();
+        assert_eq!((b.engaged, b.materialized), (1, 1));
+        while !net.is_idle() {
+            drain(&mut net, dst, MsgPriority::P0);
+            net.step();
+        }
+        let stats = net.stats();
+        assert_eq!(stats.delivered_msgs, 2);
+        assert_eq!((stats.latency_sum, stats.latency_max), (21 + 19, 21));
+    }
 }

@@ -39,6 +39,11 @@ pub(crate) struct Router {
     /// a changed id marks a new message's first payload word; starts at
     /// [`TraceId::NONE`]).
     pub eject_cur: [TraceId; 2],
+    /// Commit cycle of the message currently streaming out of the ejection
+    /// port, per vnet: its head carries it, and its tail's latency is
+    /// measured from it (wormhole routing ejects one message per vnet at a
+    /// time, so one slot a vnet is exact).
+    pub eject_committed: [u64; 2],
     /// Fault-injection only: whether the message currently streaming out of
     /// the ejection port has already delivered its first payload word (the
     /// header), per vnet. Corruption skips the header — flipping a length

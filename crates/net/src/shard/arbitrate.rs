@@ -41,8 +41,8 @@ impl NetShard {
     /// ascending index order, reading each word as it reaches it — no
     /// snapshot. That is cycle-exact with a naive full scan: inactive routers
     /// have nothing to move, and a router activated mid-step only holds flits
-    /// with `ready_cycle == cycle + 1`, which move next cycle whether or not
-    /// this scan still visits it.
+    /// pushed this cycle, which move next cycle whether or not this scan
+    /// still visits it.
     pub fn step_cycle(&mut self, cycle: u64, below: Option<&Edge>, above: Option<&Edge>) {
         // Generated traffic enters first, before the idle early-out: the
         // generator is what *creates* work on an otherwise-empty shard. Node
@@ -130,10 +130,11 @@ impl NetShard {
     ///
     /// Whether a front flit may move is a conjunction of pure checks, so
     /// their order is unobservable; they run cheapest storage first — this
-    /// router's hot record, the neighbour's, and only then the flit — and
-    /// about half of all probes at saturation stop before the flit. The one
-    /// check with a side effect is the fault plan's (`blocked_moves`), which
-    /// keeps its place after the owner and flit checks (`DESIGN.md` §4.5).
+    /// router's hot record (readiness included, for a ring), the
+    /// neighbour's, and only then the flit, whose one question is whether it
+    /// is a head when it must acquire the output. The one check with a side
+    /// effect is the fault plan's (`blocked_moves`), which keeps its place
+    /// after the owner, readiness and head checks (`DESIGN.md` §4.5).
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn try_move<const INJECT: bool>(
@@ -146,8 +147,8 @@ impl NetShard {
         below: Option<&Edge>,
         above: Option<&Edge>,
     ) {
-        // The front flit's framing, destination and cycles (an injection
-        // probe leaves out the payload word, which no check reads).
+        // The front flit's framing and destination (an injection probe
+        // leaves out the payload word, which no check reads).
         let front = |arena: &ChannelArena| {
             if INJECT {
                 arena.inject_probe(n, vnet)
@@ -169,16 +170,28 @@ impl NetShard {
         if !owned && owner >= 0 {
             return;
         }
-        // The flit's own say: ready to leave this buffer and, when it must
-        // acquire the output, a head (wormhole FIFO discipline never
-        // strands a body flit behind a torn-down path).
-        let flit_ok = |arena: &ChannelArena| {
-            let flit = front(arena);
-            debug_assert!(owned || flit.head(), "orphan body flit");
-            flit.ready_cycle <= cycle && (owned || flit.head())
+        // Ready to leave this buffer: a ring's front did not arrive this
+        // cycle, the injection FIFO's front message is past its latency.
+        let ready = if INJECT {
+            self.arena.inject_ready(n, vnet, cycle)
+        } else {
+            self.arena.ready(n, vnet, in_port, cycle)
+        };
+        if !ready {
+            return;
+        }
+        // The flit's own say, when it must acquire the output: a head
+        // (wormhole FIFO discipline never strands a body flit behind a
+        // torn-down path).
+        let head_ok = |arena: &ChannelArena| {
+            owned || {
+                let head = front(arena).head();
+                debug_assert!(head, "orphan body flit");
+                head
+            }
         };
         if let Some(f) = &self.fault {
-            if !flit_ok(&self.arena) {
+            if !head_ok(&self.arena) {
                 return;
             }
             // Delay faults act exactly like a full downstream buffer: the
@@ -216,7 +229,7 @@ impl NetShard {
             }
             next
         };
-        if self.fault.is_none() && !flit_ok(&self.arena) {
+        if self.fault.is_none() && !head_ok(&self.arena) {
             return;
         }
         // Commit the move.
@@ -241,14 +254,12 @@ impl NetShard {
         }
         pass.flit_hops += 1;
         pass.bisection_flits += u64::from(self.bisect_out[n] >> out & 1);
-        let mut moved = flit;
-        moved.ready_cycle = cycle + 1;
         if (next as usize) < count {
             let m = next as usize;
-            self.arena.push(m, vnet, out, moved);
+            self.arena.push_moved(m, vnet, out, flit, cycle);
             self.active.insert(m);
         } else {
-            self.cross(next, vnet, moved);
+            self.cross(next, vnet, flit);
         }
     }
 
@@ -265,12 +276,18 @@ impl NetShard {
     }
 
     /// A flit leaves the mesh through local router `n`'s ejection port: a
-    /// payload word joins the node's ejection FIFO (the caller has checked
-    /// it has room), and a tail closes the message's statistics.
+    /// head leaves its message's commit cycle with the router, a payload
+    /// word joins the node's ejection FIFO (the caller has checked it has
+    /// room), and a tail closes the message's statistics.
     #[inline]
     pub(super) fn eject(&mut self, n: usize, vnet: usize, flit: Flit, cycle: u64) {
         self.in_flight -= 1;
         self.debug_assert_released();
+        // Wormhole ownership ejects one message per vnet at a time, so the
+        // head's commit cycle waits here for that message's tail.
+        if let Some(committed) = flit.inject_cycle() {
+            self.routers[n].eject_committed[vnet] = committed;
+        }
         let trace = flit.trace();
         if let Some(mut word) = flit.payload() {
             if self.fault.is_some() {
@@ -298,12 +315,12 @@ impl NetShard {
             self.stats.delivered_msgs += 1;
             // Ejection completes at the end of this cycle; injection can
             // never postdate it.
+            let committed = self.routers[n].eject_committed[vnet];
             debug_assert!(
-                cycle + 1 >= flit.inject_cycle,
-                "delivery precedes injection (cycle {cycle}, injected {})",
-                flit.inject_cycle
+                cycle + 1 >= committed,
+                "delivery precedes injection (cycle {cycle}, injected {committed})"
             );
-            let latency = cycle + 1 - flit.inject_cycle;
+            let latency = cycle + 1 - committed;
             self.stats.latency_sum += latency;
             self.stats.latency_max = self.stats.latency_max.max(latency);
         }

@@ -462,8 +462,10 @@ impl NetShard {
     /// Converts law message `k` back into ordinary buffered flits,
     /// reconstructing exactly the state the flit-by-flit path would hold at
     /// the start of cycle `cycle`: every undelivered flit's buffer position
-    /// and ready cycle, wormhole port ownership along the route, and the
-    /// holds the message still has, now as buffered counts.
+    /// (each free to move: its last move was in an earlier cycle), wormhole
+    /// port ownership along the route, and the holds the message still has,
+    /// now as buffered counts. A head already ejected left its commit cycle
+    /// with the destination router, as the buffered path's would have.
     fn materialize(&mut self, k: usize, cycle: u64) {
         let b = self.law.live.swap_remove(k);
         self.law.stats.materialized += 1;
@@ -499,9 +501,8 @@ impl NetShard {
                 0,
                 "a materialized flit lands in an occupied channel buffer"
             );
-            let mut flit = b.flit(f);
-            flit.ready_cycle = b.q + f + done;
-            self.arena.push(at, b.vnet, via, flit);
+            debug_assert!(b.q + f + done <= cycle, "a flit moved this cycle");
+            self.arena.push(at, b.vnet, via, b.flit(f));
         }
         // Wormhole ownership: router `m` on the path holds its output for
         // this message from the head's pass (cycle `q + m`) until the

@@ -54,8 +54,9 @@ fn decode(code: u32) -> (usize, u32) {
     (((code >> NEIGH_DIR_SHIFT) & 1) as usize, code & NEIGH_ID)
 }
 
-/// A boundary-crossing flit in transit: `(global dest id, vnet, flit)`.
-pub(super) type Crossing = (u32, usize, Flit);
+/// A boundary-crossing flit in transit: `(global dest id, vnet, flit)`,
+/// 24 bytes.
+pub(super) type Crossing = (u32, u8, Flit);
 
 /// One direction of a boundary: the mailbox carrying that direction's
 /// crossing flits and the published space snapshot of the input buffers
@@ -138,9 +139,11 @@ impl NetShard {
     }
 
     /// Takes a flit that moved toward `code` off this shard's books. It
-    /// reaches the neighbor's input buffer at exchange time; deferral is
-    /// invisible (`ready_cycle = cycle + 1` already bars every same-cycle
-    /// consumer). Crossings accumulate per direction and are posted once
+    /// reaches the neighbor's input buffer at exchange time, after every
+    /// router of the cycle has been stepped, so deferral is invisible: a
+    /// flit that moved in a cycle may not move again in it anyway, and it
+    /// lands unstamped, free to leave at the next cycle's start. Crossings
+    /// accumulate per direction and are posted once
     /// per cycle by [`Self::post_crossings`] — one mutex acquisition per
     /// edge instead of one per flit, in the scan (FIFO) order the mailbox
     /// contract promises.
@@ -148,7 +151,7 @@ impl NetShard {
     pub(super) fn cross(&mut self, code: u32, vnet: usize, flit: Flit) {
         let (d, m) = decode(code);
         self.in_flight -= 1;
-        self.crossings[d].push((m, vnet, flit));
+        self.crossings[d].push((m, vnet as u8, flit));
     }
 
     /// Posts the crossings the router scan accumulated this cycle.
@@ -200,7 +203,7 @@ impl NetShard {
                     (first..first + plane).contains(&l),
                     "crossing flit landed outside the boundary plane"
                 );
-                self.arena.push(l, vnet, in_port(d), flit);
+                self.arena.push(l, usize::from(vnet), in_port(d), flit);
                 self.in_flight += 1;
                 self.active.insert(l);
             }

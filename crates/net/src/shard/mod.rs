@@ -27,9 +27,11 @@
 //! bits), and the edge snapshots are by construction start-of-cycle values —
 //! so the space a sender observes is independent of the order routers are visited,
 //! and therefore of how the mesh is cut into shards or which thread runs
-//! which shard. Deferred mailbox delivery is equally invisible: a flit
-//! handed to a neighbor carries `ready_cycle = cycle + 1`, so no same-cycle
-//! consumer exists. A single barrier between the two phases (provided by the
+//! which shard. Deferred mailbox delivery is equally invisible: a flit that
+//! moved in a cycle may not move again in it (a local push sets the
+//! receiving queue's push bit; a crossing is not pushed until the exchange),
+//! so no same-cycle consumer exists, and the exchange pushes it free to leave
+//! at the next cycle's start. A single barrier between the two phases (provided by the
 //! caller) is the only synchronization the scheme needs; the snapshot is
 //! single-buffered because phase 1 only reads it and phase 2 only writes it.
 //!
@@ -307,9 +309,12 @@ impl NetShard {
     /// invisible by construction.
     ///
     /// The digest covers the channel-arena queues plus the router's
-    /// interface state: the ejected-word FIFO. Trace ids, the `eject_cur`
-    /// trace cursor, and statistics are excluded (observability state);
-    /// `eject_hdr_seen` is included (it steers fault corruption).
+    /// interface state: the ejected-word FIFO, and the commit cycle of a
+    /// message part-way out of the ejection port (its tail's latency is
+    /// still to come; the ejection output is owned exactly then). Trace
+    /// ids, the `eject_cur` trace cursor, and statistics are excluded
+    /// (observability state); `eject_hdr_seen` is included (it steers
+    /// fault corruption).
     pub(crate) fn fold_components(&mut self, now: u64, f: &mut dyn FnMut(NodeId, usize, u64)) {
         self.materialize_all(now);
         for l in 0..self.routers.len() {
@@ -323,6 +328,9 @@ impl NetShard {
                     h.write_u32(w.bits());
                 }
                 h.write_u8(u8::from(router.eject_hdr_seen[vnet]));
+                if self.arena.owner(l, vnet, port::EJECT) >= 0 {
+                    h.write_u64(router.eject_committed[vnet]);
+                }
                 f(NodeId((self.base + l) as u32), vnet, h.finish());
             }
         }

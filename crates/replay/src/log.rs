@@ -11,12 +11,14 @@
 //! handler dispatch) is deterministic given those inputs and is
 //! deliberately not recorded.
 //!
-//! The byte format is little-endian throughout, magic `JMRP5\n` (version 2
+//! The byte format is little-endian throughout, magic `JMRP6\n` (version 2
 //! added the traffic-spec section; version 3 dropped the host-tuning
 //! fields; version 4 has the same layout but router hashes that no longer
 //! fold the word-wise injection framing; version 5 dropped the seven buffer
 //! sizes, now constants of the machine, and the checksum-mode byte, which a
-//! replay re-derives from the fault spec), and has no alignment padding; see
+//! replay re-derives from the fault spec; version 6 has version 5's layout
+//! but router hashes that fold no per-flit ready or commit cycles, only a
+//! message's commit cycle, once), and has no alignment padding; see
 //! `DESIGN.md` §4.8 for the field-by-field layout.
 
 use jm_asm::{DataBlock, Program, SymbolValue};
@@ -32,14 +34,16 @@ use jm_traffic::{TrafficPattern, TrafficSpec};
 use std::fmt;
 use std::path::Path;
 
-/// Magic bytes opening every log (`JMRP` + format version 5; version 2
+/// Magic bytes opening every log (`JMRP` + format version 6; version 2
 /// also carried the recording run's quantum, scheduler mode and bulk
 /// switch, a version 3 log's router hashes fold one more byte per
-/// component, so every checkpoint would read as a divergence, and version 4
-/// carried 49 header bytes of sizes and modes version 5 does not). Logs are
+/// component, version 4 carried 49 header bytes of sizes and modes version
+/// 5 does not, and a version 5 log's router hashes fold every buffered
+/// flit's ready and commit cycles, so every checkpoint of either hash
+/// change would read as a divergence). Logs are
 /// ephemeral CI artifacts, so a format bump invalidates nothing durable —
 /// an old log fails cleanly at the magic check instead of misparsing.
-pub const MAGIC: &[u8; 6] = b"JMRP5\n";
+pub const MAGIC: &[u8; 6] = b"JMRP6\n";
 
 /// Default hash-boundary spacing in cycles. Chosen so that hashing every
 /// node's register file, queues, and memory pages plus every router's
