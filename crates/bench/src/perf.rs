@@ -400,7 +400,6 @@ fn stats_rows(name: &str, stats: &MachineStats) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jm_mdp::{MdpConfig, TimingConfig};
     use std::cell::Cell;
 
     /// A side named after its engine, on 2×2×4: a mesh the crew cuts into
@@ -420,20 +419,13 @@ mod tests {
 
     #[test]
     fn a_side_that_ends_differently_is_named() {
-        // A slower dispatch moves the ring's quiescence cycle.
-        let timing = TimingConfig {
-            dispatch: TimingConfig::default().dispatch + 5,
-            ..TimingConfig::default()
-        };
-        let mut slow = small(Engine::Event);
-        slow.label = "slow".to_string();
-        slow.config = slow.config.mdp(MdpConfig {
-            timing,
-            ..MdpConfig::default()
-        });
-        let sides = [small(Engine::Naive), small(Engine::Event), slow];
+        // A ring no node starts quiesces at once.
+        let mut idle = small(Engine::Event);
+        idle.label = "idle".to_string();
+        idle.config = idle.config.start(StartPolicy::None);
+        let sides = [small(Engine::Naive), small(Engine::Event), idle];
         let why = failure(race("ring", &ring_program(1, false), &sides, quiesce));
-        assert!(why.starts_with("ring slow: "), "{why}");
+        assert!(why.starts_with("ring idle: "), "{why}");
     }
 
     #[test]

@@ -151,12 +151,6 @@ impl MachineConfig {
         self
     }
 
-    /// Sets the per-node configuration (builder style).
-    pub fn mdp(mut self, mdp: MdpConfig) -> MachineConfig {
-        self.mdp = mdp;
-        self
-    }
-
     /// Sets the simulation engine (builder style).
     pub fn engine(mut self, engine: Engine) -> MachineConfig {
         self.engine = engine;

@@ -374,7 +374,6 @@ impl JMachine {
     /// when `net.dims` differs from `dims`, tracing is on with a zero
     /// `trace.sample_every`, or the crate that owns a field rejects its
     /// value ([`NetConfig::validate`](jm_net::NetConfig::validate),
-    /// [`TimingConfig::validate`](jm_mdp::TimingConfig::validate),
     /// [`TrafficSpec::validate`](jm_traffic::TrafficSpec::validate)) — before
     /// anything is allocated.
     pub fn try_new(program: Program, config: MachineConfig) -> Result<JMachine, MachineError> {
@@ -389,7 +388,6 @@ impl JMachine {
                 // of the machine.
                 return Err("net.dims differs from dims");
             }
-            config.mdp.timing.validate()?;
             if config.trace.enabled && config.trace.sample_every == 0 {
                 // Samples fall on multiples of the interval.
                 return Err("trace.sample_every is zero while tracing");
@@ -422,7 +420,7 @@ impl JMachine {
         let program = Arc::new(program);
         // One table for every node: a copy each would multiply its
         // footprint by the node count (4 096 on a 16³ mesh).
-        let code = Code::lower(Arc::clone(&program), &config.mdp.timing);
+        let code = Code::lower(Arc::clone(&program));
         let mut nodes = config
             .dims
             .iter_nodes()
@@ -1406,17 +1404,12 @@ mod tests {
         let mut deep = ok;
         deep.dims.x = 32;
         deep.net.dims.x = 32;
-        let mut slow = ok;
-        slow.mdp.timing.base = u64::MAX;
         let cases = [
             (flat, "must be in 1..=31"),
             (deep, "must be in 1..=31"),
             // A network sized for another mesh would route only part of
             // the machine.
             (net(|n| n.dims = MeshDims::new(2, 2, 2)), "net.dims"),
-            // Cycle costs are added to the clock wherever they are charged:
-            // this builds, and overflows once an instruction retires.
-            (slow, "mdp.timing.base"),
             // Samples fall on multiples of the interval. The builder and
             // the CLI refuse zero; a hand-built struct gets past both.
             (
@@ -1448,7 +1441,7 @@ mod tests {
             // holds one set of dims and no trace settings.)
             if cfg.net.dims == cfg.dims && cfg.trace == ok.trace {
                 let mut log = recorded.clone();
-                (log.config.dims, log.config.timing) = (cfg.dims, cfg.mdp.timing);
+                log.config.dims = cfg.dims;
                 log.traffic = cfg.traffic;
                 match jm_replay::ReplayLog::from_bytes(&log.to_bytes()) {
                     Err(e) => assert!(e.to_string().contains(names), "{e}"),

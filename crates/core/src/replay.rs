@@ -216,7 +216,6 @@ fn recorded_config(c: &MachineConfig) -> RecordedConfig {
         },
         engine,
         threads,
-        timing: c.mdp.timing,
     }
 }
 
@@ -227,7 +226,6 @@ fn recorded_config(c: &MachineConfig) -> RecordedConfig {
 fn recorded_machine_config(log: &ReplayLog) -> MachineConfig {
     let rc = &log.config;
     let mut cfg = MachineConfig::with_dims(rc.dims);
-    cfg.mdp.timing = rc.timing;
     cfg.start = match rc.start {
         RecordedStart::Node0 => StartPolicy::Node0,
         RecordedStart::AllNodes => StartPolicy::AllNodes,

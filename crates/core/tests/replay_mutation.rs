@@ -7,10 +7,8 @@
 //! every way a single fault can: each bit flipped, and cut at each offset.
 //! The hand-picked damage cases ride the same loop with the error they must
 //! produce, from the reader or from the replay. Every mutant must parse to
-//! `Ok` or `Err`; every one that parses must build under [`MachineFactory`]
-//! and take all its ops; and one whose cycle costs differ from the recorded
-//! ones must also run, since those are added to the clock on every step and
-//! the test profile checks overflow.
+//! `Ok` or `Err`; and every one that parses must build under
+//! [`MachineFactory`] and take all its ops.
 
 use jm_asm::{hdr, Builder, Region};
 use jm_isa::consts::FaultKind;
@@ -126,7 +124,7 @@ fn every_mutant_of_a_log_errors_or_replays() {
     mutants.push(("not a log".into(), b"not a log".to_vec(), Some("magic")));
     // A previous-format log stops at the magic check, not in a misparse.
     let mut old = bytes.clone();
-    old[4] = b'5';
+    old[4] = b'6';
     mutants.push(("previous format".into(), old, Some("bad magic")));
     // A corrupted mesh extent (the three bytes after the magic) is a parse
     // error, not a panic in `MeshDims`.
@@ -144,10 +142,6 @@ fn every_mutant_of_a_log_errors_or_replays() {
         wrapped.to_bytes(),
         Some("program image"),
     ));
-    // A cycle cost that would overflow the clock it is added to.
-    let mut slow = log.clone();
-    slow.config.timing.div = u64::MAX;
-    mutants.push(("endless divide".into(), slow.to_bytes(), Some("timing.div")));
     // Two deliveries, each within the queue's size, that together overfill
     // it: the reader cannot know that, and the replay refuses the second.
     let mut full = log.clone();
@@ -199,7 +193,7 @@ fn every_mutant_of_a_log_errors_or_replays() {
     huge[code_count..code_count + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     mutants.push(("4G instructions".into(), huge, Some("bytes remain")));
 
-    let (mut parsed, mut applied, mut ran) = (0, 0, 0);
+    let (mut parsed, mut applied) = (0, 0);
     for (what, mutant, must_fail_with) in &mutants {
         LARGEST.store(0, Relaxed);
         let result = ReplayLog::from_bytes(mutant);
@@ -218,10 +212,6 @@ fn every_mutant_of_a_log_errors_or_replays() {
                     applied += 1;
                 }
             }
-            if mutant.config.timing != log.config.timing {
-                m.run(300);
-                ran += 1;
-            }
             Ok(())
         });
         match (replayed, must_fail_with) {
@@ -236,8 +226,6 @@ fn every_mutant_of_a_log_errors_or_replays() {
     // at a record boundary is a shorter log.
     assert!(parsed > mutants.len() / 10, "{parsed} of {}", mutants.len());
     assert!(applied > parsed, "{applied} ops over {parsed} logs");
-    // Fifteen cost fields, the low 21 bits of each under the bound.
-    assert!(ran >= 15 * 20, "{ran} mutants with other cycle costs ran");
 }
 
 /// Byte offset of the program section, whose first field is the

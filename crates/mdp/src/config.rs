@@ -1,6 +1,5 @@
-//! Node configuration: timing model and microarchitectural parameters.
-
-use jm_isa::consts::MAX_CYCLE_COST;
+//! Node configuration: the timing model's costs and the memory map's
+//! windows, constants of the chip, and the one per-node switch.
 
 /// Virtual base addresses of the two message-queue windows (priority 0 and
 /// priority 1). A dispatched handler's `A3` descriptor points into this
@@ -17,145 +16,75 @@ pub const STAGING_VBASE: u32 = 0xF_0000;
 /// Words per staging frame.
 pub const STAGING_FRAME: u32 = 16;
 
-/// Per-instruction timing, in cycles. Values reproduce §2.1/§3/§4 of the
-/// paper; see `DESIGN.md` for the calibration table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimingConfig {
-    /// Base cost of any instruction.
-    pub base: u64,
-    /// Extra cycles for an operand (read or write) in internal SRAM
-    /// ("two cycles if one operand is in internal memory").
-    pub imem_operand: u64,
-    /// Extra cycles for an operand in external DRAM (6-cycle latency).
-    pub emem_operand: u64,
-    /// Extra cycles for an operand in the message-queue window (the queue
-    /// has a direct path to the datapath; a queue read costs the base cycle
-    /// only, making "relocate to Imem" cost 3 cycles as in §4.3.2).
-    pub queue_operand: u64,
-    /// Extra cycles per instruction when fetching code from external memory
-    /// (two instructions per word; drops execution below 2 MIPS as in §2.1).
-    pub emem_fetch: u64,
-    /// Extra cycles for a large (extension-word) immediate.
-    pub imm_ext: u64,
-    /// Extra cycles on a taken branch (prefetch refill).
-    pub branch_taken: u64,
-    /// Extra cycles for `JMP`/`JAL`.
-    pub jump: u64,
-    /// Extra cycles for multiply.
-    pub mul: u64,
-    /// Extra cycles for divide/remainder.
-    pub div: u64,
-    /// Hardware task-dispatch cost ("a task is dispatched … in four
-    /// processor cycles").
-    pub dispatch: u64,
-    /// Fault-entry cost (staging save + vector fetch).
-    pub fault_entry: u64,
-    /// Total cost of a successful `XLATE`/`PROBE` (3 cycles, §2.1);
-    /// expressed as extra over `base`.
-    pub xlate_extra: u64,
-    /// Extra cost of `ENTER`.
-    pub enter_extra: u64,
-    /// Extra cost of `RESUME`.
-    pub resume_extra: u64,
-}
+// Per-instruction timing, in cycles: facts of the chip, reproducing
+// §2.1/§3/§4 of the paper; see `DESIGN.md` §6 for the calibration table.
 
-impl Default for TimingConfig {
-    fn default() -> TimingConfig {
-        TimingConfig {
-            base: 1,
-            imem_operand: 1,
-            emem_operand: 5,
-            queue_operand: 0,
-            emem_fetch: 3,
-            imm_ext: 1,
-            branch_taken: 1,
-            jump: 1,
-            mul: 1,
-            div: 9,
-            dispatch: 4,
-            fault_entry: 4,
-            xlate_extra: 2,
-            enter_extra: 3,
-            resume_extra: 2,
-        }
-    }
-}
+/// Base cost of any instruction.
+pub(crate) const BASE: u64 = 1;
+/// Extra cycles for an operand (read or write) in internal SRAM
+/// ("two cycles if one operand is in internal memory").
+pub(crate) const IMEM_OPERAND: u64 = 1;
+/// Extra cycles for an operand in external DRAM (6-cycle latency).
+pub(crate) const EMEM_OPERAND: u64 = 5;
+/// Extra cycles for an operand in the message-queue window (the queue
+/// has a direct path to the datapath; a queue read costs the base cycle
+/// only, making "relocate to Imem" cost 3 cycles as in §4.3.2).
+pub(crate) const QUEUE_OPERAND: u64 = 0;
+/// Extra cycles per instruction when fetching code from external memory
+/// (two instructions per word; drops execution below 2 MIPS as in §2.1).
+pub(crate) const EMEM_FETCH: u64 = 3;
+/// Extra cycles for a large (extension-word) immediate.
+pub(crate) const IMM_EXT: u64 = 1;
+/// Extra cycles on a taken branch (prefetch refill).
+pub(crate) const BRANCH_TAKEN: u64 = 1;
+/// Extra cycles for `JMP`/`JAL`.
+pub(crate) const JUMP: u64 = 1;
+/// Extra cycles for multiply.
+pub(crate) const MUL: u64 = 1;
+/// Extra cycles for divide/remainder.
+pub(crate) const DIV: u64 = 9;
+/// Hardware task-dispatch cost ("a task is dispatched … in four
+/// processor cycles").
+pub(crate) const DISPATCH: u64 = 4;
+/// Fault-entry cost (staging save + vector fetch).
+pub(crate) const FAULT_ENTRY: u64 = 4;
+/// Total cost of a successful `XLATE`/`PROBE` (3 cycles, §2.1);
+/// expressed as extra over `BASE`.
+pub(crate) const XLATE_EXTRA: u64 = 2;
+/// Extra cost of `ENTER`.
+pub(crate) const ENTER_EXTRA: u64 = 3;
+/// Extra cost of `RESUME`.
+pub(crate) const RESUME_EXTRA: u64 = 2;
 
-impl TimingConfig {
-    /// Whether every cost is one the clock can be charged
-    /// ([`MAX_CYCLE_COST`]).
-    ///
-    /// # Errors
-    ///
-    /// The name of the first field over the ceiling.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        macro_rules! ceiling {
-            ($($field:ident),*) => {$(
-                if self.$field > MAX_CYCLE_COST {
-                    return Err(concat!(
-                        "mdp.timing.",
-                        stringify!($field),
-                        " is over MAX_CYCLE_COST"
-                    ));
-                }
-            )*};
-        }
-        ceiling!(
-            base,
-            imem_operand,
-            emem_operand,
-            queue_operand,
-            emem_fetch,
-            imm_ext,
-            branch_taken,
-            jump,
-            mul,
-            div,
-            dispatch,
-            fault_entry,
-            xlate_extra,
-            enter_extra,
-            resume_extra
-        );
-        Ok(())
-    }
-}
+// The paper's figures (§2.1, §4.3.2). Register to register: 1 cycle; one
+// internal-memory operand: 2; an external one: 6.
+const _: () = assert!(BASE == 1 && BASE + IMEM_OPERAND == 2 && BASE + EMEM_OPERAND == 6);
+// Queue word relocation to internal memory: read (1) + write (2) = 3.
+const _: () = assert!(BASE + QUEUE_OPERAND + BASE + IMEM_OPERAND == 3);
+// Dispatch: 4 cycles; `XLATE`: 3.
+const _: () = assert!(DISPATCH == 4 && BASE + XLATE_EXTRA == 3);
 
-/// Full node configuration. The node's sizes — its two queues and its
-/// name cache — are the constants `QUEUE0_WORDS`, `QUEUE1_WORDS` and
-/// `XLATE_ENTRIES` of [`jm_isa::consts`].
+/// Full node configuration. The node's costs are the constants above; its
+/// sizes — its two queues and its name cache — are the constants
+/// `QUEUE0_WORDS`, `QUEUE1_WORDS` and `XLATE_ENTRIES` of
+/// [`jm_isa::consts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MdpConfig {
-    /// Timing model.
-    pub timing: TimingConfig,
     /// Checksummed-message mode (fault-injection runs): every message
     /// carries one extra trailer word — an FNV-1a fold of its header and
     /// payload — appended at injection and validated at dispatch. A
     /// mismatch drops the message and counts a
     /// [`jm_isa::consts::FaultKind::CorruptMessage`] instead of letting a
     /// handler run on damaged arguments. Off by default: fault-free runs
-    /// carry no trailer and take the unchecked dispatch path.
+    /// carry no trailer and take the unchecked dispatch path. Under a
+    /// `JMachine`, `try_new` derives it from the fault spec and replaces
+    /// any value set here.
     pub checksum_msgs: bool,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn defaults_match_paper_figures() {
-        let t = TimingConfig::default();
-        // Register-register: 1 cycle; one Imem operand: 2 cycles.
-        assert_eq!(t.base, 1);
-        assert_eq!(t.base + t.imem_operand, 2);
-        // Emem operand: 6 cycles total.
-        assert_eq!(t.base + t.emem_operand, 6);
-        // Queue word relocation to Imem: read (1) + write (2) = 3 (§4.3.2).
-        assert_eq!(t.base + t.queue_operand + t.base + t.imem_operand, 3);
-        // Dispatch: 4 cycles; xlate: 3 cycles.
-        assert_eq!(t.dispatch, 4);
-        assert_eq!(t.base + t.xlate_extra, 3);
-    }
 
     #[test]
     fn windows_fit_segment_descriptors() {

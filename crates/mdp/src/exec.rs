@@ -6,7 +6,10 @@
 //! or (inside a stretch) an access the checkpoint cannot undo. A stretch
 //! therefore stops before an op with nothing to take back.
 
-use crate::config::{QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
+use crate::config::{
+    BASE, BRANCH_TAKEN, EMEM_FETCH, EMEM_OPERAND, IMEM_OPERAND, IMM_EXT, QUEUE_OPERAND,
+    QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE,
+};
 use crate::lower::{Kind, Op, Opd};
 use crate::memory::Memory;
 use crate::node::{InjectAck, MdpNode, NetPort, NodeError};
@@ -175,11 +178,7 @@ impl MdpNode {
             self.exec_visible(priority, &op, start, net)
         };
         let step = step.unwrap_or_else(|(hazard, extra)| self.blocked(priority, hazard, extra));
-        let fetch = if op.emem {
-            self.config.timing.emem_fetch
-        } else {
-            0
-        };
+        let fetch = if op.emem { EMEM_FETCH } else { 0 };
         let cost = match step {
             Step::Done(Retired { cost, next }) => {
                 self.regs.bank_mut(priority).ip = next;
@@ -232,7 +231,7 @@ impl MdpNode {
                 // operand access) before the vector entry: a cfut read
                 // costs 2 (detect) + 4 (vector) = the paper's 6-cycle
                 // failure (Table 2).
-                Step::Vectored(entry + self.config.timing.base + extra)
+                Step::Vectored(entry + BASE + extra)
             }
             Hazard::Visible => unreachable!("only a stretch stops at a visible access"),
         }
@@ -301,8 +300,7 @@ impl MdpNode {
                     _ => return Err((fault(FaultKind::TagMismatch, v), extra)),
                 };
                 return Ok(if taken {
-                    let refill = self.config.timing.branch_taken;
-                    Retired::at(op, extra + refill, op.val[2])
+                    Retired::at(op, extra + BRANCH_TAKEN, op.val[2])
                 } else {
                     Retired::at(op, extra, op.next)
                 });
@@ -523,7 +521,7 @@ impl MdpNode {
             Opd::A(a) => (bank.a[a.index()], Word::NIL),
             Opd::Imm(tag) | Opd::Ext(tag) => {
                 if let Opd::Ext(_) = opd {
-                    *extra += self.config.timing.imm_ext;
+                    *extra += IMM_EXT;
                 }
                 // Immediates are program text, not data: a `cfut` immediate
                 // is how slots are (re)initialized, so it never faults as a
@@ -589,12 +587,11 @@ impl MdpNode {
     /// stretch (`spec`) stops at the staging window.
     #[inline]
     fn load(&self, addr: u32, extra: &mut u64, spec: bool) -> Result<Word, Hazard> {
-        let t = &self.config.timing;
         if addr < MEM_WORDS {
             *extra += if Memory::is_internal(addr) {
-                t.imem_operand
+                IMEM_OPERAND
             } else {
-                t.emem_operand
+                EMEM_OPERAND
             };
             return Ok(self.mem.read(addr));
         }
@@ -604,7 +601,7 @@ impl MdpNode {
             // base is `head_slot`, so in-message offsets may run past the
             // ring end and wrap (read_slot reduces modulo the capacity).
             if addr >= base && addr < base + 2 * cap {
-                *extra += t.queue_operand;
+                *extra += QUEUE_OPERAND;
                 let slot = self.queues[q].read_slot((addr - base) as usize);
                 return slot.ok_or(Hazard::Stall);
             }
@@ -630,12 +627,11 @@ impl MdpNode {
     /// write, stops the stretch.
     #[inline]
     fn store(&mut self, addr: u32, word: Word, extra: &mut u64, spec: bool) -> Result<(), Hazard> {
-        let t = &self.config.timing;
         if addr < MEM_WORDS {
             *extra += if Memory::is_internal(addr) {
-                t.imem_operand
+                IMEM_OPERAND
             } else {
-                t.emem_operand
+                EMEM_OPERAND
             };
             if spec {
                 if !self.mem.is_mapped(addr) {

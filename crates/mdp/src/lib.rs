@@ -46,7 +46,7 @@ mod stats;
 mod stretch;
 mod xlate;
 
-pub use config::{MdpConfig, TimingConfig, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
+pub use config::{MdpConfig, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
 pub use lower::Code;
 pub use memory::{Memory, MemoryStats};
 pub use node::{InjectAck, MdpNode, NetPort, NodeError, TickOutcome};

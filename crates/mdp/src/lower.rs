@@ -11,7 +11,9 @@
 //! the executor never sees one. Every node running a program shares its
 //! [`Code`].
 
-use crate::config::TimingConfig;
+use crate::config::{
+    BASE, BRANCH_TAKEN, DIV, EMEM_FETCH, ENTER_EXTRA, JUMP, MUL, RESUME_EXTRA, XLATE_EXTRA,
+};
 use jm_asm::Program;
 use jm_isa::consts::EMEM_BASE;
 use jm_isa::instr::{Alu1Op, AluOp, Cond, Instruction, MsgPriority, StatClass};
@@ -21,19 +23,18 @@ use jm_isa::tag::Tag;
 use std::cell::RefCell;
 use std::sync::{Arc, Weak};
 
-/// A program lowered for execution under one timing model: one op per
-/// instruction index. Nodes built from one `Code`
-/// ([`MdpNode::with_code`](crate::MdpNode::with_code)) share its table.
+/// A program lowered for execution: one op per instruction index. Nodes
+/// built from one `Code` ([`MdpNode::with_code`](crate::MdpNode::with_code))
+/// share its table.
 #[derive(Debug)]
 pub struct Code {
     pub(crate) program: Arc<Program>,
-    pub(crate) timing: TimingConfig,
     pub(crate) ops: Arc<[Op]>,
 }
 
 impl Code {
-    /// Lowers `program`'s code, its costs under `timing`.
-    pub fn lower(program: Arc<Program>, timing: &TimingConfig) -> Code {
+    /// Lowers `program`'s code.
+    pub fn lower(program: Arc<Program>) -> Code {
         let code = &program.code;
         // Where code crosses into external memory (two instructions per
         // word, nominally); every instruction from there on costs an extra
@@ -58,42 +59,33 @@ impl Code {
                     op.class = op.class.or(Some(class));
                     op
                 }
-                instr => Op::lower(instr, ip as u32, ip as u32 >= emem_from, timing),
+                instr => Op::lower(instr, ip as u32, ip as u32 >= emem_from),
             };
         }
         Code {
             program,
-            timing: *timing,
             ops: ops.into(),
         }
     }
 
     /// [`Self::lower`], once for all the nodes one thread builds from the
-    /// same `Arc<Program>` and timing while any of them lives: a host that
+    /// same `Arc<Program>` while any of them lives: a host that
     /// builds its own nodes with [`MdpNode::new`](crate::MdpNode::new) —
     /// jmbench's split stepper and interpreter kernel — gets one table, as
     /// a `JMachine` does, not a copy per node in every cache.
-    pub(crate) fn shared(program: Arc<Program>, timing: &TimingConfig) -> Code {
-        type Entry = (Weak<Program>, TimingConfig, Weak<[Op]>);
+    pub(crate) fn shared(program: Arc<Program>) -> Code {
+        type Entry = (Weak<Program>, Weak<[Op]>);
         thread_local! {
             static LOWERED: RefCell<Vec<Entry>> = const { RefCell::new(Vec::new()) };
         }
         LOWERED.with_borrow_mut(|lowered| {
-            lowered.retain(|(_, _, ops)| ops.strong_count() > 0);
-            let same = |(p, t, _): &&Entry| p.as_ptr() == Arc::as_ptr(&program) && t == timing;
-            if let Some(ops) = lowered
-                .iter()
-                .find(same)
-                .and_then(|(_, _, ops)| ops.upgrade())
-            {
-                return Code {
-                    program,
-                    timing: *timing,
-                    ops,
-                };
+            lowered.retain(|(_, ops)| ops.strong_count() > 0);
+            let same = |(p, _): &&Entry| p.as_ptr() == Arc::as_ptr(&program);
+            if let Some(ops) = lowered.iter().find(same).and_then(|(_, ops)| ops.upgrade()) {
+                return Code { program, ops };
             }
-            let code = Code::lower(Arc::clone(&program), timing);
-            let entry = (Arc::downgrade(&program), *timing, Arc::downgrade(&code.ops));
+            let code = Code::lower(Arc::clone(&program));
+            let entry = (Arc::downgrade(&program), Arc::downgrade(&code.ops));
             lowered.push(entry);
             code
         })
@@ -138,7 +130,7 @@ pub(crate) enum Opd {
     A(AReg),
     /// An immediate in the instruction word, with this tag.
     Imm(Tag),
-    /// An immediate in an extension word, which costs `imm_ext` to read.
+    /// An immediate in an extension word, which costs `IMM_EXT` to read.
     Ext(Tag),
     Sp(Special),
     /// `[base + displacement]`.
@@ -172,6 +164,12 @@ pub(crate) struct Op {
 
 // The table is walked on every retired instruction: two ops to a cache line.
 const _: () = assert!(std::mem::size_of::<Op>() <= 32);
+// An op's `cost` is a `u32`: even every extra at once, fetched from
+// external memory, fits.
+const _: () = assert!(
+    BASE + EMEM_FETCH + MUL + DIV + BRANCH_TAKEN + JUMP + RESUME_EXTRA + ENTER_EXTRA + XLATE_EXTRA
+        <= u32::MAX as u64
+);
 
 impl Op {
     /// The op where nothing follows a run of `MARK`s: taking them leaves the
@@ -191,7 +189,7 @@ impl Op {
         }
     }
 
-    fn lower(instr: Instruction, ip: u32, emem: bool, t: &TimingConfig) -> Op {
+    fn lower(instr: Instruction, ip: u32, emem: bool) -> Op {
         let target = |off: i32| (i64::from(ip) + 1 + i64::from(off)) as u32;
         let mut op = Op {
             kind: Kind::Nop,
@@ -216,8 +214,8 @@ impl Op {
             Instruction::Alu { op: alu, dst, a, b } => {
                 op.dst(dst).src(0, a).src(1, b);
                 extra = match alu {
-                    AluOp::Mul => t.mul,
-                    AluOp::Div | AluOp::Rem => t.div,
+                    AluOp::Mul => MUL,
+                    AluOp::Div | AluOp::Rem => DIV,
                     _ => 0,
                 };
                 Kind::Alu(alu)
@@ -228,7 +226,7 @@ impl Op {
             }
             Instruction::Br { off } => {
                 op.val[2] = target(off);
-                extra = t.branch_taken;
+                extra = BRANCH_TAKEN;
                 Kind::Br
             }
             Instruction::Bc { cond, src, off } => {
@@ -237,13 +235,13 @@ impl Op {
             }
             Instruction::Jmp { target } => {
                 op.src(0, target);
-                extra = t.jump;
+                extra = JUMP;
                 Kind::Jmp
             }
             Instruction::Jal { link, off } => {
                 op.d = Opd::D(link);
                 op.val[2] = target(off);
-                extra = t.jump;
+                extra = JUMP;
                 Kind::Jal
             }
             Instruction::Send {
@@ -264,7 +262,7 @@ impl Op {
             }
             Instruction::Suspend => Kind::Suspend,
             Instruction::Resume => {
-                extra = t.resume_extra;
+                extra = RESUME_EXTRA;
                 Kind::Resume
             }
             Instruction::Rtag { dst, src } => {
@@ -281,17 +279,17 @@ impl Op {
             }
             Instruction::Enter { key, value } => {
                 op.src(0, key).src(1, value);
-                extra = t.enter_extra;
+                extra = ENTER_EXTRA;
                 Kind::Enter
             }
             Instruction::Xlate { dst, key } => {
                 op.dst(dst).src(0, key);
-                extra = t.xlate_extra;
+                extra = XLATE_EXTRA;
                 Kind::Xlate
             }
             Instruction::Probe { dst, key } => {
                 op.dst(dst).src(0, key);
-                extra = t.xlate_extra;
+                extra = XLATE_EXTRA;
                 Kind::Probe
             }
             Instruction::Halt => Kind::Halt,
@@ -307,9 +305,8 @@ impl Op {
                 | Kind::Probe
                 | Kind::Halt
         );
-        let fetch = if emem { t.emem_fetch } else { 0 };
-        // Each term is at most `MAX_CYCLE_COST` (2^20), so the sum fits.
-        op.cost = (t.base + extra + fetch) as u32;
+        let fetch = if emem { EMEM_FETCH } else { 0 };
+        op.cost = (BASE + extra + fetch) as u32;
         op
     }
 
@@ -369,7 +366,7 @@ mod tests {
             code_base,
             ..Program::default()
         };
-        Code::lower(Arc::new(program), &TimingConfig::default())
+        Code::lower(Arc::new(program))
     }
 
     /// The source operand `opd`, with payload `val`, was lowered from.
@@ -517,7 +514,6 @@ mod tests {
     /// extra, and the fetch from external memory past the boundary.
     #[test]
     fn costs_fold_the_operation_and_the_fetch() {
-        let t = TimingConfig::default();
         let code = vec![
             Instruction::Nop,
             Instruction::Alu {
@@ -531,12 +527,7 @@ mod tests {
         ];
         let inside = lowered(code.clone(), 16);
         let costs: Vec<u32> = inside.ops.iter().map(|op| op.cost).collect();
-        let expect = [
-            t.base,
-            t.base + t.div,
-            t.base + t.branch_taken,
-            t.base + t.resume_extra,
-        ];
+        let expect = [BASE, BASE + DIV, BASE + BRANCH_TAKEN, BASE + RESUME_EXTRA];
         assert_eq!(costs, expect.map(|c| c as u32));
         assert!(inside.ops.iter().all(|op| !op.emem));
         assert_eq!(inside.ops[2].val[2], 0, "BR -3 from index 2 lands on 0");
@@ -544,13 +535,12 @@ mod tests {
         let outside = lowered(code, EMEM_BASE);
         for (op, cost) in outside.ops.iter().zip(expect) {
             assert!(op.emem);
-            assert_eq!(u64::from(op.cost), cost + t.emem_fetch);
+            assert_eq!(u64::from(op.cost), cost + EMEM_FETCH);
         }
     }
 
     /// Nodes built one by one from one `Arc<Program>` share one table while
-    /// any of them lives; another timing model, or another program, is
-    /// lowered afresh.
+    /// any of them lives; another program is lowered afresh.
     #[test]
     fn nodes_built_alone_share_one_table() {
         let program = Arc::new(Program {
@@ -558,21 +548,15 @@ mod tests {
             code_base: 16,
             ..Program::default()
         });
-        let t = TimingConfig::default();
-        let first = Code::shared(Arc::clone(&program), &t);
-        let second = Code::shared(Arc::clone(&program), &t);
+        let first = Code::shared(Arc::clone(&program));
+        let second = Code::shared(Arc::clone(&program));
         assert!(Arc::ptr_eq(&first.ops, &second.ops));
-        let slow = TimingConfig { base: 2, ..t };
-        assert!(!Arc::ptr_eq(
-            &first.ops,
-            &Code::shared(Arc::clone(&program), &slow).ops
-        ));
         let other = Arc::new(Program::clone(&program));
-        assert!(!Arc::ptr_eq(&first.ops, &Code::shared(other, &t).ops));
+        assert!(!Arc::ptr_eq(&first.ops, &Code::shared(other).ops));
         // Once no node holds the table, the next one lowers it again.
         let weak = Arc::downgrade(&first.ops);
         drop((first, second));
         assert_eq!(weak.strong_count(), 0);
-        assert_eq!(Code::shared(program, &t).ops.len(), 4);
+        assert_eq!(Code::shared(program).ops.len(), 4);
     }
 }

@@ -1,7 +1,7 @@
 //! The MDP node: architectural state, thread scheduling, dispatch, and
 //! fault machinery. Instruction semantics live in [`crate::exec`].
 
-use crate::config::{MdpConfig, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
+use crate::config::{MdpConfig, DISPATCH, FAULT_ENTRY, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
 use crate::lower::{Code, Op};
 use crate::memory::{Memory, MemoryStats};
 use crate::queue::MsgQueue;
@@ -230,16 +230,11 @@ impl MdpNode {
         config: MdpConfig,
         start_background: bool,
     ) -> MdpNode {
-        let code = Code::shared(program, &config.timing);
+        let code = Code::shared(program);
         MdpNode::with_code(id, dims, &code, config, start_background)
     }
 
     /// [`Self::new`] for a program already lowered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `code` was lowered under another timing model than
-    /// `config`'s.
     pub fn with_code(
         id: NodeId,
         dims: MeshDims,
@@ -247,10 +242,6 @@ impl MdpNode {
         config: MdpConfig,
         start_background: bool,
     ) -> MdpNode {
-        assert_eq!(
-            code.timing, config.timing,
-            "code lowered under another timing model"
-        );
         let program = &code.program;
         let mut mem = Memory::new();
         for block in &program.data {
@@ -674,9 +665,8 @@ impl MdpNode {
         let entry = self.stats.handlers.slot_mut(slot);
         entry.threads += 1;
         entry.msg_words += u64::from(header.len);
-        let cost = self.config.timing.dispatch;
-        self.stats.add_cycles(StatClass::Dispatch, cost);
-        self.busy_until = now + cost;
+        self.stats.add_cycles(StatClass::Dispatch, DISPATCH);
+        self.busy_until = now + DISPATCH;
     }
 
     /// Checksum-mode dispatch validation: recomputes the FNV-1a fold over
@@ -714,9 +704,8 @@ impl MdpNode {
                 },
             );
         }
-        let cost = self.config.timing.dispatch;
-        self.stats.add_cycles(StatClass::Dispatch, cost);
-        self.busy_until = now + cost;
+        self.stats.add_cycles(StatClass::Dispatch, DISPATCH);
+        self.busy_until = now + DISPATCH;
         false
     }
 
@@ -797,7 +786,7 @@ impl MdpNode {
             _ => self.class[bank_index],
         };
         self.class[bank_index] = class;
-        self.config.timing.fault_entry
+        FAULT_ENTRY
     }
 
     /// Reads a staging-window word (memory-mapped at [`STAGING_VBASE`]).

@@ -617,7 +617,6 @@ fn checksum_mode_drops_corrupt_messages_and_passes_clean_ones() {
     let handler = p.handler("handler");
     let cfg = MdpConfig {
         checksum_msgs: true,
-        ..MdpConfig::default()
     };
     let mut node = MdpNode::new(NodeId(0), MeshDims::new(2, 2, 2), Arc::new(p), cfg, true);
     let mut net = MockNet::default();
@@ -657,7 +656,6 @@ fn checksum_mode_defers_dispatch_until_full_arrival() {
     let handler = p.handler("handler");
     let cfg = MdpConfig {
         checksum_msgs: true,
-        ..MdpConfig::default()
     };
     let mut node = MdpNode::new(NodeId(0), MeshDims::new(2, 2, 2), Arc::new(p), cfg, true);
     let mut net = MockNet::default();
@@ -688,22 +686,21 @@ fn checksum_mode_defers_dispatch_until_full_arrival() {
 fn idle_is_the_gap_between_two_acts() {
     // One node ticked only where it has something to do — an idle tick at
     // 0, a dispatch at 40 (the header's arrival), the handler's SUSPEND at
-    // 41, an idle tick at 300 — against a twin ticked every cycle: at every
-    // cycle the sparse node's counters plus what it is owed are the twin's,
-    // and every cycle either has lived through is in exactly one class.
+    // 44, after the 4-cycle dispatch, an idle tick at 300 — against a twin
+    // ticked every cycle: at every cycle the sparse node's counters plus
+    // what it is owed are the twin's, and every cycle either has lived
+    // through, or is busy until, is in exactly one class.
     let mut b = Builder::new();
     b.label("handler");
     b.suspend();
     let p = Arc::new(b.assemble().unwrap());
     let header = MsgHeader::new(p.handler("handler"), 1).to_word();
-    let mut cfg = MdpConfig::default();
-    cfg.timing.dispatch = 1;
     let boot = || {
         MdpNode::new(
             NodeId(0),
             MeshDims::new(2, 2, 2),
             Arc::clone(&p),
-            cfg,
+            MdpConfig::default(),
             false,
         )
     };
@@ -715,18 +712,18 @@ fn idle_is_the_gap_between_two_acts() {
             deliver(&mut twin, MsgPriority::P0, header, now);
         }
         twin.tick(now, &mut net);
-        if [0, 40, 41, 300].contains(&now) {
+        if [0, 40, 44, 300].contains(&now) {
             sparse.tick(now, &mut net);
         }
         let mut owed = sparse.stats().clone();
         owed.add_cycles(StatClass::Idle, sparse.idle_owed(now + 1));
         assert_eq!(&owed, twin.stats(), "after cycle {now}");
         assert_eq!(twin.idle_owed(now + 1), 0);
-        assert_eq!(owed.total_cycles(), now + 1);
+        assert_eq!(owed.total_cycles(), (now + 1).max(twin.busy_until()));
     }
     assert_eq!(sparse.stats(), twin.stats());
     assert_eq!(twin.stats().threads, 1);
-    assert_eq!(twin.stats().class_cycles(StatClass::Idle), 299);
+    assert_eq!(twin.stats().class_cycles(StatClass::Idle), 296);
     // A tick before `busy_until` claims nothing, and nothing is owed for
     // a cycle that has not come.
     sparse.tick(200, &mut net);

@@ -7,7 +7,8 @@
 //!   e-cube out port of every queue's front flit, this cycle's pop and push
 //!   bits) in two cache lines, so finding out that a flit cannot move
 //!   (about half of all probes at saturation) never loads a flit, and only
-//!   a probe that must know whether its front flit is a head loads one;
+//!   a probe at a full ejection FIFO, which must know whether its front
+//!   flit carries a word, loads one;
 //! * the directional rings, each `(router, vnet, port)` queue a
 //!   [`FLIT_BUFFER`]-flit ring that is one 64-byte line ([`Ring`]), at a
 //!   computed index in one `Vec<Ring>` allocated once per shard — so every
@@ -24,7 +25,7 @@
 //! [`FLIT_BUFFER`]) below `INJECT`, the injection FIFO (capacity
 //! [`INJECT_FIFO`]).
 
-use crate::config::{FLIT_BUFFER, INJECT_FIFO};
+use crate::config::{FLIT_BUFFER, INJECT_FIFO, INJECT_LATENCY};
 use crate::flit::{Flit, Message};
 use crate::router::ecube_route;
 use jm_fault::port::{self, INJECT};
@@ -334,7 +335,7 @@ impl ChannelArena {
     #[inline]
     pub(crate) fn inject_ready(&self, l: usize, vnet: usize, cycle: u64) -> bool {
         let msg = self.fifo(l, vnet).msgs.front();
-        msg.expect("front of empty injection FIFO").ready_cycle <= cycle
+        msg.expect("front of empty injection FIFO").inject_cycle + INJECT_LATENCY <= cycle
     }
 
     /// The injection FIFO's front flit as an arbitration probe reads it:
@@ -415,8 +416,7 @@ impl ChannelArena {
     /// per port, the occupancy, the buffered flits in logical FIFO order
     /// (destination, framing flags, a head's commit cycle, payload), and
     /// the output-port owner. The injection FIFO folds the flits its
-    /// messages stand for, exactly as if it stored them (a message's ready
-    /// cycle is its commit cycle plus the constant injection latency).
+    /// messages stand for, exactly as if it stored them.
     /// Physical ring head positions, the cached routes (a function of the
     /// front flit) and the stamp with its pop and push bits are excluded —
     /// at a cycle boundary the logical queue contents fully determine future
@@ -567,7 +567,7 @@ mod tests {
         let trace = jm_isa::TraceId(tag as u64);
         let mut all = vec![jm_isa::node::RouteWord::new(dest).to_word()];
         all.extend((1..words as i32).map(|k| Word::int(tag * 16 + k)));
-        let msg = Message::new(dest, words, cycle, cycle + 2, trace);
+        let msg = Message::new(dest, words, cycle, trace);
         let flits = Flit::message(dest, &all, cycle, trace).collect();
         (msg, all.split_off(1), flits)
     }
@@ -710,7 +710,8 @@ mod tests {
                     let (msg, payload, flits) = message(dest, words, cycle, step as i32);
                     if model[qi].len() + flits.len() <= INJECT_FIFO {
                         a.commit(l, vnet, msg, &payload);
-                        model[qi].extend(flits.into_iter().map(|f| (f, msg.ready_cycle)));
+                        let from = msg.inject_cycle + INJECT_LATENCY;
+                        model[qi].extend(flits.into_iter().map(|f| (f, from)));
                     }
                 }
                 // Senders check start-of-cycle space before every push, and

@@ -1,7 +1,6 @@
 //! Network configuration: the mesh's extents, and the buffer depths and
 //! latency of the one router jmsim models.
 
-use jm_isa::consts::MAX_CYCLE_COST;
 use jm_isa::node::MeshDims;
 
 /// Per-input-port, per-priority buffer depth in flits: the small depth
@@ -29,8 +28,6 @@ const _: () = assert!(FLIT_BUFFER >= 2);
 const _: () = assert!(INJECT_FIFO >= 4);
 // A node whose ejection FIFO holds no word delivers nothing.
 const _: () = assert!(EJECT_FIFO >= 1);
-// The latency is added to the clock at every injection.
-const _: () = assert!(INJECT_LATENCY <= MAX_CYCLE_COST);
 
 /// Configuration of the mesh network: its extents. Every other parameter of
 /// the router is a constant of this module.

@@ -158,23 +158,15 @@ pub(crate) struct Message {
     pub(crate) popped: u8,
     /// Lifecycle-trace id, as [`Flit`] stores it.
     pub(crate) trace: u32,
-    /// Commit cycle, for latency accounting.
+    /// Commit cycle, for latency accounting; its flits may leave the
+    /// injection FIFO `INJECT_LATENCY` cycles later.
     pub(crate) inject_cycle: u64,
-    /// Earliest cycle the message's flits may leave the injection FIFO.
-    pub(crate) ready_cycle: u64,
 }
 
 impl Message {
     /// The record of a message of `words` words (route word included),
-    /// committed in `inject_cycle`, whose flits may leave the injection
-    /// FIFO from `ready_cycle` on.
-    pub(crate) fn new(
-        dest: Coord,
-        words: usize,
-        inject_cycle: u64,
-        ready_cycle: u64,
-        trace: TraceId,
-    ) -> Message {
+    /// committed in `inject_cycle`.
+    pub(crate) fn new(dest: Coord, words: usize, inject_cycle: u64, trace: TraceId) -> Message {
         debug_assert!(
             u32::try_from(trace.0).is_ok(),
             "trace id exceeds the flit's 32-bit field"
@@ -185,7 +177,6 @@ impl Message {
             popped: 0,
             trace: trace.0 as u32,
             inject_cycle,
-            ready_cycle,
         }
     }
 
@@ -247,11 +238,14 @@ mod tests {
         assert_eq!(std::mem::align_of::<Flit>(), 8);
     }
 
+    // A queued message's record: what its flits share, and nothing derived.
+    const _: () = assert!(std::mem::size_of::<Message>() == 24);
+
     /// A three-word message's flits, as [`Message::flit`] makes them.
     fn message() -> (Coord, [Word; 3], Vec<Flit>) {
         let dest = Coord::new(1, 2, 3);
         let words = [Word::int(5), Word::int(9), Word::int(-1)];
-        let msg = Message::new(dest, words.len(), 7, 9, TraceId(3));
+        let msg = Message::new(dest, words.len(), 7, TraceId(3));
         let flits = (0..msg.flits as usize)
             .map(|f| msg.flit(f, |k| words[1 + k]))
             .collect();
@@ -263,7 +257,7 @@ mod tests {
         let words: Vec<Word> = (0..9).map(Word::int).collect();
         for len in 1..=words.len() {
             let words = &words[..len];
-            let msg = Message::new(Coord::new(3, 0, 1), len, 4, 6, TraceId(11));
+            let msg = Message::new(Coord::new(3, 0, 1), len, 4, TraceId(11));
             assert_eq!((msg.payload_words(), msg.left()), (len - 1, 2 * len));
             let made: Vec<Flit> = (0..2 * len)
                 .map(|f| msg.flit(f, |k| words[1 + k]))
@@ -299,7 +293,7 @@ mod tests {
             assert_eq!(f.trace(), TraceId(3));
         }
         // Every tag survives the data bytes.
-        let msg = Message::new(dest, 2, 0, 2, TraceId::NONE);
+        let msg = Message::new(dest, 2, 0, TraceId::NONE);
         for bits in 0..16 {
             let word = Word::new(Tag::from_bits(bits), 0xdead_beef ^ u32::from(bits));
             assert_eq!(msg.flit(3, |_| word).payload(), Some(word));

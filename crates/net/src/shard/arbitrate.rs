@@ -130,11 +130,11 @@ impl NetShard {
     ///
     /// Whether a front flit may move is a conjunction of pure checks, so
     /// their order is unobservable; they run cheapest storage first — this
-    /// router's hot record (readiness included, for a ring), the
-    /// neighbour's, and only then the flit, whose one question is whether it
-    /// is a head when it must acquire the output. The one check with a side
+    /// router's hot record (readiness included, for a ring), then the
+    /// neighbour's. The flit itself is read only when the ejection FIFO is
+    /// full, to ask whether it carries a word. The one check with a side
     /// effect is the fault plan's (`blocked_moves`), which keeps its place
-    /// after the owner, readiness and head checks (`DESIGN.md` §4.5).
+    /// after the owner and readiness checks (`DESIGN.md` §4.5).
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn try_move<const INJECT: bool>(
@@ -180,20 +180,7 @@ impl NetShard {
         if !ready {
             return;
         }
-        // The flit's own say, when it must acquire the output: a head
-        // (wormhole FIFO discipline never strands a body flit behind a
-        // torn-down path).
-        let head_ok = |arena: &ChannelArena| {
-            owned || {
-                let head = front(arena).head();
-                debug_assert!(head, "orphan body flit");
-                head
-            }
-        };
         if let Some(f) = &self.fault {
-            if !head_ok(&self.arena) {
-                return;
-            }
             // Delay faults act exactly like a full downstream buffer: the
             // flit stays queued and wormhole backpressure holds the path, so
             // nothing is ever lost. The decision is a pure function of
@@ -229,15 +216,15 @@ impl NetShard {
             }
             next
         };
-        if self.fault.is_none() && !head_ok(&self.arena) {
-            return;
-        }
         // Commit the move.
         let flit = if INJECT {
             self.arena.pop_inject(n, vnet, cycle)
         } else {
             self.arena.pop(n, vnet, in_port, cycle)
         };
+        // Wormhole FIFO discipline never strands a body flit behind a
+        // torn-down path: a flit that acquires an output is a head.
+        debug_assert!(owned || flit.head(), "orphan body flit");
         pass.in_used |= 1 << in_port;
         pass.out_used |= 1 << out;
         self.arena

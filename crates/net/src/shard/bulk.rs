@@ -475,7 +475,7 @@ impl NetShard {
         // Flit `f` has made one move a cycle in `[q + f, cycle)`: from
         // `first` on, none, so the flits still in the injection FIFO go
         // back into it as the message's record, its cursor at `first` and
-        // its ready cycle the original one.
+        // its commit cycle the original one.
         let first = cycle.saturating_sub(b.q).min(f_count);
         if first < f_count {
             debug_assert_eq!(

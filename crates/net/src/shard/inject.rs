@@ -3,7 +3,7 @@
 //! injection side (node-down stalls, checksum trailers).
 
 use super::NetShard;
-use crate::config::{INJECT_FIFO, INJECT_LATENCY};
+use crate::config::INJECT_FIFO;
 use crate::flit::Message;
 use jm_fault::{checksum_words, port};
 use jm_isa::instr::MsgPriority;
@@ -107,8 +107,7 @@ impl NetShard {
             }
             None => TraceId::NONE,
         };
-        let ready = cycle + INJECT_LATENCY;
-        let msg = Message::new(dest, words.len(), cycle, ready, trace);
+        let msg = Message::new(dest, words.len(), cycle, trace);
         if self.law.on {
             self.launch(cycle, l, vnet, msg, &words[1..]);
         } else {

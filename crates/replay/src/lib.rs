@@ -27,7 +27,6 @@ mod tests {
     use jm_isa::instr::MsgPriority;
     use jm_isa::node::MeshDims;
     use jm_isa::word::Word;
-    use jm_mdp::TimingConfig;
 
     fn sample_log() -> ReplayLog {
         let mut b = Builder::new();
@@ -45,7 +44,6 @@ mod tests {
                 start: RecordedStart::AllNodes,
                 engine: RecordedEngine::Event,
                 threads: 0,
-                timing: TimingConfig::default(),
             },
             fault: Some(
                 jm_fault::FaultSpec::new(7)

@@ -11,14 +11,15 @@
 //! handler dispatch) is deterministic given those inputs and is
 //! deliberately not recorded.
 //!
-//! The byte format is little-endian throughout, magic `JMRP6\n` (version 2
+//! The byte format is little-endian throughout, magic `JMRP7\n` (version 2
 //! added the traffic-spec section; version 3 dropped the host-tuning
 //! fields; version 4 has the same layout but router hashes that no longer
 //! fold the word-wise injection framing; version 5 dropped the seven buffer
 //! sizes, now constants of the machine, and the checksum-mode byte, which a
 //! replay re-derives from the fault spec; version 6 has version 5's layout
 //! but router hashes that fold no per-flit ready or commit cycles, only a
-//! message's commit cycle, once), and has no alignment padding; see
+//! message's commit cycle, once; version 7 dropped the fifteen cycle costs,
+//! now constants of the node), and has no alignment padding; see
 //! `DESIGN.md` §4.8 for the field-by-field layout.
 
 use jm_asm::{DataBlock, Program, SymbolValue};
@@ -29,21 +30,21 @@ use jm_isa::instr::MsgPriority;
 use jm_isa::node::MeshDims;
 use jm_isa::tag::Tag;
 use jm_isa::word::{SegDesc, Word};
-use jm_mdp::TimingConfig;
 use jm_traffic::{TrafficPattern, TrafficSpec};
 use std::fmt;
 use std::path::Path;
 
-/// Magic bytes opening every log (`JMRP` + format version 6; version 2
+/// Magic bytes opening every log (`JMRP` + format version 7; version 2
 /// also carried the recording run's quantum, scheduler mode and bulk
 /// switch, a version 3 log's router hashes fold one more byte per
 /// component, version 4 carried 49 header bytes of sizes and modes version
-/// 5 does not, and a version 5 log's router hashes fold every buffered
-/// flit's ready and commit cycles, so every checkpoint of either hash
-/// change would read as a divergence). Logs are
+/// 5 does not, a version 5 log's router hashes fold every buffered flit's
+/// ready and commit cycles, so every checkpoint of either hash change would
+/// read as a divergence, and a version 6 header holds 120 bytes of cycle
+/// costs this version does not read). Logs are
 /// ephemeral CI artifacts, so a format bump invalidates nothing durable —
 /// an old log fails cleanly at the magic check instead of misparsing.
-pub const MAGIC: &[u8; 6] = b"JMRP6\n";
+pub const MAGIC: &[u8; 6] = b"JMRP7\n";
 
 /// Default hash-boundary spacing in cycles. Chosen so that hashing every
 /// node's register file, queues, and memory pages plus every router's
@@ -106,7 +107,7 @@ pub enum RecordedEngine {
 /// Engine and thread count are *metadata*: the three engines are
 /// bit-identical by construction, so a replay may run under any of them —
 /// these fields record what the original run used so a divergence report
-/// can name both sides. Everything else (dims, start policy, timing) shapes
+/// can name both sides. Everything else (dims, start policy) shapes
 /// simulated behavior and must be reproduced exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordedConfig {
@@ -118,8 +119,6 @@ pub struct RecordedConfig {
     pub engine: RecordedEngine,
     /// Thread count of the recording run (parallel engine only).
     pub threads: u32,
-    /// The node timing model.
-    pub timing: TimingConfig,
 }
 
 /// One host-boundary input. Each op is stored with the cycle it was
@@ -264,26 +263,6 @@ impl ReplayLog {
         w.u8(c.engine as u8);
         w.u32(c.threads);
         w.u64(self.interval);
-        let t = &c.timing;
-        for cost in [
-            t.base,
-            t.imem_operand,
-            t.emem_operand,
-            t.queue_operand,
-            t.emem_fetch,
-            t.imm_ext,
-            t.branch_taken,
-            t.jump,
-            t.mul,
-            t.div,
-            t.dispatch,
-            t.fault_entry,
-            t.xlate_extra,
-            t.enter_extra,
-            t.resume_extra,
-        ] {
-            w.u64(cost);
-        }
         match &self.fault {
             None => w.u8(0),
             Some(spec) => {
@@ -441,8 +420,8 @@ impl ReplayLog {
     /// replayer would otherwise panic on or allocate without bound for: a
     /// log is input from outside the program, so each value is checked
     /// where it is read. What makes a configuration buildable is the
-    /// owning crate's to say (`TimingConfig::validate`,
-    /// `TrafficSpec::validate` — the checks `JMachine::try_new` makes);
+    /// owning crate's to say (`TrafficSpec::validate`, a check
+    /// `JMachine::try_new` makes);
     /// what is about the *log* is checked here: counts against the bytes
     /// left, host ops against the recorded node count, each delivery's
     /// length against its queue's size, and address space. What depends on
@@ -472,24 +451,6 @@ impl ReplayLog {
         let engine = r.variant("engine", &engines)?;
         let threads = r.u32()?;
         let interval = r.u64()?;
-        let timing = TimingConfig {
-            base: r.u64()?,
-            imem_operand: r.u64()?,
-            emem_operand: r.u64()?,
-            queue_operand: r.u64()?,
-            emem_fetch: r.u64()?,
-            imm_ext: r.u64()?,
-            branch_taken: r.u64()?,
-            jump: r.u64()?,
-            mul: r.u64()?,
-            div: r.u64()?,
-            dispatch: r.u64()?,
-            fault_entry: r.u64()?,
-            xlate_extra: r.u64()?,
-            enter_extra: r.u64()?,
-            resume_extra: r.u64()?,
-        };
-        timing.validate().map_err(LogError::new)?;
         let fault = if r.u8()? != 0 {
             let mut spec = FaultSpec::new(r.u64()?)
                 .flaky(r.u32()?)
@@ -682,7 +643,6 @@ impl ReplayLog {
                 start,
                 engine,
                 threads,
-                timing,
             },
             fault,
             traffic,

@@ -18,7 +18,7 @@
 
 use jm_asm::{hdr, Builder, Program, Region};
 use jm_bench::workloads::pingpong_program;
-use jm_isa::consts::QUEUE0_WORDS;
+use jm_isa::consts::{EMEM_BASE, QUEUE0_WORDS};
 use jm_isa::instr::{AluOp, MsgPriority};
 use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::operand::{MemRef, Special};
@@ -27,9 +27,8 @@ use jm_isa::word::Word;
 use jm_isa::{Coord, RouteWord};
 use jm_machine::FaultSpec;
 use jm_machine::StartPolicy;
-use jm_machine::{JMachine, MachineConfig, TraceConfig};
+use jm_machine::{JMachine, MachineConfig, TraceConfig, TrafficSpec};
 use jm_mdp::StretchStats;
-use jm_mdp::{MdpConfig, TimingConfig};
 use jm_runtime::nnr;
 use jm_tests::{agree, observe, Observation};
 
@@ -105,44 +104,53 @@ fn fixed_cycle_run_is_engine_exact() {
 }
 
 /// Ping-pong workload built to force **idle-skip fast-forward across
-/// quantum boundaries**: the dispatch cost is cranked to 100 cycles, so
-/// after each handler retires the whole machine goes net-idle with the next
-/// wake-up 100 cycles out. Every skip target then lies past the next
-/// multiple of the 64-cycle quantum, exercising the decide-path that jumps
-/// `p/x` straight to the wake cycle (DESIGN.md §4.5).
+/// quantum boundaries**: a traffic window that dispatches `rally` opens
+/// long after the rallies end, so the whole machine goes net-idle with the
+/// next wake-up hundreds of cycles out. The skip target then lies past the
+/// next multiple of the 64-cycle quantum, exercising the decide-path that
+/// jumps `p/x` straight to the wake cycle (DESIGN.md §4.5).
 #[test]
 fn idle_skip_across_quantum_boundary_is_exact() {
-    let mdp = MdpConfig {
-        timing: TimingConfig {
-            dispatch: 100,
-            ..TimingConfig::default()
-        },
-        ..MdpConfig::default()
-    };
-    let config = MachineConfig::new(16).start(StartPolicy::AllNodes).mdp(mdp);
-    let (obs, _) = agree("idle-skip", &pingpong_program(), config, |m| {
+    const OPENS: u64 = 1_000;
+    let program = pingpong_program();
+    let config = MachineConfig::new(16).start(StartPolicy::AllNodes);
+    // The premise: the rallies alone end a whole quantum and more before
+    // the window opens.
+    let mut rallies = JMachine::new(program.clone(), config);
+    let rallied = rallies.run_until_quiescent(OPENS).unwrap();
+    assert!(rallied + 2 * 64 < OPENS, "rallies end at {rallied}");
+    // A generated message's one payload word is 1: `rally` counts a hit
+    // and sends nothing back.
+    let spec = TrafficSpec::new(5)
+        .load(50_000)
+        .msg_words(2)
+        .window(OPENS, OPENS + 100)
+        .handler(program.handler("rally"));
+    let (obs, _) = agree("idle-skip", &program, config.traffic(spec), |m| {
         observe(m, 1_000_000)
     });
     // The rallies completed (8 volleys split across each pair), and the
-    // run was long enough that skips of 100 cycles had to cross quantum
-    // boundaries.
+    // window's messages each counted one hit after the skip.
     let total_hits: i32 = obs.memory.iter().map(|w| w[0].as_i32()).sum();
-    assert_eq!(total_hits, 8 * 8);
+    let accepted = obs.stats.net.traffic.accepted_msgs;
+    assert!(accepted > 0);
+    assert_eq!(total_hits as u64, 8 * 8 + accepted);
     assert!(
-        obs.outcome.as_ref().is_ok_and(|&cycles| cycles > 400),
-        "workload too short to force boundary-crossing skips: {:?}",
+        obs.outcome.as_ref().is_ok_and(|&cycles| cycles > OPENS),
+        "{:?}",
         obs.outcome
     );
 }
 
 #[test]
 fn resuming_a_quiesced_machine_is_engine_exact() {
-    // Every instruction costs 7 cycles, so when the last handler's SUSPEND
+    // The code lies in external memory, so every instruction pays a
+    // 3-cycle fetch and a SUSPEND costs 4: when the last handler's SUSPEND
     // issues the machine is quiet — no work, no flit — one cycle later,
     // while every node is still scheduled for the cycle the SUSPEND
     // retires. The sequential engines stop there and leave the nodes
     // scheduled; a crew finds out up to a quantum late, and an overrun past
-    // six cycles reaches those wake-ups: the nodes are parked. The next
+    // three cycles reaches those wake-ups: the nodes are parked. The next
     // round's host delivery then lands *before* their `busy_until`, and
     // everything a host can see must still agree, round after round.
     let mut b = Builder::new();
@@ -153,15 +161,9 @@ fn resuming_a_quiesced_machine_is_engine_exact() {
     b.addi(R0, R0, 1);
     b.mov(MemRef::disp(A0, 0), R0);
     b.suspend();
-    let program = b.assemble().unwrap();
-    let mdp = MdpConfig {
-        timing: TimingConfig {
-            base: 7,
-            ..TimingConfig::default()
-        },
-        ..MdpConfig::default()
-    };
-    let config = MachineConfig::new(16).start(StartPolicy::None).mdp(mdp);
+    let mut program = b.assemble().unwrap();
+    program.code_base = EMEM_BASE;
+    let config = MachineConfig::new(16).start(StartPolicy::None);
     let (rounds, _) = agree("resume", &program, config, |m| {
         let mut seen = Vec::new();
         for _ in 0..3 {
@@ -176,9 +178,9 @@ fn resuming_a_quiesced_machine_is_engine_exact() {
         seen
     });
     // The premise: the machine stops one cycle into the SUSPEND, with every
-    // node's counters already six cycles past the clock.
+    // node's counters already three cycles past the clock.
     let (_, stop, stats, _) = &rounds[0];
-    assert_eq!(stats.nodes.total_cycles(), 16 * (stop + 6));
+    assert_eq!(stats.nodes.total_cycles(), 16 * (stop + 3));
 }
 
 /// One token walks the id-ordered ring for a lap (one node live at a time);

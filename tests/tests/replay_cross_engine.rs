@@ -9,8 +9,9 @@
 //! break checkpoint placement:
 //!
 //! * a mostly-idle token ring (idle crediting between checkpoints);
-//! * an idle-skip ping-pong whose 50-cycle dispatch cost makes every
-//!   fast-forward skip cross checkpoint boundaries;
+//! * an idle-skip ping-pong checkpointed every 3 cycles, so that the
+//!   fast-forward skip over every 4-cycle dispatch crosses a checkpoint
+//!   boundary;
 //! * a chaos fault plan (flaky links, checksummed retries, link-down
 //!   window) where a one-cycle divergence would reseed every later
 //!   fault draw.
@@ -30,7 +31,6 @@ use jm_machine::{
     Corruption, Divergence, Engine, FaultSpec, FaultWindow, JMachine, MachineConfig,
     MachineFactory, StartPolicy,
 };
-use jm_mdp::{MdpConfig, TimingConfig};
 use jm_replay::ReplayLog;
 use jm_runtime::reliable;
 use jm_tests::columns;
@@ -96,28 +96,25 @@ fn ring_replay_is_clean_across_engines() {
 
 #[test]
 fn idle_skip_replay_is_clean_across_engines() {
-    // Dispatch cost 50: every wake-up is ≥ 50 cycles out, so idle skips
-    // cross the 64-cycle checkpoint interval on every rally. Recorded via
-    // run-to-quiescence, exercising the chunked quiescent recording path.
-    let mdp = MdpConfig {
-        timing: TimingConfig {
-            dispatch: 50,
-            ..TimingConfig::default()
-        },
-        ..MdpConfig::default()
-    };
+    // A checkpoint every 3 cycles, under the 4-cycle dispatch: every
+    // dispatch's idle skip crosses a checkpoint boundary, on every rally.
+    // Recorded via run-to-quiescence, exercising the chunked quiescent
+    // recording path.
+    const INTERVAL: u64 = 3;
     let log = record_quiescent(
         pingpong_program(),
         MachineConfig::new(16)
             .start(StartPolicy::AllNodes)
-            .engine(Engine::Event)
-            .mdp(mdp),
-        64,
+            .engine(Engine::Event),
+        INTERVAL,
         1_000_000,
     );
+    // Every boundary the run passed holds a checkpoint, the ones inside a
+    // skip included.
     assert!(
-        log.end_cycle() > 400,
-        "workload too short to force boundary-crossing skips: {}",
+        log.checkpoints() as u64 > log.end_cycle() / INTERVAL,
+        "{} checkpoints in {} cycles",
+        log.checkpoints(),
         log.end_cycle()
     );
     assert_clean_across_engines("idle-skip", &log);
