@@ -39,7 +39,7 @@ use crate::workloads::{exchange_program, ring_program};
 use jm_asm::Program;
 use jm_isa::instr::StatClass;
 use jm_machine::{Engine, JMachine, MachineConfig, MachineError, MachineStats, StartPolicy};
-use jm_mdp::{MemoryStats, StretchStats};
+use jm_mdp::{MemoryStats, StretchStats, DRAM_PAGE_WORDS, SRAM_PAGE_WORDS};
 use jm_net::BulkStats;
 use std::process::ExitCode;
 
@@ -334,8 +334,9 @@ pub(crate) fn run(args: &Args) -> Outcome {
 /// `parallel-T`, raced like every `perf` ratio, so a run that ends with
 /// other statistics or state than the event engine's is exit 1. `--out`
 /// writes the simulated counters, the sweep's `threads/…` rows, the event
-/// run's storage counters and peak RSS (host rows) for a workflow to diff
-/// day over day.
+/// run's storage counters — 64-word SRAM and 512-word DRAM pages, queue
+/// words and injection FIFOs — and peak RSS (host rows) for a workflow to
+/// diff day over day.
 pub(crate) fn mesh(args: &Args) -> Outcome {
     let nodes = cli::machine_size("--nodes", args.count("--nodes").unwrap_or(4096))?;
     let cycles = args.count("--cycles").unwrap_or(5_000);
@@ -350,10 +351,14 @@ pub(crate) fn mesh(args: &Args) -> Outcome {
     out.extend(stats_rows("mesh", &race.stats));
     out.extend(sweep);
     let memory = race.memory;
+    let (sram_unit, dram_unit) = (
+        format!("{SRAM_PAGE_WORDS}-word pages"),
+        format!("{DRAM_PAGE_WORDS}-word pages"),
+    );
     out.extend(
         [
-            ("sram_pages", memory.sram_pages, "pages"),
-            ("dram_pages", memory.dram_pages, "pages"),
+            ("sram_pages", memory.sram_pages, sram_unit.as_str()),
+            ("dram_pages", memory.dram_pages, dram_unit.as_str()),
             ("queue_words", memory.queue_words, "words"),
             ("inject_fifos", race.inject_fifos, "fifos"),
         ]

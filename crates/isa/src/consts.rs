@@ -75,7 +75,11 @@ pub enum FaultKind {
     DivZero = 4,
     /// `XLATE` key not present in the name table.
     XlateMiss = 5,
-    /// Message arrival found the destination queue full.
+    /// Reserved: the MDP's fault for a message arriving at a full queue.
+    /// Nothing raises it here — a full queue makes the network hold the
+    /// message, which is offered again the next cycle — but its vector
+    /// slot stays, since vector order is state and every later fault's
+    /// vector would move.
     QueueOverflow = 6,
     /// Early suspension: `SUSPEND` with the message not fully arrived is
     /// fine, but reading beyond the end of the current message faults.

@@ -623,8 +623,8 @@ impl MdpNode {
 
     /// Writes the word at an absolute address, charging region cost.
     /// Inside a stretch (`spec`) the overwritten word goes to its undo log,
-    /// and a write that would allocate a DRAM page, or any staging-window
-    /// write, stops the stretch.
+    /// and a write that would allocate a 512-word DRAM page, or any
+    /// staging-window write, stops the stretch.
     #[inline]
     fn store(&mut self, addr: u32, word: Word, extra: &mut u64, spec: bool) -> Result<(), Hazard> {
         if addr < MEM_WORDS {

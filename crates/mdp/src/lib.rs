@@ -48,7 +48,7 @@ mod xlate;
 
 pub use config::{MdpConfig, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
 pub use lower::Code;
-pub use memory::{Memory, MemoryStats};
+pub use memory::{Memory, MemoryStats, DRAM_PAGE_WORDS, SRAM_PAGE_WORDS};
 pub use node::{InjectAck, MdpNode, NetPort, NodeError, TickOutcome};
 pub use queue::MsgQueue;
 pub use stats::{HandlerStats, NodeStats};

@@ -1,32 +1,44 @@
 //! Per-node memory: internal SRAM plus external DRAM, word-addressed.
 
-use jm_isa::consts::{EMEM_BASE, MEM_WORDS};
+use jm_isa::consts::{EMEM_BASE, EMEM_WORDS, IMEM_WORDS, MEM_WORDS};
 use jm_isa::word::Word;
 
-/// Words per SRAM page (4 KiB of `Word`s).
-const SRAM_PAGE_WORDS: usize = 512;
+/// Words per SRAM page (512 bytes of `Word`s).
+pub const SRAM_PAGE_WORDS: u32 = 64;
+/// Words per DRAM page (4 KiB of `Word`s).
+pub const DRAM_PAGE_WORDS: u32 = 512;
 /// Number of SRAM pages covering `0..EMEM_BASE`.
-const SRAM_PAGES: usize = EMEM_BASE as usize / SRAM_PAGE_WORDS;
-/// Words per DRAM page (32 KiB of `Word`s).
-const DRAM_PAGE_WORDS: usize = 4096;
+const SRAM_PAGES: usize = (IMEM_WORDS / SRAM_PAGE_WORDS) as usize;
 /// Number of DRAM pages covering `EMEM_BASE..MEM_WORDS`.
-const DRAM_PAGES: usize = (MEM_WORDS - EMEM_BASE) as usize / DRAM_PAGE_WORDS;
+const DRAM_PAGES: usize = (EMEM_WORDS / DRAM_PAGE_WORDS) as usize;
+/// Words per unit of the DRAM fold (see [`Memory::fold_state`]): every
+/// state hash and replay log folds DRAM by 4 096-word unit, whatever the
+/// page size.
+const FOLD_UNIT_WORDS: u32 = 4096;
+
+const _: () = assert!(IMEM_WORDS.is_multiple_of(SRAM_PAGE_WORDS));
+const _: () = assert!(EMEM_WORDS.is_multiple_of(FOLD_UNIT_WORDS));
+const _: () = assert!(FOLD_UNIT_WORDS.is_multiple_of(DRAM_PAGE_WORDS));
 
 /// A demand-allocated page of `N` words: `None` until its first write,
 /// and read as [`Word::NIL`] until then.
 type Page<const N: usize> = Option<Box<[Word; N]>>;
+type SramPage = Page<{ SRAM_PAGE_WORDS as usize }>;
+type DramPage = Page<{ DRAM_PAGE_WORDS as usize }>;
+/// The DRAM page table, allocated on the node's first DRAM write.
+type DramTable = [DramPage; DRAM_PAGES];
 
 #[inline]
-fn page_read<const N: usize>(page: &Page<N>, off: usize) -> Word {
+fn page_read<const N: usize>(page: &Page<N>, off: u32) -> Word {
     match page {
-        Some(words) => words[off],
+        Some(words) => words[off as usize],
         None => Word::NIL,
     }
 }
 
 #[inline]
-fn page_write<const N: usize>(page: &mut Page<N>, off: usize, word: Word) {
-    page.get_or_insert_with(nil_page)[off] = word;
+fn page_write<const N: usize>(page: &mut Page<N>, off: u32, word: Word) {
+    page.get_or_insert_with(nil_page)[off as usize] = word;
 }
 
 /// A fresh page, out of line so that a write's fast path stays small.
@@ -37,17 +49,25 @@ fn nil_page<const N: usize>() -> Box<[Word; N]> {
     nil.try_into().expect("a page is N words")
 }
 
+/// A fresh DRAM page table, out of line for the same reason.
+#[cold]
+#[inline(never)]
+fn nil_table() -> Box<DramTable> {
+    Box::new([const { None }; DRAM_PAGES])
+}
+
 /// Host-side storage counters of a node or a machine: the memory pages
 /// and queue words its program's writes have allocated. They describe
 /// the simulator's footprint, so they stay outside every statistic and
-/// digest; DRAM allocation alone is state (see [`Memory::fold_state`]),
-/// so `dram_pages` is the same under every engine.
+/// digest; DRAM allocation is write-driven and a stretch never allocates
+/// a DRAM page (see [`Memory::is_mapped`]), so `dram_pages` is the same
+/// under every engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
-    /// SRAM pages allocated. A stretch may allocate one and be rewound,
-    /// so this depends on the engine.
+    /// SRAM pages ([`SRAM_PAGE_WORDS`] words each) allocated. A stretch
+    /// may allocate one and be rewound, so this depends on the engine.
     pub sram_pages: u64,
-    /// DRAM pages allocated.
+    /// DRAM pages ([`DRAM_PAGE_WORDS`] words each) allocated.
     pub dram_pages: u64,
     /// Message-queue words stored (each ring grows to its high-water
     /// mark on its first pass).
@@ -69,20 +89,26 @@ impl MemoryStats {
 /// `Memory` is storage only; access *timing* and the memory-mapped queue and
 /// staging windows live in the execution engine.
 ///
-/// Both regions are demand-paged: the SRAM in eight 512-word pages, the
-/// DRAM in 4096-word pages, and a page that was never written reads as
-/// [`Word::NIL`] without existing. A node's memory costs its 576-byte
-/// page table plus 4 KiB per SRAM page and 32 KiB per DRAM page its
-/// program has written, instead of the 2.1 MiB a flat array would take.
-/// The exchange loop writes one SRAM page a node and no DRAM, so its
-/// 16×16×16 run (jmbench `exchange4096`) peaks at 57 MiB of RSS, where an
-/// eagerly allocated SRAM and queues made it 231 MiB.
+/// Both regions are demand-paged at the grain programs write: the SRAM in
+/// 64 pages of 64 words behind an inline table, so an SRAM access costs
+/// one page-pointer load, and the DRAM in 512 pages of 512 words behind
+/// a table that exists only once the node writes DRAM. A page that was
+/// never written reads as [`Word::NIL`] without existing. A node's memory
+/// costs its 520-byte inline table, 512 bytes per SRAM page and 4 KiB
+/// per DRAM page its program has written, and a 4 KiB DRAM table if it
+/// wrote any, instead of the 2.1 MiB a flat array would take. The
+/// exchange loop writes one SRAM page a node and no DRAM, so its
+/// 16×16×16 run (jmbench `exchange4096`) peaks at 24.3 MiB of RSS, where
+/// 512-word SRAM pages made it 38.6 MiB; radix sort's 512 nodes each
+/// write one 160-word run of keys to DRAM, and `radix512` peaks at
+/// 13.8 MiB, where an eager table of 4 096-word DRAM pages made it
+/// 27.5 MiB (2-vCPU Xeon host, seed 7).
 #[derive(Debug, Clone)]
 pub struct Memory {
     /// On-chip SRAM pages, `0..EMEM_BASE`.
-    sram: [Page<SRAM_PAGE_WORDS>; SRAM_PAGES],
-    /// External DRAM pages, `EMEM_BASE..MEM_WORDS`.
-    dram: Box<[Page<DRAM_PAGE_WORDS>; DRAM_PAGES]>,
+    sram: [SramPage; SRAM_PAGES],
+    /// External DRAM pages, `EMEM_BASE..MEM_WORDS`, once any is written.
+    dram: Option<Box<DramTable>>,
 }
 
 impl Memory {
@@ -90,25 +116,30 @@ impl Memory {
     pub fn new() -> Memory {
         Memory {
             sram: [const { None }; SRAM_PAGES],
-            dram: Box::new([const { None }; DRAM_PAGES]),
+            dram: None,
         }
     }
 
     /// Reads a word.
     ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range; callers bounds-check first (the
-    /// execution engine raises a Bounds fault instead).
+    /// `addr` must be in range: callers bounds-check first (the execution
+    /// engine raises a Bounds fault instead). Out of range it panics, or
+    /// reads NIL from a node that never wrote DRAM.
     #[inline]
     pub fn read(&self, addr: u32) -> Word {
-        let a = addr as usize;
         if addr < EMEM_BASE {
-            return page_read(&self.sram[a / SRAM_PAGE_WORDS], a % SRAM_PAGE_WORDS);
+            let page = &self.sram[(addr / SRAM_PAGE_WORDS) as usize];
+            return page_read(page, addr % SRAM_PAGE_WORDS);
         }
-        let off = a - EMEM_BASE as usize;
         debug_assert!(addr < MEM_WORDS, "read past external memory");
-        page_read(&self.dram[off / DRAM_PAGE_WORDS], off % DRAM_PAGE_WORDS)
+        let off = addr - EMEM_BASE;
+        match &self.dram {
+            Some(table) => page_read(
+                &table[(off / DRAM_PAGE_WORDS) as usize],
+                off % DRAM_PAGE_WORDS,
+            ),
+            None => Word::NIL,
+        }
     }
 
     /// Writes a word.
@@ -118,19 +149,16 @@ impl Memory {
     /// Panics if `addr` is out of range.
     #[inline]
     pub fn write(&mut self, addr: u32, word: Word) {
-        let a = addr as usize;
         if addr < EMEM_BASE {
-            page_write(
-                &mut self.sram[a / SRAM_PAGE_WORDS],
-                a % SRAM_PAGE_WORDS,
-                word,
-            );
+            let page = &mut self.sram[(addr / SRAM_PAGE_WORDS) as usize];
+            page_write(page, addr % SRAM_PAGE_WORDS, word);
             return;
         }
-        let off = a - EMEM_BASE as usize;
         debug_assert!(addr < MEM_WORDS, "write past external memory");
+        let off = addr - EMEM_BASE;
+        let table = self.dram.get_or_insert_with(nil_table);
         page_write(
-            &mut self.dram[off / DRAM_PAGE_WORDS],
+            &mut table[(off / DRAM_PAGE_WORDS) as usize],
             off % DRAM_PAGE_WORDS,
             word,
         );
@@ -150,7 +178,10 @@ impl Memory {
     /// as if it had never been written.
     #[inline]
     pub fn is_mapped(&self, addr: u32) -> bool {
-        addr < EMEM_BASE || self.dram[(addr - EMEM_BASE) as usize / DRAM_PAGE_WORDS].is_some()
+        addr < EMEM_BASE
+            || self.dram.as_ref().is_some_and(|table| {
+                table[((addr - EMEM_BASE) / DRAM_PAGE_WORDS) as usize].is_some()
+            })
     }
 
     /// Bulk-writes a slice starting at `base` (host-side loader).
@@ -169,11 +200,15 @@ impl Memory {
     }
 
     /// Folds the full memory image into a replay digest: the 4 096 SRAM
-    /// words as one run, an unallocated SRAM page counting as 512 NILs,
-    /// then every allocated DRAM page tagged with its index. Unallocated
-    /// DRAM pages contribute nothing — DRAM paging is write-driven, so its
-    /// allocation pattern is itself deterministic and engine-independent.
-    /// SRAM allocation is not folded, and the fold allocates nothing.
+    /// words as one run, an unallocated SRAM page counting as 64 NILs,
+    /// then every 4 096-word DRAM unit holding an allocated page, tagged
+    /// with its index, an unallocated page in it counting as 512 NILs.
+    /// Units with no allocated page contribute nothing — DRAM paging is
+    /// write-driven, so its allocation pattern is itself deterministic
+    /// and engine-independent. SRAM allocation is not folded, and the
+    /// fold allocates nothing. The unit is the 4 096-word DRAM page this
+    /// memory was once paged by, so the fold writes the bytes it wrote
+    /// then, and replay logs recorded with that paging still verify.
     ///
     /// Runs of [`Word::NIL`] are folded as a run length instead of word by
     /// word: memory is overwhelmingly NIL, and the checkpoint hash sits on
@@ -183,18 +218,17 @@ impl Memory {
     /// tag byte, which carries at most 4 tag bits.
     pub fn fold_state(&self, h: &mut jm_trace::Fnv1a) {
         let mut sram = NilRuns::default();
-        for page in &self.sram {
-            match page {
-                Some(words) => sram.words(h, &words[..]),
-                None => sram.run += SRAM_PAGE_WORDS as u32,
-            }
-        }
+        sram.pages(h, &self.sram);
         sram.end(h);
-        for (i, page) in self.dram.iter().enumerate() {
-            if let Some(words) = page {
-                h.write_u32(i as u32);
+        let Some(table) = &self.dram else {
+            return;
+        };
+        let per_unit = (FOLD_UNIT_WORDS / DRAM_PAGE_WORDS) as usize;
+        for (unit, pages) in table.chunks_exact(per_unit).enumerate() {
+            if pages.iter().any(Option::is_some) {
+                h.write_u32(unit as u32);
                 let mut run = NilRuns::default();
-                run.words(h, &words[..]);
+                run.pages(h, pages);
                 run.end(h);
             }
         }
@@ -203,7 +237,11 @@ impl Memory {
     /// The pages this memory has allocated, as `(sram, dram)`.
     pub(crate) fn allocated_pages(&self) -> (usize, usize) {
         let sram = self.sram.iter().filter(|p| p.is_some()).count();
-        (sram, self.dram.iter().filter(|p| p.is_some()).count())
+        let dram = self
+            .dram
+            .as_ref()
+            .map_or(0, |table| table.iter().filter(|p| p.is_some()).count());
+        (sram, dram)
     }
 
     /// Reads `len` words starting at `base` (host-side extraction).
@@ -245,6 +283,16 @@ impl NilRuns {
         }
     }
 
+    /// Folds pages in address order, an unallocated one as `N` NILs.
+    fn pages<const N: usize>(&mut self, h: &mut jm_trace::Fnv1a, pages: &[Page<N>]) {
+        for page in pages {
+            match page {
+                Some(words) => self.words(h, &words[..]),
+                None => self.run += N as u32,
+            }
+        }
+    }
+
     /// Closes the open run, if any.
     fn end(&mut self, h: &mut jm_trace::Fnv1a) {
         if self.run > 0 {
@@ -263,8 +311,8 @@ mod tests {
     use jm_trace::Fnv1a;
 
     /// The flat fold this memory replaced, kept as the oracle: the whole
-    /// SRAM word by word, then each allocated DRAM page tagged with its
-    /// index, NIL runs collapsed within each array.
+    /// SRAM word by word, then each written 4 096-word DRAM unit tagged
+    /// with its index, NIL runs collapsed within each array.
     fn flat_fold(sram: &[Word], dram: &[(usize, &[Word])]) -> u64 {
         fn fold_words_rle(h: &mut Fnv1a, words: &[Word]) {
             let mut run: u32 = 0;
@@ -340,8 +388,11 @@ mod tests {
         assert_eq!(m.allocated_pages(), (0, 1));
         assert_eq!(m.read(EMEM_BASE + 1).as_i32(), 9);
         assert_eq!(m.read(EMEM_BASE), Word::NIL);
+        // The next page of the same fold unit is not mapped until written.
+        assert!(m.is_mapped(EMEM_BASE + DRAM_PAGE_WORDS - 1));
+        assert!(!m.is_mapped(EMEM_BASE + DRAM_PAGE_WORDS));
         // A cross-page bulk load touches exactly the pages it spans.
-        let span = vec![Word::int(1); DRAM_PAGE_WORDS + 2];
+        let span = vec![Word::int(1); DRAM_PAGE_WORDS as usize + 2];
         m.load(MEM_WORDS - span.len() as u32, &span);
         assert_eq!(
             m.dump(MEM_WORDS - span.len() as u32, 3),
@@ -351,11 +402,11 @@ mod tests {
     }
 
     /// The SRAM is paged the same way, and the fold reads an unallocated
-    /// SRAM page as 512 NILs without allocating it.
+    /// SRAM page as 64 NILs without allocating it.
     #[test]
     fn sram_pages_allocate_on_first_write_only() {
         let mut m = Memory::new();
-        for addr in [0, 511, 512, EMEM_BASE - 1] {
+        for addr in [0, SRAM_PAGE_WORDS - 1, SRAM_PAGE_WORDS, EMEM_BASE - 1] {
             assert_eq!(m.read(addr), Word::NIL);
         }
         assert_eq!(fold(&m), flat_fold(&[Word::NIL; EMEM_BASE as usize], &[]));
@@ -364,10 +415,10 @@ mod tests {
             (0, 0),
             "reads and the fold allocate nothing"
         );
-        m.write(512, Word::int(8));
+        m.write(SRAM_PAGE_WORDS, Word::int(8));
         assert_eq!(m.allocated_pages(), (1, 0));
-        assert_eq!(m.read(511), Word::NIL);
-        assert_eq!(m.read(512).as_i32(), 8);
+        assert_eq!(m.read(SRAM_PAGE_WORDS - 1), Word::NIL);
+        assert_eq!(m.read(SRAM_PAGE_WORDS).as_i32(), 8);
     }
 
     #[test]
@@ -386,39 +437,48 @@ mod tests {
     }
 
     /// Random reads and writes against a flat model of both regions,
-    /// crowded onto the page edges: every read agrees, an unwritten SRAM
-    /// word reads NIL without allocating, and the fold — taken every 25
-    /// operations, so with pages still unallocated — equals the flat fold
-    /// of the model.
+    /// crowded onto the page edges — SRAM's 64-word pages, and inside
+    /// DRAM both the 512-word pages and the 4 096-word fold units: every
+    /// read agrees, an unwritten word reads NIL without allocating, a
+    /// DRAM word is mapped exactly when its page was written, and the
+    /// fold — taken every 25 operations, so with pages still unallocated —
+    /// equals the flat fold of the model, which tags every DRAM unit
+    /// written anywhere.
     #[test]
     fn matches_a_flat_model() {
-        const EDGES: [u32; 8] = [
+        const UNITS: usize = (EMEM_WORDS / FOLD_UNIT_WORDS) as usize;
+        const EDGES: [u32; 11] = [
             0,
-            511,
-            512,
-            1023,
+            SRAM_PAGE_WORDS - 1,
+            SRAM_PAGE_WORDS,
             EMEM_BASE - 1,
             EMEM_BASE,
-            EMEM_BASE + DRAM_PAGE_WORDS as u32,
+            EMEM_BASE + DRAM_PAGE_WORDS - 1,
+            EMEM_BASE + DRAM_PAGE_WORDS,
+            EMEM_BASE + FOLD_UNIT_WORDS - 1,
+            EMEM_BASE + FOLD_UNIT_WORDS,
+            EMEM_BASE + FOLD_UNIT_WORDS + DRAM_PAGE_WORDS,
             MEM_WORDS - 1,
         ];
         for seed in 0..16 {
             let mut rng = Prng::from_label("memory-model", seed);
             let mut m = Memory::new();
             let mut flat = vec![Word::NIL; MEM_WORDS as usize];
-            let mut dram_written = [false; DRAM_PAGES];
+            let mut dram_written = [false; UNITS];
+            let mut dram_pages = [false; DRAM_PAGES];
             let mut sram_written = [false; SRAM_PAGES];
             let flat_fold_of = |flat: &[Word], dram_written: &[bool]| {
-                let dram: Vec<_> = (0..DRAM_PAGES)
+                let unit = FOLD_UNIT_WORDS as usize;
+                let dram: Vec<_> = (0..UNITS)
                     .filter(|&i| dram_written[i])
                     .map(|i| {
-                        let at = EMEM_BASE as usize + i * DRAM_PAGE_WORDS;
-                        (i, &flat[at..at + DRAM_PAGE_WORDS])
+                        let at = EMEM_BASE as usize + i * unit;
+                        (i, &flat[at..at + unit])
                     })
                     .collect();
                 flat_fold(&flat[..EMEM_BASE as usize], &dram)
             };
-            for step in 0..400 {
+            for step in 0..600 {
                 if step % 25 == 0 {
                     assert_eq!(fold(&m), flat_fold_of(&flat, &dram_written), "step {step}");
                 }
@@ -431,6 +491,9 @@ mod tests {
                     1 => rng.range_u32(0, EMEM_BASE),
                     _ => rng.range_u32(0, MEM_WORDS),
                 };
+                let page = addr.checked_sub(EMEM_BASE).map(|off| off / DRAM_PAGE_WORDS);
+                let mapped = page.is_none_or(|p| dram_pages[p as usize]);
+                assert_eq!(m.is_mapped(addr), mapped, "is_mapped({addr})");
                 if rng.chance(0.5) {
                     assert_eq!(m.read(addr), flat[addr as usize], "read {addr}");
                     continue;
@@ -442,13 +505,15 @@ mod tests {
                 };
                 m.write(addr, word);
                 flat[addr as usize] = word;
-                if addr < EMEM_BASE {
-                    sram_written[addr as usize / SRAM_PAGE_WORDS] = true;
-                } else {
-                    dram_written[(addr - EMEM_BASE) as usize / DRAM_PAGE_WORDS] = true;
+                match page {
+                    None => sram_written[(addr / SRAM_PAGE_WORDS) as usize] = true,
+                    Some(p) => {
+                        dram_pages[p as usize] = true;
+                        dram_written[((addr - EMEM_BASE) / FOLD_UNIT_WORDS) as usize] = true;
+                    }
                 }
                 let sram = sram_written.iter().filter(|&&w| w).count();
-                let dram = dram_written.iter().filter(|&&w| w).count();
+                let dram = dram_pages.iter().filter(|&&w| w).count();
                 assert_eq!(m.allocated_pages(), (sram, dram), "after writing {addr}");
             }
             assert_eq!(fold(&m), flat_fold_of(&flat, &dram_written), "seed {seed}");

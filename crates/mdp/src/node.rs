@@ -196,6 +196,10 @@ pub struct MdpNode {
     pub(crate) stretch: Box<Stretch>,
 }
 
+// A node's fixed footprint, 512 bytes of it the inline SRAM page table: a
+// 4 096-node mesh holds 4 096 of them, so growth must be deliberate.
+const _: () = assert!(std::mem::size_of::<MdpNode>() <= 1752);
+
 impl fmt::Debug for MdpNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MdpNode")

@@ -28,7 +28,7 @@ use jm_isa::{Coord, RouteWord};
 use jm_machine::FaultSpec;
 use jm_machine::StartPolicy;
 use jm_machine::{JMachine, MachineConfig, TraceConfig, TrafficSpec};
-use jm_mdp::StretchStats;
+use jm_mdp::{StretchStats, DRAM_PAGE_WORDS, SRAM_PAGE_WORDS as SRAM_PAGE};
 use jm_runtime::nnr;
 use jm_tests::{agree, observe, Observation};
 
@@ -800,17 +800,17 @@ fn stretches_stop_before_a_fresh_dram_page() {
     assert!(counts.rewinds > 0, "no poke landed inside a stretch");
 }
 
-/// Words of an SRAM page, and the pages `fill` writes.
-const SRAM_PAGE: u32 = 512;
+/// The pages `fill` writes.
 const FILL_PAGES: u32 = 6;
 
 /// Each even node sends the next a P0 `fill` and, after a delay of its
-/// own, a P1 `urgent`. `fill` writes the first word of one untouched SRAM
-/// page after another (word `first + 512 k` of `far`), for as long as no
-/// `urgent` has landed.
-fn fill_program(first: u32) -> Program {
+/// own (`stagger` loop turns a node id), a P1 `urgent`. `fill` writes the
+/// first word of one untouched page of `page` words after another (word
+/// `first + k * page` of `far`, in `region`), for as long as no `urgent`
+/// has landed.
+fn fill_program(region: Region, page: u32, first: u32, stagger: i32) -> Program {
     let mut b = Builder::new();
-    b.reserve("far", Region::Imem, FILL_PAGES * SRAM_PAGE);
+    b.reserve("far", region, FILL_PAGES * page);
     route_to_next(&mut b);
     b.mov(R3, Special::Nid);
     b.alu(AluOp::And, R3, R3, 1);
@@ -818,7 +818,7 @@ fn fill_program(first: u32) -> Program {
     b.send(MsgPriority::P0, MemRef::disp(A1, 0));
     b.send2e(MsgPriority::P0, hdr("fill", 2), 0);
     b.mov(R3, Special::Nid);
-    b.alu(AluOp::Mul, R3, R3, 5);
+    b.alu(AluOp::Mul, R3, R3, stagger);
     b.addi(R3, R3, 3);
     b.label("stagger");
     b.subi(R3, R3, 1);
@@ -837,7 +837,7 @@ fn fill_program(first: u32) -> Program {
         b.label(format!("spin{k}"));
         b.subi(R2, R2, 1);
         b.bnz(R2, format!("spin{k}"));
-        b.mov(MemRef::disp(A2, first + SRAM_PAGE * k), Special::Cycle);
+        b.mov(MemRef::disp(A2, first + page * k), Special::Cycle);
     }
     b.label("filled");
     b.suspend();
@@ -858,7 +858,7 @@ fn a_rewound_stretch_leaves_an_sram_page_that_hashes_as_unwritten() {
     // stores encode: settle on an offset that places itself.
     let mut first = 0;
     let program = loop {
-        let program = fill_program(first);
+        let program = fill_program(Region::Imem, SRAM_PAGE, first, 5);
         let base = program.segment("far").base;
         if (base + first).is_multiple_of(SRAM_PAGE) {
             break program;
@@ -883,6 +883,31 @@ fn a_rewound_stretch_leaves_an_sram_page_that_hashes_as_unwritten() {
         "no rewound stretch allocated an SRAM page: {event:?} against naive's {naive:?}"
     );
     assert!(machines[1].stretch_stats().rewinds > 0);
+}
+
+/// The same fill in DRAM, whose allocation is state: `far` is the only
+/// DRAM segment, so its first page opens the state hash's 4 096-word unit
+/// and every later page is a fresh 512-word page inside that unit, which
+/// the hash folds either way. A stretch stops before each of those
+/// writes, so under every engine each node holds the pages naive wrote
+/// ([`Observation::dram_pages`]); a stretch that allocated one and was
+/// rewound would leave it behind. The staggers land `urgent` at every
+/// phase of a fill's loop.
+#[test]
+fn a_rewound_stretch_leaves_no_dram_page() {
+    for stagger in 2..8 {
+        let program = fill_program(Region::Emem, DRAM_PAGE_WORDS, 0, stagger);
+        assert_eq!(program.segment("far").base, EMEM_BASE);
+        let config = MachineConfig::new(16).start(StartPolicy::AllNodes);
+        let label = format!("fresh DRAM pages, stagger {stagger}");
+        let (end, machines) = agree(&label, &program, config, |m| observe(m, 100_000));
+        end.outcome.expect("the fill workload quiesces");
+        assert!(end.dram_pages > 8, "{label}: no node filled a second page");
+        assert!(
+            machines[1].stretch_stats().rewinds > 0,
+            "{label}: no rewind"
+        );
+    }
 }
 
 /// Occupancy samples (every 7 cycles) and replay checkpoints (every 13)

@@ -8,7 +8,7 @@ use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::operand::{MemRef, Special};
 use jm_isa::reg::{AReg::*, DReg::*};
 use jm_machine::{Engine, JMachine, MachineConfig, StartPolicy};
-use jm_mdp::MemoryStats;
+use jm_mdp::{MemoryStats, DRAM_PAGE_WORDS, SRAM_PAGE_WORDS};
 use jm_runtime::nnr;
 use std::collections::BTreeSet;
 
@@ -324,14 +324,12 @@ fn send2_stalled_on_its_second_operand_appends_its_first_once() {
 
 /// A node holds only what its program has written. The exchange loop
 /// installs no vector and initialises one data block, `f3_r` (four words
-/// after the code, on SRAM page 0; `f3_flag` is reserved, not written), so
-/// a freshly built 16×16×16 exchange machine holds one 512-word SRAM page
-/// a node — 4 096 in all — no DRAM page, no queue word and no injection
-/// FIFO. DRAM allocation is state, so a run leaves the same DRAM pages
-/// under the naive and the event engine.
+/// after the code; `f3_flag` is reserved, not written), and nothing in
+/// DRAM, so a freshly built 16×16×16 exchange machine holds the SRAM pages
+/// `f3_r` spans on each node, no DRAM page, no queue word and no injection
+/// FIFO.
 #[test]
 fn a_fresh_machine_holds_only_what_its_program_wrote() {
-    const SRAM_PAGE: u32 = 512;
     let program = jm_bench::workloads::exchange_program();
     let written: BTreeSet<u32> = program
         .data
@@ -339,22 +337,61 @@ fn a_fresh_machine_holds_only_what_its_program_wrote() {
         .filter(|block| !block.init.is_empty())
         .flat_map(|block| block.base..block.base + block.len)
         .inspect(|&addr| assert!(addr < EMEM_BASE, "initialised DRAM at {addr}"))
-        .map(|addr| addr / SRAM_PAGE)
+        .map(|addr| addr / SRAM_PAGE_WORDS)
         .collect();
-    assert_eq!(written, BTreeSet::from([0]));
+    assert!(!written.is_empty());
     let config = MachineConfig::new(4096).start(StartPolicy::AllNodes);
-    let fresh = JMachine::new(program.clone(), config.engine(Engine::Event));
+    let fresh = JMachine::new(program, config.engine(Engine::Event));
     let expect = MemoryStats {
-        sram_pages: 4096,
+        sram_pages: 4096 * written.len() as u64,
         dram_pages: 0,
         queue_words: 0,
     };
     assert_eq!(fresh.memory_stats(), expect);
     assert_eq!(fresh.network().inject_fifos(), 0);
-    let dram_pages = [Engine::Naive, Engine::Event].map(|engine| {
-        let mut m = JMachine::new(program.clone(), config.engine(engine));
-        m.run(200);
-        m.memory_stats().dram_pages
+}
+
+/// DRAM allocation is state, and write-driven under every engine. Radix
+/// sort's setup writes each node's strip of keys into `rs_arr0`, and its
+/// passes write them back and forth between `rs_arr0` and `rs_arr1`;
+/// with 260 keys a node the two arrays span two DRAM pages, the second
+/// first written by the sort itself, inside the 4 096-word unit setup
+/// already allocated. Stopped every 97 cycles, every engine holds naive's
+/// DRAM pages; at the end each node holds exactly the pages the arrays
+/// span. The state hash is pinned: it folds every word of this
+/// DRAM-writing run by 4 096-word unit, so a change to the fold's bytes —
+/// or to anything radix simulates — moves it, and with it every replay
+/// log's checkpoints.
+#[test]
+fn dram_pages_follow_the_program_s_writes_under_every_engine() {
+    const NODES: u32 = 16;
+    let cfg = jm_apps::radix::RadixConfig {
+        keys: 260 * NODES,
+        seed: 5,
+    };
+    let program = jm_apps::radix::program(&cfg, NODES);
+    let pages: BTreeSet<u32> = ["rs_arr0", "rs_arr1"]
+        .into_iter()
+        .flat_map(|name| {
+            let seg = program.segment(name);
+            seg.base..seg.base + seg.len
+        })
+        .map(|addr| (addr - EMEM_BASE) / DRAM_PAGE_WORDS)
+        .collect();
+    assert_eq!(pages.len(), 2, "the arrays span one DRAM page: vacuous");
+    let config = MachineConfig::new(NODES).start(StartPolicy::AllNodes);
+    let ((held, hash), _) = jm_tests::agree("radix DRAM pages", &program, config, |m| {
+        jm_apps::radix::setup(m, &cfg);
+        let mut held = vec![m.memory_stats().dram_pages];
+        while !m.is_quiescent() {
+            assert!(m.cycle() < 50_000_000, "radix did not quiesce");
+            m.run(97);
+            held.push(m.memory_stats().dram_pages);
+        }
+        (held, m.state_hash())
     });
-    assert_eq!(dram_pages[0], dram_pages[1]);
+    assert_eq!(held[0], u64::from(NODES), "setup writes one page a node");
+    let end = *held.last().expect("a run");
+    assert_eq!(end, u64::from(NODES) * pages.len() as u64);
+    assert_eq!(hash, 0x9227_0df1_b189_c6fa, "radix's state hash moved");
 }

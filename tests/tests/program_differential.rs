@@ -25,7 +25,7 @@
 //! and the smallest program is printed with its seed.
 
 use jm_asm::{hdr, Builder, Program, Region};
-use jm_isa::consts::FaultKind;
+use jm_isa::consts::{FaultKind, EMEM_BASE};
 use jm_isa::instr::{Alu1Op, AluOp, MsgPriority, StatClass};
 use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::operand::{MemRef, Special};
@@ -34,14 +34,15 @@ use jm_isa::tag::Tag;
 use jm_isa::word::{SegDesc, Word};
 use jm_isa::RouteWord;
 use jm_machine::{Engine, JMachine, MachineConfig, StartPolicy};
+use jm_mdp::DRAM_PAGE_WORDS;
 use jm_prng::Prng;
 use jm_tests::{columns, observe, Observation};
 
 /// Words in the internal and the initialized external data segments.
 const DATA_WORDS: u32 = 16;
-/// DRAM pages (of 4 096 words) the uninitialized segment spans past its
-/// first: stores into it are first touches.
-const DRAM_PAGES: u32 = 3;
+/// 4 096-word DRAM units — the state hash's grain — the uninitialized
+/// segment spans past its first: stores into it are first touches.
+const DRAM_UNITS: u32 = 3;
 /// `cfut`/`fut` slots.
 const FUT_SLOTS: u32 = 8;
 /// Route table: entry `k` routes to node `(id + ROUTE_STEPS[k]) mod N`.
@@ -273,9 +274,17 @@ fn any_val(g: &mut Prng, ctx: Ctx) -> Val {
     }
 }
 
-/// A DRAM displacement near the start of one of the segment's pages.
+/// A DRAM displacement near the start of one of the segment's 4 096-word
+/// units, or astride one of the 512-word page edges inside a unit — the
+/// segment starts `DATA_WORDS` past `EMEM_BASE` (see [`assemble`]) — so a
+/// store may allocate a fresh page in a unit already written.
 fn dram_disp(g: &mut Prng) -> u32 {
-    g.range_u32(0, DRAM_PAGES + 1) * 4096 + g.range_u32(0, 8)
+    let unit = g.range_u32(0, DRAM_UNITS + 1) * 4096;
+    if g.chance(0.5) {
+        return unit + g.range_u32(0, 8);
+    }
+    let edge = unit + g.range_u32(1, 4096 / DRAM_PAGE_WORDS) * DRAM_PAGE_WORDS - DATA_WORDS;
+    edge - 2 + g.range_u32(0, 4)
 }
 
 /// An int destination, in memory with probability `p`.
@@ -699,7 +708,7 @@ fn assemble(gen: &Gen) -> Program {
         Region::Emem,
         (0..DATA_WORDS as i32).map(|i| Word::int(100 - i)).collect(),
     );
-    b.reserve(Seg::Dram.name(), Region::Emem, DRAM_PAGES * 4096 + 8);
+    b.reserve(Seg::Dram.name(), Region::Emem, (DRAM_UNITS + 1) * 4096);
     b.data(
         Seg::Fut.name(),
         Region::Imem,
@@ -755,7 +764,10 @@ fn assemble(gen: &Gen) -> Program {
     b.enter(Special::FVal, Word::int(1));
     b.resume();
     b.entry("main");
-    e.b.assemble().expect("generated programs assemble")
+    let program = e.b.assemble().expect("generated programs assemble");
+    let dram = program.segment(Seg::Dram.name()).base;
+    assert_eq!(dram, EMEM_BASE + DATA_WORDS, "dram_disp's page edges moved");
+    program
 }
 
 fn dims() -> MeshDims {
