@@ -3,7 +3,7 @@
 
 use crate::error::AsmError;
 use crate::program::{DataBlock, Program, SymbolTable, SymbolValue};
-use jm_isa::consts::{EMEM_BASE, MEM_WORDS, VECTOR_COUNT};
+use jm_isa::consts::{EMEM_BASE, MEM_WORDS, VECTOR_COUNT, XLATE_BASE};
 use jm_isa::encode::footprint_words;
 use jm_isa::instr::{Alu1Op, AluOp, Cond, Instruction, MsgPriority, StatClass};
 use jm_isa::operand::{Dst, Src};
@@ -572,10 +572,20 @@ impl Builder {
 
         // 3. Footprint with placeholder (full-width) immediates, then place
         //    data blocks. Placeholders and resolved symbols encode to the
-        //    same width, so the footprint is stable.
+        //    same width, so the footprint is stable. Code and SRAM data end
+        //    where the name table begins.
         let code_base = VECTOR_COUNT;
         let code_words = footprint_words(&code);
         let mut imem_cursor = code_base + code_words;
+        let over = |what: &str, end: u32| {
+            AsmError::new(format!(
+                "internal memory exhausted placing {what}: it ends at word {end}, past \
+                 the name table's base {XLATE_BASE}"
+            ))
+        };
+        if imem_cursor > XLATE_BASE {
+            return Err(over("the code", imem_cursor));
+        }
         let mut emem_cursor = EMEM_BASE;
         let mut blocks = Vec::with_capacity(self.data.len());
         let mut symbols = SymbolTable::new();
@@ -583,19 +593,15 @@ impl Builder {
             let base = match d.region {
                 Region::Imem => {
                     let base = imem_cursor;
-                    imem_cursor += d.len;
-                    if imem_cursor > EMEM_BASE {
-                        return Err(AsmError::new(format!(
-                            "internal memory exhausted placing `{}` ({} words over)",
-                            d.name,
-                            imem_cursor - EMEM_BASE
-                        )));
+                    imem_cursor = imem_cursor.saturating_add(d.len);
+                    if imem_cursor > XLATE_BASE {
+                        return Err(over(&format!("`{}`", d.name), imem_cursor));
                     }
                     base
                 }
                 Region::Emem => {
                     let base = emem_cursor;
-                    emem_cursor += d.len;
+                    emem_cursor = emem_cursor.saturating_add(d.len);
                     if emem_cursor > MEM_WORDS {
                         return Err(AsmError::new(format!(
                             "external memory exhausted placing `{}`",
@@ -789,6 +795,41 @@ mod tests {
         b.reserve("huge", Region::Imem, 5000);
         b.nop();
         assert!(b.assemble().unwrap_err().to_string().contains("exhausted"));
+    }
+
+    /// Code and SRAM data end where the name table begins: a block that
+    /// ends at its base assembles, and one word more is an error naming
+    /// the segment that crosses — as is code that long, or a length no
+    /// memory holds.
+    #[test]
+    fn sram_data_and_code_stop_at_the_name_table() {
+        let program = |len: u32| {
+            let mut b = Builder::new();
+            b.data("low", Region::Imem, vec![Word::int(1)]);
+            b.reserve("top", Region::Imem, len);
+            b.halt();
+            b.assemble()
+        };
+        let free = XLATE_BASE - program(0).unwrap().segment("top").base;
+        let top = program(free).unwrap().segment("top");
+        assert_eq!(top.base + top.len, XLATE_BASE);
+        for len in [free + 1, u32::MAX] {
+            let err = program(len).unwrap_err().to_string();
+            assert!(err.contains("`top`") && !err.contains("`low`"), "{err}");
+            assert!(err.contains("name table"), "{err}");
+        }
+        let mut b = Builder::new();
+        b.reserve("far", Region::Emem, u32::MAX);
+        assert!(b.assemble().unwrap_err().to_string().contains("`far`"));
+        let mut b = Builder::new();
+        for _ in 0..2 * XLATE_BASE {
+            b.nop();
+        }
+        let err = b.assemble().unwrap_err().to_string();
+        assert!(
+            err.contains("the code") && err.contains("name table"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -186,7 +186,7 @@ pub static TABLE: &[Published] = {
     ("table5/instructions", "user", 2.8e9, "instrs", off(2.8e9, TSP_SIZE)),
     ("table5/xlates", "user", 5.1e8, "xlates", off(5.1e8, TSP_SIZE)),
     ("table5/xlate faults", "user", 1.6e4, "faults", off(1.6e4,
-        "model: the 1 024-entry name cache never misses on this object set")),
+        "model: TSP enters one name per node, so the name table never misses")),
     ("table5/instr per thread", "user", 309.0, "instrs", near(309.0)),
     ("table5/msg len", "user", 5.1, "words", off(5.1, TSP_MSGS)),
     ("table5/threads", "os", 8.9e6, "threads", off(8.9e6, TSP_SIZE)),

@@ -209,16 +209,16 @@ fn bisect_of_a_log_with_one_flipped_checkpoint_exits_3() {
 
 #[test]
 fn a_log_of_the_previous_format_exits_2_with_one_line() {
-    let path = std::env::temp_dir().join(format!("jmsim-jmrp6-{}.jmrp", std::process::id()));
+    let path = std::env::temp_dir().join(format!("jmsim-jmrp7-{}.jmrp", std::process::id()));
     let path = path.to_str().unwrap();
     let record = ["--out", path, "--interval", "256", "--cycles", "1000"];
     let (code, _, stderr) = jmsim(&[&["replay", "record"][..], &record].concat());
     assert_eq!(code, 0, "{stderr}");
-    // A JMRP6 header holds 120 bytes of cycle costs this build does not
-    // read: the magic refuses it first.
+    // A JMRP7 log's checkpoint hashes fold the name cache this build does
+    // not have: the magic refuses it first.
     let mut bytes = std::fs::read(path).unwrap();
     assert_eq!(&bytes[..6], jm_replay::MAGIC);
-    bytes[4] = b'6';
+    bytes[4] = b'7';
     std::fs::write(path, bytes).unwrap();
     for verb in ["verify", "bisect"] {
         let (code, stdout, stderr) = jmsim(&["replay", verb, "--log", path]);

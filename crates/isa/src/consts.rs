@@ -33,16 +33,30 @@ pub const QUEUE0_WORDS: u32 = 512;
 /// Capacity of the priority-1 message queue, in words.
 pub const QUEUE1_WORDS: u32 = 256;
 
-/// Capacity of a node's name-translation (`ENTER`/`XLATE`) cache, in
-/// entries. An assumption: the paper gives the cache's cost (§2.1), not its
-/// size.
-pub const XLATE_ENTRIES: u32 = 1024;
+/// Sets of a node's name-translation table, the SRAM region behind
+/// `ENTER`/`XLATE`/`PROBE`. A key's set is its payload modulo the set
+/// count. An assumption: the paper gives the table's cost (§2.1), not its
+/// geometry (DESIGN.md §6).
+pub const XLATE_SETS: u32 = 128;
 
-// Queues and the translation cache are carved out of node memory, and each
-// holds at least one entry.
+/// Ways per set of the name-translation table, each a (key, value) pair of
+/// words.
+pub const XLATE_WAYS: u32 = 2;
+
+/// Words of the name-translation table.
+pub const XLATE_WORDS: u32 = XLATE_SETS * XLATE_WAYS * 2;
+
+/// First word of the name-translation table, which ends at the top of
+/// SRAM: a program's code and SRAM data end here.
+pub const XLATE_BASE: u32 = EMEM_BASE - XLATE_WORDS;
+
+// Queues are carved out of node memory and hold at least one word. A key's
+// set is its low payload bits, and the table leaves SRAM room above the
+// vectors.
 const _: () = assert!(QUEUE0_WORDS >= 1 && QUEUE0_WORDS <= MEM_WORDS);
 const _: () = assert!(QUEUE1_WORDS >= 1 && QUEUE1_WORDS <= MEM_WORDS);
-const _: () = assert!(XLATE_ENTRIES >= 1 && XLATE_ENTRIES <= MEM_WORDS);
+const _: () = assert!(XLATE_SETS.is_power_of_two() && XLATE_WAYS >= 1);
+const _: () = assert!(XLATE_WORDS < IMEM_WORDS - VECTOR_COUNT);
 
 /// Data bits per word that count toward transfer rates (32 of the 36).
 pub const DATA_BITS_PER_WORD: u64 = 32;
@@ -153,6 +167,8 @@ mod tests {
         assert!(VECTOR_COUNT as usize >= FaultKind::ALL.len());
         // 1 MByte of DRAM = 256K data words.
         assert_eq!(EMEM_WORDS * 4, 1 << 20);
+        // The name table is the top eighth of SRAM.
+        assert_eq!((XLATE_BASE, XLATE_WORDS), (3584, 512));
     }
 
     #[test]

@@ -65,8 +65,8 @@ const _: () = assert!(BASE + QUEUE_OPERAND + BASE + IMEM_OPERAND == 3);
 const _: () = assert!(DISPATCH == 4 && BASE + XLATE_EXTRA == 3);
 
 /// Full node configuration. The node's costs are the constants above; its
-/// sizes — its two queues and its name cache — are the constants
-/// `QUEUE0_WORDS`, `QUEUE1_WORDS` and `XLATE_ENTRIES` of
+/// sizes — its two queues and its name table — are the constants
+/// `QUEUE0_WORDS`, `QUEUE1_WORDS` and `XLATE_SETS`/`XLATE_WAYS` of
 /// [`jm_isa::consts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MdpConfig {

@@ -13,7 +13,7 @@ use crate::config::{
 use crate::lower::{Kind, Op, Opd};
 use crate::memory::Memory;
 use crate::node::{InjectAck, MdpNode, NetPort, NodeError};
-use jm_isa::consts::{FaultKind, MEM_WORDS};
+use jm_isa::consts::{FaultKind, MEM_WORDS, XLATE_BASE, XLATE_SETS, XLATE_WAYS};
 use jm_isa::instr::{Alu1Op, AluOp, Cond};
 use jm_isa::node::RouteWord;
 use jm_isa::operand::Special;
@@ -238,9 +238,10 @@ impl MdpNode {
     }
 
     /// Executes a private op starting at cycle `now`: reads its operands,
-    /// then commits its one write. Inside a stretch (`spec`), memory writes
-    /// go to the undo log, and the staging window and a write that would
-    /// allocate a DRAM page are hazards.
+    /// then commits its writes — one, or an `ENTER`'s name-table words.
+    /// Inside a stretch (`spec`), memory writes go to the undo log, and the
+    /// staging window and a write that would allocate a DRAM page are
+    /// hazards.
     #[inline(always)]
     fn exec(
         &mut self,
@@ -335,6 +336,31 @@ impl MdpNode {
                 v.retagged(Tag::from_bits((t.bits() & 0xf) as u8))
             }
             Kind::Check(tag) => Word::bool(read!(a, 0, Raw).tag() == tag),
+            Kind::Enter => {
+                let key = read!(a, 0, Raw);
+                let value = read!(b, 1, Raw);
+                self.enter(key, value, spec);
+                return Ok(Retired::at(op, extra, op.next));
+            }
+            Kind::Xlate | Kind::Probe => {
+                let key = read!(a, 0, Raw);
+                let found = self.xlate(key);
+                if found.is_none() && op.kind == Kind::Xlate {
+                    // A stretch stops here; the visit counts the miss.
+                    if !spec {
+                        self.stats.xlates += 1;
+                        self.stats.xlate_misses += 1;
+                    }
+                    return Err((fault(FaultKind::XlateMiss, key), extra));
+                }
+                let word = found.unwrap_or(Word::NIL);
+                if let Err(hazard) = self.write(priority, op.d, op.val[2], word, &mut extra, spec) {
+                    return Err((hazard, extra));
+                }
+                self.stats.xlates += 1;
+                self.stats.xlate_misses += u64::from(found.is_none());
+                return Ok(Retired::at(op, extra, op.next));
+            }
             _ => unreachable!("a visible op runs at its visit"),
         };
         if let Err(hazard) = self.write(priority, op.d, op.val[2], word, &mut extra, spec) {
@@ -368,8 +394,8 @@ impl MdpNode {
     }
 
     /// Executes an op no stretch runs — one that commits a message, ends
-    /// the thread or touches state the checkpoint does not hold — at its
-    /// visit, at cycle `now`.
+    /// the thread or reads the staging frame and fault state, which the
+    /// checkpoint does not hold — at its visit, at cycle `now`.
     fn exec_visible<P: NetPort + ?Sized>(
         &mut self,
         priority: Priority,
@@ -378,27 +404,11 @@ impl MdpNode {
         net: &mut P,
     ) -> Result<Step, Blocked> {
         let pi = priority.index();
-        let mut extra = 0;
-        macro_rules! read {
-            ($opd:ident, $k:expr) => {
-                match self.read(
-                    priority,
-                    op.$opd,
-                    op.val[$k],
-                    Level::Raw,
-                    now,
-                    &mut extra,
-                    false,
-                ) {
-                    Ok(word) => word,
-                    Err(hazard) => return Err((hazard, extra)),
-                }
-            };
-        }
-        let word = match op.kind {
+        match op.kind {
             Kind::SendEnd(mp) => {
                 // A retried commit's operands were appended before its send
                 // fault.
+                let mut extra = 0;
                 if !self.commit_pending[pi] {
                     extra = self.compose(priority, op, now, false)?;
                     self.commit_pending[pi] = true;
@@ -420,7 +430,7 @@ impl MdpNode {
                     }
                 }
                 self.stats.sends += 1;
-                return Ok(Step::Done(Retired::at(op, extra, op.next)));
+                Ok(Step::Done(Retired::at(op, extra, op.next)))
             }
             Kind::Suspend => {
                 // A handler ends only once its whole message is in.
@@ -430,12 +440,12 @@ impl MdpNode {
                     }
                 }
                 self.end_thread(priority, now);
-                return Ok(Step::End);
+                Ok(Step::End)
             }
             Kind::Halt => {
                 self.halted = true;
                 self.bg_runnable = false;
-                return Ok(Step::End);
+                Ok(Step::End)
             }
             Kind::Resume => {
                 let frame = self.staging[pi];
@@ -448,39 +458,14 @@ impl MdpNode {
                 bank.r.copy_from_slice(&frame[..4]);
                 bank.a.copy_from_slice(&frame[4..8]);
                 self.in_fault[pi] = false;
-                return Ok(Step::Done(Retired::at(op, 0, staged_ip.bits())));
-            }
-            Kind::Enter => {
-                let key = read!(a, 0);
-                let value = read!(b, 1);
-                self.xlate.enter(key, value);
-                return Ok(Step::Done(Retired::at(op, extra, op.next)));
-            }
-            Kind::Xlate | Kind::Probe => {
-                let key = read!(a, 0);
-                self.stats.xlates += 1;
-                match self.xlate.xlate(key) {
-                    Some(value) => value,
-                    None => {
-                        self.stats.xlate_misses += 1;
-                        if op.kind == Kind::Xlate {
-                            let miss = Hazard::Fault(FaultKind::XlateMiss, key, Word::NIL);
-                            return Err((miss, extra));
-                        }
-                        Word::NIL
-                    }
-                }
+                Ok(Step::Done(Retired::at(op, 0, staged_ip.bits())))
             }
             Kind::PastEnd => {
                 self.error = Some(NodeError::IpOutOfRange(op.next - 1));
-                return Ok(Step::Error);
+                Ok(Step::Error)
             }
             _ => unreachable!("a private op runs through exec"),
-        };
-        if let Err(hazard) = self.write(priority, op.d, op.val[2], word, &mut extra, false) {
-            return Err((hazard, extra));
         }
-        Ok(Step::Done(Retired::at(op, extra, op.next)))
     }
 
     fn read_special(&self, sp: Special, now: u64) -> Word {
@@ -633,13 +618,10 @@ impl MdpNode {
             } else {
                 EMEM_OPERAND
             };
-            if spec {
-                if !self.mem.is_mapped(addr) {
-                    return Err(Hazard::Visible);
-                }
-                self.stretch.undo.push((addr, self.mem.read(addr)));
+            if spec && !self.mem.is_mapped(addr) {
+                return Err(Hazard::Visible);
             }
-            self.mem.write(addr, word);
+            self.poke(addr, word, spec);
             return Ok(());
         }
         if (STAGING_VBASE..STAGING_VBASE + 3 * STAGING_FRAME).contains(&addr) {
@@ -657,6 +639,52 @@ impl MdpNode {
             word,
         ))
     }
+
+    /// Writes a word of memory, logging the word it overwrites inside a
+    /// stretch (`spec`). An SRAM write can always be undone.
+    #[inline]
+    fn poke(&mut self, addr: u32, word: Word, spec: bool) {
+        if spec {
+            self.stretch.undo.push((addr, self.mem.read(addr)));
+        }
+        self.mem.write(addr, word);
+    }
+
+    /// The address of `key`'s way in the name table, if the table binds
+    /// it: the key word, its value after it.
+    fn xlate_way(&self, key: Word) -> Option<u32> {
+        let set = xlate_set(key);
+        (set..set + 2 * XLATE_WAYS)
+            .step_by(2)
+            .find(|&at| self.mem.read(at) == key)
+    }
+
+    /// The value `key` is bound to in the name table (`XLATE`, `PROBE`).
+    fn xlate(&self, key: Word) -> Option<Word> {
+        self.xlate_way(key).map(|at| self.mem.read(at + 1))
+    }
+
+    /// Binds `key` to `value` in the name table (`ENTER`): in place if the
+    /// set holds `key`, else in way 0, each way's pair moved to the next
+    /// and the last way's dropped — first in, first out per set.
+    fn enter(&mut self, key: Word, value: Word, spec: bool) {
+        if let Some(at) = self.xlate_way(key) {
+            return self.poke(at + 1, value, spec);
+        }
+        let set = xlate_set(key);
+        for at in (set + 2..set + 2 * XLATE_WAYS).rev() {
+            self.poke(at, self.mem.read(at - 2), spec);
+        }
+        self.poke(set, key, spec);
+        self.poke(set + 1, value, spec);
+    }
+}
+
+/// The first word of `key`'s set in the name table: the set's ways follow
+/// one another, each a key word and its value (DESIGN.md §6).
+#[inline]
+fn xlate_set(key: Word) -> u32 {
+    XLATE_BASE + (key.bits() & (XLATE_SETS - 1)) * 2 * XLATE_WAYS
 }
 
 /// Resolves memory operand `opd` (payload `val`: a displacement, or the

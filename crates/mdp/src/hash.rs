@@ -22,7 +22,7 @@ pub(crate) fn fold_word(h: &mut Fnv1a, w: Word) {
 impl MdpNode {
     /// The four per-node component digests at checkpoint cycle `at`, in a
     /// fixed reporting order: register state, message queues, memory, and
-    /// control (scheduler/fault/translation) state.
+    /// control (scheduler/fault) state; the name table is memory.
     pub fn state_components(&self, at: u64) -> [(&'static str, u64); 4] {
         [
             ("regs", self.hash_regs()),
@@ -81,7 +81,7 @@ impl MdpNode {
         h.finish()
     }
 
-    /// Digest of scheduler, fault, composition, and translation state.
+    /// Digest of scheduler, fault, and composition state.
     /// `busy_until` is folded relative to `at` so a parked event-driven
     /// node (whose absolute stamp is stale but in the past) hashes equal
     /// to a scanned one.
@@ -120,7 +120,6 @@ impl MdpNode {
             }
             None => h.write_u8(0),
         }
-        self.xlate.fold_state(&mut h);
         h.finish()
     }
 }
@@ -201,20 +200,5 @@ mod tests {
         let mut h2 = Fnv1a::new();
         q2.fold_state(&mut h2);
         assert_ne!(h1.finish(), h2.finish(), "head slot is visible via A3");
-    }
-
-    #[test]
-    fn xlate_hash_includes_insertion_order() {
-        let mut a = crate::xlate::XlateCache::new(4);
-        a.enter(Word::sym(1), Word::int(10));
-        a.enter(Word::sym(2), Word::int(20));
-        let mut b = crate::xlate::XlateCache::new(4);
-        b.enter(Word::sym(2), Word::int(20));
-        b.enter(Word::sym(1), Word::int(10));
-        let (mut ha, mut hb) = (Fnv1a::new(), Fnv1a::new());
-        a.fold_state(&mut ha);
-        b.fold_state(&mut hb);
-        // Insertion order determines future evictions, so it is state.
-        assert_ne!(ha.finish(), hb.finish());
     }
 }

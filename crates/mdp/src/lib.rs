@@ -16,8 +16,9 @@
 //! * **presence-tag synchronization**: `cfut` reads and `fut` uses fault
 //!   into runtime handlers through the vector table, with a hardware
 //!   staging buffer exposing the faulted thread's registers;
-//! * the **name-translation cache** behind `ENTER`/`XLATE`/`PROBE`
-//!   (3-cycle hits, faulting misses);
+//! * the **name-translation table** behind `ENTER`/`XLATE`/`PROBE`
+//!   (3-cycle hits, faulting misses): ordinary SRAM words at the top of
+//!   internal memory, set-associative (`jm_isa::consts::XLATE_BASE`);
 //! * **send faults** when the network injection FIFO backpressures
 //!   (§4.3.2), retried by the hardware while being counted;
 //! * per-node statistics: cycles by class (compute / comm / sync / xlate /
@@ -44,7 +45,6 @@ mod node;
 mod queue;
 mod stats;
 mod stretch;
-mod xlate;
 
 pub use config::{MdpConfig, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
 pub use lower::Code;
@@ -53,4 +53,3 @@ pub use node::{InjectAck, MdpNode, NetPort, NodeError, TickOutcome};
 pub use queue::MsgQueue;
 pub use stats::{HandlerStats, NodeStats};
 pub use stretch::StretchStats;
-pub use xlate::XlateCache;

@@ -297,13 +297,7 @@ impl Op {
         // See [`crate::stretch`] for why these are not private.
         op.private = !matches!(
             op.kind,
-            Kind::SendEnd(_)
-                | Kind::Suspend
-                | Kind::Resume
-                | Kind::Enter
-                | Kind::Xlate
-                | Kind::Probe
-                | Kind::Halt
+            Kind::SendEnd(_) | Kind::Suspend | Kind::Resume | Kind::Halt
         );
         let fetch = if emem { EMEM_FETCH } else { 0 };
         op.cost = (BASE + extra + fetch) as u32;
@@ -500,9 +494,6 @@ mod tests {
                         | Instruction::Suspend
                         | Instruction::Halt
                         | Instruction::Resume
-                        | Instruction::Enter { .. }
-                        | Instruction::Xlate { .. }
-                        | Instruction::Probe { .. }
                 );
                 assert_eq!(op.private, !visible, "{instr}");
             }

@@ -7,9 +7,8 @@ use crate::memory::{Memory, MemoryStats};
 use crate::queue::MsgQueue;
 use crate::stats::NodeStats;
 use crate::stretch::Stretch;
-use crate::xlate::XlateCache;
 use jm_asm::Program;
-use jm_isa::consts::{FaultKind, QUEUE0_WORDS, QUEUE1_WORDS, XLATE_ENTRIES};
+use jm_isa::consts::{FaultKind, QUEUE0_WORDS, QUEUE1_WORDS};
 use jm_isa::instr::{MsgPriority, StatClass};
 use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::reg::{Priority, RegFile};
@@ -146,7 +145,6 @@ pub struct MdpNode {
     /// runs it.
     pub(crate) ops: Arc<[Op]>,
     pub(crate) queues: [MsgQueue; 2],
-    pub(crate) xlate: XlateCache,
     /// Register staging frames (R0–3, A0–3, IP), one per priority bank.
     pub(crate) staging: [[Word; 9]; 3],
     /// Whether the background thread may run.
@@ -198,7 +196,7 @@ pub struct MdpNode {
 
 // A node's fixed footprint, 512 bytes of it the inline SRAM page table: a
 // 4 096-node mesh holds 4 096 of them, so growth must be deliberate.
-const _: () = assert!(std::mem::size_of::<MdpNode>() <= 1752);
+const _: () = assert!(std::mem::size_of::<MdpNode>() <= 1656);
 
 impl fmt::Debug for MdpNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -272,7 +270,6 @@ impl MdpNode {
             mem,
             ops: Arc::clone(&code.ops),
             queues: [MsgQueue::new(QUEUE0_WORDS), MsgQueue::new(QUEUE1_WORDS)],
-            xlate: XlateCache::new(XLATE_ENTRIES as usize),
             staging: [[Word::NIL; 9]; 3],
             bg_runnable,
             active: [false, false],

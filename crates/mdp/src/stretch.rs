@@ -9,16 +9,16 @@
 //! retiring instructions that start before the room's end — a *stretch* —
 //! and [`crate::exec`] stops it before any op the lowering did not mark
 //! private: a message commit (`SEND…E`), the thread's end (`SUSPEND`,
-//! `HALT`), and what the checkpoint does not hold — `RESUME`'s staging
-//! frame and fault state, and the translation cache behind `ENTER`,
-//! `XLATE` and `PROBE`. The one thing a stretch cannot see coming is a
-//! delivery into a higher-priority queue at a cycle inside it. It is not
-//! predicted: the stretch keeps one checkpoint (the running bank, the
-//! counters it bumps, the compose length and class, and an undo log of the
-//! memory words it overwrote), and [`MdpNode::deliver_traced`] — or the
-//! machine's drive, stopping on another node's error — rewinds to the
-//! cycle in question and re-executes the instructions that started before
-//! it.
+//! `HALT`), and `RESUME`, whose staging frame and fault state the
+//! checkpoint does not hold. `ENTER`, `XLATE` and `PROBE` run on: the name
+//! table is SRAM words, and the translation counters are in the
+//! checkpoint. The one thing a stretch cannot see coming is a delivery into
+//! a higher-priority queue at a cycle inside it. It is not predicted: the
+//! stretch keeps one checkpoint (the running bank, the counters it bumps,
+//! the compose length and class, and an undo log of the memory words it
+//! overwrote), and [`MdpNode::deliver_traced`] — or the machine's drive,
+//! stopping on another node's error — rewinds to the cycle in question and
+//! re-executes the instructions that started before it.
 
 use crate::node::MdpNode;
 use jm_isa::instr::StatClass;
@@ -68,6 +68,8 @@ pub(crate) struct Stretch {
     cycles: [u64; 7],
     instructions: u64,
     sends: u64,
+    xlates: u64,
+    xlate_misses: u64,
     handler_instructions: u64,
     /// Memory words the stretch overwrote, as `(address, old word)`.
     pub(crate) undo: Vec<(u32, Word)>,
@@ -89,6 +91,8 @@ impl MdpNode {
         s.cycles = self.stats.cycles;
         s.instructions = self.stats.instructions;
         s.sends = self.stats.sends;
+        s.xlates = self.stats.xlates;
+        s.xlate_misses = self.stats.xlate_misses;
         s.handler_instructions = self
             .stats
             .handlers
@@ -117,6 +121,8 @@ impl MdpNode {
         self.stats.cycles = s.cycles;
         self.stats.instructions = s.instructions;
         self.stats.sends = s.sends;
+        self.stats.xlates = s.xlates;
+        self.stats.xlate_misses = s.xlate_misses;
         self.stats
             .handlers
             .slot_mut(self.handler_slot[pi])

@@ -2,7 +2,7 @@
 //! faults, queue streaming, send faults, and name translation.
 
 use jm_asm::{hdr, seg, Builder, Program, Region};
-use jm_isa::consts::FaultKind;
+use jm_isa::consts::{FaultKind, EMEM_BASE, VECTOR_COUNT, XLATE_BASE, XLATE_SETS, XLATE_WAYS};
 use jm_isa::instr::{AluOp, MsgPriority, StatClass};
 use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::operand::{MemRef, Special};
@@ -360,6 +360,95 @@ fn xlate_enter_probe_and_miss_fault() {
     assert_eq!(node.stats().fault_count(FaultKind::XlateMiss), 1);
 }
 
+/// Runs a background thread that loads `out` into `A0` and then `body`, to
+/// its `HALT`; returns the node and `out`'s eight words, each -1 until
+/// written.
+fn run_names(body: impl FnOnce(&mut Builder)) -> (MdpNode, Vec<Word>) {
+    let mut b = Builder::new();
+    b.data("out", Region::Imem, vec![Word::int(-1); 8]);
+    b.label("main");
+    b.load_seg(A0, "out");
+    body(&mut b);
+    b.halt();
+    b.entry("main");
+    let p = b.assemble().unwrap();
+    let out = p.segment("out");
+    let mut node = node_for(p);
+    run(&mut node, &mut MockNet::default(), 500);
+    let words = node.dump_mem(out.base, out.len);
+    (node, words)
+}
+
+/// The (key, value) pairs of set `set`, way 0 first.
+fn name_set(node: &MdpNode, set: u32) -> Vec<(Word, Word)> {
+    let at = XLATE_BASE + set * 2 * XLATE_WAYS;
+    let words = node.dump_mem(at, 2 * XLATE_WAYS);
+    words.chunks(2).map(|pair| (pair[0], pair[1])).collect()
+}
+
+#[test]
+fn name_table_hits_and_replaces_a_binding_in_place() {
+    let (node, out) = run_names(|b| {
+        b.enter(Word::sym(5), Word::int(50));
+        b.xlate(MemRef::disp(A0, 0), Word::sym(5));
+        b.enter(Word::sym(5), Word::int(55));
+        b.xlate(MemRef::disp(A0, 1), Word::sym(5));
+    });
+    assert_eq!(out[..2], [Word::int(50), Word::int(55)]);
+    let nil = (Word::NIL, Word::NIL);
+    assert_eq!(name_set(&node, 5), [(Word::sym(5), Word::int(55)), nil]);
+    assert_eq!((node.stats().xlates, node.stats().xlate_misses), (2, 0));
+}
+
+#[test]
+fn a_third_key_in_a_set_evicts_its_oldest() {
+    let keys = [3, 3 + XLATE_SETS, 3 + 2 * XLATE_SETS].map(Word::sym);
+    let (node, out) = run_names(|b| {
+        for (k, key) in keys.into_iter().enumerate() {
+            b.enter(key, Word::int(k as i32));
+        }
+        for (k, key) in keys.into_iter().enumerate() {
+            b.probe(MemRef::disp(A0, k as u32), key);
+        }
+    });
+    assert_eq!(out[..3], [Word::NIL, Word::int(1), Word::int(2)]);
+    let set = [(keys[2], Word::int(2)), (keys[1], Word::int(1))];
+    assert_eq!(name_set(&node, 3), set);
+    assert_eq!((node.stats().xlates, node.stats().xlate_misses), (3, 1));
+}
+
+#[test]
+fn a_key_that_differs_only_by_tag_misses_and_probe_misses_to_nil() {
+    let (node, out) = run_names(|b| {
+        b.enter(Word::sym(7), Word::int(70));
+        b.probe(MemRef::disp(A0, 0), Word::int(7));
+        b.probe(MemRef::disp(A0, 1), Word::sym(8));
+        b.probe(MemRef::disp(A0, 2), Word::sym(7));
+    });
+    assert_eq!(out[..3], [Word::NIL, Word::NIL, Word::int(70)]);
+    assert_eq!((node.stats().xlates, node.stats().xlate_misses), (3, 2));
+    assert_eq!(node.stats().fault_count(FaultKind::XlateMiss), 0);
+}
+
+/// The table has no valid bits: an empty way is NIL bound to NIL, so NIL
+/// translates to NIL until its set (set 0) holds other keys in every way,
+/// and `ENTER NIL` binds it like any key (DESIGN.md §6).
+#[test]
+fn a_nil_key_translates_to_nil_until_its_set_fills() {
+    let others = [XLATE_SETS, 2 * XLATE_SETS].map(Word::sym);
+    let (node, out) = run_names(|b| {
+        b.xlate(MemRef::disp(A0, 0), Word::NIL);
+        b.enter(Word::NIL, Word::int(9));
+        b.xlate(MemRef::disp(A0, 1), Word::NIL);
+        b.enter(others[0], Word::int(1));
+        b.xlate(MemRef::disp(A0, 2), Word::NIL);
+        b.enter(others[1], Word::int(2));
+        b.probe(MemRef::disp(A0, 3), Word::NIL);
+    });
+    assert_eq!(out[..4], [Word::NIL, Word::int(9), Word::int(9), Word::NIL]);
+    assert_eq!((node.stats().xlates, node.stats().xlate_misses), (4, 1));
+}
+
 #[test]
 fn bounds_fault_on_bad_descriptor_and_index() {
     let mut b = Builder::new();
@@ -509,30 +598,25 @@ fn seg_reference_via_message_and_queue_window_is_readonly() {
 
 #[test]
 fn emem_code_runs_slower() {
-    // Same loop, once with code in Imem and once padded into Emem.
-    fn loop_cycles(pad: usize) -> u64 {
+    // Same loop, once with code in Imem and once placed in Emem (the
+    // assembler keeps code below the name table, in SRAM).
+    fn loop_cycles(code_base: u32) -> u64 {
         let mut b = Builder::new();
         b.label("main");
-        for _ in 0..pad {
-            b.nop();
-        }
-        b.label("start");
         b.movi(R0, 100);
         b.label("loop");
         b.subi(R0, R0, 1);
         b.bnz(R0, "loop");
         b.halt();
-        if pad > 0 {
-            b.entry("start");
-        } else {
-            b.entry("main");
-        }
-        let mut node = node_for(b.assemble().unwrap());
+        b.entry("main");
+        let mut program = b.assemble().unwrap();
+        program.code_base = code_base;
+        let mut node = node_for(program);
         let mut net = MockNet::default();
         run(&mut node, &mut net, 100_000)
     }
-    let fast = loop_cycles(0);
-    let slow = loop_cycles(9000); // pushes the loop body past the Imem boundary
+    let fast = loop_cycles(VECTOR_COUNT);
+    let slow = loop_cycles(EMEM_BASE);
     assert!(
         slow > fast * 2,
         "Emem code should be much slower: {fast} vs {slow}"

@@ -18,7 +18,7 @@
 
 use jm_asm::{hdr, Builder, Program, Region};
 use jm_bench::workloads::pingpong_program;
-use jm_isa::consts::{EMEM_BASE, QUEUE0_WORDS};
+use jm_isa::consts::{FaultKind, EMEM_BASE, QUEUE0_WORDS, XLATE_SETS};
 use jm_isa::instr::{AluOp, MsgPriority};
 use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::operand::{MemRef, Special};
@@ -803,20 +803,17 @@ fn stretches_stop_before_a_fresh_dram_page() {
 /// The pages `fill` writes.
 const FILL_PAGES: u32 = 6;
 
-/// Each even node sends the next a P0 `fill` and, after a delay of its
-/// own (`stagger` loop turns a node id), a P1 `urgent`. `fill` writes the
-/// first word of one untouched page of `page` words after another (word
-/// `first + k * page` of `far`, in `region`), for as long as no `urgent`
-/// has landed.
-fn fill_program(region: Region, page: u32, first: u32, stagger: i32) -> Program {
-    let mut b = Builder::new();
-    b.reserve("far", region, FILL_PAGES * page);
-    route_to_next(&mut b);
+/// Each even node sends the next a P0 `job` and, after a delay of its own
+/// (`stagger` loop turns a node id), a P1 `urgent`, which raises `shared`
+/// word 0. `job` is `body`'s, run after `A0` is loaded with `shared`; it
+/// ends at `done`.
+fn preempted_job(b: &mut Builder, stagger: i32, body: impl FnOnce(&mut Builder)) -> Program {
+    route_to_next(b);
     b.mov(R3, Special::Nid);
     b.alu(AluOp::And, R3, R3, 1);
     b.bnz(R3, "odd");
     b.send(MsgPriority::P0, MemRef::disp(A1, 0));
-    b.send2e(MsgPriority::P0, hdr("fill", 2), 0);
+    b.send2e(MsgPriority::P0, hdr("job", 2), 0);
     b.mov(R3, Special::Nid);
     b.alu(AluOp::Mul, R3, R3, stagger);
     b.addi(R3, R3, 3);
@@ -827,24 +824,35 @@ fn fill_program(region: Region, page: u32, first: u32, stagger: i32) -> Program 
     b.send2e(MsgPriority::P1, hdr("urgent", 2), 1);
     b.label("odd");
     b.suspend();
-    b.label("fill");
+    b.label("job");
     b.load_seg(A0, "shared");
-    b.load_seg(A2, "far");
-    for k in 0..FILL_PAGES {
-        b.mov(R0, MemRef::disp(A0, 0));
-        b.bnz(R0, "filled");
-        b.movi(R2, 6);
-        b.label(format!("spin{k}"));
-        b.subi(R2, R2, 1);
-        b.bnz(R2, format!("spin{k}"));
-        b.mov(MemRef::disp(A2, first + page * k), Special::Cycle);
-    }
-    b.label("filled");
+    body(b);
+    b.label("done");
     b.suspend();
-    interrupt_handler(&mut b, "urgent");
+    interrupt_handler(b, "urgent");
     b.entry("main");
-    nnr::install(&mut b);
+    nnr::install(b);
     b.assemble().unwrap()
+}
+
+/// A [`preempted_job`] that writes the first word of one untouched page of
+/// `page` words after another (word `first + k * page` of `far`, in
+/// `region`), for as long as no `urgent` has landed.
+fn fill_program(region: Region, page: u32, first: u32, stagger: i32) -> Program {
+    let mut b = Builder::new();
+    b.reserve("far", region, FILL_PAGES * page);
+    preempted_job(&mut b, stagger, |b| {
+        b.load_seg(A2, "far");
+        for k in 0..FILL_PAGES {
+            b.mov(R0, MemRef::disp(A0, 0));
+            b.bnz(R0, "done");
+            b.movi(R2, 6);
+            b.label(format!("spin{k}"));
+            b.subi(R2, R2, 1);
+            b.bnz(R2, format!("spin{k}"));
+            b.mov(MemRef::disp(A2, first + page * k), Special::Cycle);
+        }
+    })
 }
 
 /// A stretch may allocate an SRAM page — SRAM allocation is not state —
@@ -907,6 +915,69 @@ fn a_rewound_stretch_leaves_no_dram_page() {
             machines[1].stretch_stats().rewinds > 0,
             "{label}: no rewind"
         );
+    }
+}
+
+/// A [`preempted_job`] that, for as long as no `urgent` has landed, enters
+/// three keys of one name-table set in turn — the third evicts the first
+/// — translating the key entered before each and probing the one entered
+/// two before, which is gone. The first translation misses into
+/// `refill`, which enters the key; the translations are summed into
+/// `shared` word 1, which `urgent` reads.
+fn names_program(stagger: i32) -> Program {
+    let mut b = Builder::new();
+    let key = |k: u32| Word::sym(5 + (k % 3) * XLATE_SETS);
+    preempted_job(&mut b, stagger, |b| {
+        for k in 3..3 + NAME_ROUNDS {
+            b.mov(R0, MemRef::disp(A0, 0));
+            b.bnz(R0, "done");
+            b.enter(key(k), Special::Cycle);
+            b.xlate(R1, key(k - 1));
+            b.probe(R2, key(k - 2));
+            b.alu(AluOp::Add, R1, R1, MemRef::disp(A0, 1));
+            b.mov(MemRef::disp(A0, 1), R1);
+        }
+        b.br("done");
+        b.label("refill");
+        b.enter(Special::FVal, Word::int(1));
+        b.resume();
+    })
+}
+
+/// Rounds of `names_program`'s job.
+const NAME_ROUNDS: u32 = 8;
+
+/// Stretches run through `ENTER`, `XLATE` and `PROBE`, whose table is SRAM
+/// words: a P1 `urgent` that lands inside one rewinds the table's words
+/// with the rest. Stopped at every cycle of the run, every engine's state
+/// hash and translation counters are naive's, at staggers that land
+/// `urgent` at every phase of a round.
+#[test]
+fn a_rewound_stretch_through_the_name_table_is_engine_exact() {
+    let config = MachineConfig::new(16).start(StartPolicy::AllNodes);
+    for stagger in 2..8 {
+        let program = names_program(stagger);
+        let setup = |m: &mut JMachine| m.install_vector_all(FaultKind::XlateMiss, "refill");
+        let label = format!("names, stagger {stagger}");
+        let (end, machines) = agree(&label, &program, config, |m| {
+            setup(m);
+            observe(m, 100_000)
+        });
+        let cycles = end.outcome.expect("the names workload quiesces");
+        let nodes = &end.stats.nodes;
+        let refills = nodes.fault_count(FaultKind::XlateMiss);
+        assert!(refills > 0 && nodes.xlates > refills, "{label}: {nodes:?}");
+        let rewinds = machines[1].stretch_stats().rewinds;
+        assert!(rewinds > 0, "{label}: no rewind");
+        for at in 0..=cycles {
+            let stop = format!("{label}, stopped at {at}");
+            agree(&stop, &program, config, |m| {
+                setup(m);
+                m.run(at);
+                let nodes = m.stats().nodes;
+                (m.state_hash(), nodes.xlates, nodes.xlate_misses)
+            });
+        }
     }
 }
 

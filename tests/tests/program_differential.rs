@@ -4,7 +4,11 @@
 //! * ALU and tag operations (`RTAG`, `WTAG`, `CHECK`) over registers,
 //!   immediates, specials and memory operands;
 //! * loads and stores in internal and external memory, some of them the
-//!   first write to a DRAM page;
+//!   first write to a DRAM page, and fills that write one fresh 512-word
+//!   page after another of a 4 096-word unit until a priority-1 handler
+//!   raises a flag — so a P1 delivery may rewind a stretch past such a
+//!   write, and the page it would leave allocated is one naive never
+//!   writes;
 //! * bounded loops and bounded polling loops, forward branches, leaf calls,
 //!   with `MARK`s at branch targets and in front of the instructions a
 //!   stretch stops at;
@@ -12,7 +16,9 @@
 //!   carrying a fuel word its handler decrements before sending on, so every
 //!   chain dies;
 //! * `cfut`/`fut` slots read under an installed fault handler that fills the
-//!   slot and resumes, and `XLATE` misses under one that enters the key;
+//!   slot and resumes, and `XLATE` misses under one that enters the key,
+//!   with three keys in one name-table set so that entries replace one
+//!   another inside stretches and across rewinds;
 //! * in about one seed in eight, a fatal fault no handler catches: one node
 //!   divides by zero after a counted loop, and the run ends in a node error.
 //!
@@ -25,7 +31,7 @@
 //! and the smallest program is printed with its seed.
 
 use jm_asm::{hdr, Builder, Program, Region};
-use jm_isa::consts::{FaultKind, EMEM_BASE};
+use jm_isa::consts::{FaultKind, EMEM_BASE, XLATE_SETS};
 use jm_isa::instr::{Alu1Op, AluOp, MsgPriority, StatClass};
 use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::operand::{MemRef, Special};
@@ -49,8 +55,11 @@ const FUT_SLOTS: u32 = 8;
 const ROUTE_STEPS: [u32; 4] = [0, 1, 3, 6];
 /// Words in every message: header, fuel and three payload words.
 const MSG_WORDS: u32 = 5;
-/// Name-translation keys.
-const KEYS: u32 = 6;
+/// Name-translation keys (`sym` payloads): three share set 0 of the two-way
+/// name table, and two share set 1.
+const KEYS: [u32; 6] = [0, 1, 2, XLATE_SETS, 2 * XLATE_SETS, 3 * XLATE_SETS + 1];
+/// Pages of a 4 096-word DRAM unit.
+const UNIT_PAGES: u32 = 4096 / DRAM_PAGE_WORDS;
 /// Longest run the differential waits for.
 const MAX_CYCLES: u64 = 400_000;
 
@@ -68,6 +77,8 @@ enum Seg {
     Fut,
     /// Internal memory holding route words, written by the host.
     Routes,
+    /// One internal word, zero until a priority-1 handler raises it.
+    Flag,
 }
 
 impl Seg {
@@ -78,12 +89,13 @@ impl Seg {
             Seg::Dram => "g_dram",
             Seg::Fut => "g_fut",
             Seg::Routes => "g_routes",
+            Seg::Flag => "g_flag",
         }
     }
 
     fn base(self) -> AReg {
         match self {
-            Seg::Imem => AReg::A0,
+            Seg::Imem | Seg::Flag => AReg::A0,
             Seg::Emem | Seg::Dram => AReg::A1,
             Seg::Fut | Seg::Routes => AReg::A2,
         }
@@ -156,6 +168,13 @@ enum Stmt {
     },
     /// `ENTER #key, R0` (0), `PROBE R2, #key` (1) or `XLATE R2, #key` (2).
     Name(u8, u32, Option<StatClass>),
+    /// Stores the cycle in DRAM unit `unit`'s first page, then, while the
+    /// flag is zero, in the first word of each later page of the unit,
+    /// turning a loop of `spin` between stores.
+    Fill {
+        unit: u32,
+        spin: i32,
+    },
     /// `JAL R2, sub`; the leaf routine returns with `JMP R2`.
     Call(usize),
     Mark(StatClass),
@@ -305,7 +324,7 @@ fn is_mem(v: Val) -> bool {
 
 fn stmt(g: &mut Prng, ctx: Ctx, depth: u32) -> Stmt {
     loop {
-        let s = match g.range_u32(0, 20) {
+        let s = match g.range_u32(0, 21) {
             0..=3 => {
                 let op = pick(g, &INT_OPS);
                 let dst = place(g, 0.4);
@@ -392,9 +411,11 @@ fn stmt(g: &mut Prng, ctx: Ctx, depth: u32) -> Stmt {
                     mark: maybe_mark(g),
                 }
             }
-            18 if !ctx.leaf => {
-                Stmt::Name(g.range_u32(0, 3) as u8, g.range_u32(0, KEYS), maybe_mark(g))
-            }
+            18 if !ctx.leaf => Stmt::Name(g.range_u32(0, 3) as u8, pick(g, &KEYS), maybe_mark(g)),
+            20 if !ctx.in_loop && !ctx.leaf => Stmt::Fill {
+                unit: g.range_u32(0, DRAM_UNITS + 1),
+                spin: g.range_i32(1, 8),
+            },
             19 if !ctx.leaf && ctx.subs > 0 => Stmt::Call(g.range_usize(0, ctx.subs)),
             19 => Stmt::Mark(pick(g, &MARKS)),
             _ if g.chance(0.1) => Stmt::Nop,
@@ -669,6 +690,26 @@ impl Emitter {
                     _ => self.b.xlate(R2, key),
                 };
             }
+            Stmt::Fill { unit, spin } => {
+                let out = self.fresh();
+                self.b.load_seg(AReg::A0, Seg::Flag.name());
+                self.b.load_seg(AReg::A1, Seg::Dram.name());
+                // `g_dram` starts `DATA_WORDS` into unit 0's first page.
+                let page = |p: u32| (unit * UNIT_PAGES + p) * DRAM_PAGE_WORDS;
+                self.b.mov(MemRef::disp(AReg::A1, page(0)), Special::Cycle);
+                for p in 1..UNIT_PAGES {
+                    let spin_head = self.fresh();
+                    self.b.mov(R2, MemRef::disp(AReg::A0, 0));
+                    self.b.bnz(R2, out.as_str());
+                    self.b.movi(R3, spin);
+                    self.b.label(spin_head.as_str());
+                    self.b.subi(R3, R3, 1);
+                    self.b.bnz(R3, spin_head);
+                    let first = page(p) - DATA_WORDS;
+                    self.b.mov(MemRef::disp(AReg::A1, first), Special::Cycle);
+                }
+                self.b.label(out);
+            }
             Stmt::Call(k) => {
                 self.b.jal(R2, format!("s{k}"));
             }
@@ -715,6 +756,7 @@ fn assemble(gen: &Gen) -> Program {
         vec![Word::int(3); FUT_SLOTS as usize],
     );
     b.reserve(Seg::Routes.name(), Region::Imem, ROUTE_STEPS.len() as u32);
+    b.data(Seg::Flag.name(), Region::Imem, vec![Word::int(0)]);
     b.label("main");
     b.movi(R0, 1);
     b.movi(R1, 2);
@@ -734,6 +776,11 @@ fn assemble(gen: &Gen) -> Program {
     e.b.suspend();
     for (k, h) in gen.handlers.iter().enumerate() {
         e.b.label(format!("h{k}"));
+        if h.priority == MsgPriority::P1 {
+            // Stops this node's fills.
+            e.b.load_seg(AReg::A0, Seg::Flag.name());
+            e.b.mov(MemRef::disp(AReg::A0, 0), 1);
+        }
         e.b.mov(R1, MemRef::disp(AReg::A3, h.first));
         e.b.mov(R0, Special::Nid);
         e.stmts(&h.body, true);
