@@ -4,7 +4,7 @@
 //! [--engine ENGINE]` — and the synopsis *is* the declaration: [`parse`] reads
 //! from it which flags exist, which are required (no brackets), which may
 //! repeat (`]...`) and what kind of value each takes (the placeholder:
-//! `N`, `FRAC`, `PATH`, `ENGINE`, `PATTERN`, `XxYxZ`, `NAME:METRIC=NUM`, or
+//! `N`, `PATH`, `ENGINE`, `PATTERN`, `XxYxZ`, `NAME:METRIC=NUM`, or
 //! `a|b` choices), and checks a command line against that before anything
 //! runs. An unknown subcommand or flag, a flag missing its value, a
 //! repeated flag, or a value of the wrong kind is a [`CliError::Input`] —
@@ -164,12 +164,6 @@ impl Args {
         }
     }
 
-    /// The value of `FRAC` flag `flag`.
-    pub(crate) fn fraction(&self, flag: &str) -> Option<f64> {
-        self.text(flag)
-            .map(|v| v.parse().expect("validated number"))
-    }
-
     /// The `--engine` value.
     pub(crate) fn engine(&self) -> Option<Engine> {
         self.text("--engine")
@@ -254,10 +248,6 @@ fn check_value(kind: &str, text: &str) -> Result<(), String> {
             Ok(_) => Ok(()),
             Err(_) => Err(format!("`{text}` is not an unsigned integer")),
         },
-        "FRAC" => match text.parse::<f64>() {
-            Ok(x) if x.is_finite() => Ok(()),
-            _ => Err(format!("`{text}` is not a number")),
-        },
         "PATH" => Ok(()),
         "ENGINE" => parse_engine(text).map(drop),
         "PATTERN" => parse_pattern(text).map(drop),
@@ -290,8 +280,8 @@ const TOOLS: &[Command] = &[
     Command {
         name: "gate",
         synopsis:
-            "--current PATH [--baseline PATH] [--tolerance FRAC] [--floor NAME:METRIC=NUM]... \
-         [--floor-margin FRAC] [--ceiling NAME:METRIC=NUM]...",
+            "--current PATH [--baseline PATH] [--floor NAME:METRIC=NUM]... \
+         [--ceiling NAME:METRIC=NUM]...",
         about: "ratchet, floor and ceiling a fresh BENCH file against a baseline",
         run: gate::run,
     },
@@ -329,7 +319,7 @@ const TOOLS: &[Command] = &[
     Command {
         name: "replay record",
         synopsis:
-            "[--workload exchange|chaos64] [--out PATH] [--interval N] [--cycles N] [--engine ENGINE] \
+            "[--workload exchange|chaos64|radix] [--out PATH] [--interval N] [--cycles N] [--engine ENGINE] \
          [--seed N]",
         about: "record a canned workload into a .jmrp replay log",
         run: tools::replay_record,
@@ -591,14 +581,14 @@ mod tests {
     fn a_synopsis_declares_its_flags_and_values_come_out_typed() {
         let find = |name: &str| commands().into_iter().find(|c| c.name == name).unwrap();
         let flags = find("gate").flags();
-        assert_eq!(flags.len(), 6);
+        assert_eq!(flags.len(), 4);
         let floor = Flag {
             name: "--floor",
             value: Some("NAME:METRIC=NUM"),
             required: false,
             repeats: true,
         };
-        assert_eq!(flags[3], floor);
+        assert_eq!(flags[2], floor);
         assert!(flags[0].required && flags[0].name == "--current");
         assert_eq!(find("fig3").positional(), Some("nodes"));
         assert_eq!(find("table1").positional(), None);
@@ -611,15 +601,15 @@ mod tests {
             "c.json",
             "--floor",
             floors[0],
-            "--tolerance",
-            "0.30",
+            "--baseline",
+            "b.json",
             "--floor",
             floors[1],
         ])
         .unwrap();
         assert_eq!((cmd.name, args.command()), ("gate", "gate"));
         assert_eq!(args.text("--current"), Some("c.json"));
-        assert_eq!(args.fraction("--tolerance"), Some(0.30));
+        assert_eq!(args.text("--baseline"), Some("b.json"));
         let floors = args.bounds("--floor");
         assert_eq!(floors.len(), 2);
         assert_eq!(floors[0].name, "ring64");

@@ -16,6 +16,13 @@ use std::process::ExitCode;
 /// the share of the flit moves the bulk law carried.
 pub const RATCHETED: [&str; 3] = ["speedup", "vs_event", "law_share"];
 
+/// How far below its baseline a ratcheted row may fall.
+const TOLERANCE: f64 = 0.30;
+
+/// How far below its nominal value a floor is enforced: short CI runs
+/// jitter.
+const FLOOR_MARGIN: f64 = 0.10;
+
 fn load(path: &str) -> Result<Vec<Row>, CliError> {
     let doc = std::fs::read_to_string(path).map_err(|e| CliError::io(path, e))?;
     rows::read(&doc).map_err(|e| CliError::Input(format!("{path}: malformed BENCH file: {e}")))
@@ -62,7 +69,7 @@ impl Verdict {
     }
 }
 
-fn ratchet(v: &mut Verdict, baseline: &[Row], current: &[Row], tolerance: f64) {
+fn ratchet(v: &mut Verdict, baseline: &[Row], current: &[Row]) {
     for base in baseline {
         if !RATCHETED.contains(&base.metric.as_str()) {
             continue;
@@ -84,7 +91,7 @@ fn ratchet(v: &mut Verdict, baseline: &[Row], current: &[Row], tolerance: f64) {
             ));
             continue;
         }
-        let floor = base.value * (1.0 - tolerance);
+        let floor = base.value * (1.0 - TOLERANCE);
         v.check(
             cur.value >= floor,
             format!(
@@ -95,13 +102,12 @@ fn ratchet(v: &mut Verdict, baseline: &[Row], current: &[Row], tolerance: f64) {
     }
 }
 
-/// Absolute walls a re-blessed baseline cannot slide under. A floor
-/// (`margin` = `Some`) is enforced at `MIN × (1 − margin)` — short CI runs
-/// jitter — and skipped on an oversubscribed row; a ceiling (`None`) is
-/// enforced as given. A wall naming a missing row fails: a wall with
-/// nothing to check is not a pass.
-fn walls(v: &mut Verdict, current: &[Row], walls: &[Bound], margin: Option<f64>) {
-    let kind = if margin.is_some() { "floor" } else { "ceiling" };
+/// Absolute walls a re-blessed baseline cannot slide under. A floor is
+/// enforced at `MIN × (1 − FLOOR_MARGIN)` and skipped on an
+/// oversubscribed row; a ceiling is enforced as given. A wall naming a
+/// missing row fails: a wall with nothing to check is not a pass.
+fn walls(v: &mut Verdict, current: &[Row], walls: &[Bound], floor: bool) {
+    let kind = if floor { "floor" } else { "ceiling" };
     for w in walls {
         let label = format!("{}:{}", w.name, w.metric);
         let Some(cur) = rows::find(current, &w.name, &w.metric) else {
@@ -111,19 +117,19 @@ fn walls(v: &mut Verdict, current: &[Row], walls: &[Bound], margin: Option<f64>)
             );
             continue;
         };
-        let Some(margin) = margin else {
+        if !floor {
             let line = format!(
                 "{label:<44} {:.4} {} vs ceiling {:.4}",
                 cur.value, cur.unit, w.value
             );
             v.check(cur.value <= w.value, line);
             continue;
-        };
+        }
         if oversubscribed(current, cur) {
             v.skip(format!("{label} floor: the run is oversubscribed"));
             continue;
         }
-        let wall = w.value * (1.0 - margin);
+        let wall = w.value * (1.0 - FLOOR_MARGIN);
         v.check(
             cur.value >= wall,
             format!(
@@ -137,15 +143,13 @@ fn walls(v: &mut Verdict, current: &[Row], walls: &[Bound], margin: Option<f64>)
 /// `jmsim gate` (see the module documentation).
 pub(crate) fn run(args: &Args) -> Outcome {
     let baseline_path = args.text("--baseline").unwrap_or("BENCH_engine.json");
-    let tolerance = args.fraction("--tolerance").unwrap_or(0.30);
-    let margin = args.fraction("--floor-margin").unwrap_or(0.10);
     let baseline = load(baseline_path)?;
     let current = load(args.text("--current").expect("--current is required"))?;
 
     let mut v = Verdict::default();
-    ratchet(&mut v, &baseline, &current, tolerance);
-    walls(&mut v, &current, &args.bounds("--floor"), Some(margin));
-    walls(&mut v, &current, &args.bounds("--ceiling"), None);
+    ratchet(&mut v, &baseline, &current);
+    walls(&mut v, &current, &args.bounds("--floor"), true);
+    walls(&mut v, &current, &args.bounds("--ceiling"), false);
 
     for line in &v.lines {
         println!("{line}");
@@ -153,7 +157,7 @@ pub(crate) fn run(args: &Args) -> Outcome {
     if v.failed {
         eprintln!(
             "benchmark regression gate FAILED (tolerance {:.0}%)",
-            tolerance * 100.0
+            TOLERANCE * 100.0
         );
         return Ok(ExitCode::FAILURE);
     }
@@ -200,23 +204,18 @@ mod tests {
         // The ratchet reads ratio rows only, holds each to its own
         // baseline, and fails on a baseline row the run lost.
         let mut v = Verdict::default();
-        ratchet(&mut v, &engine_doc(10.0, 0.9), &engine_doc(7.1, 0.9), 0.30);
+        ratchet(&mut v, &engine_doc(10.0, 0.9), &engine_doc(7.1, 0.9));
         assert!(!v.failed, "{:?}", v.lines);
         assert_eq!(v.lines.len(), 2, "the cycles row is not ratcheted");
 
         let mut v = Verdict::default();
-        ratchet(&mut v, &engine_doc(10.0, 0.9), &engine_doc(6.9, 0.9), 0.30);
+        ratchet(&mut v, &engine_doc(10.0, 0.9), &engine_doc(6.9, 0.9));
         assert!(v.failed);
         assert!(v.lines[0].starts_with("[FAIL] ring64_idle_dominated:speedup"));
         assert!(v.lines[1].starts_with("[ok] exchange64_load_dominated:speedup"));
 
         let mut v = Verdict::default();
-        ratchet(
-            &mut v,
-            &engine_doc(10.0, 0.9),
-            &engine_doc(10.0, 0.9)[..2],
-            0.30,
-        );
+        ratchet(&mut v, &engine_doc(10.0, 0.9), &engine_doc(10.0, 0.9)[..2]);
         assert!(v.failed);
         assert!(v.lines[1].contains("exchange64_load_dominated:speedup missing"));
     }
@@ -228,10 +227,10 @@ mod tests {
             vec![Row::host(name, "law_share", share, "ratio", 2)]
         };
         let mut v = Verdict::default();
-        ratchet(&mut v, &doc(0.3), &doc(0.25), 0.30);
+        ratchet(&mut v, &doc(0.3), &doc(0.25));
         assert!(!v.failed, "{:?}", v.lines);
         let mut v = Verdict::default();
-        ratchet(&mut v, &doc(0.3), &doc(0.0), 0.30);
+        ratchet(&mut v, &doc(0.3), &doc(0.0));
         assert!(v.failed);
     }
 
@@ -252,7 +251,7 @@ mod tests {
         ));
 
         let mut v = Verdict::default();
-        ratchet(&mut v, &doc, &doc, 0.30);
+        ratchet(&mut v, &doc, &doc);
         assert!(!v.failed);
         assert!(v.lines[2].starts_with("[skip] threads/parallel-8:vs_event baseline"));
     }
@@ -262,13 +261,13 @@ mod tests {
         // A 4-CPU baseline against a 1-CPU run: the 4-thread row cannot be
         // compared, and must neither pass nor fail.
         let mut v = Verdict::default();
-        ratchet(&mut v, &thread_doc(4), &thread_doc(1), 0.30);
+        ratchet(&mut v, &thread_doc(4), &thread_doc(1));
         assert!(!v.failed);
         assert!(v.lines[1].starts_with("[skip] threads/parallel-4:vs_event current"));
         // The same holds for an absolute floor on that row…
         let floor = [bound("threads/parallel-4", "vs_event", 9.0)];
         let mut v = Verdict::default();
-        walls(&mut v, &thread_doc(1), &floor, Some(0.10));
+        walls(&mut v, &thread_doc(1), &floor, true);
         assert!(
             !v.failed && v.lines[0].starts_with("[skip]"),
             "{:?}",
@@ -276,7 +275,7 @@ mod tests {
         );
         // …which is enforced where the host is big enough.
         let mut v = Verdict::default();
-        walls(&mut v, &thread_doc(4), &floor, Some(0.10));
+        walls(&mut v, &thread_doc(4), &floor, true);
         assert!(v.failed);
     }
 
@@ -289,10 +288,10 @@ mod tests {
         ];
         // 0.91 clears a nominal 1.0 floor through the 10% margin; 0.89 not.
         let mut v = Verdict::default();
-        walls(&mut v, &engine_doc(3.0, 0.91), &nominal[..2], Some(0.10));
+        walls(&mut v, &engine_doc(3.0, 0.91), &nominal[..2], true);
         assert!(!v.failed, "{:?}", v.lines);
         let mut v = Verdict::default();
-        walls(&mut v, &engine_doc(3.0, 0.89), &nominal, Some(0.10));
+        walls(&mut v, &engine_doc(3.0, 0.89), &nominal, true);
         assert!(v.lines[0].starts_with("[FAIL]") && v.lines[1].starts_with("[ok]"));
         assert!(v.lines[2].contains("missing"), "{:?}", v.lines);
     }
@@ -309,7 +308,7 @@ mod tests {
         let at = |max: f64| {
             let mut v = Verdict::default();
             let c = [bound("ring64_traced", "overhead_vs_untraced", max)];
-            walls(&mut v, &doc, &c, None);
+            walls(&mut v, &doc, &c, false);
             v
         };
         assert!(!at(0.20).failed);
@@ -323,7 +322,7 @@ mod tests {
         // A ceiling with nothing to check is a failure, not a pass.
         let mut v = Verdict::default();
         let c = [bound("ring64_traced", "overhead_vs_untraced", 0.2)];
-        walls(&mut v, &engine_doc(1.0, 1.0), &c, None);
+        walls(&mut v, &engine_doc(1.0, 1.0), &c, false);
         assert!(v.failed);
     }
 }

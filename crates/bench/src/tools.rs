@@ -12,6 +12,7 @@ use crate::cli::{self, write_file, Args, CliError, Outcome};
 use crate::registry::{self, Ctx};
 use crate::workloads::exchange_program;
 use crate::{harness, observe, rows, traffic};
+use jm_apps::radix::{self, RadixConfig};
 use jm_apps::{App, Problems};
 use jm_isa::MeshDims;
 use jm_machine::{
@@ -168,13 +169,25 @@ fn bad_log(args: &Args, err: impl std::fmt::Display) -> CliError {
     CliError::Input(format!("--log {path}: {err}"))
 }
 
-/// `jmsim replay record`: captures a canned 64-node workload — the exchange
-/// loop, plain or (`chaos64`) under a delay-only fault plan sized to a
-/// short run — into a `.jmrp` event log.
+/// The most cycles `jmsim replay record --workload radix` waits for
+/// quiescence; the sort takes about 109 000.
+const RADIX_CYCLES: u64 = 1_000_000;
+
+/// `jmsim replay record`: captures a canned 64-node workload into a
+/// `.jmrp` event log — the exchange loop, plain or (`chaos64`) under a
+/// delay-only fault plan sized to a short run, for `--cycles`; or radix
+/// sort (`radix`, [`RadixConfig::scaled`]) to quiescence, whose keys
+/// arrive as host writes into DRAM and whose passes write DRAM, so its log
+/// holds DRAM words the exchange loop never writes.
 pub(crate) fn replay_record(args: &Args) -> Outcome {
     let workload = args.text("--workload").unwrap_or("exchange");
     if workload != "chaos64" && args.switch("--seed") {
-        let why = "`--seed` seeds the fault plan of `--workload chaos64`; `exchange` has none";
+        let why =
+            format!("`--seed` seeds the fault plan of `--workload chaos64`; `{workload}` has none");
+        return Err(CliError::Input(why));
+    }
+    if workload == "radix" && args.switch("--cycles") {
+        let why = "`--cycles` is the exchange loop's run length; radix runs to quiescence";
         return Err(CliError::Input(why.to_string()));
     }
     let default_out = format!("{workload}.jmrp");
@@ -192,9 +205,21 @@ pub(crate) fn replay_record(args: &Args) -> Outcome {
             .window(FaultWindow::node_down(5, 800, 1_400));
         config = config.fault(plan);
     }
-    let mut m = JMachine::new(exchange_program(), config);
+    let keys = RadixConfig::scaled();
+    let radix = workload == "radix";
+    let program = if radix {
+        radix::program(&keys, 64)
+    } else {
+        exchange_program()
+    };
+    let mut m = JMachine::new(program, config);
     m.record_replay(interval);
-    m.run(args.count("--cycles").unwrap_or(20_000));
+    if radix {
+        radix::setup(&mut m, &keys);
+        m.run_until_quiescent(RADIX_CYCLES)?;
+    } else {
+        m.run(args.count("--cycles").unwrap_or(20_000));
+    }
     let log = m.finish_replay().expect("recording was armed");
     log.write_file(out).map_err(|e| CliError::io(out, e))?;
     println!(

@@ -67,10 +67,11 @@ pub fn exchange_program() -> Program {
 }
 
 /// Ping-pong between node pairs (partner: flip the low node-id bit), eight
-/// volleys per pair, each hit bumping the receiver's `hits` word. Run with
-/// a dispatch cost near or above the parallel quantum (64 cycles) or the
-/// replay checkpoint interval, every wake-up lands that far out, so
-/// idle-skip fast-forwards cross those boundaries many times per rally.
+/// volleys per pair, each hit bumping the receiver's `hits` word. Between
+/// volleys a node idles through the flight and the dispatch, so under a
+/// replay checkpoint interval shorter than that wait, or with a late
+/// message to wait for, idle-skip fast-forwards cross checkpoint and
+/// quantum boundaries.
 pub fn pingpong_program() -> Program {
     const VOLLEYS: i32 = 8;
     let mut b = Builder::new();

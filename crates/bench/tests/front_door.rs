@@ -128,6 +128,7 @@ fn misuse_exits_2_with_one_line_and_writes_nothing() {
         // A flag the command would accept and then ignore.
         &["traffic", "--pattern", "transpose", "--load", "100000"],
         &["replay", "record", "--seed", "5"],
+        &["replay", "record", "--workload", "radix", "--cycles", "5"],
         &["fig7"],
         &[],
     ] {
@@ -209,16 +210,16 @@ fn bisect_of_a_log_with_one_flipped_checkpoint_exits_3() {
 
 #[test]
 fn a_log_of_the_previous_format_exits_2_with_one_line() {
-    let path = std::env::temp_dir().join(format!("jmsim-jmrp7-{}.jmrp", std::process::id()));
+    let path = std::env::temp_dir().join(format!("jmsim-jmrp8-{}.jmrp", std::process::id()));
     let path = path.to_str().unwrap();
     let record = ["--out", path, "--interval", "256", "--cycles", "1000"];
     let (code, _, stderr) = jmsim(&[&["replay", "record"][..], &record].concat());
     assert_eq!(code, 0, "{stderr}");
-    // A JMRP7 log's checkpoint hashes fold the name cache this build does
-    // not have: the magic refuses it first.
+    // A JMRP8 log's checkpoint hashes fold which DRAM pages a node has
+    // allocated, which this build does not: the magic refuses it first.
     let mut bytes = std::fs::read(path).unwrap();
     assert_eq!(&bytes[..6], jm_replay::MAGIC);
-    bytes[4] = b'7';
+    bytes[4] = b'8';
     std::fs::write(path, bytes).unwrap();
     for verb in ["verify", "bisect"] {
         let (code, stdout, stderr) = jmsim(&["replay", verb, "--log", path]);
@@ -229,6 +230,29 @@ fn a_log_of_the_previous_format_exits_2_with_one_line() {
         );
     }
     std::fs::remove_file(path).unwrap();
+}
+
+/// The DRAM-writing workload round-trips through the front door: radix's
+/// keys are host writes into DRAM, so the log carries them, and the sort's
+/// passes write DRAM, so its checkpoints fold DRAM words; another engine
+/// replays it clean.
+#[test]
+fn a_radix_log_records_dram_writes_and_replays_clean() {
+    let path = std::env::temp_dir().join(format!("jmsim-radix-{}.jmrp", std::process::id()));
+    let path = path.to_str().unwrap();
+    let record = ["replay", "record", "--workload", "radix", "--out", path];
+    let (code, _, stderr) = jmsim(&record);
+    assert_eq!(code, 0, "{stderr}");
+    let log = jm_replay::ReplayLog::read_file(path).unwrap();
+    let dram_writes = log.records.iter().filter(|r| {
+        matches!(r, jm_replay::Record::Op { op: jm_replay::HostOp::WriteWord { addr, .. }, .. }
+            if *addr >= jm_isa::consts::EMEM_BASE)
+    });
+    assert_eq!(dram_writes.count(), 4096, "a host write a key");
+    let (code, stdout, stderr) = jmsim(&["replay", "verify", "--log", path, "--engine", "event"]);
+    std::fs::remove_file(path).unwrap();
+    assert_eq!(code, 0, "{stdout}{stderr}");
+    assert!(stdout.contains("clean replay"), "{stdout}");
 }
 
 #[test]

@@ -957,8 +957,8 @@ impl JMachine {
 
     /// The nodes' host-side storage counters, summed: SRAM and DRAM pages
     /// and message-queue words their programs have written. Outside
-    /// [`MachineStats`] and every digest; `dram_pages` alone is state, and
-    /// the same under every engine.
+    /// [`MachineStats`] and every digest; a rewound stretch may leave a
+    /// page allocated, so the page counts depend on the engine.
     pub fn memory_stats(&self) -> MemoryStats {
         let mut total = MemoryStats::default();
         for node in &self.nodes {

@@ -124,7 +124,7 @@ fn every_mutant_of_a_log_errors_or_replays() {
     mutants.push(("not a log".into(), b"not a log".to_vec(), Some("magic")));
     // A previous-format log stops at the magic check, not in a misparse.
     let mut old = bytes.clone();
-    old[4] = b'7';
+    old[4] = b'8';
     mutants.push(("previous format".into(), old, Some("bad magic")));
     // A corrupted mesh extent (the three bytes after the magic) is a parse
     // error, not a panic in `MeshDims`.

@@ -28,7 +28,7 @@ enum Hazard {
     /// Processor fault: vector through the fault table.
     Fault(FaultKind, Word, Word),
     /// Inside a stretch only: an access the checkpoint cannot undo — the
-    /// staging window, or a write that would allocate a DRAM page.
+    /// staging window.
     Visible,
 }
 
@@ -240,8 +240,7 @@ impl MdpNode {
     /// Executes a private op starting at cycle `now`: reads its operands,
     /// then commits its writes — one, or an `ENTER`'s name-table words.
     /// Inside a stretch (`spec`), memory writes go to the undo log, and the
-    /// staging window and a write that would allocate a DRAM page are
-    /// hazards.
+    /// staging window is a hazard.
     #[inline(always)]
     fn exec(
         &mut self,
@@ -608,8 +607,7 @@ impl MdpNode {
 
     /// Writes the word at an absolute address, charging region cost.
     /// Inside a stretch (`spec`) the overwritten word goes to its undo log,
-    /// and a write that would allocate a 512-word DRAM page, or any
-    /// staging-window write, stops the stretch.
+    /// and a staging-window write stops the stretch.
     #[inline]
     fn store(&mut self, addr: u32, word: Word, extra: &mut u64, spec: bool) -> Result<(), Hazard> {
         if addr < MEM_WORDS {
@@ -618,9 +616,6 @@ impl MdpNode {
             } else {
                 EMEM_OPERAND
             };
-            if spec && !self.mem.is_mapped(addr) {
-                return Err(Hazard::Visible);
-            }
             self.poke(addr, word, spec);
             return Ok(());
         }
@@ -641,7 +636,8 @@ impl MdpNode {
     }
 
     /// Writes a word of memory, logging the word it overwrites inside a
-    /// stretch (`spec`). An SRAM write can always be undone.
+    /// stretch (`spec`). Any write can be undone: a page it allocated stays
+    /// allocated, and NIL folds as unwritten.
     #[inline]
     fn poke(&mut self, addr: u32, word: Word, spec: bool) {
         if spec {

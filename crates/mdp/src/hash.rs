@@ -74,7 +74,7 @@ impl MdpNode {
         h.finish()
     }
 
-    /// Digest of internal SRAM plus every allocated DRAM page.
+    /// Digest of the memory's words, the name table's included.
     fn hash_mem(&self) -> u64 {
         let mut h = Fnv1a::new();
         self.mem.fold_state(&mut h);

@@ -30,7 +30,7 @@
 //! program shares.
 //!
 //! The node is network-agnostic: the machine crate (`jm-machine`) pumps
-//! ejected words into [`MdpNode::deliver`] and passes a [`NetPort`] for
+//! ejected words into [`MdpNode::deliver_traced`] and passes a [`NetPort`] for
 //! injection.
 
 #![warn(missing_docs)]
@@ -48,8 +48,7 @@ mod stretch;
 
 pub use config::{MdpConfig, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
 pub use lower::Code;
-pub use memory::{Memory, MemoryStats, DRAM_PAGE_WORDS, SRAM_PAGE_WORDS};
+pub use memory::{MemoryStats, DRAM_PAGE_WORDS, SRAM_PAGE_WORDS};
 pub use node::{InjectAck, MdpNode, NetPort, NodeError, TickOutcome};
-pub use queue::MsgQueue;
 pub use stats::{HandlerStats, NodeStats};
 pub use stretch::StretchStats;

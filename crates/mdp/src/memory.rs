@@ -11,14 +11,9 @@ pub const DRAM_PAGE_WORDS: u32 = 512;
 const SRAM_PAGES: usize = (IMEM_WORDS / SRAM_PAGE_WORDS) as usize;
 /// Number of DRAM pages covering `EMEM_BASE..MEM_WORDS`.
 const DRAM_PAGES: usize = (EMEM_WORDS / DRAM_PAGE_WORDS) as usize;
-/// Words per unit of the DRAM fold (see [`Memory::fold_state`]): every
-/// state hash and replay log folds DRAM by 4 096-word unit, whatever the
-/// page size.
-const FOLD_UNIT_WORDS: u32 = 4096;
 
 const _: () = assert!(IMEM_WORDS.is_multiple_of(SRAM_PAGE_WORDS));
-const _: () = assert!(EMEM_WORDS.is_multiple_of(FOLD_UNIT_WORDS));
-const _: () = assert!(FOLD_UNIT_WORDS.is_multiple_of(DRAM_PAGE_WORDS));
+const _: () = assert!(EMEM_WORDS.is_multiple_of(DRAM_PAGE_WORDS));
 
 /// A demand-allocated page of `N` words: `None` until its first write,
 /// and read as [`Word::NIL`] until then.
@@ -59,13 +54,11 @@ fn nil_table() -> Box<DramTable> {
 /// Host-side storage counters of a node or a machine: the memory pages
 /// and queue words its program's writes have allocated. They describe
 /// the simulator's footprint, so they stay outside every statistic and
-/// digest; DRAM allocation is write-driven and a stretch never allocates
-/// a DRAM page (see [`Memory::is_mapped`]), so `dram_pages` is the same
-/// under every engine.
+/// digest. A stretch may allocate a page and be rewound, leaving the page
+/// allocated and NIL, so the page counts depend on the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
-    /// SRAM pages ([`SRAM_PAGE_WORDS`] words each) allocated. A stretch
-    /// may allocate one and be rewound, so this depends on the engine.
+    /// SRAM pages ([`SRAM_PAGE_WORDS`] words each) allocated.
     pub sram_pages: u64,
     /// DRAM pages ([`DRAM_PAGE_WORDS`] words each) allocated.
     pub dram_pages: u64,
@@ -93,7 +86,10 @@ impl MemoryStats {
 /// 64 pages of 64 words behind an inline table, so an SRAM access costs
 /// one page-pointer load, and the DRAM in 512 pages of 512 words behind
 /// a table that exists only once the node writes DRAM. A page that was
-/// never written reads as [`Word::NIL`] without existing. A node's memory
+/// never written reads as [`Word::NIL`] without existing. A page is host
+/// storage, not state: the fold ([`Self::fold_state`]) reads an
+/// unallocated page as NILs, so a page written back to NIL folds as if it
+/// had never been written, in either region. A node's memory
 /// costs its 520-byte inline table, 512 bytes per SRAM page and 4 KiB
 /// per DRAM page its program has written, and a 4 KiB DRAM table if it
 /// wrote any, instead of the 2.1 MiB a flat array would take. The
@@ -104,7 +100,7 @@ impl MemoryStats {
 /// 13.8 MiB, where an eager table of 4 096-word DRAM pages made it
 /// 27.5 MiB (2-vCPU Xeon host, seed 7).
 #[derive(Debug, Clone)]
-pub struct Memory {
+pub(crate) struct Memory {
     /// On-chip SRAM pages, `0..EMEM_BASE`.
     sram: [SramPage; SRAM_PAGES],
     /// External DRAM pages, `EMEM_BASE..MEM_WORDS`, once any is written.
@@ -113,7 +109,7 @@ pub struct Memory {
 
 impl Memory {
     /// Creates nil-initialized memory.
-    pub fn new() -> Memory {
+    pub(crate) fn new() -> Memory {
         Memory {
             sram: [const { None }; SRAM_PAGES],
             dram: None,
@@ -126,7 +122,7 @@ impl Memory {
     /// engine raises a Bounds fault instead). Out of range it panics, or
     /// reads NIL from a node that never wrote DRAM.
     #[inline]
-    pub fn read(&self, addr: u32) -> Word {
+    pub(crate) fn read(&self, addr: u32) -> Word {
         if addr < EMEM_BASE {
             let page = &self.sram[(addr / SRAM_PAGE_WORDS) as usize];
             return page_read(page, addr % SRAM_PAGE_WORDS);
@@ -148,7 +144,7 @@ impl Memory {
     ///
     /// Panics if `addr` is out of range.
     #[inline]
-    pub fn write(&mut self, addr: u32, word: Word) {
+    pub(crate) fn write(&mut self, addr: u32, word: Word) {
         if addr < EMEM_BASE {
             let page = &mut self.sram[(addr / SRAM_PAGE_WORDS) as usize];
             page_write(page, addr % SRAM_PAGE_WORDS, word);
@@ -166,22 +162,8 @@ impl Memory {
 
     /// Whether an address is in internal (on-chip) memory.
     #[inline]
-    pub fn is_internal(addr: u32) -> bool {
+    pub(crate) fn is_internal(addr: u32) -> bool {
         addr < EMEM_BASE
-    }
-
-    /// Whether a write to `addr` can be undone by restoring one word: any
-    /// SRAM address, or a DRAM page some earlier write allocated. DRAM
-    /// allocation is state (see [`Self::fold_state`]), so a write that
-    /// would allocate a DRAM page cannot be undone; SRAM allocation is
-    /// not, so an SRAM page a rewound write left allocated and NIL folds
-    /// as if it had never been written.
-    #[inline]
-    pub fn is_mapped(&self, addr: u32) -> bool {
-        addr < EMEM_BASE
-            || self.dram.as_ref().is_some_and(|table| {
-                table[((addr - EMEM_BASE) / DRAM_PAGE_WORDS) as usize].is_some()
-            })
     }
 
     /// Bulk-writes a slice starting at `base` (host-side loader).
@@ -189,7 +171,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if the slice exceeds memory.
-    pub fn load(&mut self, base: u32, words: &[Word]) {
+    pub(crate) fn load(&mut self, base: u32, words: &[Word]) {
         assert!(
             (base as usize) + words.len() <= MEM_WORDS as usize,
             "bulk load past the end of memory"
@@ -199,38 +181,25 @@ impl Memory {
         }
     }
 
-    /// Folds the full memory image into a replay digest: the 4 096 SRAM
-    /// words as one run, an unallocated SRAM page counting as 64 NILs,
-    /// then every 4 096-word DRAM unit holding an allocated page, tagged
-    /// with its index, an unallocated page in it counting as 512 NILs.
-    /// Units with no allocated page contribute nothing — DRAM paging is
-    /// write-driven, so its allocation pattern is itself deterministic
-    /// and engine-independent. SRAM allocation is not folded, and the
-    /// fold allocates nothing. The unit is the 4 096-word DRAM page this
-    /// memory was once paged by, so the fold writes the bytes it wrote
-    /// then, and replay logs recorded with that paging still verify.
+    /// Folds the memory image into a replay digest, in address order,
+    /// runs of [`Word::NIL`] folded as a run length: an unallocated page
+    /// counts as its NILs, so allocation is never folded, and the fold
+    /// allocates nothing. A run closes at the end of the SRAM, and a run
+    /// that reaches the end of memory folds as nothing, so a node whose
+    /// DRAM is all NIL folds its 4 096 SRAM words alone.
     ///
-    /// Runs of [`Word::NIL`] are folded as a run length instead of word by
-    /// word: memory is overwhelmingly NIL, and the checkpoint hash sits on
-    /// the replay capture's hot path (the bench gate holds capture
-    /// overhead under 10%). The encoding stays positional and unambiguous
-    /// — the `0xFF` run marker cannot collide with a real word's leading
-    /// tag byte, which carries at most 4 tag bits.
-    pub fn fold_state(&self, h: &mut jm_trace::Fnv1a) {
-        let mut sram = NilRuns::default();
-        sram.pages(h, &self.sram);
-        sram.end(h);
-        let Some(table) = &self.dram else {
-            return;
-        };
-        let per_unit = (FOLD_UNIT_WORDS / DRAM_PAGE_WORDS) as usize;
-        for (unit, pages) in table.chunks_exact(per_unit).enumerate() {
-            if pages.iter().any(Option::is_some) {
-                h.write_u32(unit as u32);
-                let mut run = NilRuns::default();
-                run.pages(h, pages);
-                run.end(h);
-            }
+    /// Runs are folded as a length instead of word by word because memory
+    /// is overwhelmingly NIL, and the checkpoint hash sits on the replay
+    /// capture's hot path (the bench gate holds capture overhead under
+    /// 10%). The encoding stays positional and unambiguous — the `0xFF`
+    /// run marker cannot collide with a real word's leading tag byte,
+    /// which carries at most 4 tag bits.
+    pub(crate) fn fold_state(&self, h: &mut jm_trace::Fnv1a) {
+        let mut run = NilRuns::default();
+        run.pages(h, &self.sram);
+        run.end(h);
+        if let Some(table) = &self.dram {
+            run.pages(h, &table[..]);
         }
     }
 
@@ -249,7 +218,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if the range exceeds memory.
-    pub fn dump(&self, base: u32, len: u32) -> Vec<Word> {
+    pub(crate) fn dump(&self, base: u32, len: u32) -> Vec<Word> {
         assert!(
             (base as usize) + len as usize <= MEM_WORDS as usize,
             "dump past the end of memory"
@@ -310,11 +279,11 @@ mod tests {
     use jm_prng::Prng;
     use jm_trace::Fnv1a;
 
-    /// The flat fold this memory replaced, kept as the oracle: the whole
-    /// SRAM word by word, then each written 4 096-word DRAM unit tagged
-    /// with its index, NIL runs collapsed within each array.
-    fn flat_fold(sram: &[Word], dram: &[(usize, &[Word])]) -> u64 {
-        fn fold_words_rle(h: &mut Fnv1a, words: &[Word]) {
+    /// The fold of a flat image, kept as the oracle: the SRAM words,
+    /// then the DRAM words, NIL runs collapsed, the SRAM's trailing run
+    /// closed at its end and the DRAM's trailing run left out.
+    fn flat_fold(image: &[Word]) -> u64 {
+        fn fold_words_rle(h: &mut Fnv1a, words: &[Word], close: bool) {
             let mut run: u32 = 0;
             for &w in words {
                 if w == Word::NIL {
@@ -328,17 +297,15 @@ mod tests {
                 }
                 crate::hash::fold_word(h, w);
             }
-            if run > 0 {
+            if close && run > 0 {
                 h.write_u8(0xFF);
                 h.write_u32(run);
             }
         }
+        let (sram, dram) = image.split_at(EMEM_BASE as usize);
         let mut h = Fnv1a::new();
-        fold_words_rle(&mut h, sram);
-        for &(i, page) in dram {
-            h.write_u32(i as u32);
-            fold_words_rle(&mut h, page);
-        }
+        fold_words_rle(&mut h, sram, true);
+        fold_words_rle(&mut h, dram, false);
         h.finish()
     }
 
@@ -388,9 +355,8 @@ mod tests {
         assert_eq!(m.allocated_pages(), (0, 1));
         assert_eq!(m.read(EMEM_BASE + 1).as_i32(), 9);
         assert_eq!(m.read(EMEM_BASE), Word::NIL);
-        // The next page of the same fold unit is not mapped until written.
-        assert!(m.is_mapped(EMEM_BASE + DRAM_PAGE_WORDS - 1));
-        assert!(!m.is_mapped(EMEM_BASE + DRAM_PAGE_WORDS));
+        assert_eq!(m.read(EMEM_BASE + DRAM_PAGE_WORDS), Word::NIL);
+        assert_eq!(m.allocated_pages(), (0, 1));
         // A cross-page bulk load touches exactly the pages it spans.
         let span = vec![Word::int(1); DRAM_PAGE_WORDS as usize + 2];
         m.load(MEM_WORDS - span.len() as u32, &span);
@@ -409,7 +375,7 @@ mod tests {
         for addr in [0, SRAM_PAGE_WORDS - 1, SRAM_PAGE_WORDS, EMEM_BASE - 1] {
             assert_eq!(m.read(addr), Word::NIL);
         }
-        assert_eq!(fold(&m), flat_fold(&[Word::NIL; EMEM_BASE as usize], &[]));
+        assert_eq!(fold(&m), flat_fold(&vec![Word::NIL; MEM_WORDS as usize]));
         assert_eq!(
             m.allocated_pages(),
             (0, 0),
@@ -421,33 +387,34 @@ mod tests {
         assert_eq!(m.read(SRAM_PAGE_WORDS).as_i32(), 8);
     }
 
+    /// A page is host storage in either region: a word written and
+    /// written back to NIL leaves its page allocated, and the memory folds
+    /// as if it had never been written.
     #[test]
-    fn an_sram_page_written_back_to_nil_folds_as_unwritten() {
-        let mut m = Memory::new();
-        let fresh = fold(&m);
-        m.write(1024, Word::int(5));
-        assert_ne!(fold(&m), fresh);
-        m.write(1024, Word::NIL);
-        assert_eq!(m.allocated_pages(), (1, 0));
-        assert_eq!(fold(&m), fresh, "SRAM allocation is not state");
-        // DRAM allocation is.
-        m.write(EMEM_BASE, Word::int(5));
-        m.write(EMEM_BASE, Word::NIL);
-        assert_ne!(fold(&m), fresh);
+    fn a_page_written_back_to_nil_folds_as_unwritten() {
+        let fresh = fold(&Memory::new());
+        for (addr, pages) in [
+            (1024, (1, 0)),
+            (EMEM_BASE + 3 * DRAM_PAGE_WORDS + 7, (0, 1)),
+        ] {
+            let mut m = Memory::new();
+            m.write(addr, Word::int(5));
+            assert_ne!(fold(&m), fresh, "{addr}");
+            m.write(addr, Word::NIL);
+            assert_eq!(m.allocated_pages(), pages, "{addr}");
+            assert_eq!(fold(&m), fresh, "{addr}: allocation is not state");
+        }
     }
 
     /// Random reads and writes against a flat model of both regions,
-    /// crowded onto the page edges — SRAM's 64-word pages, and inside
-    /// DRAM both the 512-word pages and the 4 096-word fold units: every
-    /// read agrees, an unwritten word reads NIL without allocating, a
-    /// DRAM word is mapped exactly when its page was written, and the
-    /// fold — taken every 25 operations, so with pages still unallocated —
-    /// equals the flat fold of the model, which tags every DRAM unit
-    /// written anywhere.
+    /// crowded onto the page edges — SRAM's 64-word pages and DRAM's
+    /// 512-word pages: every read agrees, an unwritten word reads NIL
+    /// without allocating, a page is allocated exactly when it was
+    /// written, and the fold — taken every 25 operations, so with pages
+    /// still unallocated — equals the flat fold of the model.
     #[test]
     fn matches_a_flat_model() {
-        const UNITS: usize = (EMEM_WORDS / FOLD_UNIT_WORDS) as usize;
-        const EDGES: [u32; 11] = [
+        const EDGES: [u32; 8] = [
             0,
             SRAM_PAGE_WORDS - 1,
             SRAM_PAGE_WORDS,
@@ -455,32 +422,17 @@ mod tests {
             EMEM_BASE,
             EMEM_BASE + DRAM_PAGE_WORDS - 1,
             EMEM_BASE + DRAM_PAGE_WORDS,
-            EMEM_BASE + FOLD_UNIT_WORDS - 1,
-            EMEM_BASE + FOLD_UNIT_WORDS,
-            EMEM_BASE + FOLD_UNIT_WORDS + DRAM_PAGE_WORDS,
             MEM_WORDS - 1,
         ];
         for seed in 0..16 {
             let mut rng = Prng::from_label("memory-model", seed);
             let mut m = Memory::new();
             let mut flat = vec![Word::NIL; MEM_WORDS as usize];
-            let mut dram_written = [false; UNITS];
             let mut dram_pages = [false; DRAM_PAGES];
-            let mut sram_written = [false; SRAM_PAGES];
-            let flat_fold_of = |flat: &[Word], dram_written: &[bool]| {
-                let unit = FOLD_UNIT_WORDS as usize;
-                let dram: Vec<_> = (0..UNITS)
-                    .filter(|&i| dram_written[i])
-                    .map(|i| {
-                        let at = EMEM_BASE as usize + i * unit;
-                        (i, &flat[at..at + unit])
-                    })
-                    .collect();
-                flat_fold(&flat[..EMEM_BASE as usize], &dram)
-            };
+            let mut sram_pages = [false; SRAM_PAGES];
             for step in 0..600 {
                 if step % 25 == 0 {
-                    assert_eq!(fold(&m), flat_fold_of(&flat, &dram_written), "step {step}");
+                    assert_eq!(fold(&m), flat_fold(&flat), "step {step}");
                 }
                 let addr = match rng.range_u32(0, 4) {
                     0 => {
@@ -491,9 +443,6 @@ mod tests {
                     1 => rng.range_u32(0, EMEM_BASE),
                     _ => rng.range_u32(0, MEM_WORDS),
                 };
-                let page = addr.checked_sub(EMEM_BASE).map(|off| off / DRAM_PAGE_WORDS);
-                let mapped = page.is_none_or(|p| dram_pages[p as usize]);
-                assert_eq!(m.is_mapped(addr), mapped, "is_mapped({addr})");
                 if rng.chance(0.5) {
                     assert_eq!(m.read(addr), flat[addr as usize], "read {addr}");
                     continue;
@@ -505,18 +454,15 @@ mod tests {
                 };
                 m.write(addr, word);
                 flat[addr as usize] = word;
-                match page {
-                    None => sram_written[(addr / SRAM_PAGE_WORDS) as usize] = true,
-                    Some(p) => {
-                        dram_pages[p as usize] = true;
-                        dram_written[((addr - EMEM_BASE) / FOLD_UNIT_WORDS) as usize] = true;
-                    }
+                match addr.checked_sub(EMEM_BASE) {
+                    None => sram_pages[(addr / SRAM_PAGE_WORDS) as usize] = true,
+                    Some(off) => dram_pages[(off / DRAM_PAGE_WORDS) as usize] = true,
                 }
-                let sram = sram_written.iter().filter(|&&w| w).count();
+                let sram = sram_pages.iter().filter(|&&w| w).count();
                 let dram = dram_pages.iter().filter(|&&w| w).count();
                 assert_eq!(m.allocated_pages(), (sram, dram), "after writing {addr}");
             }
-            assert_eq!(fold(&m), flat_fold_of(&flat, &dram_written), "seed {seed}");
+            assert_eq!(fold(&m), flat_fold(&flat), "seed {seed}");
             assert_eq!(m.dump(0, MEM_WORDS), flat, "seed {seed}");
         }
     }

@@ -329,7 +329,8 @@ impl MdpNode {
     }
 
     /// The node's host-side storage counters: the memory pages and queue
-    /// words its program has written so far.
+    /// words its program has written so far, pages a rewound stretch
+    /// allocated included.
     pub fn memory_stats(&self) -> MemoryStats {
         let (sram, dram) = self.mem.allocated_pages();
         MemoryStats {

@@ -17,7 +17,7 @@ use jm_isa::word::{MsgHeader, Word};
 /// into slots an earlier pass wrote. Nothing reads outside
 /// `[head, head + len)`, so the words never stored are never seen.
 #[derive(Debug, Clone)]
-pub struct MsgQueue {
+pub(crate) struct MsgQueue {
     /// The ring's slots written so far: `0..buf.len()`.
     buf: Vec<Word>,
     /// Ring size in words.
@@ -38,7 +38,7 @@ impl MsgQueue {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: u32) -> MsgQueue {
+    pub(crate) fn new(capacity: u32) -> MsgQueue {
         assert!(capacity > 0, "queue capacity must be positive");
         MsgQueue {
             buf: Vec::new(),
@@ -51,7 +51,7 @@ impl MsgQueue {
     }
 
     /// Queue capacity in words.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -61,27 +61,27 @@ impl MsgQueue {
     }
 
     /// Words currently buffered.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// High-water mark of buffered words.
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.hwm
     }
 
     /// Number of refused deliveries (queue-full backpressure events).
-    pub fn refusals(&self) -> u64 {
+    pub(crate) fn refusals(&self) -> u64 {
         self.refusals
     }
 
     /// Accepts one arriving word, or refuses it if the queue is full.
-    pub fn push(&mut self, word: Word) -> bool {
+    pub(crate) fn push(&mut self, word: Word) -> bool {
         if self.len == self.capacity {
             self.refusals += 1;
             return false;
@@ -101,7 +101,7 @@ impl MsgQueue {
 
     /// The word at `offset` from the head message's first word, if it has
     /// arrived.
-    pub fn get(&self, offset: usize) -> Option<Word> {
+    pub(crate) fn get(&self, offset: usize) -> Option<Word> {
         if offset < self.len {
             Some(self.buf[(self.head + offset) % self.capacity])
         } else {
@@ -111,13 +111,13 @@ impl MsgQueue {
 
     /// Ring slot index of the head message's first word (used to build the
     /// `A3` descriptor into the queue window).
-    pub fn head_slot(&self) -> usize {
+    pub(crate) fn head_slot(&self) -> usize {
         self.head
     }
 
     /// Reads the word in ring slot `slot` if it currently holds an arrived
     /// word.
-    pub fn read_slot(&self, slot: usize) -> Option<Word> {
+    pub(crate) fn read_slot(&self, slot: usize) -> Option<Word> {
         let cap = self.capacity;
         let offset = (slot + cap - self.head) % cap;
         self.get(offset)
@@ -126,7 +126,7 @@ impl MsgQueue {
     /// The head message's header, if its header word has arrived and is
     /// well-formed. Returns `Err(word)` if the head word is not `msg`-tagged
     /// (queue desynchronization — a machine-level error).
-    pub fn header(&self) -> Option<Result<MsgHeader, Word>> {
+    pub(crate) fn header(&self) -> Option<Result<MsgHeader, Word>> {
         let word = self.get(0)?;
         if word.tag() == Tag::Msg {
             Some(Ok(MsgHeader::from_word(word)))
@@ -136,7 +136,7 @@ impl MsgQueue {
     }
 
     /// Whether the head message has fully arrived.
-    pub fn head_complete(&self) -> bool {
+    pub(crate) fn head_complete(&self) -> bool {
         match self.header() {
             Some(Ok(h)) => self.len >= h.len as usize,
             _ => false,
@@ -148,7 +148,7 @@ impl MsgQueue {
     /// descriptor), the occupancy, and the buffered words in arrival order.
     /// The high-water mark and refusal counter are statistics and are
     /// excluded.
-    pub fn fold_state(&self, h: &mut jm_trace::Fnv1a) {
+    pub(crate) fn fold_state(&self, h: &mut jm_trace::Fnv1a) {
         h.write_u32(self.head as u32);
         h.write_u32(self.len as u32);
         for offset in 0..self.len {
@@ -162,7 +162,7 @@ impl MsgQueue {
     /// # Panics
     ///
     /// Panics if fewer than `words` words are buffered.
-    pub fn pop_msg(&mut self, words: usize) {
+    pub(crate) fn pop_msg(&mut self, words: usize) {
         assert!(words <= self.len, "popping an incomplete message");
         self.head = (self.head + words) % self.capacity;
         self.len -= words;

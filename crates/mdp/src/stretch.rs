@@ -18,7 +18,9 @@
 //! the compose length and class, and an undo log of the memory words it
 //! overwrote), and [`MdpNode::deliver_traced`] — or the machine's drive,
 //! stopping on another node's error — rewinds to the cycle in question and
-//! re-executes the instructions that started before it.
+//! re-executes the instructions that started before it. A rewind restores
+//! words, not pages: a page the stretch allocated, in SRAM or DRAM, stays
+//! allocated and NIL, which the state hash folds as never written.
 
 use crate::node::MdpNode;
 use jm_isa::instr::StatClass;

@@ -11,18 +11,9 @@
 //! handler dispatch) is deterministic given those inputs and is
 //! deliberately not recorded.
 //!
-//! The byte format is little-endian throughout, magic `JMRP8\n` (version 2
-//! added the traffic-spec section; version 3 dropped the host-tuning
-//! fields; version 4 has the same layout but router hashes that no longer
-//! fold the word-wise injection framing; version 5 dropped the seven buffer
-//! sizes, now constants of the machine, and the checksum-mode byte, which a
-//! replay re-derives from the fault spec; version 6 has version 5's layout
-//! but router hashes that fold no per-flit ready or commit cycles, only a
-//! message's commit cycle, once; version 7 dropped the fifteen cycle costs,
-//! now constants of the node; version 8 has version 7's layout but node
-//! hashes that fold no name cache, whose entries are now memory words),
-//! and has no alignment padding; see
-//! `DESIGN.md` §4.8 for the field-by-field layout.
+//! The byte format is little-endian throughout, opens with [`MAGIC`] and
+//! has no alignment padding; see `DESIGN.md` §4.8 for the field-by-field
+//! layout and what each format version changed.
 
 use jm_asm::{DataBlock, Program, SymbolValue};
 use jm_fault::{FaultSpec, FaultWindow, FaultWindowKind};
@@ -36,18 +27,13 @@ use jm_traffic::{TrafficPattern, TrafficSpec};
 use std::fmt;
 use std::path::Path;
 
-/// Magic bytes opening every log (`JMRP` + format version 8; version 2
-/// also carried the recording run's quantum, scheduler mode and bulk
-/// switch, a version 3 log's router hashes fold one more byte per
-/// component, version 4 carried 49 header bytes of sizes and modes version
-/// 5 does not, a version 5 log's router hashes fold every buffered flit's
-/// ready and commit cycles, so every checkpoint of either hash change would
-/// read as a divergence, a version 6 header holds 120 bytes of cycle
-/// costs this version does not read, and a version 7 log's node hashes
-/// fold a name cache this version keeps in memory). Logs are
-/// ephemeral CI artifacts, so a format bump invalidates nothing durable —
-/// an old log fails cleanly at the magic check instead of misparsing.
-pub const MAGIC: &[u8; 6] = b"JMRP8\n";
+/// Magic bytes opening every log: `JMRP` and the format version, which
+/// moves whenever a log of the previous version would misparse or its
+/// checkpoint hashes would read as divergences (`DESIGN.md` §4.8 keeps
+/// the history). Logs are ephemeral CI artifacts, so a format bump
+/// invalidates nothing durable — an old log fails cleanly at the magic
+/// check instead of misparsing.
+pub const MAGIC: &[u8; 6] = b"JMRP9\n";
 
 /// Default hash-boundary spacing in cycles. Chosen so that hashing every
 /// node's register file, queues, and memory pages plus every router's

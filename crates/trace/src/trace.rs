@@ -110,7 +110,8 @@ pub struct MachineTrace {
 impl MachineTrace {
     /// Merges hand-built per-component event buffers into one trace: every
     /// event of `sources`, in the order [`Self::merge`] gives them.
-    pub fn assemble(
+    #[cfg(test)]
+    pub(crate) fn assemble(
         mut sources: Vec<Tracer>,
         samples: Vec<SamplePoint>,
         nodes: u32,

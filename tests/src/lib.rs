@@ -98,10 +98,6 @@ pub struct Observation {
     /// The machine's final [`JMachine::state_hash`]: registers, queues,
     /// all of memory and router occupancy, which the blocks above leave out.
     pub state_hash: u64,
-    /// DRAM pages allocated ([`JMachine::memory_stats`]): the hash folds
-    /// DRAM by 4 096-word unit, so a page a rewound stretch allocated
-    /// inside a unit already written shows only here.
-    pub dram_pages: u64,
 }
 
 /// Runs `m` to quiescence (at most `max_cycles`) and records every
@@ -124,7 +120,6 @@ pub fn observe(m: &mut JMachine, max_cycles: u64) -> Observation {
         stats: m.stats(),
         memory,
         state_hash: m.state_hash(),
-        dram_pages: m.memory_stats().dram_pages,
     }
 }
 

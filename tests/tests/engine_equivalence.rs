@@ -767,10 +767,11 @@ fn checksummed_preemption_is_engine_exact() {
 /// Each node pokes the next one — after a delay of its own, so pokes land
 /// at every phase of the receiver's run — then writes six DRAM blocks a
 /// page apart, each a fresh page, for as long as it has not been poked.
-/// Page allocation is state: a stretch stops before the write that would
-/// allocate, which a node ticked every cycle might never reach.
+/// A page is host storage: a stretch runs through the write that
+/// allocates one, and a poke that rewinds the write leaves the page
+/// allocated and NIL, which hashes as never written.
 #[test]
-fn stretches_stop_before_a_fresh_dram_page() {
+fn stretches_run_through_fresh_dram_pages() {
     let mut b = Builder::new();
     for k in 0..6 {
         b.reserve(format!("e{k}"), Region::Emem, 4000);
@@ -855,11 +856,30 @@ fn fill_program(region: Region, page: u32, first: u32, stagger: i32) -> Program 
     })
 }
 
-/// A stretch may allocate an SRAM page — SRAM allocation is not state —
-/// and a P1 delivery that rewinds it leaves the page allocated and NIL.
+/// A stretch may allocate a page — allocation is host storage, not state
+/// — and a P1 delivery that rewinds it leaves the page allocated and NIL.
 /// Stopped at every cycle of the run, every engine's state hash is
-/// naive's; run to quiescence, the event engine holds SRAM pages naive
-/// never allocated, so a rewound stretch did allocate one.
+/// naive's. Run to quiescence, returns naive's and the event engine's
+/// `pages`: more under the event engine means a rewound stretch allocated
+/// a page naive never did.
+fn rewound_fill(label: &str, program: &Program, pages: fn(&JMachine) -> u64) -> (u64, u64) {
+    let config = MachineConfig::new(16).start(StartPolicy::AllNodes);
+    let (end, machines) = agree(label, program, config, |m| observe(m, 100_000));
+    let cycles = end.outcome.expect("the fill workload quiesces");
+    for at in 0..=cycles {
+        agree(&format!("{label}, stopped at {at}"), program, config, |m| {
+            m.run(at);
+            m.state_hash()
+        });
+    }
+    assert!(
+        machines[1].stretch_stats().rewinds > 0,
+        "{label}: no rewind"
+    );
+    (pages(&machines[0]), pages(&machines[1]))
+}
+
+/// The fill in SRAM's 64-word pages.
 #[test]
 fn a_rewound_stretch_leaves_an_sram_page_that_hashes_as_unwritten() {
     // `far` sits after the code, whose length depends on the offsets the
@@ -873,49 +893,29 @@ fn a_rewound_stretch_leaves_an_sram_page_that_hashes_as_unwritten() {
         }
         first = SRAM_PAGE - base % SRAM_PAGE;
     };
-    let config = MachineConfig::new(16).start(StartPolicy::AllNodes);
-    let (end, machines) = agree("fresh SRAM pages", &program, config, |m| {
-        observe(m, 100_000)
+    let (naive, event) = rewound_fill("fresh SRAM pages", &program, |m| {
+        m.memory_stats().sram_pages
     });
-    let cycles = end.outcome.expect("the fill workload quiesces");
-    for at in 0..=cycles {
-        agree(&format!("stopped at {at}"), &program, config, |m| {
-            m.run(at);
-            m.state_hash()
-        });
-    }
-    let (naive, event) = (machines[0].memory_stats(), machines[1].memory_stats());
-    assert_eq!(naive.dram_pages, event.dram_pages);
-    assert!(
-        event.sram_pages > naive.sram_pages,
-        "no rewound stretch allocated an SRAM page: {event:?} against naive's {naive:?}"
-    );
-    assert!(machines[1].stretch_stats().rewinds > 0);
+    assert!(event > naive, "no rewound stretch allocated an SRAM page");
 }
 
-/// The same fill in DRAM, whose allocation is state: `far` is the only
-/// DRAM segment, so its first page opens the state hash's 4 096-word unit
-/// and every later page is a fresh 512-word page inside that unit, which
-/// the hash folds either way. A stretch stops before each of those
-/// writes, so under every engine each node holds the pages naive wrote
-/// ([`Observation::dram_pages`]); a stretch that allocated one and was
-/// rewound would leave it behind. The staggers land `urgent` at every
-/// phase of a fill's loop.
+/// The fill in DRAM's 512-word pages, `far` the only DRAM segment; the
+/// staggers land `urgent` at every phase of a fill's loop.
 #[test]
-fn a_rewound_stretch_leaves_no_dram_page() {
+fn a_rewound_stretch_leaves_a_dram_page_that_hashes_as_unwritten() {
+    let mut extra = 0;
     for stagger in 2..8 {
         let program = fill_program(Region::Emem, DRAM_PAGE_WORDS, 0, stagger);
         assert_eq!(program.segment("far").base, EMEM_BASE);
-        let config = MachineConfig::new(16).start(StartPolicy::AllNodes);
         let label = format!("fresh DRAM pages, stagger {stagger}");
-        let (end, machines) = agree(&label, &program, config, |m| observe(m, 100_000));
-        end.outcome.expect("the fill workload quiesces");
-        assert!(end.dram_pages > 8, "{label}: no node filled a second page");
+        let (naive, event) = rewound_fill(&label, &program, |m| m.memory_stats().dram_pages);
         assert!(
-            machines[1].stretch_stats().rewinds > 0,
-            "{label}: no rewind"
+            event >= naive,
+            "{label}: {event} pages against naive's {naive}"
         );
+        extra += event - naive;
     }
+    assert!(extra > 0, "no rewound stretch allocated a DRAM page");
 }
 
 /// A [`preempted_job`] that, for as long as no `urgent` has landed, enters

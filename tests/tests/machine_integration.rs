@@ -351,17 +351,16 @@ fn a_fresh_machine_holds_only_what_its_program_wrote() {
     assert_eq!(fresh.network().inject_fifos(), 0);
 }
 
-/// DRAM allocation is state, and write-driven under every engine. Radix
-/// sort's setup writes each node's strip of keys into `rs_arr0`, and its
-/// passes write them back and forth between `rs_arr0` and `rs_arr1`;
-/// with 260 keys a node the two arrays span two DRAM pages, the second
-/// first written by the sort itself, inside the 4 096-word unit setup
-/// already allocated. Stopped every 97 cycles, every engine holds naive's
-/// DRAM pages; at the end each node holds exactly the pages the arrays
-/// span. The state hash is pinned: it folds every word of this
-/// DRAM-writing run by 4 096-word unit, so a change to the fold's bytes —
-/// or to anything radix simulates — moves it, and with it every replay
-/// log's checkpoints.
+/// DRAM pages follow the program's writes. Radix sort's setup writes each
+/// node's strip of keys into `rs_arr0`, and its passes write them back and
+/// forth between `rs_arr0` and `rs_arr1`; with 260 keys a node the two
+/// arrays span two DRAM pages, the second first written by the sort
+/// itself. Setup allocates one page a node, and at the end every engine's
+/// nodes hold exactly the pages the arrays span. Stopped every 97 cycles,
+/// every engine's state hash is naive's. The final hash is pinned: it
+/// folds every word of this DRAM-writing run, so a change to the fold's
+/// bytes — or to anything radix simulates — moves it, and with it every
+/// replay log's checkpoints.
 #[test]
 fn dram_pages_follow_the_program_s_writes_under_every_engine() {
     const NODES: u32 = 16;
@@ -380,18 +379,48 @@ fn dram_pages_follow_the_program_s_writes_under_every_engine() {
         .collect();
     assert_eq!(pages.len(), 2, "the arrays span one DRAM page: vacuous");
     let config = MachineConfig::new(NODES).start(StartPolicy::AllNodes);
-    let ((held, hash), _) = jm_tests::agree("radix DRAM pages", &program, config, |m| {
+    let (hashes, machines) = jm_tests::agree("radix DRAM pages", &program, config, |m| {
         jm_apps::radix::setup(m, &cfg);
-        let mut held = vec![m.memory_stats().dram_pages];
+        assert_eq!(m.memory_stats().dram_pages, u64::from(NODES));
+        let mut hashes = vec![m.state_hash()];
         while !m.is_quiescent() {
             assert!(m.cycle() < 50_000_000, "radix did not quiesce");
             m.run(97);
-            held.push(m.memory_stats().dram_pages);
+            hashes.push(m.state_hash());
         }
-        (held, m.state_hash())
+        hashes
     });
-    assert_eq!(held[0], u64::from(NODES), "setup writes one page a node");
-    let end = *held.last().expect("a run");
-    assert_eq!(end, u64::from(NODES) * pages.len() as u64);
-    assert_eq!(hash, 0xd503_b8ab_19b7_038a, "radix's state hash moved");
+    for m in &machines {
+        let held = m.memory_stats().dram_pages;
+        assert_eq!(
+            held,
+            u64::from(NODES) * pages.len() as u64,
+            "{:?}",
+            m.config().engine
+        );
+    }
+    let hash = *hashes.last().expect("a run");
+    assert_eq!(hash, 0x7ed9_084d_98c7_c784, "radix's state hash moved");
+}
+
+/// A page is host storage, not state: a host write of NIL to a DRAM word
+/// nothing has written allocates the word's page — the node's first, then
+/// one more in a table that exists — and leaves the state hash as it was.
+#[test]
+fn a_host_write_of_nil_to_fresh_dram_leaves_the_state_hash() {
+    let program = jm_bench::workloads::exchange_program();
+    let config = MachineConfig::new(8).start(StartPolicy::AllNodes);
+    let mut m = JMachine::new(program, config);
+    m.run(50);
+    let hash = m.state_hash();
+    for (page, held) in [(5, 1), (9, 2)] {
+        let addr = EMEM_BASE + page * DRAM_PAGE_WORDS + 1;
+        m.write_word(NodeId(3), addr, jm_isa::word::Word::NIL);
+        assert_eq!(m.memory_stats().dram_pages, held, "the write allocates");
+        assert_eq!(
+            m.state_hash(),
+            hash,
+            "a NIL write to page {page} moved the hash"
+        );
+    }
 }

@@ -5,10 +5,10 @@
 //!   immediates, specials and memory operands;
 //! * loads and stores in internal and external memory, some of them the
 //!   first write to a DRAM page, and fills that write one fresh 512-word
-//!   page after another of a 4 096-word unit until a priority-1 handler
+//!   page after another of a 4 096-word region until a priority-1 handler
 //!   raises a flag — so a P1 delivery may rewind a stretch past such a
-//!   write, and the page it would leave allocated is one naive never
-//!   writes;
+//!   write, which must restore the word and leave a page naive never
+//!   writes allocated and NIL;
 //! * bounded loops and bounded polling loops, forward branches, leaf calls,
 //!   with `MARK`s at branch targets and in front of the instructions a
 //!   stretch stops at;
@@ -46,8 +46,8 @@ use jm_tests::{columns, observe, Observation};
 
 /// Words in the internal and the initialized external data segments.
 const DATA_WORDS: u32 = 16;
-/// 4 096-word DRAM units — the state hash's grain — the uninitialized
-/// segment spans past its first: stores into it are first touches.
+/// 4 096-word DRAM units (eight pages each) the uninitialized segment
+/// spans past its first: stores into it are first touches.
 const DRAM_UNITS: u32 = 3;
 /// `cfut`/`fut` slots.
 const FUT_SLOTS: u32 = 8;
@@ -296,7 +296,7 @@ fn any_val(g: &mut Prng, ctx: Ctx) -> Val {
 /// A DRAM displacement near the start of one of the segment's 4 096-word
 /// units, or astride one of the 512-word page edges inside a unit — the
 /// segment starts `DATA_WORDS` past `EMEM_BASE` (see [`assemble`]) — so a
-/// store may allocate a fresh page in a unit already written.
+/// store may allocate a fresh page beside one already written.
 fn dram_disp(g: &mut Prng) -> u32 {
     let unit = g.range_u32(0, DRAM_UNITS + 1) * 4096;
     if g.chance(0.5) {
