@@ -1,7 +1,7 @@
 //! Every number the harness holds a measurement against, once: what the
 //! paper states about its six micro and four macro artifacts, the
-//! comparison machines of Tables 1 and 3 (its references [6], [7], [14],
-//! [17]; those machines cannot be rebuilt here, so per `DESIGN.md` §3 they
+//! comparison machines of Tables 1 and 3 (its references \[6\], \[7\], \[14\],
+//! \[17\]; those machines cannot be rebuilt here, so per `DESIGN.md` §3 they
 //! are their published constants and nothing is held against them), and
 //! the floors under the five traffic knees — and the one comparator that
 //! does the holding.

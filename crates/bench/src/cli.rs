@@ -1,13 +1,13 @@
 //! The `jmsim` command line: one dispatch table, one argument parser.
 //!
 //! Every subcommand is declared by its synopsis — `[--seed N] [--out PATH]
-//! [--engine ENGINE]` — and the synopsis *is* the declaration: [`parse`] reads
+//! [--engine ENGINE]` — and the synopsis *is* the declaration: `parse` reads
 //! from it which flags exist, which are required (no brackets), which may
 //! repeat (`]...`) and what kind of value each takes (the placeholder:
 //! `N`, `PATH`, `ENGINE`, `PATTERN`, `XxYxZ`, `NAME:METRIC=NUM`, or
 //! `a|b` choices), and checks a command line against that before anything
 //! runs. An unknown subcommand or flag, a flag missing its value, a
-//! repeated flag, or a value of the wrong kind is a [`CliError::Input`] —
+//! repeated flag, or a value of the wrong kind is a `CliError::Input` —
 //! one line on stderr, exit 2 — never a panic and never a silent default.
 
 use crate::{gate, perf, registry, tools, traffic};

@@ -9,7 +9,7 @@
 //! the sections as `EXPERIMENTS.md`, the rows as `BENCH_paper.json` /
 //! `BENCH_fault.json` / `BENCH_traffic.json` beside it, and one scorecard
 //! holding every row the paper states a value for
-//! ([`baselines::compare`]). An experiment's parameters (Figure 3's message
+//! (`baselines::compare`). An experiment's parameters (Figure 3's message
 //! lengths and idle ladder, Figure 4's sizes, …) exist in exactly one
 //! place, and a section of `EXPERIMENTS.md` is byte for byte what the
 //! matching subcommand prints.

@@ -123,7 +123,7 @@ fn row(line: &str) -> Option<Row> {
 ///
 /// # Errors
 ///
-/// Any departure from the format [`write`] produces: a missing bracket, a
+/// Any departure from the format [`write()`] produces: a missing bracket, a
 /// row missing a key, a duplicate `(name, metric)`, a non-finite value.
 pub fn read(doc: &str) -> Result<Vec<Row>, RowsError> {
     let fail = |line: usize, why: &str| RowsError {

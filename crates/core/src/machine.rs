@@ -563,11 +563,21 @@ impl JMachine {
     }
 
     /// Host interface: reads a word of node memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is past the end of memory, as
+    /// [`MdpNode::read_mem`] does.
     pub fn read_word(&self, node: NodeId, addr: u32) -> Word {
         self.nodes[node.index()].read_mem(addr)
     }
 
     /// Host interface: writes a word of node memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is past the end of memory, as
+    /// [`MdpNode::write_mem`] does.
     pub fn write_word(&mut self, node: NodeId, addr: u32, word: Word) {
         let node = node.0;
         self.host_op(HostOp::WriteWord { node, addr, word });
@@ -1225,7 +1235,9 @@ mod tests {
         assert_eq!(ask(&mut net, &scheds, 5, 45), Head::Skip(45));
         net.skip_to(50);
         assert_eq!(ask(&mut net, &scheds, 50, 100), Head::Run);
-        net.run(10);
+        for _ in 0..10 {
+            net.step();
+        }
         assert!(net.is_idle(), "the window fired");
         assert_eq!(ask(&mut net, &scheds, 60, 100), Head::Skip(70));
         scheds[0].set_work(3, false);

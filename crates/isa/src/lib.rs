@@ -12,11 +12,11 @@
 //! segment descriptors, message headers, and network routing words.
 //!
 //! This crate defines the architectural state types shared by the assembler
-//! ([`jm-asm`]), the node microarchitecture model (`jm-mdp`), and the network
+//! (`jm-asm`), the node microarchitecture model (`jm-mdp`), and the network
 //! (`jm-net`):
 //!
 //! * [`Word`] and [`Tag`] — the 36-bit tagged word;
-//! * [`reg`] — register names and the triple-banked register file;
+//! * [`reg`] — register names, priority levels and a level's register bank;
 //! * [`instr`] and [`operand`] — the decoded instruction set;
 //! * [`encode`] — the dual-17-bit binary instruction encoding;
 //! * [`node`] — node identifiers, mesh coordinates, and routing words;
@@ -54,7 +54,7 @@ pub use consts::FaultKind;
 pub use instr::{Alu1Op, AluOp, Cond, Instruction, MsgPriority, StatClass};
 pub use node::{Coord, MeshDims, MeshDimsError, NodeId, RouteWord};
 pub use operand::{Dst, MemRef, Special, Src};
-pub use reg::{AReg, DReg, Priority, RegBank, RegFile};
+pub use reg::{AReg, DReg, Priority, RegBank};
 pub use tag::Tag;
 pub use traceid::TraceId;
 pub use word::{MsgHeader, SegDesc, Word};

@@ -138,7 +138,7 @@ pub enum Src {
     /// headers, routing words, and `cfut` markers as tagged immediates.
     Imm(Word),
     /// A memory operand. At most one operand of an instruction may be a
-    /// memory reference (§2.1: "most operators [may] read one of the
+    /// memory reference (§2.1: "most operators \[may\] read one of the
     /// operands from memory").
     Mem(MemRef),
     /// A special register.

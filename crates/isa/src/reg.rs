@@ -1,4 +1,4 @@
-//! Register names, priority levels, and the triple-banked register file.
+//! Register names, priority levels, and one priority level's register bank.
 
 use crate::word::Word;
 use std::fmt;
@@ -111,7 +111,8 @@ impl Priority {
     /// All priority levels from lowest to highest.
     pub const ALL: [Priority; 3] = [Priority::Background, Priority::P0, Priority::P1];
 
-    /// Bank index used by [`RegFile`].
+    /// The level's index, 0–2 from background up: which of the MDP's three
+    /// register banks and threads it runs in.
     #[inline]
     pub fn index(self) -> usize {
         self as usize
@@ -167,44 +168,6 @@ impl IndexMut<AReg> for RegBank {
     }
 }
 
-/// The full triple-banked register file: one [`RegBank`] per [`Priority`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RegFile {
-    banks: [RegBank; 3],
-}
-
-impl RegFile {
-    /// Creates a register file with all registers nil and IPs zero.
-    pub fn new() -> RegFile {
-        RegFile::default()
-    }
-
-    /// The bank for a priority level.
-    #[inline]
-    pub fn bank(&self, priority: Priority) -> &RegBank {
-        &self.banks[priority.index()]
-    }
-
-    /// Mutable access to the bank for a priority level.
-    #[inline]
-    pub fn bank_mut(&mut self, priority: Priority) -> &mut RegBank {
-        &mut self.banks[priority.index()]
-    }
-}
-
-impl Index<Priority> for RegFile {
-    type Output = RegBank;
-    fn index(&self, priority: Priority) -> &RegBank {
-        self.bank(priority)
-    }
-}
-
-impl IndexMut<Priority> for RegFile {
-    fn index_mut(&mut self, priority: Priority) -> &mut RegBank {
-        self.bank_mut(priority)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,17 +180,6 @@ mod tests {
         for a in AReg::ALL {
             assert_eq!(AReg::from_index(a.index()), a);
         }
-    }
-
-    #[test]
-    fn banks_are_independent() {
-        let mut rf = RegFile::new();
-        rf[Priority::P0][DReg::R0] = Word::int(7);
-        rf[Priority::P1][DReg::R0] = Word::int(9);
-        rf[Priority::Background][DReg::R0] = Word::int(11);
-        assert_eq!(rf[Priority::P0][DReg::R0].as_i32(), 7);
-        assert_eq!(rf[Priority::P1][DReg::R0].as_i32(), 9);
-        assert_eq!(rf[Priority::Background][DReg::R0].as_i32(), 11);
     }
 
     #[test]

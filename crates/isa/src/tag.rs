@@ -104,8 +104,8 @@ impl Tag {
     }
 
     /// Whether a word with this tag may be used as an arithmetic operand.
-    #[inline]
-    pub fn is_arith(self) -> bool {
+    #[cfg(test)]
+    fn is_arith(self) -> bool {
         matches!(self, Tag::Int | Tag::Bool)
     }
 }

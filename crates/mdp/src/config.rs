@@ -1,6 +1,8 @@
 //! Node configuration: the timing model's costs and the memory map's
 //! windows, constants of the chip, and the one per-node switch.
 
+use jm_isa::word::MsgHeader;
+
 /// Virtual base addresses of the two message-queue windows (priority 0 and
 /// priority 1). A dispatched handler's `A3` descriptor points into this
 /// window; reads resolve into the queue ring buffer.
@@ -80,6 +82,14 @@ pub struct MdpConfig {
     /// `JMachine`, `try_new` derives it from the fault spec and replaces
     /// any value set here.
     pub checksum_msgs: bool,
+}
+
+impl MdpConfig {
+    /// The words a message with `header` occupies on the wire and in its
+    /// queue: the header's length, plus the trailer in checksum mode.
+    pub(crate) fn wire_len(&self, header: MsgHeader) -> u32 {
+        header.len + u32::from(self.checksum_msgs)
+    }
 }
 
 #[cfg(test)]

@@ -107,8 +107,8 @@ impl MdpNode {
     pub(crate) fn run_on(&mut self, priority: Priority, limit: u64) -> u64 {
         let pi = priority.index();
         let mut t = self.busy_until;
-        let mut ip = self.regs.bank(priority).ip;
-        let mut class = self.class[pi];
+        let mut ip = self.threads[pi].regs.ip;
+        let mut class = self.threads[pi].class;
         let (mut retired, mut cycles, mut last) = (0, 0, 0);
         while t < limit {
             let Some(&op) = self.ops.get(ip as usize) else {
@@ -136,8 +136,8 @@ impl MdpNode {
         self.spec_end = 0;
         if retired > 0 {
             self.stats.add_cycles(class, cycles);
-            self.class[pi] = class;
-            self.regs.bank_mut(priority).ip = ip;
+            self.threads[pi].class = class;
+            self.threads[pi].regs.ip = ip;
             self.credit(pi, retired);
             self.busy_until = t;
             self.spec_end = last + 1;
@@ -151,14 +151,14 @@ impl MdpNode {
     /// on.
     fn step<P: NetPort + ?Sized>(&mut self, priority: Priority, start: u64, net: &mut P) -> bool {
         let pi = priority.index();
-        let ip = self.regs.bank(priority).ip;
+        let ip = self.threads[pi].regs.ip;
         let Some(&op) = self.ops.get(ip as usize) else {
             self.error = Some(NodeError::IpOutOfRange(ip));
             return false;
         };
         if let Some(class) = op.class {
-            self.class[pi] = class;
-            self.regs.bank_mut(priority).ip = op.next - 1;
+            self.threads[pi].class = class;
+            self.threads[pi].regs.ip = op.next - 1;
         }
         let step = if op.private {
             match self.exec(priority, &op, start, false) {
@@ -166,9 +166,9 @@ impl MdpNode {
                 // 5 % of a tick (PERFLOG.md, "Where the time goes after
                 // stretches").
                 Ok(Retired { cost, next }) => {
-                    self.regs.bank_mut(priority).ip = next;
+                    self.threads[pi].regs.ip = next;
                     self.credit(pi, 1);
-                    self.stats.add_cycles(self.class[pi], cost);
+                    self.stats.add_cycles(self.threads[pi].class, cost);
                     self.busy_until = start + cost;
                     return true;
                 }
@@ -181,7 +181,7 @@ impl MdpNode {
         let fetch = if op.emem { EMEM_FETCH } else { 0 };
         let cost = match step {
             Step::Done(Retired { cost, next }) => {
-                self.regs.bank_mut(priority).ip = next;
+                self.threads[pi].regs.ip = next;
                 self.credit(pi, 1);
                 cost
             }
@@ -196,7 +196,7 @@ impl MdpNode {
         if self.error.is_some() {
             return false;
         }
-        self.stats.add_cycles(self.class[pi], cost);
+        self.stats.add_cycles(self.threads[pi].class, cost);
         self.busy_until = start + cost;
         matches!(step, Step::Done(_))
     }
@@ -205,11 +205,11 @@ impl MdpNode {
     /// running at bank `pi`.
     fn credit(&mut self, pi: usize, n: u64) {
         self.stats.instructions += n;
-        let mut slot = self.handler_slot[pi];
-        if slot == usize::MAX {
-            slot = self.stats.handlers.entry_slot(self.cur_handler[pi]);
-            self.handler_slot[pi] = slot;
+        let thread = &mut self.threads[pi];
+        if thread.handler_slot == u32::MAX {
+            thread.handler_slot = self.stats.handlers.entry_slot(thread.handler);
         }
+        let slot = thread.handler_slot;
         self.stats.handlers.slot_mut(slot).instructions += n;
     }
 
@@ -316,11 +316,11 @@ impl MdpNode {
                 let Opd::D(link) = op.d else {
                     unreachable!("JAL links through a data register")
                 };
-                self.regs.bank_mut(priority).r[link.index()] = Word::ip(op.next);
+                self.threads[priority.index()].regs.r[link.index()] = Word::ip(op.next);
                 return Ok(Retired::at(op, 0, op.val[2]));
             }
             Kind::Send(_) => {
-                debug_assert!(!self.commit_pending[priority.index()]);
+                debug_assert!(!self.threads[priority.index()].commit_pending);
                 let extra = self.compose(priority, op, now, spec)?;
                 self.stats.sends += 1;
                 return Ok(Retired::at(op, extra, op.next));
@@ -388,7 +388,9 @@ impl MdpNode {
                 .read(priority, opd, op.val[k], Level::Move, now, &mut extra, spec)
                 .map_err(|hazard| (hazard, extra))?;
         }
-        self.compose[priority.index()].extend_from_slice(&words[..n]);
+        self.threads[priority.index()]
+            .compose
+            .extend_from_slice(&words[..n]);
         Ok(extra)
     }
 
@@ -408,14 +410,15 @@ impl MdpNode {
                 // A retried commit's operands were appended before its send
                 // fault.
                 let mut extra = 0;
-                if !self.commit_pending[pi] {
+                if !self.threads[pi].commit_pending {
                     extra = self.compose(priority, op, now, false)?;
-                    self.commit_pending[pi] = true;
+                    self.threads[pi].commit_pending = true;
                 }
-                match net.commit(mp, &self.compose[pi]) {
+                let thread = &mut self.threads[pi];
+                match net.commit(mp, &thread.compose) {
                     InjectAck::Accepted => {
-                        self.compose[pi].clear();
-                        self.commit_pending[pi] = false;
+                        thread.compose.clear();
+                        thread.commit_pending = false;
                         self.stats.msgs_sent += 1;
                     }
                     InjectAck::Stall => {
@@ -423,7 +426,7 @@ impl MdpNode {
                         return Ok(Step::Retry);
                     }
                     InjectAck::Rejected => {
-                        let word = self.compose[pi].first().copied().unwrap_or(Word::NIL);
+                        let word = thread.compose.first().copied().unwrap_or(Word::NIL);
                         self.error = Some(NodeError::BadSend(word));
                         return Ok(Step::Error);
                     }
@@ -432,31 +435,27 @@ impl MdpNode {
                 Ok(Step::Done(Retired::at(op, extra, op.next)))
             }
             Kind::Suspend => {
-                // A handler ends only once its whole message is in.
-                if let Some(q) = pi.checked_sub(1) {
-                    if self.msg_ctx[q].is_some() && !self.queues[q].head_complete() {
-                        return Err((Hazard::Stall, 0));
-                    }
+                if self.end_thread(priority, now) {
+                    Ok(Step::End)
+                } else {
+                    Err((Hazard::Stall, 0))
                 }
-                self.end_thread(priority, now);
-                Ok(Step::End)
             }
             Kind::Halt => {
                 self.halted = true;
-                self.bg_runnable = false;
+                self.threads[0].running = false;
                 Ok(Step::End)
             }
             Kind::Resume => {
-                let frame = self.staging[pi];
-                let staged_ip = frame[8];
+                let thread = &mut self.threads[pi];
+                let staged_ip = thread.staging[8];
                 if staged_ip.tag() != Tag::Ip {
                     self.error = Some(NodeError::BadResume(staged_ip));
                     return Ok(Step::Error);
                 }
-                let bank = self.regs.bank_mut(priority);
-                bank.r.copy_from_slice(&frame[..4]);
-                bank.a.copy_from_slice(&frame[4..8]);
-                self.in_fault[pi] = false;
+                thread.regs.r.copy_from_slice(&thread.staging[..4]);
+                thread.regs.a.copy_from_slice(&thread.staging[4..8]);
+                thread.in_fault = false;
                 Ok(Step::Done(Retired::at(op, 0, staged_ip.bits())))
             }
             Kind::PastEnd => {
@@ -499,7 +498,8 @@ impl MdpNode {
         extra: &mut u64,
         spec: bool,
     ) -> Result<Word, Hazard> {
-        let bank = self.regs.bank(priority);
+        let thread = &self.threads[priority.index()];
+        let bank = &thread.regs;
         let (word, addr) = match opd {
             Opd::D(r) => (bank.r[r.index()], Word::NIL),
             Opd::A(a) => (bank.a[a.index()], Word::NIL),
@@ -526,7 +526,7 @@ impl MdpNode {
         // Inside a fault handler the MDP masks presence-tag faults (a
         // nested fault would clobber the staging buffer), so handlers can
         // copy arbitrary words with plain MOVEs.
-        if self.in_fault[priority.index()] {
+        if thread.in_fault {
             return Ok(word);
         }
         match level {
@@ -554,7 +554,7 @@ impl MdpNode {
         extra: &mut u64,
         spec: bool,
     ) -> Result<(), Hazard> {
-        let bank = self.regs.bank_mut(priority);
+        let bank = &mut self.threads[priority.index()].regs;
         match opd {
             Opd::D(r) => bank.r[r.index()] = word,
             Opd::A(a) => bank.a[a.index()] = word,

@@ -4,10 +4,11 @@
 //! into four architectural components so a divergence report can name the
 //! part of the node that first disagreed. The fold deliberately excludes
 //! observability state that differs between cycle-exact engines without
-//! being architecturally visible: statistics, tracers, and the
-//! handler-slot attribution cache. It also
-//! folds `busy_until` relative to the checkpoint cycle, because a parked
-//! event-driven node legitimately carries a stale absolute value.
+//! being architecturally visible: statistics, tracing, and the
+//! handler-slot attribution cache. A running handler's message is its
+//! queue's head, so its length is read from the head header, not stored.
+//! It also folds `busy_until` relative to the checkpoint cycle, because a
+//! parked event-driven node legitimately carries a stale absolute value.
 
 use crate::node::MdpNode;
 use jm_isa::word::Word;
@@ -32,41 +33,38 @@ impl MdpNode {
         ]
     }
 
-    /// Digest of the triple-banked register file and the staging frames.
+    /// Digest of the three threads' register banks, then their staging
+    /// frames.
     fn hash_regs(&self) -> u64 {
         let mut h = Fnv1a::new();
-        for p in [
-            jm_isa::reg::Priority::Background,
-            jm_isa::reg::Priority::P0,
-            jm_isa::reg::Priority::P1,
-        ] {
-            let bank = self.regs.bank(p);
-            for w in bank.r.iter().chain(bank.a.iter()) {
+        for t in &self.threads {
+            for w in t.regs.r.iter().chain(&t.regs.a) {
                 fold_word(&mut h, *w);
             }
-            h.write_u32(bank.ip);
+            h.write_u32(t.regs.ip);
         }
-        for frame in &self.staging {
-            for w in frame {
-                fold_word(&mut h, *w);
+        for t in &self.threads {
+            for w in t.staging {
+                fold_word(&mut h, w);
             }
         }
         h.finish()
     }
 
-    /// Digest of both hardware message queues and the per-priority message
-    /// contexts (high-water marks and refusal counters are statistics and
-    /// stay out).
+    /// Digest of both hardware message queues and the message each
+    /// handler runs on — its queue's head, folded as `1` and its wire
+    /// length, or `0` where no handler runs (high-water marks and refusal
+    /// counters are statistics and stay out).
     fn hash_queues(&self) -> u64 {
         let mut h = Fnv1a::new();
         for q in &self.queues {
             q.fold_state(&mut h);
         }
-        for ctx in &self.msg_ctx {
-            match ctx {
-                Some(c) => {
+        for q in 0..2 {
+            match self.running_msg_words(q) {
+                Some(words) => {
                     h.write_u8(1);
-                    h.write_u32(c.len);
+                    h.write_u32(words);
                 }
                 None => h.write_u8(0),
             }
@@ -87,26 +85,26 @@ impl MdpNode {
     /// to a scanned one.
     fn hash_ctl(&self, at: u64) -> u64 {
         let mut h = Fnv1a::new();
-        h.write_u8(u8::from(self.bg_runnable));
-        h.write_u8(u8::from(self.active[0]));
-        h.write_u8(u8::from(self.active[1]));
-        for c in self.class {
-            h.write_u8(c.index() as u8);
+        for t in &self.threads {
+            h.write_u8(u8::from(t.running));
         }
-        for ip in self.cur_handler {
-            h.write_u32(ip);
+        for t in &self.threads {
+            h.write_u8(t.class.index() as u8);
         }
-        for buf in &self.compose {
-            h.write_u32(buf.len() as u32);
-            for w in buf {
+        for t in &self.threads {
+            h.write_u32(t.handler);
+        }
+        for t in &self.threads {
+            h.write_u32(t.compose.len() as u32);
+            for w in &t.compose {
                 fold_word(&mut h, *w);
             }
         }
-        for b in self.commit_pending {
-            h.write_u8(u8::from(b));
+        for t in &self.threads {
+            h.write_u8(u8::from(t.commit_pending));
         }
-        for b in self.in_fault {
-            h.write_u8(u8::from(b));
+        for t in &self.threads {
+            h.write_u8(u8::from(t.in_fault));
         }
         h.write_u32(self.fip);
         fold_word(&mut h, self.fval);

@@ -1,5 +1,12 @@
 //! The MDP node: architectural state, thread scheduling, dispatch, and
 //! fault machinery. Instruction semantics live in [`crate::exec`].
+//!
+//! The node is laid out as the chip is: three threads, one record per
+//! register bank (§2.1), two message queues and a memory. Nothing is
+//! stored twice — a running handler's message is its queue's head, read
+//! from the head header when the handler ends and when the state is
+//! hashed — and what only tracing reads lives in the boxed [`NodeTrace`],
+//! absent while tracing is off.
 
 use crate::config::{MdpConfig, DISPATCH, FAULT_ENTRY, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
 use crate::lower::{Code, Op};
@@ -8,10 +15,10 @@ use crate::queue::MsgQueue;
 use crate::stats::NodeStats;
 use crate::stretch::Stretch;
 use jm_asm::Program;
-use jm_isa::consts::{FaultKind, QUEUE0_WORDS, QUEUE1_WORDS};
+use jm_isa::consts::{FaultKind, MEM_WORDS, QUEUE0_WORDS, QUEUE1_WORDS};
 use jm_isa::instr::{MsgPriority, StatClass};
 use jm_isa::node::{MeshDims, NodeId};
-use jm_isa::reg::{Priority, RegFile};
+use jm_isa::reg::{Priority, RegBank};
 use jm_isa::tag::Tag;
 use jm_isa::word::{MsgHeader, SegDesc, Word};
 use jm_isa::TraceId;
@@ -127,47 +134,84 @@ impl fmt::Display for NodeError {
 
 impl std::error::Error for NodeError {}
 
-/// The message being handled by a priority level.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MsgCtx {
-    /// Total message length in words.
-    pub len: u32,
+/// One of the MDP's three threads — background, priority 0, priority 1 —
+/// each with its own register set (§2.1): the bank and the state of the
+/// thread running in it.
+#[derive(Debug)]
+pub(crate) struct Thread {
+    pub(crate) regs: RegBank,
+    /// Whether the thread runs: the background thread until it suspends or
+    /// halts, a handler from its dispatch to its end. A running handler's
+    /// message is its queue's head.
+    pub(crate) running: bool,
+    /// Cycle-attribution class.
+    pub(crate) class: StatClass,
+    /// Entry IP of the thread (per-handler stats).
+    pub(crate) handler: u32,
+    /// Cached [`HandlerMap`](crate::stats::HandlerMap) slot of `handler`
+    /// (`u32::MAX` until first touched), so the per-instruction
+    /// attribution is a plain indexed add.
+    pub(crate) handler_slot: u32,
+    /// Message-composition buffer: words accumulated by `SEND`
+    /// instructions, launched whole at the `SENDE`.
+    pub(crate) compose: Vec<Word>,
+    /// The composed message is complete and awaiting a successful commit
+    /// (retried across send faults).
+    pub(crate) commit_pending: bool,
+    /// Whether the thread is inside a fault handler.
+    pub(crate) in_fault: bool,
+    /// Register staging frame (R0–3, A0–3, IP), saved by a fault.
+    pub(crate) staging: [Word; 9],
 }
 
-/// One J-Machine processing node.
+impl Thread {
+    /// A thread entered at `entry`, running or not.
+    fn new(entry: u32, running: bool) -> Thread {
+        Thread {
+            regs: RegBank {
+                ip: entry,
+                ..RegBank::default()
+            },
+            running,
+            class: StatClass::Compute,
+            handler: entry,
+            handler_slot: u32::MAX,
+            compose: Vec::new(),
+            commit_pending: false,
+            in_fault: false,
+            staging: [Word::NIL; 9],
+        }
+    }
+}
+
+/// A traced node's lifecycle bookkeeping: the event buffer, and what frames
+/// word deliveries into messages and ties each dispatched thread to the
+/// trace id of the message that created it.
+#[derive(Debug, Default)]
+pub(crate) struct NodeTrace {
+    events: Tracer,
+    /// Words still owed by the message currently streaming into each queue.
+    incoming_rem: [u32; 2],
+    /// Trace ids of queued-but-undispatched messages, in arrival (=
+    /// dispatch) order.
+    pending: [VecDeque<TraceId>; 2],
+    /// Trace id of the message each bank's thread is handling.
+    current: [TraceId; 3],
+}
+
+/// One J-Machine processing node: three threads, two message queues and a
+/// memory, plus the fault specials and the host's bookkeeping.
 pub struct MdpNode {
     pub(crate) id: NodeId,
     pub(crate) dims: MeshDims,
     pub(crate) config: MdpConfig,
-    pub(crate) regs: RegFile,
+    /// The threads, indexed by [`Priority::index`].
+    pub(crate) threads: [Thread; 3],
     pub(crate) mem: Memory,
     /// The program's lowered code ([`Code`]), shared by every node that
     /// runs it.
     pub(crate) ops: Arc<[Op]>,
     pub(crate) queues: [MsgQueue; 2],
-    /// Register staging frames (R0–3, A0–3, IP), one per priority bank.
-    pub(crate) staging: [[Word; 9]; 3],
-    /// Whether the background thread may run.
-    pub(crate) bg_runnable: bool,
-    /// Whether a handler is active at P0/P1.
-    pub(crate) active: [bool; 2],
-    pub(crate) msg_ctx: [Option<MsgCtx>; 2],
-    /// Cycle-attribution class per bank.
-    pub(crate) class: [StatClass; 3],
-    /// Entry IP of the thread running in each bank (per-handler stats).
-    pub(crate) cur_handler: [u32; 3],
-    /// Cached [`HandlerMap`](crate::stats::HandlerMap) slot of each bank's
-    /// `cur_handler` (`usize::MAX` until first touched), so the
-    /// per-instruction attribution is a plain indexed add.
-    pub(crate) handler_slot: [usize; 3],
-    /// Per-bank message-composition buffers: words accumulated by `SEND`
-    /// instructions, launched whole at the `SENDE`.
-    pub(crate) compose: [Vec<Word>; 3],
-    /// Per bank: the composed message is complete and awaiting a
-    /// successful commit (retried across send faults).
-    pub(crate) commit_pending: [bool; 3],
-    /// Whether each bank is inside a fault handler.
-    pub(crate) in_fault: [bool; 3],
     /// Fault state specials.
     pub(crate) fip: u32,
     pub(crate) fval: Word,
@@ -176,16 +220,8 @@ pub struct MdpNode {
     pub(crate) halted: bool,
     pub(crate) error: Option<NodeError>,
     pub(crate) stats: NodeStats,
-    /// Lifecycle-event buffer; `None` (the default) disables tracing.
-    pub(crate) tracer: Option<Box<Tracer>>,
-    /// Tracing only: payload words still owed by the message currently
-    /// streaming into each queue (frames word deliveries into messages).
-    pub(crate) incoming_rem: [u32; 2],
-    /// Tracing only: trace ids of queued-but-undispatched messages, in
-    /// arrival (= dispatch) order.
-    pub(crate) trace_pending: [VecDeque<TraceId>; 2],
-    /// Tracing only: trace id of the message each bank's thread is handling.
-    pub(crate) cur_trace: [TraceId; 3],
+    /// Lifecycle tracing; `None` (the default) disables it.
+    trace: Option<Box<NodeTrace>>,
     /// One past the start cycle of the last instruction the current
     /// stretch retired (0: none): a delivery or a drive stop before it
     /// lands inside the stretch.
@@ -196,15 +232,14 @@ pub struct MdpNode {
 
 // A node's fixed footprint, 512 bytes of it the inline SRAM page table: a
 // 4 096-node mesh holds 4 096 of them, so growth must be deliberate.
-const _: () = assert!(std::mem::size_of::<MdpNode>() <= 1656);
+const _: () = assert!(std::mem::size_of::<MdpNode>() <= 1536);
 
 impl fmt::Debug for MdpNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MdpNode")
             .field("id", &self.id)
             .field("halted", &self.halted)
-            .field("bg_runnable", &self.bg_runnable)
-            .field("active", &self.active)
+            .field("running", &self.threads.each_ref().map(|t| t.running))
             .field("error", &self.error)
             .finish_non_exhaustive()
     }
@@ -251,35 +286,19 @@ impl MdpNode {
                 mem.load(block.base, &block.init);
             }
         }
-        let mut regs = RegFile::new();
-        let bg_entry = if start_background {
-            program.entry
-        } else {
-            None
-        };
-        let bg_runnable = bg_entry.is_some();
-        if let Some(entry) = bg_entry {
-            regs.bank_mut(Priority::Background).ip = entry;
-        }
-        let cur_handler = [bg_entry.unwrap_or(0), 0, 0];
+        let background = program.entry.filter(|_| start_background);
         MdpNode {
             id,
             dims,
             config,
-            regs,
+            threads: [
+                Thread::new(background.unwrap_or(0), background.is_some()),
+                Thread::new(0, false),
+                Thread::new(0, false),
+            ],
             mem,
             ops: Arc::clone(&code.ops),
             queues: [MsgQueue::new(QUEUE0_WORDS), MsgQueue::new(QUEUE1_WORDS)],
-            staging: [[Word::NIL; 9]; 3],
-            bg_runnable,
-            active: [false, false],
-            msg_ctx: [None, None],
-            class: [StatClass::Compute; 3],
-            cur_handler,
-            handler_slot: [usize::MAX; 3],
-            compose: Default::default(),
-            commit_pending: [false; 3],
-            in_fault: [false; 3],
             fip: 0,
             fval: Word::NIL,
             faddr: Word::NIL,
@@ -287,10 +306,7 @@ impl MdpNode {
             halted: false,
             error: None,
             stats: NodeStats::default(),
-            tracer: None,
-            incoming_rem: [0; 2],
-            trace_pending: Default::default(),
-            cur_trace: [TraceId::NONE; 3],
+            trace: None,
             spec_end: 0,
             stretch: Box::default(),
         }
@@ -300,22 +316,18 @@ impl MdpNode {
     /// queue-enter, dispatch, and handler-end events and correlates each
     /// dispatched thread with the trace id of the message that created it.
     pub fn set_tracing(&mut self, on: bool) {
-        self.tracer = if on {
-            Some(Box::new(Tracer::new()))
-        } else {
-            None
-        };
+        self.trace = on.then(Box::default);
     }
 
     /// Whether lifecycle tracing is on.
     pub fn tracing(&self) -> bool {
-        self.tracer.is_some()
+        self.trace.is_some()
     }
 
     /// The buffered lifecycle events (`None` when tracing is off), for the
     /// machine to drain as it merges its trace.
     pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        self.tracer.as_deref_mut()
+        self.trace.as_deref_mut().map(|t| &mut t.events)
     }
 
     /// The node's identity.
@@ -355,9 +367,12 @@ impl MdpNode {
         if self.error.is_some() || self.halted {
             return false;
         }
-        self.bg_runnable
-            || self.active[0]
-            || self.active[1]
+        // Spelled out: called from the machine after every tick, and the
+        // iterator form of these three tests read ring64 ~5 % slower
+        // (PERFLOG.md, "A node is three threads").
+        self.threads[0].running
+            || self.threads[1].running
+            || self.threads[2].running
             || !self.queues[0].is_empty()
             || !self.queues[1].is_empty()
     }
@@ -369,12 +384,28 @@ impl MdpNode {
     }
 
     /// Host access: reads a memory word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is past the end of memory ([`MEM_WORDS`]).
     pub fn read_mem(&self, addr: u32) -> Word {
+        assert!(
+            addr < MEM_WORDS,
+            "host read of {addr} past the end of memory"
+        );
         self.mem.read(addr)
     }
 
     /// Host access: writes a memory word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is past the end of memory ([`MEM_WORDS`]).
     pub fn write_mem(&mut self, addr: u32, word: Word) {
+        assert!(
+            addr < MEM_WORDS,
+            "host write of {addr} past the end of memory"
+        );
         self.mem.write(addr, word);
     }
 
@@ -415,26 +446,19 @@ impl MdpNode {
         if now < self.spec_end && q + 1 > self.stretch.priority.index() {
             self.rewind(now);
         }
-        if let Some(tracer) = &mut self.tracer {
-            if self.incoming_rem[q] == 0 {
+        if let Some(t) = &mut self.trace {
+            if t.incoming_rem[q] == 0 {
                 // Header word of a new message; `msg` headers carry the
                 // total length, anything else is treated as one word (it
                 // will surface as a queue desync at dispatch).
                 let len = if word.tag() == Tag::Msg {
-                    let len = MsgHeader::from_word(word).len;
-                    // Checksum mode: the wire message carries one trailer
-                    // word beyond the header's stated length.
-                    if self.config.checksum_msgs {
-                        len + 1
-                    } else {
-                        len
-                    }
+                    self.config.wire_len(MsgHeader::from_word(word))
                 } else {
                     1
                 };
-                self.incoming_rem[q] = len.saturating_sub(1);
-                self.trace_pending[q].push_back(trace);
-                tracer.emit(
+                t.incoming_rem[q] = len.saturating_sub(1);
+                t.pending[q].push_back(trace);
+                t.events.emit(
                     now,
                     EventKind::QueueEnter {
                         id: trace,
@@ -443,7 +467,7 @@ impl MdpNode {
                     },
                 );
             } else {
-                self.incoming_rem[q] -= 1;
+                t.incoming_rem[q] -= 1;
             }
         }
         true
@@ -470,19 +494,19 @@ impl MdpNode {
         if self.error.is_some() || self.halted {
             return Decision::Stopped;
         }
-        if self.active[1] {
+        if self.threads[2].running {
             return Decision::Exec(Priority::P1);
         }
         if self.dispatchable(1) {
             return Decision::Dispatch(MsgPriority::P1);
         }
-        if self.active[0] {
+        if self.threads[1].running {
             return Decision::Exec(Priority::P0);
         }
         if self.dispatchable(0) {
             return Decision::Dispatch(MsgPriority::P0);
         }
-        if self.bg_runnable {
+        if self.threads[0].running {
             return Decision::Exec(Priority::Background);
         }
         Decision::Idle
@@ -624,34 +648,20 @@ impl MdpNode {
             self.error = Some(NodeError::BadHandler(header.ip));
             return;
         }
-        let priority = if mp == MsgPriority::P0 {
-            Priority::P0
-        } else {
-            Priority::P1
-        };
         let head_slot = self.queues[q].head_slot() as u32;
-        let bank = self.regs.bank_mut(priority);
-        bank.ip = header.ip;
+        let thread = &mut self.threads[q + 1];
+        thread.regs.ip = header.ip;
         // A3 := descriptor of the message, inside the queue window.
-        bank.a[3] = SegDesc::new(QUEUE_VBASE[q] + head_slot, header.len).to_word();
-        self.active[q] = true;
-        // The handler's A3 window covers the header's `len` words; in
-        // checksum mode the context length additionally counts the trailer
-        // so `end_thread` pops the whole wire message.
-        let wire_len = if self.config.checksum_msgs {
-            header.len + 1
-        } else {
-            header.len
-        };
-        self.msg_ctx[q] = Some(MsgCtx { len: wire_len });
-        self.class[priority.index()] = StatClass::Compute;
-        self.cur_handler[priority.index()] = header.ip;
-        self.compose[priority.index()].clear();
-        self.commit_pending[priority.index()] = false;
-        if let Some(tracer) = &mut self.tracer {
-            let id = self.trace_pending[q].pop_front().unwrap_or(TraceId::NONE);
-            self.cur_trace[priority.index()] = id;
-            tracer.emit(
+        thread.regs.a[3] = SegDesc::new(QUEUE_VBASE[q] + head_slot, header.len).to_word();
+        thread.running = true;
+        thread.class = StatClass::Compute;
+        thread.handler = header.ip;
+        thread.compose.clear();
+        thread.commit_pending = false;
+        if let Some(t) = &mut self.trace {
+            let id = t.pending[q].pop_front().unwrap_or(TraceId::NONE);
+            t.current[q + 1] = id;
+            t.events.emit(
                 now,
                 EventKind::Dispatch {
                     id,
@@ -663,7 +673,7 @@ impl MdpNode {
         self.stats.threads += 1;
         self.stats.msgs_received += 1;
         let slot = self.stats.handlers.entry_slot(header.ip);
-        self.handler_slot[priority.index()] = slot;
+        self.threads[q + 1].handler_slot = slot;
         let entry = self.stats.handlers.slot_mut(slot);
         entry.threads += 1;
         entry.msg_words += u64::from(header.len);
@@ -695,9 +705,9 @@ impl MdpNode {
         }
         self.stats.count_fault(FaultKind::CorruptMessage);
         self.queues[q].pop_msg(len + 1);
-        if let Some(tracer) = &mut self.tracer {
-            let id = self.trace_pending[q].pop_front().unwrap_or(TraceId::NONE);
-            tracer.emit(
+        if let Some(t) = &mut self.trace {
+            let id = t.pending[q].pop_front().unwrap_or(TraceId::NONE);
+            t.events.emit(
                 now,
                 EventKind::Fault {
                     id,
@@ -711,39 +721,56 @@ impl MdpNode {
         false
     }
 
-    /// Ends the thread at `priority`: pops its message (if any) and clears
-    /// activity. Background suspension parks the background thread for good.
-    pub(crate) fn end_thread(&mut self, priority: Priority, now: u64) {
-        if !self.compose[priority.index()].is_empty() {
+    /// The wire length of the message the handler at queue `q`'s priority
+    /// is running — its queue's head, trailer included in checksum mode —
+    /// or `None` when no handler runs there.
+    pub(crate) fn running_msg_words(&self, q: usize) -> Option<u32> {
+        if !self.threads[q + 1].running {
+            return None;
+        }
+        let Some(Ok(header)) = self.queues[q].header() else {
+            unreachable!("a running handler's message heads its queue")
+        };
+        Some(self.config.wire_len(header))
+    }
+
+    /// Ends the thread at `priority` (`SUSPEND`) once its message has
+    /// wholly arrived: pops the message (if any) and stops the thread.
+    /// Background suspension parks the background thread for good. Returns
+    /// `false`, ending nothing, while a word of the message is still to
+    /// come.
+    pub(crate) fn end_thread(&mut self, priority: Priority, now: u64) -> bool {
+        let pi = priority.index();
+        let message = pi
+            .checked_sub(1)
+            .and_then(|q| Some((q, self.running_msg_words(q)? as usize)));
+        if let Some((q, words)) = message {
+            if self.queues[q].len() < words {
+                return false;
+            }
+        }
+        if !self.threads[pi].compose.is_empty() {
             self.error = Some(NodeError::OpenMessage);
-            return;
+            return true;
         }
-        match priority {
-            Priority::Background => {
-                self.bg_runnable = false;
-            }
-            Priority::P0 | Priority::P1 => {
-                let q = if priority == Priority::P0 { 0 } else { 1 };
-                if let Some(ctx) = self.msg_ctx[q].take() {
-                    self.queues[q].pop_msg(ctx.len as usize);
-                    if let Some(tracer) = &mut self.tracer {
-                        let pi = priority.index();
-                        tracer.emit(
-                            now,
-                            EventKind::HandlerEnd {
-                                id: self.cur_trace[pi],
-                                node: self.id,
-                                handler: self.cur_handler[pi],
-                            },
-                        );
-                        self.cur_trace[pi] = TraceId::NONE;
-                    }
-                }
-                self.active[q] = false;
+        if let Some((q, words)) = message {
+            self.queues[q].pop_msg(words);
+            if let Some(t) = &mut self.trace {
+                t.events.emit(
+                    now,
+                    EventKind::HandlerEnd {
+                        id: std::mem::take(&mut t.current[pi]),
+                        node: self.id,
+                        handler: self.threads[pi].handler,
+                    },
+                );
             }
         }
-        self.in_fault[priority.index()] = false;
-        self.class[priority.index()] = StatClass::Compute;
+        let thread = &mut self.threads[pi];
+        thread.running = false;
+        thread.in_fault = false;
+        thread.class = StatClass::Compute;
+        true
     }
 
     /// Raises a fault in `priority`'s bank: saves registers to the staging
@@ -758,9 +785,9 @@ impl MdpNode {
         addr: Word,
     ) -> u64 {
         self.stats.count_fault(kind);
-        let bank_index = priority.index();
-        let ip = self.regs.bank(priority).ip;
-        if self.in_fault[bank_index] {
+        let thread = &self.threads[priority.index()];
+        let ip = thread.regs.ip;
+        if thread.in_fault {
             self.error = Some(NodeError::NestedFault { kind, ip });
             return 0;
         }
@@ -769,25 +796,22 @@ impl MdpNode {
             self.error = Some(NodeError::UnhandledFault { kind, ip });
             return 0;
         }
-        // Hardware staging save.
-        let bank = self.regs.bank(priority);
-        let mut frame = [Word::NIL; 9];
-        frame[..4].copy_from_slice(&bank.r);
-        frame[4..8].copy_from_slice(&bank.a);
-        frame[8] = Word::ip(ip);
-        self.staging[bank_index] = frame;
         self.fip = ip;
         self.fval = val;
         self.faddr = addr;
-        self.in_fault[bank_index] = true;
-        self.regs.bank_mut(priority).ip = vector.bits();
+        let thread = &mut self.threads[priority.index()];
+        // Hardware staging save.
+        thread.staging[..4].copy_from_slice(&thread.regs.r);
+        thread.staging[4..8].copy_from_slice(&thread.regs.a);
+        thread.staging[8] = Word::ip(ip);
+        thread.in_fault = true;
+        thread.regs.ip = vector.bits();
         // Attribute fault entry according to its nature.
-        let class = match kind {
-            FaultKind::CFutRead | FaultKind::FutUse => StatClass::Sync,
-            FaultKind::XlateMiss => StatClass::Xlate,
-            _ => self.class[bank_index],
-        };
-        self.class[bank_index] = class;
+        match kind {
+            FaultKind::CFutRead | FaultKind::FutUse => thread.class = StatClass::Sync,
+            FaultKind::XlateMiss => thread.class = StatClass::Xlate,
+            _ => {}
+        }
         FAULT_ENTRY
     }
 
@@ -797,7 +821,7 @@ impl MdpNode {
         let bank = (off / STAGING_FRAME) as usize;
         let slot = (off % STAGING_FRAME) as usize;
         if bank < 3 && slot < 9 {
-            Some(self.staging[bank][slot])
+            Some(self.threads[bank].staging[slot])
         } else {
             None
         }
@@ -809,7 +833,7 @@ impl MdpNode {
         let bank = (off / STAGING_FRAME) as usize;
         let slot = (off % STAGING_FRAME) as usize;
         if bank < 3 && slot < 9 {
-            self.staging[bank][slot] = word;
+            self.threads[bank].staging[slot] = word;
             true
         } else {
             false

@@ -135,14 +135,6 @@ impl MsgQueue {
         }
     }
 
-    /// Whether the head message has fully arrived.
-    pub(crate) fn head_complete(&self) -> bool {
-        match self.header() {
-            Some(Ok(h)) => self.len >= h.len as usize,
-            _ => false,
-        }
-    }
-
     /// Folds the architecturally visible queue state into a replay digest:
     /// the head ring slot (visible to programs through the `A3` queue
     /// descriptor), the occupancy, and the buffered words in arrival order.
@@ -187,11 +179,9 @@ mod tests {
         assert!(q.push(hdr(5, 3)));
         let h = q.header().unwrap().unwrap();
         assert_eq!((h.ip, h.len), (5, 3));
-        assert!(!q.head_complete());
         assert_eq!(q.get(1), None); // argument not yet arrived → stall
         q.push(Word::int(1));
         q.push(Word::int(2));
-        assert!(q.head_complete());
         assert_eq!(q.get(2), Some(Word::int(2)));
     }
 
@@ -205,7 +195,6 @@ mod tests {
         q.push(hdr(2, 3));
         q.push(Word::int(20));
         q.push(Word::int(21));
-        assert!(q.head_complete());
         assert_eq!(q.get(2), Some(Word::int(21)));
         assert_eq!(q.head_slot(), 2);
         assert_eq!(q.read_slot(0), Some(Word::int(21))); // wrapped slot
@@ -256,7 +245,6 @@ mod tests {
         assert_eq!(q.head_slot(), 3);
         assert!(!q.push(Word::int(99)), "wrapped-full queue must refuse");
         assert_eq!(q.refusals(), 1);
-        assert!(q.head_complete());
         assert_eq!(q.get(3), Some(Word::int(22)));
         // Popping the wrapped message frees the ring again.
         q.pop_msg(4);

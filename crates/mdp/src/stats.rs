@@ -41,7 +41,7 @@ impl HandlerStats {
 /// Backed by parallel vectors rather than a hash map: the executor bumps a
 /// handler's instruction count on *every retired instruction*, and a node
 /// only ever runs a handful of distinct handlers, so a cached slot index
-/// (see `MdpNode::handler_slot`) turns the hot-path update into a plain
+/// (a thread's `handler_slot`) turns the hot-path update into a plain
 /// indexed add. Slots are assigned in first-touch order and never move.
 #[derive(Debug, Clone, Default, Eq)]
 pub struct HandlerMap {
@@ -51,28 +51,29 @@ pub struct HandlerMap {
 
 impl HandlerMap {
     /// Slot index for `ip`, creating a zeroed entry on first touch.
-    pub fn entry_slot(&mut self, ip: u32) -> usize {
-        match self.ips.iter().position(|&k| k == ip) {
+    pub fn entry_slot(&mut self, ip: u32) -> u32 {
+        let slot = match self.ips.iter().position(|&k| k == ip) {
             Some(slot) => slot,
             None => {
                 self.ips.push(ip);
                 self.stats.push(HandlerStats::default());
                 self.ips.len() - 1
             }
-        }
+        };
+        slot as u32
     }
 
     /// The entry for `ip`, created zeroed if absent.
     pub fn entry(&mut self, ip: u32) -> &mut HandlerStats {
         let slot = self.entry_slot(ip);
-        &mut self.stats[slot]
+        self.slot_mut(slot)
     }
 
     /// Direct access by a slot index previously returned by
     /// [`HandlerMap::entry_slot`] (the per-instruction hot path).
     #[inline]
-    pub fn slot_mut(&mut self, slot: usize) -> &mut HandlerStats {
-        &mut self.stats[slot]
+    pub fn slot_mut(&mut self, slot: u32) -> &mut HandlerStats {
+        &mut self.stats[slot as usize]
     }
 
     /// The entry for `ip`, if any instruction or dispatch touched it.
@@ -85,8 +86,7 @@ impl HandlerMap {
 
     /// Inserts or replaces the entry for `ip`.
     pub fn insert(&mut self, ip: u32, stats: HandlerStats) {
-        let slot = self.entry_slot(ip);
-        self.stats[slot] = stats;
+        *self.entry(ip) = stats;
     }
 
     /// Iterates `(ip, stats)` pairs in first-touch order.

@@ -14,8 +14,8 @@
 //! table is SRAM words, and the translation counters are in the
 //! checkpoint. The one thing a stretch cannot see coming is a delivery into
 //! a higher-priority queue at a cycle inside it. It is not predicted: the
-//! stretch keeps one checkpoint (the running bank, the counters it bumps,
-//! the compose length and class, and an undo log of the memory words it
+//! stretch keeps one checkpoint (the running thread's bank, compose length
+//! and class, the counters it bumps, and an undo log of the memory words it
 //! overwrote), and [`MdpNode::deliver_traced`] — or the machine's drive,
 //! stopping on another node's error — rewinds to the cycle in question and
 //! re-executes the instructions that started before it. A rewind restores
@@ -83,12 +83,12 @@ impl MdpNode {
     /// begins, and where its attribution class was `class` (before any
     /// `MARK` the stretch's first instruction follows).
     pub(crate) fn checkpoint(&mut self, priority: Priority, class: StatClass) {
-        let pi = priority.index();
+        let thread = &self.threads[priority.index()];
         let s = &mut *self.stretch;
         s.priority = priority;
-        s.bank.clone_from(self.regs.bank(priority));
+        s.bank.clone_from(&thread.regs);
         s.class = class;
-        s.compose_len = self.compose[pi].len();
+        s.compose_len = thread.compose.len();
         s.from = self.busy_until;
         s.cycles = self.stats.cycles;
         s.instructions = self.stats.instructions;
@@ -98,7 +98,7 @@ impl MdpNode {
         s.handler_instructions = self
             .stats
             .handlers
-            .slot_mut(self.handler_slot[pi])
+            .slot_mut(thread.handler_slot)
             .instructions;
         s.undo.clear();
     }
@@ -116,9 +116,10 @@ impl MdpNode {
         for &(addr, old) in s.undo.iter().rev() {
             self.mem.write(addr, old);
         }
-        self.regs.bank_mut(priority).clone_from(&s.bank);
-        self.class[pi] = s.class;
-        self.compose[pi].truncate(s.compose_len);
+        let thread = &mut self.threads[pi];
+        thread.regs.clone_from(&s.bank);
+        thread.class = s.class;
+        thread.compose.truncate(s.compose_len);
         self.busy_until = s.from;
         self.stats.cycles = s.cycles;
         self.stats.instructions = s.instructions;
@@ -127,7 +128,7 @@ impl MdpNode {
         self.stats.xlate_misses = s.xlate_misses;
         self.stats
             .handlers
-            .slot_mut(self.handler_slot[pi])
+            .slot_mut(thread.handler_slot)
             .instructions = s.handler_instructions;
         let redone = self.run_on(priority, to);
         let counts = &mut self.stretch.stats;

@@ -2,7 +2,9 @@
 //! faults, queue streaming, send faults, and name translation.
 
 use jm_asm::{hdr, seg, Builder, Program, Region};
-use jm_isa::consts::{FaultKind, EMEM_BASE, VECTOR_COUNT, XLATE_BASE, XLATE_SETS, XLATE_WAYS};
+use jm_isa::consts::{
+    FaultKind, EMEM_BASE, MEM_WORDS, VECTOR_COUNT, XLATE_BASE, XLATE_SETS, XLATE_WAYS,
+};
 use jm_isa::instr::{AluOp, MsgPriority, StatClass};
 use jm_isa::node::{MeshDims, NodeId};
 use jm_isa::operand::{MemRef, Special};
@@ -882,4 +884,13 @@ fn a_stretch_rewinds_to_a_delivery_at_any_cycle_inside_it() {
         assert_eq!(twin.stats().threads, 1);
         assert_eq!(run_on.stretch_stats().stretches, 1);
     }
+}
+
+/// A host read past memory is refused the same way in every build: a node
+/// that never wrote DRAM has no DRAM table to index, and does not answer
+/// NIL either.
+#[test]
+#[should_panic(expected = "host read of 266240 past the end of memory")]
+fn a_host_read_past_memory_panics() {
+    node_for(Program::default()).read_mem(MEM_WORDS);
 }

@@ -17,7 +17,7 @@ use jm_isa::TraceId;
 /// message's latency.
 ///
 /// The struct is packed to 16 bytes — destination (3), flags (1), trace id
-/// (4), data (8) — so a directional ring of [`FLIT_BUFFER`] flits is one
+/// (4), data (8) — so a directional ring of `FLIT_BUFFER` flits is one
 /// cache line: channel arenas hold `routers × 12 rings` of them (a
 /// 16×16×16 mesh has 4096 routers), and every boundary crossing copies one
 /// through an edge mailbox, so flit size is arena footprint *and*
@@ -28,10 +28,8 @@ use jm_isa::TraceId;
 /// already knows its vnet from the buffer it sits in, and the arena keeps
 /// one push bit per queue for "arrived this cycle". A message waiting to
 /// leave its source is not stored as flits at all: the injection FIFO and
-/// the bulk law hold one [`Message`] record and its payload words, and
-/// [`Message::flit`] makes each flit as it is read.
-///
-/// [`FLIT_BUFFER`]: crate::config::FLIT_BUFFER
+/// the bulk law hold one `Message` record and its payload words, and
+/// `Message::flit` makes each flit as it is read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Destination coordinates (from the message's route word).

@@ -276,14 +276,15 @@ impl Network {
     }
 
     /// Number of delivered words waiting at a node.
-    pub fn delivered_len(&self, node: NodeId, priority: MsgPriority) -> usize {
+    #[cfg(test)]
+    pub(crate) fn delivered_len(&self, node: NodeId, priority: MsgPriority) -> usize {
         self.shards[self.shard_of_node(node)].delivered_len(node, priority)
     }
 
     /// Advances the network by one cycle: phase 1 steps every shard, phase 2
     /// exchanges boundary flits and republishes boundary space. Sequential
     /// shard order is immaterial — that is the whole point of the two-phase
-    /// scheme (see [`crate::shard`]).
+    /// scheme (see the `shard` module).
     pub fn step(&mut self) {
         let count = self.shards.len();
         for k in 0..count {
@@ -300,7 +301,8 @@ impl Network {
     }
 
     /// Runs `cycles` steps.
-    pub fn run(&mut self, cycles: u64) {
+    #[cfg(test)]
+    pub(crate) fn run(&mut self, cycles: u64) {
         for _ in 0..cycles {
             self.step();
         }
@@ -311,7 +313,7 @@ impl Network {
     /// hashes for the replay log's divergence reports. Takes `&mut self`
     /// because a wormhole bulk-advance message must be materialized into
     /// its exact buffered equivalent before hashing (semantically
-    /// invisible; see [`crate::shard`]).
+    /// invisible; see the `shard` module).
     pub fn fold_components(&mut self, mut f: impl FnMut(NodeId, usize, u64)) {
         for shard in &mut self.shards {
             shard.fold_components(self.cycle, &mut f);

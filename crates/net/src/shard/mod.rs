@@ -289,7 +289,8 @@ impl NetShard {
     }
 
     /// Number of delivered words waiting at a node.
-    pub fn delivered_len(&self, node: NodeId, priority: MsgPriority) -> usize {
+    #[cfg(test)]
+    pub(crate) fn delivered_len(&self, node: NodeId, priority: MsgPriority) -> usize {
         self.routers[self.local(node)].ejected[priority.index()].len()
     }
 

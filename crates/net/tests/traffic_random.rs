@@ -205,7 +205,7 @@ fn the_law_matches_the_sharded_mesh_cycle_for_cycle() {
                     while let Some(w) = a.pop_delivered(node, pri) {
                         assert_eq!(Some(w), b.pop_delivered(node, pri));
                     }
-                    assert_eq!(b.delivered_len(node, pri), 0);
+                    assert_eq!(b.pop_delivered(node, pri), None);
                 }
             }
             let [a, b] = &mut nets;

@@ -3,7 +3,7 @@
 //! A dissemination barrier in `log2(N)` waves: in wave `w`, node `i` sends
 //! one 3-word message to node `i XOR 2^w` — the butterfly pattern mapped
 //! onto the 3-D grid that the paper describes, with "incoming messages
-//! invok[ing] a different handler for each wave … through the use of the
+//! invok\[ing\] a different handler for each wave … through the use of the
 //! fast hardware dispatch mechanism" (we key waves by a message field
 //! rather than by distinct entry points; the dispatch cost is identical).
 //!

@@ -18,9 +18,6 @@
 //! * [`futures`] — `cfut` fault handling: context save/restore through the
 //!   hardware staging buffer, suspension, and producer-side restart
 //!   (Table 2's save/restore costs);
-//! * [`tree`] — a binary combining tree, the barrier ablation of
-//!   `examples/barrier_tree.rs` (Radix Sort combines its counts with a
-//!   hypercube scan instead, `jm_apps::radix`);
 //! * [`rand`] — a small LCG for synthetic traffic generation;
 //! * [`reliable`] — sequence-numbered idempotent RPC with watchdog resend
 //!   and exponential backoff, the guest-level recovery protocol for
@@ -42,4 +39,3 @@ pub mod nnr;
 pub mod rand;
 pub mod reliable;
 pub mod rpc;
-pub mod tree;

@@ -220,8 +220,8 @@ impl Packed {
 /// own `Tracer`, so the hot paths never contend on a shared sink; the
 /// machine drains the buffers into its [`MachineTrace`](crate::MachineTrace)
 /// as the run goes ([`MachineTrace::merge`](crate::MachineTrace::merge)). A
-/// component that is not tracing holds no tracer at all
-/// (`Option<Box<Tracer>>`), making the disabled path a single pointer test.
+/// component that is not tracing holds no tracer at all (it is boxed
+/// behind an `Option`), making the disabled path a single pointer test.
 ///
 /// Hop and deliver events are buffered in a packed 16-byte form, all
 /// others as full [`Event`]s: two plain vectors, each in emission order.
@@ -259,6 +259,7 @@ impl Tracer {
     }
 }
 
+#[cfg(test)]
 impl FromIterator<Event> for Tracer {
     fn from_iter<I: IntoIterator<Item = Event>>(events: I) -> Tracer {
         let mut tracer = Tracer::new();

@@ -11,9 +11,9 @@
 //! [`Event`]s — inject, per-hop route, deliver, queue-enter, dispatch,
 //! handler-complete — each with a cycle timestamp.
 //!
-//! Components buffer events locally in a [`Tracer`] (`Option<Box<Tracer>>`
-//! on each component: the disabled path is one pointer test and zero
-//! allocation). The machine drains the buffers into a [`MachineTrace`] a
+//! Components buffer events locally in a [`Tracer`] (boxed behind an
+//! `Option` on each component: the disabled path is one pointer test and
+//! zero allocation). The machine drains the buffers into a [`MachineTrace`] a
 //! batch at a time as the run goes ([`MachineTrace::merge`]), so the trace
 //! is held once; the trace reconstructs per-message [`MsgTrace`]
 //! lifecycles, accumulates log-scaled [`Histogram`]s, and exports either
@@ -37,5 +37,5 @@ pub use chrome::chrome_json;
 pub use event::{Event, EventKind, FaultEvent, Tracer};
 pub use histogram::{Histogram, BUCKETS};
 pub use jm_isa::TraceId;
-pub use summary::{fnv1a, hash, summary_json, Fnv1a};
+pub use summary::{hash, summary_json, Fnv1a};
 pub use trace::{Breakdown, MachineTrace, MsgTrace, SamplePoint};

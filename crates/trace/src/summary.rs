@@ -15,23 +15,10 @@ use crate::trace::MachineTrace;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a byte slice.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Streaming FNV-1a fold: the incremental counterpart of [`fnv1a`].
+/// Streaming FNV-1a fold.
 ///
-/// Because FNV-1a consumes its input strictly left to right, a fold over a
-/// concatenation equals a fold over the first part continued over the
-/// second — `Fnv1a::with_seed(fold(A)).chain(B) == fold(A ++ B)`. The
-/// replay layer's interval digests rely on exactly that composition
-/// property, and the state-hash hooks in `jm-mdp`/`jm-net` use the
+/// FNV-1a consumes its input strictly left to right, so a fold is built up
+/// piece by piece: the state-hash hooks in `jm-mdp`/`jm-net` use the
 /// integer-push methods to fold component state without allocating.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
@@ -43,14 +30,15 @@ impl Default for Fnv1a {
 }
 
 impl Fnv1a {
-    /// A fold starting from the FNV offset basis (equivalent to `fnv1a`
-    /// of the empty string).
+    /// A fold starting from the FNV offset basis (the hash of the empty
+    /// string).
     pub fn new() -> Fnv1a {
         Fnv1a(FNV_OFFSET)
     }
 
     /// Continues a fold from a previously-finished digest.
-    pub fn with_seed(seed: u64) -> Fnv1a {
+    #[cfg(test)]
+    fn with_seed(seed: u64) -> Fnv1a {
         Fnv1a(seed)
     }
 
@@ -220,6 +208,16 @@ mod tests {
     use jm_isa::instr::MsgPriority;
     use jm_isa::node::NodeId;
     use jm_isa::TraceId;
+
+    /// FNV-1a over a byte slice, the reference the fold is held to.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h = FNV_OFFSET;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
 
     fn sample_trace() -> MachineTrace {
         let id = TraceId(1);

@@ -134,7 +134,7 @@ impl MachineTrace {
     /// Batches merge to the events one merge would, as long as each ends
     /// at a cycle every source has passed and the next starts there.
     ///
-    /// Linear in the event count, one window of [`WINDOW`] cycles at a time,
+    /// Linear in the event count, one window of `WINDOW` cycles at a time,
     /// each starting at the next cycle with an event, so an idle stretch
     /// costs nothing (DESIGN.md §4.6). A source out of cycle order is sorted
     /// by cycle first, stably.

@@ -13,13 +13,16 @@
 //! every engine and shard cut.
 
 use jm_asm::Program;
+use jm_bench::observe;
+use jm_bench::registry::Point;
 use jm_bench::workloads::{exchange_program, gather_program, ring_program, sink_program};
 use jm_isa::node::{MeshDims, NodeId};
 use jm_machine::{
-    Engine, JMachine, MachineConfig, MachineTrace, StartPolicy, TraceConfig, TrafficSpec,
+    Engine, FaultSpec, JMachine, MachineConfig, MachineTrace, StartPolicy, TraceConfig, TrafficSpec,
 };
+use jm_runtime::reliable;
 use jm_tests::agree;
-use jm_trace::{chrome_json, hash, summary_json};
+use jm_trace::{chrome_json, hash, summary_json, EventKind, FaultEvent};
 
 fn mesh() -> MeshDims {
     MeshDims::new(4, 4, 1)
@@ -228,4 +231,52 @@ fn merging_the_trace_during_the_run_is_unobservable() {
         assert!(events(every, None) == whole, "sample every {every}");
     }
     assert!(events(16, Some(9_001)) == whole, "taken twice");
+}
+
+/// The gather `jmsim repro` traces into `EXPERIMENTS.md` hashes to the
+/// committed value. The tests above hold every engine to one trace; this
+/// one also catches a change that moves all of them alike.
+#[test]
+fn the_repro_gather_trace_hash_is_pinned() {
+    let Point {
+        program,
+        config,
+        read,
+    } = observe::gather(MeshDims::for_nodes(64), 16);
+    let mut m = JMachine::new(program, config.engine(Engine::Event));
+    let trace = read(&mut m).expect("the gather finishes");
+    assert_eq!(hash(&trace), 0x7f8b_f5fa_c6ee_4309);
+}
+
+/// Under checksums every message carries a trailer word past its header's
+/// length, and a corrupted one is dropped at dispatch: a node frames each
+/// arriving message with its trailer, and a drop's fault event names the
+/// dropped message. Pinned under every engine.
+#[test]
+fn a_checksummed_trace_frames_trailers_and_names_drops() {
+    let config = MachineConfig::with_dims(MeshDims::new(2, 2, 4))
+        .fault(FaultSpec::new(7).corrupt(60_000).checksums(true))
+        .trace(TraceConfig::on().sample_every(16));
+    let program = reliable::demo_program(3, 15);
+    let ((drops, digest), _) = agree("checksummed", &program, config, |m| {
+        m.run_until_quiescent(5_000_000)
+            .expect("the retries finish");
+        let trace = m.take_trace().expect("tracing was enabled");
+        let drops = trace
+            .events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::Fault {
+                        what: FaultEvent::DropMessage,
+                        ..
+                    }
+                )
+            })
+            .count();
+        (drops, hash(&trace))
+    });
+    assert!(drops > 0, "the plan dropped no message");
+    assert_eq!(digest, 0x4db5_710d_4f49_f66b);
 }
