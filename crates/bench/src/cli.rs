@@ -273,7 +273,7 @@ const TOOLS: &[Command] = &[
     },
     Command {
         name: "perf",
-        synopsis: "[--quick] [--trace] [--require-cpus N] [--out PATH]",
+        synopsis: "[--quick] [--trace] [--out PATH]",
         about: "measure host throughput of the engines; write BENCH_engine.json",
         run: perf::run,
     },

@@ -103,9 +103,9 @@ fn ratchet(v: &mut Verdict, baseline: &[Row], current: &[Row]) {
 }
 
 /// Absolute walls a re-blessed baseline cannot slide under. A floor is
-/// enforced at `MIN × (1 − FLOOR_MARGIN)` and skipped on an
-/// oversubscribed row; a ceiling is enforced as given. A wall naming a
-/// missing row fails: a wall with nothing to check is not a pass.
+/// enforced at `MIN × (1 − FLOOR_MARGIN)`, a ceiling as given. A wall
+/// naming a missing row fails, and so does a floor on an oversubscribed
+/// row: a wall with nothing to check is not a pass.
 fn walls(v: &mut Verdict, current: &[Row], walls: &[Bound], floor: bool) {
     let kind = if floor { "floor" } else { "ceiling" };
     for w in walls {
@@ -126,7 +126,8 @@ fn walls(v: &mut Verdict, current: &[Row], walls: &[Bound], floor: bool) {
             continue;
         }
         if oversubscribed(current, cur) {
-            v.skip(format!("{label} floor: the run is oversubscribed"));
+            let line = format!("{label} floor: the run is oversubscribed (host too small)");
+            v.check(false, line);
             continue;
         }
         let wall = w.value * (1.0 - FLOOR_MARGIN);
@@ -264,16 +265,17 @@ mod tests {
         ratchet(&mut v, &thread_doc(4), &thread_doc(1));
         assert!(!v.failed);
         assert!(v.lines[1].starts_with("[skip] threads/parallel-4:vs_event current"));
-        // The same holds for an absolute floor on that row…
+        // An absolute floor on that row names a wall the host cannot
+        // check: that fails, like a floor on a missing row…
         let floor = [bound("threads/parallel-4", "vs_event", 9.0)];
         let mut v = Verdict::default();
         walls(&mut v, &thread_doc(1), &floor, true);
         assert!(
-            !v.failed && v.lines[0].starts_with("[skip]"),
+            v.failed && v.lines[0].starts_with("[FAIL]") && v.lines[0].contains("oversubscribed"),
             "{:?}",
             v.lines
         );
-        // …which is enforced where the host is big enough.
+        // …and is enforced where the host is big enough.
         let mut v = Verdict::default();
         walls(&mut v, &thread_doc(4), &floor, true);
         assert!(v.failed);

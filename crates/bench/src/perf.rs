@@ -26,9 +26,6 @@
 //! capture against the event engine, and on 512 nodes the parallel engine
 //! at 2 and 4 workers (`threads/…`); `--trace` races the ring with
 //! lifecycle tracing on too, and times taking its trace.
-//! `--require-cpus N` makes a host with fewer CPUs a hard failure, so a
-//! CI job that exists to gate the 4-worker row cannot go green where the
-//! gate would skip it as oversubscribed.
 
 use crate::cli::{self, write_file, Args, CliError, Outcome};
 use crate::harness::{peak_rss_mib, time_once};
@@ -99,10 +96,11 @@ fn quiesce(m: &mut JMachine) -> Result<(), MachineError> {
 /// Refuses a `Parallel(t)` side that would not be `t` workers: one worker
 /// is the event engine, and a mesh cut into fewer than `t` slabs runs one
 /// worker a slab.
-fn crew(engine: Engine, slabs: usize) -> Result<(), String> {
-    match engine {
+fn crew(config: &MachineConfig) -> Result<(), String> {
+    let (slabs, workers) = jm_machine::crew_shape(config);
+    match config.engine {
         Engine::Parallel(t) if t < 2 => Err("one worker is the event engine".to_string()),
-        Engine::Parallel(t) if t as usize > slabs => Err(format!(
+        Engine::Parallel(t) if workers < t as usize => Err(format!(
             "the mesh cuts into {slabs} slab(s), too few for {t} workers"
         )),
         _ => Ok(()),
@@ -132,8 +130,8 @@ fn race(
     for _ in 0..REPS {
         for (k, side) in sides.iter().enumerate() {
             let fail = |why: String| CliError::Failed(format!("{name} {}: {why}", side.label));
+            crew(&side.config).map_err(fail)?;
             let mut m = JMachine::new(program.clone(), side.config);
-            crew(side.config.engine, m.network().shard_count()).map_err(fail)?;
             if side.captured {
                 m.record_replay(jm_replay::DEFAULT_INTERVAL);
             }
@@ -245,22 +243,11 @@ fn law_row(out: &mut Vec<Row>, cpus: usize, name: &str, race: &Race) {
     out.push(Row::host(name, "law_share", share, "ratio", cpus));
 }
 
-/// `jmsim perf [--quick] [--trace] [--require-cpus N] [--out PATH]`.
+/// `jmsim perf [--quick] [--trace] [--out PATH]`.
 pub(crate) fn run(args: &Args) -> Outcome {
     let quick = args.switch("--quick");
     let out_path = args.text("--out").unwrap_or("BENCH_engine.json");
     let cpus = rows::host_cpus();
-    if let Some(need) = args.count("--require-cpus") {
-        if (cpus as u64) < need {
-            // On its own line so GitHub Actions renders it as an error
-            // annotation; the nonzero exit fails the job either way.
-            println!(
-                "::error title=undersized bench runner::host has {cpus} CPU(s) but \
-                 --require-cpus {need} was passed; the thread-scaling rows would be oversubscribed"
-            );
-            return Ok(ExitCode::FAILURE);
-        }
-    }
     let ring_rounds = if quick { 20 } else { 100 };
     let exch_cycles = if quick { 20_000 } else { 100_000 };
     let row = |name: &str, metric: &str, value: f64, unit: &str| {

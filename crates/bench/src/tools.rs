@@ -96,11 +96,7 @@ pub(crate) fn chaos(args: &Args) -> Outcome {
         .window(FaultWindow::node_down(5, 3_000, 4_000))
         .window(FaultWindow::link_down(6, 4, 20_000, 30_000));
     let mcfg = MachineConfig::new(NODES).engine(engine).fault(plan);
-    // A machine that never runs, asked how the engine cuts the mesh; its
-    // empty replay log is not kept.
-    let mut probe = JMachine::new(exchange_program(), mcfg);
-    probe.finish_replay();
-    let slabs = probe.network().shard_count();
+    let (slabs, _) = jm_machine::crew_shape(&mcfg);
     println!("chaos: seed {seed}, engine {engine:?}, {NODES} nodes, {slabs} slab(s)");
 
     let mut disturbed = 0u64;

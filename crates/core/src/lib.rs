@@ -49,6 +49,7 @@ pub use jm_fault::{FaultSpec, FaultStats, FaultWindow, FaultWindowKind};
 pub use jm_trace::{MachineTrace, MsgTrace, SamplePoint};
 pub use jm_traffic::{TrafficPattern, TrafficSpec, TrafficStats};
 pub use machine::{JMachine, MachineError};
+pub use parallel::crew_shape;
 pub use replay::{
     bisect, capture_replay_from_env, verify, BisectReport, BoundaryMismatch, ComponentDiff,
     ComponentHash, Corruption, Divergence, MachineFactory, VerifyReport,

@@ -14,7 +14,7 @@
 //! invariants and the cycle-exactness argument.
 
 use crate::config::{Engine, MachineConfig, StartPolicy};
-use crate::parallel::{pump_node, ShardPort};
+use crate::parallel::{crew_shape, hand_over, pump_node, visit};
 use crate::replay::ComponentHash;
 use crate::stats::MachineStats;
 use jm_asm::Program;
@@ -27,7 +27,7 @@ use jm_isa::TraceId;
 use jm_mdp::{Code, MdpNode, MemoryStats, NodeError, StretchStats};
 use jm_net::{BitSet, BulkStats, NetShard, Network};
 use jm_replay::HostOp;
-use jm_trace::{MachineTrace, SamplePoint, Tracer};
+use jm_trace::{MachineTrace, SamplePoint};
 use jm_traffic::TrafficPlan;
 use std::fmt;
 use std::ops::RangeBounds;
@@ -117,10 +117,9 @@ pub(crate) const PARKED: u64 = u64::MAX;
 /// after a node error, under every engine (DESIGN.md §4.5).
 pub(crate) const QUANTUM: u64 = 64;
 
-/// Buffered lifecycle events past which an occupancy sample merges them
-/// into the machine's trace: a batch small enough that the buffers and the
-/// merge's working set stay a few megabytes and cache-warm, large enough
-/// that the 512-node mesh's per-source bookkeeping is a small share of it.
+/// Buffered lifecycle events past which an occupancy sample merges the
+/// slabs' buffers into the machine's trace: a batch small enough that the
+/// buffers and the merge's working set stay a few megabytes and cache-warm.
 const TRACE_BATCH: usize = 1 << 16;
 
 /// Event-engine bookkeeping for one shard's nodes: which need ticking and
@@ -309,17 +308,6 @@ pub(crate) fn next_multiple(cycle: u64, every: u64) -> u64 {
     passed.map_or(u64::MAX, |n| (n + 1).saturating_mul(every))
 }
 
-/// Every component's lifecycle event buffer: shards in slab order, then
-/// nodes by id — the order [`MachineTrace::merge`] breaks full-key ties by,
-/// whatever the cut.
-fn trace_sources<'a>(
-    net: &'a mut Network,
-    nodes: &'a mut [MdpNode],
-) -> impl Iterator<Item = &'a mut Tracer> {
-    let nodes = nodes.iter_mut().filter_map(MdpNode::tracer_mut);
-    net.tracers_mut().chain(nodes)
-}
-
 /// A simulated J-Machine.
 pub struct JMachine {
     program: Arc<Program>,
@@ -401,22 +389,7 @@ impl JMachine {
         config.mdp.checksum_msgs = fault.is_some_and(|p| p.checksums());
         // Same canonicalization for the synthetic-traffic plan.
         let traffic = config.traffic.and_then(TrafficPlan::from_spec);
-        // Slab count for the parallel engine: about two z-slabs per worker,
-        // but never finer than two z-planes per slab. Over-decomposing gives
-        // the crew slack to balance activity — a worker whose home slab
-        // went idle picks up a busy one — while `sharding_is_unobservable`
-        // (jm-net) guarantees the cut cannot change results. The two-plane
-        // grain floor matters on small meshes: one-plane slabs make *every*
-        // z-hop a cross-slab mailbox crossing (on a 4×4×4 mesh that is all
-        // of the z traffic), and the mailbox copies then eat the win; with
-        // two planes per slab, alternate plane boundaries stay in-slab.
-        let shards = match config.engine {
-            Engine::Parallel(threads) if threads >= 2 => {
-                let z = config.dims.z as usize;
-                (2 * threads as usize).min(z / 2).max(1)
-            }
-            Engine::Parallel(_) | Engine::Event | Engine::Naive => 1,
-        };
+        let (slabs, _) = crew_shape(&config);
         let program = Arc::new(program);
         // One table for every node: a copy each would multiply its
         // footprint by the node count (4 096 on a 16³ mesh).
@@ -433,7 +406,7 @@ impl JMachine {
                 MdpNode::with_code(id, config.dims, &code, config.mdp, start)
             })
             .collect::<Vec<_>>();
-        let mut net = Network::with_shards(config.net, shards);
+        let mut net = Network::with_shards(config.net, slabs);
         net.set_fault_plan(fault);
         net.set_traffic_plan(traffic);
         if config.trace.enabled {
@@ -641,8 +614,10 @@ impl JMachine {
                 for &w in words {
                     target.deliver_traced(priority, w, TraceId::NONE, cycle);
                 }
-                let shard = self.net.shard_of_node(NodeId(node));
-                self.scheds[shard].wake(target, cycle);
+                let k = self.net.shard_of_node(NodeId(node));
+                let (shards, _) = self.net.shard_parts();
+                hand_over(&mut shards[k], target);
+                self.scheds[k].wake(target, cycle);
             }
         }
         Ok(())
@@ -710,7 +685,7 @@ impl JMachine {
                 active_routers: self.net.active_routers(),
                 busy_nodes: self.busy_nodes(),
             });
-            let buffered = trace_sources(&mut self.net, &mut self.nodes).map(|t| t.len());
+            let buffered = self.net.tracers_mut().map(|t| t.len());
             if buffered.sum::<usize>() >= TRACE_BATCH {
                 self.merge_trace(self.trace_from..cycle);
             }
@@ -721,14 +696,13 @@ impl JMachine {
     /// Drains the buffered events in `cycles` into the trace; the next
     /// merge starts at the current cycle.
     fn merge_trace(&mut self, cycles: impl RangeBounds<u64>) {
-        let sources = trace_sources(&mut self.net, &mut self.nodes);
-        self.trace.merge(sources, cycles);
+        self.trace.merge(self.net.tracers_mut(), cycles);
         self.trace_from = self.cycle();
     }
 
     /// Reference engine: pump, tick, and scan everything, every cycle. What
-    /// pumping and sending *are* is the engines' shared code
-    /// ([`pump_node`], [`ShardPort`]); which nodes get pumped and ticked is
+    /// pumping and visiting *are* is the engines' shared code
+    /// ([`pump_node`], [`visit`]); which nodes get pumped and ticked is
     /// this engine's own answer — all of them.
     fn step_naive(&mut self) {
         let now = self.cycle();
@@ -736,18 +710,15 @@ impl JMachine {
         let [shard] = shards else {
             unreachable!("the naive engine runs the mesh as one shard");
         };
+        let traced = shard.tracer_mut().is_some();
         // 1. Pump ejection FIFOs into message queues.
         for node in &mut self.nodes {
-            pump_node(shard, node, now);
+            pump_node(shard, node, now, traced);
         }
-        // 2. Execute, latching errors where the drive loop looks for them.
+        // 2. Execute one cycle each, latching errors where the drive loop
+        //    looks for them.
         for (l, node) in self.nodes.iter_mut().enumerate() {
-            let mut port = ShardPort {
-                shard,
-                node: node.id(),
-                now,
-            };
-            node.tick(now, &mut port);
+            visit(shard, node, now, now + 1, traced);
             if node.error().is_some() {
                 self.scheds[0].record_error(l);
             }
@@ -774,17 +745,14 @@ impl JMachine {
         self.net.advance_to(now + 1);
     }
 
-    /// Hands the machine to a crew of worker threads (at most one per slab,
-    /// at most the configured thread count) until the clock reaches `stop`
-    /// or — when `until_quiescent` — the crew's decision at a multiple of
-    /// [`QUANTUM`] stops them earlier (see [`crate::parallel`]), then sets
-    /// the clock to where the crew stopped. Only called with more than one
-    /// shard.
+    /// Hands the machine to its crew of worker threads ([`crew_shape`])
+    /// until the clock reaches `stop` or — when `until_quiescent` — the
+    /// crew's decision at a multiple of [`QUANTUM`] stops them earlier (see
+    /// [`crate::parallel`]), then sets the clock to where the crew stopped.
+    /// Only called with more than one shard.
     fn drive_parallel(&mut self, stop: u64, until_quiescent: bool) {
         let start = self.cycle();
-        let Engine::Parallel(threads) = self.config.engine else {
-            unreachable!("drive_parallel without Parallel");
-        };
+        let (_, workers) = crew_shape(&self.config);
         let (shards, edges) = self.net.shard_parts();
         let ctl = crate::parallel::QuantumCtl::new(shards.len(), stop, until_quiescent, start);
         let mut slots = Vec::with_capacity(shards.len());
@@ -796,7 +764,6 @@ impl JMachine {
                 shard, sched, nodes,
             )));
         }
-        let workers = (threads as usize).clamp(1, slots.len());
         std::thread::scope(|scope| {
             let ctl = &ctl;
             let slots = &slots;
@@ -809,11 +776,11 @@ impl JMachine {
         self.net.advance_to(ctl.final_cycle());
     }
 
-    /// Whether this machine runs multi-threaded (parallel engine with more
-    /// than one shard — a 1-thread parallel machine degenerates to the
+    /// Whether this machine runs multi-threaded: cut into more than one
+    /// slab ([`crew_shape`]; a 1-thread parallel machine degenerates to the
     /// event engine's sequential path).
     fn threaded(&self) -> bool {
-        matches!(self.config.engine, Engine::Parallel(_)) && self.net.shard_count() > 1
+        crew_shape(&self.config).0 > 1
     }
 
     /// Runs for a fixed number of cycles.
@@ -1021,6 +988,10 @@ impl JMachine {
         if !self.config.trace.enabled {
             return None;
         }
+        debug_assert!(
+            (self.nodes.iter_mut()).all(|n| n.tracer_mut().is_none_or(|t| t.is_empty())),
+            "a node kept lifecycle events its slab was never handed"
+        );
         self.merge_trace(self.trace_from..);
         let fresh = MachineTrace {
             nodes: self.node_count(),

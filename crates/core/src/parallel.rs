@@ -60,6 +60,7 @@
 //! suites run the same workloads under two and four threads against the
 //! sequential engines and demand bit-identical results.
 
+use crate::config::{Engine, MachineConfig};
 use crate::machine::{head, next_multiple, quiet, EventSched, Head, Stop, PARKED, QUANTUM};
 use jm_isa::instr::MsgPriority;
 use jm_isa::node::NodeId;
@@ -72,13 +73,37 @@ use std::sync::atomic::{
 };
 use std::sync::{Mutex, MutexGuard};
 
+/// The `(slabs, workers)` a machine built from `config` runs with: `(1, 1)`
+/// off the parallel engine and under `Parallel(1)`, and a machine of one
+/// slab runs the event engine's sequential path.
+///
+/// About two z-slabs per worker, but never finer than two z-planes per
+/// slab. Over-decomposing gives the crew slack to balance activity — a
+/// worker whose home slab went idle picks up a busy one — while
+/// `sharding_is_unobservable` (jm-net) guarantees the cut cannot change
+/// results. The two-plane grain floor matters on small meshes: one-plane
+/// slabs make *every* z-hop a cross-slab mailbox crossing (on a 4×4×4 mesh
+/// that is all of the z traffic), and the mailbox copies then eat the win;
+/// with two planes per slab, alternate plane boundaries stay in-slab. No
+/// more workers than slabs.
+pub fn crew_shape(config: &MachineConfig) -> (usize, usize) {
+    match config.engine {
+        Engine::Parallel(threads) if threads >= 2 => {
+            let threads = threads as usize;
+            let slabs = (2 * threads).min(config.dims.z as usize / 2).max(1);
+            (slabs, threads.min(slabs))
+        }
+        Engine::Parallel(_) | Engine::Event | Engine::Naive => (1, 1),
+    }
+}
+
 /// Adapter giving one node's `SEND` instructions access to its shard's
 /// injection port at cycle `now` — the one [`NetPort`] every engine ticks
-/// nodes through.
-pub(crate) struct ShardPort<'a> {
-    pub(crate) shard: &'a mut NetShard,
-    pub(crate) node: NodeId,
-    pub(crate) now: u64,
+/// nodes through ([`visit`]).
+struct ShardPort<'a> {
+    shard: &'a mut NetShard,
+    node: NodeId,
+    now: u64,
 }
 
 impl NetPort for ShardPort<'_> {
@@ -91,12 +116,23 @@ impl NetPort for ShardPort<'_> {
     }
 }
 
+/// Moves the lifecycle events `node` has buffered to the end of its slab's
+/// buffer (nothing when tracing is off). The engines call it after every
+/// pump and visit of a traced slab, and the host port after a delivery, so
+/// each slab's buffer is one stream in cycle order (DESIGN.md §4.6).
+pub(crate) fn hand_over(shard: &mut NetShard, node: &mut MdpNode) {
+    if let (Some(slab), Some(events)) = (shard.tracer_mut(), node.tracer_mut()) {
+        slab.append(events);
+    }
+}
+
 /// Pumps one node's ejection FIFOs into its message queues, both
 /// priorities, until a FIFO runs dry or a queue refuses a word (the word
 /// then stays in the network: backpressure). This is the hardware delivery
-/// path, rate-limited upstream by the 0.5 words/cycle eject channel.
+/// path, rate-limited upstream by the 0.5 words/cycle eject channel. When
+/// the slab is `traced` the node's queue-enter events go to the slab.
 /// Returns whether any word moved.
-pub(crate) fn pump_node(shard: &mut NetShard, node: &mut MdpNode, now: u64) -> bool {
+pub(crate) fn pump_node(shard: &mut NetShard, node: &mut MdpNode, now: u64, traced: bool) -> bool {
     let id = node.id();
     let mut delivered = false;
     for priority in MsgPriority::ALL {
@@ -108,7 +144,34 @@ pub(crate) fn pump_node(shard: &mut NetShard, node: &mut MdpNode, now: u64) -> b
             delivered = true;
         }
     }
+    if delivered && traced {
+        hand_over(shard, node);
+    }
     delivered
+}
+
+/// One visit: advances `node` at cycle `now`, running on until `limit`,
+/// through its shard's injection port, and when the slab is `traced` hands
+/// the events it emitted to the slab. The naive engine's tick is a visit
+/// whose `limit` is the next cycle.
+#[inline]
+pub(crate) fn visit(
+    shard: &mut NetShard,
+    node: &mut MdpNode,
+    now: u64,
+    limit: u64,
+    traced: bool,
+) -> TickOutcome {
+    let mut port = ShardPort {
+        shard,
+        node: node.id(),
+        now,
+    };
+    let outcome = node.advance(now, limit, &mut port);
+    if traced {
+        hand_over(shard, node);
+    }
+    outcome
 }
 
 /// Most cycles a node may run on past a visit (DESIGN.md §4.5,
@@ -136,6 +199,7 @@ pub(crate) fn shard_cycle(
     below: Option<&Edge>,
     above: Option<&Edge>,
 ) {
+    let traced = shard.tracer_mut().is_some();
     // 1. Pump — only nodes the shard flagged as holding deliveries, a word
     //    of the flag set at a time, ascending like the naive 0..n scan. A
     //    pump clears only its own node's flag (a bit the copied word has
@@ -143,7 +207,7 @@ pub(crate) fn shard_cycle(
     for w in 0..shard.pending().word_count() {
         for bit in ones(shard.pending().word(w)) {
             let node = &mut nodes[64 * w + bit];
-            if pump_node(shard, node, now) {
+            if pump_node(shard, node, now, traced) {
                 sched.wake(node, now);
             }
         }
@@ -168,12 +232,7 @@ pub(crate) fn shard_cycle(
                 continue;
             }
             let node = &mut nodes[l];
-            let mut port = ShardPort {
-                shard,
-                node: node.id(),
-                now,
-            };
-            match node.advance(now, limit, &mut port) {
+            match visit(shard, node, now, limit, traced) {
                 TickOutcome::Busy { until } => sched.schedule(l, until.max(now + 1)),
                 // Queued words and nothing dispatchable: parked until the
                 // delivery that completes the message.

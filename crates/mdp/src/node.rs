@@ -186,7 +186,9 @@ impl Thread {
 
 /// A traced node's lifecycle bookkeeping: the event buffer, and what frames
 /// word deliveries into messages and ties each dispatched thread to the
-/// trace id of the message that created it.
+/// trace id of the message that created it. The buffer holds only what the
+/// node emitted since the machine last moved its events to its slab's
+/// buffer, which it does after every pump, visit and host delivery.
 #[derive(Debug, Default)]
 pub(crate) struct NodeTrace {
     events: Tracer,
@@ -325,7 +327,7 @@ impl MdpNode {
     }
 
     /// The buffered lifecycle events (`None` when tracing is off), for the
-    /// machine to drain as it merges its trace.
+    /// machine to hand to the node's slab.
     pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
         self.trace.as_deref_mut().map(|t| &mut t.events)
     }

@@ -51,7 +51,7 @@ pub struct HandlerMap {
 
 impl HandlerMap {
     /// Slot index for `ip`, creating a zeroed entry on first touch.
-    pub fn entry_slot(&mut self, ip: u32) -> u32 {
+    pub(crate) fn entry_slot(&mut self, ip: u32) -> u32 {
         let slot = match self.ips.iter().position(|&k| k == ip) {
             Some(slot) => slot,
             None => {
@@ -64,7 +64,7 @@ impl HandlerMap {
     }
 
     /// The entry for `ip`, created zeroed if absent.
-    pub fn entry(&mut self, ip: u32) -> &mut HandlerStats {
+    pub(crate) fn entry(&mut self, ip: u32) -> &mut HandlerStats {
         let slot = self.entry_slot(ip);
         self.slot_mut(slot)
     }
@@ -72,7 +72,7 @@ impl HandlerMap {
     /// Direct access by a slot index previously returned by
     /// [`HandlerMap::entry_slot`] (the per-instruction hot path).
     #[inline]
-    pub fn slot_mut(&mut self, slot: u32) -> &mut HandlerStats {
+    pub(crate) fn slot_mut(&mut self, slot: u32) -> &mut HandlerStats {
         &mut self.stats[slot as usize]
     }
 
@@ -85,7 +85,8 @@ impl HandlerMap {
     }
 
     /// Inserts or replaces the entry for `ip`.
-    pub fn insert(&mut self, ip: u32, stats: HandlerStats) {
+    #[cfg(test)]
+    fn insert(&mut self, ip: u32, stats: HandlerStats) {
         *self.entry(ip) = stats;
     }
 

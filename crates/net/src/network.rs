@@ -110,9 +110,7 @@ impl Network {
     /// The shards' lifecycle event buffers, in slab order (none when
     /// tracing is off), for the machine to drain as it merges its trace.
     pub fn tracers_mut(&mut self) -> impl Iterator<Item = &mut Tracer> {
-        self.shards
-            .iter_mut()
-            .filter_map(|s| s.tracer.as_deref_mut())
+        self.shards.iter_mut().filter_map(NetShard::tracer_mut)
     }
 
     /// Routers currently holding buffered flits.

@@ -259,6 +259,12 @@ impl NetShard {
         l
     }
 
+    /// The slab's lifecycle event buffer (`None` when tracing is off): its
+    /// routers' events, and its nodes' as the machine hands them over.
+    pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
+        self.tracer.as_deref_mut()
+    }
+
     /// Local indices of the nodes currently holding undelivered ejected
     /// words: the delivery notification an engine's pump walks.
     pub fn pending(&self) -> &BitSet {

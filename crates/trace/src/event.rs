@@ -217,11 +217,14 @@ impl Packed {
 /// An append-only event buffer owned by one simulation component.
 ///
 /// Each component (every network shard, every node) that traces holds its
-/// own `Tracer`, so the hot paths never contend on a shared sink; the
-/// machine drains the buffers into its [`MachineTrace`](crate::MachineTrace)
-/// as the run goes ([`MachineTrace::merge`](crate::MachineTrace::merge)). A
-/// component that is not tracing holds no tracer at all (it is boxed
-/// behind an `Option`), making the disabled path a single pointer test.
+/// own `Tracer`, so the hot paths never contend on a shared sink. A node's
+/// holds one visit's events: the machine [appends](Tracer::append) them to
+/// its slab's, so each slab's buffer is one stream in cycle order, and
+/// drains the slabs' buffers into its
+/// [`MachineTrace`](crate::MachineTrace) as the run goes
+/// ([`MachineTrace::merge`](crate::MachineTrace::merge)). A component that
+/// is not tracing holds no tracer at all (it is boxed behind an `Option`),
+/// making the disabled path a single pointer test.
 ///
 /// Hop and deliver events are buffered in a packed 16-byte form, all
 /// others as full [`Event`]s: two plain vectors, each in emission order.
@@ -245,6 +248,20 @@ impl Tracer {
         match Packed::pack(cycle, &kind) {
             Some(packed) => self.packed.push(packed),
             None => self.wide.push(Event { cycle, kind }),
+        }
+    }
+
+    /// Moves every event of `other` to the end of this buffer, leaving
+    /// `other` empty with its capacity: how a node hands what it emitted
+    /// during a visit to its slab's buffer.
+    #[inline]
+    pub fn append(&mut self, other: &mut Tracer) {
+        // Most visits emit nothing: skip the copy calls for them.
+        if !other.packed.is_empty() {
+            self.packed.append(&mut other.packed);
+        }
+        if !other.wide.is_empty() {
+            self.wide.append(&mut other.wide);
         }
     }
 

@@ -13,9 +13,12 @@
 //!
 //! Components buffer events locally in a [`Tracer`] (boxed behind an
 //! `Option` on each component: the disabled path is one pointer test and
-//! zero allocation). The machine drains the buffers into a [`MachineTrace`] a
-//! batch at a time as the run goes ([`MachineTrace::merge`]), so the trace
-//! is held once; the trace reconstructs per-message [`MsgTrace`]
+//! zero allocation). A node hands its events to its slab's buffer as the
+//! slab visits it ([`Tracer::append`]), so each slab's buffer is one
+//! stream in cycle order, and the machine drains those few streams into a
+//! [`MachineTrace`] a batch at a time as the run goes, one cycle at a time
+//! ([`MachineTrace::merge`]), so the trace is held once; the trace
+//! reconstructs per-message [`MsgTrace`]
 //! lifecycles, accumulates log-scaled [`Histogram`]s, and exports either
 //! Chrome trace-event JSON ([`chrome_json`], for Perfetto) or a compact
 //! machine-readable summary ([`summary_json`]) with a deterministic FNV-1a

@@ -1,6 +1,6 @@
 //! Merged whole-machine traces and per-message latency decomposition.
 
-use crate::event::{Event, EventKind, Packed, Tracer};
+use crate::event::{Event, EventKind, FaultEvent, Packed, Tracer};
 use crate::histogram::Histogram;
 use jm_isa::instr::MsgPriority;
 use jm_isa::node::NodeId;
@@ -99,7 +99,7 @@ pub struct Breakdown {
 /// deterministic order, plus the periodic occupancy samples.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MachineTrace {
-    /// All events, sorted by `(cycle, causal rank, id)`.
+    /// All events, in the order [`Self::merge`] gives them.
     pub events: Vec<Event>,
     /// Periodic occupancy samples, in cycle order.
     pub samples: Vec<SamplePoint>,
@@ -127,17 +127,18 @@ impl MachineTrace {
 
     /// Drains the events of `sources` in `cycles` into [`Self::events`];
     /// later ones stay buffered. Events are ordered by cycle, then causal
-    /// rank, then message id, then node; events equal on all four — which
-    /// only one router or one node emits — keep the order of `sources` (the
-    /// machine lists shards before nodes) and, within a source, emission
-    /// order, so the trace is the same under every engine and shard cut.
-    /// Batches merge to the events one merge would, as long as each ends
-    /// at a cycle every source has passed and the next starts there.
+    /// rank, then message id, then node, then whether a node emitted them
+    /// (a router's shard's event first); events equal on all five — which
+    /// only one router or one node emits — keep the order of `sources`
+    /// and, within a source, emission order, so the trace is the same
+    /// under every engine and shard cut. Batches merge to the events one
+    /// merge would, as long as each ends at a cycle every source has
+    /// passed and the next starts there.
     ///
-    /// Linear in the event count, one window of `WINDOW` cycles at a time,
-    /// each starting at the next cycle with an event, so an idle stretch
-    /// costs nothing (DESIGN.md §4.6). A source out of cycle order is sorted
-    /// by cycle first, stably.
+    /// One cycle at a time: that cycle's events, copied out of each source
+    /// in turn, are stably sorted on the rest of the key, so the cost is
+    /// per event and an idle stretch costs nothing (DESIGN.md §4.6). A
+    /// source out of cycle order is sorted by cycle first, stably.
     ///
     /// # Panics
     ///
@@ -161,24 +162,33 @@ impl MachineTrace {
                 (packed, taken(&mut t.wide, from, &cycles, |e| e.cycle))
             })
             .collect();
-        let runs = sources.iter().zip(&ends).flat_map(|(t, &(packed, wide))| {
-            [
-                Events::Packed(&t.packed[..packed]),
-                Events::Wide(&t.wide[..wide]),
-            ]
-        });
-        let total = ends.iter().map(|(packed, wide)| packed + wide).sum();
-        self.events.reserve(total);
-        let runs = runs.filter_map(|events| {
-            let head = events.cycle(0)?;
-            Some(Run {
-                events,
-                from: 0,
-                at: 0,
-                head,
+        let runs: Vec<Events<'_>> = (sources.iter().zip(&ends))
+            .flat_map(|(t, &(packed, wide))| {
+                [
+                    Events::Packed(&t.packed[..packed]),
+                    Events::Wide(&t.wide[..wide]),
+                ]
             })
-        });
-        merge_runs(&mut self.events, runs.collect());
+            .collect();
+        self.events
+            .reserve(ends.iter().map(|(packed, wide)| packed + wide).sum());
+        let mut at = vec![0; runs.len()];
+        let mut cycle_events: Vec<(u128, Event)> = Vec::new();
+        while let Some(cycle) = (runs.iter().zip(&at))
+            .filter_map(|(run, &i)| run.cycle(i))
+            .min()
+        {
+            cycle_events.clear();
+            for (run, i) in runs.iter().zip(&mut at) {
+                while run.cycle(*i) == Some(cycle) {
+                    let e = run.get(*i);
+                    cycle_events.push((sort_key(&e.kind), e));
+                    *i += 1;
+                }
+            }
+            cycle_events.sort_by_key(|&(key, _)| key);
+            self.events.extend(cycle_events.iter().map(|&(_, e)| e));
+        }
         for (t, (packed, wide)) in sources.into_iter().zip(ends) {
             t.packed.drain(..packed);
             t.wide.drain(..wide);
@@ -385,20 +395,6 @@ impl IdIndex {
     }
 }
 
-/// Cycles per merge window: small enough that the window's slots and
-/// its share of a loaded trace's output (about a megabyte) stay in cache
-/// through the count, scatter and sort passes.
-const WINDOW: usize = 256;
-
-/// Distinct values of [`EventKind::rank`], rounded up to a power of two.
-const RANKS: usize = 8;
-
-/// A window holding fewer events than this counts them per cycle, not per
-/// `(cycle, rank)`: they would leave most of the finer slots empty, and
-/// clearing and summing those would cost more than sorting the few events
-/// that share a cycle.
-const DENSE: usize = WINDOW * RANKS / 16;
-
 /// How many of a buffer's events fall in `cycles`, once it is in cycle
 /// order: one that is not is sorted by cycle (stably: ties keep emission
 /// order).
@@ -430,6 +426,7 @@ enum Events<'a> {
 
 impl Events<'_> {
     /// The cycle of event `i`, if there is one.
+    #[inline]
     fn cycle(&self, i: usize) -> Option<u64> {
         match self {
             Events::Packed(e) => e.get(i).map(Packed::cycle),
@@ -444,111 +441,31 @@ impl Events<'_> {
             Events::Wide(e) => e[i],
         }
     }
-
-    /// End of the events from `at` on at or before cycle `last`.
-    fn end(&self, at: usize, last: u64) -> usize {
-        match self {
-            Events::Packed(e) => gallop(e, at, last, Packed::cycle),
-            Events::Wide(e) => gallop(e, at, last, |e| e.cycle),
-        }
-    }
 }
 
-/// End of the cycle-ordered `items` from `at` on at or before cycle
-/// `last`: a galloping search, so a window costs the log of its own
-/// events, not of the buffer's.
-fn gallop<T>(items: &[T], at: usize, last: u64, cycle: impl Fn(&T) -> u64) -> usize {
-    let (mut lo, mut step) = (at, 1);
-    while lo < items.len() && cycle(&items[lo]) <= last {
-        lo += step;
-        step *= 2;
-    }
-    // The event `step / 2` before `lo` is in (or there was none: `at`).
-    let from = lo - step / 2;
-    from + items[from..lo.min(items.len())].partition_point(|e| cycle(e) <= last)
-}
-
-/// One cycle-ordered source buffer being merged: where the current
-/// window's events start, the next unread event, and that event's cycle.
-struct Run<'a> {
-    events: Events<'a>,
-    from: usize,
-    at: usize,
-    head: u64,
-}
-
-/// Appends the events of cycle-ordered `runs` to `out` in trace order, one
-/// window at a time: a counting sort on `(cycle, rank)` — on `cycle` alone
-/// when the window is sparse — and a small sort of each bucket on the rest
-/// of the key.
-fn merge_runs(out: &mut Vec<Event>, mut runs: Vec<Run<'_>>) {
-    // Per slot of the window: first a count, then the next output position.
-    let mut slots = Vec::new();
-    while let Some(lo) = runs.iter().map(|r| r.head).min() {
-        let last = lo.saturating_add(WINDOW as u64 - 1);
-        // The window's events, in source order.
-        let base = out.len();
-        for run in &mut runs {
-            run.from = run.at;
-            if run.head <= last {
-                run.at = run.events.end(run.at, last);
-                out.extend((run.from..run.at).map(|i| run.events.get(i)));
-            }
-        }
-        // A sparse window gets one slot per cycle, not per (cycle, rank).
-        let sparse = out.len() - base < DENSE;
-        let shift = RANKS.ilog2() * u32::from(sparse);
-        let slot_of =
-            |e: &Event| ((e.cycle - lo) as usize * RANKS + e.kind.rank() as usize) >> shift;
-        slots.clear();
-        slots.resize((WINDOW * RANKS) >> shift, 0usize);
-        for e in &out[base..] {
-            slots[slot_of(e)] += 1;
-        }
-        let mut end = base;
-        for slot in &mut slots {
-            end += std::mem::replace(slot, end);
-        }
-        for run in &runs {
-            for e in (run.from..run.at).map(|i| run.events.get(i)) {
-                let slot = &mut slots[slot_of(&e)];
-                out[*slot] = e;
-                *slot += 1;
-            }
-        }
-        // Each slot now marks the end of its bucket, whose events agree on
-        // cycle (and rank, when dense) and stand in source order.
-        let mut start = base;
-        for &end in &slots {
-            if end - start > 1 {
-                out[start..end].sort_by_key(|e| (e.kind.rank(), e.kind.id(), sort_node(&e.kind)));
-            }
-            start = end;
-        }
-        // A run read to its end leaves the merge.
-        runs.retain_mut(|run| {
-            if run.from < run.at {
-                match run.events.cycle(run.at) {
-                    Some(cycle) => run.head = cycle,
-                    None => return false,
-                }
-            }
-            true
-        });
-    }
-}
-
-/// Node used only to complete the deterministic sort key.
-fn sort_node(kind: &EventKind) -> u32 {
+/// The node an event names, and whether that node emitted it rather than
+/// its router's shard. Only a fault can tie on everything before: a
+/// shard's refused injection or corrupted word and a node's dropped
+/// message, in one cycle, of one message, at one node.
+fn origin(kind: &EventKind) -> (u32, bool) {
     match *kind {
-        EventKind::Inject { src, .. } => src.0,
-        EventKind::Hop { node, .. }
-        | EventKind::Deliver { node, .. }
-        | EventKind::QueueEnter { node, .. }
+        EventKind::Inject { src, .. } => (src.0, false),
+        EventKind::Hop { node, .. } | EventKind::Deliver { node, .. } => (node.0, false),
+        EventKind::QueueEnter { node, .. }
         | EventKind::Dispatch { node, .. }
-        | EventKind::HandlerEnd { node, .. }
-        | EventKind::Fault { node, .. } => node.0,
+        | EventKind::HandlerEnd { node, .. } => (node.0, true),
+        EventKind::Fault { node, what, .. } => (node.0, what == FaultEvent::DropMessage),
     }
+}
+
+/// An event's order within its cycle — causal rank, message id, then
+/// [`origin`] — packed into one integer, computed once per event.
+fn sort_key(kind: &EventKind) -> u128 {
+    let (node, by_node) = origin(kind);
+    u128::from(kind.rank()) << 97
+        | u128::from(kind.id().0) << 33
+        | u128::from(node) << 1
+        | u128::from(by_node)
 }
 
 #[cfg(test)]
@@ -687,11 +604,11 @@ mod tests {
         assert_eq!(t.breakdown_window(0, 11), t.breakdown());
     }
 
-    /// The comparison sort that `assemble` replaced, kept as its oracle:
-    /// flatten the sources in order and stable-sort on the four-part key.
+    /// The merge's oracle: flatten the sources in order and stable-sort the
+    /// whole trace on the five-part key.
     fn assemble_by_sorting(sources: &[Vec<Event>]) -> Vec<Event> {
         let mut events: Vec<Event> = sources.iter().flatten().copied().collect();
-        events.sort_by_key(|e| (e.cycle, e.kind.rank(), e.kind.id(), sort_node(&e.kind)));
+        events.sort_by_key(|e| (e.cycle, e.kind.rank(), e.kind.id(), origin(&e.kind)));
         events
     }
 
@@ -901,6 +818,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_shard_s_fault_merges_before_a_node_s_drop_whatever_the_source_order() {
+        // A refused injection and a dropped message, alike on cycle, rank,
+        // id and node: the shard's event comes first, whichever source
+        // holds it and wherever that source is listed.
+        let (id, node) = (TraceId(9), NodeId(4));
+        let fault = |what| Event {
+            cycle: 12,
+            kind: EventKind::Fault { id, node, what },
+        };
+        let stall = fault(FaultEvent::SendStall);
+        let drop = fault(FaultEvent::DropMessage);
+        let corrupt = fault(FaultEvent::CorruptWord);
+        for sources in [
+            vec![vec![stall], vec![drop]],
+            vec![vec![drop], vec![stall]],
+            vec![vec![drop, stall]],
+        ] {
+            assert_eq!(assemble_linear(&sources), [stall, drop], "{sources:?}");
+        }
+        let sources = [vec![drop], vec![corrupt, stall]];
+        assert_eq!(assemble_linear(&sources), [corrupt, stall, drop]);
     }
 
     #[test]

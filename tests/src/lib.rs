@@ -27,11 +27,10 @@ pub const ENGINES: [Engine; 4] = [
 ];
 
 /// Builds one machine per column of [`ENGINES`] with `build`, in order,
-/// leaving out a `Parallel(t)` column whose crew — slab and worker count —
-/// an earlier column already is. `Parallel(t)` cuts `min(2t, z/2)` slabs
-/// and runs `min(t, slabs)` workers, so on a mesh four z-planes deep
-/// (2×2×4, 4×4×4) `Parallel(4)` is `Parallel(2)`'s machine again, and
-/// running it would check the same crew twice.
+/// leaving out a `Parallel(t)` column whose crew — slab and worker count,
+/// [`jm_machine::crew_shape`] — an earlier column already is. On a mesh
+/// four z-planes deep (2×2×4, 4×4×4) `Parallel(4)` is `Parallel(2)`'s
+/// machine again, and running it would check the same crew twice.
 ///
 /// # Panics
 ///
@@ -42,14 +41,13 @@ pub fn columns(label: &str, mut build: impl FnMut(Engine) -> JMachine) -> Vec<JM
     let mut machines = Vec::new();
     for engine in ENGINES {
         let m = build(engine);
-        if let Engine::Parallel(t) = engine {
-            let slabs = m.network().shard_count();
+        if let Engine::Parallel(_) = engine {
+            let crew = jm_machine::crew_shape(m.config());
             let dims = m.config().dims;
             assert!(
-                slabs >= 2,
+                crew.0 >= 2,
                 "{label}: {engine:?} cuts {dims} into one slab: no crew"
             );
-            let crew = (slabs, slabs.min(t as usize));
             if crews.contains(&crew) {
                 continue;
             }

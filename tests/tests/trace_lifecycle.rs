@@ -16,7 +16,10 @@ use jm_asm::Program;
 use jm_bench::observe;
 use jm_bench::registry::Point;
 use jm_bench::workloads::{exchange_program, gather_program, ring_program, sink_program};
+use jm_isa::instr::MsgPriority;
 use jm_isa::node::{MeshDims, NodeId};
+use jm_isa::word::Word;
+use jm_isa::TraceId;
 use jm_machine::{
     Engine, FaultSpec, JMachine, MachineConfig, MachineTrace, StartPolicy, TraceConfig, TrafficSpec,
 };
@@ -231,6 +234,48 @@ fn merging_the_trace_during_the_run_is_unobservable() {
         assert!(events(every, None) == whole, "sample every {every}");
     }
     assert!(events(16, Some(9_001)) == whole, "taken twice");
+}
+
+/// A host delivery bypasses the network: its header enters the node's
+/// queue with no trace id at the cycle the host delivers it, and the node
+/// hands that event to its slab at once — the machine need not run again
+/// before the trace is taken. (Every engine would lose an event it kept
+/// alike, so agreeing is not enough: the count is checked.)
+#[test]
+fn every_host_delivery_enters_the_trace_once() {
+    let sink = sink_program();
+    let config = MachineConfig::new(16)
+        .start(StartPolicy::None)
+        .trace(TraceConfig::on().sample_every(16));
+    // Nodes in both slabs of a two-slab cut, one of them twice in a cycle;
+    // the last delivery is taken before the machine runs again.
+    let batches: [&[u32]; 4] = [&[0], &[13, 13], &[6, 15], &[3]];
+    let (counts, _) = agree("host deliveries", &sink, config, |m| {
+        for (k, batch) in batches.iter().enumerate() {
+            if k > 0 {
+                m.run(25);
+            }
+            for &node in *batch {
+                let arg = [Word::int(node as i32)];
+                m.deliver_message(NodeId(node), MsgPriority::P0, "sink", &arg);
+            }
+        }
+        let (mut enters, mut dispatches) = (0, 0);
+        for e in m.take_trace().expect("tracing was enabled").events {
+            match e.kind {
+                EventKind::QueueEnter {
+                    id: TraceId::NONE, ..
+                } => enters += 1,
+                EventKind::Dispatch {
+                    id: TraceId::NONE, ..
+                } => dispatches += 1,
+                _ => {}
+            }
+        }
+        (enters, dispatches)
+    });
+    // One queue-enter per delivery; every delivery but the last dispatched.
+    assert_eq!(counts, (6, 5));
 }
 
 /// The gather `jmsim repro` traces into `EXPERIMENTS.md` hashes to the
