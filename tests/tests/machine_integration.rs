@@ -403,6 +403,45 @@ fn dram_pages_follow_the_program_s_writes_under_every_engine() {
     assert_eq!(hash, 0x7ed9_084d_98c7_c784, "radix's state hash moved");
 }
 
+/// The router half of the state hash, pinned mid-flight: uniform traffic
+/// past the saturation knee on 4×4×4, stopped with about 1 700 flits in
+/// flight — in rings, owned wormholes and injection FIFOs — and, under the
+/// engines that run the bulk law, one message on it, which the hash
+/// materializes first. Radix's pin above is taken at quiescence, where
+/// every ring is empty.
+#[test]
+fn a_mid_flight_uniform_run_s_state_hash_is_pinned() {
+    const CYCLES: u64 = 1_209;
+    let program = jm_bench::workloads::sink_program();
+    let traffic = jm_machine::TrafficSpec::new(7)
+        .pattern(jm_machine::TrafficPattern::UniformRandom)
+        .load(450_000)
+        .msg_words(4)
+        .handler(program.handler("sink"));
+    let config = MachineConfig::new(64)
+        .start(StartPolicy::None)
+        .traffic(traffic);
+    let mut live = Vec::new();
+    let (hash, machines) = jm_tests::agree("uniform mid-flight", &program, config, |m| {
+        m.run(CYCLES);
+        assert!(m.network().in_flight() > 0, "the network drained");
+        let before = m.bulk_stats().materialized;
+        let hash = m.state_hash();
+        live.push(m.bulk_stats().materialized - before);
+        hash
+    });
+    assert!(machines.len() > 2, "no crew ran");
+    assert!(
+        machines.iter().any(|m| m.bulk_stats().engaged > 0),
+        "the law never engaged"
+    );
+    assert!(live.iter().any(|&n| n > 0), "nothing on the law: {live:?}");
+    assert_eq!(
+        hash, 0x6865_5e8e_0a34_f0d1,
+        "the uniform run's state hash moved"
+    );
+}
+
 /// A page is host storage, not state: a host write of NIL to a DRAM word
 /// nothing has written allocates the word's page — the node's first, then
 /// one more in a table that exists — and leaves the state hash as it was.
