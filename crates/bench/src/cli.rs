@@ -419,13 +419,13 @@ pub fn main(argv: &[&str]) -> ExitCode {
     if let [word, topic @ ..] = argv {
         if ["help", "--help", "-h"].contains(word) {
             match resolve(topic) {
-                Some((cmd, _)) => println!("{}\n  {}", cmd.usage(), cmd.about),
+                Some((cmd, _)) => outln!("{}\n  {}", cmd.usage(), cmd.about),
                 None => {
-                    println!("jmsim — the J-Machine simulator's experiment harness\n");
+                    outln!("jmsim — the J-Machine simulator's experiment harness\n");
                     for c in commands() {
-                        println!("  {:<15} {}", c.name, c.about);
+                        outln!("  {:<15} {}", c.name, c.about);
                     }
-                    println!("\n`jmsim help NAME` prints a subcommand's usage.");
+                    outln!("\n`jmsim help NAME` prints a subcommand's usage.");
                 }
             }
             return ExitCode::SUCCESS;
@@ -436,7 +436,7 @@ pub fn main(argv: &[&str]) -> ExitCode {
         // records a replay log, so a CI failure ships a reproducer
         // (DESIGN.md §4.8).
         if jm_machine::capture_replay_from_env() {
-            println!("jmsim: replay capture armed (JM_REPLAY_CAPTURE)");
+            outln!("jmsim: replay capture armed (JM_REPLAY_CAPTURE)");
         }
         (cmd.run)(&args)
     });

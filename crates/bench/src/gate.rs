@@ -153,7 +153,7 @@ pub(crate) fn run(args: &Args) -> Outcome {
     walls(&mut v, &current, &args.bounds("--ceiling"), false);
 
     for line in &v.lines {
-        println!("{line}");
+        outln!("{line}");
     }
     if v.failed {
         eprintln!(
@@ -162,7 +162,7 @@ pub(crate) fn run(args: &Args) -> Outcome {
         );
         return Ok(ExitCode::FAILURE);
     }
-    println!("benchmark gate passed ({} checks)", v.lines.len());
+    outln!("benchmark gate passed ({} checks)", v.lines.len());
     Ok(ExitCode::SUCCESS)
 }
 

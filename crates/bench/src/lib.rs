@@ -35,6 +35,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+/// Writes to stdout through `write_out`, the one writer of every report
+/// line; `outln!` adds a newline.
+macro_rules! out {
+    ($($arg:tt)*) => { $crate::write_out(format_args!($($arg)*)) };
+}
+macro_rules! outln {
+    ($($arg:tt)*) => { out!("{}\n", format_args!($($arg)*)) };
+}
+
 pub mod baselines;
 pub mod cli;
 pub mod faultb;
@@ -50,3 +59,18 @@ pub mod table;
 mod tools;
 pub mod traffic;
 pub mod workloads;
+
+/// Writes `args` to stdout. A reader that went away (`jmsim chaos | head
+/// -1`) ends the process quietly, with the status a shell reports for a
+/// process `SIGPIPE` stopped (141); any other write error is exit 1 with
+/// one line.
+fn write_out(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        eprintln!("jmsim: stdout: {e}");
+        std::process::exit(1);
+    }
+}

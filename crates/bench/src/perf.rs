@@ -308,11 +308,11 @@ pub(crate) fn run(args: &Args) -> Outcome {
     // An eighth of the cycles on eight times the nodes: the same work.
     out.extend(sweep(SWEEP_NODES, exch_cycles / 8, &[2, 4])?.1);
 
-    println!("{}", pivot(&out, "", "workload"));
+    outln!("{}", pivot(&out, "", "workload"));
     let sweep_table = pivot(&out, "threads", "engine");
-    print!("exchange loop, host CPUs: {cpus}\n\n{sweep_table}");
+    out!("exchange loop, host CPUs: {cpus}\n\n{sweep_table}");
     write_file(out_path, rows::write(&out))?;
-    println!("wrote {out_path}");
+    outln!("wrote {out_path}");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -353,13 +353,13 @@ pub(crate) fn mesh(args: &Args) -> Outcome {
     );
     out.push(peak_rss_row(rss));
     let sweep_table = pivot(&out, "threads", "engine");
-    println!("exchange loop, host CPUs: {cpus}\n\n{sweep_table}");
-    println!("peak rss: {rss} MiB");
+    outln!("exchange loop, host CPUs: {cpus}\n\n{sweep_table}");
+    outln!("peak rss: {rss} MiB");
     if let Some(path) = args.text("--out") {
         write_file(path, rows::write(&out))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
-    println!("mesh smoke passed: engines bit-identical at {nodes} nodes");
+    outln!("mesh smoke passed: engines bit-identical at {nodes} nodes");
     Ok(ExitCode::SUCCESS)
 }
 

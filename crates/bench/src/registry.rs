@@ -396,11 +396,11 @@ pub(crate) fn run_one(args: &Args) -> Outcome {
     let seed = args.count("--seed");
     let mut ctx = Ctx::new(args.engine().unwrap_or_default(), quick, seed.unwrap_or(7));
     let rows = e.rows(&mut ctx, nodes)?;
-    print!("{}", e.body(&rows));
+    out!("{}", e.body(&rows));
     if let Some(file) = e.file {
         let path = args.text("--out").unwrap_or(file);
         cli::write_file(path, rows::write(&rows))?;
-        println!("\nwrote {path}");
+        outln!("\nwrote {path}");
     }
     let held = !quick && args.positional().is_none() && seed.is_none();
     baselines::compare(&mut ctx.verdict, baselines::under(e.name), &rows, held);
@@ -413,7 +413,7 @@ pub(crate) fn run_one(args: &Args) -> Outcome {
 /// Appends one section to the report `md` under construction, echoing it
 /// to stdout.
 fn section(md: &mut String, title: &str, body: &str) {
-    println!("==== {title} ====\n{body}");
+    outln!("==== {title} ====\n{body}");
     let _ = writeln!(md, "## {title}\n\n```text\n{body}```\n");
 }
 
@@ -437,7 +437,7 @@ pub(crate) fn repro(args: &Args) -> Outcome {
     let out_path = args.text("--out").unwrap_or("EXPERIMENTS.md");
     let engine = args.engine().unwrap_or_default();
     if engine != Engine::default() {
-        println!("running all experiments under {engine:?}");
+        outln!("running all experiments under {engine:?}");
     }
     let t0 = Instant::now();
     let mut md = format!(
@@ -482,7 +482,7 @@ pub(crate) fn repro(args: &Args) -> Outcome {
         let path = dir.join(file);
         cli::write_file(&path.to_string_lossy(), rows::write(rows))?;
     }
-    println!(
+    outln!(
         "wrote {out_path} and {} row files beside it in {:.1}s",
         files.len(),
         t0.elapsed().as_secs_f64()

@@ -49,7 +49,7 @@ pub(crate) fn traffic(args: &Args) -> Outcome {
     let p = ctx.run(traffic::point(seed, dims, pattern, load))?;
     let rss = harness::peak_rss_mib();
     let (name, mesh) = (pattern.label(), format!("{}x{}x{}", dims.x, dims.y, dims.z));
-    println!(
+    outln!(
         "{name} on {mesh} at {load} ppm: offered {} accepted {} dropped {} \
          ({:.4} flits/node/cycle, lat p99 {}, {} cycles to drain, peak rss {rss} MiB)",
         p.offered_msgs,
@@ -64,7 +64,7 @@ pub(crate) fn traffic(args: &Args) -> Outcome {
         out.extend(p.rows(&format!("traffic/{name}/{load}"), dims.nodes()));
         out.push(peak_rss_row(rss));
         write_file(path, rows::write(&out))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -97,14 +97,14 @@ pub(crate) fn chaos(args: &Args) -> Outcome {
         .window(FaultWindow::link_down(6, 4, 20_000, 30_000));
     let mcfg = MachineConfig::new(NODES).engine(engine).fault(plan);
     let (slabs, _) = jm_machine::crew_shape(&mcfg);
-    println!("chaos: seed {seed}, engine {engine:?}, {NODES} nodes, {slabs} slab(s)");
+    outln!("chaos: seed {seed}, engine {engine:?}, {NODES} nodes, {slabs} slab(s)");
 
     let mut disturbed = 0u64;
     for app in App::ALL {
         let r = app.run(mcfg, &Problems::scaled(), registry::APP_CYCLES)?;
         let blocked = r.stats.net.faults.blocked_moves;
         let (name, answer, cycles) = (app.name(), r.answer_line(), r.cycles);
-        println!("  {name:<9} ok: {answer}, {cycles} cycles, {blocked} blocked moves");
+        outln!("  {name:<9} ok: {answer}, {cycles} cycles, {blocked} blocked moves");
         disturbed += blocked;
     }
 
@@ -112,7 +112,7 @@ pub(crate) fn chaos(args: &Args) -> Outcome {
         let why = "the chaos plan disturbed nothing — it is vacuous";
         return Err(CliError::Failed(why.to_string()));
     }
-    println!("all four applications exact under chaos ({disturbed} blocked moves total)");
+    outln!("all four applications exact under chaos ({disturbed} blocked moves total)");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -129,7 +129,7 @@ pub(crate) fn trace(args: &Args) -> Outcome {
     let dims = MeshDims::for_nodes(nodes);
     let ctx = Ctx::new(Engine::default(), false, 7);
     let trace = &ctx.run(observe::gather(dims, sample_every))?;
-    println!(
+    outln!(
         "gather on {}x{}x{} ({} nodes): {} messages, {} events, {} samples\n",
         dims.x,
         dims.y,
@@ -139,11 +139,11 @@ pub(crate) fn trace(args: &Args) -> Outcome {
         trace.events.len(),
         trace.samples.len(),
     );
-    println!("{}", trace.breakdown_table());
+    outln!("{}", trace.breakdown_table());
     write_file(chrome_path, jm_trace::chrome_json(trace))?;
-    println!("wrote {chrome_path} (load in Perfetto or chrome://tracing)");
+    outln!("wrote {chrome_path} (load in Perfetto or chrome://tracing)");
     write_file(summary_path, jm_trace::summary_json(trace))?;
-    println!("wrote {summary_path}");
+    outln!("wrote {summary_path}");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -218,7 +218,7 @@ pub(crate) fn replay_record(args: &Args) -> Outcome {
     }
     let log = m.finish_replay().expect("recording was armed");
     log.write_file(out).map_err(|e| CliError::io(out, e))?;
-    println!(
+    outln!(
         "recorded {workload}: {} cycles, {} checkpoints (interval {interval}) -> {out}",
         log.end_cycle(),
         log.checkpoints(),
@@ -232,7 +232,7 @@ pub(crate) fn replay_record(args: &Args) -> Outcome {
 pub(crate) fn replay_verify(args: &Args) -> Outcome {
     let log = read_log(args)?;
     let report = jm_machine::verify(&log, &factory(args)).map_err(|e| bad_log(args, e))?;
-    println!("verify: {report}");
+    outln!("verify: {report}");
     Ok(if report.clean() {
         ExitCode::SUCCESS
     } else {
@@ -241,13 +241,14 @@ pub(crate) fn replay_verify(args: &Args) -> Outcome {
 }
 
 /// `jmsim replay bisect`: narrows a mismatch to its first diverging cycle
-/// and components; exit 0 when clean, 2 on a genuine divergence (or a log
-/// that cannot be replayed), 3 when the log itself is irreproducible.
+/// and names the first word of the state that differs there; exit 0 when
+/// clean, 2 on a genuine divergence (or a log that cannot be replayed), 3
+/// when the log itself is irreproducible.
 pub(crate) fn replay_bisect(args: &Args) -> Outcome {
     let log = read_log(args)?;
     let report = jm_machine::bisect(&log, &MachineFactory::recorded(), &factory(args))
         .map_err(|e| bad_log(args, e))?;
-    println!("bisect ({} probes): {report}", report.probes);
+    outln!("bisect ({} probes): {report}", report.probes);
     Ok(match report.divergence {
         Divergence::None => ExitCode::SUCCESS,
         Divergence::Diverged { .. } => ExitCode::from(2),

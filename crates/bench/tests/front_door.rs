@@ -153,6 +153,26 @@ fn misuse_exits_2_with_one_line_and_writes_nothing() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A reader that closes the pipe early (`jmsim chaos | head -1`) ends
+/// `jmsim` quietly: no panic, no backtrace.
+#[test]
+fn a_closed_stdout_exits_quietly() {
+    for argv in [&["help"][..], &["fig2", "64"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_jmsim"))
+            .args(argv)
+            .current_dir(std::env::temp_dir())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("jmsim runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("jmsim exits");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_ne!(out.status.code(), Some(101), "{argv:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+    }
+}
+
 #[test]
 fn gate_rejects_a_baseline_cut_mid_document() {
     let root = repo_root();

@@ -42,6 +42,7 @@ mod config;
 mod machine;
 mod parallel;
 mod replay;
+mod state;
 mod stats;
 
 pub use config::{Engine, MachineConfig, StartPolicy, TraceConfig};
@@ -51,7 +52,8 @@ pub use jm_traffic::{TrafficPattern, TrafficSpec, TrafficStats};
 pub use machine::{JMachine, MachineError};
 pub use parallel::crew_shape;
 pub use replay::{
-    bisect, capture_replay_from_env, verify, BisectReport, BoundaryMismatch, ComponentDiff,
-    ComponentHash, Corruption, Divergence, MachineFactory, VerifyReport,
+    bisect, capture_replay_from_env, verify, BisectReport, BoundaryMismatch, Corruption,
+    Divergence, MachineFactory, VerifyReport,
 };
+pub use state::ArchState;
 pub use stats::MachineStats;

@@ -15,7 +15,7 @@
 
 use crate::config::{Engine, MachineConfig, StartPolicy};
 use crate::parallel::{crew_shape, hand_over, pump_node, visit};
-use crate::replay::ComponentHash;
+use crate::state::ArchState;
 use crate::stats::MachineStats;
 use jm_asm::Program;
 use jm_fault::{checksum_words, FaultPlan};
@@ -1000,54 +1000,31 @@ impl JMachine {
         Some(std::mem::replace(&mut self.trace, fresh))
     }
 
-    /// Combined state hash at the current cycle: an in-order FNV-1a fold of
-    /// exactly the hashes [`Self::component_hashes`] reports, over every
-    /// piece of simulated state the engines are required to agree on (node
-    /// registers, queues, memory, control state; per-router channel
-    /// occupancy). Engine bookkeeping — schedulers, statistics, traces —
-    /// is excluded by construction, so equal machine states hash equal
-    /// under *any* engine or thread count. Takes `&mut self`
-    /// because in-flight bulk wormhole transfers are first materialized to
-    /// their exact buffered equivalent (a semantically invisible
-    /// canonicalization; see `jm-net`).
+    /// The architectural state at the current cycle: every node's, then
+    /// every router's — what the engines are required to agree on. Engine
+    /// bookkeeping (schedulers, statistics, traces) is not state, so equal
+    /// machine states compare equal under *any* engine or thread count.
+    /// Takes `&mut self` because in-flight bulk wormhole transfers are
+    /// first materialized to their exact buffered equivalent (a
+    /// semantically invisible canonicalization; see `jm-net`).
+    pub fn arch_state(&mut self) -> ArchState {
+        let at = self.cycle();
+        let nodes = self.nodes.iter().map(|n| n.arch_state(at)).collect();
+        let routers = self.net.arch_state().collect();
+        ArchState { nodes, routers }
+    }
+
+    /// The state hash at the current cycle: the fold of
+    /// [`Self::arch_state`], every node's state and then every router's,
+    /// each built, folded and dropped in turn.
     pub fn state_hash(&mut self) -> u64 {
         let at = self.cycle();
         let mut h = jm_trace::Fnv1a::new();
-        for node in &self.nodes {
-            for (_, hash) in node.state_components(at) {
-                h.write_u64(hash);
-            }
-        }
-        self.net.fold_components(|_, _, hash| h.write_u64(hash));
+        self.nodes
+            .iter()
+            .for_each(|n| n.arch_state(at).fold(&mut h));
+        self.net.arch_state().for_each(|r| r.fold(&mut h));
         h.finish()
-    }
-
-    /// Per-component state hashes at the current cycle, in the fixed order
-    /// whose fold equals [`Self::state_hash`]: for each node (ascending
-    /// id) its `regs`/`queues`/`mem`/`ctl` parts, then for each router
-    /// (ascending id) its two virtual networks' channel occupancy. Labels
-    /// are stable, human-readable component names — divergence reports
-    /// print them verbatim.
-    pub fn component_hashes(&mut self) -> Vec<ComponentHash> {
-        let at = self.cycle();
-        let dims = self.config.dims;
-        let mut out = Vec::with_capacity(self.nodes.len() * 6);
-        for node in &self.nodes {
-            for (part, hash) in node.state_components(at) {
-                out.push(ComponentHash {
-                    label: format!("node {} {part}", node.id().0),
-                    hash,
-                });
-            }
-        }
-        self.net.fold_components(|id, vnet, hash| {
-            let c = dims.coord(id);
-            out.push(ComponentHash {
-                label: format!("router ({},{},{}) vnet{vnet} occupancy", c.x, c.y, c.z),
-                hash,
-            });
-        });
-        out
     }
 }
 

@@ -32,11 +32,11 @@
 //!   cycle asked for under every engine, which is what makes a
 //!   single-cycle probe meaningful) and compares every checkpoint;
 //!   [`bisect`] narrows a mismatch to the **first diverging cycle and
-//!   component** (e.g. `cycle 48211, router (3,1,2) vnet1 occupancy`). A
+//!   field** of the machine's [`ArchState`](crate::ArchState) (e.g.
+//!   `cycle 48211, node 17 mem[0x0a12]: 5:int vs 6:int`). A
 //!   [`Corruption`] can be attached to a factory to inject a deliberate,
 //!   unrecorded single-word divergence at a chosen cycle; the tests use it
-//!   to prove the bisector localizes a fault to the exact cycle and
-//!   component.
+//!   to prove the bisector localizes a fault to the exact cycle and word.
 
 use crate::config::{Engine, MachineConfig, StartPolicy};
 use crate::machine::{next_multiple, JMachine, MachineError};
@@ -244,8 +244,8 @@ fn recorded_machine_config(log: &ReplayLog) -> MachineConfig {
 /// A deliberate, *unrecorded* single-word memory write injected into a
 /// replayed execution: the machine's state at `cycle` (and after) differs
 /// from an uncorrupted replay by exactly this write, so bisection must
-/// localize the divergence to `cycle` and component `node N mem`. This is
-/// the test fixture that proves the bisector's localization claim
+/// localize the divergence to `cycle` and the word `node N mem[addr]`.
+/// This is the test fixture that proves the bisector's localization claim
 /// end-to-end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Corruption {
@@ -323,19 +323,6 @@ impl MachineFactory {
     }
 }
 
-/// One named component's state hash at some cycle. Labels are stable,
-/// human-readable identifiers like `node 17 mem` or
-/// `router (3,1,2) vnet1 occupancy`; the combined machine hash is the
-/// in-order FNV-1a fold of exactly these component hashes, so a combined
-/// mismatch always names at least one component.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ComponentHash {
-    /// Stable component label.
-    pub label: String,
-    /// FNV-1a fold of the component's architecturally-visible state.
-    pub hash: u64,
-}
-
 /// The first checkpoint where a re-execution's hash differed from the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundaryMismatch {
@@ -386,17 +373,6 @@ impl fmt::Display for VerifyReport {
     }
 }
 
-/// One component whose hash differed at the first diverging cycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ComponentDiff {
-    /// Component label (e.g. `router (3,1,2) vnet1 occupancy`).
-    pub label: String,
-    /// The reference execution's hash.
-    pub reference: u64,
-    /// The target execution's hash.
-    pub target: u64,
-}
-
 /// What [`bisect`] concluded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Divergence {
@@ -420,8 +396,9 @@ pub enum Divergence {
         cycle: u64,
         /// The checkpoint interval the mismatch was narrowed from.
         interval: (u64, u64),
-        /// Components whose hashes differ at `cycle`.
-        components: Vec<ComponentDiff>,
+        /// The first field of the machine's state that differs at `cycle`,
+        /// with both values ([`ArchState::diff`](crate::ArchState::diff)).
+        diff: String,
     },
 }
 
@@ -451,23 +428,13 @@ impl fmt::Display for BisectReport {
             Divergence::Diverged {
                 cycle,
                 interval,
-                components,
-            } => {
-                write!(
-                    f,
-                    "first divergence at cycle {cycle} (bisected from checkpoint interval \
-                     ({}, {}]):",
-                    interval.0, interval.1
-                )?;
-                for c in components {
-                    write!(
-                        f,
-                        "\n  cycle {cycle}, {} (reference {:#018x}, target {:#018x})",
-                        c.label, c.reference, c.target
-                    )?;
-                }
-                Ok(())
-            }
+                diff,
+            } => write!(
+                f,
+                "first divergence at cycle {cycle} (bisected from checkpoint interval \
+                 ({}, {}]):\n  cycle {cycle}, {diff}",
+                interval.0, interval.1
+            ),
         }
     }
 }
@@ -550,7 +517,7 @@ fn state_at(
 }
 
 /// Verifies `target` against the log and, on mismatch, narrows the failure
-/// to a single cycle and component set.
+/// to a single cycle and the first field of the state that differs.
 ///
 /// The algorithm: (1) [`verify`] the target; a clean pass is
 /// [`Divergence::None`]. (2) Re-verify under `reference` (the *recorded*
@@ -560,9 +527,9 @@ fn state_at(
 /// (3) Otherwise binary-search the mismatching checkpoint interval
 /// `(a, b]`: each probe rebuilds both machines from cycle 0 and drives
 /// them to the midpoint (every engine can stop on any exact cycle, so the
-/// probe is bit-exact), until the first cycle where the combined hashes
-/// differ; the per-component hash vectors at that cycle name the diverging
-/// components.
+/// probe is bit-exact), until the first cycle where the state hashes
+/// differ; [`ArchState::diff`](crate::ArchState::diff) of the two states
+/// at that cycle names the first field that differs, with both values.
 ///
 /// # Errors
 ///
@@ -607,24 +574,14 @@ pub fn bisect(
             hi = mid;
         }
     }
-    let rc = state_at(log, reference, hi)?.component_hashes();
-    let tc = state_at(log, target, hi)?.component_hashes();
+    let r = state_at(log, reference, hi)?.arch_state();
+    let t = state_at(log, target, hi)?.arch_state();
     probes += 2;
-    let components = rc
-        .iter()
-        .zip(tc.iter())
-        .filter(|(r, t)| r.hash != t.hash || r.label != t.label)
-        .map(|(r, t)| ComponentDiff {
-            label: r.label.clone(),
-            reference: r.hash,
-            target: t.hash,
-        })
-        .collect();
     Ok(BisectReport {
         divergence: Divergence::Diverged {
             cycle: hi,
             interval: (tm.prev_cycle, tm.cycle),
-            components,
+            diff: r.diff(&t).expect("states whose hashes differ differ"),
         },
         probes,
     })
@@ -774,12 +731,12 @@ mod tests {
         });
         let report = bisect(&log, &MachineFactory::recorded(), &target).unwrap();
         match &report.divergence {
-            Divergence::Diverged {
-                cycle, components, ..
-            } => {
+            Divergence::Diverged { cycle, diff, .. } => {
                 assert_eq!(*cycle, at, "{report}");
-                assert_eq!(components.len(), 1, "{report}");
-                assert_eq!(components[0].label, "node 5 mem");
+                assert!(diff.starts_with("node 5 mem[0x0300]: "), "{report}");
+                assert!(diff.ends_with(" vs 123:int"), "{report}");
+                let line = format!("\n  cycle {at}, {diff}");
+                assert!(report.to_string().ends_with(&line), "{report}");
             }
             other => panic!("expected Diverged, got {other:?}"),
         }

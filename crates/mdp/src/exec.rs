@@ -637,7 +637,7 @@ impl MdpNode {
 
     /// Writes a word of memory, logging the word it overwrites inside a
     /// stretch (`spec`). Any write can be undone: a page it allocated stays
-    /// allocated, and NIL folds as unwritten.
+    /// allocated, and a NIL word is no state.
     #[inline]
     fn poke(&mut self, addr: u32, word: Word, spec: bool) {
         if spec {

@@ -29,6 +29,10 @@
 //! instructions once into a table of ops that every node running the
 //! program shares.
 //!
+//! [`MdpNode::arch_state`] is the node's architectural state as plain data
+//! ([`NodeState`]): what every engine must agree on, and, folded, what
+//! replay checkpoints hash.
+//!
 //! The node is network-agnostic: the machine crate (`jm-machine`) pumps
 //! ejected words into [`MdpNode::deliver_traced`] and passes a [`NetPort`] for
 //! injection.
@@ -38,11 +42,11 @@
 
 mod config;
 mod exec;
-mod hash;
 mod lower;
 mod memory;
 mod node;
 mod queue;
+mod state;
 mod stats;
 mod stretch;
 
@@ -50,5 +54,6 @@ pub use config::{MdpConfig, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
 pub use lower::Code;
 pub use memory::{MemoryStats, DRAM_PAGE_WORDS, SRAM_PAGE_WORDS};
 pub use node::{InjectAck, MdpNode, NetPort, NodeError, TickOutcome};
+pub use state::NodeState;
 pub use stats::{HandlerStats, NodeStats};
 pub use stretch::StretchStats;

@@ -87,9 +87,9 @@ impl MemoryStats {
 /// one page-pointer load, and the DRAM in 512 pages of 512 words behind
 /// a table that exists only once the node writes DRAM. A page that was
 /// never written reads as [`Word::NIL`] without existing. A page is host
-/// storage, not state: the fold ([`Self::fold_state`]) reads an
-/// unallocated page as NILs, so a page written back to NIL folds as if it
-/// had never been written, in either region. A node's memory
+/// storage, not state: the node's state holds the non-NIL words
+/// ([`Self::words`]), so a page written back to NIL is as if it had never
+/// been written, in either region. A node's memory
 /// costs its 520-byte inline table, 512 bytes per SRAM page and 4 KiB
 /// per DRAM page its program has written, and a 4 KiB DRAM table if it
 /// wrote any, instead of the 2.1 MiB a flat array would take. The
@@ -181,26 +181,27 @@ impl Memory {
         }
     }
 
-    /// Folds the memory image into a replay digest, in address order,
-    /// runs of [`Word::NIL`] folded as a run length: an unallocated page
-    /// counts as its NILs, so allocation is never folded, and the fold
-    /// allocates nothing. A run closes at the end of the SRAM, and a run
-    /// that reaches the end of memory folds as nothing, so a node whose
-    /// DRAM is all NIL folds its 4 096 SRAM words alone.
-    ///
-    /// Runs are folded as a length instead of word by word because memory
-    /// is overwhelmingly NIL, and the checkpoint hash sits on the replay
-    /// capture's hot path (the bench gate holds capture overhead under
-    /// 10%). The encoding stays positional and unambiguous — the `0xFF`
-    /// run marker cannot collide with a real word's leading tag byte,
-    /// which carries at most 4 tag bits.
-    pub(crate) fn fold_state(&self, h: &mut jm_trace::Fnv1a) {
-        let mut run = NilRuns::default();
-        run.pages(h, &self.sram);
-        run.end(h);
-        if let Some(table) = &self.dram {
-            run.pages(h, &table[..]);
+    /// The non-NIL words in address order: the memory's part of the
+    /// node's architectural state. An unallocated page holds none, so
+    /// allocation is never state.
+    pub(crate) fn words(&self) -> impl Iterator<Item = (u32, Word)> + '_ {
+        fn pages<const N: usize>(
+            base: u32,
+            pages: &[Page<N>],
+        ) -> impl Iterator<Item = (u32, Word)> + '_ {
+            let pages = pages
+                .iter()
+                .enumerate()
+                .filter_map(|(p, page)| Some((p, page.as_ref()?)));
+            pages.flat_map(move |(p, words)| {
+                let at = base + (p * N) as u32;
+                (at..)
+                    .zip(words.iter().copied())
+                    .filter(|&(_, w)| w != Word::NIL)
+            })
         }
+        let dram = self.dram.as_deref().map_or(&[][..], |table| &table[..]);
+        pages(0, &self.sram).chain(pages(EMEM_BASE, dram))
     }
 
     /// The pages this memory has allocated, as `(sram, dram)`.
@@ -233,86 +234,22 @@ impl Default for Memory {
     }
 }
 
-/// A word fold with runs of [`Word::NIL`] collapsed to `(0xFF, run_len)`;
-/// `run` is the NIL run still open.
-#[derive(Default)]
-struct NilRuns {
-    run: u32,
-}
-
-impl NilRuns {
-    fn words(&mut self, h: &mut jm_trace::Fnv1a, words: &[Word]) {
-        for &w in words {
-            if w == Word::NIL {
-                self.run += 1;
-                continue;
-            }
-            self.end(h);
-            crate::hash::fold_word(h, w);
-        }
-    }
-
-    /// Folds pages in address order, an unallocated one as `N` NILs.
-    fn pages<const N: usize>(&mut self, h: &mut jm_trace::Fnv1a, pages: &[Page<N>]) {
-        for page in pages {
-            match page {
-                Some(words) => self.words(h, &words[..]),
-                None => self.run += N as u32,
-            }
-        }
-    }
-
-    /// Closes the open run, if any.
-    fn end(&mut self, h: &mut jm_trace::Fnv1a) {
-        if self.run > 0 {
-            h.write_u8(0xFF);
-            h.write_u32(self.run);
-            self.run = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use jm_isa::tag::Tag;
     use jm_prng::Prng;
-    use jm_trace::Fnv1a;
 
-    /// The fold of a flat image, kept as the oracle: the SRAM words,
-    /// then the DRAM words, NIL runs collapsed, the SRAM's trailing run
-    /// closed at its end and the DRAM's trailing run left out.
-    fn flat_fold(image: &[Word]) -> u64 {
-        fn fold_words_rle(h: &mut Fnv1a, words: &[Word], close: bool) {
-            let mut run: u32 = 0;
-            for &w in words {
-                if w == Word::NIL {
-                    run += 1;
-                    continue;
-                }
-                if run > 0 {
-                    h.write_u8(0xFF);
-                    h.write_u32(run);
-                    run = 0;
-                }
-                crate::hash::fold_word(h, w);
-            }
-            if close && run > 0 {
-                h.write_u8(0xFF);
-                h.write_u32(run);
-            }
-        }
-        let (sram, dram) = image.split_at(EMEM_BASE as usize);
-        let mut h = Fnv1a::new();
-        fold_words_rle(&mut h, sram, true);
-        fold_words_rle(&mut h, dram, false);
-        h.finish()
+    /// The non-NIL words of a flat image, kept as the oracle.
+    fn flat_words(image: &[Word]) -> Vec<(u32, Word)> {
+        (0..)
+            .zip(image.iter().copied())
+            .filter(|&(_, w)| w != Word::NIL)
+            .collect()
     }
 
-    fn fold(m: &Memory) -> u64 {
-        let mut h = Fnv1a::new();
-        m.fold_state(&mut h);
-        h.finish()
+    fn words(m: &Memory) -> Vec<(u32, Word)> {
+        m.words().collect()
     }
 
     #[test]
@@ -367,7 +304,7 @@ mod tests {
         assert_eq!(m.allocated_pages(), (0, 3));
     }
 
-    /// The SRAM is paged the same way, and the fold reads an unallocated
+    /// The SRAM is paged the same way, and the state reads an unallocated
     /// SRAM page as 64 NILs without allocating it.
     #[test]
     fn sram_pages_allocate_on_first_write_only() {
@@ -375,11 +312,11 @@ mod tests {
         for addr in [0, SRAM_PAGE_WORDS - 1, SRAM_PAGE_WORDS, EMEM_BASE - 1] {
             assert_eq!(m.read(addr), Word::NIL);
         }
-        assert_eq!(fold(&m), flat_fold(&vec![Word::NIL; MEM_WORDS as usize]));
+        assert_eq!(words(&m), []);
         assert_eq!(
             m.allocated_pages(),
             (0, 0),
-            "reads and the fold allocate nothing"
+            "reads and the state allocate nothing"
         );
         m.write(SRAM_PAGE_WORDS, Word::int(8));
         assert_eq!(m.allocated_pages(), (1, 0));
@@ -388,21 +325,21 @@ mod tests {
     }
 
     /// A page is host storage in either region: a word written and
-    /// written back to NIL leaves its page allocated, and the memory folds
-    /// as if it had never been written.
+    /// written back to NIL leaves its page allocated, and the memory's
+    /// state is as if it had never been written.
     #[test]
     fn a_page_written_back_to_nil_folds_as_unwritten() {
-        let fresh = fold(&Memory::new());
+        let fresh = words(&Memory::new());
         for (addr, pages) in [
             (1024, (1, 0)),
             (EMEM_BASE + 3 * DRAM_PAGE_WORDS + 7, (0, 1)),
         ] {
             let mut m = Memory::new();
             m.write(addr, Word::int(5));
-            assert_ne!(fold(&m), fresh, "{addr}");
+            assert_eq!(words(&m), [(addr, Word::int(5))], "{addr}");
             m.write(addr, Word::NIL);
             assert_eq!(m.allocated_pages(), pages, "{addr}");
-            assert_eq!(fold(&m), fresh, "{addr}: allocation is not state");
+            assert_eq!(words(&m), fresh, "{addr}: allocation is not state");
         }
     }
 
@@ -410,8 +347,8 @@ mod tests {
     /// crowded onto the page edges — SRAM's 64-word pages and DRAM's
     /// 512-word pages: every read agrees, an unwritten word reads NIL
     /// without allocating, a page is allocated exactly when it was
-    /// written, and the fold — taken every 25 operations, so with pages
-    /// still unallocated — equals the flat fold of the model.
+    /// written, and the state — taken every 25 operations, so with pages
+    /// still unallocated — holds the model's non-NIL words.
     #[test]
     fn matches_a_flat_model() {
         const EDGES: [u32; 8] = [
@@ -432,7 +369,7 @@ mod tests {
             let mut sram_pages = [false; SRAM_PAGES];
             for step in 0..600 {
                 if step % 25 == 0 {
-                    assert_eq!(fold(&m), flat_fold(&flat), "step {step}");
+                    assert_eq!(words(&m), flat_words(&flat), "step {step}");
                 }
                 let addr = match rng.range_u32(0, 4) {
                     0 => {
@@ -462,7 +399,7 @@ mod tests {
                 let dram = dram_pages.iter().filter(|&&w| w).count();
                 assert_eq!(m.allocated_pages(), (sram, dram), "after writing {addr}");
             }
-            assert_eq!(fold(&m), flat_fold(&flat), "seed {seed}");
+            assert_eq!(words(&m), flat_words(&flat), "seed {seed}");
             assert_eq!(m.dump(0, MEM_WORDS), flat, "seed {seed}");
         }
     }

@@ -5,8 +5,8 @@
 //! register bank (§2.1), two message queues and a memory. Nothing is
 //! stored twice — a running handler's message is its queue's head, read
 //! from the head header when the handler ends and when the state is
-//! hashed — and what only tracing reads lives in the boxed [`NodeTrace`],
-//! absent while tracing is off.
+//! taken ([`MdpNode::arch_state`]) — and what only tracing reads lives in
+//! the boxed [`NodeTrace`], absent while tracing is off.
 
 use crate::config::{MdpConfig, DISPATCH, FAULT_ENTRY, QUEUE_VBASE, STAGING_FRAME, STAGING_VBASE};
 use crate::lower::{Code, Op};

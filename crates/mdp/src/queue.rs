@@ -135,18 +135,12 @@ impl MsgQueue {
         }
     }
 
-    /// Folds the architecturally visible queue state into a replay digest:
-    /// the head ring slot (visible to programs through the `A3` queue
-    /// descriptor), the occupancy, and the buffered words in arrival order.
-    /// The high-water mark and refusal counter are statistics and are
-    /// excluded.
-    pub(crate) fn fold_state(&self, h: &mut jm_trace::Fnv1a) {
-        h.write_u32(self.head as u32);
-        h.write_u32(self.len as u32);
-        for offset in 0..self.len {
-            let w = self.buf[(self.head + offset) % self.capacity];
-            crate::hash::fold_word(h, w);
-        }
+    /// The buffered words from head to tail. With [`Self::head_slot`],
+    /// visible to programs through the `A3` queue descriptor, they are the
+    /// queue's architectural state; the high-water mark and refusal
+    /// counter are statistics.
+    pub(crate) fn words(&self) -> impl Iterator<Item = Word> + '_ {
+        (0..self.len).map(|k| self.buf[(self.head + k) % self.capacity])
     }
 
     /// Removes the head message (`words` long, as given by its header).
@@ -165,7 +159,6 @@ impl MsgQueue {
 mod tests {
     use super::*;
     use jm_prng::Prng;
-    use jm_trace::Fnv1a;
     use std::collections::VecDeque;
 
     fn hdr(ip: u32, len: u32) -> Word {
@@ -272,12 +265,6 @@ mod tests {
         assert_eq!(q.read_slot(3), Some(Word::int(20)));
     }
 
-    fn fold(q: &MsgQueue) -> u64 {
-        let mut h = Fnv1a::new();
-        q.fold_state(&mut h);
-        h.finish()
-    }
-
     /// Random pushes and pops against a `VecDeque` of the buffered words
     /// and a head slot, at ring sizes 1, 3, 256 and 512, through many
     /// wraps: every accessor agrees with the model, a full ring refuses,
@@ -319,13 +306,7 @@ mod tests {
                 let slot = rng.range_usize(0, 2 * cap);
                 let offset = (slot + cap - head) % cap;
                 assert_eq!(q.read_slot(slot), model.get(offset).copied(), "slot {slot}");
-                let mut h = Fnv1a::new();
-                h.write_u32(head as u32);
-                h.write_u32(model.len() as u32);
-                for &w in &model {
-                    crate::hash::fold_word(&mut h, w);
-                }
-                assert_eq!(fold(&q), h.finish(), "cap {cap} step {step}");
+                assert!(q.words().eq(model.iter().copied()), "cap {cap} step {step}");
             }
             assert!(
                 pushed > 3 * cap,

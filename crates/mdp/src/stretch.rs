@@ -20,7 +20,7 @@
 //! stopping on another node's error — rewinds to the cycle in question and
 //! re-executes the instructions that started before it. A rewind restores
 //! words, not pages: a page the stretch allocated, in SRAM or DRAM, stays
-//! allocated and NIL, which the state hash folds as never written.
+//! allocated and NIL, which the node's state holds as never written.
 
 use crate::node::MdpNode;
 use jm_isa::instr::StatClass;

@@ -513,7 +513,7 @@ fn a_trailing_mark_run_runs_off_the_end() {
     }
     assert_eq!(ticked.error(), Some(&jm_mdp::NodeError::IpOutOfRange(3)));
     assert_eq!(stretched.error(), ticked.error());
-    assert_eq!(stretched.state_components(3), ticked.state_components(3));
+    assert_eq!(stretched.arch_state(3), ticked.arch_state(3));
     assert_eq!(stretched.stats(), ticked.stats());
 }
 
@@ -866,18 +866,14 @@ fn a_stretch_rewinds_to_a_delivery_at_any_cycle_inside_it() {
         deliver(&mut twin, MsgPriority::P0, header, d);
         assert_eq!(run_on.busy_until(), twin.busy_until(), "delivery at {d}");
         assert_eq!(run_on.stats(), twin.stats(), "delivery at {d}");
-        assert_eq!(
-            run_on.state_components(d),
-            twin.state_components(d),
-            "delivery at {d}"
-        );
+        assert_eq!(run_on.arch_state(d), twin.arch_state(d), "delivery at {d}");
         for now in d..d + 100 {
             run_on.tick(now, &mut net);
             twin.tick(now, &mut net);
             assert_eq!(run_on.stats(), twin.stats(), "delivery at {d}, cycle {now}");
             assert_eq!(
-                run_on.state_components(now + 1),
-                twin.state_components(now + 1),
+                run_on.arch_state(now + 1),
+                twin.arch_state(now + 1),
                 "delivery at {d}, cycle {now}"
             );
         }

@@ -412,41 +412,27 @@ impl ChannelArena {
         FLIT_BUFFER.saturating_sub(occupied)
     }
 
-    /// Folds the replay-visible state of every queue of `(router, vnet)`:
-    /// per port, the occupancy, the buffered flits in logical FIFO order
-    /// (destination, framing flags, a head's commit cycle, payload), and
-    /// the output-port owner. The injection FIFO folds the flits its
-    /// messages stand for, exactly as if it stored them.
-    /// Physical ring head positions, the cached routes (a function of the
-    /// front flit) and the stamp with its pop and push bits are excluded —
-    /// at a cycle boundary the logical queue contents fully determine future
-    /// behavior (a stamp can only equal a cycle already finished, so every
-    /// buffered flit may move).
-    pub(crate) fn fold_state(&self, l: usize, vnet: usize, h: &mut jm_trace::Fnv1a) {
-        let hot = &self.hot[l];
-        for port in 0..PORTS {
-            let q = vnet * PORTS + port;
-            let len = hot.len[q] as usize;
-            h.write_u8(len as u8);
-            if port == INJECT {
-                if len > 0 {
-                    let fifo = self.fifo(l, vnet);
-                    let mut base = 0;
-                    for msg in &fifo.msgs {
-                        for f in msg.popped as usize..msg.flits as usize {
-                            msg.flit(f, |k| fifo.words[base + k]).fold(h);
-                        }
-                        base += msg.payload_words();
-                    }
-                }
-            } else {
-                let ring = &self.rings[Self::ring(l, vnet, port)];
-                for k in 0..len {
-                    ring.0[Self::slot(hot.head[q], k)].fold(h);
-                }
+    /// The flits of queue `(router, vnet, port)` in FIFO order, trace ids
+    /// cleared; the injection FIFO's messages as the flits they stand for.
+    /// Ring positions, the cached routes and the stamp with its pop and
+    /// push bits are not state: at a cycle boundary the stamp can only
+    /// be a finished cycle's, so every buffered flit may move.
+    pub(crate) fn flits(&self, l: usize, vnet: usize, port: usize) -> Vec<Flit> {
+        let (hot, q) = (&self.hot[l], vnet * PORTS + port);
+        let mut flits = Vec::with_capacity(hot.len[q] as usize);
+        if port != INJECT {
+            let ring = &self.rings[Self::ring(l, vnet, port)];
+            flits.extend((0..hot.len[q] as usize).map(|k| ring.0[Self::slot(hot.head[q], k)]));
+        } else if hot.len[q] > 0 {
+            let (fifo, mut base) = (self.fifo(l, vnet), 0);
+            for msg in &fifo.msgs {
+                let flit = |f| msg.flit(f as usize, |k| fifo.words[base + k]);
+                flits.extend((msg.popped..msg.flits).map(flit));
+                base += msg.payload_words();
             }
-            h.write_u8(hot.owners[q] as u8);
         }
+        flits.iter_mut().for_each(|f| f.trace = 0);
+        flits
     }
 
     /// The input port owning `(router, vnet, out port)`, or `-1`.
@@ -572,18 +558,9 @@ mod tests {
         (msg, all.split_off(1), flits)
     }
 
-    /// The fold of `(router, vnet)` as if every queue stored its flits:
-    /// `model[p]` the flits of port `p`, `owners[p]` its owner.
-    fn model_fold(model: &[VecDeque<Flit>], owners: &[i8]) -> u64 {
-        let mut h = jm_trace::Fnv1a::new();
-        for (q, owner) in model.iter().zip(owners) {
-            h.write_u8(q.len() as u8);
-            for f in q {
-                f.fold(&mut h);
-            }
-            h.write_u8(*owner as u8);
-        }
-        h.finish()
+    /// `flits` as the state holds them: trace ids cleared.
+    fn untraced<'a>(flits: impl IntoIterator<Item = &'a Flit>) -> Vec<Flit> {
+        flits.into_iter().map(|&f| Flit { trace: 0, ..f }).collect()
     }
 
     #[test]
@@ -608,7 +585,7 @@ mod tests {
     /// message committed into an empty FIFO with its first flits already
     /// gone — checked after every operation against one `VecDeque<Flit>`
     /// per FIFO filled by the old per-flit expansion: length, front, mask,
-    /// cached route and the fold.
+    /// cached route and the flits the state holds.
     #[test]
     fn message_fifo_matches_a_flit_deque_model() {
         let dims = jm_isa::node::MeshDims::new(3, 3, 2);
@@ -658,11 +635,7 @@ mod tests {
                     );
                     assert_eq!(a.route(0, v, INJECT), ecube_route(here, front.dest));
                 }
-                let mut queues = vec![VecDeque::new(); PORTS];
-                queues[INJECT] = fifo.clone();
-                let mut h = jm_trace::Fnv1a::new();
-                a.fold_state(0, v, &mut h);
-                assert_eq!(h.finish(), model_fold(&queues, &[-1; PORTS]), "step {step}");
+                assert_eq!(a.flits(0, v, INJECT), untraced(fifo), "step {step}");
             }
         }
         assert!(
@@ -678,7 +651,7 @@ mod tests {
     /// operation against one plain `VecDeque` per queue of flits and the
     /// cycle each may leave from: front, readiness, length, mask,
     /// start-of-cycle space of the rings, the cached route against a fresh
-    /// `ecube_route`, and the fold.
+    /// `ecube_route`, and the flits the state holds.
     #[test]
     fn random_operations_match_a_deque_model() {
         let dims = jm_isa::node::MeshDims::new(3, 2, 2);
@@ -760,8 +733,6 @@ mod tests {
             // The touched router's whole state, both vnets.
             for v in 0..2 {
                 let mut mask = 0u8;
-                let queues = l * QUEUES + v * PORTS..l * QUEUES + (v + 1) * PORTS;
-                let mut flits = Vec::new();
                 for p in 0..PORTS {
                     let qi = l * QUEUES + v * PORTS + p;
                     let q = &model[qi];
@@ -785,14 +756,11 @@ mod tests {
                         assert_eq!((made, ready), (front, from <= cycle), "step {step}");
                         assert_eq!(a.route(l, v, p), ecube_route(coord(l), front.dest));
                     }
-                    flits.push(q.iter().map(|&(f, _)| f).collect::<VecDeque<_>>());
+                    let flits = untraced(q.iter().map(|(f, _)| f));
+                    assert_eq!(a.flits(l, v, p), flits, "step {step}");
                 }
                 assert_eq!(a.port_mask(l, v), mask);
                 assert_eq!(a.holds(l), a.port_mask(l, 0) | a.port_mask(l, 1) != 0);
-                let mut h = jm_trace::Fnv1a::new();
-                a.fold_state(l, v, &mut h);
-                let want = model_fold(&flits, &owners[queues]);
-                assert_eq!(h.finish(), want, "step {step}");
             }
         }
     }

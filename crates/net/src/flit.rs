@@ -35,13 +35,13 @@ pub struct Flit {
     /// Destination coordinates (from the message's route word).
     pub dest: Coord,
     /// Bit-packed `FLAG_*` bits.
-    flags: u8,
+    pub(crate) flags: u8,
     /// Lifecycle-trace id (`0` = untraced), widened to [`TraceId`] on
     /// read.
-    trace: u32,
+    pub(crate) trace: u32,
     /// The head's commit cycle, or the word a payload flit completes (tag
     /// above the 32 payload bits); `0` on every other flit.
-    data: u64,
+    pub(crate) data: u64,
 }
 
 /// First flit of its message (triggers output-port allocation in routers).
@@ -97,17 +97,6 @@ impl Flit {
     #[inline]
     pub fn trace(&self) -> TraceId {
         TraceId(u64::from(self.trace))
-    }
-
-    /// Folds the flit into a state hash: destination, framing flags and
-    /// data bytes — everything but the trace id, which is observability
-    /// state.
-    pub(crate) fn fold(&self, h: &mut jm_trace::Fnv1a) {
-        h.write_u8(self.dest.x);
-        h.write_u8(self.dest.y);
-        h.write_u8(self.dest.z);
-        h.write_u8(self.flags);
-        h.write_u64(self.data);
     }
 
     /// The old per-flit expansion of a message, kept as the oracle

@@ -26,14 +26,14 @@
 //! | module | what it owns |
 //! |---|---|
 //! | `flit` | the flit, and the message record every flit of a message is made from |
-//! | `router` | the e-cube route function; a node's ejection staging |
+//! | `router` | the e-cube route function; a node's ejection staging; [`RouterState`], a router's architectural state and its fold |
 //! | `arena` | every channel buffer of a shard — flit rings between routers, message FIFOs at injection — and the per-router record arbitration probes |
 //! | `shard` | one z-slab's state, and its cycle in four modules: |
 //! | `shard::inject` | how a message enters: framing, the checksum trailer, FIFO room, the traffic generator, node-down stalls |
 //! | `shard::arbitrate` | which flits move this cycle, and what moving one hop or ejecting *is* |
 //! | `shard::edge` | the slab boundary: two identical lanes, each a mailbox and a space snapshot |
 //! | `shard::bulk` | the closed-form timing law that stands in for `arbitrate` for every message whose route nothing else contends for |
-//! | `network` | the whole mesh: a facade over the shards and the edges between them |
+//! | `network` | the whole mesh: a facade over the shards and the edges between them; [`Network::arch_state`] |
 //! | `bitset` | the one worklist type (routers holding flits, nodes with deliveries) |
 //! | `config`, `stats` | [`NetConfig`] and the router's constant depths and latency; [`NetStats`] |
 //!
@@ -76,5 +76,6 @@ pub use bitset::{ones, BitSet};
 pub use config::NetConfig;
 pub use flit::Flit;
 pub use network::Network;
+pub use router::RouterState;
 pub use shard::{edge_pair, BulkStats, Edge, InjectResult, NetShard};
 pub use stats::NetStats;

@@ -8,6 +8,7 @@
 //! the phase structure and the determinism argument.
 
 use crate::config::NetConfig;
+use crate::router::RouterState;
 use crate::shard::{edge_pair, BulkStats, Edge, InjectResult, NetShard};
 use crate::stats::NetStats;
 use jm_isa::instr::MsgPriority;
@@ -306,16 +307,17 @@ impl Network {
         }
     }
 
-    /// Calls `f` with a replay occupancy digest for every `(node, vnet)`
-    /// pair, in ascending (node id, vnet) order — the network's component
-    /// hashes for the replay log's divergence reports. Takes `&mut self`
-    /// because a wormhole bulk-advance message must be materialized into
-    /// its exact buffered equivalent before hashing (semantically
-    /// invisible; see the `shard` module).
-    pub fn fold_components(&mut self, mut f: impl FnMut(NodeId, usize, u64)) {
+    /// Every router's architectural state, in node order. Takes `&mut
+    /// self` because the messages on the bulk law are first materialized
+    /// into the buffered flits they stand for (semantically invisible; see
+    /// the `shard` module); the states are built one at a time as the
+    /// iterator is read.
+    pub fn arch_state(&mut self) -> impl Iterator<Item = RouterState> + '_ {
         for shard in &mut self.shards {
-            shard.fold_components(self.cycle, &mut f);
+            shard.materialize_all(self.cycle);
         }
+        let shards = self.shards.iter();
+        shards.flat_map(|shard| (0..shard.len()).map(|l| shard.router_state(l)))
     }
 }
 

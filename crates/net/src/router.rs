@@ -1,11 +1,14 @@
 //! Per-node router state off the arbitration path: ejection staging. The
 //! channel buffers and everything the advance loop probes live in the
-//! shard's [`crate::arena::ChannelArena`] instead.
+//! shard's [`crate::arena::ChannelArena`] instead. [`RouterState`] is a
+//! router's architectural state, both halves, as plain data.
 
+use crate::flit::Flit;
 use jm_fault::port;
 use jm_isa::node::Coord;
 use jm_isa::word::Word;
 use jm_isa::TraceId;
+use jm_trace::Fnv1a;
 use std::collections::VecDeque;
 
 /// Computes the e-cube (dimension-order) output port at `here` for a flit
@@ -52,6 +55,52 @@ pub(crate) struct Router {
     /// payload word, cleared by the tail flit), so it needs no knowledge of
     /// message contents.
     pub eject_hdr_seen: [bool; 2],
+}
+
+/// One router's architectural state at a cycle boundary, per virtual
+/// network: what changes what its later cycles do. Trace ids, the
+/// `eject_cur` trace cursor and statistics are not state, and neither is
+/// which messages ride the bulk law: the state is taken with every one
+/// materialized ([`crate::Network::arch_state`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RouterState {
+    /// Per vnet and input port, its buffered flits in FIFO order, trace ids
+    /// cleared; the injection FIFO's messages as the flits they stand for.
+    pub flits: [[Vec<Flit>; port::COUNT]; 2],
+    /// Per vnet and output port, the input port whose wormhole owns it, or
+    /// `-1`.
+    pub owners: [[i8; port::COUNT]; 2],
+    /// Per vnet, the ejected words the node has not taken.
+    pub ejected: [Vec<Word>; 2],
+    /// Per vnet, whether the message streaming out of the ejection port
+    /// has delivered its header (fault corruption skips the header).
+    pub eject_hdr_seen: [bool; 2],
+    /// Per vnet, the commit cycle of the message streaming out of the
+    /// ejection port while that port is owned: its tail's latency is still
+    /// to come.
+    pub eject_committed: [Option<u64>; 2],
+}
+
+impl RouterState {
+    /// Folds the state into `h` as one FNV-1a digest per vnet.
+    pub fn fold(&self, h: &mut Fnv1a) {
+        for v in 0..2 {
+            let mut d = Fnv1a::new();
+            for (flits, &owner) in self.flits[v].iter().zip(&self.owners[v]) {
+                d.write_u8(flits.len() as u8);
+                for f in flits {
+                    d.write(&[f.dest.x, f.dest.y, f.dest.z, f.flags]);
+                    d.write_u64(f.data);
+                }
+                d.write_u8(owner as u8);
+            }
+            d.write_u32(self.ejected[v].len() as u32);
+            self.ejected[v].iter().for_each(|&w| d.write_word(w));
+            d.write_u8(u8::from(self.eject_hdr_seen[v]));
+            self.eject_committed[v].inspect(|&c| d.write_u64(c));
+            h.write_u64(d.finish());
+        }
+    }
 }
 
 #[cfg(test)]

@@ -390,9 +390,9 @@ impl NetShard {
         }
     }
 
-    /// Materializes every law message: the state digest canonicalizes on
-    /// the buffered representation.
-    pub(super) fn materialize_all(&mut self, cycle: u64) {
+    /// Materializes every law message: the architectural state is the
+    /// buffered representation.
+    pub(crate) fn materialize_all(&mut self, cycle: u64) {
         while !self.law.live.is_empty() {
             self.materialize(self.law.live.len() - 1, cycle);
         }

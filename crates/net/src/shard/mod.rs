@@ -51,7 +51,7 @@ pub use inject::InjectResult;
 use crate::arena::ChannelArena;
 use crate::bitset::BitSet;
 use crate::config::NetConfig;
-use crate::router::Router;
+use crate::router::{Router, RouterState};
 use crate::stats::NetStats;
 use bulk::Law;
 use edge::{boundary_code, Crossing};
@@ -306,40 +306,18 @@ impl NetShard {
         self.config.dims.x as usize * self.config.dims.y as usize
     }
 
-    /// Calls `f` with a per-`(global node, vnet)` occupancy digest for every
-    /// router in the shard at cycle `now`, in ascending (node, vnet) order.
-    ///
-    /// Takes `&mut self` because the messages on the wormhole bulk law
-    /// must first be [materialized](Self::materialize_all) into the exact
-    /// buffered state they stand for — the digest canonicalizes on the
-    /// buffered representation, and materialization is semantically
-    /// invisible by construction.
-    ///
-    /// The digest covers the channel-arena queues plus the router's
-    /// interface state: the ejected-word FIFO, and the commit cycle of a
-    /// message part-way out of the ejection port (its tail's latency is
-    /// still to come; the ejection output is owned exactly then). Trace
-    /// ids, the `eject_cur` trace cursor, and statistics are excluded
-    /// (observability state); `eject_hdr_seen` is included (it steers
-    /// fault corruption).
-    pub(crate) fn fold_components(&mut self, now: u64, f: &mut dyn FnMut(NodeId, usize, u64)) {
-        self.materialize_all(now);
-        for l in 0..self.routers.len() {
-            for vnet in 0..2 {
-                let mut h = jm_trace::Fnv1a::new();
-                self.arena.fold_state(l, vnet, &mut h);
-                let router = &self.routers[l];
-                h.write_u32(router.ejected[vnet].len() as u32);
-                for &(w, _) in &router.ejected[vnet] {
-                    h.write_u8(w.tag().bits());
-                    h.write_u32(w.bits());
-                }
-                h.write_u8(u8::from(router.eject_hdr_seen[vnet]));
-                if self.arena.owner(l, vnet, port::EJECT) >= 0 {
-                    h.write_u64(router.eject_committed[vnet]);
-                }
-                f(NodeId((self.base + l) as u32), vnet, h.finish());
-            }
+    /// The architectural state of local router `l`. Call
+    /// [`Self::materialize_all`] first: the state is the buffered flits
+    /// the bulk law's messages stand for.
+    pub(crate) fn router_state(&self, l: usize) -> RouterState {
+        let (router, arena) = (&self.routers[l], &self.arena);
+        let owned = |v| arena.owner(l, v, port::EJECT) >= 0;
+        RouterState {
+            flits: [0, 1].map(|v| std::array::from_fn(|p| arena.flits(l, v, p))),
+            owners: [0, 1].map(|v| std::array::from_fn(|p| arena.owner(l, v, p))),
+            ejected: (router.ejected.each_ref()).map(|q| q.iter().map(|e| e.0).collect()),
+            eject_hdr_seen: router.eject_hdr_seen,
+            eject_committed: [0, 1].map(|v| owned(v).then_some(router.eject_committed[v])),
         }
     }
 }

@@ -8,7 +8,7 @@
 //! plain-data types a log is made of. It sits *below* `jm-machine` in the
 //! dependency order: `jm-machine` records logs from a running machine and
 //! re-executes them under any engine, reporting the first diverging cycle
-//! and component (`DESIGN.md` §4.8).
+//! and the first word of state that differs there (`DESIGN.md` §4.8).
 
 #![warn(missing_docs)]
 

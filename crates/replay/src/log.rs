@@ -164,8 +164,8 @@ pub enum Record {
         /// The input itself.
         op: HostOp,
     },
-    /// A state-hash checkpoint: the machine's combined component hash
-    /// (see `JMachine::state_hash`) when its clock read `cycle`.
+    /// A state-hash checkpoint: the fold of the machine's architectural
+    /// state (see `JMachine::state_hash`) when its clock read `cycle`.
     Boundary {
         /// Machine cycle of the checkpoint.
         cycle: u64,

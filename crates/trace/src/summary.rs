@@ -18,8 +18,8 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Streaming FNV-1a fold.
 ///
 /// FNV-1a consumes its input strictly left to right, so a fold is built up
-/// piece by piece: the state-hash hooks in `jm-mdp`/`jm-net` use the
-/// integer-push methods to fold component state without allocating.
+/// piece by piece: the state folds in `jm-mdp`/`jm-net` push integers and
+/// words.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 
@@ -64,6 +64,12 @@ impl Fnv1a {
     /// Folds a `u64` as little-endian bytes.
     pub fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
+    }
+
+    /// Folds a tagged word: its tag bits, then its payload bits.
+    pub fn write_word(&mut self, w: jm_isa::Word) {
+        self.write_u8(w.tag().bits());
+        self.write_u32(w.bits());
     }
 
     /// The digest so far.

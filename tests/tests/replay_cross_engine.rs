@@ -145,8 +145,8 @@ fn injected_divergence_in_64_node_chaos_run_is_bisected_to_cycle_and_component()
     // The acceptance fixture: a 64-node run under a delay-fault chaos
     // plan, with a single unrecorded memory write injected at one cycle
     // of the *replayed* execution. The bisector must localize the
-    // divergence to exactly that cycle and name exactly that node's
-    // memory as the diverging component.
+    // divergence to exactly that cycle and name that node's memory word,
+    // with both values, as the first field that differs.
     let spec = FaultSpec::new(9)
         .flaky(50_000)
         .window(FaultWindow::link_down(0, 0, 500, 1_500))
@@ -176,18 +176,17 @@ fn injected_divergence_in_64_node_chaos_run_is_bisected_to_cycle_and_component()
         Divergence::Diverged {
             cycle,
             interval,
-            ref components,
+            ref diff,
         } => {
             assert_eq!(cycle, 1_234, "bisection missed the injected cycle");
             assert!(
                 interval.0 < 1_234 && 1_234 <= interval.1,
                 "bisected interval {interval:?} does not bracket the injection"
             );
-            let labels: Vec<&str> = components.iter().map(|c| c.label.as_str()).collect();
-            assert_eq!(
-                labels,
-                ["node 9 mem"],
-                "wrong diverging component set: {labels:?}"
+            let word = format!("node 9 mem[{acc:#06x}]: ");
+            assert!(
+                diff.starts_with(&word) && diff.ends_with(" vs 999999:int"),
+                "wrong diverging word: {diff}"
             );
         }
         other => panic!("expected a genuine divergence, got {other:?}"),
