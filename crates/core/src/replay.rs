@@ -742,6 +742,33 @@ mod tests {
         }
     }
 
+    /// The state hash is the fold of the parts of [`JMachine::arch_state`],
+    /// nodes then routers, and `diff` names nothing between equal states,
+    /// the word a host write changed, and a router's field by vnet.
+    #[test]
+    fn the_state_hash_folds_the_arch_state_and_diff_names_the_word() {
+        let cfg = MachineConfig::with_dims(MeshDims::new(2, 2, 4));
+        let mut m = JMachine::new(pingpong(FAR_SLAB, 40), cfg);
+        while m.network().in_flight() == 0 {
+            assert!(m.cycle() < 1_000, "no message left node 0");
+            m.run(1);
+        }
+        let state = m.arch_state();
+        let mut h = jm_trace::Fnv1a::new();
+        state.nodes.iter().for_each(|n| n.fold(&mut h));
+        state.routers.iter().for_each(|r| r.fold(&mut h));
+        assert_eq!(h.finish(), m.state_hash());
+        assert_eq!(state.diff(&m.arch_state()), None);
+        m.write_word(NodeId(6), 0x2a0, Word::int(5));
+        let diff = state.diff(&m.arch_state()).expect("a word differs");
+        assert_eq!(diff, "node 6 mem[0x02a0]: 0x0:nil vs 5:int");
+        let mut owned = state.clone();
+        owned.routers[3].owners[1] = [6; 7];
+        let diff = state.diff(&owned).expect("an owner differs");
+        assert!(diff.starts_with("router 3 vnet1 owners: ["), "{diff}");
+        assert!(diff.ends_with(" vs [6, 6, 6, 6, 6, 6, 6]"), "{diff}");
+    }
+
     #[test]
     fn corrupted_checkpoint_is_named_as_log_mismatch() {
         let mut log = record(Engine::Event, 64);
