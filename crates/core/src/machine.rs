@@ -118,9 +118,10 @@ pub(crate) const PARKED: u64 = u64::MAX;
 pub(crate) const QUANTUM: u64 = 64;
 
 /// Buffered lifecycle events past which an occupancy sample merges the
-/// slabs' buffers into the machine's trace: a batch small enough that the
-/// buffers and the merge's working set stay a few megabytes and cache-warm.
-const TRACE_BATCH: usize = 1 << 16;
+/// slabs' buffers into the machine's trace: 1 MiB of 32-byte events, a
+/// batch small enough that the buffers and the merge's working set stay a
+/// few megabytes and cache-warm.
+const TRACE_BATCH: usize = 1 << 15;
 
 /// Event-engine bookkeeping for one shard's nodes: which need ticking and
 /// when. The sequential event engine uses a single all-covering instance;

@@ -321,11 +321,6 @@ impl MdpNode {
         self.trace = on.then(Box::default);
     }
 
-    /// Whether lifecycle tracing is on.
-    pub fn tracing(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// The buffered lifecycle events (`None` when tracing is off), for the
     /// machine to hand to the node's slab.
     pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {

@@ -159,61 +159,6 @@ impl EventKind {
     }
 }
 
-/// A hop or deliver event in 16 bytes — half an [`Event`]. These two kinds
-/// are about four of every five events a loaded mesh emits, and all they
-/// carry is a cycle, a message id (32 bits wide on the flit already)
-/// and a node; the kind rides in the node's top bit. Buffers hold them
-/// packed and assembly widens them into the public `Event` once, in the
-/// output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Packed {
-    cycle: u64,
-    id: u32,
-    /// Node id, with [`Packed::DELIVER`] set for a deliver event.
-    node: u32,
-}
-
-impl Packed {
-    const DELIVER: u32 = 1 << 31;
-
-    /// Packs a hop or deliver event whose id and node fit; `None` for
-    /// everything else (which stays a full `Event`).
-    #[inline]
-    fn pack(cycle: u64, kind: &EventKind) -> Option<Packed> {
-        let (id, node, flag) = match *kind {
-            EventKind::Hop { id, node } => (id, node, 0),
-            EventKind::Deliver { id, node } => (id, node, Packed::DELIVER),
-            _ => return None,
-        };
-        let id = u32::try_from(id.0).ok()?;
-        (node.0 & Packed::DELIVER == 0).then_some(Packed {
-            cycle,
-            id,
-            node: node.0 | flag,
-        })
-    }
-
-    #[inline]
-    pub(crate) fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    #[inline]
-    pub(crate) fn widen(self) -> Event {
-        let id = TraceId(u64::from(self.id));
-        let node = NodeId(self.node & !Packed::DELIVER);
-        let kind = if self.node & Packed::DELIVER == 0 {
-            EventKind::Hop { id, node }
-        } else {
-            EventKind::Deliver { id, node }
-        };
-        Event {
-            cycle: self.cycle,
-            kind,
-        }
-    }
-}
-
 /// An append-only event buffer owned by one simulation component.
 ///
 /// Each component (every network shard, every node) that traces holds its
@@ -226,14 +171,12 @@ impl Packed {
 /// is not tracing holds no tracer at all (it is boxed behind an `Option`),
 /// making the disabled path a single pointer test.
 ///
-/// Hop and deliver events are buffered in a packed 16-byte form, all
-/// others as full [`Event`]s: two plain vectors, each in emission order.
-/// A merge drains them in place, so they keep their capacity and a long
-/// run's buffers stay the size of one batch.
+/// The events are one plain vector in emission order. A merge drains it
+/// in place, so it keeps its capacity and a long run's buffers stay the
+/// size of one batch.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    pub(crate) packed: Vec<Packed>,
-    pub(crate) wide: Vec<Event>,
+    pub(crate) events: Vec<Event>,
 }
 
 impl Tracer {
@@ -245,10 +188,7 @@ impl Tracer {
     /// Records one event.
     #[inline]
     pub fn emit(&mut self, cycle: u64, kind: EventKind) {
-        match Packed::pack(cycle, &kind) {
-            Some(packed) => self.packed.push(packed),
-            None => self.wide.push(Event { cycle, kind }),
-        }
+        self.events.push(Event { cycle, kind });
     }
 
     /// Moves every event of `other` to the end of this buffer, leaving
@@ -256,34 +196,29 @@ impl Tracer {
     /// during a visit to its slab's buffer.
     #[inline]
     pub fn append(&mut self, other: &mut Tracer) {
-        // Most visits emit nothing: skip the copy calls for them.
-        if !other.packed.is_empty() {
-            self.packed.append(&mut other.packed);
-        }
-        if !other.wide.is_empty() {
-            self.wide.append(&mut other.wide);
+        // Most visits emit nothing: skip the copy call for them.
+        if !other.events.is_empty() {
+            self.events.append(&mut other.events);
         }
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.packed.len() + self.wide.len()
+        self.events.len()
     }
 
     /// Whether no events have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.events.is_empty()
     }
 }
 
 #[cfg(test)]
 impl FromIterator<Event> for Tracer {
     fn from_iter<I: IntoIterator<Item = Event>>(events: I) -> Tracer {
-        let mut tracer = Tracer::new();
-        for e in events {
-            tracer.emit(e.cycle, e.kind);
+        Tracer {
+            events: events.into_iter().collect(),
         }
-        tracer
     }
 }
 
@@ -344,7 +279,7 @@ mod tests {
         assert_eq!(trace.events.len(), 1);
         assert!(t.is_empty());
         assert!(
-            t.packed.capacity() > 0,
+            t.events.capacity() > 0,
             "a drained buffer keeps its capacity"
         );
     }
@@ -385,26 +320,18 @@ mod tests {
                 },
             ]
         };
-        // Ids at both edges of the packed form's 32 bits, and the null id.
+        // Ids at both edges of 32 bits, and the null id.
         for id in [0, 1, u64::from(u32::MAX), u64::from(u32::MAX) + 1, u64::MAX] {
             for (cycle, kind) in kinds(TraceId(id)).into_iter().enumerate() {
                 let cycle = cycle as u64 * 1_000_000_007;
                 let mut t = Tracer::new();
                 t.emit(cycle, kind);
                 assert_eq!(t.len(), 1);
-                let packs = matches!(kind, EventKind::Hop { .. } | EventKind::Deliver { .. })
-                    && id <= u64::from(u32::MAX);
-                assert_eq!(t.packed.len(), usize::from(packs), "{kind:?}");
                 let trace = crate::MachineTrace::assemble(vec![t], Vec::new(), 8);
                 assert_eq!(trace.events, [Event { cycle, kind }]);
             }
         }
-        // A node id using the packed form's flag bit stays wide.
-        let high = EventKind::Deliver {
-            id: TraceId(1),
-            node: NodeId(u32::MAX),
-        };
-        assert_eq!(Packed::pack(0, &high), None);
-        assert!(std::mem::size_of::<Packed>() <= 16);
+        // The machine sizes its merge batch in 32-byte events.
+        assert_eq!(std::mem::size_of::<Event>(), 32);
     }
 }

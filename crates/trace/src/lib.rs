@@ -11,9 +11,9 @@
 //! [`Event`]s — inject, per-hop route, deliver, queue-enter, dispatch,
 //! handler-complete — each with a cycle timestamp.
 //!
-//! Components buffer events locally in a [`Tracer`] (boxed behind an
-//! `Option` on each component: the disabled path is one pointer test and
-//! zero allocation). A node hands its events to its slab's buffer as the
+//! Components buffer events locally in a [`Tracer`], one vector of
+//! [`Event`]s in emission order (boxed behind an `Option` on each
+//! component: the disabled path is one pointer test and zero allocation). A node hands its events to its slab's buffer as the
 //! slab visits it ([`Tracer::append`]), so each slab's buffer is one
 //! stream in cycle order, and the machine drains those few streams into a
 //! [`MachineTrace`] a batch at a time as the run goes, one cycle at a time

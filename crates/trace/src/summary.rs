@@ -52,8 +52,7 @@ impl Fnv1a {
 
     /// Folds one byte.
     pub fn write_u8(&mut self, v: u8) {
-        self.0 ^= u64::from(v);
-        self.0 = self.0.wrapping_mul(FNV_PRIME);
+        self.write(&[v]);
     }
 
     /// Folds a `u32` as little-endian bytes.
@@ -83,17 +82,11 @@ impl Fnv1a {
 /// trace's canonical sort order makes the hash independent of component
 /// buffer interleaving.
 pub fn hash(trace: &MachineTrace) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut h = Fnv1a::new();
     for e in &trace.events {
-        mix(e.cycle);
-        mix(u64::from(e.kind.rank()));
-        mix(e.kind.id().0);
+        h.write_u64(e.cycle);
+        h.write_u64(u64::from(e.kind.rank()));
+        h.write_u64(e.kind.id().0);
         match e.kind {
             EventKind::Inject {
                 src,
@@ -102,37 +95,37 @@ pub fn hash(trace: &MachineTrace) -> u64 {
                 words,
                 ..
             } => {
-                mix(u64::from(src.0));
-                mix(u64::from(dst.0));
-                mix(priority.index() as u64);
-                mix(u64::from(words));
+                h.write_u64(u64::from(src.0));
+                h.write_u64(u64::from(dst.0));
+                h.write_u64(priority.index() as u64);
+                h.write_u64(u64::from(words));
             }
             EventKind::Hop { node, .. } | EventKind::Deliver { node, .. } => {
-                mix(u64::from(node.0));
+                h.write_u64(u64::from(node.0));
             }
             EventKind::QueueEnter { node, priority, .. } => {
-                mix(u64::from(node.0));
-                mix(priority.index() as u64);
+                h.write_u64(u64::from(node.0));
+                h.write_u64(priority.index() as u64);
             }
             EventKind::Dispatch { node, handler, .. }
             | EventKind::HandlerEnd { node, handler, .. } => {
-                mix(u64::from(node.0));
-                mix(u64::from(handler));
+                h.write_u64(u64::from(node.0));
+                h.write_u64(u64::from(handler));
             }
             EventKind::Fault { node, what, .. } => {
-                mix(u64::from(node.0));
-                mix(u64::from(what.code()));
+                h.write_u64(u64::from(node.0));
+                h.write_u64(u64::from(what.code()));
             }
         }
     }
     for s in &trace.samples {
-        mix(s.cycle);
-        mix(s.queued_words);
-        mix(s.in_flight);
-        mix(u64::from(s.active_routers));
-        mix(u64::from(s.busy_nodes));
+        h.write_u64(s.cycle);
+        h.write_u64(s.queued_words);
+        h.write_u64(s.in_flight);
+        h.write_u64(u64::from(s.active_routers));
+        h.write_u64(u64::from(s.busy_nodes));
     }
-    h
+    h.finish()
 }
 
 fn histogram_json(h: &Histogram) -> String {

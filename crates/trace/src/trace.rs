@@ -1,6 +1,6 @@
 //! Merged whole-machine traces and per-message latency decomposition.
 
-use crate::event::{Event, EventKind, FaultEvent, Packed, Tracer};
+use crate::event::{Event, EventKind, FaultEvent, Tracer};
 use crate::histogram::Histogram;
 use jm_isa::instr::MsgPriority;
 use jm_isa::node::NodeId;
@@ -156,32 +156,22 @@ impl MachineTrace {
         };
         let mut sources: Vec<&mut Tracer> = sources.into_iter().collect();
         // How much of each buffer this merge takes.
-        let ends: Vec<(usize, usize)> = (sources.iter_mut())
-            .map(|t| {
-                let packed = taken(&mut t.packed, from, &cycles, Packed::cycle);
-                (packed, taken(&mut t.wide, from, &cycles, |e| e.cycle))
-            })
+        let ends: Vec<usize> = (sources.iter_mut())
+            .map(|t| taken(&mut t.events, from, &cycles))
             .collect();
-        let runs: Vec<Events<'_>> = (sources.iter().zip(&ends))
-            .flat_map(|(t, &(packed, wide))| {
-                [
-                    Events::Packed(&t.packed[..packed]),
-                    Events::Wide(&t.wide[..wide]),
-                ]
-            })
+        let runs: Vec<&[Event]> = (sources.iter().zip(&ends))
+            .map(|(t, &end)| &t.events[..end])
             .collect();
-        self.events
-            .reserve(ends.iter().map(|(packed, wide)| packed + wide).sum());
+        self.events.reserve(ends.iter().sum());
         let mut at = vec![0; runs.len()];
         let mut cycle_events: Vec<(u128, Event)> = Vec::new();
         while let Some(cycle) = (runs.iter().zip(&at))
-            .filter_map(|(run, &i)| run.cycle(i))
+            .filter_map(|(run, &i)| run.get(i).map(|e| e.cycle))
             .min()
         {
             cycle_events.clear();
             for (run, i) in runs.iter().zip(&mut at) {
-                while run.cycle(*i) == Some(cycle) {
-                    let e = run.get(*i);
+                while let Some(&e) = run.get(*i).filter(|e| e.cycle == cycle) {
                     cycle_events.push((sort_key(&e.kind), e));
                     *i += 1;
                 }
@@ -189,9 +179,8 @@ impl MachineTrace {
             cycle_events.sort_by_key(|&(key, _)| key);
             self.events.extend(cycle_events.iter().map(|&(_, e)| e));
         }
-        for (t, (packed, wide)) in sources.into_iter().zip(ends) {
-            t.packed.drain(..packed);
-            t.wide.drain(..wide);
+        for (t, end) in sources.into_iter().zip(ends) {
+            t.events.drain(..end);
         }
     }
 
@@ -402,45 +391,14 @@ impl IdIndex {
 /// # Panics
 ///
 /// On an event before `from`, the start of `cycles`.
-fn taken<T>(
-    buffer: &mut [T],
-    from: u64,
-    cycles: &impl RangeBounds<u64>,
-    cycle: impl Fn(&T) -> u64,
-) -> usize {
-    if !buffer.is_sorted_by_key(&cycle) {
-        buffer.sort_by_key(&cycle);
+fn taken(buffer: &mut [Event], from: u64, cycles: &impl RangeBounds<u64>) -> usize {
+    if !buffer.is_sorted_by_key(|e| e.cycle) {
+        buffer.sort_by_key(|e| e.cycle);
     }
-    if let Some(early) = buffer.first().map(&cycle).filter(|&c| c < from) {
+    if let Some(early) = buffer.first().map(|e| e.cycle).filter(|&c| c < from) {
         panic!("trace event at cycle {early} after a merge of every cycle before {from}");
     }
-    buffer.partition_point(|e| cycles.contains(&cycle(e)))
-}
-
-/// One source buffer's events to merge, in whichever form it holds them.
-#[derive(Clone, Copy)]
-enum Events<'a> {
-    Packed(&'a [Packed]),
-    Wide(&'a [Event]),
-}
-
-impl Events<'_> {
-    /// The cycle of event `i`, if there is one.
-    #[inline]
-    fn cycle(&self, i: usize) -> Option<u64> {
-        match self {
-            Events::Packed(e) => e.get(i).map(Packed::cycle),
-            Events::Wide(e) => e.get(i).map(|e| e.cycle),
-        }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> Event {
-        match self {
-            Events::Packed(e) => e[i].widen(),
-            Events::Wide(e) => e[i],
-        }
-    }
+    buffer.partition_point(|e| cycles.contains(&e.cycle))
 }
 
 /// The node an event names, and whether that node emitted it rather than
@@ -709,8 +667,8 @@ mod tests {
             ],
         ];
         assert_eq!(assemble_linear(&sparse), assemble_by_sorting(&sparse));
-        // Two sources long enough to span many windows, with ids and nodes
-        // too wide for the packed form mixed in.
+        // Two sources long enough to span many windows, with ids past 32
+        // bits and nodes at the top of theirs mixed in.
         let long: Vec<Vec<Event>> = (0..2)
             .map(|_| {
                 let mut cycle = 0;
@@ -868,11 +826,7 @@ mod tests {
         for e in &mut srcs[2] {
             e.cycle = rng.range_u64(0, 100);
         }
-        let tracer: Tracer = srcs[2].iter().copied().collect();
-        assert!(
-            !tracer.wide.is_sorted_by_key(|e| e.cycle)
-                || !tracer.packed.is_sorted_by_key(Packed::cycle)
-        );
+        assert!(!srcs[2].is_sorted_by_key(|e| e.cycle));
         assert_eq!(assemble_linear(&srcs), assemble_by_sorting(&srcs));
     }
 
