@@ -13,9 +13,10 @@
 //!
 //! Components buffer events locally in a [`Tracer`], one vector of
 //! [`Event`]s in emission order (boxed behind an `Option` on each
-//! component: the disabled path is one pointer test and zero allocation). A node hands its events to its slab's buffer as the
-//! slab visits it ([`Tracer::append`]), so each slab's buffer is one
-//! stream in cycle order, and the machine drains those few streams into a
+//! component: the disabled path is one pointer test and zero
+//! allocation). A node hands its events to its slab's buffer as the slab
+//! visits it ([`Tracer::append`]), so each slab's buffer is one stream in
+//! cycle order, and the machine drains those few streams into a
 //! [`MachineTrace`] a batch at a time as the run goes, one cycle at a time
 //! ([`MachineTrace::merge`]), so the trace is held once; the trace
 //! reconstructs per-message [`MsgTrace`]
